@@ -627,6 +627,51 @@ fn execute_transfers_unattached_peer_is_typed_error() {
 }
 
 #[test]
+fn execute_transfers_unattached_receiver_leaves_overlay_untouched() {
+    use proxbal_topology::{DistanceOracle, TransitStubConfig, TransitStubTopology};
+    let (mut net, mut loads, mut rng) = setup(32, 3, 25);
+    let params = ClassifyParams::default();
+    let assignments = random_matching(&net, &loads, &params, &mut rng);
+    assert!(assignments.len() >= 2);
+    // Everyone is attached except the receiver of the *last* assignment,
+    // so every earlier transfer is executable when the error is found.
+    let topo = TransitStubTopology::generate(TransitStubConfig::tiny(), &mut rng);
+    let stubs = topo.stub_nodes();
+    let orphan = assignments.last().unwrap().to;
+    assert!(assignments[0].to != orphan && assignments[0].from != orphan);
+    for (i, p) in net.alive_peers().into_iter().enumerate() {
+        if p != orphan {
+            net.attach(p, stubs[i % stubs.len()]);
+        }
+    }
+    let oracle = DistanceOracle::for_topology(&topo, 0);
+    let hosts = |net: &ChordNetwork| -> Vec<(VsId, PeerId)> {
+        net.ring()
+            .iter()
+            .map(|(_, v)| (v, net.vs(v).host))
+            .collect()
+    };
+    let peer_loads = |net: &ChordNetwork, loads: &LoadState| -> Vec<f64> {
+        net.alive_peers()
+            .into_iter()
+            .map(|p| loads.node_lbi(net, p).load)
+            .collect()
+    };
+    let (hosts_before, loads_before) = (hosts(&net), peer_loads(&net, &loads));
+    let err = execute_transfers(
+        &mut net,
+        &mut loads,
+        &assignments,
+        Some(crate::transfer::TransferDistances::Exact(&oracle)),
+    )
+    .unwrap_err();
+    assert_eq!(err, Error::UnattachedPeer(orphan));
+    assert_eq!(hosts(&net), hosts_before, "a transfer was applied");
+    assert_eq!(peer_loads(&net, &loads), loads_before);
+    net.check_invariants().unwrap();
+}
+
+#[test]
 fn requeue_reassigns_transfers_whose_receiver_died() {
     let (mut net, mut loads, mut rng) = setup(32, 3, 22);
     let params = ClassifyParams::default();

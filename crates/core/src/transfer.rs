@@ -8,17 +8,17 @@ use serde::{Deserialize, Serialize};
 
 /// How VST accounts the physical distance of each transfer.
 ///
-/// The exact scheme runs one bucket-queue Dijkstra per distinct endpoint —
-/// the scale ceiling at millions of virtual servers. The hierarchical
-/// scheme answers most pairs from landmark triangle-inequality bounds and
-/// spends exact Dijkstra only where the bounds disagree *and* the source
-/// covers enough uncertain pairs to be worth a full row (filter-then-
-/// refine). Both are pure functions of their inputs, so either mode is
-/// byte-identical at any thread count.
+/// The exact scheme asks the oracle one point query per transfer — O(1)
+/// table lookups on a transit-stub underlay
+/// ([`DistanceOracle::for_topology`]), a Dijkstra row per uncached source
+/// on any other graph. The hierarchical scheme answers most pairs from
+/// landmark triangle-inequality bounds and spends exact Dijkstra only where
+/// the bounds disagree *and* the source covers enough uncertain pairs to be
+/// worth a full row (filter-then-refine). Both are pure functions of their
+/// inputs, so either mode is byte-identical at any thread count.
 #[derive(Clone, Copy)]
 pub enum TransferDistances<'a> {
-    /// Every pair measured by exact Dijkstra rows (the default — existing
-    /// outputs stay byte-identical).
+    /// Every pair measured exactly (the default).
     Exact(&'a DistanceOracle),
     /// Landmark bounds first, exact rows only for the
     /// highest-coverage uncertain sources.
@@ -64,10 +64,17 @@ pub fn execute_transfers(
 }
 
 /// [`execute_transfers`] with an explicit worker-thread count for the
-/// Dijkstra row batches of the distance memo. The memo is a pure function
-/// of the assignment set and the oracles — its values (and therefore every
-/// record) are identical at any `threads`; only the row-fill wall time
+/// Dijkstra row batches of the approximate scheme's refinement. Every
+/// distance is a pure function of the assignment set and the oracles, so
+/// the records are identical at any `threads`; only the row-fill wall time
 /// changes.
+///
+/// Runs in two steps. **Resolve**: decide which assignments are executable
+/// and measure each one's distance, touching nothing — a typed error
+/// leaves ring, hosts and loads exactly as they were. **Apply**: move the
+/// virtual servers. Executability is judged against the overlay as the
+/// batch finds it (the protocol runs a round's transfers in parallel, and
+/// VSA assigns a virtual server at most once).
 pub fn execute_transfers_threaded(
     net: &mut ChordNetwork,
     loads: &mut LoadState,
@@ -75,72 +82,77 @@ pub fn execute_transfers_threaded(
     distances: Option<TransferDistances<'_>>,
     threads: usize,
 ) -> Result<Vec<TransferRecord>, Error> {
-    // With an unbounded oracle cache, warm whole rows and query per
-    // transfer. With a bounded cache, precompute every pair distance up
-    // front in capacity-sized batches instead: peer attachments are
-    // immutable, so the values are identical, and the per-transfer query
-    // order (which interleaves both endpoints) can no longer thrash the
-    // cache into recomputing rows. The approximate scheme always memoizes
-    // up front (landmark filter, then exact refinement rows).
-    let memo: Option<DistanceMemo> = match distances {
-        Some(TransferDistances::Exact(o)) if o.capacity() > 0 => {
-            Some(pair_distances_chunked(net, assignments, o, threads))
-        }
-        Some(TransferDistances::Exact(o)) => {
-            precompute_endpoint_rows(net, assignments, o, threads);
-            None
-        }
+    let prof = proxbal_profile::phase("round/transfer/distances");
+    // The approximate scheme memoizes every pair up front (landmark
+    // filter, then exact refinement rows); exact distances are O(1) point
+    // queries asked per transfer.
+    let memo = match distances {
         Some(TransferDistances::Approx {
             oracle,
             landmarks,
             refine_sources,
-        }) => Some(pair_distances_approx(
-            net,
-            assignments,
-            oracle,
-            landmarks,
-            refine_sources,
-            threads,
-        )),
-        None => None,
+        }) => pair_distances_approx(net, assignments, oracle, landmarks, refine_sources, threads),
+        _ => DistanceMemo::new(),
     };
     let mut out = Vec::with_capacity(assignments.len());
     for &a in assignments {
-        let vs = net.vs(a.vs);
-        if !vs.alive || vs.host != a.from {
-            continue; // stale assignment
-        }
-        if net.peer(a.to).state != proxbal_chord::PeerState::Alive {
+        if !executable(net, &a) {
             continue;
         }
-        net.transfer_vs(a.vs, a.to);
         let distance = match distances {
             Some(d) => {
-                let from = net.peer(a.from).underlay;
-                let to = net.peer(a.to).underlay;
-                if from == u32::MAX {
-                    return Err(Error::UnattachedPeer(a.from));
-                }
-                if to == u32::MAX {
-                    return Err(Error::UnattachedPeer(a.to));
-                }
-                let memoized = memo.as_ref().and_then(|m| m.get(&(from, to)).copied());
-                Some(memoized.unwrap_or_else(|| match d {
+                let from = attachment(net, a.from)?;
+                let to = attachment(net, a.to)?;
+                Some(match d {
                     TransferDistances::Exact(o) => o.distance(from, to),
-                    TransferDistances::Approx { landmarks, .. } => landmarks.estimate(from, to),
-                }))
+                    TransferDistances::Approx { landmarks, .. } => memo
+                        .get(&(from, to))
+                        .copied()
+                        .unwrap_or_else(|| landmarks.estimate(from, to)),
+                })
             }
             None => None,
         };
-        // Load rides with the virtual server; LoadState is keyed by VsId so
-        // nothing to move — but assert the invariant in debug builds.
-        debug_assert!((loads.vs_load(a.vs) - a.load).abs() < 1e-9 || a.load >= 0.0);
         out.push(TransferRecord {
             assignment: a,
             distance,
         });
     }
+    drop(prof);
+
+    let _prof = proxbal_profile::phase("round/transfer/apply");
+    for t in &out {
+        let a = t.assignment;
+        // Load rides with the virtual server (`LoadState` is keyed by
+        // `VsId`), so there is nothing to move in the books — but what VSA
+        // promised the receiver must still be what the server carries.
+        debug_assert!(
+            (loads.vs_load(a.vs) - a.load).abs() <= 1e-9 * a.load.abs().max(1.0),
+            "assignment load {} differs from booked load {} of {:?}",
+            a.load,
+            loads.vs_load(a.vs),
+            a.vs
+        );
+        net.transfer_vs(a.vs, a.to);
+    }
     Ok(out)
+}
+
+/// True iff `a` can execute against the current overlay: its source still
+/// hosts the virtual server and its receiver is alive. Anything else is a
+/// stale assignment (e.g. a crash between VSA and VST) and is skipped,
+/// mirroring the soft-state tolerance of the protocol.
+fn executable(net: &ChordNetwork, a: &Assignment) -> bool {
+    let vs = net.vs(a.vs);
+    vs.alive && vs.host == a.from && net.peer(a.to).state == PeerState::Alive
+}
+
+/// The underlay node `peer` is attached to.
+fn attachment(net: &ChordNetwork, peer: PeerId) -> Result<u32, Error> {
+    match net.peer(peer).underlay {
+        u32::MAX => Err(Error::UnattachedPeer(peer)),
+        node => Ok(node),
+    }
 }
 
 /// Like [`execute_transfers`], recording VST metrics into `trace`: the
@@ -287,68 +299,21 @@ fn auto_threads() -> usize {
         .unwrap_or(1)
 }
 
-/// Collects the `(from, to)` attachment pairs of the assignments that look
-/// executable right now (same filter [`execute_transfers`] applies).
+/// Collects the distinct `(from, to)` attachment pairs of the executable
+/// assignments (unattached endpoints are left for the executor to report).
 fn endpoint_pairs(net: &ChordNetwork, assignments: &[Assignment]) -> Vec<(u32, u32)> {
     let mut pairs: Vec<(u32, u32)> = Vec::with_capacity(assignments.len());
     for a in assignments {
-        let vs = net.vs(a.vs);
-        if !vs.alive || vs.host != a.from {
+        if !executable(net, a) {
             continue;
         }
-        if net.peer(a.to).state != proxbal_chord::PeerState::Alive {
-            continue;
-        }
-        let from = net.peer(a.from).underlay;
-        let to = net.peer(a.to).underlay;
-        if from != u32::MAX && to != u32::MAX {
+        if let (Ok(from), Ok(to)) = (attachment(net, a.from), attachment(net, a.to)) {
             pairs.push((from, to));
         }
     }
     pairs.sort_unstable();
     pairs.dedup();
     pairs
-}
-
-/// Computes every endpoint-pair distance through a **bounded** oracle cache
-/// without thrashing it: distinct sources on the cheaper side are processed
-/// in batches of at most half the cache capacity, each batch's rows filled
-/// once (in parallel) and drained into a flat pair→distance memo before the
-/// next batch may evict them.
-fn pair_distances_chunked(
-    net: &ChordNetwork,
-    assignments: &[Assignment],
-    oracle: &DistanceOracle,
-    threads: usize,
-) -> DistanceMemo {
-    let pairs = endpoint_pairs(net, assignments);
-    let mut froms: Vec<u32> = pairs.iter().map(|&(f, _)| f).collect();
-    let mut tos: Vec<u32> = pairs.iter().map(|&(_, t)| t).collect();
-    froms.sort_unstable();
-    froms.dedup();
-    tos.sort_unstable();
-    tos.dedup();
-    // One Dijkstra per distinct node on the smaller side covers every pair.
-    let by_to = tos.len() <= froms.len();
-    let mut by_src: std::collections::BTreeMap<u32, Vec<u32>> = std::collections::BTreeMap::new();
-    for &(f, t) in &pairs {
-        let (src, other) = if by_to { (t, f) } else { (f, t) };
-        by_src.entry(src).or_default().push(other);
-    }
-    let sources: Vec<u32> = by_src.keys().copied().collect();
-    let batch = (oracle.capacity() / 2).max(1);
-    let mut memo = DistanceMemo::with_capacity(pairs.len());
-    for chunk in sources.chunks(batch) {
-        oracle.precompute(chunk, threads);
-        for &src in chunk {
-            let row = oracle.row(src);
-            for &other in &by_src[&src] {
-                let (f, t) = if by_to { (other, src) } else { (src, other) };
-                memo.insert((f, t), row.get(other as usize));
-            }
-        }
-    }
-    memo
 }
 
 /// Filter-then-refine pair distances for [`TransferDistances::Approx`].
@@ -423,48 +388,6 @@ fn pair_distances_approx(
             .or_insert_with(|| landmarks.bounds(f, t).1);
     }
     memo
-}
-
-/// Batch-fills oracle rows for the cheaper side of the transfer endpoints.
-///
-/// Every transfer needs `distance(from, to)`. The oracle answers a point
-/// query from either endpoint's cached row (the graph is undirected), so
-/// one Dijkstra per *distinct* attachment on the smaller side covers every
-/// pair — typically the receiving light nodes, a ~3× smaller set than the
-/// shedding heavy nodes.
-fn precompute_endpoint_rows(
-    net: &ChordNetwork,
-    assignments: &[Assignment],
-    oracle: &DistanceOracle,
-    threads: usize,
-) {
-    let mut froms: Vec<u32> = Vec::with_capacity(assignments.len());
-    let mut tos: Vec<u32> = Vec::with_capacity(assignments.len());
-    for a in assignments {
-        let vs = net.vs(a.vs);
-        if !vs.alive || vs.host != a.from {
-            continue;
-        }
-        if net.peer(a.to).state != proxbal_chord::PeerState::Alive {
-            continue;
-        }
-        let from = net.peer(a.from).underlay;
-        let to = net.peer(a.to).underlay;
-        if from != u32::MAX && to != u32::MAX {
-            froms.push(from);
-            tos.push(to);
-        }
-    }
-    froms.sort_unstable();
-    froms.dedup();
-    tos.sort_unstable();
-    tos.dedup();
-    let smaller = if tos.len() <= froms.len() {
-        &tos
-    } else {
-        &froms
-    };
-    oracle.precompute(smaller, threads);
 }
 
 /// Total load moved across a set of transfers.

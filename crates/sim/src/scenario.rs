@@ -218,7 +218,7 @@ impl Scenario {
             }
             let landmarks = select_landmarks(topo, self.landmarks, &mut rng);
             let cap = oracle_capacity;
-            let oracle = DistanceOracle::with_capacity(Arc::new(topo.graph.clone()), cap);
+            let oracle = DistanceOracle::for_topology(topo, cap);
             let latency_oracle =
                 DistanceOracle::with_capacity(Arc::new(topo.latency_graph.clone()), cap);
             // Landmark vectors need the distance row *from* each landmark in

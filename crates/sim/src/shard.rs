@@ -139,7 +139,7 @@ pub fn prepare_sharded_run(
         }
         let landmarks = select_landmarks(topo, scenario.landmarks, &mut rng);
         let cap = scenario.oracle_capacity;
-        let oracle = DistanceOracle::with_capacity(Arc::new(topo.graph.clone()), cap);
+        let oracle = DistanceOracle::for_topology(topo, cap);
         let latency_oracle =
             DistanceOracle::with_capacity(Arc::new(topo.latency_graph.clone()), cap);
         latency_oracle.precompute(&landmarks, threads);

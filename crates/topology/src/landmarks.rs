@@ -15,11 +15,15 @@ use rand::Rng;
 /// Landmarks are drawn round-robin over transit domains (one random transit
 /// node per domain per round) until `count` are chosen; if the topology has
 /// fewer transit nodes than `count`, stub nodes are drawn to fill up.
+/// `count == 0` selects nothing (and draws nothing from `rng`).
 pub fn select_landmarks<R: Rng>(
     topo: &TransitStubTopology,
     count: usize,
     rng: &mut R,
 ) -> Vec<NodeId> {
+    if count == 0 {
+        return Vec::new();
+    }
     let mut chosen = Vec::with_capacity(count);
     let mut pools: Vec<Vec<NodeId>> = topo
         .transit_by_domain

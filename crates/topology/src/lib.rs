@@ -17,7 +17,9 @@
 //! * [`DistanceOracle`] — caching multi-source shortest-path oracle used to
 //!   derive landmark vectors and per-transfer hop costs. Rows are stored
 //!   block-compressed ([`CompactRow`]) so bounded caches hold several times
-//!   more rows per byte.
+//!   more rows per byte. Over a transit-stub topology
+//!   ([`DistanceOracle::for_topology`]) point queries skip rows entirely:
+//!   an exact structural index answers them in O(1).
 //! * [`LandmarkOracle`] — the hierarchical approximate tier: O(m) triangle-
 //!   inequality distance bounds from precomputed landmark vectors, behind
 //!   the same [`DistanceQuery`] trait as the exact oracle.
@@ -26,6 +28,7 @@ mod graph;
 mod landmark_oracle;
 mod landmarks;
 mod oracle;
+mod stub_index;
 mod transit_stub;
 
 pub use graph::{DijkstraScratch, Graph, NodeId, INFINITE_DISTANCE};
@@ -34,5 +37,7 @@ pub use landmarks::select_landmarks;
 pub use oracle::{CacheStats, CompactRow, DistanceOracle, DistanceQuery};
 pub use transit_stub::{DomainKind, TransitStubConfig, TransitStubTopology};
 
+#[cfg(test)]
+mod stub_index_tests;
 #[cfg(test)]
 mod tests;

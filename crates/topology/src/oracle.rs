@@ -1,9 +1,11 @@
 use crate::graph::{DijkstraScratch, Graph, NodeId};
+use crate::stub_index::StubIndex;
+use crate::transit_stub::{DomainKind, TransitStubTopology};
 use parking_lot::{Mutex, RwLock};
 use std::cell::RefCell;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, AtomicU8, AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// Entries per [`CompactRow`] block. Each block stores its minimum and a
 /// fixed byte width for the deltas, so runs of equal or nearby distances
@@ -165,6 +167,19 @@ const PIN_BIT: u8 = 2;
 /// graph is undirected, so [`DistanceOracle::distance`] answers from
 /// whichever endpoint's row is already cached before computing a new one.
 ///
+/// # Point queries on transit-stub graphs
+///
+/// An oracle made with [`DistanceOracle::for_topology`] knows the domain
+/// structure of its graph and answers [`DistanceOracle::distance`] from a
+/// structural index (per-stub tables plus one transit-core table) in O(1)
+/// without filling any row. The index is built on the first point query, is
+/// exact, and is skipped — rows answer as before — when the graph has an
+/// edge between two different stub domains (or an intra-stub distance too
+/// large for its 16-bit tables). Whole rows ([`row`], landmark vectors)
+/// never go through it.
+///
+/// [`row`]: DistanceOracle::row
+///
 /// # Bounded memory
 ///
 /// At 50k-node scale a raw row is ~200 KB, so an unbounded cache can grow
@@ -195,6 +210,13 @@ pub struct DistanceOracle {
     hits: AtomicU64,
     computes: AtomicU64,
     evictions: AtomicU64,
+    /// Domain membership of every node, when the graph is a transit-stub
+    /// topology: what the structural index is built from.
+    kinds: Option<Vec<DomainKind>>,
+    /// The structural point-query index, built on the first
+    /// [`DistanceOracle::distance`]; `Some(None)` once the graph turned out
+    /// not to satisfy its precondition.
+    index: OnceLock<Option<StubIndex>>,
 }
 
 /// Snapshot of an oracle's cache accounting.
@@ -233,6 +255,22 @@ impl DistanceOracle {
     /// Creates an oracle whose cache holds at most `capacity` unpinned
     /// rows (`0` = unbounded). Pinned rows live outside the bound.
     pub fn with_capacity(graph: Arc<Graph>, capacity: usize) -> Self {
+        Self::with_kinds(graph, capacity, None)
+    }
+
+    /// Creates an oracle over the hop-cost graph of `topo` that answers
+    /// point queries from the structural index (see the type docs), with a
+    /// row cache of `capacity` unpinned rows (`0` = unbounded) for whole-row
+    /// consumers.
+    pub fn for_topology(topo: &TransitStubTopology, capacity: usize) -> Self {
+        Self::with_kinds(
+            Arc::new(topo.graph.clone()),
+            capacity,
+            Some(topo.kinds.clone()),
+        )
+    }
+
+    fn with_kinds(graph: Arc<Graph>, capacity: usize, kinds: Option<Vec<DomainKind>>) -> Self {
         let n = graph.node_count();
         DistanceOracle {
             graph,
@@ -245,7 +283,21 @@ impl DistanceOracle {
             hits: AtomicU64::new(0),
             computes: AtomicU64::new(0),
             evictions: AtomicU64::new(0),
+            kinds,
+            index: OnceLock::new(),
         }
+    }
+
+    /// The structural index, built on first use; `None` when this oracle
+    /// has no domain metadata or the graph fails the index's precondition.
+    fn index(&self) -> Option<&StubIndex> {
+        let kinds = self.kinds.as_deref()?;
+        self.index
+            .get_or_init(|| {
+                let _prof = proxbal_profile::phase("oracle/index_build");
+                StubIndex::build(&self.graph, kinds)
+            })
+            .as_ref()
     }
 
     /// The underlying graph.
@@ -369,12 +421,17 @@ impl DistanceOracle {
 
     /// Shortest-path distance between `u` and `v` in latency units.
     ///
-    /// The graph is undirected, so `d(u, v) = d(v, u)`: if either
-    /// endpoint's row is cached the answer is a lookup, and only when
-    /// neither is does this compute (and cache) the row from `u`.
+    /// With a structural index ([`DistanceOracle::for_topology`]) this is a
+    /// handful of table lookups. Otherwise the graph is undirected, so
+    /// `d(u, v) = d(v, u)`: if either endpoint's row is cached the answer
+    /// is a lookup, and only when neither is does this compute (and cache)
+    /// the row from `u`.
     pub fn distance(&self, u: NodeId, v: NodeId) -> u32 {
         if u == v {
             return 0;
+        }
+        if let Some(index) = self.index() {
+            return index.distance(u, v);
         }
         if let Some(row) = self.cached(u) {
             return row.get(v as usize);
@@ -441,12 +498,14 @@ impl DistanceOracle {
         self.rows.iter().filter(|r| r.read().is_some()).count()
     }
 
-    /// Measured bytes of all resident rows, pinned included. This is what
-    /// "sized by measured residency" means for capacity planning: the
-    /// `xl2` preset picks its row budget against this number, not against
-    /// a `rows × 4 bytes × n` estimate that compression makes obsolete.
+    /// Measured bytes of all resident rows, pinned included, plus the
+    /// structural index once it is built. This is what "sized by measured
+    /// residency" means for capacity planning: the `xl2` preset picks its
+    /// row budget against this number, not against a `rows × 4 bytes × n`
+    /// estimate that compression makes obsolete.
     pub fn resident_bytes(&self) -> usize {
-        self.resident_bytes.load(Ordering::Relaxed)
+        let index = self.index.get().and_then(Option::as_ref);
+        self.resident_bytes.load(Ordering::Relaxed) + index.map_or(0, StubIndex::size_bytes)
     }
 
     /// Snapshot of the lifetime cache accounting. See [`CacheStats`] for

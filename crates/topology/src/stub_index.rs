@@ -1,0 +1,251 @@
+//! Exact O(1) point distances on transit-stub graphs.
+//!
+//! A stub domain touches the rest of the graph only through its uplinks
+//! (stub–transit edges), so a shortest path between nodes of different
+//! domains leaves the first domain once, crosses the transit core, and
+//! enters the second domain once:
+//!
+//! ```text
+//! d(u, v) = min over uplinks a of u's domain, b of v's domain:
+//!           d_in(u, g_a) + w_a + core[t_a][t_b] + w_b + d_in(g_b, v)
+//! ```
+//!
+//! where `d_in` is the shortest path *restricted to the domain's own
+//! nodes* and `core` is the all-pairs table over transit nodes. For two
+//! nodes of one domain the answer is the minimum of `d_in(u, v)` and the
+//! same exit-and-re-enter expression (which wins in sparse, tree-shaped
+//! stubs with two uplinks).
+//!
+//! `core` must be exact in the *full* graph, where a multi-homed stub is a
+//! through-route between its transit nodes. It is therefore computed on the
+//! **skeleton**: the transit–transit edges plus one virtual edge
+//! `t_a – t_b` of weight `w_a + d_in(g_a, g_b) + w_b` for every pair of
+//! uplinks of one stub that reach different transit nodes.
+//!
+//! The only structural precondition is that no edge joins two different
+//! stub domains; [`StubIndex::build`] checks it and returns `None`
+//! otherwise. Uplinks, their weights and their number are read off the
+//! graph, never assumed.
+
+use crate::graph::{DijkstraScratch, Graph, NodeId, INFINITE_DISTANCE};
+use crate::transit_stub::DomainKind;
+use std::collections::BTreeMap;
+
+/// Intra-domain table entry for "no path inside the domain".
+const UNREACHABLE: u16 = u16::MAX;
+
+/// One stub–transit edge, seen from the stub.
+struct Uplink {
+    /// The stub-side endpoint, as an index within its domain.
+    gateway: u32,
+    /// The transit-side endpoint, as a transit index (row of `core`).
+    transit: u32,
+    weight: u32,
+}
+
+/// A stub domain — or a transit node, which is indexed as a one-node
+/// domain with a single zero-weight uplink to itself so that queries need
+/// no case split on the endpoint kind.
+struct Domain {
+    size: u32,
+    /// Offset of this domain's `size × size` table in `intra`.
+    table: usize,
+    /// This domain's slice of `uplinks`.
+    uplinks: std::ops::Range<usize>,
+}
+
+/// The structural distance index (see the module docs).
+pub(crate) struct StubIndex {
+    /// Per node: its domain and its index within that domain.
+    place: Vec<(u32, u32)>,
+    domains: Vec<Domain>,
+    uplinks: Vec<Uplink>,
+    /// Every domain's all-pairs table of domain-restricted distances.
+    intra: Vec<u16>,
+    /// `transit_count × transit_count` distances between transit nodes.
+    core: Vec<u32>,
+    transit_count: usize,
+}
+
+impl StubIndex {
+    /// Builds the index for `graph` with the domain membership `kinds`.
+    ///
+    /// Returns `None` — the caller then answers from Dijkstra rows — when
+    /// `kinds` does not cover the graph, when an edge joins two different
+    /// stub domains, or when a domain-restricted distance does not fit the
+    /// 16-bit tables.
+    pub(crate) fn build(graph: &Graph, kinds: &[DomainKind]) -> Option<Self> {
+        let n = graph.node_count();
+        if kinds.len() != n {
+            return None;
+        }
+        // Domain slots: one per transit node (slot = transit index), then
+        // the stub domains in order of first appearance.
+        let transit_count = kinds
+            .iter()
+            .filter(|k| matches!(k, DomainKind::Transit { .. }))
+            .count();
+        let mut members: Vec<Vec<NodeId>> = vec![Vec::new(); transit_count];
+        let mut stub_slot: BTreeMap<u32, usize> = BTreeMap::new();
+        let mut place = Vec::with_capacity(n);
+        let mut transit_seen = 0;
+        for (node, kind) in kinds.iter().enumerate() {
+            let slot = match *kind {
+                DomainKind::Transit { .. } => {
+                    transit_seen += 1;
+                    transit_seen - 1
+                }
+                DomainKind::Stub { domain } => *stub_slot.entry(domain).or_insert_with(|| {
+                    members.push(Vec::new());
+                    members.len() - 1
+                }),
+            };
+            place.push((slot as u32, members[slot].len() as u32));
+            members[slot].push(node as NodeId);
+        }
+
+        // One pass per domain: sort its edges into skeleton, uplink and
+        // intra-domain, fill its all-pairs table, and add the virtual
+        // skeleton edges it carries as a through-route.
+        let mut scratch = DijkstraScratch::new();
+        let mut skeleton: Vec<(u32, u32, u32)> = Vec::new();
+        let mut domains = Vec::with_capacity(members.len());
+        let mut uplinks = Vec::new();
+        let mut intra: Vec<u16> = Vec::with_capacity(members.iter().map(|m| m.len().pow(2)).sum());
+        for (slot, nodes) in members.iter().enumerate() {
+            let is_transit = slot < transit_count;
+            let size = nodes.len();
+            let mut inside = Graph::new(size);
+            let first_uplink = uplinks.len();
+            if is_transit {
+                uplinks.push(Uplink {
+                    gateway: 0,
+                    transit: slot as u32,
+                    weight: 0,
+                });
+            }
+            for &u in nodes {
+                let lu = place[u as usize].1;
+                for &(v, w) in graph.neighbors(u) {
+                    let (dv, lv) = place[v as usize];
+                    let v_transit = (dv as usize) < transit_count;
+                    match (is_transit, v_transit) {
+                        (true, true) if u < v => skeleton.push((slot as u32, dv, w)),
+                        (false, true) => uplinks.push(Uplink {
+                            gateway: lu,
+                            transit: dv,
+                            weight: w,
+                        }),
+                        (false, false) if dv as usize != slot => return None,
+                        (false, false) if u < v => {
+                            inside.add_edge(lu, lv, w);
+                        }
+                        _ => {} // the other half of an edge handled elsewhere
+                    }
+                }
+            }
+
+            let table = intra.len();
+            for src in 0..size as NodeId {
+                for &d in inside.dijkstra_into(src, &mut scratch) {
+                    intra.push(match d {
+                        INFINITE_DISTANCE => UNREACHABLE,
+                        d => u16::try_from(d).ok().filter(|&d| d != UNREACHABLE)?,
+                    });
+                }
+            }
+
+            let ups = &uplinks[first_uplink..];
+            for (i, a) in ups.iter().enumerate() {
+                for b in &ups[i + 1..] {
+                    let through = intra[table + a.gateway as usize * size + b.gateway as usize];
+                    if a.transit != b.transit && through != UNREACHABLE {
+                        let w = a
+                            .weight
+                            .checked_add(u32::from(through))?
+                            .checked_add(b.weight)?;
+                        skeleton.push((a.transit.min(b.transit), a.transit.max(b.transit), w));
+                    }
+                }
+            }
+            domains.push(Domain {
+                size: size as u32,
+                table,
+                uplinks: first_uplink..uplinks.len(),
+            });
+        }
+
+        // `Graph::add_edge` keeps the first of two parallel edges, so the
+        // cheapest of each bundle has to come first.
+        skeleton.sort_unstable();
+        let mut core_graph = Graph::new(transit_count);
+        for (a, b, w) in skeleton {
+            core_graph.add_edge(a, b, w);
+        }
+        let core = core_graph.all_pairs().concat();
+
+        Some(StubIndex {
+            place,
+            domains,
+            uplinks,
+            intra,
+            core,
+            transit_count,
+        })
+    }
+
+    /// Distance between members `i` and `j` of `domain` along paths that
+    /// stay inside it; `None` when there is no such path.
+    #[inline]
+    fn inside(&self, domain: &Domain, i: u32, j: u32) -> Option<u64> {
+        let d = self.intra[domain.table + i as usize * domain.size as usize + j as usize];
+        (d != UNREACHABLE).then_some(u64::from(d))
+    }
+
+    /// Cost of reaching the transit end of `up` from member `at` of
+    /// `domain` without leaving the domain on the way.
+    #[inline]
+    fn leg(&self, domain: &Domain, at: u32, up: &Uplink) -> Option<u64> {
+        Some(self.inside(domain, at, up.gateway)? + u64::from(up.weight))
+    }
+
+    /// Exact shortest-path distance between `u` and `v`
+    /// ([`INFINITE_DISTANCE`] when disconnected).
+    pub(crate) fn distance(&self, u: NodeId, v: NodeId) -> u32 {
+        let (du, lu) = self.place[u as usize];
+        let (dv, lv) = self.place[v as usize];
+        let (from, to) = (&self.domains[du as usize], &self.domains[dv as usize]);
+        let mut best = u64::from(INFINITE_DISTANCE);
+        if du == dv {
+            best = self.inside(from, lu, lv).unwrap_or(best);
+        }
+        for a in &self.uplinks[from.uplinks.clone()] {
+            let Some(out) = self.leg(from, lu, a) else {
+                continue;
+            };
+            for b in &self.uplinks[to.uplinks.clone()] {
+                let across =
+                    self.core[a.transit as usize * self.transit_count + b.transit as usize];
+                if across == INFINITE_DISTANCE {
+                    continue;
+                }
+                if let Some(back) = self.leg(to, lv, b) {
+                    best = best.min(out + u64::from(across) + back);
+                }
+            }
+        }
+        // `best` started at INFINITE_DISTANCE and only went down.
+        best as u32
+    }
+
+    /// Heap + inline bytes the index occupies.
+    pub(crate) fn size_bytes(&self) -> usize {
+        use std::mem::size_of;
+        size_of::<Self>()
+            + self.place.capacity() * size_of::<(u32, u32)>()
+            + self.domains.capacity() * size_of::<Domain>()
+            + self.uplinks.capacity() * size_of::<Uplink>()
+            + self.intra.capacity() * size_of::<u16>()
+            + self.core.capacity() * size_of::<u32>()
+    }
+}

@@ -1,0 +1,372 @@
+//! Differential tests: the structural index against plain Dijkstra.
+//!
+//! Every check goes through the public path the simulator uses
+//! (`DistanceOracle::for_topology(..).distance(u, v)`) and compares with
+//! `Graph::dijkstra_into` rows of the same graph. `rows_filled == 0` proves
+//! the index answered; `> 0` proves the row fallback did.
+
+use crate::stub_index::StubIndex;
+use crate::*;
+use proptest::prelude::*;
+use rand::rngs::StdRng;
+use rand::SeedableRng;
+use std::sync::Barrier;
+
+fn generate(config: TransitStubConfig, seed: u64) -> TransitStubTopology {
+    TransitStubTopology::generate(config, &mut StdRng::seed_from_u64(seed))
+}
+
+/// A topology around a hand-made hop graph: only `graph` and `kinds` are
+/// read by the oracle, the rest is filled in consistently.
+fn hand_made(graph: Graph, kinds: Vec<DomainKind>) -> TransitStubTopology {
+    let mut transit_by_domain: Vec<Vec<NodeId>> = Vec::new();
+    let mut stub_by_domain: Vec<Vec<NodeId>> = Vec::new();
+    for (node, kind) in kinds.iter().enumerate() {
+        let (groups, domain) = match *kind {
+            DomainKind::Transit { domain } => (&mut transit_by_domain, domain),
+            DomainKind::Stub { domain } => (&mut stub_by_domain, domain),
+        };
+        if groups.len() <= domain as usize {
+            groups.resize(domain as usize + 1, Vec::new());
+        }
+        groups[domain as usize].push(node as NodeId);
+    }
+    TransitStubTopology {
+        latency_graph: graph.clone(),
+        coords: vec![(0.0, 0.0); kinds.len()],
+        graph,
+        kinds,
+        transit_by_domain,
+        stub_by_domain,
+        config: TransitStubConfig::tiny(),
+    }
+}
+
+const T: DomainKind = DomainKind::Transit { domain: 0 };
+const fn stub(domain: u32) -> DomainKind {
+    DomainKind::Stub { domain }
+}
+
+fn graph_of(nodes: usize, edges: &[(NodeId, NodeId, u32)]) -> Graph {
+    let mut g = Graph::new(nodes);
+    for &(u, v, w) in edges {
+        assert!(g.add_edge(u, v, w), "duplicate edge {u}-{v}");
+    }
+    g
+}
+
+fn rows_filled(oracle: &DistanceOracle) -> u64 {
+    oracle.cache_stats().computes
+}
+
+/// Checks `oracle.distance(src, v)` against a Dijkstra row for every `src`
+/// in `sources` and every `v`, both argument orders.
+fn assert_rows_exact(
+    topo: &TransitStubTopology,
+    oracle: &DistanceOracle,
+    sources: impl IntoIterator<Item = NodeId>,
+) -> Result<(), String> {
+    let mut scratch = DijkstraScratch::new();
+    for src in sources {
+        let row = topo.graph.dijkstra_into(src, &mut scratch);
+        for (v, &want) in row.iter().enumerate() {
+            let v = v as NodeId;
+            let (there, back) = (oracle.distance(src, v), oracle.distance(v, src));
+            if there != want || back != want {
+                return Err(format!(
+                    "d({src},{v}): index {there} / {back}, dijkstra {want}"
+                ));
+            }
+        }
+    }
+    Ok(())
+}
+
+/// All pairs through the index, and proof that it was the index.
+fn assert_index_exact(topo: &TransitStubTopology) {
+    let oracle = DistanceOracle::for_topology(topo, 0);
+    let all = 0..topo.node_count() as NodeId;
+    assert_rows_exact(topo, &oracle, all).unwrap_or_else(|e| panic!("{e}"));
+    assert_eq!(rows_filled(&oracle), 0, "a point query filled a row");
+    assert!(oracle.resident_bytes() > 0, "index bytes are not accounted");
+}
+
+/// All pairs through the row fallback, and proof that the index declined.
+fn assert_falls_back_exact(topo: &TransitStubTopology) {
+    assert!(StubIndex::build(&topo.graph, &topo.kinds).is_none());
+    let oracle = DistanceOracle::for_topology(topo, 0);
+    let all = 0..topo.node_count() as NodeId;
+    assert_rows_exact(topo, &oracle, all).unwrap_or_else(|e| panic!("{e}"));
+    assert!(
+        rows_filled(&oracle) > 0,
+        "nothing went through the row path"
+    );
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(192))]
+
+    #[test]
+    fn prop_index_matches_dijkstra_on_random_configs(
+        seed in 0u64..1_000_000,
+        transit_domains in 1usize..=4,
+        transit_nodes_per_domain in 1usize..=4,
+        stub_domains_per_transit_node in 0usize..=3,
+        avg_stub_domain_size in 1usize..=16, // sizes are drawn from [avg/2, 3·avg/2]: 1–24
+        density in 0usize..3,
+        uplink in 0usize..3,
+        extra_transit_edges in 0usize..=3,
+        extra_inter_domain_edges in 0usize..=3,
+    ) {
+        let config = TransitStubConfig {
+            transit_domains,
+            transit_nodes_per_domain,
+            stub_domains_per_transit_node,
+            avg_stub_domain_size,
+            extra_transit_edges,
+            extra_inter_domain_edges,
+            stub_edge_density: [0.0, 0.42, 1.0][density],
+            extra_stub_uplink_prob: [0.0, 0.5, 1.0][uplink],
+        };
+        let topo = generate(config, seed);
+        let oracle = DistanceOracle::for_topology(&topo, 0);
+        // All pairs, transit endpoints included.
+        let all = 0..topo.node_count() as NodeId;
+        if let Err(e) = assert_rows_exact(&topo, &oracle, all) {
+            prop_assert!(false, "{config:?} seed {seed}: {e}");
+        }
+        prop_assert_eq!(rows_filled(&oracle), 0);
+    }
+}
+
+#[test]
+fn index_matches_dijkstra_on_tiny() {
+    for seed in 0..40 {
+        assert_index_exact(&generate(TransitStubConfig::tiny(), seed));
+    }
+}
+
+#[test]
+fn index_matches_dijkstra_on_sparse_tree_stubs() {
+    // Tree-shaped stubs, every one multi-homed: the regime where leaving a
+    // stub and re-entering it beats staying inside, and where stubs carry
+    // transit traffic.
+    let config = TransitStubConfig {
+        avg_stub_domain_size: 16,
+        stub_edge_density: 0.0,
+        extra_stub_uplink_prob: 1.0,
+        ..TransitStubConfig::tiny()
+    };
+    for seed in 0..20 {
+        assert_index_exact(&generate(config, seed));
+    }
+}
+
+/// Full rows from a spread of sources (transit nodes first, then stubs).
+fn assert_preset_rows(config: TransitStubConfig, seed: u64, rows: usize) {
+    let topo = generate(config, seed);
+    let oracle = DistanceOracle::for_topology(&topo, 0);
+    let n = topo.node_count();
+    let sources = (0..rows).map(|i| (i * n / rows) as NodeId);
+    assert_rows_exact(&topo, &oracle, sources).unwrap_or_else(|e| panic!("seed {seed}: {e}"));
+    assert_eq!(rows_filled(&oracle), 0);
+}
+
+#[test]
+fn index_matches_dijkstra_on_ts5k_large() {
+    for seed in [1, 2, 3] {
+        assert_preset_rows(TransitStubConfig::ts5k_large(), seed, 64);
+    }
+}
+
+#[test]
+fn index_matches_dijkstra_on_ts5k_small() {
+    for seed in [1, 2, 3] {
+        assert_preset_rows(TransitStubConfig::ts5k_small(), seed, 64);
+    }
+}
+
+#[test]
+fn index_matches_dijkstra_on_ts50k() {
+    assert_preset_rows(TransitStubConfig::ts50k(), 1, 16);
+}
+
+#[test]
+fn single_transit_domain() {
+    let config = TransitStubConfig {
+        transit_domains: 1,
+        extra_inter_domain_edges: 0,
+        ..TransitStubConfig::tiny()
+    };
+    for seed in 0..8 {
+        assert_index_exact(&generate(config, seed));
+    }
+}
+
+#[test]
+fn one_node_stubs() {
+    let config = TransitStubConfig {
+        avg_stub_domain_size: 1,
+        extra_stub_uplink_prob: 1.0,
+        ..TransitStubConfig::tiny()
+    };
+    for seed in 0..8 {
+        let topo = generate(config, seed);
+        assert!(topo.stub_by_domain.iter().all(|s| s.len() == 1));
+        assert_index_exact(&topo);
+    }
+}
+
+#[test]
+fn both_uplinks_on_one_gateway() {
+    // 0 ─5─ 1 (transit); stub {2,3,4} is a path whose end 2 holds both
+    // uplinks; stub {5} hangs off 1.
+    let graph = graph_of(
+        6,
+        &[
+            (0, 1, 5),
+            (2, 3, 1),
+            (3, 4, 1),
+            (2, 0, 3),
+            (2, 1, 1),
+            (5, 1, 3),
+        ],
+    );
+    let topo = hand_made(graph, vec![T, T, stub(0), stub(0), stub(0), stub(1)]);
+    assert_index_exact(&topo);
+    // The gateway is a through-route: 0 → 2 → 1 (4) beats the direct 5.
+    assert_eq!(DistanceOracle::for_topology(&topo, 0).distance(0, 1), 4);
+}
+
+#[test]
+fn both_uplinks_to_one_transit_node() {
+    // Stub {1,2,3,4} is a path with both ends uplinked to transit node 0.
+    let graph = graph_of(5, &[(1, 2, 1), (2, 3, 1), (3, 4, 1), (1, 0, 1), (4, 0, 1)]);
+    let topo = hand_made(graph, vec![T, stub(0), stub(0), stub(0), stub(0)]);
+    assert_index_exact(&topo);
+    // Out through one uplink and back through the other: 1 → 0 → 4.
+    assert_eq!(DistanceOracle::for_topology(&topo, 0).distance(1, 4), 2);
+}
+
+#[test]
+fn multi_homed_stub_is_a_through_route() {
+    // Transit 0 ─20─ 1. Stub A {2,3} bridges them cheaply (0─2─3─1); stubs
+    // B {4} and C {5} hang off 0 and 1. d(4,5) must route *through* A.
+    let graph = graph_of(
+        6,
+        &[
+            (0, 1, 20),
+            (2, 3, 1),
+            (2, 0, 3),
+            (3, 1, 3),
+            (4, 0, 3),
+            (5, 1, 3),
+        ],
+    );
+    let topo = hand_made(graph, vec![T, T, stub(0), stub(0), stub(1), stub(2)]);
+    assert_index_exact(&topo);
+    assert_eq!(DistanceOracle::for_topology(&topo, 0).distance(4, 5), 13);
+}
+
+#[test]
+fn distance_to_self_is_zero() {
+    let topo = generate(TransitStubConfig::tiny(), 5);
+    let oracle = DistanceOracle::for_topology(&topo, 0);
+    for u in 0..topo.node_count() as NodeId {
+        assert_eq!(oracle.distance(u, u), 0);
+    }
+}
+
+#[test]
+fn unreachable_pairs_are_infinite() {
+    // Stub {2} has no uplink; stub {3,4} is internally disconnected but
+    // joined through the core.
+    let graph = graph_of(5, &[(0, 1, 1), (3, 0, 3), (4, 1, 3)]);
+    let topo = hand_made(graph, vec![T, T, stub(0), stub(1), stub(1)]);
+    assert_index_exact(&topo);
+    let oracle = DistanceOracle::for_topology(&topo, 0);
+    assert_eq!(oracle.distance(2, 3), INFINITE_DISTANCE);
+    assert_eq!(oracle.distance(3, 4), 7);
+}
+
+#[test]
+fn uplink_weights_are_read_from_the_graph() {
+    // Nothing is 1 or 3 here, and the stub has three uplinks.
+    let graph = graph_of(
+        7,
+        &[
+            (0, 1, 7),
+            (1, 2, 11),
+            (3, 4, 2),
+            (4, 5, 9),
+            (3, 0, 4),
+            (4, 1, 6),
+            (5, 2, 5),
+            (6, 2, 8),
+        ],
+    );
+    let topo = hand_made(graph, vec![T, T, T, stub(0), stub(0), stub(0), stub(1)]);
+    assert_index_exact(&topo);
+}
+
+#[test]
+fn stub_to_stub_edge_falls_back_to_rows() {
+    // Stubs {2,3} and {4,5} are joined directly by 3─4: the one shape the
+    // index does not cover.
+    let graph = graph_of(
+        6,
+        &[
+            (0, 1, 3),
+            (2, 3, 1),
+            (4, 5, 1),
+            (2, 0, 3),
+            (5, 1, 3),
+            (3, 4, 1),
+        ],
+    );
+    let topo = hand_made(graph, vec![T, T, stub(0), stub(0), stub(1), stub(1)]);
+    assert_falls_back_exact(&topo);
+}
+
+#[test]
+fn intra_stub_distance_beyond_16_bits_falls_back_to_rows() {
+    let graph = graph_of(3, &[(1, 2, 70_000), (1, 0, 3)]);
+    let topo = hand_made(graph, vec![T, stub(0), stub(0)]);
+    assert_falls_back_exact(&topo);
+}
+
+#[test]
+fn concurrent_first_callers_agree() {
+    // Every caller arrives before the index exists; exactly one builds it
+    // and all read the same answers.
+    let topo = generate(TransitStubConfig::ts5k_large(), 4);
+    let n = topo.node_count() as NodeId;
+    let pairs: Vec<(NodeId, NodeId)> = (0..512).map(|i| (i * 7 % n, i * 131 % n)).collect();
+    let mut scratch = DijkstraScratch::new();
+    let want: Vec<u32> = pairs
+        .iter()
+        .map(|&(u, v)| topo.graph.dijkstra_into(u, &mut scratch)[v as usize])
+        .collect();
+    for callers in [1usize, 2, 8] {
+        let oracle = DistanceOracle::for_topology(&topo, 0);
+        let gate = Barrier::new(callers);
+        let answers: Vec<Vec<u32>> = std::thread::scope(|s| {
+            let handles: Vec<_> = (0..callers)
+                .map(|_| {
+                    s.spawn(|| {
+                        gate.wait();
+                        pairs.iter().map(|&(u, v)| oracle.distance(u, v)).collect()
+                    })
+                })
+                .collect();
+            handles
+                .into_iter()
+                .map(|h| h.join().expect("caller panicked"))
+                .collect()
+        });
+        for got in &answers {
+            assert_eq!(got, &want, "{callers} callers");
+        }
+        assert_eq!(rows_filled(&oracle), 0);
+    }
+}

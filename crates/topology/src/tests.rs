@@ -192,6 +192,13 @@ fn landmarks_fill_from_stubs_when_needed() {
 }
 
 #[test]
+fn zero_landmarks_selects_nothing() {
+    let topo = small_topo(11);
+    let mut rng = StdRng::seed_from_u64(6);
+    assert!(select_landmarks(&topo, 0, &mut rng).is_empty());
+}
+
+#[test]
 fn oracle_matches_direct_dijkstra() {
     let topo = small_topo(2);
     let g = StdArc::new(topo.graph.clone());

@@ -322,9 +322,8 @@ impl TransitStubTopology {
         self.stub_by_domain.iter().flatten().copied().collect()
     }
 
-    /// Transit domain "responsible" for a node: its own domain for transit
-    /// nodes; for a stub node, the domain of the transit node its stub
-    /// domain hangs off (derived from graph structure on demand).
+    /// Domain membership of `n`: the transit domain of a transit node, or
+    /// the (global) stub domain of a stub node.
     pub fn kind(&self, n: NodeId) -> DomainKind {
         self.kinds[n as usize]
     }

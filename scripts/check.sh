@@ -14,9 +14,9 @@
 #      byte-identical across thread counts
 #
 # --xl-smoke additionally runs the 65k-peer / ts50k scale pass
-# (`repro --scale xl --fig 7`) under a generous timeout. It takes a few
-# minutes and needs ~2 GiB of RAM, so it's opt-in rather than part of
-# the default gate.
+# (`repro --scale xl --fig 7`, exact distances: seconds since the
+# structural distance index) and the reduced-peers xl2 pipeline at 1 and 8
+# threads (landmark-approximate: about a minute). CI runs it on every PR.
 #
 # --faults-smoke additionally runs the fault-injection sweep at small
 # scale twice (1 thread and 8 threads) and fails if the two runs don't
@@ -82,6 +82,11 @@ cargo fmt --check
 echo "==> cargo clippy --workspace --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
 
+# The tier-1 build above covers the root package only; without this the
+# smokes below would drive whatever stale `repro` an earlier build left.
+echo "==> cargo build --release -p proxbal-bench (the repro binary)"
+cargo build --release -p proxbal-bench
+
 REPRO="$PWD/target/release/repro"
 SMOKE_DIR="$(mktemp -d)"
 trap 'rm -rf "$SMOKE_DIR"' EXIT
@@ -106,7 +111,9 @@ diff <(grep -v -e "wall" -e "^wrote " "$SMOKE_DIR/trace1.txt") \
 
 if [[ "$XL_SMOKE" == "1" ]]; then
   echo "==> xl smoke: repro --scale xl --fig 7"
-  timeout 1800 ./target/release/repro --scale xl --fig 7
+  # In the scratch directory: the run writes a BENCH_repro.json entry and
+  # must not overwrite the committed one.
+  (cd "$SMOKE_DIR" && timeout 300 "$REPRO" --scale xl --fig 7)
   # xl2 at reduced peers: the full sharded + landmark-approximate pipeline,
   # byte-identical across thread counts. A --peers override never writes a
   # BENCH entry, so stdout is the whole contract (minus walls and RSS).
