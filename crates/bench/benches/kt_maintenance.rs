@@ -1,0 +1,55 @@
+//! Benchmarks K-nary-tree maintenance at the kernel level, beside the
+//! end-to-end `engine_4k` number: `KTree::repair` when nothing changed (the
+//! common engine epoch — must not depend on tree size) and after 1 % of the
+//! peers crashed and as many joined (work proportional to the root paths
+//! the changed ring positions disturb, not to the tree).
+
+use criterion::{criterion_group, criterion_main, BatchSize, BenchmarkId, Criterion};
+use proxbal_chord::ChordNetwork;
+use proxbal_ktree::KTree;
+use rand::rngs::StdRng;
+use rand::SeedableRng;
+
+const VS_PER_PEER: usize = 5;
+
+fn bench_kt_maintenance(c: &mut Criterion) {
+    let mut group = c.benchmark_group("kt_maintenance");
+    group.sample_size(10);
+
+    for peers in [4_096usize, 65_536] {
+        let mut rng = StdRng::seed_from_u64(42);
+        let mut net = ChordNetwork::new();
+        for _ in 0..peers {
+            net.join_peer(VS_PER_PEER, &mut rng);
+        }
+        let mut tree = KTree::build(&net, 2);
+
+        group.bench_function(BenchmarkId::new("noop_repair", peers), |b| {
+            b.iter(|| std::hint::black_box(tree.repair(&net, 256)));
+        });
+
+        // One fixed churned network per size; each iteration repairs a
+        // fresh clone of the pre-churn tree against it (a binary tree's
+        // arena is one allocation, so dropping the clone is not the cost).
+        let churn = peers / 200;
+        let mut churned = net.clone();
+        for p in churned.alive_peers().into_iter().take(churn) {
+            churned.crash_peer(p);
+        }
+        for _ in 0..churn {
+            churned.join_peer(VS_PER_PEER, &mut rng);
+        }
+        group.bench_function(BenchmarkId::new("repair_after_1pct_churn", peers), |b| {
+            b.iter_batched(
+                || tree.clone(),
+                |mut tree| std::hint::black_box(tree.repair(&churned, 256)),
+                BatchSize::LargeInput,
+            );
+        });
+    }
+
+    group.finish();
+}
+
+criterion_group!(benches, bench_kt_maintenance);
+criterion_main!(benches);

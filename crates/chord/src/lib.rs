@@ -10,7 +10,8 @@
 //! Main types:
 //!
 //! * [`Ring`] — the sorted ring of virtual-server positions with
-//!   successor/predecessor/ownership queries.
+//!   successor/predecessor/ownership queries, plus a bounded journal of
+//!   recent membership changes ([`RingStamp`], [`Ring::changes_since`]).
 //! * [`ChordNetwork`] — physical peers ([`PeerId`]) hosting virtual servers
 //!   ([`VsId`]); join / leave / crash / transfer; region queries.
 //! * [`RoutingState`] — per-VS finger tables and successor lists with
@@ -41,7 +42,7 @@ mod routing;
 
 pub use network::{ChordNetwork, PeerId, PeerState, VirtualServer, VsId};
 pub use prefix_routing::PrefixRouting;
-pub use ring::Ring;
+pub use ring::{Ring, RingStamp};
 pub use routing::{LookupOutcome, RoutingState, SUCCESSOR_LIST_LEN};
 
 #[cfg(test)]

@@ -475,3 +475,116 @@ fn stabilize_round_idempotent_when_stable() {
     assert_eq!(routing.stabilize_round(&net), 0);
     assert_eq!(routing.stabilize_round(&net), 0);
 }
+
+#[test]
+fn journal_version_counts_successful_mutations_only() {
+    let mut ring = Ring::new();
+    let start = ring.stamp();
+    assert_eq!(ring.version(), 0);
+    assert!(ring.insert(Id::new(10), VsId(0)));
+    assert!(ring.insert(Id::new(20), VsId(1)));
+    assert_eq!(ring.version(), 2);
+    // An occupied insert and a missing remove change nothing and journal
+    // nothing.
+    let before = ring.stamp();
+    assert!(!ring.insert(Id::new(10), VsId(2)));
+    assert_eq!(ring.remove(Id::new(15)), None);
+    assert_eq!(ring.stamp(), before);
+    assert_eq!(ring.changes_since(before), Some(vec![]));
+    assert_eq!(ring.remove(Id::new(10)), Some(VsId(0)));
+    assert_eq!(ring.version(), 3);
+    // Oldest first; a position changed twice appears twice.
+    assert_eq!(
+        ring.changes_since(start),
+        Some(vec![Id::new(10), Id::new(20), Id::new(10)])
+    );
+    assert_eq!(ring.changes_since(before), Some(vec![Id::new(10)]));
+}
+
+#[test]
+fn journal_retains_a_bounded_window_in_order() {
+    let cap = crate::ring::JOURNAL_CAPACITY as u32;
+    let mut ring = Ring::new();
+    let mut stamps = vec![ring.stamp()];
+    // Two and a half times around the ring buffer.
+    let total = cap * 5 / 2;
+    for i in 0..total {
+        assert!(ring.insert(Id::new(i * 7), VsId(i)));
+        stamps.push(ring.stamp());
+    }
+    assert_eq!(ring.version(), u64::from(total));
+    // Exactly the last `cap` changes are answerable, oldest first, across
+    // the wrap.
+    let oldest = (total - cap) as usize;
+    let expect: Vec<Id> = (total - cap..total).map(|i| Id::new(i * 7)).collect();
+    assert_eq!(ring.changes_since(stamps[oldest]), Some(expect.clone()));
+    assert_eq!(
+        ring.changes_since(stamps[oldest + 3]),
+        Some(expect[3..].to_vec())
+    );
+    assert_eq!(ring.changes_since(stamps[oldest - 1]), None);
+    assert_eq!(ring.changes_since(stamps[0]), None);
+    assert_eq!(ring.changes_since(ring.stamp()), Some(vec![]));
+}
+
+#[test]
+fn journal_rejects_stamps_from_another_history() {
+    let (a, mut rng) = net_with(8, 3, 21);
+    let stamp = a.ring().stamp();
+    // A clone shares the history up to the stamp...
+    let mut b = a.clone();
+    assert_eq!(b.ring().changes_since(stamp), Some(vec![]));
+    // ...and stays a continuation of it while only it changes.
+    b.join_peer(2, &mut rng);
+    assert_eq!(b.ring().changes_since(stamp).map(|c| c.len()), Some(2));
+    // Once both sides moved — by the same *number* of different changes —
+    // neither answers the other's stamps.
+    let mut a = a;
+    a.join_peer(2, &mut rng);
+    assert_eq!(a.ring().version(), b.ring().version());
+    assert_eq!(a.ring().changes_since(b.ring().stamp()), None);
+    assert_eq!(b.ring().changes_since(a.ring().stamp()), None);
+    // A stamp ahead of the ring it is shown to is not answerable either.
+    assert_eq!(Ring::new().changes_since(stamp), None);
+    // Same position, different virtual server: a different history.
+    let (mut x, mut y) = (Ring::new(), Ring::new());
+    x.insert(Id::new(9), VsId(1));
+    y.insert(Id::new(9), VsId(2));
+    assert_eq!(x.changes_since(y.stamp()), None);
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    #[test]
+    fn prop_journal_replays_to_the_same_position_set(seed in 0u64..5000, ops in 1usize..200) {
+        // Toggling every journalled position on a snapshot of the position
+        // set reproduces the current set: the journal names exactly the
+        // positions that changed, and the version is monotone.
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut ring = Ring::new();
+        for i in 0..8u32 {
+            ring.insert(Id::new(rng.gen_range(0..64)), VsId(i));
+        }
+        let stamp = ring.stamp();
+        let mut positions: std::collections::BTreeSet<Id> = ring.iter().map(|(p, _)| p).collect();
+        let mut last = ring.version();
+        for i in 0..ops {
+            let pos = Id::new(rng.gen_range(0..64));
+            let changed = if rng.gen() {
+                ring.insert(pos, VsId(100 + i as u32))
+            } else {
+                ring.remove(pos).is_some()
+            };
+            prop_assert_eq!(ring.version(), last + u64::from(changed));
+            last = ring.version();
+        }
+        for pos in ring.changes_since(stamp).expect("within the window") {
+            if !positions.remove(&pos) {
+                positions.insert(pos);
+            }
+        }
+        let now: std::collections::BTreeSet<Id> = ring.iter().map(|(p, _)| p).collect();
+        prop_assert_eq!(positions, now);
+    }
+}

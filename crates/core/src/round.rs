@@ -23,7 +23,7 @@ use crate::reports::{
 use crate::transfer::execute_transfers_traced_threaded;
 use crate::vsa::{run_vsa_traced, VsaParams};
 use crate::{BalanceReport, LoadBalancer, MessageStats, ProximityMode, Underlay};
-use proxbal_chord::{ChordNetwork, PeerId, VsId};
+use proxbal_chord::{ChordNetwork, PeerId, PeerState, VsId};
 use proxbal_ktree::KTree;
 use proxbal_trace::Trace;
 use rand::Rng;
@@ -217,10 +217,9 @@ impl LoadBalancer {
         // retain an empty virtual-server registration; losing its capacity
         // from the aggregate would silently inflate every target.
         let alive = net.alive_peers();
-        {
-            let alive_set: BTreeSet<PeerId> = alive.iter().copied().collect();
-            cache.reports.retain(|p, _| alive_set.contains(p));
-        }
+        cache
+            .reports
+            .retain(|&p, _| net.peer(p).state == PeerState::Alive);
         // Pass A (serial): every RNG draw and cache mutation, in original
         // peer order — redraw decisions are exactly the serial loop's.
         let wall = Instant::now();

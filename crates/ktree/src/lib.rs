@@ -8,10 +8,15 @@
 //! split into `K` equal parts and a child is grown for every part **not**
 //! covered by the hosting virtual server.
 //!
-//! The tree is soft state: [`KTree::maintain_round`] re-runs each KT node's
-//! periodic check against the current DHT (re-plant, prune, grow — one level
-//! of growth per round), which is how the tree self-repairs in
-//! `O(log_K N)` rounds after churn, matching the paper's claim.
+//! The tree is soft state: [`KTree::maintain_round`] is one period of every
+//! KT node's self-check against the current DHT (re-plant, prune, grow — one
+//! level of growth per round), which is how the tree self-repairs in
+//! `O(log_K N)` rounds after churn, matching the paper's claim. A check
+//! reads only the ring positions inside the node's region and the owner of
+//! its center, so the round runs it only on nodes that a journalled ring
+//! change ([`proxbal_chord::Ring::changes_since`]) or a tree-side mutation
+//! can have affected — with the arena left exactly as a sweep over every
+//! node would leave it (DESIGN.md §6a); an unchanged ring costs nothing.
 //!
 //! Aggregation ([`KTree::aggregate`]) and dissemination
 //! ([`KTree::disseminate`]) are generic over the value type; `proxbal-core`
@@ -26,5 +31,7 @@ pub use aggregate::{AggregateOutcome, Merge};
 pub use node_map::KtNodeMap;
 pub use tree::{KTree, KtChildren, KtNode, KtNodeId, RepairAction, RepairStats};
 
+#[cfg(test)]
+mod differential;
 #[cfg(test)]
 mod tests;

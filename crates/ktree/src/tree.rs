@@ -1,4 +1,4 @@
-use proxbal_chord::{ChordNetwork, VsId};
+use proxbal_chord::{ChordNetwork, Ring, RingStamp, VsId};
 use proxbal_id::{Arc, Id};
 use serde::{Deserialize, Serialize};
 
@@ -75,7 +75,7 @@ impl Deserialize for KtChildren {
 }
 
 /// One node of the K-nary tree.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
 pub struct KtNode {
     /// The contiguous arc of the identifier space this KT node covers.
     pub region: Arc,
@@ -100,7 +100,7 @@ impl KtNode {
 }
 
 /// Accounting returned by [`KTree::repair`].
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct RepairStats {
     /// Orphaned subtrees re-attached at their region's slot.
     pub reattached: usize,
@@ -143,12 +143,113 @@ pub struct RepairAction {
 /// virtual server, while keeping both the structural depth and the message
 /// depth `O(log_K N)`. Interior nodes are planted at the owner of their
 /// region's center point, exactly as in the paper.
+///
+/// # Change-driven maintenance
+///
+/// A KT node's periodic check reads only the ring positions inside its own
+/// region plus the owner of its region's center, so a membership change
+/// disturbs one root path, not the tree. The tree therefore remembers the
+/// ring state its nodes were last checked against (`checked`) and asks the
+/// ring's journal ([`Ring::changes_since`]) what moved since:
+/// [`Self::maintain_round`] runs the check only on nodes a journalled change
+/// can reach, plus the nodes *flagged* because the tree itself touched
+/// their child slots since their last check (freshly grown children, the
+/// parent a stale link was cut from, the parent a repair re-attached into).
+/// Every round leaves the arena — slot for slot, free list included —
+/// exactly as a sweep over every node would.
 #[derive(Clone, Debug, Serialize, Deserialize)]
 pub struct KTree {
     k: usize,
     nodes: Vec<Option<KtNode>>,
     free: Vec<u32>,
     root: KtNodeId,
+    /// The ring state against which the check of every unflagged live node
+    /// is known to be a no-op.
+    checked: RingStamp,
+    /// Bitmap over arena slots: live nodes whose check must run at their
+    /// next visit whatever the journal says.
+    flags: Vec<u64>,
+    /// Number of set bits in `flags`.
+    flagged: usize,
+    /// Subtrees detached by [`Self::inject_stale_parent`] since the last
+    /// repair — the only way a node becomes unreachable from the root.
+    detached: usize,
+}
+
+/// The part of the identifier space in which ring membership changes can
+/// alter a KT node's check: for every changed position `x`, the arc
+/// `(pred(x), x]` up to its predecessor in the *current* ring.
+///
+/// A check reads the positions inside the node's region — and `x` lies in
+/// its own arc — plus the owner of the region's center `c`, which moves
+/// only if `c` lies in such an arc: if the owner moved from `o` to `o'`,
+/// the nearer of the two was inserted (or removed), and no current position
+/// separates `c` from it. Either way the node's region meets an arc, which
+/// is the (slightly conservative) test [`Self::touches`] applies; checking
+/// an unaffected node is a no-op, so over-approximating is safe.
+struct DirtyArcs {
+    /// Disjoint inclusive `(lo, hi)` intervals, ascending; an arc that
+    /// wraps past 0 is stored as two.
+    arcs: Vec<(u32, u32)>,
+}
+
+impl DirtyArcs {
+    fn new(ring: &Ring, changed: &[Id]) -> Self {
+        let mut arcs = Vec::with_capacity(changed.len() + 1);
+        for &x in changed {
+            match ring.predecessor(x) {
+                Some((pred, _)) if pred != x => {
+                    let (lo, hi) = (pred.raw().wrapping_add(1), x.raw());
+                    if lo <= hi {
+                        arcs.push((lo, hi));
+                    } else {
+                        arcs.push((lo, u32::MAX));
+                        arcs.push((0, hi));
+                    }
+                }
+                // `x` is the only position left (or the ring is empty).
+                _ => arcs.push((0, u32::MAX)),
+            }
+        }
+        arcs.sort_unstable();
+        let mut merged: Vec<(u32, u32)> = Vec::with_capacity(arcs.len());
+        for (lo, hi) in arcs {
+            match merged.last_mut() {
+                Some(last) if lo <= last.1.saturating_add(1) => last.1 = last.1.max(hi),
+                _ => merged.push((lo, hi)),
+            }
+        }
+        DirtyArcs { arcs: merged }
+    }
+
+    /// Whether `region` shares an identifier with any arc.
+    fn touches(&self, region: &Arc) -> bool {
+        if region.is_empty() || self.arcs.is_empty() {
+            return false;
+        }
+        if region.is_full() {
+            return true;
+        }
+        let start = region.start().raw();
+        let Some(last) = start.checked_add((region.len() - 1) as u32) else {
+            return true; // wraps past 0: never skipped
+        };
+        let i = self.arcs.partition_point(|&(_, hi)| hi < start);
+        self.arcs.get(i).is_some_and(|&(lo, _)| lo <= last)
+    }
+}
+
+#[cfg(test)]
+thread_local! {
+    /// Arena slots a maintenance round or repair scan has looked at, so
+    /// tests can assert that a no-change call touches none.
+    pub(crate) static VISITS: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
+}
+
+#[inline]
+fn count_visits(_n: usize) {
+    #[cfg(test)]
+    VISITS.with(|v| v.set(v.get() + _n));
 }
 
 impl KTree {
@@ -196,13 +297,17 @@ impl KTree {
     pub fn build_prefix(net: &ChordNetwork, k: usize, split_depth: u32) -> (Self, Vec<KtNodeId>) {
         let mut tree = Self::with_root(net, k, Self::arena_estimate(net.ring().len()));
         tree.grow_capped(net, tree.root, Some(split_depth));
-        let frontier = tree
+        let frontier: Vec<KtNodeId> = tree
             .iter_ids()
             .filter(|&id| {
                 let node = tree.node(id);
                 node.depth == split_depth && !Self::is_leaf_region(net, &node.region)
             })
             .collect();
+        // Unexpanded until grafted: maintenance must grow them.
+        for &id in &frontier {
+            tree.flag(id);
+        }
         (tree, frontier)
     }
 
@@ -212,12 +317,7 @@ impl KTree {
     /// [`Self::graft`].
     pub fn build_fragment(net: &ChordNetwork, k: usize, region: Arc, depth: u32) -> Self {
         assert!(k >= 2, "tree degree must be at least 2");
-        let mut tree = KTree {
-            k,
-            nodes: Vec::new(),
-            free: Vec::new(),
-            root: KtNodeId(0),
-        };
+        let mut tree = Self::empty(net, k, 0);
         let root = tree.alloc(KtNode {
             region,
             host: Self::host_for(net, &region),
@@ -242,6 +342,10 @@ impl KTree {
             "fragment arena must be freshly built"
         );
         assert_eq!(fragment.root.0, 0, "fragment root must be slot 0");
+        assert_eq!(
+            fragment.checked, self.checked,
+            "fragment built against a different ring state"
+        );
         {
             let stub = self.node(at);
             assert!(stub.is_leaf(), "graft target already has children");
@@ -265,6 +369,7 @@ impl KTree {
             }
             if i == 0 {
                 self.nodes[at.0 as usize].as_mut().unwrap().children = node.children;
+                self.unflag(at);
             } else {
                 node.parent = node.parent.map(remap);
                 self.nodes.push(Some(node));
@@ -280,12 +385,7 @@ impl KTree {
             net.alive_vs_count() > 0,
             "cannot build a tree over an empty DHT"
         );
-        let mut tree = KTree {
-            k,
-            nodes: Vec::with_capacity(reserve),
-            free: Vec::new(),
-            root: KtNodeId(0),
-        };
+        let mut tree = Self::empty(net, k, reserve);
         let root_region = Arc::full(Id::ZERO);
         let root = tree.alloc(KtNode {
             region: root_region,
@@ -296,6 +396,21 @@ impl KTree {
         });
         tree.root = root;
         tree
+    }
+
+    /// An arena with no nodes yet, stamped with the current state of `net`'s
+    /// ring — what the builders grow their nodes against.
+    fn empty(net: &ChordNetwork, k: usize, reserve: usize) -> Self {
+        KTree {
+            k,
+            nodes: Vec::with_capacity(reserve),
+            free: Vec::new(),
+            root: KtNodeId(0),
+            checked: net.ring().stamp(),
+            flags: Vec::new(),
+            flagged: 0,
+            detached: 0,
+        }
     }
 
     /// Expected arena slots for a tree over `positions` ring positions
@@ -428,63 +543,118 @@ impl KTree {
         }
     }
 
-    /// Re-runs every KT node's periodic self-check once, against the current
+    /// One round of every KT node's periodic self-check against the current
     /// network state: re-plant on a changed owner, prune children whose part
     /// no longer needs a subtree, grow missing children **one level per
     /// round** — new children are checked next round, which is what makes
     /// post-churn repair take `O(log_K N)` rounds, as the paper claims.
     ///
+    /// Only nodes whose check can have a different outcome than last time
+    /// actually run it: those the ring's journalled changes can reach (their
+    /// region meets an arc `(pred(x), x]` of a changed position `x`) and
+    /// those flagged by a tree-side mutation. With no
+    /// ring change and nothing flagged the call returns without touching
+    /// the arena. When the journal cannot say what changed (the tree is
+    /// further behind than it retains, or `net` is not a continuation of
+    /// the history the tree was last checked on) every node is checked.
+    ///
+    /// Nodes are visited as a full sweep would visit them — the slots live
+    /// at round start, in slot order — so a slot freed by a prune and
+    /// reused by a grow within the round is checked in that round exactly
+    /// when it was live at round start and still lies ahead.
+    ///
     /// Returns the number of mutations (replants + prunes + grows); `0`
     /// means the tree is stable for the current network.
     pub fn maintain_round(&mut self, net: &ChordNetwork) -> usize {
+        let ring = net.ring();
+        let dirty = match ring.changes_since(self.checked) {
+            Some(changed) if changed.is_empty() && self.flagged == 0 => return 0,
+            Some(changed) => Some(DirtyArcs::new(ring, &changed)),
+            None => None,
+        };
+        let mut born_free = self.free.clone();
+        born_free.sort_unstable();
+        let mut mutations = 0;
+        let live_bound = self.nodes.len();
+        count_visits(live_bound);
+        for slot in 0..live_bound {
+            let Some(node) = &self.nodes[slot] else {
+                continue;
+            };
+            let id = KtNodeId(slot as u32);
+            let suspect =
+                self.is_flagged(id) || dirty.as_ref().is_none_or(|d| d.touches(&node.region));
+            if !suspect || born_free.binary_search(&id.0).is_ok() {
+                continue;
+            }
+            self.unflag(id);
+            mutations += self.check_node(net, id);
+        }
+        self.checked = ring.stamp();
+        mutations
+    }
+
+    /// The full sweep [`Self::maintain_round`] must be indistinguishable
+    /// from: every node live at round start runs its check, in slot order.
+    /// Kept as the reference of the differential tests.
+    #[cfg(test)]
+    pub(crate) fn reference_round(&mut self, net: &ChordNetwork) -> usize {
         let mut mutations = 0;
         let snapshot: Vec<KtNodeId> = self.iter_ids().collect();
         for id in snapshot {
             // The node may have been pruned earlier in this very round.
-            if self.nodes[id.0 as usize].is_none() {
-                continue;
+            if self.nodes[id.0 as usize].is_some() {
+                mutations += self.check_node(net, id);
             }
-            let region = self.node(id).region;
-            let host = Self::host_for(net, &region);
-            if self.node(id).host != host {
-                self.nodes[id.0 as usize].as_mut().unwrap().host = host;
-                mutations += 1;
-            }
-            if Self::is_leaf_region(net, &region) {
-                // Leaf: prune any children.
-                for i in 0..self.k {
-                    if let Some(child) = self.node(id).children[i] {
-                        self.prune(child);
-                        self.nodes[id.0 as usize].as_mut().unwrap().children[i] = None;
-                        mutations += 1;
-                    }
-                }
-                continue;
-            }
+        }
+        mutations
+    }
+
+    /// One KT node's periodic check; returns the number of mutations.
+    fn check_node(&mut self, net: &ChordNetwork, id: KtNodeId) -> usize {
+        let mut mutations = 0;
+        let region = self.node(id).region;
+        let host = Self::host_for(net, &region);
+        if self.node(id).host != host {
+            self.nodes[id.0 as usize].as_mut().unwrap().host = host;
+            mutations += 1;
+        }
+        if Self::is_leaf_region(net, &region) {
+            // Leaf: prune any children.
             for i in 0..self.k {
-                let part = region.child(i, self.k);
-                let needed = !part.is_empty() && net.ring().count_in_at_most(&part, 1) >= 1;
-                let existing = self.node(id).children[i];
-                match (needed, existing) {
-                    (false, Some(child)) => {
-                        self.prune(child);
-                        self.nodes[id.0 as usize].as_mut().unwrap().children[i] = None;
-                        mutations += 1;
-                    }
-                    (true, None) => {
-                        let depth = self.node(id).depth + 1;
-                        let child = self.alloc(KtNode {
-                            region: part,
-                            host: Self::host_for(net, &part),
-                            children: KtChildren::none(self.k),
-                            parent: Some(id),
-                            depth,
-                        });
-                        self.nodes[id.0 as usize].as_mut().unwrap().children[i] = Some(child);
-                        mutations += 1;
-                    }
-                    _ => {}
+                if let Some(child) = self.node(id).children[i] {
+                    self.prune(child);
+                    self.nodes[id.0 as usize].as_mut().unwrap().children[i] = None;
+                    mutations += 1;
                 }
+            }
+            return mutations;
+        }
+        for i in 0..self.k {
+            let part = region.child(i, self.k);
+            let needed = !part.is_empty() && net.ring().count_in_at_most(&part, 1) >= 1;
+            let existing = self.node(id).children[i];
+            match (needed, existing) {
+                (false, Some(child)) => {
+                    self.prune(child);
+                    self.nodes[id.0 as usize].as_mut().unwrap().children[i] = None;
+                    mutations += 1;
+                }
+                (true, None) => {
+                    let depth = self.node(id).depth + 1;
+                    let child = self.alloc(KtNode {
+                        region: part,
+                        host: Self::host_for(net, &part),
+                        children: KtChildren::none(self.k),
+                        parent: Some(id),
+                        depth,
+                    });
+                    self.nodes[id.0 as usize].as_mut().unwrap().children[i] = Some(child);
+                    // One level per round: the child's own check is due.
+                    self.flag(child);
+                    mutations += 1;
+                }
+                _ => {}
             }
         }
         mutations
@@ -493,6 +663,7 @@ impl KTree {
     /// Runs [`Self::maintain_round`] until stable, returning the number of
     /// rounds needed (0 if already stable). Panics after `limit` rounds.
     pub fn maintain_until_stable(&mut self, net: &ChordNetwork, limit: usize) -> usize {
+        let _prof = proxbal_profile::phase("kt/maintain");
         for round in 0..limit {
             if self.maintain_round(net) == 0 {
                 return round;
@@ -578,6 +749,9 @@ impl KTree {
             }
         }
         self.nodes[child.0 as usize].as_mut().unwrap().parent = Some(stale);
+        // The real parent's next check regrows the emptied slot.
+        self.flag(real);
+        self.detached += 1;
     }
 
     /// Repairs the tree after faults: orphaned subtrees (stale parent
@@ -601,6 +775,40 @@ impl KTree {
         net: &ChordNetwork,
         limit: usize,
     ) -> (RepairStats, Vec<RepairAction>) {
+        let _prof = proxbal_profile::phase("kt/repair");
+        // With no subtree detached since the last repair the reachability
+        // scan has nothing to find.
+        let (mut stats, actions) = if self.detached == 0 {
+            (RepairStats::default(), Vec::new())
+        } else {
+            self.reattach_orphans(net)
+        };
+        // Ordinary periodic maintenance converges the rest (replanting,
+        // missing coverage, leftover duplicates).
+        stats.rounds = self.maintain_until_stable(net, limit);
+        (stats, actions)
+    }
+
+    /// [`Self::repair_with_actions`] over [`Self::reference_round`], with
+    /// the orphan scan unconditional.
+    #[cfg(test)]
+    pub(crate) fn reference_repair(
+        &mut self,
+        net: &ChordNetwork,
+        limit: usize,
+    ) -> (RepairStats, Vec<RepairAction>) {
+        let (mut stats, actions) = self.reattach_orphans(net);
+        while self.reference_round(net) > 0 {
+            stats.rounds += 1;
+            assert!(stats.rounds < limit, "reference failed to stabilize");
+        }
+        (stats, actions)
+    }
+
+    /// The fault-specific part of a repair: finds every orphaned subtree
+    /// and re-attaches it where its region belongs, or prunes it.
+    fn reattach_orphans(&mut self, net: &ChordNetwork) -> (RepairStats, Vec<RepairAction>) {
+        count_visits(self.slot_bound());
         // Phase 1: mark everything reachable from the root.
         let mut reachable = vec![false; self.slot_bound()];
         let mut queue = std::collections::VecDeque::new();
@@ -634,11 +842,7 @@ impl KTree {
             .collect();
 
         // Phase 3: re-attach each orphan where its region belongs, or prune.
-        let mut stats = RepairStats {
-            reattached: 0,
-            pruned: 0,
-            rounds: 0,
-        };
+        let mut stats = RepairStats::default();
         let mut actions = Vec::with_capacity(orphan_roots.len());
         for orphan in orphan_roots {
             let region = self.node(orphan).region;
@@ -651,6 +855,9 @@ impl KTree {
                 Some((p, i)) => {
                     self.nodes[p.0 as usize].as_mut().unwrap().children[i] = Some(orphan);
                     self.nodes[orphan.0 as usize].as_mut().unwrap().parent = Some(p);
+                    // The part may have emptied while the subtree was
+                    // orphaned; the new parent's next check decides.
+                    self.flag(p);
                     // Fix depths and extend reachability over the subtree.
                     let base = self.node(p).depth + 1;
                     let mut fix = std::collections::VecDeque::new();
@@ -679,9 +886,7 @@ impl KTree {
             }
         }
 
-        // Phase 4: ordinary periodic maintenance converges the rest
-        // (replanting, missing coverage, leftover duplicates).
-        stats.rounds = self.maintain_until_stable(net, limit);
+        self.detached = 0;
         (stats, actions)
     }
 
@@ -844,5 +1049,45 @@ impl KTree {
         }
         self.nodes[id.0 as usize] = None;
         self.free.push(id.0);
+        self.unflag(id);
+    }
+
+    /// The arena as the differential tests compare it: every slot, and the
+    /// free list in order.
+    #[cfg(test)]
+    pub(crate) fn arena(&self) -> (&[Option<KtNode>], &[u32]) {
+        (&self.nodes, &self.free)
+    }
+
+    /// The ring state the tree was last checked against.
+    #[cfg(test)]
+    pub(crate) fn checked(&self) -> RingStamp {
+        self.checked
+    }
+
+    fn is_flagged(&self, id: KtNodeId) -> bool {
+        self.flags
+            .get(id.0 as usize / 64)
+            .is_some_and(|word| word & (1 << (id.0 % 64)) != 0)
+    }
+
+    /// Marks `id` as due for its check at the next visit.
+    fn flag(&mut self, id: KtNodeId) {
+        let word = id.0 as usize / 64;
+        if self.flags.len() <= word {
+            self.flags.resize(word + 1, 0);
+        }
+        let bit = 1 << (id.0 % 64);
+        if self.flags[word] & bit == 0 {
+            self.flags[word] |= bit;
+            self.flagged += 1;
+        }
+    }
+
+    fn unflag(&mut self, id: KtNodeId) {
+        if self.is_flagged(id) {
+            self.flags[id.0 as usize / 64] &= !(1 << (id.0 % 64));
+            self.flagged -= 1;
+        }
     }
 }

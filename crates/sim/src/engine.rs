@@ -426,6 +426,14 @@ pub fn run_engine_with(
                 tr.count("kt_reorphaned", reorphaned as u64);
             }
             retained.extend(actions.iter().filter(|a| a.reattached).map(|a| a.slot));
+            // Debug builds audit every repair (the engine tests run in
+            // debug); release runs pay nothing.
+            debug_assert_eq!(
+                tree.check_invariants(&prepared.net),
+                Ok(()),
+                "epoch {epoch}"
+            );
+            debug_assert_eq!(prepared.net.check_invariants(), Ok(()), "epoch {epoch}");
         }
 
         // 3. Emergency check against ground truth — the engine's stand-in

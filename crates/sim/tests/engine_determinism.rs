@@ -209,6 +209,36 @@ fn stormy_engine_clears_heavy_by_final_epoch() {
     prepared.net.check_invariants().unwrap();
 }
 
+/// In debug builds (how this test runs) the engine asserts
+/// `KTree::check_invariants` and `ChordNetwork::check_invariants` after
+/// every epoch's repair. This run makes each epoch hard for change-driven
+/// maintenance: fresh stale links every epoch, joins and crashes between
+/// repairs, and balancing rounds that split virtual servers — so a node the
+/// filter wrongly skipped shows up as a failed audit, not a drifted metric.
+#[test]
+fn every_epoch_repair_passes_the_invariant_audit() {
+    let mut prepared = stormy().prepare();
+    let cfg = EngineConfig {
+        epochs: 16,
+        balance_interval: 3,
+        stale_link_interval: 1,
+        ..EngineConfig::default()
+    };
+    let mut trace = Trace::enabled("engine");
+    let report = run_engine_traced(&mut prepared, &cfg, &mut trace).unwrap();
+    assert!(report.stale_links >= cfg.epochs, "stale links every epoch");
+    assert!(report.joins > 0 && report.crashes > 0, "churn fired");
+    assert!(
+        trace.counter("vsa_split_placed") > 0,
+        "balancing split virtual servers"
+    );
+    assert!(
+        trace.counter("kt_reattached") > 0,
+        "repairs re-attached subtrees"
+    );
+    prepared.net.check_invariants().unwrap();
+}
+
 #[test]
 fn engine_rejects_invalid_configs() {
     let mut prepared = quiescent().prepare();
