@@ -4,20 +4,22 @@
 //! parsed directly from the `proc_macro::TokenStream` and the impl is
 //! emitted as source text. Supported shapes — exactly what this workspace
 //! derives — are non-generic structs (named, tuple, unit) and non-generic
-//! enums (unit, tuple and struct variants), with no `#[serde(...)]`
-//! attributes.
+//! enums (unit, tuple and struct variants). The one `#[serde(...)]`
+//! attribute understood is `#[serde(skip)]` on a named struct field: the
+//! field is left out of the serialized map and filled with
+//! `Default::default()` on the way back.
 
 use proc_macro::{Delimiter, TokenStream, TokenTree};
 
 /// Derives `serde::Serialize`.
-#[proc_macro_derive(Serialize)]
+#[proc_macro_derive(Serialize, attributes(serde))]
 pub fn derive_serialize(input: TokenStream) -> TokenStream {
     let item = parse_item(input);
     gen_serialize(&item).parse().expect("generated impl parses")
 }
 
 /// Derives `serde::Deserialize`.
-#[proc_macro_derive(Deserialize)]
+#[proc_macro_derive(Deserialize, attributes(serde))]
 pub fn derive_deserialize(input: TokenStream) -> TokenStream {
     let item = parse_item(input);
     gen_deserialize(&item)
@@ -39,6 +41,8 @@ enum Shape {
 struct Item {
     name: String,
     shape: Shape,
+    /// `#[serde(skip)]` fields of a named struct.
+    skipped: Vec<String>,
 }
 
 fn parse_item(input: TokenStream) -> Item {
@@ -57,9 +61,10 @@ fn parse_item(input: TokenStream) -> Item {
     }
     match kind.as_str() {
         "struct" => {
+            let mut skipped = Vec::new();
             let fields = match toks.next() {
                 Some(TokenTree::Group(g)) if g.delimiter() == Delimiter::Brace => {
-                    Fields::Named(parse_named_fields(g.stream()))
+                    Fields::Named(parse_named_fields(g.stream(), &mut skipped))
                 }
                 Some(TokenTree::Group(g)) if g.delimiter() == Delimiter::Parenthesis => {
                     Fields::Tuple(count_tuple_fields(g.stream()))
@@ -70,6 +75,7 @@ fn parse_item(input: TokenStream) -> Item {
             Item {
                 name,
                 shape: Shape::Struct(fields),
+                skipped,
             }
         }
         "enum" => {
@@ -80,18 +86,26 @@ fn parse_item(input: TokenStream) -> Item {
             Item {
                 name,
                 shape: Shape::Enum(parse_variants(body)),
+                skipped: Vec::new(),
             }
         }
         other => panic!("cannot derive for {other}"),
     }
 }
 
-fn skip_attrs_and_vis(toks: &mut std::iter::Peekable<impl Iterator<Item = TokenTree>>) {
+/// Skips attributes and a visibility; true iff one of the attributes was
+/// `#[serde(skip)]`.
+fn skip_attrs_and_vis(toks: &mut std::iter::Peekable<impl Iterator<Item = TokenTree>>) -> bool {
+    let mut serde_skip = false;
     loop {
         match toks.peek() {
             Some(TokenTree::Punct(p)) if p.as_char() == '#' => {
                 toks.next();
-                toks.next(); // the [...] group
+                // The [...] group.
+                if let Some(TokenTree::Group(attr)) = toks.next() {
+                    let text: String = attr.stream().to_string().split_whitespace().collect();
+                    serde_skip |= text == "serde(skip)";
+                }
             }
             Some(TokenTree::Ident(id)) if id.to_string() == "pub" => {
                 toks.next();
@@ -102,20 +116,22 @@ fn skip_attrs_and_vis(toks: &mut std::iter::Peekable<impl Iterator<Item = TokenT
                     toks.next();
                 }
             }
-            _ => return,
+            _ => return serde_skip,
         }
     }
 }
 
 /// Parses `name: Type, ...`, skipping types with bracket-depth tracking
-/// (`HashMap<K, V>` has commas that do not separate fields).
-fn parse_named_fields(body: TokenStream) -> Vec<String> {
+/// (`HashMap<K, V>` has commas that do not separate fields). Fields marked
+/// `#[serde(skip)]` go to `skipped` instead of the returned list.
+fn parse_named_fields(body: TokenStream, skipped: &mut Vec<String>) -> Vec<String> {
     let mut toks = body.into_iter().peekable();
     let mut names = Vec::new();
     loop {
-        skip_attrs_and_vis(&mut toks);
+        let skip = skip_attrs_and_vis(&mut toks);
         match toks.next() {
             None => break,
+            Some(TokenTree::Ident(id)) if skip => skipped.push(id.to_string()),
             Some(TokenTree::Ident(id)) => names.push(id.to_string()),
             other => panic!("expected field name, got {other:?}"),
         }
@@ -174,7 +190,12 @@ fn parse_variants(body: TokenStream) -> Vec<(String, Fields)> {
                 Fields::Tuple(n)
             }
             Some(TokenTree::Group(g)) if g.delimiter() == Delimiter::Brace => {
-                let names = parse_named_fields(g.stream());
+                let mut skipped = Vec::new();
+                let names = parse_named_fields(g.stream(), &mut skipped);
+                assert!(
+                    skipped.is_empty(),
+                    "#[serde(skip)] is only supported on struct fields"
+                );
                 toks.next();
                 Fields::Named(names)
             }
@@ -268,7 +289,10 @@ fn gen_deserialize(item: &Item) -> String {
     let body = match &item.shape {
         Shape::Struct(Fields::Unit) => format!("::std::result::Result::Ok({name})"),
         Shape::Struct(Fields::Named(fields)) => {
-            let assigns = named_from_content(fields, "__m");
+            let mut assigns = named_from_content(fields, "__m");
+            for f in &item.skipped {
+                assigns.push_str(&format!("\n{f}: ::std::default::Default::default(),"));
+            }
             format!(
                 "let __m = __c.as_map().ok_or_else(|| \
                  ::serde::DeError::new(\"{name}: expected map\"))?;\n\

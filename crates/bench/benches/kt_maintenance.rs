@@ -2,7 +2,9 @@
 //! end-to-end `engine_4k` number: `KTree::repair` when nothing changed (the
 //! common engine epoch — must not depend on tree size) and after 1 % of the
 //! peers crashed and as many joined (work proportional to the root paths
-//! the changed ring positions disturb, not to the tree).
+//! the changed ring positions disturb, not to the tree), and
+//! `KTree::message_depths` on an unchanged tree (derived once per arena
+//! state, so asking again must not depend on tree size either).
 
 use criterion::{criterion_group, criterion_main, BatchSize, BenchmarkId, Criterion};
 use proxbal_chord::ChordNetwork;
@@ -27,6 +29,14 @@ fn bench_kt_maintenance(c: &mut Criterion) {
         group.bench_function(BenchmarkId::new("noop_repair", peers), |b| {
             b.iter(|| std::hint::black_box(tree.repair(&net, 256)));
         });
+
+        std::hint::black_box(tree.message_depths().len());
+        group.bench_function(
+            BenchmarkId::new("message_depths_unchanged_tree", peers),
+            |b| {
+                b.iter(|| std::hint::black_box(tree.message_depths().len()));
+            },
+        );
 
         // One fixed churned network per size; each iteration repairs a
         // fresh clone of the pre-churn tree against it (a binary tree's

@@ -1,20 +1,24 @@
 //! Benchmarks the parallel kernels *inside* a balancing round — the hot
 //! per-peer loops the `--threads` knob accelerates: node classification,
-//! shed-candidate/light-slot extraction, and the complete proximity-aware
-//! four-phase round. Each kernel runs at 1 and 8 worker threads so the
+//! shed-candidate/light-slot extraction, the root-only LBI fold over the
+//! K-nary tree, and the complete proximity-aware four-phase round. Each
+//! kernel runs at 1 and 8 worker threads so the
 //! scaling (and the fixed-chunk merge overhead at 1 thread) is visible in
 //! one report. Outputs are byte-identical across thread counts — the
 //! determinism tests pin that — so these benches measure pure wall-clock.
 
-use criterion::{criterion_group, criterion_main, Criterion};
+use criterion::{criterion_group, criterion_main, BatchSize, BenchmarkId, Criterion};
+use proxbal_chord::ChordNetwork;
 use proxbal_core::reports::{light_slots_with, shed_candidates_with};
 use proxbal_core::{
-    BalancerConfig, Classification, ClassifyParams, LoadBalancer, ProximityMode, ProximityParams,
-    RoundWalls, Underlay,
+    BalancerConfig, Classification, ClassifyParams, Lbi, LoadBalancer, ProximityMode,
+    ProximityParams, RoundWalls, Underlay,
 };
-use proxbal_ktree::KTree;
+use proxbal_ktree::{KTree, KtNodeMap};
 use proxbal_sim::{Scenario, TopologyKind};
 use proxbal_trace::Trace;
+use rand::rngs::StdRng;
+use rand::SeedableRng;
 
 const THREAD_COUNTS: [usize; 2] = [1, 8];
 
@@ -112,5 +116,41 @@ fn bench_round_kernels(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_round_kernels);
+/// Phase 1's tree half in isolation: one boxed LBI per virtual server's
+/// leaf, folded to the root. The tree's message depths are derived before
+/// timing starts, as they are for every round after a tree's first.
+fn bench_aggregate_root(c: &mut Criterion) {
+    let mut group = c.benchmark_group("aggregate_root");
+    group.sample_size(10);
+    for peers in [16_384usize, 65_536] {
+        let mut rng = StdRng::seed_from_u64(42);
+        let mut net = ChordNetwork::new();
+        for _ in 0..peers {
+            net.join_peer(5, &mut rng);
+        }
+        let tree = KTree::build(&net, 2);
+        let mut inputs: KtNodeMap<Box<Lbi>> = KtNodeMap::with_slot_bound(tree.slot_bound());
+        for (i, (_, vs)) in net.ring().iter().enumerate() {
+            let lbi = Lbi {
+                load: 1.0 + i as f64,
+                capacity: 10.0,
+                min_vs_load: 1.0 + i as f64,
+            };
+            inputs.insert(tree.report_target(&net, vs), Box::new(lbi));
+        }
+        std::hint::black_box(tree.max_message_depth());
+        for threads in THREAD_COUNTS {
+            group.bench_function(BenchmarkId::new(format!("t{threads}"), peers), |b| {
+                b.iter_batched(
+                    || inputs.clone(),
+                    |inputs| std::hint::black_box(tree.aggregate_with(inputs, threads)),
+                    BatchSize::LargeInput,
+                );
+            });
+        }
+    }
+    group.finish();
+}
+
+criterion_group!(benches, bench_round_kernels, bench_aggregate_root);
 criterion_main!(benches);

@@ -79,8 +79,8 @@ pub struct Underlay<'a> {
     /// When set, VST distance accounting runs the hierarchical landmark
     /// scheme instead of exact per-pair Dijkstra (see
     /// [`TransferDistances::Approx`]). `None` — the default everywhere the
-    /// builder's exact mode is in effect — keeps every existing output
-    /// byte-identical.
+    /// builder's exact mode is in effect — asks the oracle about every
+    /// pair.
     pub approx: Option<ApproxTransfer<'a>>,
 }
 
@@ -90,7 +90,7 @@ pub struct Underlay<'a> {
 pub struct ApproxTransfer<'a> {
     /// Precomputed landmark vectors in the hop-cost metric.
     pub landmarks: &'a LandmarkOracle,
-    /// Exact Dijkstra row budget for refining uncertain pairs.
+    /// How many sources have their uncertain pairs measured exactly.
     pub refine_sources: usize,
 }
 
@@ -190,7 +190,7 @@ impl LoadBalancer {
 
     /// Sets the worker-thread count for the parallel sections *inside* a
     /// balancing round (LBI generation, aggregation, classification, shed
-    /// extraction, transfer-distance refinement). Purely a performance
+    /// extraction, VSA input publication). Purely a performance
     /// knob: every output is byte-identical at any thread count — parallel
     /// work is chunked deterministically and merged in index order, and
     /// all randomness is drawn on the caller's thread.

@@ -74,8 +74,7 @@ pub use round::{DirtySet, RoundCache, RoundWalls};
 pub use selection::{choose_shed_set, EXACT_LIMIT};
 pub use split::split_and_place;
 pub use transfer::{
-    absorb_join, execute_transfers, execute_transfers_threaded, execute_transfers_traced,
-    execute_transfers_traced_threaded, execute_transfers_with_requeue,
+    absorb_join, execute_transfers, execute_transfers_traced, execute_transfers_with_requeue,
     execute_transfers_with_requeue_traced, graceful_leave, total_moved_load, weighted_cost,
     RequeueOutcome, TransferDistances, TransferRecord,
 };

@@ -1,7 +1,9 @@
 use crate::classify::{ClassifyParams, NodeClass};
+use crate::error::Error;
 use crate::lbi::{Lbi, LoadState};
 use crate::pairing::{LightSlot, RendezvousLists, ShedCandidate};
 use crate::selection::choose_shed_set;
+use crate::transfer::attachment;
 use proxbal_chord::{ChordNetwork, PeerId, VsId};
 use proxbal_hilbert::{CurveKind, LandmarkMapper};
 use proxbal_ktree::{KTree, KtNodeId, KtNodeMap};
@@ -248,6 +250,10 @@ impl Default for ProximityParams {
 /// records of physically close nodes land close together on the ring and
 /// meet at deep rendezvous points. Each record is routed to the owner
 /// virtual server of the key, which reports it through its own KT leaf.
+///
+/// Fails with [`Error::UnattachedPeer`] for the first participant (shed
+/// peers, then light peers, each ascending) that was never attached to the
+/// underlay — its landmark vector cannot be measured.
 #[allow(clippy::too_many_arguments)]
 pub fn proximity_inputs(
     net: &ChordNetwork,
@@ -257,7 +263,7 @@ pub fn proximity_inputs(
     params: &ProximityParams,
     oracle: &DistanceOracle,
     landmarks: &[NodeId],
-) -> KtNodeMap<Box<RendezvousLists>> {
+) -> Result<KtNodeMap<Box<RendezvousLists>>, Error> {
     proximity_inputs_with(net, tree, shed, light, params, oracle, landmarks, 1)
 }
 
@@ -277,7 +283,7 @@ pub fn proximity_inputs_with(
     oracle: &DistanceOracle,
     landmarks: &[NodeId],
     threads: usize,
-) -> KtNodeMap<Box<RendezvousLists>> {
+) -> Result<KtNodeMap<Box<RendezvousLists>>, Error> {
     assert!(!landmarks.is_empty(), "need at least one landmark");
     // Landmark vectors of every participating node, projected onto the
     // key dimensions.
@@ -285,35 +291,36 @@ pub fn proximity_inputs_with(
         .key_dims
         .map(|k| k.clamp(1, landmarks.len()))
         .unwrap_or(landmarks.len());
-    let landmarks = &landmarks[..dims];
     // The Hilbert index is carried as u128: clamp bits so dims·bits ≤ 128.
     let bits = params.bits_per_dim.clamp(1, (128 / dims as u32).min(32));
     let participants: Vec<PeerId> = shed.keys().chain(light.keys()).copied().collect();
-    let measured = proxbal_parallel::map_items(&participants, threads, |_, &p| {
-        let attach = net.peer(p).underlay;
-        assert!(
-            attach != u32::MAX,
-            "peer {p:?} has no underlay attachment; proximity-aware mode \
-             requires ChordNetwork::attach"
-        );
-        oracle.landmark_vector(attach, landmarks)
-    });
-    let mut vectors: HashMap<PeerId, Vec<u32>> = HashMap::with_capacity(participants.len());
-    let mut scale_max = 1u32;
-    for (&p, v) in participants.iter().zip(measured) {
-        scale_max = scale_max.max(v.iter().copied().max().unwrap_or(0));
-        vectors.insert(p, v);
+    // One row of `dims` landmark distances per participant, in
+    // `participants` order, in one flat vector.
+    let rows: Vec<_> = landmarks[..dims].iter().map(|&l| oracle.row(l)).collect();
+    let measured =
+        proxbal_parallel::map_chunked(participants.len(), CLASSIFY_CHUNK, threads, |range| {
+            let mut out = Vec::with_capacity(range.len() * dims);
+            for &p in &participants[range] {
+                let attach = attachment(net, p)? as usize;
+                out.extend(rows.iter().map(|row| row.get(attach)));
+            }
+            Ok(out)
+        });
+    let mut vectors: Vec<u32> = Vec::with_capacity(participants.len() * dims);
+    for chunk in measured {
+        vectors.extend(chunk?);
+    }
+    let scale_max = vectors.iter().copied().max().unwrap_or(0).max(1);
+    if params.center_vectors {
+        for v in vectors.chunks_exact_mut(dims) {
+            let min = v.iter().copied().min().unwrap_or(0);
+            v.iter_mut().for_each(|d| *d -= min);
+        }
     }
     let mapper = if params.per_dim_scaling {
         let mut ranges = vec![(u32::MAX, 0u32); dims];
-        for v in vectors.values() {
-            let v: Vec<u32> = if params.center_vectors {
-                let min = v.iter().copied().min().unwrap_or(0);
-                v.iter().map(|&d| d - min).collect()
-            } else {
-                v.clone()
-            };
-            for (r, &d) in ranges.iter_mut().zip(&v) {
+        for v in vectors.chunks_exact(dims) {
+            for (r, &d) in ranges.iter_mut().zip(v) {
                 r.0 = r.0.min(d);
                 r.1 = r.1.max(d);
             }
@@ -331,24 +338,21 @@ pub fn proximity_inputs_with(
     }
     .with_curve(params.curve);
 
-    let mut inputs: KtNodeMap<Box<RendezvousLists>> = KtNodeMap::with_slot_bound(tree.slot_bound());
-    let target_for = |p: PeerId| -> KtNodeId {
-        let v = &vectors[&p];
-        let v: Vec<u32> = if params.center_vectors {
-            let min = v.iter().copied().min().unwrap_or(0);
-            v.iter().map(|&d| d - min).collect()
-        } else {
-            v.clone()
-        };
-        let key = mapper.dht_key(&v);
-        let owner = net.ring().owner(key).expect("non-empty ring");
-        tree.report_target(net, owner)
-    };
     // `participants` lists shed keys then light keys, each ascending — the
     // same order the two fill loops below walk, so zipping targets back is
     // positional.
-    let targets = proxbal_parallel::map_items(&participants, threads, |_, &p| target_for(p));
-    let mut targets = targets.into_iter();
+    let targets =
+        proxbal_parallel::map_chunked(participants.len(), CLASSIFY_CHUNK, threads, |range| {
+            vectors[range.start * dims..range.end * dims]
+                .chunks_exact(dims)
+                .map(|v| {
+                    let owner = net.ring().owner(mapper.dht_key(v)).expect("non-empty ring");
+                    tree.report_target(net, owner)
+                })
+                .collect::<Vec<KtNodeId>>()
+        });
+    let mut inputs: KtNodeMap<Box<RendezvousLists>> = KtNodeMap::with_slot_bound(tree.slot_bound());
+    let mut targets = targets.into_iter().flatten();
     for cands in shed.values() {
         let target = targets.next().expect("one target per shed peer");
         let lists = inputs.or_default(target);
@@ -360,5 +364,5 @@ pub fn proximity_inputs_with(
         let target = targets.next().expect("one target per light peer");
         inputs.or_default(target).push_light(*slot);
     }
-    inputs
+    Ok(inputs)
 }

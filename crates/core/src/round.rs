@@ -20,7 +20,7 @@ use crate::lbi::LoadState;
 use crate::reports::{
     ignorant_inputs, light_slots_with, proximity_inputs_with, shed_candidates_with, Classification,
 };
-use crate::transfer::execute_transfers_traced_threaded;
+use crate::transfer::execute_transfers_traced;
 use crate::vsa::{run_vsa_traced, VsaParams};
 use crate::{BalanceReport, LoadBalancer, MessageStats, ProximityMode, Underlay};
 use proxbal_chord::{ChordNetwork, PeerId, PeerState, VsId};
@@ -224,6 +224,7 @@ impl LoadBalancer {
         // peer order — redraw decisions are exactly the serial loop's.
         let wall = Instant::now();
         let prof = proxbal_profile::phase("round/lbi");
+        let sub = proxbal_profile::phase("round/lbi/bind");
         let mut decisions: Vec<(PeerId, Option<VsId>, bool)> = Vec::with_capacity(alive.len());
         for p in alive {
             use rand::seq::SliceRandom;
@@ -246,8 +247,10 @@ impl LoadBalancer {
             }
             decisions.push((p, vs, re_reported));
         }
+        drop(sub);
         // Pass B (parallel): report target (a root descent) and LBI triple
         // per peer — pure reads over fixed-size chunks.
+        let sub = proxbal_profile::phase("round/lbi/targets");
         let lbi_chunks =
             proxbal_parallel::map_chunked(decisions.len(), PEER_CHUNK, threads, |range| {
                 range
@@ -261,6 +264,7 @@ impl LoadBalancer {
                     })
                     .collect::<Vec<_>>()
             });
+        drop(sub);
         // Pass C (serial drain in chunk order): merges happen in original
         // peer order, so per-target f64 associations are byte-identical to
         // the serial loop.
@@ -268,6 +272,7 @@ impl LoadBalancer {
         // LBIs are boxed so the dense per-node map costs one pointer per
         // arena slot — at million-peer scale the tree has tens of millions
         // of slots and the unboxed map alone would dwarf the arena.
+        let sub = proxbal_profile::phase("round/lbi/merge");
         let mut lbi_inputs: proxbal_ktree::KtNodeMap<Box<crate::Lbi>> =
             proxbal_ktree::KtNodeMap::with_slot_bound(tree.slot_bound());
         let mut report_seeds: Vec<proxbal_ktree::KtNodeId> = Vec::new();
@@ -291,10 +296,13 @@ impl LoadBalancer {
         }
         let peers = decisions.len();
         drop(decisions);
+        drop(sub);
         // Count inter-peer tree edges on the re-reporting paths (each edge
         // carries exactly one aggregated LBI message; quiet peers' cached
         // contributions cost nothing).
+        let sub = proxbal_profile::phase("round/lbi/edges");
         let lbi_messages = count_active_edges(net, tree, report_seeds.iter().copied());
+        drop(sub);
         walls.lbi_wall_s = wall.elapsed().as_secs_f64();
         drop(prof);
         let lbi_input_count = lbi_inputs.len();
@@ -304,9 +312,7 @@ impl LoadBalancer {
             root_value,
             rounds: lbi_rounds,
             merges: lbi_merges,
-            per_node,
         } = tree.aggregate_with(lbi_inputs, threads);
-        drop(per_node); // free the per-node LBI views before phase 2 allocates
         walls.aggregate_wall_s = wall.elapsed().as_secs_f64();
         drop(prof);
         let system = *root_value.ok_or(Error::EmptyNetwork)?;
@@ -352,16 +358,20 @@ impl LoadBalancer {
 
         // Phase 2: dissemination + classification (§3.3). Disseminating the
         // system LBI reaches every node in `max_message_depth` downward
-        // rounds; materializing the per-node copies (what
-        // `KTree::disseminate` returns) would be pure waste here, so only
-        // the round count is computed.
+        // rounds (the tree already knows it from the aggregation) over every
+        // inter-peer tree edge; materializing the per-node copies (what
+        // `KTree::disseminate` returns) would be pure waste here.
         let wall = Instant::now();
         let prof = proxbal_profile::phase("round/vsa");
+        let sub = proxbal_profile::phase("round/vsa/disseminate");
         let dissemination_rounds = tree.max_message_depth();
-        let dissemination_messages = count_active_edges(net, tree, tree.iter_ids());
+        let dissemination_messages = count_tree_edges(net, tree, threads);
+        drop(sub);
+        let sub = proxbal_profile::phase("round/vsa/classify");
         let classification = Classification::compute_with(net, loads, &params, system, threads);
         let before = class_counts(&classification);
         let heavy_before = before.get(&NodeClass::Heavy).copied().unwrap_or(0);
+        drop(sub);
         trace.span_args(
             "phase/classify",
             clock,
@@ -376,8 +386,11 @@ impl LoadBalancer {
         clock += u64::from(dissemination_rounds);
 
         // Phase 3: VSA (§3.4 / §4.3).
+        let sub = proxbal_profile::phase("round/vsa/candidates");
         let shed = shed_candidates_with(net, loads, &params, &classification, threads);
         let light = light_slots_with(net, loads, &params, &classification, threads);
+        drop(sub);
+        let sub = proxbal_profile::phase("round/vsa/inputs");
         let inputs = match cfg.mode {
             ProximityMode::Ignorant => ignorant_inputs(net, tree, &shed, &light, rng),
             ProximityMode::Aware(ref prox) => {
@@ -391,14 +404,17 @@ impl LoadBalancer {
                     u.latency(),
                     u.landmarks,
                     threads,
-                )
+                )?
             }
         };
+        drop(sub);
         let vsa_params = VsaParams {
             rendezvous_threshold: cfg.rendezvous_threshold,
             l_min: system.min_vs_load,
         };
+        let sub = proxbal_profile::phase("round/vsa/sweep");
         let mut vsa = run_vsa_traced(tree, inputs, &vsa_params, trace);
+        drop(sub);
 
         // Optional extension: split unplaceable virtual servers and place
         // the halves (off unless `max_splits > 0`).
@@ -442,12 +458,11 @@ impl LoadBalancer {
         // Phase 4: VST (§3.5).
         let wall = Instant::now();
         let prof = proxbal_profile::phase("round/transfer");
-        let transfers = execute_transfers_traced_threaded(
+        let transfers = execute_transfers_traced(
             net,
             loads,
             &vsa.assignments,
             underlay.map(|u| u.transfer_distances()),
-            threads,
             trace,
         )?;
         let vst_dur = transfers
@@ -530,6 +545,27 @@ pub(crate) fn count_active_edges(
         }
     }
     edges
+}
+
+/// Counts every tree edge between KT nodes planted on *different peers* —
+/// what [`count_active_edges`] finds when every node is a seed, as one
+/// chunked pass over the arena (an integer sum, so any `threads` agrees).
+fn count_tree_edges(net: &ChordNetwork, tree: &KTree, threads: usize) -> usize {
+    const NODE_CHUNK: usize = 1 << 16;
+    let peer_of = |id| net.vs(tree.node(id).host).host;
+    proxbal_parallel::map_chunked(tree.slot_bound(), NODE_CHUNK, threads, |range| {
+        range
+            .map(|slot| proxbal_ktree::KtNodeId(slot as u32))
+            .filter(|&id| tree.contains(id))
+            .filter(|&id| {
+                tree.node(id)
+                    .parent
+                    .is_some_and(|parent| peer_of(id) != peer_of(parent))
+            })
+            .count()
+    })
+    .into_iter()
+    .sum()
 }
 
 pub(crate) fn class_counts(c: &Classification) -> HashMap<NodeClass, usize> {

@@ -671,6 +671,217 @@ fn execute_transfers_unattached_receiver_leaves_overlay_untouched() {
     net.check_invariants().unwrap();
 }
 
+/// ts5k-small with `peers` peers attached to random stub nodes, a landmark
+/// oracle over `landmark_count` landmarks, and an executable-in-part
+/// assignment set: a random matching, one of whose sources has crashed.
+fn approx_fixture(
+    seed: u64,
+    peers: usize,
+    landmark_count: usize,
+) -> (
+    ChordNetwork,
+    Vec<Assignment>,
+    std::sync::Arc<proxbal_topology::TransitStubTopology>,
+    proxbal_topology::LandmarkOracle,
+) {
+    use proxbal_topology::{
+        select_landmarks, DistanceOracle, LandmarkOracle, TransitStubConfig, TransitStubTopology,
+    };
+    use std::sync::{Arc, OnceLock};
+    static TOPO: OnceLock<Arc<TransitStubTopology>> = OnceLock::new();
+    let topo = TOPO
+        .get_or_init(|| {
+            let mut rng = StdRng::seed_from_u64(5);
+            Arc::new(TransitStubTopology::generate(
+                TransitStubConfig::ts5k_small(),
+                &mut rng,
+            ))
+        })
+        .clone();
+    let (mut net, loads, mut rng) = setup(peers, 3, seed);
+    let stubs = topo.stub_nodes();
+    for p in net.alive_peers() {
+        net.attach(p, stubs[rng.gen_range(0..stubs.len())]);
+    }
+    let assignments = random_matching(&net, &loads, &ClassifyParams::default(), &mut rng);
+    if let Some(a) = assignments.get(rng.gen_range(0..assignments.len().max(1))) {
+        net.crash_peer(a.from);
+    }
+    let picks = select_landmarks(&topo, landmark_count, &mut rng);
+    let exact = DistanceOracle::new(Arc::new(topo.graph.clone()));
+    let landmarks = LandmarkOracle::build(&exact, &picks, 1);
+    (net, assignments, topo, landmarks)
+}
+
+/// The refinement `transfer::pair_distances_approx` replaced, kept as its
+/// differential reference: one full Dijkstra row per chosen source, filled
+/// in batches of half the oracle's row-cache capacity on `threads` workers.
+fn reference_pair_distances_approx(
+    net: &ChordNetwork,
+    assignments: &[Assignment],
+    oracle: &proxbal_topology::DistanceOracle,
+    landmarks: &proxbal_topology::LandmarkOracle,
+    refine_sources: usize,
+    threads: usize,
+) -> crate::transfer::DistanceMemo {
+    let pairs = crate::transfer::endpoint_pairs(net, assignments);
+    let mut memo = crate::transfer::DistanceMemo::with_capacity(pairs.len());
+    let mut uncertain: Vec<(u32, u32)> = Vec::new();
+    for &(f, t) in &pairs {
+        let (lo, hi) = landmarks.bounds(f, t);
+        if lo == hi {
+            memo.insert((f, t), hi);
+        } else {
+            uncertain.push((f, t));
+        }
+    }
+    if !uncertain.is_empty() && refine_sources > 0 {
+        let mut froms: Vec<u32> = uncertain.iter().map(|&(f, _)| f).collect();
+        let mut tos: Vec<u32> = uncertain.iter().map(|&(_, t)| t).collect();
+        froms.sort_unstable();
+        froms.dedup();
+        tos.sort_unstable();
+        tos.dedup();
+        let by_to = tos.len() <= froms.len();
+        let mut by_src: std::collections::BTreeMap<u32, Vec<u32>> =
+            std::collections::BTreeMap::new();
+        for &(f, t) in &uncertain {
+            let (src, other) = if by_to { (t, f) } else { (f, t) };
+            by_src.entry(src).or_default().push(other);
+        }
+        let mut ranked: Vec<(u32, usize)> = by_src.iter().map(|(&s, v)| (s, v.len())).collect();
+        ranked.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
+        let mut chosen: Vec<u32> = ranked
+            .iter()
+            .take(refine_sources)
+            .map(|&(s, _)| s)
+            .collect();
+        chosen.sort_unstable();
+        let batch = match oracle.capacity() {
+            0 => chosen.len().max(1),
+            cap => (cap / 2).max(1),
+        };
+        for chunk in chosen.chunks(batch) {
+            oracle.precompute(chunk, threads);
+            for &src in chunk {
+                let row = oracle.row(src);
+                for &other in &by_src[&src] {
+                    let (f, t) = if by_to { (other, src) } else { (src, other) };
+                    memo.insert((f, t), row.get(other as usize));
+                }
+            }
+        }
+    }
+    for (f, t) in uncertain {
+        memo.entry((f, t))
+            .or_insert_with(|| landmarks.bounds(f, t).1);
+    }
+    memo
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(12))]
+
+    #[test]
+    fn prop_refinement_through_the_oracle_equals_row_refinement(
+        seed in 0u64..100_000,
+        peers in 24usize..160,
+        landmark_count in 1usize..5,
+    ) {
+        use crate::transfer::pair_distances_approx;
+        use proxbal_topology::DistanceOracle;
+        use std::sync::Arc;
+        let (net, assignments, topo, landmarks) = approx_fixture(seed, peers, landmark_count);
+        for refine in [0usize, 1, 7, usize::MAX] {
+            let rows = DistanceOracle::new(Arc::new(topo.graph.clone()));
+            let reference =
+                reference_pair_distances_approx(&net, &assignments, &rows, &landmarks, refine, 2);
+            let indexed = DistanceOracle::for_topology(&topo, 0);
+            let evicting = DistanceOracle::with_capacity(Arc::new(topo.graph.clone()), 8);
+            for oracle in [&indexed, &evicting] {
+                let memo = pair_distances_approx(&net, &assignments, oracle, &landmarks, refine);
+                prop_assert_eq!(&memo, &reference, "refine_sources = {}", refine);
+            }
+            prop_assert_eq!(indexed.cache_stats().computes, 0, "the index filled a row");
+        }
+    }
+}
+
+#[test]
+fn refinement_settles_pairs_the_landmark_filter_leaves_open() {
+    // The differential property above is vacuous if the filter settles
+    // everything: with two landmarks it must not, and refining must then
+    // tighten some upper bound to the exact distance.
+    use crate::transfer::pair_distances_approx;
+    use proxbal_topology::DistanceOracle;
+    let (net, assignments, topo, landmarks) = approx_fixture(7, 128, 2);
+    let oracle = DistanceOracle::for_topology(&topo, 0);
+    let bounds_only = pair_distances_approx(&net, &assignments, &oracle, &landmarks, 0);
+    let one = pair_distances_approx(&net, &assignments, &oracle, &landmarks, 1);
+    let all = pair_distances_approx(&net, &assignments, &oracle, &landmarks, usize::MAX);
+    assert_eq!(bounds_only.len(), all.len());
+    let tightened = |memo: &crate::transfer::DistanceMemo| {
+        memo.iter().filter(|(k, v)| bounds_only[k] > **v).count()
+    };
+    assert!(tightened(&one) > 0, "no pair was uncertain");
+    assert!(tightened(&all) >= tightened(&one));
+    for (&(f, t), &d) in &all {
+        assert_eq!(
+            d,
+            oracle.distance(f, t),
+            "refined pair ({f}, {t}) is not exact"
+        );
+    }
+}
+
+#[test]
+fn aware_round_with_unattached_participant_is_typed_error() {
+    use proxbal_topology::{
+        select_landmarks, DistanceOracle, TransitStubConfig, TransitStubTopology,
+    };
+    let (mut net, mut loads, mut rng) = setup(48, 3, 27);
+    let topo = TransitStubTopology::generate(TransitStubConfig::tiny(), &mut rng);
+    let landmarks = select_landmarks(&topo, 4, &mut rng);
+    let oracle = DistanceOracle::for_topology(&topo, 0);
+    // Everyone is attached but the light peer with the most room to spare.
+    let params = ClassifyParams::default();
+    let classification = Classification::compute(&net, &loads, &params, loads.totals(&net));
+    let orphan = light_slots(&net, &loads, &params, &classification)
+        .values()
+        .max_by(|a, b| a.spare.total_cmp(&b.spare))
+        .expect("a light peer")
+        .peer;
+    let stubs = topo.stub_nodes();
+    for (i, p) in net.alive_peers().into_iter().enumerate() {
+        if p != orphan {
+            net.attach(p, stubs[i % stubs.len()]);
+        }
+    }
+    let hosts = |net: &ChordNetwork| -> Vec<(proxbal_id::Id, VsId, PeerId)> {
+        net.ring()
+            .iter()
+            .map(|(pos, v)| (pos, v, net.vs(v).host))
+            .collect()
+    };
+    let vs_loads = |net: &ChordNetwork, loads: &LoadState| -> Vec<f64> {
+        net.ring().iter().map(|(_, v)| loads.vs_load(v)).collect()
+    };
+    let (hosts_before, loads_before) = (hosts(&net), vs_loads(&net, &loads));
+    let underlay = Underlay {
+        oracle: &oracle,
+        latency_oracle: None,
+        landmarks: &landmarks,
+        approx: None,
+    };
+    let err = LoadBalancer::new(BalancerConfig::proximity_aware())
+        .run(&mut net, &mut loads, Some(underlay), &mut rng)
+        .unwrap_err();
+    assert_eq!(err, Error::UnattachedPeer(orphan));
+    assert_eq!(hosts(&net), hosts_before, "the ring or a host changed");
+    assert_eq!(vs_loads(&net, &loads), loads_before);
+    net.check_invariants().unwrap();
+}
+
 #[test]
 fn requeue_reassigns_transfers_whose_receiver_died() {
     let (mut net, mut loads, mut rng) = setup(32, 3, 22);

@@ -12,23 +12,24 @@ use serde::{Deserialize, Serialize};
 /// table lookups on a transit-stub underlay
 /// ([`DistanceOracle::for_topology`]), a Dijkstra row per uncached source
 /// on any other graph. The hierarchical scheme answers most pairs from
-/// landmark triangle-inequality bounds and spends exact Dijkstra only where
-/// the bounds disagree *and* the source covers enough uncertain pairs to be
-/// worth a full row (filter-then-refine). Both are pure functions of their
-/// inputs, so either mode is byte-identical at any thread count.
+/// landmark triangle-inequality bounds and asks the oracle only where the
+/// bounds disagree *and* the source is among the `refine_sources` covering
+/// the most uncertain pairs (filter-then-refine). Both are pure functions of
+/// their inputs, so either mode is byte-identical at any thread count.
 #[derive(Clone, Copy)]
 pub enum TransferDistances<'a> {
     /// Every pair measured exactly (the default).
     Exact(&'a DistanceOracle),
-    /// Landmark bounds first, exact rows only for the
+    /// Landmark bounds first, exact point queries only for the
     /// highest-coverage uncertain sources.
     Approx {
-        /// Exact oracle for the refinement rows.
+        /// Exact oracle answering the refinement queries.
         oracle: &'a DistanceOracle,
         /// Precomputed landmark vectors answering the filter stage.
         landmarks: &'a LandmarkOracle,
-        /// How many distinct sources (on the cheaper endpoint side) get an
-        /// exact Dijkstra row; the rest keep the landmark upper bound.
+        /// How many distinct sources (on the cheaper endpoint side) have
+        /// their uncertain pairs measured exactly; the rest keep the
+        /// landmark upper bound.
         refine_sources: usize,
     },
 }
@@ -54,20 +55,6 @@ pub struct TransferRecord {
 /// tolerance of the protocol. Fails with
 /// [`Error::UnattachedPeer`] when a distance is requested for a
 /// peer that was never attached to the underlay.
-pub fn execute_transfers(
-    net: &mut ChordNetwork,
-    loads: &mut LoadState,
-    assignments: &[Assignment],
-    distances: Option<TransferDistances<'_>>,
-) -> Result<Vec<TransferRecord>, Error> {
-    execute_transfers_threaded(net, loads, assignments, distances, auto_threads())
-}
-
-/// [`execute_transfers`] with an explicit worker-thread count for the
-/// Dijkstra row batches of the approximate scheme's refinement. Every
-/// distance is a pure function of the assignment set and the oracles, so
-/// the records are identical at any `threads`; only the row-fill wall time
-/// changes.
 ///
 /// Runs in two steps. **Resolve**: decide which assignments are executable
 /// and measure each one's distance, touching nothing — a typed error
@@ -75,23 +62,22 @@ pub fn execute_transfers(
 /// virtual servers. Executability is judged against the overlay as the
 /// batch finds it (the protocol runs a round's transfers in parallel, and
 /// VSA assigns a virtual server at most once).
-pub fn execute_transfers_threaded(
+pub fn execute_transfers(
     net: &mut ChordNetwork,
     loads: &mut LoadState,
     assignments: &[Assignment],
     distances: Option<TransferDistances<'_>>,
-    threads: usize,
 ) -> Result<Vec<TransferRecord>, Error> {
     let prof = proxbal_profile::phase("round/transfer/distances");
     // The approximate scheme memoizes every pair up front (landmark
-    // filter, then exact refinement rows); exact distances are O(1) point
-    // queries asked per transfer.
+    // filter, then exact refinement); exact distances are point queries
+    // asked per transfer.
     let memo = match distances {
         Some(TransferDistances::Approx {
             oracle,
             landmarks,
             refine_sources,
-        }) => pair_distances_approx(net, assignments, oracle, landmarks, refine_sources, threads),
+        }) => pair_distances_approx(net, assignments, oracle, landmarks, refine_sources),
         _ => DistanceMemo::new(),
     };
     let mut out = Vec::with_capacity(assignments.len());
@@ -148,7 +134,7 @@ fn executable(net: &ChordNetwork, a: &Assignment) -> bool {
 }
 
 /// The underlay node `peer` is attached to.
-fn attachment(net: &ChordNetwork, peer: PeerId) -> Result<u32, Error> {
+pub(crate) fn attachment(net: &ChordNetwork, peer: PeerId) -> Result<u32, Error> {
     match net.peer(peer).underlay {
         u32::MAX => Err(Error::UnattachedPeer(peer)),
         node => Ok(node),
@@ -166,20 +152,7 @@ pub fn execute_transfers_traced(
     distances: Option<TransferDistances<'_>>,
     trace: &mut Trace,
 ) -> Result<Vec<TransferRecord>, Error> {
-    execute_transfers_traced_threaded(net, loads, assignments, distances, auto_threads(), trace)
-}
-
-/// [`execute_transfers_traced`] with an explicit worker-thread count (see
-/// [`execute_transfers_threaded`]).
-pub fn execute_transfers_traced_threaded(
-    net: &mut ChordNetwork,
-    loads: &mut LoadState,
-    assignments: &[Assignment],
-    distances: Option<TransferDistances<'_>>,
-    threads: usize,
-    trace: &mut Trace,
-) -> Result<Vec<TransferRecord>, Error> {
-    let out = execute_transfers_threaded(net, loads, assignments, distances, threads)?;
+    let out = execute_transfers(net, loads, assignments, distances)?;
     if trace.is_enabled() {
         trace.count("vst_transfers", out.len() as u64);
         trace.count("vst_skipped", (assignments.len() - out.len()) as u64);
@@ -289,19 +262,11 @@ pub fn execute_transfers_with_requeue_traced(
     Ok(outcome)
 }
 
-type DistanceMemo = std::collections::HashMap<(u32, u32), u32>;
-
-/// Worker count used by the legacy (thread-agnostic) entry points: all
-/// available cores, as before the explicit `threads` plumbing.
-fn auto_threads() -> usize {
-    std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1)
-}
+pub(crate) type DistanceMemo = std::collections::HashMap<(u32, u32), u32>;
 
 /// Collects the distinct `(from, to)` attachment pairs of the executable
 /// assignments (unattached endpoints are left for the executor to report).
-fn endpoint_pairs(net: &ChordNetwork, assignments: &[Assignment]) -> Vec<(u32, u32)> {
+pub(crate) fn endpoint_pairs(net: &ChordNetwork, assignments: &[Assignment]) -> Vec<(u32, u32)> {
     let mut pairs: Vec<(u32, u32)> = Vec::with_capacity(assignments.len());
     for a in assignments {
         if !executable(net, a) {
@@ -322,33 +287,37 @@ fn endpoint_pairs(net: &ChordNetwork, assignments: &[Assignment]) -> Vec<(u32, u
 /// bounds; pairs whose lower and upper bounds meet are exact for free.
 /// **Refine**: the remaining uncertain pairs are grouped by their cheaper
 /// endpoint side (fewer distinct sources), sources are ranked by how many
-/// uncertain pairs a full row would settle (ties by ascending id), and only
-/// the top `refine_sources` of them get exact Dijkstra rows — chunked
-/// through the bounded cache like the exact path. Pairs left over keep the
-/// landmark upper bound. Every step is a pure function of the assignment
-/// set and the oracles, so the memo is identical at any thread count.
-fn pair_distances_approx(
+/// uncertain pairs they cover (ties by ascending id), and the pairs of the
+/// top `refine_sources` of them are measured with
+/// [`DistanceOracle::distance`] — table lookups on an indexed oracle, the
+/// source's cached row otherwise. Pairs left over keep the landmark upper
+/// bound. Every step is a pure function of the assignment set and the
+/// oracles.
+pub(crate) fn pair_distances_approx(
     net: &ChordNetwork,
     assignments: &[Assignment],
     oracle: &DistanceOracle,
     landmarks: &LandmarkOracle,
     refine_sources: usize,
-    threads: usize,
 ) -> DistanceMemo {
+    let prof = proxbal_profile::phase("round/transfer/distances/filter");
     let pairs = endpoint_pairs(net, assignments);
     let mut memo = DistanceMemo::with_capacity(pairs.len());
-    let mut uncertain: Vec<(u32, u32)> = Vec::new();
+    // `(from, to, landmark upper bound)` of every pair the bounds leave open.
+    let mut uncertain: Vec<(u32, u32, u32)> = Vec::new();
     for &(f, t) in &pairs {
         let (lo, hi) = landmarks.bounds(f, t);
         if lo == hi {
             memo.insert((f, t), hi);
         } else {
-            uncertain.push((f, t));
+            uncertain.push((f, t, hi));
         }
     }
+    drop(prof);
+    let _prof = proxbal_profile::phase("round/transfer/distances/refine");
     if !uncertain.is_empty() && refine_sources > 0 {
-        let mut froms: Vec<u32> = uncertain.iter().map(|&(f, _)| f).collect();
-        let mut tos: Vec<u32> = uncertain.iter().map(|&(_, t)| t).collect();
+        let mut froms: Vec<u32> = uncertain.iter().map(|&(f, _, _)| f).collect();
+        let mut tos: Vec<u32> = uncertain.iter().map(|&(_, t, _)| t).collect();
         froms.sort_unstable();
         froms.dedup();
         tos.sort_unstable();
@@ -356,36 +325,21 @@ fn pair_distances_approx(
         let by_to = tos.len() <= froms.len();
         let mut by_src: std::collections::BTreeMap<u32, Vec<u32>> =
             std::collections::BTreeMap::new();
-        for &(f, t) in &uncertain {
+        for &(f, t, _) in &uncertain {
             let (src, other) = if by_to { (t, f) } else { (f, t) };
             by_src.entry(src).or_default().push(other);
         }
         let mut ranked: Vec<(u32, usize)> = by_src.iter().map(|(&s, v)| (s, v.len())).collect();
         ranked.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
-        let mut chosen: Vec<u32> = ranked
-            .iter()
-            .take(refine_sources)
-            .map(|&(s, _)| s)
-            .collect();
-        chosen.sort_unstable();
-        let batch = match oracle.capacity() {
-            0 => chosen.len().max(1),
-            cap => (cap / 2).max(1),
-        };
-        for chunk in chosen.chunks(batch) {
-            oracle.precompute(chunk, threads);
-            for &src in chunk {
-                let row = oracle.row(src);
-                for &other in &by_src[&src] {
-                    let (f, t) = if by_to { (other, src) } else { (src, other) };
-                    memo.insert((f, t), row.get(other as usize));
-                }
+        for &(src, _) in ranked.iter().take(refine_sources) {
+            for &other in &by_src[&src] {
+                let (f, t) = if by_to { (other, src) } else { (src, other) };
+                memo.insert((f, t), oracle.distance(src, other));
             }
         }
     }
-    for (f, t) in uncertain {
-        memo.entry((f, t))
-            .or_insert_with(|| landmarks.bounds(f, t).1);
+    for (f, t, hi) in uncertain {
+        memo.entry((f, t)).or_insert(hi);
     }
     memo
 }

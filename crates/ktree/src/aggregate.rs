@@ -29,9 +29,6 @@ pub struct AggregateOutcome<A> {
     /// messages). This is the `O(log_K N)` bound the paper states for LBI
     /// aggregation (§3.2).
     pub rounds: u32,
-    /// Per-node aggregated values (each KT node's view), including inner
-    /// nodes — useful when intermediate values matter (VSA rendezvous).
-    pub per_node: KtNodeMap<A>,
     /// Number of in-tree [`Merge::merge`] operations performed by the sweep
     /// — the aggregation *work* (as opposed to `rounds`, its latency).
     pub merges: usize,
@@ -45,7 +42,10 @@ const MIN_SUBTREES_PER_WORKER: usize = 2;
 impl KTree {
     /// Bottom-up aggregation: `inputs` maps KT nodes (typically report
     /// targets of virtual servers) to locally contributed values; parents
-    /// merge children until the root.
+    /// merge children until the root. Only the root's value is kept — an
+    /// input is moved into the fold, merged once, and gone. Inputs under
+    /// handles the root does not reach (stale, or in a detached subtree)
+    /// contribute nothing.
     ///
     /// # Determinism
     ///
@@ -56,20 +56,20 @@ impl KTree {
     /// of a subtree depends only on the subtree, which is what lets
     /// [`KTree::aggregate_with`] evaluate disjoint subtrees on worker
     /// threads and still merge bit-identically.
-    pub fn aggregate<A: Merge + Clone>(
-        &self,
-        inputs: impl Into<KtNodeMap<A>>,
-    ) -> AggregateOutcome<A> {
-        let inputs: KtNodeMap<A> = inputs.into();
+    pub fn aggregate<A: Merge>(&self, inputs: impl Into<KtNodeMap<A>>) -> AggregateOutcome<A> {
+        let mut inputs: KtNodeMap<A> = inputs.into();
         let rounds = self.aggregate_rounds(&inputs);
-        let mut per_node: KtNodeMap<A> = KtNodeMap::with_slot_bound(self.slot_bound());
+        let _prof = proxbal_profile::phase("round/aggregate/fold");
         let mut merges = 0usize;
-        let root_value = self.fold_subtree(self.root(), &inputs, None, &mut per_node, &mut merges);
-        Self::keep_stale_inputs(inputs, &mut per_node);
+        let root_value = self.fold_subtree(
+            self.root(),
+            &mut |id| inputs.remove(id),
+            &mut [],
+            &mut merges,
+        );
         AggregateOutcome {
             root_value,
             rounds,
-            per_node,
             merges,
         }
     }
@@ -77,79 +77,65 @@ impl KTree {
     /// [`KTree::aggregate`] with an explicit worker-thread count: disjoint
     /// subtrees hanging below a frontier depth are folded in parallel and
     /// their values merged above the frontier in deterministic child-slot
-    /// order. The outcome — root value, per-node views, merge count,
-    /// rounds — is bit-identical at any `threads`.
+    /// order. The outcome — root value, merge count, rounds — is
+    /// bit-identical at any `threads`. Workers share the inputs read-only
+    /// and clone the ones in their subtree; the top of the tree is folded
+    /// by the caller, which moves.
     pub fn aggregate_with<A: Merge + Clone + Send + Sync>(
         &self,
         inputs: impl Into<KtNodeMap<A>>,
         threads: usize,
     ) -> AggregateOutcome<A> {
-        let inputs: KtNodeMap<A> = inputs.into();
+        let mut inputs: KtNodeMap<A> = inputs.into();
         let frontier = self.parallel_frontier(threads);
         if frontier.is_empty() {
             return self.aggregate(inputs);
         }
         let rounds = self.aggregate_rounds(&inputs);
-        let mut per_node: KtNodeMap<A> = KtNodeMap::with_slot_bound(self.slot_bound());
-        let mut merges = 0usize;
+        let _prof = proxbal_profile::phase("round/aggregate/fold");
 
         // Evaluate each frontier subtree on a worker: pure function of the
         // (read-only) inputs and the subtree, results slotted in frontier
-        // order. Each worker's per-node views land in disjoint slots.
+        // order.
         let results = proxbal_parallel::map_items(&frontier, threads, |_, &sub| {
-            let mut local: KtNodeMap<A> = KtNodeMap::new();
-            let mut local_merges = 0usize;
-            let value = self.fold_subtree(sub, &inputs, None, &mut local, &mut local_merges);
-            (value, local, local_merges)
+            let mut merges = 0usize;
+            let value =
+                self.fold_subtree(sub, &mut |id| inputs.get(id).cloned(), &mut [], &mut merges);
+            (value, merges)
         });
-        let mut frontier_values: KtNodeMap<A> = KtNodeMap::with_slot_bound(self.slot_bound());
-        for (sub, (value, local, local_merges)) in frontier.iter().zip(results) {
-            merges += local_merges;
-            for (id, v) in local.into_entries() {
-                per_node.insert(id, v);
-            }
-            if let Some(v) = value {
-                frontier_values.insert(*sub, v);
-            }
-        }
+        let mut merges = 0usize;
+        let mut folded: Vec<(KtNodeId, Option<A>)> = frontier
+            .iter()
+            .zip(results)
+            .map(|(&sub, (value, sub_merges))| {
+                merges += sub_merges;
+                (sub, value)
+            })
+            .collect();
         // Finish the top of the tree serially, treating frontier nodes as
         // precomputed leaves.
         let root_value = self.fold_subtree(
             self.root(),
-            &inputs,
-            Some(&frontier_values),
-            &mut per_node,
+            &mut |id| inputs.remove(id),
+            &mut folded,
             &mut merges,
         );
-        Self::keep_stale_inputs(inputs, &mut per_node);
         AggregateOutcome {
             root_value,
             rounds,
-            per_node,
             merges,
         }
     }
 
     /// Message rounds: deepest contributing node by inter-VS hop count.
     fn aggregate_rounds<A>(&self, inputs: &KtNodeMap<A>) -> u32 {
+        let _prof = proxbal_profile::phase("round/aggregate/rounds");
         let depths = self.message_depths();
         inputs
             .keys()
             .map(|id| depths.get(id).copied().unwrap_or(0))
             .max()
             .unwrap_or(0)
-    }
-
-    /// Inputs offered under stale handles sit outside the sweep; the level
-    /// sweep left them untouched in the per-node view, so the fold keeps
-    /// doing the same. (Every *live* node with an input is reachable from
-    /// the root and therefore already present in `per_node`.)
-    fn keep_stale_inputs<A>(inputs: KtNodeMap<A>, per_node: &mut KtNodeMap<A>) {
-        for (id, v) in inputs.into_entries() {
-            if !per_node.contains(id) {
-                per_node.insert(id, v);
-            }
-        }
     }
 
     /// The subtree roots handed to workers: the shallowest level whose
@@ -186,26 +172,22 @@ impl KTree {
         kids
     }
 
-    /// Folds the subtree at `id`: value = own input, then contributing
-    /// children in ascending slot order. Each contributing node's view is
-    /// recorded in `per_node`; `merges` counts the merge operations. When
-    /// `stop_at` is given, nodes present in it are treated as precomputed
-    /// leaves (their subtrees were folded by workers).
-    fn fold_subtree<A: Merge + Clone>(
+    /// Folds the subtree at `id`: value = own input (whatever `own` hands
+    /// over for the node), then contributing children in ascending slot
+    /// order; `merges` counts the merge operations. A node listed in
+    /// `folded` is a precomputed leaf — its subtree was folded by a worker —
+    /// and gives up the value recorded there.
+    fn fold_subtree<A: Merge>(
         &self,
         id: KtNodeId,
-        inputs: &KtNodeMap<A>,
-        stop_at: Option<&KtNodeMap<A>>,
-        per_node: &mut KtNodeMap<A>,
+        own: &mut impl FnMut(KtNodeId) -> Option<A>,
+        folded: &mut [(KtNodeId, Option<A>)],
         merges: &mut usize,
     ) -> Option<A> {
-        if let Some(precomputed) = stop_at {
-            if let Some(v) = precomputed.get(id) {
-                // The worker already recorded the subtree's per-node views.
-                return Some(v.clone());
-            }
+        if let Some((_, value)) = folded.iter_mut().find(|(sub, _)| *sub == id) {
+            return value.take();
         }
-        let mut acc: Option<A> = inputs.get(id).cloned();
+        let mut acc: Option<A> = own(id);
         // Children in ascending slot order; binary nodes (the only degree
         // used at scale) order their two slots with one compare instead of
         // a per-node sort allocation.
@@ -227,7 +209,7 @@ impl KTree {
             heap.as_slice()
         };
         for child in ordered.iter().flatten().copied() {
-            if let Some(value) = self.fold_subtree(child, inputs, stop_at, per_node, merges) {
+            if let Some(value) = self.fold_subtree(child, own, folded, merges) {
                 match acc.as_mut() {
                     Some(a) => {
                         a.merge(value);
@@ -236,9 +218,6 @@ impl KTree {
                     None => acc = Some(value),
                 }
             }
-        }
-        if let Some(v) = acc.as_ref() {
-            per_node.insert(id, v.clone());
         }
         acc
     }

@@ -6,6 +6,12 @@
 //! arenas must be equal slot for slot, free list included — slot numbers
 //! are observable (repair action logs, DES contributor order), so "same
 //! shape" is not enough.
+//!
+//! The same histories check the data the tree derives from its arena
+//! (`levels`, `message_depths`, `max_message_depth`): after every step they
+//! must equal a fresh recomputation. Asking fills the tree's copy, so each
+//! mutation meets a filled one — a write that fails to drop it is caught at
+//! the next step.
 
 use crate::tree::VISITS;
 use crate::*;
@@ -20,9 +26,23 @@ struct Pair {
     slow: KTree,
 }
 
+/// The derived data `tree` hands out against [`KTree::reference_derived`].
+#[track_caller]
+fn assert_derived_fresh(tree: &KTree) {
+    let (levels, depths, max) = tree.reference_derived();
+    assert_eq!(tree.levels(), levels, "levels are stale");
+    assert_eq!(
+        tree.message_depths().iter().collect::<Vec<_>>(),
+        depths.iter().collect::<Vec<_>>(),
+        "message depths are stale"
+    );
+    assert_eq!(tree.max_message_depth(), max, "max message depth is stale");
+}
+
 impl Pair {
     fn build(net: &ChordNetwork, k: usize) -> Self {
         let fast = KTree::build(net, k);
+        assert_derived_fresh(&fast);
         Pair {
             slow: fast.clone(),
             fast,
@@ -37,6 +57,7 @@ impl Pair {
             assert_eq!(f, s, "slot {slot} differs");
         }
         assert_eq!(fast.0.len(), slow.0.len(), "arena lengths differ");
+        assert_derived_fresh(&self.fast);
     }
 
     #[track_caller]
@@ -72,6 +93,7 @@ impl Pair {
     fn inject_stale_parent(&mut self, child: KtNodeId, stale: KtNodeId) {
         self.fast.inject_stale_parent(child, stale);
         self.slow.inject_stale_parent(child, stale);
+        assert_derived_fresh(&self.fast);
     }
 
     /// The live node covering exactly `region`.
@@ -355,9 +377,11 @@ fn grafted_tree_is_stable_without_a_sweep() {
         bare.fast.check_invariants(&net).unwrap();
 
         for &at in &frontier {
+            assert_derived_fresh(&tree);
             let (region, depth) = (tree.node(at).region, tree.node(at).depth);
             tree.graft(at, KTree::build_fragment(&net, k, region, depth));
         }
+        assert_derived_fresh(&tree);
         let visits = visits_during(|| {
             assert_eq!(tree.maintain_until_stable(&net, 8), 0);
             let stats = tree.repair(&net, 8);
@@ -400,6 +424,41 @@ fn no_change_touches_no_arena_node() {
         }) > 0
     );
     assert_eq!(quiet(&mut tree, &net), 0);
+}
+
+#[test]
+fn derived_data_survives_clone_and_json_and_follows_each_copy() {
+    let mut rng = StdRng::seed_from_u64(19);
+    let mut net = ChordNetwork::new();
+    for _ in 0..32 {
+        net.join_peer(3, &mut rng);
+    }
+    let tree = KTree::build(&net, 2);
+    assert_derived_fresh(&tree);
+    // A clone carries the filled copy, a JSON round trip an empty one;
+    // both answer for the arena they hold.
+    let mut clone = tree.clone();
+    assert_derived_fresh(&clone);
+    let json = serde_json::to_string(&tree).unwrap();
+    assert!(!json.contains("derived"), "derived data was serialized");
+    let mut back: KTree = serde_json::from_str(&json).unwrap();
+    assert_derived_fresh(&back);
+    // Each copy follows its own arena from here on.
+    for p in net.alive_peers().into_iter().take(8) {
+        net.crash_peer(p);
+    }
+    clone.maintain_until_stable(&net, 64);
+    assert_derived_fresh(&clone);
+    assert_derived_fresh(&tree);
+    let victim = back
+        .iter_ids()
+        .find(|&id| back.node(id).depth >= 2)
+        .expect("deep node");
+    back.inject_stale_parent(victim, back.root());
+    assert_derived_fresh(&back);
+    back.repair(&net, 64);
+    assert_derived_fresh(&back);
+    assert_derived_fresh(&tree);
 }
 
 #[test]

@@ -19,9 +19,13 @@
 //! node would leave it (DESIGN.md §6a); an unchanged ring costs nothing.
 //!
 //! Aggregation ([`KTree::aggregate`]) and dissemination
-//! ([`KTree::disseminate`]) are generic over the value type; `proxbal-core`
-//! uses them both for load-balancing information (LBI) and for the bottom-up
-//! virtual-server-assignment sweep.
+//! ([`KTree::disseminate`]) are generic over the value type;
+//! `proxbal-core` folds load-balancing information (LBI) to the root with
+//! the first, and walks [`KTree::levels`] itself for the bottom-up
+//! virtual-server-assignment sweep, whose intermediate lists matter. What
+//! both need to know about the tree's shape — levels, message depths — is
+//! derived once per arena state and lent out until the arena changes
+//! (DESIGN.md §6c).
 
 mod aggregate;
 mod node_map;

@@ -203,8 +203,6 @@ fn aggregate_sums_all_inputs_to_root() {
     assert_eq!(out.root_value, Some(Sum(expect)));
     assert!(out.rounds >= 1);
     assert!(out.rounds <= tree.max_message_depth());
-    // The root's per-node view equals the total.
-    assert_eq!(out.per_node[&tree.root()], Sum(expect));
 }
 
 #[test]
@@ -278,9 +276,8 @@ impl Merge for Concat {
     }
 }
 
-/// The original level-by-level sweep, kept verbatim as the reference the
-/// subtree fold must reproduce byte-for-byte (values, per-node views,
-/// merge count, rounds).
+/// The original level-by-level sweep, kept as the reference the subtree
+/// fold must reproduce byte-for-byte (root value, merge count, rounds).
 fn level_sweep_reference<A: Merge + Clone>(
     tree: &KTree,
     inputs: HashMap<KtNodeId, A>,
@@ -315,8 +312,36 @@ fn level_sweep_reference<A: Merge + Clone>(
     AggregateOutcome {
         root_value,
         rounds,
-        per_node: inputs,
         merges,
+    }
+}
+
+/// An f64 sum: associative only up to rounding, so any deviation from the
+/// canonical association changes low bits.
+#[derive(Clone, Debug, PartialEq)]
+struct FloatSum(f64);
+impl Merge for FloatSum {
+    fn merge(&mut self, other: Self) {
+        self.0 += other.0;
+    }
+}
+
+/// `aggregate_with` at every thread count against the serial `aggregate`
+/// and the level sweep.
+fn assert_thread_invariant<A>(tree: &KTree, inputs: &HashMap<KtNodeId, A>)
+where
+    A: Merge + Clone + Send + Sync + PartialEq + std::fmt::Debug,
+{
+    let reference = level_sweep_reference(tree, inputs.clone());
+    let serial = tree.aggregate(inputs.clone());
+    assert_eq!(serial.root_value, reference.root_value);
+    assert_eq!(serial.merges, reference.merges);
+    assert_eq!(serial.rounds, reference.rounds);
+    for threads in [1usize, 2, 3, 8] {
+        let out = tree.aggregate_with(inputs.clone(), threads);
+        assert_eq!(out.root_value, serial.root_value, "{threads} threads");
+        assert_eq!(out.merges, serial.merges, "{threads} threads");
+        assert_eq!(out.rounds, serial.rounds, "{threads} threads");
     }
 }
 
@@ -341,48 +366,60 @@ fn churned_tree(seed: u64) -> (ChordNetwork, KTree) {
 fn aggregate_matches_level_sweep_reference_and_is_thread_invariant() {
     for seed in [21u64, 22, 23] {
         let (net, tree) = churned_tree(seed);
-        let inputs: HashMap<KtNodeId, Concat> = net
+        let concat: HashMap<KtNodeId, Concat> = net
             .ring()
             .iter()
             .enumerate()
             .map(|(i, (_, vs))| (tree.report_target(&net, vs), Concat(format!("v{i}"))))
             .collect();
-        let reference = level_sweep_reference(&tree, inputs.clone());
-        for threads in [1usize, 2, 3, 8] {
-            let out = tree.aggregate_with(inputs.clone(), threads);
-            assert_eq!(out.root_value, reference.root_value, "{threads} threads");
-            assert_eq!(out.merges, reference.merges, "{threads} threads");
-            assert_eq!(out.rounds, reference.rounds, "{threads} threads");
-            let got: Vec<_> = out.per_node.iter().map(|(id, v)| (id, v.clone())).collect();
-            let want: Vec<_> = reference
-                .per_node
-                .iter()
-                .map(|(id, v)| (id, v.clone()))
-                .collect();
-            assert_eq!(got, want, "{threads} threads");
-        }
+        assert_thread_invariant(&tree, &concat);
+        // Magnitudes spread over 12 decades, so a different association
+        // rounds differently.
+        let floats: HashMap<KtNodeId, FloatSum> = net
+            .ring()
+            .iter()
+            .enumerate()
+            .map(|(i, (_, vs))| {
+                let x = 1.0 + (i as f64) * 0.1;
+                let value = x * 10f64.powi(i as i32 % 13 - 6);
+                (tree.report_target(&net, vs), FloatSum(value))
+            })
+            .collect();
+        assert_thread_invariant(&tree, &floats);
     }
 }
 
 #[test]
-fn aggregate_with_keeps_stale_inputs_like_the_sweep() {
-    let (net, tree) = churned_tree(24);
+fn aggregate_ignores_inputs_the_root_cannot_reach() {
+    let (net, mut tree) = churned_tree(24);
     let mut inputs: HashMap<KtNodeId, Concat> = net
         .ring()
         .iter()
         .take(6)
         .map(|(_, vs)| (tree.report_target(&net, vs), Concat("x".into())))
         .collect();
-    // An input under a handle the tree does not contain survives untouched
-    // in the per-node view, exactly as the level sweep left it.
+    let live = tree.aggregate(inputs.clone());
+    // A handle the tree does not contain contributes nothing.
     let stale = KtNodeId(tree.slot_bound() as u32 + 7);
     inputs.insert(stale, Concat("stale".into()));
-    let reference = level_sweep_reference(&tree, inputs.clone());
     for threads in [1usize, 4] {
         let out = tree.aggregate_with(inputs.clone(), threads);
-        assert_eq!(out.per_node.get(stale), Some(&Concat("stale".into())));
-        assert_eq!(out.root_value, reference.root_value);
-        assert_eq!(out.per_node.len(), reference.per_node.len());
+        assert_eq!(out.root_value, live.root_value);
+        assert_eq!(out.merges, live.merges);
+    }
+    // Nor does a live node in a subtree a fault has cut off.
+    let cut = tree
+        .iter_ids()
+        .find(|&id| tree.node(id).depth >= 2 && !inputs.contains_key(&id))
+        .expect("deep node without an input");
+    tree.inject_stale_parent(cut, tree.root());
+    inputs.remove(&stale);
+    let reachable = tree.aggregate(inputs.clone());
+    inputs.insert(cut, Concat("cut".into()));
+    for threads in [1usize, 4] {
+        let out = tree.aggregate_with(inputs.clone(), threads);
+        assert_eq!(out.root_value, reachable.root_value);
+        assert_eq!(out.merges, reachable.merges);
     }
 }
 
@@ -421,9 +458,6 @@ proptest! {
         prop_assert_eq!(out.root_value, reference.root_value);
         prop_assert_eq!(out.merges, reference.merges);
         prop_assert_eq!(out.rounds, reference.rounds);
-        let got: Vec<_> = out.per_node.iter().map(|(id, v)| (id, v.clone())).collect();
-        let want: Vec<_> = reference.per_node.iter().map(|(id, v)| (id, v.clone())).collect();
-        prop_assert_eq!(got, want);
     }
 }
 

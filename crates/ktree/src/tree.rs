@@ -1,6 +1,7 @@
 use proxbal_chord::{ChordNetwork, Ring, RingStamp, VsId};
 use proxbal_id::{Arc, Id};
 use serde::{Deserialize, Serialize};
+use std::sync::OnceLock;
 
 /// Handle of a KT node within a [`KTree`] arena. Slots are recycled after
 /// pruning, so handles are only meaningful while the node is live.
@@ -157,6 +158,16 @@ pub struct RepairAction {
 /// parent a stale link was cut from, the parent a repair re-attached into).
 /// Every round leaves the arena — slot for slot, free list included —
 /// exactly as a sweep over every node would.
+///
+/// # Derived data
+///
+/// [`Self::levels`], [`Self::message_depths`] and
+/// [`Self::max_message_depth`] depend on nothing but the arena, so they are
+/// computed once per arena state and borrowed by every caller until a
+/// mutation (maintenance that changes something, repair, graft, an injected
+/// fault) drops them. A balancing round moves virtual servers between
+/// peers, never KT nodes between virtual servers, so one computation serves
+/// all its phases — and every later round on an unchanged ring.
 #[derive(Clone, Debug, Serialize, Deserialize)]
 pub struct KTree {
     k: usize,
@@ -174,6 +185,25 @@ pub struct KTree {
     /// Subtrees detached by [`Self::inject_stale_parent`] since the last
     /// repair — the only way a node becomes unreachable from the root.
     detached: usize,
+    /// What [`Self::levels`] and [`Self::message_depths`] answer from,
+    /// computed on first use and dropped by [`Self::node_mut`] and
+    /// [`Self::prune`] — every write to a live node goes through the first,
+    /// a node [`Self::alloc`] or [`Self::graft`] adds is linked in through
+    /// it within the same call, and only the second frees a slot. A pure
+    /// function of the arena, so it takes no part in serialization or arena
+    /// equality.
+    #[serde(skip)]
+    derived: OnceLock<Derived>,
+}
+
+/// Data derived from the arena alone (hosts are `VsId`s, which virtual-server
+/// transfers never change), shared by every aggregation and VSA sweep until
+/// the next arena write.
+#[derive(Clone, Debug)]
+struct Derived {
+    levels: Vec<Vec<KtNodeId>>,
+    message_depths: crate::KtNodeMap<u32>,
+    max_message_depth: u32,
 }
 
 /// The part of the identifier space in which ring membership changes can
@@ -368,7 +398,7 @@ impl KTree {
                 *child = child.map(remap);
             }
             if i == 0 {
-                self.nodes[at.0 as usize].as_mut().unwrap().children = node.children;
+                self.node_mut(at).children = node.children;
                 self.unflag(at);
             } else {
                 node.parent = node.parent.map(remap);
@@ -410,6 +440,7 @@ impl KTree {
             flags: Vec::new(),
             flagged: 0,
             detached: 0,
+            derived: OnceLock::new(),
         }
     }
 
@@ -481,6 +512,14 @@ impl KTree {
             .expect("stale KT node handle")
     }
 
+    /// Write access to a node; drops the derived data.
+    fn node_mut(&mut self, id: KtNodeId) -> &mut KtNode {
+        self.derived.take();
+        self.nodes[id.0 as usize]
+            .as_mut()
+            .expect("stale KT node handle")
+    }
+
     /// Height of the tree: number of levels (a lone root has height 1).
     pub fn height(&self) -> u32 {
         self.iter_ids()
@@ -497,17 +536,10 @@ impl KTree {
             .filter_map(|(i, n)| n.as_ref().map(|_| KtNodeId(i as u32)))
     }
 
-    /// Live node handles grouped by depth, deepest level last.
-    pub fn levels(&self) -> Vec<Vec<KtNodeId>> {
-        let mut levels: Vec<Vec<KtNodeId>> = Vec::new();
-        for id in self.iter_ids() {
-            let d = self.node(id).depth as usize;
-            if levels.len() <= d {
-                levels.resize_with(d + 1, Vec::new);
-            }
-            levels[d].push(id);
-        }
-        levels
+    /// Live node handles grouped by depth, deepest level last; within a
+    /// level in ascending slot order.
+    pub fn levels(&self) -> &[Vec<KtNodeId>] {
+        &self.derived().levels
     }
 
     /// All leaves.
@@ -616,7 +648,7 @@ impl KTree {
         let region = self.node(id).region;
         let host = Self::host_for(net, &region);
         if self.node(id).host != host {
-            self.nodes[id.0 as usize].as_mut().unwrap().host = host;
+            self.node_mut(id).host = host;
             mutations += 1;
         }
         if Self::is_leaf_region(net, &region) {
@@ -624,7 +656,7 @@ impl KTree {
             for i in 0..self.k {
                 if let Some(child) = self.node(id).children[i] {
                     self.prune(child);
-                    self.nodes[id.0 as usize].as_mut().unwrap().children[i] = None;
+                    self.node_mut(id).children[i] = None;
                     mutations += 1;
                 }
             }
@@ -637,7 +669,7 @@ impl KTree {
             match (needed, existing) {
                 (false, Some(child)) => {
                     self.prune(child);
-                    self.nodes[id.0 as usize].as_mut().unwrap().children[i] = None;
+                    self.node_mut(id).children[i] = None;
                     mutations += 1;
                 }
                 (true, None) => {
@@ -649,7 +681,7 @@ impl KTree {
                         parent: Some(id),
                         depth,
                     });
-                    self.nodes[id.0 as usize].as_mut().unwrap().children[i] = Some(child);
+                    self.node_mut(id).children[i] = Some(child);
                     // One level per round: the child's own check is due.
                     self.flag(child);
                     mutations += 1;
@@ -740,15 +772,12 @@ impl KTree {
     pub fn inject_stale_parent(&mut self, child: KtNodeId, stale: KtNodeId) {
         assert!(child != self.root, "cannot orphan the root");
         let real = self.node(child).parent.expect("non-root has a parent");
-        let parent = self.nodes[real.0 as usize]
-            .as_mut()
-            .expect("stale KT node handle");
-        for slot in parent.children.iter_mut() {
+        for slot in self.node_mut(real).children.iter_mut() {
             if *slot == Some(child) {
                 *slot = None;
             }
         }
-        self.nodes[child.0 as usize].as_mut().unwrap().parent = Some(stale);
+        self.node_mut(child).parent = Some(stale);
         // The real parent's next check regrows the emptied slot.
         self.flag(real);
         self.detached += 1;
@@ -853,8 +882,8 @@ impl KTree {
             });
             match slot {
                 Some((p, i)) => {
-                    self.nodes[p.0 as usize].as_mut().unwrap().children[i] = Some(orphan);
-                    self.nodes[orphan.0 as usize].as_mut().unwrap().parent = Some(p);
+                    self.node_mut(p).children[i] = Some(orphan);
+                    self.node_mut(orphan).parent = Some(p);
                     // The part may have emptied while the subtree was
                     // orphaned; the new parent's next check decides.
                     self.flag(p);
@@ -863,7 +892,7 @@ impl KTree {
                     let mut fix = std::collections::VecDeque::new();
                     fix.push_back((orphan, base));
                     while let Some((id, depth)) = fix.pop_front() {
-                        self.nodes[id.0 as usize].as_mut().unwrap().depth = depth;
+                        self.node_mut(id).depth = depth;
                         reachable[id.0 as usize] = true;
                         for &child in self.node(id).children.iter().flatten() {
                             fix.push_back((child, depth + 1));
@@ -978,27 +1007,86 @@ impl KTree {
     /// Number of **inter-virtual-server messages** needed to reach each KT
     /// node from the root along tree edges: an edge between KT nodes planted
     /// in the *same* virtual server is free (intra-process). This is the
-    /// metric behind the paper's `O(log_K N)` bounds.
-    pub fn message_depths(&self) -> crate::KtNodeMap<u32> {
-        let mut out = crate::KtNodeMap::with_slot_bound(self.slot_bound());
-        let mut queue = std::collections::VecDeque::new();
-        out.insert(self.root, 0u32);
-        queue.push_back(self.root);
-        while let Some(id) = queue.pop_front() {
-            let md = out[id];
-            let node = self.node(id);
-            for &child in node.children.iter().flatten() {
-                let hop = u32::from(self.node(child).host != node.host);
-                out.insert(child, md + hop);
-                queue.push_back(child);
-            }
-        }
-        out
+    /// metric behind the paper's `O(log_K N)` bounds. Nodes the root cannot
+    /// reach (a subtree detached by a fault, until repair) have no entry.
+    pub fn message_depths(&self) -> &crate::KtNodeMap<u32> {
+        &self.derived().message_depths
     }
 
     /// The largest message depth in the tree (`O(log_K N)` in expectation).
     pub fn max_message_depth(&self) -> u32 {
-        self.message_depths().values().copied().max().unwrap_or(0)
+        self.derived().max_message_depth
+    }
+
+    fn derived(&self) -> &Derived {
+        self.derived.get_or_init(|| self.derive())
+    }
+
+    /// Live node handles by depth, slot-ascending within a depth.
+    fn group_by_depth(&self) -> Vec<Vec<KtNodeId>> {
+        let mut levels: Vec<Vec<KtNodeId>> = Vec::new();
+        for id in self.iter_ids() {
+            let d = self.node(id).depth as usize;
+            if levels.len() <= d {
+                levels.resize_with(d + 1, Vec::new);
+            }
+            levels[d].push(id);
+        }
+        levels
+    }
+
+    /// One pass over the arena groups the nodes by depth; one depth-first
+    /// walk from the root, children in part order, hands every node its
+    /// parent's message depth plus the hop to it. Builders allocate in that
+    /// same order, so on a tree that churn has not reshuffled the walk reads
+    /// the arena front to back.
+    fn derive(&self) -> Derived {
+        let levels = self.group_by_depth();
+        let mut message_depths = crate::KtNodeMap::with_slot_bound(self.slot_bound());
+        let mut max_message_depth = 0;
+        // (node, its parent's host, its parent's message depth)
+        let mut stack = vec![(self.root, self.node(self.root).host, 0u32)];
+        while let Some((id, above_host, above)) = stack.pop() {
+            let node = self.node(id);
+            let md = above + u32::from(node.host != above_host);
+            message_depths.insert(id, md);
+            max_message_depth = max_message_depth.max(md);
+            stack.extend(
+                node.children
+                    .iter()
+                    .rev()
+                    .flatten()
+                    .map(|&child| (child, node.host, md)),
+            );
+        }
+        Derived {
+            levels,
+            message_depths,
+            max_message_depth,
+        }
+    }
+
+    /// What [`Self::derive`] must equal, recomputed from the arena: the
+    /// breadth-first walk and the scan for its maximum that the depth-first
+    /// walk replaced, kept for the differential tests.
+    #[cfg(test)]
+    pub(crate) fn reference_derived(&self) -> (Vec<Vec<KtNodeId>>, crate::KtNodeMap<u32>, u32) {
+        let levels = self.group_by_depth();
+        let mut depths = crate::KtNodeMap::with_slot_bound(self.slot_bound());
+        let mut queue = std::collections::VecDeque::new();
+        depths.insert(self.root, 0u32);
+        queue.push_back(self.root);
+        while let Some(id) = queue.pop_front() {
+            let md = depths[id];
+            let node = self.node(id);
+            for &child in node.children.iter().flatten() {
+                let hop = u32::from(self.node(child).host != node.host);
+                depths.insert(child, md + hop);
+                queue.push_back(child);
+            }
+        }
+        let max = depths.values().copied().max().unwrap_or(0);
+        (levels, depths, max)
     }
 
     /// Full recursive growth (used by `build` and `build_fragment`;
@@ -1026,7 +1114,7 @@ impl KTree {
                 parent: Some(id),
                 depth,
             });
-            self.nodes[id.0 as usize].as_mut().unwrap().children[i] = Some(child);
+            self.node_mut(id).children[i] = Some(child);
             self.grow_capped(net, child, cap);
         }
     }
@@ -1047,6 +1135,7 @@ impl KTree {
         for c in children {
             self.prune(c);
         }
+        self.derived.take();
         self.nodes[id.0 as usize] = None;
         self.free.push(id.0);
         self.unflag(id);

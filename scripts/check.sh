@@ -16,7 +16,8 @@
 # --xl-smoke additionally runs the 65k-peer / ts50k scale pass
 # (`repro --scale xl --fig 7`, exact distances: seconds since the
 # structural distance index) and the reduced-peers xl2 pipeline at 1 and 8
-# threads (landmark-approximate: about a minute). CI runs it on every PR.
+# threads (landmark-approximate, refined through the same index: seconds).
+# CI runs it on every PR.
 #
 # --faults-smoke additionally runs the fault-injection sweep at small
 # scale twice (1 thread and 8 threads) and fails if the two runs don't
@@ -32,7 +33,7 @@
 # at 1 and 8 threads and fails unless stdout (walls scrubbed) and both
 # trace files are byte-identical — the determinism contract of the
 # intra-round parallel sections (LBI generation, aggregation,
-# classification, shed/light extraction, transfer refinement).
+# classification, shed/light extraction, VSA input publication).
 #
 # --analyze-smoke additionally runs the committed engine scenario once,
 # evaluates the committed behavioral gates (`gates/*.toml`) against its
@@ -113,13 +114,17 @@ if [[ "$XL_SMOKE" == "1" ]]; then
   echo "==> xl smoke: repro --scale xl --fig 7"
   # In the scratch directory: the run writes a BENCH_repro.json entry and
   # must not overwrite the committed one.
-  (cd "$SMOKE_DIR" && timeout 300 "$REPRO" --scale xl --fig 7)
+  # ... and must not leak into the engine and faults smokes either, whose
+  # first run would merge into it and whose second would not.
+  (cd "$SMOKE_DIR" && timeout 300 "$REPRO" --scale xl --fig 7 && rm -f BENCH_repro.json)
   # xl2 at reduced peers: the full sharded + landmark-approximate pipeline,
   # byte-identical across thread counts. A --peers override never writes a
   # BENCH entry, so stdout is the whole contract (minus walls and RSS).
   echo "==> xl2 smoke: repro xl2 --peers 65536 (threads 1 vs 8)"
-  (cd "$SMOKE_DIR" && timeout 1800 "$REPRO" xl2 --peers 65536 --threads 1 > xl2_t1.txt \
-                   && timeout 1800 "$REPRO" xl2 --peers 65536 --threads 8 > xl2_t8.txt)
+  # A regression budget: ~3 s a run on a 2-core box now that refinement
+  # reads the structural index instead of filling Dijkstra rows.
+  (cd "$SMOKE_DIR" && timeout 300 "$REPRO" xl2 --peers 65536 --threads 1 > xl2_t1.txt \
+                   && timeout 300 "$REPRO" xl2 --peers 65536 --threads 8 > xl2_t8.txt)
   diff <(scrub_xl2 "$SMOKE_DIR/xl2_t1.txt") <(scrub_xl2 "$SMOKE_DIR/xl2_t8.txt") || {
     echo "xl2 output differs across thread counts" >&2; exit 1; }
 fi
@@ -139,8 +144,8 @@ fi
 
 if [[ "$ROUND_SMOKE" == "1" ]]; then
   echo "==> round smoke: repro xl2 --peers 16384 --trace (threads 1 vs 8)"
-  (cd "$SMOKE_DIR" && timeout 900 "$REPRO" xl2 --peers 16384 --threads 1 --trace r1.json > round_t1.txt \
-                   && timeout 900 "$REPRO" xl2 --peers 16384 --threads 8 --trace r8.json > round_t8.txt)
+  (cd "$SMOKE_DIR" && timeout 180 "$REPRO" xl2 --peers 16384 --threads 1 --trace r1.json > round_t1.txt \
+                   && timeout 180 "$REPRO" xl2 --peers 16384 --threads 8 --trace r8.json > round_t8.txt)
   cmp "$SMOKE_DIR/r1.json" "$SMOKE_DIR/r8.json" || {
     echo "round chrome trace differs across thread counts" >&2; exit 1; }
   cmp "$SMOKE_DIR/r1.ndjson" "$SMOKE_DIR/r8.ndjson" || {
@@ -178,8 +183,8 @@ fi
 
 if [[ "$PROFILE_SMOKE" == "1" ]]; then
   echo "==> profile smoke: repro xl2 --peers 16384 --profile (threads 1 vs 8)"
-  (cd "$SMOKE_DIR" && timeout 900 "$REPRO" xl2 --peers 16384 --threads 1 --profile p1 > prof_t1.txt \
-                   && timeout 900 "$REPRO" xl2 --peers 16384 --threads 8 --profile p8 --progress > prof_t8.txt)
+  (cd "$SMOKE_DIR" && timeout 180 "$REPRO" xl2 --peers 16384 --threads 1 --profile p1 > prof_t1.txt \
+                   && timeout 180 "$REPRO" xl2 --peers 16384 --threads 8 --profile p8 --progress > prof_t8.txt)
   # Virtual-time flamegraphs are pure functions of the trace: byte-identical.
   cmp "$SMOKE_DIR/p1/flame.virt.folded" "$SMOKE_DIR/p8/flame.virt.folded" || {
     echo "virtual-time folded stacks differ across thread counts" >&2; exit 1; }
