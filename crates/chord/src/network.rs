@@ -2,6 +2,8 @@ use crate::ring::Ring;
 use proxbal_id::{Arc, Id};
 use rand::Rng;
 use serde::{Deserialize, Serialize};
+use std::cmp::Reverse;
+use std::collections::{BTreeMap, BinaryHeap};
 
 /// Handle of a physical DHT peer (an end host). Dense index; peers are never
 /// reused after leaving, so handles stay valid for the life of the network.
@@ -140,9 +142,8 @@ impl ChordNetwork {
     /// Joins a new peer whose virtual servers sit at the given precomputed
     /// ring positions. Positions that collide with an already-occupied slot
     /// fall back to a fresh draw from `rng`, exactly as [`Self::spawn_vs`]
-    /// resamples. Sharded preparation generates position batches per worker
-    /// and replays them here in peer order, so the resulting ring is
-    /// independent of how the batches were produced.
+    /// resamples. The incremental counterpart of [`Self::join_peers_at`],
+    /// and what that one is defined — and tested — to equal.
     pub fn join_peer_at<R: Rng>(&mut self, positions: &[Id], rng: &mut R) -> PeerId {
         let pid = PeerId(self.peers.len() as u32);
         self.peers.push(Peer {
@@ -157,6 +158,112 @@ impl ChordNetwork {
             }
         }
         pid
+    }
+
+    /// Joins `positions.len() / vs_per_peer` peers into a network nothing has
+    /// joined yet, indistinguishable — ring, stamp and journal, every
+    /// handle, the state `rng` is left in — from calling
+    /// [`Self::join_peer_at`] on each `vs_per_peer`-chunk in order, without
+    /// the one ring search per virtual server.
+    ///
+    /// One sort of `(position, join order)` finds every entry whose
+    /// position an earlier one holds; those resample from `rng`, earliest
+    /// first, exactly as their failed insert would have. A draw is taken
+    /// when nothing that joined *earlier* sits there. If a later batch entry
+    /// holds it, that entry is the one that will find the slot occupied, so
+    /// it queues up to resample in turn — always behind the entry that
+    /// displaced it, which keeps the draws in join order.
+    pub fn join_peers_at<R: Rng>(&mut self, positions: &[Id], vs_per_peer: usize, rng: &mut R) {
+        assert!(
+            self.peers.is_empty() && self.vss.is_empty() && self.ring.version() == 0,
+            "bulk join needs a network nothing has joined yet"
+        );
+        assert!(
+            vs_per_peer > 0 && positions.len().is_multiple_of(vs_per_peer),
+            "{} positions do not make whole peers of {vs_per_peer}",
+            positions.len()
+        );
+        assert!(
+            u32::try_from(positions.len()).is_ok(),
+            "virtual-server handles are 32-bit"
+        );
+        let mut keys: Vec<u64> = positions
+            .iter()
+            .zip(0u64..)
+            .map(|(p, seq)| u64::from(p.raw()) << 32 | seq)
+            .collect();
+        keys.sort_unstable();
+        let (pos_of, seq_of) = (|key: u64| (key >> 32) as u32, |key: u64| key as u32);
+
+        // Entries still to resample (join order on top), and the positions
+        // handed out so far with the entry each went to.
+        let mut colliders: BinaryHeap<Reverse<u32>> = keys
+            .windows(2)
+            .filter(|w| pos_of(w[0]) == pos_of(w[1]))
+            .map(|w| Reverse(seq_of(w[1])))
+            .collect();
+        let mut resampled: BTreeMap<u32, u32> = BTreeMap::new();
+        while let Some(Reverse(seq)) = colliders.pop() {
+            loop {
+                let x: u32 = rng.gen();
+                if resampled.contains_key(&x) {
+                    continue;
+                }
+                let at = keys.partition_point(|&key| key < u64::from(x) << 32);
+                match keys.get(at).filter(|&&key| pos_of(key) == x) {
+                    Some(&first) if seq_of(first) < seq => continue,
+                    Some(&later) => colliders.push(Reverse(seq_of(later))),
+                    None => {}
+                }
+                resampled.insert(x, seq);
+                break;
+            }
+        }
+
+        self.vss = positions
+            .iter()
+            .zip(0u32..)
+            .map(|(&position, seq)| VirtualServer {
+                id: VsId(seq),
+                position,
+                host: PeerId(seq / vs_per_peer as u32),
+                alive: true,
+            })
+            .collect();
+        for (&x, &seq) in &resampled {
+            self.vss[seq as usize].position = Id::new(x);
+        }
+        let vs_per_peer = vs_per_peer as u32;
+        self.peers = (0..positions.len() as u32 / vs_per_peer)
+            .map(|p| Peer {
+                id: PeerId(p),
+                state: PeerState::Alive,
+                virtual_servers: (p * vs_per_peer..(p + 1) * vs_per_peer).map(VsId).collect(),
+                underlay: u32::MAX,
+            })
+            .collect();
+
+        // The sorted keys, less every entry that joined elsewhere, merged
+        // with the resampled positions: the ring in clockwise order.
+        let mut sorted = Vec::with_capacity(keys.len());
+        let mut moved = resampled.iter().map(|(&x, &seq)| (x, VsId(seq))).peekable();
+        let mut prev = None;
+        for &key in &keys {
+            let pos = pos_of(key);
+            if prev.replace(pos) == Some(pos) {
+                continue;
+            }
+            while let Some(entry) = moved.next_if(|&(x, _)| x < pos) {
+                sorted.push(entry);
+            }
+            // A resample took `pos` before this entry joined: it resampled
+            // too, and the taker is merged in next.
+            if moved.peek().is_none_or(|&(x, _)| x != pos) {
+                sorted.push((pos, VsId(seq_of(key))));
+            }
+        }
+        sorted.extend(moved);
+        self.ring = Ring::bulk_load(sorted, self.vss.iter().map(|vs| (vs.position.raw(), vs.id)));
     }
 
     /// Adds one more virtual server to an alive peer at a random position

@@ -89,6 +89,24 @@ impl Ring {
         Some(vs)
     }
 
+    /// The ring that inserting `joined` one by one into an empty ring leaves
+    /// behind — contents, stamp and journal — given the same entries once
+    /// more as `sorted`, strictly ascending by position. The map is built
+    /// bottom-up from the sorted run instead of by one search per entry.
+    pub(crate) fn bulk_load(
+        sorted: Vec<(u32, VsId)>,
+        joined: impl Iterator<Item = (u32, VsId)>,
+    ) -> Ring {
+        debug_assert!(sorted.windows(2).all(|w| w[0].0 < w[1].0));
+        let mut ring = Ring::new();
+        for (pos, vs) in joined {
+            ring.record(pos, vs, false);
+        }
+        assert_eq!(ring.version, sorted.len() as u64);
+        ring.by_pos = BTreeMap::from_iter(sorted);
+        ring
+    }
+
     /// Journals one successful mutation: `vs` inserted at, or removed from,
     /// `pos`.
     fn record(&mut self, pos: u32, vs: VsId, removed: bool) {

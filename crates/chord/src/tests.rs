@@ -588,3 +588,202 @@ proptest! {
         prop_assert_eq!(positions, now);
     }
 }
+
+// ── Bulk join vs the join-by-join replay ─────────────────────────────────
+
+/// Yields `draws` in order, then a counter far from any test position.
+struct Script {
+    draws: Vec<u32>,
+    at: usize,
+}
+
+impl Script {
+    fn new(draws: &[u32]) -> Self {
+        Script {
+            draws: draws.to_vec(),
+            at: 0,
+        }
+    }
+}
+
+impl rand::RngCore for Script {
+    fn next_u32(&mut self) -> u32 {
+        let x = self.draws.get(self.at).copied();
+        self.at += 1;
+        x.unwrap_or(0xF000_0000 + self.at as u32)
+    }
+    fn next_u64(&mut self) -> u64 {
+        u64::from(self.next_u32())
+    }
+}
+
+/// Draws from `0..64` only, so nearly every join and resample collides.
+struct Narrow(StdRng);
+
+impl rand::RngCore for Narrow {
+    fn next_u32(&mut self) -> u32 {
+        self.0.next_u32() % 64
+    }
+    fn next_u64(&mut self) -> u64 {
+        u64::from(self.next_u32())
+    }
+}
+
+/// The reference [`ChordNetwork::join_peers_at`] must be indistinguishable
+/// from: one `join_peer_at` per peer. Also returns the ring's stamp as it
+/// was `tail` virtual servers before the end.
+fn replay_joins<R: Rng>(
+    positions: &[u32],
+    vs_per_peer: usize,
+    tail: usize,
+    rng: &mut R,
+) -> (ChordNetwork, RingStamp) {
+    let mut net = ChordNetwork::new();
+    let mut stamp = net.ring().stamp();
+    for (i, chunk) in positions.chunks(vs_per_peer).enumerate() {
+        if i * vs_per_peer + tail <= positions.len() {
+            stamp = net.ring().stamp();
+        }
+        let chunk: Vec<Id> = chunk.iter().map(|&p| Id::new(p)).collect();
+        net.join_peer_at(&chunk, rng);
+    }
+    (net, stamp)
+}
+
+/// Everything a caller can observe of a network: ring order, stamp, what
+/// changed since `since`, every handle, the invariants — and, through
+/// `Debug`, the journal itself.
+fn assert_same_network(
+    bulk: &ChordNetwork,
+    replay: &ChordNetwork,
+    since: RingStamp,
+    vs_count: usize,
+) {
+    assert!(bulk.ring().iter().eq(replay.ring().iter()));
+    assert_eq!(bulk.ring().stamp(), replay.ring().stamp());
+    assert_eq!(
+        bulk.ring().changes_since(since),
+        replay.ring().changes_since(since)
+    );
+    assert_eq!(bulk.peer_count(), replay.peer_count());
+    for p in 0..replay.peer_count() as u32 {
+        assert_eq!(bulk.vss_of(PeerId(p)), replay.vss_of(PeerId(p)));
+    }
+    for v in (0..vs_count as u32).map(VsId) {
+        let (a, b) = (bulk.vs(v), replay.vs(v));
+        assert_eq!(
+            (a.id, a.position, a.host, a.alive),
+            (b.id, b.position, b.host, b.alive)
+        );
+    }
+    bulk.check_invariants().unwrap();
+    assert!(format!("{bulk:?}") == format!("{replay:?}"));
+}
+
+/// Bulk-joins `positions` and checks the result, and the generator
+/// afterwards, against the replay. Returns the bulk-built network.
+fn bulk_matches_replay<R: Rng + rand::RngCore>(
+    positions: &[u32],
+    vs_per_peer: usize,
+    mut rng: impl FnMut() -> R,
+) -> ChordNetwork {
+    let (mut bulk_rng, mut replay_rng) = (rng(), rng());
+    let (mut replay, since) = replay_joins(positions, vs_per_peer, 10, &mut replay_rng);
+    let mut bulk = ChordNetwork::new();
+    let ids: Vec<Id> = positions.iter().map(|&p| Id::new(p)).collect();
+    bulk.join_peers_at(&ids, vs_per_peer, &mut bulk_rng);
+    assert_same_network(&bulk, &replay, since, positions.len());
+    assert_eq!(bulk_rng.next_u32(), replay_rng.next_u32());
+    assert!(replay.ring().changes_since(since).is_some());
+
+    // One more join and one leave: the journal keeps its layout.
+    for net in [&mut bulk, &mut replay] {
+        let joined = net.join_peer(1, &mut Script::new(&[0x7654_3210]));
+        assert_eq!(net.vss_of(joined).len(), 1);
+        net.drop_vs(VsId(0));
+    }
+    assert_same_network(&bulk, &replay, since, positions.len() + 1);
+    bulk
+}
+
+/// Bulk-joins `batch` against a generator yielding `draws`, checks it
+/// against the replay, that the entries `moved` names ended up where it
+/// says, and that exactly the scripted draws were consumed.
+fn check_scripted(batch: &[u32], vs_per_peer: usize, draws: &[u32], moved: &[(u32, u32)]) {
+    let bulk = bulk_matches_replay(batch, vs_per_peer, || Script::new(draws));
+    for &(seq, pos) in moved {
+        assert_eq!(bulk.vs(VsId(seq)).position, Id::new(pos), "{batch:?}");
+    }
+    let mut rng = Script::new(draws);
+    let ids: Vec<Id> = batch.iter().map(|&p| Id::new(p)).collect();
+    ChordNetwork::new().join_peers_at(&ids, vs_per_peer, &mut rng);
+    assert_eq!(rng.at, draws.len(), "{batch:?}");
+}
+
+#[test]
+fn bulk_join_resolves_collisions_in_join_order() {
+    const MAX: u32 = u32::MAX;
+    // No collision: the generator is not touched.
+    check_scripted(&[5, 9, 7, 3], 2, &[], &[]);
+    // A duplicate inside the batch.
+    check_scripted(&[5, 9, 5, 7], 1, &[100], &[(2, 100)]);
+    // The resample lands on earlier entries, twice: redrawn.
+    check_scripted(&[5, 9, 5, 7], 2, &[9, 5, 100], &[(2, 100)]);
+    // It lands on a *later* entry: free now, and that entry resamples when
+    // its turn comes.
+    check_scripted(&[5, 9, 5, 7], 1, &[7, 200], &[(2, 7), (3, 200)]);
+    // The displaced entry's own resample displaces the next one, whose draw
+    // of an already handed-out position is redrawn.
+    check_scripted(
+        &[5, 5, 7, 8],
+        2,
+        &[7, 8, 7, 300],
+        &[(1, 7), (2, 8), (3, 300)],
+    );
+    // Three on one position; a draw handed out a moment ago.
+    check_scripted(&[5, 5, 5], 1, &[6, 6, 7], &[(1, 6), (2, 7)]);
+    // A displaced entry whose position has a second holder.
+    check_scripted(&[4, 4, 6, 6], 1, &[6, 9, 6, 10], &[(1, 6), (2, 9), (3, 10)]);
+    // Both ends of the identifier space.
+    check_scripted(
+        &[0, MAX, 0, MAX, 1],
+        1,
+        &[MAX, 0, 1, MAX - 1, 2],
+        &[(2, 1), (3, MAX - 1), (4, 2)],
+    );
+}
+
+#[test]
+fn bulk_join_lays_the_journal_out_as_the_replay_does() {
+    // The journal is a ring buffer indexed by version: sizes on either
+    // side of its capacity, then one more insert and one remove.
+    let cap = crate::ring::JOURNAL_CAPACITY;
+    for size in [1, cap - 1, cap, cap + 1, cap + 1024] {
+        let mut rng = StdRng::seed_from_u64(size as u64);
+        // A narrow range, so a few dozen entries collide at every size.
+        let positions: Vec<u32> = (0..size).map(|_| rng.gen_range(0..1 << 18)).collect();
+        let bulk = bulk_matches_replay(&positions, 1, || StdRng::seed_from_u64(3));
+        assert_eq!(bulk.ring().version(), size as u64 + 2);
+    }
+}
+
+#[test]
+#[should_panic(expected = "nothing has joined yet")]
+fn bulk_join_refuses_a_used_network() {
+    let (mut net, mut rng) = net_with(1, 1, 5);
+    net.join_peers_at(&[Id::new(1)], 1, &mut rng);
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    #[test]
+    fn prop_bulk_join_equals_replay(seed in 0u64..100_000, peers in 1usize..=12, vs_per_peer in 1usize..=4) {
+        // At most 48 of 64 positions, batch and resamples alike.
+        let mut draw = Narrow(StdRng::seed_from_u64(seed));
+        let positions: Vec<u32> = (0..peers * vs_per_peer).map(|_| draw.gen()).collect();
+        bulk_matches_replay(&positions, vs_per_peer, || {
+            Narrow(StdRng::seed_from_u64(seed ^ 0xB01C))
+        });
+    }
+}

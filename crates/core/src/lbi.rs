@@ -1,4 +1,5 @@
 use proxbal_chord::{ChordNetwork, PeerId, VsId};
+use proxbal_id::{Arc, Id};
 use proxbal_ktree::Merge;
 use proxbal_workload::{CapacityClass, CapacityProfile, LoadModel};
 use rand::Rng;
@@ -79,9 +80,20 @@ impl LoadState {
             state.set_class(p, class);
             state.set_capacity(p, profile.capacity_of(class));
         }
-        for (pos, vs) in net.ring().iter() {
-            let f = net.ring().region(pos).fraction();
-            state.set_vs_load(vs, model.sample_vs_load(f, rng));
+        // A region runs from just past the previous position to its own;
+        // walking clockwise from 0, the first one's predecessor is the last
+        // position on the ring (itself, if it is alone).
+        let ring = net.ring();
+        let mut pred = ring.predecessor(Id::ZERO).map(|(pos, _)| pos);
+        for (pos, vs) in ring.iter() {
+            let region = match pred.replace(pos) {
+                Some(pred) if pred != pos => {
+                    Arc::from_bounds(pred.wrapping_add(1), pos.wrapping_add(1))
+                }
+                _ => Arc::full(pos.wrapping_add(1)),
+            };
+            debug_assert_eq!(region, ring.region(pos));
+            state.set_vs_load(vs, model.sample_vs_load(region.fraction(), rng));
         }
         state
     }
@@ -195,10 +207,7 @@ impl LoadState {
             state.set_vs_load(vs, 0.0);
         }
         for obj in objects {
-            let owner = net
-                .ring()
-                .owner(proxbal_id::Id::new(obj.key))
-                .expect("non-empty ring");
+            let owner = net.ring().owner(Id::new(obj.key)).expect("non-empty ring");
             *slot(&mut state.vs_load, owner.0 as usize, 0.0) += obj.load;
         }
         state

@@ -91,6 +91,46 @@ fn generate_scales_load_with_region_fraction() {
     );
 }
 
+#[test]
+fn generate_reads_each_region_off_the_walk() {
+    // Every load is sampled for the region `Ring::region` states, on the
+    // rings where the predecessor carried along the walk is special: alone
+    // on the ring, a position at 0, both ends of the identifier space.
+    let rings: [&[u32]; 6] = [
+        &[777],
+        &[0],
+        &[0, 1000, 60_000],
+        &[0, u32::MAX],
+        &[5, u32::MAX],
+        &[9, 4, 2_000_000_000],
+    ];
+    let (profile, model) = (
+        CapacityProfile::gnutella(),
+        LoadModel::gaussian(1_000_000.0, 10_000.0),
+    );
+    for positions in rings {
+        let mut net = ChordNetwork::new();
+        for &p in positions {
+            net.join_peer_at(&[proxbal_id::Id::new(p)], &mut StdRng::seed_from_u64(0));
+        }
+        let mut rng = StdRng::seed_from_u64(9);
+        let loads = LoadState::generate(&net, &profile, &model, &mut rng);
+        let mut reference = StdRng::seed_from_u64(9);
+        for _ in net.alive_peers() {
+            profile.sample_class(&mut reference);
+        }
+        let mut covered = 0;
+        for (pos, vs) in net.ring().iter() {
+            let region = net.ring().region(pos);
+            covered += region.len();
+            let load = model.sample_vs_load(region.fraction(), &mut reference);
+            assert_eq!(loads.vs_load(vs), load, "{positions:?} at {pos:?}");
+        }
+        assert_eq!(covered, proxbal_id::RING_SIZE);
+        assert_eq!(rng.gen::<u64>(), reference.gen::<u64>());
+    }
+}
+
 // ---------------------------------------------------------------- classification
 
 fn lbi(load: f64, capacity: f64, min: f64) -> Lbi {

@@ -19,6 +19,7 @@ use proptest::prelude::*;
 use proxbal_chord::{ChordNetwork, PeerId, VsId};
 use proxbal_id::{Arc, Id};
 use rand::rngs::StdRng;
+use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
 
 struct Pair {
@@ -202,6 +203,21 @@ fn run_history(seed: u64, k: usize, peers: usize, vs_per_peer: usize, steps: usi
 }
 
 proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    #[test]
+    fn prop_builders_match_reference(seed in 0u64..1_000_000, size in 1usize..=2000, bits in 8u32..=32) {
+        // Narrow identifier ranges crowd the positions into deep subtrees.
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut positions: Vec<u32> = (0..size).map(|_| rng.gen::<u32>() >> (32 - bits)).collect();
+        positions.sort_unstable();
+        positions.dedup();
+        positions.shuffle(&mut rng);
+        assert_builders_match_reference(&net_at(&positions));
+    }
+}
+
+proptest! {
     #![proptest_config(ProptestConfig::with_cases(192))]
 
     #[test]
@@ -357,38 +373,86 @@ fn reattach_into_part_emptied_while_orphaned() {
     }
 }
 
+/// `built` against the ring-query reference: arena slot for slot, nothing
+/// free, nothing flagged, stamped with the ring it grew from — so neither
+/// maintenance nor repair looks at a single node of it.
+#[track_caller]
+fn assert_same_build(built: KTree, reference: &KTree, net: &ChordNetwork) {
+    let pair = Pair {
+        fast: built,
+        slow: reference.clone(),
+    };
+    pair.assert_same();
+    let mut built = pair.fast;
+    assert!(built.arena().1.is_empty());
+    assert_eq!(built.flagged(), 0);
+    assert_eq!(built.checked(), net.ring().stamp());
+    let visits = visits_during(|| {
+        assert_eq!(built.maintain_round(net), 0);
+        let stats = built.repair(net, 8);
+        assert_eq!((stats.reattached, stats.pruned, stats.rounds), (0, 0, 0));
+    });
+    assert_eq!(visits, 0, "a freshly built tree was swept");
+    built.check_invariants(net).unwrap();
+}
+
+/// Both builders against their references on `net`, for every degree and
+/// split depth the differential suite covers.
+#[track_caller]
+fn assert_builders_match_reference(net: &ChordNetwork) {
+    for k in [2usize, 3, 4, 8] {
+        let reference = KTree::reference_build(net, k);
+        assert_same_build(KTree::build(net, k), &reference, net);
+        for split_depth in [0, 1, 3, 8, reference.height() + 4] {
+            assert_same_build(
+                KTree::build_split(net, k, split_depth),
+                &KTree::reference_build_split(net, k, split_depth),
+                net,
+            );
+        }
+    }
+}
+
 #[test]
-fn grafted_tree_is_stable_without_a_sweep() {
-    let mut rng = StdRng::seed_from_u64(7);
+fn builders_match_reference_on_edge_rings() {
+    const MAX: u32 = u32::MAX;
+    let rings: [&[u32]; 9] = [
+        &[0x1234_5678],
+        &[0],
+        &[MAX],
+        // Adjacent positions split all the way down.
+        &[0x7FFF_FFFF, 0x8000_0000],
+        &[41, 42],
+        // The root's center is owned across the wrap.
+        &[0, MAX],
+        &[MAX - 1, MAX],
+        // Everything in one half: the other part needs no child.
+        &[
+            0x8000_0001,
+            0x9000_0000,
+            0xA000_0000,
+            0xFFFF_FFF0,
+            0xC123_4567,
+        ],
+        &[3, 1, 0, 2, 0x7FFF_FFFE, 0x1000_0000, 5],
+    ];
+    for positions in rings {
+        assert_builders_match_reference(&net_at(positions));
+    }
+}
+
+#[test]
+fn builders_match_reference_after_churn() {
+    let mut rng = StdRng::seed_from_u64(23);
     let mut net = ChordNetwork::new();
-    for _ in 0..96 {
+    for _ in 0..48 {
         net.join_peer(4, &mut rng);
     }
-    for k in [2usize, 3] {
-        let (mut tree, frontier) = KTree::build_prefix(&net, k, 3);
-        assert!(!frontier.is_empty());
-        // A bare prefix still owes its frontier a check: maintenance grows
-        // it to the full tree, in step with the reference sweep.
-        let mut bare = Pair {
-            fast: tree.clone(),
-            slow: tree.clone(),
-        };
-        assert!(bare.stabilize(&net) > 0);
-        bare.fast.check_invariants(&net).unwrap();
-
-        for &at in &frontier {
-            assert_derived_fresh(&tree);
-            let (region, depth) = (tree.node(at).region, tree.node(at).depth);
-            tree.graft(at, KTree::build_fragment(&net, k, region, depth));
+    for _ in 0..6 {
+        for _ in 0..40 {
+            mutate_ring(&mut net, &mut rng);
         }
-        assert_derived_fresh(&tree);
-        let visits = visits_during(|| {
-            assert_eq!(tree.maintain_until_stable(&net, 8), 0);
-            let stats = tree.repair(&net, 8);
-            assert_eq!((stats.reattached, stats.pruned, stats.rounds), (0, 0, 0));
-        });
-        assert_eq!(visits, 0, "a freshly grafted tree was swept");
-        tree.check_invariants(&net).unwrap();
+        assert_builders_match_reference(&net);
     }
 }
 

@@ -722,40 +722,31 @@ fn shape_key(t: &KTree) -> Vec<(u32, u64, proxbal_chord::VsId, u32)> {
 }
 
 #[test]
-fn prefix_fragment_graft_matches_serial_build() {
+fn split_build_is_the_serial_tree_renumbered() {
     let (net, _) = net_with(96, 4, 7);
     for k in [2usize, 3, 8] {
         let serial = KTree::build(&net, k);
         for split_depth in [0u32, 1, 2, 3, 6] {
-            let (mut tree, frontier) = KTree::build_prefix(&net, k, split_depth);
-            // Frontier handles come back in ascending slot order.
-            assert!(frontier.windows(2).all(|w| w[0] < w[1]));
-            for &at in &frontier {
-                let (region, depth) = {
-                    let stub = tree.node(at);
-                    (stub.region, stub.depth)
-                };
-                let fragment = KTree::build_fragment(&net, k, region, depth);
-                tree.graft(at, fragment);
-            }
+            let tree = KTree::build_split(&net, k, split_depth);
             tree.check_invariants(&net)
                 .unwrap_or_else(|e| panic!("k={k} split={split_depth}: {e}"));
             assert_eq!(tree.len(), serial.len(), "k={k} split={split_depth}");
             assert_eq!(shape_key(&tree), shape_key(&serial));
-            // The composed tree is stable: maintenance has nothing to do.
-            let mut composed = tree.clone();
-            assert_eq!(composed.maintain_round(&net), 0);
+            // The levels down to the split come first, in ascending slots;
+            // the subtrees below it follow one after another.
+            let depths: Vec<u32> = tree.iter_ids().map(|id| tree.node(id).depth).collect();
+            let prefix = depths.iter().take_while(|&&d| d <= split_depth).count();
+            assert!(depths[prefix..].iter().all(|&d| d > split_depth));
         }
     }
 }
 
 #[test]
-fn build_prefix_past_leaves_has_empty_frontier() {
+fn split_past_the_leaves_is_the_serial_build() {
     let (net, _) = net_with(8, 2, 11);
     let serial = KTree::build(&net, 2);
-    let (tree, frontier) = KTree::build_prefix(&net, 2, serial.height() + 4);
-    assert!(frontier.is_empty());
-    assert_eq!(shape_key(&tree), shape_key(&serial));
+    let tree = KTree::build_split(&net, 2, serial.height() + 4);
+    assert_eq!(tree.arena(), serial.arena());
 }
 
 #[test]

@@ -1,6 +1,7 @@
 use proxbal_chord::{ChordNetwork, Ring, RingStamp, VsId};
 use proxbal_id::{Arc, Id};
 use serde::{Deserialize, Serialize};
+use std::ops::Range;
 use std::sync::OnceLock;
 
 /// Handle of a KT node within a [`KTree`] arena. Slots are recycled after
@@ -164,7 +165,7 @@ pub struct RepairAction {
 /// [`Self::levels`], [`Self::message_depths`] and
 /// [`Self::max_message_depth`] depend on nothing but the arena, so they are
 /// computed once per arena state and borrowed by every caller until a
-/// mutation (maintenance that changes something, repair, graft, an injected
+/// mutation (maintenance that changes something, repair, an injected
 /// fault) drops them. A balancing round moves virtual servers between
 /// peers, never KT nodes between virtual servers, so one computation serves
 /// all its phases — and every later round on an unchanged ring.
@@ -188,10 +189,9 @@ pub struct KTree {
     /// What [`Self::levels`] and [`Self::message_depths`] answer from,
     /// computed on first use and dropped by [`Self::node_mut`] and
     /// [`Self::prune`] — every write to a live node goes through the first,
-    /// a node [`Self::alloc`] or [`Self::graft`] adds is linked in through
-    /// it within the same call, and only the second frees a slot. A pure
-    /// function of the arena, so it takes no part in serialization or arena
-    /// equality.
+    /// a node [`Self::alloc`] adds is linked in through it within the same
+    /// call, and only the second frees a slot. A pure function of the arena,
+    /// so it takes no part in serialization or arena equality.
     #[serde(skip)]
     derived: OnceLock<Derived>,
 }
@@ -269,6 +269,35 @@ impl DirtyArcs {
     }
 }
 
+/// The ring as the builders read it: every position clockwise from 0 with
+/// the virtual server planted there, in two flat arrays. The root's region
+/// is the whole ring anchored at 0, so a region's contents are one index
+/// range and what a builder asks of the ring is arithmetic on it.
+struct Snapshot {
+    positions: Vec<u32>,
+    vss: Vec<VsId>,
+}
+
+impl Snapshot {
+    fn of(ring: &Ring) -> Self {
+        let (positions, vss) = ring.iter().map(|(pos, vs)| (pos.raw(), vs)).unzip();
+        Snapshot { positions, vss }
+    }
+
+    /// [`KTree::host_for`] for a non-empty `region` whose positions are the
+    /// entries `inside`: the sole one, else the owner of the center — the
+    /// first entry at or after it, which past the region's last entry is
+    /// the next one clockwise, wrapping to the ring's first.
+    fn host_for(&self, region: &Arc, inside: Range<usize>) -> VsId {
+        if inside.len() == 1 {
+            return self.vss[inside.start];
+        }
+        let center = region.center().raw();
+        let at = inside.start + self.positions[inside].partition_point(|&p| p < center);
+        self.vss[if at < self.vss.len() { at } else { 0 }]
+    }
+}
+
 #[cfg(test)]
 thread_local! {
     /// Arena slots a maintenance round or repair scan has looked at, so
@@ -304,28 +333,122 @@ impl KTree {
     /// }
     /// ```
     pub fn build(net: &ChordNetwork, k: usize) -> Self {
+        Self::build_split(net, k, u32::MAX)
+    }
+
+    /// The same tree as [`Self::build`], numbered the way the million-peer
+    /// runs have always numbered it: the levels down to `split_depth` first,
+    /// then the subtree under each still-unexpanded node at that depth, in
+    /// ascending slot order of those nodes. Arena slot order is the order in
+    /// which every per-node `f64` fold associates, so the numbering is part
+    /// of the result; it is a pure function of `(net, k, split_depth)`.
+    /// Nothing is left flagged and no slot is free: maintenance on the
+    /// result has nothing to do until the ring changes.
+    pub fn build_split(net: &ChordNetwork, k: usize, split_depth: u32) -> Self {
         assert!(k >= 2, "tree degree must be at least 2");
         assert!(
             net.alive_vs_count() > 0,
             "cannot build a tree over an empty DHT"
         );
-        let mut tree = Self::with_root(net, k, Self::arena_estimate(net.ring().len()));
+        let _prof = proxbal_profile::phase("tree");
+        let sub = proxbal_profile::phase("tree/snapshot");
+        let snapshot = Snapshot::of(net.ring());
+        drop(sub);
+
+        let everything = 0..snapshot.vss.len();
+        let mut tree = Self::empty(net, k, Self::arena_estimate(everything.len()));
+        let root_region = Arc::full(Id::ZERO);
+        tree.root = tree.alloc(KtNode {
+            region: root_region,
+            host: snapshot.host_for(&root_region, everything.clone()),
+            children: KtChildren::none(k),
+            parent: None,
+            depth: 0,
+        });
+        // Two passes over what is still to grow: the root down to the
+        // split, then whatever that left unexpanded, without a cap.
+        let mut pending = vec![(tree.root, everything)];
+        for (phase, cap) in [("tree/prefix", split_depth), ("tree/grow", u32::MAX)] {
+            let _sub = proxbal_profile::phase(phase);
+            for (id, inside) in std::mem::take(&mut pending) {
+                tree.grow(&snapshot, id, inside, cap, &mut pending);
+            }
+        }
+        tree
+    }
+
+    /// Grows the whole subtree under `id`, whose region holds the snapshot
+    /// entries `inside`, depth first with children in part order — except
+    /// that a node at depth `cap` that would split is left as it is and
+    /// pushed, with its entries, onto `unexpanded`.
+    ///
+    /// Every rule of the tree is index arithmetic on the sorted snapshot: a
+    /// region is a leaf iff it holds at most one entry, a part needs a child
+    /// iff it holds at least one, and the parts' entry ranges are found by
+    /// binary search inside the parent's.
+    fn grow(
+        &mut self,
+        snapshot: &Snapshot,
+        id: KtNodeId,
+        inside: Range<usize>,
+        cap: u32,
+        unexpanded: &mut Vec<(KtNodeId, Range<usize>)>,
+    ) {
+        if inside.len() <= 1 {
+            return;
+        }
+        let node = self.node(id);
+        if node.depth >= cap {
+            unexpanded.push((id, inside));
+            return;
+        }
+        let depth = node.depth + 1;
+        // All regions descend from the root's, which starts at 0 and does
+        // not wrap: a part's bounds are plain sums.
+        let (k, len) = (self.k as u64, node.region.len());
+        let (base, rem) = (len / k, len % k);
+        let mut start = u64::from(node.region.start().raw());
+        let mut lo = inside.start;
+        for i in 0..self.k {
+            let part_len = base + u64::from((i as u64) < rem);
+            let end = start + part_len;
+            let hi = if i + 1 == self.k {
+                inside.end
+            } else {
+                lo + snapshot.positions[lo..inside.end].partition_point(|&p| u64::from(p) < end)
+            };
+            if lo < hi {
+                let part = Arc::new(Id::new(start as u32), part_len);
+                let child = self.alloc(KtNode {
+                    region: part,
+                    host: snapshot.host_for(&part, lo..hi),
+                    children: KtChildren::none(self.k),
+                    parent: Some(id),
+                    depth,
+                });
+                self.node_mut(id).children[i] = Some(child);
+                self.grow(snapshot, child, lo..hi, cap, unexpanded);
+            }
+            (start, lo) = (end, hi);
+        }
+    }
+
+    /// [`Self::build`] by the rules as [`Self::check_node`] states them —
+    /// one ring query per question — kept as the reference of the
+    /// differential tests.
+    #[cfg(test)]
+    pub(crate) fn reference_build(net: &ChordNetwork, k: usize) -> Self {
+        let mut tree = Self::with_root(net, k);
         tree.grow_capped(net, tree.root, None);
         tree
     }
 
-    /// Builds only the top of the tree: growth stops at `split_depth`, and
-    /// the handles of the still-unexpanded nodes *at* that depth (the
-    /// frontier) are returned in ascending slot order. Sharded preparation
-    /// expands each frontier region independently via
-    /// [`Self::build_fragment`] and splices the results back with
-    /// [`Self::graft`]. Slot numbering of the composed arena depends only on
-    /// `(net, k, split_depth)` and the graft sequence — never on which
-    /// worker built a fragment — and the composed tree is node-for-node the
-    /// tree [`Self::build`] produces (same `(region, host, depth)` set, same
-    /// structure; only slot numbering differs).
-    pub fn build_prefix(net: &ChordNetwork, k: usize, split_depth: u32) -> (Self, Vec<KtNodeId>) {
-        let mut tree = Self::with_root(net, k, Self::arena_estimate(net.ring().len()));
+    /// [`Self::build_split`] by the same rules: the prefix grown to
+    /// `split_depth`, then each unexpanded node at that depth grown in
+    /// place, in ascending slot order.
+    #[cfg(test)]
+    pub(crate) fn reference_build_split(net: &ChordNetwork, k: usize, split_depth: u32) -> Self {
+        let mut tree = Self::with_root(net, k);
         tree.grow_capped(net, tree.root, Some(split_depth));
         let frontier: Vec<KtNodeId> = tree
             .iter_ids()
@@ -334,97 +457,24 @@ impl KTree {
                 node.depth == split_depth && !Self::is_leaf_region(net, &node.region)
             })
             .collect();
-        // Unexpanded until grafted: maintenance must grow them.
-        for &id in &frontier {
-            tree.flag(id);
+        for id in frontier {
+            tree.grow_capped(net, id, None);
         }
-        (tree, frontier)
-    }
-
-    /// Builds a standalone subtree over `region`, rooted at `depth`, grown
-    /// exactly as a full [`Self::build`] would have grown it in place. The
-    /// fragment's root is always slot 0; splice it into a prefix tree with
-    /// [`Self::graft`].
-    pub fn build_fragment(net: &ChordNetwork, k: usize, region: Arc, depth: u32) -> Self {
-        assert!(k >= 2, "tree degree must be at least 2");
-        let mut tree = Self::empty(net, k, 0);
-        let root = tree.alloc(KtNode {
-            region,
-            host: Self::host_for(net, &region),
-            children: KtChildren::none(k),
-            parent: None,
-            depth,
-        });
-        tree.root = root;
-        tree.grow_capped(net, root, None);
         tree
     }
 
-    /// Splices a [`Self::build_fragment`] result into this tree at the
-    /// unexpanded frontier node `at` (same region, host and depth). The
-    /// fragment's non-root nodes are appended to the arena in fragment-slot
-    /// order, so the composed layout is a pure function of the graft
-    /// sequence — independent of which worker built each fragment.
-    pub fn graft(&mut self, at: KtNodeId, fragment: KTree) {
-        assert_eq!(self.k, fragment.k, "tree degree mismatch");
-        assert!(
-            fragment.free.is_empty(),
-            "fragment arena must be freshly built"
-        );
-        assert_eq!(fragment.root.0, 0, "fragment root must be slot 0");
-        assert_eq!(
-            fragment.checked, self.checked,
-            "fragment built against a different ring state"
-        );
-        {
-            let stub = self.node(at);
-            assert!(stub.is_leaf(), "graft target already has children");
-            let froot = fragment.node(fragment.root);
-            assert_eq!(froot.region, stub.region, "fragment region mismatch");
-            assert_eq!(froot.depth, stub.depth, "fragment depth mismatch");
-            assert_eq!(froot.host, stub.host, "fragment host mismatch");
-        }
-        let base = self.nodes.len() as u32;
-        let remap = |id: KtNodeId| {
-            if id.0 == 0 {
-                at
-            } else {
-                KtNodeId(base + id.0 - 1)
-            }
-        };
-        for (i, slot) in fragment.nodes.into_iter().enumerate() {
-            let mut node = slot.expect("fragment arena is dense");
-            for child in node.children.iter_mut() {
-                *child = child.map(remap);
-            }
-            if i == 0 {
-                self.node_mut(at).children = node.children;
-                self.unflag(at);
-            } else {
-                node.parent = node.parent.map(remap);
-                self.nodes.push(Some(node));
-            }
-        }
-    }
-
-    /// Shared constructor: an arena with capacity for `reserve` slots
-    /// holding just the root node.
-    fn with_root(net: &ChordNetwork, k: usize, reserve: usize) -> Self {
-        assert!(k >= 2, "tree degree must be at least 2");
-        assert!(
-            net.alive_vs_count() > 0,
-            "cannot build a tree over an empty DHT"
-        );
-        let mut tree = Self::empty(net, k, reserve);
+    /// An arena holding just the root node.
+    #[cfg(test)]
+    fn with_root(net: &ChordNetwork, k: usize) -> Self {
+        let mut tree = Self::empty(net, k, 0);
         let root_region = Arc::full(Id::ZERO);
-        let root = tree.alloc(KtNode {
+        tree.root = tree.alloc(KtNode {
             region: root_region,
             host: Self::host_for(net, &root_region),
             children: KtChildren::none(k),
             parent: None,
             depth: 0,
         });
-        tree.root = root;
         tree
     }
 
@@ -1089,10 +1139,10 @@ impl KTree {
         (levels, depths, max)
     }
 
-    /// Full recursive growth (used by `build` and `build_fragment`;
-    /// maintenance grows one level per round instead). With
-    /// `cap = Some(d)`, nodes at depth `d` are left unexpanded — the
-    /// frontier [`Self::build_prefix`] hands to fragment workers.
+    /// Full recursive growth by ring queries, the reference [`Self::grow`]
+    /// is tested against. With `cap = Some(d)`, nodes at depth `d` are left
+    /// unexpanded.
+    #[cfg(test)]
     fn grow_capped(&mut self, net: &ChordNetwork, id: KtNodeId, cap: Option<u32>) {
         let region = self.node(id).region;
         if Self::is_leaf_region(net, &region) {
@@ -1152,6 +1202,12 @@ impl KTree {
     #[cfg(test)]
     pub(crate) fn checked(&self) -> RingStamp {
         self.checked
+    }
+
+    /// Number of nodes whose check is due whatever the journal says.
+    #[cfg(test)]
+    pub(crate) fn flagged(&self) -> usize {
+        self.flagged
     }
 
     fn is_flagged(&self, id: KtNodeId) -> bool {

@@ -134,8 +134,8 @@ impl Scenario {
     /// capacity settings — eviction only discards memoized pure functions
     /// of the graph.
     ///
-    /// With [`Scenario::shards`] `> 0` this dispatches to the sharded
-    /// preparation path ([`crate::shard::prepare_sharded`]); the result is
+    /// With [`Scenario::shards`] `> 0` the ring and the hop-metric landmark
+    /// vectors are built the sharded way ([`crate::shard`]); the result is
     /// deterministic in the scenario (including `shards`) and independent
     /// of the worker-thread count.
     pub fn prepare(&self) -> Prepared {
@@ -150,66 +150,54 @@ impl Scenario {
     }
 
     /// Like [`Scenario::prepare_threads`] with per-phase heartbeat lines
-    /// on `progress` (topology, join, attach/landmarks, loads). Heartbeats
-    /// go to the sink (stderr for the CLI), never to stdout, and never
-    /// change the prepared result.
+    /// on `progress` (topology, join, attach/landmarks, loads, landmark
+    /// vectors). Heartbeats go to the sink (stderr for the CLI), never to
+    /// stdout, and never change the prepared result.
     pub fn prepare_run(
         &self,
         threads: usize,
         progress: &dyn proxbal_profile::ProgressSink,
     ) -> Prepared {
-        if self.shards > 0 {
-            crate::shard::prepare_sharded_run(self, threads, progress)
-        } else {
-            self.prepare_serial(threads, progress)
-        }
-    }
-
-    fn prepare_serial(
-        &self,
-        threads: usize,
-        progress: &dyn proxbal_profile::ProgressSink,
-    ) -> Prepared {
-        let oracle_capacity = self.oracle_capacity;
+        let _prof = proxbal_profile::phase("prepare");
         let mut rng = StdRng::seed_from_u64(self.seed);
 
-        let topo = match self.topology {
-            TopologyKind::Ts5kLarge => Some(TransitStubTopology::generate(
-                TransitStubConfig::ts5k_large(),
-                &mut rng,
-            )),
-            TopologyKind::Ts5kSmall => Some(TransitStubTopology::generate(
-                TransitStubConfig::ts5k_small(),
-                &mut rng,
-            )),
-            TopologyKind::Ts50k => Some(TransitStubTopology::generate(
-                TransitStubConfig::ts50k(),
-                &mut rng,
-            )),
-            TopologyKind::Tiny => Some(TransitStubTopology::generate(
-                TransitStubConfig::tiny(),
-                &mut rng,
-            )),
+        let sub = proxbal_profile::phase("prepare/topology");
+        let config = match self.topology {
+            TopologyKind::Ts5kLarge => Some(TransitStubConfig::ts5k_large()),
+            TopologyKind::Ts5kSmall => Some(TransitStubConfig::ts5k_small()),
+            TopologyKind::Ts50k => Some(TransitStubConfig::ts50k()),
+            TopologyKind::Tiny => Some(TransitStubConfig::tiny()),
             TopologyKind::None => None,
         };
+        let topo = config.map(|config| TransitStubTopology::generate(config, &mut rng));
         if let Some(ref topo) = topo {
             progress.event(&format!(
                 "prepare: topology generated ({} nodes)",
                 topo.graph.node_count()
             ));
         }
+        drop(sub);
 
-        let mut net = ChordNetwork::new();
-        for i in 0..self.peers {
-            net.join_peer(self.vs_per_peer, &mut rng);
-            if (i + 1).is_multiple_of(65_536) {
-                progress.event(&format!("prepare: joined {}/{} peers", i + 1, self.peers));
+        // Peers without virtual servers have no positions to shard: either
+        // way they join as the serial loop joins them.
+        let mut net = if self.shards > 0 && self.vs_per_peer > 0 {
+            crate::shard::join_sharded(self, threads, &mut rng, progress)
+        } else {
+            let _sub = proxbal_profile::phase("prepare/ring");
+            let mut net = ChordNetwork::new();
+            for i in 0..self.peers {
+                net.join_peer(self.vs_per_peer, &mut rng);
+                if (i + 1).is_multiple_of(65_536) {
+                    progress.event(&format!("prepare: joined {}/{} peers", i + 1, self.peers));
+                }
             }
-        }
+            net
+        };
 
         // Attach peers to distinct random stub nodes (peers are end hosts);
         // only fall back to sharing when there are more peers than stubs.
-        let (oracle, landmarks) = if let Some(ref topo) = topo {
+        let sub = proxbal_profile::phase("prepare/attach");
+        let (oracle, latency_oracle, landmarks) = if let Some(ref topo) = topo {
             let mut stubs = topo.stub_nodes();
             assert!(!stubs.is_empty());
             stubs.shuffle(&mut rng);
@@ -217,7 +205,7 @@ impl Scenario {
                 net.attach(p, stubs[i % stubs.len()]);
             }
             let landmarks = select_landmarks(topo, self.landmarks, &mut rng);
-            let cap = oracle_capacity;
+            let cap = self.oracle_capacity;
             let oracle = DistanceOracle::for_topology(topo, cap);
             let latency_oracle =
                 DistanceOracle::with_capacity(Arc::new(topo.latency_graph.clone()), cap);
@@ -236,24 +224,30 @@ impl Scenario {
                 "prepare: peers attached, {} landmark rows precomputed",
                 landmarks.len()
             ));
-            (Some((oracle, latency_oracle)), landmarks)
+            (Some(oracle), Some(latency_oracle), landmarks)
         } else {
-            (None, Vec::new())
+            (None, None, Vec::new())
         };
+        drop(sub);
 
+        let sub = proxbal_profile::phase("prepare/loads");
         let loads = LoadState::generate(&net, &self.capacity, &self.load, &mut rng);
         progress.event("prepare: load state generated");
+        drop(sub);
 
-        let (oracle, latency_oracle) = match oracle {
-            Some((a, b)) => (Some(a), Some(b)),
-            None => (None, None),
-        };
         // Hop-metric landmark vectors back the approximate transfer
         // distances; built after everything else so the exact path's RNG
         // consumption (and therefore every historical output) is untouched.
+        let _sub = proxbal_profile::phase("prepare/landmarks");
         let hop_landmarks = match (self.distance_mode, oracle.as_ref()) {
             (DistanceMode::Approximate, Some(oracle)) if !landmarks.is_empty() => {
-                Some(LandmarkOracle::build(oracle, &landmarks, threads))
+                let vectors = if self.shards > 0 {
+                    crate::shard::build_landmarks_sharded(oracle, &landmarks, self.shards, threads)
+                } else {
+                    LandmarkOracle::build(oracle, &landmarks, threads)
+                };
+                progress.event("prepare: hop-metric landmark vectors built");
+                Some(vectors)
             }
             _ => None,
         };

@@ -1,24 +1,26 @@
-//! Sharded scenario preparation for the million-peer runs.
+//! The sharded parts of scenario preparation for the million-peer runs.
 //!
-//! The serial [`Scenario::prepare`](crate::Scenario::prepare) path walks one
-//! RNG through topology generation, a million `join_peer` calls, landmark
-//! selection and load generation — tens of seconds of single-threaded setup
-//! at xl2 scale. This module partitions the expensive parts across
-//! `scenario.shards` independent workers:
+//! [`Scenario::prepare`](crate::Scenario::prepare) walks one master RNG
+//! through topology generation, the joins, landmark selection and load
+//! generation. With `scenario.shards > 0` the parts that can be cut loose
+//! from that walk are, here:
 //!
 //! - **Ring positions** — each shard owns a contiguous peer range and draws
 //!   its virtual-server positions from a shard-indexed RNG
 //!   ([`crate::parallel::map_indexed`], so slot order never depends on the
-//!   thread count). The draws are replayed serially in peer order through
-//!   [`ChordNetwork::join_peer_at`]; the rare position collision falls back
-//!   to the master RNG, exactly like the serial path resamples.
+//!   thread count). The concatenated draws join in one
+//!   [`ChordNetwork::join_peers_at`], which is by contract the peer-by-peer
+//!   replay. Two draws landing on one position is routine at this scale —
+//!   5.2 M of 2³² identifiers collide about 3,100 times (3,144 at seed 1) —
+//!   and each resamples from the *master* RNG, the one that afterwards
+//!   shuffles the stubs, picks the landmarks and samples every load: a
+//!   single resample drawn out of join order changes every simulated number
+//!   downstream.
 //! - **Landmark vectors** — per-shard node ranges of the hop-metric
 //!   landmark matrix are transposed in parallel and concatenated in shard
 //!   order ([`LandmarkOracle::from_parts`]).
-//! - **KT subtrees** — [`build_tree_sharded`] grows the top of the tree
-//!   serially ([`KTree::build_prefix`]), expands the frontier regions as
-//!   independent fragments in bounded batches, and grafts them back in
-//!   frontier order, so arena numbering is a pure function of the inputs.
+//! - **The KT tree** — [`build_tree_sharded`] numbers the arena top levels
+//!   first, then one subtree after another ([`KTree::build_split`]).
 //!
 //! Everything that is inherently sequential — stub attachment order,
 //! landmark selection, per-VS load sampling (ring-order dependent) — stays
@@ -26,164 +28,58 @@
 //! `(scenario, shards)` and byte-identical at any `--threads`.
 
 use crate::parallel;
-use crate::scenario::{DistanceMode, Prepared, Scenario, TopologyKind};
+use crate::scenario::Scenario;
 use proxbal_chord::ChordNetwork;
-use proxbal_core::LoadState;
 use proxbal_id::Id;
 use proxbal_ktree::KTree;
-use proxbal_topology::{
-    select_landmarks, DistanceOracle, LandmarkOracle, NodeId, TransitStubConfig,
-    TransitStubTopology,
-};
+use proxbal_topology::{DistanceOracle, LandmarkOracle, NodeId};
 use rand::rngs::StdRng;
-use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
-use std::sync::Arc;
 
 /// RNG stream for preparation shard `s`: the same seed/label mixer as
-/// [`Prepared::derived_rng`], with a label namespace reserved for shards.
+/// [`Prepared::derived_rng`](crate::Prepared::derived_rng), with a label
+/// namespace reserved for shards.
 fn shard_rng(seed: u64, s: usize) -> StdRng {
     StdRng::seed_from_u64(seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ (0xA11C << 32 | s as u64))
 }
 
-/// Sharded counterpart of the serial preparation path; dispatched to by
-/// [`Scenario::prepare`](crate::Scenario::prepare) whenever
-/// `scenario.shards > 0`.
-pub fn prepare_sharded(scenario: &Scenario, threads: usize) -> Prepared {
-    prepare_sharded_run(scenario, threads, &proxbal_profile::NullSink)
-}
-
-/// [`prepare_sharded`] with per-phase heartbeat lines on `progress`
-/// (topology, position batches, join replay, attach/landmarks, loads,
-/// landmark vectors). Heartbeats never change the prepared result.
-pub fn prepare_sharded_run(
+/// The overlay of a sharded scenario (`shards > 0`, and virtual servers to
+/// place): positions drawn per shard, joined in peer order; `rng` is the
+/// master RNG, which only collisions consume.
+pub(crate) fn join_sharded(
     scenario: &Scenario,
     threads: usize,
+    rng: &mut StdRng,
     progress: &dyn proxbal_profile::ProgressSink,
-) -> Prepared {
-    let shards = scenario.shards.max(1);
-    let mut rng = StdRng::seed_from_u64(scenario.seed);
+) -> ChordNetwork {
+    let (peers, vs_per_peer, shards) = (scenario.peers, scenario.vs_per_peer, scenario.shards);
 
-    let topo = match scenario.topology {
-        TopologyKind::Ts5kLarge => Some(TransitStubTopology::generate(
-            TransitStubConfig::ts5k_large(),
-            &mut rng,
-        )),
-        TopologyKind::Ts5kSmall => Some(TransitStubTopology::generate(
-            TransitStubConfig::ts5k_small(),
-            &mut rng,
-        )),
-        TopologyKind::Ts50k => Some(TransitStubTopology::generate(
-            TransitStubConfig::ts50k(),
-            &mut rng,
-        )),
-        TopologyKind::Tiny => Some(TransitStubTopology::generate(
-            TransitStubConfig::tiny(),
-            &mut rng,
-        )),
-        TopologyKind::None => None,
-    };
-    if let Some(ref topo) = topo {
-        progress.event(&format!(
-            "prepare: topology generated ({} nodes)",
-            topo.graph.node_count()
-        ));
-    }
-
-    // Per-shard position batches: shard `s` owns the contiguous peer range
-    // [s·chunk, min((s+1)·chunk, peers)) and draws every position of every
-    // peer in that range from its own stream. Pure function of the index.
-    let peers = scenario.peers;
-    let vs_per_peer = scenario.vs_per_peer;
+    // Shard `s` owns the contiguous peer range [s·chunk, min((s+1)·chunk,
+    // peers)) and draws every position of every peer in that range from
+    // its own stream. Pure function of the index.
+    let sub = proxbal_profile::phase("prepare/positions");
     let chunk = peers.div_ceil(shards);
     let seed = scenario.seed;
-    let batches: Vec<Vec<Id>> = parallel::map_indexed(shards, threads, |s| {
-        let start = s * chunk;
-        let end = peers.min(start + chunk);
+    let positions: Vec<Id> = parallel::map_indexed(shards, threads, |s| {
+        let owned = peers.min((s + 1) * chunk).saturating_sub(s * chunk);
         let mut shard_rng = shard_rng(seed, s);
-        let mut out = Vec::with_capacity((end - start).saturating_mul(vs_per_peer));
-        for _ in start..end {
-            for _ in 0..vs_per_peer {
-                out.push(Id::new(shard_rng.gen()));
-            }
-        }
-        out
-    });
-
+        (0..owned * vs_per_peer)
+            .map(|_| Id::new(shard_rng.gen()))
+            .collect::<Vec<_>>()
+    })
+    .concat();
     progress.event(&format!(
         "prepare: {shards} position batches drawn for {peers} peers"
     ));
+    drop(sub);
 
-    // Serial replay in peer order: the ring insert order (and therefore
-    // every VsId/PeerId) is fixed by the batches alone. Collisions resample
-    // from the master RNG — serial, hence deterministic.
+    // The join order (and therefore every VsId/PeerId) is fixed by the
+    // batches alone; collisions resample from the master RNG in that order.
+    let _sub = proxbal_profile::phase("prepare/ring");
     let mut net = ChordNetwork::new();
-    let mut joined = 0usize;
-    for batch in &batches {
-        for positions in batch.chunks(vs_per_peer.max(1)) {
-            net.join_peer_at(positions, &mut rng);
-            joined += 1;
-            if joined.is_multiple_of(262_144) {
-                progress.event(&format!("prepare: joined {joined}/{peers} peers"));
-            }
-        }
-    }
-    drop(batches);
-
-    let (oracle, landmarks) = if let Some(ref topo) = topo {
-        let mut stubs = topo.stub_nodes();
-        assert!(!stubs.is_empty());
-        stubs.shuffle(&mut rng);
-        for (i, p) in net.alive_peers().into_iter().enumerate() {
-            net.attach(p, stubs[i % stubs.len()]);
-        }
-        let landmarks = select_landmarks(topo, scenario.landmarks, &mut rng);
-        let cap = scenario.oracle_capacity;
-        let oracle = DistanceOracle::for_topology(topo, cap);
-        let latency_oracle =
-            DistanceOracle::with_capacity(Arc::new(topo.latency_graph.clone()), cap);
-        latency_oracle.precompute(&landmarks, threads);
-        if cap > 0 {
-            for &l in &landmarks {
-                latency_oracle.pin(l);
-            }
-        }
-        progress.event(&format!(
-            "prepare: peers attached, {} landmark rows precomputed",
-            landmarks.len()
-        ));
-        (Some((oracle, latency_oracle)), landmarks)
-    } else {
-        (None, Vec::new())
-    };
-
-    let loads = LoadState::generate(&net, &scenario.capacity, &scenario.load, &mut rng);
-    progress.event("prepare: load state generated");
-
-    let (oracle, latency_oracle) = match oracle {
-        Some((a, b)) => (Some(a), Some(b)),
-        None => (None, None),
-    };
-    let hop_landmarks = match (scenario.distance_mode, oracle.as_ref()) {
-        (DistanceMode::Approximate, Some(oracle)) if !landmarks.is_empty() => {
-            let lm = build_landmarks_sharded(oracle, &landmarks, shards, threads);
-            progress.event("prepare: hop-metric landmark vectors built");
-            Some(lm)
-        }
-        _ => None,
-    };
-    Prepared {
-        scenario: scenario.clone(),
-        net,
-        loads,
-        topo,
-        oracle,
-        latency_oracle,
-        landmarks,
-        hop_landmarks,
-        rng,
-        threads,
-    }
+    net.join_peers_at(&positions, vs_per_peer, rng);
+    progress.event(&format!("prepare: joined {peers}/{peers} peers"));
+    net
 }
 
 /// Builds the hop-metric [`LandmarkOracle`] by transposing per-shard node
@@ -220,32 +116,20 @@ pub fn build_landmarks_sharded(
     LandmarkOracle::from_parts(landmarks.to_vec(), nodes, vectors)
 }
 
-/// Builds the K-nary tree by growing the top `split_depth` levels serially
-/// ([`KTree::build_prefix`]) and expanding each frontier region as an
-/// independent fragment, grafted back in frontier order.
+/// The K-nary tree of a sharded run: [`KTree::build_split`], whose arena
+/// numbering — a pure function of `(net, k, split_depth)` — is the one the
+/// million-peer results were recorded with. The tree is node-for-node the
+/// tree [`KTree::build`] grows; only slot numbering differs.
 ///
-/// Fragments are built in bounded batches (a few per worker) so the
-/// transient footprint is a handful of fragments, not the whole frontier at
-/// once. Arena numbering is a pure function of `(net, k, split_depth)` —
-/// never of `threads` — and the composed tree is node-for-node the tree
-/// [`KTree::build`] grows (only slot numbering differs).
-pub fn build_tree_sharded(net: &ChordNetwork, k: usize, split_depth: u32, threads: usize) -> KTree {
-    let (mut tree, frontier) = KTree::build_prefix(net, k, split_depth);
-    let work: Vec<_> = frontier
-        .into_iter()
-        .map(|id| {
-            let node = tree.node(id);
-            (id, node.region, node.depth)
-        })
-        .collect();
-    let batch = (threads.max(1) * 2).max(4);
-    for chunk in work.chunks(batch) {
-        let fragments = parallel::map_items(chunk, threads, |_, &(_, region, depth)| {
-            KTree::build_fragment(net, k, region, depth)
-        });
-        for (&(id, _, _), fragment) in chunk.iter().zip(fragments) {
-            tree.graft(id, fragment);
-        }
-    }
-    tree
+/// `threads` is unused: the tree is grown in place from one sorted snapshot
+/// of the ring, which on one thread is faster than growing per-shard
+/// fragments on several and copying them together was. The parameter stays
+/// because `pbench` passes it.
+pub fn build_tree_sharded(
+    net: &ChordNetwork,
+    k: usize,
+    split_depth: u32,
+    _threads: usize,
+) -> KTree {
+    KTree::build_split(net, k, split_depth)
 }

@@ -4,10 +4,17 @@
 //! count only bounds parallelism. The full-scale guarantee (`repro xl2`
 //! byte-identical at any `--threads`) is exactly this property at 1M peers.
 
+use proxbal_chord::ChordNetwork;
+use proxbal_core::LoadState;
+use proxbal_id::Id;
 use proxbal_sim::experiments::{xl2_scale_with, Xl2ScaleOutput, XL2_SPLIT_DEPTH};
 use proxbal_sim::shard::build_tree_sharded;
 use proxbal_sim::{DistanceMode, Scenario, TopologyKind};
+use proxbal_topology::{select_landmarks, TransitStubConfig, TransitStubTopology};
 use proxbal_trace::Trace;
+use rand::rngs::StdRng;
+use rand::seq::SliceRandom;
+use rand::{Rng, SeedableRng};
 
 /// The xl2 preset scaled down ~1000×: same sharded machinery (8 shards,
 /// approximate distances, bounded caches), test-sized everything else.
@@ -77,6 +84,84 @@ fn sharded_prepare_is_thread_count_invariant() {
     assert_eq!(la.nodes(), lb.nodes());
     for node in 0..la.nodes() as u32 {
         assert_eq!(la.vector(node), lb.vector(node));
+    }
+}
+
+/// What sharded preparation is defined to equal: the shard streams' draws
+/// joined peer by peer, every collision resampling from the master RNG on
+/// its way from the topology to the stubs, the landmarks and the loads.
+/// Also returns how many draws collided.
+fn replayed_prepare(scenario: &Scenario) -> (ChordNetwork, LoadState, StdRng, usize) {
+    assert_eq!(scenario.topology, TopologyKind::Tiny);
+    let mut rng = StdRng::seed_from_u64(scenario.seed);
+    let topo = TransitStubTopology::generate(TransitStubConfig::tiny(), &mut rng);
+    let mut net = ChordNetwork::new();
+    let mut collisions = 0;
+    let chunk = scenario.peers.div_ceil(scenario.shards);
+    for s in 0..scenario.shards {
+        let label = 0xA11C << 32 | s as u64;
+        let mut shard_rng =
+            StdRng::seed_from_u64(scenario.seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ label);
+        for _ in s * chunk..scenario.peers.min((s + 1) * chunk) {
+            let positions: Vec<Id> = (0..scenario.vs_per_peer)
+                .map(|_| Id::new(shard_rng.gen()))
+                .collect();
+            collisions += positions
+                .iter()
+                .filter(|&&pos| net.ring().at(pos).is_some())
+                .count();
+            net.join_peer_at(&positions, &mut rng);
+        }
+    }
+    let mut stubs = topo.stub_nodes();
+    stubs.shuffle(&mut rng);
+    for (i, p) in net.alive_peers().into_iter().enumerate() {
+        net.attach(p, stubs[i % stubs.len()]);
+    }
+    select_landmarks(&topo, scenario.landmarks, &mut rng);
+    let loads = LoadState::generate(&net, &scenario.capacity, &scenario.load, &mut rng);
+    (net, loads, rng, collisions)
+}
+
+#[test]
+fn sharded_prepare_equals_the_peer_by_peer_replay() {
+    // 327,680 positions: a dozen of them collide, so the master RNG is
+    // consumed in the middle of the join.
+    let mut scenario = tiny_xl2(13);
+    scenario.peers = 16_384;
+    scenario.vs_per_peer = 20;
+    let (net, loads, mut rng, collisions) = replayed_prepare(&scenario);
+    assert!(collisions > 0, "the replay never touched the master RNG");
+    let next = rng.gen::<u64>();
+    for threads in [1, 2, 8] {
+        let mut prepared = scenario.prepare_threads(threads);
+        assert!(
+            prepared.net.ring().iter().eq(net.ring().iter()),
+            "{threads} threads"
+        );
+        assert_eq!(prepared.net.ring().stamp(), net.ring().stamp());
+        assert_eq!(prepared.net.alive_peers(), net.alive_peers());
+        for p in net.alive_peers() {
+            assert_eq!(prepared.net.vss_of(p), net.vss_of(p));
+            assert_eq!(prepared.net.peer(p).underlay, net.peer(p).underlay);
+        }
+        prepared.net.check_invariants().unwrap();
+        assert_eq!(prepared.loads.totals(&prepared.net), loads.totals(&net));
+        assert_eq!(prepared.rng.gen::<u64>(), next, "{threads} threads");
+    }
+}
+
+#[test]
+fn peers_without_virtual_servers_join_on_both_paths() {
+    for shards in [0, 4] {
+        let mut scenario = tiny_xl2(15);
+        scenario.peers = 48;
+        scenario.vs_per_peer = 0;
+        scenario.shards = shards;
+        let prepared = scenario.prepare_threads(2);
+        assert_eq!(prepared.net.alive_peers().len(), 48, "{shards} shards");
+        assert!(prepared.net.ring().is_empty());
+        prepared.net.check_invariants().unwrap();
     }
 }
 
