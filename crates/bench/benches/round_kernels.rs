@@ -9,7 +9,7 @@
 
 use criterion::{criterion_group, criterion_main, BatchSize, BenchmarkId, Criterion};
 use proxbal_chord::ChordNetwork;
-use proxbal_core::reports::{light_slots_with, shed_candidates_with};
+use proxbal_core::reports::{light_slots, shed_candidates};
 use proxbal_core::{
     BalancerConfig, Classification, ClassifyParams, Lbi, LoadBalancer, ProximityMode,
     ProximityParams, RoundWalls, Underlay,
@@ -38,7 +38,7 @@ fn bench_round_kernels(c: &mut Criterion) {
     for threads in THREAD_COUNTS {
         group.bench_function(format!("classify_t{threads}"), |b| {
             b.iter(|| {
-                std::hint::black_box(Classification::compute_with(
+                std::hint::black_box(Classification::compute(
                     &prepared.net,
                     &prepared.loads,
                     &params,
@@ -50,18 +50,18 @@ fn bench_round_kernels(c: &mut Criterion) {
     }
 
     let classification =
-        Classification::compute_with(&prepared.net, &prepared.loads, &params, system, 1);
+        Classification::compute(&prepared.net, &prepared.loads, &params, system, 1);
     for threads in THREAD_COUNTS {
         group.bench_function(format!("shed_and_light_t{threads}"), |b| {
             b.iter(|| {
-                let shed = shed_candidates_with(
+                let shed = shed_candidates(
                     &prepared.net,
                     &prepared.loads,
                     &params,
                     &classification,
                     threads,
                 );
-                let light = light_slots_with(
+                let light = light_slots(
                     &prepared.net,
                     &prepared.loads,
                     &params,

@@ -3,7 +3,7 @@
 //! pairing.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use proxbal_chord::{ChordNetwork, PrefixRouting, RoutingState};
+use proxbal_chord::{ChordNetwork, RoutingState};
 use proxbal_hilbert::HilbertCurve;
 use proxbal_id::Id;
 use proxbal_topology::{TransitStubConfig, TransitStubTopology};
@@ -38,19 +38,6 @@ fn bench_chord(c: &mut Criterion) {
     });
     group.bench_function("routing_build_2560_vss", |b| {
         b.iter(|| std::hint::black_box(RoutingState::build(&net)));
-    });
-    let prefix = PrefixRouting::build(&net);
-    group.bench_function("prefix_lookup", |b| {
-        let mut i = 0usize;
-        b.iter(|| {
-            i += 1;
-            let from = sources[i % sources.len()];
-            let key = Id::new((i as u32).wrapping_mul(0x9E3779B9));
-            std::hint::black_box(prefix.lookup(&net, from, key))
-        });
-    });
-    group.bench_function("prefix_build_2560_vss", |b| {
-        b.iter(|| std::hint::black_box(PrefixRouting::build(&net)));
     });
     group.finish();
 }

@@ -7,6 +7,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use proxbal_core::{ClassifyParams, Lbi};
 use proxbal_ktree::KTree;
 use proxbal_sim::{Scenario, TopologyKind};
+use proxbal_trace::Trace;
 use std::collections::HashMap;
 
 fn bench_phases(c: &mut Criterion) {
@@ -39,15 +40,22 @@ fn bench_phases(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::new("vsa_sweep", k), &k, |b, _| {
             let params = ClassifyParams::default();
             let system = loads.totals(net);
-            let classification = proxbal_core::Classification::compute(net, loads, &params, system);
-            let shed = proxbal_core::reports::shed_candidates(net, loads, &params, &classification);
-            let light = proxbal_core::reports::light_slots(net, loads, &params, &classification);
+            let classification =
+                proxbal_core::Classification::compute(net, loads, &params, system, 1);
+            let shed =
+                proxbal_core::reports::shed_candidates(net, loads, &params, &classification, 1);
+            let light = proxbal_core::reports::light_slots(net, loads, &params, &classification, 1);
             b.iter(|| {
                 let mut rng = prepared.derived_rng(99);
                 let inputs =
                     proxbal_core::reports::ignorant_inputs(net, &tree, &shed, &light, &mut rng);
                 let vsa_params = proxbal_core::VsaParams::paper(system.min_vs_load);
-                std::hint::black_box(proxbal_core::run_vsa(&tree, inputs, &vsa_params))
+                std::hint::black_box(proxbal_core::run_vsa(
+                    &tree,
+                    inputs,
+                    &vsa_params,
+                    &mut Trace::disabled(),
+                ))
             });
         });
     }

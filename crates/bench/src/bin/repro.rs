@@ -45,7 +45,7 @@
 //! repro xl2 ... --exact   # same pipeline, exact distances (sensitivity)
 //! repro ... --seed 42      # change the master seed
 //! repro ... --threads 4    # worker threads for the sweep engine
-//! repro ... --timing       # per-phase wall-clock -> BENCH_repro.json
+//! repro ... --timing       # phases one at a time, wall table; -> BENCH_repro.json
 //! repro --faults 0.1       # fault-injection sweep at loss rates {0,1%,5%,10%}
 //! repro ... --trace t.json # chrome://tracing trace + t.ndjson event log
 //! repro engine --epochs 50 # epoch count of the continuous-operation run
@@ -178,17 +178,21 @@ const ALL_CLAIMS: [&str; 7] = [
 /// `repro faults 0.1`, `repro xl`, `repro engine`, `repro all`) to `args`,
 /// consuming the verb's positional operands. Returns the remaining argv —
 /// shared flags — for the common flag loop.
-fn apply_subcommand<'a>(cmd: &str, operands: &'a [String], args: &mut Args) -> &'a [String] {
+fn apply_subcommand<'a>(
+    cmd: &str,
+    operands: &'a [String],
+    args: &mut Args,
+) -> Result<&'a [String], String> {
     let split = operands
         .iter()
         .position(|a| a.starts_with("--"))
         .unwrap_or(operands.len());
     let (pos, rest) = operands.split_at(split);
-    let no_operands = |cmd: &str| {
-        if !pos.is_empty() {
-            eprintln!("repro {cmd} takes no positional operands (got {pos:?})");
-            std::process::exit(2);
-        }
+    let no_operands = || match pos {
+        [] => Ok(()),
+        _ => Err(format!(
+            "repro {cmd} takes no positional operands (got {pos:?})"
+        )),
     };
     match cmd {
         "figs" => {
@@ -196,8 +200,8 @@ fn apply_subcommand<'a>(cmd: &str, operands: &'a [String], args: &mut Args) -> &
                 vec![4, 5, 6, 7, 8]
             } else {
                 pos.iter()
-                    .map(|v| v.parse().expect("figure number"))
-                    .collect()
+                    .map(|v| parse_value("figs", v, "a figure number"))
+                    .collect::<Result<_, _>>()?
             };
         }
         "claims" => {
@@ -208,46 +212,67 @@ fn apply_subcommand<'a>(cmd: &str, operands: &'a [String], args: &mut Args) -> &
             };
         }
         "faults" => {
-            if pos.len() > 1 {
-                eprintln!("repro faults takes at most one loss rate");
-                std::process::exit(2);
-            }
-            args.faults = Some(pos.first().map_or(0.1, |v| v.parse().expect("loss rate")));
+            args.faults = Some(match pos {
+                [] => 0.1,
+                [rate] => parse_value("faults", rate, "a loss rate")?,
+                _ => return Err("repro faults takes at most one loss rate".into()),
+            });
         }
         "xl" => {
-            no_operands("xl");
+            no_operands()?;
             args.scale = Scale::Xl;
         }
         "xl2" => {
-            no_operands("xl2");
+            no_operands()?;
             args.scale = Scale::Xl2;
         }
         "engine" => {
-            no_operands("engine");
+            no_operands()?;
             args.engine = true;
         }
         "analyze" => {
             if pos.is_empty() {
-                eprintln!("repro analyze needs at least one artifact path (report JSON and/or trace .ndjson)");
-                std::process::exit(2);
+                return Err("repro analyze needs at least one artifact path (report JSON and/or trace .ndjson)".into());
             }
             args.analyze = true;
             args.inputs = pos.to_vec();
         }
         "all" => {
-            no_operands("all");
+            no_operands()?;
             args.figs = vec![4, 5, 6, 7, 8];
             args.claims = ALL_CLAIMS.iter().map(|s| s.to_string()).collect();
         }
         other => {
-            eprintln!("unknown subcommand {other} (expected figs|claims|faults|xl|xl2|engine|analyze|all)");
-            std::process::exit(2);
+            return Err(format!(
+                "unknown subcommand {other} (expected figs|claims|faults|xl|xl2|engine|analyze|all)"
+            ));
         }
     }
-    rest
+    Ok(rest)
 }
 
-fn parse_args() -> Args {
+/// Parses `v`, the value given for `flag`; `what` names the expected kind
+/// ("a count") in the error.
+fn parse_value<T: std::str::FromStr>(flag: &str, v: &str, what: &str) -> Result<T, String> {
+    v.parse()
+        .map_err(|_| format!("{flag}: {v:?} is not {what}"))
+}
+
+/// The value following `flag` on the command line, parsed.
+fn next_value<T: std::str::FromStr>(
+    it: &mut impl Iterator<Item = String>,
+    flag: &str,
+    what: &str,
+) -> Result<T, String> {
+    let v = it.next().ok_or_else(|| format!("{flag} needs {what}"))?;
+    parse_value(flag, &v, what)
+}
+
+/// Parses the command line (without the program name). Every malformed or
+/// contradictory invocation is an `Err` carrying the one line `main`
+/// prints before exiting 2 — nothing here panics, nothing is silently
+/// accepted.
+fn parse_args(argv: &[String]) -> Result<Args, String> {
     let mut args = Args {
         figs: Vec::new(),
         claims: Vec::new(),
@@ -270,80 +295,51 @@ fn parse_args() -> Args {
         progress: false,
         quiet: false,
     };
-    let argv: Vec<String> = std::env::args().skip(1).collect();
     let flags: &[String] = match argv.first() {
-        Some(first) if !first.starts_with("--") => apply_subcommand(first, &argv[1..], &mut args),
-        _ => &argv,
+        Some(first) if !first.starts_with("--") => apply_subcommand(first, &argv[1..], &mut args)?,
+        _ => argv,
     };
     let mut it = flags.iter().cloned();
     while let Some(a) = it.next() {
-        match a.as_str() {
-            "--fig" => {
-                let v = it.next().expect("--fig needs a number");
-                args.figs.push(v.parse().expect("figure number"));
-            }
-            "--claim" => args.claims.push(it.next().expect("--claim needs a name")),
+        let flag = a.as_str();
+        match flag {
+            "--fig" => args
+                .figs
+                .push(next_value(&mut it, flag, "a figure number")?),
+            "--claim" => args.claims.push(next_value(&mut it, flag, "a name")?),
             "--scale" => {
-                args.scale = match it.next().expect("--scale needs full|small|xl|xl2").as_str() {
+                let v: String = next_value(&mut it, flag, "full|small|xl|xl2")?;
+                args.scale = match v.as_str() {
+                    "full" => Scale::Full,
                     "small" => Scale::Small,
                     "xl" => Scale::Xl,
                     "xl2" => Scale::Xl2,
-                    _ => Scale::Full,
+                    _ => return Err(format!("--scale: {v:?} is not full|small|xl|xl2")),
                 }
             }
-            "--seed" => args.seed = it.next().expect("--seed needs a value").parse().unwrap(),
-            "--json" => args.json = Some(it.next().expect("--json needs a path")),
-            "--threads" => {
-                args.threads = it
-                    .next()
-                    .expect("--threads needs a count")
-                    .parse()
-                    .expect("thread count");
-            }
+            "--seed" => args.seed = next_value(&mut it, flag, "a seed")?,
+            "--json" => args.json = Some(next_value(&mut it, flag, "a path")?),
+            "--threads" => args.threads = next_value(&mut it, flag, "a count")?,
             "--timing" => args.timing = true,
-            "--trace" => args.trace = Some(it.next().expect("--trace needs a path")),
-            "--faults" => {
-                args.faults = Some(
-                    it.next()
-                        .expect("--faults needs a loss rate")
-                        .parse()
-                        .expect("loss rate"),
-                );
-            }
-            "--epochs" => {
-                args.epochs = Some(
-                    it.next()
-                        .expect("--epochs needs a count")
-                        .parse()
-                        .expect("epoch count"),
-                );
-            }
-            "--peers" => {
-                args.peers = Some(
-                    it.next()
-                        .expect("--peers needs a count")
-                        .parse()
-                        .expect("peer count"),
-                );
-            }
+            "--trace" => args.trace = Some(next_value(&mut it, flag, "a path")?),
+            "--faults" => args.faults = Some(next_value(&mut it, flag, "a loss rate")?),
+            "--epochs" => args.epochs = Some(next_value(&mut it, flag, "a count")?),
+            "--peers" => args.peers = Some(next_value(&mut it, flag, "a count")?),
             "--exact" => args.exact = true,
-            "--gates" => args.gates = Some(it.next().expect("--gates needs a dir or file")),
-            "--out" => args.out = Some(it.next().expect("--out needs a path")),
-            "--profile" => args.profile = Some(it.next().expect("--profile needs a directory")),
+            "--gates" => args.gates = Some(next_value(&mut it, flag, "a dir or file")?),
+            "--out" => args.out = Some(next_value(&mut it, flag, "a path")?),
+            "--profile" => args.profile = Some(next_value(&mut it, flag, "a directory")?),
             "--progress" => args.progress = true,
             "--quiet" => args.quiet = true,
             "--all" => {
                 args.figs = vec![4, 5, 6, 7, 8];
                 args.claims = ALL_CLAIMS.iter().map(|s| s.to_string()).collect();
             }
-            other => {
-                eprintln!("unknown argument {other}");
-                std::process::exit(2);
-            }
+            other => return Err(format!("unknown argument {other}")),
         }
     }
-    if args.scale != Scale::Xl
-        && args.scale != Scale::Xl2
+    let xl = args.scale == Scale::Xl || args.scale == Scale::Xl2;
+    if !xl
         && !args.engine
         && !args.analyze
         && args.faults.is_none()
@@ -353,7 +349,49 @@ fn parse_args() -> Args {
         args.figs = vec![4, 5, 6, 7, 8];
         args.claims = ALL_CLAIMS.iter().map(|s| s.to_string()).collect();
     }
-    args
+
+    // What was selected must exist, and must be something the selected
+    // phase runs.
+    if let Some(fig) = args.figs.iter().find(|f| !(4..=8).contains(*f)) {
+        return Err(format!("no figure {fig} in the paper's evaluation"));
+    }
+    if let Some(claim) = args
+        .claims
+        .iter()
+        .find(|c| !ALL_CLAIMS.contains(&c.as_str()))
+    {
+        return Err(format!(
+            "unknown claim {claim} (expected one of: {})",
+            ALL_CLAIMS.join(", ")
+        ));
+    }
+    if let Some(rate) = args.faults.filter(|r| !(0.0..1.0).contains(r)) {
+        return Err(format!("--faults rate must be in [0, 1) (got {rate})"));
+    }
+    let grid = !args.figs.is_empty() || !args.claims.is_empty();
+    if args.engine && grid {
+        return Err("repro engine runs its own phase (figures/claims not supported)".into());
+    }
+    if args.engine && xl {
+        return Err("repro engine runs at full or small scale".into());
+    }
+    if args.scale == Scale::Xl2 && grid {
+        return Err("repro xl2 runs its own phase (figures/claims not supported)".into());
+    }
+    if args.scale == Scale::Xl {
+        if let Some(fig) = args.figs.iter().find(|&&f| f != 7) {
+            return Err(format!(
+                "--scale xl runs the fig-7-shaped sweep only (got --fig {fig})"
+            ));
+        }
+        if !args.claims.is_empty() {
+            return Err("--scale xl does not run the claim grid".into());
+        }
+    }
+    if args.analyze && args.gates.is_none() && args.out.is_some() {
+        return Err("--out only applies with --gates (the summary goes to stdout)".into());
+    }
+    Ok(args)
 }
 
 fn scenario(args: &Args, topology: TopologyKind) -> Scenario {
@@ -393,7 +431,7 @@ fn run_phase(phase: &Phase, args: &Args, trace: &mut Trace) -> (String, serde_js
         Phase::Fig(6) => fig56(args, true, trace),
         Phase::Fig(7) => fig78(args, TopologyKind::Ts5kLarge, 7, trace),
         Phase::Fig(8) => fig78(args, TopologyKind::Ts5kSmall, 8, trace),
-        Phase::Fig(_) => unreachable!("validated in main"),
+        Phase::Fig(_) => unreachable!("validated by parse_args"),
         Phase::Claim(c) => match c.as_str() {
             "rounds" => claim_rounds(args, trace),
             "repair" => claim_repair(args, trace),
@@ -402,7 +440,7 @@ fn run_phase(phase: &Phase, args: &Args, trace: &mut Trace) -> (String, serde_js
             "drift" => claim_drift(args, trace),
             "latency" => claim_latency(args, trace),
             "overhead" => claim_overhead(args, trace),
-            _ => unreachable!("validated in main"),
+            _ => unreachable!("validated by parse_args"),
         },
     }
 }
@@ -429,9 +467,12 @@ fn peak_messages(v: &serde_json::Value) -> Option<u64> {
     }
 }
 
-/// Merges `key` → `entry` into BENCH_repro.json, preserving every other
-/// top-level key an earlier run recorded (the `--timing` doc and the `xl`
-/// entry are written by different invocations).
+/// Merges `key` → `entry` into BENCH_repro.json — the deterministic results
+/// record: simulated values only, no wall, thread count, RSS or allocation
+/// figure (those go to stdout and `--profile`'s `resources.txt`; speed is
+/// measured by `benchmark/`) — preserving every other top-level key an
+/// earlier run recorded (the `--timing` doc and the `xl` entry are written
+/// by different invocations).
 fn merge_bench_json(key: &str, entry: serde_json::Value) {
     let mut doc = std::fs::read_to_string("BENCH_repro.json")
         .ok()
@@ -463,24 +504,15 @@ fn merge_bench_json(key: &str, entry: serde_json::Value) {
 
 /// The xl-scale phase: all four balancer phases at 65,536 peers over a
 /// ts50k underlay (twice: aware + ignorant — the fig-7-shaped proximity
-/// sweep), with wall time and peak RSS appended to BENCH_repro.json.
+/// sweep), with its simulated headline numbers merged into
+/// BENCH_repro.json.
 fn run_xl(args: &Args, trace: &mut Trace, progress: &dyn ProgressSink) {
-    for fig in &args.figs {
-        assert!(
-            *fig == 7,
-            "--scale xl runs the fig-7-shaped sweep only (got --fig {fig})"
-        );
-    }
-    assert!(
-        args.claims.is_empty(),
-        "--scale xl does not run the claim grid"
-    );
     println!(
         "── xl scale: four-phase protocol at 65,536 peers on ts50k (seed {}) ──",
         args.seed
     );
     let total = Instant::now();
-    let out = proxbal_sim::experiments::xl_scale_run(args.seed, args.threads, trace, progress);
+    let out = proxbal_sim::experiments::xl_scale(args.seed, args.threads, trace, progress);
     let total_wall = total.elapsed().as_secs_f64();
     let peak_rss = proxbal_bench::peak_rss_bytes();
 
@@ -522,12 +554,6 @@ fn run_xl(args: &Args, trace: &mut Trace, progress: &dyn ProgressSink) {
         "underlay_nodes": out.underlay_nodes,
         "virtual_servers": out.virtual_servers,
         "oracle_capacity": out.oracle_capacity,
-        "threads": args.threads,
-        "total_wall_s": total_wall,
-        "prepare_wall_s": out.prepare_wall_s,
-        "aware_wall_s": out.aware.wall_s,
-        "ignorant_wall_s": out.ignorant.wall_s,
-        "peak_rss_bytes": peak_rss.unwrap_or(0),
         "lbi_messages": out.aware.lbi_messages,
         "vsa_record_hops": out.aware.vsa_record_hops,
         "aware_frac2": out.aware.frac2,
@@ -556,10 +582,6 @@ fn run_xl(args: &Args, trace: &mut Trace, progress: &dyn ProgressSink) {
 /// entry to BENCH_repro.json unless `--peers` rescaled the run (smoke runs
 /// must not clobber the committed full-scale entry).
 fn run_xl2(args: &Args, trace: &mut Trace, progress: &dyn ProgressSink) {
-    assert!(
-        args.figs.is_empty() && args.claims.is_empty(),
-        "repro xl2 runs its own phase (figures/claims not supported)"
-    );
     let mut scenario = Scenario::builder().xl2().seed(args.seed).build();
     if let Some(p) = args.peers {
         scenario.peers = p;
@@ -572,7 +594,7 @@ fn run_xl2(args: &Args, trace: &mut Trace, progress: &dyn ProgressSink) {
         scenario.peers, args.seed
     );
     let total = Instant::now();
-    let out = proxbal_sim::experiments::xl2_scale_run(scenario, args.threads, trace, progress);
+    let out = proxbal_sim::experiments::xl2_scale(scenario, args.threads, trace, progress);
     let total_wall = total.elapsed().as_secs_f64();
     let peak_rss = proxbal_bench::peak_rss_bytes();
 
@@ -621,11 +643,6 @@ fn run_xl2(args: &Args, trace: &mut Trace, progress: &dyn ProgressSink) {
     }
 
     if args.peers.is_none() && !args.exact {
-        // Allocation accounting is on from the top of `main`, so these
-        // cover the whole run. Schema-gated only: counts are deterministic
-        // per (workload, thread count) but not across thread counts, so
-        // bench_drift.sh lists them as volatile.
-        let alloc = AllocSnapshot::global();
         let entry = serde_json::json!({
             "seed": args.seed,
             "peers": out.peers,
@@ -634,19 +651,6 @@ fn run_xl2(args: &Args, trace: &mut Trace, progress: &dyn ProgressSink) {
             "oracle_capacity": out.oracle_capacity,
             "shards": out.shards,
             "refine_sources": out.refine_sources,
-            "threads": args.threads,
-            "total_wall_s": total_wall,
-            "prepare_wall_s": out.prepare_wall_s,
-            "tree_wall_s": out.tree_wall_s,
-            "aware_wall_s": run.wall_s,
-            "lbi_wall_s": run.lbi_wall_s,
-            "aggregate_wall_s": run.aggregate_wall_s,
-            "vsa_wall_s": run.vsa_wall_s,
-            "transfer_wall_s": run.transfer_wall_s,
-            "peak_rss_bytes": peak_rss.unwrap_or(0),
-            "alloc_count": alloc.allocs,
-            "alloc_bytes": alloc.bytes,
-            "peak_alloc_bytes": proxbal_profile::alloc::peak_live_bytes(),
             "lbi_messages": run.lbi_messages,
             "vsa_record_hops": run.vsa_record_hops,
             "aware_frac2": run.frac2,
@@ -676,16 +680,12 @@ fn run_xl2(args: &Args, trace: &mut Trace, progress: &dyn ProgressSink) {
 /// wall-clocks — so the entry is byte-stable across machines and thread
 /// counts and can be diffed by the CI bench-drift gate.
 fn run_faults(args: &Args, rate: f64, trace: &mut Trace, progress: &dyn ProgressSink) {
-    assert!(
-        (0.0..1.0).contains(&rate),
-        "--faults rate must be in [0, 1)"
-    );
     let mut rates = vec![0.0, 0.01, 0.05, rate];
     rates.sort_by(|a, b| a.partial_cmp(b).expect("finite rate"));
     rates.dedup();
     let s = scenario(args, TopologyKind::Ts5kLarge);
     let t = Instant::now();
-    let rows = proxbal_sim::experiments::fault_sweep_run(&s, &rates, args.threads, trace, progress);
+    let rows = proxbal_sim::experiments::fault_sweep(&s, &rates, args.threads, trace, progress);
     let wall = t.elapsed();
 
     println!(
@@ -735,18 +735,9 @@ fn run_faults(args: &Args, rate: f64, trace: &mut Trace, progress: &dyn Progress
 /// geometric load drift and 1% message loss playing against periodic +
 /// emergency balancing on one virtual clock (DESIGN.md §6). Prints the
 /// per-epoch time series and merges an `engine` entry into
-/// BENCH_repro.json; every merged field except the wall-clock and thread
-/// count is a pure function of the seed, so the entry is byte-stable
-/// across machines and `--threads` settings.
+/// BENCH_repro.json; every merged field is a pure function of the seed,
+/// so the entry is byte-stable across machines and `--threads` settings.
 fn run_engine_cmd(args: &Args, trace: &mut Trace, progress: &dyn ProgressSink) {
-    assert!(
-        args.figs.is_empty() && args.claims.is_empty(),
-        "repro engine runs its own phase (figures/claims not supported)"
-    );
-    assert!(
-        args.scale != Scale::Xl && args.scale != Scale::Xl2,
-        "repro engine runs at full or small scale"
-    );
     let cfg = proxbal_sim::EngineConfig {
         epochs: args.epochs.unwrap_or(50),
         ..proxbal_sim::EngineConfig::default()
@@ -830,8 +821,6 @@ fn run_engine_cmd(args: &Args, trace: &mut Trace, progress: &dyn ProgressSink) {
         "scale": args.scale.name(),
         "peers": scenario.peers,
         "epochs": cfg.epochs,
-        "threads": args.threads,
-        "total_wall_s": total_wall,
         "joins": report.joins,
         "crashes": report.crashes,
         "stale_links": report.stale_links,
@@ -944,10 +933,6 @@ fn run_analyze(args: &Args) {
         }
     }
     let Some(gate_path) = &args.gates else {
-        if args.out.is_some() {
-            eprintln!("--out only applies with --gates (the summary goes to stdout)");
-            std::process::exit(2);
-        }
         print!("{}", run.summarize());
         return;
     };
@@ -1008,15 +993,18 @@ fn run_analyze(args: &Args) {
 }
 
 fn main() {
-    let args = parse_args();
+    let argv: Vec<String> = std::env::args().skip(1).collect();
+    let args = parse_args(&argv).unwrap_or_else(|e| {
+        eprintln!("{e}");
+        std::process::exit(2);
+    });
     if args.analyze {
         run_analyze(&args);
         return;
     }
     // Allocation accounting is on for every run (it only feeds stderr
-    // heartbeats, volatile profile artifacts and schema-gated BENCH
-    // fields, so stdout stays byte-identical); the phase profiler only
-    // with --profile.
+    // heartbeats and volatile profile artifacts, so stdout stays
+    // byte-identical); the phase profiler only with --profile.
     proxbal_profile::enable_counting();
     if args.profile.is_some() {
         proxbal_profile::enable_profiler();
@@ -1067,26 +1055,9 @@ fn main() {
             return;
         }
     }
-    let mut phases: Vec<Phase> = Vec::new();
-    for &fig in &args.figs {
-        if (4..=8).contains(&fig) {
-            phases.push(Phase::Fig(fig));
-        } else {
-            eprintln!("no figure {fig} in the paper's evaluation");
-            std::process::exit(2);
-        }
-    }
-    for claim in &args.claims {
-        if ALL_CLAIMS.contains(&claim.as_str()) {
-            phases.push(Phase::Claim(claim.clone()));
-        } else {
-            eprintln!(
-                "unknown claim {claim} (expected one of: {})",
-                ALL_CLAIMS.join(", ")
-            );
-            std::process::exit(2);
-        }
-    }
+    let figs = args.figs.iter().map(|&fig| Phase::Fig(fig));
+    let claims = args.claims.iter().cloned().map(Phase::Claim);
+    let phases: Vec<Phase> = figs.chain(claims).collect();
 
     // Phases are independent — each prepares its own scenario from the
     // master seed — so they run through the same engine as the inner
@@ -1110,41 +1081,37 @@ fn main() {
     );
     let total_wall = total.elapsed();
 
+    // Per phase: what the BENCH entry records (deterministic — name, graph
+    // count, peak message count) and what only the `--timing` table shows
+    // (the wall).
     let mut results = serde_json::Map::new();
-    let mut timings = Vec::new();
+    let mut records = Vec::new();
+    let mut walls = Vec::new();
     for (phase, (text, value, wall)) in phases.iter().zip(ran) {
         print!("{text}");
         let key = phase.key();
         let mut entry = serde_json::Map::new();
         entry.insert("phase".into(), serde_json::json!(key.clone()));
-        entry.insert("wall_s".into(), serde_json::json!(wall.as_secs_f64()));
-        if let Some(graphs) = value.get("graphs").and_then(serde_json::Value::as_u64) {
+        let graphs = value.get("graphs").and_then(serde_json::Value::as_u64);
+        if let Some(graphs) = graphs {
             entry.insert("graphs".into(), serde_json::json!(graphs));
-            entry.insert(
-                "graphs_per_s".into(),
-                serde_json::json!(graphs as f64 / wall.as_secs_f64()),
-            );
         }
         if let Some(m) = peak_messages(&value) {
             entry.insert("peak_messages".into(), serde_json::json!(m));
         }
-        timings.push(serde_json::Value::Object(entry));
+        records.push(serde_json::Value::Object(entry));
+        walls.push((key.clone(), wall.as_secs_f64(), graphs));
         results.insert(key, value);
     }
 
     if args.timing {
         println!("── Timing (wall-clock per phase) ──");
-        for t in &timings {
-            let phase = t
-                .get("phase")
-                .and_then(serde_json::Value::as_str)
-                .unwrap_or("?");
-            let wall = t
-                .get("wall_s")
-                .and_then(serde_json::Value::as_f64)
-                .unwrap_or(0.0);
-            match t.get("graphs_per_s").and_then(serde_json::Value::as_f64) {
-                Some(gps) => println!("{phase:<18} {wall:>8.2}s  ({gps:.2} graphs/s)"),
+        for (phase, wall, graphs) in &walls {
+            match graphs {
+                Some(g) => println!(
+                    "{phase:<18} {wall:>8.2}s  ({:.2} graphs/s)",
+                    *g as f64 / wall
+                ),
                 None => println!("{phase:<18} {wall:>8.2}s"),
             }
         }
@@ -1153,9 +1120,7 @@ fn main() {
         // coexist in the committed document.
         let entry = serde_json::json!({
             "seed": args.seed,
-            "threads": args.threads,
-            "total_wall_s": total_wall.as_secs_f64(),
-            "phases": timings,
+            "phases": records,
         });
         merge_bench_json(args.scale.name(), entry);
     }

@@ -1,0 +1,42 @@
+//! `repro` argument errors (ROADMAP item 5, SNIPPETS.md §3 AC-3: malformed
+//! input fails deterministically): every malformed or contradictory
+//! invocation exits 2 with one line on stderr and nothing on stdout — none
+//! panics, none is silently accepted.
+
+use std::process::Command;
+
+/// The conformance table: one malformed invocation per row.
+const MALFORMED: &[&[&str]] = &[
+    // An unknown scale used to run the full-scale figure.
+    &["--scale", "bogus", "--fig", "4"],
+    // Unparsable or missing values used to panic (exit 101).
+    &["--seed", "x"],
+    &["--threads", "x"],
+    &["--fig"],
+    &["figs", "x"],
+    &["faults", "1.5"],
+    // Selections the chosen phase does not run used to be asserts.
+    &["xl", "--fig", "8"],
+    &["engine", "--scale", "xl"],
+    // Unknown names.
+    &["--fig", "9"],
+    &["--claim", "nope"],
+    &["bogus"],
+    &["analyze"],
+];
+
+#[test]
+fn malformed_invocations_exit_2_with_one_stderr_line() {
+    for args in MALFORMED {
+        let out = Command::new(env!("CARGO_BIN_EXE_repro"))
+            .args(*args)
+            .current_dir(std::env::temp_dir())
+            .output()
+            .expect("spawn repro");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{args:?}: stderr {stderr:?}");
+        assert!(out.stdout.is_empty(), "{args:?} wrote to stdout");
+        assert_eq!(stderr.lines().count(), 1, "{args:?}: stderr {stderr:?}");
+        assert!(!stderr.trim().is_empty(), "{args:?}: empty message");
+    }
+}

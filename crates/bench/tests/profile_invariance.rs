@@ -2,7 +2,8 @@
 //! is byte-identical at any thread count, and enabling the profiler or the
 //! allocation counter never perturbs a run's deterministic output.
 
-use proxbal_sim::experiments::{fault_sweep_traced, fig4_unit_load};
+use proxbal_profile::NullSink;
+use proxbal_sim::experiments::{fault_sweep, fig4_unit_load};
 use proxbal_sim::{Scenario, TopologyKind};
 use proxbal_trace::Trace;
 
@@ -16,7 +17,7 @@ fn sweep_trace(threads: usize) -> Trace {
     s.peers = 96;
     s.topology = TopologyKind::Tiny;
     let mut trace = Trace::enabled("repro");
-    fault_sweep_traced(&s, &[0.0, 0.05], threads, &mut trace);
+    fault_sweep(&s, &[0.0, 0.05], threads, &mut trace, &NullSink);
     trace
 }
 
@@ -46,7 +47,7 @@ fn enabling_profiler_and_counting_does_not_perturb_results() {
     let run = || {
         let mut s = Scenario::builder().small().peers(128).seed(7).build();
         s.topology = TopologyKind::None;
-        let mut prepared = s.prepare_threads(2);
+        let mut prepared = s.prepare_run(2, &NullSink);
         let out = fig4_unit_load(&mut prepared);
         serde_json::to_string(&out).expect("serialize fig4 output")
     };

@@ -36,12 +36,10 @@
 //! ```
 
 mod network;
-mod prefix_routing;
 mod ring;
 mod routing;
 
 pub use network::{ChordNetwork, PeerId, PeerState, VirtualServer, VsId};
-pub use prefix_routing::PrefixRouting;
 pub use ring::{Ring, RingStamp};
 pub use routing::{LookupOutcome, RoutingState, SUCCESSOR_LIST_LEN};
 

@@ -237,12 +237,17 @@ impl LoadBalancer {
         trace: &mut Trace,
     ) -> Result<BalanceReport, crate::Error> {
         let mut tree = KTree::build(net, self.cfg.k);
-        self.run_with_tree_traced(net, loads, &mut tree, underlay, rng, trace)
+        let walls = &mut crate::RoundWalls::default();
+        self.run_with_tree_walls(net, loads, &mut tree, underlay, rng, trace, walls)
     }
 
-    /// Like [`LoadBalancer::run`], but over a long-lived tree: the tree is
-    /// brought up to date with ordinary soft-state maintenance rounds and
-    /// then reused.
+    /// Like [`LoadBalancer::run_traced`], but over a long-lived tree — the
+    /// tree is brought up to date with ordinary soft-state maintenance
+    /// rounds and then reused — and measuring the wall-clock seconds each
+    /// intra-round phase took into `walls`. The walls are an out-parameter
+    /// (not part of [`BalanceReport`]) because they are inherently
+    /// nondeterministic — everything inside the report stays byte-identical
+    /// at any thread count.
     ///
     /// Virtual-server *transfers* never change ring positions, so a
     /// balancing pass leaves the tree structurally intact — the paper's
@@ -250,50 +255,12 @@ impl LoadBalancer {
     /// relatively stable, we could adopt a lazy migration protocol")
     /// falls out of the identifier-space construction. Only churn (and VS
     /// splits) require maintenance.
-    pub fn run_with_tree<R: Rng>(
-        &self,
-        net: &mut ChordNetwork,
-        loads: &mut LoadState,
-        tree: &mut KTree,
-        underlay: Option<Underlay<'_>>,
-        rng: &mut R,
-    ) -> Result<BalanceReport, crate::Error> {
-        self.run_with_tree_traced(net, loads, tree, underlay, rng, &mut Trace::disabled())
-    }
-
-    /// Like [`LoadBalancer::run_with_tree`], recording per-phase spans and
-    /// counters into `trace`.
     ///
-    /// Delegates to [`LoadBalancer::run_round_traced`] with
-    /// [`DirtySet::All`] and a throwaway [`RoundCache`]: a one-shot run is
-    /// exactly one incremental round in which every peer is dirty, so both
-    /// entry points share a single four-phase code path (and the same
-    /// randomness consumption order).
-    pub fn run_with_tree_traced<R: Rng>(
-        &self,
-        net: &mut ChordNetwork,
-        loads: &mut LoadState,
-        tree: &mut KTree,
-        underlay: Option<Underlay<'_>>,
-        rng: &mut R,
-        trace: &mut Trace,
-    ) -> Result<BalanceReport, crate::Error> {
-        self.run_with_tree_walls(
-            net,
-            loads,
-            tree,
-            underlay,
-            rng,
-            trace,
-            &mut crate::RoundWalls::default(),
-        )
-    }
-
-    /// Like [`LoadBalancer::run_with_tree_traced`], additionally measuring
-    /// the wall-clock seconds each intra-round phase took into `walls`.
-    /// The walls are an out-parameter (not part of [`BalanceReport`])
-    /// because they are inherently nondeterministic — everything inside
-    /// the report stays byte-identical at any thread count.
+    /// Delegates to [`LoadBalancer::run_round`] with [`DirtySet::All`] and
+    /// a throwaway [`RoundCache`]: a one-shot run is exactly one
+    /// incremental round in which every peer is dirty, so both entry
+    /// points share a single four-phase code path (and the same randomness
+    /// consumption order).
     #[allow(clippy::too_many_arguments)]
     pub fn run_with_tree_walls<R: Rng>(
         &self,
@@ -305,7 +272,7 @@ impl LoadBalancer {
         trace: &mut Trace,
         walls: &mut crate::RoundWalls,
     ) -> Result<BalanceReport, crate::Error> {
-        self.run_round_walls(
+        self.run_round(
             net,
             loads,
             tree,

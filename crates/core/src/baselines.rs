@@ -39,7 +39,7 @@ pub fn cfs_shed(
     let mut outcome = CfsOutcome::default();
     for _ in 0..max_rounds {
         let system = loads.totals(net);
-        let classification = Classification::compute(net, loads, params, system);
+        let classification = Classification::compute(net, loads, params, system, 1);
         let heavy = classification.peers_of(NodeClass::Heavy);
         if heavy.is_empty() {
             outcome.converged = true;
@@ -82,7 +82,7 @@ pub fn cfs_shed(
 
         // Thrash: nodes heavy now that were not heavy before the round.
         let system2 = loads.totals(net);
-        let after = Classification::compute(net, loads, params, system2);
+        let after = Classification::compute(net, loads, params, system2, 1);
         outcome.thrash_events += after
             .peers_of(NodeClass::Heavy)
             .iter()
@@ -93,7 +93,7 @@ pub fn cfs_shed(
         }
     }
     let system = loads.totals(net);
-    let final_cls = Classification::compute(net, loads, params, system);
+    let final_cls = Classification::compute(net, loads, params, system, 1);
     outcome.converged = final_cls.count_of(NodeClass::Heavy) == 0;
     outcome
 }
@@ -111,9 +111,9 @@ pub fn random_matching<R: Rng>(
     rng: &mut R,
 ) -> Vec<Assignment> {
     let system = loads.totals(net);
-    let classification = Classification::compute(net, loads, params, system);
-    let shed = crate::reports::shed_candidates(net, loads, params, &classification);
-    let light = crate::reports::light_slots(net, loads, params, &classification);
+    let classification = Classification::compute(net, loads, params, system, 1);
+    let shed = crate::reports::shed_candidates(net, loads, params, &classification, 1);
+    let light = crate::reports::light_slots(net, loads, params, &classification, 1);
 
     let mut spare: Vec<(proxbal_chord::PeerId, f64)> =
         light.values().map(|s| (s.peer, s.spare)).collect();

@@ -19,8 +19,15 @@
 //!    leave+join moves, with physical transfer distances recorded
 //!    ([`execute_transfers`]).
 //!
-//! [`LoadBalancer`] orchestrates all four phases; [`baselines`] implements
-//! the comparators (CFS shedding, proximity-blind random matching).
+//! [`LoadBalancer`] orchestrates all four phases — every entry point is
+//! [`LoadBalancer::run_round`] with some arguments filled in, so there is
+//! exactly one four-phase code path; [`baselines`] implements the
+//! comparators (CFS shedding, proximity-blind random matching).
+//!
+//! Each operation has one entry point: the trace collector, the
+//! worker-thread count and the phase walls are arguments of it
+//! (`&mut Trace::disabled()` / `1` / `&mut RoundWalls::default()` when the
+//! caller does not care), never a `_traced` / `_with` copy.
 //!
 //! [`KTree::aggregate`]: proxbal_ktree::KTree::aggregate
 //!
@@ -75,10 +82,10 @@ pub use selection::{choose_shed_set, EXACT_LIMIT};
 pub use split::split_and_place;
 pub use transfer::{
     absorb_join, execute_transfers, execute_transfers_traced, execute_transfers_with_requeue,
-    execute_transfers_with_requeue_traced, graceful_leave, total_moved_load, weighted_cost,
-    RequeueOutcome, TransferDistances, TransferRecord,
+    graceful_leave, total_moved_load, weighted_cost, RequeueOutcome, TransferDistances,
+    TransferRecord,
 };
-pub use vsa::{run_vsa, run_vsa_traced, VsaOutcome, VsaParams};
+pub use vsa::{run_vsa, VsaOutcome, VsaParams};
 
 #[cfg(test)]
 mod tests;

@@ -122,22 +122,18 @@ impl RendezvousLists {
     /// node).
     pub fn pair(&mut self, l_min: f64) -> Vec<Assignment> {
         let mut out = Vec::new();
-        self.pair_into(l_min, &mut out);
+        self.pair_into(l_min, &mut out, &mut Trace::disabled());
         out
     }
 
     /// [`RendezvousLists::pair`] writing into a caller-provided buffer
     /// (appended, not cleared) — the VSA sweep reuses one buffer across
-    /// every rendezvous point instead of allocating per node.
-    pub fn pair_into(&mut self, l_min: f64, out: &mut Vec<Assignment>) {
-        self.pair_into_traced(l_min, out, &mut Trace::disabled());
-    }
-
-    /// [`RendezvousLists::pair_into`] recording pairing-churn counters into
-    /// `trace`: `vsa_pair_misfits` (candidates that fit no light slot here
-    /// and propagate to the parent rendezvous) and `vsa_residual_reinserts`
-    /// (light slots re-offered with their residual room).
-    pub fn pair_into_traced(&mut self, l_min: f64, out: &mut Vec<Assignment>, trace: &mut Trace) {
+    /// every rendezvous point instead of allocating per node — and
+    /// recording pairing-churn counters into `trace`: `vsa_pair_misfits`
+    /// (candidates that fit no light slot here and propagate to the parent
+    /// rendezvous) and `vsa_residual_reinserts` (light slots re-offered
+    /// with their residual room).
+    pub fn pair_into(&mut self, l_min: f64, out: &mut Vec<Assignment>, trace: &mut Trace) {
         // Heaviest-first over shed candidates. A candidate that fits nowhere
         // stays in place; lighter candidates may still fit. Walking an index
         // down from the top of the sorted list visits candidates heaviest

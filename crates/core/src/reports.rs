@@ -29,21 +29,10 @@ pub struct Classification {
 
 impl Classification {
     /// Classifies every alive peer against the (already aggregated) system
-    /// LBI.
+    /// LBI on `threads` workers: per-peer classes are computed over
+    /// fixed-size chunks in parallel and inserted into the map serially in
+    /// original peer order — identical at any thread count.
     pub fn compute(
-        net: &ChordNetwork,
-        loads: &LoadState,
-        params: &ClassifyParams,
-        system: Lbi,
-    ) -> Self {
-        Self::compute_with(net, loads, params, system, 1)
-    }
-
-    /// [`Classification::compute`] on `threads` workers: per-peer classes
-    /// are computed over fixed-size chunks in parallel and inserted into
-    /// the map serially in original peer order — identical at any thread
-    /// count.
-    pub fn compute_with(
         net: &ChordNetwork,
         loads: &LoadState,
         params: &ClassifyParams,
@@ -88,20 +77,12 @@ impl Classification {
 
 /// The shed set of every heavy node: the minimum-total-load subset of its
 /// virtual servers whose removal takes it to (or below) its target (§3.4).
+///
+/// Runs on `threads` workers: each heavy peer's subset is an independent
+/// knapsack-style selection, computed in parallel and drained into the
+/// sorted map in original (ascending peer) order — identical at any thread
+/// count.
 pub fn shed_candidates(
-    net: &ChordNetwork,
-    loads: &LoadState,
-    params: &ClassifyParams,
-    classification: &Classification,
-) -> BTreeMap<PeerId, Vec<ShedCandidate>> {
-    shed_candidates_with(net, loads, params, classification, 1)
-}
-
-/// [`shed_candidates`] on `threads` workers: the minimum-load shed subset
-/// of each heavy peer is an independent knapsack-style selection, computed
-/// in parallel and drained into the sorted map in original (ascending
-/// peer) order — identical at any thread count.
-pub fn shed_candidates_with(
     net: &ChordNetwork,
     loads: &LoadState,
     params: &ClassifyParams,
@@ -136,19 +117,9 @@ pub fn shed_candidates_with(
     out
 }
 
-/// The spare-room slot of every light node.
+/// The spare-room slot of every light node, on `threads` workers (same
+/// structure as [`shed_candidates`]).
 pub fn light_slots(
-    net: &ChordNetwork,
-    loads: &LoadState,
-    params: &ClassifyParams,
-    classification: &Classification,
-) -> BTreeMap<PeerId, LightSlot> {
-    light_slots_with(net, loads, params, classification, 1)
-}
-
-/// [`light_slots`] on `threads` workers (same structure as
-/// [`shed_candidates_with`]).
-pub fn light_slots_with(
     net: &ChordNetwork,
     loads: &LoadState,
     params: &ClassifyParams,
@@ -254,27 +225,14 @@ impl Default for ProximityParams {
 /// Fails with [`Error::UnattachedPeer`] for the first participant (shed
 /// peers, then light peers, each ascending) that was never attached to the
 /// underlay — its landmark vector cannot be measured.
+///
+/// Runs on `threads` workers: landmark vectors and per-participant DHT
+/// targets (key mapping, ring ownership, root descent) are pure functions
+/// of immutable state, computed in parallel; the rendezvous lists are then
+/// filled serially in original (sorted-map) order, so record order inside
+/// every list is identical at any thread count.
 #[allow(clippy::too_many_arguments)]
 pub fn proximity_inputs(
-    net: &ChordNetwork,
-    tree: &KTree,
-    shed: &BTreeMap<PeerId, Vec<ShedCandidate>>,
-    light: &BTreeMap<PeerId, LightSlot>,
-    params: &ProximityParams,
-    oracle: &DistanceOracle,
-    landmarks: &[NodeId],
-) -> Result<KtNodeMap<Box<RendezvousLists>>, Error> {
-    proximity_inputs_with(net, tree, shed, light, params, oracle, landmarks, 1)
-}
-
-/// [`proximity_inputs`] on `threads` workers: landmark vectors and
-/// per-participant DHT targets (key mapping, ring ownership, root descent)
-/// are pure functions of immutable state, computed in parallel; the
-/// rendezvous lists are then filled serially in original (sorted-map)
-/// order, so record order inside every list is identical at any thread
-/// count.
-#[allow(clippy::too_many_arguments)]
-pub fn proximity_inputs_with(
     net: &ChordNetwork,
     tree: &KTree,
     shed: &BTreeMap<PeerId, Vec<ShedCandidate>>,

@@ -11,17 +11,16 @@
 //! upward messages.
 //!
 //! The one-shot entry points delegate here with [`DirtySet::All`] and a
-//! throwaway cache, so there is exactly one four-phase code path and the
-//! legacy output is structurally byte-identical.
+//! throwaway cache, so there is exactly one four-phase code path.
 
 use crate::classify::{ClassifyParams, NodeClass};
 use crate::error::Error;
 use crate::lbi::LoadState;
 use crate::reports::{
-    ignorant_inputs, light_slots_with, proximity_inputs_with, shed_candidates_with, Classification,
+    ignorant_inputs, light_slots, proximity_inputs, shed_candidates, Classification,
 };
 use crate::transfer::execute_transfers_traced;
-use crate::vsa::{run_vsa_traced, VsaParams};
+use crate::vsa::{run_vsa, VsaParams};
 use crate::{BalanceReport, LoadBalancer, MessageStats, ProximityMode, Underlay};
 use proxbal_chord::{ChordNetwork, PeerId, PeerState, VsId};
 use proxbal_ktree::KTree;
@@ -31,7 +30,7 @@ use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::time::Instant;
 
 /// Wall-clock seconds of each intra-round phase, measured by
-/// [`LoadBalancer::run_round_walls`]. Walls travel as an out-parameter —
+/// [`LoadBalancer::run_round`]. Walls travel as an out-parameter —
 /// never inside [`BalanceReport`] or the trace — because they are
 /// inherently nondeterministic, while everything the round *returns* must
 /// stay byte-identical at any thread count.
@@ -109,35 +108,12 @@ impl LoadBalancer {
     /// One incremental balancing round over a long-lived tree: peers in
     /// `dirty` redraw their reporting virtual server and re-report, all
     /// others reuse the binding in `cache`. See [`LoadBalancer::run`] for
-    /// the phase structure; `underlay` and `rng` behave identically.
+    /// the phase structure; `underlay` and `rng` behave identically. Spans
+    /// and counters go to `trace`, the wall-clock seconds of each phase to
+    /// `walls` (see [`RoundWalls`]).
     ///
     /// With [`DirtySet::All`] and a fresh cache this is exactly a one-shot
-    /// run — the legacy entry points delegate here.
-    #[allow(clippy::too_many_arguments)]
-    pub fn run_round<R: Rng>(
-        &self,
-        net: &mut ChordNetwork,
-        loads: &mut LoadState,
-        tree: &mut KTree,
-        underlay: Option<Underlay<'_>>,
-        cache: &mut RoundCache,
-        dirty: &DirtySet,
-        rng: &mut R,
-    ) -> Result<BalanceReport, Error> {
-        self.run_round_traced(
-            net,
-            loads,
-            tree,
-            underlay,
-            cache,
-            dirty,
-            rng,
-            &mut Trace::disabled(),
-        )
-    }
-
-    /// Like [`LoadBalancer::run_round`], recording per-phase spans and
-    /// counters into `trace`.
+    /// run — the one-shot entry points delegate here.
     ///
     /// The four phases are laid out sequentially on a virtual timeline whose
     /// unit is one message round: tree maintenance, then `phase/lbi`
@@ -147,33 +123,6 @@ impl LoadBalancer {
     /// `lbi_messages` counts only the tree edges the *re-reporting* peers'
     /// LBIs crossed — under a small dirty set most of the tree stays quiet,
     /// the paper's periodic-report economy.
-    #[allow(clippy::too_many_arguments)]
-    pub fn run_round_traced<R: Rng>(
-        &self,
-        net: &mut ChordNetwork,
-        loads: &mut LoadState,
-        tree: &mut KTree,
-        underlay: Option<Underlay<'_>>,
-        cache: &mut RoundCache,
-        dirty: &DirtySet,
-        rng: &mut R,
-        trace: &mut Trace,
-    ) -> Result<BalanceReport, Error> {
-        self.run_round_walls(
-            net,
-            loads,
-            tree,
-            underlay,
-            cache,
-            dirty,
-            rng,
-            trace,
-            &mut RoundWalls::default(),
-        )
-    }
-
-    /// Like [`LoadBalancer::run_round_traced`], additionally measuring the
-    /// wall-clock seconds of each phase into `walls` (see [`RoundWalls`]).
     ///
     /// # Intra-round parallelism
     ///
@@ -188,7 +137,7 @@ impl LoadBalancer {
     /// insertion sequence. Chunk sizes are compile-time constants, never
     /// derived from the thread count.
     #[allow(clippy::too_many_arguments)]
-    pub fn run_round_walls<R: Rng>(
+    pub fn run_round<R: Rng>(
         &self,
         net: &mut ChordNetwork,
         loads: &mut LoadState,
@@ -368,7 +317,7 @@ impl LoadBalancer {
         let dissemination_messages = count_tree_edges(net, tree, threads);
         drop(sub);
         let sub = proxbal_profile::phase("round/vsa/classify");
-        let classification = Classification::compute_with(net, loads, &params, system, threads);
+        let classification = Classification::compute(net, loads, &params, system, threads);
         let before = class_counts(&classification);
         let heavy_before = before.get(&NodeClass::Heavy).copied().unwrap_or(0);
         drop(sub);
@@ -387,15 +336,15 @@ impl LoadBalancer {
 
         // Phase 3: VSA (§3.4 / §4.3).
         let sub = proxbal_profile::phase("round/vsa/candidates");
-        let shed = shed_candidates_with(net, loads, &params, &classification, threads);
-        let light = light_slots_with(net, loads, &params, &classification, threads);
+        let shed = shed_candidates(net, loads, &params, &classification, threads);
+        let light = light_slots(net, loads, &params, &classification, threads);
         drop(sub);
         let sub = proxbal_profile::phase("round/vsa/inputs");
         let inputs = match cfg.mode {
             ProximityMode::Ignorant => ignorant_inputs(net, tree, &shed, &light, rng),
             ProximityMode::Aware(ref prox) => {
                 let u = underlay.ok_or(Error::MissingUnderlay)?;
-                proximity_inputs_with(
+                proximity_inputs(
                     net,
                     tree,
                     &shed,
@@ -413,7 +362,7 @@ impl LoadBalancer {
             l_min: system.min_vs_load,
         };
         let sub = proxbal_profile::phase("round/vsa/sweep");
-        let mut vsa = run_vsa_traced(tree, inputs, &vsa_params, trace);
+        let mut vsa = run_vsa(tree, inputs, &vsa_params, trace);
         drop(sub);
 
         // Optional extension: split unplaceable virtual servers and place
@@ -490,7 +439,7 @@ impl LoadBalancer {
         );
 
         // Re-classify against the same system LBI for the after picture.
-        let after_cls = Classification::compute_with(net, loads, &params, system, threads);
+        let after_cls = Classification::compute(net, loads, &params, system, threads);
         let after = class_counts(&after_cls);
         walls.transfer_wall_s = wall.elapsed().as_secs_f64();
         drop(prof);

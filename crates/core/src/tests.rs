@@ -5,6 +5,7 @@ use crate::*;
 use proptest::prelude::*;
 use proxbal_chord::{ChordNetwork, PeerId, VsId};
 use proxbal_ktree::KTree;
+use proxbal_trace::Trace;
 use proxbal_workload::{CapacityProfile, LoadModel};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -543,12 +544,12 @@ fn shed_candidates_only_from_heavy_nodes() {
     let (net, loads, _) = setup(64, 5, 16);
     let params = ClassifyParams::default();
     let system = loads.totals(&net);
-    let classification = Classification::compute(&net, &loads, &params, system);
-    let shed = shed_candidates(&net, &loads, &params, &classification);
+    let classification = Classification::compute(&net, &loads, &params, system, 1);
+    let shed = shed_candidates(&net, &loads, &params, &classification, 1);
     for p in shed.keys() {
         assert_eq!(classification.classes[p], NodeClass::Heavy);
     }
-    let light = light_slots(&net, &loads, &params, &classification);
+    let light = light_slots(&net, &loads, &params, &classification, 1);
     for p in light.keys() {
         assert_eq!(classification.classes[p], NodeClass::Light);
     }
@@ -559,8 +560,8 @@ fn shed_candidates_reduce_node_to_target() {
     let (net, loads, _) = setup(64, 5, 17);
     let params = ClassifyParams::default();
     let system = loads.totals(&net);
-    let classification = Classification::compute(&net, &loads, &params, system);
-    let shed = shed_candidates(&net, &loads, &params, &classification);
+    let classification = Classification::compute(&net, &loads, &params, system, 1);
+    let shed = shed_candidates(&net, &loads, &params, &classification, 1);
     for (&p, cands) in &shed {
         let node = loads.node_lbi(&net, p);
         let shed_total: f64 = cands.iter().map(|c| c.load).sum();
@@ -571,6 +572,80 @@ fn shed_candidates_reduce_node_to_target() {
             node.load - shed_total <= target + 1e-9 || shed_total >= total_vs - 1e-9,
             "{p:?} sheds too little"
         );
+    }
+}
+
+// ---------------------------------------------------------------- report kernels
+
+/// Enough peers for the per-peer sweeps to cross a chunk boundary (the
+/// chunk is 8,192 peers; every other test stays inside the first one).
+const MULTI_CHUNK_PEERS: usize = 20_000;
+
+/// The threaded report kernels against their serial fold — the 1-thread
+/// call — over more than two chunks of peers.
+#[test]
+fn report_kernels_agree_with_the_serial_fold_across_chunks() {
+    let (net, loads, _) = setup(MULTI_CHUNK_PEERS, 1, 61);
+    let params = ClassifyParams::default();
+    let system = loads.totals(&net);
+    let serial = Classification::compute(&net, &loads, &params, system, 1);
+    let shed = shed_candidates(&net, &loads, &params, &serial, 1);
+    let light = light_slots(&net, &loads, &params, &serial, 1);
+    assert!(shed.len() > 8192 && !light.is_empty());
+    for threads in [2, 8] {
+        let classification = Classification::compute(&net, &loads, &params, system, threads);
+        assert_eq!(classification.classes, serial.classes, "{threads} threads");
+        assert_eq!(
+            shed_candidates(&net, &loads, &params, &serial, threads),
+            shed
+        );
+        assert_eq!(light_slots(&net, &loads, &params, &serial, threads), light);
+    }
+}
+
+/// `proximity_inputs` over more than one chunk of participants: the same
+/// records in the same order at every entry node, at any thread count.
+#[test]
+fn proximity_inputs_agree_with_the_serial_fold_across_chunks() {
+    use crate::reports::proximity_inputs;
+    use proxbal_topology::{
+        select_landmarks, DistanceOracle, TransitStubConfig, TransitStubTopology,
+    };
+    let (mut net, loads, mut rng) = setup(MULTI_CHUNK_PEERS, 1, 62);
+    let topo = TransitStubTopology::generate(TransitStubConfig::tiny(), &mut rng);
+    let landmarks = select_landmarks(&topo, 4, &mut rng);
+    let oracle = DistanceOracle::for_topology(&topo, 0);
+    let stubs = topo.stub_nodes();
+    for (i, p) in net.alive_peers().into_iter().enumerate() {
+        net.attach(p, stubs[i % stubs.len()]);
+    }
+    let tree = KTree::build(&net, 2);
+    let params = ClassifyParams::default();
+    let classification = Classification::compute(&net, &loads, &params, loads.totals(&net), 1);
+    let shed = shed_candidates(&net, &loads, &params, &classification, 1);
+    let light = light_slots(&net, &loads, &params, &classification, 1);
+    assert!(shed.len() + light.len() > 8192);
+    let published = |threads| {
+        let inputs = proximity_inputs(
+            &net,
+            &tree,
+            &shed,
+            &light,
+            &ProximityParams::default(),
+            &oracle,
+            &landmarks,
+            threads,
+        )
+        .unwrap();
+        inputs
+            .iter()
+            .map(|(id, lists)| (id, lists.shed().to_vec(), lists.light().to_vec()))
+            .collect::<Vec<_>>()
+    };
+    let serial = published(1);
+    assert!(!serial.is_empty());
+    for threads in [2, 8] {
+        assert_eq!(published(threads), serial, "{threads} threads");
     }
 }
 
@@ -885,8 +960,8 @@ fn aware_round_with_unattached_participant_is_typed_error() {
     let oracle = DistanceOracle::for_topology(&topo, 0);
     // Everyone is attached but the light peer with the most room to spare.
     let params = ClassifyParams::default();
-    let classification = Classification::compute(&net, &loads, &params, loads.totals(&net));
-    let orphan = light_slots(&net, &loads, &params, &classification)
+    let classification = Classification::compute(&net, &loads, &params, loads.totals(&net), 1);
+    let orphan = light_slots(&net, &loads, &params, &classification, 1)
         .values()
         .max_by(|a, b| a.spare.total_cmp(&b.spare))
         .expect("a light peer")
@@ -948,9 +1023,16 @@ fn requeue_reassigns_transfers_whose_receiver_died() {
         spare: 1e18,
         peer: alt,
     });
-    let outcome =
-        execute_transfers_with_requeue(&mut net, &mut loads, &assignments, None, &mut spare, 0.0)
-            .unwrap();
+    let outcome = execute_transfers_with_requeue(
+        &mut net,
+        &mut loads,
+        &assignments,
+        None,
+        &mut spare,
+        0.0,
+        &mut Trace::disabled(),
+    )
+    .unwrap();
     assert_eq!(outcome.requeued, lost);
     assert_eq!(outcome.reassigned, lost, "roomy slot takes every orphan");
     assert_eq!(outcome.abandoned, 0);
@@ -975,9 +1057,16 @@ fn requeue_without_room_abandons_for_next_round() {
     net.crash_peer(dead);
     let lost = assignments.iter().filter(|a| a.to == dead).count();
     let mut spare = RendezvousLists::new(); // no surviving light slots
-    let outcome =
-        execute_transfers_with_requeue(&mut net, &mut loads, &assignments, None, &mut spare, 0.0)
-            .unwrap();
+    let outcome = execute_transfers_with_requeue(
+        &mut net,
+        &mut loads,
+        &assignments,
+        None,
+        &mut spare,
+        0.0,
+        &mut Trace::disabled(),
+    )
+    .unwrap();
     assert_eq!(outcome.requeued, lost);
     assert_eq!(outcome.reassigned, 0);
     assert_eq!(outcome.abandoned, lost);
@@ -1207,14 +1296,19 @@ proptest! {
         let (net, loads, mut rng) = setup(48, 4, seed);
         let params = ClassifyParams::default();
         let system = loads.totals(&net);
-        let classification = Classification::compute(&net, &loads, &params, system);
-        let shed = shed_candidates(&net, &loads, &params, &classification);
-        let light = light_slots(&net, &loads, &params, &classification);
+        let classification = Classification::compute(&net, &loads, &params, system, 1);
+        let shed = shed_candidates(&net, &loads, &params, &classification, 1);
+        let light = light_slots(&net, &loads, &params, &classification, 1);
         let spare_by_peer: HashMap<PeerId, f64> =
             light.iter().map(|(&p, s)| (p, s.spare)).collect();
         let tree = KTree::build(&net, 2);
         let inputs = reports::ignorant_inputs(&net, &tree, &shed, &light, &mut rng);
-        let vsa = run_vsa(&tree, inputs, &VsaParams::paper(system.min_vs_load));
+        let vsa = run_vsa(
+            &tree,
+            inputs,
+            &VsaParams::paper(system.min_vs_load),
+            &mut Trace::disabled(),
+        );
 
         let mut seen = std::collections::HashSet::new();
         let mut received: HashMap<PeerId, f64> = HashMap::new();
@@ -1279,14 +1373,26 @@ fn crash_loses_load_but_leave_does_not() {
     let _ = (loads_crash, net_leave);
 }
 
+/// One untraced balancing pass, no underlay, over a long-lived tree.
+fn pass_over_tree(
+    balancer: &LoadBalancer,
+    net: &mut ChordNetwork,
+    loads: &mut LoadState,
+    tree: &mut KTree,
+    rng: &mut StdRng,
+) -> BalanceReport {
+    let (trace, walls) = (&mut Trace::disabled(), &mut RoundWalls::default());
+    balancer
+        .run_with_tree_walls(net, loads, tree, None, rng, trace, walls)
+        .unwrap()
+}
+
 #[test]
 fn run_with_tree_reuses_and_tree_survives_transfers() {
     let (mut net, mut loads, mut rng) = setup(96, 5, 80);
     let mut tree = KTree::build(&net, 2);
     let balancer = LoadBalancer::new(BalancerConfig::default());
-    let report = balancer
-        .run_with_tree(&mut net, &mut loads, &mut tree, None, &mut rng)
-        .unwrap();
+    let report = pass_over_tree(&balancer, &mut net, &mut loads, &mut tree, &mut rng);
     assert!(!report.transfers.is_empty());
     // Transfers keep ring positions, so the tree needs no maintenance.
     assert_eq!(
@@ -1305,9 +1411,7 @@ fn run_with_tree_reuses_and_tree_survives_transfers() {
             loads.set_class(p, proxbal_workload::CapacityClass(1));
         }
     }
-    let report2 = balancer
-        .run_with_tree(&mut net, &mut loads, &mut tree, None, &mut rng)
-        .unwrap();
+    let report2 = pass_over_tree(&balancer, &mut net, &mut loads, &mut tree, &mut rng);
     tree.check_invariants(&net).unwrap();
     net.check_invariants().unwrap();
     assert!(report2.heavy_after() <= report2.before[&NodeClass::Heavy]);
@@ -1319,9 +1423,7 @@ fn run_with_tree_rejects_mismatched_degree() {
     let (mut net, mut loads, mut rng) = setup(8, 2, 81);
     let mut tree = KTree::build(&net, 8);
     let balancer = LoadBalancer::new(BalancerConfig::default()); // k = 2
-    let _ = balancer
-        .run_with_tree(&mut net, &mut loads, &mut tree, None, &mut rng)
-        .unwrap();
+    pass_over_tree(&balancer, &mut net, &mut loads, &mut tree, &mut rng);
 }
 
 #[test]

@@ -183,40 +183,22 @@ pub struct RequeueOutcome {
     pub abandoned: usize,
 }
 
-/// Fault-tolerant variant of [`execute_transfers`]: an assignment whose
-/// receiving peer died between VSA and VST is not silently skipped but
-/// **requeued at the next-higher rendezvous** — its shed candidate is
+/// Fault-tolerant variant of [`execute_transfers_traced`]: an assignment
+/// whose receiving peer died between VSA and VST is not silently skipped
+/// but **requeued at the next-higher rendezvous** — its shed candidate is
 /// re-inserted into `spare` (the surviving light slots that bubbled up to
 /// the root during the sweep) and re-paired best-fit, exactly as the
 /// rendezvous point itself would have done had the failure been known
 /// (§3.4's graceful degradation). Deterministic: both lists are sorted and
 /// the re-pairing is the same best-fit walk as the in-sweep pairing.
 ///
+/// Records the VST metrics of [`execute_transfers_traced`] plus
+/// `requeue_requeued` / `requeue_reassigned` / `requeue_abandoned`
+/// counters into `trace`.
+///
 /// The default [`execute_transfers`] path is untouched — fault-free runs
 /// stay byte-identical.
 pub fn execute_transfers_with_requeue(
-    net: &mut ChordNetwork,
-    loads: &mut LoadState,
-    assignments: &[Assignment],
-    distances: Option<TransferDistances<'_>>,
-    spare: &mut RendezvousLists,
-    l_min: f64,
-) -> Result<RequeueOutcome, Error> {
-    execute_transfers_with_requeue_traced(
-        net,
-        loads,
-        assignments,
-        distances,
-        spare,
-        l_min,
-        &mut Trace::disabled(),
-    )
-}
-
-/// Like [`execute_transfers_with_requeue`], recording VST metrics (see
-/// [`execute_transfers_traced`]) plus `requeue_requeued` /
-/// `requeue_reassigned` / `requeue_abandoned` counters into `trace`.
-pub fn execute_transfers_with_requeue_traced(
     net: &mut ChordNetwork,
     loads: &mut LoadState,
     assignments: &[Assignment],
@@ -249,7 +231,7 @@ pub fn execute_transfers_with_requeue_traced(
         return Ok(outcome);
     }
     let mut extra = Vec::new();
-    spare.pair_into_traced(l_min, &mut extra, trace);
+    spare.pair_into(l_min, &mut extra, trace);
     // Dead light peers may linger in `spare` too; the executor's liveness
     // filter drops those pairings, leaving the candidate for next round.
     let executed = execute_transfers_traced(net, loads, &extra, distances, trace)?;

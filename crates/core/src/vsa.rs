@@ -56,20 +56,13 @@ pub struct VsaOutcome {
 /// local input; once its combined lists reach the rendezvous threshold it
 /// pairs greedily and forwards only the leftovers; the root pairs
 /// unconditionally.
-pub fn run_vsa(
-    tree: &KTree,
-    inputs: impl Into<KtNodeMap<Box<RendezvousLists>>>,
-    params: &VsaParams,
-) -> VsaOutcome {
-    run_vsa_traced(tree, inputs, params, &mut Trace::disabled())
-}
-
-/// Like [`run_vsa`], recording per-rendezvous metrics into `trace`: the
+///
+/// Records per-rendezvous metrics into `trace`: the
 /// `vsa_rendezvous_list_depth` histogram (combined list length at the moment
 /// a node pairs), the depth-weighted `vsa_assignment_depth` histogram, and
 /// `vsa_pairings` / `vsa_unassigned` counters. Tracing reads state only —
 /// the sweep itself is bit-identical with tracing on or off.
-pub fn run_vsa_traced(
+pub fn run_vsa(
     tree: &KTree,
     inputs: impl Into<KtNodeMap<Box<RendezvousLists>>>,
     params: &VsaParams,
@@ -100,7 +93,7 @@ pub fn run_vsa_traced(
                 // Pair straight into the outcome's assignment buffer — one
                 // growing Vec for the whole sweep, no per-node allocation.
                 let before = outcome.assignments.len();
-                lists.pair_into_traced(params.l_min, &mut outcome.assignments, trace);
+                lists.pair_into(params.l_min, &mut outcome.assignments, trace);
                 let produced = outcome.assignments.len() - before;
                 if produced > 0 {
                     outcome.rendezvous_points += 1;

@@ -232,36 +232,4 @@ impl KTree {
         }
         (out, self.max_message_depth())
     }
-
-    /// [`KTree::disseminate`] with an explicit worker-thread count: the
-    /// per-node copies are cloned in fixed-size slot chunks on workers.
-    /// Identical output at any `threads` — the map is dense and
-    /// slot-indexed, so fill order is invisible.
-    pub fn disseminate_with<A: Clone + Send + Sync>(
-        &self,
-        value: A,
-        threads: usize,
-    ) -> (KtNodeMap<A>, u32) {
-        if threads <= 1 {
-            return self.disseminate(value);
-        }
-        let bound = self.slot_bound();
-        let mut out = KtNodeMap::with_slot_bound(bound);
-        const CHUNK: usize = 1 << 14;
-        let live: Vec<bool> = (0..bound)
-            .map(|i| self.contains(KtNodeId(i as u32)))
-            .collect();
-        let chunks = proxbal_parallel::map_chunked(bound, CHUNK, threads, |range| {
-            range
-                .filter(|&i| live[i])
-                .map(|i| (KtNodeId(i as u32), value.clone()))
-                .collect::<Vec<_>>()
-        });
-        for chunk in chunks {
-            for (id, v) in chunk {
-                out.insert(id, v);
-            }
-        }
-        (out, self.max_message_depth())
-    }
 }

@@ -423,24 +423,6 @@ fn aggregate_ignores_inputs_the_root_cannot_reach() {
     }
 }
 
-#[test]
-fn disseminate_with_matches_serial_at_any_thread_count() {
-    let (_, tree) = churned_tree(25);
-    let (serial, serial_rounds) = tree.disseminate(string_payload());
-    for threads in [2usize, 3, 8] {
-        let (par, rounds) = tree.disseminate_with(string_payload(), threads);
-        assert_eq!(rounds, serial_rounds);
-        assert_eq!(par.len(), serial.len());
-        let got: Vec<_> = par.iter().map(|(id, v)| (id, v.clone())).collect();
-        let want: Vec<_> = serial.iter().map(|(id, v)| (id, v.clone())).collect();
-        assert_eq!(got, want, "{threads} threads");
-    }
-}
-
-fn string_payload() -> String {
-    "broadcast-payload".to_string()
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 

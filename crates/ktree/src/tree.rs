@@ -969,22 +969,11 @@ impl KTree {
         (stats, actions)
     }
 
-    /// Like [`Self::repair`], but records a `kt/repair` span (one
+    /// [`Self::repair_with_actions`] recording a `kt/repair` span (one
     /// virtual-time unit per stabilization round) starting at `ts`, plus
-    /// `kt_reattached` / `kt_pruned` counters.
-    pub fn repair_traced(
-        &mut self,
-        net: &ChordNetwork,
-        limit: usize,
-        ts: proxbal_trace::VirtualTime,
-        trace: &mut proxbal_trace::Trace,
-    ) -> RepairStats {
-        self.repair_traced_with_actions(net, limit, ts, trace).0
-    }
-
-    /// [`Self::repair_traced`] plus the per-orphan action log. Each orphan
-    /// root additionally records a `kt/repair/orphan` instant carrying its
-    /// KT slot and outcome, so a trace consumer can follow an individual
+    /// `kt_reattached` / `kt_pruned` counters. Each orphan root
+    /// additionally records a `kt/repair/orphan` instant carrying its KT
+    /// slot and outcome, so a trace consumer can follow an individual
     /// subtree across the run (e.g. a retention gate checking that a
     /// repaired subtree stays attached).
     pub fn repair_traced_with_actions(

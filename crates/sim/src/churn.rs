@@ -155,204 +155,12 @@ pub fn run_churn<R: Rng>(
     stats
 }
 
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
-
-    fn setup(seed: u64) -> (ChordNetwork, KTree, RoutingState, StdRng) {
-        let mut rng = StdRng::seed_from_u64(seed);
-        let mut net = ChordNetwork::new();
-        for _ in 0..32 {
-            net.join_peer(3, &mut rng);
-        }
-        let tree = KTree::build(&net, 2);
-        let routing = RoutingState::build(&net);
-        (net, tree, routing, rng)
-    }
-
-    #[test]
-    fn churn_run_repairs_tree() {
-        let (mut net, mut tree, mut routing, mut rng) = setup(1);
-        let cfg = ChurnConfig::default();
-        let stats = run_churn(&mut net, &mut tree, &mut routing, &cfg, &mut rng);
-        assert!(stats.joins > 10, "joins {}", stats.joins);
-        assert!(stats.crashes > 10, "crashes {}", stats.crashes);
-        assert!(stats.maintenance_rounds > 50);
-        assert!(stats.tree_mutations > 0);
-        net.check_invariants().unwrap();
-        // Every surviving VS has a self-hosted report target again.
-        for (_, vs) in net.ring().iter() {
-            assert_eq!(tree.node(tree.report_target(&net, vs)).host, vs);
-        }
-    }
-
-    #[test]
-    fn churn_lookups_mostly_succeed() {
-        let (mut net, mut tree, mut routing, mut rng) = setup(2);
-        let cfg = ChurnConfig {
-            duration: 2_000,
-            ..ChurnConfig::default()
-        };
-        let stats = run_churn(&mut net, &mut tree, &mut routing, &cfg, &mut rng);
-        assert!(stats.lookups > 50);
-        assert!(
-            stats.lookup_success_rate > 0.85,
-            "success rate {}",
-            stats.lookup_success_rate
-        );
-    }
-
-    #[test]
-    fn quiescent_churn_changes_nothing() {
-        let (mut net, mut tree, mut routing, mut rng) = setup(3);
-        let cfg = ChurnConfig {
-            join_rate: 0.0,
-            crash_rate: 0.0,
-            duration: 100,
-            ..ChurnConfig::default()
-        };
-        let before = net.alive_peers().len();
-        let stats = run_churn(&mut net, &mut tree, &mut routing, &cfg, &mut rng);
-        assert_eq!(stats.joins + stats.crashes, 0);
-        assert_eq!(stats.tree_mutations, 0);
-        assert_eq!(stats.final_repair_rounds, 0);
-        assert_eq!(net.alive_peers().len(), before);
-        assert!((stats.lookup_success_rate - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn poisson_delays_positive() {
-        let mut rng = StdRng::seed_from_u64(4);
-        for _ in 0..100 {
-            assert!(poisson_delay(0.5, &mut rng) >= 1);
-        }
-    }
-}
-
-/// Statistics of a combined churn + periodic-balancing run.
-#[derive(Clone, Debug, Default, Serialize, Deserialize)]
-pub struct ChurnBalanceStats {
-    /// The underlying churn statistics.
-    pub churn: ChurnStats,
-    /// Balancing passes executed.
-    pub balance_passes: usize,
-    /// Total load moved across all passes.
-    pub total_moved: f64,
-    /// Assignments skipped because a party crashed between VSA and VST
-    /// (the soft-state tolerance of §3.5 in action).
-    pub stale_assignments_skipped: usize,
-    /// Heavy-node count right after the final balancing pass.
-    pub final_heavy: usize,
-}
-
-/// Runs Poisson churn *and* periodic load balancing on the same network:
-/// peers join with freshly sampled capacities/loads, crash victims take
-/// their virtual servers down mid-protocol, and every `balance_interval`
-/// the four-phase balancer runs over whatever the system looks like at
-/// that instant. Exercises the paper's claim that the scheme "is resilient
-/// to system failures … the VSA process can continue along the tree".
-#[allow(clippy::too_many_arguments)]
-pub fn run_churn_with_balancing<R: Rng>(
-    net: &mut ChordNetwork,
-    loads: &mut proxbal_core::LoadState,
-    tree: &mut KTree,
-    routing: &mut RoutingState,
-    cfg: &ChurnConfig,
-    balance_interval: SimTime,
-    balancer_cfg: proxbal_core::BalancerConfig,
-    capacity: &proxbal_workload::CapacityProfile,
-    load_model: &proxbal_workload::LoadModel,
-    rng: &mut R,
-) -> ChurnBalanceStats {
-    use proxbal_core::LoadBalancer;
-
-    let mut stats = ChurnBalanceStats::default();
-    let balancer = LoadBalancer::new(balancer_cfg);
-    let mut queue: EventQueue<BalEvent> = EventQueue::new();
-
-    #[derive(Debug)]
-    enum BalEvent {
-        Join,
-        Crash,
-        Maintain,
-        Balance,
-    }
-
-    if cfg.join_rate > 0.0 {
-        queue.schedule(poisson_delay(cfg.join_rate, rng), BalEvent::Join);
-    }
-    if cfg.crash_rate > 0.0 {
-        queue.schedule(poisson_delay(cfg.crash_rate, rng), BalEvent::Crash);
-    }
-    queue.schedule(cfg.maintenance_interval, BalEvent::Maintain);
-    queue.schedule(balance_interval, BalEvent::Balance);
-
-    queue.run_until(cfg.duration, |q, _t, ev| match ev {
-        BalEvent::Join => {
-            let p = net.join_peer(cfg.vs_per_join, rng);
-            // A joining node brings its own capacity; each of its virtual
-            // servers takes over part of its successor's region, and the
-            // proportional load share moves with the region.
-            let class = capacity.sample_class(rng);
-            loads.set_class(p, class);
-            loads.set_capacity(p, capacity.capacity_of(class));
-            let vss: Vec<_> = net.vss_of(p).to_vec();
-            for vs in vss {
-                proxbal_core::absorb_join(net, loads, vs);
-                // Beyond the region share absorbed from the successor, a
-                // joining peer brings its own workload into the system:
-                // sample each VS's intrinsic load from the model, scaled
-                // by the region it now owns (the same §5.1 rule the
-                // initial population used).
-                let f = net.region_of(vs).fraction();
-                loads.add_vs_load(vs, load_model.sample_vs_load(f, rng));
-            }
-            stats.churn.joins += 1;
-            q.schedule_in(poisson_delay(cfg.join_rate, rng), BalEvent::Join);
-        }
-        BalEvent::Crash => {
-            let alive = net.alive_peers();
-            if alive.len() > 4 {
-                let victim = *alive.choose(rng).expect("non-empty");
-                net.crash_peer(victim);
-                stats.churn.crashes += 1;
-            }
-            q.schedule_in(poisson_delay(cfg.crash_rate, rng), BalEvent::Crash);
-        }
-        BalEvent::Maintain => {
-            stats.churn.tree_mutations += tree.maintain_round(net);
-            stats.churn.maintenance_rounds += 1;
-            routing.stabilize(net);
-            q.schedule_in(cfg.maintenance_interval, BalEvent::Maintain);
-        }
-        BalEvent::Balance => {
-            let report = balancer
-                .run(net, loads, None, rng)
-                .expect("attached network");
-            stats.balance_passes += 1;
-            stats.total_moved += proxbal_core::total_moved_load(&report.transfers);
-            stats.stale_assignments_skipped +=
-                report.vsa.assignments.len() - report.transfers.len();
-            stats.final_heavy = report.heavy_after();
-            q.schedule_in(balance_interval, BalEvent::Balance);
-        }
-    });
-
-    stats.churn.final_repair_rounds = tree.maintain_until_stable(net, 128);
-    tree.check_invariants(net)
-        .expect("tree must satisfy invariants after repair");
-    net.check_invariants().expect("chord invariants hold");
-    stats
-}
-
 /// Poisson membership churn as a pluggable [`EventSource`]: joins and
 /// crashes whose inter-arrival times accumulate across epoch windows, so
 /// the event stream is identical to one long continuous run regardless of
-/// how the engine slices time. Joining peers follow the same recipe as
-/// [`run_churn_with_balancing`]: fresh capacity class, region shares
-/// absorbed from successors, and intrinsic load sampled from the model.
+/// how the engine slices time. A joining peer brings a fresh capacity
+/// class, absorbs its region shares from its successors, and samples its
+/// intrinsic load from the model.
 ///
 /// [`EventSource`]: crate::engine::EventSource
 pub struct ChurnSource {
@@ -491,97 +299,77 @@ impl crate::engine::EventSource for ChurnSource {
 }
 
 #[cfg(test)]
-mod balance_tests {
+mod tests {
     use super::*;
-    use proxbal_core::{BalancerConfig, LoadState};
-    use proxbal_workload::{CapacityProfile, LoadModel};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
-    #[test]
-    fn balancing_under_churn_stays_consistent() {
-        let mut rng = StdRng::seed_from_u64(77);
+    fn setup(seed: u64) -> (ChordNetwork, KTree, RoutingState, StdRng) {
+        let mut rng = StdRng::seed_from_u64(seed);
         let mut net = ChordNetwork::new();
-        for _ in 0..64 {
-            net.join_peer(4, &mut rng);
+        for _ in 0..32 {
+            net.join_peer(3, &mut rng);
         }
-        let capacity = CapacityProfile::gnutella();
-        let load_model = LoadModel::gaussian(1e6, 1e4);
-        let mut loads = LoadState::generate(&net, &capacity, &load_model, &mut rng);
-        let mut tree = KTree::build(&net, 2);
-        let mut routing = RoutingState::build(&net);
+        let tree = KTree::build(&net, 2);
+        let routing = RoutingState::build(&net);
+        (net, tree, routing, rng)
+    }
+
+    #[test]
+    fn churn_run_repairs_tree() {
+        let (mut net, mut tree, mut routing, mut rng) = setup(1);
+        let cfg = ChurnConfig::default();
+        let stats = run_churn(&mut net, &mut tree, &mut routing, &cfg, &mut rng);
+        assert!(stats.joins > 10, "joins {}", stats.joins);
+        assert!(stats.crashes > 10, "crashes {}", stats.crashes);
+        assert!(stats.maintenance_rounds > 50);
+        assert!(stats.tree_mutations > 0);
+        net.check_invariants().unwrap();
+        // Every surviving VS has a self-hosted report target again.
+        for (_, vs) in net.ring().iter() {
+            assert_eq!(tree.node(tree.report_target(&net, vs)).host, vs);
+        }
+    }
+
+    #[test]
+    fn churn_lookups_mostly_succeed() {
+        let (mut net, mut tree, mut routing, mut rng) = setup(2);
         let cfg = ChurnConfig {
-            join_rate: 0.05,
-            crash_rate: 0.05,
-            vs_per_join: 4,
-            maintenance_interval: 10,
-            stabilize_interval: 10,
-            duration: 1000,
+            duration: 2_000,
+            ..ChurnConfig::default()
         };
-        let stats = run_churn_with_balancing(
-            &mut net,
-            &mut loads,
-            &mut tree,
-            &mut routing,
-            &cfg,
-            100,
-            BalancerConfig::default(),
-            &capacity,
-            &load_model,
-            &mut rng,
-        );
-        assert_eq!(stats.balance_passes, 10);
-        assert!(stats.total_moved > 0.0);
-        assert!(stats.churn.joins > 10 && stats.churn.crashes > 10);
-        // Every surviving peer still has a well-defined capacity; the load
-        // books balance against ground truth.
-        let totals = loads.totals(&net);
-        assert!(totals.load.is_finite() && totals.capacity > 0.0);
-        // The last pass balanced whatever was alive at that instant.
+        let stats = run_churn(&mut net, &mut tree, &mut routing, &cfg, &mut rng);
+        assert!(stats.lookups > 50);
         assert!(
-            stats.final_heavy <= net.alive_peers().len() / 10,
-            "final heavy {}",
-            stats.final_heavy
+            stats.lookup_success_rate > 0.85,
+            "success rate {}",
+            stats.lookup_success_rate
         );
     }
 
     #[test]
-    fn crashes_between_vsa_and_vst_are_tolerated() {
-        // With aggressive crash rates, some assignments must go stale and
-        // be skipped rather than panicking or corrupting state.
-        let mut rng = StdRng::seed_from_u64(78);
-        let mut net = ChordNetwork::new();
-        for _ in 0..48 {
-            net.join_peer(4, &mut rng);
-        }
-        let capacity = CapacityProfile::gnutella();
-        let load_model = LoadModel::gaussian(1e6, 1e4);
-        let mut loads = LoadState::generate(&net, &capacity, &load_model, &mut rng);
-        let mut tree = KTree::build(&net, 2);
-        let mut routing = RoutingState::build(&net);
+    fn quiescent_churn_changes_nothing() {
+        let (mut net, mut tree, mut routing, mut rng) = setup(3);
         let cfg = ChurnConfig {
-            join_rate: 0.2,
-            crash_rate: 0.2,
-            vs_per_join: 4,
-            maintenance_interval: 5,
-            stabilize_interval: 5,
-            duration: 600,
+            join_rate: 0.0,
+            crash_rate: 0.0,
+            duration: 100,
+            ..ChurnConfig::default()
         };
-        let stats = run_churn_with_balancing(
-            &mut net,
-            &mut loads,
-            &mut tree,
-            &mut routing,
-            &cfg,
-            50,
-            BalancerConfig::default(),
-            &capacity,
-            &load_model,
-            &mut rng,
-        );
-        assert!(stats.balance_passes >= 10);
-        net.check_invariants().unwrap();
-        // (Stale skips are timing-dependent; the run completing with intact
-        // invariants is the guarantee under test.)
+        let before = net.alive_peers().len();
+        let stats = run_churn(&mut net, &mut tree, &mut routing, &cfg, &mut rng);
+        assert_eq!(stats.joins + stats.crashes, 0);
+        assert_eq!(stats.tree_mutations, 0);
+        assert_eq!(stats.final_repair_rounds, 0);
+        assert_eq!(net.alive_peers().len(), before);
+        assert!((stats.lookup_success_rate - 1.0).abs() < 1e-12);
+    }
+
+    #[test]
+    fn poisson_delays_positive() {
+        let mut rng = StdRng::seed_from_u64(4);
+        for _ in 0..100 {
+            assert!(poisson_delay(0.5, &mut rng) >= 1);
+        }
     }
 }

@@ -93,7 +93,7 @@ pub(crate) fn gini_of_unit_loads(net: &ChordNetwork, loads: &LoadState) -> f64 {
 pub(crate) fn heavy_count(net: &ChordNetwork, loads: &LoadState, epsilon: f64) -> usize {
     let params = proxbal_core::ClassifyParams { epsilon };
     let system = loads.totals(net);
-    let cls = proxbal_core::Classification::compute(net, loads, &params, system);
+    let cls = proxbal_core::Classification::compute(net, loads, &params, system, 1);
     cls.count_of(NodeClass::Heavy)
 }
 

@@ -35,7 +35,7 @@ use crate::protocol::{ProtocolError, ProtocolScratch};
 use crate::Prepared;
 use proxbal_chord::{ChordNetwork, PeerId};
 use proxbal_core::{
-    total_moved_load, DirtySet, Error, LoadBalancer, LoadState, RoundCache, Underlay,
+    total_moved_load, DirtySet, Error, LoadBalancer, LoadState, RoundCache, RoundWalls, Underlay,
 };
 use proxbal_ktree::{KTree, KtNodeId, RepairStats};
 use proxbal_profile::{NullSink, ProgressSink};
@@ -49,7 +49,7 @@ pub const CHURN_LABEL: u64 = 0xC4A1_0001;
 pub const DRIFT_LABEL: u64 = 0xD21F_0002;
 /// RNG stream label of the engine's balancer (see
 /// [`Prepared::derived_rng`]) — public so equivalence tests can replay the
-/// exact stream against a one-shot [`LoadBalancer::run_with_tree`].
+/// exact stream against a one-shot [`LoadBalancer::run_round`].
 pub const BALANCE_LABEL: u64 = 0xE791_E003;
 
 /// Scheduling knobs of the continuous-operation engine. Epoch counts and
@@ -297,24 +297,16 @@ fn to_core(e: ProtocolError) -> Error {
 /// balancing per `cfg`. The prepared network and loads are mutated in
 /// place.
 pub fn run_engine(prepared: &mut Prepared, cfg: &EngineConfig) -> Result<EngineReport, Error> {
-    run_engine_traced(prepared, cfg, &mut Trace::disabled())
+    run_engine_with(prepared, cfg, &mut Trace::disabled(), &NullSink)
 }
 
-/// Like [`run_engine`], recording one relabelled child trace per epoch
-/// (`epoch0`, `epoch1`, …) absorbed in order — the same idiom as
-/// [`crate::parallel::map_indexed_traced`], so traces stay deterministic.
-pub fn run_engine_traced(
-    prepared: &mut Prepared,
-    cfg: &EngineConfig,
-    trace: &mut Trace,
-) -> Result<EngineReport, Error> {
-    run_engine_with(prepared, cfg, trace, &NullSink)
-}
-
-/// Like [`run_engine_traced`], additionally emitting one heartbeat line per
-/// epoch (epoch k/N, heavy count, alive peers) through `progress`.
-/// Heartbeats go to the sink (stderr in practice), never stdout, so they
-/// cannot perturb the deterministic time series or trace.
+/// [`run_engine`] recording one relabelled child trace per epoch (`epoch0`,
+/// `epoch1`, …) absorbed in order — the same idiom as
+/// [`crate::parallel::map_indexed_traced`], so traces stay deterministic —
+/// and emitting one heartbeat line per epoch (epoch k/N, heavy count, alive
+/// peers) through `progress`. Heartbeats go to the sink (stderr in
+/// practice), never stdout, so they cannot perturb the deterministic time
+/// series or trace.
 pub fn run_engine_with(
     prepared: &mut Prepared,
     cfg: &EngineConfig,
@@ -523,7 +515,7 @@ pub fn run_engine_with(
             };
             loop {
                 passes += 1;
-                let round = balancer.run_round_traced(
+                let round = balancer.run_round(
                     &mut prepared.net,
                     &mut prepared.loads,
                     &mut tree,
@@ -532,6 +524,7 @@ pub fn run_engine_with(
                     &round_dirty,
                     &mut bal_rng,
                     &mut tr,
+                    &mut RoundWalls::default(),
                 )?;
                 moved += total_moved_load(&round.transfers);
                 transfers += round.transfers.len();

@@ -7,7 +7,7 @@ use proxbal_core::{
     BalanceReport, BalancerConfig, ClassifyParams, LoadBalancer, NodeClass, ProximityMode,
 };
 use proxbal_ktree::KTree;
-use proxbal_profile::{NullSink, ProgressSink};
+use proxbal_profile::ProgressSink;
 use proxbal_trace::Trace;
 use serde::{Deserialize, Serialize};
 
@@ -318,14 +318,10 @@ pub struct RepairRow {
 }
 
 /// Crashes a fraction of peers at once, repairs, re-joins the same number
-/// of peers, and repairs again, measuring maintenance rounds for both waves.
-pub fn repair_after_crash(peers: usize, crash_fraction: f64, k: usize, seed: u64) -> RepairRow {
-    repair_after_crash_traced(peers, crash_fraction, k, seed, &mut Trace::disabled())
-}
-
-/// [`repair_after_crash`] recording both maintenance waves as `kt/maintain`
-/// spans (crash repair first, regrowth second, laid end to end on the
-/// round timeline) plus `crashed_peers` / `rejoined_peers` counters.
+/// of peers, and repairs again, measuring maintenance rounds for both
+/// waves. Both waves are recorded into `trace` as `kt/maintain` spans
+/// (crash repair first, regrowth second, laid end to end on the round
+/// timeline) plus `crashed_peers` / `rejoined_peers` counters.
 pub fn repair_after_crash_traced(
     peers: usize,
     crash_fraction: f64,
@@ -441,14 +437,10 @@ pub struct ReplicatedMovedLoad {
 }
 
 /// Runs [`fig78_moved_load`] on `graphs` independently seeded scenarios in
-/// parallel and pools the histograms.
-pub fn fig78_replicated(base: &Scenario, graphs: usize, threads: usize) -> ReplicatedMovedLoad {
-    fig78_replicated_traced(base, graphs, threads, &mut Trace::disabled())
-}
-
-/// [`fig78_replicated`] recording each graph's aware/ignorant runs under a
-/// `graph{i}` child track of `trace`, absorbed in graph-index order (so the
-/// merged event stream is bit-identical at any thread count).
+/// parallel and pools the histograms. Each graph's aware/ignorant runs are
+/// recorded under a `graph{i}` child track of `trace`, absorbed in
+/// graph-index order (so the merged event stream is bit-identical at any
+/// thread count).
 pub fn fig78_replicated_traced(
     base: &Scenario,
     graphs: usize,
@@ -514,13 +506,8 @@ pub struct AblationRow {
 /// Each variant clones the prepared initial state and derives its RNG from
 /// the scenario seed alone, so the variants run through the parallel
 /// engine and the rows come back in declaration order regardless of
-/// `threads`.
-pub fn ablation_sweep(prepared: &Prepared, threads: usize) -> Vec<AblationRow> {
-    ablation_sweep_traced(prepared, threads, &mut Trace::disabled())
-}
-
-/// [`ablation_sweep`] recording each variant's balancer run on its own
-/// child track (the variant label), absorbed in declaration order.
+/// `threads`. Each variant's balancer run is recorded on its own child
+/// track of `trace` (the variant label), absorbed in declaration order.
 pub fn ablation_sweep_traced(
     prepared: &Prepared,
     threads: usize,
@@ -667,8 +654,7 @@ pub fn protocol_latency_traced(
     trace: &mut Trace,
 ) -> Vec<LatencyRow> {
     use crate::protocol::{
-        simulate_aggregation_traced_in, simulate_dissemination_traced_in, LossModel,
-        ProtocolScratch,
+        simulate_aggregation, simulate_dissemination, LossModel, ProtocolScratch,
     };
     let mut rows = Vec::new();
     for &peers in sizes {
@@ -708,7 +694,7 @@ pub fn protocol_latency_traced(
                     }
                 };
                 let mut rng = prepared.derived_rng(0x1A7 ^ (k as u64) << 8);
-                let agg = simulate_aggregation_traced_in(
+                let agg = simulate_aggregation(
                     &prepared.net,
                     &tree,
                     oracle,
@@ -729,7 +715,7 @@ pub fn protocol_latency_traced(
                     ],
                 );
                 clock += agg.completion;
-                let dis = simulate_dissemination_traced_in(
+                let dis = simulate_dissemination(
                     &prepared.net,
                     &tree,
                     oracle,
@@ -811,6 +797,39 @@ pub struct XlRunSummary {
     pub histogram: DistanceHistogram,
 }
 
+/// Folds one balancing pass into its [`XlRunSummary`].
+fn xl_run_summary(
+    label: &str,
+    report: &BalanceReport,
+    walls: &proxbal_core::RoundWalls,
+    wall_s: f64,
+) -> XlRunSummary {
+    let mut histogram = DistanceHistogram::new();
+    for tr in &report.transfers {
+        histogram.add(tr.distance.expect("underlay present"), tr.assignment.load);
+    }
+    XlRunSummary {
+        label: label.to_string(),
+        heavy_before: report.before.get(&NodeClass::Heavy).copied().unwrap_or(0),
+        heavy_after: report.heavy_after(),
+        transfers: report.transfers.len(),
+        moved_load: proxbal_core::total_moved_load(&report.transfers),
+        frac2: histogram.fraction_within(2),
+        frac10: histogram.fraction_within(10),
+        mean_distance: histogram.mean_distance(),
+        lbi_rounds: report.lbi_rounds,
+        vsa_rounds: report.vsa.rounds,
+        lbi_messages: report.messages.lbi_messages,
+        vsa_record_hops: report.messages.vsa_record_hops,
+        wall_s,
+        lbi_wall_s: walls.lbi_wall_s,
+        aggregate_wall_s: walls.aggregate_wall_s,
+        vsa_wall_s: walls.vsa_wall_s,
+        transfer_wall_s: walls.transfer_wall_s,
+        histogram,
+    }
+}
+
 /// Result of the xl-scale end-to-end pass.
 #[derive(Clone, Debug, Serialize, Deserialize)]
 pub struct XlScaleOutput {
@@ -834,28 +853,16 @@ pub struct XlScaleOutput {
 /// underlay) with a bounded oracle cache, then runs the full four-phase
 /// balancer twice from identical initial state — proximity-aware and
 /// proximity-ignorant, the Figure-7 comparison shape. Deterministic for a
-/// given seed; the cache bound changes memory behaviour only.
-pub fn xl_scale(seed: u64) -> XlScaleOutput {
-    xl_scale_traced(
-        seed,
-        crate::parallel::default_threads(),
-        &mut Trace::disabled(),
-    )
-}
-
-/// [`xl_scale`] recording each mode's four-phase run on its own child
-/// track (`aware` / `ignorant`) of `trace`, with `threads` worker threads
-/// inside each balancing round (purely a performance knob — the output is
-/// byte-identical at any count).
-pub fn xl_scale_traced(seed: u64, threads: usize, trace: &mut Trace) -> XlScaleOutput {
-    xl_scale_run(seed, threads, trace, &NullSink)
-}
-
-/// [`xl_scale_traced`] with heartbeat lines on `progress` after the
-/// preparation and after each mode's run. Heartbeats go to the sink
-/// (stderr for the CLI), never to stdout, so enabling them cannot perturb
-/// the deterministic report output.
-pub fn xl_scale_run(
+/// given seed; the cache bound changes memory behaviour only, and `threads`
+/// (the worker threads inside each balancing round) is purely a
+/// performance knob — the output is byte-identical at any count.
+///
+/// Each mode's four-phase run is recorded on its own child track (`aware`
+/// / `ignorant`) of `trace`; heartbeat lines go to `progress` after the
+/// preparation and after each mode's run (stderr for the CLI, never
+/// stdout, so enabling them cannot perturb the deterministic report
+/// output).
+pub fn xl_scale(
     seed: u64,
     threads: usize,
     trace: &mut Trace,
@@ -896,30 +903,7 @@ pub fn xl_scale_run(
             )
             .expect("attached network");
         trace.absorb(child);
-        let mut histogram = DistanceHistogram::new();
-        for tr in &report.transfers {
-            histogram.add(tr.distance.expect("underlay present"), tr.assignment.load);
-        }
-        XlRunSummary {
-            label: name.to_string(),
-            heavy_before: report.before.get(&NodeClass::Heavy).copied().unwrap_or(0),
-            heavy_after: report.heavy_after(),
-            transfers: report.transfers.len(),
-            moved_load: proxbal_core::total_moved_load(&report.transfers),
-            frac2: histogram.fraction_within(2),
-            frac10: histogram.fraction_within(10),
-            mean_distance: histogram.mean_distance(),
-            lbi_rounds: report.lbi_rounds,
-            vsa_rounds: report.vsa.rounds,
-            lbi_messages: report.messages.lbi_messages,
-            vsa_record_hops: report.messages.vsa_record_hops,
-            wall_s: t.elapsed().as_secs_f64(),
-            lbi_wall_s: walls.lbi_wall_s,
-            aggregate_wall_s: walls.aggregate_wall_s,
-            vsa_wall_s: walls.vsa_wall_s,
-            transfer_wall_s: walls.transfer_wall_s,
-            histogram,
-        }
+        xl_run_summary(name, &report, &walls, t.elapsed().as_secs_f64())
     };
 
     // Same labels as the full-scale Figure-7 runs (78 = aware, 79 =
@@ -990,40 +974,24 @@ pub struct Xl2ScaleOutput {
     pub aware: XlRunSummary,
 }
 
-/// The xl2 pass: the [`ScenarioBuilder::xl2`](crate::ScenarioBuilder::xl2)
-/// preset (1,048,576 peers, sharded preparation, landmark-approximate
-/// transfer distances) through one proximity-aware four-phase run, executed
-/// **in place** — no overlay/load clone — so the peak footprint stays within
-/// the xl budget.
-pub fn xl2_scale(seed: u64) -> Xl2ScaleOutput {
-    xl2_scale_traced(seed, &mut Trace::disabled())
-}
-
-/// [`xl2_scale`] recording the run on an `aware` child track of `trace`.
-pub fn xl2_scale_traced(seed: u64, trace: &mut Trace) -> Xl2ScaleOutput {
-    xl2_scale_with(
-        Scenario::builder().xl2().seed(seed).build(),
-        crate::parallel::default_threads(),
-        trace,
-    )
-}
-
-/// The xl2 shape over an explicit scenario and worker-thread count — the
-/// entry point the reduced-scale smoke and determinism runs share with the
-/// full-scale pass. Everything except the `*_wall_s` fields is a pure
-/// function of `scenario`: sharded preparation, the sharded tree build and
-/// the intra-round parallel sections of the balancing pass all chunk
-/// deterministically and merge in index order, so the result is
-/// independent of `threads`.
-pub fn xl2_scale_with(scenario: Scenario, threads: usize, trace: &mut Trace) -> Xl2ScaleOutput {
-    xl2_scale_run(scenario, threads, trace, &NullSink)
-}
-
-/// [`xl2_scale_with`] with heartbeat lines on `progress` after sharded
-/// preparation, after the sharded tree build, and after the balancing run.
-/// Heartbeats go to the sink (stderr for the CLI), never to stdout, so the
-/// deterministic report output is unaffected.
-pub fn xl2_scale_run(
+/// The xl2 pass — the shape of the
+/// [`ScenarioBuilder::xl2`](crate::ScenarioBuilder::xl2) preset (1,048,576
+/// peers, sharded preparation, landmark-approximate transfer distances)
+/// over an explicit scenario, so the reduced-scale smoke and determinism
+/// runs share the entry point with the full-scale pass: one
+/// proximity-aware four-phase run, executed **in place** — no overlay/load
+/// clone — so the peak footprint stays within the xl budget.
+///
+/// Everything except the `*_wall_s` fields is a pure function of
+/// `scenario`: sharded preparation, the tree build and the intra-round
+/// parallel sections of the balancing pass all chunk deterministically and
+/// merge in index order, so the result is independent of `threads`.
+///
+/// The run is recorded on an `aware` child track of `trace`; heartbeat
+/// lines go to `progress` after preparation, after the tree build, and
+/// after the balancing run (stderr for the CLI, never stdout, so the
+/// deterministic report output is unaffected).
+pub fn xl2_scale(
     scenario: Scenario,
     threads: usize,
     trace: &mut Trace,
@@ -1088,31 +1056,7 @@ pub fn xl2_scale_run(
         )
         .expect("attached network");
     trace.absorb(child);
-
-    let mut histogram = DistanceHistogram::new();
-    for tr in &report.transfers {
-        histogram.add(tr.distance.expect("underlay present"), tr.assignment.load);
-    }
-    let aware = XlRunSummary {
-        label: "aware".to_string(),
-        heavy_before: report.before.get(&NodeClass::Heavy).copied().unwrap_or(0),
-        heavy_after: report.heavy_after(),
-        transfers: report.transfers.len(),
-        moved_load: proxbal_core::total_moved_load(&report.transfers),
-        frac2: histogram.fraction_within(2),
-        frac10: histogram.fraction_within(10),
-        mean_distance: histogram.mean_distance(),
-        lbi_rounds: report.lbi_rounds,
-        vsa_rounds: report.vsa.rounds,
-        lbi_messages: report.messages.lbi_messages,
-        vsa_record_hops: report.messages.vsa_record_hops,
-        wall_s: t.elapsed().as_secs_f64(),
-        lbi_wall_s: walls.lbi_wall_s,
-        aggregate_wall_s: walls.aggregate_wall_s,
-        vsa_wall_s: walls.vsa_wall_s,
-        transfer_wall_s: walls.transfer_wall_s,
-        histogram,
-    };
+    let aware = xl_run_summary("aware", &report, &walls, t.elapsed().as_secs_f64());
     progress.always(&format!(
         "xl2: aware run done in {:.1}s (heavy {} -> {}, {} transfers)",
         aware.wall_s, aware.heavy_before, aware.heavy_after, aware.transfers
@@ -1191,30 +1135,18 @@ pub struct FaultSweepRow {
 /// a clone of the same prepared scenario, so the sweep is bit-identical at
 /// any thread count, and the whole row set is a pure function of
 /// `(scenario.seed, rates)`.
-pub fn fault_sweep(scenario: &Scenario, rates: &[f64], threads: usize) -> Vec<FaultSweepRow> {
-    fault_sweep_traced(scenario, rates, threads, &mut Trace::disabled())
-}
-
-/// [`fault_sweep`] recording each rate's cell on its own child track
-/// (`loss{rate}`): `des/aggregation` → `kt/repair` → `des/dissemination` →
+///
+/// Each rate's cell is recorded on its own child track (`loss{rate}`) of
+/// `trace`: `des/aggregation` → `kt/repair` → `des/dissemination` →
 /// `phase/vsa` spans laid end to end on the cell's simulated timeline, the
 /// DES retry/backoff counters and histograms of the faulty sims, the
 /// VSA/VST counters of the surviving-membership pass, and a closing
-/// `rate_summary` instant carrying the row's headline numbers.
-pub fn fault_sweep_traced(
-    scenario: &Scenario,
-    rates: &[f64],
-    threads: usize,
-    trace: &mut Trace,
-) -> Vec<FaultSweepRow> {
-    fault_sweep_run(scenario, rates, threads, trace, &NullSink)
-}
-
-/// [`fault_sweep_traced`] with a heartbeat line on `progress` as each
-/// rate cell completes. Cells run on worker threads, so the sink's `Sync`
-/// bound is what makes the shared reference sound; heartbeats go to the
-/// sink (stderr for the CLI), never to stdout.
-pub fn fault_sweep_run(
+/// `rate_summary` instant carrying the row's headline numbers. A heartbeat
+/// line goes to `progress` as each rate cell completes — cells run on
+/// worker threads, so the sink's `Sync` bound is what makes the shared
+/// reference sound; heartbeats go to the sink (stderr for the CLI), never
+/// to stdout.
+pub fn fault_sweep(
     scenario: &Scenario,
     rates: &[f64],
     threads: usize,
@@ -1226,9 +1158,7 @@ pub fn fault_sweep_run(
     use crate::faults::{FaultConfig, FaultPlan};
     use crate::protocol::ProtocolScratch;
     use proxbal_core::reports::{ignorant_inputs, light_slots, shed_candidates};
-    use proxbal_core::{
-        execute_transfers_with_requeue_traced, run_vsa_traced, Classification, VsaParams,
-    };
+    use proxbal_core::{execute_transfers_with_requeue, run_vsa, Classification, VsaParams};
     use rand::SeedableRng;
 
     let prepared = scenario.prepare();
@@ -1298,7 +1228,7 @@ pub fn fault_sweep_run(
         for &(_, p) in &crashes {
             net.crash_peer(p);
         }
-        let repair = tree.repair_traced(&net, 256, clock, trace);
+        let repair = tree.repair_traced_with_actions(&net, 256, clock, trace).0;
         clock += repair.rounds as u64;
 
         // Phase 2 under message faults over the repaired tree (the crashed
@@ -1332,17 +1262,17 @@ pub fn fault_sweep_run(
             epsilon: scenario.balancer.epsilon,
         };
         let system = loads.totals(&net);
-        let classification = Classification::compute(&net, &loads, &params, system);
+        let classification = Classification::compute(&net, &loads, &params, system, 1);
         let heavy_before = classification.count_of(NodeClass::Heavy);
-        let shed = shed_candidates(&net, &loads, &params, &classification);
-        let light = light_slots(&net, &loads, &params, &classification);
+        let shed = shed_candidates(&net, &loads, &params, &classification, 1);
+        let light = light_slots(&net, &loads, &params, &classification, 1);
         let mut rng = rand::rngs::StdRng::seed_from_u64(cfg.seed ^ 0xD15);
         let inputs = ignorant_inputs(&net, &tree, &shed, &light, &mut rng);
         let vsa_params = VsaParams {
             rendezvous_threshold: scenario.balancer.rendezvous_threshold,
             l_min: system.min_vs_load,
         };
-        let mut vsa = run_vsa_traced(&tree, inputs, &vsa_params, trace);
+        let mut vsa = run_vsa(&tree, inputs, &vsa_params, trace);
         trace.span_args(
             "phase/vsa",
             clock,
@@ -1360,7 +1290,7 @@ pub fn fault_sweep_run(
             net.crash_peer(p);
         }
         trace.count("crashed_peers", victims.len() as u64);
-        let outcome = execute_transfers_with_requeue_traced(
+        let outcome = execute_transfers_with_requeue(
             &mut net,
             &mut loads,
             &vsa.assignments,
@@ -1371,7 +1301,7 @@ pub fn fault_sweep_run(
         )
         .expect("no oracle in the requeue pass");
 
-        let after = Classification::compute(&net, &loads, &params, system);
+        let after = Classification::compute(&net, &loads, &params, system, 1);
         let heavy_after = after.count_of(NodeClass::Heavy);
         let alive = net.alive_peers().len();
 
@@ -1429,9 +1359,19 @@ mod tests {
         s
     }
 
+    fn sweep(s: &Scenario, rates: &[f64], threads: usize) -> Vec<FaultSweepRow> {
+        fault_sweep(
+            s,
+            rates,
+            threads,
+            &mut Trace::disabled(),
+            &proxbal_profile::NullSink,
+        )
+    }
+
     #[test]
     fn fault_sweep_zero_rate_is_clean() {
-        let rows = fault_sweep(&sweep_scenario(), &[0.0], 1);
+        let rows = sweep(&sweep_scenario(), &[0.0], 1);
         let r = &rows[0];
         assert_eq!(r.crashed_peers, 0);
         assert_eq!(r.stale_links, 0);
@@ -1448,8 +1388,8 @@ mod tests {
     fn fault_sweep_is_thread_count_invariant() {
         let s = sweep_scenario();
         let rates = [0.0, 0.08];
-        let a = fault_sweep(&s, &rates, 1);
-        let b = fault_sweep(&s, &rates, 2);
+        let a = sweep(&s, &rates, 1);
+        let b = sweep(&s, &rates, 2);
         let ja = serde_json::to_string(&a).unwrap();
         let jb = serde_json::to_string(&b).unwrap();
         assert_eq!(ja, jb, "sweep must be bit-identical at any thread count");

@@ -375,7 +375,7 @@ impl<'a> FaultRun<'a> {
 }
 
 /// Fault-injected bottom-up aggregation: same protocol as
-/// [`crate::protocol::simulate_aggregation_in`], but messages follow the
+/// [`crate::protocol::simulate_aggregation`], but messages follow the
 /// plan's fates, senders retry with exponential backoff and give up after
 /// the budget, and peers crash-stop mid-phase. A parent whose child edge
 /// permanently failed stops waiting for it (the fold of its wait timer into
@@ -814,6 +814,8 @@ mod tests {
             &contributors,
             &LossModel::reliable(),
             &mut rng,
+            &mut ProtocolScratch::new(),
+            &mut Trace::disabled(),
         )
         .expect("attached");
         assert_eq!(agg.timing.completion, reliable.completion);

@@ -30,9 +30,7 @@ pub mod protocol;
 mod scenario;
 pub mod shard;
 
-pub use engine::{
-    run_engine, run_engine_traced, run_engine_with, EngineConfig, EngineReport, EpochSample,
-};
+pub use engine::{run_engine, run_engine_with, EngineConfig, EngineReport, EpochSample};
 pub use scenario::{
     DistanceMode, Prepared, Scenario, ScenarioBuilder, TopologyKind, XL2_ORACLE_CAPACITY,
     XL_ORACLE_CAPACITY,

@@ -8,13 +8,12 @@
 //! and retransmitted after a timeout. The result is the *wall-clock*
 //! completion time behind the paper's "fast load balancing" claim.
 //!
-//! The phase drivers come in two forms: plain entry points that allocate
-//! working state per call, and `*_in` variants that run inside a caller-held
-//! [`ProtocolScratch`]. The scratch pools every per-run allocation — the
-//! active/pending/delivered node tables, the per-edge latency memo, and the
-//! event queue's heap — so a sweep that simulates hundreds of phases over
-//! the same tree (claim-latency curves run 100k+ messages) stops allocating
-//! per event and stops re-asking the distance oracle for the same tree edge.
+//! The phase drivers run inside a caller-held [`ProtocolScratch`]. The
+//! scratch pools every per-run allocation — the active/pending/delivered
+//! node tables, the per-edge latency memo, and the event queue's heap — so a
+//! sweep that simulates hundreds of phases over the same tree (claim-latency
+//! curves run 100k+ messages) stops allocating per event and stops re-asking
+//! the distance oracle for the same tree edge.
 
 use crate::des::{EventQueue, SimTime};
 use proxbal_chord::ChordNetwork;
@@ -218,55 +217,15 @@ impl ProtocolScratch {
 ///
 /// Returns the timing; with [`LossModel::reliable`] the completion time
 /// equals the analytic maximum root-path latency over contributing nodes.
-pub fn simulate_aggregation<R: Rng>(
-    net: &ChordNetwork,
-    tree: &KTree,
-    oracle: &DistanceOracle,
-    contributors: &[KtNodeId],
-    loss: &LossModel,
-    rng: &mut R,
-) -> Result<PhaseTiming, ProtocolError> {
-    simulate_aggregation_in(
-        net,
-        tree,
-        oracle,
-        contributors,
-        loss,
-        rng,
-        &mut ProtocolScratch::new(),
-    )
-}
-
-/// [`simulate_aggregation`] running inside a caller-held scratch — no
-/// per-run allocation once the scratch is warm.
-pub fn simulate_aggregation_in<R: Rng>(
-    net: &ChordNetwork,
-    tree: &KTree,
-    oracle: &DistanceOracle,
-    contributors: &[KtNodeId],
-    loss: &LossModel,
-    rng: &mut R,
-    scratch: &mut ProtocolScratch,
-) -> Result<PhaseTiming, ProtocolError> {
-    simulate_aggregation_traced_in(
-        net,
-        tree,
-        oracle,
-        contributors,
-        loss,
-        rng,
-        scratch,
-        &mut proxbal_trace::Trace::disabled(),
-    )
-}
-
-/// [`simulate_aggregation_in`] recording DES metrics into `trace`:
-/// `des_messages` / `des_losses` counters, the `des_queue_depth` histogram
-/// (pending events sampled at every pop) and one `des_queue_peak`
-/// observation. The simulation itself is bit-identical with tracing on or
-/// off; spans are the caller's job (it owns the virtual-time offset).
+///
+/// Runs inside the caller-held `scratch` — no per-run allocation once it
+/// is warm — and records DES metrics into `trace`: `des_messages` /
+/// `des_losses` counters, the `des_queue_depth` histogram (pending events
+/// sampled at every pop) and one `des_queue_peak` observation. The
+/// simulation itself is bit-identical with tracing on or off; spans are the
+/// caller's job (it owns the virtual-time offset).
 #[allow(clippy::too_many_arguments)]
-pub fn simulate_aggregation_traced_in<R: Rng>(
+pub fn simulate_aggregation<R: Rng>(
     net: &ChordNetwork,
     tree: &KTree,
     oracle: &DistanceOracle,
@@ -392,39 +351,8 @@ pub fn simulate_aggregation_traced_in<R: Rng>(
 
 /// Simulates the top-down dissemination: the root broadcasts, every node
 /// forwards to its children on arrival. Completion is the last delivery.
+/// Scratch and trace as in [`simulate_aggregation`].
 pub fn simulate_dissemination<R: Rng>(
-    net: &ChordNetwork,
-    tree: &KTree,
-    oracle: &DistanceOracle,
-    loss: &LossModel,
-    rng: &mut R,
-) -> Result<PhaseTiming, ProtocolError> {
-    simulate_dissemination_in(net, tree, oracle, loss, rng, &mut ProtocolScratch::new())
-}
-
-/// [`simulate_dissemination`] running inside a caller-held scratch.
-pub fn simulate_dissemination_in<R: Rng>(
-    net: &ChordNetwork,
-    tree: &KTree,
-    oracle: &DistanceOracle,
-    loss: &LossModel,
-    rng: &mut R,
-    scratch: &mut ProtocolScratch,
-) -> Result<PhaseTiming, ProtocolError> {
-    simulate_dissemination_traced_in(
-        net,
-        tree,
-        oracle,
-        loss,
-        rng,
-        scratch,
-        &mut proxbal_trace::Trace::disabled(),
-    )
-}
-
-/// [`simulate_dissemination_in`] recording DES metrics into `trace` (same
-/// scheme as [`simulate_aggregation_traced_in`]).
-pub fn simulate_dissemination_traced_in<R: Rng>(
     net: &ChordNetwork,
     tree: &KTree,
     oracle: &DistanceOracle,
@@ -528,6 +456,26 @@ mod tests {
         (prepared, tree)
     }
 
+    /// One aggregation in a fresh scratch, untraced.
+    fn aggregation(
+        prepared: &crate::Prepared,
+        tree: &KTree,
+        contributors: &[KtNodeId],
+        loss: &LossModel,
+        rng: &mut StdRng,
+    ) -> Result<PhaseTiming, ProtocolError> {
+        simulate_aggregation(
+            &prepared.net,
+            tree,
+            prepared.oracle.as_ref().unwrap(),
+            contributors,
+            loss,
+            rng,
+            &mut ProtocolScratch::new(),
+            &mut proxbal_trace::Trace::disabled(),
+        )
+    }
+
     fn all_report_targets(prepared: &crate::Prepared, tree: &KTree) -> Vec<KtNodeId> {
         let mut targets: Vec<KtNodeId> = prepared
             .net
@@ -546,10 +494,9 @@ mod tests {
         let oracle = prepared.oracle.as_ref().unwrap();
         let contributors = all_report_targets(&prepared, &tree);
         let mut rng = StdRng::seed_from_u64(1);
-        let timing = simulate_aggregation(
-            &prepared.net,
+        let timing = aggregation(
+            &prepared,
             &tree,
-            oracle,
             &contributors,
             &LossModel::reliable(),
             &mut rng,
@@ -567,28 +514,13 @@ mod tests {
     #[test]
     fn partial_contributors_complete_sooner_or_equal() {
         let (prepared, tree) = setup();
-        let oracle = prepared.oracle.as_ref().unwrap();
         let all = all_report_targets(&prepared, &tree);
         let few: Vec<KtNodeId> = all.iter().copied().take(3).collect();
         let mut rng = StdRng::seed_from_u64(2);
-        let t_all = simulate_aggregation(
-            &prepared.net,
-            &tree,
-            oracle,
-            &all,
-            &LossModel::reliable(),
-            &mut rng,
-        )
-        .expect("attached");
-        let t_few = simulate_aggregation(
-            &prepared.net,
-            &tree,
-            oracle,
-            &few,
-            &LossModel::reliable(),
-            &mut rng,
-        )
-        .expect("attached");
+        let t_all = aggregation(&prepared, &tree, &all, &LossModel::reliable(), &mut rng)
+            .expect("attached");
+        let t_few = aggregation(&prepared, &tree, &few, &LossModel::reliable(), &mut rng)
+            .expect("attached");
         assert!(t_few.completion <= t_all.completion);
         assert!(t_few.messages < t_all.messages);
     }
@@ -596,22 +528,19 @@ mod tests {
     #[test]
     fn loss_delays_but_completes() {
         let (prepared, tree) = setup();
-        let oracle = prepared.oracle.as_ref().unwrap();
         let contributors = all_report_targets(&prepared, &tree);
         let mut rng = StdRng::seed_from_u64(3);
-        let reliable = simulate_aggregation(
-            &prepared.net,
+        let reliable = aggregation(
+            &prepared,
             &tree,
-            oracle,
             &contributors,
             &LossModel::reliable(),
             &mut rng,
         )
         .expect("attached");
-        let lossy = simulate_aggregation(
-            &prepared.net,
+        let lossy = aggregation(
+            &prepared,
             &tree,
-            oracle,
             &contributors,
             &LossModel {
                 loss_probability: 0.3,
@@ -636,6 +565,8 @@ mod tests {
             oracle,
             &LossModel::reliable(),
             &mut rng,
+            &mut ProtocolScratch::new(),
+            &mut proxbal_trace::Trace::disabled(),
         )
         .expect("attached");
         // Broadcast completion equals the max root-path latency over all
@@ -649,17 +580,9 @@ mod tests {
     #[test]
     fn empty_contributor_set_is_trivial() {
         let (prepared, tree) = setup();
-        let oracle = prepared.oracle.as_ref().unwrap();
         let mut rng = StdRng::seed_from_u64(5);
-        let timing = simulate_aggregation(
-            &prepared.net,
-            &tree,
-            oracle,
-            &[],
-            &LossModel::reliable(),
-            &mut rng,
-        )
-        .expect("attached");
+        let timing =
+            aggregation(&prepared, &tree, &[], &LossModel::reliable(), &mut rng).expect("attached");
         assert_eq!(timing.completion, 0);
         assert_eq!(timing.messages, 0);
     }
@@ -673,12 +596,10 @@ mod tests {
         for p in &peers {
             prepared.net.attach(*p, u32::MAX);
         }
-        let oracle = prepared.oracle.as_ref().unwrap();
         let mut rng = StdRng::seed_from_u64(6);
-        let err = simulate_aggregation(
-            &prepared.net,
+        let err = aggregation(
+            &prepared,
             &tree,
-            oracle,
             &contributors,
             &LossModel::reliable(),
             &mut rng,
@@ -699,15 +620,14 @@ mod tests {
         let fresh: Vec<PhaseTiming> = (0..4)
             .map(|i| {
                 let mut rng = StdRng::seed_from_u64(100 + i);
-                simulate_aggregation(&prepared.net, &tree, oracle, &contributors, &loss, &mut rng)
-                    .expect("attached")
+                aggregation(&prepared, &tree, &contributors, &loss, &mut rng).expect("attached")
             })
             .collect();
         let mut scratch = ProtocolScratch::new();
         let pooled: Vec<PhaseTiming> = (0..4)
             .map(|i| {
                 let mut rng = StdRng::seed_from_u64(100 + i);
-                simulate_aggregation_in(
+                simulate_aggregation(
                     &prepared.net,
                     &tree,
                     oracle,
@@ -715,6 +635,7 @@ mod tests {
                     &loss,
                     &mut rng,
                     &mut scratch,
+                    &mut proxbal_trace::Trace::disabled(),
                 )
                 .expect("attached")
             })

@@ -86,10 +86,9 @@ pub struct Scenario {
     /// transfer pairs whose landmark bounds do not pin the distance.
     pub refine_sources: usize,
     /// Number of preparation shards (`0` = the serial preparation path).
-    /// With `shards > 0`, ring-position generation and landmark-vector
-    /// construction are partitioned across this many independent workers
-    /// and merged deterministically — the result depends on `shards` but
-    /// never on `--threads`.
+    /// With `shards > 0`, ring-position generation is partitioned across
+    /// this many independent RNG streams and merged deterministically — the
+    /// result depends on `shards` but never on `--threads`.
     pub shards: usize,
     /// Master seed: every random choice derives from it.
     pub seed: u64,
@@ -134,25 +133,21 @@ impl Scenario {
     /// capacity settings — eviction only discards memoized pure functions
     /// of the graph.
     ///
-    /// With [`Scenario::shards`] `> 0` the ring and the hop-metric landmark
-    /// vectors are built the sharded way ([`crate::shard`]); the result is
-    /// deterministic in the scenario (including `shards`) and independent
-    /// of the worker-thread count.
+    /// With [`Scenario::shards`] `> 0` the ring is built the sharded way
+    /// ([`crate::shard`]); the result is deterministic in the scenario
+    /// (including `shards`) and independent of the worker-thread count.
     pub fn prepare(&self) -> Prepared {
-        self.prepare_threads(crate::parallel::default_threads())
+        self.prepare_run(
+            crate::parallel::default_threads(),
+            &proxbal_profile::NullSink,
+        )
     }
 
-    /// Like [`Scenario::prepare`] with an explicit worker-thread count.
-    /// Thread count never changes the result — it only bounds parallelism —
-    /// so this exists for benchmarks and determinism tests that pin it.
-    pub fn prepare_threads(&self, threads: usize) -> Prepared {
-        self.prepare_run(threads, &proxbal_profile::NullSink)
-    }
-
-    /// Like [`Scenario::prepare_threads`] with per-phase heartbeat lines
-    /// on `progress` (topology, join, attach/landmarks, loads, landmark
-    /// vectors). Heartbeats go to the sink (stderr for the CLI), never to
-    /// stdout, and never change the prepared result.
+    /// [`Scenario::prepare`] on `threads` workers — the thread count never
+    /// changes the result, it only bounds parallelism — with per-phase
+    /// heartbeat lines on `progress` (topology, join, attach/landmarks,
+    /// loads, landmark vectors). Heartbeats go to the sink (stderr for the
+    /// CLI), never to stdout, and never change the prepared result.
     pub fn prepare_run(
         &self,
         threads: usize,
@@ -241,11 +236,7 @@ impl Scenario {
         let _sub = proxbal_profile::phase("prepare/landmarks");
         let hop_landmarks = match (self.distance_mode, oracle.as_ref()) {
             (DistanceMode::Approximate, Some(oracle)) if !landmarks.is_empty() => {
-                let vectors = if self.shards > 0 {
-                    crate::shard::build_landmarks_sharded(oracle, &landmarks, self.shards, threads)
-                } else {
-                    LandmarkOracle::build(oracle, &landmarks, threads)
-                };
+                let vectors = LandmarkOracle::build(oracle, &landmarks, threads);
                 progress.event("prepare: hop-metric landmark vectors built");
                 Some(vectors)
             }

@@ -16,9 +16,6 @@
 //!   shuffles the stubs, picks the landmarks and samples every load: a
 //!   single resample drawn out of join order changes every simulated number
 //!   downstream.
-//! - **Landmark vectors** — per-shard node ranges of the hop-metric
-//!   landmark matrix are transposed in parallel and concatenated in shard
-//!   order ([`LandmarkOracle::from_parts`]).
 //! - **The KT tree** — [`build_tree_sharded`] numbers the arena top levels
 //!   first, then one subtree after another ([`KTree::build_split`]).
 //!
@@ -32,7 +29,6 @@ use crate::scenario::Scenario;
 use proxbal_chord::ChordNetwork;
 use proxbal_id::Id;
 use proxbal_ktree::KTree;
-use proxbal_topology::{DistanceOracle, LandmarkOracle, NodeId};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -80,40 +76,6 @@ pub(crate) fn join_sharded(
     net.join_peers_at(&positions, vs_per_peer, rng);
     progress.event(&format!("prepare: joined {peers}/{peers} peers"));
     net
-}
-
-/// Builds the hop-metric [`LandmarkOracle`] by transposing per-shard node
-/// ranges of the landmark rows in parallel and concatenating the slices in
-/// shard order — the same matrix [`LandmarkOracle::build`] produces.
-pub fn build_landmarks_sharded(
-    oracle: &DistanceOracle,
-    landmarks: &[NodeId],
-    shards: usize,
-    threads: usize,
-) -> LandmarkOracle {
-    assert!(!landmarks.is_empty(), "need at least one landmark");
-    let shards = shards.max(1);
-    oracle.precompute(landmarks, threads);
-    let rows: Vec<_> = landmarks.iter().map(|&l| oracle.row(l)).collect();
-    let nodes = oracle.graph().node_count();
-    let m = landmarks.len();
-    let chunk = nodes.div_ceil(shards);
-    let slices = parallel::map_indexed(shards, threads, |s| {
-        let start = s * chunk;
-        let end = nodes.min(start + chunk);
-        let mut out = Vec::with_capacity((end - start) * m);
-        for node in start..end {
-            for row in &rows {
-                out.push(row.get(node));
-            }
-        }
-        out
-    });
-    let mut vectors = Vec::with_capacity(nodes * m);
-    for slice in slices {
-        vectors.extend(slice);
-    }
-    LandmarkOracle::from_parts(landmarks.to_vec(), nodes, vectors)
 }
 
 /// The K-nary tree of a sharded run: [`KTree::build_split`], whose arena

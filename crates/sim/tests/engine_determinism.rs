@@ -6,13 +6,14 @@
 //! of the `ScenarioBuilder` redesign: presets are deterministic field
 //! rewrites over the paper defaults.
 
-use proxbal_core::{DirtySet, Error, LoadBalancer, RoundCache};
+use proxbal_core::{DirtySet, Error, LoadBalancer, RoundCache, RoundWalls};
 use proxbal_ktree::KTree;
+use proxbal_profile::NullSink;
 use proxbal_sim::churn::ChurnConfig;
 use proxbal_sim::drift::DriftConfig;
 use proxbal_sim::engine::BALANCE_LABEL;
 use proxbal_sim::faults::FaultConfig;
-use proxbal_sim::{run_engine, run_engine_traced, EngineConfig, Scenario, TopologyKind};
+use proxbal_sim::{run_engine, run_engine_with, EngineConfig, Scenario, TopologyKind};
 use proxbal_trace::Trace;
 
 /// A small scenario with every event source on — churn, drift and a lossy
@@ -52,7 +53,7 @@ fn engine_series_and_trace_are_repeat_deterministic() {
     let run = || {
         let mut prepared = stormy().prepare();
         let mut trace = Trace::enabled("engine");
-        let report = run_engine_traced(&mut prepared, &short(8), &mut trace).unwrap();
+        let report = run_engine_with(&mut prepared, &short(8), &mut trace, &NullSink).unwrap();
         (
             serde_json::to_string(&report).unwrap(),
             trace.to_ndjson(),
@@ -79,7 +80,7 @@ fn traced_and_untraced_engine_runs_agree() {
 
     let mut traced_prep = stormy().prepare();
     let mut trace = Trace::enabled("engine");
-    let traced = run_engine_traced(&mut traced_prep, &short(6), &mut trace).unwrap();
+    let traced = run_engine_with(&mut traced_prep, &short(6), &mut trace, &NullSink).unwrap();
     assert_eq!(
         serde_json::to_string(&plain).unwrap(),
         serde_json::to_string(&traced).unwrap(),
@@ -88,7 +89,7 @@ fn traced_and_untraced_engine_runs_agree() {
 
     let mut disabled_prep = stormy().prepare();
     let mut disabled = Trace::disabled();
-    let silent = run_engine_traced(&mut disabled_prep, &short(6), &mut disabled).unwrap();
+    let silent = run_engine_with(&mut disabled_prep, &short(6), &mut disabled, &NullSink).unwrap();
     assert_eq!(
         serde_json::to_string(&plain).unwrap(),
         serde_json::to_string(&silent).unwrap()
@@ -133,6 +134,8 @@ fn quiescent_single_epoch_matches_one_shot_round() {
             &mut RoundCache::new(),
             &DirtySet::All,
             &mut rng,
+            &mut Trace::disabled(),
+            &mut RoundWalls::default(),
         )
         .unwrap();
 
@@ -225,7 +228,7 @@ fn every_epoch_repair_passes_the_invariant_audit() {
         ..EngineConfig::default()
     };
     let mut trace = Trace::enabled("engine");
-    let report = run_engine_traced(&mut prepared, &cfg, &mut trace).unwrap();
+    let report = run_engine_with(&mut prepared, &cfg, &mut trace, &NullSink).unwrap();
     assert!(report.stale_links >= cfg.epochs, "stale links every epoch");
     assert!(report.joins > 0 && report.crashes > 0, "churn fired");
     assert!(

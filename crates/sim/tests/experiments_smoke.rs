@@ -5,6 +5,7 @@
 use proxbal_core::BalancerConfig;
 use proxbal_sim::experiments::*;
 use proxbal_sim::{Scenario, TopologyKind};
+use proxbal_trace::Trace;
 use proxbal_workload::LoadModel;
 
 fn small(seed: u64, topology: TopologyKind) -> Scenario {
@@ -51,7 +52,7 @@ fn fig56_driver_shape_gaussian_and_pareto() {
 #[test]
 fn fig78_replicated_pools_graphs() {
     let base = small(3, TopologyKind::Tiny);
-    let out = fig78_replicated(&base, 3, 3);
+    let out = fig78_replicated_traced(&base, 3, 3, &mut Trace::disabled());
     assert_eq!(out.per_graph.len(), 3);
     assert_eq!(out.max_heavy_after, 0);
     assert!(!out.aware.is_empty());
@@ -76,7 +77,7 @@ fn rounds_scaling_is_monotone_in_size_and_k() {
 
 #[test]
 fn repair_rows_bounded_by_height() {
-    let row = repair_after_crash(128, 0.25, 2, 7);
+    let row = repair_after_crash_traced(128, 0.25, 2, 7, &mut Trace::disabled());
     assert_eq!(row.crash_repair_rounds, 1, "prune/replant is one sweep");
     assert!(row.join_repair_rounds >= 1);
     assert!(
@@ -104,7 +105,7 @@ fn ablation_sweep_covers_all_variants() {
     let mut scenario = small(11, TopologyKind::Tiny);
     scenario.landmarks = 6;
     let prepared = scenario.prepare();
-    let rows = ablation_sweep(&prepared, 2);
+    let rows = ablation_sweep_traced(&prepared, 2, &mut Trace::disabled());
     assert!(rows.len() >= 12);
     // Ignorant baseline must have the worst mean distance.
     let ignorant = rows
@@ -127,7 +128,13 @@ fn ablation_sweep_covers_all_variants() {
 fn parallel_drivers_are_thread_count_invariant() {
     let fig = |threads| {
         let base = small(17, TopologyKind::Tiny);
-        serde_json::to_string(&fig78_replicated(&base, 3, threads)).unwrap()
+        serde_json::to_string(&fig78_replicated_traced(
+            &base,
+            3,
+            threads,
+            &mut Trace::disabled(),
+        ))
+        .unwrap()
     };
     let fig1 = fig(1);
     assert_eq!(fig1, fig(2), "fig78 differs at 2 threads");
@@ -142,7 +149,14 @@ fn parallel_drivers_are_thread_count_invariant() {
     let mut scenario = small(11, TopologyKind::Tiny);
     scenario.landmarks = 6;
     let prepared = scenario.prepare();
-    let ablation = |threads| serde_json::to_string(&ablation_sweep(&prepared, threads)).unwrap();
+    let ablation = |threads| {
+        serde_json::to_string(&ablation_sweep_traced(
+            &prepared,
+            threads,
+            &mut Trace::disabled(),
+        ))
+        .unwrap()
+    };
     let ablation1 = ablation(1);
     assert_eq!(
         ablation1,

@@ -12,6 +12,7 @@ use proxbal_core::{
     BalancerConfig, LoadBalancer, ProximityMode, ProximityParams, RoundWalls, Underlay,
 };
 use proxbal_ktree::KTree;
+use proxbal_profile::NullSink;
 use proxbal_sim::{Scenario, TopologyKind};
 use proxbal_trace::Trace;
 
@@ -29,7 +30,7 @@ fn aware_scenario(seed: u64) -> Scenario {
 /// over freshly prepared (thread-independent) state, returning the
 /// serialized report and the trace event log.
 fn one_round(seed: u64, threads: usize) -> (String, String, RoundWalls) {
-    let mut prepared = aware_scenario(seed).prepare_threads(1);
+    let mut prepared = aware_scenario(seed).prepare_run(1, &NullSink);
     let cfg = BalancerConfig {
         mode: ProximityMode::Aware(ProximityParams::default()),
         ..prepared.scenario.balancer
@@ -101,7 +102,7 @@ fn ignorant_mode_rounds_are_thread_invariant_too() {
     // No underlay at all: the ignorant identifier-space path (random
     // report placement, no distance accounting) merges identically.
     let run = |threads: usize| {
-        let mut prepared = aware_scenario(23).prepare_threads(1);
+        let mut prepared = aware_scenario(23).prepare_run(1, &NullSink);
         let mut rng = prepared.derived_rng(0x1D);
         let report = LoadBalancer::new(prepared.scenario.balancer)
             .with_threads(threads)
@@ -129,10 +130,11 @@ fn engine_timeline_is_invariant_to_the_prepare_thread_count() {
         ..proxbal_sim::EngineConfig::default()
     };
     let run = |threads: usize| {
-        let mut prepared = scenario.prepare_threads(threads);
+        let mut prepared = scenario.prepare_run(threads, &NullSink);
         assert_eq!(prepared.threads, threads);
         let mut trace = Trace::enabled("engine");
-        let report = proxbal_sim::run_engine_traced(&mut prepared, &cfg, &mut trace).unwrap();
+        let report =
+            proxbal_sim::run_engine_with(&mut prepared, &cfg, &mut trace, &NullSink).unwrap();
         (serde_json::to_string(&report).unwrap(), trace.to_ndjson())
     };
     let (r1, nd1) = run(1);

@@ -4,12 +4,17 @@
 //! disabled collector leaves the experiment results byte-for-byte identical
 //! to an untraced run.
 
+use proxbal_profile::NullSink;
 use proxbal_sim::experiments::{
-    fault_sweep, fault_sweep_traced, fig78_replicated, fig78_replicated_traced, protocol_latency,
-    protocol_latency_traced,
+    fault_sweep, fig78_replicated_traced, protocol_latency, protocol_latency_traced, FaultSweepRow,
 };
 use proxbal_sim::{Scenario, TopologyKind};
 use proxbal_trace::Trace;
+
+/// The fault sweep without heartbeats.
+fn sweep(s: &Scenario, rates: &[f64], threads: usize, trace: &mut Trace) -> Vec<FaultSweepRow> {
+    fault_sweep(s, rates, threads, trace, &NullSink)
+}
 
 fn sweep_scenario() -> Scenario {
     let mut s = Scenario::builder().small().seed(60).build();
@@ -31,7 +36,7 @@ fn fault_sweep_trace_is_byte_identical_across_thread_counts() {
     let rates = [0.0, 0.05, 0.1];
     let run = |threads: usize| {
         let mut trace = Trace::enabled("faults");
-        let rows = fault_sweep_traced(&s, &rates, threads, &mut trace);
+        let rows = sweep(&s, &rates, threads, &mut trace);
         (
             serde_json::to_string(&rows).unwrap(),
             trace.to_ndjson(),
@@ -55,7 +60,7 @@ fn fault_sweep_trace_counters_match_row_totals() {
     let s = sweep_scenario();
     let rates = [0.0, 0.1];
     let mut trace = Trace::enabled("faults");
-    let rows = fault_sweep_traced(&s, &rates, 2, &mut trace);
+    let rows = sweep(&s, &rates, 2, &mut trace);
     let retries: usize = rows.iter().map(|r| r.retries).sum();
     let gave_up: usize = rows.iter().map(|r| r.gave_up).sum();
     let messages: usize = rows.iter().map(|r| r.messages).sum();
@@ -71,9 +76,9 @@ fn fault_sweep_trace_counters_match_row_totals() {
 fn traced_and_untraced_fault_sweeps_agree() {
     let s = sweep_scenario();
     let rates = [0.0, 0.08];
-    let plain = fault_sweep(&s, &rates, 2);
+    let plain = sweep(&s, &rates, 2, &mut Trace::disabled());
     let mut trace = Trace::enabled("faults");
-    let traced = fault_sweep_traced(&s, &rates, 2, &mut trace);
+    let traced = sweep(&s, &rates, 2, &mut trace);
     assert_eq!(
         serde_json::to_string(&plain).unwrap(),
         serde_json::to_string(&traced).unwrap(),
@@ -109,9 +114,9 @@ fn fig78_trace_is_byte_identical_across_thread_counts() {
 #[test]
 fn fig78_disabled_trace_changes_nothing_and_records_nothing() {
     let base = fig78_scenario();
-    let plain = fig78_replicated(&base, 2, 2);
     let mut disabled = Trace::disabled();
-    let traced = fig78_replicated_traced(&base, 2, 2, &mut disabled);
+    let plain = fig78_replicated_traced(&base, 2, 2, &mut disabled);
+    let traced = fig78_replicated_traced(&base, 2, 2, &mut Trace::enabled("figure_7"));
     assert_eq!(
         serde_json::to_string(&plain).unwrap(),
         serde_json::to_string(&traced).unwrap()

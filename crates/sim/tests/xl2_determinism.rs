@@ -7,7 +7,8 @@
 use proxbal_chord::ChordNetwork;
 use proxbal_core::LoadState;
 use proxbal_id::Id;
-use proxbal_sim::experiments::{xl2_scale_with, Xl2ScaleOutput, XL2_SPLIT_DEPTH};
+use proxbal_profile::NullSink;
+use proxbal_sim::experiments::{xl2_scale, Xl2ScaleOutput, XL2_SPLIT_DEPTH};
 use proxbal_sim::shard::build_tree_sharded;
 use proxbal_sim::{DistanceMode, Scenario, TopologyKind};
 use proxbal_topology::{select_landmarks, TransitStubConfig, TransitStubTopology};
@@ -45,9 +46,14 @@ fn stable_json(mut out: Xl2ScaleOutput) -> String {
 
 #[test]
 fn xl2_output_is_byte_identical_across_thread_counts() {
-    let base = stable_json(xl2_scale_with(tiny_xl2(3), 1, &mut Trace::disabled()));
+    let base = stable_json(xl2_scale(tiny_xl2(3), 1, &mut Trace::disabled(), &NullSink));
     for threads in [2, 8] {
-        let run = stable_json(xl2_scale_with(tiny_xl2(3), threads, &mut Trace::disabled()));
+        let run = stable_json(xl2_scale(
+            tiny_xl2(3),
+            threads,
+            &mut Trace::disabled(),
+            &NullSink,
+        ));
         assert_eq!(run, base, "{threads} threads");
     }
 }
@@ -56,7 +62,7 @@ fn xl2_output_is_byte_identical_across_thread_counts() {
 fn xl2_trace_is_byte_identical_across_thread_counts() {
     let run = |threads: usize| {
         let mut trace = Trace::enabled("xl2");
-        let out = stable_json(xl2_scale_with(tiny_xl2(5), threads, &mut trace));
+        let out = stable_json(xl2_scale(tiny_xl2(5), threads, &mut trace, &NullSink));
         (out, trace.to_ndjson())
     };
     let (out1, nd1) = run(1);
@@ -68,8 +74,8 @@ fn xl2_trace_is_byte_identical_across_thread_counts() {
 #[test]
 fn sharded_prepare_is_thread_count_invariant() {
     let scenario = tiny_xl2(7);
-    let a = scenario.prepare_threads(1);
-    let b = scenario.prepare_threads(8);
+    let a = scenario.prepare_run(1, &NullSink);
+    let b = scenario.prepare_run(8, &NullSink);
     assert_eq!(a.net.ring().len(), b.net.ring().len());
     assert_eq!(a.net.alive_peers(), b.net.alive_peers());
     for ((pos_a, vs_a), (pos_b, vs_b)) in a.net.ring().iter().zip(b.net.ring().iter()) {
@@ -134,7 +140,7 @@ fn sharded_prepare_equals_the_peer_by_peer_replay() {
     assert!(collisions > 0, "the replay never touched the master RNG");
     let next = rng.gen::<u64>();
     for threads in [1, 2, 8] {
-        let mut prepared = scenario.prepare_threads(threads);
+        let mut prepared = scenario.prepare_run(threads, &NullSink);
         assert!(
             prepared.net.ring().iter().eq(net.ring().iter()),
             "{threads} threads"
@@ -158,7 +164,7 @@ fn peers_without_virtual_servers_join_on_both_paths() {
         scenario.peers = 48;
         scenario.vs_per_peer = 0;
         scenario.shards = shards;
-        let prepared = scenario.prepare_threads(2);
+        let prepared = scenario.prepare_run(2, &NullSink);
         assert_eq!(prepared.net.alive_peers().len(), 48, "{shards} shards");
         assert!(prepared.net.ring().is_empty());
         prepared.net.check_invariants().unwrap();
@@ -191,7 +197,7 @@ fn approximate_mode_still_resolves_heavy_peers() {
     // The scheme trades distance exactness for scale, never correctness of
     // the balancing itself: the approximate run must shed heavy peers just
     // like an exact run does.
-    let out = xl2_scale_with(tiny_xl2(11), 2, &mut Trace::disabled());
+    let out = xl2_scale(tiny_xl2(11), 2, &mut Trace::disabled(), &NullSink);
     assert!(out.aware.heavy_before > 0);
     assert!(
         (out.aware.heavy_after as f64) < 0.2 * out.aware.heavy_before as f64,
@@ -204,7 +210,7 @@ fn approximate_mode_still_resolves_heavy_peers() {
     // transfer count and heavy resolution are in the same regime.
     let mut exact = tiny_xl2(11);
     exact.distance_mode = DistanceMode::Exact;
-    let exact_out = xl2_scale_with(exact, 2, &mut Trace::disabled());
+    let exact_out = xl2_scale(exact, 2, &mut Trace::disabled(), &NullSink);
     assert_eq!(out.aware.heavy_before, exact_out.aware.heavy_before);
     assert!(exact_out.aware.transfers > 0);
 }

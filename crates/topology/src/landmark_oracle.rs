@@ -19,7 +19,7 @@
 //! upper bound for the tail — see `proxbal_core`'s filter-then-refine).
 
 use crate::graph::{NodeId, INFINITE_DISTANCE};
-use crate::oracle::{DistanceOracle, DistanceQuery};
+use crate::oracle::DistanceOracle;
 
 /// Precomputed landmark vectors for every node of a graph, answering
 /// approximate distance queries in O(landmarks) time and `4·m` bytes per
@@ -55,19 +55,6 @@ impl LandmarkOracle {
         }
         LandmarkOracle {
             landmarks: landmarks.to_vec(),
-            vectors,
-            nodes,
-        }
-    }
-
-    /// Assembles an oracle from externally computed node-major vectors
-    /// (the sharded preparation path builds per-shard slices in parallel
-    /// and concatenates them in shard order).
-    pub fn from_parts(landmarks: Vec<NodeId>, nodes: usize, vectors: Vec<u32>) -> Self {
-        assert!(!landmarks.is_empty(), "need at least one landmark");
-        assert_eq!(vectors.len(), nodes * landmarks.len());
-        LandmarkOracle {
-            landmarks,
             vectors,
             nodes,
         }
@@ -130,11 +117,5 @@ impl LandmarkOracle {
     /// Bytes of vector storage (the whole oracle is resident by design).
     pub fn size_bytes(&self) -> usize {
         std::mem::size_of::<Self>() + self.vectors.capacity() * 4 + self.landmarks.capacity() * 4
-    }
-}
-
-impl DistanceQuery for LandmarkOracle {
-    fn distance(&self, u: NodeId, v: NodeId) -> u32 {
-        self.estimate(u, v)
     }
 }

@@ -21,8 +21,7 @@
 //!   ([`DistanceOracle::for_topology`]) point queries skip rows entirely:
 //!   an exact structural index answers them in O(1).
 //! * [`LandmarkOracle`] — the hierarchical approximate tier: O(m) triangle-
-//!   inequality distance bounds from precomputed landmark vectors, behind
-//!   the same [`DistanceQuery`] trait as the exact oracle.
+//!   inequality distance bounds from precomputed landmark vectors.
 
 mod graph;
 mod landmark_oracle;
@@ -34,7 +33,7 @@ mod transit_stub;
 pub use graph::{DijkstraScratch, Graph, NodeId, INFINITE_DISTANCE};
 pub use landmark_oracle::LandmarkOracle;
 pub use landmarks::select_landmarks;
-pub use oracle::{CacheStats, CompactRow, DistanceOracle, DistanceQuery};
+pub use oracle::{CacheStats, CompactRow, DistanceOracle};
 pub use transit_stub::{DomainKind, TransitStubConfig, TransitStubTopology};
 
 #[cfg(test)]

@@ -133,17 +133,6 @@ impl CompactRow {
     }
 }
 
-/// Distance queries answered the same way by the exact and the approximate
-/// oracle: the filter-then-refine transfer path is generic over this, and
-/// swapping one implementation for the other is what `distance_mode`
-/// selects.
-pub trait DistanceQuery {
-    /// A distance estimate for the pair `(u, v)`. Exact implementations
-    /// return the true shortest-path distance; approximate ones an upper
-    /// bound.
-    fn distance(&self, u: NodeId, v: NodeId) -> u32;
-}
-
 thread_local! {
     /// Per-thread Dijkstra working memory: row fills from any oracle on
     /// this thread reuse one scratch, so steady-state row computation
@@ -516,11 +505,5 @@ impl DistanceOracle {
             computes: self.computes.load(Ordering::Relaxed),
             evictions: self.evictions.load(Ordering::Relaxed),
         }
-    }
-}
-
-impl DistanceQuery for DistanceOracle {
-    fn distance(&self, u: NodeId, v: NodeId) -> u32 {
-        DistanceOracle::distance(self, u, v)
     }
 }

@@ -391,7 +391,7 @@ proptest! {
     fn prop_landmark_bounds_bracket_exact_distance(seed in 0u64..50) {
         // The LandmarkOracle's triangle-inequality bounds must always
         // bracket the exact shortest-path distance, and the approximate
-        // DistanceQuery answer (the upper bound) must never undershoot.
+        // estimate (the upper bound) must never undershoot.
         let topo = small_topo(seed);
         let mut rng = StdRng::seed_from_u64(seed ^ 0xBEEF);
         let lms = select_landmarks(&topo, 6, &mut rng);
@@ -404,7 +404,7 @@ proptest! {
                 let (lo, hi) = lm.bounds(u, v);
                 prop_assert!(lo <= exact, "lower {lo} > exact {exact} for ({u},{v})");
                 prop_assert!(exact <= hi, "upper {hi} < exact {exact} for ({u},{v})");
-                prop_assert!(DistanceQuery::distance(&lm, u, v) >= exact);
+                prop_assert!(lm.estimate(u, v) >= exact);
             }
         }
         // A landmark's own distances are recovered exactly.
@@ -460,29 +460,6 @@ fn oracle_accounts_resident_bytes() {
     }
     let bound = 3 * (oracle.capacity() + 1) * r0;
     assert!(oracle.resident_bytes() <= bound);
-}
-
-#[test]
-fn landmark_oracle_from_parts_matches_build() {
-    let topo = small_topo(13);
-    let mut rng = StdRng::seed_from_u64(13);
-    let lms = select_landmarks(&topo, 5, &mut rng);
-    let oracle = DistanceOracle::new(StdArc::new(topo.graph.clone()));
-    let built = LandmarkOracle::build(&oracle, &lms, 1);
-    // Reassemble node-major vectors by hand (what the sharded prepare does
-    // per shard) and check the two oracles agree everywhere.
-    let n = topo.node_count();
-    let mut vectors = Vec::with_capacity(n * lms.len());
-    for node in 0..n as NodeId {
-        vectors.extend(oracle.landmark_vector(node, &lms));
-    }
-    let parts = LandmarkOracle::from_parts(lms.clone(), n, vectors);
-    for u in (0..n as NodeId).step_by(17) {
-        for v in (0..n as NodeId).step_by(13) {
-            assert_eq!(built.bounds(u, v), parts.bounds(u, v));
-        }
-    }
-    assert_eq!(built.landmarks(), parts.landmarks());
 }
 
 #[test]

@@ -4,58 +4,34 @@
 #   scripts/check.sh [--xl-smoke] [--faults-smoke] [--engine-smoke] [--round-smoke]
 #                    [--analyze-smoke] [--profile-smoke]
 #
-# Runs, in order:
-#   1. tier-1 verify (ROADMAP.md): release build + root test suite
-#   2. the full workspace test suite
-#   3. formatting check (no diffs allowed)
-#   4. clippy over every target, warnings denied
-#   5. trace smoke: `repro --fig 7 --scale small --trace` at 1 and 8
-#      threads; the chrome trace and the ndjson event log must be
-#      byte-identical across thread counts
+# Runs, in order: tier-1 verify (ROADMAP.md: release build + root test
+# suite), the workspace test suite, `cargo fmt --check`, clippy over every
+# target with warnings denied, the trace smoke, the opted-in smokes, and
+# last the `benchmark/` package built against this checkout with
+# `pbench all --smoke`.
 #
-# --xl-smoke additionally runs the 65k-peer / ts50k scale pass
-# (`repro --scale xl --fig 7`, exact distances: seconds since the
-# structural distance index) and the reduced-peers xl2 pipeline at 1 and 8
-# threads (landmark-approximate, refined through the same index: seconds).
-# CI runs it on every PR.
-#
-# --faults-smoke additionally runs the fault-injection sweep at small
-# scale twice (1 thread and 8 threads) and fails if the two runs don't
-# produce byte-identical sweep tables — the determinism contract of the
-# fault layer.
-#
-# --engine-smoke additionally runs the continuous-operation engine
-# (`repro engine --scale small`) traced at 1 and 8 threads and fails
-# unless the per-epoch time series, the BENCH entry and both trace files
-# are byte-identical — the determinism contract of the engine.
-#
-# --round-smoke additionally runs a reduced-peers xl2 single round traced
-# at 1 and 8 threads and fails unless stdout (walls scrubbed) and both
-# trace files are byte-identical — the determinism contract of the
-# intra-round parallel sections (LBI generation, aggregation,
-# classification, shed/light extraction, VSA input publication).
-#
-# --analyze-smoke additionally runs the committed engine scenario once,
-# evaluates the committed behavioral gates (`gates/*.toml`) against its
-# report + trace at 1, 2 and 8 analyzer threads (all must pass, all
-# byte-identical), and then checks the negative path: an impossible gate
-# must exit nonzero with a violation table naming it.
-#
-# --profile-smoke additionally runs a profiled reduced-peers xl2
-# (`repro xl2 --peers 16384 --profile`) at 1 and 8 threads and fails
-# unless the virtual-time flamegraph artifacts (collapsed stacks +
-# speedscope JSON) are byte-identical across thread counts and the
-# volatile artifacts exist — the determinism contract of the profiling
-# layer (DESIGN.md §5c).
+# A thread-invariance smoke is one call of `smoke` below: the same `repro`
+# command at 1 and 8 threads, scrubbed stdout diffed, listed artifacts
+# `cmp`-ed. Always: `--fig 7 --scale small --trace` (both trace files).
+#   --xl-smoke       `--scale xl --fig 7` once (65k peers, seconds), then
+#                    `xl2 --peers 65536` (stdout). CI runs it on every PR.
+#   --faults-smoke   `--faults 0.1 --scale small` (stdout + BENCH entry)
+#   --engine-smoke   `engine --scale small --trace` (stdout, BENCH entry,
+#                    both trace files)
+#   --round-smoke    `xl2 --peers 16384 --trace` (stdout, both trace files,
+#                    the four `round/*` spans present) — the intra-round
+#                    parallel sections
+#   --profile-smoke  `xl2 --peers 16384 --profile` (virtual-time flamegraphs
+#                    and trace summary byte-identical, volatile artifacts
+#                    present; DESIGN.md §5c)
+#   --analyze-smoke  the committed engine scenario against `gates/*.toml`
+#                    at 1, 2 and 8 analyzer threads (all pass, all
+#                    byte-identical), then an impossible gate must exit
+#                    nonzero with a violation table naming it
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-XL_SMOKE=0
-FAULTS_SMOKE=0
-ENGINE_SMOKE=0
-ROUND_SMOKE=0
-ANALYZE_SMOKE=0
-PROFILE_SMOKE=0
+XL_SMOKE=0 FAULTS_SMOKE=0 ENGINE_SMOKE=0 ROUND_SMOKE=0 ANALYZE_SMOKE=0 PROFILE_SMOKE=0
 for arg in "$@"; do
   case "$arg" in
     --xl-smoke) XL_SMOKE=1 ;;
@@ -92,117 +68,80 @@ REPRO="$PWD/target/release/repro"
 SMOKE_DIR="$(mktemp -d)"
 trap 'rm -rf "$SMOKE_DIR"' EXIT
 
-# Drops everything that may legitimately differ between two xl2 runs:
-# trailing per-line wall-clocks, the prepare/total summary lines, and the
-# wrote-filename lines (trace paths differ between the compared runs).
-scrub_xl2() { sed -E 's/ +[0-9.]+s$//' "$1" | grep -v -e "^prepare:" -e "^total:" -e "^wrote "; }
+# Drops everything that may legitimately differ between two runs of one
+# command: trailing per-line wall-clocks, wall lines, the xl2 prepare/total
+# summary lines, and the wrote-filename lines.
+scrub() { sed -E 's/ +[0-9.]+s$//' "$1" | grep -v -e "wall" -e "^prepare:" -e "^total:" -e "^wrote "; }
 
-echo "==> trace smoke: repro --fig 7 --scale small --trace (threads 1 vs 8)"
-(cd "$SMOKE_DIR" && timeout 600 "$REPRO" --fig 7 --scale small --threads 1 --trace t1.json > trace1.txt \
-                 && timeout 600 "$REPRO" --fig 7 --scale small --threads 8 --trace t8.json > trace8.txt)
-cmp "$SMOKE_DIR/t1.json" "$SMOKE_DIR/t8.json" || {
-  echo "chrome trace differs across thread counts" >&2; exit 1; }
-cmp "$SMOKE_DIR/t1.ndjson" "$SMOKE_DIR/t8.ndjson" || {
-  echo "trace event log differs across thread counts" >&2; exit 1; }
-# Stdout (summary table included) is deterministic too; only the
-# wall-clock line and the wrote-filename line may differ.
-diff <(grep -v -e "wall" -e "^wrote " "$SMOKE_DIR/trace1.txt") \
-     <(grep -v -e "wall" -e "^wrote " "$SMOKE_DIR/trace8.txt") || {
-  echo "traced repro output differs across thread counts" >&2; exit 1; }
+# smoke <name> <budget-seconds> <artifacts> <repro args...>
+# Runs `repro <args> --threads T` for T in {1, 8}, each in its own scratch
+# sub-directory (same relative artifact names, no BENCH_repro.json
+# collisions, nothing leaks into the checkout); the scrubbed stdout must
+# `diff` clean and every artifact be `cmp`-equal. The budget is a
+# regression budget, not a hang guard.
+smoke() {
+  local name="$1" budget="$2" artifacts="$3"
+  shift 3
+  echo "==> $name smoke: repro $* (threads 1 vs 8)"
+  local t
+  for t in 1 8; do
+    mkdir -p "$SMOKE_DIR/$name/t$t"
+    (cd "$SMOKE_DIR/$name/t$t" && timeout "$budget" "$REPRO" "$@" --threads "$t" > stdout.txt)
+  done
+  diff <(scrub "$SMOKE_DIR/$name/t1/stdout.txt") <(scrub "$SMOKE_DIR/$name/t8/stdout.txt") || {
+    echo "$name smoke: stdout differs across thread counts" >&2; exit 1; }
+  local f
+  for f in $artifacts; do
+    cmp "$SMOKE_DIR/$name/t1/$f" "$SMOKE_DIR/$name/t8/$f" || {
+      echo "$name smoke: $f differs across thread counts" >&2; exit 1; }
+  done
+}
+
+smoke trace 600 "t.json t.ndjson" --fig 7 --scale small --trace t.json
 
 if [[ "$XL_SMOKE" == "1" ]]; then
   echo "==> xl smoke: repro --scale xl --fig 7"
-  # In the scratch directory: the run writes a BENCH_repro.json entry and
-  # must not overwrite the committed one.
-  # ... and must not leak into the engine and faults smokes either, whose
-  # first run would merge into it and whose second would not.
-  (cd "$SMOKE_DIR" && timeout 300 "$REPRO" --scale xl --fig 7 && rm -f BENCH_repro.json)
-  # xl2 at reduced peers: the full sharded + landmark-approximate pipeline,
-  # byte-identical across thread counts. A --peers override never writes a
-  # BENCH entry, so stdout is the whole contract (minus walls and RSS).
-  echo "==> xl2 smoke: repro xl2 --peers 65536 (threads 1 vs 8)"
-  # A regression budget: ~3 s a run on a 2-core box now that refinement
-  # reads the structural index instead of filling Dijkstra rows.
-  (cd "$SMOKE_DIR" && timeout 300 "$REPRO" xl2 --peers 65536 --threads 1 > xl2_t1.txt \
-                   && timeout 300 "$REPRO" xl2 --peers 65536 --threads 8 > xl2_t8.txt)
-  diff <(scrub_xl2 "$SMOKE_DIR/xl2_t1.txt") <(scrub_xl2 "$SMOKE_DIR/xl2_t8.txt") || {
-    echo "xl2 output differs across thread counts" >&2; exit 1; }
+  mkdir -p "$SMOKE_DIR/xl"
+  (cd "$SMOKE_DIR/xl" && timeout 300 "$REPRO" --scale xl --fig 7)
+  # xl2 at reduced peers: the full sharded + landmark-approximate pipeline.
+  # A --peers override never writes a BENCH entry, so stdout is the whole
+  # contract. ~3 s a run on a 2-core box now that refinement reads the
+  # structural index instead of filling Dijkstra rows.
+  smoke xl2 300 "" xl2 --peers 65536
 fi
 
 if [[ "$FAULTS_SMOKE" == "1" ]]; then
-  echo "==> faults smoke: repro --faults 0.1 --scale small (threads 1 vs 8)"
-  (cd "$SMOKE_DIR" && timeout 600 "$REPRO" --faults 0.1 --scale small --threads 1 > t1.txt \
-                   && mv BENCH_repro.json bench_t1.json \
-                   && timeout 600 "$REPRO" --faults 0.1 --scale small --threads 8 > t8.txt \
-                   && mv BENCH_repro.json bench_t8.json)
-  # The sweep table is deterministic; only the wall-clock line may differ.
-  diff <(grep -v "wall" "$SMOKE_DIR/t1.txt") <(grep -v "wall" "$SMOKE_DIR/t8.txt") || {
-    echo "fault sweep output differs across thread counts" >&2; exit 1; }
-  diff "$SMOKE_DIR/bench_t1.json" "$SMOKE_DIR/bench_t8.json" || {
-    echo "fault sweep JSON differs across thread counts" >&2; exit 1; }
+  smoke faults 600 "BENCH_repro.json" --faults 0.1 --scale small
 fi
 
 if [[ "$ROUND_SMOKE" == "1" ]]; then
-  echo "==> round smoke: repro xl2 --peers 16384 --trace (threads 1 vs 8)"
-  (cd "$SMOKE_DIR" && timeout 180 "$REPRO" xl2 --peers 16384 --threads 1 --trace r1.json > round_t1.txt \
-                   && timeout 180 "$REPRO" xl2 --peers 16384 --threads 8 --trace r8.json > round_t8.txt)
-  cmp "$SMOKE_DIR/r1.json" "$SMOKE_DIR/r8.json" || {
-    echo "round chrome trace differs across thread counts" >&2; exit 1; }
-  cmp "$SMOKE_DIR/r1.ndjson" "$SMOKE_DIR/r8.ndjson" || {
-    echo "round trace event log differs across thread counts" >&2; exit 1; }
-  diff <(scrub_xl2 "$SMOKE_DIR/round_t1.txt") <(scrub_xl2 "$SMOKE_DIR/round_t8.txt") || {
-    echo "round output differs across thread counts" >&2; exit 1; }
+  smoke round 180 "r.json r.ndjson" xl2 --peers 16384 --trace r.json
   # The intra-round spans actually landed in the event log.
   for span in round/lbi round/aggregate round/vsa round/transfer; do
-    grep -q "$span" "$SMOKE_DIR/r1.ndjson" || {
+    grep -q "$span" "$SMOKE_DIR/round/t1/r.ndjson" || {
       echo "round smoke: span $span missing from the trace" >&2; exit 1; }
   done
 fi
 
 if [[ "$ENGINE_SMOKE" == "1" ]]; then
-  echo "==> engine smoke: repro engine --scale small (threads 1 vs 8)"
-  # A regression budget, not a hang guard: each run takes about a second.
-  (cd "$SMOKE_DIR" && timeout 120 "$REPRO" engine --scale small --epochs 12 --threads 1 --trace e1.json > e1.txt \
-                   && mv BENCH_repro.json bench_e1.json \
-                   && timeout 120 "$REPRO" engine --scale small --epochs 12 --threads 8 --trace e8.json > e8.txt \
-                   && mv BENCH_repro.json bench_e8.json)
-  # The per-epoch series is deterministic; only the wall-clock line, the
-  # wrote-filename line (trace paths differ between the compared runs) and
-  # the volatile wall/threads fields of the BENCH entry may differ.
-  diff <(grep -v -e "wall" -e "^wrote " "$SMOKE_DIR/e1.txt") \
-       <(grep -v -e "wall" -e "^wrote " "$SMOKE_DIR/e8.txt") || {
-    echo "engine time series differs across thread counts" >&2; exit 1; }
-  diff <(grep -v -E '"(total_wall_s|threads)"' "$SMOKE_DIR/bench_e1.json") \
-       <(grep -v -E '"(total_wall_s|threads)"' "$SMOKE_DIR/bench_e8.json") || {
-    echo "engine BENCH entry differs across thread counts" >&2; exit 1; }
-  cmp "$SMOKE_DIR/e1.json" "$SMOKE_DIR/e8.json" || {
-    echo "engine chrome trace differs across thread counts" >&2; exit 1; }
-  cmp "$SMOKE_DIR/e1.ndjson" "$SMOKE_DIR/e8.ndjson" || {
-    echo "engine trace event log differs across thread counts" >&2; exit 1; }
+  # Each run takes about a second; the BENCH entry is `cmp`-equal because
+  # nothing volatile is ever written to it.
+  smoke engine 120 "BENCH_repro.json e.json e.ndjson" engine --scale small --epochs 12 --trace e.json
 fi
 
 if [[ "$PROFILE_SMOKE" == "1" ]]; then
-  echo "==> profile smoke: repro xl2 --peers 16384 --profile (threads 1 vs 8)"
-  (cd "$SMOKE_DIR" && timeout 180 "$REPRO" xl2 --peers 16384 --threads 1 --profile p1 > prof_t1.txt \
-                   && timeout 180 "$REPRO" xl2 --peers 16384 --threads 8 --profile p8 --progress > prof_t8.txt)
   # Virtual-time flamegraphs are pure functions of the trace: byte-identical.
-  cmp "$SMOKE_DIR/p1/flame.virt.folded" "$SMOKE_DIR/p8/flame.virt.folded" || {
-    echo "virtual-time folded stacks differ across thread counts" >&2; exit 1; }
-  cmp "$SMOKE_DIR/p1/flame.virt.speedscope.json" "$SMOKE_DIR/p8/flame.virt.speedscope.json" || {
-    echo "virtual-time speedscope profile differs across thread counts" >&2; exit 1; }
-  cmp "$SMOKE_DIR/p1/trace_summary.txt" "$SMOKE_DIR/p8/trace_summary.txt" || {
-    echo "trace summary differs across thread counts" >&2; exit 1; }
+  smoke profile 180 "p/flame.virt.folded p/flame.virt.speedscope.json p/trace_summary.txt" \
+    xl2 --peers 16384 --profile p --progress
   # Volatile artifacts exist and carry the profiled phases.
+  P1="$SMOKE_DIR/profile/t1/p"
   for f in flame.wall.folded resources.txt; do
-    [[ -s "$SMOKE_DIR/p1/$f" ]] || { echo "profile smoke: $f missing or empty" >&2; exit 1; }
+    [[ -s "$P1/$f" ]] || { echo "profile smoke: $f missing or empty" >&2; exit 1; }
   done
-  grep -q "^xl2" "$SMOKE_DIR/p1/resources.txt" || {
+  grep -q "^xl2" "$P1/resources.txt" || {
     echo "profile smoke: xl2 phase missing from resources.txt" >&2; exit 1; }
-  grep -q "round/lbi" "$SMOKE_DIR/p1/flame.virt.folded" || {
+  grep -q "round/lbi" "$P1/flame.virt.folded" || {
     echo "profile smoke: round spans missing from the flamegraph" >&2; exit 1; }
-  # Stdout stays deterministic modulo walls and wrote-filename lines.
-  diff <(scrub_xl2 "$SMOKE_DIR/prof_t1.txt") <(scrub_xl2 "$SMOKE_DIR/prof_t8.txt") || {
-    echo "profiled xl2 output differs across thread counts" >&2; exit 1; }
 fi
 
 if [[ "$ANALYZE_SMOKE" == "1" ]]; then
@@ -234,5 +173,18 @@ if [[ "$ANALYZE_SMOKE" == "1" ]]; then
   grep -q "impossible" "$SMOKE_DIR/bad.txt" && grep -q "FAIL" "$SMOKE_DIR/bad.txt" || {
     echo "analyze smoke: violation table does not name the broken gate" >&2; exit 1; }
 fi
+
+# `pbench` compiles against the workspace's public names from outside it
+# (benchmark/README.md, "What `pbench` calls"): a deleted or renamed pinned
+# name must fail here, in the pre-PR gate, not in the acceptance run. What
+# benchmark/check.sh ends with; writes under the ignored benchmark/out/.
+# cargo refreshes benchmark/Cargo.lock whenever a workspace crate's
+# dependency list moved since it was written; only a `benchmark` change may
+# carry that, so the lock as found is put back on the way out.
+echo "==> benchmark: build pbench against this checkout + smoke every workload"
+cp benchmark/Cargo.lock "$SMOKE_DIR/pbench.lock"
+trap 'cp "$SMOKE_DIR/pbench.lock" benchmark/Cargo.lock; rm -rf "$SMOKE_DIR"' EXIT
+cargo build --release --offline --manifest-path benchmark/Cargo.toml
+benchmark/target/release/pbench all --smoke --reps 2 --label smoke
 
 echo "==> all checks passed"

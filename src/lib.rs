@@ -24,7 +24,13 @@
 //!   the paper.
 //!
 //! This facade crate re-exports the workspace so `use proxbal::…` works
-//! from examples and downstream code.
+//! from examples and downstream code. The short calls its story uses —
+//! [`core::LoadBalancer::run`], [`sim::Scenario::prepare`],
+//! [`sim::run_engine`] — are shorthands for the one general form of each
+//! operation, which takes the trace collector, worker-thread count and
+//! progress sink as arguments ([`core::LoadBalancer::run_round`],
+//! [`sim::Scenario::prepare_run`], [`sim::run_engine_with`]); below the
+//! facade nothing exists in a suffixed second copy.
 //!
 //! ## Quickstart
 //!
