@@ -75,7 +75,7 @@ use proxbal_sim::experiments::{
     ablation_sweep_traced, fig4_unit_load_traced, fig56_class_loads_traced,
     fig78_replicated_traced, repair_after_crash_traced, rounds_scaling_traced, scheme_comparison,
 };
-use proxbal_sim::metrics::{gini, Summary};
+use proxbal_sim::metrics::{gini, DistanceHistogram, Summary};
 use proxbal_sim::{Scenario, TopologyKind};
 use proxbal_trace::{Trace, TraceSummary};
 use proxbal_workload::LoadModel;
@@ -486,12 +486,7 @@ fn merge_bench_json(key: &str, entry: serde_json::Value) {
         doc.insert("bench".to_string(), serde_json::json!("repro"));
     }
     if !doc.contains_key("paper") {
-        doc.insert(
-            "paper".to_string(),
-            serde_json::json!(
-                "Zhu & Hu, Towards Efficient Load Balancing in Structured P2P Systems (IPDPS 2004)"
-            ),
-        );
+        doc.insert("paper".to_string(), serde_json::json!(PAPER));
     }
     doc.insert(key.to_string(), entry);
     std::fs::write(
@@ -500,6 +495,59 @@ fn merge_bench_json(key: &str, entry: serde_json::Value) {
     )
     .expect("write BENCH_repro.json");
     println!("wrote BENCH_repro.json ({key})");
+}
+
+/// The paper every written document names.
+const PAPER: &str =
+    "Zhu & Hu, Towards Efficient Load Balancing in Structured P2P Systems (IPDPS 2004)";
+
+/// Writes the `--json` document of a run: its provenance around `results`.
+fn write_json_doc(path: &str, seed: u64, scale: &str, results: serde_json::Value) {
+    let doc = serde_json::json!({
+        "paper": PAPER,
+        "seed": seed,
+        "scale": scale,
+        "results": results,
+    });
+    std::fs::write(path, serde_json::to_string_pretty(&doc).expect("serialize"))
+        .expect("write json");
+    println!("wrote {path}");
+}
+
+/// The moved-load CDF table: the aware column, and the ignorant one beside
+/// it when that pass ran.
+fn moved_load_cdf(aware: &DistanceHistogram, ignorant: Option<&DistanceHistogram>) -> String {
+    let mut o = String::new();
+    let also = if ignorant.is_some() {
+        " | ignorant"
+    } else {
+        ""
+    };
+    say!(o, "\n  CDF of moved load (distance: aware{also})");
+    let percent = |h: &DistanceHistogram, d| (100.0 * h.fraction_within(d)).max(0.0);
+    for d in [0u32, 1, 2, 3, 4, 5, 6, 8, 10, 15, 20, 30, 50] {
+        match ignorant {
+            Some(ignorant) => say!(
+                o,
+                "  <={d:>3} hops: {:6.1}% | {:6.1}%",
+                percent(aware, d),
+                percent(ignorant, d)
+            ),
+            None => say!(o, "  <={d:>3} hops: {:6.1}%", percent(aware, d)),
+        }
+    }
+    o
+}
+
+/// The closing `total: … peak RSS: …` line of the xl runs.
+fn print_total(total_wall: f64) {
+    match proxbal_bench::peak_rss_bytes() {
+        Some(b) => println!(
+            "total: {total_wall:.1}s   peak RSS: {:.2} GiB",
+            b as f64 / (1u64 << 30) as f64
+        ),
+        None => println!("total: {total_wall:.1}s   peak RSS: unavailable"),
+    }
 }
 
 /// The xl-scale phase: all four balancer phases at 65,536 peers over a
@@ -514,7 +562,6 @@ fn run_xl(args: &Args, trace: &mut Trace, progress: &dyn ProgressSink) {
     let total = Instant::now();
     let out = proxbal_sim::experiments::xl_scale(args.seed, args.threads, trace, progress);
     let total_wall = total.elapsed().as_secs_f64();
-    let peak_rss = proxbal_bench::peak_rss_bytes();
 
     println!(
         "underlay: {} nodes   peers: {}   virtual servers: {}   oracle cache: {} rows",
@@ -532,21 +579,11 @@ fn run_xl(args: &Args, trace: &mut Trace, progress: &dyn ProgressSink) {
             run.wall_s
         );
     }
-    println!("\n  CDF of moved load (distance: aware | ignorant)");
-    for d in [0u32, 1, 2, 3, 4, 5, 6, 8, 10, 15, 20, 30, 50] {
-        println!(
-            "  <={d:>3} hops: {:6.1}% | {:6.1}%",
-            (100.0 * out.aware.histogram.fraction_within(d)).max(0.0),
-            (100.0 * out.ignorant.histogram.fraction_within(d)).max(0.0)
-        );
-    }
-    match peak_rss {
-        Some(b) => println!(
-            "total: {total_wall:.1}s   peak RSS: {:.2} GiB",
-            b as f64 / (1u64 << 30) as f64
-        ),
-        None => println!("total: {total_wall:.1}s   peak RSS: unavailable"),
-    }
+    print!(
+        "{}",
+        moved_load_cdf(&out.aware.histogram, Some(&out.ignorant.histogram))
+    );
+    print_total(total_wall);
 
     let entry = serde_json::json!({
         "seed": args.seed,
@@ -564,15 +601,8 @@ fn run_xl(args: &Args, trace: &mut Trace, progress: &dyn ProgressSink) {
     merge_bench_json("xl", entry);
 
     if let Some(path) = &args.json {
-        let doc = serde_json::json!({
-            "paper": "Zhu & Hu, Towards Efficient Load Balancing in Structured P2P Systems (IPDPS 2004)",
-            "seed": args.seed,
-            "scale": "xl",
-            "results": serde_json::to_value(&out).expect("serialize xl output"),
-        });
-        std::fs::write(path, serde_json::to_string_pretty(&doc).expect("serialize"))
-            .expect("write json");
-        println!("wrote {path}");
+        let results = serde_json::to_value(&out).expect("serialize xl output");
+        write_json_doc(path, args.seed, "xl", results);
     }
 }
 
@@ -596,7 +626,6 @@ fn run_xl2(args: &Args, trace: &mut Trace, progress: &dyn ProgressSink) {
     let total = Instant::now();
     let out = proxbal_sim::experiments::xl2_scale(scenario, args.threads, trace, progress);
     let total_wall = total.elapsed().as_secs_f64();
-    let peak_rss = proxbal_bench::peak_rss_bytes();
 
     println!(
         "underlay: {} nodes   peers: {}   virtual servers: {}   oracle cache: {} rows   shards: {}   refine: {} rows",
@@ -627,20 +656,8 @@ fn run_xl2(args: &Args, trace: &mut Trace, progress: &dyn ProgressSink) {
     println!("  aggregate wall: {:.2}s", run.aggregate_wall_s);
     println!("  vsa wall: {:.2}s", run.vsa_wall_s);
     println!("  transfer wall: {:.2}s", run.transfer_wall_s);
-    println!("\n  CDF of moved load (distance: aware)");
-    for d in [0u32, 1, 2, 3, 4, 5, 6, 8, 10, 15, 20, 30, 50] {
-        println!(
-            "  <={d:>3} hops: {:6.1}%",
-            (100.0 * run.histogram.fraction_within(d)).max(0.0)
-        );
-    }
-    match peak_rss {
-        Some(b) => println!(
-            "total: {total_wall:.1}s   peak RSS: {:.2} GiB",
-            b as f64 / (1u64 << 30) as f64
-        ),
-        None => println!("total: {total_wall:.1}s   peak RSS: unavailable"),
-    }
+    print!("{}", moved_load_cdf(&run.histogram, None));
+    print_total(total_wall);
 
     if args.peers.is_none() && !args.exact {
         let entry = serde_json::json!({
@@ -661,15 +678,8 @@ fn run_xl2(args: &Args, trace: &mut Trace, progress: &dyn ProgressSink) {
     }
 
     if let Some(path) = &args.json {
-        let doc = serde_json::json!({
-            "paper": "Zhu & Hu, Towards Efficient Load Balancing in Structured P2P Systems (IPDPS 2004)",
-            "seed": args.seed,
-            "scale": "xl2",
-            "results": serde_json::to_value(&out).expect("serialize xl2 output"),
-        });
-        std::fs::write(path, serde_json::to_string_pretty(&doc).expect("serialize"))
-            .expect("write json");
-        println!("wrote {path}");
+        let results = serde_json::to_value(&out).expect("serialize xl2 output");
+        write_json_doc(path, args.seed, "xl2", results);
     }
 }
 
@@ -836,15 +846,8 @@ fn run_engine_cmd(args: &Args, trace: &mut Trace, progress: &dyn ProgressSink) {
     merge_bench_json("engine", entry);
 
     if let Some(path) = &args.json {
-        let doc = serde_json::json!({
-            "paper": "Zhu & Hu, Towards Efficient Load Balancing in Structured P2P Systems (IPDPS 2004)",
-            "seed": args.seed,
-            "scale": args.scale.name(),
-            "results": serde_json::to_value(&report).expect("serialize engine report"),
-        });
-        std::fs::write(path, serde_json::to_string_pretty(&doc).expect("serialize"))
-            .expect("write json");
-        println!("wrote {path}");
+        let results = serde_json::to_value(&report).expect("serialize engine report");
+        write_json_doc(path, args.seed, args.scale.name(), results);
     }
 }
 
@@ -1017,41 +1020,32 @@ fn main() {
         &NullSink
     };
     let mut trace = Trace::new(args.trace.is_some() || args.profile.is_some(), "repro");
+    run(&args, &mut trace, progress);
+    finish_trace(&args, &trace);
+    finish_profile(&args, &trace);
+}
+
+/// Dispatches to the subcommand; `main` owns the one finishing path. Each
+/// subcommand's profile phase closes on return, before the report is read.
+fn run(args: &Args, trace: &mut Trace, progress: &dyn ProgressSink) {
     if args.engine {
-        {
-            let _p = proxbal_profile::phase("engine");
-            run_engine_cmd(&args, &mut trace, progress);
-        }
-        finish_trace(&args, &trace);
-        finish_profile(&args, &trace);
-        return;
+        let _p = proxbal_profile::phase("engine");
+        return run_engine_cmd(args, trace, progress);
     }
     if args.scale == Scale::Xl {
-        {
-            let _p = proxbal_profile::phase("xl");
-            run_xl(&args, &mut trace, progress);
-        }
-        finish_trace(&args, &trace);
-        finish_profile(&args, &trace);
-        return;
+        let _p = proxbal_profile::phase("xl");
+        return run_xl(args, trace, progress);
     }
     if args.scale == Scale::Xl2 {
-        {
-            let _p = proxbal_profile::phase("xl2");
-            run_xl2(&args, &mut trace, progress);
-        }
-        finish_trace(&args, &trace);
-        finish_profile(&args, &trace);
-        return;
+        let _p = proxbal_profile::phase("xl2");
+        return run_xl2(args, trace, progress);
     }
     if let Some(rate) = args.faults {
         {
             let _p = proxbal_profile::phase("faults");
-            run_faults(&args, rate, &mut trace, progress);
+            run_faults(args, rate, trace, progress);
         }
         if args.figs.is_empty() && args.claims.is_empty() {
-            finish_trace(&args, &trace);
-            finish_profile(&args, &trace);
             return;
         }
     }
@@ -1068,14 +1062,14 @@ fn main() {
     let ran = proxbal_sim::parallel::map_items_traced(
         &phases,
         phase_threads,
-        &mut trace,
+        trace,
         |_, phase, trace| {
             trace.relabel(&phase.key());
             // Worker threads have an empty phase stack, so each grid phase
             // profiles as its own root.
             let _p = proxbal_profile::phase(&phase.key());
             let t = Instant::now();
-            let (text, value) = run_phase(phase, &args, trace);
+            let (text, value) = run_phase(phase, args, trace);
             (text, value, t.elapsed())
         },
     );
@@ -1126,18 +1120,9 @@ fn main() {
     }
 
     if let Some(path) = &args.json {
-        let doc = serde_json::json!({
-            "paper": "Zhu & Hu, Towards Efficient Load Balancing in Structured P2P Systems (IPDPS 2004)",
-            "seed": args.seed,
-            "scale": args.scale.name(),
-            "results": serde_json::Value::Object(results),
-        });
-        std::fs::write(path, serde_json::to_string_pretty(&doc).expect("serialize"))
-            .expect("write json");
-        println!("wrote {path}");
+        let results = serde_json::Value::Object(results);
+        write_json_doc(path, args.seed, args.scale.name(), results);
     }
-    finish_trace(&args, &trace);
-    finish_profile(&args, &trace);
 }
 
 fn fig4(args: &Args, trace: &mut Trace) -> (String, serde_json::Value) {
@@ -1286,15 +1271,7 @@ fn fig78(
             100.0 * residue
         );
     }
-    say!(o, "\n  CDF of moved load (distance: aware | ignorant)");
-    for d in [0u32, 1, 2, 3, 4, 5, 6, 8, 10, 15, 20, 30, 50] {
-        say!(
-            o,
-            "  <={d:>3} hops: {:6.1}% | {:6.1}%",
-            (100.0 * out.aware.fraction_within(d)).max(0.0),
-            (100.0 * out.ignorant.fraction_within(d)).max(0.0)
-        );
-    }
+    o.push_str(&moved_load_cdf(&out.aware, Some(&out.ignorant)));
     let spread = |i: usize| {
         let vals: Vec<f64> = out
             .per_graph

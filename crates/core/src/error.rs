@@ -27,20 +27,6 @@ pub enum Error {
     /// intervals, zero epochs, a non-positive emergency threshold, …).
     /// The message names the offending knob.
     InvalidEngineConfig(&'static str),
-    /// A protocol simulation phase failed underneath a balancing run:
-    /// `phase` names the stage (`"aggregation"`, `"dissemination"`, or
-    /// `"loss-model"` for a misconfigured loss probability) and
-    /// `reached`/`expected` carry its coverage when meaningful (both zero
-    /// otherwise). Distinct from [`Error::EmptyNetwork`] — the membership
-    /// was fine; the simulated protocol run underneath it was not.
-    Protocol {
-        /// Which protocol stage failed.
-        phase: &'static str,
-        /// Nodes the phase actually covered (0 when not a coverage error).
-        reached: usize,
-        /// Nodes the phase had to cover (0 when not a coverage error).
-        expected: usize,
-    },
 }
 
 impl std::fmt::Display for Error {
@@ -57,20 +43,6 @@ impl std::fmt::Display for Error {
             }
             Error::InvalidEngineConfig(what) => {
                 write!(f, "invalid engine configuration: {what}")
-            }
-            Error::Protocol {
-                phase,
-                reached,
-                expected,
-            } => {
-                if *expected == 0 {
-                    write!(f, "protocol {phase} failure")
-                } else {
-                    write!(
-                        f,
-                        "protocol {phase} fell short: covered {reached} of {expected} nodes"
-                    )
-                }
             }
         }
     }

@@ -1,8 +1,8 @@
 //! Allocator-counter determinism: with the counting allocator installed
 //! and enabled, a fixed single-threaded workload performs exactly the
 //! same number of allocations (and bytes) every time, as observed through
-//! the per-thread ledger — even while the test harness runs other tests
-//! (and allocates) on sibling threads.
+//! the per-thread ledger; and the process-global ledger moves by at least
+//! what a thread allocates while its live-bytes peak follows.
 
 use proxbal_profile::{AllocSnapshot, CountingAlloc};
 
@@ -28,9 +28,7 @@ fn measured_workload() -> (AllocSnapshot, u64) {
     (AllocSnapshot::current_thread().since(before), out)
 }
 
-#[test]
 fn per_thread_alloc_counts_are_deterministic() {
-    proxbal_profile::enable_counting();
     let (d1, o1) = measured_workload();
     let (d2, o2) = measured_workload();
     let (d3, o3) = measured_workload();
@@ -42,13 +40,30 @@ fn per_thread_alloc_counts_are_deterministic() {
     assert_eq!(d2, d3, "alloc counts must repeat exactly");
 }
 
-#[test]
 fn global_ledger_moves_and_peak_tracks_live() {
-    proxbal_profile::enable_counting();
-    let before = AllocSnapshot::global();
-    let big = vec![0u8; 1 << 20];
-    let after = AllocSnapshot::global();
-    assert!(after.since(before).bytes >= (1 << 20));
-    assert!(proxbal_profile::alloc::peak_live_bytes() >= (1 << 20));
+    use proxbal_profile::alloc::{live_bytes, peak_live_bytes};
+    const MIB: u64 = 1 << 20;
+    // The signed live ledger sits below zero by whatever was allocated
+    // before `enable_counting` and freed since, and its readers clamp at
+    // zero: hold 1 MiB first, then assert on how the readings *move*.
+    let ballast = std::hint::black_box(vec![0u8; MIB as usize]);
+    let (before, live, peak) = (AllocSnapshot::global(), live_bytes(), peak_live_bytes());
+    let big = std::hint::black_box(vec![0u8; MIB as usize]);
+    assert!(AllocSnapshot::global().since(before).bytes >= MIB);
+    assert!(live_bytes() >= live + MIB);
+    assert!(peak_live_bytes() >= peak.max(live + MIB));
     drop(big);
+    assert!(live_bytes() < live + MIB);
+    assert!(peak_live_bytes() >= live + MIB, "the peak never comes down");
+    drop(ballast);
+}
+
+/// One test on purpose: the global ledger is process-wide, so a second
+/// `#[test]` allocating and freeing on a sibling harness thread would move
+/// it under the assertions above.
+#[test]
+fn counting_ledgers() {
+    proxbal_profile::enable_counting();
+    per_thread_alloc_counts_are_deterministic();
+    global_ledger_moves_and_peak_tracks_live();
 }

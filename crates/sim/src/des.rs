@@ -22,9 +22,8 @@ pub struct RetryPolicy {
 }
 
 impl RetryPolicy {
-    /// The default schedule of the fault-injected protocol sims: 30 latency
-    /// units base (the reliable sims' retransmit interval), doubling, give
-    /// up after 5 retries.
+    /// The default schedule of the protocol sims: 30 latency units base,
+    /// doubling, give up after 5 retries.
     pub fn protocol_default() -> Self {
         RetryPolicy {
             base_timeout: 30,

@@ -271,23 +271,6 @@ impl EngineReport {
 fn to_core(e: ProtocolError) -> Error {
     match e {
         ProtocolError::UnattachedPeer(p) => Error::UnattachedPeer(p),
-        // The remaining variants can't arise from the engine's own drivers
-        // today, but map them faithfully so a protocol failure is never
-        // reported as an empty network.
-        ProtocolError::InvalidLossProbability(_) => Error::Protocol {
-            phase: "loss-model",
-            reached: 0,
-            expected: 0,
-        },
-        ProtocolError::Incomplete {
-            phase,
-            reached,
-            expected,
-        } => Error::Protocol {
-            phase,
-            reached,
-            expected,
-        },
     }
 }
 
@@ -615,35 +598,11 @@ mod tests {
 
     #[test]
     fn to_core_preserves_protocol_failures() {
+        // A protocol failure must not masquerade as an empty network.
         assert_eq!(
             to_core(ProtocolError::UnattachedPeer(PeerId(7))),
             Error::UnattachedPeer(PeerId(7))
         );
-        assert_eq!(
-            to_core(ProtocolError::InvalidLossProbability(1.5)),
-            Error::Protocol {
-                phase: "loss-model",
-                reached: 0,
-                expected: 0,
-            }
-        );
-        let mapped = to_core(ProtocolError::Incomplete {
-            phase: "aggregation",
-            reached: 3,
-            expected: 9,
-        });
-        assert_eq!(
-            mapped,
-            Error::Protocol {
-                phase: "aggregation",
-                reached: 3,
-                expected: 9,
-            }
-        );
-        // The whole point of the variant: a protocol failure must not
-        // masquerade as an empty network.
-        assert_ne!(mapped, Error::EmptyNetwork);
-        assert!(mapped.to_string().contains("covered 3 of 9"));
     }
 
     fn tiny_report() -> EngineReport {

@@ -653,9 +653,10 @@ pub fn protocol_latency_traced(
     threads: usize,
     trace: &mut Trace,
 ) -> Vec<LatencyRow> {
-    use crate::protocol::{
-        simulate_aggregation, simulate_dissemination, LossModel, ProtocolScratch,
-    };
+    use crate::des::RetryPolicy;
+    use crate::faults::{simulate_aggregation_faulty_traced, simulate_dissemination_faulty_traced};
+    use crate::faults::{FaultConfig, FaultPlan};
+    use crate::protocol::ProtocolScratch;
     let mut rows = Vec::new();
     for &peers in sizes {
         let mut scenario = Scenario::builder().seed(seed ^ peers as u64).build();
@@ -663,11 +664,12 @@ pub fn protocol_latency_traced(
         scenario.topology = crate::TopologyKind::Ts5kLarge;
         let prepared = scenario.prepare();
         let oracle = prepared.oracle.as_ref().expect("topology present");
-        // Each k builds its own tree and derives a fresh per-k RNG, so the
-        // k-cells run through the parallel engine; the loss loop stays
-        // sequential inside each cell to reuse the tree — and one scratch
-        // per cell, so the 100k+-message lossy runs allocate nothing per
-        // event and ask the oracle for each tree edge only once.
+        // Each k builds its own tree and seeds its own loss-only fault plan
+        // from the cell's identity, so the k-cells run through the parallel
+        // engine; the loss loop stays sequential inside each cell to reuse
+        // the tree — and one scratch per cell, so the 100k+-message lossy
+        // runs allocate nothing per event and ask the oracle for each tree
+        // edge only once.
         let per_k = crate::parallel::map_items_traced(ks, threads, trace, |_, &k, trace| {
             trace.relabel(&format!("n{peers}_k{k}"));
             let tree = KTree::build(&prepared.net, k);
@@ -685,26 +687,26 @@ pub fn protocol_latency_traced(
             // pairs are laid end to end so the spans never overlap.
             let mut clock: u64 = 0;
             for &loss in losses {
-                let model = if loss == 0.0 {
-                    LossModel::reliable()
-                } else {
-                    LossModel {
-                        loss_probability: loss,
-                        retransmit_after: 30,
-                    }
-                };
-                let mut rng = prepared.derived_rng(0x1A7 ^ (k as u64) << 8);
-                let agg = simulate_aggregation(
+                // No coverage assertion: an edge gives up after its retry
+                // budget (1.6e-8 per edge at 5 % loss), and a caller's seed
+                // must not panic over it.
+                let mut plan = FaultPlan::new(FaultConfig {
+                    loss_rate: loss,
+                    ..FaultConfig::none(prepared.scenario.seed ^ 0x1A7 ^ (k as u64) << 8)
+                });
+                let agg = simulate_aggregation_faulty_traced(
                     &prepared.net,
                     &tree,
                     oracle,
                     &contributors,
-                    &model,
-                    &mut rng,
+                    &mut plan,
+                    RetryPolicy::protocol_default(),
+                    &[],
                     &mut scratch,
                     trace,
                 )
-                .expect("scenario peers are attached");
+                .expect("scenario peers are attached")
+                .timing;
                 trace.span_args(
                     "des/aggregation",
                     clock,
@@ -715,16 +717,18 @@ pub fn protocol_latency_traced(
                     ],
                 );
                 clock += agg.completion;
-                let dis = simulate_dissemination(
+                let dis = simulate_dissemination_faulty_traced(
                     &prepared.net,
                     &tree,
                     oracle,
-                    &model,
-                    &mut rng,
+                    &mut plan,
+                    RetryPolicy::protocol_default(),
+                    &[],
                     &mut scratch,
                     trace,
                 )
-                .expect("scenario peers are attached");
+                .expect("scenario peers are attached")
+                .timing;
                 trace.span_args(
                     "des/dissemination",
                     clock,
@@ -1233,7 +1237,6 @@ pub fn fault_sweep(
 
         // Phase 2 under message faults over the repaired tree (the crashed
         // peers are gone from it, so no crash schedule here).
-        let mut scratch2 = ProtocolScratch::new();
         let dis = simulate_dissemination_faulty_traced(
             &net,
             &tree,
@@ -1241,7 +1244,7 @@ pub fn fault_sweep(
             &mut plan,
             RetryPolicy::protocol_default(),
             &[],
-            &mut scratch2,
+            &mut scratch,
             trace,
         )
         .expect("scenario peers are attached");

@@ -1,21 +1,27 @@
-//! Deterministic fault injection for the tree protocols.
+//! The message-level simulation of the tree protocols, under deterministic
+//! fault injection.
 //!
-//! The reliable DES in [`crate::protocol`] assumes every message is
-//! eventually delivered and membership never changes mid-phase. This module
-//! supplies the adversary: a seeded [`FaultPlan`] that drops or delays
-//! individual messages, crash-stops peers mid-round (their virtual servers
-//! and KT positions die with them), and rewires KT links to stale parents —
-//! plus the robustness machinery the paper implies but never specifies:
-//! per-message retry with exponential backoff ([`RetryPolicy`]) and
-//! sender-side give-up, so a phase *degrades* (partial coverage, reported
-//! through [`FaultPhaseOutcome`]) instead of hanging or panicking.
+//! The round counts of [`crate::experiments::rounds_scaling`] abstract away
+//! link latencies; the drivers here run the LBI aggregation and the
+//! dissemination message by message over the physical topology. A seeded
+//! [`FaultPlan`] is the adversary: it drops or delays individual messages,
+//! crash-stops peers mid-round (their virtual servers and KT positions die
+//! with them), and rewires KT links to stale parents. Against it stands the
+//! robustness machinery the paper implies but never specifies: per-message
+//! retry with exponential backoff ([`RetryPolicy`]) and sender-side give-up,
+//! so a phase *degrades* (partial coverage, reported through
+//! [`FaultPhaseOutcome`]) instead of hanging or panicking. Under the
+//! identity plan ([`FaultConfig::none`]) every message is delivered after
+//! its edge's latency and a phase completes at the analytic root-path
+//! latency — this is the one simulator behind claim `latency`, the fault
+//! sweep and the engine's DES shadow.
 //!
 //! Everything is a pure function of `(FaultConfig, scenario seed)`: the
 //! plan owns its own RNG stream and every fate is drawn in event-queue
 //! order, so a faulty run is bit-identical across repeats and thread
 //! counts, matching the repo's determinism contract.
 
-use crate::des::{EventQueue, RetryPolicy, SimTime};
+use crate::des::{RetryPolicy, SimTime};
 use crate::protocol::{PhaseTiming, ProtocolError, ProtocolScratch};
 use proxbal_chord::{ChordNetwork, PeerId};
 use proxbal_ktree::{KTree, KtNodeId};
@@ -184,7 +190,7 @@ impl FaultPlan {
 /// Outcome of one fault-injected phase: the usual timing plus coverage and
 /// retry accounting. `timing.completion` is the instant the phase resolved
 /// (last useful delivery or give-up at the root).
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
 pub struct FaultPhaseOutcome {
     /// Message-level timing (messages include retransmissions).
     pub timing: PhaseTiming,
@@ -210,8 +216,9 @@ impl FaultPhaseOutcome {
     }
 }
 
+/// One scheduled step of a message's life on a tree edge.
 #[derive(Debug)]
-enum FEvent {
+pub(crate) enum FEvent {
     /// `from` (re)transmits its message to `to`; `attempt` is 0-based.
     Send {
         from: KtNodeId,
@@ -226,7 +233,8 @@ enum FEvent {
     },
 }
 
-/// Shared state of one faulty phase run.
+/// Shared state of one phase run. The node tables and the event queue are
+/// the caller's pooled [`ProtocolScratch`], bound to `tree` for the run.
 struct FaultRun<'a> {
     net: &'a ChordNetwork,
     tree: &'a KTree,
@@ -235,16 +243,15 @@ struct FaultRun<'a> {
     retry: RetryPolicy,
     /// Crash-stop instants by peer (absent = never crashes).
     crash_at: HashMap<PeerId, SimTime>,
-    queue: EventQueue<FEvent>,
+    scratch: &'a mut ProtocolScratch,
     timing: PhaseTiming,
     retries: usize,
     gave_up: usize,
-    /// Edge `child → parent` delivered (indexed by child slot).
-    edge_delivered: Vec<bool>,
     trace: &'a mut Trace,
 }
 
 impl<'a> FaultRun<'a> {
+    #[allow(clippy::too_many_arguments)]
     fn new(
         net: &'a ChordNetwork,
         tree: &'a KTree,
@@ -252,8 +259,10 @@ impl<'a> FaultRun<'a> {
         plan: &'a mut FaultPlan,
         retry: RetryPolicy,
         crashes: &[(SimTime, PeerId)],
+        scratch: &'a mut ProtocolScratch,
         trace: &'a mut Trace,
     ) -> Self {
+        scratch.bind(tree);
         FaultRun {
             net,
             tree,
@@ -261,41 +270,49 @@ impl<'a> FaultRun<'a> {
             plan,
             retry,
             crash_at: crashes.iter().map(|&(t, p)| (p, t)).collect(),
-            queue: EventQueue::new(),
-            timing: PhaseTiming {
-                completion: 0,
-                messages: 0,
-                losses: 0,
-            },
+            scratch,
+            timing: PhaseTiming::default(),
             retries: 0,
             gave_up: 0,
-            edge_delivered: vec![false; tree.slot_bound()],
             trace,
         }
     }
 
-    /// Records the run's end-of-phase counters into the trace.
-    fn finish_counters(&mut self) {
+    /// Pops the next event, sampling the queue depth into the trace.
+    fn next_event(&mut self) -> Option<(SimTime, FEvent)> {
+        let next = self.scratch.queue.pop()?;
+        self.trace
+            .record("des_queue_depth", self.scratch.queue.len() as u64);
+        Some(next)
+    }
+
+    /// Records the end-of-phase counters into the trace and folds the run
+    /// into its outcome.
+    fn finish(self, delivered: usize, expected: usize) -> FaultPhaseOutcome {
         self.trace
             .count("des_messages", self.timing.messages as u64);
         self.trace.count("des_losses", self.timing.losses as u64);
         self.trace.count("des_retries", self.retries as u64);
         self.trace.count("des_gave_up", self.gave_up as u64);
         self.trace
-            .record("des_queue_peak", self.queue.high_water() as u64);
+            .record("des_queue_peak", self.scratch.queue.high_water() as u64);
+        FaultPhaseOutcome {
+            timing: self.timing,
+            delivered,
+            expected,
+            retries: self.retries,
+            gave_up: self.gave_up,
+        }
     }
 
-    /// The peer hosting a KT node (via its planted virtual server).
-    fn host_peer(&self, id: KtNodeId) -> PeerId {
-        self.net.vs(self.tree.node(id).host).host
-    }
-
-    /// Whether the peer hosting `id` is still up at `t` (crash-stop: dead
-    /// forever from its crash instant on).
+    /// Whether the peer hosting `id` (via its planted virtual server) is
+    /// still up at `t` (crash-stop: dead forever from its crash instant on).
     fn alive_at(&self, id: KtNodeId, t: SimTime) -> bool {
-        self.crash_at
-            .get(&self.host_peer(id))
-            .is_none_or(|&ct| t < ct)
+        self.crash_at.is_empty()
+            || self
+                .crash_at
+                .get(&self.net.vs(self.tree.node(id).host).host)
+                .is_none_or(|&ct| t < ct)
     }
 
     /// Handles a `Send` at time `t`: draws the fate, schedules the delivery
@@ -303,7 +320,6 @@ impl<'a> FaultRun<'a> {
     /// exhausted its retry budget (or died), i.e. the edge failed.
     fn transmit(
         &mut self,
-        scratch: &mut ProtocolScratch,
         t: SimTime,
         from: KtNodeId,
         to: KtNodeId,
@@ -318,23 +334,21 @@ impl<'a> FaultRun<'a> {
         if attempt > 0 {
             self.retries += 1;
         }
-        let latency = scratch.edge_latency(self.net, self.oracle, self.tree, from, to)?;
-        match self.plan.message_fate() {
+        let latency = self
+            .scratch
+            .edge_latency(self.net, self.oracle, self.tree, from, to)?;
+        let extra = match self.plan.message_fate() {
             MessageFate::Drop => {
                 self.timing.losses += 1;
-                Ok(self.retry_or_fail(t, from, to, attempt))
+                return Ok(self.retry_or_fail(t, from, to, attempt));
             }
-            MessageFate::DelayBy(extra) => {
-                self.queue
-                    .schedule(t + latency + extra, FEvent::Deliver { from, to, attempt });
-                Ok(None)
-            }
-            MessageFate::Deliver => {
-                self.queue
-                    .schedule(t + latency, FEvent::Deliver { from, to, attempt });
-                Ok(None)
-            }
-        }
+            MessageFate::DelayBy(extra) => extra,
+            MessageFate::Deliver => 0,
+        };
+        self.scratch
+            .queue
+            .schedule(t + latency + extra, FEvent::Deliver { from, to, attempt });
+        Ok(None)
     }
 
     /// After a failed attempt at time `t`: schedules the next retry, or
@@ -349,7 +363,7 @@ impl<'a> FaultRun<'a> {
         let timeout = self.retry.timeout_after(attempt);
         if attempt < self.retry.max_retries {
             self.trace.record("des_backoff_delay", timeout);
-            self.queue.schedule(
+            self.scratch.queue.schedule(
                 t + timeout,
                 FEvent::Send {
                     from,
@@ -372,15 +386,65 @@ impl<'a> FaultRun<'a> {
             acc.saturating_add(self.retry.timeout_after(a))
         })
     }
+
+    /// Aggregation: `node` has heard from (or given up on) every active
+    /// child at `t` — it sends upward, or, at the root, resolves the phase.
+    fn on_ready(&mut self, node: KtNodeId, t: SimTime) {
+        match self.tree.node(node).parent {
+            Some(parent) => self.scratch.queue.schedule(
+                t,
+                FEvent::Send {
+                    from: node,
+                    to: parent,
+                    attempt: 0,
+                },
+            ),
+            None => self.timing.completion = self.timing.completion.max(t),
+        }
+    }
+
+    /// Aggregation: the edge `child → parent` permanently failed at
+    /// `fail_t`. The parent stops waiting; if that makes it ready but it is
+    /// dead, its own edge fails one give-up window later, and so on up.
+    fn edge_failed(&mut self, child: KtNodeId, fail_t: SimTime) {
+        let (mut cur, mut t) = (child, fail_t);
+        loop {
+            let Some(parent) = self.tree.node(cur).parent else {
+                // The root's own information is never "sent"; a failed
+                // chain ending at the root just resolves the wait.
+                self.timing.completion = self.timing.completion.max(t);
+                return;
+            };
+            let slot = parent.0 as usize;
+            self.scratch.pending[slot] -= 1;
+            if self.scratch.pending[slot] > 0 {
+                return;
+            }
+            if self.alive_at(parent, t) {
+                self.on_ready(parent, t);
+                return;
+            }
+            // Dead parent became "ready": its upward edge fails after the
+            // full give-up window (nobody transmits for it).
+            t = t.saturating_add(self.remaining_window(0));
+            cur = parent;
+        }
+    }
 }
 
-/// Fault-injected bottom-up aggregation: same protocol as
-/// [`crate::protocol::simulate_aggregation`], but messages follow the
-/// plan's fates, senders retry with exponential backoff and give up after
-/// the budget, and peers crash-stop mid-phase. A parent whose child edge
-/// permanently failed stops waiting for it (the fold of its wait timer into
-/// the give-up instant), so the phase always terminates — with partial
-/// coverage instead of an error.
+/// Bottom-up LBI aggregation as individual messages under a fault plan:
+/// every KT node on the path from a contributing node to the root forwards
+/// upward once all its contributing children have reported (or were given
+/// up on). Messages follow the plan's fates, senders retry with exponential
+/// backoff and give up after the budget, and peers crash-stop mid-phase. A
+/// parent whose child edge permanently failed stops waiting for it (the
+/// fold of its wait timer into the give-up instant), so the phase always
+/// terminates — with partial coverage instead of an error.
+///
+/// `contributors` may repeat nodes and come in any order; the simulation is
+/// a function of the contributor *set*. Under [`FaultConfig::none`] the
+/// completion time equals the analytic maximum root-path latency over the
+/// contributing nodes.
 #[allow(clippy::too_many_arguments)]
 pub fn simulate_aggregation_faulty(
     net: &ChordNetwork,
@@ -409,8 +473,11 @@ pub fn simulate_aggregation_faulty(
 /// [`simulate_aggregation_faulty`] with trace collection: records
 /// `des_messages` / `des_losses` / `des_retries` / `des_gave_up` counters,
 /// the `des_backoff_delay` histogram (one sample per scheduled retry), and
-/// `des_queue_depth` / `des_queue_peak`. Spans are the caller's job — only
-/// the caller knows where this phase sits on the virtual timeline.
+/// `des_queue_depth` (pending events sampled at every pop) /
+/// `des_queue_peak`. Runs inside the caller-held `scratch` — no per-run
+/// allocation once it is warm — and is bit-identical with tracing on or
+/// off. Spans are the caller's job — only the caller knows where this phase
+/// sits on the virtual timeline.
 #[allow(clippy::too_many_arguments)]
 pub fn simulate_aggregation_faulty_traced(
     net: &ChordNetwork,
@@ -423,19 +490,15 @@ pub fn simulate_aggregation_faulty_traced(
     scratch: &mut ProtocolScratch,
     trace: &mut Trace,
 ) -> Result<FaultPhaseOutcome, ProtocolError> {
-    scratch.bind(tree);
-    let mut run = FaultRun::new(net, tree, oracle, plan, retry, crashes, trace);
+    let mut run = FaultRun::new(net, tree, oracle, plan, retry, crashes, scratch, trace);
 
     // Active nodes: contributors and all their ancestors.
-    let mut any_active = false;
     for &c in contributors {
         let mut cur = Some(c);
         while let Some(id) = cur {
-            let slot = id.0 as usize;
-            if std::mem::replace(&mut scratch.active[slot], true) {
+            if std::mem::replace(&mut run.scratch.active[id.0 as usize], true) {
                 break;
             }
-            any_active = true;
             cur = tree.node(id).parent;
         }
     }
@@ -443,106 +506,40 @@ pub fn simulate_aggregation_faulty_traced(
     let mut distinct: Vec<KtNodeId> = contributors.to_vec();
     distinct.sort_unstable();
     distinct.dedup();
-    let expected = distinct.len();
-    if !any_active {
-        run.finish_counters();
-        return Ok(FaultPhaseOutcome {
-            timing: run.timing,
-            delivered: 0,
-            expected,
-            retries: 0,
-            gave_up: 0,
-        });
-    }
 
-    for slot in 0..scratch.active.len() {
-        if !scratch.active[slot] {
+    // pending[n] = number of active children n still waits for.
+    for slot in 0..run.scratch.active.len() {
+        if !run.scratch.active[slot] {
             continue;
         }
-        let n = KtNodeId(slot as u32);
-        scratch.pending[slot] = tree
-            .node(n)
+        run.scratch.pending[slot] = tree
+            .node(KtNodeId(slot as u32))
             .children
             .iter()
             .flatten()
-            .filter(|c| scratch.active[c.0 as usize])
+            .filter(|c| run.scratch.active[c.0 as usize])
             .count() as u32;
     }
 
-    let mut root_done = false;
-    let mut completion: SimTime = 0;
-
-    // `edge_failed` propagation: edge `child → parent` permanently failed
-    // at `fail_t`. The parent stops waiting; if that makes it ready but it
-    // is dead, its own edge fails one give-up window later, and so on up.
-    // Implemented as an explicit loop (shared by several handlers below).
-    macro_rules! on_ready {
-        ($run:expr, $scratch:expr, $node:expr, $t:expr) => {{
-            match tree.node($node).parent {
-                Some(parent) => $run.queue.schedule(
-                    $t,
-                    FEvent::Send {
-                        from: $node,
-                        to: parent,
-                        attempt: 0,
-                    },
-                ),
-                None => {
-                    root_done = true;
-                    completion = completion.max($t);
-                }
-            }
-        }};
-    }
-    macro_rules! edge_failed {
-        ($run:expr, $scratch:expr, $child:expr, $fail_t:expr) => {{
-            let mut cur = $child;
-            let mut t = $fail_t;
-            loop {
-                let Some(parent) = tree.node(cur).parent else {
-                    // The root's own information is never "sent"; a failed
-                    // chain ending at the root just resolves the wait.
-                    root_done = true;
-                    completion = completion.max(t);
-                    break;
-                };
-                let slot = parent.0 as usize;
-                scratch.pending[slot] -= 1;
-                if scratch.pending[slot] > 0 {
-                    break;
-                }
-                if $run.alive_at(parent, t) {
-                    on_ready!($run, $scratch, parent, t);
-                    break;
-                }
-                // Dead parent became "ready": its upward edge fails after
-                // the full give-up window (nobody transmits for it).
-                t = t.saturating_add($run.remaining_window(0));
-                cur = parent;
-            }
-        }};
-    }
-
-    // Leaves of the active set fire at t = 0, in ascending slot order (the
-    // deterministic RNG binding of the reliable sim, kept here).
-    for slot in 0..scratch.active.len() {
-        if !scratch.active[slot] || scratch.pending[slot] != 0 {
+    // Leaves of the active set fire at t = 0, in ascending slot order, so
+    // fates bind to leaves deterministically.
+    for slot in 0..run.scratch.active.len() {
+        if !run.scratch.active[slot] || run.scratch.pending[slot] != 0 {
             continue;
         }
         let n = KtNodeId(slot as u32);
         if run.alive_at(n, 0) {
-            on_ready!(run, scratch, n, 0);
+            run.on_ready(n, 0);
         } else {
-            edge_failed!(run, scratch, n, run.remaining_window(0));
+            run.edge_failed(n, run.remaining_window(0));
         }
     }
 
-    while let Some((t, ev)) = run.queue.pop() {
-        run.trace.record("des_queue_depth", run.queue.len() as u64);
+    while let Some((t, ev)) = run.next_event() {
         match ev {
             FEvent::Send { from, to, attempt } => {
-                if let Some(fail_t) = run.transmit(scratch, t, from, to, attempt)? {
-                    edge_failed!(run, scratch, from, fail_t);
+                if let Some(fail_t) = run.transmit(t, from, to, attempt)? {
+                    run.edge_failed(from, fail_t);
                 }
             }
             FEvent::Deliver { from, to, attempt } => {
@@ -550,22 +547,24 @@ pub fn simulate_aggregation_faulty_traced(
                     // Receiver crashed: no ack, the sender times out.
                     run.timing.losses += 1;
                     if let Some(fail_t) = run.retry_or_fail(t, from, to, attempt) {
-                        edge_failed!(run, scratch, from, fail_t);
+                        run.edge_failed(from, fail_t);
                     }
                     continue;
                 }
-                run.edge_delivered[from.0 as usize] = true;
+                run.scratch.edge_delivered[from.0 as usize] = true;
                 let slot = to.0 as usize;
-                scratch.pending[slot] -= 1;
-                if scratch.pending[slot] == 0 {
-                    on_ready!(run, scratch, to, t);
+                run.scratch.pending[slot] -= 1;
+                if run.scratch.pending[slot] == 0 {
+                    run.on_ready(to, t);
                 }
             }
         }
     }
-    debug_assert!(root_done, "every waiting chain resolves by construction");
-    run.timing.completion = completion;
-    run.finish_counters();
+
+    debug_assert!(
+        distinct.is_empty() || run.scratch.pending[tree.root().0 as usize] == 0,
+        "every waiting chain resolves by construction"
+    );
 
     // A contributor's LBI reached the root iff every edge on its root path
     // delivered (crash-stop losses show up as missing edges: a node that
@@ -575,7 +574,7 @@ pub fn simulate_aggregation_faulty_traced(
         .filter(|&&c| {
             let mut cur = c;
             while let Some(parent) = tree.node(cur).parent {
-                if !run.edge_delivered[cur.0 as usize] {
+                if !run.scratch.edge_delivered[cur.0 as usize] {
                     return false;
                 }
                 cur = parent;
@@ -583,20 +582,14 @@ pub fn simulate_aggregation_faulty_traced(
             true
         })
         .count();
-
-    Ok(FaultPhaseOutcome {
-        timing: run.timing,
-        delivered,
-        expected,
-        retries: run.retries,
-        gave_up: run.gave_up,
-    })
+    Ok(run.finish(delivered, distinct.len()))
 }
 
-/// Fault-injected top-down dissemination: the root broadcasts, every node
-/// forwards on arrival; lost edges orphan their subtree (no upstream
-/// propagation needed — an unreached node simply never forwards). Coverage
-/// is `delivered / tree.len()`.
+/// Top-down dissemination as individual messages under a fault plan: the
+/// root broadcasts, every node forwards to its children on arrival;
+/// completion is the last first-time delivery. Lost edges orphan their
+/// subtree (no upstream propagation needed — an unreached node simply never
+/// forwards). Coverage is `delivered / tree.len()`.
 pub fn simulate_dissemination_faulty(
     net: &ChordNetwork,
     tree: &KTree,
@@ -625,14 +618,12 @@ pub fn simulate_dissemination_faulty_traced(
     scratch: &mut ProtocolScratch,
     trace: &mut Trace,
 ) -> Result<FaultPhaseOutcome, ProtocolError> {
-    scratch.bind(tree);
-    let mut run = FaultRun::new(net, tree, oracle, plan, retry, crashes, trace);
+    let mut run = FaultRun::new(net, tree, oracle, plan, retry, crashes, scratch, trace);
     let mut reached = 0usize;
 
     let fanout = |run: &mut FaultRun<'_>, node: KtNodeId, t: SimTime| {
-        let children: Vec<KtNodeId> = tree.node(node).children.iter().flatten().copied().collect();
-        for child in children {
-            run.queue.schedule(
+        for &child in tree.node(node).children.iter().flatten() {
+            run.scratch.queue.schedule(
                 t,
                 FEvent::Send {
                     from: node,
@@ -643,16 +634,15 @@ pub fn simulate_dissemination_faulty_traced(
         }
     };
 
-    scratch.delivered[tree.root().0 as usize] = true;
+    run.scratch.delivered[tree.root().0 as usize] = true;
     reached += 1;
     fanout(&mut run, tree.root(), 0);
 
-    while let Some((t, ev)) = run.queue.pop() {
-        run.trace.record("des_queue_depth", run.queue.len() as u64);
+    while let Some((t, ev)) = run.next_event() {
         match ev {
             FEvent::Send { from, to, attempt } => {
                 // A failed edge orphans `to`'s subtree; nothing to notify.
-                let _ = run.transmit(scratch, t, from, to, attempt)?;
+                let _ = run.transmit(t, from, to, attempt)?;
             }
             FEvent::Deliver { from, to, attempt } => {
                 if !run.alive_at(to, t) {
@@ -660,7 +650,7 @@ pub fn simulate_dissemination_faulty_traced(
                     let _ = run.retry_or_fail(t, from, to, attempt);
                     continue;
                 }
-                if std::mem::replace(&mut scratch.delivered[to.0 as usize], true) {
+                if std::mem::replace(&mut run.scratch.delivered[to.0 as usize], true) {
                     continue;
                 }
                 reached += 1;
@@ -669,15 +659,7 @@ pub fn simulate_dissemination_faulty_traced(
             }
         }
     }
-    run.finish_counters();
-
-    Ok(FaultPhaseOutcome {
-        timing: run.timing,
-        delivered: reached,
-        expected: tree.len(),
-        retries: run.retries,
-        gave_up: run.gave_up,
-    })
+    Ok(run.finish(reached, tree.len()))
 }
 
 /// Stale-link injection as a pluggable [`EventSource`]: on a fixed epoch
@@ -736,7 +718,7 @@ impl crate::engine::EventSource for FaultSource {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::protocol::{simulate_aggregation, LossModel};
+    use crate::latency::root_path_latencies;
     use crate::{Scenario, TopologyKind};
 
     fn setup() -> (crate::Prepared, KTree) {
@@ -760,17 +742,38 @@ mod tests {
         targets
     }
 
-    fn run_agg(
+    /// One aggregation of `contributors` in a fresh scratch, no crashes.
+    fn aggregate(
+        prepared: &crate::Prepared,
+        tree: &KTree,
+        contributors: &[KtNodeId],
+        cfg: FaultConfig,
+    ) -> Result<FaultPhaseOutcome, ProtocolError> {
+        simulate_aggregation_faulty(
+            &prepared.net,
+            tree,
+            prepared.oracle.as_ref().unwrap(),
+            contributors,
+            &mut FaultPlan::new(cfg),
+            RetryPolicy::protocol_default(),
+            &[],
+            &mut ProtocolScratch::new(),
+        )
+    }
+
+    /// Aggregation of every report target, then dissemination, from one
+    /// plan under its crash schedule; both phases share `scratch`.
+    fn run_phases(
         prepared: &crate::Prepared,
         tree: &KTree,
         cfg: FaultConfig,
+        scratch: &mut ProtocolScratch,
     ) -> (FaultPhaseOutcome, FaultPhaseOutcome) {
         let oracle = prepared.oracle.as_ref().unwrap();
         let contributors = all_report_targets(prepared, tree);
         let mut plan = FaultPlan::new(cfg);
         let root_host = prepared.net.vs(tree.node(tree.root()).host).host;
         let crashes = plan.crash_schedule(&prepared.net, root_host, 300);
-        let mut scratch = ProtocolScratch::new();
         let agg = simulate_aggregation_faulty(
             &prepared.net,
             tree,
@@ -779,7 +782,7 @@ mod tests {
             &mut plan,
             RetryPolicy::protocol_default(),
             &crashes,
-            &mut scratch,
+            scratch,
         )
         .expect("attached");
         let dis = simulate_dissemination_faulty(
@@ -789,51 +792,148 @@ mod tests {
             &mut plan,
             RetryPolicy::protocol_default(),
             &crashes,
-            &mut scratch,
+            scratch,
         )
         .expect("attached");
         (agg, dis)
     }
 
+    fn run_agg(
+        prepared: &crate::Prepared,
+        tree: &KTree,
+        cfg: FaultConfig,
+    ) -> (FaultPhaseOutcome, FaultPhaseOutcome) {
+        run_phases(prepared, tree, cfg, &mut ProtocolScratch::new())
+    }
+
     #[test]
-    fn no_faults_means_full_coverage_and_reliable_timing() {
+    fn no_faults_means_full_coverage_and_analytic_timing() {
         let (prepared, tree) = setup();
         let (agg, dis) = run_agg(&prepared, &tree, FaultConfig::none(7));
-        assert_eq!(agg.completion_rate(), 1.0);
-        assert_eq!(dis.completion_rate(), 1.0);
-        assert_eq!(agg.retries, 0);
-        assert_eq!(agg.gave_up, 0);
-        // The fault-free faulty driver matches the reliable sim exactly.
+        for phase in [&agg, &dis] {
+            assert_eq!(phase.completion_rate(), 1.0);
+            assert_eq!(
+                (phase.retries, phase.gave_up, phase.timing.losses),
+                (0, 0, 0)
+            );
+        }
+        // With every report target contributing, aggregation completes at
+        // the max root-path latency over the contributing nodes.
         let oracle = prepared.oracle.as_ref().unwrap();
+        let paths = root_path_latencies(&prepared.net, oracle, &tree);
         let contributors = all_report_targets(&prepared, &tree);
-        let mut rng = rand::rngs::StdRng::seed_from_u64(1);
-        let reliable = simulate_aggregation(
-            &prepared.net,
-            &tree,
-            oracle,
-            &contributors,
-            &LossModel::reliable(),
-            &mut rng,
-            &mut ProtocolScratch::new(),
-            &mut Trace::disabled(),
-        )
-        .expect("attached");
-        assert_eq!(agg.timing.completion, reliable.completion);
-        assert_eq!(agg.timing.messages, reliable.messages);
+        let analytic = contributors.iter().map(|c| paths[c]).max().unwrap();
+        assert_eq!(agg.timing.completion, analytic);
+        assert!(agg.timing.messages > 0);
+    }
+
+    #[test]
+    fn fault_free_dissemination_matches_analytic_latency() {
+        let (prepared, tree) = setup();
+        let oracle = prepared.oracle.as_ref().unwrap();
+        let paths = root_path_latencies(&prepared.net, oracle, &tree);
+        let analytic = *paths.values().max().unwrap();
+        let disseminate = |scratch: &mut ProtocolScratch| {
+            simulate_dissemination_faulty(
+                &prepared.net,
+                &tree,
+                oracle,
+                &mut FaultPlan::new(FaultConfig::none(4)),
+                RetryPolicy::protocol_default(),
+                &[],
+                scratch,
+            )
+            .expect("attached")
+        };
+        // A downward message costs its edge's latency whichever phase
+        // filled the scratch's memo first: fresh, and warmed by aggregation.
+        let mut warm = ProtocolScratch::new();
+        run_phases(&prepared, &tree, FaultConfig::none(4), &mut warm);
+        for scratch in [&mut ProtocolScratch::new(), &mut warm] {
+            let dis = disseminate(scratch);
+            assert_eq!(dis.timing.completion, analytic);
+            // Exactly one message per tree edge when nothing is lost.
+            assert_eq!(dis.timing.messages, tree.len() - 1);
+            assert_eq!(dis.delivered, tree.len());
+        }
+    }
+
+    #[test]
+    fn partial_contributors_complete_sooner_or_equal() {
+        let (prepared, tree) = setup();
+        let all = all_report_targets(&prepared, &tree);
+        let cfg = FaultConfig::none(2);
+        let t_all = aggregate(&prepared, &tree, &all, cfg).expect("attached");
+        let t_few = aggregate(&prepared, &tree, &all[..3], cfg).expect("attached");
+        assert!(t_few.timing.completion <= t_all.timing.completion);
+        assert!(t_few.timing.messages < t_all.timing.messages);
+        assert_eq!((t_few.delivered, t_few.expected), (3, 3));
+    }
+
+    #[test]
+    fn empty_contributor_set_is_trivial() {
+        let (prepared, tree) = setup();
+        let out = aggregate(&prepared, &tree, &[], FaultConfig::none(5)).expect("attached");
+        assert_eq!(out.timing, PhaseTiming::default());
+        assert_eq!((out.delivered, out.expected), (0, 0));
+    }
+
+    #[test]
+    fn unattached_peer_is_a_typed_error() {
+        let (mut prepared, tree) = setup();
+        let contributors = all_report_targets(&prepared, &tree);
+        // Detach every peer: any inter-peer tree edge now has no latency.
+        for p in prepared.net.alive_peers() {
+            prepared.net.attach(p, u32::MAX);
+        }
+        let err = aggregate(&prepared, &tree, &contributors, FaultConfig::none(6))
+            .expect_err("unattached peers must not simulate");
+        assert!(matches!(err, ProtocolError::UnattachedPeer(_)));
+    }
+
+    fn lossy(seed: u64) -> FaultConfig {
+        FaultConfig {
+            loss_rate: 0.2,
+            ..FaultConfig::none(seed)
+        }
+    }
+
+    #[test]
+    fn loss_delays_but_completes() {
+        let (prepared, tree) = setup();
+        let (agg0, dis0) = run_agg(&prepared, &tree, FaultConfig::none(3));
+        let (agg, dis) = run_agg(&prepared, &tree, lossy(3));
+        for (lossy, reliable) in [(&agg, &agg0), (&dis, &dis0)] {
+            assert_eq!(lossy.delivered, lossy.expected);
+            assert!(lossy.timing.losses > 0);
+            assert!(lossy.timing.messages > reliable.timing.messages);
+            assert!(lossy.timing.completion > reliable.timing.completion);
+        }
+    }
+
+    #[test]
+    fn scratch_reuse_is_bit_identical() {
+        let (prepared, tree) = setup();
+        // One pooled scratch across a sequence of aggregation +
+        // dissemination pairs against a fresh scratch per pair.
+        let mut pooled = ProtocolScratch::new();
+        for seed in 100..104 {
+            let fresh = run_agg(&prepared, &tree, lossy(seed));
+            assert_eq!(
+                run_phases(&prepared, &tree, lossy(seed), &mut pooled),
+                fresh
+            );
+        }
     }
 
     #[test]
     fn faulty_runs_are_deterministic() {
         let (prepared, tree) = setup();
         let cfg = FaultConfig::with_loss(0.1, 42);
-        let (a1, d1) = run_agg(&prepared, &tree, cfg);
-        let (a2, d2) = run_agg(&prepared, &tree, cfg);
-        assert_eq!(a1.timing.completion, a2.timing.completion);
-        assert_eq!(a1.timing.messages, a2.timing.messages);
-        assert_eq!(a1.delivered, a2.delivered);
-        assert_eq!(a1.gave_up, a2.gave_up);
-        assert_eq!(d1.delivered, d2.delivered);
-        assert_eq!(d1.timing.messages, d2.timing.messages);
+        assert_eq!(
+            run_agg(&prepared, &tree, cfg),
+            run_agg(&prepared, &tree, cfg)
+        );
     }
 
     #[test]

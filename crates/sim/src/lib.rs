@@ -9,6 +9,11 @@
 //!   load scatters (Figure 4), per-capacity-class summaries (Figures 5/6),
 //!   Gini/percentile helpers.
 //! * [`des`] — a minimal discrete-event engine (time-ordered queue).
+//! * [`faults`] — the one message-level simulation of the tree protocols
+//!   (LBI aggregation up, dissemination down) under a seeded fault plan;
+//!   the identity plan gives the protocol's wall-clock latency.
+//!   [`protocol`] holds the pooled scratch, timing and error types it
+//!   shares with the engine.
 //! * [`churn`] — Poisson join/crash churn driving K-nary-tree maintenance,
 //!   for the self-repair claims of §3.1.
 //! * [`engine`] — the continuous-operation engine: churn, drift, faults,

@@ -180,6 +180,40 @@ fn parallel_drivers_are_thread_count_invariant() {
     );
 }
 
+/// Claim `latency` through the one message-level simulator: the zero-loss
+/// rows are the analytic tree latency — equal in both directions, and the
+/// values the deleted reliable simulator printed — and loss only ever costs
+/// time and messages.
+#[test]
+fn protocol_latency_rows_are_pinned_at_zero_loss_and_monotone_in_loss() {
+    // `repro --claim latency --scale small` at the default seed; no edge
+    // exhausts its retry budget there, so every row is at full coverage.
+    let mut trace = Trace::enabled("latency");
+    let rows = protocol_latency_traced(&[256], &[2, 8], &[0.0, 0.05], 1, 1, &mut trace);
+    assert!(trace.counter("des_retries") > 0);
+    assert_eq!(trace.counter("des_gave_up"), 0);
+    assert_eq!(
+        serde_json::to_string(&rows).unwrap(),
+        serde_json::to_string(&protocol_latency(&[256], &[2, 8], &[0.0, 0.05], 1, 2)).unwrap(),
+        "protocol_latency differs at 2 threads"
+    );
+    let pinned = [(2, 255, 6252), (8, 94, 3820)];
+    for (cell, (k, latency, messages)) in rows.chunks(2).zip(pinned) {
+        let (clean, lossy) = (&cell[0], &cell[1]);
+        assert_eq!(
+            (clean.k, clean.loss, lossy.k, lossy.loss),
+            (k, 0.0, k, 0.05)
+        );
+        assert_eq!(
+            (clean.aggregation, clean.dissemination, clean.messages),
+            (latency, latency, messages)
+        );
+        assert!(lossy.aggregation >= clean.aggregation);
+        assert!(lossy.dissemination >= clean.dissemination);
+        assert!(lossy.messages >= clean.messages);
+    }
+}
+
 /// The eviction contract of the bounded oracle cache: a fig-7-shaped run
 /// with a 16-row cache (constant eviction pressure during the transfer
 /// phase) renders byte-identically to the unbounded cache — eviction only

@@ -250,10 +250,16 @@ impl Trace {
         if !self.enabled {
             return;
         }
-        self.hists
-            .entry(name.to_owned())
-            .or_default()
-            .observe_weighted(value, weight);
+        // Hot in the message-level DES (a sample per popped event): look the
+        // histogram up by `&str`, allocate the key only on first sight.
+        match self.hists.get_mut(name) {
+            Some(h) => h.observe_weighted(value, weight),
+            None => self
+                .hists
+                .entry(name.to_owned())
+                .or_default()
+                .observe_weighted(value, weight),
+        }
     }
 
     /// Merge a child trace into this one.

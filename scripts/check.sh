@@ -15,7 +15,8 @@
 # `cmp`-ed. Always: `--fig 7 --scale small --trace` (both trace files).
 #   --xl-smoke       `--scale xl --fig 7` once (65k peers, seconds), then
 #                    `xl2 --peers 65536` (stdout). CI runs it on every PR.
-#   --faults-smoke   `--faults 0.1 --scale small` (stdout + BENCH entry)
+#   --faults-smoke   `--faults 0.1 --scale small --trace` (stdout, BENCH
+#                    entry, both trace files — the DES spans and histograms)
 #   --engine-smoke   `engine --scale small --trace` (stdout, BENCH entry,
 #                    both trace files)
 #   --round-smoke    `xl2 --peers 16384 --trace` (stdout, both trace files,
@@ -111,7 +112,7 @@ if [[ "$XL_SMOKE" == "1" ]]; then
 fi
 
 if [[ "$FAULTS_SMOKE" == "1" ]]; then
-  smoke faults 600 "BENCH_repro.json" --faults 0.1 --scale small
+  smoke faults 600 "BENCH_repro.json f.json f.ndjson" --faults 0.1 --scale small --trace f.json
 fi
 
 if [[ "$ROUND_SMOKE" == "1" ]]; then
