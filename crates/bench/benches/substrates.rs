@@ -1,6 +1,6 @@
 //! Micro-benchmarks of the substrates: Chord lookups, ring ownership,
-//! Hilbert encode/decode, Dijkstra, shed-set selection and rendezvous
-//! pairing.
+//! Hilbert encode/decode, Dijkstra, shed-set selection, rendezvous pairing
+//! and the DES event queue.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use proxbal_chord::{ChordNetwork, RoutingState};
@@ -122,11 +122,57 @@ fn bench_core_pieces(c: &mut Criterion) {
     group.finish();
 }
 
+/// The event queue at the depth the engine's DES shadow reaches on 4,096
+/// peers: 50,000 events pending, then one pop and one schedule per
+/// iteration (the classic hold model), with the delay mix of a phase — the
+/// current instant, edge latencies, retry timeouts.
+fn bench_des_queue(c: &mut Criterion) {
+    use proxbal_sim::des::EventQueue;
+    const PENDING: usize = 50_000;
+    let delay = |rng: &mut StdRng| -> u64 {
+        match rng.gen_range(0..10) {
+            0..=3 => 0,
+            4..=8 => rng.gen_range(1..200),
+            _ => 30 << rng.gen_range(0..6),
+        }
+    };
+    let mut group = c.benchmark_group("des_queue");
+    group.bench_function("hold_50k_pending", |b| {
+        let mut rng = StdRng::seed_from_u64(37);
+        let mut queue: EventQueue<u32> = EventQueue::new();
+        for i in 0..PENDING {
+            queue.schedule(delay(&mut rng), i as u32);
+        }
+        b.iter(|| {
+            let (_, event) = queue.pop().expect("the hold model keeps the depth");
+            queue.schedule_in(delay(&mut rng), event);
+            std::hint::black_box(event)
+        });
+    });
+    group.bench_function("fill_and_drain_50k", |b| {
+        let mut rng = StdRng::seed_from_u64(41);
+        let mut queue: EventQueue<u32> = EventQueue::new();
+        b.iter(|| {
+            queue.reset();
+            for i in 0..PENDING {
+                queue.schedule(delay(&mut rng), i as u32);
+            }
+            let mut last = 0;
+            while let Some((t, _)) = queue.pop() {
+                last = t;
+            }
+            std::hint::black_box(last)
+        });
+    });
+    group.finish();
+}
+
 criterion_group!(
     benches,
     bench_chord,
     bench_hilbert,
     bench_topology,
-    bench_core_pieces
+    bench_core_pieces,
+    bench_des_queue
 );
 criterion_main!(benches);

@@ -40,6 +40,18 @@ fn assert_derived_fresh(tree: &KTree) {
     assert_eq!(tree.max_message_depth(), max, "max message depth is stale");
 }
 
+/// The path-reusing bulk descent against one root descent per virtual
+/// server, in ring order and in an order that shares no paths.
+#[track_caller]
+fn assert_report_targets_match(tree: &KTree, net: &ChordNetwork) {
+    let mut vss: Vec<VsId> = net.ring().iter().map(|(_, vs)| vs).collect();
+    for _ in 0..2 {
+        let one_by_one: Vec<KtNodeId> = vss.iter().map(|&vs| tree.report_target(net, vs)).collect();
+        assert_eq!(tree.report_targets(net, vss.iter().copied()), one_by_one);
+        vss.sort_unstable_by_key(|vs| vs.0.wrapping_mul(0x9E37_79B9));
+    }
+}
+
 impl Pair {
     fn build(net: &ChordNetwork, k: usize) -> Self {
         let fast = KTree::build(net, k);
@@ -63,9 +75,13 @@ impl Pair {
 
     #[track_caller]
     fn round(&mut self, net: &ChordNetwork) -> usize {
+        // Before the round the tree is whatever the history left behind:
+        // behind the ring, orphaned subtrees, half-grown parts.
+        assert_report_targets_match(&self.fast, net);
         let mutations = self.fast.maintain_round(net);
         assert_eq!(mutations, self.slow.reference_round(net));
         self.assert_same();
+        assert_report_targets_match(&self.fast, net);
         mutations
     }
 

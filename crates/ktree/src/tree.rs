@@ -607,22 +607,47 @@ impl KTree {
     pub fn report_target(&self, net: &ChordNetwork, vs: VsId) -> KtNodeId {
         let pos = net.vs(vs).position;
         let mut cur = self.root;
-        loop {
-            let node = self.node(cur);
-            let mut advanced = false;
-            for i in 0..self.k {
-                if node.region.child(i, self.k).contains(pos) {
-                    if let Some(child) = node.children[i] {
-                        cur = child;
-                        advanced = true;
-                    }
-                    break;
-                }
-            }
-            if !advanced {
-                return cur;
-            }
+        while let Some(child) = self.child_towards(cur, pos) {
+            cur = child;
         }
+        cur
+    }
+
+    /// One step of the descent towards `pos`: the child of `id` planted on
+    /// the part of its region that holds `pos`, if that part has a subtree.
+    fn child_towards(&self, id: KtNodeId, pos: Id) -> Option<KtNodeId> {
+        let node = self.node(id);
+        let part = (0..self.k).find(|&i| node.region.child(i, self.k).contains(pos))?;
+        node.children[part]
+    }
+
+    /// [`Self::report_target`] of every virtual server of `vss`, in order.
+    ///
+    /// Each descent starts from the deepest node of the previous one whose
+    /// region still holds the position instead of from the root: a listed
+    /// child covers exactly its part of the parent's region and parts are
+    /// disjoint, so a node on the previous path whose region contains the
+    /// position is on this position's path too. Ring neighbours
+    /// ([`Ring::iter`] order) then cost a few nodes each instead of the
+    /// tree's height; any other order is correct, only slower.
+    pub fn report_targets(
+        &self,
+        net: &ChordNetwork,
+        vss: impl IntoIterator<Item = VsId>,
+    ) -> Vec<KtNodeId> {
+        let mut path = vec![self.root];
+        vss.into_iter()
+            .map(|vs| {
+                let pos = net.vs(vs).position;
+                while path.len() > 1 && !self.node(path[path.len() - 1]).region.contains(pos) {
+                    path.pop();
+                }
+                while let Some(child) = self.child_towards(path[path.len() - 1], pos) {
+                    path.push(child);
+                }
+                path[path.len() - 1]
+            })
+            .collect()
     }
 
     /// One round of every KT node's periodic self-check against the current

@@ -85,11 +85,6 @@ fn unit_loads(net: &ChordNetwork, loads: &LoadState) -> Vec<f64> {
         .collect()
 }
 
-/// Unit-load Gini over the alive peers (shared with the engine's sampler).
-pub(crate) fn gini_of_unit_loads(net: &ChordNetwork, loads: &LoadState) -> f64 {
-    gini(&unit_loads(net, loads))
-}
-
 pub(crate) fn heavy_count(net: &ChordNetwork, loads: &LoadState, epsilon: f64) -> usize {
     let params = proxbal_core::ClassifyParams { epsilon };
     let system = loads.totals(net);

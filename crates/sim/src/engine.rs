@@ -26,11 +26,9 @@
 
 use crate::churn::ChurnSource;
 use crate::des::RetryPolicy;
-use crate::drift::{gini_of_unit_loads, heavy_count, DriftSource};
-use crate::faults::{
-    simulate_aggregation_faulty_traced, simulate_dissemination_faulty_traced, FaultPlan,
-    FaultSource,
-};
+use crate::drift::{heavy_count, DriftSource};
+use crate::faults::{run_aggregation, run_dissemination, FaultPlan, FaultSource};
+use crate::metrics::gini;
 use crate::protocol::{ProtocolError, ProtocolScratch};
 use crate::Prepared;
 use proxbal_chord::{ChordNetwork, PeerId};
@@ -38,7 +36,7 @@ use proxbal_core::{
     total_moved_load, DirtySet, Error, LoadBalancer, LoadState, RoundCache, RoundWalls, Underlay,
 };
 use proxbal_ktree::{KTree, KtNodeId, RepairStats};
-use proxbal_profile::{NullSink, ProgressSink};
+use proxbal_profile::{phase, NullSink, ProgressSink};
 use proxbal_trace::Trace;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeSet;
@@ -366,6 +364,7 @@ pub fn run_engine_with(
         let clock = epoch as u64 * cfg.epoch_len;
 
         // 1. Event sources, in registration order.
+        let prof = phase("engine/sources");
         let mut activity = SourceActivity::default();
         {
             let mut world = World {
@@ -378,9 +377,11 @@ pub fn run_engine_with(
                 activity.merge(s.on_epoch(epoch, cfg.epoch_len, &mut world));
             }
         }
+        drop(prof);
 
         // 2. Tree maintenance on its own cadence (balancing rounds also
         // repair, so this covers the quiet epochs in between).
+        let prof = phase("engine/repair");
         let mut repair = RepairStats {
             reattached: 0,
             pruned: 0,
@@ -410,10 +411,14 @@ pub fn run_engine_with(
             );
             debug_assert_eq!(prepared.net.check_invariants(), Ok(()), "epoch {epoch}");
         }
+        drop(prof);
 
         // 3. Emergency check against ground truth — the engine's stand-in
         // for each node comparing its own L_i/C_i against the last
-        // disseminated target.
+        // disseminated target. Membership is settled for this epoch (a
+        // round moves virtual servers, never peers), so this one walk of
+        // the peer table also serves the sample in step 5.
+        let prof = phase("engine/sample");
         let totals = prepared.loads.totals(&prepared.net);
         let target_unit = if totals.capacity > 0.0 {
             totals.load / totals.capacity
@@ -429,6 +434,7 @@ pub fn run_engine_with(
         let scheduled = (epoch + 1) % cfg.balance_interval == 0;
         let last = epoch + 1 == cfg.epochs;
         let do_balance = scheduled || emergency || last;
+        drop(prof);
 
         // 4. Balancing: one incremental round, plus emergency re-passes
         // while heavy nodes remain and transfers still happen.
@@ -441,41 +447,24 @@ pub fn run_engine_with(
         if do_balance {
             if let (Some((plan, scratch)), Some(oracle)) = (des.as_mut(), prepared.oracle.as_ref())
             {
-                let mut contributors: Vec<KtNodeId> = prepared
-                    .net
-                    .ring()
-                    .iter()
-                    .map(|(_, vs)| tree.report_target(&prepared.net, vs))
-                    .collect();
-                contributors.sort_unstable();
-                contributors.dedup();
-                let agg = simulate_aggregation_faulty_traced(
-                    &prepared.net,
-                    &tree,
-                    oracle,
-                    &contributors,
-                    plan,
-                    RetryPolicy::protocol_default(),
-                    &[],
-                    scratch,
-                    &mut tr,
-                )
-                .map_err(to_core)?;
-                let dis = simulate_dissemination_faulty_traced(
-                    &prepared.net,
-                    &tree,
-                    oracle,
-                    plan,
-                    RetryPolicy::protocol_default(),
-                    &[],
-                    scratch,
-                    &mut tr,
-                )
-                .map_err(to_core)?;
+                // Everything the shadow reads of the world is read here:
+                // the flat snapshot and every virtual server's report
+                // target. The run below is a pure job of (snapshot, plan).
+                let prof = phase("engine/des/bind");
+                scratch.bind(&prepared.net, &tree, oracle);
+                let ring = prepared.net.ring().iter();
+                let contributors = tree.report_targets(&prepared.net, ring.map(|(_, vs)| vs));
+                drop(prof);
+                let _prof = phase("engine/des/run");
+                let retry = RetryPolicy::protocol_default();
+                let agg = run_aggregation(scratch, &contributors, plan, retry, &[], &mut tr)
+                    .map_err(to_core)?;
+                let dis = run_dissemination(scratch, plan, retry, &[], &mut tr).map_err(to_core)?;
                 des_messages = agg.timing.messages + dis.timing.messages;
                 des_retries = agg.retries + dis.retries;
             }
 
+            let _prof = phase("engine/round");
             let underlay = prepared.oracle.as_ref().map(|oracle| Underlay {
                 oracle,
                 latency_oracle: prepared.latency_oracle.as_ref(),
@@ -539,9 +528,15 @@ pub fn run_engine_with(
         }
 
         // 5. Sample the epoch.
+        let prof = phase("engine/sample");
         let heavy = heavy_count(&prepared.net, &prepared.loads, scenario.balancer.epsilon);
-        let gini = gini_of_unit_loads(&prepared.net, &prepared.loads);
-        let alive_peers = prepared.net.alive_peers().len();
+        let unit_loads: Vec<f64> = alive
+            .iter()
+            .map(|&p| prepared.loads.unit_load(&prepared.net, p))
+            .collect();
+        let gini = gini(&unit_loads);
+        let alive_peers = alive.len();
+        drop(prof);
         tr.span_args(
             "engine/epoch",
             clock,

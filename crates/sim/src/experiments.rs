@@ -654,8 +654,7 @@ pub fn protocol_latency_traced(
     trace: &mut Trace,
 ) -> Vec<LatencyRow> {
     use crate::des::RetryPolicy;
-    use crate::faults::{simulate_aggregation_faulty_traced, simulate_dissemination_faulty_traced};
-    use crate::faults::{FaultConfig, FaultPlan};
+    use crate::faults::{run_aggregation, run_dissemination, FaultConfig, FaultPlan};
     use crate::protocol::ProtocolScratch;
     let mut rows = Vec::new();
     for &peers in sizes {
@@ -667,21 +666,16 @@ pub fn protocol_latency_traced(
         // Each k builds its own tree and seeds its own loss-only fault plan
         // from the cell's identity, so the k-cells run through the parallel
         // engine; the loss loop stays sequential inside each cell to reuse
-        // the tree — and one scratch per cell, so the 100k+-message lossy
-        // runs allocate nothing per event and ask the oracle for each tree
-        // edge only once.
+        // the tree — and one scratch per cell, bound once, so the
+        // 100k+-message lossy runs allocate nothing per event and ask the
+        // oracle for each tree edge only once.
         let per_k = crate::parallel::map_items_traced(ks, threads, trace, |_, &k, trace| {
             trace.relabel(&format!("n{peers}_k{k}"));
             let tree = KTree::build(&prepared.net, k);
-            let mut contributors: Vec<_> = prepared
-                .net
-                .ring()
-                .iter()
-                .map(|(_, vs)| tree.report_target(&prepared.net, vs))
-                .collect();
-            contributors.sort_unstable();
-            contributors.dedup();
+            let ring = prepared.net.ring().iter();
+            let contributors = tree.report_targets(&prepared.net, ring.map(|(_, vs)| vs));
             let mut scratch = ProtocolScratch::new();
+            scratch.bind(&prepared.net, &tree, oracle);
             let mut cell = Vec::with_capacity(losses.len());
             // Simulated clock of this cell's track: the per-loss phase
             // pairs are laid end to end so the spans never overlap.
@@ -694,15 +688,12 @@ pub fn protocol_latency_traced(
                     loss_rate: loss,
                     ..FaultConfig::none(prepared.scenario.seed ^ 0x1A7 ^ (k as u64) << 8)
                 });
-                let agg = simulate_aggregation_faulty_traced(
-                    &prepared.net,
-                    &tree,
-                    oracle,
+                let agg = run_aggregation(
+                    &mut scratch,
                     &contributors,
                     &mut plan,
                     RetryPolicy::protocol_default(),
                     &[],
-                    &mut scratch,
                     trace,
                 )
                 .expect("scenario peers are attached")
@@ -717,14 +708,11 @@ pub fn protocol_latency_traced(
                     ],
                 );
                 clock += agg.completion;
-                let dis = simulate_dissemination_faulty_traced(
-                    &prepared.net,
-                    &tree,
-                    oracle,
+                let dis = run_dissemination(
+                    &mut scratch,
                     &mut plan,
                     RetryPolicy::protocol_default(),
                     &[],
-                    &mut scratch,
                     trace,
                 )
                 .expect("scenario peers are attached")
@@ -1195,13 +1183,7 @@ pub fn fault_sweep(
         trace.count("crashed_peers", crashes.len() as u64);
 
         // Phase 1 under faults, over the pre-crash membership snapshot.
-        let mut contributors: Vec<_> = net
-            .ring()
-            .iter()
-            .map(|(_, vs)| tree.report_target(&net, vs))
-            .collect();
-        contributors.sort_unstable();
-        contributors.dedup();
+        let contributors = tree.report_targets(&net, net.ring().iter().map(|(_, vs)| vs));
         let mut scratch = ProtocolScratch::new();
         let agg = simulate_aggregation_faulty_traced(
             &net,

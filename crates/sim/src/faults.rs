@@ -14,7 +14,10 @@
 //! identity plan ([`FaultConfig::none`]) every message is delivered after
 //! its edge's latency and a phase completes at the analytic root-path
 //! latency — this is the one simulator behind claim `latency`, the fault
-//! sweep and the engine's DES shadow.
+//! sweep and the engine's DES shadow. A phase is
+//! [`ProtocolScratch::bind`] (one flat snapshot of the tree) followed by
+//! [`run_aggregation`] or [`run_dissemination`] over it; the
+//! `simulate_*_faulty` drivers do both.
 //!
 //! Everything is a pure function of `(FaultConfig, scenario seed)`: the
 //! plan owns its own RNG stream and every fate is drawn in event-queue
@@ -22,7 +25,7 @@
 //! counts, matching the repo's determinism contract.
 
 use crate::des::{RetryPolicy, SimTime};
-use crate::protocol::{PhaseTiming, ProtocolError, ProtocolScratch};
+use crate::protocol::{PhaseTiming, ProtocolError, ProtocolScratch, NIL};
 use proxbal_chord::{ChordNetwork, PeerId};
 use proxbal_ktree::{KTree, KtNodeId};
 use proxbal_topology::DistanceOracle;
@@ -30,7 +33,6 @@ use proxbal_trace::Trace;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
 
 /// Declarative description of one fault regime. Embedded in
 /// [`crate::Scenario`] so a faulty experiment round-trips through serde
@@ -216,34 +218,33 @@ impl FaultPhaseOutcome {
     }
 }
 
-/// One scheduled step of a message's life on a tree edge.
+/// One scheduled step of a message's life on a tree edge; nodes are slots
+/// of the bound tree.
 #[derive(Debug)]
 pub(crate) enum FEvent {
     /// `from` (re)transmits its message to `to`; `attempt` is 0-based.
-    Send {
-        from: KtNodeId,
-        to: KtNodeId,
-        attempt: u32,
-    },
+    Send { from: u32, to: u32, attempt: u32 },
     /// The transmission arrives at `to`.
-    Deliver {
-        from: KtNodeId,
-        to: KtNodeId,
-        attempt: u32,
-    },
+    Deliver { from: u32, to: u32, attempt: u32 },
 }
 
-/// Shared state of one phase run. The node tables and the event queue are
-/// the caller's pooled [`ProtocolScratch`], bound to `tree` for the run.
+/// Per-run node flag: participates in the current aggregation.
+const ACTIVE: u8 = 1;
+/// Per-run node flag: contributes its own report to the aggregation.
+const CONTRIBUTOR: u8 = 1 << 1;
+/// Per-run node flag: the edge from the node to its parent delivered in the
+/// current aggregation.
+const EDGE_DELIVERED: u8 = 1 << 2;
+/// Per-run node flag: already received the current dissemination.
+const REACHED: u8 = 1 << 3;
+
+/// Shared state of one phase run: the caller's bound [`ProtocolScratch`]
+/// (snapshot, node tables, event queue), the plan and the trace — nothing
+/// of the network, the tree or the oracle.
 struct FaultRun<'a> {
-    net: &'a ChordNetwork,
-    tree: &'a KTree,
-    oracle: &'a DistanceOracle,
+    scratch: &'a mut ProtocolScratch,
     plan: &'a mut FaultPlan,
     retry: RetryPolicy,
-    /// Crash-stop instants by peer (absent = never crashes).
-    crash_at: HashMap<PeerId, SimTime>,
-    scratch: &'a mut ProtocolScratch,
     timing: PhaseTiming,
     retries: usize,
     gave_up: usize,
@@ -251,26 +252,18 @@ struct FaultRun<'a> {
 }
 
 impl<'a> FaultRun<'a> {
-    #[allow(clippy::too_many_arguments)]
     fn new(
-        net: &'a ChordNetwork,
-        tree: &'a KTree,
-        oracle: &'a DistanceOracle,
+        scratch: &'a mut ProtocolScratch,
         plan: &'a mut FaultPlan,
         retry: RetryPolicy,
         crashes: &[(SimTime, PeerId)],
-        scratch: &'a mut ProtocolScratch,
         trace: &'a mut Trace,
     ) -> Self {
-        scratch.bind(tree);
+        scratch.begin_run(crashes);
         FaultRun {
-            net,
-            tree,
-            oracle,
+            scratch,
             plan,
             retry,
-            crash_at: crashes.iter().map(|&(t, p)| (p, t)).collect(),
-            scratch,
             timing: PhaseTiming::default(),
             retries: 0,
             gave_up: 0,
@@ -305,27 +298,17 @@ impl<'a> FaultRun<'a> {
         }
     }
 
-    /// Whether the peer hosting `id` (via its planted virtual server) is
-    /// still up at `t` (crash-stop: dead forever from its crash instant on).
-    fn alive_at(&self, id: KtNodeId, t: SimTime) -> bool {
-        self.crash_at.is_empty()
-            || self
-                .crash_at
-                .get(&self.net.vs(self.tree.node(id).host).host)
-                .is_none_or(|&ct| t < ct)
-    }
-
     /// Handles a `Send` at time `t`: draws the fate, schedules the delivery
     /// or the retry chain. Returns `Some(give_up_time)` when the sender
     /// exhausted its retry budget (or died), i.e. the edge failed.
     fn transmit(
         &mut self,
         t: SimTime,
-        from: KtNodeId,
-        to: KtNodeId,
+        from: u32,
+        to: u32,
         attempt: u32,
     ) -> Result<Option<SimTime>, ProtocolError> {
-        if !self.alive_at(from, t) {
+        if !self.scratch.alive_at(from, t) {
             // Crash-stop mid-retry-chain: the sender is gone; its parent
             // times out after the full remaining window.
             return Ok(Some(t + self.remaining_window(attempt)));
@@ -334,9 +317,14 @@ impl<'a> FaultRun<'a> {
         if attempt > 0 {
             self.retries += 1;
         }
-        let latency = self
-            .scratch
-            .edge_latency(self.net, self.oracle, self.tree, from, to)?;
+        // The edge is named by its child end: the one whose parent is the
+        // other, whichever way the message travels.
+        let child = if self.scratch.parent[from as usize] == to {
+            from
+        } else {
+            to
+        };
+        let latency = self.scratch.edge_latency(child)?;
         let extra = match self.plan.message_fate() {
             MessageFate::Drop => {
                 self.timing.losses += 1;
@@ -353,13 +341,7 @@ impl<'a> FaultRun<'a> {
 
     /// After a failed attempt at time `t`: schedules the next retry, or
     /// reports the edge's give-up time once the budget is exhausted.
-    fn retry_or_fail(
-        &mut self,
-        t: SimTime,
-        from: KtNodeId,
-        to: KtNodeId,
-        attempt: u32,
-    ) -> Option<SimTime> {
+    fn retry_or_fail(&mut self, t: SimTime, from: u32, to: u32, attempt: u32) -> Option<SimTime> {
         let timeout = self.retry.timeout_after(attempt);
         if attempt < self.retry.max_retries {
             self.trace.record("des_backoff_delay", timeout);
@@ -389,9 +371,10 @@ impl<'a> FaultRun<'a> {
 
     /// Aggregation: `node` has heard from (or given up on) every active
     /// child at `t` — it sends upward, or, at the root, resolves the phase.
-    fn on_ready(&mut self, node: KtNodeId, t: SimTime) {
-        match self.tree.node(node).parent {
-            Some(parent) => self.scratch.queue.schedule(
+    fn on_ready(&mut self, node: u32, t: SimTime) {
+        match self.scratch.parent[node as usize] {
+            NIL => self.timing.completion = self.timing.completion.max(t),
+            parent => self.scratch.queue.schedule(
                 t,
                 FEvent::Send {
                     from: node,
@@ -399,28 +382,28 @@ impl<'a> FaultRun<'a> {
                     attempt: 0,
                 },
             ),
-            None => self.timing.completion = self.timing.completion.max(t),
         }
     }
 
     /// Aggregation: the edge `child → parent` permanently failed at
     /// `fail_t`. The parent stops waiting; if that makes it ready but it is
     /// dead, its own edge fails one give-up window later, and so on up.
-    fn edge_failed(&mut self, child: KtNodeId, fail_t: SimTime) {
+    fn edge_failed(&mut self, child: u32, fail_t: SimTime) {
         let (mut cur, mut t) = (child, fail_t);
         loop {
-            let Some(parent) = self.tree.node(cur).parent else {
+            let parent = self.scratch.parent[cur as usize];
+            if parent == NIL {
                 // The root's own information is never "sent"; a failed
                 // chain ending at the root just resolves the wait.
                 self.timing.completion = self.timing.completion.max(t);
                 return;
-            };
-            let slot = parent.0 as usize;
+            }
+            let slot = parent as usize;
             self.scratch.pending[slot] -= 1;
             if self.scratch.pending[slot] > 0 {
                 return;
             }
-            if self.alive_at(parent, t) {
+            if self.scratch.alive_at(parent, t) {
                 self.on_ready(parent, t);
                 return;
             }
@@ -445,6 +428,9 @@ impl<'a> FaultRun<'a> {
 /// a function of the contributor *set*. Under [`FaultConfig::none`] the
 /// completion time equals the analytic maximum root-path latency over the
 /// contributing nodes.
+///
+/// Shorthand for [`ProtocolScratch::bind`] + [`run_aggregation`] without a
+/// trace.
 #[allow(clippy::too_many_arguments)]
 pub fn simulate_aggregation_faulty(
     net: &ChordNetwork,
@@ -470,14 +456,7 @@ pub fn simulate_aggregation_faulty(
     )
 }
 
-/// [`simulate_aggregation_faulty`] with trace collection: records
-/// `des_messages` / `des_losses` / `des_retries` / `des_gave_up` counters,
-/// the `des_backoff_delay` histogram (one sample per scheduled retry), and
-/// `des_queue_depth` (pending events sampled at every pop) /
-/// `des_queue_peak`. Runs inside the caller-held `scratch` — no per-run
-/// allocation once it is warm — and is bit-identical with tracing on or
-/// off. Spans are the caller's job — only the caller knows where this phase
-/// sits on the virtual timeline.
+/// [`ProtocolScratch::bind`] to `tree`, then [`run_aggregation`].
 #[allow(clippy::too_many_arguments)]
 pub fn simulate_aggregation_faulty_traced(
     net: &ChordNetwork,
@@ -490,45 +469,70 @@ pub fn simulate_aggregation_faulty_traced(
     scratch: &mut ProtocolScratch,
     trace: &mut Trace,
 ) -> Result<FaultPhaseOutcome, ProtocolError> {
-    let mut run = FaultRun::new(net, tree, oracle, plan, retry, crashes, scratch, trace);
+    scratch.bind(net, tree, oracle);
+    run_aggregation(scratch, contributors, plan, retry, crashes, trace)
+}
 
-    // Active nodes: contributors and all their ancestors.
+/// The aggregation over the tree `scratch` is bound to (see
+/// [`simulate_aggregation_faulty`] for the protocol). Records
+/// `des_messages` / `des_losses` / `des_retries` / `des_gave_up` counters,
+/// the `des_backoff_delay` histogram (one sample per scheduled retry), and
+/// `des_queue_depth` (pending events sampled at every pop) /
+/// `des_queue_peak`; bit-identical with tracing on or off. Spans are the
+/// caller's job — only the caller knows where this phase sits on the
+/// virtual timeline.
+pub fn run_aggregation(
+    scratch: &mut ProtocolScratch,
+    contributors: &[KtNodeId],
+    plan: &mut FaultPlan,
+    retry: RetryPolicy,
+    crashes: &[(SimTime, PeerId)],
+    trace: &mut Trace,
+) -> Result<FaultPhaseOutcome, ProtocolError> {
+    let mut run = FaultRun::new(scratch, plan, retry, crashes, trace);
+    let bound = run.scratch.flags.len();
+
+    // Active nodes: contributors and all their ancestors. Distinct
+    // contributors are the unit of the completion rate.
+    let mut distinct = 0usize;
     for &c in contributors {
-        let mut cur = Some(c);
-        while let Some(id) = cur {
-            if std::mem::replace(&mut run.scratch.active[id.0 as usize], true) {
-                break;
-            }
-            cur = tree.node(id).parent;
-        }
-    }
-    // Distinct contributors (the unit of the completion rate).
-    let mut distinct: Vec<KtNodeId> = contributors.to_vec();
-    distinct.sort_unstable();
-    distinct.dedup();
-
-    // pending[n] = number of active children n still waits for.
-    for slot in 0..run.scratch.active.len() {
-        if !run.scratch.active[slot] {
+        let flags = &mut run.scratch.flags[c.0 as usize];
+        if *flags & CONTRIBUTOR != 0 {
             continue;
         }
-        run.scratch.pending[slot] = tree
-            .node(KtNodeId(slot as u32))
-            .children
-            .iter()
-            .flatten()
-            .filter(|c| run.scratch.active[c.0 as usize])
+        *flags |= CONTRIBUTOR;
+        distinct += 1;
+        let mut cur = c.0;
+        while cur != NIL {
+            let flags = &mut run.scratch.flags[cur as usize];
+            if *flags & ACTIVE != 0 {
+                break;
+            }
+            *flags |= ACTIVE;
+            cur = run.scratch.parent[cur as usize];
+        }
+    }
+
+    // pending[n] = number of active children n still waits for.
+    for slot in 0..bound {
+        if run.scratch.flags[slot] & ACTIVE == 0 {
+            continue;
+        }
+        run.scratch.pending[slot] = run
+            .scratch
+            .children(slot as u32)
+            .filter(|&i| run.scratch.flags[run.scratch.child(i) as usize] & ACTIVE != 0)
             .count() as u32;
     }
 
     // Leaves of the active set fire at t = 0, in ascending slot order, so
     // fates bind to leaves deterministically.
-    for slot in 0..run.scratch.active.len() {
-        if !run.scratch.active[slot] || run.scratch.pending[slot] != 0 {
+    for slot in 0..bound {
+        if run.scratch.flags[slot] & ACTIVE == 0 || run.scratch.pending[slot] != 0 {
             continue;
         }
-        let n = KtNodeId(slot as u32);
-        if run.alive_at(n, 0) {
+        let n = slot as u32;
+        if run.scratch.alive_at(n, 0) {
             run.on_ready(n, 0);
         } else {
             run.edge_failed(n, run.remaining_window(0));
@@ -543,7 +547,7 @@ pub fn simulate_aggregation_faulty_traced(
                 }
             }
             FEvent::Deliver { from, to, attempt } => {
-                if !run.alive_at(to, t) {
+                if !run.scratch.alive_at(to, t) {
                     // Receiver crashed: no ack, the sender times out.
                     run.timing.losses += 1;
                     if let Some(fail_t) = run.retry_or_fail(t, from, to, attempt) {
@@ -551,8 +555,8 @@ pub fn simulate_aggregation_faulty_traced(
                     }
                     continue;
                 }
-                run.scratch.edge_delivered[from.0 as usize] = true;
-                let slot = to.0 as usize;
+                run.scratch.flags[from as usize] |= EDGE_DELIVERED;
+                let slot = to as usize;
                 run.scratch.pending[slot] -= 1;
                 if run.scratch.pending[slot] == 0 {
                     run.on_ready(to, t);
@@ -562,27 +566,30 @@ pub fn simulate_aggregation_faulty_traced(
     }
 
     debug_assert!(
-        distinct.is_empty() || run.scratch.pending[tree.root().0 as usize] == 0,
+        distinct == 0 || run.scratch.pending[run.scratch.root as usize] == 0,
         "every waiting chain resolves by construction"
     );
 
     // A contributor's LBI reached the root iff every edge on its root path
     // delivered (crash-stop losses show up as missing edges: a node that
     // died after receiving never forwarded).
-    let delivered = distinct
-        .iter()
-        .filter(|&&c| {
-            let mut cur = c;
-            while let Some(parent) = tree.node(cur).parent {
-                if !run.scratch.edge_delivered[cur.0 as usize] {
+    let delivered = (0..bound)
+        .filter(|&slot| run.scratch.flags[slot] & CONTRIBUTOR != 0)
+        .filter(|&slot| {
+            let mut cur = slot;
+            loop {
+                let parent = run.scratch.parent[cur];
+                if parent == NIL {
+                    return true;
+                }
+                if run.scratch.flags[cur] & EDGE_DELIVERED == 0 {
                     return false;
                 }
-                cur = parent;
+                cur = parent as usize;
             }
-            true
         })
         .count();
-    Ok(run.finish(delivered, distinct.len()))
+    Ok(run.finish(delivered, distinct))
 }
 
 /// Top-down dissemination as individual messages under a fault plan: the
@@ -590,6 +597,9 @@ pub fn simulate_aggregation_faulty_traced(
 /// completion is the last first-time delivery. Lost edges orphan their
 /// subtree (no upstream propagation needed — an unreached node simply never
 /// forwards). Coverage is `delivered / tree.len()`.
+///
+/// Shorthand for [`ProtocolScratch::bind`] + [`run_dissemination`] without
+/// a trace.
 pub fn simulate_dissemination_faulty(
     net: &ChordNetwork,
     tree: &KTree,
@@ -605,8 +615,7 @@ pub fn simulate_dissemination_faulty(
     )
 }
 
-/// [`simulate_dissemination_faulty`] with trace collection; same counters
-/// and histograms as [`simulate_aggregation_faulty_traced`].
+/// [`ProtocolScratch::bind`] to `tree`, then [`run_dissemination`].
 #[allow(clippy::too_many_arguments)]
 pub fn simulate_dissemination_faulty_traced(
     net: &ChordNetwork,
@@ -618,11 +627,26 @@ pub fn simulate_dissemination_faulty_traced(
     scratch: &mut ProtocolScratch,
     trace: &mut Trace,
 ) -> Result<FaultPhaseOutcome, ProtocolError> {
-    let mut run = FaultRun::new(net, tree, oracle, plan, retry, crashes, scratch, trace);
+    scratch.bind(net, tree, oracle);
+    run_dissemination(scratch, plan, retry, crashes, trace)
+}
+
+/// The dissemination over the tree `scratch` is bound to (see
+/// [`simulate_dissemination_faulty`] for the protocol); same counters and
+/// histograms as [`run_aggregation`].
+pub fn run_dissemination(
+    scratch: &mut ProtocolScratch,
+    plan: &mut FaultPlan,
+    retry: RetryPolicy,
+    crashes: &[(SimTime, PeerId)],
+    trace: &mut Trace,
+) -> Result<FaultPhaseOutcome, ProtocolError> {
+    let mut run = FaultRun::new(scratch, plan, retry, crashes, trace);
     let mut reached = 0usize;
 
-    let fanout = |run: &mut FaultRun<'_>, node: KtNodeId, t: SimTime| {
-        for &child in tree.node(node).children.iter().flatten() {
+    let fanout = |run: &mut FaultRun<'_>, node: u32, t: SimTime| {
+        for i in run.scratch.children(node) {
+            let child = run.scratch.child(i);
             run.scratch.queue.schedule(
                 t,
                 FEvent::Send {
@@ -634,9 +658,10 @@ pub fn simulate_dissemination_faulty_traced(
         }
     };
 
-    run.scratch.delivered[tree.root().0 as usize] = true;
+    let root = run.scratch.root;
+    run.scratch.flags[root as usize] |= REACHED;
     reached += 1;
-    fanout(&mut run, tree.root(), 0);
+    fanout(&mut run, root, 0);
 
     while let Some((t, ev)) = run.next_event() {
         match ev {
@@ -645,21 +670,24 @@ pub fn simulate_dissemination_faulty_traced(
                 let _ = run.transmit(t, from, to, attempt)?;
             }
             FEvent::Deliver { from, to, attempt } => {
-                if !run.alive_at(to, t) {
+                if !run.scratch.alive_at(to, t) {
                     run.timing.losses += 1;
                     let _ = run.retry_or_fail(t, from, to, attempt);
                     continue;
                 }
-                if std::mem::replace(&mut run.scratch.delivered[to.0 as usize], true) {
+                let flags = &mut run.scratch.flags[to as usize];
+                if *flags & REACHED != 0 {
                     continue;
                 }
+                *flags |= REACHED;
                 reached += 1;
                 run.timing.completion = run.timing.completion.max(t);
                 fanout(&mut run, to, t);
             }
         }
     }
-    Ok(run.finish(reached, tree.len()))
+    let expected = run.scratch.len;
+    Ok(run.finish(reached, expected))
 }
 
 /// Stale-link injection as a pluggable [`EventSource`]: on a fixed epoch
@@ -714,6 +742,9 @@ impl crate::engine::EventSource for FaultSource {
         activity
     }
 }
+
+#[cfg(test)]
+mod reference;
 
 #[cfg(test)]
 mod tests {
@@ -923,6 +954,134 @@ mod tests {
                 run_phases(&prepared, &tree, lossy(seed), &mut pooled),
                 fresh
             );
+        }
+    }
+
+    #[test]
+    fn moving_a_virtual_server_rebinds_its_edge_latencies() {
+        // A transfer changes `net.vs(host).host` — and with it the latency
+        // of every tree edge at that virtual server — without changing the
+        // tree's root, length or slot bound.
+        let (mut prepared, tree) = setup();
+        let contributors = all_report_targets(&prepared, &tree);
+        let cfg = FaultConfig::none(8);
+        let mut scratch = ProtocolScratch::new();
+        let mut warm = |prepared: &crate::Prepared| {
+            simulate_aggregation_faulty(
+                &prepared.net,
+                &tree,
+                prepared.oracle.as_ref().unwrap(),
+                &contributors,
+                &mut FaultPlan::new(cfg),
+                RetryPolicy::protocol_default(),
+                &[],
+                &mut scratch,
+            )
+            .expect("attached")
+        };
+        let before = warm(&prepared);
+
+        // Move the hosts of the top of the tree onto the peer farthest from
+        // the root's: every root path changes.
+        let oracle = prepared.oracle.as_ref().unwrap();
+        let underlay = |p: PeerId| prepared.net.peer(p).underlay;
+        let root_peer = prepared.net.vs(tree.node(tree.root()).host).host;
+        let far = *prepared
+            .net
+            .alive_peers()
+            .iter()
+            .max_by_key(|&&p| (oracle.distance(underlay(root_peer), underlay(p)), p))
+            .unwrap();
+        let hosts: Vec<_> = tree
+            .iter_ids()
+            .filter(|&id| (1..=2).contains(&tree.node(id).depth))
+            .map(|id| tree.node(id).host)
+            .collect();
+        for vs in hosts {
+            if prepared.net.vs(vs).host != far {
+                prepared.net.transfer_vs(vs, far);
+            }
+        }
+
+        let fresh = aggregate(&prepared, &tree, &contributors, cfg).expect("attached");
+        assert_ne!(
+            fresh.timing.completion, before.timing.completion,
+            "the move must change the completion time, or this test shows nothing"
+        );
+        assert_eq!(warm(&prepared), fresh);
+    }
+
+    #[test]
+    fn flat_snapshot_runs_match_the_tree_walking_reference() {
+        for (k, seed) in [(2, 21), (2, 22), (8, 23)] {
+            let (prepared, _) = setup();
+            let mut tree = KTree::build(&prepared.net, k);
+            let oracle = prepared.oracle.as_ref().unwrap();
+            let cfg = FaultConfig::with_loss(0.1, seed);
+            let retry = RetryPolicy::protocol_default();
+
+            // The fault sweep's recipe: stale links, then a crash schedule,
+            // then both phases from one plan. A third of the report targets
+            // stay silent so inactive subtrees exist.
+            let mut plan = FaultPlan::new(cfg);
+            for child in plan.pick_stale_links(&tree) {
+                let root = tree.root();
+                tree.inject_stale_parent(child, root);
+            }
+            let root_host = prepared.net.vs(tree.node(tree.root()).host).host;
+            let crashes = plan.crash_schedule(&prepared.net, root_host, 300);
+            assert!(!crashes.is_empty());
+            let mut contributors = all_report_targets(&prepared, &tree);
+            contributors.retain(|c| c.0 % 3 != 0);
+            contributors.extend_from_within(..5);
+
+            let mut ref_plan = plan.clone();
+            let mut ref_trace = Trace::enabled("des");
+            let ref_agg = reference::aggregation(
+                &prepared.net,
+                &tree,
+                oracle,
+                &contributors,
+                &mut ref_plan,
+                retry,
+                &crashes,
+                &mut ref_trace,
+            );
+            let ref_dis = reference::dissemination(
+                &prepared.net,
+                &tree,
+                oracle,
+                &mut ref_plan,
+                retry,
+                &crashes,
+                &mut ref_trace,
+            );
+
+            let mut trace = Trace::enabled("des");
+            let mut scratch = ProtocolScratch::new();
+            scratch.bind(&prepared.net, &tree, oracle);
+            let agg = run_aggregation(
+                &mut scratch,
+                &contributors,
+                &mut plan,
+                retry,
+                &crashes,
+                &mut trace,
+            );
+            let dis = run_dissemination(&mut scratch, &mut plan, retry, &crashes, &mut trace);
+
+            assert_eq!((agg, dis), (ref_agg, ref_dis), "k {k}, seed {seed}");
+            let agg = agg.expect("attached");
+            assert!(agg.retries > 0 && agg.delivered < agg.expected);
+            // Counters and histograms (queue depth at every pop, queue
+            // peak, backoff delays) in one comparison.
+            assert_eq!(
+                trace.to_ndjson(),
+                ref_trace.to_ndjson(),
+                "k {k}, seed {seed}"
+            );
+            // Both plans drew the same number of fates.
+            assert_eq!(plan.message_fate(), ref_plan.message_fate());
         }
     }
 

@@ -2,16 +2,20 @@
 //! ([`crate::faults`]) shares with the engine and the benchmark: the phase
 //! timing, the typed error, and the pooled working state.
 //!
-//! The phase drivers run inside a caller-held [`ProtocolScratch`]. The
-//! scratch pools every per-run allocation — the active/pending/delivered
-//! node tables, the per-edge latency memo, and the event queue's heap — so a
-//! sweep that simulates hundreds of phases over the same tree (claim-latency
-//! curves run 100k+ messages) stops allocating per event and stops re-asking
-//! the distance oracle for the same tree edge.
+//! A phase runs in two steps. [`ProtocolScratch::bind`] reads the network,
+//! the tree and the distance oracle **once** into flat slot-indexed arrays
+//! — parent, child list, edge latency, host peer. The run
+//! ([`crate::faults::run_aggregation`], [`crate::faults::run_dissemination`])
+//! then touches only the scratch, its fault plan and its trace: it is a pure
+//! function of (snapshot, plan), allocates nothing once the scratch is warm,
+//! and can therefore run on another thread while the network and the tree
+//! it was bound to are being mutated. A sweep that replays one tree (the
+//! claim-latency curves run 100k+ messages per cell) binds once and runs
+//! many times.
 
 use crate::des::{EventQueue, SimTime};
 use crate::faults::FEvent;
-use proxbal_chord::ChordNetwork;
+use proxbal_chord::{ChordNetwork, PeerId};
 use proxbal_ktree::{KTree, KtNodeId};
 use proxbal_topology::DistanceOracle;
 use serde::{Deserialize, Serialize};
@@ -48,39 +52,61 @@ impl std::fmt::Display for ProtocolError {
 
 impl std::error::Error for ProtocolError {}
 
-/// Sentinel for "edge latency not memoized yet".
-const UNMEMOIZED: SimTime = SimTime::MAX;
+/// "No node" / "no peer" in the snapshot's `u32` tables.
+pub(crate) const NIL: u32 = u32::MAX;
+/// "Never crashes" in the per-peer crash table.
+const NEVER: SimTime = SimTime::MAX;
 
-/// Reusable working state for the phase simulations.
+/// Reusable working state for the phase simulations: the flat snapshot of
+/// one (network, tree, oracle) state, plus the per-run tables and the event
+/// queue, all pooled across runs.
 ///
-/// One scratch serves any number of runs of either phase. It re-binds
-/// itself to whatever tree it is handed; per-node tables and the event
-/// queue are reset in O(tree size) and the edge-latency memo survives
-/// across runs **over the same binding** (same tree shape on the same
-/// network), which is exactly the claim-latency sweep's access pattern.
-/// Reusing a scratch across *different* trees is safe — the binding
-/// fingerprint changes and the memo is dropped.
+/// The snapshot is exactly what [`ProtocolScratch::bind`] last read —
+/// nothing is carried over from an earlier binding, so a virtual server
+/// that moved to another peer, a repaired link or a recycled slot can never
+/// leave a stale latency behind.
 #[derive(Default)]
 pub struct ProtocolScratch {
-    /// Fingerprint of the tree this scratch is bound to:
-    /// `(root, len, slot_bound)`. Trees are arena-allocated and mutated in
-    /// place, so pointer identity is meaningless; this triple changes for
-    /// any structural change that could invalidate the memo.
-    binding: Option<(KtNodeId, usize, usize)>,
-    /// Latency of the edge from KT node (by slot) to its parent;
-    /// [`UNMEMOIZED`] when unknown.
-    edge_memo: Vec<SimTime>,
-    /// Scratch bitmap: node participates in the current aggregation.
-    pub(crate) active: Vec<bool>,
-    /// Scratch table: active children the node still waits for.
+    /// Slot of the bound tree's root.
+    pub(crate) root: u32,
+    /// Live nodes of the bound tree.
+    pub(crate) len: usize,
+    /// Parent slot by slot; [`NIL`] for the root and for vacant slots.
+    pub(crate) parent: Vec<u32>,
+    /// `child_list[child_start[s]..child_start[s + 1]]` are the children of
+    /// slot `s`, in the tree's part order.
+    child_start: Vec<u32>,
+    child_list: Vec<u32>,
+    /// Latency of the edge from the node (by slot) to its parent.
+    edge_latency: Vec<u32>,
+    /// The edges that have no latency, by child slot in ascending order,
+    /// each with the unattached peer it crosses. Empty on any network a
+    /// scenario prepares.
+    unattached: Vec<(u32, PeerId)>,
+    /// Peer hosting the node's virtual server, by slot.
+    host_peer: Vec<u32>,
+    /// Crash-stop instant by peer; [`NEVER`] when it stays up.
+    crash_at: Vec<SimTime>,
+    /// Whether the current run has a crash schedule (most have none, and
+    /// then nobody is ever looked up).
+    crashes: bool,
+    /// Per-run node flags, by slot ([`crate::faults`] owns the bits).
+    pub(crate) flags: Vec<u8>,
+    /// Per-run table: active children the node still waits for.
     pub(crate) pending: Vec<u32>,
-    /// Scratch bitmap: node already received the current dissemination.
-    pub(crate) delivered: Vec<bool>,
-    /// Scratch bitmap: the edge from the node (by slot) to its parent
-    /// delivered in the current aggregation.
-    pub(crate) edge_delivered: Vec<bool>,
-    /// Pooled event queue (the heap's buffer survives across runs).
+    /// Pooled event queue (its slab survives across runs).
     pub(crate) queue: EventQueue<FEvent>,
+}
+
+/// Empties `table` and makes room for `n` entries. The tables are refilled
+/// at every bind and a tree outgrows them a few slots at a time, so the
+/// room is sized to the tree (plus an eighth) where `Vec`'s own doubling
+/// would hold up to twice the snapshot.
+fn refill<T>(table: &mut Vec<T>, n: usize) {
+    table.clear();
+    if table.capacity() < n {
+        table.reserve_exact(n + n / 8);
+    }
 }
 
 impl ProtocolScratch {
@@ -89,66 +115,122 @@ impl ProtocolScratch {
         Self::default()
     }
 
-    /// Points the scratch at `tree`, resetting the per-run tables and the
-    /// event queue, and keeping the edge memo iff the binding fingerprint is
-    /// unchanged.
-    pub(crate) fn bind(&mut self, tree: &KTree) {
+    /// Takes the snapshot of `tree` over `net`: one pass over the arena for
+    /// parents, child lists and host peers, one `oracle` look-up per tree
+    /// edge (none where both ends sit on one peer). An edge that crosses an
+    /// unattached peer is only marked here; the run reports it as
+    /// [`ProtocolError::UnattachedPeer`] if and when a message takes it.
+    pub fn bind(&mut self, net: &ChordNetwork, tree: &KTree, oracle: &DistanceOracle) {
         let bound = tree.slot_bound();
-        let binding = Some((tree.root(), tree.len(), bound));
-        if self.binding != binding {
-            self.binding = binding;
-            self.edge_memo.clear();
-            self.edge_memo.resize(bound, UNMEMOIZED);
+        self.root = tree.root().0;
+        self.len = tree.len();
+        refill(&mut self.parent, bound);
+        refill(&mut self.child_start, bound + 1);
+        refill(&mut self.child_list, self.len);
+        refill(&mut self.host_peer, bound);
+        refill(&mut self.edge_latency, bound);
+        refill(&mut self.flags, bound);
+        refill(&mut self.pending, bound);
+        let mut leaves = 0;
+        for slot in 0..bound {
+            let id = KtNodeId(slot as u32);
+            let first_child = self.child_list.len();
+            self.child_start.push(first_child as u32);
+            if !tree.contains(id) {
+                self.parent.push(NIL);
+                self.host_peer.push(NIL);
+                continue;
+            }
+            let node = tree.node(id);
+            self.parent.push(node.parent.map_or(NIL, |p| p.0));
+            self.host_peer.push(net.vs(node.host).host.0);
+            self.child_list
+                .extend(node.children.iter().flatten().map(|c| c.0));
+            leaves += usize::from(self.child_list.len() == first_child);
         }
-        self.active.clear();
-        self.active.resize(bound, false);
-        self.pending.clear();
+        self.child_start.push(self.child_list.len() as u32);
+
+        self.unattached.clear();
+        for slot in 0..bound {
+            // The root and vacant slots have no edge; neither has an orphan
+            // whose stale parent slot was pruned (nothing can reach it).
+            let (a, b) = match self.parent[slot] {
+                NIL => (NIL, NIL),
+                parent => (self.host_peer[slot], self.host_peer[parent as usize]),
+            };
+            let latency = if a == b || b == NIL {
+                0
+            } else {
+                let (a, b) = (PeerId(a), PeerId(b));
+                let (ua, ub) = (net.peer(a).underlay, net.peer(b).underlay);
+                if ua == u32::MAX || ub == u32::MAX {
+                    let peer = if ua == u32::MAX { a } else { b };
+                    self.unattached.push((slot as u32, peer));
+                    0
+                } else {
+                    oracle.distance(ua, ub)
+                }
+            };
+            self.edge_latency.push(latency);
+        }
+
+        self.crash_at.clear();
+        self.crash_at.resize(net.peer_count(), NEVER);
+        self.crashes = false;
+        self.flags.resize(bound, 0);
         self.pending.resize(bound, 0);
-        self.delivered.clear();
-        self.delivered.resize(bound, false);
-        self.edge_delivered.clear();
-        self.edge_delivered.resize(bound, false);
+        // A tree edge carries at most one event at a time, and the edges
+        // that carry one at the same time have no ancestor among them (a
+        // node sends up after its whole subtree, down before any of it), so
+        // the leaves bound the queue's depth.
         self.queue.reset();
+        self.queue.reserve(leaves);
     }
 
-    /// Latency of the tree edge between `a` and `b`, in whichever direction
-    /// the message travels: the child is the end whose `parent` is the
-    /// other, and the memo is keyed by the child's slot (a node has one
-    /// parent). Free if both KT nodes are planted in virtual servers of the
-    /// same peer.
-    pub(crate) fn edge_latency(
-        &mut self,
-        net: &ChordNetwork,
-        oracle: &DistanceOracle,
-        tree: &KTree,
-        a: KtNodeId,
-        b: KtNodeId,
-    ) -> Result<SimTime, ProtocolError> {
-        let (child, parent) = if tree.node(a).parent == Some(b) {
-            (a, b)
-        } else {
-            (b, a)
-        };
-        let slot = child.0 as usize;
-        let memoized = self.edge_memo[slot];
-        if memoized != UNMEMOIZED {
-            return Ok(memoized);
+    /// Readies the per-run tables for one phase under `crashes`.
+    pub(crate) fn begin_run(&mut self, crashes: &[(SimTime, PeerId)]) {
+        assert!(!self.parent.is_empty(), "bind the scratch to a tree first");
+        self.flags.fill(0);
+        self.queue.reset();
+        if self.crashes {
+            self.crash_at.fill(NEVER);
         }
-        let a = net.vs(tree.node(child).host).host;
-        let b = net.vs(tree.node(parent).host).host;
-        let latency = if a == b {
-            0
-        } else {
-            let (ua, ub) = (net.peer(a).underlay, net.peer(b).underlay);
-            if ua == u32::MAX {
-                return Err(ProtocolError::UnattachedPeer(a));
+        self.crashes = !crashes.is_empty();
+        for &(t, p) in crashes {
+            // A peer that joined after the bind hosts nothing in the
+            // snapshot.
+            if let Some(at) = self.crash_at.get_mut(p.0 as usize) {
+                *at = t;
             }
-            if ub == u32::MAX {
-                return Err(ProtocolError::UnattachedPeer(b));
-            }
-            SimTime::from(oracle.distance(ua, ub))
-        };
-        self.edge_memo[slot] = latency;
-        Ok(latency)
+        }
+    }
+
+    /// Children of `node`, in the tree's part order.
+    pub(crate) fn children(&self, node: u32) -> std::ops::Range<usize> {
+        self.child_start[node as usize] as usize..self.child_start[node as usize + 1] as usize
+    }
+
+    /// The `i`-th entry of the flat child list (see [`Self::children`]).
+    pub(crate) fn child(&self, i: usize) -> u32 {
+        self.child_list[i]
+    }
+
+    /// Whether the peer hosting `node` is still up at `t` (crash-stop: dead
+    /// forever from its crash instant on).
+    pub(crate) fn alive_at(&self, node: u32, t: SimTime) -> bool {
+        !self.crashes || t < self.crash_at[self.host_peer[node as usize] as usize]
+    }
+
+    /// Latency of the tree edge between `child` and its parent, in
+    /// whichever direction the message travels. Free if both KT nodes are
+    /// planted in virtual servers of the same peer.
+    pub(crate) fn edge_latency(&self, child: u32) -> Result<SimTime, ProtocolError> {
+        match self
+            .unattached
+            .binary_search_by_key(&child, |&(slot, _)| slot)
+        {
+            Ok(i) => Err(ProtocolError::UnattachedPeer(self.unattached[i].1)),
+            Err(_) => Ok(SimTime::from(self.edge_latency[child as usize])),
+        }
     }
 }

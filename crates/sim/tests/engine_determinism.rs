@@ -74,6 +74,44 @@ fn engine_series_and_trace_are_repeat_deterministic() {
 }
 
 #[test]
+fn engine_report_and_trace_do_not_depend_on_the_thread_count() {
+    // The stormy scenario exercises everything a thread count could leak
+    // into: the round's chunked kernels, the DES shadow's bind and run, the
+    // per-epoch child traces.
+    let run = |threads: usize| {
+        let mut prepared = stormy().prepare_run(threads, &NullSink);
+        let mut trace = Trace::enabled("engine");
+        let report = run_engine_with(&mut prepared, &short(8), &mut trace, &NullSink).unwrap();
+        assert!(report.samples.iter().any(|s| s.des_messages > 0));
+        (report.to_json_pretty(), trace.to_ndjson())
+    };
+    let (report1, nd1) = run(1);
+    for threads in [2, 8] {
+        let (report, nd) = run(threads);
+        assert_eq!(report, report1, "report JSON at {threads} threads");
+        assert_eq!(nd, nd1, "trace NDJSON at {threads} threads");
+    }
+}
+
+#[test]
+fn a_failed_des_shadow_is_the_typed_error_at_any_thread_count() {
+    for threads in [1, 2, 8] {
+        let mut prepared = stormy().prepare_run(threads, &NullSink);
+        // Detach every peer: the first inter-peer tree edge a shadow
+        // message takes has no latency. The balancer itself runs
+        // proximity-ignorant here and would not notice.
+        for p in prepared.net.alive_peers() {
+            prepared.net.attach(p, u32::MAX);
+        }
+        let err = run_engine(&mut prepared, &short(8)).expect_err("unattached peers");
+        assert!(
+            matches!(err, Error::UnattachedPeer(_)),
+            "{threads} threads: {err:?}"
+        );
+    }
+}
+
+#[test]
 fn traced_and_untraced_engine_runs_agree() {
     let mut plain_prep = stormy().prepare();
     let plain = run_engine(&mut plain_prep, &short(6)).unwrap();

@@ -25,7 +25,8 @@
 #   --profile-smoke  `xl2 --peers 16384 --profile` (virtual-time flamegraphs
 #                    and trace summary byte-identical, volatile artifacts
 #                    present; DESIGN.md §5c)
-#   --analyze-smoke  the committed engine scenario against `gates/*.toml`
+#   --analyze-smoke  the committed engine scenario (profiled: `engine/des/*`
+#                    and `engine/round` phases present) against `gates/*.toml`
 #                    at 1, 2 and 8 analyzer threads (all pass, all
 #                    byte-identical), then an impossible gate must exit
 #                    nonzero with a violation table naming it
@@ -150,7 +151,14 @@ if [[ "$ANALYZE_SMOKE" == "1" ]]; then
   GATES="$PWD/gates"
   # A regression budget: ~3 s on a 2-core box while K-nary-tree maintenance
   # is change-driven (DESIGN.md §6a); slow CI runners get 40× headroom.
-  (cd "$SMOKE_DIR" && timeout 120 "$REPRO" engine --trace ae.json --json ae-report.json > /dev/null)
+  (cd "$SMOKE_DIR" && timeout 120 "$REPRO" engine --trace ae.json --json ae-report.json \
+      --profile ae-profile > /dev/null)
+  # `--profile` attributes the epoch: the DES shadow and the round passes
+  # are phases of their own (what CI's gates job asserts).
+  for phase in engine/des/bind engine/des/run engine/round; do
+    grep -q "$phase" "$SMOKE_DIR/ae-profile/resources.txt" || {
+      echo "analyze smoke: phase $phase missing from resources.txt" >&2; exit 1; }
+  done
   for t in 1 2 8; do
     (cd "$SMOKE_DIR" && "$REPRO" analyze ae-report.json ae.ndjson \
         --gates "$GATES" --out "gates_t$t.json" --threads "$t" > "analyze_t$t.txt") || {
