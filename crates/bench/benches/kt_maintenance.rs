@@ -3,8 +3,12 @@
 //! common engine epoch — must not depend on tree size) and after 1 % of the
 //! peers crashed and as many joined (work proportional to the root paths
 //! the changed ring positions disturb, not to the tree), and
-//! `KTree::message_depths` on an unchanged tree (derived once per arena
+//! `KTree::max_message_depth` on an unchanged tree (derived once per arena
 //! state, so asking again must not depend on tree size either).
+//!
+//! The `kt_layout` group times what the arena's layout decides — growing
+//! the tree in place and the bulk report-target descent — at 65,536 peers
+//! for the paper's two degrees.
 
 use criterion::{criterion_group, criterion_main, BatchSize, BenchmarkId, Criterion};
 use proxbal_chord::ChordNetwork;
@@ -30,11 +34,11 @@ fn bench_kt_maintenance(c: &mut Criterion) {
             b.iter(|| std::hint::black_box(tree.repair(&net, 256)));
         });
 
-        std::hint::black_box(tree.message_depths().len());
+        std::hint::black_box(tree.max_message_depth());
         group.bench_function(
             BenchmarkId::new("message_depths_unchanged_tree", peers),
             |b| {
-                b.iter(|| std::hint::black_box(tree.message_depths().len()));
+                b.iter(|| std::hint::black_box(tree.max_message_depth()));
             },
         );
 
@@ -61,5 +65,28 @@ fn bench_kt_maintenance(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_kt_maintenance);
+fn bench_kt_layout(c: &mut Criterion) {
+    let mut group = c.benchmark_group("kt_layout");
+    group.sample_size(10);
+
+    let mut rng = StdRng::seed_from_u64(42);
+    let mut net = ChordNetwork::new();
+    for _ in 0..65_536 {
+        net.join_peer(VS_PER_PEER, &mut rng);
+    }
+    let ring_order: Vec<_> = net.ring().iter().map(|(_, vs)| vs).collect();
+    for k in [2usize, 8] {
+        group.bench_function(BenchmarkId::new("build", k), |b| {
+            b.iter(|| std::hint::black_box(KTree::build(&net, k).len()));
+        });
+        let tree = KTree::build(&net, k);
+        group.bench_function(BenchmarkId::new("report_targets", k), |b| {
+            b.iter(|| std::hint::black_box(tree.report_targets(&net, ring_order.iter().copied())));
+        });
+    }
+
+    group.finish();
+}
+
+criterion_group!(benches, bench_kt_maintenance, bench_kt_layout);
 criterion_main!(benches);

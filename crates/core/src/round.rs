@@ -308,8 +308,8 @@ impl LoadBalancer {
         // Phase 2: dissemination + classification (§3.3). Disseminating the
         // system LBI reaches every node in `max_message_depth` downward
         // rounds (the tree already knows it from the aggregation) over every
-        // inter-peer tree edge; materializing the per-node copies (what
-        // `KTree::disseminate` returns) would be pure waste here.
+        // inter-peer tree edge; every node receives the same value, so no
+        // per-node copy is ever materialized.
         let wall = Instant::now();
         let prof = proxbal_profile::phase("round/vsa");
         let sub = proxbal_profile::phase("round/vsa/disseminate");
@@ -476,21 +476,22 @@ pub(crate) fn count_active_edges(
     tree: &KTree,
     seeds: impl Iterator<Item = proxbal_ktree::KtNodeId>,
 ) -> usize {
-    let mut visited = vec![false; tree.slot_bound()];
+    // One bit per arena slot: 1.6 MB at the million-peer tree.
+    let mut visited = vec![0u64; tree.slot_bound().div_ceil(64)];
+    let peer_of = |host| net.vs(host).host;
     let mut edges = 0;
     for seed in seeds {
-        let mut cur = seed;
-        while let Some(parent) = tree.node(cur).parent {
-            let slot = cur.0 as usize;
-            if std::mem::replace(&mut visited[slot], true) {
+        let mut node = tree.node(seed);
+        let mut slot = seed.0 as usize;
+        while let Some(parent) = node.parent() {
+            let (word, bit) = (&mut visited[slot / 64], 1u64 << (slot % 64));
+            if *word & bit != 0 {
                 break; // shared suffix already counted
             }
-            let a = net.vs(tree.node(cur).host).host;
-            let b = net.vs(tree.node(parent).host).host;
-            if a != b {
-                edges += 1;
-            }
-            cur = parent;
+            *word |= bit;
+            let above = tree.node(parent);
+            edges += usize::from(peer_of(node.host()) != peer_of(above.host()));
+            (node, slot) = (above, parent.0 as usize);
         }
     }
     edges
@@ -501,15 +502,14 @@ pub(crate) fn count_active_edges(
 /// chunked pass over the arena (an integer sum, so any `threads` agrees).
 fn count_tree_edges(net: &ChordNetwork, tree: &KTree, threads: usize) -> usize {
     const NODE_CHUNK: usize = 1 << 16;
-    let peer_of = |id| net.vs(tree.node(id).host).host;
+    let peer_of = |id| net.vs(tree.node(id).host()).host;
     proxbal_parallel::map_chunked(tree.slot_bound(), NODE_CHUNK, threads, |range| {
         range
             .map(|slot| proxbal_ktree::KtNodeId(slot as u32))
             .filter(|&id| tree.contains(id))
             .filter(|&id| {
-                tree.node(id)
-                    .parent
-                    .is_some_and(|parent| peer_of(id) != peer_of(parent))
+                let parent = tree.node(id).parent();
+                parent.is_some_and(|parent| peer_of(id) != peer_of(parent))
             })
             .count()
     })

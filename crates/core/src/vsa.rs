@@ -69,17 +69,14 @@ pub fn run_vsa(
     trace: &mut Trace,
 ) -> VsaOutcome {
     let mut inputs: KtNodeMap<Box<RendezvousLists>> = inputs.into();
-    let mut outcome = VsaOutcome::default();
-    let depths = tree.message_depths();
-    outcome.rounds = inputs
-        .iter()
-        .filter(|(_, lists)| !lists.is_empty())
-        .map(|(id, _)| depths.get(id).copied().unwrap_or(0))
-        .max()
-        .unwrap_or(0);
+    let contributing = inputs.iter().filter(|(_, lists)| !lists.is_empty());
+    let depths = contributing.map(|(id, _)| tree.message_depth(id).unwrap_or(0));
+    let mut outcome = VsaOutcome {
+        rounds: depths.max().unwrap_or(0),
+        ..VsaOutcome::default()
+    };
 
-    let levels = tree.levels();
-    for level in levels.iter().rev() {
+    for level in tree.levels().rev() {
         for &id in level {
             let Some(mut lists) = inputs.remove(id) else {
                 continue;
@@ -97,7 +94,7 @@ pub fn run_vsa(
                 let produced = outcome.assignments.len() - before;
                 if produced > 0 {
                     outcome.rendezvous_points += 1;
-                    let d = tree.node(id).depth as usize;
+                    let d = tree.node(id).depth() as usize;
                     if outcome.assignments_per_depth.len() <= d {
                         outcome.assignments_per_depth.resize(d + 1, 0);
                     }
@@ -108,10 +105,10 @@ pub fn run_vsa(
             if lists.is_empty() {
                 continue;
             }
-            match tree.node(id).parent {
+            match tree.node(id).parent() {
                 Some(parent) => {
                     use proxbal_ktree::Merge;
-                    if tree.node(id).host != tree.node(parent).host {
+                    if tree.node(id).host() != tree.node(parent).host() {
                         outcome.record_hops += lists.len();
                     }
                     match inputs.get_mut(parent) {

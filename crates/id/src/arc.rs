@@ -158,6 +158,25 @@ impl Arc {
         let part = base + u64::from(i < rem);
         Arc::new(self.start.wrapping_add(start_off), part)
     }
+
+    /// The inverse of [`Arc::child`]: which of the `k` children holds `id`,
+    /// and that child — what one step of a descent by key asks. `id` must
+    /// lie inside. One division for the split, then a subtraction per child
+    /// passed: descents run millions of times over small `k`.
+    #[inline]
+    pub fn child_towards(&self, id: Id, k: usize) -> (usize, Arc) {
+        let mut off = self.start.distance_to(id);
+        assert!(off < self.len, "{id:?} lies outside {self:?}");
+        let (base, rem) = (self.len / k as u64, self.len % k as u64);
+        let (mut i, mut start) = (0, self.start);
+        loop {
+            let len = base + u64::from((i as u64) < rem);
+            if off < len {
+                return (i, Arc { start, len });
+            }
+            (i, off, start) = (i + 1, off - len, start.wrapping_add(len));
+        }
+    }
 }
 
 impl fmt::Debug for Arc {

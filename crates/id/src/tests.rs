@@ -184,6 +184,21 @@ proptest! {
     }
 
     #[test]
+    fn prop_child_towards_inverts_child(start: u32, len in 1u64..=RING_SIZE, k in 1usize..10, p: u32) {
+        // Short arcs leave some of the k children empty; `p` lands anywhere
+        // inside, the first and the last identifier included.
+        for len in [len, 1 + len % 12, RING_SIZE] {
+            let arc = Arc::new(Id::new(start), len);
+            for off in [u64::from(p) % len, 0, len - 1] {
+                let id = arc.start().wrapping_add(off);
+                let (i, child) = arc.child_towards(id, k);
+                prop_assert_eq!(child, arc.child(i, k));
+                prop_assert!(child.contains(id));
+            }
+        }
+    }
+
+    #[test]
     fn prop_covers_implies_membership_subset(
         s1: u32, l1 in 0u64..=RING_SIZE, s2: u32, l2 in 0u64..=RING_SIZE, probe: u32
     ) {

@@ -24,7 +24,7 @@ pub struct AggregateOutcome<A> {
     /// The value accumulated at the root (`None` if no inputs were offered).
     pub root_value: Option<A>,
     /// Number of upward **message** rounds: the largest
-    /// [`message depth`](KTree::message_depths) among contributing KT nodes
+    /// [`message depth`](KTree::message_depth) among contributing KT nodes
     /// (tree edges between nodes planted in the same virtual server cost no
     /// messages). This is the `O(log_K N)` bound the paper states for LBI
     /// aggregation (§3.2).
@@ -130,10 +130,9 @@ impl KTree {
     /// Message rounds: deepest contributing node by inter-VS hop count.
     fn aggregate_rounds<A>(&self, inputs: &KtNodeMap<A>) -> u32 {
         let _prof = proxbal_profile::phase("round/aggregate/rounds");
-        let depths = self.message_depths();
         inputs
             .keys()
-            .map(|id| depths.get(id).copied().unwrap_or(0))
+            .map(|id| self.message_depth(id).unwrap_or(0))
             .max()
             .unwrap_or(0)
     }
@@ -150,7 +149,7 @@ impl KTree {
         for _ in 0..16 {
             let next: Vec<KtNodeId> = level
                 .iter()
-                .flat_map(|&id| self.sorted_children(id))
+                .flat_map(|&id| self.children_by_slot(id))
                 .collect();
             if next.is_empty() {
                 return Vec::new(); // tree exhausted before it got wide
@@ -165,11 +164,17 @@ impl KTree {
 
     /// A node's children in ascending arena-slot order — the merge order
     /// the level-by-level sweep established (within a level, nodes are
-    /// visited in slot order), kept as the canonical association.
-    fn sorted_children(&self, id: KtNodeId) -> Vec<KtNodeId> {
-        let mut kids: Vec<KtNodeId> = self.node(id).children.iter().flatten().copied().collect();
-        kids.sort_unstable();
-        kids
+    /// visited in slot order), kept as the canonical association. Each is
+    /// picked as the smallest handle above the last out of the node's `K`
+    /// child slots, so no degree needs a buffer to sort in.
+    fn children_by_slot(&self, id: KtNodeId) -> impl Iterator<Item = KtNodeId> + '_ {
+        let node = self.node(id);
+        let mut floor = 0;
+        std::iter::from_fn(move || {
+            let next = node.children().flatten().filter(|c| c.0 >= floor).min()?;
+            floor = next.0 + 1;
+            Some(next)
+        })
     }
 
     /// Folds the subtree at `id`: value = own input (whatever `own` hands
@@ -188,27 +193,7 @@ impl KTree {
             return value.take();
         }
         let mut acc: Option<A> = own(id);
-        // Children in ascending slot order; binary nodes (the only degree
-        // used at scale) order their two slots with one compare instead of
-        // a per-node sort allocation.
-        let children: &[Option<KtNodeId>] = &self.node(id).children;
-        let pair;
-        let heap;
-        let ordered: &[Option<KtNodeId>] = if let [a, b] = *children {
-            pair = match (a, b) {
-                (Some(x), Some(y)) if y < x => [Some(y), Some(x)],
-                _ => [a, b],
-            };
-            &pair
-        } else {
-            heap = self
-                .sorted_children(id)
-                .into_iter()
-                .map(Some)
-                .collect::<Vec<_>>();
-            heap.as_slice()
-        };
-        for child in ordered.iter().flatten().copied() {
+        for child in self.children_by_slot(id) {
             if let Some(value) = self.fold_subtree(child, own, folded, merges) {
                 match acc.as_mut() {
                     Some(a) => {
@@ -220,16 +205,5 @@ impl KTree {
             }
         }
         acc
-    }
-
-    /// Top-down dissemination of a value from the root to every node;
-    /// returns the per-node copies and the number of downward message
-    /// rounds (the tree's maximum message depth).
-    pub fn disseminate<A: Clone>(&self, value: A) -> (KtNodeMap<A>, u32) {
-        let mut out = KtNodeMap::with_slot_bound(self.slot_bound());
-        for id in self.iter_ids() {
-            out.insert(id, value.clone());
-        }
-        (out, self.max_message_depth())
     }
 }

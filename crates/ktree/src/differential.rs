@@ -31,22 +31,34 @@ struct Pair {
 #[track_caller]
 fn assert_derived_fresh(tree: &KTree) {
     let (levels, depths, max) = tree.reference_derived();
-    assert_eq!(tree.levels(), levels, "levels are stale");
     assert_eq!(
-        tree.message_depths().iter().collect::<Vec<_>>(),
-        depths.iter().collect::<Vec<_>>(),
-        "message depths are stale"
+        tree.levels().collect::<Vec<_>>(),
+        levels,
+        "levels are stale"
     );
+    // Every slot, free ones and the handle past the arena included.
+    for id in (0..=tree.slot_bound() as u32).map(KtNodeId) {
+        let depth = depths.get(id).copied();
+        assert_eq!(tree.message_depth(id), depth, "message depth of {id:?}");
+    }
     assert_eq!(tree.max_message_depth(), max, "max message depth is stale");
+    assert_eq!(tree.height() as usize, levels.len(), "height is stale");
 }
 
-/// The path-reusing bulk descent against one root descent per virtual
-/// server, in ring order and in an order that shares no paths.
+/// The descents that carry the root's region down — one per virtual
+/// server, and the path-reusing bulk form in ring order and in an order
+/// that shares no paths — against the descent that reads every node's
+/// stored region.
 #[track_caller]
 fn assert_report_targets_match(tree: &KTree, net: &ChordNetwork) {
     let mut vss: Vec<VsId> = net.ring().iter().map(|(_, vs)| vs).collect();
     for _ in 0..2 {
+        let by_stored_region: Vec<KtNodeId> = vss
+            .iter()
+            .map(|&vs| tree.reference_report_target(net, vs))
+            .collect();
         let one_by_one: Vec<KtNodeId> = vss.iter().map(|&vs| tree.report_target(net, vs)).collect();
+        assert_eq!(one_by_one, by_stored_region);
         assert_eq!(tree.report_targets(net, vss.iter().copied()), one_by_one);
         vss.sort_unstable_by_key(|vs| vs.0.wrapping_mul(0x9E37_79B9));
     }
@@ -66,7 +78,7 @@ impl Pair {
     fn assert_same(&self) {
         let (fast, slow) = (self.fast.arena(), self.slow.arena());
         assert_eq!(fast.1, slow.1, "free lists differ");
-        for (slot, (f, s)) in fast.0.iter().zip(slow.0).enumerate() {
+        for (slot, (f, s)) in fast.0.iter().zip(&slow.0).enumerate() {
             assert_eq!(f, s, "slot {slot} differs");
         }
         assert_eq!(fast.0.len(), slow.0.len(), "arena lengths differ");
@@ -117,7 +129,7 @@ impl Pair {
     fn node_over(&self, region: Arc) -> Option<KtNodeId> {
         self.fast
             .iter_ids()
-            .find(|&id| self.fast.node(id).region == region)
+            .find(|&id| self.fast.node(id).region() == region)
     }
 }
 
@@ -180,7 +192,7 @@ fn inject_random_stale_link(pair: &mut Pair, rng: &mut StdRng) {
     let stale = ids[rng.gen_range(0..ids.len())];
     // An earlier orphan's stale parent may have been pruned since; the
     // injection needs a live slot to detach from.
-    let parent = pair.fast.node(child).parent;
+    let parent = pair.fast.node(child).parent();
     if parent.is_some_and(|p| pair.fast.contains(p)) {
         pair.inject_stale_parent(child, stale);
     }
@@ -249,6 +261,17 @@ proptest! {
 }
 
 #[test]
+fn histories_hold_at_the_degrees_the_paper_evaluates() {
+    // The property above draws K from 2..5; K = 8 is the paper's other
+    // degree, and the one whose child-table rows are widest.
+    for k in [2usize, 3, 8] {
+        for seed in 0..6u64 {
+            run_history(seed, k, 24, 3, 16);
+        }
+    }
+}
+
+#[test]
 fn change_outside_region_moves_owner_of_center() {
     // The node over [0, 2^30) holds two positions, both below its center
     // 0x2000_0000, so it is planted at the owner of the center — the first
@@ -264,18 +287,18 @@ fn change_outside_region_moves_owner_of_center() {
     let mut pair = Pair::build(&net, 2);
     let region = Arc::new(Id::ZERO, 1 << 30);
     let node = pair.node_over(region).expect("node over [0, 2^30)");
-    assert_eq!(pair.fast.node(node).host, vs_at(&net, 0x5000_0000));
+    assert_eq!(pair.fast.node(node).host(), vs_at(&net, 0x5000_0000));
 
     // A join outside the region, between the center and its old owner.
     let joined = net.join_peer_at(&[Id::new(0x4800_0000)], &mut StdRng::seed_from_u64(1));
     assert!(!region.contains(Id::new(0x4800_0000)));
     pair.stabilize(&net);
-    assert_eq!(pair.fast.node(node).host, net.vss_of(joined)[0]);
+    assert_eq!(pair.fast.node(node).host(), net.vss_of(joined)[0]);
 
     // And its departure hands the node back.
     net.crash_peer(joined);
     pair.stabilize(&net);
-    assert_eq!(pair.fast.node(node).host, vs_at(&net, 0x5000_0000));
+    assert_eq!(pair.fast.node(node).host(), vs_at(&net, 0x5000_0000));
     pair.fast.check_invariants(&net).unwrap();
 }
 
@@ -296,21 +319,21 @@ fn dirty_arc_wraps_past_zero() {
     let node = pair
         .node_over(region)
         .expect("node over the last sixteenth");
-    assert_eq!(pair.fast.node(node).host, vs_at(&net, 0x1000_0000));
+    assert_eq!(pair.fast.node(node).host(), vs_at(&net, 0x1000_0000));
 
     // Changed position 0x0800_0000, predecessor 0xF100_0000: the arc runs
     // through 0 and covers the center.
     let joined = net.join_peer_at(&[Id::new(0x0800_0000)], &mut StdRng::seed_from_u64(1));
     pair.stabilize(&net);
-    assert_eq!(pair.fast.node(node).host, net.vss_of(joined)[0]);
+    assert_eq!(pair.fast.node(node).host(), net.vss_of(joined)[0]);
     net.leave_peer(joined);
     pair.stabilize(&net);
-    assert_eq!(pair.fast.node(node).host, vs_at(&net, 0x1000_0000));
+    assert_eq!(pair.fast.node(node).host(), vs_at(&net, 0x1000_0000));
 
     // A change exactly at position 0.
     net.join_peer_at(&[Id::ZERO], &mut StdRng::seed_from_u64(2));
     pair.stabilize(&net);
-    assert_eq!(pair.fast.node(node).host, vs_at(&net, 0));
+    assert_eq!(pair.fast.node(node).host(), vs_at(&net, 0));
     pair.fast.check_invariants(&net).unwrap();
 }
 
@@ -342,13 +365,13 @@ fn slot_freed_and_reused_within_one_round() {
                     .arena()
                     .0
                     .iter()
-                    .map(|n| n.as_ref().map(|n| n.region))
+                    .map(|n| n.as_ref().map(|n| n.region()))
                     .collect();
                 let mutations = pair.round(&net);
                 reused += before
                     .iter()
                     .zip(pair.fast.arena().0)
-                    .filter(|(b, a)| matches!((b, a), (Some(b), Some(a)) if *b != a.region))
+                    .filter(|(b, a)| matches!((b, a), (Some(b), Some(a)) if *b != a.region()))
                     .count();
                 if mutations == 0 {
                     break;
@@ -532,12 +555,15 @@ fn derived_data_survives_clone_and_json_and_follows_each_copy() {
     assert_derived_fresh(&tree);
     let victim = back
         .iter_ids()
-        .find(|&id| back.node(id).depth >= 2)
+        .find(|&id| back.node(id).depth() >= 2)
         .expect("deep node");
     back.inject_stale_parent(victim, back.root());
     assert_derived_fresh(&back);
+    // The root no longer reaches the detached subtree — until the repair.
+    assert_eq!(back.message_depth(victim), None);
     back.repair(&net, 64);
     assert_derived_fresh(&back);
+    assert!(back.message_depth(victim).is_some());
     assert_derived_fresh(&tree);
 }
 

@@ -18,14 +18,15 @@
 //! can have affected — with the arena left exactly as a sweep over every
 //! node would leave it (DESIGN.md §6a); an unchanged ring costs nothing.
 //!
-//! Aggregation ([`KTree::aggregate`]) and dissemination
-//! ([`KTree::disseminate`]) are generic over the value type;
+//! Aggregation ([`KTree::aggregate`]) is generic over the value type;
 //! `proxbal-core` folds load-balancing information (LBI) to the root with
-//! the first, and walks [`KTree::levels`] itself for the bottom-up
-//! virtual-server-assignment sweep, whose intermediate lists matter. What
-//! both need to know about the tree's shape — levels, message depths — is
-//! derived once per arena state and lent out until the arena changes
-//! (DESIGN.md §6c).
+//! it, and walks [`KTree::levels`] itself for the bottom-up
+//! virtual-server-assignment sweep, whose intermediate lists matter.
+//! Dissemination hands every node the same value, so its only output is a
+//! round count: [`KTree::max_message_depth`]. What they need to know about
+//! the tree's shape — levels, message depths — is derived once per arena
+//! state and lent out until the arena changes (DESIGN.md §6c). The arena
+//! itself is three flat columns, `17 + 4K` bytes a node (DESIGN.md §6b).
 
 mod aggregate;
 mod node_map;
@@ -33,7 +34,13 @@ mod tree;
 
 pub use aggregate::{AggregateOutcome, Merge};
 pub use node_map::KtNodeMap;
-pub use tree::{KTree, KtChildren, KtNode, KtNodeId, RepairAction, RepairStats};
+pub use tree::{KTree, KtNode, KtNodeId, RepairAction, RepairStats};
+
+/// The test binary counts allocations (inert until a test enables it): the
+/// layout test asserts that building a tree allocates per tree, not per node.
+#[cfg(test)]
+#[global_allocator]
+static ALLOC: proxbal_profile::CountingAlloc = proxbal_profile::CountingAlloc;
 
 #[cfg(test)]
 mod differential;

@@ -84,31 +84,6 @@ impl<A> KtNodeMap<A> {
         self.get(id).is_some()
     }
 
-    /// Empties the map, keeping its slot allocation — lets one map be
-    /// pooled across repeated tree walks (maintenance/repair rounds)
-    /// instead of reallocating per round.
-    pub fn clear(&mut self) {
-        for slot in &mut self.slots {
-            *slot = None;
-        }
-        self.len = 0;
-    }
-
-    /// Keeps only entries whose `(key, value)` satisfies `keep` — e.g.
-    /// dropping entries whose KT node was pruned by a repair.
-    pub fn retain(&mut self, mut keep: impl FnMut(KtNodeId, &mut A) -> bool) {
-        for (i, slot) in self.slots.iter_mut().enumerate() {
-            let drop = match slot {
-                Some(v) => !keep(KtNodeId(i as u32), v),
-                None => false,
-            };
-            if drop {
-                *slot = None;
-                self.len -= 1;
-            }
-        }
-    }
-
     /// The value at `id`, inserting `A::default()` first if absent
     /// (the `entry(..).or_default()` idiom).
     pub fn or_default(&mut self, id: KtNodeId) -> &mut A
@@ -132,15 +107,6 @@ impl<A> KtNodeMap<A> {
     /// Values in ascending key (slot) order.
     pub fn values(&self) -> impl Iterator<Item = &A> {
         self.slots.iter().filter_map(Option::as_ref)
-    }
-
-    /// Consumes the map, yielding `(key, value)` pairs in ascending key
-    /// (slot) order.
-    pub fn into_entries(self) -> impl Iterator<Item = (KtNodeId, A)> {
-        self.slots
-            .into_iter()
-            .enumerate()
-            .filter_map(|(i, v)| v.map(|v| (KtNodeId(i as u32), v)))
     }
 
     /// `(key, value)` pairs in ascending key (slot) order.

@@ -6,6 +6,12 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::collections::HashMap;
 
+/// All leaves.
+fn leaves(tree: &KTree) -> Vec<KtNodeId> {
+    let is_leaf = |id: &KtNodeId| tree.node(*id).is_leaf();
+    tree.iter_ids().filter(is_leaf).collect()
+}
+
 fn net_with(peers: usize, vs_per_peer: usize, seed: u64) -> (ChordNetwork, StdRng) {
     let mut rng = StdRng::seed_from_u64(seed);
     let mut net = ChordNetwork::new();
@@ -21,7 +27,7 @@ fn build_satisfies_invariants() {
         let (net, _) = net_with(16, 3, 1);
         let tree = KTree::build(&net, k);
         tree.check_invariants(&net).unwrap();
-        assert_eq!(tree.node(tree.root()).region, Arc::full(Id::ZERO));
+        assert_eq!(tree.node(tree.root()).region(), Arc::full(Id::ZERO));
     }
 }
 
@@ -30,7 +36,7 @@ fn root_is_planted_at_ring_center_owner() {
     let (net, _) = net_with(8, 2, 2);
     let tree = KTree::build(&net, 2);
     let expect = net.ring().owner(Id::new(1 << 31)).unwrap();
-    assert_eq!(tree.node(tree.root()).host, expect);
+    assert_eq!(tree.node(tree.root()).host(), expect);
 }
 
 #[test]
@@ -76,7 +82,7 @@ fn every_vs_has_a_report_target_hosted_by_itself() {
     for (_, vs) in net.ring().iter() {
         let target = tree.report_target(&net, vs);
         assert_eq!(
-            tree.node(target).host,
+            tree.node(target).host(),
             vs,
             "report target of {vs:?} must be planted in it"
         );
@@ -101,13 +107,13 @@ fn leaves_hold_at_most_one_vs_position() {
     let (net, _) = net_with(32, 4, 7);
     let tree = KTree::build(&net, 4);
     let mut singleton_leaves = 0;
-    for leaf in tree.leaves() {
+    for leaf in leaves(&tree) {
         let node = tree.node(leaf);
-        let inside = net.ring().vss_in(&node.region);
+        let inside = net.ring().vss_in(&node.region());
         assert!(inside.len() <= 1, "leaf holds {} positions", inside.len());
         if let [(_, vs)] = inside.as_slice() {
             singleton_leaves += 1;
-            assert_eq!(node.host, *vs, "singleton leaf planted in its VS");
+            assert_eq!(node.host(), *vs, "singleton leaf planted in its VS");
         }
     }
     // Exactly one singleton leaf per virtual server.
@@ -151,7 +157,7 @@ fn maintenance_tracks_joins() {
     tree.check_invariants(&net).unwrap();
     // Every (new) VS must have a self-hosted report target again.
     for (_, vs) in net.ring().iter() {
-        assert_eq!(tree.node(tree.report_target(&net, vs)).host, vs);
+        assert_eq!(tree.node(tree.report_target(&net, vs)).host(), vs);
     }
 }
 
@@ -171,7 +177,7 @@ fn maintenance_converges_to_fresh_build() {
             .iter_ids()
             .map(|id| {
                 let n = t.node(id);
-                (n.region.start().raw(), n.region.len(), n.host)
+                (n.region().start().raw(), n.region().len(), n.host())
             })
             .collect();
         v.sort();
@@ -255,16 +261,6 @@ fn aggregate_partial_inputs_interior_contribution() {
     assert_eq!(out.root_value, Some(Sum(42)));
 }
 
-#[test]
-fn disseminate_reaches_every_node() {
-    let (net, _) = net_with(32, 3, 16);
-    let tree = KTree::build(&net, 2);
-    let (copies, rounds) = tree.disseminate(7u32);
-    assert_eq!(copies.len(), tree.len());
-    assert_eq!(rounds, tree.max_message_depth());
-    assert!(copies.values().all(|&v| v == 7));
-}
-
 /// Concatenation under a separator — associative but **not** commutative,
 /// so any deviation from the canonical child-slot merge order shows up.
 #[derive(Clone, Debug, PartialEq)]
@@ -283,18 +279,16 @@ fn level_sweep_reference<A: Merge + Clone>(
     inputs: HashMap<KtNodeId, A>,
 ) -> AggregateOutcome<A> {
     let mut inputs: KtNodeMap<A> = inputs.into();
-    let levels = tree.levels();
-    let depths = tree.message_depths();
     let rounds = inputs
         .keys()
-        .map(|id| depths.get(id).copied().unwrap_or(0))
+        .map(|id| tree.message_depth(id).unwrap_or(0))
         .max()
         .unwrap_or(0);
     let mut merges = 0usize;
-    for level in levels.iter().skip(1).rev() {
+    for level in tree.levels().skip(1).rev() {
         for &id in level {
             if let Some(value) = inputs.remove(id) {
-                let parent = tree.node(id).parent.expect("non-root has parent");
+                let parent = tree.node(id).parent().expect("non-root has parent");
                 match inputs.get_mut(parent) {
                     Some(acc) => {
                         acc.merge(value.clone());
@@ -410,7 +404,7 @@ fn aggregate_ignores_inputs_the_root_cannot_reach() {
     // Nor does a live node in a subtree a fault has cut off.
     let cut = tree
         .iter_ids()
-        .find(|&id| tree.node(id).depth >= 2 && !inputs.contains_key(&id))
+        .find(|&id| tree.node(id).depth() >= 2 && !inputs.contains_key(&id))
         .expect("deep node without an input");
     tree.inject_stale_parent(cut, tree.root());
     inputs.remove(&stale);
@@ -453,7 +447,7 @@ proptest! {
         tree.check_invariants(&net).map_err(TestCaseError::fail)?;
         // Report targets are self-hosted for every VS.
         for (_, vs) in net.ring().iter() {
-            prop_assert_eq!(tree.node(tree.report_target(&net, vs)).host, vs);
+            prop_assert_eq!(tree.node(tree.report_target(&net, vs)).host(), vs);
         }
     }
 
@@ -461,11 +455,11 @@ proptest! {
     fn prop_leaf_regions_disjoint_and_within_ring(seed in 0u64..10_000) {
         let (net, _) = net_with(10, 2, seed);
         let tree = KTree::build(&net, 2);
-        let leaves = tree.leaves();
+        let leaves = leaves(&tree);
         // Pairwise disjoint.
         for (i, &a) in leaves.iter().enumerate() {
             for &b in &leaves[i + 1..] {
-                let (ra, rb) = (tree.node(a).region, tree.node(b).region);
+                let (ra, rb) = (tree.node(a).region(), tree.node(b).region());
                 prop_assert!(!ra.overlaps(&rb), "{:?} overlaps {:?}", ra, rb);
             }
         }
@@ -479,7 +473,7 @@ proptest! {
             // The deepest node on p's descent path must be hosted by a VS
             // whose region contains p (ownership consistency).
             let t = tree.report_target(&net, owner);
-            let host = tree.node(t).host;
+            let host = tree.node(t).host();
             prop_assert_eq!(host, owner);
         }
     }
@@ -509,14 +503,14 @@ fn stale_parent_orphans_subtree_and_repair_reattaches_it() {
     let before = tree.len();
     let victim = tree
         .iter_ids()
-        .find(|&id| tree.node(id).depth >= 2 && !tree.node(id).is_leaf())
+        .find(|&id| tree.node(id).depth() >= 2 && !tree.node(id).is_leaf())
         .expect("deep interior node");
     tree.inject_stale_parent(victim, tree.root());
     // The orphan no longer answers a root descent for its region.
     assert!(tree
         .iter_ids()
-        .filter(|&id| tree.node(id).parent == Some(tree.root()))
-        .all(|id| tree.node(tree.root()).children.contains(&Some(id)) || id == victim));
+        .filter(|&id| tree.node(id).parent() == Some(tree.root()))
+        .all(|id| tree.node(tree.root()).children().any(|c| c == Some(id)) || id == victim));
     let stats = tree.repair(&net, 64);
     // Nothing changed in the network, so the subtree slots straight back in.
     assert_eq!(stats.reattached, 1);
@@ -524,8 +518,8 @@ fn stale_parent_orphans_subtree_and_repair_reattaches_it() {
     assert_eq!(tree.len(), before);
     tree.check_invariants(&net).unwrap();
     assert_eq!(
-        tree.node(victim).parent.map(|p| tree.node(p).depth + 1),
-        Some(tree.node(victim).depth)
+        tree.node(victim).parent().map(|p| tree.node(p).depth() + 1),
+        Some(tree.node(victim).depth())
     );
 }
 
@@ -535,7 +529,7 @@ fn repair_prunes_orphan_whose_slot_regrew() {
     let mut tree = KTree::build(&net, 2);
     let victim = tree
         .iter_ids()
-        .find(|&id| tree.node(id).depth >= 2 && !tree.node(id).is_leaf())
+        .find(|&id| tree.node(id).depth() >= 2 && !tree.node(id).is_leaf())
         .expect("deep interior node");
     tree.inject_stale_parent(victim, tree.root());
     // A maintenance round that runs *before* repair regrows the vacated
@@ -566,7 +560,7 @@ proptest! {
         for _ in 0..stale {
             let candidates: Vec<KtNodeId> = tree
                 .iter_ids()
-                .filter(|&id| tree.node(id).depth >= 2)
+                .filter(|&id| tree.node(id).depth() >= 2)
                 .collect();
             if let Some(&victim) = candidates
                 .get(rand::Rng::gen_range(&mut rng, 0..candidates.len().max(1)))
@@ -583,41 +577,23 @@ proptest! {
         tree.check_invariants(&net).map_err(TestCaseError::fail)?;
         // ...no orphans: every non-root node is its parent's child...
         for id in tree.iter_ids() {
-            match tree.node(id).parent {
+            match tree.node(id).parent() {
                 None => prop_assert_eq!(id, tree.root()),
                 Some(p) => {
-                    prop_assert!(tree.node(p).children.contains(&Some(id)));
-                    prop_assert_eq!(tree.node(id).depth, tree.node(p).depth + 1);
+                    prop_assert!(tree.node(p).children().any(|c| c == Some(id)));
+                    prop_assert_eq!(tree.node(id).depth(), tree.node(p).depth() + 1);
                 }
             }
         }
         // ...and its leaves cover the live ID space: every live VS has a
         // self-hosted report target (the paper's planting guarantee).
         for (_, vs) in net.ring().iter() {
-            prop_assert_eq!(tree.node(tree.report_target(&net, vs)).host, vs);
+            prop_assert_eq!(tree.node(tree.report_target(&net, vs)).host(), vs);
         }
         // Repair converges to exactly the fresh build.
         let fresh = KTree::build(&net, k);
         prop_assert_eq!(tree.len(), fresh.len());
     }
-}
-
-#[test]
-fn node_map_clear_and_retain() {
-    let mut map = KtNodeMap::with_slot_bound(8);
-    for i in 0..6u32 {
-        map.insert(KtNodeId(i), i * 10);
-    }
-    map.retain(|id, v| {
-        *v += 1;
-        id.0 % 2 == 0
-    });
-    assert_eq!(map.len(), 3);
-    assert_eq!(map.get(KtNodeId(2)), Some(&21));
-    assert_eq!(map.get(KtNodeId(3)), None);
-    map.clear();
-    assert!(map.is_empty());
-    assert_eq!(map.get(KtNodeId(2)), None);
 }
 
 #[test]
@@ -679,7 +655,7 @@ proptest! {
                 .iter_ids()
                 .map(|id| {
                     let n = t.node(id);
-                    (n.region.start().raw(), n.region.len(), n.host)
+                    (n.region().start().raw(), n.region().len(), n.host())
                 })
                 .collect();
             v.sort();
@@ -696,7 +672,12 @@ fn shape_key(t: &KTree) -> Vec<(u32, u64, proxbal_chord::VsId, u32)> {
         .iter_ids()
         .map(|id| {
             let n = t.node(id);
-            (n.region.start().raw(), n.region.len(), n.host, n.depth)
+            (
+                n.region().start().raw(),
+                n.region().len(),
+                n.host(),
+                n.depth(),
+            )
         })
         .collect();
     v.sort();
@@ -716,7 +697,7 @@ fn split_build_is_the_serial_tree_renumbered() {
             assert_eq!(shape_key(&tree), shape_key(&serial));
             // The levels down to the split come first, in ascending slots;
             // the subtrees below it follow one after another.
-            let depths: Vec<u32> = tree.iter_ids().map(|id| tree.node(id).depth).collect();
+            let depths: Vec<u32> = tree.iter_ids().map(|id| tree.node(id).depth()).collect();
             let prefix = depths.iter().take_while(|&&d| d <= split_depth).count();
             assert!(depths[prefix..].iter().all(|&d| d > split_depth));
         }
@@ -732,19 +713,64 @@ fn split_past_the_leaves_is_the_serial_build() {
 }
 
 #[test]
-fn kt_node_stays_compact() {
-    // The 1M-peer run materializes tens of millions of arena slots; the
-    // inline child representation must keep each slot within 64 bytes and
-    // leave a niche for the arena's Option wrapper.
-    assert!(std::mem::size_of::<KtNode>() <= 64);
-    assert_eq!(
-        std::mem::size_of::<Option<KtNode>>(),
-        std::mem::size_of::<KtNode>()
-    );
+fn arena_layout_is_packed_for_every_degree() {
+    // The 1M-peer run holds 12.8 M arena slots: a slot is the 16-byte
+    // record, K child handles and a byte of depth, whatever K is.
+    let (net, _) = net_with(2048, 5, 12);
+    let (small, _) = net_with(512, 5, 12);
+    for k in [2usize, 3, 8] {
+        assert_eq!(KTree::build(&small, k).bytes_per_slot(), 17 + 4 * k);
+    }
+    // And no node owns an allocation: building over four times the virtual
+    // servers takes exactly as many.
+    proxbal_profile::enable_counting();
+    let allocs_building = |net: &ChordNetwork| {
+        let before = proxbal_profile::AllocSnapshot::current_thread();
+        let tree = KTree::build(net, 8);
+        let allocs = proxbal_profile::AllocSnapshot::current_thread()
+            .since(before)
+            .allocs;
+        assert!(tree.len() >= net.alive_vs_count());
+        allocs
+    };
+    assert!(net.alive_vs_count() >= 10_000);
+    let allocs = allocs_building(&net);
+    assert!((1..=16).contains(&allocs), "{allocs} allocations");
+    assert_eq!(allocs, allocs_building(&small));
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    #[test]
+    fn prop_packed_region_round_trips(
+        start: u32,
+        start_kind in 0u8..4,
+        len in 1u64..=RING_SIZE,
+        len_kind in 0u8..6,
+    ) {
+        // Every length a KT node's region can have, biased to the edges:
+        // one identifier, a handful, the full ring and just short of it,
+        // from starts at 0, next to `u32::MAX` (wrapping arcs) and anywhere.
+        let start = match start_kind {
+            0 => 0,
+            1 => u32::MAX - start % 4,
+            _ => start,
+        };
+        let len = match len_kind {
+            0 => 1,
+            1 => RING_SIZE,
+            2 => RING_SIZE - len % 4,
+            3 => 1 + len % 64,
+            _ => len,
+        };
+        let arc = Arc::new(Id::new(start), len);
+        prop_assert_eq!(KTree::packed_region(&arc), arc);
+    }
 }
 
 #[test]
-fn kt_children_serde_roundtrip() {
+fn serde_keeps_the_node_record_form_and_refuses_what_does_not_pack() {
     let (net, _) = net_with(24, 3, 13);
     for k in [2usize, 5] {
         let tree = KTree::build(&net, k);
@@ -753,6 +779,24 @@ fn kt_children_serde_roundtrip() {
         assert_eq!(shape_key(&back), shape_key(&tree));
         assert_eq!(serde_json::to_string(&back).unwrap(), json);
         back.check_invariants(&net).unwrap();
+        // A slot is still one record, the root's first.
+        let root = r#"{"k":K,"nodes":[{"region":{"start":0,"len":4294967296},"host":"#;
+        assert!(json.starts_with(&root.replace('K', &k.to_string())));
+        // The sentinels and the never-empty region are not representable.
+        for (good, bad) in [
+            (
+                r#""parent":null,"depth":0}"#,
+                r#""parent":null,"depth":255}"#,
+            ),
+            (
+                r#""parent":null,"depth":0}"#,
+                r#""parent":4294967295,"depth":0}"#,
+            ),
+            (r#""len":4294967296}"#, r#""len":0}"#),
+        ] {
+            assert!(json.contains(good));
+            assert!(serde_json::from_str::<KTree>(&json.replacen(good, bad, 1)).is_err());
+        }
     }
 }
 

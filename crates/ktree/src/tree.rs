@@ -9,95 +9,102 @@ use std::sync::OnceLock;
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug, Serialize, Deserialize)]
 pub struct KtNodeId(pub u32);
 
-/// Child-pointer storage for a [`KtNode`].
-///
-/// Binary trees (`k == 2`, the paper's default degree and the only one used
-/// at million-peer scale) keep both slots inline in the node; higher degrees
-/// fall back to one boxed slice per node. Dereferences to
-/// `[Option<KtNodeId>]` either way, so call sites index and iterate it like
-/// the plain vector it replaces — without the per-node heap allocation that
-/// dominated arena memory at tens of millions of nodes.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum KtChildren {
-    /// Both child slots of a binary node, stored inline.
-    Inline([Option<KtNodeId>; 2]),
-    /// `k` child slots for `k != 2`.
-    Heap(Box<[Option<KtNodeId>]>),
+/// "No node" in the parent column and the child table. Arena handles stop
+/// short of it ([`KTree::alloc`]).
+const NONE: u32 = u32::MAX;
+/// What the depth column holds for a free slot. A child's region is a
+/// proper part of its parent's, so live depths stay far below it (at most
+/// 32 at `k = 2`); growing and re-attaching assert it.
+const FREE: u8 = u8::MAX;
+/// The message depth of a node the root cannot reach.
+const UNREACHED: u32 = u32::MAX;
+
+fn handle(raw: u32) -> Option<KtNodeId> {
+    (raw != NONE).then_some(KtNodeId(raw))
 }
 
-impl KtChildren {
-    /// `k` empty child slots, inline when `k == 2`.
-    pub fn none(k: usize) -> Self {
-        if k == 2 {
-            KtChildren::Inline([None, None])
-        } else {
-            KtChildren::Heap(vec![None; k].into_boxed_slice())
+fn raw(id: Option<KtNodeId>) -> u32 {
+    id.map_or(NONE, |id| id.0)
+}
+
+fn depth_byte(depth: u32) -> u8 {
+    let fits = u8::try_from(depth).ok().filter(|&d| d != FREE);
+    fits.expect("KT node depth outgrew the u8 depth column")
+}
+
+/// The fixed part of an arena slot, 16 bytes. The region is held as start
+/// and length − 1: a part is given a child only if it holds a position, so
+/// a KT node's region is never empty and the lengths `1..=2³²` — the root's
+/// full ring included — fit the `u32` that an [`Arc`]'s length does not.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+struct Record {
+    start: u32,
+    len_m1: u32,
+    /// The [`VsId`] the node is planted in.
+    host: u32,
+    /// Parent slot, [`NONE`] for the root.
+    parent: u32,
+}
+
+impl Record {
+    fn new(region: &Arc, host: VsId, parent: Option<KtNodeId>) -> Self {
+        assert!(!region.is_empty(), "a KT node's region is never empty");
+        Record {
+            start: region.start().raw(),
+            len_m1: (region.len() - 1) as u32,
+            host: host.0,
+            parent: raw(parent),
         }
     }
-}
 
-impl std::ops::Deref for KtChildren {
-    type Target = [Option<KtNodeId>];
-    #[inline]
-    fn deref(&self) -> &[Option<KtNodeId>] {
-        match self {
-            KtChildren::Inline(slots) => slots,
-            KtChildren::Heap(slots) => slots,
-        }
+    fn region(&self) -> Arc {
+        Arc::new(Id::new(self.start), u64::from(self.len_m1) + 1)
     }
 }
 
-impl std::ops::DerefMut for KtChildren {
-    #[inline]
-    fn deref_mut(&mut self) -> &mut [Option<KtNodeId>] {
-        match self {
-            KtChildren::Inline(slots) => slots,
-            KtChildren::Heap(slots) => slots,
-        }
-    }
+/// One node of the K-nary tree as [`KTree::node`] hands it out: a copy of
+/// the slot's fixed fields and a borrow of its row of the child table.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub struct KtNode<'a> {
+    rec: Record,
+    depth: u8,
+    kids: &'a [u32],
 }
 
-// Serialized as the plain sequence of child slots, indistinguishable from
-// the `Vec<Option<KtNodeId>>` representation it replaced.
-impl Serialize for KtChildren {
-    fn to_content(&self) -> serde::Content {
-        serde::Content::Seq(self.iter().map(Serialize::to_content).collect())
-    }
-}
-
-impl Deserialize for KtChildren {
-    fn from_content(content: &serde::Content) -> Result<Self, serde::DeError> {
-        let slots = Vec::<Option<KtNodeId>>::from_content(content)?;
-        Ok(if let [a, b] = slots[..] {
-            KtChildren::Inline([a, b])
-        } else {
-            KtChildren::Heap(slots.into_boxed_slice())
-        })
-    }
-}
-
-/// One node of the K-nary tree.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
-pub struct KtNode {
+impl<'a> KtNode<'a> {
     /// The contiguous arc of the identifier space this KT node covers.
-    pub region: Arc,
-    /// The virtual server this KT node is planted in.
-    pub host: VsId,
-    /// Children, indexed by which of the K equal parts of `region` they
-    /// cover. `None` where the part needs no subtree (it holds at most one
-    /// virtual-server position that the node itself already represents, or
-    /// none at all).
-    pub children: KtChildren,
-    /// Parent (`None` for the root).
-    pub parent: Option<KtNodeId>,
-    /// Distance from the root.
-    pub depth: u32,
-}
+    pub fn region(&self) -> Arc {
+        self.rec.region()
+    }
 
-impl KtNode {
+    /// The virtual server this KT node is planted in.
+    pub fn host(&self) -> VsId {
+        VsId(self.rec.host)
+    }
+
+    /// Parent (`None` for the root).
+    pub fn parent(&self) -> Option<KtNodeId> {
+        handle(self.rec.parent)
+    }
+
+    /// Distance from the root.
+    pub fn depth(&self) -> u32 {
+        u32::from(self.depth)
+    }
+
+    /// The `K` child slots, in the order of the K equal parts of `region`
+    /// they cover. `None` where the part needs no subtree (it holds at most
+    /// one virtual-server position that the node itself already represents,
+    /// or none at all).
+    pub fn children(
+        &self,
+    ) -> impl DoubleEndedIterator<Item = Option<KtNodeId>> + ExactSizeIterator + 'a {
+        self.kids.iter().map(|&child| handle(child))
+    }
+
     /// True iff the node has no children.
     pub fn is_leaf(&self) -> bool {
-        self.children.iter().all(Option::is_none)
+        self.kids.iter().all(|&child| child == NONE)
     }
 }
 
@@ -162,17 +169,24 @@ pub struct RepairAction {
 ///
 /// # Derived data
 ///
-/// [`Self::levels`], [`Self::message_depths`] and
+/// [`Self::levels`], [`Self::message_depth`] and
 /// [`Self::max_message_depth`] depend on nothing but the arena, so they are
 /// computed once per arena state and borrowed by every caller until a
 /// mutation (maintenance that changes something, repair, an injected
 /// fault) drops them. A balancing round moves virtual servers between
 /// peers, never KT nodes between virtual servers, so one computation serves
 /// all its phases — and every later round on an unchanged ring.
+///
+/// # Storage
+///
+/// One layout for every `K`, no allocation per node: a 16-byte record, `K`
+/// child handles and a byte of depth per slot, in three flat columns —
+/// `17 + 4K` bytes (DESIGN.md §6b). Slot numbers, the free list and the
+/// serialized form are what they were when a slot was one `Option<KtNode>`.
 #[derive(Clone, Debug, Serialize, Deserialize)]
 pub struct KTree {
     k: usize,
-    nodes: Vec<Option<KtNode>>,
+    nodes: Arena,
     free: Vec<u32>,
     root: KtNodeId,
     /// The ring state against which the check of every unflagged live node
@@ -186,14 +200,98 @@ pub struct KTree {
     /// Subtrees detached by [`Self::inject_stale_parent`] since the last
     /// repair — the only way a node becomes unreachable from the root.
     detached: usize,
-    /// What [`Self::levels`] and [`Self::message_depths`] answer from,
-    /// computed on first use and dropped by [`Self::node_mut`] and
+    /// What [`Self::levels`] and [`Self::message_depth`] answer from,
+    /// computed on first use and dropped by the `set_*` writers and
     /// [`Self::prune`] — every write to a live node goes through the first,
-    /// a node [`Self::alloc`] adds is linked in through it within the same
+    /// a node [`Self::alloc`] adds is linked in through them within the same
     /// call, and only the second frees a slot. A pure function of the arena,
     /// so it takes no part in serialization or arena equality.
     #[serde(skip)]
     derived: OnceLock<Derived>,
+}
+
+/// The arena's columns, one entry (`k` in the child table) per slot.
+#[derive(Clone, Debug, Default)]
+struct Arena {
+    /// Region, host and parent; a free slot keeps its last.
+    recs: Vec<Record>,
+    /// The child of slot `s` on part `i` is `kids[s * k + i]`, [`NONE`]
+    /// where the part has no subtree.
+    kids: Vec<u32>,
+    /// Distance from the root; [`FREE`] marks a free slot.
+    depths: Vec<u8>,
+}
+
+/// A slot as [`Arena`] is serialized: the record it was a vector of before
+/// it was packed, so stored trees read back and new ones look the same.
+#[derive(Serialize, Deserialize)]
+struct NodeRepr {
+    region: Arc,
+    host: VsId,
+    children: Vec<Option<KtNodeId>>,
+    parent: Option<KtNodeId>,
+    depth: u32,
+}
+
+impl Arena {
+    /// The view of `slot` in a child table of stride `k`.
+    fn node(&self, slot: usize, k: usize) -> KtNode<'_> {
+        KtNode {
+            rec: self.recs[slot],
+            depth: self.depths[slot],
+            kids: &self.kids[slot * k..][..k],
+        }
+    }
+}
+
+impl Serialize for Arena {
+    fn to_content(&self) -> serde::Content {
+        let k = self.kids.len() / self.recs.len().max(1);
+        let node = |slot: usize| {
+            let node = self.node(slot, k);
+            (node.depth != FREE).then(|| NodeRepr {
+                region: node.region(),
+                host: node.host(),
+                children: node.children().collect(),
+                parent: node.parent(),
+                depth: node.depth(),
+            })
+        };
+        let nodes: Vec<Option<NodeRepr>> = (0..self.recs.len()).map(node).collect();
+        nodes.to_content()
+    }
+}
+
+impl Deserialize for Arena {
+    fn from_content(content: &serde::Content) -> Result<Self, serde::DeError> {
+        let nodes = Vec::<Option<NodeRepr>>::from_content(content)?;
+        let first = nodes.iter().flatten().next();
+        let k = first.map_or(0, |n| n.children.len());
+        let mut arena = Arena::default();
+        for node in nodes {
+            let live = node.is_some();
+            let n = node.unwrap_or_else(|| NodeRepr {
+                region: Arc::full(Id::ZERO),
+                host: VsId(0),
+                children: vec![None; k],
+                parent: None,
+                depth: FREE.into(),
+            });
+            // What the columns cannot hold is refused, not wrapped.
+            let handles = n.children.iter().chain(std::iter::once(&n.parent));
+            let fits = !n.region.is_empty()
+                && n.children.len() == k
+                && (n.depth < FREE.into()) == live
+                && handles.flatten().all(|id| id.0 != NONE);
+            if !fits {
+                return Err(serde::DeError::new("KT node does not fit the arena"));
+            }
+            arena.recs.push(Record::new(&n.region, n.host, n.parent));
+            arena.kids.extend(n.children.into_iter().map(raw));
+            arena.depths.push(n.depth as u8);
+        }
+        Ok(arena)
+    }
 }
 
 /// Data derived from the arena alone (hosts are `VsId`s, which virtual-server
@@ -201,8 +299,12 @@ pub struct KTree {
 /// the next arena write.
 #[derive(Clone, Debug)]
 struct Derived {
-    levels: Vec<Vec<KtNodeId>>,
-    message_depths: crate::KtNodeMap<u32>,
+    /// Live handles by depth, slot-ascending within a depth; level `d` is
+    /// `level_slots[level_starts[d]..level_starts[d + 1]]`.
+    level_slots: Vec<KtNodeId>,
+    level_starts: Vec<usize>,
+    /// Per slot; [`UNREACHED`] where the root has no path to it.
+    message_depths: Vec<u32>,
     max_message_depth: u32,
 }
 
@@ -329,7 +431,7 @@ impl KTree {
     /// tree.check_invariants(&net).unwrap();
     /// // Every virtual server has its own KT leaf, planted in itself.
     /// for (_, vs) in net.ring().iter() {
-    ///     assert_eq!(tree.node(tree.report_target(&net, vs)).host, vs);
+    ///     assert_eq!(tree.node(tree.report_target(&net, vs)).host(), vs);
     /// }
     /// ```
     pub fn build(net: &ChordNetwork, k: usize) -> Self {
@@ -357,14 +459,9 @@ impl KTree {
 
         let everything = 0..snapshot.vss.len();
         let mut tree = Self::empty(net, k, Self::arena_estimate(everything.len()));
-        let root_region = Arc::full(Id::ZERO);
-        tree.root = tree.alloc(KtNode {
-            region: root_region,
-            host: snapshot.host_for(&root_region, everything.clone()),
-            children: KtChildren::none(k),
-            parent: None,
-            depth: 0,
-        });
+        let ring = Arc::full(Id::ZERO);
+        let host = snapshot.host_for(&ring, everything.clone());
+        tree.root = tree.alloc(&ring, host, None, 0);
         // Two passes over what is still to grow: the root down to the
         // split, then whatever that left unexpanded, without a cap.
         let mut pending = vec![(tree.root, everything)];
@@ -398,16 +495,16 @@ impl KTree {
             return;
         }
         let node = self.node(id);
-        if node.depth >= cap {
+        if node.depth() >= cap {
             unexpanded.push((id, inside));
             return;
         }
-        let depth = node.depth + 1;
+        let depth = node.depth() + 1;
         // All regions descend from the root's, which starts at 0 and does
         // not wrap: a part's bounds are plain sums.
-        let (k, len) = (self.k as u64, node.region.len());
+        let (k, len) = (self.k as u64, node.region().len());
         let (base, rem) = (len / k, len % k);
-        let mut start = u64::from(node.region.start().raw());
+        let mut start = u64::from(node.region().start().raw());
         let mut lo = inside.start;
         for i in 0..self.k {
             let part_len = base + u64::from((i as u64) < rem);
@@ -419,14 +516,9 @@ impl KTree {
             };
             if lo < hi {
                 let part = Arc::new(Id::new(start as u32), part_len);
-                let child = self.alloc(KtNode {
-                    region: part,
-                    host: snapshot.host_for(&part, lo..hi),
-                    children: KtChildren::none(self.k),
-                    parent: Some(id),
-                    depth,
-                });
-                self.node_mut(id).children[i] = Some(child);
+                let host = snapshot.host_for(&part, lo..hi);
+                let child = self.alloc(&part, host, Some(id), depth);
+                self.set_child(id, i, Some(child));
                 self.grow(snapshot, child, lo..hi, cap, unexpanded);
             }
             (start, lo) = (end, hi);
@@ -454,7 +546,7 @@ impl KTree {
             .iter_ids()
             .filter(|&id| {
                 let node = tree.node(id);
-                node.depth == split_depth && !Self::is_leaf_region(net, &node.region)
+                node.depth() == split_depth && !Self::is_leaf_region(net, &node.region())
             })
             .collect();
         for id in frontier {
@@ -467,14 +559,8 @@ impl KTree {
     #[cfg(test)]
     fn with_root(net: &ChordNetwork, k: usize) -> Self {
         let mut tree = Self::empty(net, k, 0);
-        let root_region = Arc::full(Id::ZERO);
-        tree.root = tree.alloc(KtNode {
-            region: root_region,
-            host: Self::host_for(net, &root_region),
-            children: KtChildren::none(k),
-            parent: None,
-            depth: 0,
-        });
+        let ring = Arc::full(Id::ZERO);
+        tree.root = tree.alloc(&ring, Self::host_for(net, &ring), None, 0);
         tree
     }
 
@@ -483,7 +569,11 @@ impl KTree {
     fn empty(net: &ChordNetwork, k: usize, reserve: usize) -> Self {
         KTree {
             k,
-            nodes: Vec::with_capacity(reserve),
+            nodes: Arena {
+                recs: Vec::with_capacity(reserve),
+                kids: Vec::with_capacity(reserve * k),
+                depths: Vec::with_capacity(reserve),
+            },
             free: Vec::new(),
             root: KtNodeId(0),
             checked: net.ring().stamp(),
@@ -533,14 +623,14 @@ impl KTree {
 
     /// Number of live KT nodes.
     pub fn len(&self) -> usize {
-        self.nodes.len() - self.free.len()
+        self.slot_bound() - self.free.len()
     }
 
     /// Exclusive upper bound on raw slot indices of live handles — the
     /// arena length, used to size flat per-node vectors
     /// ([`crate::KtNodeMap`], protocol scratch bitsets).
     pub fn slot_bound(&self) -> usize {
-        self.nodes.len()
+        self.nodes.depths.len()
     }
 
     /// True iff the tree is empty (never the case after `build`).
@@ -550,53 +640,72 @@ impl KTree {
 
     /// True iff `id` names a live node (slots are recycled after pruning).
     pub fn contains(&self, id: KtNodeId) -> bool {
-        self.nodes
-            .get(id.0 as usize)
-            .is_some_and(|slot| slot.is_some())
+        let depth = self.nodes.depths.get(id.0 as usize);
+        depth.is_some_and(|&d| d != FREE)
+    }
+
+    /// The slot of a live node. Panics on a stale handle.
+    fn live(&self, id: KtNodeId) -> usize {
+        assert!(self.contains(id), "stale KT node handle");
+        id.0 as usize
     }
 
     /// Access a node. Panics on a stale handle.
-    pub fn node(&self, id: KtNodeId) -> &KtNode {
-        self.nodes[id.0 as usize]
-            .as_ref()
-            .expect("stale KT node handle")
+    pub fn node(&self, id: KtNodeId) -> KtNode<'_> {
+        self.nodes.node(self.live(id), self.k)
     }
 
-    /// Write access to a node; drops the derived data.
-    fn node_mut(&mut self, id: KtNodeId) -> &mut KtNode {
+    /// The child of `id` on part `i`.
+    fn child(&self, id: KtNodeId, i: usize) -> Option<KtNodeId> {
+        handle(self.nodes.kids[id.0 as usize * self.k + i])
+    }
+
+    // The writers of a live node; each drops the derived data.
+
+    fn set_host(&mut self, id: KtNodeId, host: VsId) {
+        let slot = self.live(id);
         self.derived.take();
-        self.nodes[id.0 as usize]
-            .as_mut()
-            .expect("stale KT node handle")
+        self.nodes.recs[slot].host = host.0;
+    }
+
+    fn set_parent(&mut self, id: KtNodeId, parent: Option<KtNodeId>) {
+        let slot = self.live(id);
+        self.derived.take();
+        self.nodes.recs[slot].parent = raw(parent);
+    }
+
+    fn set_child(&mut self, id: KtNodeId, i: usize, child: Option<KtNodeId>) {
+        let slot = self.live(id);
+        self.derived.take();
+        self.nodes.kids[slot * self.k + i] = raw(child);
+    }
+
+    fn set_depth(&mut self, id: KtNodeId, depth: u32) {
+        let slot = self.live(id);
+        self.derived.take();
+        self.nodes.depths[slot] = depth_byte(depth);
     }
 
     /// Height of the tree: number of levels (a lone root has height 1).
     pub fn height(&self) -> u32 {
-        self.iter_ids()
-            .map(|id| self.node(id).depth + 1)
-            .max()
-            .unwrap_or(0)
+        let deepest = self.nodes.depths.iter().filter(|&&d| d != FREE).max();
+        deepest.map_or(0, |&d| u32::from(d) + 1)
     }
 
-    /// Iterates live node handles in arbitrary order.
+    /// Iterates live node handles in ascending slot order.
     pub fn iter_ids(&self) -> impl Iterator<Item = KtNodeId> + '_ {
-        self.nodes
-            .iter()
-            .enumerate()
-            .filter_map(|(i, n)| n.as_ref().map(|_| KtNodeId(i as u32)))
+        let live = |(slot, &d): (usize, &u8)| (d != FREE).then_some(KtNodeId(slot as u32));
+        self.nodes.depths.iter().enumerate().filter_map(live)
     }
 
     /// Live node handles grouped by depth, deepest level last; within a
     /// level in ascending slot order.
-    pub fn levels(&self) -> &[Vec<KtNodeId>] {
-        &self.derived().levels
-    }
-
-    /// All leaves.
-    pub fn leaves(&self) -> Vec<KtNodeId> {
-        self.iter_ids()
-            .filter(|&id| self.node(id).is_leaf())
-            .collect()
+    pub fn levels(&self) -> impl DoubleEndedIterator<Item = &[KtNodeId]> + ExactSizeIterator {
+        let derived = self.derived();
+        derived
+            .level_starts
+            .windows(2)
+            .map(|w| &derived.level_slots[w[0]..w[1]])
     }
 
     /// The *report target* of a virtual server: the deepest KT node on the
@@ -606,19 +715,39 @@ impl KTree {
     /// through a KT node planted in it" (§3.2) always holds.
     pub fn report_target(&self, net: &ChordNetwork, vs: VsId) -> KtNodeId {
         let pos = net.vs(vs).position;
-        let mut cur = self.root;
-        while let Some(child) = self.child_towards(cur, pos) {
-            cur = child;
+        let mut at = (self.root, self.node(self.root).region());
+        while let Some(below) = self.child_towards(at, pos) {
+            at = below;
         }
-        cur
+        at.0
     }
 
-    /// One step of the descent towards `pos`: the child of `id` planted on
-    /// the part of its region that holds `pos`, if that part has a subtree.
-    fn child_towards(&self, id: KtNodeId, pos: Id) -> Option<KtNodeId> {
-        let node = self.node(id);
-        let part = (0..self.k).find(|&i| node.region.child(i, self.k).contains(pos))?;
-        node.children[part]
+    /// One step of the descent towards `pos` from a node whose region the
+    /// caller carried down from the root: the child planted on the part
+    /// that holds `pos`, if that part has a subtree, and the part. A listed
+    /// child covers exactly its part of the parent's region, so the step
+    /// reads the child table and nothing else.
+    #[inline]
+    fn child_towards(&self, (id, region): (KtNodeId, Arc), pos: Id) -> Option<(KtNodeId, Arc)> {
+        let (i, part) = region.child_towards(pos, self.k);
+        Some((self.child(id, i)?, part))
+    }
+
+    /// [`Self::report_target`] reading every node's stored region instead
+    /// of carrying the root's down, kept as the reference of the
+    /// differential tests.
+    #[cfg(test)]
+    pub(crate) fn reference_report_target(&self, net: &ChordNetwork, vs: VsId) -> KtNodeId {
+        let pos = net.vs(vs).position;
+        let mut cur = self.root;
+        loop {
+            let region = self.node(cur).region();
+            let part = (0..self.k).find(|&i| region.child(i, self.k).contains(pos));
+            match part.and_then(|i| self.child(cur, i)) {
+                Some(child) => cur = child,
+                None => return cur,
+            }
+        }
     }
 
     /// [`Self::report_target`] of every virtual server of `vss`, in order.
@@ -635,17 +764,17 @@ impl KTree {
         net: &ChordNetwork,
         vss: impl IntoIterator<Item = VsId>,
     ) -> Vec<KtNodeId> {
-        let mut path = vec![self.root];
+        let mut path = vec![(self.root, self.node(self.root).region())];
         vss.into_iter()
             .map(|vs| {
                 let pos = net.vs(vs).position;
-                while path.len() > 1 && !self.node(path[path.len() - 1]).region.contains(pos) {
+                while path.len() > 1 && !path[path.len() - 1].1.contains(pos) {
                     path.pop();
                 }
-                while let Some(child) = self.child_towards(path[path.len() - 1], pos) {
-                    path.push(child);
+                while let Some(below) = self.child_towards(path[path.len() - 1], pos) {
+                    path.push(below);
                 }
-                path[path.len() - 1]
+                path[path.len() - 1].0
             })
             .collect()
     }
@@ -682,15 +811,17 @@ impl KTree {
         let mut born_free = self.free.clone();
         born_free.sort_unstable();
         let mut mutations = 0;
-        let live_bound = self.nodes.len();
+        let live_bound = self.slot_bound();
         count_visits(live_bound);
         for slot in 0..live_bound {
-            let Some(node) = &self.nodes[slot] else {
+            if self.nodes.depths[slot] == FREE {
                 continue;
-            };
+            }
             let id = KtNodeId(slot as u32);
-            let suspect =
-                self.is_flagged(id) || dirty.as_ref().is_none_or(|d| d.touches(&node.region));
+            let suspect = self.is_flagged(id)
+                || dirty
+                    .as_ref()
+                    .is_none_or(|d| d.touches(&self.nodes.recs[slot].region()));
             if !suspect || born_free.binary_search(&id.0).is_ok() {
                 continue;
             }
@@ -710,7 +841,7 @@ impl KTree {
         let snapshot: Vec<KtNodeId> = self.iter_ids().collect();
         for id in snapshot {
             // The node may have been pruned earlier in this very round.
-            if self.nodes[id.0 as usize].is_some() {
+            if self.contains(id) {
                 mutations += self.check_node(net, id);
             }
         }
@@ -720,43 +851,28 @@ impl KTree {
     /// One KT node's periodic check; returns the number of mutations.
     fn check_node(&mut self, net: &ChordNetwork, id: KtNodeId) -> usize {
         let mut mutations = 0;
-        let region = self.node(id).region;
+        let node = self.node(id);
+        let (region, planted, depth) = (node.region(), node.host(), node.depth());
         let host = Self::host_for(net, &region);
-        if self.node(id).host != host {
-            self.node_mut(id).host = host;
+        if planted != host {
+            self.set_host(id, host);
             mutations += 1;
         }
-        if Self::is_leaf_region(net, &region) {
-            // Leaf: prune any children.
-            for i in 0..self.k {
-                if let Some(child) = self.node(id).children[i] {
-                    self.prune(child);
-                    self.node_mut(id).children[i] = None;
-                    mutations += 1;
-                }
-            }
-            return mutations;
-        }
+        let leaf = Self::is_leaf_region(net, &region);
         for i in 0..self.k {
             let part = region.child(i, self.k);
-            let needed = !part.is_empty() && net.ring().count_in_at_most(&part, 1) >= 1;
-            let existing = self.node(id).children[i];
-            match (needed, existing) {
+            // A leaf prunes any children.
+            let needed = !leaf && !part.is_empty() && net.ring().count_in_at_most(&part, 1) >= 1;
+            match (needed, self.child(id, i)) {
                 (false, Some(child)) => {
                     self.prune(child);
-                    self.node_mut(id).children[i] = None;
+                    self.set_child(id, i, None);
                     mutations += 1;
                 }
                 (true, None) => {
-                    let depth = self.node(id).depth + 1;
-                    let child = self.alloc(KtNode {
-                        region: part,
-                        host: Self::host_for(net, &part),
-                        children: KtChildren::none(self.k),
-                        parent: Some(id),
-                        depth,
-                    });
-                    self.node_mut(id).children[i] = Some(child);
+                    let host = Self::host_for(net, &part);
+                    let child = self.alloc(&part, host, Some(id), depth + 1);
+                    self.set_child(id, i, Some(child));
                     // One level per round: the child's own check is due.
                     self.flag(child);
                     mutations += 1;
@@ -802,29 +918,33 @@ impl KTree {
     pub fn check_invariants(&self, net: &ChordNetwork) -> Result<(), String> {
         for id in self.iter_ids() {
             let node = self.node(id);
-            let host = Self::host_for(net, &node.region);
-            if node.host != host {
+            let region = node.region();
+            let host = Self::host_for(net, &region);
+            if node.host() != host {
                 return Err(format!(
                     "{id:?} hosted by {:?}, should be {host:?}",
-                    node.host
+                    node.host()
                 ));
             }
-            if Self::is_leaf_region(net, &node.region) {
+            if Self::is_leaf_region(net, &region) {
                 if !node.is_leaf() {
                     return Err(format!("{id:?} should be a leaf"));
                 }
                 continue;
             }
-            for i in 0..self.k {
-                let part = node.region.child(i, self.k);
+            for (i, child) in node.children().enumerate() {
+                let part = region.child(i, self.k);
                 let needed = !part.is_empty() && net.ring().count_in_at_most(&part, 1) >= 1;
-                match node.children[i] {
+                match child {
                     Some(child) => {
                         if !needed {
                             return Err(format!("{id:?} child {i} should be pruned"));
                         }
                         let c = self.node(child);
-                        if c.region != part || c.parent != Some(id) || c.depth != node.depth + 1 {
+                        if c.region() != part
+                            || c.parent() != Some(id)
+                            || c.depth() != node.depth() + 1
+                        {
                             return Err(format!("{id:?} child {i} metadata wrong"));
                         }
                     }
@@ -846,13 +966,12 @@ impl KTree {
     /// from the root until [`Self::repair`] runs. Panics on the root.
     pub fn inject_stale_parent(&mut self, child: KtNodeId, stale: KtNodeId) {
         assert!(child != self.root, "cannot orphan the root");
-        let real = self.node(child).parent.expect("non-root has a parent");
-        for slot in self.node_mut(real).children.iter_mut() {
-            if *slot == Some(child) {
-                *slot = None;
-            }
+        let real = self.node(child).parent().expect("non-root has a parent");
+        let listed = self.node(real).children().position(|c| c == Some(child));
+        if let Some(i) = listed {
+            self.set_child(real, i, None);
         }
-        self.node_mut(child).parent = Some(stale);
+        self.set_parent(child, Some(stale));
         // The real parent's next check regrows the emptied slot.
         self.flag(real);
         self.detached += 1;
@@ -919,7 +1038,7 @@ impl KTree {
         reachable[self.root.0 as usize] = true;
         queue.push_back(self.root);
         while let Some(id) = queue.pop_front() {
-            for &child in self.node(id).children.iter().flatten() {
+            for child in self.node(id).children().flatten() {
                 if !std::mem::replace(&mut reachable[child.0 as usize], true) {
                     queue.push_back(child);
                 }
@@ -932,16 +1051,11 @@ impl KTree {
         let orphan_roots: Vec<KtNodeId> = self
             .iter_ids()
             .filter(|&id| {
-                if reachable[id.0 as usize] {
-                    return false;
-                }
-                match self.node(id).parent {
-                    None => true,
-                    Some(p) => match &self.nodes[p.0 as usize] {
-                        None => true, // parent slot itself is gone
-                        Some(pn) => !pn.children.contains(&Some(id)),
-                    },
-                }
+                !reachable[id.0 as usize]
+                    && self.node(id).parent().is_none_or(|p| {
+                        // The parent slot itself may be gone.
+                        !self.contains(p) || self.node(p).children().all(|c| c != Some(id))
+                    })
             })
             .collect();
 
@@ -949,29 +1063,28 @@ impl KTree {
         let mut stats = RepairStats::default();
         let mut actions = Vec::with_capacity(orphan_roots.len());
         for orphan in orphan_roots {
-            let region = self.node(orphan).region;
+            let region = self.node(orphan).region();
             let slot = self.lookup_parent_slot(&region).filter(|&(p, i)| {
                 reachable[p.0 as usize]
-                    && self.node(p).children[i].is_none()
-                    && !Self::is_leaf_region(net, &self.node(p).region)
+                    && self.child(p, i).is_none()
+                    && !Self::is_leaf_region(net, &self.node(p).region())
             });
             match slot {
                 Some((p, i)) => {
-                    self.node_mut(p).children[i] = Some(orphan);
-                    self.node_mut(orphan).parent = Some(p);
+                    self.set_child(p, i, Some(orphan));
+                    self.set_parent(orphan, Some(p));
                     // The part may have emptied while the subtree was
                     // orphaned; the new parent's next check decides.
                     self.flag(p);
                     // Fix depths and extend reachability over the subtree.
-                    let base = self.node(p).depth + 1;
+                    let base = self.node(p).depth() + 1;
                     let mut fix = std::collections::VecDeque::new();
                     fix.push_back((orphan, base));
                     while let Some((id, depth)) = fix.pop_front() {
-                        self.node_mut(id).depth = depth;
+                        self.set_depth(id, depth);
                         reachable[id.0 as usize] = true;
-                        for &child in self.node(id).children.iter().flatten() {
-                            fix.push_back((child, depth + 1));
-                        }
+                        let below = self.node(id).children().flatten();
+                        fix.extend(below.map(|child| (child, depth + 1)));
                     }
                     stats.reattached += 1;
                     actions.push(RepairAction {
@@ -1036,45 +1149,38 @@ impl KTree {
     /// Root descent to the (node, child-slot) whose region subdivision is
     /// exactly `region` — the DHT-lookup analogue used by [`Self::repair`]
     /// (any peer can locate the root deterministically and walk down by key
-    /// region). `None` if the current tree shape has no such slot.
+    /// region). `None` if the current tree shape has no such slot. Parts
+    /// are disjoint, so only the one holding `region`'s center can be it.
     fn lookup_parent_slot(&self, region: &Arc) -> Option<(KtNodeId, usize)> {
         let pos = region.center();
-        let mut cur = self.root;
+        let (mut id, mut within) = (self.root, self.node(self.root).region());
         loop {
-            let node = self.node(cur);
-            let mut next = None;
-            for i in 0..self.k {
-                let part = node.region.child(i, self.k);
-                if part == *region {
-                    return Some((cur, i));
-                }
-                if part.contains(pos) {
-                    next = node.children[i];
-                    break;
-                }
+            let (i, part) = within.child_towards(pos, self.k);
+            if part == *region {
+                return Some((id, i));
             }
-            cur = next?;
+            (id, within) = (self.child(id, i)?, part);
         }
     }
 
     /// Number of nodes in the subtree rooted at `id`.
     fn subtree_len(&self, id: KtNodeId) -> usize {
-        1 + self
-            .node(id)
-            .children
-            .iter()
-            .flatten()
-            .map(|&c| self.subtree_len(c))
-            .sum::<usize>()
+        let below = self.node(id).children().flatten();
+        1 + below.map(|c| self.subtree_len(c)).sum::<usize>()
     }
 
-    /// Number of **inter-virtual-server messages** needed to reach each KT
-    /// node from the root along tree edges: an edge between KT nodes planted
-    /// in the *same* virtual server is free (intra-process). This is the
-    /// metric behind the paper's `O(log_K N)` bounds. Nodes the root cannot
-    /// reach (a subtree detached by a fault, until repair) have no entry.
-    pub fn message_depths(&self) -> &crate::KtNodeMap<u32> {
-        &self.derived().message_depths
+    /// Number of **inter-virtual-server messages** needed to reach the KT
+    /// node `id` from the root along tree edges: an edge between KT nodes
+    /// planted in the *same* virtual server is free (intra-process). This is
+    /// the metric behind the paper's `O(log_K N)` bounds. `None` for a node
+    /// the root cannot reach (a subtree detached by a fault, until repair)
+    /// and for a handle that names no live node.
+    pub fn message_depth(&self, id: KtNodeId) -> Option<u32> {
+        let depths = &self.derived().message_depths;
+        depths
+            .get(id.0 as usize)
+            .copied()
+            .filter(|&d| d != UNREACHED)
     }
 
     /// The largest message depth in the tree (`O(log_K N)` in expectation).
@@ -1086,56 +1192,60 @@ impl KTree {
         self.derived.get_or_init(|| self.derive())
     }
 
-    /// Live node handles by depth, slot-ascending within a depth.
-    fn group_by_depth(&self) -> Vec<Vec<KtNodeId>> {
-        let mut levels: Vec<Vec<KtNodeId>> = Vec::new();
-        for id in self.iter_ids() {
-            let d = self.node(id).depth as usize;
-            if levels.len() <= d {
-                levels.resize_with(d + 1, Vec::new);
-            }
-            levels[d].push(id);
-        }
-        levels
-    }
-
-    /// One pass over the arena groups the nodes by depth; one depth-first
-    /// walk from the root, children in part order, hands every node its
-    /// parent's message depth plus the hop to it. Builders allocate in that
-    /// same order, so on a tree that churn has not reshuffled the walk reads
-    /// the arena front to back.
+    /// A counting pass over the depth column groups the nodes by depth; one
+    /// depth-first walk from the root, children in part order, hands every
+    /// node its parent's message depth plus the hop to it. Builders allocate
+    /// in that same order, so on a tree that churn has not reshuffled the
+    /// walk reads the arena front to back.
     fn derive(&self) -> Derived {
-        let levels = self.group_by_depth();
-        let mut message_depths = crate::KtNodeMap::with_slot_bound(self.slot_bound());
+        let mut level_starts = vec![0usize; self.height() as usize + 1];
+        for &d in self.nodes.depths.iter().filter(|&&d| d != FREE) {
+            level_starts[usize::from(d) + 1] += 1;
+        }
+        for d in 1..level_starts.len() {
+            level_starts[d] += level_starts[d - 1];
+        }
+        let mut level_slots = vec![self.root; self.len()];
+        let mut next = level_starts.clone();
+        for id in self.iter_ids() {
+            let at = &mut next[usize::from(self.nodes.depths[id.0 as usize])];
+            level_slots[*at] = id;
+            *at += 1;
+        }
+
+        let mut message_depths = vec![UNREACHED; self.slot_bound()];
         let mut max_message_depth = 0;
         // (node, its parent's host, its parent's message depth)
-        let mut stack = vec![(self.root, self.node(self.root).host, 0u32)];
+        let mut stack = vec![(self.root, self.node(self.root).host(), 0u32)];
         while let Some((id, above_host, above)) = stack.pop() {
             let node = self.node(id);
-            let md = above + u32::from(node.host != above_host);
-            message_depths.insert(id, md);
+            let md = above + u32::from(node.host() != above_host);
+            message_depths[id.0 as usize] = md;
             max_message_depth = max_message_depth.max(md);
-            stack.extend(
-                node.children
-                    .iter()
-                    .rev()
-                    .flatten()
-                    .map(|&child| (child, node.host, md)),
-            );
+            let below = node.children().rev().flatten();
+            stack.extend(below.map(|child| (child, node.host(), md)));
         }
         Derived {
-            levels,
+            level_slots,
+            level_starts,
             message_depths,
             max_message_depth,
         }
     }
 
-    /// What [`Self::derive`] must equal, recomputed from the arena: the
-    /// breadth-first walk and the scan for its maximum that the depth-first
-    /// walk replaced, kept for the differential tests.
+    /// What [`Self::derive`] must equal, recomputed from the arena through
+    /// [`Self::node`]: one growing vector per level, the breadth-first walk
+    /// and the scan for its maximum, kept for the differential tests.
     #[cfg(test)]
     pub(crate) fn reference_derived(&self) -> (Vec<Vec<KtNodeId>>, crate::KtNodeMap<u32>, u32) {
-        let levels = self.group_by_depth();
+        let mut levels: Vec<Vec<KtNodeId>> = Vec::new();
+        for id in self.iter_ids() {
+            let d = self.node(id).depth() as usize;
+            if levels.len() <= d {
+                levels.resize_with(d + 1, Vec::new);
+            }
+            levels[d].push(id);
+        }
         let mut depths = crate::KtNodeMap::with_slot_bound(self.slot_bound());
         let mut queue = std::collections::VecDeque::new();
         depths.insert(self.root, 0u32);
@@ -1143,8 +1253,8 @@ impl KTree {
         while let Some(id) = queue.pop_front() {
             let md = depths[id];
             let node = self.node(id);
-            for &child in node.children.iter().flatten() {
-                let hop = u32::from(self.node(child).host != node.host);
+            for child in node.children().flatten() {
+                let hop = u32::from(self.node(child).host() != node.host());
                 depths.insert(child, md + hop);
                 queue.push_back(child);
             }
@@ -1158,11 +1268,11 @@ impl KTree {
     /// unexpanded.
     #[cfg(test)]
     fn grow_capped(&mut self, net: &ChordNetwork, id: KtNodeId, cap: Option<u32>) {
-        let region = self.node(id).region;
+        let region = self.node(id).region();
         if Self::is_leaf_region(net, &region) {
             return;
         }
-        let depth = self.node(id).depth + 1;
+        let depth = self.node(id).depth() + 1;
         if cap.is_some_and(|limit| depth > limit) {
             return;
         }
@@ -1171,36 +1281,48 @@ impl KTree {
             if part.is_empty() || net.ring().count_in_at_most(&part, 1) == 0 {
                 continue;
             }
-            let child = self.alloc(KtNode {
-                region: part,
-                host: Self::host_for(net, &part),
-                children: KtChildren::none(self.k),
-                parent: Some(id),
-                depth,
-            });
-            self.node_mut(id).children[i] = Some(child);
+            let host = Self::host_for(net, &part);
+            let child = self.alloc(&part, host, Some(id), depth);
+            self.set_child(id, i, Some(child));
             self.grow_capped(net, child, cap);
         }
     }
 
-    fn alloc(&mut self, node: KtNode) -> KtNodeId {
+    /// A new childless node in a recycled slot, or in a fresh one at the
+    /// arena's end. Panics when the arena has used up its handles.
+    fn alloc(
+        &mut self,
+        region: &Arc,
+        host: VsId,
+        parent: Option<KtNodeId>,
+        depth: u32,
+    ) -> KtNodeId {
+        let (rec, depth, k) = (Record::new(region, host, parent), depth_byte(depth), self.k);
+        let Arena { recs, kids, depths } = &mut self.nodes;
         if let Some(slot) = self.free.pop() {
-            self.nodes[slot as usize] = Some(node);
-            KtNodeId(slot)
-        } else {
-            self.nodes.push(Some(node));
-            KtNodeId((self.nodes.len() - 1) as u32)
+            let at = slot as usize;
+            (recs[at], depths[at]) = (rec, depth);
+            kids[at * k..][..k].fill(NONE);
+            return KtNodeId(slot);
         }
+        let fresh = u32::try_from(recs.len()).ok().filter(|&slot| slot != NONE);
+        let slot = fresh.expect("KT arena is out of u32 handles (u32::MAX means \"no node\")");
+        recs.push(rec);
+        depths.push(depth);
+        kids.extend(std::iter::repeat_n(NONE, k));
+        KtNodeId(slot)
     }
 
     /// Removes `id` and its whole subtree.
     fn prune(&mut self, id: KtNodeId) {
-        let children: Vec<KtNodeId> = self.node(id).children.iter().flatten().copied().collect();
-        for c in children {
-            self.prune(c);
+        let slot = self.live(id);
+        for i in 0..self.k {
+            if let Some(child) = self.child(id, i) {
+                self.prune(child);
+            }
         }
         self.derived.take();
-        self.nodes[id.0 as usize] = None;
+        self.nodes.depths[slot] = FREE;
         self.free.push(id.0);
         self.unflag(id);
     }
@@ -1208,8 +1330,24 @@ impl KTree {
     /// The arena as the differential tests compare it: every slot, and the
     /// free list in order.
     #[cfg(test)]
-    pub(crate) fn arena(&self) -> (&[Option<KtNode>], &[u32]) {
-        (&self.nodes, &self.free)
+    pub(crate) fn arena(&self) -> (Vec<Option<KtNode<'_>>>, &[u32]) {
+        let slot = |slot| Some(KtNodeId(slot as u32)).filter(|&id| self.contains(id));
+        let nodes = (0..self.slot_bound()).map(|s| slot(s).map(|id| self.node(id)));
+        (nodes.collect(), &self.free)
+    }
+
+    /// `region` through the arena's 8-byte form and back.
+    #[cfg(test)]
+    pub(crate) fn packed_region(region: &Arc) -> Arc {
+        Record::new(region, VsId(0), None).region()
+    }
+
+    /// What one arena slot costs across the three columns.
+    #[cfg(test)]
+    pub(crate) fn bytes_per_slot(&self) -> usize {
+        use std::mem::size_of_val;
+        let Arena { recs, kids, depths } = &self.nodes;
+        size_of_val(&recs[0]) + size_of_val(&kids[..self.k]) + size_of_val(&depths[0])
     }
 
     /// The ring state the tree was last checked against.

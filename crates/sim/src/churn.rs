@@ -327,7 +327,7 @@ mod tests {
         net.check_invariants().unwrap();
         // Every surviving VS has a self-hosted report target again.
         for (_, vs) in net.ring().iter() {
-            assert_eq!(tree.node(tree.report_target(&net, vs)).host, vs);
+            assert_eq!(tree.node(tree.report_target(&net, vs)).host(), vs);
         }
     }
 

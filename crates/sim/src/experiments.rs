@@ -1178,7 +1178,7 @@ pub fn fault_sweep(
         // Crash schedule for the aggregation window (the KT root's host
         // survives — in a real deployment a dead root is re-elected by the
         // deterministic root location rule before any phase starts).
-        let root_host = net.vs(tree.node(tree.root()).host).host;
+        let root_host = net.vs(tree.node(tree.root()).host()).host;
         let crashes = plan.crash_schedule(&net, root_host, 300);
         trace.count("crashed_peers", crashes.len() as u64);
 

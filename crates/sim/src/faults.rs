@@ -165,7 +165,7 @@ impl FaultPlan {
         use rand::seq::SliceRandom;
         let mut candidates: Vec<KtNodeId> = tree
             .iter_ids()
-            .filter(|&id| tree.node(id).depth >= 2)
+            .filter(|&id| tree.node(id).depth() >= 2)
             .collect();
         candidates.sort_unstable();
         let n = self.cfg.stale_parents.min(candidates.len());
@@ -803,7 +803,7 @@ mod tests {
         let oracle = prepared.oracle.as_ref().unwrap();
         let contributors = all_report_targets(prepared, tree);
         let mut plan = FaultPlan::new(cfg);
-        let root_host = prepared.net.vs(tree.node(tree.root()).host).host;
+        let root_host = prepared.net.vs(tree.node(tree.root()).host()).host;
         let crashes = plan.crash_schedule(&prepared.net, root_host, 300);
         let agg = simulate_aggregation_faulty(
             &prepared.net,
@@ -985,7 +985,7 @@ mod tests {
         // the root's: every root path changes.
         let oracle = prepared.oracle.as_ref().unwrap();
         let underlay = |p: PeerId| prepared.net.peer(p).underlay;
-        let root_peer = prepared.net.vs(tree.node(tree.root()).host).host;
+        let root_peer = prepared.net.vs(tree.node(tree.root()).host()).host;
         let far = *prepared
             .net
             .alive_peers()
@@ -994,8 +994,8 @@ mod tests {
             .unwrap();
         let hosts: Vec<_> = tree
             .iter_ids()
-            .filter(|&id| (1..=2).contains(&tree.node(id).depth))
-            .map(|id| tree.node(id).host)
+            .filter(|&id| (1..=2).contains(&tree.node(id).depth()))
+            .map(|id| tree.node(id).host())
             .collect();
         for vs in hosts {
             if prepared.net.vs(vs).host != far {
@@ -1028,7 +1028,7 @@ mod tests {
                 let root = tree.root();
                 tree.inject_stale_parent(child, root);
             }
-            let root_host = prepared.net.vs(tree.node(tree.root()).host).host;
+            let root_host = prepared.net.vs(tree.node(tree.root()).host()).host;
             let crashes = plan.crash_schedule(&prepared.net, root_host, 300);
             assert!(!crashes.is_empty());
             let mut contributors = all_report_targets(&prepared, &tree);

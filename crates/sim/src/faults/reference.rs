@@ -93,7 +93,7 @@ impl<'a> Run<'a> {
     }
 
     fn host(&self, id: KtNodeId) -> PeerId {
-        self.net.vs(self.tree.node(id).host).host
+        self.net.vs(self.tree.node(id).host()).host
     }
 
     fn alive_at(&self, id: KtNodeId, t: SimTime) -> bool {
@@ -101,7 +101,7 @@ impl<'a> Run<'a> {
     }
 
     fn edge_latency(&self, a: KtNodeId, b: KtNodeId) -> Result<SimTime, ProtocolError> {
-        let (child, parent) = if self.tree.node(a).parent == Some(b) {
+        let (child, parent) = if self.tree.node(a).parent() == Some(b) {
             (a, b)
         } else {
             (b, a)
@@ -180,7 +180,7 @@ impl<'a> Run<'a> {
     }
 
     fn on_ready(&mut self, node: KtNodeId, t: SimTime) {
-        match self.tree.node(node).parent {
+        match self.tree.node(node).parent() {
             Some(parent) => self.queue.schedule(
                 t,
                 Event::Send {
@@ -196,7 +196,7 @@ impl<'a> Run<'a> {
     fn edge_failed(&mut self, child: KtNodeId, fail_t: SimTime) {
         let (mut cur, mut t) = (child, fail_t);
         loop {
-            let Some(parent) = self.tree.node(cur).parent else {
+            let Some(parent) = self.tree.node(cur).parent() else {
                 self.timing.completion = self.timing.completion.max(t);
                 return;
             };
@@ -237,7 +237,7 @@ pub(crate) fn aggregation(
             if std::mem::replace(&mut active[id.0 as usize], true) {
                 break;
             }
-            cur = tree.node(id).parent;
+            cur = tree.node(id).parent();
         }
     }
     let mut distinct: Vec<KtNodeId> = contributors.to_vec();
@@ -245,7 +245,7 @@ pub(crate) fn aggregation(
     distinct.dedup();
 
     for slot in (0..bound).filter(|&slot| active[slot]) {
-        let children = tree.node(KtNodeId(slot as u32)).children.iter().flatten();
+        let children = tree.node(KtNodeId(slot as u32)).children().flatten();
         run.pending[slot] = children.filter(|c| active[c.0 as usize]).count() as u32;
     }
     for slot in (0..bound).filter(|&slot| active[slot]) {
@@ -289,7 +289,7 @@ pub(crate) fn aggregation(
         .iter()
         .filter(|&&c| {
             let mut cur = c;
-            while let Some(parent) = tree.node(cur).parent {
+            while let Some(parent) = tree.node(cur).parent() {
                 if !edge_delivered[cur.0 as usize] {
                     return false;
                 }
@@ -315,7 +315,7 @@ pub(crate) fn dissemination(
     let mut reached = 0usize;
 
     let fanout = |run: &mut Run<'_>, node: KtNodeId, t: SimTime| {
-        for &child in tree.node(node).children.iter().flatten() {
+        for child in tree.node(node).children().flatten() {
             run.queue.schedule(
                 t,
                 Event::Send {

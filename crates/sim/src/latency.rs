@@ -16,11 +16,11 @@ pub fn edge_latency(
     child: KtNodeId,
 ) -> u32 {
     let node = tree.node(child);
-    let Some(parent) = node.parent else {
+    let Some(parent) = node.parent() else {
         return 0;
     };
-    let child_peer = net.vs(node.host).host;
-    let parent_peer = net.vs(tree.node(parent).host).host;
+    let child_peer = net.vs(node.host()).host;
+    let parent_peer = net.vs(tree.node(parent).host()).host;
     if child_peer == parent_peer {
         return 0;
     }
@@ -46,7 +46,7 @@ pub fn root_path_latencies(
     queue.push_back(tree.root());
     while let Some(id) = queue.pop_front() {
         let base = out[id];
-        for &child in tree.node(id).children.iter().flatten() {
+        for child in tree.node(id).children().flatten() {
             let l = u64::from(edge_latency(net, oracle, tree, child));
             out.insert(child, base + l);
             queue.push_back(child);
@@ -82,7 +82,7 @@ mod tests {
         let lat = root_path_latencies(&prepared.net, oracle, &tree);
         assert_eq!(lat.len(), tree.len());
         for id in tree.iter_ids() {
-            if let Some(parent) = tree.node(id).parent {
+            if let Some(parent) = tree.node(id).parent() {
                 assert!(lat[&id] >= lat[&parent]);
             }
         }

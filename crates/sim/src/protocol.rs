@@ -142,10 +142,10 @@ impl ProtocolScratch {
                 continue;
             }
             let node = tree.node(id);
-            self.parent.push(node.parent.map_or(NIL, |p| p.0));
-            self.host_peer.push(net.vs(node.host).host.0);
+            self.parent.push(node.parent().map_or(NIL, |p| p.0));
+            self.host_peer.push(net.vs(node.host()).host.0);
             self.child_list
-                .extend(node.children.iter().flatten().map(|c| c.0));
+                .extend(node.children().flatten().map(|c| c.0));
             leaves += usize::from(self.child_list.len() == first_child);
         }
         self.child_start.push(self.child_list.len() as u32);

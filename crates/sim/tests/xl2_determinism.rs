@@ -183,7 +183,12 @@ fn sharded_tree_matches_serial_build_shape() {
             .iter_ids()
             .map(|id| {
                 let n = t.node(id);
-                (n.region.start().raw(), n.region.len(), n.host, n.depth)
+                (
+                    n.region().start().raw(),
+                    n.region().len(),
+                    n.host(),
+                    n.depth(),
+                )
             })
             .collect();
         v.sort();

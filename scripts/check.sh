@@ -24,7 +24,8 @@
 #                    parallel sections
 #   --profile-smoke  `xl2 --peers 16384 --profile` (virtual-time flamegraphs
 #                    and trace summary byte-identical, volatile artifacts
-#                    present; DESIGN.md §5c)
+#                    present, the `tree` phase within its allocation budget;
+#                    DESIGN.md §5c, §6b)
 #   --analyze-smoke  the committed engine scenario (profiled: `engine/des/*`
 #                    and `engine/round` phases present) against `gates/*.toml`
 #                    at 1, 2 and 8 analyzer threads (all pass, all
@@ -144,6 +145,13 @@ if [[ "$PROFILE_SMOKE" == "1" ]]; then
     echo "profile smoke: xl2 phase missing from resources.txt" >&2; exit 1; }
   grep -q "round/lbi" "$P1/flame.virt.folded" || {
     echo "profile smoke: round spans missing from the flamegraph" >&2; exit 1; }
+  # Allocation sizes are a pure function of the scenario, so the bytes the
+  # `tree` phase asks for guard the packed K-nary-tree arena (DESIGN.md §6b)
+  # without a million-peer run: 25 B for each of the 225,296 reserved slots
+  # plus the ring snapshot is 6.3 MB.
+  TREE_BYTES="$(awk '$1 == "tree" { print $NF; exit }' "$P1/resources.txt")"
+  [[ "$TREE_BYTES" -le 8000000 ]] || {
+    echo "profile smoke: the tree phase allocated $TREE_BYTES bytes (> 8,000,000)" >&2; exit 1; }
 fi
 
 if [[ "$ANALYZE_SMOKE" == "1" ]]; then

@@ -105,7 +105,7 @@ fn aggregation_latency_reflects_topology() {
     // Per-node path latencies are monotone toward leaves.
     let paths = root_path_latencies(&prepared.net, oracle, &tree);
     for id in tree.iter_ids() {
-        if let Some(parent) = tree.node(id).parent {
+        if let Some(parent) = tree.node(id).parent() {
             assert!(paths[&id] >= paths[&parent]);
         }
     }
@@ -155,7 +155,7 @@ fn tree_tracks_network_growth_incrementally() {
         tree.check_invariants(&net)
             .unwrap_or_else(|e| panic!("wave {wave}: {e}"));
         for (_, vs) in net.ring().iter() {
-            assert_eq!(tree.node(tree.report_target(&net, vs)).host, vs);
+            assert_eq!(tree.node(tree.report_target(&net, vs)).host(), vs);
         }
     }
 }
