@@ -144,8 +144,8 @@ fn bench_des_queue(c: &mut Criterion) {
             queue.schedule(delay(&mut rng), i as u32);
         }
         b.iter(|| {
-            let (_, event) = queue.pop().expect("the hold model keeps the depth");
-            queue.schedule_in(delay(&mut rng), event);
+            let (now, event) = queue.pop().expect("the hold model keeps the depth");
+            queue.schedule(now + delay(&mut rng), event);
             std::hint::black_box(event)
         });
     });

@@ -391,6 +391,44 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
     if args.analyze && args.gates.is_none() && args.out.is_some() {
         return Err("--out only applies with --gates (the summary goes to stdout)".into());
     }
+    if args.epochs == Some(0) {
+        return Err("--epochs must be >= 1".into());
+    }
+    // A flag the selected phase would ignore is an error, not a no-op.
+    let runs_grid = grid && !args.engine && !xl && !args.analyze;
+    let ignored = [
+        (
+            args.epochs.is_some() && !args.engine,
+            "--epochs only applies to repro engine",
+        ),
+        (
+            (args.peers.is_some() || args.exact) && args.scale != Scale::Xl2,
+            "--peers and --exact only apply to repro xl2",
+        ),
+        (
+            args.faults.is_some() && (xl || args.engine),
+            "--faults does not combine with xl, xl2 or engine",
+        ),
+        (
+            args.timing && !runs_grid,
+            "--timing only applies to the figure/claim grid",
+        ),
+        (
+            args.json.is_some() && args.faults.is_some() && !grid,
+            "--json has nothing to write for a faults-only run (the sweep's entry goes to BENCH_repro.json)",
+        ),
+        (
+            args.gates.is_some() && !args.analyze,
+            "--gates only applies to repro analyze",
+        ),
+        (
+            (args.trace.is_some() || args.profile.is_some()) && args.analyze,
+            "--trace and --profile do not apply to repro analyze",
+        ),
+    ];
+    if let Some((_, e)) = ignored.iter().find(|(bad, _)| *bad) {
+        return Err(e.to_string());
+    }
     Ok(args)
 }
 

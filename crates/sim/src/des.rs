@@ -1,6 +1,6 @@
 //! A minimal discrete-event engine: a time-ordered queue with stable FIFO
-//! tie-breaking, used by the churn simulation and the message-level
-//! simulation of the tree protocols.
+//! tie-breaking, driven by [`crate::faults`]' message-level simulation of
+//! the tree protocols, plus the retry schedule its senders follow.
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
@@ -199,11 +199,6 @@ impl<E> EventQueue<E> {
         self.high_water = self.high_water.max(self.len());
     }
 
-    /// Schedules `event` `delay` units from now.
-    pub fn schedule_in(&mut self, delay: SimTime, event: E) {
-        self.schedule(self.now + delay, event);
-    }
-
     /// Appends `event` to the bucket of instant `at`, which the window
     /// covers.
     fn append(&mut self, at: SimTime, event: E) {
@@ -256,15 +251,6 @@ impl<E> EventQueue<E> {
         (bucket, self.now + ahead as SimTime)
     }
 
-    /// Timestamp of the next event, if any.
-    fn next_time(&self) -> Option<SimTime> {
-        if self.in_window > 0 {
-            Some(self.first_occupied().1)
-        } else {
-            self.overflow.peek().map(|e| e.time)
-        }
-    }
-
     /// Moves the clock to `t` and every overflow event the window now
     /// covers into its bucket, in `(time, seq)` order.
     fn advance_to(&mut self, t: SimTime) {
@@ -303,24 +289,6 @@ impl<E> EventQueue<E> {
             self.advance_to(t);
         }
         Some((t, event))
-    }
-
-    /// Drains events until the queue is empty or `horizon` is passed,
-    /// calling `handler` for each. Events the handler schedules are
-    /// processed too (if within the horizon). Returns the number of events
-    /// processed.
-    pub fn run_until(
-        &mut self,
-        horizon: SimTime,
-        mut handler: impl FnMut(&mut Self, SimTime, E),
-    ) -> usize {
-        let mut processed = 0;
-        while self.next_time().is_some_and(|t| t <= horizon) {
-            let (t, ev) = self.pop().expect("a next time means an event");
-            handler(self, t, ev);
-            processed += 1;
-        }
-        processed
     }
 }
 
@@ -378,20 +346,6 @@ impl<E> HeapQueue<E> {
             self.now = e.time;
             (e.time, e.event)
         })
-    }
-
-    pub(crate) fn run_until(
-        &mut self,
-        horizon: SimTime,
-        mut handler: impl FnMut(&mut Self, SimTime, E),
-    ) -> usize {
-        let mut processed = 0;
-        while self.heap.peek().is_some_and(|e| e.time <= horizon) {
-            let (t, ev) = self.pop().expect("peeked");
-            handler(self, t, ev);
-            processed += 1;
-        }
-        processed
     }
 }
 
@@ -492,30 +446,20 @@ mod tests {
                         }
                     }
                     98 => {
-                        // Horizon runs whose handler schedules at the
-                        // instant being drained and beyond the window.
-                        let horizon = q.now() + random_delay(&mut rng);
-                        let mut seen = (Vec::new(), Vec::new());
-                        let mut cascade = id;
-                        let n = q.run_until(horizon, |q, t, ev| {
-                            seen.0.push((t, ev));
-                            if ev % 3 == 0 {
-                                q.schedule(t, cascade);
-                                q.schedule_in(WINDOW as SimTime + 1, cascade + 1);
-                                cascade += 2;
+                        // Pops that schedule at the instant being drained
+                        // and beyond the window.
+                        for _ in 0..rng.gen_range(1..8) {
+                            let popped = q.pop();
+                            assert_eq!(popped, h.pop(), "seed {seed}, step {step}");
+                            let Some((t, _)) = popped.filter(|(_, ev)| ev % 3 == 0) else {
+                                continue;
+                            };
+                            for (at, cascade) in [(t, id), (t + WINDOW as SimTime + 1, id + 1)] {
+                                q.schedule(at, cascade);
+                                h.schedule(at, cascade);
                             }
-                        });
-                        let mut cascade = id;
-                        let m = h.run_until(horizon, |h, t, ev| {
-                            seen.1.push((t, ev));
-                            if ev % 3 == 0 {
-                                h.schedule(t, cascade);
-                                h.schedule(t + WINDOW as SimTime + 1, cascade + 1);
-                                cascade += 2;
-                            }
-                        });
-                        id = cascade;
-                        assert_eq!((n, &seen.0), (m, &seen.1), "seed {seed}, step {step}");
+                            id += 2;
+                        }
                     }
                     _ => {
                         q.reset();
@@ -564,21 +508,5 @@ mod tests {
         assert_eq!(p.timeout_after(2), 120);
         // Saturates instead of overflowing.
         assert_eq!(p.timeout_after(200), SimTime::MAX);
-    }
-
-    #[test]
-    fn run_until_respects_horizon_and_cascades() {
-        let mut q = EventQueue::new();
-        q.schedule(1, 0u32);
-        let mut seen = Vec::new();
-        let n = q.run_until(5, |q, t, depth| {
-            seen.push((t, depth));
-            if depth < 10 {
-                q.schedule_in(2, depth + 1); // cascade: 1, 3, 5, (7 beyond)
-            }
-        });
-        assert_eq!(n, 3);
-        assert_eq!(seen, vec![(1, 0), (3, 1), (5, 2)]);
-        assert_eq!(q.len(), 1); // the event at t=7 remains
     }
 }

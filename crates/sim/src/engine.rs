@@ -3,16 +3,14 @@
 //! shared virtual clock.
 //!
 //! The paper describes periodic LBI reporting and an emergency re-balancing
-//! trigger (§3.2) but evaluates only one-shot passes; the dynamics live in
-//! three disjoint experiment drivers ([`crate::churn`], [`crate::drift`],
-//! [`crate::faults`]). This module composes them: time is divided into
-//! **epochs** of [`EngineConfig::epoch_len`] virtual-time units, every
-//! epoch each pluggable [`EventSource`] perturbs the [`World`] (joins,
-//! crashes, load drift, stale tree links), the K-nary tree is repaired on a
-//! maintenance cadence, and the four-phase balancer runs **incrementally**
-//! ([`proxbal_core::LoadBalancer::run_round`]) on the balancing cadence —
-//! or immediately, when any node's unit load crosses the emergency
-//! threshold between rounds.
+//! trigger (§3.2) but evaluates only one-shot passes. This module is the
+//! one loop that runs the dynamics: time is divided into **epochs** of
+//! `EPOCH_LEN` = 10 virtual-time units, every epoch each pluggable
+//! [`EventSource`] perturbs the [`World`] (joins, crashes, load drift, stale
+//! tree links), the K-nary tree is repaired, and the four-phase balancer
+//! runs **incrementally** ([`proxbal_core::LoadBalancer::run_round`]) on
+//! the balancing cadence — or immediately, when any node's unit load
+//! crosses `EMERGENCY_THRESHOLD` = 4 × the system target between rounds.
 //!
 //! # Determinism contract
 //!
@@ -33,9 +31,9 @@ use crate::protocol::{ProtocolError, ProtocolScratch};
 use crate::Prepared;
 use proxbal_chord::{ChordNetwork, PeerId};
 use proxbal_core::{
-    total_moved_load, DirtySet, Error, LoadBalancer, LoadState, RoundCache, RoundWalls, Underlay,
+    total_moved_load, DirtySet, Error, LoadBalancer, LoadState, RoundCache, RoundWalls,
 };
-use proxbal_ktree::{KTree, KtNodeId, RepairStats};
+use proxbal_ktree::{KTree, KtNodeId};
 use proxbal_profile::{phase, NullSink, ProgressSink};
 use proxbal_trace::Trace;
 use serde::{Deserialize, Serialize};
@@ -50,28 +48,26 @@ pub const DRIFT_LABEL: u64 = 0xD21F_0002;
 /// exact stream against a one-shot [`LoadBalancer::run_round`].
 pub const BALANCE_LABEL: u64 = 0xE791_E003;
 
-/// Scheduling knobs of the continuous-operation engine. Epoch counts and
-/// intervals are in epochs; one epoch spans `epoch_len` virtual-time units
-/// (the window the Poisson churn clocks against).
+/// Virtual-time units per epoch: the window the Poisson churn clocks
+/// against.
+const EPOCH_LEN: u64 = 10;
+/// Emergency trigger: balance immediately when any node's unit load
+/// `L_i/C_i` exceeds this multiple of the system target `L/C` — the
+/// paper's "emergency load balancing … invoked on demand" (§3.2).
+const EMERGENCY_THRESHOLD: f64 = 4.0;
+/// Extra same-epoch passes while heavy nodes remain (each pass marks its
+/// transfer participants dirty and re-runs).
+const MAX_EMERGENCY_PASSES: usize = 4;
+
+/// Scheduling knobs of the continuous-operation engine, in epochs. The
+/// K-nary tree is repaired every epoch.
 #[derive(Clone, Copy, Debug, Serialize, Deserialize)]
 pub struct EngineConfig {
     /// Number of epochs to run.
     pub epochs: usize,
-    /// Virtual-time units per epoch.
-    pub epoch_len: u64,
     /// Run the balancer every this many epochs (plus emergencies, plus a
     /// forced final pass on the last epoch).
     pub balance_interval: usize,
-    /// Repair the K-nary tree every this many epochs. Balancing rounds
-    /// also bring the tree up to date, so this only matters between them.
-    pub maintenance_interval: usize,
-    /// Emergency trigger: balance immediately when any node's unit load
-    /// `L_i/C_i` exceeds this multiple of the system target `L/C` —
-    /// the paper's "emergency load balancing … invoked on demand" (§3.2).
-    pub emergency_threshold: f64,
-    /// Extra same-epoch passes while heavy nodes remain (each pass marks
-    /// its transfer participants dirty and re-runs). `0` = single pass.
-    pub max_emergency_passes: usize,
     /// Inject the fault plan's stale tree links every this many epochs
     /// (`0` = only once, before the first epoch). Ignored without faults.
     pub stale_link_interval: usize,
@@ -81,11 +77,7 @@ impl Default for EngineConfig {
     fn default() -> Self {
         EngineConfig {
             epochs: 50,
-            epoch_len: 10,
             balance_interval: 5,
-            maintenance_interval: 1,
-            emergency_threshold: 4.0,
-            max_emergency_passes: 4,
             stale_link_interval: 10,
         }
     }
@@ -96,21 +88,8 @@ impl EngineConfig {
         if self.epochs == 0 {
             return Err(Error::InvalidEngineConfig("epochs must be >= 1"));
         }
-        if self.epoch_len == 0 {
-            return Err(Error::InvalidEngineConfig("epoch_len must be >= 1"));
-        }
         if self.balance_interval == 0 {
             return Err(Error::InvalidEngineConfig("balance_interval must be >= 1"));
-        }
-        if self.maintenance_interval == 0 {
-            return Err(Error::InvalidEngineConfig(
-                "maintenance_interval must be >= 1",
-            ));
-        }
-        if self.emergency_threshold.is_nan() || self.emergency_threshold <= 0.0 {
-            return Err(Error::InvalidEngineConfig(
-                "emergency_threshold must be positive",
-            ));
         }
         Ok(())
     }
@@ -312,6 +291,7 @@ pub fn run_engine_with(
             .unwrap_or_default();
         sources.push(Box::new(ChurnSource::new(
             churn,
+            scenario.vs_per_peer,
             scenario.capacity.clone(),
             scenario.load,
             attach_pool,
@@ -361,7 +341,7 @@ pub fn run_engine_with(
     for epoch in 0..cfg.epochs {
         let mut tr = Trace::new(trace.is_enabled(), "");
         tr.relabel(&format!("epoch{epoch}"));
-        let clock = epoch as u64 * cfg.epoch_len;
+        let clock = epoch as u64 * EPOCH_LEN;
 
         // 1. Event sources, in registration order.
         let prof = phase("engine/sources");
@@ -374,43 +354,34 @@ pub fn run_engine_with(
                 dirty: &mut dirty,
             };
             for s in &mut sources {
-                activity.merge(s.on_epoch(epoch, cfg.epoch_len, &mut world));
+                activity.merge(s.on_epoch(epoch, EPOCH_LEN, &mut world));
             }
         }
         drop(prof);
 
-        // 2. Tree maintenance on its own cadence (balancing rounds also
-        // repair, so this covers the quiet epochs in between).
+        // 2. Tree maintenance, every epoch (balancing rounds also repair,
+        // so this covers the quiet epochs in between).
         let prof = phase("engine/repair");
-        let mut repair = RepairStats {
-            reattached: 0,
-            pruned: 0,
-            rounds: 0,
-        };
         if activity.crashes > 0 || activity.stale_links > 0 {
             retained.clear();
         }
-        if (epoch + 1) % cfg.maintenance_interval == 0 {
-            let (stats, actions) =
-                tree.repair_traced_with_actions(&prepared.net, 256, clock, &mut tr);
-            repair = stats;
-            let reorphaned = actions
-                .iter()
-                .filter(|a| retained.contains(&a.slot))
-                .count();
-            if reorphaned > 0 {
-                tr.count("kt_reorphaned", reorphaned as u64);
-            }
-            retained.extend(actions.iter().filter(|a| a.reattached).map(|a| a.slot));
-            // Debug builds audit every repair (the engine tests run in
-            // debug); release runs pay nothing.
-            debug_assert_eq!(
-                tree.check_invariants(&prepared.net),
-                Ok(()),
-                "epoch {epoch}"
-            );
-            debug_assert_eq!(prepared.net.check_invariants(), Ok(()), "epoch {epoch}");
+        let (repair, actions) = tree.repair_traced_with_actions(&prepared.net, 256, clock, &mut tr);
+        let reorphaned = actions
+            .iter()
+            .filter(|a| retained.contains(&a.slot))
+            .count();
+        if reorphaned > 0 {
+            tr.count("kt_reorphaned", reorphaned as u64);
         }
+        retained.extend(actions.iter().filter(|a| a.reattached).map(|a| a.slot));
+        // Debug builds audit every repair (the engine tests run in debug);
+        // release runs pay nothing.
+        debug_assert_eq!(
+            tree.check_invariants(&prepared.net),
+            Ok(()),
+            "epoch {epoch}"
+        );
+        debug_assert_eq!(prepared.net.check_invariants(), Ok(()), "epoch {epoch}");
         drop(prof);
 
         // 3. Emergency check against ground truth — the engine's stand-in
@@ -430,7 +401,7 @@ pub fn run_engine_with(
             .iter()
             .map(|&p| prepared.loads.unit_load(&prepared.net, p))
             .fold(0.0_f64, f64::max);
-        let emergency = target_unit > 0.0 && max_unit > cfg.emergency_threshold * target_unit;
+        let emergency = target_unit > 0.0 && max_unit > EMERGENCY_THRESHOLD * target_unit;
         let scheduled = (epoch + 1) % cfg.balance_interval == 0;
         let last = epoch + 1 == cfg.epochs;
         let do_balance = scheduled || emergency || last;
@@ -465,17 +436,7 @@ pub fn run_engine_with(
             }
 
             let _prof = phase("engine/round");
-            let underlay = prepared.oracle.as_ref().map(|oracle| Underlay {
-                oracle,
-                latency_oracle: prepared.latency_oracle.as_ref(),
-                landmarks: &prepared.landmarks,
-                approx: prepared.hop_landmarks.as_ref().map(|landmarks| {
-                    proxbal_core::ApproxTransfer {
-                        landmarks,
-                        refine_sources: prepared.scenario.refine_sources,
-                    }
-                }),
-            });
+            let (net, loads, underlay) = prepared.split();
             // A cold cache means every peer reports fresh regardless of the
             // dirty set; say so explicitly so the message accounting matches
             // a one-shot run.
@@ -488,8 +449,8 @@ pub fn run_engine_with(
             loop {
                 passes += 1;
                 let round = balancer.run_round(
-                    &mut prepared.net,
-                    &mut prepared.loads,
+                    net,
+                    loads,
                     &mut tree,
                     underlay,
                     &mut cache,
@@ -510,9 +471,8 @@ pub fn run_engine_with(
                     participants.insert(t.assignment.from);
                     participants.insert(t.assignment.to);
                 }
-                let done = heavy_after == 0
-                    || participants.is_empty()
-                    || passes > cfg.max_emergency_passes;
+                let done =
+                    heavy_after == 0 || participants.is_empty() || passes > MAX_EMERGENCY_PASSES;
                 // Transfer participants changed load: they re-report at the
                 // next pass (or the next epoch's round).
                 dirty = participants.clone();
@@ -540,7 +500,7 @@ pub fn run_engine_with(
         tr.span_args(
             "engine/epoch",
             clock,
-            cfg.epoch_len,
+            EPOCH_LEN,
             &[
                 ("joins", activity.joins.into()),
                 ("crashes", activity.crashes.into()),

@@ -38,32 +38,10 @@ pub fn fig4_unit_load_traced(prepared: &mut Prepared, trace: &mut Trace) -> Fig4
         .collect();
 
     let balancer = LoadBalancer::new(prepared.scenario.balancer);
-    // Field-wise borrow (not `prepared.underlay()`) so `net`/`loads` can be
-    // borrowed mutably at the same time.
-    let underlay = prepared
-        .oracle
-        .as_ref()
-        .map(|oracle| proxbal_core::Underlay {
-            oracle,
-            latency_oracle: prepared.latency_oracle.as_ref(),
-            landmarks: &prepared.landmarks,
-            approx: prepared
-                .hop_landmarks
-                .as_ref()
-                .map(|landmarks| proxbal_core::ApproxTransfer {
-                    landmarks,
-                    refine_sources: prepared.scenario.refine_sources,
-                }),
-        });
     let mut rng = prepared.derived_rng(4);
+    let (net, loads, underlay) = prepared.split();
     let report = balancer
-        .run_traced(
-            &mut prepared.net,
-            &mut prepared.loads,
-            underlay,
-            &mut rng,
-            trace,
-        )
+        .run_traced(net, loads, underlay, &mut rng, trace)
         .expect("attached network");
 
     let after: Vec<f64> = peers
@@ -121,30 +99,10 @@ pub fn fig56_class_loads_traced(prepared: &mut Prepared, trace: &mut Trace) -> C
 
     let before = collect(prepared);
     let balancer = LoadBalancer::new(prepared.scenario.balancer);
-    let underlay = prepared
-        .oracle
-        .as_ref()
-        .map(|oracle| proxbal_core::Underlay {
-            oracle,
-            latency_oracle: prepared.latency_oracle.as_ref(),
-            landmarks: &prepared.landmarks,
-            approx: prepared
-                .hop_landmarks
-                .as_ref()
-                .map(|landmarks| proxbal_core::ApproxTransfer {
-                    landmarks,
-                    refine_sources: prepared.scenario.refine_sources,
-                }),
-        });
     let mut rng = prepared.derived_rng(56);
+    let (net, loads, underlay) = prepared.split();
     let report = balancer
-        .run_traced(
-            &mut prepared.net,
-            &mut prepared.loads,
-            underlay,
-            &mut rng,
-            trace,
-        )
+        .run_traced(net, loads, underlay, &mut rng, trace)
         .expect("attached network");
     let after = collect(prepared);
 
@@ -1011,21 +969,6 @@ pub fn xl2_scale(
         tree.len()
     ));
 
-    // Field-level borrows: the underlay reads oracle/landmark state while
-    // the balancer mutates the (disjoint) overlay and load state in place.
-    let underlay = proxbal_core::Underlay {
-        oracle: prepared.oracle.as_ref().expect("xl2 runs over a topology"),
-        latency_oracle: prepared.latency_oracle.as_ref(),
-        landmarks: &prepared.landmarks,
-        approx: prepared
-            .hop_landmarks
-            .as_ref()
-            .map(|landmarks| proxbal_core::ApproxTransfer {
-                landmarks,
-                refine_sources: prepared.scenario.refine_sources,
-            }),
-    };
-
     let t = std::time::Instant::now();
     let mut child = Trace::new(trace.is_enabled(), "aware");
     let cfg = BalancerConfig {
@@ -1035,11 +978,13 @@ pub fn xl2_scale(
     // Label 78 = aware, matching the xl / Figure-7 RNG stream naming.
     let mut rng = prepared.derived_rng(78);
     let mut walls = proxbal_core::RoundWalls::default();
+    let (net, loads, underlay) = prepared.split();
+    let underlay = underlay.expect("xl2 runs over a topology");
     let report = LoadBalancer::new(cfg)
         .with_threads(threads)
         .run_with_tree_walls(
-            &mut prepared.net,
-            &mut prepared.loads,
+            net,
+            loads,
             &mut tree,
             Some(underlay),
             &mut rng,
@@ -1146,8 +1091,7 @@ pub fn fault_sweep(
     progress: &dyn ProgressSink,
 ) -> Vec<FaultSweepRow> {
     use crate::des::RetryPolicy;
-    use crate::faults::{simulate_aggregation_faulty_traced, simulate_dissemination_faulty_traced};
-    use crate::faults::{FaultConfig, FaultPlan};
+    use crate::faults::{run_aggregation, run_dissemination, FaultConfig, FaultPlan};
     use crate::protocol::ProtocolScratch;
     use proxbal_core::reports::{ignorant_inputs, light_slots, shed_candidates};
     use proxbal_core::{execute_transfers_with_requeue, run_vsa, Classification, VsaParams};
@@ -1184,16 +1128,15 @@ pub fn fault_sweep(
 
         // Phase 1 under faults, over the pre-crash membership snapshot.
         let contributors = tree.report_targets(&net, net.ring().iter().map(|(_, vs)| vs));
+        let retry = RetryPolicy::protocol_default();
         let mut scratch = ProtocolScratch::new();
-        let agg = simulate_aggregation_faulty_traced(
-            &net,
-            &tree,
-            oracle,
+        scratch.bind(&net, &tree, oracle);
+        let agg = run_aggregation(
+            &mut scratch,
             &contributors,
             &mut plan,
-            RetryPolicy::protocol_default(),
+            retry,
             &crashes,
-            &mut scratch,
             trace,
         )
         .expect("scenario peers are attached");
@@ -1219,17 +1162,9 @@ pub fn fault_sweep(
 
         // Phase 2 under message faults over the repaired tree (the crashed
         // peers are gone from it, so no crash schedule here).
-        let dis = simulate_dissemination_faulty_traced(
-            &net,
-            &tree,
-            oracle,
-            &mut plan,
-            RetryPolicy::protocol_default(),
-            &[],
-            &mut scratch,
-            trace,
-        )
-        .expect("scenario peers are attached");
+        scratch.bind(&net, &tree, oracle);
+        let dis = run_dissemination(&mut scratch, &mut plan, retry, &[], trace)
+            .expect("scenario peers are attached");
         trace.span_args(
             "des/dissemination",
             clock,

@@ -429,7 +429,7 @@ impl<'a> FaultRun<'a> {
 /// completion time equals the analytic maximum root-path latency over the
 /// contributing nodes.
 ///
-/// Shorthand for [`ProtocolScratch::bind`] + [`run_aggregation`] without a
+/// [`ProtocolScratch::bind`] to `tree`, then [`run_aggregation`] without a
 /// trace.
 #[allow(clippy::too_many_arguments)]
 pub fn simulate_aggregation_faulty(
@@ -442,35 +442,9 @@ pub fn simulate_aggregation_faulty(
     crashes: &[(SimTime, PeerId)],
     scratch: &mut ProtocolScratch,
 ) -> Result<FaultPhaseOutcome, ProtocolError> {
-    let mut trace = Trace::disabled();
-    simulate_aggregation_faulty_traced(
-        net,
-        tree,
-        oracle,
-        contributors,
-        plan,
-        retry,
-        crashes,
-        scratch,
-        &mut trace,
-    )
-}
-
-/// [`ProtocolScratch::bind`] to `tree`, then [`run_aggregation`].
-#[allow(clippy::too_many_arguments)]
-pub fn simulate_aggregation_faulty_traced(
-    net: &ChordNetwork,
-    tree: &KTree,
-    oracle: &DistanceOracle,
-    contributors: &[KtNodeId],
-    plan: &mut FaultPlan,
-    retry: RetryPolicy,
-    crashes: &[(SimTime, PeerId)],
-    scratch: &mut ProtocolScratch,
-    trace: &mut Trace,
-) -> Result<FaultPhaseOutcome, ProtocolError> {
     scratch.bind(net, tree, oracle);
-    run_aggregation(scratch, contributors, plan, retry, crashes, trace)
+    let mut trace = Trace::disabled();
+    run_aggregation(scratch, contributors, plan, retry, crashes, &mut trace)
 }
 
 /// The aggregation over the tree `scratch` is bound to (see
@@ -598,7 +572,7 @@ pub fn run_aggregation(
 /// subtree (no upstream propagation needed — an unreached node simply never
 /// forwards). Coverage is `delivered / tree.len()`.
 ///
-/// Shorthand for [`ProtocolScratch::bind`] + [`run_dissemination`] without
+/// [`ProtocolScratch::bind`] to `tree`, then [`run_dissemination`] without
 /// a trace.
 pub fn simulate_dissemination_faulty(
     net: &ChordNetwork,
@@ -609,26 +583,9 @@ pub fn simulate_dissemination_faulty(
     crashes: &[(SimTime, PeerId)],
     scratch: &mut ProtocolScratch,
 ) -> Result<FaultPhaseOutcome, ProtocolError> {
-    let mut trace = Trace::disabled();
-    simulate_dissemination_faulty_traced(
-        net, tree, oracle, plan, retry, crashes, scratch, &mut trace,
-    )
-}
-
-/// [`ProtocolScratch::bind`] to `tree`, then [`run_dissemination`].
-#[allow(clippy::too_many_arguments)]
-pub fn simulate_dissemination_faulty_traced(
-    net: &ChordNetwork,
-    tree: &KTree,
-    oracle: &DistanceOracle,
-    plan: &mut FaultPlan,
-    retry: RetryPolicy,
-    crashes: &[(SimTime, PeerId)],
-    scratch: &mut ProtocolScratch,
-    trace: &mut Trace,
-) -> Result<FaultPhaseOutcome, ProtocolError> {
     scratch.bind(net, tree, oracle);
-    run_dissemination(scratch, plan, retry, crashes, trace)
+    let mut trace = Trace::disabled();
+    run_dissemination(scratch, plan, retry, crashes, &mut trace)
 }
 
 /// The dissemination over the tree `scratch` is bound to (see

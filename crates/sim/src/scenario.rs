@@ -113,12 +113,8 @@ impl Scenario {
     /// ```
     /// use proxbal_sim::{Scenario, TopologyKind};
     ///
-    /// let scenario = Scenario::builder()
-    ///     .peers(256)
-    ///     .topology(TopologyKind::Tiny)
-    ///     .landmarks(4)
-    ///     .seed(7)
-    ///     .build();
+    /// let scenario = Scenario::builder().small().peers(256).seed(7).build();
+    /// assert_eq!(scenario.topology, TopologyKind::Tiny);
     /// let prepared = scenario.prepare();
     /// assert_eq!(prepared.net.alive_peers().len(), 256);
     /// ```
@@ -263,7 +259,8 @@ impl Scenario {
 ///
 /// A fresh builder carries the paper's full-scale defaults; the
 /// [`ScenarioBuilder::small`] and [`ScenarioBuilder::xl`] presets rescale
-/// them wholesale, and every knob has an individual setter. `build` is
+/// them wholesale, and the knobs experiments vary have a setter (any other
+/// is a plain field write on the built [`Scenario`]). `build` is
 /// infallible: all invariants are enforced by types and the few numeric
 /// ones (`peers >= 1`, …) by the same asserts `prepare` always had.
 #[derive(Clone, Debug)]
@@ -344,30 +341,6 @@ impl ScenarioBuilder {
         self
     }
 
-    /// Virtual servers per peer at start (paper: 5).
-    pub fn vs_per_peer(mut self, vs_per_peer: usize) -> Self {
-        self.scenario.vs_per_peer = vs_per_peer;
-        self
-    }
-
-    /// Virtual-server load distribution.
-    pub fn load(mut self, load: LoadModel) -> Self {
-        self.scenario.load = load;
-        self
-    }
-
-    /// Node capacity profile.
-    pub fn capacity(mut self, capacity: CapacityProfile) -> Self {
-        self.scenario.capacity = capacity;
-        self
-    }
-
-    /// Physical topology.
-    pub fn topology(mut self, topology: TopologyKind) -> Self {
-        self.scenario.topology = topology;
-        self
-    }
-
     /// Number of landmarks (paper: 15).
     pub fn landmarks(mut self, landmarks: usize) -> Self {
         self.scenario.landmarks = landmarks;
@@ -395,31 +368,6 @@ impl ScenarioBuilder {
     /// Load-drift regime for continuous operation.
     pub fn drift(mut self, drift: crate::drift::DriftConfig) -> Self {
         self.scenario.drift = Some(drift);
-        self
-    }
-
-    /// Oracle row-cache bound in resident rows (`0` = unbounded).
-    pub fn oracle_capacity(mut self, oracle_capacity: usize) -> Self {
-        self.scenario.oracle_capacity = oracle_capacity;
-        self
-    }
-
-    /// How transfer-phase distances are answered (see [`DistanceMode`]).
-    pub fn distance_mode(mut self, distance_mode: DistanceMode) -> Self {
-        self.scenario.distance_mode = distance_mode;
-        self
-    }
-
-    /// Exact-refinement budget for [`DistanceMode::Approximate`], in
-    /// Dijkstra source rows per balancing pass.
-    pub fn refine_sources(mut self, refine_sources: usize) -> Self {
-        self.scenario.refine_sources = refine_sources;
-        self
-    }
-
-    /// Number of preparation shards (`0` = serial preparation).
-    pub fn shards(mut self, shards: usize) -> Self {
-        self.scenario.shards = shards;
         self
     }
 
@@ -469,15 +417,27 @@ impl Prepared {
     /// whenever the scenario was prepared with
     /// [`DistanceMode::Approximate`].
     pub fn underlay(&self) -> Option<Underlay<'_>> {
-        self.oracle.as_ref().map(|oracle| Underlay {
-            oracle,
-            latency_oracle: self.latency_oracle.as_ref(),
-            landmarks: &self.landmarks,
-            approx: self.hop_landmarks.as_ref().map(|landmarks| ApproxTransfer {
-                landmarks,
-                refine_sources: self.scenario.refine_sources,
-            }),
-        })
+        underlay_of(
+            &self.scenario,
+            &self.oracle,
+            &self.latency_oracle,
+            &self.landmarks,
+            &self.hop_landmarks,
+        )
+    }
+
+    /// The overlay and loads, borrowed mutably beside the
+    /// [`Prepared::underlay`] view — what one balancing pass over this
+    /// scenario takes.
+    pub fn split(&mut self) -> (&mut ChordNetwork, &mut LoadState, Option<Underlay<'_>>) {
+        let underlay = underlay_of(
+            &self.scenario,
+            &self.oracle,
+            &self.latency_oracle,
+            &self.landmarks,
+            &self.hop_landmarks,
+        );
+        (&mut self.net, &mut self.loads, underlay)
     }
 
     /// A fresh RNG stream derived from the scenario seed and a label, for
@@ -485,4 +445,24 @@ impl Prepared {
     pub fn derived_rng(&self, label: u64) -> StdRng {
         StdRng::seed_from_u64(self.scenario.seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ label)
     }
+}
+
+/// [`Prepared::underlay`] over the fields it reads, so [`Prepared::split`]
+/// can lend `net` and `loads` beside it.
+fn underlay_of<'a>(
+    scenario: &Scenario,
+    oracle: &'a Option<DistanceOracle>,
+    latency_oracle: &'a Option<DistanceOracle>,
+    landmarks: &'a [NodeId],
+    hop_landmarks: &'a Option<LandmarkOracle>,
+) -> Option<Underlay<'a>> {
+    oracle.as_ref().map(|oracle| Underlay {
+        oracle,
+        latency_oracle: latency_oracle.as_ref(),
+        landmarks,
+        approx: hop_landmarks.as_ref().map(|landmarks| ApproxTransfer {
+            landmarks,
+            refine_sources: scenario.refine_sources,
+        }),
+    })
 }

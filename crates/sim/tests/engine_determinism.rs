@@ -29,7 +29,6 @@ fn stormy() -> Scenario {
         .churn(ChurnConfig {
             join_rate: 0.2,
             crash_rate: 0.2,
-            ..ChurnConfig::default()
         })
         .drift(DriftConfig::default())
         .faults(FaultConfig::with_loss(0.01, 0xE9))
@@ -152,21 +151,11 @@ fn quiescent_single_epoch_matches_one_shot_round() {
     let balancer = LoadBalancer::new(prepared.scenario.balancer);
     let mut tree = KTree::build(&prepared.net, prepared.scenario.balancer.k);
     let mut rng = prepared.derived_rng(BALANCE_LABEL);
-    // Field-wise Underlay construction so the oracle borrows coexist with
-    // the &mut net/loads the round needs (same split the engine does).
-    let underlay = prepared
-        .oracle
-        .as_ref()
-        .map(|oracle| proxbal_core::Underlay {
-            oracle,
-            latency_oracle: prepared.latency_oracle.as_ref(),
-            landmarks: &prepared.landmarks,
-            approx: None,
-        });
+    let (net, loads, underlay) = prepared.split();
     let one_shot = balancer
         .run_round(
-            &mut prepared.net,
-            &mut prepared.loads,
+            net,
+            loads,
             &mut tree,
             underlay,
             &mut RoundCache::new(),
@@ -263,7 +252,6 @@ fn every_epoch_repair_passes_the_invariant_audit() {
         epochs: 16,
         balance_interval: 3,
         stale_link_interval: 1,
-        ..EngineConfig::default()
     };
     let mut trace = Trace::enabled("engine");
     let report = run_engine_with(&mut prepared, &cfg, &mut trace, &NullSink).unwrap();
@@ -280,6 +268,34 @@ fn every_epoch_repair_passes_the_invariant_audit() {
     prepared.net.check_invariants().unwrap();
 }
 
+/// Churn alone — the setting of the paper's self-repair claim (§3.1.1).
+/// Debug builds audit the ring and tree invariants after every epoch's
+/// repair, so a run that completes is a run whose every repair held; a
+/// zero-rate process fires nothing and leaves the membership as it was.
+#[test]
+fn churn_only_engine_repairs_every_epoch() {
+    let quiet = ChurnConfig {
+        join_rate: 0.0,
+        crash_rate: 0.0,
+    };
+    for (churn, fires) in [(ChurnConfig::default(), true), (quiet, false)] {
+        let scenario = Scenario::builder().small().seed(1).churn(churn).build();
+        let mut prepared = scenario.prepare();
+        let before = prepared.net.alive_peers().len();
+        let report = run_engine(&mut prepared, &short(60)).unwrap();
+        let after = prepared.net.alive_peers().len();
+        if fires {
+            assert!(report.joins > 10, "joins {}", report.joins);
+            assert!(report.crashes > 10, "crashes {}", report.crashes);
+            assert_eq!(after, before + report.joins - report.crashes);
+        } else {
+            assert_eq!(report.joins + report.crashes, 0);
+            assert_eq!(after, before);
+        }
+        prepared.net.check_invariants().unwrap();
+    }
+}
+
 #[test]
 fn engine_rejects_invalid_configs() {
     let mut prepared = quiescent().prepare();
@@ -289,19 +305,7 @@ fn engine_rejects_invalid_configs() {
             ..EngineConfig::default()
         },
         EngineConfig {
-            epoch_len: 0,
-            ..EngineConfig::default()
-        },
-        EngineConfig {
             balance_interval: 0,
-            ..EngineConfig::default()
-        },
-        EngineConfig {
-            maintenance_interval: 0,
-            ..EngineConfig::default()
-        },
-        EngineConfig {
-            emergency_threshold: 0.0,
             ..EngineConfig::default()
         },
     ] {
@@ -350,12 +354,9 @@ fn builder_presets_are_deterministic_field_rewrites() {
     assert_eq!(xl2.shards, 8);
     // The oracle_capacity knob flows through prepare(): bounded and
     // unbounded caches build the identical network and landmarks.
-    let bounded = Scenario::builder()
-        .small()
-        .seed(8)
-        .oracle_capacity(16)
-        .build()
-        .prepare();
+    let mut bounded = Scenario::builder().small().seed(8).build();
+    bounded.oracle_capacity = 16;
+    let bounded = bounded.prepare();
     let unbounded = Scenario::builder().small().seed(8).build().prepare();
     assert_eq!(bounded.net.alive_vs_count(), unbounded.net.alive_vs_count());
     assert_eq!(bounded.landmarks, unbounded.landmarks);

@@ -20,15 +20,16 @@ use rand::{Rng, SeedableRng};
 /// The xl2 preset scaled down ~1000×: same sharded machinery (8 shards,
 /// approximate distances, bounded caches), test-sized everything else.
 fn tiny_xl2(seed: u64) -> Scenario {
-    Scenario::builder()
+    let mut scenario = Scenario::builder()
         .xl2()
         .peers(1024)
-        .topology(TopologyKind::Tiny)
         .landmarks(4)
-        .oracle_capacity(16)
-        .refine_sources(32)
         .seed(seed)
-        .build()
+        .build();
+    scenario.topology = TopologyKind::Tiny;
+    scenario.oracle_capacity = 16;
+    scenario.refine_sources = 32;
+    scenario
 }
 
 /// Serializes the output with every wall-clock zeroed — the only fields

@@ -1,72 +1,67 @@
 //! Churn and self-repair (§3.1.1): peers join and crash under a Poisson
-//! process while the K-nary tree runs periodic soft-state maintenance and
-//! Chord runs stabilization; lookups keep succeeding through successor
-//! lists, and the tree converges back to a consistent state.
+//! process while the engine repairs the K-nary tree every epoch and
+//! balances on its schedule. Debug builds audit the ring and tree
+//! invariants after every repair; lookups under churn are chord's
+//! `incremental_stabilization_improves_lookups_gradually` test.
 //!
 //! ```text
 //! cargo run --release --example churn_self_repair
 //! ```
 
-use proxbal::chord::{ChordNetwork, RoutingState};
-use proxbal::ktree::KTree;
-use proxbal::sim::churn::{run_churn, ChurnConfig};
-use rand::rngs::StdRng;
-use rand::SeedableRng;
+use proxbal::sim::churn::ChurnConfig;
+use proxbal::sim::{run_engine, EngineConfig, Scenario};
 
 fn main() {
-    let mut rng = StdRng::seed_from_u64(17);
-
-    let mut net = ChordNetwork::new();
-    for _ in 0..128 {
-        net.join_peer(5, &mut rng);
-    }
-    let mut tree = KTree::build(&net, 2);
-    let mut routing = RoutingState::build(&net);
-
+    let scenario = Scenario::builder()
+        .small()
+        .churn(ChurnConfig {
+            join_rate: 0.08,
+            crash_rate: 0.08,
+        })
+        .seed(17)
+        .build();
+    let mut prepared = scenario.prepare();
     println!(
-        "start: {} peers, {} virtual servers, tree of {} KT nodes (height {})",
-        net.alive_peers().len(),
-        net.alive_vs_count(),
-        tree.len(),
-        tree.height()
+        "start: {} peers, {} virtual servers",
+        prepared.net.alive_peers().len(),
+        prepared.net.alive_vs_count()
     );
 
-    let cfg = ChurnConfig {
-        join_rate: 0.08,
-        crash_rate: 0.08,
-        vs_per_join: 5,
-        maintenance_interval: 10,
-        stabilize_interval: 10,
-        duration: 2_000,
+    let cfg = EngineConfig {
+        epochs: 200,
+        ..EngineConfig::default()
     };
-    let stats = run_churn(&mut net, &mut tree, &mut routing, &cfg, &mut rng);
+    let report = run_engine(&mut prepared, &cfg).expect("engine run");
 
+    let rounds: Vec<usize> = report
+        .samples
+        .iter()
+        .map(|s| s.maintenance_rounds)
+        .collect();
     println!(
-        "churn: {} joins, {} crashes over {} time units",
-        stats.joins, stats.crashes, cfg.duration
+        "churn: {} joins, {} crashes over {} epochs",
+        report.joins, report.crashes, cfg.epochs
     );
     println!(
-        "tree maintenance: {} rounds, {} total mutations (grow/prune/replant)",
-        stats.maintenance_rounds, stats.tree_mutations
+        "tree repair: every epoch, <= {} rounds each ({} in all)",
+        rounds.iter().max().unwrap_or(&0),
+        rounds.iter().sum::<usize>()
     );
     println!(
-        "lookups during churn: {} sampled, {:.1}% reached the correct owner",
-        stats.lookups,
-        100.0 * stats.lookup_success_rate
+        "balancing: {} rounds ({} emergency), final heavy {}",
+        report.balances,
+        report.emergencies,
+        report.final_heavy()
     );
     println!(
-        "after churn stopped the tree stabilized in {} extra rounds",
-        stats.final_repair_rounds
-    );
-    println!(
-        "end: {} peers, {} virtual servers, tree of {} KT nodes (height {})",
-        net.alive_peers().len(),
-        net.alive_vs_count(),
-        tree.len(),
-        tree.height()
+        "end: {} peers, {} virtual servers",
+        prepared.net.alive_peers().len(),
+        prepared.net.alive_vs_count()
     );
 
-    net.check_invariants().expect("chord invariants hold");
-    tree.check_invariants(&net).expect("tree invariants hold");
-    println!("all structural invariants verified.");
+    prepared
+        .net
+        .check_invariants()
+        .expect("chord invariants hold");
+    println!("ring invariants verified.");
 }

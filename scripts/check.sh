@@ -6,9 +6,10 @@
 #
 # Runs, in order: tier-1 verify (ROADMAP.md: release build + root test
 # suite), the workspace test suite, `cargo fmt --check`, clippy over every
-# target with warnings denied, the trace smoke, the opted-in smokes, and
-# last the `benchmark/` package built against this checkout with
-# `pbench all --smoke`.
+# target with warnings denied, the `churn_self_repair` example (the one
+# EXPERIMENTS.md quotes numbers from), the trace smoke, the opted-in
+# smokes, and last the `benchmark/` package built against this checkout
+# with `pbench all --smoke`.
 #
 # A thread-invariance smoke is one call of `smoke` below: the same `repro`
 # command at 1 and 8 threads, scrubbed stdout diffed, listed artifacts
@@ -61,6 +62,9 @@ cargo fmt --check
 
 echo "==> cargo clippy --workspace --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
+
+echo "==> cargo run --release --example churn_self_repair"
+cargo run --release --example churn_self_repair
 
 # The tier-1 build above covers the root package only; without this the
 # smokes below would drive whatever stale `repro` an earlier build left.

@@ -2,12 +2,12 @@
 //! network under churn, LBI aggregation correctness through the tree, and
 //! protocol latency over the underlay.
 
-use proxbal::chord::{ChordNetwork, RoutingState};
-use proxbal::core::{Lbi, LoadState};
+use proxbal::chord::ChordNetwork;
+use proxbal::core::{BalancerConfig, Lbi, LoadState};
 use proxbal::ktree::KTree;
-use proxbal::sim::churn::{run_churn, ChurnConfig};
+use proxbal::sim::churn::ChurnConfig;
 use proxbal::sim::latency::{aggregation_latency, root_path_latencies};
-use proxbal::sim::{Scenario, TopologyKind};
+use proxbal::sim::{run_engine, EngineConfig, Scenario, TopologyKind};
 use proxbal::workload::{CapacityProfile, LoadModel};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -52,33 +52,36 @@ fn lbi_through_tree_equals_ground_truth_after_churn() {
     assert_eq!(got.min_vs_load, want.min_vs_load);
 }
 
+/// Sustained churn through the engine, on a K = 4 tree. Debug builds (how
+/// this test runs) audit the ring and tree invariants after every epoch's
+/// repair; lookups under churn are chord's
+/// `incremental_stabilization_improves_lookups_gradually`.
 #[test]
-fn sustained_churn_with_lookups() {
-    let mut rng = StdRng::seed_from_u64(2);
-    let mut net = ChordNetwork::new();
-    for _ in 0..64 {
-        net.join_peer(4, &mut rng);
-    }
-    let mut tree = KTree::build(&net, 4);
-    let mut routing = RoutingState::build(&net);
-    let cfg = ChurnConfig {
-        join_rate: 0.1,
-        crash_rate: 0.1,
-        vs_per_join: 4,
-        maintenance_interval: 8,
-        stabilize_interval: 8,
-        duration: 1500,
+fn sustained_churn_keeps_ring_and_tree_invariants() {
+    let mut scenario = Scenario::builder()
+        .small()
+        .peers(64)
+        .balancer(BalancerConfig {
+            k: 4,
+            ..BalancerConfig::default()
+        })
+        .churn(ChurnConfig {
+            join_rate: 0.1,
+            crash_rate: 0.1,
+        })
+        .seed(2)
+        .build();
+    scenario.vs_per_peer = 4;
+    scenario.topology = TopologyKind::None;
+    let mut prepared = scenario.prepare();
+    let cfg = EngineConfig {
+        epochs: 150,
+        ..EngineConfig::default()
     };
-    let stats = run_churn(&mut net, &mut tree, &mut routing, &cfg, &mut rng);
-    assert!(stats.joins > 50);
-    assert!(stats.crashes > 50);
-    assert!(
-        stats.lookup_success_rate > 0.8,
-        "{}",
-        stats.lookup_success_rate
-    );
-    net.check_invariants().unwrap();
-    tree.check_invariants(&net).unwrap();
+    let report = run_engine(&mut prepared, &cfg).unwrap();
+    assert!(report.joins > 50, "joins {}", report.joins);
+    assert!(report.crashes > 50, "crashes {}", report.crashes);
+    prepared.net.check_invariants().unwrap();
 }
 
 #[test]
