@@ -7,9 +7,16 @@
 //! Two weight regimes: the hop-cost graph (weights 1/3, well inside the
 //! bucket threshold) and the latency graph (Euclidean weights, the regime
 //! where the kernel may fall back to the heap).
+//!
+//! `stub_index_build` times what replaced row fills for point queries on
+//! the hop-cost graph: the first `DistanceOracle::distance` on a fresh
+//! oracle, which builds the transit-stub index (per-stub tables by bit-row
+//! BFS, then the transit core) — the profiler's `oracle/index_build`.
 
-use criterion::{criterion_group, criterion_main, Criterion};
-use proxbal_topology::{DijkstraScratch, Graph, TransitStubConfig, TransitStubTopology};
+use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
+use proxbal_topology::{
+    DijkstraScratch, DistanceOracle, Graph, TransitStubConfig, TransitStubTopology,
+};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -52,5 +59,26 @@ fn bench_kernels(c: &mut Criterion) {
     bench_graph(c, "ts5k_large_latency", &topo.latency_graph);
 }
 
-criterion_group!(benches, bench_kernels);
+fn bench_index_build(c: &mut Criterion) {
+    let mut group = c.benchmark_group("stub_index_build");
+    group.sample_size(10);
+    for (name, config) in [
+        ("ts5k_large", TransitStubConfig::ts5k_large()),
+        ("ts5k_small", TransitStubConfig::ts5k_small()),
+        ("ts50k", TransitStubConfig::ts50k()),
+    ] {
+        let topo = TransitStubTopology::generate(config, &mut StdRng::seed_from_u64(1));
+        let far = topo.node_count() as u32 - 1;
+        group.bench_function(name, |b| {
+            b.iter_batched(
+                || DistanceOracle::for_topology(&topo, 0),
+                |oracle| oracle.distance(0, far),
+                BatchSize::PerIteration,
+            );
+        });
+    }
+    group.finish();
+}
+
+criterion_group!(benches, bench_kernels, bench_index_build);
 criterion_main!(benches);

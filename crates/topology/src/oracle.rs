@@ -161,11 +161,13 @@ const PIN_BIT: u8 = 2;
 /// An oracle made with [`DistanceOracle::for_topology`] knows the domain
 /// structure of its graph and answers [`DistanceOracle::distance`] from a
 /// structural index (per-stub tables plus one transit-core table) in O(1)
-/// without filling any row. The index is built on the first point query, is
-/// exact, and is skipped — rows answer as before — when the graph has an
-/// edge between two different stub domains (or an intra-stub distance too
-/// large for its 16-bit tables). Whole rows ([`row`], landmark vectors)
-/// never go through it.
+/// without filling any row. The index is built on the first point query —
+/// breadth-first search on bit rows per stub, Dijkstra over the transit
+/// core — and is exact. It is skipped, and rows answer as before, when the
+/// graph has an edge between two different stub domains, an intra-stub
+/// edge whose weight is not 1, or a stub too large for its 16-bit tables;
+/// uplink and transit-core weights may be anything. Whole rows ([`row`],
+/// landmark vectors) never go through it.
 ///
 /// [`row`]: DistanceOracle::row
 ///

@@ -22,12 +22,19 @@
 //! `t_a – t_b` of weight `w_a + d_in(g_a, g_b) + w_b` for every pair of
 //! uplinks of one stub that reach different transit nodes.
 //!
-//! The only structural precondition is that no edge joins two different
-//! stub domains; [`StubIndex::build`] checks it and returns `None`
-//! otherwise. Uplinks, their weights and their number are read off the
-//! graph, never assumed.
+//! Every edge inside a stub has weight 1 (the generator's
+//! `INTRA_DOMAIN_WEIGHT`), so a domain's `d_in` table is filled by
+//! breadth-first search on bit rows: the domain's adjacency is
+//! `⌈size/64⌉` `u64` words per member, and each BFS level is the OR of the
+//! frontier members' rows minus the members already seen.
+//!
+//! The structural precondition is therefore two clauses: no edge joins two
+//! different stub domains, and every intra-stub edge has weight 1.
+//! [`StubIndex::build`] checks both and returns `None` otherwise. Uplinks,
+//! their weights and their number — and the transit core's weights — are
+//! read off the graph, never assumed.
 
-use crate::graph::{DijkstraScratch, Graph, NodeId, INFINITE_DISTANCE};
+use crate::graph::{Graph, NodeId, INFINITE_DISTANCE};
 use crate::transit_stub::DomainKind;
 use std::collections::BTreeMap;
 
@@ -67,27 +74,25 @@ pub(crate) struct StubIndex {
     transit_count: usize,
 }
 
-impl StubIndex {
-    /// Builds the index for `graph` with the domain membership `kinds`.
-    ///
-    /// Returns `None` — the caller then answers from Dijkstra rows — when
-    /// `kinds` does not cover the graph, when an edge joins two different
-    /// stub domains, or when a domain-restricted distance does not fit the
-    /// 16-bit tables.
-    pub(crate) fn build(graph: &Graph, kinds: &[DomainKind]) -> Option<Self> {
-        let n = graph.node_count();
-        if kinds.len() != n {
-            return None;
-        }
-        // Domain slots: one per transit node (slot = transit index), then
-        // the stub domains in order of first appearance.
+/// Domain slots: one per transit node (slot = transit index), then the stub
+/// domains in order of first appearance.
+struct Membership {
+    /// Per node: its slot and its index within that slot.
+    place: Vec<(u32, u32)>,
+    /// Per slot: its member nodes, in node order.
+    members: Vec<Vec<NodeId>>,
+    transit_count: usize,
+}
+
+impl Membership {
+    fn of(kinds: &[DomainKind]) -> Self {
         let transit_count = kinds
             .iter()
             .filter(|k| matches!(k, DomainKind::Transit { .. }))
             .count();
         let mut members: Vec<Vec<NodeId>> = vec![Vec::new(); transit_count];
         let mut stub_slot: BTreeMap<u32, usize> = BTreeMap::new();
-        let mut place = Vec::with_capacity(n);
+        let mut place = Vec::with_capacity(kinds.len());
         let mut transit_seen = 0;
         for (node, kind) in kinds.iter().enumerate() {
             let slot = match *kind {
@@ -103,11 +108,119 @@ impl StubIndex {
             place.push((slot as u32, members[slot].len() as u32));
             members[slot].push(node as NodeId);
         }
+        Membership {
+            place,
+            members,
+            transit_count,
+        }
+    }
+}
+
+/// Breadth-first search on one unit-weight domain, one bit per member.
+/// Its buffers are reused across every domain of a build.
+#[derive(Default)]
+struct BitBfs {
+    /// `u64` words per bit row: `⌈size/64⌉`.
+    words: usize,
+    /// `size` adjacency bit rows, `words` words each.
+    adj: Vec<u64>,
+    seen: Vec<u64>,
+    frontier: Vec<u64>,
+    next: Vec<u64>,
+}
+
+impl BitBfs {
+    /// Clears the adjacency for a domain of `size` members.
+    fn reset(&mut self, size: usize) {
+        self.words = size.div_ceil(64);
+        self.adj.clear();
+        self.adj.resize(size * self.words, 0);
+        for buf in [&mut self.seen, &mut self.frontier, &mut self.next] {
+            buf.clear();
+            buf.resize(self.words, 0);
+        }
+    }
+
+    /// Records the arc `i → j` (both halves of an edge are recorded).
+    fn link(&mut self, i: u32, j: u32) {
+        let j = j as usize;
+        self.adj[i as usize * self.words + j / 64] |= 1 << (j % 64);
+    }
+
+    /// Writes the hop distance from `src` to every member into `row`, which
+    /// arrives filled with [`UNREACHABLE`] and keeps it where no path is.
+    fn fill(&mut self, src: usize, row: &mut [u16]) {
+        let BitBfs {
+            words,
+            adj,
+            seen,
+            frontier,
+            next,
+        } = self;
+        let words = *words;
+        seen.fill(0);
+        frontier.fill(0);
+        seen[src / 64] = 1 << (src % 64);
+        frontier[src / 64] = 1 << (src % 64);
+        row[src] = 0;
+        // A level is at most `size − 1 < u16::MAX` hops from `src`.
+        let mut d = 0;
+        let mut reached = 1;
+        // Stopping once every member is reached skips expanding the last
+        // level, which in a dense stub is most of the members.
+        while reached < row.len() {
+            next.fill(0);
+            for (k, &word) in frontier.iter().enumerate() {
+                let mut bits = word;
+                while bits != 0 {
+                    let m = k * 64 + bits.trailing_zeros() as usize;
+                    bits &= bits - 1;
+                    for (n, &a) in next.iter_mut().zip(&adj[m * words..][..words]) {
+                        *n |= a;
+                    }
+                }
+            }
+            d += 1;
+            let before = reached;
+            for k in 0..words {
+                let fresh = next[k] & !seen[k];
+                seen[k] |= fresh;
+                frontier[k] = fresh;
+                reached += fresh.count_ones() as usize;
+                let mut bits = fresh;
+                while bits != 0 {
+                    row[k * 64 + bits.trailing_zeros() as usize] = d;
+                    bits &= bits - 1;
+                }
+            }
+            if reached == before {
+                return; // the rest of the domain is unreachable from `src`
+            }
+        }
+    }
+}
+
+impl StubIndex {
+    /// Builds the index for `graph` with the domain membership `kinds`.
+    ///
+    /// Returns `None` — the caller then answers from Dijkstra rows — when
+    /// `kinds` does not cover the graph, when an edge joins two different
+    /// stub domains, when an intra-stub edge does not weigh 1, or when a
+    /// stub has too many members for the 16-bit tables.
+    pub(crate) fn build(graph: &Graph, kinds: &[DomainKind]) -> Option<Self> {
+        if kinds.len() != graph.node_count() {
+            return None;
+        }
+        let Membership {
+            place,
+            members,
+            transit_count,
+        } = Membership::of(kinds);
 
         // One pass per domain: sort its edges into skeleton, uplink and
         // intra-domain, fill its all-pairs table, and add the virtual
         // skeleton edges it carries as a through-route.
-        let mut scratch = DijkstraScratch::new();
+        let mut bfs = BitBfs::default();
         let mut skeleton: Vec<(u32, u32, u32)> = Vec::new();
         let mut domains = Vec::with_capacity(members.len());
         let mut uplinks = Vec::new();
@@ -115,7 +228,10 @@ impl StubIndex {
         for (slot, nodes) in members.iter().enumerate() {
             let is_transit = slot < transit_count;
             let size = nodes.len();
-            let mut inside = Graph::new(size);
+            if size >= usize::from(UNREACHABLE) {
+                return None;
+            }
+            bfs.reset(size);
             let first_uplink = uplinks.len();
             if is_transit {
                 uplinks.push(Uplink {
@@ -136,23 +252,17 @@ impl StubIndex {
                             transit: dv,
                             weight: w,
                         }),
-                        (false, false) if dv as usize != slot => return None,
-                        (false, false) if u < v => {
-                            inside.add_edge(lu, lv, w);
-                        }
+                        (false, false) if dv as usize != slot || w != 1 => return None,
+                        (false, false) => bfs.link(lu, lv),
                         _ => {} // the other half of an edge handled elsewhere
                     }
                 }
             }
 
             let table = intra.len();
-            for src in 0..size as NodeId {
-                for &d in inside.dijkstra_into(src, &mut scratch) {
-                    intra.push(match d {
-                        INFINITE_DISTANCE => UNREACHABLE,
-                        d => u16::try_from(d).ok().filter(|&d| d != UNREACHABLE)?,
-                    });
-                }
+            intra.resize(table + size * size, UNREACHABLE);
+            for (src, row) in intra[table..].chunks_exact_mut(size).enumerate() {
+                bfs.fill(src, row);
             }
 
             let ups = &uplinks[first_uplink..];
@@ -247,5 +357,53 @@ impl StubIndex {
             + self.uplinks.capacity() * size_of::<Uplink>()
             + self.intra.capacity() * size_of::<u16>()
             + self.core.capacity() * size_of::<u32>()
+    }
+}
+
+#[cfg(test)]
+impl StubIndex {
+    /// Every domain's all-pairs table, in `build`'s slot order.
+    pub(crate) fn intra(&self) -> &[u16] {
+        &self.intra
+    }
+
+    /// The reference for [`StubIndex::intra`]: one Dijkstra per member over
+    /// each domain's own subgraph, any weights. `None` when an edge joins
+    /// two different stub domains or a distance does not fit 16 bits.
+    pub(crate) fn reference_intra(graph: &Graph, kinds: &[DomainKind]) -> Option<Vec<u16>> {
+        use crate::graph::DijkstraScratch;
+        let Membership {
+            place,
+            members,
+            transit_count,
+        } = Membership::of(kinds);
+        let mut scratch = DijkstraScratch::new();
+        let mut intra = Vec::new();
+        for (slot, nodes) in members.iter().enumerate() {
+            let mut inside = Graph::new(nodes.len());
+            let is_stub = slot >= transit_count;
+            for &u in nodes {
+                for &(v, w) in graph.neighbors(u) {
+                    let (dv, lv) = place[v as usize];
+                    if is_stub && dv as usize >= transit_count {
+                        if dv as usize != slot {
+                            return None;
+                        }
+                        if u < v {
+                            inside.add_edge(place[u as usize].1, lv, w);
+                        }
+                    }
+                }
+            }
+            for src in 0..nodes.len() as NodeId {
+                for &d in inside.dijkstra_into(src, &mut scratch) {
+                    intra.push(match d {
+                        INFINITE_DISTANCE => UNREACHABLE,
+                        d => u16::try_from(d).ok().filter(|&d| d != UNREACHABLE)?,
+                    });
+                }
+            }
+        }
+        Some(intra)
     }
 }

@@ -3,7 +3,9 @@
 //! Every check goes through the public path the simulator uses
 //! (`DistanceOracle::for_topology(..).distance(u, v)`) and compares with
 //! `Graph::dijkstra_into` rows of the same graph. `rows_filled == 0` proves
-//! the index answered; `> 0` proves the row fallback did.
+//! the index answered; `> 0` proves the row fallback did. The BFS-filled
+//! per-domain tables are also compared whole with the per-domain Dijkstra
+//! fill they replaced (`StubIndex::reference_intra`).
 
 use crate::stub_index::StubIndex;
 use crate::*;
@@ -82,8 +84,28 @@ fn assert_rows_exact(
     Ok(())
 }
 
+/// The index's BFS-filled tables equal the per-domain Dijkstra reference,
+/// entry for entry.
+fn assert_tables_match_reference(graph: &Graph, kinds: &[DomainKind]) -> Result<(), String> {
+    let index = StubIndex::build(graph, kinds).ok_or("the index declined")?;
+    let want = StubIndex::reference_intra(graph, kinds).ok_or("the reference declined")?;
+    let got = index.intra();
+    if got.len() != want.len() {
+        return Err(format!(
+            "{} table entries, reference {}",
+            got.len(),
+            want.len()
+        ));
+    }
+    match got.iter().zip(&want).position(|(a, b)| a != b) {
+        Some(i) => Err(format!("entry {i}: {} vs reference {}", got[i], want[i])),
+        None => Ok(()),
+    }
+}
+
 /// All pairs through the index, and proof that it was the index.
 fn assert_index_exact(topo: &TransitStubTopology) {
+    assert_tables_match_reference(&topo.graph, &topo.kinds).unwrap_or_else(|e| panic!("{e}"));
     let oracle = DistanceOracle::for_topology(topo, 0);
     let all = 0..topo.node_count() as NodeId;
     assert_rows_exact(topo, &oracle, all).unwrap_or_else(|e| panic!("{e}"));
@@ -139,6 +161,68 @@ proptest! {
     }
 }
 
+/// One stub of `size` members (nodes `transit..`) hung off `transit`
+/// transit nodes by up to three weight-3 uplinks. Its unit-weight interior
+/// is a spine — none (so usually disconnected), a path (diameter
+/// `size − 1`) or a random recursive tree — plus each other pair with
+/// probability `density`.
+fn single_stub(
+    seed: u64,
+    size: usize,
+    transit: usize,
+    spine: usize,
+    density: f64,
+) -> (Graph, Vec<DomainKind>) {
+    use rand::Rng;
+    let mut rng = StdRng::seed_from_u64(seed);
+    let mut graph = Graph::new(transit + size);
+    let member = |i: usize| (transit + i) as NodeId;
+    if transit == 2 {
+        graph.add_edge(0, 1, 3);
+    }
+    for i in 1..size {
+        let parent = match spine {
+            1 => i - 1,
+            2 => rng.gen_range(0..i),
+            _ => break,
+        };
+        graph.add_edge(member(parent), member(i), 1);
+    }
+    for a in 0..size {
+        for b in a + 1..size {
+            if rng.gen::<f64>() < density {
+                graph.add_edge(member(a), member(b), 1);
+            }
+        }
+    }
+    for _ in 0..rng.gen_range(1..=3) {
+        let t = rng.gen_range(0..transit) as NodeId;
+        graph.add_edge(member(rng.gen_range(0..size)), t, 3);
+    }
+    let mut kinds = vec![T; transit];
+    kinds.resize(transit + size, stub(0));
+    (graph, kinds)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    #[test]
+    fn prop_bfs_tables_match_dijkstra_reference_on_one_stub(
+        seed in 0u64..1_000_000,
+        size in 1usize..=200, // one to four 64-bit words a row
+        transit in 1usize..=2,
+        spine in 0usize..3,
+        density in 0usize..4,
+    ) {
+        let density = [0.0, 0.02, 0.42, 1.0][density];
+        let (graph, kinds) = single_stub(seed, size, transit, spine, density);
+        if let Err(e) = assert_tables_match_reference(&graph, &kinds) {
+            prop_assert!(false, "seed {seed} size {size} spine {spine} density {density}: {e}");
+        }
+    }
+}
+
 #[test]
 fn index_matches_dijkstra_on_tiny() {
     for seed in 0..40 {
@@ -165,6 +249,8 @@ fn index_matches_dijkstra_on_sparse_tree_stubs() {
 /// Full rows from a spread of sources (transit nodes first, then stubs).
 fn assert_preset_rows(config: TransitStubConfig, seed: u64, rows: usize) {
     let topo = generate(config, seed);
+    assert_tables_match_reference(&topo.graph, &topo.kinds)
+        .unwrap_or_else(|e| panic!("seed {seed}: {e}"));
     let oracle = DistanceOracle::for_topology(&topo, 0);
     let n = topo.node_count();
     let sources = (0..rows).map(|i| (i * n / rows) as NodeId);
@@ -291,14 +377,15 @@ fn unreachable_pairs_are_infinite() {
 
 #[test]
 fn uplink_weights_are_read_from_the_graph() {
-    // Nothing is 1 or 3 here, and the stub has three uplinks.
+    // Nothing outside the stub interior is 1 or 3 here, and the stub has
+    // three uplinks.
     let graph = graph_of(
         7,
         &[
             (0, 1, 7),
             (1, 2, 11),
-            (3, 4, 2),
-            (4, 5, 9),
+            (3, 4, 1),
+            (4, 5, 1),
             (3, 0, 4),
             (4, 1, 6),
             (5, 2, 5),
@@ -329,9 +416,12 @@ fn stub_to_stub_edge_falls_back_to_rows() {
 }
 
 #[test]
-fn intra_stub_distance_beyond_16_bits_falls_back_to_rows() {
-    let graph = graph_of(3, &[(1, 2, 70_000), (1, 0, 3)]);
-    let topo = hand_made(graph, vec![T, stub(0), stub(0)]);
+fn weighted_stub_interior_falls_back_to_rows() {
+    // The tables are filled by BFS, so an intra-stub edge that does not
+    // weigh 1 — here 2, and one whose distances would not fit 16 bits —
+    // sends every query to the row path.
+    let graph = graph_of(4, &[(1, 2, 2), (2, 3, 70_000), (1, 0, 3)]);
+    let topo = hand_made(graph, vec![T, stub(0), stub(0), stub(0)]);
     assert_falls_back_exact(&topo);
 }
 

@@ -25,8 +25,8 @@
 #                    parallel sections
 #   --profile-smoke  `xl2 --peers 16384 --profile` (virtual-time flamegraphs
 #                    and trace summary byte-identical, volatile artifacts
-#                    present, the `tree` phase within its allocation budget;
-#                    DESIGN.md §5c, §6b)
+#                    present, the `tree` and `oracle/index_build` phases
+#                    within their allocation budgets; DESIGN.md §5a, §5c, §6b)
 #   --analyze-smoke  the committed engine scenario (profiled: `engine/des/*`
 #                    and `engine/round` phases present) against `gates/*.toml`
 #                    at 1, 2 and 8 analyzer threads (all pass, all
@@ -156,6 +156,12 @@ if [[ "$PROFILE_SMOKE" == "1" ]]; then
   TREE_BYTES="$(awk '$1 == "tree" { print $NF; exit }' "$P1/resources.txt")"
   [[ "$TREE_BYTES" -le 8000000 ]] || {
     echo "profile smoke: the tree phase allocated $TREE_BYTES bytes (> 8,000,000)" >&2; exit 1; }
+  # The same for the transit-stub index (DESIGN.md §5a): its BFS fill keeps
+  # the ts50k build at 12.0 MB, 10.9 MB of it the `u16` per-stub tables; a
+  # per-domain graph + Dijkstra fill allocated 62.2 MB.
+  INDEX_BYTES="$(awk '$1 == "oracle/index_build" { print $NF; exit }' "$P1/resources.txt")"
+  [[ -n "$INDEX_BYTES" && "$INDEX_BYTES" -le 16000000 ]] || {
+    echo "profile smoke: oracle/index_build allocated ${INDEX_BYTES:-no} bytes (> 16,000,000)" >&2; exit 1; }
 fi
 
 if [[ "$ANALYZE_SMOKE" == "1" ]]; then
