@@ -1,7 +1,8 @@
 //! Benchmarks the parallel kernels *inside* a balancing round — the hot
 //! per-peer loops the `--threads` knob accelerates: node classification,
 //! shed-candidate/light-slot extraction, the root-only LBI fold over the
-//! K-nary tree, and the complete proximity-aware four-phase round. Each
+//! K-nary tree, the VSA phase's per-participant half at the xl scale, and
+//! the complete proximity-aware four-phase round. Each
 //! kernel runs at 1 and 8 worker threads so the
 //! scaling (and the fixed-chunk merge overhead at 1 thread) is visible in
 //! one report. Outputs are byte-identical across thread counts — the
@@ -9,7 +10,7 @@
 
 use criterion::{criterion_group, criterion_main, BatchSize, BenchmarkId, Criterion};
 use proxbal_chord::ChordNetwork;
-use proxbal_core::reports::{light_slots, shed_candidates};
+use proxbal_core::reports::{light_slots, proximity_inputs, shed_candidates};
 use proxbal_core::{
     BalancerConfig, Classification, ClassifyParams, Lbi, LoadBalancer, ProximityMode,
     ProximityParams, RoundWalls, Underlay,
@@ -152,5 +153,57 @@ fn bench_aggregate_root(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_round_kernels, bench_aggregate_root);
+/// Phase 3's per-participant half at the xl scale (65,536 peers on ts50k):
+/// every heavy peer's shed set, then every record published at the entry
+/// node of its landmark vector's DHT key. Scenario, tree, classification
+/// and light slots are prepared once, untimed; one untimed call first
+/// fills the pinned landmark rows.
+fn bench_vsa_inputs(c: &mut Criterion) {
+    let prepared = Scenario::builder().xl().seed(1).build().prepare();
+    let net = &prepared.net;
+    let tree = KTree::build(net, prepared.scenario.balancer.k);
+    let params = ClassifyParams {
+        epsilon: prepared.scenario.balancer.epsilon,
+    };
+    let system = prepared.loads.totals(net);
+    let classification = Classification::compute(net, &prepared.loads, &params, system, 1);
+    let light = light_slots(net, &prepared.loads, &params, &classification, 1);
+    let underlay = Underlay {
+        oracle: prepared.oracle.as_ref().expect("topology present"),
+        latency_oracle: prepared.latency_oracle.as_ref(),
+        landmarks: &prepared.landmarks,
+        approx: None,
+    };
+    let publish = |threads: usize| {
+        let shed = shed_candidates(net, &prepared.loads, &params, &classification, threads);
+        let inputs = proximity_inputs(
+            net,
+            &tree,
+            &shed,
+            &light,
+            &ProximityParams::default(),
+            underlay.latency(),
+            underlay.landmarks,
+            threads,
+        )
+        .expect("attached network");
+        (shed, inputs)
+    };
+    std::hint::black_box(publish(1));
+    let mut group = c.benchmark_group("vsa_inputs");
+    group.sample_size(10);
+    for threads in THREAD_COUNTS {
+        group.bench_function(format!("t{threads}"), |b| {
+            b.iter(|| std::hint::black_box(publish(threads)));
+        });
+    }
+    group.finish();
+}
+
+criterion_group!(
+    benches,
+    bench_round_kernels,
+    bench_aggregate_root,
+    bench_vsa_inputs
+);
 criterion_main!(benches);

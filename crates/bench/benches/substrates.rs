@@ -95,7 +95,11 @@ fn bench_core_pieces(c: &mut Criterion) {
             .map(|i| (proxbal_chord::VsId(i), rng.gen_range(1.0..100.0)))
             .collect();
         let total: f64 = vss.iter().map(|x| x.1).sum();
-        b.iter(|| std::hint::black_box(proxbal_core::choose_shed_set(&vss, total * 0.4)));
+        let mut chosen = Vec::new();
+        b.iter(|| {
+            proxbal_core::choose_shed_set(&vss, total * 0.4, &mut chosen);
+            std::hint::black_box(&chosen);
+        });
     });
     group.bench_function("rendezvous_pairing_200", |b| {
         b.iter_batched(

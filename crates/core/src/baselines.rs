@@ -62,7 +62,8 @@ pub fn cfs_shed(
             if vss.len() <= 1 {
                 continue;
             }
-            let mut to_drop = choose_shed_set(&vss, excess);
+            let mut to_drop = Vec::new();
+            choose_shed_set(&vss, excess, &mut to_drop);
             if to_drop.len() >= vss.len() {
                 to_drop.truncate(vss.len() - 1);
             }

@@ -1,7 +1,8 @@
 use proxbal_chord::{PeerId, VsId};
-use proxbal_ktree::Merge;
+use proxbal_ktree::{KtNodeId, KtNodeMap, Merge};
 use proxbal_trace::Trace;
 use serde::{Deserialize, Serialize};
+use std::collections::{BTreeMap, HashMap};
 
 /// A virtual server a heavy node wants to shed:
 /// `<L_{i,k}, v_{i,k}, ip_addr(i)>` of §3.4.
@@ -91,7 +92,8 @@ impl RendezvousLists {
         &self.shed
     }
 
-    /// Inserts a light slot, keeping order.
+    /// Inserts a light slot, keeping order: after every light slot with
+    /// less spare room, before every one with as much.
     pub fn push_light(&mut self, slot: LightSlot) {
         debug_assert!(slot.spare.is_finite() && slot.spare > 0.0);
         let idx = self
@@ -100,7 +102,8 @@ impl RendezvousLists {
         self.light.insert(idx, slot);
     }
 
-    /// Inserts a shed candidate, keeping order.
+    /// Inserts a shed candidate, keeping order: after every candidate with
+    /// a lighter load, before every one with as heavy a load.
     pub fn push_shed(&mut self, cand: ShedCandidate) {
         debug_assert!(cand.load.is_finite() && cand.load >= 0.0);
         let idx = self
@@ -210,6 +213,90 @@ impl Merge for RendezvousLists {
             a.load.total_cmp(&b.load).is_le()
         });
     }
+}
+
+/// The VSA sweep inputs: every participant's records published at its
+/// entry node. `targets` holds one entry node per participant — heavy
+/// peers, then light peers, each ascending, the order both maps iterate
+/// in, which is the publication order. Every entry node's lists come out
+/// exactly as one [`RendezvousLists::push_shed`] /
+/// [`RendezvousLists::push_light`] per record in that order leaves them:
+/// ascending by `total_cmp`, and among equal keys the latest published
+/// first. Each list is sized first and allocated once, records are
+/// appended, and each list is sorted once — `O(n log n)` per entry node
+/// where one sorted insert per record costs `O(n²)`.
+pub(crate) fn publish(
+    slot_bound: usize,
+    shed: &BTreeMap<PeerId, Vec<ShedCandidate>>,
+    light: &BTreeMap<PeerId, LightSlot>,
+    targets: &[KtNodeId],
+) -> KtNodeMap<Box<RendezvousLists>> {
+    let (shed_at, light_at) = targets.split_at(shed.len());
+    debug_assert_eq!(light_at.len(), light.len());
+    let mut sizes: HashMap<KtNodeId, (usize, usize)> = HashMap::new();
+    for (&id, cands) in shed_at.iter().zip(shed.values()) {
+        sizes.entry(id).or_default().0 += cands.len();
+    }
+    for &id in light_at {
+        sizes.entry(id).or_default().1 += 1;
+    }
+    // In slot order, so not even allocation order depends on the hasher.
+    let mut sizes: Vec<(KtNodeId, (usize, usize))> = sizes.into_iter().collect();
+    sizes.sort_unstable_by_key(|&(id, _)| id);
+    let mut inputs: KtNodeMap<Box<RendezvousLists>> = KtNodeMap::with_slot_bound(slot_bound);
+    for &(id, (shed, light)) in &sizes {
+        let lists = RendezvousLists {
+            shed: Vec::with_capacity(shed),
+            light: Vec::with_capacity(light),
+        };
+        inputs.insert(id, Box::new(lists));
+    }
+    for (&id, cands) in shed_at.iter().zip(shed.values()) {
+        debug_assert!(cands.iter().all(|c| c.load.is_finite() && c.load >= 0.0));
+        let lists = inputs.get_mut(id).expect("sized");
+        lists.shed.extend_from_slice(cands);
+    }
+    for (&id, &slot) in light_at.iter().zip(light.values()) {
+        debug_assert!(slot.spare.is_finite() && slot.spare > 0.0);
+        inputs.get_mut(id).expect("sized").light.push(slot);
+    }
+    for &(id, _) in &sizes {
+        let lists = inputs.get_mut(id).expect("sized");
+        settle(&mut lists.shed, |c| c.load);
+        settle(&mut lists.light, |s| s.spare);
+    }
+    inputs
+}
+
+/// Orders records appended in push order the way one sorted insert per
+/// record would: reversed, so the latest pushed leads among equal keys,
+/// then stably sorted ascending (no scratch allocation up to a few hundred
+/// records).
+fn settle<T>(records: &mut [T], key: impl Fn(&T) -> f64) {
+    records.reverse();
+    records.sort_by(|a, b| key(a).total_cmp(&key(b)));
+}
+
+/// [`publish`] as one sorted insert per record, kept as its reference.
+#[cfg(test)]
+pub(crate) fn reference_publish(
+    slot_bound: usize,
+    shed: &BTreeMap<PeerId, Vec<ShedCandidate>>,
+    light: &BTreeMap<PeerId, LightSlot>,
+    targets: &[KtNodeId],
+) -> KtNodeMap<Box<RendezvousLists>> {
+    let (shed_at, light_at) = targets.split_at(shed.len());
+    let mut inputs: KtNodeMap<Box<RendezvousLists>> = KtNodeMap::with_slot_bound(slot_bound);
+    for (&id, cands) in shed_at.iter().zip(shed.values()) {
+        let lists = inputs.or_default(id);
+        for c in cands {
+            lists.push_shed(*c);
+        }
+    }
+    for (&id, &slot) in light_at.iter().zip(light.values()) {
+        inputs.or_default(id).push_light(slot);
+    }
+    inputs
 }
 
 /// Merges sorted `src` into sorted `dst`, keeping `dst` sorted and stable

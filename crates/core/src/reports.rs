@@ -1,11 +1,12 @@
 use crate::classify::{ClassifyParams, NodeClass};
 use crate::error::Error;
 use crate::lbi::{Lbi, LoadState};
-use crate::pairing::{LightSlot, RendezvousLists, ShedCandidate};
+use crate::pairing::{publish, LightSlot, RendezvousLists, ShedCandidate};
 use crate::selection::choose_shed_set;
 use crate::transfer::attachment;
 use proxbal_chord::{ChordNetwork, PeerId, VsId};
 use proxbal_hilbert::{CurveKind, LandmarkMapper};
+use proxbal_id::Id;
 use proxbal_ktree::{KTree, KtNodeId, KtNodeMap};
 use proxbal_topology::{DistanceOracle, NodeId};
 use rand::seq::SliceRandom;
@@ -79,9 +80,11 @@ impl Classification {
 /// virtual servers whose removal takes it to (or below) its target (§3.4).
 ///
 /// Runs on `threads` workers: each heavy peer's subset is an independent
-/// knapsack-style selection, computed in parallel and drained into the
-/// sorted map in original (ascending peer) order — identical at any thread
-/// count.
+/// knapsack-style selection, computed over fixed-size chunks of peers in
+/// parallel and drained into the sorted map in original (ascending peer)
+/// order — identical at any thread count. A chunk reuses one pair of
+/// scratch buffers for all its peers, so a peer costs one allocation: its
+/// candidate list.
 pub fn shed_candidates(
     net: &ChordNetwork,
     loads: &LoadState,
@@ -90,26 +93,30 @@ pub fn shed_candidates(
     threads: usize,
 ) -> BTreeMap<PeerId, Vec<ShedCandidate>> {
     let heavy = classification.peers_of(NodeClass::Heavy);
-    let per_peer = proxbal_parallel::map_items(&heavy, threads, |_, &p| {
-        let node = loads.node_lbi(net, p);
-        let excess = params.excess(&node, &classification.system);
-        let vss: Vec<(VsId, f64)> = net
-            .vss_of(p)
+    let chunks = proxbal_parallel::map_chunked(heavy.len(), CLASSIFY_CHUNK, threads, |range| {
+        let mut vss: Vec<(VsId, f64)> = Vec::new();
+        let mut chosen: Vec<VsId> = Vec::new();
+        heavy[range]
             .iter()
-            .map(|&v| (v, loads.vs_load(v)))
-            .collect();
-        let chosen = choose_shed_set(&vss, excess);
-        chosen
-            .into_iter()
-            .map(|v| ShedCandidate {
-                load: loads.vs_load(v),
-                vs: v,
-                from: p,
+            .map(|&p| {
+                let node = loads.node_lbi(net, p);
+                let excess = params.excess(&node, &classification.system);
+                vss.clear();
+                vss.extend(net.vss_of(p).iter().map(|&v| (v, loads.vs_load(v))));
+                choose_shed_set(&vss, excess, &mut chosen);
+                chosen
+                    .iter()
+                    .map(|&v| ShedCandidate {
+                        load: loads.vs_load(v),
+                        vs: v,
+                        from: p,
+                    })
+                    .collect::<Vec<ShedCandidate>>()
             })
-            .collect::<Vec<ShedCandidate>>()
+            .collect::<Vec<_>>()
     });
     let mut out = BTreeMap::new();
-    for (&p, cands) in heavy.iter().zip(per_peer) {
+    for (&p, cands) in heavy.iter().zip(chunks.into_iter().flatten()) {
         if !cands.is_empty() {
             out.insert(p, cands);
         }
@@ -151,27 +158,32 @@ pub fn ignorant_inputs<R: Rng>(
     light: &BTreeMap<PeerId, LightSlot>,
     rng: &mut R,
 ) -> KtNodeMap<Box<RendezvousLists>> {
-    let mut inputs: KtNodeMap<Box<RendezvousLists>> = KtNodeMap::with_slot_bound(tree.slot_bound());
-    // A peer with no virtual servers (possible for light peers that shed
-    // everything in an earlier pass) enters at the root.
-    let entry_for = |p: PeerId, rng: &mut R| -> KtNodeId {
-        match net.vss_of(p).choose(rng) {
-            Some(vs) => tree.report_target(net, *vs),
-            None => tree.root(),
-        }
-    };
-    for (&p, cands) in shed {
-        let target = entry_for(p, rng);
-        let lists = inputs.or_default(target);
-        for c in cands {
-            lists.push_shed(*c);
-        }
-    }
-    for (&p, slot) in light {
-        let target = entry_for(p, rng);
-        inputs.or_default(target).push_light(*slot);
-    }
-    inputs
+    // One draw per participant, shed peers then light peers. A peer with no
+    // virtual servers (possible for light peers that shed everything in an
+    // earlier pass) enters at the root.
+    let chosen: Vec<Option<VsId>> = shed
+        .keys()
+        .chain(light.keys())
+        .map(|&p| net.vss_of(p).choose(rng).copied())
+        .collect();
+    let targets = entry_nodes(net, tree, chosen.iter().copied());
+    publish(tree.slot_bound(), shed, light, &targets)
+}
+
+/// The report target of every virtual server of `vss` in one path-sharing
+/// descent ([`KTree::report_targets`]), in order; a `None` — a peer
+/// hosting no virtual server — enters at the root.
+pub(crate) fn entry_nodes(
+    net: &ChordNetwork,
+    tree: &KTree,
+    vss: impl Iterator<Item = Option<VsId>> + Clone,
+) -> Vec<KtNodeId> {
+    let mut bound = tree.report_targets(net, vss.clone().flatten()).into_iter();
+    vss.map(|vs| match vs {
+        Some(_) => bound.next().expect("one target per virtual server"),
+        None => tree.root(),
+    })
+    .collect()
 }
 
 /// Proximity publication configuration.
@@ -226,11 +238,13 @@ impl Default for ProximityParams {
 /// peers, then light peers, each ascending) that was never attached to the
 /// underlay — its landmark vector cannot be measured.
 ///
-/// Runs on `threads` workers: landmark vectors and per-participant DHT
-/// targets (key mapping, ring ownership, root descent) are pure functions
-/// of immutable state, computed in parallel; the rendezvous lists are then
-/// filled serially in original (sorted-map) order, so record order inside
-/// every list is identical at any thread count.
+/// Runs on `threads` workers: landmark vectors, and the DHT key of each
+/// distinct vector, are pure functions of immutable state, computed in
+/// parallel. The keys' entry nodes are found in one path-sharing descent in
+/// ring order ([`KTree::report_targets`]) and scattered back to the
+/// participants. The rendezvous lists are filled in original (sorted-map)
+/// order and each sorted once, so record order inside every list is
+/// identical at any thread count.
 #[allow(clippy::too_many_arguments)]
 pub fn proximity_inputs(
     net: &ChordNetwork,
@@ -242,6 +256,29 @@ pub fn proximity_inputs(
     landmarks: &[NodeId],
     threads: usize,
 ) -> Result<KtNodeMap<Box<RendezvousLists>>, Error> {
+    let participants: Vec<PeerId> = shed.keys().chain(light.keys()).copied().collect();
+    let (keys, key_of) = dht_keys(net, &participants, params, oracle, landmarks, threads)?;
+    let entry = key_targets(net, tree, &keys)?;
+    // `participants` lists shed keys then light keys, each ascending — the
+    // order `publish` reads targets in.
+    let targets: Vec<KtNodeId> = key_of.iter().map(|&k| entry[k as usize]).collect();
+    Ok(publish(tree.slot_bound(), shed, light, &targets))
+}
+
+/// The DHT keys `participants` publish at: each one's landmark vector,
+/// projected onto the key dimensions and mapped to a Hilbert number.
+/// Physically close peers share a vector (peers attached to one underlay
+/// node always do), so each distinct vector is mapped once. Returns the
+/// keys of the distinct vectors, in order of first appearance, and for
+/// each participant the index of its key.
+pub(crate) fn dht_keys(
+    net: &ChordNetwork,
+    participants: &[PeerId],
+    params: &ProximityParams,
+    oracle: &DistanceOracle,
+    landmarks: &[NodeId],
+    threads: usize,
+) -> Result<(Vec<u32>, Vec<u32>), Error> {
     assert!(!landmarks.is_empty(), "need at least one landmark");
     // Landmark vectors of every participating node, projected onto the
     // key dimensions.
@@ -251,7 +288,6 @@ pub fn proximity_inputs(
         .unwrap_or(landmarks.len());
     // The Hilbert index is carried as u128: clamp bits so dims·bits ≤ 128.
     let bits = params.bits_per_dim.clamp(1, (128 / dims as u32).min(32));
-    let participants: Vec<PeerId> = shed.keys().chain(light.keys()).copied().collect();
     // One row of `dims` landmark distances per participant, in
     // `participants` order, in one flat vector.
     let rows: Vec<_> = landmarks[..dims].iter().map(|&l| oracle.row(l)).collect();
@@ -295,32 +331,52 @@ pub fn proximity_inputs(
         LandmarkMapper::new(dims as u32, bits, scale_max)
     }
     .with_curve(params.curve);
+    let mut distinct: HashMap<&[u32], u32> = HashMap::new();
+    let mut firsts: Vec<&[u32]> = Vec::new();
+    let key_of: Vec<u32> = vectors
+        .chunks_exact(dims)
+        .map(|v| {
+            *distinct.entry(v).or_insert_with(|| {
+                firsts.push(v);
+                (firsts.len() - 1) as u32
+            })
+        })
+        .collect();
+    let keys = proxbal_parallel::map_chunked(firsts.len(), CLASSIFY_CHUNK, threads, |range| {
+        firsts[range]
+            .iter()
+            .map(|v| mapper.dht_key(v).raw())
+            .collect::<Vec<u32>>()
+    });
+    Ok((keys.into_iter().flatten().collect(), key_of))
+}
 
-    // `participants` lists shed keys then light keys, each ascending — the
-    // same order the two fill loops below walk, so zipping targets back is
-    // positional.
-    let targets =
-        proxbal_parallel::map_chunked(participants.len(), CLASSIFY_CHUNK, threads, |range| {
-            vectors[range.start * dims..range.end * dims]
-                .chunks_exact(dims)
-                .map(|v| {
-                    let owner = net.ring().owner(mapper.dht_key(v)).expect("non-empty ring");
-                    tree.report_target(net, owner)
-                })
-                .collect::<Vec<KtNodeId>>()
-        });
-    let mut inputs: KtNodeMap<Box<RendezvousLists>> = KtNodeMap::with_slot_bound(tree.slot_bound());
-    let mut targets = targets.into_iter().flatten();
-    for cands in shed.values() {
-        let target = targets.next().expect("one target per shed peer");
-        let lists = inputs.or_default(target);
-        for c in cands {
-            lists.push_shed(*c);
-        }
-    }
-    for slot in light.values() {
-        let target = targets.next().expect("one target per light peer");
-        inputs.or_default(target).push_light(*slot);
-    }
-    Ok(inputs)
+/// The entry node of every key of `keys`, in order: the report target of
+/// the key's owner (keys past the last ring position wrap to the first
+/// virtual server), all found in one path-sharing descent in ring order.
+pub(crate) fn key_targets(
+    net: &ChordNetwork,
+    tree: &KTree,
+    keys: &[u32],
+) -> Result<Vec<KtNodeId>, Error> {
+    let owners = keys
+        .iter()
+        .map(|&key| net.ring().owner(Id::new(key)).ok_or(Error::EmptyNetwork))
+        .collect::<Result<Vec<VsId>, Error>>()?;
+    Ok(tree.report_targets(net, owners))
+}
+
+/// [`key_targets`] as one root descent per key, kept as its reference.
+#[cfg(test)]
+pub(crate) fn reference_key_targets(
+    net: &ChordNetwork,
+    tree: &KTree,
+    keys: &[u32],
+) -> Vec<KtNodeId> {
+    keys.iter()
+        .map(|&key| {
+            let owner = net.ring().owner(Id::new(key)).expect("non-empty ring");
+            tree.report_target(net, owner)
+        })
+        .collect()
 }

@@ -17,7 +17,7 @@ use crate::classify::{ClassifyParams, NodeClass};
 use crate::error::Error;
 use crate::lbi::LoadState;
 use crate::reports::{
-    ignorant_inputs, light_slots, proximity_inputs, shed_candidates, Classification,
+    entry_nodes, ignorant_inputs, light_slots, proximity_inputs, shed_candidates, Classification,
 };
 use crate::transfer::execute_transfers_traced;
 use crate::vsa::{run_vsa, VsaParams};
@@ -197,20 +197,16 @@ impl LoadBalancer {
             decisions.push((p, vs, re_reported));
         }
         drop(sub);
-        // Pass B (parallel): report target (a root descent) and LBI triple
-        // per peer — pure reads over fixed-size chunks.
+        // Pass B: every bound virtual server's report target in one
+        // path-sharing descent in ring order (a peer with none reports at
+        // the root), then the LBI triple per peer — pure reads over
+        // fixed-size chunks in parallel.
         let sub = proxbal_profile::phase("round/lbi/targets");
+        let targets = entry_nodes(net, tree, decisions.iter().map(|&(_, vs, _)| vs));
         let lbi_chunks =
             proxbal_parallel::map_chunked(decisions.len(), PEER_CHUNK, threads, |range| {
                 range
-                    .map(|i| {
-                        let (p, vs, _) = decisions[i];
-                        let target = match vs {
-                            Some(v) => tree.report_target(net, v),
-                            None => tree.root(),
-                        };
-                        (target, loads.node_lbi(net, p))
-                    })
+                    .map(|i| loads.node_lbi(net, decisions[i].0))
                     .collect::<Vec<_>>()
             });
         drop(sub);
@@ -227,24 +223,21 @@ impl LoadBalancer {
         let mut report_seeds: Vec<proxbal_ktree::KtNodeId> = Vec::new();
         {
             use proxbal_ktree::Merge;
-            let mut i = 0usize;
-            for chunk in lbi_chunks {
-                for (target, lbi) in chunk {
-                    if decisions[i].2 {
-                        report_seeds.push(target);
-                    }
-                    i += 1;
-                    match lbi_inputs.get_mut(target) {
-                        Some(acc) => Merge::merge(&mut **acc, lbi),
-                        None => {
-                            lbi_inputs.insert(target, Box::new(lbi));
-                        }
+            let lbis = lbi_chunks.into_iter().flatten();
+            for ((&target, &(_, _, re_reported)), lbi) in targets.iter().zip(&decisions).zip(lbis) {
+                if re_reported {
+                    report_seeds.push(target);
+                }
+                match lbi_inputs.get_mut(target) {
+                    Some(acc) => Merge::merge(&mut **acc, lbi),
+                    None => {
+                        lbi_inputs.insert(target, Box::new(lbi));
                     }
                 }
             }
         }
         let peers = decisions.len();
-        drop(decisions);
+        drop((decisions, targets));
         drop(sub);
         // Count inter-peer tree edges on the re-reporting paths (each edge
         // carries exactly one aggregated LBI message; quiet peers' cached

@@ -12,9 +12,156 @@ use proxbal_chord::VsId;
 /// [`EXACT_LIMIT`] virtual servers a greedy that is within one virtual
 /// server of optimal is used.
 ///
-/// If even shedding everything cannot reach `excess`, all virtual servers
-/// are returned (best effort).
-pub fn choose_shed_set(vss: &[(VsId, f64)], excess: f64) -> Vec<VsId> {
+/// The chosen set replaces the contents of `out`, heaviest first. If the
+/// search finds no subset that reaches `excess` — even shedding everything
+/// falls short, summed as the search sums — every virtual server is
+/// returned in input order (best effort). Up to [`EXACT_LIMIT`] virtual
+/// servers nothing is allocated, so a caller reusing `out` sheds any
+/// number of peers from one buffer.
+pub fn choose_shed_set(vss: &[(VsId, f64)], excess: f64, out: &mut Vec<VsId>) {
+    assert!(excess.is_finite());
+    out.clear();
+    if excess <= 0.0 {
+        return;
+    }
+    let descending = |a: &(VsId, f64), b: &(VsId, f64)| b.1.total_cmp(&a.1);
+    let found = if vss.len() <= EXACT_LIMIT {
+        let mut buf = [(VsId(0), 0.0); EXACT_LIMIT];
+        let sorted = &mut buf[..vss.len()];
+        sorted.copy_from_slice(vss);
+        // Stable, and an insertion sort at this length: no scratch.
+        sorted.sort_by(descending);
+        exact(sorted, excess, out)
+    } else {
+        let mut sorted = vss.to_vec();
+        sorted.sort_by(descending);
+        greedy(&mut sorted, excess, out)
+    };
+    if !found {
+        out.extend(vss.iter().map(|&(v, _)| v));
+    }
+}
+
+/// Above this many virtual servers, fall back from exact search to greedy.
+/// At most 32: the exact search keeps its subsets as `u32` bit masks.
+pub const EXACT_LIMIT: usize = 20;
+
+/// Exact branch-and-bound: loads sorted descending, suffix sums for
+/// pruning; explores "take / skip" per item, keeping the best feasible sum
+/// and its subset as a mask over `sorted` (bit `i` = item `i` taken).
+/// Appends the best subset to `out` in `sorted` order; `false` when no
+/// subset reaches `excess`.
+fn exact(sorted: &[(VsId, f64)], excess: f64, out: &mut Vec<VsId>) -> bool {
+    let n = sorted.len();
+    debug_assert!(n <= EXACT_LIMIT);
+    // suffix[i] = sum of loads from i to end.
+    let mut suffix = [0.0; EXACT_LIMIT + 1];
+    for i in (0..n).rev() {
+        suffix[i] = suffix[i + 1] + sorted[i].1;
+    }
+
+    struct Search<'a> {
+        sorted: &'a [(VsId, f64)],
+        suffix: &'a [f64],
+        excess: f64,
+        best_sum: f64,
+        best: u32,
+        current: u32,
+    }
+
+    impl Search<'_> {
+        fn run(&mut self, i: usize, sum: f64) {
+            if sum >= self.excess {
+                if sum < self.best_sum {
+                    self.best_sum = sum;
+                    self.best = self.current;
+                }
+                return; // adding more only increases the sum
+            }
+            if i == self.sorted.len() {
+                return;
+            }
+            // Prune: even taking everything left cannot reach the excess.
+            if sum + self.suffix[i] < self.excess {
+                return;
+            }
+            let bit = 1u32 << i;
+            // Prune: the smallest feasible completion is already worse.
+            if sum + self.sorted[i].1 >= self.best_sum {
+                // Taking item i overshoots the best; skipping keeps sum the
+                // same but later items are smaller — still explore skip.
+                self.current &= !bit;
+                self.run(i + 1, sum);
+                return;
+            }
+            self.current |= bit;
+            self.run(i + 1, sum + self.sorted[i].1);
+            self.current &= !bit;
+            self.run(i + 1, sum);
+        }
+    }
+
+    let mut search = Search {
+        sorted,
+        suffix: &suffix[..=n],
+        excess,
+        best_sum: f64::INFINITY,
+        best: 0,
+        current: 0,
+    };
+    search.run(0, 0.0);
+    let taken = |&(i, _): &(usize, _)| search.best & 1 << i != 0;
+    out.extend(
+        sorted
+            .iter()
+            .enumerate()
+            .filter(taken)
+            .map(|(_, &(v, _))| v),
+    );
+    search.best_sum.is_finite()
+}
+
+/// Greedy: walk loads descending, take an item only if still needed; the
+/// final (smallest taken) item bounds the overshoot. Appends the chosen
+/// items to `out`, heaviest first; `false` when taking every item falls
+/// short of `excess`.
+fn greedy(sorted: &mut Vec<(VsId, f64)>, excess: f64, out: &mut Vec<VsId>) -> bool {
+    let mut sum = 0.0;
+    // First pass: take from the largest down while short of the excess.
+    let mut taken = 0;
+    for &(_, l) in sorted.iter() {
+        if sum >= excess {
+            break;
+        }
+        sum += l;
+        taken += 1;
+    }
+    if sum < excess {
+        return false;
+    }
+    sorted.truncate(taken);
+    // Second pass: drop items that became unnecessary (smallest first).
+    let mut i = sorted.len();
+    while i > 0 {
+        i -= 1;
+        if sum - sorted[i].1 >= excess {
+            sum -= sorted[i].1;
+            sorted.remove(i);
+        }
+    }
+    out.extend(sorted.iter().map(|&(v, _)| v));
+    true
+}
+
+/// The shed-set selection as it was before the search moved to bit masks
+/// and stack arrays — a sorted copy, heap suffix sums, `Vec<bool>` subsets
+/// cloned on every improvement — kept as the reference [`choose_shed_set`]
+/// must agree with, set for set and in order. It decides feasibility on the
+/// input-order sum, which can differ from the search's by rounding (then it
+/// returns nothing, or panics in debug builds); the comparisons feed it
+/// loads whose sums are exact.
+#[cfg(test)]
+pub fn reference_choose_shed_set(vss: &[(VsId, f64)], excess: f64) -> Vec<VsId> {
     assert!(excess.is_finite());
     if excess <= 0.0 {
         return Vec::new();
@@ -26,106 +173,10 @@ pub fn choose_shed_set(vss: &[(VsId, f64)], excess: f64) -> Vec<VsId> {
     let mut sorted: Vec<(VsId, f64)> = vss.to_vec();
     sorted.sort_by(|a, b| b.1.total_cmp(&a.1));
     if sorted.len() <= EXACT_LIMIT {
-        exact(&sorted, excess)
+        reference::exact(&sorted, excess)
     } else {
-        greedy(&sorted, excess)
+        reference::greedy(&sorted, excess)
     }
-}
-
-/// Above this many virtual servers, fall back from exact search to greedy.
-pub const EXACT_LIMIT: usize = 20;
-
-/// Exact branch-and-bound: loads sorted descending, suffix sums for
-/// pruning; explores "take / skip" per item, keeping the best feasible sum.
-fn exact(sorted: &[(VsId, f64)], excess: f64) -> Vec<VsId> {
-    let n = sorted.len();
-    // suffix[i] = sum of loads from i to end.
-    let mut suffix = vec![0.0; n + 1];
-    for i in (0..n).rev() {
-        suffix[i] = suffix[i + 1] + sorted[i].1;
-    }
-
-    struct Search<'a> {
-        sorted: &'a [(VsId, f64)],
-        suffix: &'a [f64],
-        excess: f64,
-        best_sum: f64,
-        best: Vec<bool>,
-        current: Vec<bool>,
-    }
-
-    impl Search<'_> {
-        fn run(&mut self, i: usize, sum: f64) {
-            if sum >= self.excess {
-                if sum < self.best_sum {
-                    self.best_sum = sum;
-                    self.best = self.current.clone();
-                }
-                return; // adding more only increases the sum
-            }
-            if i == self.sorted.len() {
-                return;
-            }
-            // Prune: even taking everything left cannot reach the excess.
-            if sum + self.suffix[i] < self.excess {
-                return;
-            }
-            // Prune: the smallest feasible completion is already worse.
-            if sum + self.sorted[i].1 >= self.best_sum {
-                // Taking item i overshoots the best; skipping keeps sum the
-                // same but later items are smaller — still explore skip.
-                self.current[i] = false;
-                self.run(i + 1, sum);
-                return;
-            }
-            self.current[i] = true;
-            self.run(i + 1, sum + self.sorted[i].1);
-            self.current[i] = false;
-            self.run(i + 1, sum);
-        }
-    }
-
-    let mut search = Search {
-        sorted,
-        suffix: &suffix,
-        excess,
-        best_sum: f64::INFINITY,
-        best: vec![false; n],
-        current: vec![false; n],
-    };
-    search.run(0, 0.0);
-    debug_assert!(search.best_sum.is_finite(), "total >= excess guaranteed");
-    sorted
-        .iter()
-        .zip(&search.best)
-        .filter(|&(_, &take)| take)
-        .map(|(&(v, _), _)| v)
-        .collect()
-}
-
-/// Greedy: walk loads descending, take an item only if still needed; the
-/// final (smallest taken) item bounds the overshoot.
-fn greedy(sorted: &[(VsId, f64)], excess: f64) -> Vec<VsId> {
-    let mut out = Vec::new();
-    let mut sum = 0.0;
-    // First pass: take from the largest down while short of the excess.
-    for &(v, l) in sorted {
-        if sum >= excess {
-            break;
-        }
-        out.push((v, l));
-        sum += l;
-    }
-    // Second pass: drop items that became unnecessary (smallest first).
-    let mut i = out.len();
-    while i > 0 {
-        i -= 1;
-        if sum - out[i].1 >= excess {
-            sum -= out[i].1;
-            out.remove(i);
-        }
-    }
-    out.into_iter().map(|(v, _)| v).collect()
 }
 
 /// Brute-force reference (exponential) used by tests.
@@ -144,4 +195,91 @@ pub fn brute_force_shed_set(vss: &[(VsId, f64)], excess: f64) -> f64 {
         }
     }
     best
+}
+
+#[cfg(test)]
+mod reference {
+    use proxbal_chord::VsId;
+
+    pub(super) fn exact(sorted: &[(VsId, f64)], excess: f64) -> Vec<VsId> {
+        let n = sorted.len();
+        let mut suffix = vec![0.0; n + 1];
+        for i in (0..n).rev() {
+            suffix[i] = suffix[i + 1] + sorted[i].1;
+        }
+
+        struct Search<'a> {
+            sorted: &'a [(VsId, f64)],
+            suffix: &'a [f64],
+            excess: f64,
+            best_sum: f64,
+            best: Vec<bool>,
+            current: Vec<bool>,
+        }
+
+        impl Search<'_> {
+            fn run(&mut self, i: usize, sum: f64) {
+                if sum >= self.excess {
+                    if sum < self.best_sum {
+                        self.best_sum = sum;
+                        self.best = self.current.clone();
+                    }
+                    return;
+                }
+                if i == self.sorted.len() {
+                    return;
+                }
+                if sum + self.suffix[i] < self.excess {
+                    return;
+                }
+                if sum + self.sorted[i].1 >= self.best_sum {
+                    self.current[i] = false;
+                    self.run(i + 1, sum);
+                    return;
+                }
+                self.current[i] = true;
+                self.run(i + 1, sum + self.sorted[i].1);
+                self.current[i] = false;
+                self.run(i + 1, sum);
+            }
+        }
+
+        let mut search = Search {
+            sorted,
+            suffix: &suffix,
+            excess,
+            best_sum: f64::INFINITY,
+            best: vec![false; n],
+            current: vec![false; n],
+        };
+        search.run(0, 0.0);
+        debug_assert!(search.best_sum.is_finite(), "total >= excess guaranteed");
+        sorted
+            .iter()
+            .zip(&search.best)
+            .filter(|&(_, &take)| take)
+            .map(|(&(v, _), _)| v)
+            .collect()
+    }
+
+    pub(super) fn greedy(sorted: &[(VsId, f64)], excess: f64) -> Vec<VsId> {
+        let mut out = Vec::new();
+        let mut sum = 0.0;
+        for &(v, l) in sorted {
+            if sum >= excess {
+                break;
+            }
+            out.push((v, l));
+            sum += l;
+        }
+        let mut i = out.len();
+        while i > 0 {
+            i -= 1;
+            if sum - out[i].1 >= excess {
+                sum -= out[i].1;
+                out.remove(i);
+            }
+        }
+        out.into_iter().map(|(v, _)| v).collect()
+    }
 }

@@ -206,17 +206,24 @@ fn vs(i: u32) -> VsId {
     VsId(i)
 }
 
+/// [`choose_shed_set`] into a fresh buffer.
+fn shed_set(vss: &[(VsId, f64)], excess: f64) -> Vec<VsId> {
+    let mut out = vec![vs(u32::MAX)]; // stale contents must be replaced
+    choose_shed_set(vss, excess, &mut out);
+    out
+}
+
 #[test]
 fn shed_set_empty_when_no_excess() {
-    assert!(choose_shed_set(&[(vs(0), 5.0)], 0.0).is_empty());
-    assert!(choose_shed_set(&[(vs(0), 5.0)], -1.0).is_empty());
+    assert!(shed_set(&[(vs(0), 5.0)], 0.0).is_empty());
+    assert!(shed_set(&[(vs(0), 5.0)], -1.0).is_empty());
 }
 
 #[test]
 fn shed_set_single_exact() {
     let vss = [(vs(0), 5.0), (vs(1), 3.0), (vs(2), 8.0)];
     // Need >= 3: the single 3.0 VS is optimal.
-    let got = choose_shed_set(&vss, 3.0);
+    let got = shed_set(&vss, 3.0);
     assert_eq!(got, vec![vs(1)]);
 }
 
@@ -224,7 +231,7 @@ fn shed_set_single_exact() {
 fn shed_set_prefers_combination_over_overshoot() {
     let vss = [(vs(0), 10.0), (vs(1), 4.0), (vs(2), 3.0)];
     // Need >= 6: {4, 3} = 7 beats {10}.
-    let mut got = choose_shed_set(&vss, 6.0);
+    let mut got = shed_set(&vss, 6.0);
     got.sort();
     assert_eq!(got, vec![vs(1), vs(2)]);
 }
@@ -232,7 +239,7 @@ fn shed_set_prefers_combination_over_overshoot() {
 #[test]
 fn shed_set_all_when_insufficient() {
     let vss = [(vs(0), 1.0), (vs(1), 2.0)];
-    let mut got = choose_shed_set(&vss, 10.0);
+    let mut got = shed_set(&vss, 10.0);
     got.sort();
     assert_eq!(got, vec![vs(0), vs(1)]);
 }
@@ -247,7 +254,7 @@ fn shed_set_matches_brute_force() {
             .collect();
         let total: f64 = vss.iter().map(|x| x.1).sum();
         let excess = rng.gen_range(0.0..total * 1.1);
-        let chosen = choose_shed_set(&vss, excess);
+        let chosen = shed_set(&vss, excess);
         let sum: f64 = chosen
             .iter()
             .map(|v| vss.iter().find(|x| x.0 == *v).unwrap().1)
@@ -270,7 +277,7 @@ fn shed_set_greedy_near_optimal_for_many_vss() {
         .map(|i| (vs(i), rng.gen_range(1.0..10.0f64)))
         .collect();
     let excess = 80.0;
-    let chosen = choose_shed_set(&vss, excess);
+    let chosen = shed_set(&vss, excess);
     let sum: f64 = chosen
         .iter()
         .map(|v| vss.iter().find(|x| x.0 == *v).unwrap().1)
@@ -278,6 +285,37 @@ fn shed_set_greedy_near_optimal_for_many_vss() {
     assert!(sum >= excess);
     // Greedy overshoot is bounded by the largest item.
     assert!(sum < excess + 10.0);
+}
+
+/// A peer that can shed must shed something. Summed in input order these
+/// loads reach the excess exactly, but the search's descending suffix sum
+/// is 5.199999999999999, so every subset was pruned: the selection used to
+/// return nothing (and panic on its debug assertion).
+#[test]
+fn shed_set_sheds_everything_when_the_search_sum_falls_short() {
+    let vss = [(vs(0), 0.2), (vs(1), 1.0), (vs(2), 3.3), (vs(3), 0.7)];
+    assert_eq!(vss.iter().map(|x| x.1).sum::<f64>(), 5.2);
+    assert_eq!(shed_set(&vss, 5.2), vec![vs(0), vs(1), vs(2), vs(3)]);
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    /// The mask-and-stack-array search against the `Vec<bool>` reference:
+    /// the same set in the same order, on tie-heavy loads (`0.0` and `-0.0`
+    /// included) whose every sum is exact, up to `EXACT_LIMIT` virtual
+    /// servers and past it (the greedy path).
+    #[test]
+    fn prop_shed_set_matches_the_reference(seed: u64, n in 0usize..=2 * EXACT_LIMIT, quarters in 0u32..=320) {
+        use crate::selection::reference_choose_shed_set;
+        const LOADS: [f64; 7] = [-0.0, 0.0, 0.5, 1.0, 1.0, 2.0, 3.5];
+        let mut rng = StdRng::seed_from_u64(seed);
+        let vss: Vec<(VsId, f64)> = (0..n as u32)
+            .map(|i| (vs(i), LOADS[rng.gen_range(0..LOADS.len())]))
+            .collect();
+        let excess = f64::from(quarters) / 4.0;
+        prop_assert_eq!(shed_set(&vss, excess), reference_choose_shed_set(&vss, excess));
+    }
 }
 
 // ---------------------------------------------------------------- pairing
@@ -407,6 +445,57 @@ proptest! {
                 prop_assert!(s.spare < c.load);
             }
         }
+    }
+
+    /// Appending every record and sorting each entry node once leaves the
+    /// lists one `push_shed` / `push_light` per record leaves: on a few
+    /// entry nodes, tie-heavy keys (`0.0` and `-0.0` included), every
+    /// record distinguishable by its ids.
+    #[test]
+    fn prop_publish_matches_one_push_per_record(seed: u64, n_shed in 0usize..60, n_light in 0usize..60) {
+        use crate::pairing::{publish, reference_publish};
+        use proxbal_ktree::{KtNodeId, KtNodeMap};
+        const LOADS: [f64; 4] = [0.0, -0.0, 1.0, 2.5];
+        const SPARES: [f64; 3] = [0.5, 1.0, 2.0];
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut next_vs = 0u32;
+        // Peer ids interleave, so the publication order is not the
+        // participants' draw order.
+        let shed: std::collections::BTreeMap<PeerId, Vec<ShedCandidate>> = (0..n_shed as u32)
+            .map(|i| {
+                let p = i.wrapping_mul(0x9E37_79B9) % 1000;
+                let cands = (0..rng.gen_range(0..4))
+                    .map(|_| {
+                        next_vs += 1;
+                        cand(LOADS[rng.gen_range(0..LOADS.len())], next_vs, p)
+                    })
+                    .collect();
+                (PeerId(p), cands)
+            })
+            .collect();
+        let light: std::collections::BTreeMap<PeerId, LightSlot> = (0..n_light as u32)
+            .map(|i| {
+                let p = 1000 + i.wrapping_mul(0x9E37_79B9) % 1000;
+                (PeerId(p), slot(SPARES[rng.gen_range(0..SPARES.len())], p))
+            })
+            .collect();
+        let targets: Vec<KtNodeId> = (0..shed.len() + light.len())
+            .map(|_| KtNodeId(rng.gen_range(0..4)))
+            .collect();
+        let contents = |lists: KtNodeMap<Box<RendezvousLists>>| {
+            lists
+                .iter()
+                .map(|(id, l)| {
+                    let shed: Vec<_> = l.shed().iter().map(|c| (c.load.to_bits(), c.vs, c.from)).collect();
+                    let light: Vec<_> = l.light().iter().map(|s| (s.spare.to_bits(), s.peer)).collect();
+                    (id, shed, light)
+                })
+                .collect::<Vec<_>>()
+        };
+        prop_assert_eq!(
+            contents(publish(4, &shed, &light, &targets)),
+            contents(reference_publish(4, &shed, &light, &targets))
+        );
     }
 }
 
@@ -647,6 +736,137 @@ fn proximity_inputs_agree_with_the_serial_fold_across_chunks() {
     for threads in [2, 8] {
         assert_eq!(published(threads), serial, "{threads} threads");
     }
+    // Against one ring search, one root descent and one sorted insert per
+    // participant, each participant's key looked up through its vector's.
+    let participants: Vec<PeerId> = shed.keys().chain(light.keys()).copied().collect();
+    let (keys, key_of) = reports::dht_keys(
+        &net,
+        &participants,
+        &ProximityParams::default(),
+        &oracle,
+        &landmarks,
+        1,
+    )
+    .unwrap();
+    assert!(
+        keys.len() < participants.len(),
+        "no two participants share a landmark vector"
+    );
+    let keys: Vec<u32> = key_of.iter().map(|&k| keys[k as usize]).collect();
+    let targets = reports::reference_key_targets(&net, &tree, &keys);
+    let reference = crate::pairing::reference_publish(tree.slot_bound(), &shed, &light, &targets);
+    let reference: Vec<_> = reference
+        .iter()
+        .map(|(id, lists)| (id, lists.shed().to_vec(), lists.light().to_vec()))
+        .collect();
+    assert_eq!(serial, reference);
+}
+
+/// The entry node of every DHT key — all found in one path-sharing descent
+/// in ring order — against one root descent per key, over more than one
+/// chunk of keys: keys past the last ring position (they wrap to the first
+/// virtual server), keys on and next to ring positions, repeats.
+#[test]
+fn key_targets_match_one_owner_search_and_descent_per_key() {
+    use crate::reports::{key_targets, reference_key_targets};
+    let (net, _, mut rng) = setup(4_000, 5, 63);
+    let tree = KTree::build(&net, 2);
+    let positions: Vec<u32> = net.ring().iter().map(|(pos, _)| pos.raw()).collect();
+    let (first, last) = (positions[0], positions[positions.len() - 1]);
+    let mut keys: Vec<u32> = (0..MULTI_CHUNK_PEERS).map(|_| rng.gen()).collect();
+    keys.extend([
+        0,
+        u32::MAX,
+        first,
+        first.wrapping_sub(1),
+        last,
+        last.saturating_add(1),
+    ]);
+    keys.extend(
+        positions
+            .iter()
+            .step_by(97)
+            .flat_map(|&p| [p, p.wrapping_add(1)]),
+    );
+    keys.extend_from_within(..500);
+    assert!(keys.iter().filter(|&&k| k > last).count() > 1);
+    assert_eq!(
+        key_targets(&net, &tree, &keys).unwrap(),
+        reference_key_targets(&net, &tree, &keys)
+    );
+    assert!(key_targets(&net, &tree, &[]).unwrap().is_empty());
+}
+
+/// `run_round`'s report bindings — one path-sharing descent over the bound
+/// virtual servers, the root for a peer hosting none — against one root
+/// descent per peer, over more than one chunk of peers: the aggregated
+/// system LBI (merged per entry node in peer order) and the LBI message
+/// count must be what per-peer `report_target` gives.
+#[test]
+fn run_round_report_bindings_match_one_descent_per_peer() {
+    use rand::seq::SliceRandom;
+    let (mut net, mut loads, mut rng) = setup(MULTI_CHUNK_PEERS / 2, 2, 64);
+    // Every seventh peer hands its virtual servers away and reports at the
+    // root.
+    for p in net.alive_peers().into_iter().step_by(7) {
+        for v in net.vss_of(p).to_vec() {
+            net.drop_vs(v);
+            loads.set_vs_load(v, 0.0);
+        }
+    }
+    let mut tree = KTree::build(&net, 2);
+    let peers = net.alive_peers();
+    assert!(peers.len() > 8192);
+    assert!(peers.iter().any(|&p| net.vss_of(p).is_empty()));
+    // A cold round draws one reporting virtual server per peer, in order.
+    let mut draws = rng.clone();
+    let chosen: Vec<Option<VsId>> = peers
+        .iter()
+        .map(|&p| net.vss_of(p).choose(&mut draws).copied())
+        .collect();
+    let seeds: Vec<_> = chosen
+        .iter()
+        .map(|vs| vs.map_or(tree.root(), |vs| tree.report_target(&net, vs)))
+        .collect();
+    assert_eq!(
+        crate::reports::entry_nodes(&net, &tree, chosen.iter().copied()),
+        seeds
+    );
+    let mut inputs: HashMap<_, Lbi> = HashMap::new();
+    for (&p, &target) in peers.iter().zip(&seeds) {
+        let lbi = loads.node_lbi(&net, p);
+        match inputs.get_mut(&target) {
+            Some(acc) => proxbal_ktree::Merge::merge(acc, lbi),
+            None => {
+                inputs.insert(target, lbi);
+            }
+        }
+    }
+    let want = tree.aggregate(inputs).root_value.unwrap();
+    let want_messages = crate::round::count_active_edges(&net, &tree, seeds.iter().copied());
+    let report = LoadBalancer::new(BalancerConfig::default())
+        .with_threads(2)
+        .run_round(
+            &mut net,
+            &mut loads,
+            &mut tree,
+            None,
+            &mut RoundCache::new(),
+            &DirtySet::All,
+            &mut rng,
+            &mut Trace::disabled(),
+            &mut RoundWalls::default(),
+        )
+        .unwrap();
+    let bits = |l: &Lbi| {
+        (
+            l.load.to_bits(),
+            l.capacity.to_bits(),
+            l.min_vs_load.to_bits(),
+        )
+    };
+    assert_eq!(bits(&report.system), bits(&want));
+    assert_eq!(report.messages.lbi_messages, want_messages);
 }
 
 // ---------------------------------------------------------------- baselines

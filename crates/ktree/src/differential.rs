@@ -46,21 +46,32 @@ fn assert_derived_fresh(tree: &KTree) {
 }
 
 /// The descents that carry the root's region down — one per virtual
-/// server, and the path-reusing bulk form in ring order and in an order
-/// that shares no paths — against the descent that reads every node's
-/// stored region.
+/// server, and the bulk form that sorts its input into ring order and
+/// shares paths — against the descent that reads every node's stored
+/// region. The bulk form is fed ring order, a scrambled order, and the
+/// scrambled order reversed with every virtual server twice; its answers
+/// must come back in input order.
 #[track_caller]
 fn assert_report_targets_match(tree: &KTree, net: &ChordNetwork) {
-    let mut vss: Vec<VsId> = net.ring().iter().map(|(_, vs)| vs).collect();
-    for _ in 0..2 {
+    let ring_order: Vec<VsId> = net.ring().iter().map(|(_, vs)| vs).collect();
+    let mut scrambled = ring_order.clone();
+    scrambled.sort_unstable_by_key(|vs| vs.0.wrapping_mul(0x9E37_79B9));
+    let repeated: Vec<VsId> = scrambled.iter().rev().flat_map(|&vs| [vs, vs]).collect();
+    for vss in [ring_order, scrambled, repeated] {
         let by_stored_region: Vec<KtNodeId> = vss
             .iter()
             .map(|&vs| tree.reference_report_target(net, vs))
             .collect();
         let one_by_one: Vec<KtNodeId> = vss.iter().map(|&vs| tree.report_target(net, vs)).collect();
         assert_eq!(one_by_one, by_stored_region);
-        assert_eq!(tree.report_targets(net, vss.iter().copied()), one_by_one);
-        vss.sort_unstable_by_key(|vs| vs.0.wrapping_mul(0x9E37_79B9));
+        let bulk = tree.report_targets(net, vss.iter().copied());
+        assert_eq!(bulk.len(), vss.len());
+        for (i, (&vs, target)) in vss.iter().zip(bulk).enumerate() {
+            assert_eq!(
+                target, one_by_one[i],
+                "answer {i} ({vs:?}) out of input order"
+            );
+        }
     }
 }
 

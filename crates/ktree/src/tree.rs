@@ -750,33 +750,42 @@ impl KTree {
         }
     }
 
-    /// [`Self::report_target`] of every virtual server of `vss`, in order.
+    /// [`Self::report_target`] of every virtual server of `vss`, answered
+    /// in input order; any order and repeats are accepted.
     ///
-    /// Each descent starts from the deepest node of the previous one whose
-    /// region still holds the position instead of from the root: a listed
-    /// child covers exactly its part of the parent's region and parts are
-    /// disjoint, so a node on the previous path whose region contains the
-    /// position is on this position's path too. Ring neighbours
-    /// ([`Ring::iter`] order) then cost a few nodes each instead of the
-    /// tree's height; any other order is correct, only slower.
+    /// The descents run in ring-position order (the call sorts the
+    /// positions first), each starting from the deepest node of the
+    /// previous one whose region still holds the position instead of from
+    /// the root: a listed child covers exactly its part of the parent's
+    /// region and parts are disjoint, so a node on the previous path whose
+    /// region contains the position is on this position's path too. Ring
+    /// neighbours then cost a few nodes each instead of the tree's height.
     pub fn report_targets(
         &self,
         net: &ChordNetwork,
         vss: impl IntoIterator<Item = VsId>,
     ) -> Vec<KtNodeId> {
+        let mut order: Vec<(u32, u32)> = vss
+            .into_iter()
+            .enumerate()
+            .map(|(i, vs)| (net.vs(vs).position.raw(), i as u32))
+            .collect();
+        // Equal positions are one virtual server, so their order is moot;
+        // an input already in ring order is one run and sorts in one pass.
+        order.sort_unstable_by_key(|&(pos, _)| pos);
+        let mut targets = vec![self.root; order.len()];
         let mut path = vec![(self.root, self.node(self.root).region())];
-        vss.into_iter()
-            .map(|vs| {
-                let pos = net.vs(vs).position;
-                while path.len() > 1 && !path[path.len() - 1].1.contains(pos) {
-                    path.pop();
-                }
-                while let Some(below) = self.child_towards(path[path.len() - 1], pos) {
-                    path.push(below);
-                }
-                path[path.len() - 1].0
-            })
-            .collect()
+        for (pos, i) in order {
+            let pos = Id::new(pos);
+            while path.len() > 1 && !path[path.len() - 1].1.contains(pos) {
+                path.pop();
+            }
+            while let Some(below) = self.child_towards(path[path.len() - 1], pos) {
+                path.push(below);
+            }
+            targets[i as usize] = path[path.len() - 1].0;
+        }
+        targets
     }
 
     /// One round of every KT node's periodic self-check against the current
