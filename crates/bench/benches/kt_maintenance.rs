@@ -2,9 +2,9 @@
 //! end-to-end `engine_4k` number: `KTree::repair` when nothing changed (the
 //! common engine epoch — must not depend on tree size) and after 1 % of the
 //! peers crashed and as many joined (work proportional to the root paths
-//! the changed ring positions disturb, not to the tree), and
-//! `KTree::max_message_depth` on an unchanged tree (derived once per arena
-//! state, so asking again must not depend on tree size either).
+//! the changed ring positions disturb, not to the tree), and the walk that
+//! answers a round's message depths and edge counts (`KTree::aggregate`
+//! with no inputs: one pass over the tree, nothing cached between rounds).
 //!
 //! The `kt_layout` group times what the arena's layout decides — growing
 //! the tree in place and the bulk report-target descent — at 65,536 peers
@@ -12,6 +12,7 @@
 
 use criterion::{criterion_group, criterion_main, BatchSize, BenchmarkId, Criterion};
 use proxbal_chord::ChordNetwork;
+use proxbal_core::Lbi;
 use proxbal_ktree::KTree;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -34,13 +35,9 @@ fn bench_kt_maintenance(c: &mut Criterion) {
             b.iter(|| std::hint::black_box(tree.repair(&net, 256)));
         });
 
-        std::hint::black_box(tree.max_message_depth());
-        group.bench_function(
-            BenchmarkId::new("message_depths_unchanged_tree", peers),
-            |b| {
-                b.iter(|| std::hint::black_box(tree.max_message_depth()));
-            },
-        );
+        group.bench_function(BenchmarkId::new("message_depths_walk", peers), |b| {
+            b.iter(|| std::hint::black_box(tree.aggregate::<Lbi>(&net, &[], 1)));
+        });
 
         // One fixed churned network per size; each iteration repairs a
         // fresh clone of the pre-churn tree against it (a binary tree's

@@ -1,21 +1,22 @@
 //! Benchmarks the parallel kernels *inside* a balancing round — the hot
 //! per-peer loops the `--threads` knob accelerates: node classification,
-//! shed-candidate/light-slot extraction, the root-only LBI fold over the
-//! K-nary tree, the VSA phase's per-participant half at the xl scale, and
-//! the complete proximity-aware four-phase round. Each
+//! shed-candidate/light-slot extraction, the LBI walk over the K-nary tree
+//! (per virtual server, and as a round binds it), the VSA phase's
+//! per-participant half at the xl scale, and the complete proximity-aware
+//! four-phase round. Each
 //! kernel runs at 1 and 8 worker threads so the
 //! scaling (and the fixed-chunk merge overhead at 1 thread) is visible in
 //! one report. Outputs are byte-identical across thread counts — the
 //! determinism tests pin that — so these benches measure pure wall-clock.
 
-use criterion::{criterion_group, criterion_main, BatchSize, BenchmarkId, Criterion};
+use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use proxbal_chord::ChordNetwork;
 use proxbal_core::reports::{light_slots, proximity_inputs, shed_candidates};
 use proxbal_core::{
     BalancerConfig, Classification, ClassifyParams, Lbi, LoadBalancer, ProximityMode,
     ProximityParams, RoundWalls, Underlay,
 };
-use proxbal_ktree::{KTree, KtNodeMap};
+use proxbal_ktree::{AggregateInput, KTree};
 use proxbal_sim::{Scenario, TopologyKind};
 use proxbal_trace::Trace;
 use rand::rngs::StdRng;
@@ -117,9 +118,9 @@ fn bench_round_kernels(c: &mut Criterion) {
     group.finish();
 }
 
-/// Phase 1's tree half in isolation: one boxed LBI per virtual server's
-/// leaf, folded to the root. The tree's message depths are derived before
-/// timing starts, as they are for every round after a tree's first.
+/// Phase 1's tree half in isolation: one LBI per virtual server's leaf,
+/// folded to the root by the walk that also counts the round's messages
+/// and dissemination rounds. Inputs are built before timing starts.
 fn bench_aggregate_root(c: &mut Criterion) {
     let mut group = c.benchmark_group("aggregate_root");
     group.sample_size(10);
@@ -130,25 +131,80 @@ fn bench_aggregate_root(c: &mut Criterion) {
             net.join_peer(5, &mut rng);
         }
         let tree = KTree::build(&net, 2);
-        let mut inputs: KtNodeMap<Box<Lbi>> = KtNodeMap::with_slot_bound(tree.slot_bound());
-        for (i, (_, vs)) in net.ring().iter().enumerate() {
-            let lbi = Lbi {
-                load: 1.0 + i as f64,
-                capacity: 10.0,
-                min_vs_load: 1.0 + i as f64,
-            };
-            inputs.insert(tree.report_target(&net, vs), Box::new(lbi));
-        }
-        std::hint::black_box(tree.max_message_depth());
+        let mut inputs: Vec<AggregateInput<Lbi>> = net
+            .ring()
+            .iter()
+            .enumerate()
+            .map(|(i, (_, vs))| AggregateInput {
+                at: tree.report_target(&net, vs),
+                value: Lbi {
+                    load: 1.0 + i as f64,
+                    capacity: 10.0,
+                    min_vs_load: 1.0 + i as f64,
+                },
+                sent: true,
+            })
+            .collect();
+        inputs.sort_unstable_by_key(|input| input.at);
         for threads in THREAD_COUNTS {
             group.bench_function(BenchmarkId::new(format!("t{threads}"), peers), |b| {
-                b.iter_batched(
-                    || inputs.clone(),
-                    |inputs| std::hint::black_box(tree.aggregate_with(inputs, threads)),
-                    BatchSize::LargeInput,
-                );
+                b.iter(|| std::hint::black_box(tree.aggregate(&net, &inputs, threads)));
             });
         }
+    }
+    group.finish();
+}
+
+/// The LBI phase's walk as a round runs it, at 65,536 peers: every peer's
+/// LBI at the leaf of one random virtual server of its own, merged per
+/// leaf in peer order, a third of the peers re-reporting (the rest sent
+/// nothing this round). Network, tree, loads and inputs are prepared
+/// untimed; the timed call is the one `run_round` makes under
+/// `round/aggregate`.
+fn bench_lbi_walk(c: &mut Criterion) {
+    use rand::seq::SliceRandom;
+    let mut scenario = Scenario::builder().small().seed(3).build();
+    scenario.peers = 65_536;
+    scenario.topology = TopologyKind::None;
+    let prepared = scenario.prepare();
+    let net = &prepared.net;
+    let tree = KTree::build(net, prepared.scenario.balancer.k);
+    let mut rng = prepared.derived_rng(29);
+    let mut inputs: Vec<AggregateInput<Lbi>> = Vec::new();
+    let mut bound: Vec<(proxbal_ktree::KtNodeId, usize)> = net
+        .alive_peers()
+        .into_iter()
+        .enumerate()
+        .map(|(i, p)| {
+            let vs = *net
+                .vss_of(p)
+                .choose(&mut rng)
+                .expect("every peer hosts one");
+            (tree.report_target(net, vs), i)
+        })
+        .collect();
+    bound.sort_unstable();
+    let peers = net.alive_peers();
+    for (at, i) in bound {
+        let lbi = prepared.loads.node_lbi(net, peers[i]);
+        match inputs.last_mut() {
+            Some(last) if last.at == at => {
+                proxbal_ktree::Merge::merge(&mut last.value, lbi);
+                last.sent |= i % 3 == 0;
+            }
+            _ => inputs.push(AggregateInput {
+                at,
+                value: lbi,
+                sent: i % 3 == 0,
+            }),
+        }
+    }
+    let mut group = c.benchmark_group("lbi_walk");
+    group.sample_size(10);
+    for threads in THREAD_COUNTS {
+        group.bench_function(format!("t{threads}"), |b| {
+            b.iter(|| std::hint::black_box(tree.aggregate(net, &inputs, threads)));
+        });
     }
     group.finish();
 }
@@ -204,6 +260,7 @@ criterion_group!(
     benches,
     bench_round_kernels,
     bench_aggregate_root,
+    bench_lbi_walk,
     bench_vsa_inputs
 );
 criterion_main!(benches);

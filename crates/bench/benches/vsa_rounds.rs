@@ -5,10 +5,9 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use proxbal_core::{ClassifyParams, Lbi};
-use proxbal_ktree::KTree;
+use proxbal_ktree::{AggregateInput, KTree};
 use proxbal_sim::{Scenario, TopologyKind};
 use proxbal_trace::Trace;
-use std::collections::HashMap;
 
 fn bench_phases(c: &mut Criterion) {
     let mut scenario = Scenario::builder().small().seed(13).build();
@@ -28,12 +27,17 @@ fn bench_phases(c: &mut Criterion) {
         let tree = KTree::build(net, k);
         group.bench_with_input(BenchmarkId::new("lbi_aggregate", k), &k, |b, _| {
             b.iter(|| {
-                let mut inputs: HashMap<_, Lbi> = HashMap::new();
-                for p in net.alive_peers() {
-                    let vs = net.vss_of(p)[0];
-                    inputs.insert(tree.report_target(net, vs), loads.node_lbi(net, p));
-                }
-                std::hint::black_box(tree.aggregate(inputs))
+                let mut inputs: Vec<AggregateInput<Lbi>> = net
+                    .alive_peers()
+                    .into_iter()
+                    .map(|p| AggregateInput {
+                        at: tree.report_target(net, net.vss_of(p)[0]),
+                        value: loads.node_lbi(net, p),
+                        sent: true,
+                    })
+                    .collect();
+                inputs.sort_unstable_by_key(|input| input.at);
+                std::hint::black_box(tree.aggregate(net, &inputs, 1))
             });
         });
 

@@ -1,8 +1,10 @@
 use proxbal_chord::{PeerId, VsId};
-use proxbal_ktree::{KtNodeId, KtNodeMap, Merge};
+#[cfg(test)]
+use proxbal_ktree::KtNodeMap;
+use proxbal_ktree::{KtNodeId, Merge};
 use proxbal_trace::Trace;
 use serde::{Deserialize, Serialize};
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 
 /// A virtual server a heavy node wants to shed:
 /// `<L_{i,k}, v_{i,k}, ip_addr(i)>` of §3.4.
@@ -137,11 +139,78 @@ impl RendezvousLists {
     /// rendezvous) and `vsa_residual_reinserts` (light slots re-offered
     /// with their residual room).
     pub fn pair_into(&mut self, l_min: f64, out: &mut Vec<Assignment>, trace: &mut Trace) {
-        // Heaviest-first over shed candidates. A candidate that fits nowhere
-        // stays in place; lighter candidates may still fit. Walking an index
-        // down from the top of the sorted list visits candidates heaviest
-        // first while leaving misfits where they already are — the list
-        // stays sorted throughout, no set-aside buffer needed.
+        // Heaviest-first over shed candidates; lighter ones may still fit
+        // where a heavier one did not. Candidates `[0, i)` are still to be
+        // visited; the misfits kept so far sit, in order, at
+        // `[keep, len)` — each one written once, however many candidates
+        // below it pair and leave.
+        let mut misfits = 0u64;
+        let mut reinserts = 0u64;
+        let len = self.shed.len();
+        let (mut i, mut keep) = (len, len);
+        while i > 0 {
+            // The roomiest slot only shrinks as pairing goes on, so every
+            // candidate heavier than it fits nowhere, here or below: all
+            // of them are skipped at once.
+            let fits = match self.light.last() {
+                Some(top) => {
+                    self.shed[..i].partition_point(|c| c.load.total_cmp(&top.spare).is_le())
+                }
+                None => 0,
+            };
+            if fits < i {
+                let skipped = i - fits;
+                misfits += skipped as u64;
+                self.shed.copy_within(fits..i, keep - skipped);
+                (i, keep) = (fits, keep - skipped);
+                continue;
+            }
+            i -= 1;
+            let cand = self.shed[i];
+            // Best fit: first light slot with spare >= load; one exists,
+            // since the roomiest has room.
+            let idx = self
+                .light
+                .partition_point(|s| s.spare.total_cmp(&cand.load).is_lt());
+            let slot = self.light[idx];
+            out.push(Assignment {
+                vs: cand.vs,
+                load: cand.load,
+                from: cand.from,
+                to: slot.peer,
+            });
+            let residual = slot.spare - cand.load;
+            if residual >= l_min && residual > 0.0 {
+                reinserts += 1;
+                // The residual sorts at or before the slot it replaces:
+                // shift the slots between one step up, not the whole tail
+                // down and back.
+                let at =
+                    self.light[..idx].partition_point(|s| s.spare.total_cmp(&residual).is_lt());
+                self.light[at..=idx].rotate_right(1);
+                self.light[at] = LightSlot {
+                    spare: residual,
+                    peer: slot.peer,
+                };
+            } else {
+                self.light.remove(idx);
+            }
+        }
+        self.shed.drain(..keep);
+        trace.count("vsa_pair_misfits", misfits);
+        trace.count("vsa_residual_reinserts", reinserts);
+    }
+
+    /// [`Self::pair_into`] as it was before it skipped misfits in runs and
+    /// compacted the survivors: one visit and one `Vec::remove` per
+    /// candidate, kept as its reference.
+    #[cfg(test)]
+    pub(crate) fn reference_pair_into(
+        &mut self,
+        l_min: f64,
+        out: &mut Vec<Assignment>,
+        trace: &mut Trace,
+    ) {
         let mut misfits = 0u64;
         let mut reinserts = 0u64;
         let mut i = self.shed.len();
@@ -216,54 +285,55 @@ impl Merge for RendezvousLists {
 }
 
 /// The VSA sweep inputs: every participant's records published at its
-/// entry node. `targets` holds one entry node per participant — heavy
-/// peers, then light peers, each ascending, the order both maps iterate
-/// in, which is the publication order. Every entry node's lists come out
-/// exactly as one [`RendezvousLists::push_shed`] /
-/// [`RendezvousLists::push_light`] per record in that order leaves them:
-/// ascending by `total_cmp`, and among equal keys the latest published
-/// first. Each list is sized first and allocated once, records are
-/// appended, and each list is sorted once — `O(n log n)` per entry node
-/// where one sorted insert per record costs `O(n²)`.
+/// entry node, one entry per node, ascending by slot. `targets` holds one
+/// entry node per participant — heavy peers, then light peers, each
+/// ascending, the order both maps iterate in, which is the publication
+/// order. Every entry node's lists come out exactly as one
+/// [`RendezvousLists::push_shed`] / [`RendezvousLists::push_light`] per
+/// record in that order leaves them: ascending by `total_cmp`, and among
+/// equal keys the latest published first. Participants are grouped by
+/// entry node with one sort, each list is sized first and allocated once,
+/// records are appended, and each list is sorted once — `O(n log n)` per
+/// entry node where one sorted insert per record costs `O(n²)`.
 pub(crate) fn publish(
-    slot_bound: usize,
     shed: &BTreeMap<PeerId, Vec<ShedCandidate>>,
     light: &BTreeMap<PeerId, LightSlot>,
     targets: &[KtNodeId],
-) -> KtNodeMap<Box<RendezvousLists>> {
-    let (shed_at, light_at) = targets.split_at(shed.len());
-    debug_assert_eq!(light_at.len(), light.len());
-    let mut sizes: HashMap<KtNodeId, (usize, usize)> = HashMap::new();
-    for (&id, cands) in shed_at.iter().zip(shed.values()) {
-        sizes.entry(id).or_default().0 += cands.len();
-    }
-    for &id in light_at {
-        sizes.entry(id).or_default().1 += 1;
-    }
-    // In slot order, so not even allocation order depends on the hasher.
-    let mut sizes: Vec<(KtNodeId, (usize, usize))> = sizes.into_iter().collect();
-    sizes.sort_unstable_by_key(|&(id, _)| id);
-    let mut inputs: KtNodeMap<Box<RendezvousLists>> = KtNodeMap::with_slot_bound(slot_bound);
-    for &(id, (shed, light)) in &sizes {
-        let lists = RendezvousLists {
-            shed: Vec::with_capacity(shed),
-            light: Vec::with_capacity(light),
+) -> Vec<(KtNodeId, RendezvousLists)> {
+    debug_assert_eq!(targets.len(), shed.len() + light.len());
+    let cands: Vec<&[ShedCandidate]> = shed.values().map(Vec::as_slice).collect();
+    let slots: Vec<LightSlot> = light.values().copied().collect();
+    let order = crate::reports::sorted_by_node(targets);
+    let mut inputs: Vec<(KtNodeId, RendezvousLists)> = Vec::new();
+    for run in order.chunk_by(|a, b| a.0 == b.0) {
+        let participants = || run.iter().map(|&(_, i)| i as usize);
+        let (mut n_shed, mut n_light) = (0, 0);
+        for i in participants() {
+            match cands.get(i) {
+                Some(c) => n_shed += c.len(),
+                None => n_light += 1,
+            }
+        }
+        let mut lists = RendezvousLists {
+            shed: Vec::with_capacity(n_shed),
+            light: Vec::with_capacity(n_light),
         };
-        inputs.insert(id, Box::new(lists));
-    }
-    for (&id, cands) in shed_at.iter().zip(shed.values()) {
-        debug_assert!(cands.iter().all(|c| c.load.is_finite() && c.load >= 0.0));
-        let lists = inputs.get_mut(id).expect("sized");
-        lists.shed.extend_from_slice(cands);
-    }
-    for (&id, &slot) in light_at.iter().zip(light.values()) {
-        debug_assert!(slot.spare.is_finite() && slot.spare > 0.0);
-        inputs.get_mut(id).expect("sized").light.push(slot);
-    }
-    for &(id, _) in &sizes {
-        let lists = inputs.get_mut(id).expect("sized");
+        for i in participants() {
+            match cands.get(i) {
+                Some(c) => {
+                    debug_assert!(c.iter().all(|c| c.load.is_finite() && c.load >= 0.0));
+                    lists.shed.extend_from_slice(c);
+                }
+                None => {
+                    let slot = slots[i - cands.len()];
+                    debug_assert!(slot.spare.is_finite() && slot.spare > 0.0);
+                    lists.light.push(slot);
+                }
+            }
+        }
         settle(&mut lists.shed, |c| c.load);
         settle(&mut lists.light, |s| s.spare);
+        inputs.push((run[0].0, lists));
     }
     inputs
 }
@@ -280,13 +350,12 @@ fn settle<T>(records: &mut [T], key: impl Fn(&T) -> f64) {
 /// [`publish`] as one sorted insert per record, kept as its reference.
 #[cfg(test)]
 pub(crate) fn reference_publish(
-    slot_bound: usize,
     shed: &BTreeMap<PeerId, Vec<ShedCandidate>>,
     light: &BTreeMap<PeerId, LightSlot>,
     targets: &[KtNodeId],
-) -> KtNodeMap<Box<RendezvousLists>> {
+) -> Vec<(KtNodeId, RendezvousLists)> {
     let (shed_at, light_at) = targets.split_at(shed.len());
-    let mut inputs: KtNodeMap<Box<RendezvousLists>> = KtNodeMap::with_slot_bound(slot_bound);
+    let mut inputs: KtNodeMap<RendezvousLists> = KtNodeMap::new();
     for (&id, cands) in shed_at.iter().zip(shed.values()) {
         let lists = inputs.or_default(id);
         for c in cands {
@@ -297,6 +366,9 @@ pub(crate) fn reference_publish(
         inputs.or_default(id).push_light(slot);
     }
     inputs
+        .iter()
+        .map(|(id, lists)| (id, lists.clone()))
+        .collect()
 }
 
 /// Merges sorted `src` into sorted `dst`, keeping `dst` sorted and stable

@@ -7,7 +7,7 @@ use crate::transfer::attachment;
 use proxbal_chord::{ChordNetwork, PeerId, VsId};
 use proxbal_hilbert::{CurveKind, LandmarkMapper};
 use proxbal_id::Id;
-use proxbal_ktree::{KTree, KtNodeId, KtNodeMap};
+use proxbal_ktree::{KTree, KtNodeId};
 use proxbal_topology::{DistanceOracle, NodeId};
 use rand::seq::SliceRandom;
 use rand::Rng;
@@ -157,7 +157,7 @@ pub fn ignorant_inputs<R: Rng>(
     shed: &BTreeMap<PeerId, Vec<ShedCandidate>>,
     light: &BTreeMap<PeerId, LightSlot>,
     rng: &mut R,
-) -> KtNodeMap<Box<RendezvousLists>> {
+) -> Vec<(KtNodeId, RendezvousLists)> {
     // One draw per participant, shed peers then light peers. A peer with no
     // virtual servers (possible for light peers that shed everything in an
     // earlier pass) enters at the root.
@@ -167,7 +167,7 @@ pub fn ignorant_inputs<R: Rng>(
         .map(|&p| net.vss_of(p).choose(rng).copied())
         .collect();
     let targets = entry_nodes(net, tree, chosen.iter().copied());
-    publish(tree.slot_bound(), shed, light, &targets)
+    publish(shed, light, &targets)
 }
 
 /// The report target of every virtual server of `vss` in one path-sharing
@@ -184,6 +184,17 @@ pub(crate) fn entry_nodes(
         None => tree.root(),
     })
     .collect()
+}
+
+/// Every position of `targets` with its node, sorted by node, then by
+/// position: each node's positions form one run, in input order — how the
+/// round groups its peers' LBIs and the publication its participants'
+/// records by entry node, with one sort.
+pub(crate) fn sorted_by_node(targets: &[KtNodeId]) -> Vec<(KtNodeId, u32)> {
+    let at = |(i, &id): (usize, &KtNodeId)| (id, u32::try_from(i).expect("u32 positions"));
+    let mut order: Vec<(KtNodeId, u32)> = targets.iter().enumerate().map(at).collect();
+    order.sort_unstable();
+    order
 }
 
 /// Proximity publication configuration.
@@ -255,14 +266,14 @@ pub fn proximity_inputs(
     oracle: &DistanceOracle,
     landmarks: &[NodeId],
     threads: usize,
-) -> Result<KtNodeMap<Box<RendezvousLists>>, Error> {
+) -> Result<Vec<(KtNodeId, RendezvousLists)>, Error> {
     let participants: Vec<PeerId> = shed.keys().chain(light.keys()).copied().collect();
     let (keys, key_of) = dht_keys(net, &participants, params, oracle, landmarks, threads)?;
     let entry = key_targets(net, tree, &keys)?;
     // `participants` lists shed keys then light keys, each ascending — the
     // order `publish` reads targets in.
     let targets: Vec<KtNodeId> = key_of.iter().map(|&k| entry[k as usize]).collect();
-    Ok(publish(tree.slot_bound(), shed, light, &targets))
+    Ok(publish(shed, light, &targets))
 }
 
 /// The DHT keys `participants` publish at: each one's landmark vector,

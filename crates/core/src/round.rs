@@ -15,15 +15,16 @@
 
 use crate::classify::{ClassifyParams, NodeClass};
 use crate::error::Error;
-use crate::lbi::LoadState;
+use crate::lbi::{Lbi, LoadState};
 use crate::reports::{
-    entry_nodes, ignorant_inputs, light_slots, proximity_inputs, shed_candidates, Classification,
+    entry_nodes, ignorant_inputs, light_slots, proximity_inputs, shed_candidates, sorted_by_node,
+    Classification,
 };
 use crate::transfer::execute_transfers_traced;
 use crate::vsa::{run_vsa, VsaParams};
 use crate::{BalanceReport, LoadBalancer, MessageStats, ProximityMode, Underlay};
 use proxbal_chord::{ChordNetwork, PeerId, PeerState, VsId};
-use proxbal_ktree::KTree;
+use proxbal_ktree::{AggregateInput, KTree, KtNodeId, Merge};
 use proxbal_trace::Trace;
 use rand::Rng;
 use std::collections::{BTreeMap, BTreeSet, HashMap};
@@ -210,54 +211,39 @@ impl LoadBalancer {
                     .collect::<Vec<_>>()
             });
         drop(sub);
-        // Pass C (serial drain in chunk order): merges happen in original
-        // peer order, so per-target f64 associations are byte-identical to
-        // the serial loop.
-        //
-        // LBIs are boxed so the dense per-node map costs one pointer per
-        // arena slot — at million-peer scale the tree has tens of millions
-        // of slots and the unboxed map alone would dwarf the arena.
+        // Pass C (serial): the LBI inputs, one per target in slot order —
+        // the order the walk looks them up in. Peers sharing a target merge
+        // in original peer order, so per-target f64 associations are
+        // byte-identical to the serial loop; a target's input is sent if any
+        // of its peers re-reported.
         let sub = proxbal_profile::phase("round/lbi/merge");
-        let mut lbi_inputs: proxbal_ktree::KtNodeMap<Box<crate::Lbi>> =
-            proxbal_ktree::KtNodeMap::with_slot_bound(tree.slot_bound());
-        let mut report_seeds: Vec<proxbal_ktree::KtNodeId> = Vec::new();
-        {
-            use proxbal_ktree::Merge;
-            let lbis = lbi_chunks.into_iter().flatten();
-            for ((&target, &(_, _, re_reported)), lbi) in targets.iter().zip(&decisions).zip(lbis) {
-                if re_reported {
-                    report_seeds.push(target);
-                }
-                match lbi_inputs.get_mut(target) {
-                    Some(acc) => Merge::merge(&mut **acc, lbi),
-                    None => {
-                        lbi_inputs.insert(target, Box::new(lbi));
-                    }
-                }
-            }
-        }
+        let lbi_inputs = lbi_inputs(&targets, &decisions, &lbi_chunks);
         let peers = decisions.len();
-        drop((decisions, targets));
-        drop(sub);
-        // Count inter-peer tree edges on the re-reporting paths (each edge
-        // carries exactly one aggregated LBI message; quiet peers' cached
-        // contributions cost nothing).
-        let sub = proxbal_profile::phase("round/lbi/edges");
-        let lbi_messages = count_active_edges(net, tree, report_seeds.iter().copied());
+        drop((decisions, targets, lbi_chunks));
         drop(sub);
         walls.lbi_wall_s = wall.elapsed().as_secs_f64();
         drop(prof);
-        let lbi_input_count = lbi_inputs.len();
+        // One walk of the tree folds the LBIs to the root and answers the
+        // rest of what phases 1 and 2 need of it: the inter-peer tree edges
+        // the re-reporting peers' LBIs crossed (each edge carries exactly
+        // one aggregated LBI message; quiet peers' cached contributions cost
+        // nothing), and every inter-peer edge and the message depth that
+        // disseminating the result costs.
         let wall = Instant::now();
         let prof = proxbal_profile::phase("round/aggregate");
         let proxbal_ktree::AggregateOutcome {
             root_value,
             rounds: lbi_rounds,
             merges: lbi_merges,
-        } = tree.aggregate_with(lbi_inputs, threads);
+            sent_messages: lbi_messages,
+            tree_messages: dissemination_messages,
+            max_message_depth: dissemination_rounds,
+        } = tree.aggregate(net, &lbi_inputs, threads);
         walls.aggregate_wall_s = wall.elapsed().as_secs_f64();
         drop(prof);
-        let system = *root_value.ok_or(Error::EmptyNetwork)?;
+        let lbi_input_count = lbi_inputs.len();
+        drop(lbi_inputs);
+        let system = root_value.ok_or(Error::EmptyNetwork)?;
         trace.span_args(
             "phase/lbi",
             clock,
@@ -299,16 +285,12 @@ impl LoadBalancer {
         clock += u64::from(lbi_rounds);
 
         // Phase 2: dissemination + classification (§3.3). Disseminating the
-        // system LBI reaches every node in `max_message_depth` downward
-        // rounds (the tree already knows it from the aggregation) over every
-        // inter-peer tree edge; every node receives the same value, so no
-        // per-node copy is ever materialized.
+        // system LBI reaches every node in the tree's largest message depth
+        // of downward rounds over every inter-peer tree edge, both counted
+        // by the aggregation's walk; every node receives the same value, so
+        // no per-node copy is ever materialized.
         let wall = Instant::now();
         let prof = proxbal_profile::phase("round/vsa");
-        let sub = proxbal_profile::phase("round/vsa/disseminate");
-        let dissemination_rounds = tree.max_message_depth();
-        let dissemination_messages = count_tree_edges(net, tree, threads);
-        drop(sub);
         let sub = proxbal_profile::phase("round/vsa/classify");
         let classification = Classification::compute(net, loads, &params, system, threads);
         let before = class_counts(&classification);
@@ -462,52 +444,32 @@ impl LoadBalancer {
     }
 }
 
-/// Counts tree edges between KT nodes planted on *different peers* along
-/// the root paths of `seeds` (each edge counted once).
-pub(crate) fn count_active_edges(
-    net: &ChordNetwork,
-    tree: &KTree,
-    seeds: impl Iterator<Item = proxbal_ktree::KtNodeId>,
-) -> usize {
-    // One bit per arena slot: 1.6 MB at the million-peer tree.
-    let mut visited = vec![0u64; tree.slot_bound().div_ceil(64)];
-    let peer_of = |host| net.vs(host).host;
-    let mut edges = 0;
-    for seed in seeds {
-        let mut node = tree.node(seed);
-        let mut slot = seed.0 as usize;
-        while let Some(parent) = node.parent() {
-            let (word, bit) = (&mut visited[slot / 64], 1u64 << (slot % 64));
-            if *word & bit != 0 {
-                break; // shared suffix already counted
+/// The LBI inputs of the aggregation: the LBI of peer `i` (chunk
+/// `i / PEER_CHUNK` of `lbis`) enters at `targets[i]`. One input per target,
+/// ascending by slot; the LBIs of peers sharing a target merge in peer
+/// order, and the input is sent if any of them re-reported.
+fn lbi_inputs(
+    targets: &[KtNodeId],
+    decisions: &[(PeerId, Option<VsId>, bool)],
+    lbis: &[Vec<Lbi>],
+) -> Vec<AggregateInput<Lbi>> {
+    let mut inputs: Vec<AggregateInput<Lbi>> = Vec::with_capacity(targets.len());
+    for (at, i) in sorted_by_node(targets) {
+        let i = i as usize;
+        let (lbi, sent) = (lbis[i / PEER_CHUNK][i % PEER_CHUNK], decisions[i].2);
+        match inputs.last_mut() {
+            Some(last) if last.at == at => {
+                last.value.merge(lbi);
+                last.sent |= sent;
             }
-            *word |= bit;
-            let above = tree.node(parent);
-            edges += usize::from(peer_of(node.host()) != peer_of(above.host()));
-            (node, slot) = (above, parent.0 as usize);
+            _ => inputs.push(AggregateInput {
+                at,
+                value: lbi,
+                sent,
+            }),
         }
     }
-    edges
-}
-
-/// Counts every tree edge between KT nodes planted on *different peers* —
-/// what [`count_active_edges`] finds when every node is a seed, as one
-/// chunked pass over the arena (an integer sum, so any `threads` agrees).
-fn count_tree_edges(net: &ChordNetwork, tree: &KTree, threads: usize) -> usize {
-    const NODE_CHUNK: usize = 1 << 16;
-    let peer_of = |id| net.vs(tree.node(id).host()).host;
-    proxbal_parallel::map_chunked(tree.slot_bound(), NODE_CHUNK, threads, |range| {
-        range
-            .map(|slot| proxbal_ktree::KtNodeId(slot as u32))
-            .filter(|&id| tree.contains(id))
-            .filter(|&id| {
-                let parent = tree.node(id).parent();
-                parent.is_some_and(|parent| peer_of(id) != peer_of(parent))
-            })
-            .count()
-    })
-    .into_iter()
-    .sum()
+    inputs
 }
 
 pub(crate) fn class_counts(c: &Classification) -> HashMap<NodeClass, usize> {

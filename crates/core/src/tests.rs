@@ -64,7 +64,16 @@ fn tree_aggregated_lbi_matches_ground_truth() {
             }
         }
     }
-    let out = tree.aggregate(inputs);
+    let mut inputs: Vec<_> = inputs
+        .into_iter()
+        .map(|(at, value)| proxbal_ktree::AggregateInput {
+            at,
+            value,
+            sent: true,
+        })
+        .collect();
+    inputs.sort_unstable_by_key(|input| input.at);
+    let out = tree.aggregate(&net, &inputs, 1);
     let got = out.root_value.unwrap();
     let want = loads.totals(&net);
     assert!((got.load - want.load).abs() < 1e-6 * want.load.max(1.0));
@@ -454,7 +463,7 @@ proptest! {
     #[test]
     fn prop_publish_matches_one_push_per_record(seed: u64, n_shed in 0usize..60, n_light in 0usize..60) {
         use crate::pairing::{publish, reference_publish};
-        use proxbal_ktree::{KtNodeId, KtNodeMap};
+        use proxbal_ktree::KtNodeId;
         const LOADS: [f64; 4] = [0.0, -0.0, 1.0, 2.5];
         const SPARES: [f64; 3] = [0.5, 1.0, 2.0];
         let mut rng = StdRng::seed_from_u64(seed);
@@ -482,20 +491,153 @@ proptest! {
         let targets: Vec<KtNodeId> = (0..shed.len() + light.len())
             .map(|_| KtNodeId(rng.gen_range(0..4)))
             .collect();
-        let contents = |lists: KtNodeMap<Box<RendezvousLists>>| {
+        let contents = |lists: Vec<(KtNodeId, RendezvousLists)>| {
             lists
                 .iter()
                 .map(|(id, l)| {
                     let shed: Vec<_> = l.shed().iter().map(|c| (c.load.to_bits(), c.vs, c.from)).collect();
                     let light: Vec<_> = l.light().iter().map(|s| (s.spare.to_bits(), s.peer)).collect();
-                    (id, shed, light)
+                    (*id, shed, light)
                 })
                 .collect::<Vec<_>>()
         };
         prop_assert_eq!(
-            contents(publish(4, &shed, &light, &targets)),
-            contents(reference_publish(4, &shed, &light, &targets))
+            contents(publish(&shed, &light, &targets)),
+            contents(reference_publish(&shed, &light, &targets))
         );
+    }
+}
+
+/// Shed candidates and light slots, every key by its bits.
+type ListContents = (Vec<(u64, VsId, PeerId)>, Vec<(u64, PeerId)>);
+
+/// Lists as a pairing leaves them, every key by its bits.
+fn list_contents(lists: &RendezvousLists) -> ListContents {
+    let shed = lists.shed().iter();
+    let light = lists.light().iter();
+    (
+        shed.map(|c| (c.load.to_bits(), c.vs, c.from)).collect(),
+        light.map(|s| (s.spare.to_bits(), s.peer)).collect(),
+    )
+}
+
+fn assignment_bits(assignments: &[Assignment]) -> Vec<(VsId, u64, PeerId, PeerId)> {
+    let bits = |a: &Assignment| (a.vs, a.load.to_bits(), a.from, a.to);
+    assignments.iter().map(bits).collect()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    /// Skipping runs of misfits and compacting the survivors pair exactly
+    /// as one visit and one `Vec::remove` per candidate: same assignments
+    /// in the same order, same leftovers in the same order, same counters —
+    /// over runs of equal keys (`0.0` and `-0.0` among them), residuals
+    /// re-offered or dropped, and empty light lists.
+    #[test]
+    fn prop_pair_into_matches_reference(
+        seed: u64,
+        n_shed in 0usize..48,
+        n_light in 0usize..24,
+        l_min_at in 0usize..3,
+    ) {
+        const LOADS: [f64; 7] = [0.0, -0.0, 0.5, 1.0, 1.0, 2.5, 4.0];
+        const SPARES: [f64; 5] = [0.25, 1.0, 1.5, 2.5, 6.0];
+        let l_min = [0.0, 0.5, 3.0][l_min_at];
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut lists = RendezvousLists::new();
+        for i in 0..n_shed as u32 {
+            lists.push_shed(cand(LOADS[rng.gen_range(0..LOADS.len())], i, i % 7));
+        }
+        // Every fourth case offers no room at all.
+        let n_light = if seed.is_multiple_of(4) { 0 } else { n_light };
+        for j in 0..n_light as u32 {
+            lists.push_light(slot(SPARES[rng.gen_range(0..SPARES.len())], 100 + j));
+        }
+        let mut reference = lists.clone();
+        let (mut got, mut want) = (Vec::new(), Vec::new());
+        let (mut got_trace, mut want_trace) = (Trace::enabled(""), Trace::enabled(""));
+        lists.pair_into(l_min, &mut got, &mut got_trace);
+        reference.reference_pair_into(l_min, &mut want, &mut want_trace);
+        prop_assert_eq!(assignment_bits(&got), assignment_bits(&want));
+        prop_assert_eq!(list_contents(&lists), list_contents(&reference));
+        for counter in ["vsa_pair_misfits", "vsa_residual_reinserts"] {
+            prop_assert_eq!(got_trace.counter(counter), want_trace.counter(counter));
+        }
+    }
+}
+
+/// The sweep that visits only the entry nodes' root paths against the scan
+/// of every level, on random networks — K = 2, 3 and 8, rendezvous
+/// thresholds from pairing everywhere to pairing at the root only, and
+/// churned trees whose recycled slots no longer follow the tree's shape.
+/// Everything it returns and records must be identical.
+#[test]
+fn sparse_vsa_sweep_matches_level_scan() {
+    use crate::vsa::reference_run_vsa;
+    for seed in 0..12u64 {
+        let (mut net, _, mut rng) = setup(40, 4, 900 + seed);
+        let k = [2usize, 3, 8][seed as usize % 3];
+        let mut tree = KTree::build(&net, k);
+        if seed % 2 == 1 {
+            for p in net.alive_peers().into_iter().take(10) {
+                net.crash_peer(p);
+            }
+            for _ in 0..8 {
+                net.join_peer(3, &mut rng);
+            }
+            tree.maintain_until_stable(&net, 256);
+        }
+        let loads = LoadState::generate(
+            &net,
+            &CapacityProfile::gnutella(),
+            &LoadModel::gaussian(1_000_000.0, 10_000.0),
+            &mut rng,
+        );
+        let params = ClassifyParams::default();
+        let system = loads.totals(&net);
+        let classification = Classification::compute(&net, &loads, &params, system, 1);
+        let shed = shed_candidates(&net, &loads, &params, &classification, 1);
+        let light = light_slots(&net, &loads, &params, &classification, 1);
+        let inputs = reports::ignorant_inputs(&net, &tree, &shed, &light, &mut rng);
+        assert!(!inputs.is_empty());
+        for threshold in [1usize, 4, 30, usize::MAX] {
+            let vsa_params = VsaParams {
+                rendezvous_threshold: threshold,
+                l_min: system.min_vs_load,
+            };
+            let (mut got_trace, mut want_trace) = (Trace::enabled(""), Trace::enabled(""));
+            let got = run_vsa(&tree, inputs.clone(), &vsa_params, &mut got_trace);
+            let want = reference_run_vsa(&tree, inputs.clone(), &vsa_params, &mut want_trace);
+            let at = format!("seed {seed}, k {k}, threshold {threshold}");
+            assert_eq!(
+                assignment_bits(&got.assignments),
+                assignment_bits(&want.assignments),
+                "{at}"
+            );
+            assert_eq!(
+                list_contents(&got.unassigned),
+                list_contents(&want.unassigned),
+                "{at}"
+            );
+            assert_eq!(got.rounds, want.rounds, "{at}");
+            assert_eq!(got.rendezvous_points, want.rendezvous_points, "{at}");
+            assert_eq!(
+                got.assignments_per_depth, want.assignments_per_depth,
+                "{at}"
+            );
+            assert_eq!(got.record_hops, want.record_hops, "{at}");
+            assert_eq!(
+                got_trace.counters().collect::<Vec<_>>(),
+                want_trace.counters().collect::<Vec<_>>(),
+                "{at}"
+            );
+            assert_eq!(
+                format!("{:?}", got_trace.histograms().collect::<Vec<_>>()),
+                format!("{:?}", want_trace.histograms().collect::<Vec<_>>()),
+                "{at}"
+            );
+        }
     }
 }
 
@@ -728,7 +870,7 @@ fn proximity_inputs_agree_with_the_serial_fold_across_chunks() {
         .unwrap();
         inputs
             .iter()
-            .map(|(id, lists)| (id, lists.shed().to_vec(), lists.light().to_vec()))
+            .map(|(id, lists)| (*id, lists.shed().to_vec(), lists.light().to_vec()))
             .collect::<Vec<_>>()
     };
     let serial = published(1);
@@ -754,10 +896,10 @@ fn proximity_inputs_agree_with_the_serial_fold_across_chunks() {
     );
     let keys: Vec<u32> = key_of.iter().map(|&k| keys[k as usize]).collect();
     let targets = reports::reference_key_targets(&net, &tree, &keys);
-    let reference = crate::pairing::reference_publish(tree.slot_bound(), &shed, &light, &targets);
+    let reference = crate::pairing::reference_publish(&shed, &light, &targets);
     let reference: Vec<_> = reference
         .iter()
-        .map(|(id, lists)| (id, lists.shed().to_vec(), lists.light().to_vec()))
+        .map(|(id, lists)| (*id, lists.shed().to_vec(), lists.light().to_vec()))
         .collect();
     assert_eq!(serial, reference);
 }
@@ -801,7 +943,7 @@ fn key_targets_match_one_owner_search_and_descent_per_key() {
 /// virtual servers, the root for a peer hosting none — against one root
 /// descent per peer, over more than one chunk of peers: the aggregated
 /// system LBI (merged per entry node in peer order) and the LBI message
-/// count must be what per-peer `report_target` gives.
+/// count must be what per-peer `report_target` gives, every peer sent.
 #[test]
 fn run_round_report_bindings_match_one_descent_per_peer() {
     use rand::seq::SliceRandom;
@@ -832,7 +974,7 @@ fn run_round_report_bindings_match_one_descent_per_peer() {
         crate::reports::entry_nodes(&net, &tree, chosen.iter().copied()),
         seeds
     );
-    let mut inputs: HashMap<_, Lbi> = HashMap::new();
+    let mut inputs: std::collections::BTreeMap<_, Lbi> = std::collections::BTreeMap::new();
     for (&p, &target) in peers.iter().zip(&seeds) {
         let lbi = loads.node_lbi(&net, p);
         match inputs.get_mut(&target) {
@@ -842,8 +984,16 @@ fn run_round_report_bindings_match_one_descent_per_peer() {
             }
         }
     }
-    let want = tree.aggregate(inputs).root_value.unwrap();
-    let want_messages = crate::round::count_active_edges(&net, &tree, seeds.iter().copied());
+    let inputs: Vec<_> = inputs
+        .into_iter()
+        .map(|(at, value)| proxbal_ktree::AggregateInput {
+            at,
+            value,
+            sent: true,
+        })
+        .collect();
+    let walked = tree.aggregate(&net, &inputs, 1);
+    let (want, want_messages) = (walked.root_value.unwrap(), walked.sent_messages);
     let report = LoadBalancer::new(BalancerConfig::default())
         .with_threads(2)
         .run_round(

@@ -1,5 +1,5 @@
 use crate::pairing::{Assignment, RendezvousLists};
-use proxbal_ktree::{KTree, KtNodeMap};
+use proxbal_ktree::{KTree, KtNodeId, Merge};
 use proxbal_trace::Trace;
 use serde::{Deserialize, Serialize};
 
@@ -50,12 +50,20 @@ pub struct VsaOutcome {
 
 /// Runs the bottom-up VSA sweep of §3.4 over the tree.
 ///
-/// `inputs` maps KT nodes (report targets) to the VSA records entering the
-/// sweep there (boxed, so the dense per-slot map stays one pointer wide at
-/// million-node tree scale). Each KT node merges what its children pushed up with its
-/// local input; once its combined lists reach the rendezvous threshold it
-/// pairs greedily and forwards only the leftovers; the root pairs
+/// `inputs` holds the VSA records entering the sweep at each entry node
+/// (report targets the root reaches), ascending by slot, one entry per
+/// node. Each KT node merges what its children pushed up with its local
+/// input; once its combined lists reach the rendezvous threshold it pairs
+/// greedily and forwards only the leftovers; the root pairs
 /// unconditionally.
+///
+/// Only the entry nodes and their root paths are visited — deepest level
+/// first, ascending slot within a level, the order a scan of every level
+/// of the tree processes the same nodes in. A node merges its own records
+/// first, then what its children forwarded, in the order they were
+/// visited. `rounds` is the largest message depth of an entry node, carried
+/// up the same paths: each visit forwards the most inter-virtual-server
+/// hops below it.
 ///
 /// Records per-rendezvous metrics into `trace`: the
 /// `vsa_rendezvous_list_depth` histogram (combined list length at the moment
@@ -64,11 +72,95 @@ pub struct VsaOutcome {
 /// the sweep itself is bit-identical with tracing on or off.
 pub fn run_vsa(
     tree: &KTree,
-    inputs: impl Into<KtNodeMap<Box<RendezvousLists>>>,
+    inputs: Vec<(KtNodeId, RendezvousLists)>,
     params: &VsaParams,
     trace: &mut Trace,
 ) -> VsaOutcome {
-    let mut inputs: KtNodeMap<Box<RendezvousLists>> = inputs.into();
+    assert!(
+        inputs.windows(2).all(|w| w[0].0 < w[1].0),
+        "VSA inputs must ascend by slot, one per entry node"
+    );
+    let mut outcome = VsaOutcome::default();
+    // What each depth still has to visit: `(node, lists, hops below it)`,
+    // entry nodes' own records first, then whatever their children forward
+    // — in the order the children are visited.
+    let mut levels: Vec<Vec<(KtNodeId, RendezvousLists, u32)>> = Vec::new();
+    for (id, lists) in inputs.into_iter().filter(|(_, lists)| !lists.is_empty()) {
+        let depth = tree.node(id).depth() as usize;
+        if levels.len() <= depth {
+            levels.resize_with(depth + 1, Vec::new);
+        }
+        levels[depth].push((id, lists, 0));
+    }
+
+    for depth in (0..levels.len()).rev() {
+        let mut level = std::mem::take(&mut levels[depth]);
+        // Stable, so each node's share keeps its arrival order.
+        level.sort_by_key(|&(id, ..)| id);
+        let mut level = level.into_iter().peekable();
+        while let Some((id, mut lists, mut hops)) = level.next() {
+            while let Some((_, more, below)) = level.next_if(|(next, ..)| *next == id) {
+                hops = hops.max(below);
+                if lists.is_empty() {
+                    lists = more;
+                } else {
+                    lists.merge(more);
+                }
+            }
+            let node = tree.node(id);
+            let is_root = id == tree.root();
+            if !lists.is_empty() && (is_root || lists.len() >= params.rendezvous_threshold) {
+                trace.record("vsa_rendezvous_list_depth", lists.len() as u64);
+                // Pair straight into the outcome's assignment buffer — one
+                // growing Vec for the whole sweep, no per-node allocation.
+                let before = outcome.assignments.len();
+                lists.pair_into(params.l_min, &mut outcome.assignments, trace);
+                let produced = outcome.assignments.len() - before;
+                if produced > 0 {
+                    outcome.rendezvous_points += 1;
+                    if outcome.assignments_per_depth.len() <= depth {
+                        outcome.assignments_per_depth.resize(depth + 1, 0);
+                    }
+                    outcome.assignments_per_depth[depth] += produced;
+                    trace.record_weighted("vsa_assignment_depth", depth as u64, produced as f64);
+                }
+            }
+            match node.parent() {
+                Some(parent) => {
+                    let hop = u32::from(node.host() != tree.node(parent).host());
+                    if hop == 1 {
+                        outcome.record_hops += lists.len();
+                    }
+                    levels[depth - 1].push((parent, lists, hops + hop));
+                }
+                None => {
+                    // Root leftovers.
+                    outcome.unassigned = lists;
+                    outcome.rounds = hops;
+                }
+            }
+        }
+    }
+    trace.count("vsa_pairings", outcome.assignments.len() as u64);
+    trace.count("vsa_unassigned", outcome.unassigned.len() as u64);
+    outcome
+}
+
+/// [`run_vsa`] as a scan of every level of the tree, with the rounds read
+/// from each contributing entry node's message depth — the sweep before it
+/// visited only root paths, kept as its reference.
+#[cfg(test)]
+pub(crate) fn reference_run_vsa(
+    tree: &KTree,
+    inputs: Vec<(KtNodeId, RendezvousLists)>,
+    params: &VsaParams,
+    trace: &mut Trace,
+) -> VsaOutcome {
+    use proxbal_ktree::KtNodeMap;
+    let mut inputs: KtNodeMap<Box<RendezvousLists>> = inputs
+        .into_iter()
+        .map(|(id, lists)| (id, Box::new(lists)))
+        .collect();
     let contributing = inputs.iter().filter(|(_, lists)| !lists.is_empty());
     let depths = contributing.map(|(id, _)| tree.message_depth(id).unwrap_or(0));
     let mut outcome = VsaOutcome {
@@ -76,8 +168,8 @@ pub fn run_vsa(
         ..VsaOutcome::default()
     };
 
-    for level in tree.levels().rev() {
-        for &id in level {
+    for level in tree.levels().into_iter().rev() {
+        for id in level {
             let Some(mut lists) = inputs.remove(id) else {
                 continue;
             };
@@ -87,8 +179,6 @@ pub fn run_vsa(
             let is_root = id == tree.root();
             if is_root || lists.len() >= params.rendezvous_threshold {
                 trace.record("vsa_rendezvous_list_depth", lists.len() as u64);
-                // Pair straight into the outcome's assignment buffer — one
-                // growing Vec for the whole sweep, no per-node allocation.
                 let before = outcome.assignments.len();
                 lists.pair_into(params.l_min, &mut outcome.assignments, trace);
                 let produced = outcome.assignments.len() - before;
@@ -107,12 +197,11 @@ pub fn run_vsa(
             }
             match tree.node(id).parent() {
                 Some(parent) => {
-                    use proxbal_ktree::Merge;
                     if tree.node(id).host() != tree.node(parent).host() {
                         outcome.record_hops += lists.len();
                     }
                     match inputs.get_mut(parent) {
-                        Some(acc) => acc.merge(lists),
+                        Some(acc) => acc.merge(*lists),
                         None => {
                             inputs.insert(parent, lists);
                         }

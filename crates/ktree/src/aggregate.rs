@@ -1,5 +1,5 @@
-use crate::node_map::KtNodeMap;
-use crate::tree::{KTree, KtNodeId};
+use crate::tree::{KTree, KtNode, KtNodeId};
+use proxbal_chord::{ChordNetwork, PeerId, VsId};
 
 /// A commutative, associative combine operation — the shape of every
 /// bottom-up aggregation the tree performs (LBI sums/minima, VSA list
@@ -9,29 +9,45 @@ pub trait Merge {
     fn merge(&mut self, other: Self);
 }
 
-/// Boxed values merge by delegating to the inner value. Large per-node
-/// aggregates (VSA rendezvous lists, million-node LBI maps) are boxed so
-/// the dense [`KtNodeMap`] slots stay one pointer wide.
-impl<T: Merge> Merge for Box<T> {
-    fn merge(&mut self, other: Self) {
-        (**self).merge(*other);
-    }
+/// One value entering [`KTree::aggregate`] at a KT node.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub struct AggregateInput<A> {
+    /// The KT node the value enters at (typically the report target of a
+    /// virtual server).
+    pub at: KtNodeId,
+    /// The value.
+    pub value: A,
+    /// Whether the value is sent up the tree this round. A value that is
+    /// not (a peer's report cached from an earlier round, §3.2's periodic
+    /// economy) still folds into the root, but costs no message.
+    pub sent: bool,
 }
 
-/// Result of a bottom-up aggregation.
+/// Result of a bottom-up aggregation, and of the whole-tree questions the
+/// same walk answers.
 #[derive(Clone, Debug)]
 pub struct AggregateOutcome<A> {
     /// The value accumulated at the root (`None` if no inputs were offered).
     pub root_value: Option<A>,
     /// Number of upward **message** rounds: the largest
-    /// [`message depth`](KTree::message_depth) among contributing KT nodes
-    /// (tree edges between nodes planted in the same virtual server cost no
-    /// messages). This is the `O(log_K N)` bound the paper states for LBI
-    /// aggregation (§3.2).
+    /// [`message depth`](KTree::message_depth) among KT nodes holding an
+    /// input (tree edges between nodes planted in the same virtual server
+    /// cost no messages). This is the `O(log_K N)` bound the paper states
+    /// for LBI aggregation (§3.2).
     pub rounds: u32,
-    /// Number of in-tree [`Merge::merge`] operations performed by the sweep
+    /// Number of in-tree [`Merge::merge`] operations performed by the walk
     /// — the aggregation *work* (as opposed to `rounds`, its latency).
     pub merges: usize,
+    /// Tree edges between KT nodes on different peers that lie on the root
+    /// path of a sent input, each counted once however many sent inputs
+    /// share it: the messages the sent values cost on their way up.
+    pub sent_messages: usize,
+    /// Every tree edge between KT nodes on different peers: what handing one
+    /// value from the root to every node costs (dissemination, §3.3).
+    pub tree_messages: usize,
+    /// The largest message depth in the tree: the rounds of that
+    /// dissemination.
+    pub max_message_depth: u32,
 }
 
 /// Subtree roots are farmed out to workers once the frontier at the chosen
@@ -39,13 +55,102 @@ pub struct AggregateOutcome<A> {
 /// spawn overhead outweighs the subtrees.
 const MIN_SUBTREES_PER_WORKER: usize = 2;
 
+/// Which arena slots hold an input, and where in the slot-ascending input
+/// array: one bit per slot and the number of inputs before each 64-slot
+/// word, so finding a node's input is a load, a mask and a popcount —
+/// 1.5 bits a slot, where a slot-indexed map of handles costs 32.
+struct SlotIndex {
+    bits: Vec<u64>,
+    before: Vec<u32>,
+}
+
+impl SlotIndex {
+    /// Indexes the ascending `slots`; those at or past `bound` name no node
+    /// and are left out.
+    fn new(slots: impl Iterator<Item = usize>, bound: usize) -> Self {
+        let mut bits = vec![0u64; bound.div_ceil(64)];
+        for slot in slots.take_while(|&slot| slot < bound) {
+            bits[slot / 64] |= 1 << (slot % 64);
+        }
+        let mut before = Vec::with_capacity(bits.len());
+        let mut count = 0u32;
+        for word in &bits {
+            before.push(count);
+            count += word.count_ones();
+        }
+        SlotIndex { bits, before }
+    }
+
+    /// The position of `slot`'s input, if it has one.
+    #[inline]
+    fn get(&self, slot: usize) -> Option<usize> {
+        let (word, bit) = (*self.bits.get(slot / 64)?, slot % 64);
+        let below = (word & ((1u64 << bit) - 1)).count_ones() as usize;
+        (word >> bit & 1 == 1).then(|| self.before[slot / 64] as usize + below)
+    }
+}
+
+/// What every step of the walk reads.
+struct Walk<'a, A> {
+    net: &'a ChordNetwork,
+    inputs: &'a [AggregateInput<A>],
+    index: SlotIndex,
+}
+
+impl<A> Walk<'_, A> {
+    fn input(&self, id: KtNodeId) -> Option<&AggregateInput<A>> {
+        self.index.get(id.0 as usize).map(|i| &self.inputs[i])
+    }
+}
+
+/// What the walk counts besides the fold: sums and maxima, so subtrees
+/// walked apart add up to the same totals in any order.
+#[derive(Default)]
+struct Tally {
+    merges: usize,
+    rounds: u32,
+    sent_messages: usize,
+    tree_messages: usize,
+    max_message_depth: u32,
+}
+
+impl Tally {
+    fn add(&mut self, other: &Tally) {
+        self.merges += other.merges;
+        self.rounds = self.rounds.max(other.rounds);
+        self.sent_messages += other.sent_messages;
+        self.tree_messages += other.tree_messages;
+        self.max_message_depth = self.max_message_depth.max(other.max_message_depth);
+    }
+}
+
+/// One node as the walk arrives at it: its host, its message depth and the
+/// peer its host runs on.
+#[derive(Clone, Copy)]
+struct Step {
+    id: KtNodeId,
+    host: VsId,
+    depth: u32,
+    peer: PeerId,
+}
+
+/// A subtree's folded value, and whether a sent input lies in it.
+type Subtree<A> = (Option<A>, bool);
+
 impl KTree {
-    /// Bottom-up aggregation: `inputs` maps KT nodes (typically report
-    /// targets of virtual servers) to locally contributed values; parents
-    /// merge children until the root. Only the root's value is kept — an
-    /// input is moved into the fold, merged once, and gone. Inputs under
-    /// handles the root does not reach (stale, or in a detached subtree)
-    /// contribute nothing.
+    /// Bottom-up aggregation: `inputs` — ascending by slot, at most one per
+    /// KT node — are folded to the root, and the same depth-first walk of
+    /// the arena answers every whole-tree question of the LBI phase: the
+    /// aggregation's rounds and its messages, and the messages and rounds
+    /// of disseminating a value back down ([`AggregateOutcome`]). `net`
+    /// says which peer hosts each virtual server; a node's message depth is
+    /// carried down the walk, a subtree's "holds a sent input" flag up.
+    ///
+    /// Everything is counted over what the root reaches: inputs under
+    /// handles it does not (stale, or in a subtree a fault detached)
+    /// contribute nothing, and a detached subtree's edges are no part of
+    /// `tree_messages` or `max_message_depth` — the repair that must run
+    /// before a round re-attaches it.
     ///
     /// # Determinism
     ///
@@ -53,88 +158,63 @@ impl KTree {
     /// contributing children **in ascending arena-slot order** — the exact
     /// association the original level-by-level sweep produced, so outputs
     /// (including floating-point sums) are byte-identical to it. The fold
-    /// of a subtree depends only on the subtree, which is what lets
-    /// [`KTree::aggregate_with`] evaluate disjoint subtrees on worker
-    /// threads and still merge bit-identically.
-    pub fn aggregate<A: Merge>(&self, inputs: impl Into<KtNodeMap<A>>) -> AggregateOutcome<A> {
-        let mut inputs: KtNodeMap<A> = inputs.into();
-        let rounds = self.aggregate_rounds(&inputs);
-        let _prof = proxbal_profile::phase("round/aggregate/fold");
-        let mut merges = 0usize;
-        let root_value = self.fold_subtree(
-            self.root(),
-            &mut |id| inputs.remove(id),
-            &mut [],
-            &mut merges,
-        );
-        AggregateOutcome {
-            root_value,
-            rounds,
-            merges,
-        }
-    }
-
-    /// [`KTree::aggregate`] with an explicit worker-thread count: disjoint
-    /// subtrees hanging below a frontier depth are folded in parallel and
-    /// their values merged above the frontier in deterministic child-slot
-    /// order. The outcome — root value, merge count, rounds — is
-    /// bit-identical at any `threads`. Workers share the inputs read-only
-    /// and clone the ones in their subtree; the top of the tree is folded
-    /// by the caller, which moves.
-    pub fn aggregate_with<A: Merge + Clone + Send + Sync>(
+    /// of a subtree depends only on the subtree, so with `threads > 1` the
+    /// disjoint subtrees below a frontier depth are walked on workers and
+    /// their values merged above the frontier in child-slot order; the
+    /// counts are sums and maxima. The outcome is bit-identical at any
+    /// `threads`. Values are cloned out of `inputs` where they are first
+    /// folded.
+    pub fn aggregate<A: Merge + Clone + Send + Sync>(
         &self,
-        inputs: impl Into<KtNodeMap<A>>,
+        net: &ChordNetwork,
+        inputs: &[AggregateInput<A>],
         threads: usize,
     ) -> AggregateOutcome<A> {
-        let mut inputs: KtNodeMap<A> = inputs.into();
-        let frontier = self.parallel_frontier(threads);
-        if frontier.is_empty() {
-            return self.aggregate(inputs);
-        }
-        let rounds = self.aggregate_rounds(&inputs);
-        let _prof = proxbal_profile::phase("round/aggregate/fold");
-
-        // Evaluate each frontier subtree on a worker: pure function of the
-        // (read-only) inputs and the subtree, results slotted in frontier
-        // order.
-        let results = proxbal_parallel::map_items(&frontier, threads, |_, &sub| {
-            let mut merges = 0usize;
-            let value =
-                self.fold_subtree(sub, &mut |id| inputs.get(id).cloned(), &mut [], &mut merges);
-            (value, merges)
-        });
-        let mut merges = 0usize;
-        let mut folded: Vec<(KtNodeId, Option<A>)> = frontier
-            .iter()
-            .zip(results)
-            .map(|(&sub, (value, sub_merges))| {
-                merges += sub_merges;
-                (sub, value)
-            })
-            .collect();
-        // Finish the top of the tree serially, treating frontier nodes as
-        // precomputed leaves.
-        let root_value = self.fold_subtree(
-            self.root(),
-            &mut |id| inputs.remove(id),
-            &mut folded,
-            &mut merges,
+        assert!(
+            inputs.windows(2).all(|w| w[0].at < w[1].at),
+            "aggregate inputs must ascend by slot, one per node"
         );
+        let _prof = proxbal_profile::phase("round/aggregate/walk");
+        let slots = inputs.iter().map(|input| input.at.0 as usize);
+        let walk = Walk {
+            net,
+            inputs,
+            index: SlotIndex::new(slots, self.slot_bound()),
+        };
+        let step = |id: KtNodeId, depth: u32| {
+            let host = self.node(id).host();
+            let peer = net.vs(host).host;
+            Step {
+                id,
+                host,
+                depth,
+                peer,
+            }
+        };
+        let frontier = self.parallel_frontier(threads);
+        let walked = proxbal_parallel::map_items(&frontier, threads, |_, &sub| {
+            let depth = self.message_depth(sub).expect("the frontier is reachable");
+            let mut tally = Tally::default();
+            let folded = self.walk(&walk, self.node(sub), step(sub, depth), &mut tally, &mut []);
+            (folded, tally)
+        });
+        let mut tally = Tally::default();
+        let mut folded: Vec<(KtNodeId, Option<Subtree<A>>)> = Vec::with_capacity(frontier.len());
+        for (&sub, (value, sub_tally)) in frontier.iter().zip(walked) {
+            tally.add(&sub_tally);
+            folded.push((sub, Some(value)));
+        }
+        let root = self.root();
+        let at = step(root, 0);
+        let (root_value, _) = self.walk(&walk, self.node(root), at, &mut tally, &mut folded);
         AggregateOutcome {
             root_value,
-            rounds,
-            merges,
+            rounds: tally.rounds,
+            merges: tally.merges,
+            sent_messages: tally.sent_messages,
+            tree_messages: tally.tree_messages,
+            max_message_depth: tally.max_message_depth,
         }
-    }
-
-    /// Message rounds: deepest contributing node by inter-VS hop count.
-    fn aggregate_rounds<A>(&self, inputs: &KtNodeMap<A>) -> u32 {
-        let _prof = proxbal_profile::phase("round/aggregate/rounds");
-        inputs
-            .keys()
-            .map(|id| self.message_depth(id).unwrap_or(0))
-            .max()
-            .unwrap_or(0)
     }
 
     /// The subtree roots handed to workers: the shallowest level whose
@@ -149,7 +229,7 @@ impl KTree {
         for _ in 0..16 {
             let next: Vec<KtNodeId> = level
                 .iter()
-                .flat_map(|&id| self.children_by_slot(id))
+                .flat_map(|&id| by_slot(self.node(id)))
                 .collect();
             if next.is_empty() {
                 return Vec::new(); // tree exhausted before it got wide
@@ -162,39 +242,113 @@ impl KTree {
         level
     }
 
-    /// A node's children in ascending arena-slot order — the merge order
-    /// the level-by-level sweep established (within a level, nodes are
-    /// visited in slot order), kept as the canonical association. Each is
-    /// picked as the smallest handle above the last out of the node's `K`
-    /// child slots, so no degree needs a buffer to sort in.
-    fn children_by_slot(&self, id: KtNodeId) -> impl Iterator<Item = KtNodeId> + '_ {
-        let node = self.node(id);
-        let mut floor = 0;
-        std::iter::from_fn(move || {
-            let next = node.children().flatten().filter(|c| c.0 >= floor).min()?;
-            floor = next.0 + 1;
-            Some(next)
-        })
+    /// Walks the subtree under `at` (whose view is `node`): its value is
+    /// the node's own input, then its contributing children's in ascending
+    /// slot order; the counts go to `tally`. A node listed in `folded` is a
+    /// precomputed leaf — a worker walked its subtree — and gives up what
+    /// is recorded there.
+    fn walk<A: Merge + Clone>(
+        &self,
+        walk: &Walk<'_, A>,
+        node: KtNode<'_>,
+        at: Step,
+        tally: &mut Tally,
+        folded: &mut [(KtNodeId, Option<Subtree<A>>)],
+    ) -> Subtree<A> {
+        if let Some((_, done)) = folded.iter_mut().find(|(sub, _)| *sub == at.id) {
+            return done.take().expect("a frontier subtree is folded in once");
+        }
+        let own = walk.input(at.id);
+        let mut value = own.map(|input| input.value.clone());
+        let mut sent = own.is_some_and(|input| input.sent);
+        if own.is_some() {
+            tally.rounds = tally.rounds.max(at.depth);
+        }
+        tally.max_message_depth = tally.max_message_depth.max(at.depth);
+        for child in by_slot(node) {
+            // An edge inside one virtual server is neither a message nor a
+            // change of peer.
+            let view = self.node(child);
+            let host = view.host();
+            let below = if host == at.host {
+                Step { id: child, ..at }
+            } else {
+                Step {
+                    id: child,
+                    host,
+                    depth: at.depth + 1,
+                    peer: walk.net.vs(host).host,
+                }
+            };
+            let crossing = usize::from(below.peer != at.peer);
+            let (sub, sub_sent) = self.walk(walk, view, below, tally, folded);
+            tally.tree_messages += crossing;
+            if sub_sent {
+                tally.sent_messages += crossing;
+                sent = true;
+            }
+            if let Some(sub) = sub {
+                match value.as_mut() {
+                    Some(acc) => {
+                        acc.merge(sub);
+                        tally.merges += 1;
+                    }
+                    None => value = Some(sub),
+                }
+            }
+        }
+        (value, sent)
+    }
+}
+
+/// A node's children in ascending arena-slot order — the merge order the
+/// level-by-level sweep established (within a level, nodes are visited in
+/// slot order), kept as the canonical association. Each is picked as the
+/// smallest handle above the last out of the node's `K` child slots, so no
+/// degree needs a buffer to sort in.
+fn by_slot(node: KtNode<'_>) -> impl Iterator<Item = KtNodeId> + '_ {
+    let mut floor = 0;
+    std::iter::from_fn(move || {
+        let next = node.children().flatten().filter(|c| c.0 >= floor).min()?;
+        floor = next.0 + 1;
+        Some(next)
+    })
+}
+
+/// The passes the walk replaced, kept as its reference: the fold of the
+/// root value alone, the climb from every sent input's node and the scan
+/// of every slot for edges between peers.
+#[cfg(test)]
+impl KTree {
+    /// The fold as it was before it answered anything else: root value,
+    /// merge count, and the rounds read from [`KTree::derive`]'s message
+    /// depths over every input handle.
+    pub(crate) fn reference_aggregate<A: Merge>(
+        &self,
+        inputs: impl Into<crate::KtNodeMap<A>>,
+    ) -> (Option<A>, usize, u32) {
+        let mut inputs: crate::KtNodeMap<A> = inputs.into();
+        let depths = self.derive().message_depths;
+        let depth = |id: KtNodeId| depths.get(id.0 as usize).copied();
+        let rounds = inputs
+            .keys()
+            .map(|id| depth(id).filter(|&d| d != u32::MAX).unwrap_or(0))
+            .max()
+            .unwrap_or(0);
+        let mut merges = 0usize;
+        let root_value = self.reference_fold(self.root(), &mut inputs, &mut merges);
+        (root_value, merges, rounds)
     }
 
-    /// Folds the subtree at `id`: value = own input (whatever `own` hands
-    /// over for the node), then contributing children in ascending slot
-    /// order; `merges` counts the merge operations. A node listed in
-    /// `folded` is a precomputed leaf — its subtree was folded by a worker —
-    /// and gives up the value recorded there.
-    fn fold_subtree<A: Merge>(
+    fn reference_fold<A: Merge>(
         &self,
         id: KtNodeId,
-        own: &mut impl FnMut(KtNodeId) -> Option<A>,
-        folded: &mut [(KtNodeId, Option<A>)],
+        inputs: &mut crate::KtNodeMap<A>,
         merges: &mut usize,
     ) -> Option<A> {
-        if let Some((_, value)) = folded.iter_mut().find(|(sub, _)| *sub == id) {
-            return value.take();
-        }
-        let mut acc: Option<A> = own(id);
-        for child in self.children_by_slot(id) {
-            if let Some(value) = self.fold_subtree(child, own, folded, merges) {
+        let mut acc: Option<A> = inputs.remove(id);
+        for child in by_slot(self.node(id)) {
+            if let Some(value) = self.reference_fold(child, inputs, merges) {
                 match acc.as_mut() {
                     Some(a) => {
                         a.merge(value);
@@ -205,5 +359,45 @@ impl KTree {
             }
         }
         acc
+    }
+
+    /// Counts tree edges between KT nodes planted on *different peers*
+    /// along the root paths of `seeds` (each edge counted once), climbing
+    /// parent pointers.
+    pub(crate) fn reference_sent_edges(
+        &self,
+        net: &ChordNetwork,
+        seeds: impl Iterator<Item = KtNodeId>,
+    ) -> usize {
+        let mut visited = vec![0u64; self.slot_bound().div_ceil(64)];
+        let peer_of = |host| net.vs(host).host;
+        let mut edges = 0;
+        for seed in seeds {
+            let mut node = self.node(seed);
+            let mut slot = seed.0 as usize;
+            while let Some(parent) = node.parent() {
+                let (word, bit) = (&mut visited[slot / 64], 1u64 << (slot % 64));
+                if *word & bit != 0 {
+                    break; // shared suffix already counted
+                }
+                *word |= bit;
+                let above = self.node(parent);
+                edges += usize::from(peer_of(node.host()) != peer_of(above.host()));
+                (node, slot) = (above, parent.0 as usize);
+            }
+        }
+        edges
+    }
+
+    /// Counts every live node's edge to its parent between *different
+    /// peers*, one scan over the slots — detached subtrees included.
+    pub(crate) fn reference_tree_edges(&self, net: &ChordNetwork) -> usize {
+        let peer_of = |id| net.vs(self.node(id).host()).host;
+        self.iter_ids()
+            .filter(|&id| {
+                let parent = self.node(id).parent();
+                parent.is_some_and(|parent| peer_of(id) != peer_of(parent))
+            })
+            .count()
     }
 }

@@ -7,11 +7,10 @@
 //! are observable (repair action logs, DES contributor order), so "same
 //! shape" is not enough.
 //!
-//! The same histories check the data the tree derives from its arena
-//! (`levels`, `message_depths`, `max_message_depth`): after every step they
-//! must equal a fresh recomputation. Asking fills the tree's copy, so each
-//! mutation meets a filled one — a write that fails to drop it is caught at
-//! the next step.
+//! The same histories check what the tree answers about its own shape on
+//! demand (`levels`, `message_depth`, `max_message_depth`) and what the
+//! walk's reference derives (`derive`): after every step both must equal a
+//! breadth-first recomputation.
 
 use crate::tree::VISITS;
 use crate::*;
@@ -27,22 +26,26 @@ struct Pair {
     slow: KTree,
 }
 
-/// The derived data `tree` hands out against [`KTree::reference_derived`].
+/// What `tree` answers about its shape against [`KTree::reference_derived`].
 #[track_caller]
 fn assert_derived_fresh(tree: &KTree) {
     let (levels, depths, max) = tree.reference_derived();
-    assert_eq!(
-        tree.levels().collect::<Vec<_>>(),
-        levels,
-        "levels are stale"
-    );
+    assert_eq!(tree.levels(), levels, "levels");
+    let derived = tree.derive();
+    let by_depth = derived.level_starts.windows(2);
+    let counted: Vec<&[KtNodeId]> = by_depth.map(|w| &derived.level_slots[w[0]..w[1]]).collect();
+    assert_eq!(counted, levels, "derived levels");
     // Every slot, free ones and the handle past the arena included.
     for id in (0..=tree.slot_bound() as u32).map(KtNodeId) {
         let depth = depths.get(id).copied();
         assert_eq!(tree.message_depth(id), depth, "message depth of {id:?}");
+        let derived = derived.message_depths.get(id.0 as usize).copied();
+        let derived = derived.filter(|&d| d != u32::MAX);
+        assert_eq!(derived, depth, "derived message depth of {id:?}");
     }
-    assert_eq!(tree.max_message_depth(), max, "max message depth is stale");
-    assert_eq!(tree.height() as usize, levels.len(), "height is stale");
+    assert_eq!(tree.max_message_depth(), max, "max message depth");
+    assert_eq!(derived.max_message_depth, max, "derived max message depth");
+    assert_eq!(tree.height() as usize, levels.len(), "height");
 }
 
 /// The descents that carry the root's region down — one per virtual
@@ -549,12 +552,10 @@ fn derived_data_survives_clone_and_json_and_follows_each_copy() {
     }
     let tree = KTree::build(&net, 2);
     assert_derived_fresh(&tree);
-    // A clone carries the filled copy, a JSON round trip an empty one;
-    // both answer for the arena they hold.
+    // A clone and a JSON round trip answer for the arena they hold.
     let mut clone = tree.clone();
     assert_derived_fresh(&clone);
     let json = serde_json::to_string(&tree).unwrap();
-    assert!(!json.contains("derived"), "derived data was serialized");
     let mut back: KTree = serde_json::from_str(&json).unwrap();
     assert_derived_fresh(&back);
     // Each copy follows its own arena from here on.

@@ -20,19 +20,19 @@
 //!
 //! Aggregation ([`KTree::aggregate`]) is generic over the value type;
 //! `proxbal-core` folds load-balancing information (LBI) to the root with
-//! it, and walks [`KTree::levels`] itself for the bottom-up
-//! virtual-server-assignment sweep, whose intermediate lists matter.
-//! Dissemination hands every node the same value, so its only output is a
-//! round count: [`KTree::max_message_depth`]. What they need to know about
-//! the tree's shape — levels, message depths — is derived once per arena
-//! state and lent out until the arena changes (DESIGN.md §6c). The arena
-//! itself is three flat columns, `17 + 4K` bytes a node (DESIGN.md §6b).
+//! it. The same depth-first walk answers what the round needs to know of
+//! the tree's shape: the aggregation's rounds and messages, and those of
+//! the dissemination that hands every node the same value back down
+//! (DESIGN.md §6c). The bottom-up virtual-server-assignment sweep, whose
+//! intermediate lists matter, is `proxbal-core`'s own pass over the root
+//! paths of its entry nodes. The arena itself is three flat columns,
+//! `17 + 4K` bytes a node (DESIGN.md §6b).
 
 mod aggregate;
 mod node_map;
 mod tree;
 
-pub use aggregate::{AggregateOutcome, Merge};
+pub use aggregate::{AggregateInput, AggregateOutcome, Merge};
 pub use node_map::KtNodeMap;
 pub use tree::{KTree, KtNode, KtNodeId, RepairAction, RepairStats};
 

@@ -194,6 +194,21 @@ impl Merge for Sum {
     }
 }
 
+/// `inputs` as [`KTree::aggregate`] takes them: ascending by slot, every
+/// one sent.
+fn sorted<A>(inputs: HashMap<KtNodeId, A>) -> Vec<AggregateInput<A>> {
+    let mut inputs: Vec<AggregateInput<A>> = inputs
+        .into_iter()
+        .map(|(at, value)| AggregateInput {
+            at,
+            value,
+            sent: true,
+        })
+        .collect();
+    inputs.sort_unstable_by_key(|input| input.at);
+    inputs
+}
+
 #[test]
 fn aggregate_sums_all_inputs_to_root() {
     let (net, _) = net_with(32, 4, 12);
@@ -205,10 +220,11 @@ fn aggregate_sums_all_inputs_to_root() {
         expect += v;
         inputs.insert(tree.report_target(&net, vs), Sum(v));
     }
-    let out = tree.aggregate(inputs);
+    let out = tree.aggregate(&net, &sorted(inputs), 1);
     assert_eq!(out.root_value, Some(Sum(expect)));
     assert!(out.rounds >= 1);
     assert!(out.rounds <= tree.max_message_depth());
+    assert_eq!(out.max_message_depth, tree.max_message_depth());
 }
 
 #[test]
@@ -221,7 +237,7 @@ fn aggregate_rounds_bounded_by_height() {
             .iter()
             .map(|(_, vs)| (tree.report_target(&net, vs), Sum(1)))
             .collect();
-        let out = tree.aggregate(inputs);
+        let out = tree.aggregate(&net, &sorted(inputs), 1);
         assert_eq!(out.root_value, Some(Sum(net.alive_vs_count() as u64)));
         // Message rounds are logarithmic in the VS count, far below the
         // structural height near boundaries.
@@ -239,9 +255,13 @@ fn aggregate_rounds_bounded_by_height() {
 fn aggregate_empty_inputs() {
     let (net, _) = net_with(4, 2, 14);
     let tree = KTree::build(&net, 2);
-    let out = tree.aggregate::<Sum>(HashMap::<KtNodeId, Sum>::new());
+    let out = tree.aggregate::<Sum>(&net, &[], 1);
     assert_eq!(out.root_value, None);
     assert_eq!(out.rounds, 0);
+    assert_eq!(out.sent_messages, 0);
+    // The tree's own questions do not depend on the inputs.
+    assert_eq!(out.tree_messages, tree.reference_tree_edges(&net));
+    assert_eq!(out.max_message_depth, tree.max_message_depth());
 }
 
 #[test]
@@ -257,7 +277,7 @@ fn aggregate_partial_inputs_interior_contribution() {
     let mut inputs = HashMap::new();
     inputs.insert(interior, Sum(41));
     inputs.insert(tree.root(), Sum(1));
-    let out = tree.aggregate(inputs);
+    let out = tree.aggregate(&net, &sorted(inputs), 1);
     assert_eq!(out.root_value, Some(Sum(42)));
 }
 
@@ -272,12 +292,12 @@ impl Merge for Concat {
     }
 }
 
-/// The original level-by-level sweep, kept as the reference the subtree
+/// The original level-by-level sweep, kept as the reference the walk's
 /// fold must reproduce byte-for-byte (root value, merge count, rounds).
 fn level_sweep_reference<A: Merge + Clone>(
     tree: &KTree,
     inputs: HashMap<KtNodeId, A>,
-) -> AggregateOutcome<A> {
+) -> (Option<A>, usize, u32) {
     let mut inputs: KtNodeMap<A> = inputs.into();
     let rounds = inputs
         .keys()
@@ -285,8 +305,8 @@ fn level_sweep_reference<A: Merge + Clone>(
         .max()
         .unwrap_or(0);
     let mut merges = 0usize;
-    for level in tree.levels().skip(1).rev() {
-        for &id in level {
+    for level in tree.levels().into_iter().skip(1).rev() {
+        for id in level {
             if let Some(value) = inputs.remove(id) {
                 let parent = tree.node(id).parent().expect("non-root has parent");
                 match inputs.get_mut(parent) {
@@ -303,11 +323,7 @@ fn level_sweep_reference<A: Merge + Clone>(
         }
     }
     let root_value = inputs.get(tree.root()).cloned();
-    AggregateOutcome {
-        root_value,
-        rounds,
-        merges,
-    }
+    (root_value, merges, rounds)
 }
 
 /// An f64 sum: associative only up to rounding, so any deviation from the
@@ -320,22 +336,18 @@ impl Merge for FloatSum {
     }
 }
 
-/// `aggregate_with` at every thread count against the serial `aggregate`
-/// and the level sweep.
-fn assert_thread_invariant<A>(tree: &KTree, inputs: &HashMap<KtNodeId, A>)
+/// The walk at every thread count against the level sweep.
+fn assert_thread_invariant<A>(net: &ChordNetwork, tree: &KTree, inputs: &HashMap<KtNodeId, A>)
 where
     A: Merge + Clone + Send + Sync + PartialEq + std::fmt::Debug,
 {
-    let reference = level_sweep_reference(tree, inputs.clone());
-    let serial = tree.aggregate(inputs.clone());
-    assert_eq!(serial.root_value, reference.root_value);
-    assert_eq!(serial.merges, reference.merges);
-    assert_eq!(serial.rounds, reference.rounds);
+    let (value, merges, rounds) = level_sweep_reference(tree, inputs.clone());
+    let inputs = sorted(inputs.clone());
     for threads in [1usize, 2, 3, 8] {
-        let out = tree.aggregate_with(inputs.clone(), threads);
-        assert_eq!(out.root_value, serial.root_value, "{threads} threads");
-        assert_eq!(out.merges, serial.merges, "{threads} threads");
-        assert_eq!(out.rounds, serial.rounds, "{threads} threads");
+        let out = tree.aggregate(net, &inputs, threads);
+        assert_eq!(out.root_value, value, "{threads} threads");
+        assert_eq!(out.merges, merges, "{threads} threads");
+        assert_eq!(out.rounds, rounds, "{threads} threads");
     }
 }
 
@@ -366,7 +378,7 @@ fn aggregate_matches_level_sweep_reference_and_is_thread_invariant() {
             .enumerate()
             .map(|(i, (_, vs))| (tree.report_target(&net, vs), Concat(format!("v{i}"))))
             .collect();
-        assert_thread_invariant(&tree, &concat);
+        assert_thread_invariant(&net, &tree, &concat);
         // Magnitudes spread over 12 decades, so a different association
         // rounds differently.
         let floats: HashMap<KtNodeId, FloatSum> = net
@@ -379,7 +391,7 @@ fn aggregate_matches_level_sweep_reference_and_is_thread_invariant() {
                 (tree.report_target(&net, vs), FloatSum(value))
             })
             .collect();
-        assert_thread_invariant(&tree, &floats);
+        assert_thread_invariant(&net, &tree, &floats);
     }
 }
 
@@ -392,12 +404,12 @@ fn aggregate_ignores_inputs_the_root_cannot_reach() {
         .take(6)
         .map(|(_, vs)| (tree.report_target(&net, vs), Concat("x".into())))
         .collect();
-    let live = tree.aggregate(inputs.clone());
+    let live = tree.aggregate(&net, &sorted(inputs.clone()), 1);
     // A handle the tree does not contain contributes nothing.
     let stale = KtNodeId(tree.slot_bound() as u32 + 7);
     inputs.insert(stale, Concat("stale".into()));
     for threads in [1usize, 4] {
-        let out = tree.aggregate_with(inputs.clone(), threads);
+        let out = tree.aggregate(&net, &sorted(inputs.clone()), threads);
         assert_eq!(out.root_value, live.root_value);
         assert_eq!(out.merges, live.merges);
     }
@@ -408,13 +420,169 @@ fn aggregate_ignores_inputs_the_root_cannot_reach() {
         .expect("deep node without an input");
     tree.inject_stale_parent(cut, tree.root());
     inputs.remove(&stale);
-    let reachable = tree.aggregate(inputs.clone());
+    let reachable = tree.aggregate(&net, &sorted(inputs.clone()), 1);
     inputs.insert(cut, Concat("cut".into()));
     for threads in [1usize, 4] {
-        let out = tree.aggregate_with(inputs.clone(), threads);
+        let out = tree.aggregate(&net, &sorted(inputs.clone()), threads);
         assert_eq!(out.root_value, reachable.root_value);
         assert_eq!(out.merges, reachable.merges);
     }
+}
+
+/// An LBI-shaped value — two f64 sums and a minimum — compared bit for bit.
+#[derive(Clone, Copy, Debug)]
+struct Triple(f64, f64, f64);
+impl Merge for Triple {
+    fn merge(&mut self, other: Self) {
+        self.0 += other.0;
+        self.1 += other.1;
+        self.2 = self.2.min(other.2);
+    }
+}
+impl Triple {
+    fn bits(&self) -> (u64, u64, u64) {
+        (self.0.to_bits(), self.1.to_bits(), self.2.to_bits())
+    }
+}
+
+/// The round's LBI inputs over a random network: every peer reports one
+/// value at the report target of a random one of its virtual servers (the
+/// root if it hosts none), merged per target in peer order, and is sent
+/// with probability `sent_frac` — 1 for a round in which every peer is
+/// dirty. Returns the slot-ascending inputs, the same merged per target in
+/// a map (for the references) and the targets of the sent peers.
+fn round_inputs(
+    net: &ChordNetwork,
+    tree: &KTree,
+    rng: &mut StdRng,
+    sent_frac: f64,
+) -> (
+    Vec<AggregateInput<Triple>>,
+    HashMap<KtNodeId, Triple>,
+    Vec<KtNodeId>,
+) {
+    use rand::seq::SliceRandom;
+    use rand::Rng;
+    let mut merged: HashMap<KtNodeId, (Triple, bool)> = HashMap::new();
+    let mut seeds = Vec::new();
+    for p in net.alive_peers() {
+        let at = net
+            .vss_of(p)
+            .choose(rng)
+            .map_or(tree.root(), |&vs| tree.report_target(net, vs));
+        let x: f64 = rng.gen_range(0.0..1.0);
+        let value = Triple(x * 10f64.powi(rng.gen_range(-6..6)), 1.0 + x, x);
+        let sent = rng.gen_bool(sent_frac);
+        if sent {
+            seeds.push(at);
+        }
+        match merged.get_mut(&at) {
+            Some((acc, was_sent)) => {
+                acc.merge(value);
+                *was_sent |= sent;
+            }
+            None => {
+                merged.insert(at, (value, sent));
+            }
+        }
+    }
+    let mut inputs: Vec<AggregateInput<Triple>> = merged
+        .iter()
+        .map(|(&at, &(value, sent))| AggregateInput { at, value, sent })
+        .collect();
+    inputs.sort_unstable_by_key(|input| input.at);
+    let values = merged.into_iter().map(|(at, (v, _))| (at, v)).collect();
+    (inputs, values, seeds)
+}
+
+/// The walk against the passes it replaced, on a network where several
+/// peers share a report target and some hold no virtual server.
+fn assert_walk_matches_references(k: usize, seed: u64, sent_frac: f64) {
+    let (mut net, mut rng) = net_with(40, 3, seed);
+    // Every eleventh peer hands its virtual servers away and reports at
+    // the root.
+    for p in net.alive_peers().into_iter().step_by(11) {
+        for v in net.vss_of(p).to_vec() {
+            net.drop_vs(v);
+        }
+    }
+    let tree = KTree::build(&net, k);
+    let (inputs, values, seeds) = round_inputs(&net, &tree, &mut rng, sent_frac);
+    let (value, merges, rounds) = tree.reference_aggregate(values);
+    let sent_edges = tree.reference_sent_edges(&net, seeds.into_iter());
+    let tree_edges = tree.reference_tree_edges(&net);
+    let derived = tree.derive();
+    for threads in [1usize, 2, 8] {
+        let out = tree.aggregate(&net, &inputs, threads);
+        let at = format!("k {k}, seed {seed}, sent {sent_frac}, {threads} threads");
+        assert_eq!(
+            out.root_value.map(|v| v.bits()),
+            value.map(|v| v.bits()),
+            "{at}"
+        );
+        assert_eq!(out.merges, merges, "{at}");
+        assert_eq!(out.rounds, rounds, "{at}");
+        assert_eq!(out.sent_messages, sent_edges, "{at}");
+        assert_eq!(out.tree_messages, tree_edges, "{at}");
+        assert_eq!(out.max_message_depth, derived.max_message_depth, "{at}");
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    #[test]
+    fn prop_walk_equals_the_passes_it_replaced(seed in 0u64..10_000) {
+        // Every peer sent (a cold round, `DirtySet::All`), some, none.
+        for k in [2usize, 3, 8] {
+            for sent_frac in [1.0, 0.3, 0.0] {
+                assert_walk_matches_references(k, seed, sent_frac);
+            }
+        }
+    }
+}
+
+/// A subtree a fault detached: the slot scan counted its edges, the walk
+/// does not — the root cannot reach them, so no message of a round crosses
+/// them. Rounds repair before they balance, so no round meets one; after
+/// the repair the two agree again.
+#[test]
+fn walk_leaves_out_a_detached_subtree() {
+    let (net, mut rng) = net_with(40, 3, 31);
+    let mut tree = KTree::build(&net, 2);
+    let (inputs, ..) = round_inputs(&net, &tree, &mut rng, 1.0);
+    let whole = tree.aggregate(&net, &inputs, 2);
+    assert_eq!(whole.tree_messages, tree.reference_tree_edges(&net));
+    let peer_of = |tree: &KTree, id| net.vs(tree.node(id).host()).host;
+    let cut = tree
+        .iter_ids()
+        .filter(|&id| tree.node(id).depth() >= 2 && tree.subtree_len(id) > 8)
+        .find(|&id| {
+            let above = tree.node(id).parent().unwrap();
+            peer_of(&tree, id) != peer_of(&tree, above)
+        })
+        .expect("a deep subtree hanging off another peer");
+    tree.inject_stale_parent(cut, tree.root());
+    // The edges the scan still counts below the root: every node of the
+    // cut subtree against the parent its pointer names.
+    let mut stack = vec![cut];
+    let mut unreachable = 0;
+    while let Some(id) = stack.pop() {
+        let parent = tree.node(id).parent().unwrap();
+        unreachable += usize::from(peer_of(&tree, id) != peer_of(&tree, parent));
+        stack.extend(tree.node(id).children().flatten());
+    }
+    assert!(unreachable > 0);
+    let out = tree.aggregate(&net, &inputs, 2);
+    assert_eq!(
+        out.tree_messages,
+        tree.reference_tree_edges(&net) - unreachable
+    );
+    assert_eq!(out.max_message_depth, tree.derive().max_message_depth);
+    tree.repair(&net, 64);
+    let repaired = tree.aggregate(&net, &inputs, 2);
+    assert_eq!(repaired.tree_messages, tree.reference_tree_edges(&net));
+    assert_eq!(repaired.tree_messages, whole.tree_messages);
 }
 
 proptest! {
@@ -429,11 +597,11 @@ proptest! {
             .enumerate()
             .map(|(i, (_, vs))| (tree.report_target(&net, vs), Concat(format!("p{i}"))))
             .collect();
-        let reference = level_sweep_reference(&tree, inputs.clone());
-        let out = tree.aggregate_with(inputs, threads);
-        prop_assert_eq!(out.root_value, reference.root_value);
-        prop_assert_eq!(out.merges, reference.merges);
-        prop_assert_eq!(out.rounds, reference.rounds);
+        let (value, merges, rounds) = level_sweep_reference(&tree, inputs.clone());
+        let out = tree.aggregate(&net, &sorted(inputs), threads);
+        prop_assert_eq!(out.root_value, value);
+        prop_assert_eq!(out.merges, merges);
+        prop_assert_eq!(out.rounds, rounds);
     }
 }
 
@@ -491,7 +659,7 @@ proptest! {
             total += v;
             inputs.insert(tree.report_target(&net, vs), Sum(v));
         }
-        let out = tree.aggregate(inputs);
+        let out = tree.aggregate(&net, &sorted(inputs), 1);
         prop_assert_eq!(out.root_value, Some(Sum(total)));
     }
 }
@@ -798,18 +966,4 @@ fn serde_keeps_the_node_record_form_and_refuses_what_does_not_pack() {
             assert!(serde_json::from_str::<KTree>(&json.replacen(good, bad, 1)).is_err());
         }
     }
-}
-
-#[test]
-fn boxed_merge_delegates() {
-    #[derive(Clone, Debug, PartialEq)]
-    struct Sum(u64);
-    impl Merge for Sum {
-        fn merge(&mut self, other: Self) {
-            self.0 += other.0;
-        }
-    }
-    let mut a = Box::new(Sum(3));
-    a.merge(Box::new(Sum(4)));
-    assert_eq!(*a, Sum(7));
 }

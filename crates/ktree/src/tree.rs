@@ -2,7 +2,6 @@ use proxbal_chord::{ChordNetwork, Ring, RingStamp, VsId};
 use proxbal_id::{Arc, Id};
 use serde::{Deserialize, Serialize};
 use std::ops::Range;
-use std::sync::OnceLock;
 
 /// Handle of a KT node within a [`KTree`] arena. Slots are recycled after
 /// pruning, so handles are only meaningful while the node is live.
@@ -17,6 +16,7 @@ const NONE: u32 = u32::MAX;
 /// 32 at `k = 2`); growing and re-attaching assert it.
 const FREE: u8 = u8::MAX;
 /// The message depth of a node the root cannot reach.
+#[cfg(test)]
 const UNREACHED: u32 = u32::MAX;
 
 fn handle(raw: u32) -> Option<KtNodeId> {
@@ -169,13 +169,13 @@ pub struct RepairAction {
 ///
 /// # Derived data
 ///
-/// [`Self::levels`], [`Self::message_depth`] and
-/// [`Self::max_message_depth`] depend on nothing but the arena, so they are
-/// computed once per arena state and borrowed by every caller until a
-/// mutation (maintenance that changes something, repair, an injected
-/// fault) drops them. A balancing round moves virtual servers between
-/// peers, never KT nodes between virtual servers, so one computation serves
-/// all its phases — and every later round on an unchanged ring.
+/// Nothing derived from the arena is stored. A balancing round learns what
+/// it needs of the tree's shape — message depths, the largest of them, the
+/// edges between peers — from the one walk that folds its LBIs
+/// ([`Self::aggregate`]), and the VSA sweep visits only the root paths of
+/// its entry nodes. [`Self::levels`], [`Self::message_depth`] and
+/// [`Self::max_message_depth`] answer the same questions on demand, for
+/// tests and benchmarks.
 ///
 /// # Storage
 ///
@@ -200,14 +200,6 @@ pub struct KTree {
     /// Subtrees detached by [`Self::inject_stale_parent`] since the last
     /// repair — the only way a node becomes unreachable from the root.
     detached: usize,
-    /// What [`Self::levels`] and [`Self::message_depth`] answer from,
-    /// computed on first use and dropped by the `set_*` writers and
-    /// [`Self::prune`] — every write to a live node goes through the first,
-    /// a node [`Self::alloc`] adds is linked in through them within the same
-    /// call, and only the second frees a slot. A pure function of the arena,
-    /// so it takes no part in serialization or arena equality.
-    #[serde(skip)]
-    derived: OnceLock<Derived>,
 }
 
 /// The arena's columns, one entry (`k` in the child table) per slot.
@@ -294,18 +286,17 @@ impl Deserialize for Arena {
     }
 }
 
-/// Data derived from the arena alone (hosts are `VsId`s, which virtual-server
-/// transfers never change), shared by every aggregation and VSA sweep until
-/// the next arena write.
-#[derive(Clone, Debug)]
-struct Derived {
+/// What the rounds once derived from the arena and cached: the reference
+/// the walk of [`KTree::aggregate`] is tested against.
+#[cfg(test)]
+pub(crate) struct Derived {
     /// Live handles by depth, slot-ascending within a depth; level `d` is
     /// `level_slots[level_starts[d]..level_starts[d + 1]]`.
-    level_slots: Vec<KtNodeId>,
-    level_starts: Vec<usize>,
+    pub(crate) level_slots: Vec<KtNodeId>,
+    pub(crate) level_starts: Vec<usize>,
     /// Per slot; [`UNREACHED`] where the root has no path to it.
-    message_depths: Vec<u32>,
-    max_message_depth: u32,
+    pub(crate) message_depths: Vec<u32>,
+    pub(crate) max_message_depth: u32,
 }
 
 /// The part of the identifier space in which ring membership changes can
@@ -580,7 +571,6 @@ impl KTree {
             flags: Vec::new(),
             flagged: 0,
             detached: 0,
-            derived: OnceLock::new(),
         }
     }
 
@@ -660,29 +650,25 @@ impl KTree {
         handle(self.nodes.kids[id.0 as usize * self.k + i])
     }
 
-    // The writers of a live node; each drops the derived data.
+    // The writers of a live node.
 
     fn set_host(&mut self, id: KtNodeId, host: VsId) {
         let slot = self.live(id);
-        self.derived.take();
         self.nodes.recs[slot].host = host.0;
     }
 
     fn set_parent(&mut self, id: KtNodeId, parent: Option<KtNodeId>) {
         let slot = self.live(id);
-        self.derived.take();
         self.nodes.recs[slot].parent = raw(parent);
     }
 
     fn set_child(&mut self, id: KtNodeId, i: usize, child: Option<KtNodeId>) {
         let slot = self.live(id);
-        self.derived.take();
         self.nodes.kids[slot * self.k + i] = raw(child);
     }
 
     fn set_depth(&mut self, id: KtNodeId, depth: u32) {
         let slot = self.live(id);
-        self.derived.take();
         self.nodes.depths[slot] = depth_byte(depth);
     }
 
@@ -699,13 +685,13 @@ impl KTree {
     }
 
     /// Live node handles grouped by depth, deepest level last; within a
-    /// level in ascending slot order.
-    pub fn levels(&self) -> impl DoubleEndedIterator<Item = &[KtNodeId]> + ExactSizeIterator {
-        let derived = self.derived();
-        derived
-            .level_starts
-            .windows(2)
-            .map(|w| &derived.level_slots[w[0]..w[1]])
+    /// level in ascending slot order. One pass over the arena per call.
+    pub fn levels(&self) -> Vec<Vec<KtNodeId>> {
+        let mut levels = vec![Vec::new(); self.height() as usize];
+        for id in self.iter_ids() {
+            levels[usize::from(self.nodes.depths[id.0 as usize])].push(id);
+        }
+        levels
     }
 
     /// The *report target* of a virtual server: the deepest KT node on the
@@ -1173,7 +1159,7 @@ impl KTree {
     }
 
     /// Number of nodes in the subtree rooted at `id`.
-    fn subtree_len(&self, id: KtNodeId) -> usize {
+    pub(crate) fn subtree_len(&self, id: KtNodeId) -> usize {
         let below = self.node(id).children().flatten();
         1 + below.map(|c| self.subtree_len(c)).sum::<usize>()
     }
@@ -1183,30 +1169,48 @@ impl KTree {
     /// planted in the *same* virtual server is free (intra-process). This is
     /// the metric behind the paper's `O(log_K N)` bounds. `None` for a node
     /// the root cannot reach (a subtree detached by a fault, until repair)
-    /// and for a handle that names no live node.
+    /// and for a handle that names no live node. One climb to the root per
+    /// call, each step checking that the parent lists the node.
     pub fn message_depth(&self, id: KtNodeId) -> Option<u32> {
-        let depths = &self.derived().message_depths;
-        depths
-            .get(id.0 as usize)
-            .copied()
-            .filter(|&d| d != UNREACHED)
+        if !self.contains(id) {
+            return None;
+        }
+        let (mut at, mut node, mut depth) = (id, self.node(id), 0);
+        while let Some(parent) = node.parent() {
+            let above = self.contains(parent).then(|| self.node(parent))?;
+            if !above.children().any(|c| c == Some(at)) {
+                return None;
+            }
+            depth += u32::from(node.host() != above.host());
+            (at, node) = (parent, above);
+        }
+        (at == self.root).then_some(depth)
     }
 
     /// The largest message depth in the tree (`O(log_K N)` in expectation).
+    /// One depth-first walk from the root per call; a balancing round reads
+    /// it from [`Self::aggregate`] instead.
     pub fn max_message_depth(&self) -> u32 {
-        self.derived().max_message_depth
-    }
-
-    fn derived(&self) -> &Derived {
-        self.derived.get_or_init(|| self.derive())
+        let mut max = 0;
+        let mut stack = vec![(self.root, 0u32)];
+        while let Some((id, depth)) = stack.pop() {
+            max = max.max(depth);
+            let node = self.node(id);
+            for child in node.children().flatten() {
+                let hop = u32::from(self.node(child).host() != node.host());
+                stack.push((child, depth + hop));
+            }
+        }
+        max
     }
 
     /// A counting pass over the depth column groups the nodes by depth; one
     /// depth-first walk from the root, children in part order, hands every
-    /// node its parent's message depth plus the hop to it. Builders allocate
-    /// in that same order, so on a tree that churn has not reshuffled the
-    /// walk reads the arena front to back.
-    fn derive(&self) -> Derived {
+    /// node its parent's message depth plus the hop to it. What the rounds
+    /// computed once per arena state and cached until the walk answered
+    /// them, kept as the reference of the walk's tests.
+    #[cfg(test)]
+    pub(crate) fn derive(&self) -> Derived {
         let mut level_starts = vec![0usize; self.height() as usize + 1];
         for &d in self.nodes.depths.iter().filter(|&&d| d != FREE) {
             level_starts[usize::from(d) + 1] += 1;
@@ -1242,9 +1246,11 @@ impl KTree {
         }
     }
 
-    /// What [`Self::derive`] must equal, recomputed from the arena through
-    /// [`Self::node`]: one growing vector per level, the breadth-first walk
-    /// and the scan for its maximum, kept for the differential tests.
+    /// What [`Self::levels`], [`Self::message_depth`] and
+    /// [`Self::max_message_depth`] must answer, recomputed from the arena
+    /// through [`Self::node`]: one growing vector per level, the
+    /// breadth-first walk and the scan for its maximum, kept for the
+    /// differential tests.
     #[cfg(test)]
     pub(crate) fn reference_derived(&self) -> (Vec<Vec<KtNodeId>>, crate::KtNodeMap<u32>, u32) {
         let mut levels: Vec<Vec<KtNodeId>> = Vec::new();
@@ -1330,7 +1336,6 @@ impl KTree {
                 self.prune(child);
             }
         }
-        self.derived.take();
         self.nodes.depths[slot] = FREE;
         self.free.push(id.0);
         self.unflag(id);

@@ -26,8 +26,9 @@
 #   --profile-smoke  `xl2 --peers 16384 --profile` (virtual-time flamegraphs
 #                    and trace summary byte-identical, volatile artifacts
 #                    present, the `tree` and `oracle/index_build` phases
-#                    within their allocated-byte budgets, `round/vsa/candidates`
-#                    and `round/vsa/inputs` within their allocation-count
+#                    within their allocated-byte budgets, `round/lbi`,
+#                    `round/aggregate`, `round/vsa/candidates` and
+#                    `round/vsa/inputs` within their allocation-count
 #                    budgets; DESIGN.md §5a, §5c, §6b, §6c)
 #   --analyze-smoke  the committed engine scenario (profiled: `engine/des/*`
 #                    and `engine/round` phases present) against `gates/*.toml`
@@ -164,17 +165,23 @@ if [[ "$PROFILE_SMOKE" == "1" ]]; then
   INDEX_BYTES="$(awk '$1 == "oracle/index_build" { print $NF; exit }' "$P1/resources.txt")"
   [[ -n "$INDEX_BYTES" && "$INDEX_BYTES" -le 16000000 ]] || {
     echo "profile smoke: oracle/index_build allocated ${INDEX_BYTES:-no} bytes (> 16,000,000)" >&2; exit 1; }
-  # Allocation *counts* (the column before the bytes) of the VSA phase's
-  # per-participant work (DESIGN.md §6c): shed sets from one scratch per
-  # chunk (14,860 calls; one per heavy peer was 103,208) and records
-  # published once per distinct landmark vector into lists sized before
-  # filling (11,606; 40,576 with one key and one sorted insert per record).
+  # Allocation *counts* (the column before the bytes) of the per-peer work
+  # (DESIGN.md §6c): LBI inputs in one slot-ordered array, folded by a walk
+  # that clones nothing that allocates (2,795 and 18 calls; a boxed LBI per
+  # report target in a slot-indexed map made them 19,203 and 36, and the
+  # workers' clones of those boxes 16,435 at two threads); shed sets from
+  # one scratch per chunk (14,860; one per heavy peer was 103,208) and
+  # records published once per distinct landmark vector into lists sized
+  # before filling (10,047; 40,576 with one key and one sorted insert per
+  # record).
   budget_calls() {
     local calls
     calls="$(awk -v p="$1" '$1 == p { print $(NF-1); exit }' "$P1/resources.txt")"
     [[ -n "$calls" && "$calls" -le "$2" ]] || {
       echo "profile smoke: $1 made ${calls:-no} allocation calls (> $2)" >&2; exit 1; }
   }
+  budget_calls round/lbi 4000
+  budget_calls round/aggregate 200
   budget_calls round/vsa/candidates 20000
   budget_calls round/vsa/inputs 12000
 fi

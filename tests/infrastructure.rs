@@ -4,14 +4,13 @@
 
 use proxbal::chord::ChordNetwork;
 use proxbal::core::{BalancerConfig, Lbi, LoadState};
-use proxbal::ktree::KTree;
+use proxbal::ktree::{AggregateInput, KTree};
 use proxbal::sim::churn::ChurnConfig;
 use proxbal::sim::latency::{aggregation_latency, root_path_latencies};
 use proxbal::sim::{run_engine, EngineConfig, Scenario, TopologyKind};
 use proxbal::workload::{CapacityProfile, LoadModel};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use std::collections::HashMap;
 
 #[test]
 fn lbi_through_tree_equals_ground_truth_after_churn() {
@@ -39,12 +38,17 @@ fn lbi_through_tree_equals_ground_truth_after_churn() {
         &LoadModel::gaussian(1e6, 1e4),
         &mut rng,
     );
-    let mut inputs: HashMap<_, Lbi> = HashMap::new();
-    for p in net.alive_peers() {
-        let vs = net.vss_of(p)[0];
-        inputs.insert(tree.report_target(&net, vs), loads.node_lbi(&net, p));
-    }
-    let out = tree.aggregate(inputs);
+    let mut inputs: Vec<AggregateInput<Lbi>> = net
+        .alive_peers()
+        .into_iter()
+        .map(|p| AggregateInput {
+            at: tree.report_target(&net, net.vss_of(p)[0]),
+            value: loads.node_lbi(&net, p),
+            sent: true,
+        })
+        .collect();
+    inputs.sort_unstable_by_key(|input| input.at);
+    let out = tree.aggregate(&net, &inputs, 1);
     let got = out.root_value.unwrap();
     let want = loads.totals(&net);
     assert!((got.load - want.load).abs() <= 1e-6 * want.load);
