@@ -2,19 +2,19 @@
 //! per-peer loops the `--threads` knob accelerates: node classification,
 //! shed-candidate/light-slot extraction, the LBI walk over the K-nary tree
 //! (per virtual server, and as a round binds it), the VSA phase's
-//! per-participant half at the xl scale, and the complete proximity-aware
-//! four-phase round. Each
-//! kernel runs at 1 and 8 worker threads so the
-//! scaling (and the fixed-chunk merge overhead at 1 thread) is visible in
-//! one report. Outputs are byte-identical across thread counts — the
-//! determinism tests pin that — so these benches measure pure wall-clock.
+//! per-participant half at the xl scale, transfer execution with its
+//! distance accounting, and the complete proximity-aware four-phase round.
+//! Each kernel runs at 1 and 8 worker threads so the scaling (and the
+//! fixed-chunk merge overhead at 1 thread) is visible in one report.
+//! Outputs are byte-identical across thread counts — the determinism tests
+//! pin that — so these benches measure pure wall-clock.
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use criterion::{criterion_group, criterion_main, BatchSize, BenchmarkId, Criterion};
 use proxbal_chord::ChordNetwork;
 use proxbal_core::reports::{light_slots, proximity_inputs, shed_candidates};
 use proxbal_core::{
-    BalancerConfig, Classification, ClassifyParams, Lbi, LoadBalancer, ProximityMode,
-    ProximityParams, RoundWalls, Underlay,
+    execute_transfers, run_vsa, BalancerConfig, Classification, ClassifyParams, Lbi, LoadBalancer,
+    ProximityMode, ProximityParams, RoundWalls, Underlay, VsaParams,
 };
 use proxbal_ktree::{AggregateInput, KTree};
 use proxbal_sim::{Scenario, TopologyKind};
@@ -256,11 +256,80 @@ fn bench_vsa_inputs(c: &mut Criterion) {
     group.finish();
 }
 
+/// Phase 4 at 65,536 peers on the xl2 preset's landmark-approximate
+/// distances: the assignments of one proximity-aware VSA sweep resolved,
+/// measured and applied. Scenario, tree, assignments and, per iteration,
+/// the network and loads being transferred on are prepared untimed.
+fn bench_transfer_distances(c: &mut Criterion) {
+    let prepared = Scenario::builder()
+        .xl2()
+        .peers(65_536)
+        .seed(1)
+        .build()
+        .prepare();
+    let (net, loads) = (&prepared.net, &prepared.loads);
+    let balancer = prepared.scenario.balancer;
+    let tree = KTree::build(net, balancer.k);
+    let params = ClassifyParams {
+        epsilon: balancer.epsilon,
+    };
+    let system = loads.totals(net);
+    let classification = Classification::compute(net, loads, &params, system, 1);
+    let shed = shed_candidates(net, loads, &params, &classification, 1);
+    let light = light_slots(net, loads, &params, &classification, 1);
+    let underlay = prepared.underlay().expect("topology present");
+    let proximity = match balancer.mode {
+        ProximityMode::Aware(proximity) => proximity,
+        ProximityMode::Ignorant => ProximityParams::default(),
+    };
+    let inputs = proximity_inputs(
+        net,
+        &tree,
+        &shed,
+        &light,
+        &proximity,
+        underlay.latency(),
+        underlay.landmarks,
+        1,
+    )
+    .expect("attached network");
+    let vsa_params = VsaParams {
+        rendezvous_threshold: balancer.rendezvous_threshold,
+        l_min: system.min_vs_load,
+    };
+    let assignments = run_vsa(&tree, inputs, &vsa_params, &mut Trace::disabled()).assignments;
+    let distances = underlay.transfer_distances();
+    let fresh = || (net.clone(), loads.clone());
+    let mut group = c.benchmark_group("transfer_distances");
+    group.sample_size(10);
+    for threads in THREAD_COUNTS {
+        group.bench_function(format!("t{threads}"), |b| {
+            b.iter_batched(
+                fresh,
+                |(mut net, mut loads)| {
+                    let trace = &mut Trace::disabled();
+                    execute_transfers(
+                        &mut net,
+                        &mut loads,
+                        &assignments,
+                        Some(distances),
+                        threads,
+                        trace,
+                    )
+                },
+                BatchSize::LargeInput,
+            );
+        });
+    }
+    group.finish();
+}
+
 criterion_group!(
     benches,
     bench_round_kernels,
     bench_aggregate_root,
     bench_lbi_walk,
-    bench_vsa_inputs
+    bench_vsa_inputs,
+    bench_transfer_distances
 );
 criterion_main!(benches);

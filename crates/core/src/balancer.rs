@@ -190,7 +190,8 @@ impl LoadBalancer {
 
     /// Sets the worker-thread count for the parallel sections *inside* a
     /// balancing round (LBI generation, aggregation, classification, shed
-    /// extraction, VSA input publication). Purely a performance
+    /// extraction, VSA input publication, transfer resolution and
+    /// distances). Purely a performance
     /// knob: every output is byte-identical at any thread count — parallel
     /// work is chunked deterministically and merged in index order, and
     /// all randomness is drawn on the caller's thread.

@@ -117,10 +117,10 @@ pub fn random_matching<R: Rng>(
     let light = crate::reports::light_slots(net, loads, params, &classification, 1);
 
     let mut spare: Vec<(proxbal_chord::PeerId, f64)> =
-        light.values().map(|s| (s.peer, s.spare)).collect();
+        light.iter().map(|s| (s.peer, s.spare)).collect();
     spare.shuffle(rng);
 
-    let mut candidates: Vec<_> = shed.values().flatten().copied().collect();
+    let mut candidates = shed;
     candidates.shuffle(rng);
     // Heaviest first maximizes placement success, like the tree scheme.
     candidates.sort_by(|a, b| b.load.total_cmp(&a.load));

@@ -17,6 +17,10 @@ pub enum Error {
     /// distance is undefined. Attach every peer
     /// (`ChordNetwork::attach`) before running with an oracle.
     UnattachedPeer(PeerId),
+    /// An alive peer has no capacity in the load state (e.g. it joined
+    /// after `LoadState::generate`), so its LBI `<L_i, C_i, L_{i,min}>` is
+    /// undefined. Set one (`LoadState::set_capacity`) before balancing.
+    MissingCapacity(PeerId),
     /// The network has no alive peers, so there is nothing to aggregate:
     /// the system LBI `<L, C, L_min>` is undefined on an empty membership.
     EmptyNetwork,
@@ -35,6 +39,7 @@ impl std::fmt::Display for Error {
             Error::UnattachedPeer(p) => {
                 write!(f, "peer {p:?} has no underlay attachment")
             }
+            Error::MissingCapacity(p) => write!(f, "peer {p:?} has no capacity"),
             Error::EmptyNetwork => {
                 write!(f, "no alive peers: the system LBI is undefined")
             }

@@ -135,6 +135,11 @@ impl LoadState {
         }
     }
 
+    /// Whether a capacity was ever assigned to `p`.
+    pub(crate) fn has_capacity(&self, p: PeerId) -> bool {
+        self.capacity.get(p.0 as usize).is_some_and(|c| !c.is_nan())
+    }
+
     /// A peer's capacity class, if recorded.
     pub fn class(&self, p: PeerId) -> Option<CapacityClass> {
         self.class.get(p.0 as usize).copied().flatten()

@@ -81,9 +81,8 @@ pub use round::{DirtySet, RoundCache, RoundWalls};
 pub use selection::{choose_shed_set, EXACT_LIMIT};
 pub use split::split_and_place;
 pub use transfer::{
-    absorb_join, execute_transfers, execute_transfers_traced, execute_transfers_with_requeue,
-    graceful_leave, total_moved_load, weighted_cost, RequeueOutcome, TransferDistances,
-    TransferRecord,
+    absorb_join, execute_transfers, execute_transfers_with_requeue, graceful_leave,
+    total_moved_load, weighted_cost, RequeueOutcome, TransferDistances, TransferRecord,
 };
 pub use vsa::{run_vsa, VsaOutcome, VsaParams};
 

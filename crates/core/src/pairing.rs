@@ -4,7 +4,6 @@ use proxbal_ktree::KtNodeMap;
 use proxbal_ktree::{KtNodeId, Merge};
 use proxbal_trace::Trace;
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeMap;
 
 /// A virtual server a heavy node wants to shed:
 /// `<L_{i,k}, v_{i,k}, ip_addr(i)>` of §3.4.
@@ -286,23 +285,23 @@ impl Merge for RendezvousLists {
 
 /// The VSA sweep inputs: every participant's records published at its
 /// entry node, one entry per node, ascending by slot. `targets` holds one
-/// entry node per participant — heavy peers, then light peers, each
-/// ascending, the order both maps iterate in, which is the publication
-/// order. Every entry node's lists come out exactly as one
-/// [`RendezvousLists::push_shed`] / [`RendezvousLists::push_light`] per
-/// record in that order leaves them: ascending by `total_cmp`, and among
-/// equal keys the latest published first. Participants are grouped by
-/// entry node with one sort, each list is sized first and allocated once,
-/// records are appended, and each list is sorted once — `O(n log n)` per
-/// entry node where one sorted insert per record costs `O(n²)`.
+/// entry node per participant — the shedding peers of `shed` (one run of
+/// candidates each, [`crate::reports::shed_candidates`]), then the peers
+/// of `light`, each ascending: the publication order. Every entry node's
+/// lists come out exactly as one [`RendezvousLists::push_shed`] /
+/// [`RendezvousLists::push_light`] per record in that order leaves them:
+/// ascending by `total_cmp`, and among equal keys the latest published
+/// first. Participants are grouped by entry node with one sort, each list
+/// is sized first and allocated once, records are appended, and each list
+/// is sorted once — `O(n log n)` per entry node where one sorted insert per
+/// record costs `O(n²)`.
 pub(crate) fn publish(
-    shed: &BTreeMap<PeerId, Vec<ShedCandidate>>,
-    light: &BTreeMap<PeerId, LightSlot>,
+    shed: &[ShedCandidate],
+    light: &[LightSlot],
     targets: &[KtNodeId],
 ) -> Vec<(KtNodeId, RendezvousLists)> {
-    debug_assert_eq!(targets.len(), shed.len() + light.len());
-    let cands: Vec<&[ShedCandidate]> = shed.values().map(Vec::as_slice).collect();
-    let slots: Vec<LightSlot> = light.values().copied().collect();
+    let cands: Vec<&[ShedCandidate]> = crate::reports::shed_sets(shed).collect();
+    debug_assert_eq!(targets.len(), cands.len() + light.len());
     let order = crate::reports::sorted_by_node(targets);
     let mut inputs: Vec<(KtNodeId, RendezvousLists)> = Vec::new();
     for run in order.chunk_by(|a, b| a.0 == b.0) {
@@ -325,7 +324,7 @@ pub(crate) fn publish(
                     lists.shed.extend_from_slice(c);
                 }
                 None => {
-                    let slot = slots[i - cands.len()];
+                    let slot = light[i - cands.len()];
                     debug_assert!(slot.spare.is_finite() && slot.spare > 0.0);
                     lists.light.push(slot);
                 }
@@ -350,19 +349,19 @@ fn settle<T>(records: &mut [T], key: impl Fn(&T) -> f64) {
 /// [`publish`] as one sorted insert per record, kept as its reference.
 #[cfg(test)]
 pub(crate) fn reference_publish(
-    shed: &BTreeMap<PeerId, Vec<ShedCandidate>>,
-    light: &BTreeMap<PeerId, LightSlot>,
+    shed: &[ShedCandidate],
+    light: &[LightSlot],
     targets: &[KtNodeId],
 ) -> Vec<(KtNodeId, RendezvousLists)> {
-    let (shed_at, light_at) = targets.split_at(shed.len());
     let mut inputs: KtNodeMap<RendezvousLists> = KtNodeMap::new();
-    for (&id, cands) in shed_at.iter().zip(shed.values()) {
-        let lists = inputs.or_default(id);
+    let mut targets = targets.iter();
+    for cands in crate::reports::shed_sets(shed) {
+        let lists = inputs.or_default(*targets.next().expect("a target per participant"));
         for c in cands {
             lists.push_shed(*c);
         }
     }
-    for (&id, &slot) in light_at.iter().zip(light.values()) {
+    for (&id, &slot) in targets.zip(light) {
         inputs.or_default(id).push_light(slot);
     }
     inputs

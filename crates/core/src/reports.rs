@@ -12,27 +12,32 @@ use proxbal_topology::{DistanceOracle, NodeId};
 use rand::seq::SliceRandom;
 use rand::Rng;
 use serde::{Deserialize, Serialize};
-use std::collections::{BTreeMap, HashMap};
+use std::collections::HashMap;
 
 /// Fixed chunk size of the parallel per-peer sweeps in this module. A
 /// compile-time constant — never derived from the thread count — so chunk
 /// boundaries, and with them every drain order, are thread-invariant.
 const CLASSIFY_CHUNK: usize = 8192;
 
-/// The per-node classification computed after LBI dissemination.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+/// The per-node classification computed after LBI dissemination: every
+/// alive peer, ascending, beside its class, and the count of each class.
+#[derive(Clone, Debug)]
 pub struct Classification {
     /// The disseminated system LBI `<L, C, L_min>`.
     pub system: Lbi,
-    /// Class of every alive peer.
-    pub classes: HashMap<PeerId, NodeClass>,
+    /// Every alive peer, ascending.
+    peers: Vec<PeerId>,
+    /// The class of `peers[i]` at `i`.
+    classes: Vec<NodeClass>,
+    /// Peers per class, indexed by [`NodeClass`] discriminant.
+    counts: [usize; 3],
 }
 
 impl Classification {
     /// Classifies every alive peer against the (already aggregated) system
-    /// LBI on `threads` workers: per-peer classes are computed over
-    /// fixed-size chunks in parallel and inserted into the map serially in
-    /// original peer order — identical at any thread count.
+    /// LBI on `threads` workers: the class column is filled over fixed-size
+    /// chunks of peers in parallel and concatenated in chunk order —
+    /// identical at any thread count.
     pub fn compute(
         net: &ChordNetwork,
         loads: &LoadState,
@@ -40,83 +45,184 @@ impl Classification {
         system: Lbi,
         threads: usize,
     ) -> Self {
-        let alive = net.alive_peers();
-        let chunks = proxbal_parallel::map_chunked(alive.len(), CLASSIFY_CHUNK, threads, |range| {
-            range
-                .map(|i| {
-                    let p = alive[i];
-                    (p, params.classify(&loads.node_lbi(net, p), &system))
-                })
-                .collect::<Vec<_>>()
-        });
-        let mut classes = HashMap::with_capacity(alive.len());
-        for chunk in chunks {
-            for (p, class) in chunk {
-                classes.insert(p, class);
-            }
+        let peers = net.alive_peers();
+        let classes =
+            proxbal_parallel::map_chunked(peers.len(), CLASSIFY_CHUNK, threads, |range| {
+                peers[range]
+                    .iter()
+                    .map(|&p| params.classify(&loads.node_lbi(net, p), &system))
+                    .collect::<Vec<_>>()
+            })
+            .concat();
+        let mut counts = [0; 3];
+        for &class in &classes {
+            counts[class as usize] += 1;
         }
-        Classification { system, classes }
+        Classification {
+            system,
+            peers,
+            classes,
+            counts,
+        }
     }
 
-    /// Peers of a given class.
+    /// Every alive peer, ascending.
+    pub(crate) fn peers(&self) -> &[PeerId] {
+        &self.peers
+    }
+
+    /// The class of every peer of [`Self::peers`], in the same order.
+    pub(crate) fn classes(&self) -> &[NodeClass] {
+        &self.classes
+    }
+
+    /// The class of `p`, or `None` if it was not alive.
+    #[cfg(test)]
+    pub(crate) fn class_of(&self, p: PeerId) -> Option<NodeClass> {
+        let i = self.peers.binary_search(&p).ok()?;
+        Some(self.classes[i])
+    }
+
+    /// Peers of a given class, ascending.
     pub fn peers_of(&self, class: NodeClass) -> Vec<PeerId> {
-        let mut v: Vec<PeerId> = self
-            .classes
+        self.peers
             .iter()
+            .zip(&self.classes)
             .filter(|&(_, &c)| c == class)
             .map(|(&p, _)| p)
-            .collect();
-        v.sort();
-        v
+            .collect()
     }
 
     /// Count of peers of a given class.
     pub fn count_of(&self, class: NodeClass) -> usize {
-        self.classes.values().filter(|&&c| c == class).count()
+        self.counts[class as usize]
+    }
+
+    /// Count of every class present — the `before` / `after` pictures of a
+    /// [`crate::BalanceReport`] (a class no peer has is absent).
+    pub(crate) fn class_counts(&self) -> HashMap<NodeClass, usize> {
+        [NodeClass::Heavy, NodeClass::Light, NodeClass::Neutral]
+            .into_iter()
+            .map(|class| (class, self.count_of(class)))
+            .filter(|&(_, n)| n > 0)
+            .collect()
     }
 }
 
 /// The shed set of every heavy node: the minimum-total-load subset of its
 /// virtual servers whose removal takes it to (or below) its target (§3.4).
 ///
+/// The sets come flat, in one vector: each heavy peer's candidates form
+/// one run (see [`shed_sets`]), in the order the selection chose them, and
+/// the runs ascend by peer; a heavy peer with nothing to shed has no run.
 /// Runs on `threads` workers: each heavy peer's subset is an independent
-/// knapsack-style selection, computed over fixed-size chunks of peers in
-/// parallel and drained into the sorted map in original (ascending peer)
-/// order — identical at any thread count. A chunk reuses one pair of
-/// scratch buffers for all its peers, so a peer costs one allocation: its
-/// candidate list.
+/// knapsack-style selection, computed over fixed-size chunks of the
+/// classified peers in parallel, each chunk appending to one buffer of its
+/// own with one pair of scratch buffers for all its peers; the buffers are
+/// concatenated in chunk order — identical at any thread count.
 pub fn shed_candidates(
     net: &ChordNetwork,
     loads: &LoadState,
     params: &ClassifyParams,
     classification: &Classification,
     threads: usize,
-) -> BTreeMap<PeerId, Vec<ShedCandidate>> {
-    let heavy = classification.peers_of(NodeClass::Heavy);
-    let chunks = proxbal_parallel::map_chunked(heavy.len(), CLASSIFY_CHUNK, threads, |range| {
+) -> Vec<ShedCandidate> {
+    let (peers, classes) = (classification.peers(), classification.classes());
+    proxbal_parallel::map_chunked(peers.len(), CLASSIFY_CHUNK, threads, |range| {
         let mut vss: Vec<(VsId, f64)> = Vec::new();
         let mut chosen: Vec<VsId> = Vec::new();
-        heavy[range]
-            .iter()
-            .map(|&p| {
-                let node = loads.node_lbi(net, p);
-                let excess = params.excess(&node, &classification.system);
-                vss.clear();
-                vss.extend(net.vss_of(p).iter().map(|&v| (v, loads.vs_load(v))));
-                choose_shed_set(&vss, excess, &mut chosen);
-                chosen
-                    .iter()
-                    .map(|&v| ShedCandidate {
-                        load: loads.vs_load(v),
-                        vs: v,
-                        from: p,
-                    })
-                    .collect::<Vec<ShedCandidate>>()
+        let mut out: Vec<ShedCandidate> = Vec::new();
+        for i in range.filter(|&i| classes[i] == NodeClass::Heavy) {
+            let p = peers[i];
+            let node = loads.node_lbi(net, p);
+            let excess = params.excess(&node, &classification.system);
+            vss.clear();
+            vss.extend(net.vss_of(p).iter().map(|&v| (v, loads.vs_load(v))));
+            choose_shed_set(&vss, excess, &mut chosen);
+            out.extend(chosen.iter().map(|&v| ShedCandidate {
+                load: loads.vs_load(v),
+                vs: v,
+                from: p,
+            }));
+        }
+        out
+    })
+    .concat()
+}
+
+/// The shed sets of [`shed_candidates`]' flat output, one slice per
+/// shedding peer, ascending by peer.
+pub(crate) fn shed_sets(shed: &[ShedCandidate]) -> impl Iterator<Item = &[ShedCandidate]> + Clone {
+    shed.chunk_by(|a, b| a.from == b.from)
+}
+
+/// The spare-room slot of every light node with room to offer, ascending
+/// by peer, on `threads` workers (same structure as [`shed_candidates`]).
+pub fn light_slots(
+    net: &ChordNetwork,
+    loads: &LoadState,
+    params: &ClassifyParams,
+    classification: &Classification,
+    threads: usize,
+) -> Vec<LightSlot> {
+    let (peers, classes) = (classification.peers(), classification.classes());
+    proxbal_parallel::map_chunked(peers.len(), CLASSIFY_CHUNK, threads, |range| {
+        range
+            .filter(|&i| classes[i] == NodeClass::Light)
+            .filter_map(|i| {
+                let peer = peers[i];
+                let spare = params.spare(&loads.node_lbi(net, peer), &classification.system);
+                (spare > 0.0).then_some(LightSlot { spare, peer })
             })
             .collect::<Vec<_>>()
-    });
-    let mut out = BTreeMap::new();
-    for (&p, cands) in heavy.iter().zip(chunks.into_iter().flatten()) {
+    })
+    .concat()
+}
+
+/// [`Classification::compute`] as a map filled serially in peer order,
+/// kept as its reference.
+#[cfg(test)]
+pub(crate) fn reference_classes(
+    net: &ChordNetwork,
+    loads: &LoadState,
+    params: &ClassifyParams,
+    system: Lbi,
+) -> HashMap<PeerId, NodeClass> {
+    net.alive_peers()
+        .into_iter()
+        .map(|p| (p, params.classify(&loads.node_lbi(net, p), &system)))
+        .collect()
+}
+
+/// [`shed_candidates`] as one candidate list per heavy peer in a sorted
+/// map, kept as its reference.
+#[cfg(test)]
+pub(crate) fn reference_shed_candidates(
+    net: &ChordNetwork,
+    loads: &LoadState,
+    params: &ClassifyParams,
+    classes: &HashMap<PeerId, NodeClass>,
+    system: &Lbi,
+) -> std::collections::BTreeMap<PeerId, Vec<ShedCandidate>> {
+    let mut out = std::collections::BTreeMap::new();
+    for (&p, _) in classes.iter().filter(|&(_, &c)| c == NodeClass::Heavy) {
+        let node = loads.node_lbi(net, p);
+        let excess = params.excess(&node, system);
+        let vss: Vec<(VsId, f64)> = net
+            .vss_of(p)
+            .iter()
+            .map(|&v| (v, loads.vs_load(v)))
+            .collect();
+        let mut chosen = Vec::new();
+        choose_shed_set(&vss, excess, &mut chosen);
+        let cands: Vec<ShedCandidate> = chosen
+            .iter()
+            .map(|&v| ShedCandidate {
+                load: loads.vs_load(v),
+                vs: v,
+                from: p,
+            })
+            .collect();
         if !cands.is_empty() {
             out.insert(p, cands);
         }
@@ -124,22 +230,18 @@ pub fn shed_candidates(
     out
 }
 
-/// The spare-room slot of every light node, on `threads` workers (same
-/// structure as [`shed_candidates`]).
-pub fn light_slots(
+/// [`light_slots`] as a sorted map, kept as its reference.
+#[cfg(test)]
+pub(crate) fn reference_light_slots(
     net: &ChordNetwork,
     loads: &LoadState,
     params: &ClassifyParams,
-    classification: &Classification,
-    threads: usize,
-) -> BTreeMap<PeerId, LightSlot> {
-    let light = classification.peers_of(NodeClass::Light);
-    let spares = proxbal_parallel::map_items(&light, threads, |_, &p| {
-        let node = loads.node_lbi(net, p);
-        params.spare(&node, &classification.system)
-    });
-    let mut out = BTreeMap::new();
-    for (&p, spare) in light.iter().zip(spares) {
+    classes: &HashMap<PeerId, NodeClass>,
+    system: &Lbi,
+) -> std::collections::BTreeMap<PeerId, LightSlot> {
+    let mut out = std::collections::BTreeMap::new();
+    for (&p, _) in classes.iter().filter(|&(_, &c)| c == NodeClass::Light) {
+        let spare = params.spare(&loads.node_lbi(net, p), system);
         if spare > 0.0 {
             out.insert(p, LightSlot { spare, peer: p });
         }
@@ -154,20 +256,29 @@ pub fn light_slots(
 pub fn ignorant_inputs<R: Rng>(
     net: &ChordNetwork,
     tree: &KTree,
-    shed: &BTreeMap<PeerId, Vec<ShedCandidate>>,
-    light: &BTreeMap<PeerId, LightSlot>,
+    shed: &[ShedCandidate],
+    light: &[LightSlot],
     rng: &mut R,
 ) -> Vec<(KtNodeId, RendezvousLists)> {
     // One draw per participant, shed peers then light peers. A peer with no
     // virtual servers (possible for light peers that shed everything in an
     // earlier pass) enters at the root.
-    let chosen: Vec<Option<VsId>> = shed
-        .keys()
-        .chain(light.keys())
-        .map(|&p| net.vss_of(p).choose(rng).copied())
+    let chosen: Vec<Option<VsId>> = participants(shed, light)
+        .map(|p| net.vss_of(p).choose(rng).copied())
         .collect();
     let targets = entry_nodes(net, tree, chosen.iter().copied());
     publish(shed, light, &targets)
+}
+
+/// The publishing peers of a VSA phase in publication order: every
+/// shedding peer of `shed` (a flat [`shed_candidates`] output), then every
+/// peer of `light`, each ascending.
+fn participants<'a>(
+    shed: &'a [ShedCandidate],
+    light: &'a [LightSlot],
+) -> impl Iterator<Item = PeerId> + 'a {
+    let shedding = shed_sets(shed).map(|set| set[0].from);
+    shedding.chain(light.iter().map(|slot| slot.peer))
 }
 
 /// The report target of every virtual server of `vss` in one path-sharing
@@ -253,25 +364,24 @@ impl Default for ProximityParams {
 /// distinct vector, are pure functions of immutable state, computed in
 /// parallel. The keys' entry nodes are found in one path-sharing descent in
 /// ring order ([`KTree::report_targets`]) and scattered back to the
-/// participants. The rendezvous lists are filled in original (sorted-map)
-/// order and each sorted once, so record order inside every list is
+/// participants. The rendezvous lists are filled in publication order and each sorted once, so record order inside every list is
 /// identical at any thread count.
 #[allow(clippy::too_many_arguments)]
 pub fn proximity_inputs(
     net: &ChordNetwork,
     tree: &KTree,
-    shed: &BTreeMap<PeerId, Vec<ShedCandidate>>,
-    light: &BTreeMap<PeerId, LightSlot>,
+    shed: &[ShedCandidate],
+    light: &[LightSlot],
     params: &ProximityParams,
     oracle: &DistanceOracle,
     landmarks: &[NodeId],
     threads: usize,
 ) -> Result<Vec<(KtNodeId, RendezvousLists)>, Error> {
-    let participants: Vec<PeerId> = shed.keys().chain(light.keys()).copied().collect();
+    let participants: Vec<PeerId> = participants(shed, light).collect();
     let (keys, key_of) = dht_keys(net, &participants, params, oracle, landmarks, threads)?;
     let entry = key_targets(net, tree, &keys)?;
-    // `participants` lists shed keys then light keys, each ascending — the
-    // order `publish` reads targets in.
+    // `participants` lists shedding peers then light peers, each
+    // ascending — the order `publish` reads targets in.
     let targets: Vec<KtNodeId> = key_of.iter().map(|&k| entry[k as usize]).collect();
     Ok(publish(shed, light, &targets))
 }

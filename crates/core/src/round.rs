@@ -17,17 +17,19 @@ use crate::classify::{ClassifyParams, NodeClass};
 use crate::error::Error;
 use crate::lbi::{Lbi, LoadState};
 use crate::reports::{
-    entry_nodes, ignorant_inputs, light_slots, proximity_inputs, shed_candidates, sorted_by_node,
-    Classification,
+    entry_nodes, ignorant_inputs, light_slots, proximity_inputs, shed_candidates, shed_sets,
+    sorted_by_node, Classification,
 };
-use crate::transfer::execute_transfers_traced;
+use crate::transfer::execute_transfers;
 use crate::vsa::{run_vsa, VsaParams};
 use crate::{BalanceReport, LoadBalancer, MessageStats, ProximityMode, Underlay};
 use proxbal_chord::{ChordNetwork, PeerId, PeerState, VsId};
 use proxbal_ktree::{AggregateInput, KTree, KtNodeId, Merge};
 use proxbal_trace::Trace;
 use rand::Rng;
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+#[cfg(test)]
+use std::collections::BTreeMap;
+use std::collections::BTreeSet;
 use std::time::Instant;
 
 /// Wall-clock seconds of each intra-round phase, measured by
@@ -78,9 +80,15 @@ impl DirtySet {
 /// rounds: the virtual server each peer last reported through. A peer
 /// keeps its binding until it goes dirty, its virtual server dies, or the
 /// virtual server moves to another host.
+///
+/// Peer ids are dense indices, so the bindings are one slot per peer id
+/// rather than a map: binding a million peers is a pass over an array.
 #[derive(Clone, Debug, Default)]
 pub struct RoundCache {
-    reports: BTreeMap<PeerId, VsId>,
+    /// The binding of every peer, indexed by peer id.
+    reports: Vec<Option<VsId>>,
+    /// Number of `Some` slots of `reports`.
+    live: usize,
 }
 
 impl RoundCache {
@@ -91,18 +99,110 @@ impl RoundCache {
 
     /// Number of peers with a live report binding.
     pub fn len(&self) -> usize {
-        self.reports.len()
+        self.live
     }
 
     /// Whether no peer has a report binding yet.
     pub fn is_empty(&self) -> bool {
-        self.reports.is_empty()
+        self.live == 0
     }
 
     /// Drops a peer's binding (e.g. when it leaves the overlay).
     pub fn forget(&mut self, p: PeerId) {
-        self.reports.remove(&p);
+        if let Some(slot) = self.reports.get_mut(p.0 as usize) {
+            if slot.take().is_some() {
+                self.live -= 1;
+            }
+        }
     }
+
+    /// Phase 1's report bindings (pass A of [`LoadBalancer::run_round`]):
+    /// forgets the bindings of peers no longer alive, then, for every peer
+    /// of `alive` in order, keeps its cached binding or — dirty, or its
+    /// virtual server gone or moved — draws a fresh one from `rng`. Returns
+    /// each peer's binding (`None`: it hosts no virtual server) and whether
+    /// it re-reported.
+    pub(crate) fn bind<R: Rng>(
+        &mut self,
+        net: &ChordNetwork,
+        alive: &[PeerId],
+        dirty: &DirtySet,
+        rng: &mut R,
+    ) -> Vec<(PeerId, Option<VsId>, bool)> {
+        use rand::seq::SliceRandom;
+        for (i, slot) in self.reports.iter_mut().enumerate() {
+            if slot.is_some() && net.peer(PeerId(i as u32)).state != PeerState::Alive {
+                *slot = None;
+                self.live -= 1;
+            }
+        }
+        if self.reports.len() < net.peer_count() {
+            self.reports.resize(net.peer_count(), None);
+        }
+        let mut decisions = Vec::with_capacity(alive.len());
+        for &p in alive {
+            let slot = &mut self.reports[p.0 as usize];
+            let cached = slot.filter(|&v| {
+                let vs = net.vs(v);
+                vs.alive && vs.host == p
+            });
+            let (vs, re_reported) = if dirty.contains(p) || cached.is_none() {
+                (net.vss_of(p).choose(rng).copied(), true)
+            } else {
+                (cached, false)
+            };
+            match (slot.is_some(), vs.is_some()) {
+                (false, true) => self.live += 1,
+                (true, false) => self.live -= 1,
+                _ => {}
+            }
+            *slot = vs;
+            decisions.push((p, vs, re_reported));
+        }
+        decisions
+    }
+
+    /// Every live binding, by peer (for the comparison with the reference).
+    #[cfg(test)]
+    pub(crate) fn bindings(&self) -> BTreeMap<PeerId, VsId> {
+        let bound = |(i, vs): (usize, &Option<VsId>)| Some((PeerId(i as u32), (*vs)?));
+        self.reports.iter().enumerate().filter_map(bound).collect()
+    }
+}
+
+/// [`RoundCache::bind`] over the sorted map the cache used to be, kept as
+/// its reference.
+#[cfg(test)]
+pub(crate) fn reference_bind<R: Rng>(
+    reports: &mut BTreeMap<PeerId, VsId>,
+    net: &ChordNetwork,
+    dirty: &DirtySet,
+    rng: &mut R,
+) -> Vec<(PeerId, Option<VsId>, bool)> {
+    use rand::seq::SliceRandom;
+    reports.retain(|&p, _| net.peer(p).state == PeerState::Alive);
+    let mut decisions = Vec::new();
+    for p in net.alive_peers() {
+        let cached = reports.get(&p).copied().filter(|&v| {
+            let vs = net.vs(v);
+            vs.alive && vs.host == p
+        });
+        let (vs, re_reported) = if dirty.contains(p) || cached.is_none() {
+            (net.vss_of(p).choose(rng).copied(), true)
+        } else {
+            (cached, false)
+        };
+        match vs {
+            Some(v) => {
+                reports.insert(p, v);
+            }
+            None => {
+                reports.remove(&p);
+            }
+        }
+        decisions.push((p, vs, re_reported));
+    }
+    decisions
 }
 
 impl LoadBalancer {
@@ -134,9 +234,12 @@ impl LoadBalancer {
     /// cache mutation in original peer order; a parallel pass computes
     /// pure per-peer values over fixed-size chunks; a serial drain merges
     /// the chunk buffers in chunk order — reproducing the serial loop's
-    /// exact iteration order, including every f64 association and map
-    /// insertion sequence. Chunk sizes are compile-time constants, never
-    /// derived from the thread count.
+    /// exact iteration order, including every f64 association and record
+    /// order. Chunk sizes are compile-time constants, never derived from
+    /// the thread count.
+    ///
+    /// Fails with [`Error::MissingCapacity`] — before anything is touched —
+    /// if an alive peer has no capacity in `loads`.
     #[allow(clippy::too_many_arguments)]
     pub fn run_round<R: Rng>(
         &self,
@@ -153,6 +256,12 @@ impl LoadBalancer {
         let cfg = self.config();
         let threads = self.threads();
         assert_eq!(tree.k(), cfg.k, "tree degree must match the config");
+        // A peer without a capacity has no LBI: refuse the round before it
+        // touches the tree, the cache or the randomness.
+        let alive = net.alive_peers();
+        if let Some(&p) = alive.iter().find(|&&p| !loads.has_capacity(p)) {
+            return Err(Error::MissingCapacity(p));
+        }
         let mut clock = tree.maintain_until_stable_traced(net, 256, 0, trace) as u64;
         let params = ClassifyParams {
             epsilon: cfg.epsilon,
@@ -166,37 +275,13 @@ impl LoadBalancer {
         // reports through the root directly — in a real deployment it would
         // retain an empty virtual-server registration; losing its capacity
         // from the aggregate would silently inflate every target.
-        let alive = net.alive_peers();
-        cache
-            .reports
-            .retain(|&p, _| net.peer(p).state == PeerState::Alive);
         // Pass A (serial): every RNG draw and cache mutation, in original
         // peer order — redraw decisions are exactly the serial loop's.
         let wall = Instant::now();
         let prof = proxbal_profile::phase("round/lbi");
         let sub = proxbal_profile::phase("round/lbi/bind");
-        let mut decisions: Vec<(PeerId, Option<VsId>, bool)> = Vec::with_capacity(alive.len());
-        for p in alive {
-            use rand::seq::SliceRandom;
-            let cached = cache.reports.get(&p).copied().filter(|&v| {
-                let vs = net.vs(v);
-                vs.alive && vs.host == p
-            });
-            let (vs, re_reported) = if dirty.contains(p) || cached.is_none() {
-                (net.vss_of(p).choose(rng).copied(), true)
-            } else {
-                (cached, false)
-            };
-            match vs {
-                Some(v) => {
-                    cache.reports.insert(p, v);
-                }
-                None => {
-                    cache.reports.remove(&p);
-                }
-            }
-            decisions.push((p, vs, re_reported));
-        }
+        let decisions = cache.bind(net, &alive, dirty, rng);
+        drop(alive);
         drop(sub);
         // Pass B: every bound virtual server's report target in one
         // path-sharing descent in ring order (a peer with none reports at
@@ -293,8 +378,8 @@ impl LoadBalancer {
         let prof = proxbal_profile::phase("round/vsa");
         let sub = proxbal_profile::phase("round/vsa/classify");
         let classification = Classification::compute(net, loads, &params, system, threads);
-        let before = class_counts(&classification);
-        let heavy_before = before.get(&NodeClass::Heavy).copied().unwrap_or(0);
+        let before = classification.class_counts();
+        let heavy_before = classification.count_of(NodeClass::Heavy);
         drop(sub);
         trace.span_args(
             "phase/classify",
@@ -368,7 +453,7 @@ impl LoadBalancer {
             clock,
             u64::from(vsa.rounds),
             &[
-                ("shed_peers", shed.len().into()),
+                ("shed_peers", shed_sets(&shed).count().into()),
                 ("light_peers", light.len().into()),
                 ("pairings", vsa.assignments.len().into()),
             ],
@@ -382,11 +467,12 @@ impl LoadBalancer {
         // Phase 4: VST (§3.5).
         let wall = Instant::now();
         let prof = proxbal_profile::phase("round/transfer");
-        let transfers = execute_transfers_traced(
+        let transfers = execute_transfers(
             net,
             loads,
             &vsa.assignments,
             underlay.map(|u| u.transfer_distances()),
+            threads,
             trace,
         )?;
         let vst_dur = transfers
@@ -415,13 +501,10 @@ impl LoadBalancer {
 
         // Re-classify against the same system LBI for the after picture.
         let after_cls = Classification::compute(net, loads, &params, system, threads);
-        let after = class_counts(&after_cls);
+        let after = after_cls.class_counts();
         walls.transfer_wall_s = wall.elapsed().as_secs_f64();
         drop(prof);
-        trace.count(
-            "heavy_after",
-            after.get(&NodeClass::Heavy).copied().unwrap_or(0) as u64,
-        );
+        trace.count("heavy_after", after_cls.count_of(NodeClass::Heavy) as u64);
 
         let messages = MessageStats {
             lbi_messages,
@@ -470,12 +553,4 @@ fn lbi_inputs(
         }
     }
     inputs
-}
-
-pub(crate) fn class_counts(c: &Classification) -> HashMap<NodeClass, usize> {
-    let mut out = HashMap::new();
-    for class in c.classes.values() {
-        *out.entry(*class).or_insert(0) += 1;
-    }
-    out
 }

@@ -3,7 +3,7 @@ use crate::reports::{light_slots, shed_candidates, Classification};
 use crate::selection::brute_force_shed_set;
 use crate::*;
 use proptest::prelude::*;
-use proxbal_chord::{ChordNetwork, PeerId, VsId};
+use proxbal_chord::{ChordNetwork, PeerId, PeerState, VsId};
 use proxbal_ktree::KTree;
 use proxbal_trace::Trace;
 use proxbal_workload::{CapacityProfile, LoadModel};
@@ -473,7 +473,7 @@ proptest! {
         let shed: std::collections::BTreeMap<PeerId, Vec<ShedCandidate>> = (0..n_shed as u32)
             .map(|i| {
                 let p = i.wrapping_mul(0x9E37_79B9) % 1000;
-                let cands = (0..rng.gen_range(0..4))
+                let cands = (0..rng.gen_range(1..4))
                     .map(|_| {
                         next_vs += 1;
                         cand(LOADS[rng.gen_range(0..LOADS.len())], next_vs, p)
@@ -491,6 +491,10 @@ proptest! {
         let targets: Vec<KtNodeId> = (0..shed.len() + light.len())
             .map(|_| KtNodeId(rng.gen_range(0..4)))
             .collect();
+        // Flat, the way the extraction hands them over: runs of candidates
+        // ascending by shedding peer, slots ascending by peer.
+        let shed: Vec<ShedCandidate> = shed.into_values().flatten().collect();
+        let light: Vec<LightSlot> = light.into_values().collect();
         let contents = |lists: Vec<(KtNodeId, RendezvousLists)>| {
             lists
                 .iter()
@@ -777,12 +781,12 @@ fn shed_candidates_only_from_heavy_nodes() {
     let system = loads.totals(&net);
     let classification = Classification::compute(&net, &loads, &params, system, 1);
     let shed = shed_candidates(&net, &loads, &params, &classification, 1);
-    for p in shed.keys() {
-        assert_eq!(classification.classes[p], NodeClass::Heavy);
+    for c in &shed {
+        assert_eq!(classification.class_of(c.from), Some(NodeClass::Heavy));
     }
     let light = light_slots(&net, &loads, &params, &classification, 1);
-    for p in light.keys() {
-        assert_eq!(classification.classes[p], NodeClass::Light);
+    for s in &light {
+        assert_eq!(classification.class_of(s.peer), Some(NodeClass::Light));
     }
 }
 
@@ -793,7 +797,8 @@ fn shed_candidates_reduce_node_to_target() {
     let system = loads.totals(&net);
     let classification = Classification::compute(&net, &loads, &params, system, 1);
     let shed = shed_candidates(&net, &loads, &params, &classification, 1);
-    for (&p, cands) in &shed {
+    for cands in reports::shed_sets(&shed) {
+        let p = cands[0].from;
         let node = loads.node_lbi(&net, p);
         let shed_total: f64 = cands.iter().map(|c| c.load).sum();
         let target = params.target(node.capacity, &system);
@@ -812,26 +817,18 @@ fn shed_candidates_reduce_node_to_target() {
 /// chunk is 8,192 peers; every other test stays inside the first one).
 const MULTI_CHUNK_PEERS: usize = 20_000;
 
-/// The threaded report kernels against their serial fold — the 1-thread
-/// call — over more than two chunks of peers.
+/// The report kernels against the maps they replaced over more than two
+/// chunks of peers, at 1, 2 and 8 threads.
 #[test]
 fn report_kernels_agree_with_the_serial_fold_across_chunks() {
     let (net, loads, _) = setup(MULTI_CHUNK_PEERS, 1, 61);
     let params = ClassifyParams::default();
     let system = loads.totals(&net);
-    let serial = Classification::compute(&net, &loads, &params, system, 1);
-    let shed = shed_candidates(&net, &loads, &params, &serial, 1);
-    let light = light_slots(&net, &loads, &params, &serial, 1);
-    assert!(shed.len() > 8192 && !light.is_empty());
-    for threads in [2, 8] {
-        let classification = Classification::compute(&net, &loads, &params, system, threads);
-        assert_eq!(classification.classes, serial.classes, "{threads} threads");
-        assert_eq!(
-            shed_candidates(&net, &loads, &params, &serial, threads),
-            shed
-        );
-        assert_eq!(light_slots(&net, &loads, &params, &serial, threads), light);
+    let classification = Classification::compute(&net, &loads, &params, system, 1);
+    for class in [NodeClass::Heavy, NodeClass::Light] {
+        assert!(classification.count_of(class) > 0, "no {class:?} peer");
     }
+    assert_round_state_matches_references(&net, &loads, &params, system, &[1, 2, 8]);
 }
 
 /// `proximity_inputs` over more than one chunk of participants: the same
@@ -880,7 +877,8 @@ fn proximity_inputs_agree_with_the_serial_fold_across_chunks() {
     }
     // Against one ring search, one root descent and one sorted insert per
     // participant, each participant's key looked up through its vector's.
-    let participants: Vec<PeerId> = shed.keys().chain(light.keys()).copied().collect();
+    let shedding = reports::shed_sets(&shed).map(|set| set[0].from);
+    let participants: Vec<PeerId> = shedding.chain(light.iter().map(|s| s.peer)).collect();
     let (keys, key_of) = reports::dht_keys(
         &net,
         &participants,
@@ -1019,6 +1017,197 @@ fn run_round_report_bindings_match_one_descent_per_peer() {
     assert_eq!(report.messages.lbi_messages, want_messages);
 }
 
+/// Classes, shed sets and light slots at every thread count of `threads`
+/// against the maps they replaced: a class per alive peer, class counts,
+/// peers per class, and every heavy peer's candidates and every light
+/// peer's slot, in peer order.
+fn assert_round_state_matches_references(
+    net: &ChordNetwork,
+    loads: &LoadState,
+    params: &ClassifyParams,
+    system: Lbi,
+    threads: &[usize],
+) {
+    use reports::{reference_classes, reference_light_slots, reference_shed_candidates};
+    let classes = reference_classes(net, loads, params, system);
+    let shed: Vec<ShedCandidate> = reference_shed_candidates(net, loads, params, &classes, &system)
+        .into_values()
+        .flatten()
+        .collect();
+    let light: Vec<LightSlot> = reference_light_slots(net, loads, params, &classes, &system)
+        .into_values()
+        .collect();
+    let mut counts: HashMap<NodeClass, usize> = HashMap::new();
+    for &class in classes.values() {
+        *counts.entry(class).or_insert(0) += 1;
+    }
+    for &t in threads {
+        let got = Classification::compute(net, loads, params, system, t);
+        assert_eq!(got.peers(), net.alive_peers(), "{t} threads");
+        assert_eq!(got.peers().len(), classes.len());
+        for (p, &class) in got.peers().iter().zip(got.classes()) {
+            assert_eq!(classes.get(p), Some(&class), "{p:?}, {t} threads");
+            assert_eq!(got.class_of(*p), Some(class));
+        }
+        assert_eq!(got.class_counts(), counts);
+        for class in [NodeClass::Heavy, NodeClass::Light, NodeClass::Neutral] {
+            let mut want: Vec<PeerId> = classes
+                .iter()
+                .filter(|&(_, &c)| c == class)
+                .map(|(&p, _)| p)
+                .collect();
+            want.sort_unstable();
+            assert_eq!(got.count_of(class), want.len());
+            assert_eq!(got.peers_of(class), want);
+        }
+        assert_eq!(
+            shed_candidates(net, loads, params, &got, t),
+            shed,
+            "{t} threads"
+        );
+        assert_eq!(
+            light_slots(net, loads, params, &got, t),
+            light,
+            "{t} threads"
+        );
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// The peer-indexed round state against the maps it replaced, on
+    /// churned networks holding dead peers, newcomers and peers with no
+    /// virtual server: classes and shed/light lists at 1, 2 and 8 threads,
+    /// then the report bindings over five rounds with random dirty sets and
+    /// churn between them (crashes, moved and dropped virtual servers,
+    /// joins, forgotten peers) — the same decisions, the same bindings and
+    /// the same randomness consumed.
+    #[test]
+    fn prop_round_state_matches_map_references(
+        seed in 0u64..100_000,
+        peers in 8usize..96,
+        vs in 1usize..5,
+    ) {
+        use crate::round::reference_bind;
+        let (mut net, mut loads, mut rng) = setup(peers, vs, seed);
+        for p in net.alive_peers().into_iter().step_by(5) {
+            net.crash_peer(p);
+        }
+        for _ in 0..3 {
+            let p = net.join_peer(vs, &mut rng);
+            loads.set_capacity(p, 10.0);
+        }
+        let emptied = net.alive_peers()[0];
+        for v in net.vss_of(emptied).to_vec() {
+            net.drop_vs(v);
+        }
+        let params = ClassifyParams::default();
+        let system = loads.totals(&net);
+        assert_round_state_matches_references(&net, &loads, &params, system, &[1, 2, 8]);
+
+        let (mut cache, mut reference) = (RoundCache::new(), std::collections::BTreeMap::new());
+        for round in 0..5 {
+            let alive = net.alive_peers();
+            let dirty = match round {
+                0 => DirtySet::All,
+                _ => DirtySet::Peers(
+                    alive.iter().copied().filter(|_| rng.gen_range(0..3) == 0).collect(),
+                ),
+            };
+            let mut want_rng = rng.clone();
+            let got = cache.bind(&net, &alive, &dirty, &mut rng);
+            let want = reference_bind(&mut reference, &net, &dirty, &mut want_rng);
+            prop_assert_eq!(got, want, "round {}", round);
+            prop_assert_eq!(cache.bindings(), reference.clone());
+            prop_assert_eq!(cache.len(), reference.len());
+            prop_assert_eq!(cache.is_empty(), reference.is_empty());
+            prop_assert_eq!(rng.gen::<u64>(), want_rng.gen::<u64>());
+            let pick = |rng: &mut StdRng| alive[rng.gen_range(0..alive.len())];
+            match round % 4 {
+                0 => net.crash_peer(pick(&mut rng)),
+                1 => {
+                    let (p, q) = (pick(&mut rng), pick(&mut rng));
+                    if let (Some(&v), true) = (net.vss_of(p).first(), p != q) {
+                        net.transfer_vs(v, q);
+                    }
+                }
+                2 => {
+                    if let Some(&v) = net.vss_of(pick(&mut rng)).first() {
+                        net.drop_vs(v);
+                    }
+                }
+                _ => {
+                    net.join_peer(vs, &mut rng);
+                    let p = pick(&mut rng);
+                    cache.forget(p);
+                    reference.remove(&p);
+                }
+            }
+        }
+    }
+}
+
+/// An alive peer without a capacity — one that joined after the load state
+/// was generated — is a typed error naming the first such peer, raised
+/// before the round touches the network, the loads, the cache, the
+/// randomness or the trace.
+#[test]
+fn run_round_without_capacity_is_typed_error_and_touches_nothing() {
+    let (mut net, mut loads, mut rng) = setup(32, 3, 29);
+    let mut tree = KTree::build(&net, 2);
+    let balancer = LoadBalancer::new(BalancerConfig::default());
+    let mut cache = RoundCache::new();
+    let round = |net: &mut ChordNetwork,
+                 loads: &mut LoadState,
+                 tree: &mut KTree,
+                 cache: &mut RoundCache,
+                 rng: &mut StdRng,
+                 trace: &mut Trace| {
+        balancer.run_round(
+            net,
+            loads,
+            tree,
+            None,
+            cache,
+            &DirtySet::All,
+            rng,
+            trace,
+            &mut RoundWalls::default(),
+        )
+    };
+    let warm = &mut Trace::disabled();
+    round(&mut net, &mut loads, &mut tree, &mut cache, &mut rng, warm).unwrap();
+    assert!(!cache.is_empty());
+    let newcomers = [net.join_peer(3, &mut rng), net.join_peer(3, &mut rng)];
+    let net_before = format!("{net:?}");
+    let loads_before = format!("{loads:?}");
+    let (bindings_before, mut rng_before) = (cache.bindings(), rng.clone());
+    let mut trace = Trace::enabled("");
+    let err = round(
+        &mut net, &mut loads, &mut tree, &mut cache, &mut rng, &mut trace,
+    )
+    .unwrap_err();
+    assert_eq!(err, Error::MissingCapacity(newcomers[0]));
+    assert_eq!(
+        err.to_string(),
+        format!("peer {:?} has no capacity", newcomers[0])
+    );
+    assert_eq!(format!("{net:?}"), net_before);
+    assert_eq!(format!("{loads:?}"), loads_before);
+    assert_eq!(cache.bindings(), bindings_before);
+    assert_eq!(rng.gen::<u64>(), rng_before.gen::<u64>());
+    assert_eq!(trace.event_count(), 0);
+    // With capacities the same network balances.
+    for p in newcomers {
+        loads.set_capacity(p, 10.0);
+    }
+    round(
+        &mut net, &mut loads, &mut tree, &mut cache, &mut rng, &mut trace,
+    )
+    .unwrap();
+}
+
 // ---------------------------------------------------------------- baselines
 
 #[test]
@@ -1082,7 +1271,15 @@ fn execute_transfers_skips_stale_assignments() {
     let victim = assignments[0].from;
     net.crash_peer(victim);
     let before = net.alive_vs_count();
-    let records = execute_transfers(&mut net, &mut loads, &assignments, None).unwrap();
+    let records = execute_transfers(
+        &mut net,
+        &mut loads,
+        &assignments,
+        None,
+        1,
+        &mut Trace::disabled(),
+    )
+    .unwrap();
     assert!(records.iter().all(|r| r.assignment.from != victim));
     assert_eq!(net.alive_vs_count(), before);
     net.check_invariants().unwrap();
@@ -1106,6 +1303,8 @@ fn execute_transfers_unattached_peer_is_typed_error() {
         &mut loads,
         &assignments,
         Some(crate::transfer::TransferDistances::Exact(&oracle)),
+        1,
+        &mut Trace::disabled(),
     )
     .unwrap_err();
     assert!(matches!(err, Error::UnattachedPeer(_)));
@@ -1148,6 +1347,8 @@ fn execute_transfers_unattached_receiver_leaves_overlay_untouched() {
         &mut loads,
         &assignments,
         Some(crate::transfer::TransferDistances::Exact(&oracle)),
+        1,
+        &mut Trace::disabled(),
     )
     .unwrap_err();
     assert_eq!(err, Error::UnattachedPeer(orphan));
@@ -1156,63 +1357,108 @@ fn execute_transfers_unattached_receiver_leaves_overlay_untouched() {
     net.check_invariants().unwrap();
 }
 
-/// ts5k-small with `peers` peers attached to random stub nodes, a landmark
-/// oracle over `landmark_count` landmarks, and an executable-in-part
-/// assignment set: a random matching, one of whose sources has crashed.
-fn approx_fixture(
-    seed: u64,
-    peers: usize,
-    landmark_count: usize,
-) -> (
-    ChordNetwork,
-    Vec<Assignment>,
-    std::sync::Arc<proxbal_topology::TransitStubTopology>,
-    proxbal_topology::LandmarkOracle,
-) {
-    use proxbal_topology::{
-        select_landmarks, DistanceOracle, LandmarkOracle, TransitStubConfig, TransitStubTopology,
-    };
+/// The ts5k-small topology the transfer-distance tests attach to, generated
+/// once.
+fn ts5k_small() -> std::sync::Arc<proxbal_topology::TransitStubTopology> {
+    use proxbal_topology::{TransitStubConfig, TransitStubTopology};
     use std::sync::{Arc, OnceLock};
     static TOPO: OnceLock<Arc<TransitStubTopology>> = OnceLock::new();
-    let topo = TOPO
-        .get_or_init(|| {
-            let mut rng = StdRng::seed_from_u64(5);
-            Arc::new(TransitStubTopology::generate(
-                TransitStubConfig::ts5k_small(),
-                &mut rng,
-            ))
-        })
-        .clone();
-    let (mut net, loads, mut rng) = setup(peers, 3, seed);
-    let stubs = topo.stub_nodes();
-    for p in net.alive_peers() {
-        net.attach(p, stubs[rng.gen_range(0..stubs.len())]);
-    }
-    let assignments = random_matching(&net, &loads, &ClassifyParams::default(), &mut rng);
-    if let Some(a) = assignments.get(rng.gen_range(0..assignments.len().max(1))) {
-        net.crash_peer(a.from);
-    }
-    let picks = select_landmarks(&topo, landmark_count, &mut rng);
-    let exact = DistanceOracle::new(Arc::new(topo.graph.clone()));
-    let landmarks = LandmarkOracle::build(&exact, &picks, 1);
-    (net, assignments, topo, landmarks)
+    TOPO.get_or_init(|| {
+        let mut rng = StdRng::seed_from_u64(5);
+        Arc::new(TransitStubTopology::generate(
+            TransitStubConfig::ts5k_small(),
+            &mut rng,
+        ))
+    })
+    .clone()
 }
 
-/// The refinement `transfer::pair_distances_approx` replaced, kept as its
-/// differential reference: one full Dijkstra row per chosen source, filled
-/// in batches of half the oracle's row-cache capacity on `threads` workers.
+/// A churned network on ts5k-small and an assignment set that takes every
+/// path of the transfer resolve: `peers` peers on the first `width` stub
+/// nodes (a few ⇒ repeated endpoint pairs and pairs on one node), some of
+/// them crashed; three quarters of the virtual servers assigned to random
+/// peers, dead ones among them, in random order; every seventh assignment
+/// made stale by moving its virtual server away; one receiver crashed after
+/// the assignments were made; with `orphan`, one endpoint detached from the
+/// underlay.
+fn transfer_fixture(
+    seed: u64,
+    peers: usize,
+    width: usize,
+    orphan: bool,
+) -> (ChordNetwork, LoadState, Vec<Assignment>) {
+    use rand::seq::SliceRandom;
+    let topo = ts5k_small();
+    let (mut net, loads, mut rng) = setup(peers, 3, seed);
+    let stubs = topo.stub_nodes();
+    let width = width.clamp(1, stubs.len());
+    for p in net.alive_peers() {
+        net.attach(p, stubs[rng.gen_range(0..width)]);
+    }
+    for p in net.alive_peers().into_iter().step_by(11) {
+        net.crash_peer(p);
+    }
+    let vss: Vec<VsId> = net.ring().iter().map(|(_, v)| v).collect();
+    let mut assignments = Vec::new();
+    for v in vss {
+        let from = net.vs(v).host;
+        let to = PeerId(rng.gen_range(0..net.peer_count() as u32));
+        if to != from && rng.gen_range(0..4) != 0 {
+            let load = loads.vs_load(v);
+            assignments.push(Assignment {
+                vs: v,
+                load,
+                from,
+                to,
+            });
+        }
+    }
+    assignments.shuffle(&mut rng);
+    let alive = net.alive_peers();
+    for a in assignments.iter().step_by(7) {
+        let to = alive[rng.gen_range(0..alive.len())];
+        if to != a.from && net.vs(a.vs).alive {
+            net.transfer_vs(a.vs, to);
+        }
+    }
+    if let Some(a) = assignments
+        .iter()
+        .skip(3)
+        .find(|a| net.peer(a.to).state == PeerState::Alive)
+    {
+        net.crash_peer(a.to);
+    }
+    if orphan {
+        if let Some(a) = assignments.get(assignments.len() / 2) {
+            net.attach(a.to, u32::MAX);
+        }
+    }
+    (net, loads, assignments)
+}
+
+/// `(virtual server, host)` of every virtual server on the ring.
+fn ring_hosts(net: &ChordNetwork) -> Vec<(VsId, PeerId)> {
+    net.ring()
+        .iter()
+        .map(|(_, v)| (v, net.vs(v).host))
+        .collect()
+}
+
+/// The approximate scheme's memo as `transfer::pair_distances` replaced
+/// it, kept as its differential reference: the landmark filter over the
+/// distinct endpoint `pairs` into a hash map, then one full Dijkstra row per
+/// chosen source, filled in batches of half the oracle's row-cache capacity
+/// on `threads` workers.
 fn reference_pair_distances_approx(
-    net: &ChordNetwork,
-    assignments: &[Assignment],
+    pairs: &[(u32, u32)],
     oracle: &proxbal_topology::DistanceOracle,
     landmarks: &proxbal_topology::LandmarkOracle,
     refine_sources: usize,
     threads: usize,
-) -> crate::transfer::DistanceMemo {
-    let pairs = crate::transfer::endpoint_pairs(net, assignments);
-    let mut memo = crate::transfer::DistanceMemo::with_capacity(pairs.len());
+) -> HashMap<(u32, u32), u32> {
+    let mut memo = HashMap::with_capacity(pairs.len());
     let mut uncertain: Vec<(u32, u32)> = Vec::new();
-    for &(f, t) in &pairs {
+    for &(f, t) in pairs {
         let (lo, hi) = landmarks.bounds(f, t);
         if lo == hi {
             memo.insert((f, t), hi);
@@ -1264,31 +1510,215 @@ fn reference_pair_distances_approx(
     memo
 }
 
+/// `execute_transfers`' resolve step as it was, kept as its reference: the
+/// approximate scheme memoizes the distinct endpoint pairs of the
+/// executable assignments ([`reference_pair_distances_approx`]), then every
+/// executable assignment, in order, checks both attachments and probes the
+/// memo (the exact scheme asks the oracle once per assignment). Returns
+/// the records `execute_transfers` must apply, touching nothing.
+fn reference_transfer_records(
+    net: &ChordNetwork,
+    assignments: &[Assignment],
+    distances: Option<TransferDistances<'_>>,
+    threads: usize,
+) -> Result<Vec<TransferRecord>, Error> {
+    use crate::transfer::attachment;
+    let executable = |a: &Assignment| {
+        let vs = net.vs(a.vs);
+        vs.alive && vs.host == a.from && net.peer(a.to).state == PeerState::Alive
+    };
+    let memo = match distances {
+        Some(TransferDistances::Approx {
+            oracle,
+            landmarks,
+            refine_sources,
+        }) => {
+            let mut pairs: Vec<(u32, u32)> = Vec::new();
+            for a in assignments.iter().filter(|a| executable(a)) {
+                if let (Ok(f), Ok(t)) = (attachment(net, a.from), attachment(net, a.to)) {
+                    pairs.push((f, t));
+                }
+            }
+            pairs.sort_unstable();
+            pairs.dedup();
+            reference_pair_distances_approx(&pairs, oracle, landmarks, refine_sources, threads)
+        }
+        _ => HashMap::new(),
+    };
+    let mut out = Vec::new();
+    for &a in assignments.iter().filter(|a| executable(a)) {
+        let distance = match distances {
+            Some(d) => {
+                let from = attachment(net, a.from)?;
+                let to = attachment(net, a.to)?;
+                Some(match d {
+                    TransferDistances::Exact(o) => o.distance(from, to),
+                    TransferDistances::Approx { landmarks, .. } => memo
+                        .get(&(from, to))
+                        .copied()
+                        .unwrap_or_else(|| landmarks.estimate(from, to)),
+                })
+            }
+            None => None,
+        };
+        out.push(TransferRecord {
+            assignment: a,
+            distance,
+        });
+    }
+    Ok(out)
+}
+
+/// `execute_transfers` at `threads` on a copy of `net` against the
+/// reference records `want`: the same records (or the same first error),
+/// the same overlay afterwards — `want` applied, or nothing on an error —
+/// and the same VST counters.
+fn assert_transfers_match(
+    net: &ChordNetwork,
+    loads: &LoadState,
+    assignments: &[Assignment],
+    distances: Option<TransferDistances<'_>>,
+    threads: usize,
+    want: &Result<Vec<TransferRecord>, Error>,
+) -> Trace {
+    let (mut got_net, mut got_loads) = (net.clone(), loads.clone());
+    let mut trace = Trace::enabled("");
+    let got = execute_transfers(
+        &mut got_net,
+        &mut got_loads,
+        assignments,
+        distances,
+        threads,
+        &mut trace,
+    );
+    assert_eq!(&got, want, "{threads} threads");
+    let mut want_net = net.clone();
+    for r in want.iter().flatten() {
+        want_net.transfer_vs(r.assignment.vs, r.assignment.to);
+    }
+    assert_eq!(
+        ring_hosts(&got_net),
+        ring_hosts(&want_net),
+        "{threads} threads"
+    );
+    trace
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
+    /// The sorted-key resolve against the hash-memo one: the same records
+    /// in the same order, or the same first `UnattachedPeer` with the
+    /// overlay untouched — over repeated endpoint pairs and pairs on one
+    /// node, stale assignments (moved virtual servers, dead receivers) on
+    /// churned networks, without distances, exactly, and approximately
+    /// with `refine_sources` ∈ {0, 1, k, ∞} through an indexed and an
+    /// evicting row oracle (the reference refines through full rows), at 1,
+    /// 2 and 8 threads; the VST counters agree across thread counts.
     #[test]
-    fn prop_refinement_through_the_oracle_equals_row_refinement(
+    fn prop_transfer_records_match_hash_memo_reference(
         seed in 0u64..100_000,
         peers in 24usize..160,
         landmark_count in 1usize..5,
+        narrow: bool,
+        orphan: bool,
+        k in 2usize..24,
     ) {
-        use crate::transfer::pair_distances_approx;
-        use proxbal_topology::DistanceOracle;
+        use proxbal_topology::{select_landmarks, DistanceOracle, LandmarkOracle};
         use std::sync::Arc;
-        let (net, assignments, topo, landmarks) = approx_fixture(seed, peers, landmark_count);
-        for refine in [0usize, 1, 7, usize::MAX] {
-            let rows = DistanceOracle::new(Arc::new(topo.graph.clone()));
-            let reference =
-                reference_pair_distances_approx(&net, &assignments, &rows, &landmarks, refine, 2);
-            let indexed = DistanceOracle::for_topology(&topo, 0);
-            let evicting = DistanceOracle::with_capacity(Arc::new(topo.graph.clone()), 8);
+        let topo = ts5k_small();
+        let width = if narrow { 6 } else { usize::MAX };
+        let (net, loads, assignments) = transfer_fixture(seed, peers, width, orphan);
+        let mut rng = StdRng::seed_from_u64(seed ^ 0x1A);
+        let picks = select_landmarks(&topo, landmark_count, &mut rng);
+        let rows = DistanceOracle::new(Arc::new(topo.graph.clone()));
+        let landmarks = LandmarkOracle::build(&rows, &picks, 1);
+        let indexed = DistanceOracle::for_topology(&topo, 0);
+        let evicting = DistanceOracle::with_capacity(Arc::new(topo.graph.clone()), 8);
+        let exact = TransferDistances::Exact(&indexed);
+        let mut modes = vec![(None, None), (Some(exact), Some(exact))];
+        for refine_sources in [0, 1, k, usize::MAX] {
+            let approx = |oracle| TransferDistances::Approx {
+                oracle,
+                landmarks: &landmarks,
+                refine_sources,
+            };
             for oracle in [&indexed, &evicting] {
-                let memo = pair_distances_approx(&net, &assignments, oracle, &landmarks, refine);
-                prop_assert_eq!(&memo, &reference, "refine_sources = {}", refine);
+                modes.push((Some(approx(oracle)), Some(approx(&rows))));
             }
-            prop_assert_eq!(indexed.cache_stats().computes, 0, "the index filled a row");
         }
+        for (mode, reference) in modes {
+            let want = reference_transfer_records(&net, &assignments, reference, 2);
+            let serial = assert_transfers_match(&net, &loads, &assignments, mode, 1, &want);
+            for threads in [2, 8] {
+                let trace = assert_transfers_match(&net, &loads, &assignments, mode, threads, &want);
+                prop_assert_eq!(
+                    trace.counters().collect::<Vec<_>>(),
+                    serial.counters().collect::<Vec<_>>()
+                );
+                prop_assert_eq!(
+                    format!("{:?}", trace.histograms().collect::<Vec<_>>()),
+                    format!("{:?}", serial.histograms().collect::<Vec<_>>())
+                );
+            }
+        }
+        prop_assert_eq!(indexed.cache_stats().computes, 0, "the index filled a row");
+    }
+}
+
+/// The same comparison over more than two chunks of assignments and more
+/// than one of distinct endpoint pairs; then, with an unattached endpoint in each of two
+/// chunks, the earlier one is the error at every thread count.
+#[test]
+fn transfer_records_match_the_reference_across_chunks() {
+    use proxbal_topology::{select_landmarks, DistanceOracle, LandmarkOracle};
+    let topo = ts5k_small();
+    let (mut net, loads, assignments) = transfer_fixture(65, 6_000, usize::MAX, false);
+    assert!(assignments.len() > 2 * 4096);
+    let mut rng = StdRng::seed_from_u64(66);
+    let picks = select_landmarks(&topo, 3, &mut rng);
+    let oracle = DistanceOracle::for_topology(&topo, 0);
+    let landmarks = LandmarkOracle::build(&oracle, &picks, 1);
+    let mut modes = vec![None, Some(TransferDistances::Exact(&oracle))];
+    for refine_sources in [0, 40] {
+        modes.push(Some(TransferDistances::Approx {
+            oracle: &oracle,
+            landmarks: &landmarks,
+            refine_sources,
+        }));
+    }
+    for mode in modes {
+        let want = reference_transfer_records(&net, &assignments, mode, 2);
+        let records = want.as_ref().expect("every peer is attached");
+        let at = |p: PeerId| net.peer(p).underlay;
+        let mut pairs: Vec<_> = records
+            .iter()
+            .map(|r| (at(r.assignment.from), at(r.assignment.to)))
+            .collect();
+        pairs.sort_unstable();
+        pairs.dedup();
+        assert!(pairs.len() > 4096);
+        for threads in [1, 2, 8] {
+            assert_transfers_match(&net, &loads, &assignments, mode, threads, &want);
+        }
+    }
+    let executable = reference_transfer_records(&net, &assignments, None, 1).unwrap();
+    let position = |r: &TransferRecord| assignments.iter().position(|a| a == &r.assignment);
+    let second = executable
+        .iter()
+        .find(|r| position(r).unwrap() >= 4096)
+        .unwrap();
+    let third = executable
+        .iter()
+        .find(|r| position(r).unwrap() >= 2 * 4096)
+        .unwrap();
+    net.attach(third.assignment.from, u32::MAX);
+    net.attach(second.assignment.to, u32::MAX);
+    let exact = Some(TransferDistances::Exact(&oracle));
+    let want = reference_transfer_records(&net, &assignments, exact, 1);
+    assert!(matches!(want, Err(Error::UnattachedPeer(_))));
+    for threads in [1, 2, 8] {
+        assert_transfers_match(&net, &loads, &assignments, exact, threads, &want);
     }
 }
 
@@ -1297,20 +1727,30 @@ fn refinement_settles_pairs_the_landmark_filter_leaves_open() {
     // The differential property above is vacuous if the filter settles
     // everything: with two landmarks it must not, and refining must then
     // tighten some upper bound to the exact distance.
-    use crate::transfer::pair_distances_approx;
-    use proxbal_topology::DistanceOracle;
-    let (net, assignments, topo, landmarks) = approx_fixture(7, 128, 2);
+    use crate::transfer::pair_distances;
+    use proxbal_topology::{select_landmarks, DistanceOracle, LandmarkOracle};
+    let topo = ts5k_small();
+    let (net, _, assignments) = transfer_fixture(7, 128, usize::MAX, false);
+    let mut rng = StdRng::seed_from_u64(8);
     let oracle = DistanceOracle::for_topology(&topo, 0);
-    let bounds_only = pair_distances_approx(&net, &assignments, &oracle, &landmarks, 0);
-    let one = pair_distances_approx(&net, &assignments, &oracle, &landmarks, 1);
-    let all = pair_distances_approx(&net, &assignments, &oracle, &landmarks, usize::MAX);
-    assert_eq!(bounds_only.len(), all.len());
-    let tightened = |memo: &crate::transfer::DistanceMemo| {
-        memo.iter().filter(|(k, v)| bounds_only[k] > **v).count()
+    let landmarks = LandmarkOracle::build(&oracle, &select_landmarks(&topo, 2, &mut rng), 1);
+    let at = |p: PeerId| net.peer(p).underlay;
+    let mut pairs: Vec<(u32, u32)> = assignments.iter().map(|a| (at(a.from), at(a.to))).collect();
+    pairs.sort_unstable();
+    pairs.dedup();
+    let approx = |refine_sources| {
+        let distances = TransferDistances::Approx {
+            oracle: &oracle,
+            landmarks: &landmarks,
+            refine_sources,
+        };
+        pair_distances(&pairs, distances, 1)
     };
+    let (bounds_only, one, all) = (approx(0), approx(1), approx(usize::MAX));
+    let tightened = |d: &[u32]| d.iter().zip(&bounds_only).filter(|(d, b)| b > d).count();
     assert!(tightened(&one) > 0, "no pair was uncertain");
     assert!(tightened(&all) >= tightened(&one));
-    for (&(f, t), &d) in &all {
+    for (&(f, t), &d) in pairs.iter().zip(&all) {
         assert_eq!(
             d,
             oracle.distance(f, t),
@@ -1332,7 +1772,7 @@ fn aware_round_with_unattached_participant_is_typed_error() {
     let params = ClassifyParams::default();
     let classification = Classification::compute(&net, &loads, &params, loads.totals(&net), 1);
     let orphan = light_slots(&net, &loads, &params, &classification, 1)
-        .values()
+        .iter()
         .max_by(|a, b| a.spare.total_cmp(&b.spare))
         .expect("a light peer")
         .peer;
@@ -1670,7 +2110,7 @@ proptest! {
         let shed = shed_candidates(&net, &loads, &params, &classification, 1);
         let light = light_slots(&net, &loads, &params, &classification, 1);
         let spare_by_peer: HashMap<PeerId, f64> =
-            light.iter().map(|(&p, s)| (p, s.spare)).collect();
+            light.iter().map(|s| (s.peer, s.spare)).collect();
         let tree = KTree::build(&net, 2);
         let inputs = reports::ignorant_inputs(&net, &tree, &shed, &light, &mut rng);
         let vsa = run_vsa(

@@ -34,6 +34,17 @@ pub enum TransferDistances<'a> {
     },
 }
 
+impl TransferDistances<'_> {
+    /// The number of underlay nodes: every attachment is below it.
+    fn node_count(&self) -> usize {
+        match self {
+            TransferDistances::Exact(oracle) | TransferDistances::Approx { oracle, .. } => {
+                oracle.graph().node_count()
+            }
+        }
+    }
+}
+
 /// One executed virtual-server transfer (VST, §3.5).
 #[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
 pub struct TransferRecord {
@@ -45,6 +56,13 @@ pub struct TransferRecord {
     pub distance: Option<u32>,
 }
 
+/// Fixed chunk size of the parallel transfer passes (resolving
+/// assignments, measuring distinct endpoint pairs). A compile-time constant
+/// — never derived from the thread count — though every pass's output is a
+/// pure per-item function concatenated in order, so no chunk boundary can
+/// show in it.
+const TRANSFER_CHUNK: usize = 4096;
+
 /// Executes assignments against the network: each virtual server moves to
 /// its assigned peer (a Chord *leave* + *join* at the same ring position),
 /// its load riding along. Records the physical transfer distance when an
@@ -54,7 +72,8 @@ pub struct TransferRecord {
 /// it crashed between VSA and VST) are skipped, mirroring the soft-state
 /// tolerance of the protocol. Fails with
 /// [`Error::UnattachedPeer`] when a distance is requested for a
-/// peer that was never attached to the underlay.
+/// peer that was never attached to the underlay — the first such endpoint
+/// in assignment order (source before receiver).
 ///
 /// Runs in two steps. **Resolve**: decide which assignments are executable
 /// and measure each one's distance, touching nothing — a typed error
@@ -62,51 +81,42 @@ pub struct TransferRecord {
 /// virtual servers. Executability is judged against the overlay as the
 /// batch finds it (the protocol runs a round's transfers in parallel, and
 /// VSA assigns a virtual server at most once).
+///
+/// Resolving runs on `threads` workers: the executable check and both
+/// endpoints' attachments per assignment over fixed chunks, then the
+/// executable transfers' `(from, to, record)` keys sorted once, and the
+/// distance of each distinct attachment pair measured once, over fixed
+/// chunks of pairs — identical at any thread count.
+///
+/// Records VST metrics into `trace`: the `vst_load_per_hop` histogram
+/// (observation = physical distance, weight = load moved at that
+/// distance), executed/skipped counters, and the moved load and
+/// `Σ load·distance` cost as floating-point counters.
 pub fn execute_transfers(
     net: &mut ChordNetwork,
     loads: &mut LoadState,
     assignments: &[Assignment],
     distances: Option<TransferDistances<'_>>,
+    threads: usize,
+    trace: &mut Trace,
 ) -> Result<Vec<TransferRecord>, Error> {
     let prof = proxbal_profile::phase("round/transfer/distances");
-    // The approximate scheme memoizes every pair up front (landmark
-    // filter, then exact refinement); exact distances are point queries
-    // asked per transfer.
-    let memo = match distances {
-        Some(TransferDistances::Approx {
-            oracle,
-            landmarks,
-            refine_sources,
-        }) => pair_distances_approx(net, assignments, oracle, landmarks, refine_sources),
-        _ => DistanceMemo::new(),
+    let resolved = resolve(net, assignments, distances.is_some(), threads)?;
+    let measured = match distances {
+        Some(distances) => record_distances(&resolved, distances, threads),
+        None => Vec::new(),
     };
-    let mut out = Vec::with_capacity(assignments.len());
-    for &a in assignments {
-        if !executable(net, &a) {
-            continue;
-        }
-        let distance = match distances {
-            Some(d) => {
-                let from = attachment(net, a.from)?;
-                let to = attachment(net, a.to)?;
-                Some(match d {
-                    TransferDistances::Exact(o) => o.distance(from, to),
-                    TransferDistances::Approx { landmarks, .. } => memo
-                        .get(&(from, to))
-                        .copied()
-                        .unwrap_or_else(|| landmarks.estimate(from, to)),
-                })
-            }
-            None => None,
-        };
-        out.push(TransferRecord {
-            assignment: a,
-            distance,
-        });
-    }
+    let out: Vec<TransferRecord> = resolved
+        .iter()
+        .enumerate()
+        .map(|(record, &(_, _, i))| TransferRecord {
+            assignment: assignments[i as usize],
+            distance: distances.map(|_| measured[record]),
+        })
+        .collect();
     drop(prof);
 
-    let _prof = proxbal_profile::phase("round/transfer/apply");
+    let prof = proxbal_profile::phase("round/transfer/apply");
     for t in &out {
         let a = t.assignment;
         // Load rides with the virtual server (`LoadState` is keyed by
@@ -121,7 +131,87 @@ pub fn execute_transfers(
         );
         net.transfer_vs(a.vs, a.to);
     }
+    drop(prof);
+    if trace.is_enabled() {
+        trace.count("vst_transfers", out.len() as u64);
+        trace.count("vst_skipped", (assignments.len() - out.len()) as u64);
+        trace.count_f64("vst_moved_load", total_moved_load(&out));
+        trace.count_f64("vst_weighted_cost", weighted_cost(&out));
+        for t in &out {
+            if let Some(d) = t.distance {
+                trace.record_weighted("vst_load_per_hop", u64::from(d), t.assignment.load);
+            }
+        }
+    }
     Ok(out)
+}
+
+/// The distance of every transfer of `resolved` (see [`resolve`]), by
+/// position: each one's `(from, to, position)` key, the keys sorted by
+/// pair once, and the distance of each distinct pair measured once
+/// ([`pair_distances`]). The sort compares one packed `u64` per key and
+/// leaves the positions within a pair in any order: each takes its
+/// pair's distance.
+fn record_distances(
+    resolved: &[(u32, u32, u32)],
+    distances: TransferDistances<'_>,
+    threads: usize,
+) -> Vec<u32> {
+    let mut keys: Vec<(u32, u32, u32)> = resolved
+        .iter()
+        .enumerate()
+        .map(|(record, &(from, to, _))| (from, to, record as u32))
+        .collect();
+    keys.sort_unstable_by_key(|&(from, to, _)| u64::from(from) << 32 | u64::from(to));
+    let same_pair = |a: &(u32, u32, u32), b: &(u32, u32, u32)| (a.0, a.1) == (b.0, b.1);
+    let pairs: Vec<(u32, u32)> = keys
+        .chunk_by(same_pair)
+        .map(|run| (run[0].0, run[0].1))
+        .collect();
+    let measured = pair_distances(&pairs, distances, threads);
+    let mut out = vec![0; resolved.len()];
+    for (run, &d) in keys.chunk_by(same_pair).zip(&measured) {
+        for &(_, _, record) in run {
+            out[record as usize] = d;
+        }
+    }
+    out
+}
+
+/// The executable assignments of `assignments`, in order, as `(from, to,
+/// assignment index)` — `from` and `to` the endpoints' attachments when
+/// `attach` is set, `0` otherwise. Fails with the first unattached
+/// endpoint in assignment order. Runs over fixed chunks of assignments on
+/// `threads` workers; a chunk stops at its first error, and the chunks are
+/// drained in order, so the first error of the earliest failing chunk is
+/// the first overall.
+fn resolve(
+    net: &ChordNetwork,
+    assignments: &[Assignment],
+    attach: bool,
+    threads: usize,
+) -> Result<Vec<(u32, u32, u32)>, Error> {
+    let chunks =
+        proxbal_parallel::map_chunked(assignments.len(), TRANSFER_CHUNK, threads, |range| {
+            let mut keys = Vec::with_capacity(range.len());
+            for i in range {
+                let a = &assignments[i];
+                if !executable(net, a) {
+                    continue;
+                }
+                let (from, to) = match attach {
+                    true => (attachment(net, a.from)?, attachment(net, a.to)?),
+                    false => (0, 0),
+                };
+                keys.push((from, to, u32::try_from(i).expect("u32 assignment indices")));
+            }
+            Ok(keys)
+        });
+    let mut keys = Vec::with_capacity(assignments.len());
+    for chunk in chunks {
+        keys.extend(chunk?);
+    }
+    Ok(keys)
 }
 
 /// True iff `a` can execute against the current overlay: its source still
@@ -141,30 +231,92 @@ pub(crate) fn attachment(net: &ChordNetwork, peer: PeerId) -> Result<u32, Error>
     }
 }
 
-/// Like [`execute_transfers`], recording VST metrics into `trace`: the
-/// `vst_load_per_hop` histogram (observation = physical distance, weight =
-/// load moved at that distance), executed/skipped counters, and the moved
-/// load and `Σ load·distance` cost as floating-point counters.
-pub fn execute_transfers_traced(
-    net: &mut ChordNetwork,
-    loads: &mut LoadState,
-    assignments: &[Assignment],
-    distances: Option<TransferDistances<'_>>,
-    trace: &mut Trace,
-) -> Result<Vec<TransferRecord>, Error> {
-    let out = execute_transfers(net, loads, assignments, distances)?;
-    if trace.is_enabled() {
-        trace.count("vst_transfers", out.len() as u64);
-        trace.count("vst_skipped", (assignments.len() - out.len()) as u64);
-        trace.count_f64("vst_moved_load", total_moved_load(&out));
-        trace.count_f64("vst_weighted_cost", weighted_cost(&out));
-        for t in &out {
-            if let Some(d) = t.distance {
-                trace.record_weighted("vst_load_per_hop", u64::from(d), t.assignment.load);
-            }
+/// The distance of every pair of `pairs` (distinct attachment pairs), in
+/// order, on `threads` workers.
+///
+/// [`TransferDistances::Exact`] asks the oracle about each pair.
+/// [`TransferDistances::Approx`] runs filter-then-refine. **Filter**: every
+/// pair gets landmark triangle-inequality bounds; pairs whose lower and
+/// upper bounds meet are exact for free. **Refine**: the remaining
+/// uncertain pairs are grouped by their cheaper endpoint side (fewer
+/// distinct sources), sources are ranked by how many uncertain pairs they
+/// cover (ties by ascending id), and the pairs of the top `refine_sources`
+/// of them are measured with [`DistanceOracle::distance`] — table lookups
+/// on an indexed oracle, the source's cached row otherwise. Pairs left over
+/// keep the landmark upper bound. Every step is a pure function of the
+/// pairs and the oracles.
+pub(crate) fn pair_distances(
+    pairs: &[(u32, u32)],
+    distances: TransferDistances<'_>,
+    threads: usize,
+) -> Vec<u32> {
+    let (oracle, landmarks, refine_sources) = match distances {
+        TransferDistances::Exact(oracle) => {
+            return measure(pairs, threads, |&(f, t)| oracle.distance(f, t));
         }
+        TransferDistances::Approx {
+            oracle,
+            landmarks,
+            refine_sources,
+        } => (oracle, landmarks, refine_sources),
+    };
+    let prof = proxbal_profile::phase("round/transfer/distances/filter");
+    let bounds = measure(pairs, threads, |&(f, t)| landmarks.bounds(f, t));
+    let mut out: Vec<u32> = bounds.iter().map(|&(_, hi)| hi).collect();
+    let uncertain: Vec<u32> = (0..pairs.len() as u32)
+        .filter(|&i| bounds[i as usize].0 != bounds[i as usize].1)
+        .collect();
+    drop(prof);
+    let _prof = proxbal_profile::phase("round/transfer/distances/refine");
+    if uncertain.is_empty() || refine_sources == 0 {
+        return out;
     }
-    Ok(out)
+    // Uncertain pairs per source node, on either side.
+    let nodes = distances.node_count();
+    let (mut per_from, mut per_to) = (vec![0u32; nodes], vec![0u32; nodes]);
+    for &i in &uncertain {
+        let (f, t) = pairs[i as usize];
+        per_from[f as usize] += 1;
+        per_to[t as usize] += 1;
+    }
+    let distinct = |per: &[u32]| per.iter().filter(|&&n| n > 0).count();
+    let by_to = distinct(&per_to) <= distinct(&per_from);
+    let per_src = if by_to { per_to } else { per_from };
+    let src_other = |(f, t): (u32, u32)| if by_to { (t, f) } else { (f, t) };
+    let mut ranked: Vec<(u32, u32)> = (0..nodes as u32)
+        .map(|s| (s, per_src[s as usize]))
+        .filter(|&(_, n)| n > 0)
+        .collect();
+    ranked.sort_unstable_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
+    let mut chosen = vec![false; nodes];
+    for &(src, _) in ranked.iter().take(refine_sources) {
+        chosen[src as usize] = true;
+    }
+    let refined: Vec<u32> = uncertain
+        .into_iter()
+        .filter(|&i| chosen[src_other(pairs[i as usize]).0 as usize])
+        .collect();
+    let exact = measure(&refined, threads, |&i| {
+        let (src, other) = src_other(pairs[i as usize]);
+        oracle.distance(src, other)
+    });
+    for (&i, d) in refined.iter().zip(exact) {
+        out[i as usize] = d;
+    }
+    out
+}
+
+/// `f` of every item of `items`, in order, over fixed chunks on `threads`
+/// workers.
+fn measure<I: Sync, T: Copy + Send>(
+    items: &[I],
+    threads: usize,
+    f: impl Fn(&I) -> T + Sync,
+) -> Vec<T> {
+    proxbal_parallel::map_chunked(items.len(), TRANSFER_CHUNK, threads, |range| {
+        items[range].iter().map(&f).collect::<Vec<T>>()
+    })
+    .concat()
 }
 
 /// Accounting of a fault-tolerant VST round
@@ -183,7 +335,7 @@ pub struct RequeueOutcome {
     pub abandoned: usize,
 }
 
-/// Fault-tolerant variant of [`execute_transfers_traced`]: an assignment
+/// Fault-tolerant variant of [`execute_transfers`]: an assignment
 /// whose receiving peer died between VSA and VST is not silently skipped
 /// but **requeued at the next-higher rendezvous** — its shed candidate is
 /// re-inserted into `spare` (the surviving light slots that bubbled up to
@@ -192,7 +344,7 @@ pub struct RequeueOutcome {
 /// (§3.4's graceful degradation). Deterministic: both lists are sorted and
 /// the re-pairing is the same best-fit walk as the in-sweep pairing.
 ///
-/// Records the VST metrics of [`execute_transfers_traced`] plus
+/// Records the VST metrics of [`execute_transfers`] plus
 /// `requeue_requeued` / `requeue_reassigned` / `requeue_abandoned`
 /// counters into `trace`.
 ///
@@ -207,7 +359,7 @@ pub fn execute_transfers_with_requeue(
     l_min: f64,
     trace: &mut Trace,
 ) -> Result<RequeueOutcome, Error> {
-    let transfers = execute_transfers_traced(net, loads, assignments, distances, trace)?;
+    let transfers = execute_transfers(net, loads, assignments, distances, 1, trace)?;
     // Assignments still valid on the shedding side whose receiver died.
     let mut requeued = 0usize;
     for a in assignments {
@@ -234,7 +386,7 @@ pub fn execute_transfers_with_requeue(
     spare.pair_into(l_min, &mut extra, trace);
     // Dead light peers may linger in `spare` too; the executor's liveness
     // filter drops those pairings, leaving the candidate for next round.
-    let executed = execute_transfers_traced(net, loads, &extra, distances, trace)?;
+    let executed = execute_transfers(net, loads, &extra, distances, 1, trace)?;
     outcome.reassigned = executed.len();
     outcome.abandoned = requeued - outcome.reassigned;
     outcome.transfers.extend(executed);
@@ -242,88 +394,6 @@ pub fn execute_transfers_with_requeue(
     trace.count("requeue_reassigned", outcome.reassigned as u64);
     trace.count("requeue_abandoned", outcome.abandoned as u64);
     Ok(outcome)
-}
-
-pub(crate) type DistanceMemo = std::collections::HashMap<(u32, u32), u32>;
-
-/// Collects the distinct `(from, to)` attachment pairs of the executable
-/// assignments (unattached endpoints are left for the executor to report).
-pub(crate) fn endpoint_pairs(net: &ChordNetwork, assignments: &[Assignment]) -> Vec<(u32, u32)> {
-    let mut pairs: Vec<(u32, u32)> = Vec::with_capacity(assignments.len());
-    for a in assignments {
-        if !executable(net, a) {
-            continue;
-        }
-        if let (Ok(from), Ok(to)) = (attachment(net, a.from), attachment(net, a.to)) {
-            pairs.push((from, to));
-        }
-    }
-    pairs.sort_unstable();
-    pairs.dedup();
-    pairs
-}
-
-/// Filter-then-refine pair distances for [`TransferDistances::Approx`].
-///
-/// **Filter**: every endpoint pair gets landmark triangle-inequality
-/// bounds; pairs whose lower and upper bounds meet are exact for free.
-/// **Refine**: the remaining uncertain pairs are grouped by their cheaper
-/// endpoint side (fewer distinct sources), sources are ranked by how many
-/// uncertain pairs they cover (ties by ascending id), and the pairs of the
-/// top `refine_sources` of them are measured with
-/// [`DistanceOracle::distance`] — table lookups on an indexed oracle, the
-/// source's cached row otherwise. Pairs left over keep the landmark upper
-/// bound. Every step is a pure function of the assignment set and the
-/// oracles.
-pub(crate) fn pair_distances_approx(
-    net: &ChordNetwork,
-    assignments: &[Assignment],
-    oracle: &DistanceOracle,
-    landmarks: &LandmarkOracle,
-    refine_sources: usize,
-) -> DistanceMemo {
-    let prof = proxbal_profile::phase("round/transfer/distances/filter");
-    let pairs = endpoint_pairs(net, assignments);
-    let mut memo = DistanceMemo::with_capacity(pairs.len());
-    // `(from, to, landmark upper bound)` of every pair the bounds leave open.
-    let mut uncertain: Vec<(u32, u32, u32)> = Vec::new();
-    for &(f, t) in &pairs {
-        let (lo, hi) = landmarks.bounds(f, t);
-        if lo == hi {
-            memo.insert((f, t), hi);
-        } else {
-            uncertain.push((f, t, hi));
-        }
-    }
-    drop(prof);
-    let _prof = proxbal_profile::phase("round/transfer/distances/refine");
-    if !uncertain.is_empty() && refine_sources > 0 {
-        let mut froms: Vec<u32> = uncertain.iter().map(|&(f, _, _)| f).collect();
-        let mut tos: Vec<u32> = uncertain.iter().map(|&(_, t, _)| t).collect();
-        froms.sort_unstable();
-        froms.dedup();
-        tos.sort_unstable();
-        tos.dedup();
-        let by_to = tos.len() <= froms.len();
-        let mut by_src: std::collections::BTreeMap<u32, Vec<u32>> =
-            std::collections::BTreeMap::new();
-        for &(f, t, _) in &uncertain {
-            let (src, other) = if by_to { (t, f) } else { (f, t) };
-            by_src.entry(src).or_default().push(other);
-        }
-        let mut ranked: Vec<(u32, usize)> = by_src.iter().map(|(&s, v)| (s, v.len())).collect();
-        ranked.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
-        for &(src, _) in ranked.iter().take(refine_sources) {
-            for &other in &by_src[&src] {
-                let (f, t) = if by_to { (other, src) } else { (src, other) };
-                memo.insert((f, t), oracle.distance(src, other));
-            }
-        }
-    }
-    for (f, t, hi) in uncertain {
-        memo.entry((f, t)).or_insert(hi);
-    }
-    memo
 }
 
 /// Total load moved across a set of transfers.

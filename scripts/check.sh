@@ -27,9 +27,10 @@
 #                    and trace summary byte-identical, volatile artifacts
 #                    present, the `tree` and `oracle/index_build` phases
 #                    within their allocated-byte budgets, `round/lbi`,
-#                    `round/aggregate`, `round/vsa/candidates` and
-#                    `round/vsa/inputs` within their allocation-count
-#                    budgets; DESIGN.md §5a, §5c, §6b, §6c)
+#                    `round/aggregate`, `round/vsa/candidates`,
+#                    `round/vsa/inputs` and `round/transfer/distances`
+#                    within their allocation-count budgets; DESIGN.md §5a,
+#                    §5c, §6b, §6c)
 #   --analyze-smoke  the committed engine scenario (profiled: `engine/des/*`
 #                    and `engine/round` phases present) against `gates/*.toml`
 #                    at 1, 2 and 8 analyzer threads (all pass, all
@@ -166,24 +167,30 @@ if [[ "$PROFILE_SMOKE" == "1" ]]; then
   [[ -n "$INDEX_BYTES" && "$INDEX_BYTES" -le 16000000 ]] || {
     echo "profile smoke: oracle/index_build allocated ${INDEX_BYTES:-no} bytes (> 16,000,000)" >&2; exit 1; }
   # Allocation *counts* (the column before the bytes) of the per-peer work
-  # (DESIGN.md §6c): LBI inputs in one slot-ordered array, folded by a walk
-  # that clones nothing that allocates (2,795 and 18 calls; a boxed LBI per
-  # report target in a slot-indexed map made them 19,203 and 36, and the
-  # workers' clones of those boxes 16,435 at two threads); shed sets from
-  # one scratch per chunk (14,860; one per heavy peer was 103,208) and
-  # records published once per distinct landmark vector into lists sized
-  # before filling (10,047; 40,576 with one key and one sorted insert per
-  # record).
+  # (DESIGN.md §6c): report bindings in a peer-indexed array and LBI inputs
+  # in one slot-ordered array, folded by a walk that clones nothing that
+  # allocates (68 and 18 calls; the bindings' sorted map made `round/lbi`
+  # 2,795, a boxed LBI per report target in a slot-indexed map 19,203 and
+  # 36, and the workers' clones of those boxes 16,435 at two threads); shed
+  # sets and light slots appended to one buffer per chunk (65; a candidate
+  # list per heavy peer in a sorted map was 14,860, and with a scratch per
+  # peer 103,208); records published once per distinct landmark vector into
+  # lists sized before filling (10,060; 40,576 with one key and one sorted
+  # insert per record); transfer distances from one sorted key list, each
+  # distinct endpoint pair measured once (3,560, of which 3,451 build the
+  # transit-stub index; a hash memo with a sorted map per refined source
+  # was 10,124).
   budget_calls() {
     local calls
     calls="$(awk -v p="$1" '$1 == p { print $(NF-1); exit }' "$P1/resources.txt")"
     [[ -n "$calls" && "$calls" -le "$2" ]] || {
       echo "profile smoke: $1 made ${calls:-no} allocation calls (> $2)" >&2; exit 1; }
   }
-  budget_calls round/lbi 4000
+  budget_calls round/lbi 200
   budget_calls round/aggregate 200
-  budget_calls round/vsa/candidates 20000
+  budget_calls round/vsa/candidates 500
   budget_calls round/vsa/inputs 12000
+  budget_calls round/transfer/distances 4000
 fi
 
 if [[ "$ANALYZE_SMOKE" == "1" ]]; then

@@ -8,6 +8,7 @@ use proxbal::core::{
 use proxbal::sim::metrics::gini;
 use proxbal::sim::{Scenario, TopologyKind};
 use proxbal::workload::{CapacityProfile, LoadModel};
+use proxbal_trace::Trace;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -177,8 +178,15 @@ fn stale_assignments_are_skipped_when_peers_crash_between_vsa_and_vst() {
     net.crash_peer(crash_src);
     net.crash_peer(crash_dst);
 
-    let records =
-        proxbal::core::execute_transfers(&mut net, &mut loads, &assignments, None).unwrap();
+    let records = proxbal::core::execute_transfers(
+        &mut net,
+        &mut loads,
+        &assignments,
+        None,
+        1,
+        &mut Trace::disabled(),
+    )
+    .unwrap();
     net.check_invariants().unwrap();
     for r in &records {
         assert_ne!(r.assignment.from, crash_src);
