@@ -28,6 +28,7 @@ use crate::drift::{heavy_count, DriftSource};
 use crate::faults::{run_aggregation, run_dissemination, FaultPlan, FaultSource};
 use crate::metrics::gini;
 use crate::protocol::{ProtocolError, ProtocolScratch};
+use crate::scenario::underlay_of;
 use crate::Prepared;
 use proxbal_chord::{ChordNetwork, PeerId};
 use proxbal_core::{
@@ -35,9 +36,11 @@ use proxbal_core::{
 };
 use proxbal_ktree::{KTree, KtNodeId};
 use proxbal_profile::{phase, NullSink, ProgressSink};
+use proxbal_topology::DistanceOracle;
 use proxbal_trace::Trace;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeSet;
+use std::thread::ScopedJoinHandle;
 
 /// RNG stream label of the churn source (see [`Prepared::derived_rng`]).
 pub const CHURN_LABEL: u64 = 0xC4A1_0001;
@@ -167,7 +170,10 @@ pub struct EpochSample {
     pub maintenance_rounds: usize,
     /// Whether a balancing round ran this epoch.
     pub balanced: bool,
-    /// Whether the emergency threshold (not the schedule) triggered it.
+    /// Whether a balancing round ran this epoch with the emergency
+    /// threshold crossed — also when the schedule or the final epoch would
+    /// have balanced anyway ([`EngineReport::emergencies`] counts only the
+    /// rounds the threshold alone triggered).
     pub emergency: bool,
     /// Balancing passes executed this epoch (> 1 when emergency re-passes
     /// chased residual heavy nodes).
@@ -200,7 +206,10 @@ pub struct EngineReport {
     pub stale_links: usize,
     /// Epochs on which balancing ran.
     pub balances: usize,
-    /// Of those, how many were emergency-triggered.
+    /// Of those, how many the emergency threshold alone triggered: neither
+    /// scheduled nor the final epoch. Fewer than the samples flagged
+    /// [`EpochSample::emergency`] whenever the threshold is crossed on a
+    /// scheduled or final epoch.
     pub emergencies: usize,
     /// Total load moved.
     pub total_moved: f64,
@@ -256,6 +265,13 @@ fn to_core(e: ProtocolError) -> Error {
 /// engine composes them with tree maintenance and periodic + emergency
 /// balancing per `cfg`. The prepared network and loads are mutated in
 /// place.
+///
+/// With more than one thread (`prepared.threads`) a balancing epoch's DES
+/// shadow runs on a second thread beside its round and the quiet epochs
+/// after it, and is joined at the next balancing epoch or after the last.
+/// A failed shadow is therefore reported there — the same error at any
+/// thread count, and ahead of any round failure since its epoch — after
+/// the world has moved on to that epoch.
 pub fn run_engine(prepared: &mut Prepared, cfg: &EngineConfig) -> Result<EngineReport, Error> {
     run_engine_with(prepared, cfg, &mut Trace::disabled(), &NullSink)
 }
@@ -278,6 +294,10 @@ pub fn run_engine_with(
     let derived = |label: u64| prepared.derived_rng(label);
 
     let balancer = LoadBalancer::new(scenario.balancer).with_threads(prepared.threads);
+    // A DES shadow in flight holds one of the run's threads; a round beside
+    // it splits its parallel sections over the others.
+    let beside_shadow =
+        LoadBalancer::new(scenario.balancer).with_threads(prepared.threads.saturating_sub(1));
     let mut tree = KTree::build(&prepared.net, scenario.balancer.k);
 
     let mut sources: Vec<Box<dyn EventSource>> = Vec::new();
@@ -310,8 +330,11 @@ pub fn run_engine_with(
     // which supplies the loss/retry metrics while the actual balancing
     // operates on ground truth (the same split `fault_sweep` uses — the
     // protocol *state* stays exact, the *transport* statistics degrade).
+    // It needs latencies, so it runs only over a topology.
+    let oracle = prepared.oracle.as_ref();
     let mut des = scenario
         .faults
+        .filter(|_| oracle.is_some())
         .map(|f| (FaultPlan::new(f), ProtocolScratch::new()));
 
     let mut bal_rng = derived(BALANCE_LABEL);
@@ -338,213 +361,344 @@ pub fn run_engine_with(
         total_messages: 0,
     };
 
-    for epoch in 0..cfg.epochs {
-        let mut tr = Trace::new(trace.is_enabled(), "");
-        tr.relabel(&format!("epoch{epoch}"));
-        let clock = epoch as u64 * EPOCH_LEN;
+    let threads = prepared.threads;
+    let traced = trace.is_enabled();
+    std::thread::scope(|scope| {
+        // The shadow of the last balancing epoch, in flight until the next
+        // bind needs its scratch back, or until the loop ends.
+        let mut shadow: Option<Shadow<'_>> = None;
+        for epoch in 0..cfg.epochs {
+            let mut tr = Trace::new(traced, "");
+            tr.relabel(&format!("epoch{epoch}"));
+            let clock = epoch as u64 * EPOCH_LEN;
 
-        // 1. Event sources, in registration order.
-        let prof = phase("engine/sources");
-        let mut activity = SourceActivity::default();
-        {
-            let mut world = World {
-                net: &mut prepared.net,
-                loads: &mut prepared.loads,
-                tree: &mut tree,
-                dirty: &mut dirty,
-            };
-            for s in &mut sources {
-                activity.merge(s.on_epoch(epoch, EPOCH_LEN, &mut world));
-            }
-        }
-        drop(prof);
-
-        // 2. Tree maintenance, every epoch (balancing rounds also repair,
-        // so this covers the quiet epochs in between).
-        let prof = phase("engine/repair");
-        if activity.crashes > 0 || activity.stale_links > 0 {
-            retained.clear();
-        }
-        let (repair, actions) = tree.repair_traced_with_actions(&prepared.net, 256, clock, &mut tr);
-        let reorphaned = actions
-            .iter()
-            .filter(|a| retained.contains(&a.slot))
-            .count();
-        if reorphaned > 0 {
-            tr.count("kt_reorphaned", reorphaned as u64);
-        }
-        retained.extend(actions.iter().filter(|a| a.reattached).map(|a| a.slot));
-        // Debug builds audit every repair (the engine tests run in debug);
-        // release runs pay nothing.
-        debug_assert_eq!(
-            tree.check_invariants(&prepared.net),
-            Ok(()),
-            "epoch {epoch}"
-        );
-        debug_assert_eq!(prepared.net.check_invariants(), Ok(()), "epoch {epoch}");
-        drop(prof);
-
-        // 3. Emergency check against ground truth — the engine's stand-in
-        // for each node comparing its own L_i/C_i against the last
-        // disseminated target. Membership is settled for this epoch (a
-        // round moves virtual servers, never peers), so this one walk of
-        // the peer table also serves the sample in step 5.
-        let prof = phase("engine/sample");
-        let totals = prepared.loads.totals(&prepared.net);
-        let target_unit = if totals.capacity > 0.0 {
-            totals.load / totals.capacity
-        } else {
-            0.0
-        };
-        let alive = prepared.net.alive_peers();
-        let max_unit = alive
-            .iter()
-            .map(|&p| prepared.loads.unit_load(&prepared.net, p))
-            .fold(0.0_f64, f64::max);
-        let emergency = target_unit > 0.0 && max_unit > EMERGENCY_THRESHOLD * target_unit;
-        let scheduled = (epoch + 1) % cfg.balance_interval == 0;
-        let last = epoch + 1 == cfg.epochs;
-        let do_balance = scheduled || emergency || last;
-        drop(prof);
-
-        // 4. Balancing: one incremental round, plus emergency re-passes
-        // while heavy nodes remain and transfers still happen.
-        let mut moved = 0.0;
-        let mut transfers = 0usize;
-        let mut messages = 0usize;
-        let mut passes = 0usize;
-        let mut des_messages = 0usize;
-        let mut des_retries = 0usize;
-        if do_balance {
-            if let (Some((plan, scratch)), Some(oracle)) = (des.as_mut(), prepared.oracle.as_ref())
+            // 1. Event sources, in registration order.
+            let prof = phase("engine/sources");
+            let mut activity = SourceActivity::default();
             {
-                // Everything the shadow reads of the world is read here:
-                // the flat snapshot and every virtual server's report
-                // target. The run below is a pure job of (snapshot, plan).
-                let prof = phase("engine/des/bind");
-                scratch.bind(&prepared.net, &tree, oracle);
-                let ring = prepared.net.ring().iter();
-                let contributors = tree.report_targets(&prepared.net, ring.map(|(_, vs)| vs));
-                drop(prof);
-                let _prof = phase("engine/des/run");
-                let retry = RetryPolicy::protocol_default();
-                let agg = run_aggregation(scratch, &contributors, plan, retry, &[], &mut tr)
-                    .map_err(to_core)?;
-                let dis = run_dissemination(scratch, plan, retry, &[], &mut tr).map_err(to_core)?;
-                des_messages = agg.timing.messages + dis.timing.messages;
-                des_retries = agg.retries + dis.retries;
+                let mut world = World {
+                    net: &mut prepared.net,
+                    loads: &mut prepared.loads,
+                    tree: &mut tree,
+                    dirty: &mut dirty,
+                };
+                for s in &mut sources {
+                    activity.merge(s.on_epoch(epoch, EPOCH_LEN, &mut world));
+                }
             }
+            drop(prof);
 
-            let _prof = phase("engine/round");
-            let (net, loads, underlay) = prepared.split();
-            // A cold cache means every peer reports fresh regardless of the
-            // dirty set; say so explicitly so the message accounting matches
-            // a one-shot run.
-            let mut round_dirty = if cache.is_empty() {
-                dirty.clear();
-                DirtySet::All
+            // 2. Tree maintenance, every epoch (balancing rounds also repair,
+            // so this covers the quiet epochs in between).
+            let prof = phase("engine/repair");
+            if activity.crashes > 0 || activity.stale_links > 0 {
+                retained.clear();
+            }
+            let (repair, actions) =
+                tree.repair_traced_with_actions(&prepared.net, 256, clock, &mut tr);
+            let reorphaned = actions
+                .iter()
+                .filter(|a| retained.contains(&a.slot))
+                .count();
+            if reorphaned > 0 {
+                tr.count("kt_reorphaned", reorphaned as u64);
+            }
+            retained.extend(actions.iter().filter(|a| a.reattached).map(|a| a.slot));
+            // Debug builds audit every repair (the engine tests run in
+            // debug); release runs pay nothing.
+            debug_assert_eq!(
+                tree.check_invariants(&prepared.net),
+                Ok(()),
+                "epoch {epoch}"
+            );
+            debug_assert_eq!(prepared.net.check_invariants(), Ok(()), "epoch {epoch}");
+            drop(prof);
+
+            // 3. Emergency check against ground truth — the engine's stand-in
+            // for each node comparing its own L_i/C_i against the last
+            // disseminated target. Membership is settled for this epoch (a
+            // round moves virtual servers, never peers), so this one walk of
+            // the peer table also serves the sample in step 5.
+            let prof = phase("engine/sample");
+            let totals = prepared.loads.totals(&prepared.net);
+            let target_unit = if totals.capacity > 0.0 {
+                totals.load / totals.capacity
             } else {
-                DirtySet::Peers(std::mem::take(&mut dirty))
+                0.0
             };
-            loop {
-                passes += 1;
-                let round = balancer.run_round(
-                    net,
-                    loads,
-                    &mut tree,
-                    underlay,
-                    &mut cache,
-                    &round_dirty,
-                    &mut bal_rng,
-                    &mut tr,
-                    &mut RoundWalls::default(),
-                )?;
-                moved += total_moved_load(&round.transfers);
-                transfers += round.transfers.len();
-                messages += round.messages.lbi_messages
-                    + round.messages.dissemination_messages
-                    + round.messages.vsa_record_hops
-                    + round.messages.vsa_notifications;
-                let heavy_after = round.heavy_after();
-                let mut participants: BTreeSet<PeerId> = BTreeSet::new();
-                for t in &round.transfers {
-                    participants.insert(t.assignment.from);
-                    participants.insert(t.assignment.to);
+            let alive = prepared.net.alive_peers();
+            let max_unit = alive
+                .iter()
+                .map(|&p| prepared.loads.unit_load(&prepared.net, p))
+                .fold(0.0_f64, f64::max);
+            let emergency = target_unit > 0.0 && max_unit > EMERGENCY_THRESHOLD * target_unit;
+            let scheduled = (epoch + 1) % cfg.balance_interval == 0;
+            let last = epoch + 1 == cfg.epochs;
+            let do_balance = scheduled || emergency || last;
+            drop(prof);
+
+            // 4. Balancing: one incremental round, plus emergency re-passes
+            // while heavy nodes remain and transfers still happen.
+            let mut moved = 0.0;
+            let mut transfers = 0usize;
+            let mut messages = 0usize;
+            let mut passes = 0usize;
+            if do_balance {
+                // The scratch is about to be bound again: the last shadow
+                // lands first.
+                land(shadow.take(), &mut des, &mut report, trace)?;
+                if let (Some((plan, mut scratch)), Some(oracle)) = (des.take(), oracle) {
+                    // Everything the shadow reads of the world is read here:
+                    // the tree's structure with every node's host, and every
+                    // virtual server's report target. The rest is a job of
+                    // (snapshot, plan, oracle) alone.
+                    let prof = phase("engine/des/bind");
+                    scratch.snapshot(&prepared.net, &tree);
+                    let ring = prepared.net.ring().iter();
+                    let contributors = tree.report_targets(&prepared.net, ring.map(|(_, vs)| vs));
+                    drop(prof);
+                    let job =
+                        move || run_shadow(epoch, plan, scratch, &contributors, oracle, traced);
+                    shadow = Some(if threads > 1 {
+                        Shadow::Running(scope.spawn(job))
+                    } else {
+                        Shadow::Ran(Box::new(job()))
+                    });
                 }
-                let done =
-                    heavy_after == 0 || participants.is_empty() || passes > MAX_EMERGENCY_PASSES;
-                // Transfer participants changed load: they re-report at the
-                // next pass (or the next epoch's round).
-                dirty = participants.clone();
-                if done {
-                    break;
+
+                let _prof = phase("engine/round");
+                // Field by field, not `Prepared::split`: the shadow holds
+                // the oracle meanwhile.
+                let underlay = underlay_of(
+                    &scenario,
+                    &prepared.oracle,
+                    &prepared.latency_oracle,
+                    &prepared.landmarks,
+                    &prepared.hop_landmarks,
+                );
+                // A cold cache means every peer reports fresh regardless of
+                // the dirty set; say so explicitly so the message accounting
+                // matches a one-shot run.
+                let mut round_dirty = if cache.is_empty() {
+                    dirty.clear();
+                    DirtySet::All
+                } else {
+                    DirtySet::Peers(std::mem::take(&mut dirty))
+                };
+                let balancer = match shadow {
+                    Some(Shadow::Running(_)) => &beside_shadow,
+                    _ => &balancer,
+                };
+                loop {
+                    passes += 1;
+                    let round = balancer.run_round(
+                        &mut prepared.net,
+                        &mut prepared.loads,
+                        &mut tree,
+                        underlay,
+                        &mut cache,
+                        &round_dirty,
+                        &mut bal_rng,
+                        &mut tr,
+                        &mut RoundWalls::default(),
+                    );
+                    let round = match round {
+                        Ok(round) => round,
+                        Err(e) => {
+                            // The shadow ran first in the epoch's order, so
+                            // its failure is the one to report.
+                            if let Some(s) = shadow.take() {
+                                s.join().totals.map_err(to_core)?;
+                            }
+                            return Err(e);
+                        }
+                    };
+                    moved += total_moved_load(&round.transfers);
+                    transfers += round.transfers.len();
+                    messages += round.messages.lbi_messages
+                        + round.messages.dissemination_messages
+                        + round.messages.vsa_record_hops
+                        + round.messages.vsa_notifications;
+                    let heavy_after = round.heavy_after();
+                    let mut participants: BTreeSet<PeerId> = BTreeSet::new();
+                    for t in &round.transfers {
+                        participants.insert(t.assignment.from);
+                        participants.insert(t.assignment.to);
+                    }
+                    let done = heavy_after == 0
+                        || participants.is_empty()
+                        || passes > MAX_EMERGENCY_PASSES;
+                    // Transfer participants changed load: they re-report at
+                    // the next pass (or the next epoch's round).
+                    dirty = participants.clone();
+                    if done {
+                        break;
+                    }
+                    round_dirty = DirtySet::Peers(participants);
                 }
-                round_dirty = DirtySet::Peers(participants);
+                report.balances += 1;
+                if emergency && !scheduled && !last {
+                    report.emergencies += 1;
+                }
             }
-            report.balances += 1;
-            if emergency && !scheduled && !last {
-                report.emergencies += 1;
-            }
+
+            // 5. Sample the epoch.
+            let prof = phase("engine/sample");
+            let heavy = heavy_count(&prepared.net, &prepared.loads, scenario.balancer.epsilon);
+            let unit_loads: Vec<f64> = alive
+                .iter()
+                .map(|&p| prepared.loads.unit_load(&prepared.net, p))
+                .collect();
+            let gini = gini(&unit_loads);
+            let alive_peers = alive.len();
+            drop(prof);
+            tr.span_args(
+                "engine/epoch",
+                clock,
+                EPOCH_LEN,
+                &[
+                    ("joins", activity.joins.into()),
+                    ("crashes", activity.crashes.into()),
+                    ("heavy", heavy.into()),
+                    ("passes", passes.into()),
+                ],
+            );
+            report.samples.push(EpochSample {
+                epoch,
+                alive_peers,
+                gini,
+                heavy,
+                joins: activity.joins,
+                crashes: activity.crashes,
+                stale_links: activity.stale_links,
+                repair_reattached: repair.reattached,
+                repair_pruned: repair.pruned,
+                maintenance_rounds: repair.rounds,
+                balanced: do_balance,
+                emergency: emergency && do_balance,
+                balance_passes: passes,
+                moved,
+                transfers,
+                messages,
+                // Filled in when the epoch's shadow lands.
+                des_messages: 0,
+                des_retries: 0,
+            });
+            report.joins += activity.joins;
+            report.crashes += activity.crashes;
+            report.stale_links += activity.stale_links;
+            report.total_moved += moved;
+            report.total_transfers += transfers;
+            report.total_messages += messages;
+
+            progress.event(&format!(
+                "engine: epoch {}/{} heavy={heavy} alive={alive_peers}",
+                epoch + 1,
+                cfg.epochs
+            ));
+
+            trace.absorb(tr);
         }
-
-        // 5. Sample the epoch.
-        let prof = phase("engine/sample");
-        let heavy = heavy_count(&prepared.net, &prepared.loads, scenario.balancer.epsilon);
-        let unit_loads: Vec<f64> = alive
-            .iter()
-            .map(|&p| prepared.loads.unit_load(&prepared.net, p))
-            .collect();
-        let gini = gini(&unit_loads);
-        let alive_peers = alive.len();
-        drop(prof);
-        tr.span_args(
-            "engine/epoch",
-            clock,
-            EPOCH_LEN,
-            &[
-                ("joins", activity.joins.into()),
-                ("crashes", activity.crashes.into()),
-                ("heavy", heavy.into()),
-                ("passes", passes.into()),
-            ],
-        );
-        report.samples.push(EpochSample {
-            epoch,
-            alive_peers,
-            gini,
-            heavy,
-            joins: activity.joins,
-            crashes: activity.crashes,
-            stale_links: activity.stale_links,
-            repair_reattached: repair.reattached,
-            repair_pruned: repair.pruned,
-            maintenance_rounds: repair.rounds,
-            balanced: do_balance,
-            emergency: emergency && do_balance,
-            balance_passes: passes,
-            moved,
-            transfers,
-            messages,
-            des_messages,
-            des_retries,
-        });
-        report.joins += activity.joins;
-        report.crashes += activity.crashes;
-        report.stale_links += activity.stale_links;
-        report.total_moved += moved;
-        report.total_transfers += transfers;
-        report.total_messages += messages;
-
-        progress.event(&format!(
-            "engine: epoch {}/{} heavy={heavy} alive={alive_peers}",
-            epoch + 1,
-            cfg.epochs
-        ));
-
-        trace.absorb(tr);
-    }
+        land(shadow.take(), &mut des, &mut report, trace)
+    })?;
 
     Ok(report)
+}
+
+/// The DES shadow of one balancing epoch, run: its message totals (or its
+/// failure), its counters and histograms, and the plan and scratch it ran
+/// on, handed back for the next balancing epoch.
+struct ShadowRun {
+    epoch: usize,
+    plan: FaultPlan,
+    scratch: ProtocolScratch,
+    /// `(des_messages, des_retries)`.
+    totals: Result<(usize, usize), ProtocolError>,
+    trace: Trace,
+}
+
+/// A shadow on the scope's second thread, or — at one thread — already run
+/// in place at its bind, in the order the epoch always had.
+enum Shadow<'scope> {
+    Running(ScopedJoinHandle<'scope, ShadowRun>),
+    Ran(Box<ShadowRun>),
+}
+
+impl Shadow<'_> {
+    fn join(self) -> ShadowRun {
+        match self {
+            Shadow::Running(job) => job
+                .join()
+                .unwrap_or_else(|panic| std::panic::resume_unwind(panic)),
+            Shadow::Ran(run) => *run,
+        }
+    }
+}
+
+/// The shadow's job: the latency half of the bind, then aggregation and
+/// dissemination through the fault plan. Reads nothing but its arguments.
+fn run_shadow(
+    epoch: usize,
+    mut plan: FaultPlan,
+    mut scratch: ProtocolScratch,
+    contributors: &[KtNodeId],
+    oracle: &DistanceOracle,
+    traced: bool,
+) -> ShadowRun {
+    let _prof = phase("engine/des/run");
+    let mut trace = Trace::new(traced, "");
+    scratch.resolve_latencies(oracle);
+    let retry = RetryPolicy::protocol_default();
+    let mut run = || {
+        let agg = run_aggregation(
+            &mut scratch,
+            contributors,
+            &mut plan,
+            retry,
+            &[],
+            &mut trace,
+        )?;
+        let dis = run_dissemination(&mut scratch, &mut plan, retry, &[], &mut trace)?;
+        Ok((
+            agg.timing.messages + dis.timing.messages,
+            agg.retries + dis.retries,
+        ))
+    };
+    let totals = run();
+    ShadowRun {
+        epoch,
+        plan,
+        scratch,
+        totals,
+        trace,
+    }
+}
+
+/// Lands the shadow in flight, if any: its totals go into its own epoch's
+/// sample, its plan and scratch back to `des`, its failure to the caller.
+fn land(
+    shadow: Option<Shadow<'_>>,
+    des: &mut Option<(FaultPlan, ProtocolScratch)>,
+    report: &mut EngineReport,
+    trace: &mut Trace,
+) -> Result<(), Error> {
+    let Some(shadow) = shadow else {
+        return Ok(());
+    };
+    let run = shadow.join();
+    // The shadow's trace goes into the run's trace here, not into its own
+    // epoch's child, and that leaves the same bytes for two reasons: the
+    // DES records counters and histograms, never events, so there is no
+    // track whose place could move; and every histogram weight is 1.0, so
+    // the f64 sums are exact integers that no merge order can round.
+    debug_assert_eq!(run.trace.event_count(), 0);
+    trace.absorb(run.trace);
+    let (messages, retries) = run.totals.map_err(to_core)?;
+    let sample = &mut report.samples[run.epoch];
+    sample.des_messages = messages;
+    sample.des_retries = retries;
+    *des = Some((run.plan, run.scratch));
+    Ok(())
 }
 
 #[cfg(test)]

@@ -7,11 +7,17 @@
 //! — parent, child list, edge latency, host peer. The run
 //! ([`crate::faults::run_aggregation`], [`crate::faults::run_dissemination`])
 //! then touches only the scratch, its fault plan and its trace: it is a pure
-//! function of (snapshot, plan), allocates nothing once the scratch is warm,
-//! and can therefore run on another thread while the network and the tree
-//! it was bound to are being mutated. A sweep that replays one tree (the
-//! claim-latency curves run 100k+ messages per cell) binds once and runs
-//! many times.
+//! function of (snapshot, plan) and allocates nothing once the scratch is
+//! warm. A sweep that replays one tree (the claim-latency curves run
+//! 100k+ messages per cell) binds once and runs many times.
+//!
+//! The bind itself has two halves. The snapshot reads the network and the
+//! tree: the structure, each node's host peer, and each peer's underlay
+//! node. The latency half reads only the snapshot and the oracle. The
+//! engine takes the snapshot on its main thread and hands the scratch to
+//! its second thread, which resolves the latencies and runs both phases
+//! while the main thread mutates the network and the tree again
+//! ([`crate::engine`]; DESIGN.md §6).
 
 use crate::des::{EventQueue, SimTime};
 use crate::faults::FEvent;
@@ -85,6 +91,8 @@ pub struct ProtocolScratch {
     unattached: Vec<(u32, PeerId)>,
     /// Peer hosting the node's virtual server, by slot.
     host_peer: Vec<u32>,
+    /// Underlay node by peer (`u32::MAX`: unattached).
+    peer_underlay: Vec<u32>,
     /// Crash-stop instant by peer; [`NEVER`] when it stays up.
     crash_at: Vec<SimTime>,
     /// Whether the current run has a crash schedule (most have none, and
@@ -121,6 +129,16 @@ impl ProtocolScratch {
     /// unattached peer is only marked here; the run reports it as
     /// [`ProtocolError::UnattachedPeer`] if and when a message takes it.
     pub fn bind(&mut self, net: &ChordNetwork, tree: &KTree, oracle: &DistanceOracle) {
+        self.snapshot(net, tree);
+        self.resolve_latencies(oracle);
+    }
+
+    /// The half of [`Self::bind`] that reads `net` and `tree`: parents,
+    /// child lists and host peers by slot, underlay nodes by peer. What is
+    /// left, [`Self::resolve_latencies`], reads only the scratch and the
+    /// oracle, so it can run on another thread while the network and the
+    /// tree move on.
+    pub(crate) fn snapshot(&mut self, net: &ChordNetwork, tree: &KTree) {
         let bound = tree.slot_bound();
         self.root = tree.root().0;
         self.len = tree.len();
@@ -128,7 +146,6 @@ impl ProtocolScratch {
         refill(&mut self.child_start, bound + 1);
         refill(&mut self.child_list, self.len);
         refill(&mut self.host_peer, bound);
-        refill(&mut self.edge_latency, bound);
         refill(&mut self.flags, bound);
         refill(&mut self.pending, bound);
         let mut leaves = 0;
@@ -150,30 +167,10 @@ impl ProtocolScratch {
         }
         self.child_start.push(self.child_list.len() as u32);
 
-        self.unattached.clear();
-        for slot in 0..bound {
-            // The root and vacant slots have no edge; neither has an orphan
-            // whose stale parent slot was pruned (nothing can reach it).
-            let (a, b) = match self.parent[slot] {
-                NIL => (NIL, NIL),
-                parent => (self.host_peer[slot], self.host_peer[parent as usize]),
-            };
-            let latency = if a == b || b == NIL {
-                0
-            } else {
-                let (a, b) = (PeerId(a), PeerId(b));
-                let (ua, ub) = (net.peer(a).underlay, net.peer(b).underlay);
-                if ua == u32::MAX || ub == u32::MAX {
-                    let peer = if ua == u32::MAX { a } else { b };
-                    self.unattached.push((slot as u32, peer));
-                    0
-                } else {
-                    oracle.distance(ua, ub)
-                }
-            };
-            self.edge_latency.push(latency);
-        }
-
+        let peers = net.peer_count() as u32;
+        refill(&mut self.peer_underlay, peers as usize);
+        let attachments = (0..peers).map(|p| net.peer(PeerId(p)).underlay);
+        self.peer_underlay.extend(attachments);
         self.crash_at.clear();
         self.crash_at.resize(net.peer_count(), NEVER);
         self.crashes = false;
@@ -185,6 +182,39 @@ impl ProtocolScratch {
         // the leaves bound the queue's depth.
         self.queue.reset();
         self.queue.reserve(leaves);
+    }
+
+    /// The half of [`Self::bind`] that reads the oracle: one look-up per
+    /// tree edge of the last [`Self::snapshot`] between two peers.
+    pub(crate) fn resolve_latencies(&mut self, oracle: &DistanceOracle) {
+        let bound = self.parent.len();
+        refill(&mut self.edge_latency, bound);
+        self.unattached.clear();
+        for slot in 0..bound {
+            // The root and vacant slots have no edge; neither has an orphan
+            // whose stale parent slot was pruned (nothing can reach it).
+            let latency = match self.parent[slot] {
+                NIL => 0,
+                parent => {
+                    let p = parent as usize;
+                    let (a, b) = (self.host_peer[slot], self.host_peer[p]);
+                    if a == b || b == NIL {
+                        0
+                    } else {
+                        let underlay = |peer: u32| self.peer_underlay[peer as usize];
+                        let (ua, ub) = (underlay(a), underlay(b));
+                        if ua == u32::MAX || ub == u32::MAX {
+                            let peer = if ua == u32::MAX { a } else { b };
+                            self.unattached.push((slot as u32, PeerId(peer)));
+                            0
+                        } else {
+                            oracle.distance(ua, ub)
+                        }
+                    }
+                }
+            };
+            self.edge_latency.push(latency);
+        }
     }
 
     /// Readies the per-run tables for one phase under `crashes`.

@@ -449,7 +449,7 @@ impl Prepared {
 
 /// [`Prepared::underlay`] over the fields it reads, so [`Prepared::split`]
 /// can lend `net` and `loads` beside it.
-fn underlay_of<'a>(
+pub(crate) fn underlay_of<'a>(
     scenario: &Scenario,
     oracle: &'a Option<DistanceOracle>,
     latency_oracle: &'a Option<DistanceOracle>,

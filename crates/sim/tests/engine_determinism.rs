@@ -6,15 +6,17 @@
 //! of the `ScenarioBuilder` redesign: presets are deterministic field
 //! rewrites over the paper defaults.
 
+use proxbal_chord::PeerId;
 use proxbal_core::{DirtySet, Error, LoadBalancer, RoundCache, RoundWalls};
 use proxbal_ktree::KTree;
-use proxbal_profile::NullSink;
+use proxbal_profile::{NullSink, ProgressSink};
 use proxbal_sim::churn::ChurnConfig;
 use proxbal_sim::drift::DriftConfig;
 use proxbal_sim::engine::BALANCE_LABEL;
 use proxbal_sim::faults::FaultConfig;
-use proxbal_sim::{run_engine, run_engine_with, EngineConfig, Scenario, TopologyKind};
+use proxbal_sim::{run_engine, run_engine_with, EngineConfig, EpochSample, Scenario, TopologyKind};
 use proxbal_trace::Trace;
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// A small scenario with every event source on — churn, drift and a lossy
 /// fault plan — the combination `repro engine` runs at full scale.
@@ -94,19 +96,171 @@ fn engine_report_and_trace_do_not_depend_on_the_thread_count() {
 
 #[test]
 fn a_failed_des_shadow_is_the_typed_error_at_any_thread_count() {
-    for threads in [1, 2, 8] {
+    let run = |threads: usize| {
         let mut prepared = stormy().prepare_run(threads, &NullSink);
         // Detach every peer: the first inter-peer tree edge a shadow
-        // message takes has no latency. The balancer itself runs
-        // proximity-ignorant here and would not notice.
+        // message takes has no latency, and neither has the round's first
+        // transfer; the shadow is first.
         for p in prepared.net.alive_peers() {
             prepared.net.attach(p, u32::MAX);
         }
-        let err = run_engine(&mut prepared, &short(8)).expect_err("unattached peers");
-        assert!(
-            matches!(err, Error::UnattachedPeer(_)),
-            "{threads} threads: {err:?}"
+        run_engine(&mut prepared, &short(8)).expect_err("unattached peers")
+    };
+    let err = run(1);
+    assert!(matches!(err, Error::UnattachedPeer(_)), "{err:?}");
+    for threads in [2, 8] {
+        assert_eq!(run(threads), err, "{threads} threads");
+    }
+}
+
+/// Counts the engine's per-epoch heartbeats: how many epochs completed.
+struct Heartbeats(AtomicUsize);
+
+impl ProgressSink for Heartbeats {
+    fn event(&self, _msg: &str) {
+        self.0.fetch_add(1, Ordering::Relaxed);
+    }
+    fn always(&self, _msg: &str) {}
+}
+
+/// Where the shadow and a round both fail, the engine returns the shadow's
+/// error — it runs first in its epoch — whether the round fails in the same
+/// epoch (the shadow is still in flight beside it) or in a later one (the
+/// shadow lands at the next bind, before that round). The runs start from a
+/// balanced system with the underlay pool gone, so every joining peer is
+/// unattached and fails the first round that moves load to it, and link
+/// damage is off, so the world evolves alike with and without a shadow.
+#[test]
+fn a_shadow_failure_wins_over_the_rounds() {
+    let cfg = EngineConfig {
+        epochs: 12,
+        balance_interval: 2,
+        stale_link_interval: 10,
+    };
+    // `(detached, with_shadow, threads)` → (error, epochs completed).
+    let run = |detached: Option<u32>, with_shadow: bool, threads: usize| {
+        let mut prepared = Scenario::builder()
+            .small()
+            .seed(41)
+            .churn(ChurnConfig {
+                join_rate: 0.05,
+                crash_rate: 0.0,
+            })
+            .drift(DriftConfig::default())
+            .faults(FaultConfig {
+                stale_parents: 0,
+                ..FaultConfig::with_loss(0.01, 0xE9)
+            })
+            .build()
+            .prepare_run(threads, &NullSink);
+        if detached.is_some() {
+            run_engine(&mut prepared, &cfg).unwrap();
+        }
+        if !with_shadow {
+            prepared.scenario.faults = None;
+        }
+        prepared.topo = None;
+        if let Some(peer) = detached {
+            prepared.net.attach(PeerId(peer), u32::MAX);
+        }
+        let epochs = Heartbeats(AtomicUsize::new(0));
+        let err = run_engine_with(&mut prepared, &cfg, &mut Trace::disabled(), &epochs)
+            .expect_err("an unattached peer");
+        (err, epochs.0.into_inner())
+    };
+
+    // Same epoch: the round at epoch 5 meets one joiner, the shadow beside
+    // it another.
+    let (round_err, round_epochs) = run(None, false, 1);
+    let (err, epochs) = run(None, true, 1);
+    assert_eq!(epochs, round_epochs, "both fail in one epoch");
+    assert_ne!(err, round_err, "the shadow's joiner, not the round's");
+    for threads in [2, 8] {
+        assert_eq!(run(None, true, threads), (err, epochs), "{threads} threads");
+    }
+
+    // Earlier epoch: an old peer detached after the warm-up is in no
+    // transfer for a while, but its tree edges fail the first shadow.
+    let (round_err, round_epochs) = run(Some(2), false, 1);
+    let (err, epochs) = run(Some(2), true, 1);
+    assert_eq!(err, Error::UnattachedPeer(PeerId(2)));
+    assert_ne!(round_err, err, "a joiner fails the round");
+    assert!(epochs < round_epochs, "{epochs} vs {round_epochs} epochs");
+    for threads in [2, 8] {
+        assert_eq!(
+            run(Some(2), true, threads),
+            (err, epochs),
+            "{threads} threads"
         );
+    }
+}
+
+/// The shadow of a balancing epoch runs beside its round and the quiet
+/// epochs after it, and lands at the next bind: at once when every epoch
+/// balances, after the loop when the forced final balance is the last. The
+/// report and the trace are the same at any thread count, and each
+/// balanced sample carries its own shadow's totals.
+#[test]
+fn a_pipelined_shadow_lands_in_its_own_epoch() {
+    for balance_interval in [1, 7] {
+        let cfg = EngineConfig {
+            epochs: 12,
+            balance_interval,
+            ..EngineConfig::default()
+        };
+        let run = |threads: usize| {
+            let mut prepared = stormy().prepare_run(threads, &NullSink);
+            let mut trace = Trace::enabled("engine");
+            let report = run_engine_with(&mut prepared, &cfg, &mut trace, &NullSink).unwrap();
+            (report, trace.to_ndjson())
+        };
+        let (report, nd1) = run(1);
+        for s in &report.samples {
+            if s.balanced {
+                assert!(s.des_messages > 0, "epoch {}: no shadow", s.epoch);
+            } else {
+                assert_eq!(s.des_messages + s.des_retries, 0, "epoch {}", s.epoch);
+            }
+        }
+        assert!(report.samples.last().unwrap().des_messages > 0);
+        if balance_interval > 1 {
+            assert!(report.samples.iter().any(|s| !s.balanced), "quiet epochs");
+        }
+        let json1 = report.to_json_pretty();
+        for threads in [2, 8] {
+            let (report, nd) = run(threads);
+            assert_eq!(report.to_json_pretty(), json1, "{threads} threads");
+            assert_eq!(nd, nd1, "{threads} threads");
+        }
+    }
+}
+
+/// `EpochSample::emergency` flags every balancing epoch on which the
+/// threshold was crossed; `EngineReport::emergencies` counts only those
+/// that neither the schedule nor the final epoch would have balanced.
+#[test]
+fn emergencies_count_only_the_unscheduled_balances() {
+    let cfg = EngineConfig {
+        epochs: 30,
+        balance_interval: 3,
+        ..EngineConfig::default()
+    };
+    let mut prepared = stormy().prepare();
+    let report = run_engine(&mut prepared, &cfg).unwrap();
+    let unscheduled = |s: &&EpochSample| {
+        s.emergency
+            && !(s.epoch + 1).is_multiple_of(cfg.balance_interval)
+            && s.epoch + 1 != cfg.epochs
+    };
+    let flagged = report.samples.iter().filter(|s| s.emergency).count();
+    assert_eq!(
+        report.emergencies,
+        report.samples.iter().filter(unscheduled).count()
+    );
+    assert!(report.emergencies > 0, "the threshold fired off schedule");
+    assert!(flagged > report.emergencies, "and on schedule: {flagged}");
+    for s in &report.samples {
+        assert!(s.balanced || !s.emergency, "epoch {}", s.epoch);
     }
 }
 

@@ -18,8 +18,9 @@
 #                    `xl2 --peers 65536` (stdout). CI runs it on every PR.
 #   --faults-smoke   `--faults 0.1 --scale small --trace` (stdout, BENCH
 #                    entry, both trace files — the DES spans and histograms)
-#   --engine-smoke   `engine --scale small --trace` (stdout, BENCH entry,
-#                    both trace files)
+#   --engine-smoke   `engine --scale small --trace`, then `engine --epochs 40
+#                    --trace` at full scale (stdout, BENCH entry, both trace
+#                    files)
 #   --round-smoke    `xl2 --peers 16384 --trace` (stdout, both trace files,
 #                    the four `round/*` spans present) — the intra-round
 #                    parallel sections
@@ -138,6 +139,10 @@ if [[ "$ENGINE_SMOKE" == "1" ]]; then
   # Each run takes about a second; the BENCH entry is `cmp`-equal because
   # nothing volatile is ever written to it.
   smoke engine 120 "BENCH_repro.json e.json e.ndjson" engine --scale small --epochs 12 --trace e.json
+  # 4,096 peers over 40 epochs: back-to-back emergency balances, so a DES
+  # shadow on the second thread lands at the very next bind (DESIGN.md §6).
+  # About a second a run on a 2-core box.
+  smoke engine-full 300 "BENCH_repro.json e.json e.ndjson" engine --epochs 40 --trace e.json
 fi
 
 if [[ "$PROFILE_SMOKE" == "1" ]]; then
@@ -201,7 +206,9 @@ if [[ "$ANALYZE_SMOKE" == "1" ]]; then
   (cd "$SMOKE_DIR" && timeout 120 "$REPRO" engine --trace ae.json --json ae-report.json \
       --profile ae-profile > /dev/null)
   # `--profile` attributes the epoch: the DES shadow and the round passes
-  # are phases of their own (what CI's gates job asserts).
+  # are phases of their own (what CI's gates job asserts). With more than
+  # one thread `engine/des/run` is a root row of its own, recorded on the
+  # worker thread the shadow runs on.
   for phase in engine/des/bind engine/des/run engine/round; do
     grep -q "$phase" "$SMOKE_DIR/ae-profile/resources.txt" || {
       echo "analyze smoke: phase $phase missing from resources.txt" >&2; exit 1; }
