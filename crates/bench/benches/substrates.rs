@@ -1,9 +1,9 @@
-//! Micro-benchmarks of the substrates: Chord lookups, ring ownership,
-//! Hilbert encode/decode, Dijkstra, shed-set selection, rendezvous pairing
-//! and the DES event queue.
+//! Micro-benchmarks of the substrates: ring ownership, Hilbert
+//! encode/decode, Dijkstra, shed-set selection, rendezvous pairing and the
+//! DES event queue.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use proxbal_chord::{ChordNetwork, RoutingState};
+use proxbal_chord::ChordNetwork;
 use proxbal_hilbert::HilbertCurve;
 use proxbal_id::Id;
 use proxbal_topology::{TransitStubConfig, TransitStubTopology};
@@ -16,9 +16,6 @@ fn bench_chord(c: &mut Criterion) {
     for _ in 0..512 {
         net.join_peer(5, &mut rng);
     }
-    let routing = RoutingState::build(&net);
-    let sources: Vec<_> = net.ring().iter().map(|(_, v)| v).collect();
-
     let mut group = c.benchmark_group("chord");
     group.bench_function("ring_owner", |b| {
         let mut i = 0u32;
@@ -26,18 +23,6 @@ fn bench_chord(c: &mut Criterion) {
             i = i.wrapping_add(0x9E3779B9);
             std::hint::black_box(net.ring().owner(Id::new(i)))
         });
-    });
-    group.bench_function("iterative_lookup", |b| {
-        let mut i = 0usize;
-        b.iter(|| {
-            i += 1;
-            let from = sources[i % sources.len()];
-            let key = Id::new((i as u32).wrapping_mul(0x9E3779B9));
-            std::hint::black_box(routing.lookup(&net, from, key))
-        });
-    });
-    group.bench_function("routing_build_2560_vss", |b| {
-        b.iter(|| std::hint::black_box(RoutingState::build(&net)));
     });
     group.finish();
 }

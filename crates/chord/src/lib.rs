@@ -1,11 +1,16 @@
-//! A from-scratch Chord DHT simulator.
+//! The Chord ring with virtual servers, as the paper's evaluation uses it.
 //!
-//! The paper's evaluation runs "a Chord simulator (32-bit identifier space)"
-//! in which **each physical node hosts multiple virtual servers** — each
-//! virtual server (VS) acts as an independent Chord protocol participant
-//! owning a contiguous arc of the ring. Load balancing moves whole virtual
-//! servers between physical nodes; Chord sees the move as a *leave* followed
-//! by a *join* (paper §2).
+//! The paper runs "a Chord simulator (32-bit identifier space)" in which
+//! **each physical node hosts multiple virtual servers** — each virtual
+//! server (VS) owns the contiguous arc of the ring that ends at its
+//! position. Load balancing moves whole virtual servers between physical
+//! nodes; Chord sees the move as a *leave* followed by a *join* (paper §2).
+//!
+//! What is simulated is the ring and its membership: virtual-server
+//! positions, join / leave / crash / transfer / split, and ownership. A DHT
+//! key resolves directly through [`Ring::owner`]; no finger table or
+//! routed lookup is modelled, since the scheme's message cost is counted
+//! on the K-nary tree, not on Chord routes.
 //!
 //! Main types:
 //!
@@ -14,9 +19,6 @@
 //!   recent membership changes ([`RingStamp`], [`Ring::changes_since`]).
 //! * [`ChordNetwork`] — physical peers ([`PeerId`]) hosting virtual servers
 //!   ([`VsId`]); join / leave / crash / transfer; region queries.
-//! * [`RoutingState`] — per-VS finger tables and successor lists with
-//!   iterative greedy lookup (hop-counted) and stabilization, so churn
-//!   experiments see genuinely stale routing state until repair runs.
 //!
 //! # Example
 //!
@@ -37,11 +39,9 @@
 
 mod network;
 mod ring;
-mod routing;
 
 pub use network::{ChordNetwork, PeerId, PeerState, VirtualServer, VsId};
 pub use ring::{Ring, RingStamp};
-pub use routing::{LookupOutcome, RoutingState, SUCCESSOR_LIST_LEN};
 
 #[cfg(test)]
 mod tests;

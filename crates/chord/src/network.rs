@@ -306,10 +306,9 @@ impl ChordNetwork {
         self.retire_peer(p, PeerState::Left);
     }
 
-    /// Crash: identical ring effect to a graceful leave in this simulator
-    /// (regions are re-absorbed by successors), but routing state held by
-    /// *other* virtual servers still points at the dead ones until
-    /// stabilization runs — see [`crate::RoutingState`].
+    /// Crash: identical ring effect to a graceful leave (regions are
+    /// re-absorbed by successors); the peer is recorded as
+    /// [`PeerState::Crashed`] rather than [`PeerState::Left`].
     pub fn crash_peer(&mut self, p: PeerId) {
         self.retire_peer(p, PeerState::Crashed);
     }

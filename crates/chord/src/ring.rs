@@ -303,24 +303,4 @@ impl Ring {
     pub fn iter(&self) -> impl Iterator<Item = (Id, VsId)> + '_ {
         self.by_pos.iter().map(|(&p, &vs)| (Id::new(p), vs))
     }
-
-    /// The `count` distinct successors of the VS at `pos` (excluding itself
-    /// unless the ring is smaller than `count + 1`), in clockwise order.
-    pub fn successors_of(&self, pos: Id, count: usize) -> Vec<(Id, VsId)> {
-        let mut out = Vec::with_capacity(count);
-        if self.by_pos.is_empty() {
-            return out;
-        }
-        let mut cursor = pos;
-        for _ in 0..count.min(self.by_pos.len()) {
-            match self.successor_after(cursor) {
-                Some((p, vs)) if p != pos => {
-                    out.push((p, vs));
-                    cursor = p;
-                }
-                _ => break,
-            }
-        }
-        out
-    }
 }

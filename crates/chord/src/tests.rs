@@ -58,22 +58,6 @@ fn ring_duplicate_position_rejected() {
 }
 
 #[test]
-fn ring_successors_of_walks_clockwise() {
-    let mut ring = Ring::new();
-    for (i, p) in [10u32, 20, 30, 40].iter().enumerate() {
-        ring.insert(Id::new(*p), VsId(i as u32));
-    }
-    let succs = ring.successors_of(Id::new(20), 3);
-    assert_eq!(
-        succs.iter().map(|&(_, v)| v).collect::<Vec<_>>(),
-        vec![VsId(2), VsId(3), VsId(0)]
-    );
-    // Asking for more than ring size stops before self.
-    let all = ring.successors_of(Id::new(20), 10);
-    assert_eq!(all.len(), 3);
-}
-
-#[test]
 fn join_creates_vss_and_invariants_hold() {
     let (net, _) = net_with(10, 5, 1);
     assert_eq!(net.alive_vs_count(), 50);
@@ -164,113 +148,36 @@ fn crash_removes_all_peer_vss() {
     net.check_invariants().unwrap();
 }
 
-#[test]
-fn lookup_finds_owner_with_fresh_tables() {
-    let (net, mut rng) = net_with(32, 4, 9);
-    let routing = RoutingState::build(&net);
-    assert_eq!(routing.len(), 128);
-    let sources: Vec<VsId> = net.ring().iter().map(|(_, v)| v).collect();
-    for _ in 0..200 {
-        let key = Id::new(rng.gen());
-        let from = sources[rng.gen_range(0..sources.len())];
-        let out = routing.lookup(&net, from, key);
-        let expect = net.ring().owner(key);
-        assert_eq!(out.result, expect, "lookup from {from:?} for {key}");
-        assert_eq!(out.timeouts, 0);
-    }
-}
-
-#[test]
-fn lookup_hops_are_logarithmic() {
-    let (net, mut rng) = net_with(128, 4, 10);
-    let routing = RoutingState::build(&net);
-    let sources: Vec<VsId> = net.ring().iter().map(|(_, v)| v).collect();
-    let n = sources.len() as f64; // 512 virtual servers
-    let bound = 2.0 * n.log2() + 2.0;
-    let mut total = 0u64;
-    let trials = 300;
-    for _ in 0..trials {
-        let key = Id::new(rng.gen());
-        let from = sources[rng.gen_range(0..sources.len())];
-        let out = routing.lookup(&net, from, key);
-        assert!(out.result.is_some());
-        total += u64::from(out.hops);
-    }
-    let avg = total as f64 / f64::from(trials);
-    assert!(
-        avg <= bound,
-        "average hops {avg:.1} should be O(log n) (bound {bound:.1})"
-    );
-}
-
-#[test]
-fn lookup_survives_churn_via_successor_lists() {
-    let (mut net, mut rng) = net_with(64, 3, 11);
-    let mut routing = RoutingState::build(&net);
-    // Crash 10% of peers without stabilizing.
-    for p in net.alive_peers().into_iter().take(6) {
-        net.crash_peer(p);
-    }
-    let sources: Vec<VsId> = net.ring().iter().map(|(_, v)| v).collect();
-    let mut failures = 0;
-    let trials = 200;
-    for _ in 0..trials {
-        let key = Id::new(rng.gen());
-        let from = sources[rng.gen_range(0..sources.len())];
-        let out = routing.lookup(&net, from, key);
-        match out.result {
-            Some(v) => assert_eq!(Some(v), net.ring().owner(key)),
-            None => failures += 1,
+/// One random membership change: a join, a leave, a crash or a transfer.
+fn random_op(net: &mut ChordNetwork, rng: &mut StdRng) {
+    let alive = net.alive_peers();
+    match rng.gen_range(0..4u8) {
+        0 => {
+            net.join_peer(rng.gen_range(1..5), rng);
         }
+        1 if alive.len() > 1 => {
+            let p = alive[rng.gen_range(0..alive.len())];
+            net.leave_peer(p);
+        }
+        2 if alive.len() > 1 => {
+            let p = alive[rng.gen_range(0..alive.len())];
+            net.crash_peer(p);
+        }
+        _ if alive.len() >= 2 => {
+            let from = alive[rng.gen_range(0..alive.len())];
+            let to = alive[rng.gen_range(0..alive.len())];
+            let vss = net.vss_of(from);
+            if !vss.is_empty() && from != to {
+                let v = vss[rng.gen_range(0..vss.len())];
+                net.transfer_vs(v, to);
+            }
+        }
+        _ => {}
     }
-    // Most lookups still succeed (correctly) before repair…
-    assert!(failures < trials / 5, "too many failures: {failures}");
-    // …and all succeed after stabilization.
-    routing.stabilize(&net);
-    for _ in 0..trials {
-        let key = Id::new(rng.gen());
-        let from = sources[rng.gen_range(0..sources.len())];
-        let out = routing.lookup(&net, from, key);
-        assert_eq!(out.result, net.ring().owner(key));
-        assert_eq!(out.timeouts, 0);
-    }
-}
-
-#[test]
-fn stabilize_vs_repairs_single_table() {
-    let (mut net, mut rng) = net_with(16, 2, 12);
-    let mut routing = RoutingState::build(&net);
-    net.join_peer(2, &mut rng);
-    let (_, some_vs) = net.ring().iter().next().unwrap();
-    routing.stabilize_vs(&net, some_vs);
-    // New peer's VSs have no tables yet; stabilize creates them.
-    routing.stabilize(&net);
-    assert_eq!(routing.len(), net.alive_vs_count());
-}
-
-#[test]
-fn lookup_single_vs_ring() {
-    let mut rng = StdRng::seed_from_u64(13);
-    let mut net = ChordNetwork::new();
-    net.join_peer(1, &mut rng);
-    let routing = RoutingState::build(&net);
-    let (_, only) = net.ring().iter().next().unwrap();
-    let out = routing.lookup(&net, only, Id::new(12345));
-    assert_eq!(out.result, Some(only));
-    assert_eq!(out.hops, 0);
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
-
-    #[test]
-    fn prop_lookup_equals_ring_owner(seed in 0u64..5000, key: u32) {
-        let (net, _) = net_with(12, 3, seed);
-        let routing = RoutingState::build(&net);
-        let (_, from) = net.ring().iter().next().unwrap();
-        let out = routing.lookup(&net, from, Id::new(key));
-        prop_assert_eq!(out.result, net.ring().owner(Id::new(key)));
-    }
 
     #[test]
     fn prop_invariants_after_random_ops(seed in 0u64..5000, ops in 1usize..40) {
@@ -278,36 +185,37 @@ proptest! {
         let mut net = ChordNetwork::new();
         net.join_peer(3, &mut rng);
         for _ in 0..ops {
-            let alive = net.alive_peers();
-            match rng.gen_range(0..4u8) {
-                0 => {
-                    net.join_peer(rng.gen_range(1..5), &mut rng);
-                }
-                1 if alive.len() > 1 => {
-                    let p = alive[rng.gen_range(0..alive.len())];
-                    net.leave_peer(p);
-                }
-                2 if alive.len() > 1 => {
-                    let p = alive[rng.gen_range(0..alive.len())];
-                    net.crash_peer(p);
-                }
-                _ if alive.len() >= 2 => {
-                    let from = alive[rng.gen_range(0..alive.len())];
-                    let to = alive[rng.gen_range(0..alive.len())];
-                    let vss = net.vss_of(from);
-                    if !vss.is_empty() && from != to {
-                        let v = vss[rng.gen_range(0..vss.len())];
-                        net.transfer_vs(v, to);
-                    }
-                }
-                _ => {}
-            }
+            random_op(&mut net, &mut rng);
             net.check_invariants().map_err(TestCaseError::fail)?;
         }
         // Regions always partition the full ring when non-empty.
         if net.alive_vs_count() > 0 {
             let total: u64 = net.ring().iter().map(|(p, _)| net.ring().region(p).len()).sum();
             prop_assert_eq!(total, proxbal_id::RING_SIZE);
+        }
+    }
+
+    /// `Ring::owner` resolves every DHT key, so it is checked against a scan
+    /// of the whole ring: the first position `≥ key`, else the first position.
+    /// `Ring::successor_after` is the same scan with `> key`.
+    #[test]
+    fn prop_owner_equals_a_scan_of_the_ring(seed in 0u64..5000, ops in 0usize..40) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut net = ChordNetwork::new();
+        net.join_peer(3, &mut rng);
+        for _ in 0..ops {
+            random_op(&mut net, &mut rng);
+        }
+        let keys: Vec<u32> = (0..16).map(|_| rng.gen()).collect();
+        let ring = net.ring();
+        let scan = |key: Id| ring.iter().find(|&(p, _)| p >= key).or_else(|| ring.iter().next());
+        let after = |key: Id| ring.iter().find(|&(p, _)| p > key).or_else(|| ring.iter().next());
+        let occupied = ring.iter().map(|(p, _)| p.raw());
+        for key in keys.into_iter().chain(occupied).chain([0, u32::MAX]) {
+            let key = Id::new(key);
+            prop_assert_eq!(ring.owner(key), scan(key).map(|(_, v)| v), "key {}", key);
+            prop_assert_eq!(ring.owner_entry(key), scan(key), "key {}", key);
+            prop_assert_eq!(ring.successor_after(key), after(key), "key {}", key);
         }
     }
 }
@@ -319,36 +227,6 @@ fn spawn_vs_at_exact_position_and_collision() {
     assert_eq!(net.vs(v).position, Id::new(12345));
     assert!(net.spawn_vs_at(PeerId(1), Id::new(12345)).is_none());
     net.check_invariants().unwrap();
-}
-
-#[test]
-fn protocol_join_costs_logarithmic_hops() {
-    let (mut net, mut rng) = net_with(64, 4, 31);
-    let mut routing = RoutingState::build(&net);
-    let bootstrap = net.ring().iter().next().unwrap().1;
-    let host = net.join_peer(0, &mut rng); // empty peer, then protocol joins
-    let mut total_hops = 0u32;
-    for _ in 0..4 {
-        let (vs, outcome) = routing
-            .join_vs_via_lookup(&mut net, host, bootstrap, &mut rng)
-            .expect("join succeeds with fresh tables");
-        assert!(net.vs(vs).alive);
-        total_hops += outcome.hops;
-    }
-    net.check_invariants().unwrap();
-    let n = net.alive_vs_count() as f64;
-    assert!(
-        f64::from(total_hops) / 4.0 <= 2.0 * n.log2() + 2.0,
-        "avg join hops too high: {}",
-        f64::from(total_hops) / 4.0
-    );
-    // After stabilization the new VSs are fully routable.
-    routing.stabilize(&net);
-    for _ in 0..50 {
-        let key = Id::new(rng.gen());
-        let out = routing.lookup(&net, bootstrap, key);
-        assert_eq!(out.result, net.ring().owner(key));
-    }
 }
 
 #[test]
@@ -389,106 +267,6 @@ fn count_in_and_vss_in_wrap_correctly() {
     // Full and empty regions.
     assert_eq!(ring.count_in(&proxbal_id::Arc::full(Id::ZERO)), 3);
     assert_eq!(ring.count_in(&proxbal_id::Arc::empty(Id::ZERO)), 0);
-}
-
-#[test]
-fn incremental_stabilization_converges_within_finger_count_rounds() {
-    let (mut net, mut rng) = net_with(48, 4, 35);
-    let mut routing = RoutingState::build(&net);
-    // Heavy churn: crash a third, join replacements.
-    for p in net.alive_peers().into_iter().take(16) {
-        net.crash_peer(p);
-    }
-    for _ in 0..16 {
-        net.join_peer(4, &mut rng);
-    }
-    // Incremental rounds only.
-    let mut rounds = 0;
-    loop {
-        let changed = routing.stabilize_round(&net);
-        rounds += 1;
-        if changed == 0 {
-            break;
-        }
-        assert!(rounds <= 34, "must converge within ~FINGER_COUNT rounds");
-    }
-    // Converged tables route every lookup correctly with zero timeouts.
-    let sources: Vec<VsId> = net.ring().iter().map(|(_, v)| v).collect();
-    for _ in 0..100 {
-        let key = Id::new(rng.gen());
-        let from = sources[rng.gen_range(0..sources.len())];
-        let out = routing.lookup(&net, from, key);
-        assert_eq!(out.result, net.ring().owner(key));
-        assert_eq!(out.timeouts, 0);
-    }
-}
-
-#[test]
-fn incremental_stabilization_improves_lookups_gradually() {
-    let (mut net, mut rng) = net_with(96, 4, 36);
-    let mut routing = RoutingState::build(&net);
-    for p in net.alive_peers().into_iter().take(32) {
-        net.crash_peer(p);
-    }
-    let success_rate = |routing: &RoutingState, net: &ChordNetwork, seed: u64| -> f64 {
-        let mut r = StdRng::seed_from_u64(seed);
-        let sources: Vec<VsId> = net.ring().iter().map(|(_, v)| v).collect();
-        let mut ok = 0;
-        for _ in 0..100 {
-            let key = Id::new(r.gen());
-            let from = sources[r.gen_range(0..sources.len())];
-            if routing.lookup(net, from, key).result == net.ring().owner(key) {
-                ok += 1;
-            }
-        }
-        ok as f64 / 100.0
-    };
-    let before = success_rate(&routing, &net, 1);
-    for _ in 0..4 {
-        routing.stabilize_round(&net);
-    }
-    let after_few = success_rate(&routing, &net, 1);
-    assert!(
-        after_few >= before,
-        "stabilization must not hurt: {before} -> {after_few}"
-    );
-    // Timeouts disappear as fingers get fixed.
-    for _ in 0..40 {
-        routing.stabilize_round(&net);
-    }
-    let mut r = StdRng::seed_from_u64(2);
-    let sources: Vec<VsId> = net.ring().iter().map(|(_, v)| v).collect();
-    for _ in 0..50 {
-        let key = Id::new(r.gen());
-        let from = sources[r.gen_range(0..sources.len())];
-        let out = routing.lookup(&net, from, key);
-        assert_eq!(out.timeouts, 0, "all fingers repaired");
-    }
-    // Sustained churn: crash/join waves between stabilization rounds. Mid-
-    // churn lookups still reach the owner through the successor lists (a
-    // virtual server that joined this wave has no table yet and fails).
-    let waves = 20;
-    let mut mid_churn = 0.0;
-    for wave in 0..waves {
-        for _ in 0..2 {
-            let alive = net.alive_peers();
-            net.crash_peer(alive[rng.gen_range(0..alive.len())]);
-            net.join_peer(4, &mut rng);
-        }
-        mid_churn += success_rate(&routing, &net, 100 + wave) / waves as f64;
-        routing.stabilize_round(&net);
-    }
-    assert!(mid_churn >= 0.8, "mid-churn success rate {mid_churn}");
-    net.check_invariants().unwrap();
-}
-
-#[test]
-fn stabilize_round_idempotent_when_stable() {
-    let (net, _) = net_with(16, 3, 37);
-    let mut routing = RoutingState::build(&net);
-    // First round may touch finger cursors but finds nothing to change.
-    assert_eq!(routing.stabilize_round(&net), 0);
-    assert_eq!(routing.stabilize_round(&net), 0);
 }
 
 #[test]

@@ -262,7 +262,7 @@ impl LoadBalancer {
         if let Some(&p) = alive.iter().find(|&&p| !loads.has_capacity(p)) {
             return Err(Error::MissingCapacity(p));
         }
-        let mut clock = tree.maintain_until_stable_traced(net, 256, 0, trace) as u64;
+        let mut clock = tree.maintain_until_stable(net, 256, 0, trace) as u64;
         let params = ClassifyParams {
             epsilon: cfg.epsilon,
         };

@@ -590,7 +590,7 @@ fn sparse_vsa_sweep_matches_level_scan() {
             for _ in 0..8 {
                 net.join_peer(3, &mut rng);
             }
-            tree.maintain_until_stable(&net, 256);
+            tree.maintain_until_stable(&net, 256, 0, &mut Trace::disabled());
         }
         let loads = LoadState::generate(
             &net,

@@ -48,14 +48,6 @@ impl Id {
     pub const fn distance_to(self, other: Id) -> u64 {
         other.0.wrapping_sub(self.0) as u64
     }
-
-    /// The point `2^k` past `self` on the ring — the start of Chord finger `k`
-    /// (`k` in `0..32`).
-    #[inline]
-    pub const fn finger_start(self, k: u32) -> Id {
-        debug_assert!(k < 32);
-        Id(self.0.wrapping_add(1u32 << k))
-    }
 }
 
 impl fmt::Debug for Id {

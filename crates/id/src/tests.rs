@@ -18,15 +18,6 @@ fn add_sub_roundtrip() {
 }
 
 #[test]
-fn finger_starts() {
-    let a = Id::new(0);
-    assert_eq!(a.finger_start(0), Id::new(1));
-    assert_eq!(a.finger_start(31), Id::new(1 << 31));
-    let b = Id::new(u32::MAX);
-    assert_eq!(b.finger_start(0), Id::new(0));
-}
-
-#[test]
 fn empty_and_full_are_distinct() {
     let e = Arc::empty(Id::new(5));
     let f = Arc::full(Id::new(5));

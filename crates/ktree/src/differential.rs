@@ -17,6 +17,7 @@ use crate::*;
 use proptest::prelude::*;
 use proxbal_chord::{ChordNetwork, PeerId, VsId};
 use proxbal_id::{Arc, Id};
+use proxbal_trace::Trace;
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
@@ -537,7 +538,7 @@ fn no_change_touches_no_arena_node() {
     net.join_peer(1, &mut rng);
     assert!(
         visits_during(|| {
-            tree.maintain_until_stable(&net, 64);
+            tree.maintain_until_stable(&net, 64, 0, &mut Trace::disabled());
         }) > 0
     );
     assert_eq!(quiet(&mut tree, &net), 0);
@@ -562,7 +563,7 @@ fn derived_data_survives_clone_and_json_and_follows_each_copy() {
     for p in net.alive_peers().into_iter().take(8) {
         net.crash_peer(p);
     }
-    clone.maintain_until_stable(&net, 64);
+    clone.maintain_until_stable(&net, 64, 0, &mut Trace::disabled());
     assert_derived_fresh(&clone);
     assert_derived_fresh(&tree);
     let victim = back

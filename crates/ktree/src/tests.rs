@@ -2,6 +2,7 @@ use crate::*;
 use proptest::prelude::*;
 use proxbal_chord::ChordNetwork;
 use proxbal_id::{Arc, Id, RING_SIZE};
+use proxbal_trace::Trace;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::collections::HashMap;
@@ -135,7 +136,7 @@ fn maintenance_rebuilds_after_crash_in_logarithmic_rounds() {
     for p in net.alive_peers().into_iter().take(16) {
         net.crash_peer(p);
     }
-    let rounds = tree.maintain_until_stable(&net, 64);
+    let rounds = tree.maintain_until_stable(&net, 64, 0, &mut Trace::disabled());
     assert!(rounds >= 1);
     tree.check_invariants(&net).unwrap();
     // O(log_K N): bounded by the (new) tree height plus a small constant.
@@ -153,7 +154,7 @@ fn maintenance_tracks_joins() {
     for _ in 0..16 {
         net.join_peer(2, &mut rng);
     }
-    tree.maintain_until_stable(&net, 64);
+    tree.maintain_until_stable(&net, 64, 0, &mut Trace::disabled());
     tree.check_invariants(&net).unwrap();
     // Every (new) VS must have a self-hosted report target again.
     for (_, vs) in net.ring().iter() {
@@ -168,7 +169,7 @@ fn maintenance_converges_to_fresh_build() {
     for p in net.alive_peers().into_iter().take(8) {
         net.crash_peer(p);
     }
-    tree.maintain_until_stable(&net, 64);
+    tree.maintain_until_stable(&net, 64, 0, &mut Trace::disabled());
     let fresh = KTree::build(&net, 2);
     assert_eq!(tree.len(), fresh.len());
     // Same set of (region, host) pairs.
@@ -363,7 +364,7 @@ fn churned_tree(seed: u64) -> (ChordNetwork, KTree) {
     for _ in 0..8 {
         net.join_peer(2, &mut rng);
     }
-    tree.maintain_until_stable(&net, 256);
+    tree.maintain_until_stable(&net, 256, 0, &mut Trace::disabled());
     tree.check_invariants(&net).unwrap();
     (net, tree)
 }
@@ -815,7 +816,7 @@ proptest! {
         }
         // After the dust settles, maintenance must converge to exactly the
         // fresh build (same (region, host) set).
-        tree.maintain_until_stable(&net, 256);
+        tree.maintain_until_stable(&net, 256, 0, &mut Trace::disabled());
         tree.check_invariants(&net).map_err(TestCaseError::fail)?;
         let fresh = KTree::build(&net, k);
         let key = |t: &KTree| {

@@ -879,27 +879,23 @@ impl KTree {
     }
 
     /// Runs [`Self::maintain_round`] until stable, returning the number of
-    /// rounds needed (0 if already stable). Panics after `limit` rounds.
-    pub fn maintain_until_stable(&mut self, net: &ChordNetwork, limit: usize) -> usize {
-        let _prof = proxbal_profile::phase("kt/maintain");
-        for round in 0..limit {
-            if self.maintain_round(net) == 0 {
-                return round;
-            }
-        }
-        panic!("K-nary tree failed to stabilize within {limit} rounds");
-    }
-
-    /// Like [`Self::maintain_until_stable`], but records a `kt/maintain`
-    /// span (one virtual-time unit per round) starting at `ts`.
-    pub fn maintain_until_stable_traced(
+    /// rounds needed (0 if already stable), and records a `kt/maintain` span
+    /// (one virtual-time unit per round) starting at `ts`. Panics after
+    /// `limit` rounds.
+    pub fn maintain_until_stable(
         &mut self,
         net: &ChordNetwork,
         limit: usize,
         ts: proxbal_trace::VirtualTime,
         trace: &mut proxbal_trace::Trace,
     ) -> usize {
-        let rounds = self.maintain_until_stable(net, limit);
+        let stable_after = {
+            let _prof = proxbal_profile::phase("kt/maintain");
+            (0..limit).find(|_| self.maintain_round(net) == 0)
+        };
+        let Some(rounds) = stable_after else {
+            panic!("K-nary tree failed to stabilize within {limit} rounds");
+        };
         trace.span_args(
             "kt/maintain",
             ts,
@@ -1003,7 +999,8 @@ impl KTree {
         };
         // Ordinary periodic maintenance converges the rest (replanting,
         // missing coverage, leftover duplicates).
-        stats.rounds = self.maintain_until_stable(net, limit);
+        stats.rounds =
+            self.maintain_until_stable(net, limit, 0, &mut proxbal_trace::Trace::disabled());
         (stats, actions)
     }
 

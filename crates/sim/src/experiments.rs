@@ -130,14 +130,9 @@ pub struct MovedLoadOutput {
 }
 
 /// Runs both modes from identical initial conditions and returns the two
-/// distance histograms.
-pub fn fig78_moved_load(prepared: &Prepared) -> MovedLoadOutput {
-    fig78_moved_load_traced(prepared, &mut Trace::disabled())
-}
-
-/// [`fig78_moved_load`] recording each mode's run on its own child track
+/// distance histograms, recording each mode's run on its own child track
 /// (`aware` / `ignorant`) of `trace`.
-pub fn fig78_moved_load_traced(prepared: &Prepared, trace: &mut Trace) -> MovedLoadOutput {
+pub fn fig78_moved_load(prepared: &Prepared, trace: &mut Trace) -> MovedLoadOutput {
     let underlay = prepared.underlay().expect("figure 7/8 requires a topology");
 
     let run = |mode: ProximityMode, label: u64, name: &str, trace: &mut Trace| {
@@ -299,7 +294,7 @@ pub fn repair_after_crash_traced(
         prepared.net.crash_peer(p);
     }
     trace.count("crashed_peers", n_crash as u64);
-    let crash_repair_rounds = tree.maintain_until_stable_traced(&prepared.net, 256, 0, trace);
+    let crash_repair_rounds = tree.maintain_until_stable(&prepared.net, 256, 0, trace);
     tree.check_invariants(&prepared.net).expect("repaired tree");
 
     let mut rng = prepared.derived_rng(0xCAFE);
@@ -310,7 +305,7 @@ pub fn repair_after_crash_traced(
     }
     trace.count("rejoined_peers", n_crash as u64);
     let join_repair_rounds =
-        tree.maintain_until_stable_traced(&prepared.net, 256, crash_repair_rounds as u64, trace);
+        tree.maintain_until_stable(&prepared.net, 256, crash_repair_rounds as u64, trace);
     tree.check_invariants(&prepared.net).expect("regrown tree");
 
     RepairRow {
@@ -414,7 +409,7 @@ pub fn fig78_replicated_traced(
             let mut scenario = base.clone();
             scenario.seed = base.seed.wrapping_add(i as u64);
             let prepared = scenario.prepare();
-            fig78_moved_load_traced(&prepared, trace)
+            fig78_moved_load(&prepared, trace)
         });
 
     let mut pooled = ReplicatedMovedLoad {
@@ -458,8 +453,8 @@ pub struct AblationRow {
 
 /// Sweeps the design choices DESIGN.md calls out — ε, rendezvous threshold,
 /// Hilbert-vs-Morton curve, key dimensionality and tree degree — and
-/// reports the *outcomes* (Criterion's `ablations` bench reports the
-/// costs).
+/// reports the *outcomes* (`pbench`'s `sim.paper.claim_ablations_s`
+/// times the sweep).
 ///
 /// Each variant clones the prepared initial state and derives its RNG from
 /// the scenario seed alone, so the variants run through the parallel

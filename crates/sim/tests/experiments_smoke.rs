@@ -222,9 +222,11 @@ fn protocol_latency_rows_are_pinned_at_zero_loss_and_monotone_in_loss() {
 fn bounded_oracle_cache_is_bit_identical() {
     let mut base = small(7, TopologyKind::Ts5kLarge);
     base.peers = 512;
-    let unbounded = serde_json::to_string(&fig78_moved_load(&base.prepare())).unwrap();
+    let unbounded =
+        serde_json::to_string(&fig78_moved_load(&base.prepare(), &mut Trace::disabled())).unwrap();
     base.oracle_capacity = 16;
-    let bounded = serde_json::to_string(&fig78_moved_load(&base.prepare())).unwrap();
+    let bounded =
+        serde_json::to_string(&fig78_moved_load(&base.prepare(), &mut Trace::disabled())).unwrap();
     assert_eq!(unbounded, bounded);
 }
 

@@ -1,8 +1,8 @@
 //! Churn and self-repair (§3.1.1): peers join and crash under a Poisson
 //! process while the engine repairs the K-nary tree every epoch and
 //! balances on its schedule. Debug builds audit the ring and tree
-//! invariants after every repair; lookups under churn are chord's
-//! `incremental_stabilization_improves_lookups_gradually` test.
+//! invariants after every repair; key ownership on churned rings is
+//! chord's `prop_owner_equals_a_scan_of_the_ring` test.
 //!
 //! ```text
 //! cargo run --release --example churn_self_repair

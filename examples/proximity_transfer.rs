@@ -9,6 +9,7 @@
 
 use proxbal::sim::experiments::fig78_moved_load;
 use proxbal::sim::{Scenario, TopologyKind};
+use proxbal_trace::Trace;
 
 fn main() {
     let mut scenario = Scenario::builder().seed(3).build();
@@ -23,7 +24,7 @@ fn main() {
         prepared.landmarks.len()
     );
 
-    let out = fig78_moved_load(&prepared);
+    let out = fig78_moved_load(&prepared, &mut Trace::disabled());
 
     println!("\n{:>24} {:>14} {:>14}", "", "prox-aware", "prox-ignorant");
     for d in [1u32, 2, 5, 10, 15, 20] {

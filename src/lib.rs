@@ -5,8 +5,8 @@
 //! proximity-aware virtual-server load balancer plus every substrate it
 //! needs, built from scratch —
 //!
-//! * [`chord`] — a Chord DHT simulator (32-bit ring, virtual servers,
-//!   finger tables, iterative lookup, churn);
+//! * [`chord`] — the Chord ring (32-bit identifiers, virtual servers,
+//!   ownership, join / leave / crash / transfer / split);
 //! * [`ktree`] — the self-organized distributed K-nary tree for
 //!   aggregation/dissemination (§3.1);
 //! * [`hilbert`] — m-dimensional Hilbert curves and the landmark-vector →

@@ -9,6 +9,7 @@ use proxbal::sim::churn::ChurnConfig;
 use proxbal::sim::latency::{aggregation_latency, root_path_latencies};
 use proxbal::sim::{run_engine, EngineConfig, Scenario, TopologyKind};
 use proxbal::workload::{CapacityProfile, LoadModel};
+use proxbal_trace::Trace;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -28,7 +29,7 @@ fn lbi_through_tree_equals_ground_truth_after_churn() {
     for _ in 0..10 {
         net.join_peer(4, &mut rng);
     }
-    tree.maintain_until_stable(&net, 128);
+    tree.maintain_until_stable(&net, 128, 0, &mut Trace::disabled());
     tree.check_invariants(&net).unwrap();
 
     // LBI aggregation over the repaired tree matches central totals.
@@ -58,8 +59,8 @@ fn lbi_through_tree_equals_ground_truth_after_churn() {
 
 /// Sustained churn through the engine, on a K = 4 tree. Debug builds (how
 /// this test runs) audit the ring and tree invariants after every epoch's
-/// repair; lookups under churn are chord's
-/// `incremental_stabilization_improves_lookups_gradually`.
+/// repair; key ownership on churned rings is chord's
+/// `prop_owner_equals_a_scan_of_the_ring`.
 #[test]
 fn sustained_churn_keeps_ring_and_tree_invariants() {
     let mut scenario = Scenario::builder()
@@ -158,7 +159,7 @@ fn tree_tracks_network_growth_incrementally() {
         for _ in 0..8 {
             net.join_peer(3, &mut rng);
         }
-        tree.maintain_until_stable(&net, 128);
+        tree.maintain_until_stable(&net, 128, 0, &mut Trace::disabled());
         tree.check_invariants(&net)
             .unwrap_or_else(|e| panic!("wave {wave}: {e}"));
         for (_, vs) in net.ring().iter() {

@@ -8,6 +8,7 @@ use proxbal::sim::experiments::{
 use proxbal::sim::metrics::gini;
 use proxbal::sim::{Scenario, TopologyKind};
 use proxbal::workload::LoadModel;
+use proxbal_trace::Trace;
 
 fn scenario(seed: u64, peers: usize, topology: TopologyKind) -> Scenario {
     let mut s = Scenario::builder().seed(seed).build();
@@ -61,7 +62,7 @@ fn fig5_fig6_shape_load_tracks_capacity() {
 #[test]
 fn fig7_shape_aware_dominates_on_clustered_topology() {
     let prepared = scenario(83, 1024, TopologyKind::Ts5kLarge).prepare();
-    let out = fig78_moved_load(&prepared);
+    let out = fig78_moved_load(&prepared, &mut Trace::disabled());
     // The aware scheme must land a large share of moved load inside stub
     // domains (≤ 2 hops) — the ignorant scheme lands almost none.
     assert!(out.aware.fraction_within(2) > 0.25);
@@ -74,11 +75,14 @@ fn fig7_shape_aware_dominates_on_clustered_topology() {
 #[test]
 fn fig8_shape_weaker_but_persistent_advantage() {
     let prepared = scenario(84, 1024, TopologyKind::Ts5kSmall).prepare();
-    let out = fig78_moved_load(&prepared);
+    let out = fig78_moved_load(&prepared, &mut Trace::disabled());
     // Scattered peers: locality shrinks for both, but aware still wins.
     assert!(out.aware.mean_distance() < out.ignorant.mean_distance());
     // And the advantage is smaller than on ts5k-large (the paper's point).
-    let large = fig78_moved_load(&scenario(84, 1024, TopologyKind::Ts5kLarge).prepare());
+    let large = fig78_moved_load(
+        &scenario(84, 1024, TopologyKind::Ts5kLarge).prepare(),
+        &mut Trace::disabled(),
+    );
     let gain_small = out.ignorant.mean_distance() - out.aware.mean_distance();
     let gain_large = large.ignorant.mean_distance() - large.aware.mean_distance();
     assert!(

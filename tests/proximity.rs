@@ -3,6 +3,7 @@
 
 use proxbal::sim::experiments::fig78_moved_load;
 use proxbal::sim::{Scenario, TopologyKind};
+use proxbal_trace::Trace;
 
 fn moved_load_scenario(topology: TopologyKind, peers: usize, seed: u64) -> Scenario {
     let mut s = Scenario::builder().seed(seed).build();
@@ -14,7 +15,7 @@ fn moved_load_scenario(topology: TopologyKind, peers: usize, seed: u64) -> Scena
 #[test]
 fn aware_beats_ignorant_on_ts5k_large() {
     let prepared = moved_load_scenario(TopologyKind::Ts5kLarge, 768, 41).prepare();
-    let out = fig78_moved_load(&prepared);
+    let out = fig78_moved_load(&prepared, &mut Trace::disabled());
 
     // Both modes balance completely.
     assert_eq!(out.aware_report.heavy_after(), 0);
@@ -42,7 +43,7 @@ fn aware_beats_ignorant_on_ts5k_large() {
 #[test]
 fn aware_still_wins_on_ts5k_small() {
     let prepared = moved_load_scenario(TopologyKind::Ts5kSmall, 768, 43).prepare();
-    let out = fig78_moved_load(&prepared);
+    let out = fig78_moved_load(&prepared, &mut Trace::disabled());
     assert_eq!(out.aware_report.heavy_after(), 0);
     // Paper: "The proximity-aware load balancing approach still performs
     // much better … in spite of the fact that most of the nodes are
@@ -61,7 +62,7 @@ fn aware_assignments_happen_deeper_in_the_tree() {
     // Proximity publication clusters records, so rendezvous points sit
     // deeper (closer to leaves) than in the ignorant sweep on average.
     let prepared = moved_load_scenario(TopologyKind::Ts5kLarge, 512, 47).prepare();
-    let out = fig78_moved_load(&prepared);
+    let out = fig78_moved_load(&prepared, &mut Trace::disabled());
     let mean_depth = |per_depth: &[usize]| -> f64 {
         let total: usize = per_depth.iter().sum();
         per_depth
@@ -82,7 +83,7 @@ fn aware_assignments_happen_deeper_in_the_tree() {
 #[test]
 fn transfer_distances_match_oracle() {
     let prepared = moved_load_scenario(TopologyKind::Tiny, 48, 53).prepare();
-    let out = fig78_moved_load(&prepared);
+    let out = fig78_moved_load(&prepared, &mut Trace::disabled());
     let oracle = prepared.oracle.as_ref().unwrap();
     for t in &out.aware_report.transfers {
         let from = prepared.net.peer(t.assignment.from).underlay;
@@ -93,8 +94,14 @@ fn transfer_distances_match_oracle() {
 
 #[test]
 fn deterministic_given_seed() {
-    let a = fig78_moved_load(&moved_load_scenario(TopologyKind::Tiny, 64, 77).prepare());
-    let b = fig78_moved_load(&moved_load_scenario(TopologyKind::Tiny, 64, 77).prepare());
+    let a = fig78_moved_load(
+        &moved_load_scenario(TopologyKind::Tiny, 64, 77).prepare(),
+        &mut Trace::disabled(),
+    );
+    let b = fig78_moved_load(
+        &moved_load_scenario(TopologyKind::Tiny, 64, 77).prepare(),
+        &mut Trace::disabled(),
+    );
     assert_eq!(
         a.aware_report.transfers.len(),
         b.aware_report.transfers.len()
