@@ -1,467 +1,267 @@
-//! Declarative robustness gates: a query (one behavioral primitive or a
-//! scalar expression), a metric, and a thresholded comparison with
-//! tolerance — loaded from `gates/*.toml` and evaluated against a run's
-//! artifacts. A gate violation is how a behavioral regression fails CI,
-//! the same way bench-metric drift does.
+//! Declarative gates (`gates/*.toml`): one reduction of one source's rows,
+//! compared with a threshold. A violation fails CI, as bench drift does.
 
-use crate::columns::{CounterTable, EpochTable, EventTable};
-use crate::expr::{Expr, Table};
-use crate::primitives::{
-    parse_pattern, sequence_match, sessionize, window_funnel, FunnelOutcome, Session,
-};
-use proxbal_sim::engine::EngineReport;
-use proxbal_trace::ParsedTrace;
-use serde::{Deserialize, Serialize};
+use crate::primitives::{p99, runs, window_funnel, FunnelOutcome};
+use crate::rows::{CmpOp, Counters, Pred, Row, Val, OPS};
+use crate::toml::{parse_tables, TomlTable, TomlVal};
+use crate::{by_name, name_of, Run};
+use serde::Serialize;
+use std::ops::Range;
+use std::path::Path;
 
-/// Which artifact a gate reads.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+/// Which rows a gate reads (`rows.rs` says what each holds).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Source {
-    /// The engine's per-epoch series (`EngineReport` JSON).
     Report,
-    /// The trace event log (NDJSON): events for the primitives, counters
-    /// for scalar gates.
     Trace,
+    Counters,
 }
 
-/// The query a gate runs.
-#[derive(Clone, Debug, PartialEq)]
-pub enum Kind {
-    /// Sessionize rows where `active` holds; optional `peak` column.
-    Sessionize { active: Expr, peak: Option<Expr> },
-    /// Ordered steps within a window of row timestamps.
-    Funnel {
-        steps: Vec<Expr>,
-        window: u64,
-        /// `true` → run per trace track and merge (report tables have a
-        /// single stream, so grouping is a no-op there).
-        per_track: bool,
-    },
-    /// Regex-like pattern over per-row conditions.
-    Sequence {
-        conds: Vec<Expr>,
-        pattern_text: String,
-    },
-    /// A scalar expression over the whole table.
-    Scalar(Expr),
+const SOURCES: [(&str, Source); 3] = [
+    ("report", Source::Report),
+    ("trace", Source::Trace),
+    ("counters", Source::Counters),
+];
+
+/// How a gate folds its rows into the number it compares.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum Reduce {
+    /// Column `of` on the last row.
+    Last,
+    /// The rows where `where` holds.
+    Count,
+    /// The longest maximal run of rows where `where` holds (0 if none).
+    RunMax,
+    /// The nearest-rank p99 of those runs' lengths (0 if none).
+    RunP99,
+    /// The funnel over `steps`: completed / entered, 1 if none entered.
+    FunnelCompletion,
+    /// The funnel's instances entered.
+    FunnelEntered,
 }
 
-/// Threshold comparison operator.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
-pub enum CmpOp {
-    Lt,
-    Le,
-    Gt,
-    Ge,
-    Eq,
-    Ne,
-}
+const REDUCES: [(&str, Reduce); 6] = [
+    ("last", Reduce::Last),
+    ("count", Reduce::Count),
+    ("run_max", Reduce::RunMax),
+    ("run_p99", Reduce::RunP99),
+    ("funnel_completion", Reduce::FunnelCompletion),
+    ("funnel_entered", Reduce::FunnelEntered),
+];
 
-impl CmpOp {
-    fn parse(s: &str) -> Option<CmpOp> {
-        Some(match s {
-            "<" => CmpOp::Lt,
-            "<=" => CmpOp::Le,
-            ">" => CmpOp::Gt,
-            ">=" => CmpOp::Ge,
-            "==" => CmpOp::Eq,
-            "!=" => CmpOp::Ne,
-            _ => return None,
-        })
+impl Reduce {
+    fn is_funnel(self) -> bool {
+        matches!(self, Reduce::FunnelCompletion | Reduce::FunnelEntered)
     }
 
-    pub fn symbol(&self) -> &'static str {
+    /// The operand keys the reduction takes besides the common five.
+    fn keys(self) -> &'static [&'static str] {
         match self {
-            CmpOp::Lt => "<",
-            CmpOp::Le => "<=",
-            CmpOp::Gt => ">",
-            CmpOp::Ge => ">=",
-            CmpOp::Eq => "==",
-            CmpOp::Ne => "!=",
-        }
-    }
-
-    /// Applies the comparison with `tolerance` slack in the passing
-    /// direction: `<`/`<=` allow `threshold + tol`, `>`/`>=` allow
-    /// `threshold - tol`, `==` allows `|actual - threshold| <= tol`, and
-    /// `!=` requires `|actual - threshold| > tol`.
-    pub fn holds(&self, actual: f64, threshold: f64, tolerance: f64) -> bool {
-        match self {
-            CmpOp::Lt => actual < threshold + tolerance,
-            CmpOp::Le => actual <= threshold + tolerance,
-            CmpOp::Gt => actual > threshold - tolerance,
-            CmpOp::Ge => actual >= threshold - tolerance,
-            CmpOp::Eq => (actual - threshold).abs() <= tolerance,
-            CmpOp::Ne => (actual - threshold).abs() > tolerance,
+            Reduce::Last => &["of"],
+            Reduce::Count | Reduce::RunMax | Reduce::RunP99 => &["where"],
+            Reduce::FunnelCompletion | Reduce::FunnelEntered => &["steps", "window"],
         }
     }
 }
 
-/// One fully parsed gate.
+/// One parsed gate.
 #[derive(Clone, Debug)]
 pub struct Gate {
-    /// Gate name, unique across loaded files (enforced at load).
+    /// Unique across the loaded files.
     pub name: String,
-    /// Which artifact it reads.
     pub source: Source,
-    /// The query.
-    pub kind: Kind,
-    /// Which number of the query outcome to compare (e.g. `p99_len`,
-    /// `completion`, `matches`; `value` for scalar gates).
-    pub metric: String,
-    pub op: CmpOp,
-    pub threshold: f64,
-    pub tolerance: f64,
-}
-
-/// The run artifacts gates evaluate against.
-#[derive(Clone, Copy, Default)]
-pub struct Artifacts<'a> {
-    pub report: Option<&'a EngineReport>,
-    pub trace: Option<&'a ParsedTrace>,
+    reduce: Reduce,
+    /// `last`: the column it reads.
+    of: String,
+    /// `count` / `run_*`: the rows that count (every row without `where`).
+    filter: Pred,
+    /// `funnel_*`: the ordered steps, and how far in row time the last
+    /// may follow the first.
+    steps: Vec<Pred>,
+    window: u64,
+    op: CmpOp,
+    threshold: f64,
 }
 
 /// One gate's outcome — serialized into the machine-readable report.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug, Serialize)]
 pub struct GateResult {
     pub name: String,
-    /// `"report"` or `"trace"`.
     pub source: String,
-    /// `"sessionize"`, `"funnel"`, `"sequence"`, or `"scalar"`.
-    pub kind: String,
-    pub metric: String,
+    pub reduce: String,
+    /// NaN when evaluation failed.
     pub actual: f64,
     pub op: String,
     pub threshold: f64,
-    pub tolerance: f64,
     pub pass: bool,
-    /// One-line context: session/instance counts, or the error text when
-    /// evaluation itself failed (which is always a failure).
+    /// Row and run counts or the funnel's instances — or the error text
+    /// when evaluation failed, which is always a failure.
     pub detail: String,
 }
 
 impl Gate {
     /// Parses one `[[gate]]` table. `origin` names the file for errors.
-    pub fn from_table(table: &crate::toml::TomlTable, origin: &str) -> Result<Gate, String> {
-        let name = table
-            .get_str("name")
-            .ok_or_else(|| format!("{origin}: gate without a name"))?
-            .to_owned();
+    fn from_table(table: &TomlTable, origin: &str) -> Result<Gate, String> {
+        let Ok(Some(name)) = table.get_str("name") else {
+            return Err(format!("{origin}: gate without a string `name`"));
+        };
         let at = |msg: String| format!("{origin}: gate {name:?}: {msg}");
-
-        let source = match table.get_str("source") {
-            Some("report") => Source::Report,
-            Some("trace") => Source::Trace,
-            Some(other) => return Err(at(format!("unknown source {other:?}"))),
-            None => return Err(at("missing source (report|trace)".into())),
-        };
-
-        let parse_expr = |key: &str| -> Result<Option<Expr>, String> {
-            table
-                .get_str(key)
-                .map(|s| Expr::parse(s).map_err(|e| at(format!("{key}: {e}"))))
-                .transpose()
-        };
-
-        let kind_name = table
-            .get_str("kind")
-            .ok_or_else(|| at("missing kind (sessionize|funnel|sequence|scalar)".into()))?;
-        let kind = match kind_name {
-            "sessionize" => Kind::Sessionize {
-                active: parse_expr("where")?
-                    .ok_or_else(|| at("sessionize needs a `where` predicate".into()))?,
-                peak: parse_expr("peak")?,
-            },
-            "funnel" => {
-                let Some(crate::toml::TomlVal::StrArr(step_texts)) = table.get("steps") else {
-                    return Err(at("funnel needs `steps`, an array of predicates".into()));
-                };
-                if step_texts.is_empty() || step_texts.len() > 32 {
-                    return Err(at("funnel needs 1..=32 steps".into()));
-                }
-                let steps = step_texts
-                    .iter()
-                    .map(|s| Expr::parse(s).map_err(|e| at(format!("step {s:?}: {e}"))))
-                    .collect::<Result<_, _>>()?;
-                let window = table
-                    .get_num("window")
-                    .ok_or_else(|| at("funnel needs a `window`".into()))?;
-                if window < 0.0 || window.fract() != 0.0 {
-                    return Err(at("window must be a non-negative integer".into()));
-                }
-                let per_track = match table.get_str("group_by") {
-                    None => false,
-                    Some("track") => true,
-                    Some(other) => return Err(at(format!("unknown group_by {other:?}"))),
-                };
-                if per_track && source != Source::Trace {
-                    return Err(at("group_by = \"track\" requires source = \"trace\"".into()));
-                }
-                Kind::Funnel {
-                    steps,
-                    window: window as u64,
-                    per_track,
-                }
-            }
-            "sequence" => {
-                let Some(crate::toml::TomlVal::StrArr(cond_texts)) = table.get("conds") else {
-                    return Err(at("sequence needs `conds`, an array of predicates".into()));
-                };
-                let conds: Vec<Expr> = cond_texts
-                    .iter()
-                    .map(|s| Expr::parse(s).map_err(|e| at(format!("cond {s:?}: {e}"))))
-                    .collect::<Result<_, _>>()?;
-                let pattern_text = table
-                    .get_str("pattern")
-                    .ok_or_else(|| at("sequence needs a `pattern`".into()))?
-                    .to_owned();
-                // Validate eagerly so malformed patterns fail at load.
-                parse_pattern(&pattern_text, conds.len()).map_err(&at)?;
-                Kind::Sequence {
-                    conds,
-                    pattern_text,
-                }
-            }
-            "scalar" => Kind::Scalar(
-                parse_expr("expr")?.ok_or_else(|| at("scalar needs an `expr`".into()))?,
-            ),
-            other => return Err(at(format!("unknown kind {other:?}"))),
-        };
-
-        let metric = table
-            .get_str("metric")
-            .unwrap_or(match &kind {
-                Kind::Sessionize { .. } => "count",
-                Kind::Funnel { .. } => "completion",
-                Kind::Sequence { .. } => "matches",
-                Kind::Scalar(_) => "value",
-            })
-            .to_owned();
-        let op = table
-            .get_str("op")
-            .and_then(CmpOp::parse)
-            .ok_or_else(|| at("missing/unknown op (< <= > >= == !=)".into()))?;
-        let threshold = table
-            .get_num("threshold")
-            .ok_or_else(|| at("missing numeric threshold".into()))?;
-        let tolerance = table.get_num("tolerance").unwrap_or(0.0);
-        if tolerance < 0.0 {
-            return Err(at("tolerance must be >= 0".into()));
+        let source = pick(table, "source", &SOURCES).map_err(&at)?;
+        let reduce = pick(table, "reduce", &REDUCES).map_err(&at)?;
+        let op = pick(table, "op", &OPS).map_err(&at)?;
+        let keys = reduce.keys();
+        let common = ["name", "source", "reduce", "op", "threshold"];
+        let r = name_of(&REDUCES, reduce);
+        let stray = |k: &&String| !common.contains(&k.as_str()) && !keys.contains(&k.as_str());
+        if let Some(key) = table.entries.iter().map(|(k, _)| k).find(stray) {
+            return Err(at(format!("`{key}` does not apply to reduce = {r:?}")));
         }
-
+        if let Some(key) = keys
+            .iter()
+            .find(|&&k| k != "where" && table.get(k).is_none())
+        {
+            return Err(at(format!("reduce = {r:?} needs `{key}`")));
+        }
+        let pred = |text: &str| Pred::parse(text).map_err(|e| at(format!("{text:?}: {e}")));
+        let of = table.get_str("of").map_err(&at)?.unwrap_or_default();
+        let filter = table.get_str("where").map_err(&at)?;
+        let filter = filter.map_or(Ok(Pred::default()), pred)?;
+        let steps = match table.get("steps") {
+            None => Vec::new(),
+            Some(TomlVal::StrArr(texts)) if (1..=32).contains(&texts.len()) => {
+                texts.iter().map(|t| pred(t)).collect::<Result<_, _>>()?
+            }
+            Some(_) => return Err(at("`steps` must be an array of 1..=32 predicates".into())),
+        };
+        let window = match table.get_num("window").map_err(&at)? {
+            Some(w) if w < 0.0 || w.fract() != 0.0 => {
+                return Err(at("`window` must be a non-negative integer".into()))
+            }
+            w => w.unwrap_or(0.0) as u64,
+        };
+        let threshold = table.get_num("threshold").map_err(&at)?;
+        let threshold = threshold.ok_or_else(|| at("missing numeric threshold".into()))?;
         Ok(Gate {
-            name,
+            name: name.to_owned(),
             source,
-            kind,
-            metric,
+            reduce,
+            of: of.to_owned(),
+            filter,
+            steps,
+            window,
             op,
             threshold,
-            tolerance,
         })
     }
 
-    /// Evaluates the gate. Evaluation errors (missing artifact, unknown
-    /// column, unknown metric) become failing results, never silent passes.
-    pub fn evaluate(&self, artifacts: &Artifacts<'_>) -> GateResult {
-        let (actual, detail) = match self.compute(artifacts) {
-            Ok(pair) => pair,
-            Err(msg) => return self.result(f64::NAN, false, format!("evaluation failed: {msg}")),
+    /// Evaluates the gate; an evaluation error (a missing artifact, an
+    /// unknown column) is a failing result, never a silent pass.
+    fn evaluate(&self, run: &Run) -> GateResult {
+        let (actual, pass, detail) = match self.measure(run) {
+            Ok((actual, detail)) => (actual, self.op.holds(actual, self.threshold), detail),
+            Err(msg) => (f64::NAN, false, format!("evaluation failed: {msg}")),
         };
-        let pass = self.op.holds(actual, self.threshold, self.tolerance);
-        self.result(actual, pass, detail)
-    }
-
-    fn result(&self, actual: f64, pass: bool, detail: String) -> GateResult {
         GateResult {
             name: self.name.clone(),
-            source: match self.source {
-                Source::Report => "report",
-                Source::Trace => "trace",
-            }
-            .to_owned(),
-            kind: match self.kind {
-                Kind::Sessionize { .. } => "sessionize",
-                Kind::Funnel { .. } => "funnel",
-                Kind::Sequence { .. } => "sequence",
-                Kind::Scalar(_) => "scalar",
-            }
-            .to_owned(),
-            metric: self.metric.clone(),
+            source: name_of(&SOURCES, self.source).to_owned(),
+            reduce: name_of(&REDUCES, self.reduce).to_owned(),
             actual,
             op: self.op.symbol().to_owned(),
             threshold: self.threshold,
-            tolerance: self.tolerance,
             pass,
             detail,
         }
     }
 
-    fn compute(&self, artifacts: &Artifacts<'_>) -> Result<(f64, String), String> {
+    fn measure(&self, run: &Run) -> Result<(f64, String), String> {
+        let trace = run.trace.as_ref().ok_or("no trace artifact was given");
         match self.source {
             Source::Report => {
-                let report = artifacts
-                    .report
-                    .ok_or("gate reads the report, but no report artifact was given")?;
-                let table = EpochTable::of(report);
-                let ts = table.timestamps();
-                self.compute_on(&table, &ts, None)
+                let report = run.report.as_ref().ok_or("no report artifact was given")?;
+                self.reduce_rows(&report.samples)
             }
-            Source::Trace => {
-                let trace = artifacts
-                    .trace
-                    .ok_or("gate reads the trace, but no trace artifact was given")?;
-                match &self.kind {
-                    // Scalar trace gates read the counter table.
-                    Kind::Scalar(_) => self.compute_on(&CounterTable::of(trace), &[0], None),
-                    _ => {
-                        let table = EventTable::of(trace);
-                        let ts = table.timestamps();
-                        self.compute_on(&table, &ts, Some(trace))
-                    }
+            Source::Counters => self.reduce_rows(&[Counters(trace?)]),
+            // Span timestamps restart on each track, so a trace funnel
+            // runs per track and merges.
+            Source::Trace if self.reduce.is_funnel() => {
+                let trace = trace?;
+                let mut merged = FunnelOutcome::default();
+                for track in trace.track_names() {
+                    merged.merge(self.funnel(trace.events.iter().filter(|e| e.track == track))?);
                 }
+                Ok(self.funnel_result(merged))
             }
+            Source::Trace => self.reduce_rows(&trace?.events),
         }
     }
 
-    fn compute_on(
+    fn reduce_rows<R: Row>(&self, rows: &[R]) -> Result<(f64, String), String> {
+        let mask = || -> Result<Vec<bool>, String> {
+            rows.iter().map(|row| self.filter.holds(row)).collect()
+        };
+        let over = format!("over {} row(s)", rows.len());
+        Ok(match self.reduce {
+            Reduce::Last => match rows.last().ok_or("last of zero rows")?.get(&self.of) {
+                Some(Val::Num(x)) => (x, over),
+                Some(Val::Str(s)) => return Err(format!("{:?} is the string {s:?}", self.of)),
+                None => return Err(format!("unknown column {:?}", self.of)),
+            },
+            Reduce::Count => {
+                let n = mask()?.into_iter().filter(|&on| on).count();
+                (n as f64, format!("{n} of {} row(s)", rows.len()))
+            }
+            Reduce::RunMax | Reduce::RunP99 => {
+                let lens: Vec<usize> = runs(&mask()?).iter().map(Range::len).collect();
+                let actual = match self.reduce {
+                    Reduce::RunMax => lens.iter().max().copied().unwrap_or(0),
+                    _ => p99(&lens),
+                };
+                (actual as f64, format!("{} run(s) {over}", lens.len()))
+            }
+            Reduce::FunnelCompletion | Reduce::FunnelEntered => {
+                self.funnel_result(self.funnel(rows.iter())?)
+            }
+        })
+    }
+
+    fn funnel<'r, R: Row + 'r>(
         &self,
-        table: &dyn Table,
-        ts: &[u64],
-        trace: Option<&ParsedTrace>,
-    ) -> Result<(f64, String), String> {
-        match &self.kind {
-            Kind::Sessionize { active, peak } => {
-                let mask = active.eval_mask(table)?;
-                let peaks = peak.as_ref().map(|p| p.eval_column(table)).transpose()?;
-                let sessions = sessionize(&mask, peaks.as_deref());
-                let actual = session_metric(&self.metric, &sessions)?;
-                Ok((
-                    actual,
-                    format!("{} session(s) over {} row(s)", sessions.len(), mask.len()),
-                ))
+        rows: impl Iterator<Item = &'r R>,
+    ) -> Result<FunnelOutcome, String> {
+        let mut events = Vec::new();
+        for row in rows {
+            let mut bits = 0u32;
+            for (i, step) in self.steps.iter().enumerate() {
+                bits |= u32::from(step.holds(row)?) << i;
             }
-            Kind::Funnel {
-                steps,
-                window,
-                per_track,
-            } => {
-                let outcome = if *per_track {
-                    let trace = trace.ok_or("group_by = \"track\" requires the trace artifact")?;
-                    let mut merged = FunnelOutcome::default();
-                    for track in trace.track_names() {
-                        let sub = EventTable::of_track(trace, track);
-                        let sub_ts = sub.timestamps();
-                        merged.merge(run_funnel(steps, *window, &sub, &sub_ts)?);
-                    }
-                    merged
-                } else {
-                    run_funnel(steps, *window, table, ts)?
-                };
-                let actual = match self.metric.as_str() {
-                    "completion" => outcome.completion(),
-                    "entered" => outcome.entered as f64,
-                    "completed" => outcome.completed as f64,
-                    "deepest" => outcome.deepest as f64,
-                    other => return Err(format!("unknown funnel metric {other:?}")),
-                };
-                Ok((
-                    actual,
-                    format!(
-                        "{}/{} instance(s) completed, deepest step {}",
-                        outcome.completed, outcome.entered, outcome.deepest
-                    ),
-                ))
-            }
-            Kind::Sequence {
-                conds,
-                pattern_text,
-            } => {
-                let pattern = parse_pattern(pattern_text, conds.len())?;
-                let masks: Vec<Vec<bool>> = conds
-                    .iter()
-                    .map(|c| c.eval_mask(table))
-                    .collect::<Result<_, _>>()?;
-                let matches = sequence_match(&masks, ts, &pattern);
-                if self.metric != "matches" {
-                    return Err(format!("unknown sequence metric {:?}", self.metric));
-                }
-                Ok((
-                    matches as f64,
-                    format!("pattern {pattern_text:?} over {} row(s)", ts.len()),
-                ))
-            }
-            Kind::Scalar(expr) => {
-                if self.metric != "value" {
-                    return Err(format!("unknown scalar metric {:?}", self.metric));
-                }
-                let v = expr.eval_scalar(table)?;
-                Ok((v.as_num()?, format!("over {} row(s)", table.len())))
-            }
+            events.push((row.ts(), bits));
+        }
+        Ok(window_funnel(&events, self.steps.len(), self.window))
+    }
+
+    fn funnel_result(&self, o: FunnelOutcome) -> (f64, String) {
+        let (done, entered, deepest) = (o.completed, o.entered, o.deepest);
+        let detail = format!("{done}/{entered} instance(s) completed, deepest step {deepest}");
+        match self.reduce {
+            Reduce::FunnelEntered => (entered as f64, detail),
+            _ => (o.completion(), detail),
         }
     }
 }
 
-fn run_funnel(
-    steps: &[Expr],
-    window: u64,
-    table: &dyn Table,
-    ts: &[u64],
-) -> Result<FunnelOutcome, String> {
-    let mut events: Vec<(u64, u32)> = Vec::with_capacity(ts.len());
-    let masks: Vec<Vec<bool>> = steps
-        .iter()
-        .map(|s| s.eval_mask(table))
-        .collect::<Result<_, _>>()?;
-    for (i, &t) in ts.iter().enumerate() {
-        let mut bits = 0u32;
-        for (s, mask) in masks.iter().enumerate() {
-            if mask[i] {
-                bits |= 1 << s;
-            }
-        }
-        events.push((t, bits));
+/// The value of `key`, one of the names in `names`.
+fn pick<T: Copy>(table: &TomlTable, key: &str, names: &[(&str, T)]) -> Result<T, String> {
+    let expected = names.iter().map(|(n, _)| *n).collect::<Vec<_>>().join(" ");
+    match table.get_str(key)? {
+        Some(s) => by_name(names, s).ok_or_else(|| format!("unknown {key} {s:?} ({expected})")),
+        None => Err(format!("missing {key} ({expected})")),
     }
-    Ok(window_funnel(&events, steps.len(), window))
-}
-
-fn session_metric(metric: &str, sessions: &[Session]) -> Result<f64, String> {
-    let lens: Vec<f64> = sessions.iter().map(|s| s.len as f64).collect();
-    let peaks: Vec<f64> = sessions.iter().map(|s| s.peak).collect();
-    Ok(match metric {
-        "count" => sessions.len() as f64,
-        // Length/peak metrics of zero sessions are 0 — "no heavy episodes"
-        // must pass a `p99_len <= K` gate, not crash it.
-        "max_len" => lens.iter().cloned().fold(0.0, f64::max),
-        "mean_len" => {
-            if lens.is_empty() {
-                0.0
-            } else {
-                lens.iter().sum::<f64>() / lens.len() as f64
-            }
-        }
-        "p99_len" => {
-            if lens.is_empty() {
-                0.0
-            } else {
-                crate::expr::percentile(&lens, 0.99)
-            }
-        }
-        "total_len" => lens.iter().sum(),
-        "max_peak" => peaks.iter().cloned().fold(0.0, f64::max),
-        "mean_peak" => {
-            if peaks.is_empty() {
-                0.0
-            } else {
-                peaks.iter().sum::<f64>() / peaks.len() as f64
-            }
-        }
-        other => return Err(format!("unknown sessionize metric {other:?}")),
-    })
 }
 
 /// Parses every `[[gate]]` in one gate-file text. `origin` names the file
 /// for error messages. Tables not named `gate` are an error.
 pub fn parse_gate_file(text: &str, origin: &str) -> Result<Vec<Gate>, String> {
-    let tables = crate::toml::parse_tables(text).map_err(|e| format!("{origin}: {e}"))?;
+    let tables = parse_tables(text).map_err(|e| format!("{origin}: {e}"))?;
     let mut gates = Vec::new();
     for (header, table) in &tables {
         if header != "gate" {
@@ -477,135 +277,194 @@ pub fn parse_gate_file(text: &str, origin: &str) -> Result<Vec<Gate>, String> {
     Ok(gates)
 }
 
-/// Evaluates gates on the worker pool (pure jobs, index-order merge — the
-/// result vector is independent of `threads`) and returns results in gate
-/// order.
-pub fn evaluate_gates(
-    gates: &[Gate],
-    artifacts: &Artifacts<'_>,
-    threads: usize,
-) -> Vec<GateResult> {
-    proxbal_parallel::map_items(gates, threads, |_, gate| gate.evaluate(artifacts))
+/// Loads the gates at `path`: one file, or every `*.toml` in a directory
+/// in name order. A gate name may appear once across all of them.
+pub fn load_gates(path: &Path) -> Result<Vec<Gate>, String> {
+    let unreadable = |p: &Path, e: std::io::Error| format!("cannot read {}: {e}", p.display());
+    let mut files = Vec::new();
+    if path.is_dir() {
+        for entry in std::fs::read_dir(path).map_err(|e| unreadable(path, e))? {
+            let file = entry.map_err(|e| unreadable(path, e))?.path();
+            if file.extension().is_some_and(|e| e == "toml") {
+                files.push(file);
+            }
+        }
+        files.sort();
+        if files.is_empty() {
+            return Err(format!("{}: no *.toml gate files found", path.display()));
+        }
+    } else {
+        files.push(path.to_owned());
+    }
+    let mut gates: Vec<Gate> = Vec::new();
+    for file in &files {
+        let text = std::fs::read_to_string(file).map_err(|e| unreadable(file, e))?;
+        for gate in parse_gate_file(&text, &file.display().to_string())? {
+            if gates.iter().any(|g| g.name == gate.name) {
+                return Err(format!(
+                    "duplicate gate name {:?} across gate files",
+                    gate.name
+                ));
+            }
+            gates.push(gate);
+        }
+    }
+    Ok(gates)
+}
+
+/// Evaluates the gates in order.
+pub fn evaluate_gates(gates: &[Gate], run: &Run) -> Vec<GateResult> {
+    gates.iter().map(|gate| gate.evaluate(run)).collect()
 }
 
 /// Renders results as the human-readable table `repro analyze` prints.
 /// Violations (and only violations) carry a `FAIL` marker plus their
 /// detail line, so a failing CI log names every broken gate.
 pub fn render_table(results: &[GateResult]) -> String {
-    let name_w = results
-        .iter()
-        .map(|r| r.name.len())
-        .chain(["gate".len()])
-        .max()
-        .unwrap_or(4);
-    let mut out = String::new();
-    out.push_str(&format!(
-        "{:<name_w$}  {:<10}  {:>12}  {:^2}  {:>12}  {:>9}  result\n",
-        "gate", "kind", "actual", "op", "threshold", "tolerance"
-    ));
+    let name_w = results.iter().map(|r| r.name.len()).fold(4, usize::max);
+    let row = |[a, b, c, d, e, f]: [&str; 6]| {
+        format!("{a:<name_w$}  {b:<17}  {c:>12}  {d:^2}  {e:>12}  {f}\n")
+    };
+    let mut out = row(["gate", "reduce", "actual", "op", "threshold", "result"]);
     for r in results {
-        let actual = if r.actual.is_nan() {
-            "-".to_owned()
-        } else {
-            format_num(r.actual)
-        };
-        out.push_str(&format!(
-            "{:<name_w$}  {:<10}  {:>12}  {:^2}  {:>12}  {:>9}  {}\n",
-            r.name,
-            r.kind,
-            actual,
-            r.op,
-            format_num(r.threshold),
-            format_num(r.tolerance),
-            if r.pass { "ok" } else { "FAIL" }
-        ));
+        let (actual, threshold) = (format_num(r.actual), format_num(r.threshold));
+        let verdict = if r.pass { "ok" } else { "FAIL" };
+        out += &row([&r.name, &r.reduce, &actual, &r.op, &threshold, verdict]);
         if !r.pass {
-            out.push_str(&format!("{:<name_w$}    ^ {}\n", "", r.detail));
+            out += &format!("{:<name_w$}    ^ {}\n", "", r.detail);
         }
     }
-    let failed = results.iter().filter(|r| !r.pass).count();
-    out.push_str(&format!(
-        "{} gate(s): {} passed, {} failed\n",
-        results.len(),
-        results.len() - failed,
-        failed
-    ));
-    out
+    let (n, failed) = (results.len(), results.iter().filter(|r| !r.pass).count());
+    out + &format!("{n} gate(s): {} passed, {failed} failed\n", n - failed)
 }
 
 fn format_num(x: f64) -> String {
-    if x == x.trunc() && x.abs() < 1e15 {
-        format!("{}", x as i64)
-    } else {
-        format!("{x:.4}")
+    match x {
+        _ if x.is_nan() => "-".to_owned(),
+        _ if x == x.trunc() && x.abs() < 1e15 => format!("{}", x as i64),
+        _ => format!("{x:.4}"),
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::toml::parse_tables;
 
-    fn gate_from(text: &str) -> Result<Vec<Gate>, String> {
-        parse_gate_file(text, "test.toml")
+    const HEAD: &str = "[[gate]]\nname = \"g\"\nop = \"<=\"\nthreshold = 1\n";
+
+    fn gate_from(body: &str) -> Result<Gate, String> {
+        parse_gate_file(&format!("{HEAD}{body}"), "test.toml").map(|mut g| g.remove(0))
     }
 
     #[test]
-    fn tolerance_semantics() {
-        assert!(CmpOp::Le.holds(4.4, 4.0, 0.5));
-        assert!(!CmpOp::Le.holds(4.6, 4.0, 0.5));
-        assert!(CmpOp::Ge.holds(0.96, 1.0, 0.05));
-        assert!(!CmpOp::Ge.holds(0.94, 1.0, 0.05));
-        assert!(CmpOp::Eq.holds(1.01, 1.0, 0.05));
-        assert!(!CmpOp::Eq.holds(1.1, 1.0, 0.05));
-        assert!(CmpOp::Ne.holds(1.1, 1.0, 0.05));
-        assert!(!CmpOp::Ne.holds(1.01, 1.0, 0.05));
-        assert!(CmpOp::Lt.holds(4.4, 4.0, 0.5));
-        assert!(CmpOp::Gt.holds(3.6, 4.0, 0.5));
+    fn load_errors_name_the_file_and_the_gate() {
+        for (body, needle) in [
+            ("source = \"report\"\nreduce = \"count\"\nwhere = \"heavy >\"\n", "expected a value"),
+            ("source = \"report\"\nreduce = \"sum\"\n", "unknown reduce"),
+            ("source = \"log\"\nreduce = \"count\"\n", "unknown source"),
+            ("reduce = \"count\"\n", "missing source"),
+            ("source = \"report\"\nreduce = \"last\"\n", "needs `of`"),
+            ("source = \"report\"\nreduce = \"last\"\nof = \"heavy\"\nwhere = \"heavy > 0\"\n", "does not apply"),
+            ("source = \"report\"\nreduce = \"count\"\nmetric = \"p99\"\n", "`metric` does not apply"),
+            ("source = \"report\"\nreduce = \"count\"\nwhere = 1\n", "must be a string"),
+            ("source = \"trace\"\nreduce = \"funnel_entered\"\nsteps = []\nwindow = 1\n", "1..=32 predicates"),
+            ("source = \"trace\"\nreduce = \"funnel_entered\"\nsteps = [\"ts > 0\"]\nwindow = 1.5\n", "non-negative integer"),
+        ] {
+            let err = gate_from(body).unwrap_err();
+            assert!(err.starts_with("test.toml: gate \"g\": "), "{err}");
+            assert!(err.contains(needle), "{body:?}: {err}");
+        }
+        assert!(parse_gate_file("[[other]]\nname = \"x\"\n", "t").is_err());
+        assert!(parse_gate_file("# nothing\n", "t").is_err());
     }
 
     #[test]
-    fn load_errors_name_the_gate() {
-        let err = gate_from(
-            "[[gate]]\nname = \"g\"\nsource = \"report\"\nkind = \"sessionize\"\n\
-             where = \"heavy >\"\nop = \"<=\"\nthreshold = 1\n",
-        )
-        .unwrap_err();
-        assert!(err.contains("test.toml"), "{err}");
-        assert!(err.contains("\"g\""), "{err}");
-        assert!(gate_from("[[other]]\nname = \"x\"\n").is_err());
-        assert!(gate_from("# nothing\n").is_err());
-        // Bad sequence pattern fails at load, not at evaluation.
-        let err = gate_from(
-            "[[gate]]\nname = \"s\"\nsource = \"report\"\nkind = \"sequence\"\n\
-             conds = [\"emergency\"]\npattern = \"(?2)\"\nop = \"==\"\nthreshold = 0\n",
-        )
-        .unwrap_err();
-        assert!(err.contains("out of range"), "{err}");
+    fn missing_artifacts_and_unknown_columns_fail_the_gate() {
+        let run = Run::default();
+        let gate = gate_from("source = \"report\"\nreduce = \"last\"\nof = \"heavy\"\n").unwrap();
+        let result = gate.evaluate(&run);
+        assert!(!result.pass && result.actual.is_nan());
+        assert!(
+            result.detail.contains("no report artifact"),
+            "{}",
+            result.detail
+        );
+        let counters = gate_from("source = \"counters\"\nreduce = \"last\"\nof = \"x\"\n").unwrap();
+        let results = evaluate_gates(&[gate, counters], &run);
+        assert!(results[1].detail.contains("no trace artifact"));
+        let table = render_table(&results);
+        assert!(table.contains("FAIL") && table.ends_with("2 gate(s): 0 passed, 2 failed\n"));
+
+        let mut run = Run::default();
+        run.load("t.ndjson", &proxbal_trace::Trace::enabled("x").to_ndjson())
+            .unwrap();
+        let gate =
+            gate_from("source = \"trace\"\nreduce = \"count\"\nwhere = \"bogus > 0\"\n").unwrap();
+        // Zero events: nothing to evaluate the predicate on.
+        assert!(gate.evaluate(&run).pass);
+    }
+
+    /// An epoch row: its index and its heavy count; balanced when 0.
+    struct Epoch(u64, f64);
+
+    impl Row for Epoch {
+        fn get(&self, name: &str) -> Option<Val<'_>> {
+            match name {
+                "heavy" => Some(Val::Num(self.1)),
+                "balanced" => Some(Val::Num(f64::from(u8::from(self.1 == 0.0)))),
+                _ => None,
+            }
+        }
+        fn ts(&self) -> u64 {
+            self.0
+        }
     }
 
     #[test]
-    fn missing_artifact_fails_the_gate() {
-        let gates = gate_from(
-            "[[gate]]\nname = \"g\"\nsource = \"report\"\nkind = \"scalar\"\n\
-             expr = \"last(heavy)\"\nop = \"==\"\nthreshold = 0\n",
-        )
-        .unwrap();
-        let results = evaluate_gates(&gates, &Artifacts::default(), 1);
-        assert!(!results[0].pass);
-        assert!(results[0].detail.contains("no report artifact"));
-        assert!(render_table(&results).contains("FAIL"));
-    }
-
-    #[test]
-    fn defaults_for_metric_and_tolerance() {
-        let tables = parse_tables(
-            "[[gate]]\nname = \"g\"\nsource = \"trace\"\nkind = \"scalar\"\n\
-             expr = \"des_gave_up\"\nop = \"==\"\nthreshold = 0\n",
-        )
-        .unwrap();
-        let gate = Gate::from_table(&tables[0].1, "t").unwrap();
-        assert_eq!(gate.metric, "value");
-        assert_eq!(gate.tolerance, 0.0);
+    fn reductions_over_rows() {
+        let heavy = [0, 2, 3, 0, 1, 1, 1, 0, 4];
+        let rows: Vec<Epoch> = (0..).zip(heavy).map(|(e, h)| Epoch(e, h.into())).collect();
+        let actual = |body: &str| {
+            let gate = gate_from(&format!("source = \"report\"\n{body}")).unwrap();
+            gate.reduce_rows(&rows).map(|(a, _)| a)
+        };
+        assert_eq!(actual("reduce = \"last\"\nof = \"heavy\""), Ok(4.0));
+        assert_eq!(actual("reduce = \"last\"\nof = \"balanced\""), Ok(0.0));
+        assert_eq!(actual("reduce = \"count\"\nwhere = \"heavy > 0\""), Ok(6.0));
+        assert_eq!(actual("reduce = \"count\""), Ok(9.0));
+        assert_eq!(
+            actual("reduce = \"run_max\"\nwhere = \"heavy > 0\""),
+            Ok(3.0)
+        );
+        assert_eq!(
+            actual("reduce = \"run_p99\"\nwhere = \"heavy > 0\""),
+            Ok(3.0)
+        );
+        assert_eq!(
+            actual("reduce = \"run_max\"\nwhere = \"heavy > 9\""),
+            Ok(0.0)
+        );
+        assert_eq!(
+            actual("reduce = \"run_p99\"\nwhere = \"heavy > 9\""),
+            Ok(0.0)
+        );
+        let funnel = "steps = [\"heavy > 0\", \"balanced == true\"]\nwindow = 2";
+        // Opens at 1 (closes at 3), at 4 (expires at 7, past the window)
+        // and at 8 (never closes).
+        assert_eq!(
+            actual(&format!("reduce = \"funnel_entered\"\n{funnel}")),
+            Ok(3.0)
+        );
+        assert_eq!(
+            actual(&format!("reduce = \"funnel_completion\"\n{funnel}")),
+            Ok(1.0 / 3.0)
+        );
+        assert!(actual("reduce = \"last\"\nof = \"bogus\"").is_err());
+        assert!(
+            gate_from("source = \"report\"\nreduce = \"last\"\nof = \"heavy\"")
+                .unwrap()
+                .reduce_rows::<Epoch>(&[])
+                .is_err()
+        );
     }
 }

@@ -1,38 +1,32 @@
-//! Behavioral analysis of proxbal runs: columnar views over the engine's
-//! per-epoch [`EngineReport`] series and the trace NDJSON event log, three
-//! behavioral primitives over them ([`sessionize`], [`window_funnel`],
-//! [`sequence_match`]), and declarative threshold **gates** (`gates/*.toml`)
-//! that turn behavioral properties — "heavy-load episodes drain within K
-//! epochs", "every injected stale link is repaired in-epoch", "the
-//! heavy→rebalanced funnel completes" — into CI failures, exactly the way
-//! bench-metric drift already does.
-//!
-//! Everything here is deterministic: the artifacts are pure functions of
-//! `(seed, config)`, the query language has no clocks or randomness, and
-//! gate evaluation parallelizes as pure jobs merged in index order — so
-//! `repro analyze` output is byte-identical at any `--threads` setting.
-//!
-//! The query-layer design follows the `sessionize`/`window_funnel`/
-//! `sequence_match` behavioral-analytics family (ClickHouse/DuckDB);
-//! DESIGN.md §6d specifies the gate-file format.
+//! Behavioral gates over a proxbal run's artifacts — the engine's
+//! per-epoch [`EngineReport`] and the trace's NDJSON event log — and the
+//! summary `repro analyze` prints. A gate (`gates/*.toml`, DESIGN.md §6d)
+//! folds one source's rows with one reduction over `column op value (and
+//! …)*` predicates and compares the result with a threshold, so "heavy
+//! episodes drain within 4 epochs" fails CI the way bench drift does.
+//! Everything is a pure function of the artifacts, on one thread.
 
-pub mod columns;
-pub mod expr;
 pub mod gates;
-pub mod primitives;
-pub mod toml;
+mod primitives;
+mod rows;
+mod toml;
 
-pub use columns::{CounterTable, EpochTable, EventTable};
-pub use expr::{Expr, Scope, Table, Val};
-pub use gates::{
-    evaluate_gates, parse_gate_file, render_table, Artifacts, CmpOp, Gate, GateResult,
-};
-pub use primitives::{
-    parse_pattern, sequence_match, sessionize, window_funnel, FunnelOutcome, Session,
-};
+pub use gates::{evaluate_gates, load_gates, parse_gate_file, render_table, Gate, GateResult};
+use primitives::runs;
+use rows::Pred;
 
 use proxbal_sim::engine::EngineReport;
 use proxbal_trace::ParsedTrace;
+
+/// The value named `name` in a `(name, value)` table.
+pub(crate) fn by_name<T: Copy>(table: &[(&str, T)], name: &str) -> Option<T> {
+    table.iter().find(|(n, _)| *n == name).map(|&(_, v)| v)
+}
+
+/// The name of `value` in a `(name, value)` table.
+pub(crate) fn name_of<T: PartialEq>(table: &[(&'static str, T)], value: T) -> &'static str {
+    table.iter().find(|e| e.1 == value).map_or("?", |e| e.0)
+}
 
 /// The artifacts of one run, owned — what `repro analyze` loads from the
 /// paths on its command line.
@@ -62,29 +56,21 @@ impl Run {
         Ok(())
     }
 
-    /// Borrowed view for gate evaluation.
-    pub fn artifacts(&self) -> Artifacts<'_> {
-        Artifacts {
-            report: self.report.as_ref(),
-            trace: self.trace.as_ref(),
-        }
-    }
-
-    /// The behavioral summary `repro analyze` prints when run without
-    /// `--gates`: heavy-episode sessions, the emergency timeline, repair
-    /// coverage from the report; track/event/counter shape from the trace.
-    /// Deterministic text — safe to diff across thread counts.
+    /// The behavioral summary `repro analyze` prints without `--gates`:
+    /// heavy-load episodes (maximal runs of `heavy > 0`), the emergency
+    /// timeline and repair coverage from the report; the trace's shape
+    /// and headline counters.
     pub fn summarize(&self) -> String {
         let mut out = String::new();
         if let Some(report) = &self.report {
-            let table = EpochTable::of(report);
-            let epochs = report.samples.len();
-            out.push_str(&format!(
-                "report: {epochs} epoch(s), final heavy {}, mean gini {:.4}\n",
+            let samples = &report.samples;
+            out += &format!(
+                "report: {} epoch(s), final heavy {}, mean gini {:.4}\n",
+                samples.len(),
                 report.final_heavy(),
                 report.mean_gini()
-            ));
-            out.push_str(&format!(
+            );
+            out += &format!(
                 "  totals: joins {}, crashes {}, stale links {}, balances {} ({} emergency), moved {:.3}, transfers {}\n",
                 report.joins,
                 report.crashes,
@@ -93,65 +79,51 @@ impl Run {
                 report.emergencies,
                 report.total_moved,
                 report.total_transfers
-            ));
-            let heavy_mask: Vec<bool> = report.samples.iter().map(|s| s.heavy > 0).collect();
-            let peaks: Vec<f64> = report.samples.iter().map(|s| s.heavy as f64).collect();
-            let sessions = sessionize(&heavy_mask, Some(&peaks));
-            out.push_str(&format!("  heavy episodes: {}\n", sessions.len()));
-            for s in &sessions {
-                out.push_str(&format!(
-                    "    epochs {}..={} (len {}, peak {} heavy)\n",
-                    s.start, s.end, s.len, s.peak as u64
-                ));
+            );
+            let episodes = runs(&samples.iter().map(|s| s.heavy > 0).collect::<Vec<_>>());
+            out += &format!("  heavy episodes: {}\n", episodes.len());
+            for e in episodes {
+                let peak = samples[e.clone()]
+                    .iter()
+                    .map(|s| s.heavy)
+                    .max()
+                    .unwrap_or(0);
+                let (first, last, len) = (e.start, e.end - 1, e.len());
+                out += &format!("    epochs {first}..={last} (len {len}, peak {peak} heavy)\n");
             }
-            let emergencies: Vec<usize> = report
-                .samples
+            let emergencies: Vec<String> = samples
                 .iter()
                 .filter(|s| s.emergency)
-                .map(|s| s.epoch)
+                .map(|s| s.epoch.to_string())
                 .collect();
-            out.push_str(&format!(
-                "  emergency epochs: {}\n",
-                if emergencies.is_empty() {
-                    "none".to_owned()
-                } else {
-                    emergencies
-                        .iter()
-                        .map(|e| e.to_string())
-                        .collect::<Vec<_>>()
-                        .join(", ")
-                }
-            ));
-            let unrepaired =
-                Expr::parse("count(stale_links > 0 and repair_reattached < stale_links)")
-                    .expect("static expression")
-                    .eval_scalar(&table)
-                    .map(|v| v.as_num().unwrap_or(f64::NAN))
-                    .unwrap_or(f64::NAN);
-            out.push_str(&format!(
-                "  epochs with unrepaired stale links: {unrepaired}\n"
-            ));
+            let emergencies = match emergencies.is_empty() {
+                true => "none".to_owned(),
+                false => emergencies.join(", "),
+            };
+            out += &format!("  emergency epochs: {emergencies}\n");
+            let unrepaired = Pred::parse("stale_links > 0 and repair_reattached < stale_links")
+                .expect("static predicate");
+            let unrepaired = samples.iter().filter(|s| unrepaired.holds(*s) == Ok(true));
+            out += &format!(
+                "  epochs with unrepaired stale links: {}\n",
+                unrepaired.count()
+            );
         }
         if let Some(trace) = &self.trace {
-            out.push_str(&format!(
+            out += &format!(
                 "trace: {} track(s), {} event(s), {} counter(s)\n",
                 trace.track_names().len(),
                 trace.events.len(),
                 trace.counters.len() + trace.fcounters.len()
-            ));
-            for name in [
-                "lbi_messages",
-                "vst_transfers",
-                "vst_moved_load",
-                "kt_reattached",
-                "des_retries",
-                "des_gave_up",
-            ] {
-                out.push_str(&format!("  {name}: {}\n", trace.any_counter(name)));
+            );
+            let headline =
+                "lbi_messages vst_transfers vst_moved_load kt_reattached des_retries des_gave_up";
+            for name in headline.split(' ') {
+                out += &format!("  {name}: {}\n", trace.any_counter(name));
             }
         }
         if out.is_empty() {
-            out.push_str("no artifacts loaded\n");
+            out += "no artifacts loaded\n";
         }
         out
     }

@@ -1,85 +1,45 @@
-//! The three behavioral primitives: `sessionize`, `window_funnel`,
-//! `sequence_match` — modeled on the ClickHouse/DuckDB behavioral-analytics
-//! functions of the same names, specialized to proxbal's epoch series and
-//! virtual-time trace events.
-//!
-//! All three are pure functions of their input slices: no clocks, no
-//! randomness, no allocation-order dependence — a prerequisite for gate
-//! reports that are byte-identical at any `--threads` setting.
+//! Maximal runs of rows where a predicate holds, and the windowed funnel:
+//! the reductions that look at more than one row at a time.
 
-/// One maximal run of consecutive rows where the session predicate held.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct Session {
-    /// First row index of the run.
-    pub start: usize,
-    /// Last row index of the run (inclusive).
-    pub end: usize,
-    /// Rows in the run (`end - start + 1`).
-    pub len: usize,
-    /// Maximum of the peak column over the run (0.0 when no peak column).
-    pub peak: f64,
-}
+use std::ops::Range;
 
-/// Groups consecutive `true` rows of `active` into sessions. `peak`, when
-/// given, must be the same length; each session records its maximum.
-///
-/// This is the epoch-series analogue of sessionization by inactivity gap:
-/// a heavy-load *episode* is a maximal run of epochs with `heavy > 0`, and
-/// its `len` is the time-to-rebalance the gates assert on.
-pub fn sessionize(active: &[bool], peak: Option<&[f64]>) -> Vec<Session> {
-    if let Some(p) = peak {
-        assert_eq!(p.len(), active.len(), "peak column length mismatch");
-    }
-    let mut out = Vec::new();
-    let mut open: Option<(usize, f64)> = None;
-    for (i, &on) in active.iter().enumerate() {
-        let x = peak.map_or(0.0, |p| p[i]);
-        match (&mut open, on) {
-            (None, true) => open = Some((i, x)),
-            (Some((_, best)), true) => {
-                if x > *best {
-                    *best = x;
-                }
-            }
-            (Some((start, best)), false) => {
-                out.push(Session {
-                    start: *start,
-                    end: i - 1,
-                    len: i - *start,
-                    peak: *best,
-                });
-                open = None;
-            }
-            (None, false) => {}
+/// The maximal runs of consecutive `true`s in `mask`, in row order.
+pub(crate) fn runs(mask: &[bool]) -> Vec<Range<usize>> {
+    let mut out: Vec<Range<usize>> = Vec::new();
+    for (i, _) in mask.iter().enumerate().filter(|(_, &on)| on) {
+        match out.last_mut() {
+            Some(run) if run.end == i => run.end += 1,
+            _ => out.push(i..i + 1),
         }
-    }
-    if let Some((start, best)) = open {
-        out.push(Session {
-            start,
-            end: active.len() - 1,
-            len: active.len() - start,
-            peak: best,
-        });
     }
     out
 }
 
+/// Nearest-rank p99 (element `ceil(0.99 n) - 1` of the sorted values);
+/// 0 when there are none.
+pub(crate) fn p99(values: &[usize]) -> usize {
+    let mut sorted = values.to_vec();
+    sorted.sort_unstable();
+    let rank = ((0.99 * sorted.len() as f64).ceil() as usize).clamp(1, sorted.len().max(1));
+    sorted.get(rank - 1).copied().unwrap_or(0)
+}
+
 /// Outcome of a windowed funnel over one event stream.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct FunnelOutcome {
+pub(crate) struct FunnelOutcome {
     /// Funnel instances opened (step 1 observed).
-    pub entered: usize,
+    pub(crate) entered: usize,
     /// Instances that reached the final step within the window.
-    pub completed: usize,
+    pub(crate) completed: usize,
     /// Deepest step any instance reached (1-based; 0 = never entered).
-    pub deepest: usize,
+    pub(crate) deepest: usize,
 }
 
 impl FunnelOutcome {
     /// `completed / entered`; 1.0 when nothing entered (a funnel that never
     /// opens cannot be said to have leaked — gate on `entered` separately
     /// if emptiness itself is a failure).
-    pub fn completion(&self) -> f64 {
+    pub(crate) fn completion(&self) -> f64 {
         if self.entered == 0 {
             1.0
         } else {
@@ -88,7 +48,7 @@ impl FunnelOutcome {
     }
 
     /// Merges outcomes from independent streams (e.g. per-track funnels).
-    pub fn merge(&mut self, other: FunnelOutcome) {
+    pub(crate) fn merge(&mut self, other: FunnelOutcome) {
         self.entered += other.entered;
         self.completed += other.completed;
         self.deepest = self.deepest.max(other.deepest);
@@ -106,7 +66,7 @@ impl FunnelOutcome {
 /// window closes it unfinished (and may itself open the next instance).
 /// Events are processed in slice order, so equal-timestamp ordering is the
 /// deterministic file order of the trace.
-pub fn window_funnel(events: &[(u64, u32)], steps: usize, window: u64) -> FunnelOutcome {
+pub(crate) fn window_funnel(events: &[(u64, u32)], steps: usize, window: u64) -> FunnelOutcome {
     assert!((1..=32).contains(&steps), "funnel needs 1..=32 steps");
     let mut out = FunnelOutcome::default();
     let mut active: Option<(u64, usize)> = None; // (open ts, levels done)
@@ -143,223 +103,34 @@ pub fn window_funnel(events: &[(u64, u32)], steps: usize, window: u64) -> Funnel
     out
 }
 
-/// One token of a sequence pattern.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum PatTok {
-    /// `(?N)` — the next matched row must satisfy condition `N` (1-based in
-    /// the pattern syntax, 0-based here).
-    Cond(usize),
-    /// `(?t<=K)` / `(?t<K)` / `(?t>=K)` / `(?t>K)` — constrains the
-    /// timestamp gap between the adjacent condition matches.
-    Gap(GapOp, u64),
-}
-
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum GapOp {
-    Le,
-    Lt,
-    Ge,
-    Gt,
-}
-
-impl GapOp {
-    fn holds(self, gap: u64, k: u64) -> bool {
-        match self {
-            GapOp::Le => gap <= k,
-            GapOp::Lt => gap < k,
-            GapOp::Ge => gap >= k,
-            GapOp::Gt => gap > k,
-        }
-    }
-
-    /// Whether a larger gap can never satisfy the constraint — lets the
-    /// matcher stop scanning once timestamps run past an upper bound.
-    fn upper_bounded(self) -> bool {
-        matches!(self, GapOp::Le | GapOp::Lt)
-    }
-}
-
-/// Parses a pattern like `"(?1)(?t<=3)(?2)(?2)"` into tokens. `n_conds` is
-/// the number of available conditions; references outside `1..=n_conds`
-/// are rejected, as are leading/trailing/doubled time constraints.
-pub fn parse_pattern(text: &str, n_conds: usize) -> Result<Vec<PatTok>, String> {
-    let mut toks = Vec::new();
-    let mut rest = text.trim();
-    while !rest.is_empty() {
-        let Some(stripped) = rest.strip_prefix("(?") else {
-            return Err(format!("expected '(?' at {rest:?}"));
-        };
-        let Some(close) = stripped.find(')') else {
-            return Err("unclosed '(?' group".into());
-        };
-        let body = &stripped[..close];
-        rest = &stripped[close + 1..];
-        if let Some(cond_text) = body.strip_prefix('t') {
-            let (op, num) = if let Some(n) = cond_text.strip_prefix("<=") {
-                (GapOp::Le, n)
-            } else if let Some(n) = cond_text.strip_prefix(">=") {
-                (GapOp::Ge, n)
-            } else if let Some(n) = cond_text.strip_prefix('<') {
-                (GapOp::Lt, n)
-            } else if let Some(n) = cond_text.strip_prefix('>') {
-                (GapOp::Gt, n)
-            } else {
-                return Err(format!("bad time constraint (?t{cond_text})"));
-            };
-            let k: u64 = num
-                .trim()
-                .parse()
-                .map_err(|_| format!("bad time bound {num:?}"))?;
-            match toks.last() {
-                Some(PatTok::Cond(_)) => toks.push(PatTok::Gap(op, k)),
-                _ => return Err("time constraint must follow a condition".into()),
-            }
-        } else {
-            let n: usize = body
-                .trim()
-                .parse()
-                .map_err(|_| format!("bad condition reference (?{body})"))?;
-            if n == 0 || n > n_conds {
-                return Err(format!(
-                    "condition (?{n}) out of range: {n_conds} condition(s) defined"
-                ));
-            }
-            toks.push(PatTok::Cond(n - 1));
-        }
-    }
-    if toks.is_empty() {
-        return Err("empty pattern".into());
-    }
-    if matches!(toks.last(), Some(PatTok::Gap(_, _))) {
-        return Err("pattern ends with a dangling time constraint".into());
-    }
-    Ok(toks)
-}
-
-/// Counts non-overlapping pattern matches over a timestamped row stream.
-/// `conds[c][i]` says whether row `i` satisfies condition `c`; `ts[i]` is
-/// the row's (non-decreasing) timestamp.
-///
-/// Matching is leftmost-anchored with backtracking: the first condition
-/// must match the anchor row itself; later conditions may skip rows, and
-/// when a time constraint rules out one candidate the matcher backtracks
-/// to try later anchors for the *previous* step (greedy matching alone is
-/// wrong for 3-step patterns whose middle step recurs — pinned by test).
-/// After a match, scanning resumes past its last row (non-overlapping).
-pub fn sequence_match(conds: &[Vec<bool>], ts: &[u64], pattern: &[PatTok]) -> usize {
-    let n = ts.len();
-    for c in conds {
-        assert_eq!(c.len(), n, "condition mask length mismatch");
-    }
-    // Split the token stream into steps: each step is a condition plus the
-    // gap constraint connecting it to the previous condition.
-    let mut steps: Vec<(usize, Option<(GapOp, u64)>)> = Vec::new();
-    let mut pending_gap = None;
-    for tok in pattern {
-        match tok {
-            PatTok::Gap(op, k) => pending_gap = Some((*op, *k)),
-            PatTok::Cond(c) => {
-                steps.push((*c, pending_gap.take()));
-            }
-        }
-    }
-    debug_assert!(!steps.is_empty());
-
-    // Backtracking matcher: returns the last matched row index for a match
-    // whose step `s` candidates start at `from`, given the previous step
-    // matched at `prev`.
-    fn match_from(
-        steps: &[(usize, Option<(GapOp, u64)>)],
-        conds: &[Vec<bool>],
-        ts: &[u64],
-        s: usize,
-        from: usize,
-        prev: usize,
-    ) -> Option<usize> {
-        if s == steps.len() {
-            return Some(prev);
-        }
-        let (c, gap) = steps[s];
-        for j in from..ts.len() {
-            if let Some((op, k)) = gap {
-                let g = ts[j] - ts[prev];
-                if !op.holds(g, k) {
-                    if op.upper_bounded() && g > k {
-                        return None; // gaps only grow from here
-                    }
-                    continue;
-                }
-            }
-            if conds[c][j] {
-                if let Some(end) = match_from(steps, conds, ts, s + 1, j + 1, j) {
-                    return Some(end);
-                }
-            }
-        }
-        None
-    }
-
-    let mut count = 0usize;
-    let mut anchor = 0usize;
-    while anchor < n {
-        let (c0, _) = steps[0];
-        if conds[c0][anchor] {
-            if let Some(end) = match_from(&steps, conds, ts, 1, anchor + 1, anchor) {
-                count += 1;
-                anchor = end + 1;
-                continue;
-            }
-        }
-        anchor += 1;
-    }
-    count
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    /// (entered, completed, deepest).
+    fn counts(o: FunnelOutcome) -> (usize, usize, usize) {
+        (o.entered, o.completed, o.deepest)
+    }
+
     #[test]
-    fn sessionize_finds_runs_and_peaks() {
-        let active = [false, true, true, false, true, false, true];
-        let peak = [0.0, 3.0, 5.0, 0.0, 2.0, 0.0, 7.0];
-        let s = sessionize(&active, Some(&peak));
-        assert_eq!(
-            s,
-            vec![
-                Session {
-                    start: 1,
-                    end: 2,
-                    len: 2,
-                    peak: 5.0
-                },
-                Session {
-                    start: 4,
-                    end: 4,
-                    len: 1,
-                    peak: 2.0
-                },
-                Session {
-                    start: 6,
-                    end: 6,
-                    len: 1,
-                    peak: 7.0
-                },
-            ]
-        );
-        // Open run at end of series; no peak column.
-        let s = sessionize(&[true, true], None);
-        assert_eq!(
-            s,
-            vec![Session {
-                start: 0,
-                end: 1,
-                len: 2,
-                peak: 0.0
-            }]
-        );
-        assert!(sessionize(&[], None).is_empty());
-        assert!(sessionize(&[false, false], None).is_empty());
+    fn runs_are_maximal_and_close_at_the_end() {
+        let mask = [false, true, true, false, true, false, true];
+        assert_eq!(runs(&mask), vec![1..3, 4..5, 6..7]);
+        assert_eq!(runs(&[true, true]), vec![0..2]);
+        assert!(runs(&[]).is_empty());
+        assert!(runs(&[false, false]).is_empty());
+    }
+
+    #[test]
+    fn nearest_rank_p99() {
+        assert_eq!(p99(&[]), 0);
+        assert_eq!(p99(&[7]), 7);
+        assert_eq!(p99(&[5, 1, 3, 2, 4]), 5);
+        let mut many = vec![1; 150];
+        many[0] = 9;
+        many[1] = 8;
+        // rank ceil(148.5) = 149 of 150: the second-largest.
+        assert_eq!(p99(&many), 8);
     }
 
     #[test]
@@ -371,27 +142,13 @@ mod tests {
         // Complete in-window instance, then one that expires after A.
         let events = [(0, A), (3, B), (5, C), (10, A), (100, B)];
         let out = window_funnel(&events, 3, 8);
-        assert_eq!(
-            out,
-            FunnelOutcome {
-                entered: 2,
-                completed: 1,
-                deepest: 3
-            }
-        );
+        assert_eq!(counts(out), (2, 1, 3));
         assert_eq!(out.completion(), 0.5);
 
         // Expiring event re-opens immediately when it matches step 1.
         let events = [(0, A), (50, A), (51, B)];
         let out = window_funnel(&events, 2, 10);
-        assert_eq!(
-            out,
-            FunnelOutcome {
-                entered: 2,
-                completed: 1,
-                deepest: 2
-            }
-        );
+        assert_eq!(counts(out), (2, 1, 2));
 
         // One event advances at most one level even if it matches several.
         let events = [(0, A), (1, B | C)];
@@ -401,14 +158,7 @@ mod tests {
 
         // Single-step funnel: every match completes instantly.
         let out = window_funnel(&[(0, A), (5, A)], 1, 0);
-        assert_eq!(
-            out,
-            FunnelOutcome {
-                entered: 2,
-                completed: 2,
-                deepest: 1
-            }
-        );
+        assert_eq!(counts(out), (2, 2, 1));
 
         // Empty stream: vacuous 100% completion.
         let out = window_funnel(&[], 2, 5);
@@ -421,93 +171,6 @@ mod tests {
         const A: u32 = 1;
         const B: u32 = 2;
         let out = window_funnel(&[(0, A), (20, B)], 2, 10);
-        assert_eq!(
-            out,
-            FunnelOutcome {
-                entered: 1,
-                completed: 0,
-                deepest: 1
-            }
-        );
-    }
-
-    fn masks(rows: &[(bool, bool, bool)]) -> Vec<Vec<bool>> {
-        vec![
-            rows.iter().map(|r| r.0).collect(),
-            rows.iter().map(|r| r.1).collect(),
-            rows.iter().map(|r| r.2).collect(),
-        ]
-    }
-
-    #[test]
-    fn sequence_counts_nonoverlapping_matches() {
-        let pat = parse_pattern("(?1)(?2)", 2).unwrap();
-        let rows = [
-            (true, false, false),
-            (false, true, false),
-            (true, false, false),
-            (false, true, false),
-        ];
-        let ts = [0, 1, 2, 3];
-        assert_eq!(sequence_match(&masks(&rows), &ts, &pat), 2);
-    }
-
-    #[test]
-    fn sequence_time_constraints() {
-        // "no emergency followed by another within 1 epoch, three in a row".
-        let pat = parse_pattern("(?1)(?t<=1)(?1)(?t<=1)(?1)", 1).unwrap();
-        let e = |idx: &[usize], n: usize| -> Vec<Vec<bool>> {
-            vec![(0..n).map(|i| idx.contains(&i)).collect()]
-        };
-        let ts: Vec<u64> = (0..8).collect();
-        // Adjacent pairs only: no triple.
-        assert_eq!(sequence_match(&e(&[1, 2, 4, 5], 8), &ts, &pat), 0);
-        // One triple.
-        assert_eq!(sequence_match(&e(&[3, 4, 5], 8), &ts, &pat), 1);
-        // Five consecutive = one non-overlapping triple, not two.
-        assert_eq!(sequence_match(&e(&[1, 2, 3, 4, 5], 8), &ts, &pat), 1);
-    }
-
-    #[test]
-    fn sequence_backtracks_past_greedy_trap() {
-        // Pattern (?1)(?2)(?t<=1)(?3) over: 1@0, 2@1, 2@9, 3@10.
-        // Greedy matching binds (?2) to ts=1 and fails the (?t<=1) to 3@10;
-        // the correct match uses 2@9.
-        let pat = parse_pattern("(?1)(?2)(?t<=1)(?3)", 3).unwrap();
-        let rows = [
-            (true, false, false),
-            (false, true, false),
-            (false, true, false),
-            (false, false, true),
-        ];
-        let ts = [0, 1, 9, 10];
-        assert_eq!(sequence_match(&masks(&rows), &ts, &pat), 1);
-    }
-
-    #[test]
-    fn sequence_gap_lower_bounds() {
-        let pat = parse_pattern("(?1)(?t>=5)(?2)", 2).unwrap();
-        let rows = [
-            (true, false, false),
-            (false, true, false), // too close (gap 1)
-            (false, true, false), // far enough (gap 6)
-        ];
-        let ts = [0, 1, 6];
-        assert_eq!(sequence_match(&masks(&rows), &ts, &pat), 1);
-    }
-
-    #[test]
-    fn pattern_parse_errors() {
-        assert!(parse_pattern("", 1).is_err());
-        assert!(parse_pattern("(?0)", 1).is_err());
-        assert!(parse_pattern("(?2)", 1).is_err());
-        assert!(parse_pattern("(?t<=3)(?1)", 1).is_err());
-        assert!(parse_pattern("(?1)(?t<=3)", 1).is_err());
-        assert!(parse_pattern("(?1)(?t~3)(?1)", 1).is_err());
-        assert!(parse_pattern("bogus", 1).is_err());
-        assert_eq!(
-            parse_pattern("(?1)(?t<=3)(?2)", 2).unwrap(),
-            vec![PatTok::Cond(0), PatTok::Gap(GapOp::Le, 3), PatTok::Cond(1)]
-        );
+        assert_eq!(counts(out), (1, 0, 1));
     }
 }

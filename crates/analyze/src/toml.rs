@@ -1,93 +1,74 @@
-//! A hand-rolled parser for the TOML subset gate files use (the workspace
-//! is offline — no `toml` crate). Supported: comments, `[[gate]]`
-//! array-of-tables headers, and `key = value` pairs where a value is a
-//! basic (`"…"`, with standard escapes) or literal (`'…'`) string, an
-//! integer, a float, a boolean, or a single-line array of strings.
-//! Anything else — nested tables, dotted keys, dates, multiline strings —
-//! is a parse error with a line number, not a silent skip: a gate file
-//! that doesn't parse must fail the gate run loudly.
+//! The TOML subset gate files use, parsed by hand (no `toml` crate):
+//! comments, `[[gate]]` headers, and `key = value` with a basic (escaped)
+//! or literal string, a number, a boolean or a one-line string array.
+//! Anything else is an error with a line number, never a silent skip.
 
 /// A parsed value.
 #[derive(Clone, Debug, PartialEq)]
-pub enum TomlVal {
+pub(crate) enum TomlVal {
     Str(String),
     Num(f64),
     Bool(bool),
     StrArr(Vec<String>),
 }
 
-impl TomlVal {
-    pub fn as_str(&self) -> Option<&str> {
-        match self {
-            TomlVal::Str(s) => Some(s),
-            _ => None,
-        }
-    }
-
-    pub fn as_num(&self) -> Option<f64> {
-        match self {
-            TomlVal::Num(x) => Some(*x),
-            _ => None,
-        }
-    }
-}
-
-/// One `[[gate]]` table: keys in file order.
+/// One table: keys in file order.
 #[derive(Clone, Debug, Default, PartialEq)]
-pub struct TomlTable {
-    pub entries: Vec<(String, TomlVal)>,
+pub(crate) struct TomlTable {
+    pub(crate) entries: Vec<(String, TomlVal)>,
 }
 
 impl TomlTable {
-    pub fn get(&self, key: &str) -> Option<&TomlVal> {
+    pub(crate) fn get(&self, key: &str) -> Option<&TomlVal> {
         self.entries.iter().find(|(k, _)| k == key).map(|(_, v)| v)
     }
 
-    pub fn get_str(&self, key: &str) -> Option<&str> {
-        self.get(key).and_then(TomlVal::as_str)
+    /// The string at `key`; another kind of value there is an error.
+    pub(crate) fn get_str(&self, key: &str) -> Result<Option<&str>, String> {
+        match self.get(key) {
+            Some(TomlVal::Str(s)) => Ok(Some(s)),
+            other => other.map_or(Ok(None), |_| Err(format!("`{key}` must be a string"))),
+        }
     }
 
-    pub fn get_num(&self, key: &str) -> Option<f64> {
-        self.get(key).and_then(TomlVal::as_num)
+    /// The number at `key`; another kind of value there is an error.
+    pub(crate) fn get_num(&self, key: &str) -> Result<Option<f64>, String> {
+        match self.get(key) {
+            Some(TomlVal::Num(x)) => Ok(Some(*x)),
+            other => other.map_or(Ok(None), |_| Err(format!("`{key}` must be a number"))),
+        }
     }
 }
 
-/// Parses a gate file: a sequence of `[[name]]` tables. Top-level keys
-/// before the first header are rejected (gates are always tables), and
-/// duplicate keys within one table are an error.
-pub fn parse_tables(text: &str) -> Result<Vec<(String, TomlTable)>, String> {
+/// Parses a sequence of `[[name]]` tables. A key before the first header
+/// and a key repeated within one table are errors.
+pub(crate) fn parse_tables(text: &str) -> Result<Vec<(String, TomlTable)>, String> {
     let mut tables: Vec<(String, TomlTable)> = Vec::new();
     for (i, raw) in text.lines().enumerate() {
-        let lineno = i + 1;
-        let at = |msg: String| format!("line {lineno}: {msg}");
+        let at = |msg: String| format!("line {}: {msg}", i + 1);
         let line = strip_comment(raw).trim();
         if line.is_empty() {
             continue;
         }
         if let Some(h) = line.strip_prefix("[[") {
-            let Some(name) = h.strip_suffix("]]") else {
-                return Err(at(format!("malformed table header {line:?}")));
-            };
+            let name = h
+                .strip_suffix("]]")
+                .ok_or_else(|| at(format!("malformed header {line:?}")))?;
             tables.push((name.trim().to_owned(), TomlTable::default()));
             continue;
         }
         if line.starts_with('[') {
-            return Err(at(format!(
-                "plain [table] headers are not supported, use [[...]]: {line:?}"
-            )));
+            return Err(at(format!("only [[...]] headers are supported: {line:?}")));
         }
-        let Some(eq) = line.find('=') else {
-            return Err(at(format!("expected key = value, got {line:?}")));
-        };
-        let key = line[..eq].trim();
-        if key.is_empty()
-            || !key
-                .chars()
-                .all(|c| c.is_ascii_alphanumeric() || c == '_' || c == '-')
+        let (key, value) = line
+            .split_once('=')
+            .ok_or_else(|| at(format!("expected key = value, got {line:?}")))?;
+        let key = key.trim();
+        if key.is_empty() || key.contains(|c: char| !c.is_ascii_alphanumeric() && !"_-".contains(c))
         {
             return Err(at(format!("bad key {key:?} (bare keys only)")));
         }
-        let value = parse_value(line[eq + 1..].trim()).map_err(&at)?;
+        let value = parse_value(value.trim()).map_err(&at)?;
         let Some((_, table)) = tables.last_mut() else {
             return Err(at("key/value before the first [[table]] header".into()));
         };
@@ -104,90 +85,74 @@ fn strip_comment(line: &str) -> &str {
     let bytes = line.as_bytes();
     let mut quote: Option<u8> = None;
     for (i, &b) in bytes.iter().enumerate() {
-        match quote {
-            Some(q) => {
-                if b == q && (q != b'"' || bytes[..i].last() != Some(&b'\\')) {
-                    quote = None;
-                }
+        match (quote, b) {
+            (Some(q), _) if b == q && (q != b'"' || bytes[..i].last() != Some(&b'\\')) => {
+                quote = None
             }
-            None => match b {
-                b'"' | b'\'' => quote = Some(b),
-                b'#' => return &line[..i],
-                _ => {}
-            },
+            (None, b'"' | b'\'') => quote = Some(b),
+            (None, b'#') => return &line[..i],
+            _ => {}
         }
     }
     line
 }
 
 fn parse_value(text: &str) -> Result<TomlVal, String> {
-    if text.is_empty() {
-        return Err("missing value".into());
-    }
-    if text == "true" {
-        return Ok(TomlVal::Bool(true));
-    }
-    if text == "false" {
-        return Ok(TomlVal::Bool(false));
-    }
-    if text.starts_with('"') || text.starts_with('\'') {
-        let (s, rest) = parse_string(text)?;
-        if !rest.trim().is_empty() {
-            return Err(format!("trailing content after string: {rest:?}"));
-        }
-        return Ok(TomlVal::Str(s));
-    }
-    if let Some(body) = text.strip_prefix('[') {
-        let Some(body) = body.strip_suffix(']') else {
-            return Err("arrays must open and close on one line".into());
-        };
-        let mut items = Vec::new();
-        let mut rest = body.trim();
-        while !rest.is_empty() {
-            let (s, after) = parse_string(rest)?;
-            items.push(s);
-            rest = after.trim_start();
-            if let Some(r) = rest.strip_prefix(',') {
-                rest = r.trim_start();
-            } else if !rest.is_empty() {
-                return Err(format!("expected ',' between array items at {rest:?}"));
+    match text.as_bytes().first() {
+        None => Err("missing value".into()),
+        _ if text == "true" || text == "false" => Ok(TomlVal::Bool(text == "true")),
+        Some(b'"' | b'\'') => match parse_string(text)? {
+            (s, rest) if rest.trim().is_empty() => Ok(TomlVal::Str(s)),
+            (_, rest) => Err(format!("trailing content after string: {rest:?}")),
+        },
+        Some(b'[') => {
+            let mut rest = text[1..]
+                .strip_suffix(']')
+                .ok_or("arrays must open and close on one line")?
+                .trim();
+            let mut items = Vec::new();
+            while !rest.is_empty() {
+                let (s, after) = parse_string(rest)?;
+                items.push(s);
+                rest = after.trim_start();
+                if let Some(r) = rest.strip_prefix(',') {
+                    rest = r.trim_start();
+                } else if !rest.is_empty() {
+                    return Err(format!("expected ',' between array items at {rest:?}"));
+                }
             }
+            Ok(TomlVal::StrArr(items))
         }
-        return Ok(TomlVal::StrArr(items));
+        _ => text
+            .replace('_', "")
+            .parse()
+            .map(TomlVal::Num)
+            .map_err(|_| format!("unsupported value {text:?}")),
     }
-    text.replace('_', "")
-        .parse::<f64>()
-        .map(TomlVal::Num)
-        .map_err(|_| format!("unsupported value {text:?}"))
 }
 
 /// Parses one leading string literal, returning it and the remainder.
 fn parse_string(text: &str) -> Result<(String, &str), String> {
-    let bytes = text.as_bytes();
-    match bytes.first() {
+    match text.as_bytes().first() {
         Some(b'\'') => {
-            let Some(end) = text[1..].find('\'') else {
-                return Err("unterminated literal string".into());
-            };
+            let end = text[1..].find('\'').ok_or("unterminated literal string")?;
             Ok((text[1..1 + end].to_owned(), &text[end + 2..]))
         }
         Some(b'"') => {
             let mut out = String::new();
             let mut chars = text[1..].char_indices();
             while let Some((i, c)) = chars.next() {
-                match c {
+                out.push(match c {
                     '"' => return Ok((out, &text[1 + i + 1..])),
-                    '\\' => match chars.next() {
-                        Some((_, 'n')) => out.push('\n'),
-                        Some((_, 't')) => out.push('\t'),
-                        Some((_, 'r')) => out.push('\r'),
-                        Some((_, '"')) => out.push('"'),
-                        Some((_, '\\')) => out.push('\\'),
-                        Some((_, other)) => return Err(format!("bad escape \\{other}")),
-                        None => return Err("dangling backslash".into()),
+                    '\\' => match chars.next().map(|(_, e)| e) {
+                        Some('n') => '\n',
+                        Some('t') => '\t',
+                        Some('r') => '\r',
+                        Some(e @ ('"' | '\\')) => e,
+                        e => return Err(format!("bad escape after a backslash: {e:?}")),
                     },
-                    c => out.push(c),
-                }
+                    c => c,
+                });
             }
             Err("unterminated basic string".into())
         }
@@ -204,18 +169,16 @@ mod tests {
         let text = r#"
 # Committed robustness gates.
 [[gate]]
-name = "heavy-drain-p99"          # sessionize heavy episodes
+name = "heavy-drain-p99"          # heavy episodes drain
 source = "report"
-kind = "sessionize"
+reduce = "run_p99"
 where = "heavy > 0"               # the predicate
-metric = "p99_len"
 op = "<="
-threshold = 4
-tolerance = 0.5
+threshold = 4.5
 
 [[gate]]
 name = "funnel"
-steps = ["heavy > 0", "balanced and heavy == 0"]
+steps = ["heavy > 0", "balanced == true and heavy == 0"]
 window = 5
 enabled = true
 note = 'literal # not a comment'
@@ -224,21 +187,21 @@ note = 'literal # not a comment'
         assert_eq!(tables.len(), 2);
         let (h, g) = &tables[0];
         assert_eq!(h, "gate");
-        assert_eq!(g.get_str("name"), Some("heavy-drain-p99"));
-        assert_eq!(g.get_str("where"), Some("heavy > 0"));
-        assert_eq!(g.get_num("threshold"), Some(4.0));
-        assert_eq!(g.get_num("tolerance"), Some(0.5));
+        assert_eq!(g.get_str("name"), Ok(Some("heavy-drain-p99")));
+        assert_eq!(g.get_str("where"), Ok(Some("heavy > 0")));
+        assert_eq!(g.get_num("threshold"), Ok(Some(4.5)));
+        assert!(g.get_str("threshold").is_err() && g.get_num("where").is_err());
         let (_, g) = &tables[1];
         assert_eq!(
             g.get("steps"),
             Some(&TomlVal::StrArr(vec![
                 "heavy > 0".into(),
-                "balanced and heavy == 0".into()
+                "balanced == true and heavy == 0".into()
             ]))
         );
-        assert_eq!(g.get_num("window"), Some(5.0));
+        assert_eq!(g.get_num("window"), Ok(Some(5.0)));
         assert_eq!(g.get("enabled"), Some(&TomlVal::Bool(true)));
-        assert_eq!(g.get_str("note"), Some("literal # not a comment"));
+        assert_eq!(g.get_str("note"), Ok(Some("literal # not a comment")));
     }
 
     #[test]

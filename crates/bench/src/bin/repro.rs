@@ -17,7 +17,7 @@
 //! JSON (`repro engine --json r.json`) and/or a trace event log
 //! (`--trace t.json` writes `t.ndjson`) — and either prints a behavioral
 //! summary, or with `--gates <dir|file>` evaluates declarative threshold
-//! gates (`gates/*.toml`, DESIGN.md §7) and exits nonzero on violations:
+//! gates (`gates/*.toml`, DESIGN.md §6d) and exits nonzero on violations:
 //!
 //! ```text
 //! repro analyze report.json trace.ndjson            # behavioral summary
@@ -299,6 +299,7 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
         Some(first) if !first.starts_with("--") => apply_subcommand(first, &argv[1..], &mut args)?,
         _ => argv,
     };
+    let mut threads_given = false;
     let mut it = flags.iter().cloned();
     while let Some(a) = it.next() {
         let flag = a.as_str();
@@ -319,7 +320,10 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
             }
             "--seed" => args.seed = next_value(&mut it, flag, "a seed")?,
             "--json" => args.json = Some(next_value(&mut it, flag, "a path")?),
-            "--threads" => args.threads = next_value(&mut it, flag, "a count")?,
+            "--threads" => {
+                args.threads = next_value(&mut it, flag, "a count")?;
+                threads_given = true;
+            }
             "--timing" => args.timing = true,
             "--trace" => args.trace = Some(next_value(&mut it, flag, "a path")?),
             "--faults" => args.faults = Some(next_value(&mut it, flag, "a loss rate")?),
@@ -424,6 +428,10 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
         (
             (args.trace.is_some() || args.profile.is_some()) && args.analyze,
             "--trace and --profile do not apply to repro analyze",
+        ),
+        (
+            threads_given && args.analyze,
+            "--threads does not apply to repro analyze (it runs on one thread)",
         ),
     ];
     if let Some((_, e)) = ignored.iter().find(|(bad, _)| *bad) {
@@ -961,7 +969,7 @@ fn finish_profile(args: &Args, trace: &Trace) {
 /// then either prints the behavioral summary or — with `--gates` —
 /// evaluates every gate file and exits nonzero on any violation.
 fn run_analyze(args: &Args) {
-    use proxbal_analyze::{evaluate_gates, parse_gate_file, render_table, Run};
+    use proxbal_analyze::{evaluate_gates, load_gates, render_table, Run};
     let mut run = Run::default();
     for path in &args.inputs {
         let text = std::fs::read_to_string(path).unwrap_or_else(|e| {
@@ -977,49 +985,11 @@ fn run_analyze(args: &Args) {
         print!("{}", run.summarize());
         return;
     };
-    let mut files: Vec<std::path::PathBuf> = Vec::new();
-    let meta = std::fs::metadata(gate_path).unwrap_or_else(|e| {
-        eprintln!("cannot read {gate_path}: {e}");
+    let gates = load_gates(std::path::Path::new(gate_path)).unwrap_or_else(|e| {
+        eprintln!("{e}");
         std::process::exit(2);
     });
-    if meta.is_dir() {
-        for entry in std::fs::read_dir(gate_path).expect("readable gate directory") {
-            let p = entry.expect("readable gate directory entry").path();
-            if p.extension().is_some_and(|e| e == "toml") {
-                files.push(p);
-            }
-        }
-        files.sort();
-        if files.is_empty() {
-            eprintln!("{gate_path}: no *.toml gate files found");
-            std::process::exit(2);
-        }
-    } else {
-        files.push(gate_path.into());
-    }
-    let mut gates = Vec::new();
-    for file in &files {
-        let origin = file.display().to_string();
-        let text = std::fs::read_to_string(file).unwrap_or_else(|e| {
-            eprintln!("cannot read {origin}: {e}");
-            std::process::exit(2);
-        });
-        match parse_gate_file(&text, &origin) {
-            Ok(parsed) => gates.extend(parsed),
-            Err(e) => {
-                eprintln!("{e}");
-                std::process::exit(2);
-            }
-        }
-    }
-    let mut seen = std::collections::BTreeSet::new();
-    for gate in &gates {
-        if !seen.insert(gate.name.clone()) {
-            eprintln!("duplicate gate name {:?} across gate files", gate.name);
-            std::process::exit(2);
-        }
-    }
-    let results = evaluate_gates(&gates, &run.artifacts(), args.threads);
+    let results = evaluate_gates(&gates, &run);
     print!("{}", render_table(&results));
     if let Some(out) = &args.out {
         let json = serde_json::to_string_pretty(&results).expect("serialize gate results");

@@ -33,6 +33,7 @@ const MALFORMED: &[&[&str]] = &[
     &["--fig", "4", "--scale", "small", "--gates", "gates"],
     &["analyze", "t.ndjson", "--trace", "a.json"],
     &["analyze", "t.ndjson", "--profile", "p"],
+    &["analyze", "t.ndjson", "--threads", "2"],
     // Unknown names.
     &["--fig", "9"],
     &["--claim", "nope"],

@@ -34,9 +34,8 @@
 #                    §5c, §6b, §6c)
 #   --analyze-smoke  the committed engine scenario (profiled: `engine/des/*`
 #                    and `engine/round` phases present) against `gates/*.toml`
-#                    at 1, 2 and 8 analyzer threads (all pass, all
-#                    byte-identical), then an impossible gate must exit
-#                    nonzero with a violation table naming it
+#                    (all pass), then an impossible gate must exit nonzero
+#                    with a violation table naming it
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -199,7 +198,7 @@ if [[ "$PROFILE_SMOKE" == "1" ]]; then
 fi
 
 if [[ "$ANALYZE_SMOKE" == "1" ]]; then
-  echo "==> analyze smoke: committed engine scenario vs gates/ (threads 1/2/8)"
+  echo "==> analyze smoke: committed engine scenario vs gates/"
   GATES="$PWD/gates"
   # A regression budget: ~3 s on a 2-core box while K-nary-tree maintenance
   # is change-driven (DESIGN.md §6a); slow CI runners get 40× headroom.
@@ -213,22 +212,14 @@ if [[ "$ANALYZE_SMOKE" == "1" ]]; then
     grep -q "$phase" "$SMOKE_DIR/ae-profile/resources.txt" || {
       echo "analyze smoke: phase $phase missing from resources.txt" >&2; exit 1; }
   done
-  for t in 1 2 8; do
-    (cd "$SMOKE_DIR" && "$REPRO" analyze ae-report.json ae.ndjson \
-        --gates "$GATES" --out "gates_t$t.json" --threads "$t" > "analyze_t$t.txt") || {
-      echo "committed gates failed at $t analyzer thread(s)" >&2
-      cat "$SMOKE_DIR/analyze_t$t.txt" >&2
-      exit 1
-    }
-  done
-  for t in 2 8; do
-    cmp "$SMOKE_DIR/analyze_t1.txt" "$SMOKE_DIR/analyze_t$t.txt" || {
-      echo "analyze table differs between 1 and $t threads" >&2; exit 1; }
-    cmp "$SMOKE_DIR/gates_t1.json" "$SMOKE_DIR/gates_t$t.json" || {
-      echo "analyze gate report differs between 1 and $t threads" >&2; exit 1; }
-  done
+  (cd "$SMOKE_DIR" && "$REPRO" analyze ae-report.json ae.ndjson \
+      --gates "$GATES" --out gates.json > analyze.txt) || {
+    echo "committed gates failed" >&2
+    cat "$SMOKE_DIR/analyze.txt" >&2
+    exit 1
+  }
   # Negative path: a violated gate must fail loudly and name itself.
-  printf '[[gate]]\nname = "impossible"\nsource = "report"\nkind = "scalar"\nexpr = "max(heavy)"\nop = "<="\nthreshold = -1\n' \
+  printf '[[gate]]\nname = "impossible"\nsource = "report"\nreduce = "count"\nop = "<="\nthreshold = -1\n' \
     > "$SMOKE_DIR/bad_gate.toml"
   if (cd "$SMOKE_DIR" && "$REPRO" analyze ae-report.json --gates bad_gate.toml > bad.txt); then
     echo "analyze smoke: impossible gate did not fail the run" >&2; exit 1
