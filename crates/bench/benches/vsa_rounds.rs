@@ -1,6 +1,6 @@
 //! Benchmarks the tree phases behind the O(log_K N) round claims: tree
 //! construction, LBI aggregation and the VSA sweep, for K = 2 and K = 8.
-//! Round *counts* come from `repro --claim rounds`; this bench tracks the
+//! Round *counts* come from `repro claims rounds`; this bench tracks the
 //! wall-clock of each phase.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};

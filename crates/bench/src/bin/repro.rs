@@ -1,72 +1,55 @@
 //! Regenerates every figure and claim of the paper's evaluation (§5).
 //!
-//! The verb-first form groups the phases into subcommands:
+//! One grammar: a subcommand, its operands, then the flags it takes. A bare
+//! `repro` runs `all`.
 //!
 //! ```text
 //! repro figs [4 5 6 7 8]   # the figure grid (all five when none given)
-//! repro claims [names...]  # the claim grid (all seven when none given)
-//! repro faults [rate]      # fault-injection sweep at losses {0,1%,5%,rate}
+//! repro claims [names...]  # the claim grid (all seven when none given):
+//!                          #   rounds repair baselines ablations overhead latency drift
+//! repro all                # the full figure + claim grid
+//! repro faults [rate]      # fault-injection sweep at losses {0, 1%, 5%, rate} (rate 0.1)
 //! repro xl                 # 65,536 peers on a ts50k underlay (bounded RAM)
 //! repro xl2                # 1,048,576 peers: sharded prepare + landmark distances
 //! repro engine             # continuous operation: churn + drift + loss
-//! repro all                # the full figure + claim grid
-//! repro analyze <files>    # behavioral queries over a run's artifacts
+//! repro analyze <files>    # behavioral summary or gates over a run's artifacts
 //! ```
 //!
-//! `repro analyze` takes the artifacts a run wrote — an `EngineReport`
-//! JSON (`repro engine --json r.json`) and/or a trace event log
-//! (`--trace t.json` writes `t.ndjson`) — and either prints a behavioral
-//! summary, or with `--gates <dir|file>` evaluates declarative threshold
-//! gates (`gates/*.toml`, DESIGN.md §6d) and exits nonzero on violations:
+//! The flags, and the subcommands that take them; any other flag is a usage
+//! error (exit 2, one line on stderr), never a silent no-op:
 //!
 //! ```text
-//! repro analyze report.json trace.ndjson            # behavioral summary
-//! repro analyze report.json trace.ndjson --gates gates/
-//! repro analyze ... --gates gates/ --out analyze-report.json
+//! --scale full|small   grid, faults, engine   reduced size for quick runs
+//! --seed N             all but analyze        master seed (1)
+//! --threads N          all but analyze        worker threads for the sweep engine
+//! --json PATH          all but analyze        the run's results value as a document
+//! --trace PATH         all but analyze        chrome://tracing trace + PATH's .ndjson event log
+//! --profile DIR        all but analyze        flamegraphs + resource profile into DIR
+//! --progress           all but analyze        heartbeat lines (epoch k/N, RSS, allocs) on stderr
+//! --peers N            xl2                    reduced peer count (smoke runs)
+//! --exact              xl2                    exact distances (sensitivity runs)
+//! --epochs N           engine                 epoch count of the run (50)
+//! --gates PATH         analyze                evaluate gate files (DESIGN.md §6d)
+//! --out PATH           analyze                with --gates: the verdicts as JSON
 //! ```
 //!
-//! Shared flags may follow any subcommand (and the legacy flag-only
-//! spelling below keeps working — `repro --all` is an alias of
-//! `repro all`):
-//!
-//! ```text
-//! repro --fig 4            # Figure 4: unit-load scatter before/after
-//! repro --fig 5            # Figure 5: load by capacity class (Gaussian)
-//! repro --fig 6            # Figure 6: load by capacity class (Pareto)
-//! repro --fig 7            # Figure 7: moved load vs distance, ts5k-large
-//! repro --fig 8            # Figure 8: moved load vs distance, ts5k-small
-//! repro --claim rounds     # §5.2: VSA completes in O(log_K N) rounds
-//! repro --claim repair     # §3.1.1: tree self-repair after crashes
-//! repro --claim baselines  # §1.1: CFS thrashing comparison
-//! repro --all              # everything
-//! repro --scale xl         # 65,536 peers on a ts50k underlay (bounded RAM)
-//! repro ... --scale small  # reduced size for quick runs
-//! repro xl2 --peers 65536  # xl2 machinery at a reduced peer count (smoke)
-//! repro xl2 ... --exact   # same pipeline, exact distances (sensitivity)
-//! repro ... --seed 42      # change the master seed
-//! repro ... --threads 4    # worker threads for the sweep engine
-//! repro ... --timing       # phases one at a time, wall table; -> BENCH_repro.json
-//! repro --faults 0.1       # fault-injection sweep at loss rates {0,1%,5%,10%}
-//! repro ... --trace t.json # chrome://tracing trace + t.ndjson event log
-//! repro engine --epochs 50 # epoch count of the continuous-operation run
-//! repro ... --profile out/ # flamegraphs + resource profile into out/
-//! repro ... --progress     # heartbeat lines (epoch k/N, RSS, allocs) on stderr
-//! repro ... --quiet        # suppress heartbeats even if --progress is set
-//! ```
+//! Each subcommand returns its stdout text and one results value; `main`
+//! prints the text and writes the value everywhere it is recorded: into
+//! `BENCH_repro.json` in the current directory as `{seed, scale, results}`
+//! under the run's entry (DESIGN.md §4 — a grid run merges only the phases
+//! it ran; `xl2 --peers` / `--exact` writes none), and with `--json` as
+//! `{paper, seed, scale, results}`. Walls never enter a results value: they
+//! go to stdout and `--profile`'s `resources.txt`. An artifact that cannot
+//! be written is one stderr line and exit 2.
 //!
 //! Every phase derives its state from the master seed alone, so the output
 //! is bit-identical regardless of `--threads`. The `--trace` collector
 //! records only virtual-time spans and deterministic counters, so the trace
 //! files obey the same contract — and without `--trace` the collector is
 //! disabled and stdout stays byte-identical to an untraced build.
-//!
-//! `--profile <dir>` (DESIGN.md §5c) enables the trace collector and the
-//! phase profiler and writes four artifacts: `flame.virt.folded` and
-//! `flame.virt.speedscope.json` weighted by virtual time (deterministic —
-//! byte-identical at any `--threads`), plus `flame.wall.folded` and
-//! `resources.txt` carrying wall/CPU/allocation numbers (volatile, never
-//! compared across runs). Heartbeats go to stderr only, so neither flag
-//! can perturb stdout.
+//! `--profile` (DESIGN.md §5c) adds virtual-time flamegraphs, equally
+//! deterministic, and volatile wall/CPU/allocation numbers per phase.
+//! Heartbeats go to stderr only, so neither flag can perturb stdout.
 
 use proxbal_bench::headline;
 use proxbal_core::NodeClass;
@@ -74,11 +57,14 @@ use proxbal_profile::{AllocSnapshot, CountingAlloc, NullSink, ProgressSink, Stde
 use proxbal_sim::experiments::{
     ablation_sweep_traced, fig4_unit_load_traced, fig56_class_loads_traced,
     fig78_replicated_traced, repair_after_crash_traced, rounds_scaling_traced, scheme_comparison,
+    XlRunSummary, XlRunWalls,
 };
 use proxbal_sim::metrics::{gini, DistanceHistogram, Summary};
 use proxbal_sim::{Scenario, TopologyKind};
 use proxbal_trace::{Trace, TraceSummary};
 use proxbal_workload::LoadModel;
+use serde_json::{json, Map, Value};
+use std::path::Path;
 use std::time::Instant;
 
 /// Allocation accounting for every run: inert (one relaxed load per
@@ -104,14 +90,6 @@ macro_rules! say {
 enum Scale {
     Full,
     Small,
-    /// 65,536 peers over a ~50k-node underlay with a bounded oracle cache.
-    /// Runs its own phase (four balancer phases + the fig-7-shaped
-    /// proximity sweep) instead of the figure/claim grid.
-    Xl,
-    /// 1,048,576 peers: sharded preparation, sharded KT-tree build and
-    /// landmark-approximate transfer distances. One proximity-aware pass,
-    /// in place. `--peers` rescales it for smoke runs.
-    Xl2,
 }
 
 impl Scale {
@@ -119,49 +97,60 @@ impl Scale {
         match self {
             Scale::Full => "full",
             Scale::Small => "small",
-            Scale::Xl => "xl",
-            Scale::Xl2 => "xl2",
         }
     }
 }
 
+/// What a run does: one variant per subcommand, holding only its operands.
+enum Command {
+    /// `figs`, `claims` and `all`: the figure/claim grid.
+    Grid { figs: Vec<u32>, claims: Vec<String> },
+    /// `faults [rate]`: the fault-injection sweep.
+    Faults { rate: f64 },
+    /// `xl`: 65,536 peers over a ts50k underlay, aware and ignorant.
+    Xl,
+    /// `xl2`: the million-peer pass, rescaled by `--peers`, with exact
+    /// distances under `--exact`.
+    Xl2 { peers: Option<usize>, exact: bool },
+    /// `engine`: continuous operation.
+    Engine { epochs: usize },
+    /// `analyze <files>`: the behavioral summary, or gate verdicts.
+    Analyze {
+        inputs: Vec<String>,
+        gates: Option<String>,
+        out: Option<String>,
+    },
+}
+
+impl Command {
+    /// The `scale` this run's documents name, and its BENCH_repro.json
+    /// entry — none for a rescaled xl2, which must not clobber the
+    /// committed million-peer entry, and none for `analyze`.
+    fn record(&self, scale: Scale) -> (&'static str, Option<&'static str>) {
+        match self {
+            Command::Grid { .. } => (scale.name(), Some(scale.name())),
+            Command::Faults { .. } => (scale.name(), Some("faults")),
+            Command::Engine { .. } => (scale.name(), Some("engine")),
+            Command::Xl => ("xl", Some("xl")),
+            Command::Xl2 { peers, exact } => ("xl2", (peers.is_none() && !exact).then_some("xl2")),
+            Command::Analyze { .. } => ("analyze", None),
+        }
+    }
+}
+
+/// The options the running subcommands share (`analyze` takes none).
 struct Args {
-    figs: Vec<u32>,
-    claims: Vec<String>,
     scale: Scale,
     seed: u64,
-    json: Option<String>,
     threads: usize,
-    timing: bool,
-    faults: Option<f64>,
-    /// chrome://tracing output path; also derives the `.ndjson` event-log
-    /// path. `None` disables the collector entirely.
+    /// `--json <path>`: the run's results value as a document.
+    json: Option<String>,
+    /// `--trace <path>`: chrome://tracing trace + `.ndjson` event log.
     trace: Option<String>,
-    /// `repro engine` — run the continuous-operation engine phase.
-    engine: bool,
-    /// `--epochs` override for the engine phase.
-    epochs: Option<usize>,
-    /// `--peers` override for the xl2 phase (reduced-scale smoke runs).
-    peers: Option<usize>,
-    /// `--exact` forces exact distances in the xl2 phase (sensitivity runs
-    /// comparing the landmark-approximate scheme against ground truth).
-    exact: bool,
-    /// `repro analyze` — run behavioral queries/gates over run artifacts.
-    analyze: bool,
-    /// Artifact paths for `repro analyze` (`.ndjson` = trace event log,
-    /// anything else = `EngineReport` JSON).
-    inputs: Vec<String>,
-    /// `--gates <dir|file>`: evaluate gate files instead of summarizing.
-    gates: Option<String>,
-    /// `--out <path>`: write the machine-readable gate report JSON.
-    out: Option<String>,
-    /// `--profile <dir>`: write flamegraph + resource-profile artifacts.
-    /// Enables the trace collector and the phase profiler.
+    /// `--profile <dir>`: flamegraph + resource-profile artifacts.
     profile: Option<String>,
     /// `--progress`: heartbeat lines on stderr while phases run.
     progress: bool,
-    /// `--quiet`: suppress heartbeats even when `--progress` is given.
-    quiet: bool,
 }
 
 const ALL_CLAIMS: [&str; 7] = [
@@ -174,81 +163,33 @@ const ALL_CLAIMS: [&str; 7] = [
     "drift",
 ];
 
-/// Applies a verb-first subcommand (`repro figs 4 7`, `repro claims drift`,
-/// `repro faults 0.1`, `repro xl`, `repro engine`, `repro all`) to `args`,
-/// consuming the verb's positional operands. Returns the remaining argv —
-/// shared flags — for the common flag loop.
-fn apply_subcommand<'a>(
-    cmd: &str,
-    operands: &'a [String],
-    args: &mut Args,
-) -> Result<&'a [String], String> {
-    let split = operands
-        .iter()
-        .position(|a| a.starts_with("--"))
-        .unwrap_or(operands.len());
-    let (pos, rest) = operands.split_at(split);
-    let no_operands = || match pos {
-        [] => Ok(()),
-        _ => Err(format!(
-            "repro {cmd} takes no positional operands (got {pos:?})"
-        )),
-    };
-    match cmd {
-        "figs" => {
-            args.figs = if pos.is_empty() {
-                vec![4, 5, 6, 7, 8]
-            } else {
-                pos.iter()
-                    .map(|v| parse_value("figs", v, "a figure number"))
-                    .collect::<Result<_, _>>()?
-            };
-        }
-        "claims" => {
-            args.claims = if pos.is_empty() {
-                ALL_CLAIMS.iter().map(|s| s.to_string()).collect()
-            } else {
-                pos.to_vec()
-            };
-        }
-        "faults" => {
-            args.faults = Some(match pos {
-                [] => 0.1,
-                [rate] => parse_value("faults", rate, "a loss rate")?,
-                _ => return Err("repro faults takes at most one loss rate".into()),
-            });
-        }
-        "xl" => {
-            no_operands()?;
-            args.scale = Scale::Xl;
-        }
-        "xl2" => {
-            no_operands()?;
-            args.scale = Scale::Xl2;
-        }
-        "engine" => {
-            no_operands()?;
-            args.engine = true;
-        }
-        "analyze" => {
-            if pos.is_empty() {
-                return Err("repro analyze needs at least one artifact path (report JSON and/or trace .ndjson)".into());
-            }
-            args.analyze = true;
-            args.inputs = pos.to_vec();
-        }
-        "all" => {
-            no_operands()?;
-            args.figs = vec![4, 5, 6, 7, 8];
-            args.claims = ALL_CLAIMS.iter().map(|s| s.to_string()).collect();
-        }
-        other => {
-            return Err(format!(
-                "unknown subcommand {other} (expected figs|claims|faults|xl|xl2|engine|analyze|all)"
-            ));
-        }
-    }
-    Ok(rest)
+/// Every flag `repro` knows, ordered so that each subcommand takes one run
+/// of them (`flags_of`).
+const FLAGS: [&str; 12] = [
+    "--epochs",
+    "--scale",
+    "--seed",
+    "--threads",
+    "--json",
+    "--trace",
+    "--profile",
+    "--progress",
+    "--peers",
+    "--exact",
+    "--gates",
+    "--out",
+];
+
+/// The flags `verb` takes, or `None` when it is no subcommand.
+fn flags_of(verb: &str) -> Option<&'static [&'static str]> {
+    Some(match verb {
+        "engine" => &FLAGS[..8],
+        "figs" | "claims" | "all" | "faults" => &FLAGS[1..8],
+        "xl" => &FLAGS[2..8],
+        "xl2" => &FLAGS[2..10],
+        "analyze" => &FLAGS[10..],
+        _ => return None,
+    })
 }
 
 /// Parses `v`, the value given for `flag`; `what` names the expected kind
@@ -260,184 +201,149 @@ fn parse_value<T: std::str::FromStr>(flag: &str, v: &str, what: &str) -> Result<
 
 /// The value following `flag` on the command line, parsed.
 fn next_value<T: std::str::FromStr>(
-    it: &mut impl Iterator<Item = String>,
+    it: &mut std::slice::Iter<'_, String>,
     flag: &str,
     what: &str,
 ) -> Result<T, String> {
     let v = it.next().ok_or_else(|| format!("{flag} needs {what}"))?;
-    parse_value(flag, &v, what)
+    parse_value(flag, v, what)
 }
 
-/// Parses the command line (without the program name). Every malformed or
-/// contradictory invocation is an `Err` carrying the one line `main`
-/// prints before exiting 2 — nothing here panics, nothing is silently
-/// accepted.
-fn parse_args(argv: &[String]) -> Result<Args, String> {
+/// Parses the command line (without the program name): a subcommand, its
+/// positional operands, then the flags it takes. Every malformed or
+/// contradictory invocation is an `Err` carrying the one line `main` prints
+/// before exiting 2 — nothing here panics, nothing is silently accepted.
+fn parse_args(argv: &[String]) -> Result<(Command, Args), String> {
+    let (verb, rest) = match argv.split_first() {
+        None => ("all", argv),
+        Some((verb, rest)) => (verb.as_str(), rest),
+    };
+    let takes = flags_of(verb).ok_or_else(|| {
+        format!("unknown subcommand {verb} (expected figs|claims|faults|xl|xl2|engine|analyze|all)")
+    })?;
+    let split = rest
+        .iter()
+        .position(|a| a.starts_with("--"))
+        .unwrap_or(rest.len());
+    let (operands, flags) = rest.split_at(split);
+
     let mut args = Args {
-        figs: Vec::new(),
-        claims: Vec::new(),
         scale: Scale::Full,
         seed: 1,
-        json: None,
         threads: proxbal_sim::parallel::default_threads(),
-        timing: false,
-        faults: None,
+        json: None,
         trace: None,
-        engine: false,
-        epochs: None,
-        peers: None,
-        exact: false,
-        analyze: false,
-        inputs: Vec::new(),
-        gates: None,
-        out: None,
         profile: None,
         progress: false,
-        quiet: false,
     };
-    let flags: &[String] = match argv.first() {
-        Some(first) if !first.starts_with("--") => apply_subcommand(first, &argv[1..], &mut args)?,
-        _ => argv,
-    };
-    let mut threads_given = false;
-    let mut it = flags.iter().cloned();
-    while let Some(a) = it.next() {
-        let flag = a.as_str();
+    let (mut peers, mut exact, mut epochs, mut gates, mut out) = (None, false, 50, None, None);
+    let mut it = flags.iter();
+    while let Some(flag) = it.next() {
+        let flag = flag.as_str();
+        if !FLAGS.contains(&flag) {
+            return Err(format!("unknown argument {flag}"));
+        }
+        if !takes.contains(&flag) {
+            return Err(format!(
+                "repro {verb} does not take {flag} (it takes: {})",
+                takes.join(" ")
+            ));
+        }
         match flag {
-            "--fig" => args
-                .figs
-                .push(next_value(&mut it, flag, "a figure number")?),
-            "--claim" => args.claims.push(next_value(&mut it, flag, "a name")?),
             "--scale" => {
-                let v: String = next_value(&mut it, flag, "full|small|xl|xl2")?;
+                let v: String = next_value(&mut it, flag, "full|small")?;
                 args.scale = match v.as_str() {
                     "full" => Scale::Full,
                     "small" => Scale::Small,
-                    "xl" => Scale::Xl,
-                    "xl2" => Scale::Xl2,
-                    _ => return Err(format!("--scale: {v:?} is not full|small|xl|xl2")),
+                    _ => return Err(format!("--scale: {v:?} is not full|small")),
                 }
             }
             "--seed" => args.seed = next_value(&mut it, flag, "a seed")?,
+            "--threads" => args.threads = next_value(&mut it, flag, "a count")?,
             "--json" => args.json = Some(next_value(&mut it, flag, "a path")?),
-            "--threads" => {
-                args.threads = next_value(&mut it, flag, "a count")?;
-                threads_given = true;
-            }
-            "--timing" => args.timing = true,
             "--trace" => args.trace = Some(next_value(&mut it, flag, "a path")?),
-            "--faults" => args.faults = Some(next_value(&mut it, flag, "a loss rate")?),
-            "--epochs" => args.epochs = Some(next_value(&mut it, flag, "a count")?),
-            "--peers" => args.peers = Some(next_value(&mut it, flag, "a count")?),
-            "--exact" => args.exact = true,
-            "--gates" => args.gates = Some(next_value(&mut it, flag, "a dir or file")?),
-            "--out" => args.out = Some(next_value(&mut it, flag, "a path")?),
             "--profile" => args.profile = Some(next_value(&mut it, flag, "a directory")?),
             "--progress" => args.progress = true,
-            "--quiet" => args.quiet = true,
-            "--all" => {
-                args.figs = vec![4, 5, 6, 7, 8];
-                args.claims = ALL_CLAIMS.iter().map(|s| s.to_string()).collect();
+            "--peers" => peers = Some(next_value(&mut it, flag, "a count")?),
+            "--exact" => exact = true,
+            "--epochs" => {
+                epochs = next_value(&mut it, flag, "a count")?;
+                if epochs == 0 {
+                    return Err("--epochs must be >= 1".into());
+                }
             }
-            other => return Err(format!("unknown argument {other}")),
+            "--gates" => gates = Some(next_value(&mut it, flag, "a dir or file")?),
+            _ => out = Some(next_value(&mut it, flag, "a path")?),
         }
-    }
-    let xl = args.scale == Scale::Xl || args.scale == Scale::Xl2;
-    if !xl
-        && !args.engine
-        && !args.analyze
-        && args.faults.is_none()
-        && args.figs.is_empty()
-        && args.claims.is_empty()
-    {
-        args.figs = vec![4, 5, 6, 7, 8];
-        args.claims = ALL_CLAIMS.iter().map(|s| s.to_string()).collect();
     }
 
-    // What was selected must exist, and must be something the selected
-    // phase runs.
-    if let Some(fig) = args.figs.iter().find(|f| !(4..=8).contains(*f)) {
-        return Err(format!("no figure {fig} in the paper's evaluation"));
-    }
-    if let Some(claim) = args
-        .claims
-        .iter()
-        .find(|c| !ALL_CLAIMS.contains(&c.as_str()))
-    {
+    if matches!(verb, "all" | "xl" | "xl2" | "engine") && !operands.is_empty() {
         return Err(format!(
-            "unknown claim {claim} (expected one of: {})",
-            ALL_CLAIMS.join(", ")
+            "repro {verb} takes no positional operands (got {operands:?})"
         ));
     }
-    if let Some(rate) = args.faults.filter(|r| !(0.0..1.0).contains(r)) {
-        return Err(format!("--faults rate must be in [0, 1) (got {rate})"));
-    }
-    let grid = !args.figs.is_empty() || !args.claims.is_empty();
-    if args.engine && grid {
-        return Err("repro engine runs its own phase (figures/claims not supported)".into());
-    }
-    if args.engine && xl {
-        return Err("repro engine runs at full or small scale".into());
-    }
-    if args.scale == Scale::Xl2 && grid {
-        return Err("repro xl2 runs its own phase (figures/claims not supported)".into());
-    }
-    if args.scale == Scale::Xl {
-        if let Some(fig) = args.figs.iter().find(|&&f| f != 7) {
-            return Err(format!(
-                "--scale xl runs the fig-7-shaped sweep only (got --fig {fig})"
-            ));
+    let all_figs = || vec![4, 5, 6, 7, 8];
+    let all_claims = || ALL_CLAIMS.map(String::from).to_vec();
+    let grid = |figs, claims| Command::Grid { figs, claims };
+    let command = match verb {
+        "figs" => {
+            let figs = match operands {
+                [] => all_figs(),
+                _ => operands
+                    .iter()
+                    .map(|v| parse_value("figs", v, "a figure number"))
+                    .collect::<Result<_, _>>()?,
+            };
+            if let Some(fig) = figs.iter().find(|f| !(4..=8).contains(*f)) {
+                return Err(format!("no figure {fig} in the paper's evaluation"));
+            }
+            grid(figs, Vec::new())
         }
-        if !args.claims.is_empty() {
-            return Err("--scale xl does not run the claim grid".into());
+        "claims" => {
+            let claims = match operands {
+                [] => all_claims(),
+                _ => operands.to_vec(),
+            };
+            if let Some(claim) = claims.iter().find(|c| !ALL_CLAIMS.contains(&c.as_str())) {
+                return Err(format!(
+                    "unknown claim {claim} (expected one of: {})",
+                    ALL_CLAIMS.join(", ")
+                ));
+            }
+            grid(Vec::new(), claims)
         }
-    }
-    if args.analyze && args.gates.is_none() && args.out.is_some() {
-        return Err("--out only applies with --gates (the summary goes to stdout)".into());
-    }
-    if args.epochs == Some(0) {
-        return Err("--epochs must be >= 1".into());
-    }
-    // A flag the selected phase would ignore is an error, not a no-op.
-    let runs_grid = grid && !args.engine && !xl && !args.analyze;
-    let ignored = [
-        (
-            args.epochs.is_some() && !args.engine,
-            "--epochs only applies to repro engine",
-        ),
-        (
-            (args.peers.is_some() || args.exact) && args.scale != Scale::Xl2,
-            "--peers and --exact only apply to repro xl2",
-        ),
-        (
-            args.faults.is_some() && (xl || args.engine),
-            "--faults does not combine with xl, xl2 or engine",
-        ),
-        (
-            args.timing && !runs_grid,
-            "--timing only applies to the figure/claim grid",
-        ),
-        (
-            args.json.is_some() && args.faults.is_some() && !grid,
-            "--json has nothing to write for a faults-only run (the sweep's entry goes to BENCH_repro.json)",
-        ),
-        (
-            args.gates.is_some() && !args.analyze,
-            "--gates only applies to repro analyze",
-        ),
-        (
-            (args.trace.is_some() || args.profile.is_some()) && args.analyze,
-            "--trace and --profile do not apply to repro analyze",
-        ),
-        (
-            threads_given && args.analyze,
-            "--threads does not apply to repro analyze (it runs on one thread)",
-        ),
-    ];
-    if let Some((_, e)) = ignored.iter().find(|(bad, _)| *bad) {
-        return Err(e.to_string());
-    }
-    Ok(args)
+        "all" => grid(all_figs(), all_claims()),
+        "faults" => {
+            let rate = match operands {
+                [] => 0.1,
+                [rate] => parse_value("faults", rate, "a loss rate")?,
+                _ => return Err("repro faults takes at most one loss rate".into()),
+            };
+            if !(0.0..1.0).contains(&rate) {
+                return Err(format!(
+                    "faults: the loss rate must be in [0, 1) (got {rate})"
+                ));
+            }
+            Command::Faults { rate }
+        }
+        "xl" => Command::Xl,
+        "xl2" => Command::Xl2 { peers, exact },
+        "engine" => Command::Engine { epochs },
+        _ => {
+            if operands.is_empty() {
+                return Err("repro analyze needs at least one artifact path (report JSON and/or trace .ndjson)".into());
+            }
+            if gates.is_none() && out.is_some() {
+                return Err("--out only applies with --gates (the summary goes to stdout)".into());
+            }
+            Command::Analyze {
+                inputs: operands.to_vec(),
+                gates,
+                out,
+            }
+        }
+    };
+    Ok((command, args))
 }
 
 fn scenario(args: &Args, topology: TopologyKind) -> Scenario {
@@ -449,7 +355,6 @@ fn scenario(args: &Args, topology: TopologyKind) -> Scenario {
             .landmarks(15)
             .seed(args.seed)
             .build(),
-        Scale::Xl | Scale::Xl2 => unreachable!("xl runs its own phase"),
     };
     s.topology = topology;
     s
@@ -470,7 +375,7 @@ impl Phase {
     }
 }
 
-fn run_phase(phase: &Phase, args: &Args, trace: &mut Trace) -> (String, serde_json::Value) {
+fn run_phase(phase: &Phase, args: &Args, trace: &mut Trace) -> (String, Value) {
     match phase {
         Phase::Fig(4) => fig4(args, trace),
         Phase::Fig(5) => fig56(args, false, trace),
@@ -491,73 +396,85 @@ fn run_phase(phase: &Phase, args: &Args, trace: &mut Trace) -> (String, serde_js
     }
 }
 
-/// The largest message-ish count anywhere in a phase's JSON — the per-phase
-/// "peak messages" column of BENCH_repro.json.
-fn peak_messages(v: &serde_json::Value) -> Option<u64> {
-    match v {
-        serde_json::Value::Object(map) => map
-            .iter()
-            .filter_map(|(k, v)| {
-                let counts = k.contains("messages")
-                    || k.contains("record_hops")
-                    || k.contains("notifications");
-                if counts {
-                    v.as_u64()
-                } else {
-                    peak_messages(v)
-                }
-            })
-            .max(),
-        serde_json::Value::Array(a) => a.iter().filter_map(peak_messages).max(),
-        _ => None,
-    }
-}
-
-/// Merges `key` → `entry` into BENCH_repro.json — the deterministic results
-/// record: simulated values only, no wall, thread count, RSS or allocation
-/// figure (those go to stdout and `--profile`'s `resources.txt`; speed is
-/// measured by `benchmark/`) — preserving every other top-level key an
-/// earlier run recorded (the `--timing` doc and the `xl` entry are written
-/// by different invocations).
-fn merge_bench_json(key: &str, entry: serde_json::Value) {
-    let mut doc = std::fs::read_to_string("BENCH_repro.json")
-        .ok()
-        .and_then(|s| serde_json::from_str::<serde_json::Value>(&s).ok())
-        .and_then(|v| match v {
-            serde_json::Value::Object(m) => Some(m),
-            _ => None,
-        })
-        .unwrap_or_else(serde_json::Map::new);
-    if !doc.contains_key("bench") {
-        doc.insert("bench".to_string(), serde_json::json!("repro"));
-    }
-    if !doc.contains_key("paper") {
-        doc.insert("paper".to_string(), serde_json::json!(PAPER));
-    }
-    doc.insert(key.to_string(), entry);
-    std::fs::write(
-        "BENCH_repro.json",
-        serde_json::to_string_pretty(&serde_json::Value::Object(doc)).expect("serialize timings"),
-    )
-    .expect("write BENCH_repro.json");
-    println!("wrote BENCH_repro.json ({key})");
-}
-
 /// The paper every written document names.
 const PAPER: &str =
     "Zhu & Hu, Towards Efficient Load Balancing in Structured P2P Systems (IPDPS 2004)";
 
-/// Writes the `--json` document of a run: its provenance around `results`.
-fn write_json_doc(path: &str, seed: u64, scale: &str, results: serde_json::Value) {
-    let doc = serde_json::json!({
-        "paper": PAPER,
-        "seed": seed,
-        "scale": scale,
-        "results": results,
-    });
-    std::fs::write(path, serde_json::to_string_pretty(&doc).expect("serialize"))
-        .expect("write json");
-    println!("wrote {path}");
+/// The deterministic results record: simulated values only, no wall,
+/// thread count, RSS or allocation figure (those go to stdout and
+/// `--profile`'s `resources.txt`; speed is measured by `benchmark/`).
+const BENCH: &str = "BENCH_repro.json";
+
+/// Prints `msg` as the run's one stderr line and exits 2.
+fn fail(msg: &str) -> ! {
+    eprintln!("{msg}");
+    std::process::exit(2)
+}
+
+/// Writes one artifact. Every artifact goes through here, so a write that
+/// fails is one stderr line and exit 2, never a panic.
+fn write_file(path: impl AsRef<Path>, contents: &str) {
+    let path = path.as_ref();
+    if let Err(e) = std::fs::write(path, contents) {
+        fail(&format!("cannot write {}: {e}", path.display()));
+    }
+}
+
+fn pretty(v: &Value) -> String {
+    serde_json::to_string_pretty(v).expect("a JSON value serializes")
+}
+
+/// The BENCH_repro.json document in the current directory, or a new one
+/// when there is none. A document this run cannot merge into — unreadable,
+/// not JSON, not an object — is an error: overwriting it would drop every
+/// entry an earlier run recorded.
+fn read_bench() -> Map<String, Value> {
+    let text = match std::fs::read_to_string(BENCH) {
+        Ok(text) => text,
+        Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Map::new(),
+        Err(e) => fail(&format!("cannot read {BENCH}: {e}")),
+    };
+    match serde_json::from_str(&text) {
+        Ok(Value::Object(doc)) => doc,
+        Ok(_) => fail(&format!("{BENCH} is not a JSON object; not overwriting it")),
+        Err(e) => fail(&format!("{BENCH} is not JSON ({e}); not overwriting it")),
+    }
+}
+
+/// Merges `{seed, scale, results}` into `doc` under `key` and writes it,
+/// keeping every other entry. With `keep_phases` (a grid run) the phases an
+/// earlier run of the same seed recorded stay beside the ones this run ran.
+fn write_bench(
+    mut doc: Map<String, Value>,
+    key: &str,
+    seed: u64,
+    scale: &str,
+    mut results: Value,
+    keep_phases: bool,
+) {
+    let same_seed = |old: &&Value| old.get("seed") == Some(&json!(seed));
+    let kept = doc
+        .get(key)
+        .filter(same_seed)
+        .and_then(|old| old.get("results"));
+    if let (true, Some(Value::Object(kept)), Value::Object(phases)) = (keep_phases, kept, &results)
+    {
+        let mut merged = kept.clone();
+        for (phase, value) in phases.iter() {
+            merged.insert(phase.clone(), value.clone());
+        }
+        results = Value::Object(merged);
+    }
+    if !doc.contains_key("bench") {
+        doc.insert("bench".into(), json!("repro"));
+    }
+    if !doc.contains_key("paper") {
+        doc.insert("paper".into(), json!(PAPER));
+    }
+    let entry = json!({ "seed": seed, "scale": scale, "results": results });
+    doc.insert(key.into(), entry);
+    write_file(BENCH, &pretty(&Value::Object(doc)));
+    println!("wrote {BENCH} ({key})");
 }
 
 /// The moved-load CDF table: the aware column, and the ignorant one beside
@@ -586,94 +503,89 @@ fn moved_load_cdf(aware: &DistanceHistogram, ignorant: Option<&DistanceHistogram
 }
 
 /// The closing `total: … peak RSS: …` line of the xl runs.
-fn print_total(total_wall: f64) {
-    match proxbal_bench::peak_rss_bytes() {
-        Some(b) => println!(
-            "total: {total_wall:.1}s   peak RSS: {:.2} GiB",
+fn total_line(total: Instant) -> String {
+    let total_wall = total.elapsed().as_secs_f64();
+    match proxbal_profile::peak_rss_bytes() {
+        Some(b) => format!(
+            "total: {total_wall:.1}s   peak RSS: {:.2} GiB\n",
             b as f64 / (1u64 << 30) as f64
         ),
-        None => println!("total: {total_wall:.1}s   peak RSS: unavailable"),
+        None => format!("total: {total_wall:.1}s   peak RSS: unavailable\n"),
     }
 }
 
+/// One xl balancing pass's line: its headline, heavy peers and wall.
+fn run_line(run: &XlRunSummary, wall: &XlRunWalls) -> String {
+    format!(
+        "{:<18}: {}   heavy {} -> {}   transfers {}   {:.1}s\n",
+        format!("proximity-{}", run.label),
+        headline(&run.histogram),
+        run.heavy_before,
+        run.heavy_after,
+        run.transfers,
+        wall.total_s
+    )
+}
+
 /// The xl-scale phase: all four balancer phases at 65,536 peers over a
-/// ts50k underlay (twice: aware + ignorant — the fig-7-shaped proximity
-/// sweep), with its simulated headline numbers merged into
-/// BENCH_repro.json.
-fn run_xl(args: &Args, trace: &mut Trace, progress: &dyn ProgressSink) {
-    println!(
+/// ts50k underlay, twice — aware + ignorant, the fig-7-shaped proximity
+/// sweep.
+fn run_xl(args: &Args, trace: &mut Trace, progress: &dyn ProgressSink) -> (String, Value) {
+    let _p = proxbal_profile::phase("xl");
+    let mut o = String::new();
+    say!(
+        o,
         "── xl scale: four-phase protocol at 65,536 peers on ts50k (seed {}) ──",
         args.seed
     );
     let total = Instant::now();
-    let out = proxbal_sim::experiments::xl_scale(args.seed, args.threads, trace, progress);
-    let total_wall = total.elapsed().as_secs_f64();
-
-    println!(
+    let (out, walls) = proxbal_sim::experiments::xl_scale(args.seed, args.threads, trace, progress);
+    say!(
+        o,
         "underlay: {} nodes   peers: {}   virtual servers: {}   oracle cache: {} rows",
-        out.underlay_nodes, out.peers, out.virtual_servers, out.oracle_capacity
+        out.underlay_nodes,
+        out.peers,
+        out.virtual_servers,
+        out.oracle_capacity
     );
-    println!("prepare: {:.1}s", out.prepare_wall_s);
-    for run in [&out.aware, &out.ignorant] {
-        println!(
-            "{:<18}: {}   heavy {} -> {}   transfers {}   {:.1}s",
-            format!("proximity-{}", run.label),
-            headline(&run.histogram),
-            run.heavy_before,
-            run.heavy_after,
-            run.transfers,
-            run.wall_s
-        );
+    say!(o, "prepare: {:.1}s", walls.prepare_s);
+    for (run, wall) in [&out.aware, &out.ignorant].into_iter().zip(&walls.runs) {
+        o += &run_line(run, wall);
     }
-    print!(
-        "{}",
-        moved_load_cdf(&out.aware.histogram, Some(&out.ignorant.histogram))
-    );
-    print_total(total_wall);
-
-    let entry = serde_json::json!({
-        "seed": args.seed,
-        "peers": out.peers,
-        "underlay_nodes": out.underlay_nodes,
-        "virtual_servers": out.virtual_servers,
-        "oracle_capacity": out.oracle_capacity,
-        "lbi_messages": out.aware.lbi_messages,
-        "vsa_record_hops": out.aware.vsa_record_hops,
-        "aware_frac2": out.aware.frac2,
-        "aware_frac10": out.aware.frac10,
-        "ignorant_frac10": out.ignorant.frac10,
-        "heavy_after": out.aware.heavy_after.max(out.ignorant.heavy_after),
-    });
-    merge_bench_json("xl", entry);
-
-    if let Some(path) = &args.json {
-        let results = serde_json::to_value(&out).expect("serialize xl output");
-        write_json_doc(path, args.seed, "xl", results);
-    }
+    o += &moved_load_cdf(&out.aware.histogram, Some(&out.ignorant.histogram));
+    o += &total_line(total);
+    (o, serde_json::to_value(&out).expect("serialize xl output"))
 }
 
 /// The xl2 phase: the million-peer run — sharded preparation, sharded
 /// KT-tree build, landmark-approximate transfer distances — through one
-/// proximity-aware four-phase pass executed in place. Appends an `xl2`
-/// entry to BENCH_repro.json unless `--peers` rescaled the run (smoke runs
-/// must not clobber the committed full-scale entry).
-fn run_xl2(args: &Args, trace: &mut Trace, progress: &dyn ProgressSink) {
+/// proximity-aware four-phase pass executed in place.
+fn run_xl2(
+    peers: Option<usize>,
+    exact: bool,
+    args: &Args,
+    trace: &mut Trace,
+    progress: &dyn ProgressSink,
+) -> (String, Value) {
+    let _p = proxbal_profile::phase("xl2");
     let mut scenario = Scenario::builder().xl2().seed(args.seed).build();
-    if let Some(p) = args.peers {
+    if let Some(p) = peers {
         scenario.peers = p;
     }
-    if args.exact {
+    if exact {
         scenario.distance_mode = proxbal_sim::DistanceMode::Exact;
     }
-    println!(
+    let mut o = String::new();
+    say!(
+        o,
         "── xl2 scale: sharded prepare + landmark distances at {} peers on ts50k (seed {}) ──",
-        scenario.peers, args.seed
+        scenario.peers,
+        args.seed
     );
     let total = Instant::now();
-    let out = proxbal_sim::experiments::xl2_scale(scenario, args.threads, trace, progress);
-    let total_wall = total.elapsed().as_secs_f64();
-
-    println!(
+    let (out, walls) = proxbal_sim::experiments::xl2_scale(scenario, args.threads, trace, progress);
+    say!(
+        o,
         "underlay: {} nodes   peers: {}   virtual servers: {}   oracle cache: {} rows   shards: {}   refine: {} rows",
         out.underlay_nodes,
         out.peers,
@@ -682,79 +594,60 @@ fn run_xl2(args: &Args, trace: &mut Trace, progress: &dyn ProgressSink) {
         out.shards,
         out.refine_sources
     );
-    println!(
+    say!(
+        o,
         "prepare: {:.1}s   tree build: {:.1}s",
-        out.prepare_wall_s, out.tree_wall_s
+        walls.prepare_s,
+        walls.tree_s.unwrap_or_default()
     );
-    let run = &out.aware;
-    println!(
-        "{:<18}: {}   heavy {} -> {}   transfers {}   {:.1}s",
-        format!("proximity-{}", run.label),
-        headline(&run.histogram),
-        run.heavy_before,
-        run.heavy_after,
-        run.transfers,
-        run.wall_s
-    );
+    let (run, wall) = (&out.aware, &walls.runs[0]);
+    o += &run_line(run, wall);
     // One wall per line with the seconds last, so the thread-invariance
-    // smoke (scripts/check.sh scrub_xl2) strips them like every other wall.
-    println!("  lbi wall: {:.2}s", run.lbi_wall_s);
-    println!("  aggregate wall: {:.2}s", run.aggregate_wall_s);
-    println!("  vsa wall: {:.2}s", run.vsa_wall_s);
-    println!("  transfer wall: {:.2}s", run.transfer_wall_s);
-    print!("{}", moved_load_cdf(&run.histogram, None));
-    print_total(total_wall);
-
-    if args.peers.is_none() && !args.exact {
-        let entry = serde_json::json!({
-            "seed": args.seed,
-            "peers": out.peers,
-            "underlay_nodes": out.underlay_nodes,
-            "virtual_servers": out.virtual_servers,
-            "oracle_capacity": out.oracle_capacity,
-            "shards": out.shards,
-            "refine_sources": out.refine_sources,
-            "lbi_messages": run.lbi_messages,
-            "vsa_record_hops": run.vsa_record_hops,
-            "aware_frac2": run.frac2,
-            "aware_frac10": run.frac10,
-            "heavy_after": run.heavy_after,
-        });
-        merge_bench_json("xl2", entry);
-    }
-
-    if let Some(path) = &args.json {
-        let results = serde_json::to_value(&out).expect("serialize xl2 output");
-        write_json_doc(path, args.seed, "xl2", results);
-    }
+    // smoke (scripts/check.sh scrub) strips them like every other wall.
+    say!(o, "  lbi wall: {:.2}s", wall.round.lbi_wall_s);
+    say!(o, "  aggregate wall: {:.2}s", wall.round.aggregate_wall_s);
+    say!(o, "  vsa wall: {:.2}s", wall.round.vsa_wall_s);
+    say!(o, "  transfer wall: {:.2}s", wall.round.transfer_wall_s);
+    o += &moved_load_cdf(&run.histogram, None);
+    o += &total_line(total);
+    (o, serde_json::to_value(&out).expect("serialize xl2 output"))
 }
 
-/// The `--faults <rate>` phase: the four-phase protocol driven through a
-/// seeded fault plan at loss rates {0, 1%, 5%, `<rate>`}, reporting phase
+/// The `faults [rate]` phase: the four-phase protocol driven through a
+/// seeded fault plan at loss rates {0, 1%, 5%, `rate`}, reporting phase
 /// completion, repair work, convergence rounds and residual imbalance per
-/// rate. Every merged metric is a pure function of `(seed, rates)` — no
-/// wall-clocks — so the entry is byte-stable across machines and thread
-/// counts and can be diffed by the CI bench-drift gate.
-fn run_faults(args: &Args, rate: f64, trace: &mut Trace, progress: &dyn ProgressSink) {
+/// rate. The results are a pure function of `(seed, rates)`.
+fn run_faults(
+    rate: f64,
+    args: &Args,
+    trace: &mut Trace,
+    progress: &dyn ProgressSink,
+) -> (String, Value) {
+    let _p = proxbal_profile::phase("faults");
     let mut rates = vec![0.0, 0.01, 0.05, rate];
-    rates.sort_by(|a, b| a.partial_cmp(b).expect("finite rate"));
+    rates.sort_by(f64::total_cmp);
     rates.dedup();
     let s = scenario(args, TopologyKind::Ts5kLarge);
     let t = Instant::now();
     let rows = proxbal_sim::experiments::fault_sweep(&s, &rates, args.threads, trace, progress);
     let wall = t.elapsed();
 
-    println!(
+    let mut o = String::new();
+    say!(
+        o,
         "── Fault-injection sweep ({} peers, seed {}) ──",
-        s.peers, s.seed
+        s.peers,
+        s.seed
     );
-    println!(
+    say!(
+        o,
         "{:>6} {:>7} {:>5} | {:>6} {:>6} | {:>5} {:>5} {:>6} | {:>8} {:>7} {:>6} | {:>6} {:>6} {:>8} | {:>5} {:>4} {:>4} {:>4}",
         "loss", "crashed", "stale", "agg", "diss", "reatt", "prune", "rounds", "msgs",
         "retries", "gaveup", "heavy0", "heavy1", "residual", "xfers", "rq", "re", "ab"
     );
     for r in &rows {
-        println!(
+        say!(
+            o,
             "{:>5.1}% {:>7} {:>5} | {:>5.1}% {:>5.1}% | {:>5} {:>5} {:>6} | {:>8} {:>7} {:>6} | {:>6} {:>6} {:>8.4} | {:>5} {:>4} {:>4} {:>4}",
             r.loss_rate * 100.0,
             r.crashed_peers,
@@ -776,26 +669,23 @@ fn run_faults(args: &Args, rate: f64, trace: &mut Trace, progress: &dyn Progress
             r.abandoned,
         );
     }
-    println!("fault sweep wall: {:.2}s", wall.as_secs_f64());
-
-    let entry = serde_json::json!({
-        "seed": args.seed,
-        "scale": args.scale.name(),
-        "rates": rates,
-        "rows": rows,
-    });
-    merge_bench_json("faults", entry);
+    say!(o, "fault sweep wall: {:.2}s", wall.as_secs_f64());
+    (o, json!({ "rates": rates, "rows": rows }))
 }
 
 /// The `repro engine` phase: continuous operation — Poisson churn,
 /// geometric load drift and 1% message loss playing against periodic +
-/// emergency balancing on one virtual clock (DESIGN.md §6). Prints the
-/// per-epoch time series and merges an `engine` entry into
-/// BENCH_repro.json; every merged field is a pure function of the seed,
-/// so the entry is byte-stable across machines and `--threads` settings.
-fn run_engine_cmd(args: &Args, trace: &mut Trace, progress: &dyn ProgressSink) {
+/// emergency balancing on one virtual clock (DESIGN.md §6). Its results are
+/// the `EngineReport`, a pure function of the seed.
+fn run_engine(
+    epochs: usize,
+    args: &Args,
+    trace: &mut Trace,
+    progress: &dyn ProgressSink,
+) -> (String, Value) {
+    let _p = proxbal_profile::phase("engine");
     let cfg = proxbal_sim::EngineConfig {
-        epochs: args.epochs.unwrap_or(50),
+        epochs,
         ..proxbal_sim::EngineConfig::default()
     };
     let mut builder = Scenario::builder().seed(args.seed);
@@ -818,9 +708,13 @@ fn run_engine_cmd(args: &Args, trace: &mut Trace, progress: &dyn ProgressSink) {
         ))
         .build();
 
-    println!(
+    let mut o = String::new();
+    say!(
+        o,
         "── engine: continuous operation, {} peers, {} epochs (seed {}) ──",
-        scenario.peers, cfg.epochs, args.seed
+        scenario.peers,
+        cfg.epochs,
+        args.seed
     );
     let total = Instant::now();
     let mut prepared = scenario.prepare_run(args.threads, progress);
@@ -828,7 +722,8 @@ fn run_engine_cmd(args: &Args, trace: &mut Trace, progress: &dyn ProgressSink) {
         proxbal_sim::run_engine_with(&mut prepared, &cfg, trace, progress).expect("engine run");
     let total_wall = total.elapsed().as_secs_f64();
 
-    println!(
+    say!(
+        o,
         "{:>5} {:>6} {:>6} {:>5} | {:>4} {:>5} {:>5} {:>5} | {:>3} {:>6} {:>10} {:>5} {:>7} | {:>7} {:>5}",
         "epoch", "alive", "gini", "heavy", "join", "crash", "stale", "reatt", "bal", "passes",
         "moved", "xfers", "msgs", "desmsg", "retry"
@@ -839,7 +734,8 @@ fn run_engine_cmd(args: &Args, trace: &mut Trace, progress: &dyn ProgressSink) {
             (true, false) => "*",
             _ => "-",
         };
-        println!(
+        say!(
+            o,
             "{:>5} {:>6} {:>6.3} {:>5} | {:>4} {:>5} {:>5} {:>5} | {:>3} {:>6} {:>10.3e} {:>5} {:>7} | {:>7} {:>5}",
             s.epoch,
             s.alive_peers,
@@ -858,11 +754,17 @@ fn run_engine_cmd(args: &Args, trace: &mut Trace, progress: &dyn ProgressSink) {
             s.des_retries,
         );
     }
-    println!(
+    say!(
+        o,
         "joins {}   crashes {}   stale links {}   balances {} ({} emergency)",
-        report.joins, report.crashes, report.stale_links, report.balances, report.emergencies
+        report.joins,
+        report.crashes,
+        report.stale_links,
+        report.balances,
+        report.emergencies
     );
-    println!(
+    say!(
+        o,
         "moved {:.3e}   transfers {}   messages {}   mean gini {:.4}   final heavy {}",
         report.total_moved,
         report.total_transfers,
@@ -870,31 +772,11 @@ fn run_engine_cmd(args: &Args, trace: &mut Trace, progress: &dyn ProgressSink) {
         report.mean_gini(),
         report.final_heavy()
     );
-    println!("engine wall: {total_wall:.2}s");
-
-    let entry = serde_json::json!({
-        "seed": args.seed,
-        "scale": args.scale.name(),
-        "peers": scenario.peers,
-        "epochs": cfg.epochs,
-        "joins": report.joins,
-        "crashes": report.crashes,
-        "stale_links": report.stale_links,
-        "balances": report.balances,
-        "emergencies": report.emergencies,
-        "total_moved": report.total_moved,
-        "total_transfers": report.total_transfers,
-        "total_messages": report.total_messages,
-        "mean_gini": report.mean_gini(),
-        "final_heavy": report.final_heavy(),
-        "final_alive": report.samples.last().map_or(0, |s| s.alive_peers),
-    });
-    merge_bench_json("engine", entry);
-
-    if let Some(path) = &args.json {
-        let results = serde_json::to_value(&report).expect("serialize engine report");
-        write_json_doc(path, args.seed, args.scale.name(), results);
-    }
+    say!(o, "engine wall: {total_wall:.2}s");
+    (
+        o,
+        serde_json::to_value(&report).expect("serialize engine report"),
+    )
 }
 
 /// Writes the collected trace (chrome://tracing JSON at the `--trace` path,
@@ -904,12 +786,12 @@ fn finish_trace(args: &Args, trace: &Trace) {
     let Some(path) = &args.trace else {
         return;
     };
-    std::fs::write(path, trace.to_chrome_json()).expect("write trace json");
+    write_file(path, &trace.to_chrome_json());
     let ndjson_path = match path.strip_suffix(".json") {
         Some(stem) => format!("{stem}.ndjson"),
         None => format!("{path}.ndjson"),
     };
-    std::fs::write(&ndjson_path, trace.to_ndjson()).expect("write trace ndjson");
+    write_file(&ndjson_path, &trace.to_ndjson());
     print!("{}", TraceSummary::of(trace));
     println!("wrote {path} (chrome://tracing) and {ndjson_path} (event log)");
 }
@@ -924,10 +806,12 @@ fn finish_profile(args: &Args, trace: &Trace) {
     let Some(dir) = &args.profile else {
         return;
     };
-    std::fs::create_dir_all(dir).expect("create profile directory");
+    if let Err(e) = std::fs::create_dir_all(dir) {
+        fail(&format!("cannot write {dir}: {e}"));
+    }
     let write = |name: &str, data: String| {
-        let path = std::path::Path::new(dir).join(name);
-        std::fs::write(&path, data).expect("write profile artifact");
+        let path = Path::new(dir).join(name);
+        write_file(&path, &data);
         println!("wrote {}", path.display());
     };
     let folded = proxbal_bench::fold_trace(trace);
@@ -940,63 +824,52 @@ fn finish_profile(args: &Args, trace: &Trace) {
     let report = proxbal_profile::report();
     write("flame.wall.folded", report.to_folded_wall());
     let mut res = String::new();
-    {
-        use std::fmt::Write as _;
-        let alloc = AllocSnapshot::global();
-        let _ = writeln!(
-            res,
-            "allocations: {} calls, {} bytes",
-            alloc.allocs, alloc.bytes
-        );
-        let _ = writeln!(
-            res,
-            "peak counted live bytes: {}",
-            proxbal_profile::alloc::peak_live_bytes()
-        );
-        if let Some(b) = proxbal_profile::peak_rss_bytes() {
-            let _ = writeln!(res, "peak rss bytes: {b}");
-        }
-        if let Some(cpu) = proxbal_profile::cpu_time() {
-            let _ = writeln!(res, "cpu time: {:.2}s", cpu.as_secs_f64());
-        }
-        let _ = writeln!(res);
-        res.push_str(&report.to_text());
+    let alloc = AllocSnapshot::global();
+    say!(
+        res,
+        "allocations: {} calls, {} bytes",
+        alloc.allocs,
+        alloc.bytes
+    );
+    say!(
+        res,
+        "peak counted live bytes: {}",
+        proxbal_profile::alloc::peak_live_bytes()
+    );
+    if let Some(b) = proxbal_profile::peak_rss_bytes() {
+        say!(res, "peak rss bytes: {b}");
     }
+    if let Some(cpu) = proxbal_profile::cpu_time() {
+        say!(res, "cpu time: {:.2}s", cpu.as_secs_f64());
+    }
+    say!(res);
+    res.push_str(&report.to_text());
     write("resources.txt", res);
 }
 
 /// `repro analyze`: loads the run artifacts named on the command line,
 /// then either prints the behavioral summary or — with `--gates` —
-/// evaluates every gate file and exits nonzero on any violation.
-fn run_analyze(args: &Args) {
+/// evaluates every gate file and exits 1 on any violation.
+fn run_analyze(inputs: &[String], gates: Option<&str>, out: Option<&str>) {
     use proxbal_analyze::{evaluate_gates, load_gates, render_table, Run};
     let mut run = Run::default();
-    for path in &args.inputs {
-        let text = std::fs::read_to_string(path).unwrap_or_else(|e| {
-            eprintln!("cannot read {path}: {e}");
-            std::process::exit(2);
-        });
+    for path in inputs {
+        let text = std::fs::read_to_string(path)
+            .unwrap_or_else(|e| fail(&format!("cannot read {path}: {e}")));
         if let Err(e) = run.load(path, &text) {
-            eprintln!("{e}");
-            std::process::exit(2);
+            fail(&e.to_string());
         }
     }
-    let Some(gate_path) = &args.gates else {
+    let Some(gate_path) = gates else {
         print!("{}", run.summarize());
         return;
     };
-    let gates = load_gates(std::path::Path::new(gate_path)).unwrap_or_else(|e| {
-        eprintln!("{e}");
-        std::process::exit(2);
-    });
+    let gates = load_gates(Path::new(gate_path)).unwrap_or_else(|e| fail(&e.to_string()));
     let results = evaluate_gates(&gates, &run);
     print!("{}", render_table(&results));
-    if let Some(out) = &args.out {
+    if let Some(out) = out {
         let json = serde_json::to_string_pretty(&results).expect("serialize gate results");
-        std::fs::write(out, json + "\n").unwrap_or_else(|e| {
-            eprintln!("cannot write {out}: {e}");
-            std::process::exit(2);
-        });
+        write_file(out, &(json + "\n"));
     }
     if results.iter().any(|r| !r.pass) {
         std::process::exit(1);
@@ -1005,14 +878,14 @@ fn run_analyze(args: &Args) {
 
 fn main() {
     let argv: Vec<String> = std::env::args().skip(1).collect();
-    let args = parse_args(&argv).unwrap_or_else(|e| {
-        eprintln!("{e}");
-        std::process::exit(2);
-    });
-    if args.analyze {
-        run_analyze(&args);
-        return;
+    let (command, args) = parse_args(&argv).unwrap_or_else(|e| fail(&e));
+    if let Command::Analyze { inputs, gates, out } = &command {
+        return run_analyze(inputs, gates.as_deref(), out.as_deref());
     }
+    let (scale, key) = command.record(args.scale);
+    // Read before any phase runs, so a document this run could not merge
+    // into fails fast and stays untouched.
+    let bench = key.map(|key| (key, read_bench()));
     // Allocation accounting is on for every run (it only feeds stderr
     // heartbeats and volatile profile artifacts, so stdout stays
     // byte-identical); the phase profiler only with --profile.
@@ -1021,119 +894,65 @@ fn main() {
         proxbal_profile::enable_profiler();
     }
     let stderr_sink;
-    let progress: &dyn ProgressSink = if args.progress && !args.quiet {
+    let progress: &dyn ProgressSink = if args.progress {
         stderr_sink = StderrSink::default();
         &stderr_sink
     } else {
         &NullSink
     };
     let mut trace = Trace::new(args.trace.is_some() || args.profile.is_some(), "repro");
-    run(&args, &mut trace, progress);
+    // Each subcommand's profile phase closes on return, before the report
+    // is read.
+    let (text, results) = match &command {
+        Command::Grid { figs, claims } => run_grid(figs, claims, &args, &mut trace),
+        Command::Faults { rate } => run_faults(*rate, &args, &mut trace, progress),
+        Command::Xl => run_xl(&args, &mut trace, progress),
+        Command::Xl2 { peers, exact } => run_xl2(*peers, *exact, &args, &mut trace, progress),
+        Command::Engine { epochs } => run_engine(*epochs, &args, &mut trace, progress),
+        Command::Analyze { .. } => unreachable!("analyze returned above"),
+    };
+    print!("{text}");
+    if let Some((key, doc)) = bench {
+        let keep_phases = matches!(command, Command::Grid { .. });
+        write_bench(doc, key, args.seed, scale, results.clone(), keep_phases);
+    }
+    if let Some(path) = &args.json {
+        let doc = json!({
+            "paper": PAPER,
+            "seed": args.seed,
+            "scale": scale,
+            "results": results,
+        });
+        write_file(path, &pretty(&doc));
+        println!("wrote {path}");
+    }
     finish_trace(&args, &trace);
     finish_profile(&args, &trace);
 }
 
-/// Dispatches to the subcommand; `main` owns the one finishing path. Each
-/// subcommand's profile phase closes on return, before the report is read.
-fn run(args: &Args, trace: &mut Trace, progress: &dyn ProgressSink) {
-    if args.engine {
-        let _p = proxbal_profile::phase("engine");
-        return run_engine_cmd(args, trace, progress);
-    }
-    if args.scale == Scale::Xl {
-        let _p = proxbal_profile::phase("xl");
-        return run_xl(args, trace, progress);
-    }
-    if args.scale == Scale::Xl2 {
-        let _p = proxbal_profile::phase("xl2");
-        return run_xl2(args, trace, progress);
-    }
-    if let Some(rate) = args.faults {
-        {
-            let _p = proxbal_profile::phase("faults");
-            run_faults(args, rate, trace, progress);
-        }
-        if args.figs.is_empty() && args.claims.is_empty() {
-            return;
-        }
-    }
-    let figs = args.figs.iter().map(|&fig| Phase::Fig(fig));
-    let claims = args.claims.iter().cloned().map(Phase::Claim);
+/// The figure/claim grid: its results value maps each phase's key to the
+/// phase's value.
+fn run_grid(figs: &[u32], claims: &[String], args: &Args, trace: &mut Trace) -> (String, Value) {
+    let figs = figs.iter().map(|&fig| Phase::Fig(fig));
+    let claims = claims.iter().cloned().map(Phase::Claim);
     let phases: Vec<Phase> = figs.chain(claims).collect();
-
     // Phases are independent — each prepares its own scenario from the
     // master seed — so they run through the same engine as the inner
-    // sweeps. With --timing they run one at a time so per-phase
-    // wall-clocks are not distorted by concurrent phases.
-    let phase_threads = if args.timing { 1 } else { args.threads };
-    let total = Instant::now();
-    let ran = proxbal_sim::parallel::map_items_traced(
-        &phases,
-        phase_threads,
-        trace,
-        |_, phase, trace| {
+    // sweeps.
+    let ran =
+        proxbal_sim::parallel::map_items_traced(&phases, args.threads, trace, |_, phase, trace| {
             trace.relabel(&phase.key());
             // Worker threads have an empty phase stack, so each grid phase
             // profiles as its own root.
             let _p = proxbal_profile::phase(&phase.key());
-            let t = Instant::now();
-            let (text, value) = run_phase(phase, args, trace);
-            (text, value, t.elapsed())
-        },
-    );
-    let total_wall = total.elapsed();
-
-    // Per phase: what the BENCH entry records (deterministic — name, graph
-    // count, peak message count) and what only the `--timing` table shows
-    // (the wall).
-    let mut results = serde_json::Map::new();
-    let mut records = Vec::new();
-    let mut walls = Vec::new();
-    for (phase, (text, value, wall)) in phases.iter().zip(ran) {
-        print!("{text}");
-        let key = phase.key();
-        let mut entry = serde_json::Map::new();
-        entry.insert("phase".into(), serde_json::json!(key.clone()));
-        let graphs = value.get("graphs").and_then(serde_json::Value::as_u64);
-        if let Some(graphs) = graphs {
-            entry.insert("graphs".into(), serde_json::json!(graphs));
-        }
-        if let Some(m) = peak_messages(&value) {
-            entry.insert("peak_messages".into(), serde_json::json!(m));
-        }
-        records.push(serde_json::Value::Object(entry));
-        walls.push((key.clone(), wall.as_secs_f64(), graphs));
-        results.insert(key, value);
-    }
-
-    if args.timing {
-        println!("── Timing (wall-clock per phase) ──");
-        for (phase, wall, graphs) in &walls {
-            match graphs {
-                Some(g) => println!(
-                    "{phase:<18} {wall:>8.2}s  ({:.2} graphs/s)",
-                    *g as f64 / wall
-                ),
-                None => println!("{phase:<18} {wall:>8.2}s"),
-            }
-        }
-        println!("{:<18} {:>8.2}s", "total", total_wall.as_secs_f64());
-        // One top-level entry per scale, so full/small/xl/faults runs
-        // coexist in the committed document.
-        let entry = serde_json::json!({
-            "seed": args.seed,
-            "phases": records,
+            run_phase(phase, args, trace)
         });
-        merge_bench_json(args.scale.name(), entry);
-    }
-
-    if let Some(path) = &args.json {
-        let results = serde_json::Value::Object(results);
-        write_json_doc(path, args.seed, args.scale.name(), results);
-    }
+    let (texts, values): (Vec<String>, Vec<Value>) = ran.into_iter().unzip();
+    let results = phases.iter().map(Phase::key).zip(values).collect();
+    (texts.concat(), Value::Object(results))
 }
 
-fn fig4(args: &Args, trace: &mut Trace) -> (String, serde_json::Value) {
+fn fig4(args: &Args, trace: &mut Trace) -> (String, Value) {
     let mut o = String::new();
     say!(
         o,
@@ -1174,7 +993,7 @@ fn fig4(args: &Args, trace: &mut Trace) -> (String, serde_json::Value) {
         o,
         "(paper: ~75% heavy before; all heavy become light after)\n"
     );
-    let value = serde_json::json!({
+    let value = json!({
         "nodes": total,
         "heavy_before": heavy_before,
         "heavy_after": out.report.heavy_after(),
@@ -1186,7 +1005,7 @@ fn fig4(args: &Args, trace: &mut Trace) -> (String, serde_json::Value) {
     (o, value)
 }
 
-fn fig56(args: &Args, pareto: bool, trace: &mut Trace) -> (String, serde_json::Value) {
+fn fig56(args: &Args, pareto: bool, trace: &mut Trace) -> (String, Value) {
     let mut o = String::new();
     let (fig, label) = if pareto {
         (6, "Pareto")
@@ -1223,7 +1042,7 @@ fn fig56(args: &Args, pareto: bool, trace: &mut Trace) -> (String, serde_json::V
             b.mean,
             a.mean
         );
-        classes.push(serde_json::json!({
+        classes.push(json!({
             "capacity": cap, "nodes": b.count,
             "mean_load_before": b.mean, "mean_load_after": a.mean,
         }));
@@ -1232,18 +1051,10 @@ fn fig56(args: &Args, pareto: bool, trace: &mut Trace) -> (String, serde_json::V
         o,
         "(paper: after balancing, load tracks the capacity skew)\n"
     );
-    (
-        o,
-        serde_json::json!({ "workload": label, "classes": classes }),
-    )
+    (o, json!({ "workload": label, "classes": classes }))
 }
 
-fn fig78(
-    args: &Args,
-    topology: TopologyKind,
-    fig: u32,
-    trace: &mut Trace,
-) -> (String, serde_json::Value) {
+fn fig78(args: &Args, topology: TopologyKind, fig: u32, trace: &mut Trace) -> (String, Value) {
     let mut o = String::new();
     let name = if fig == 7 { "ts5k-large" } else { "ts5k-small" };
     // The paper runs 10 independently generated graphs per topology and
@@ -1251,7 +1062,6 @@ fn fig78(
     let graphs = match args.scale {
         Scale::Full => 10,
         Scale::Small => 3,
-        Scale::Xl | Scale::Xl2 => unreachable!("xl runs its own phase"),
     };
     say!(
         o,
@@ -1309,7 +1119,7 @@ fn fig78(
             "(paper: aware still wins on ts5k-small, with a smaller margin)\n"
         );
     }
-    let value = serde_json::json!({
+    let value = json!({
         "topology": name,
         "graphs": graphs,
         "aware": { "cdf": out.aware.cdf(), "mean_distance": out.aware.mean_distance() },
@@ -1318,7 +1128,7 @@ fn fig78(
     (o, value)
 }
 
-fn claim_rounds(args: &Args, trace: &mut Trace) -> (String, serde_json::Value) {
+fn claim_rounds(args: &Args, trace: &mut Trace) -> (String, Value) {
     let mut o = String::new();
     say!(
         o,
@@ -1327,7 +1137,6 @@ fn claim_rounds(args: &Args, trace: &mut Trace) -> (String, serde_json::Value) {
     let sizes: Vec<usize> = match args.scale {
         Scale::Full => vec![256, 512, 1024, 2048, 4096],
         Scale::Small => vec![64, 128, 256, 512],
-        Scale::Xl | Scale::Xl2 => unreachable!("xl runs its own phase"),
     };
     let rows = rounds_scaling_traced(&sizes, &[2, 8], args.seed, args.threads, trace);
     let json = serde_json::to_value(&rows).expect("serialize rows");
@@ -1359,7 +1168,7 @@ fn claim_rounds(args: &Args, trace: &mut Trace) -> (String, serde_json::Value) {
     (o, json)
 }
 
-fn claim_repair(args: &Args, trace: &mut Trace) -> (String, serde_json::Value) {
+fn claim_repair(args: &Args, trace: &mut Trace) -> (String, Value) {
     let mut o = String::new();
     say!(
         o,
@@ -1368,7 +1177,6 @@ fn claim_repair(args: &Args, trace: &mut Trace) -> (String, serde_json::Value) {
     let peers = match args.scale {
         Scale::Full => 2048,
         Scale::Small => 256,
-        Scale::Xl | Scale::Xl2 => unreachable!("xl runs its own phase"),
     };
     say!(
         o,
@@ -1407,7 +1215,7 @@ fn claim_repair(args: &Args, trace: &mut Trace) -> (String, serde_json::Value) {
             row.join_repair_rounds,
             row.height_after
         );
-        rows.push(serde_json::json!({
+        rows.push(json!({
             "k": k, "crash_fraction": frac,
             "crash_repair_rounds": row.crash_repair_rounds,
             "join_repair_rounds": row.join_repair_rounds,
@@ -1415,10 +1223,10 @@ fn claim_repair(args: &Args, trace: &mut Trace) -> (String, serde_json::Value) {
         }));
     }
     say!(o);
-    (o, serde_json::Value::Array(rows))
+    (o, Value::Array(rows))
 }
 
-fn claim_baselines(args: &Args, trace: &mut Trace) -> (String, serde_json::Value) {
+fn claim_baselines(args: &Args, trace: &mut Trace) -> (String, Value) {
     let mut o = String::new();
     say!(
         o,
@@ -1459,7 +1267,7 @@ fn claim_baselines(args: &Args, trace: &mut Trace) -> (String, serde_json::Value
     (o, json)
 }
 
-fn claim_ablations(args: &Args, trace: &mut Trace) -> (String, serde_json::Value) {
+fn claim_ablations(args: &Args, trace: &mut Trace) -> (String, Value) {
     let mut o = String::new();
     say!(
         o,
@@ -1498,13 +1306,12 @@ fn claim_ablations(args: &Args, trace: &mut Trace) -> (String, serde_json::Value
     (o, json)
 }
 
-fn claim_drift(args: &Args, trace: &mut Trace) -> (String, serde_json::Value) {
+fn claim_drift(args: &Args, trace: &mut Trace) -> (String, Value) {
     let mut o = String::new();
     say!(o, "── Extension: periodic re-balancing under load drift ──");
     let peers = match args.scale {
         Scale::Full => 1024,
         Scale::Small => 256,
-        Scale::Xl | Scale::Xl2 => unreachable!("xl runs its own phase"),
     };
     let mut s = scenario(args, TopologyKind::None);
     s.peers = peers;
@@ -1559,7 +1366,7 @@ fn claim_drift(args: &Args, trace: &mut Trace) -> (String, serde_json::Value) {
     trace.count("drift_rebalances", stats.rebalances as u64);
     trace.count_f64("drift_total_moved", stats.total_moved);
     trace.count("drift_max_heavy", stats.max_heavy() as u64);
-    let value = serde_json::json!({
+    let value = json!({
         "rebalances": stats.rebalances,
         "total_moved": stats.total_moved,
         "heavy_after_each_rebalance": post,
@@ -1568,7 +1375,7 @@ fn claim_drift(args: &Args, trace: &mut Trace) -> (String, serde_json::Value) {
     (o, value)
 }
 
-fn claim_latency(args: &Args, trace: &mut Trace) -> (String, serde_json::Value) {
+fn claim_latency(args: &Args, trace: &mut Trace) -> (String, Value) {
     let mut o = String::new();
     say!(
         o,
@@ -1577,7 +1384,6 @@ fn claim_latency(args: &Args, trace: &mut Trace) -> (String, serde_json::Value) 
     let sizes: Vec<usize> = match args.scale {
         Scale::Full => vec![1024, 4096],
         Scale::Small => vec![256],
-        Scale::Xl | Scale::Xl2 => unreachable!("xl runs its own phase"),
     };
     let rows = proxbal_sim::experiments::protocol_latency_traced(
         &sizes,
@@ -1617,7 +1423,7 @@ fn claim_latency(args: &Args, trace: &mut Trace) -> (String, serde_json::Value) 
     (o, json)
 }
 
-fn claim_overhead(args: &Args, trace: &mut Trace) -> (String, serde_json::Value) {
+fn claim_overhead(args: &Args, trace: &mut Trace) -> (String, Value) {
     let mut o = String::new();
     say!(
         o,
@@ -1679,11 +1485,11 @@ fn claim_overhead(args: &Args, trace: &mut Trace) -> (String, serde_json::Value)
             m.vsa_notifications,
             m.vst_weighted_cost
         );
-        rows.push(serde_json::json!({ "mode": name, "stats": m }));
+        rows.push(json!({ "mode": name, "stats": m }));
     }
     say!(
         o,
         "(the aware mode's whole point: the VST column — bandwidth — collapses)\n"
     );
-    (o, serde_json::Value::Array(rows))
+    (o, Value::Array(rows))
 }

@@ -16,12 +16,6 @@ pub fn headline(h: &DistanceHistogram) -> String {
     )
 }
 
-/// Peak resident-set size of this process in bytes (Linux `VmHWM`), or
-/// `None` when `/proc/self/status` is unavailable or unparsable.
-pub fn peak_rss_bytes() -> Option<u64> {
-    proxbal_profile::peak_rss_bytes()
-}
-
 /// Folds a trace's span hierarchy into flamegraph stacks weighted by
 /// **virtual time** — a pure function of the trace, hence byte-identical
 /// at any `--threads` setting. Track names (`fig/graph0`) become the top

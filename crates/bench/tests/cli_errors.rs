@@ -1,44 +1,97 @@
 //! `repro` argument errors (ROADMAP item 5, SNIPPETS.md §3 AC-3: malformed
 //! input fails deterministically): every malformed or contradictory
 //! invocation exits 2 with one line on stderr and nothing on stdout — none
-//! panics, none is silently accepted.
+//! panics, none is silently accepted — and the line names the check that
+//! caught it.
 
 use std::process::Command;
 
-/// The conformance table: one malformed invocation per row.
-const MALFORMED: &[&[&str]] = &[
+/// The conformance table: one malformed invocation per row, and a piece of
+/// the one stderr line it must print.
+const MALFORMED: &[(&[&str], &str)] = &[
     // An unknown scale used to run the full-scale figure.
-    &["--scale", "bogus", "--fig", "4"],
+    (&["figs", "4", "--scale", "bogus"], "--scale: \"bogus\""),
     // Unparsable or missing values used to panic (exit 101).
-    &["--seed", "x"],
-    &["--threads", "x"],
-    &["--fig"],
-    &["figs", "x"],
-    &["faults", "1.5"],
-    &["engine", "--scale", "small", "--epochs", "0"],
+    (&["all", "--seed", "x"], "--seed: \"x\" is not a seed"),
+    (
+        &["all", "--threads", "x"],
+        "--threads: \"x\" is not a count",
+    ),
+    (&["all", "--seed"], "--seed needs a seed"),
+    (&["figs", "x"], "figs: \"x\" is not a figure number"),
+    (&["faults", "1.5"], "loss rate must be in [0, 1)"),
+    (
+        &["engine", "--scale", "small", "--epochs", "0"],
+        "--epochs must be >= 1",
+    ),
     // Selections the chosen phase does not run used to be asserts.
-    &["xl", "--fig", "8"],
-    &["engine", "--scale", "xl"],
+    (&["xl", "8"], "repro xl takes no positional operands"),
+    (
+        &["engine", "--scale", "xl"],
+        "--scale: \"xl\" is not full|small",
+    ),
     // Flags the chosen phase ignores used to be dropped silently.
-    &["--fig", "4", "--scale", "small", "--epochs", "3"],
-    &["--fig", "4", "--scale", "small", "--peers", "64"],
-    &["--fig", "4", "--scale", "small", "--exact"],
-    &["xl", "--faults", "0.1"],
-    &["xl2", "--peers", "1024", "--faults", "0.1"],
-    &[
-        "engine", "--scale", "small", "--epochs", "1", "--faults", "0.1",
-    ],
-    &["engine", "--scale", "small", "--epochs", "1", "--timing"],
-    &["faults", "--scale", "small", "--json", "f.json"],
-    &["--fig", "4", "--scale", "small", "--gates", "gates"],
-    &["analyze", "t.ndjson", "--trace", "a.json"],
-    &["analyze", "t.ndjson", "--profile", "p"],
-    &["analyze", "t.ndjson", "--threads", "2"],
+    (
+        &["figs", "4", "--scale", "small", "--epochs", "3"],
+        "repro figs does not take --epochs",
+    ),
+    (
+        &["figs", "4", "--scale", "small", "--peers", "64"],
+        "repro figs does not take --peers",
+    ),
+    (
+        &["figs", "4", "--scale", "small", "--exact"],
+        "repro figs does not take --exact",
+    ),
+    (
+        &["xl", "--scale", "small"],
+        "repro xl does not take --scale",
+    ),
+    (
+        &["xl2", "--peers", "1024", "--scale", "small"],
+        "repro xl2 does not take --scale",
+    ),
+    (
+        &[
+            "engine", "--scale", "small", "--epochs", "1", "--peers", "64",
+        ],
+        "repro engine does not take --peers",
+    ),
+    (
+        &["engine", "--scale", "small", "--epochs", "1", "--exact"],
+        "repro engine does not take --exact",
+    ),
+    (
+        &["figs", "4", "--scale", "small", "--gates", "gates"],
+        "repro figs does not take --gates",
+    ),
+    (
+        &["analyze", "t.ndjson", "--trace", "a.json"],
+        "repro analyze does not take --trace",
+    ),
+    (
+        &["analyze", "t.ndjson", "--profile", "p"],
+        "repro analyze does not take --profile",
+    ),
+    (
+        &["analyze", "t.ndjson", "--threads", "2"],
+        "repro analyze does not take --threads",
+    ),
+    (
+        &["analyze", "t.ndjson", "--out", "g.json"],
+        "--out only applies with --gates",
+    ),
     // Unknown names.
-    &["--fig", "9"],
-    &["--claim", "nope"],
-    &["bogus"],
-    &["analyze"],
+    (&["figs", "9"], "no figure 9"),
+    (&["claims", "nope"], "unknown claim nope"),
+    (&["bogus"], "unknown subcommand bogus"),
+    (&["analyze"], "needs at least one artifact path"),
+    // The legacy flag spelling, `--timing` and `--quiet` are gone.
+    (&["--all"], "unknown subcommand --all"),
+    (&["--fig", "4"], "unknown subcommand --fig"),
+    (&["all", "--timing"], "unknown argument --timing"),
+    (&["all", "--quiet"], "unknown argument --quiet"),
+    (&["xl", "--fig", "7"], "unknown argument --fig"),
 ];
 
 #[test]
@@ -49,7 +102,7 @@ fn malformed_invocations_exit_2_with_one_stderr_line() {
     std::fs::create_dir_all(&dir).expect("create scratch directory");
     let meta = "{\"type\":\"meta\",\"format\":\"proxbal-trace\",\"version\":1,\"tracks\":0,\"events\":0}\n";
     std::fs::write(dir.join("t.ndjson"), meta).expect("write trace artifact");
-    for args in MALFORMED {
+    for (args, expected) in MALFORMED {
         let out = Command::new(env!("CARGO_BIN_EXE_repro"))
             .args(*args)
             .current_dir(&dir)
@@ -59,7 +112,10 @@ fn malformed_invocations_exit_2_with_one_stderr_line() {
         assert_eq!(out.status.code(), Some(2), "{args:?}: stderr {stderr:?}");
         assert!(out.stdout.is_empty(), "{args:?} wrote to stdout");
         assert_eq!(stderr.lines().count(), 1, "{args:?}: stderr {stderr:?}");
-        assert!(!stderr.trim().is_empty(), "{args:?}: empty message");
+        assert!(
+            stderr.contains(expected),
+            "{args:?}: stderr {stderr:?} does not name {expected:?}"
+        );
     }
     std::fs::remove_dir_all(&dir).expect("remove scratch directory");
 }

@@ -726,29 +726,36 @@ pub struct XlRunSummary {
     pub lbi_messages: usize,
     /// VSA record·hop units.
     pub vsa_record_hops: usize,
-    /// Wall-clock seconds for this run (clone + four phases).
-    pub wall_s: f64,
-    /// Wall-clock seconds of phase 1a: LBI generation + report rebinding.
-    pub lbi_wall_s: f64,
-    /// Wall-clock seconds of phase 1b: tree aggregation of the LBIs.
-    pub aggregate_wall_s: f64,
-    /// Wall-clock seconds of phases 2–3: dissemination, classification and
-    /// the VSA sweep (including shed/light extraction).
-    pub vsa_wall_s: f64,
-    /// Wall-clock seconds of phase 4: transfer execution, including
-    /// distance accounting/refinement.
-    pub transfer_wall_s: f64,
     /// Moved-load-vs-distance histogram (the Figure-7 curve).
     pub histogram: DistanceHistogram,
 }
 
+/// Wall-clock seconds of one xl balancing pass. Volatile, so it travels
+/// beside its [`XlRunSummary`], never inside it — the rule
+/// [`proxbal_core::RoundWalls`] follows.
+#[derive(Clone, Copy, Debug, Default)]
+pub struct XlRunWalls {
+    /// The whole pass: clone + four phases.
+    pub total_s: f64,
+    /// The four round phases.
+    pub round: proxbal_core::RoundWalls,
+}
+
+/// Wall-clock seconds of an [`xl_scale`] or [`xl2_scale`] pass, returned
+/// beside its output.
+#[derive(Clone, Debug, Default)]
+pub struct XlWalls {
+    /// Preparation: topology, overlay, oracles, landmark vectors.
+    pub prepare_s: f64,
+    /// The sharded KT-tree build (xl2 only: each xl pass builds its own
+    /// tree inside its run).
+    pub tree_s: Option<f64>,
+    /// One per balancing pass, in the output's order (aware, ignorant).
+    pub runs: Vec<XlRunWalls>,
+}
+
 /// Folds one balancing pass into its [`XlRunSummary`].
-fn xl_run_summary(
-    label: &str,
-    report: &BalanceReport,
-    walls: &proxbal_core::RoundWalls,
-    wall_s: f64,
-) -> XlRunSummary {
+fn xl_run_summary(label: &str, report: &BalanceReport) -> XlRunSummary {
     let mut histogram = DistanceHistogram::new();
     for tr in &report.transfers {
         histogram.add(tr.distance.expect("underlay present"), tr.assignment.load);
@@ -766,11 +773,6 @@ fn xl_run_summary(
         vsa_rounds: report.vsa.rounds,
         lbi_messages: report.messages.lbi_messages,
         vsa_record_hops: report.messages.vsa_record_hops,
-        wall_s,
-        lbi_wall_s: walls.lbi_wall_s,
-        aggregate_wall_s: walls.aggregate_wall_s,
-        vsa_wall_s: walls.vsa_wall_s,
-        transfer_wall_s: walls.transfer_wall_s,
         histogram,
     }
 }
@@ -786,8 +788,6 @@ pub struct XlScaleOutput {
     pub virtual_servers: usize,
     /// Oracle row-cache bound used (rows).
     pub oracle_capacity: usize,
-    /// Wall-clock seconds to generate the topology, overlay and oracles.
-    pub prepare_wall_s: f64,
     /// Proximity-aware four-phase run.
     pub aware: XlRunSummary,
     /// Proximity-ignorant four-phase run.
@@ -800,7 +800,8 @@ pub struct XlScaleOutput {
 /// proximity-ignorant, the Figure-7 comparison shape. Deterministic for a
 /// given seed; the cache bound changes memory behaviour only, and `threads`
 /// (the worker threads inside each balancing round) is purely a
-/// performance knob — the output is byte-identical at any count.
+/// performance knob — the output is byte-identical at any count. The
+/// walls come back beside it.
 ///
 /// Each mode's four-phase run is recorded on its own child track (`aware`
 /// / `ignorant`) of `trace`; heartbeat lines go to `progress` after the
@@ -812,18 +813,18 @@ pub fn xl_scale(
     threads: usize,
     trace: &mut Trace,
     progress: &dyn ProgressSink,
-) -> XlScaleOutput {
+) -> (XlScaleOutput, XlWalls) {
     let scenario = Scenario::builder().xl().seed(seed).build();
     let t0 = std::time::Instant::now();
     let prepared = scenario.prepare_run(threads, progress);
-    let prepare_wall_s = t0.elapsed().as_secs_f64();
+    let prepare_s = t0.elapsed().as_secs_f64();
     progress.always(&format!(
-        "xl: prepared {} peers in {prepare_wall_s:.1}s",
+        "xl: prepared {} peers in {prepare_s:.1}s",
         prepared.net.alive_peers().len()
     ));
     let underlay = prepared.underlay().expect("xl runs over a topology");
 
-    let run = |mode: ProximityMode, label: u64, name: &str, trace: &mut Trace| -> XlRunSummary {
+    let run = |mode: ProximityMode, label: u64, name: &str, trace: &mut Trace| {
         let t = std::time::Instant::now();
         let mut child = Trace::new(trace.is_enabled(), name);
         let mut net = prepared.net.clone();
@@ -848,12 +849,16 @@ pub fn xl_scale(
             )
             .expect("attached network");
         trace.absorb(child);
-        xl_run_summary(name, &report, &walls, t.elapsed().as_secs_f64())
+        let run_walls = XlRunWalls {
+            total_s: t.elapsed().as_secs_f64(),
+            round: walls,
+        };
+        (xl_run_summary(name, &report), run_walls)
     };
 
     // Same labels as the full-scale Figure-7 runs (78 = aware, 79 =
     // ignorant) so the xl RNG streams mirror the fig78 shape.
-    let aware = run(
+    let (aware, aware_walls) = run(
         ProximityMode::Aware(proxbal_core::ProximityParams::default()),
         78,
         "aware",
@@ -861,15 +866,15 @@ pub fn xl_scale(
     );
     progress.always(&format!(
         "xl: aware run done in {:.1}s (heavy {} -> {})",
-        aware.wall_s, aware.heavy_before, aware.heavy_after
+        aware_walls.total_s, aware.heavy_before, aware.heavy_after
     ));
-    let ignorant = run(ProximityMode::Ignorant, 79, "ignorant", trace);
+    let (ignorant, ignorant_walls) = run(ProximityMode::Ignorant, 79, "ignorant", trace);
     progress.always(&format!(
         "xl: ignorant run done in {:.1}s (heavy {} -> {})",
-        ignorant.wall_s, ignorant.heavy_before, ignorant.heavy_after
+        ignorant_walls.total_s, ignorant.heavy_before, ignorant.heavy_after
     ));
 
-    XlScaleOutput {
+    let out = XlScaleOutput {
         peers: prepared.net.alive_peers().len(),
         underlay_nodes: prepared
             .topo
@@ -878,10 +883,15 @@ pub fn xl_scale(
             .unwrap_or(0),
         virtual_servers: prepared.net.ring().len(),
         oracle_capacity: crate::XL_ORACLE_CAPACITY,
-        prepare_wall_s,
         aware,
         ignorant,
-    }
+    };
+    let walls = XlWalls {
+        prepare_s,
+        tree_s: None,
+        runs: vec![aware_walls, ignorant_walls],
+    };
+    (out, walls)
 }
 
 /// KT-tree split depth for the sharded xl2 build: the top 8 levels (≤ 256
@@ -909,11 +919,6 @@ pub struct Xl2ScaleOutput {
     pub shards: usize,
     /// Exact-refinement budget (Dijkstra source rows per pass).
     pub refine_sources: usize,
-    /// Wall-clock seconds for sharded preparation (topology, overlay,
-    /// oracles, landmark vectors).
-    pub prepare_wall_s: f64,
-    /// Wall-clock seconds for the sharded KT-tree build.
-    pub tree_wall_s: f64,
     /// Proximity-aware four-phase run with landmark-approximate transfer
     /// distances.
     pub aware: XlRunSummary,
@@ -927,8 +932,8 @@ pub struct Xl2ScaleOutput {
 /// proximity-aware four-phase run, executed **in place** — no overlay/load
 /// clone — so the peak footprint stays within the xl budget.
 ///
-/// Everything except the `*_wall_s` fields is a pure function of
-/// `scenario`: sharded preparation, the tree build and the intra-round
+/// The output is a pure function of `scenario` (the walls come back
+/// beside it): sharded preparation, the tree build and the intra-round
 /// parallel sections of the balancing pass all chunk deterministically and
 /// merge in index order, so the result is independent of `threads`.
 ///
@@ -941,12 +946,12 @@ pub fn xl2_scale(
     threads: usize,
     trace: &mut Trace,
     progress: &dyn ProgressSink,
-) -> Xl2ScaleOutput {
+) -> (Xl2ScaleOutput, XlWalls) {
     let t0 = std::time::Instant::now();
     let mut prepared = scenario.prepare_run(threads, progress);
-    let prepare_wall_s = t0.elapsed().as_secs_f64();
+    let prepare_s = t0.elapsed().as_secs_f64();
     progress.always(&format!(
-        "xl2: prepared {} peers ({} virtual servers) in {prepare_wall_s:.1}s",
+        "xl2: prepared {} peers ({} virtual servers) in {prepare_s:.1}s",
         prepared.net.alive_peers().len(),
         prepared.net.ring().len()
     ));
@@ -958,9 +963,9 @@ pub fn xl2_scale(
         XL2_SPLIT_DEPTH,
         threads,
     );
-    let tree_wall_s = t1.elapsed().as_secs_f64();
+    let tree_s = t1.elapsed().as_secs_f64();
     progress.always(&format!(
-        "xl2: KT tree built ({} nodes) in {tree_wall_s:.1}s",
+        "xl2: KT tree built ({} nodes) in {tree_s:.1}s",
         tree.len()
     ));
 
@@ -988,13 +993,17 @@ pub fn xl2_scale(
         )
         .expect("attached network");
     trace.absorb(child);
-    let aware = xl_run_summary("aware", &report, &walls, t.elapsed().as_secs_f64());
+    let aware_walls = XlRunWalls {
+        total_s: t.elapsed().as_secs_f64(),
+        round: walls,
+    };
+    let aware = xl_run_summary("aware", &report);
     progress.always(&format!(
         "xl2: aware run done in {:.1}s (heavy {} -> {}, {} transfers)",
-        aware.wall_s, aware.heavy_before, aware.heavy_after, aware.transfers
+        aware_walls.total_s, aware.heavy_before, aware.heavy_after, aware.transfers
     ));
 
-    Xl2ScaleOutput {
+    let out = Xl2ScaleOutput {
         peers: prepared.net.alive_peers().len(),
         underlay_nodes: prepared
             .topo
@@ -1005,10 +1014,14 @@ pub fn xl2_scale(
         oracle_capacity: prepared.scenario.oracle_capacity,
         shards: prepared.scenario.shards,
         refine_sources: prepared.scenario.refine_sources,
-        prepare_wall_s,
-        tree_wall_s,
         aware,
-    }
+    };
+    let walls = XlWalls {
+        prepare_s,
+        tree_s: Some(tree_s),
+        runs: vec![aware_walls],
+    };
+    (out, walls)
 }
 
 /// One cell of the fault-injection sweep ([`fault_sweep`]): the four-phase

@@ -67,7 +67,7 @@ impl FaultConfig {
         }
     }
 
-    /// The sweep shape used by `repro --faults`: message loss at `rate`,
+    /// The sweep shape used by `repro faults`: message loss at `rate`,
     /// delays at half that rate, and a crash wave of `rate/2` of the peers.
     /// `rate = 0` degenerates to [`FaultConfig::none`].
     pub fn with_loss(rate: f64, seed: u64) -> Self {

@@ -186,7 +186,7 @@ fn parallel_drivers_are_thread_count_invariant() {
 /// time and messages.
 #[test]
 fn protocol_latency_rows_are_pinned_at_zero_loss_and_monotone_in_loss() {
-    // `repro --claim latency --scale small` at the default seed; no edge
+    // `repro claims latency --scale small` at the default seed; no edge
     // exhausts its retry budget there, so every row is at full coverage.
     let mut trace = Trace::enabled("latency");
     let rows = protocol_latency_traced(&[256], &[2, 8], &[0.0, 0.05], 1, 1, &mut trace);

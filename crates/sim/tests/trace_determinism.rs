@@ -56,7 +56,7 @@ fn fault_sweep_trace_is_byte_identical_across_thread_counts() {
 #[test]
 fn fault_sweep_trace_counters_match_row_totals() {
     // The trace's merged counters must reproduce the sweep rows' retry and
-    // abandonment accounting — the `--faults` cross-check of the issue.
+    // abandonment accounting — the `repro faults` cross-check.
     let s = sweep_scenario();
     let rates = [0.0, 0.1];
     let mut trace = Trace::enabled("faults");

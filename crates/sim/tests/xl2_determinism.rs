@@ -8,7 +8,7 @@ use proxbal_chord::ChordNetwork;
 use proxbal_core::LoadState;
 use proxbal_id::Id;
 use proxbal_profile::NullSink;
-use proxbal_sim::experiments::{xl2_scale, Xl2ScaleOutput, XL2_SPLIT_DEPTH};
+use proxbal_sim::experiments::{xl2_scale, Xl2ScaleOutput, XlWalls, XL2_SPLIT_DEPTH};
 use proxbal_sim::shard::build_tree_sharded;
 use proxbal_sim::{DistanceMode, Scenario, TopologyKind};
 use proxbal_topology::{select_landmarks, TransitStubConfig, TransitStubTopology};
@@ -32,16 +32,9 @@ fn tiny_xl2(seed: u64) -> Scenario {
     scenario
 }
 
-/// Serializes the output with every wall-clock zeroed — the only fields
-/// allowed to differ between runs.
-fn stable_json(mut out: Xl2ScaleOutput) -> String {
-    out.prepare_wall_s = 0.0;
-    out.tree_wall_s = 0.0;
-    out.aware.wall_s = 0.0;
-    out.aware.lbi_wall_s = 0.0;
-    out.aware.aggregate_wall_s = 0.0;
-    out.aware.vsa_wall_s = 0.0;
-    out.aware.transfer_wall_s = 0.0;
+/// Serializes the output; the walls come back beside it, so every field
+/// must agree between runs.
+fn stable_json((out, _walls): (Xl2ScaleOutput, XlWalls)) -> String {
     serde_json::to_string(&out).expect("serialize xl2 output")
 }
 
@@ -203,7 +196,7 @@ fn approximate_mode_still_resolves_heavy_peers() {
     // The scheme trades distance exactness for scale, never correctness of
     // the balancing itself: the approximate run must shed heavy peers just
     // like an exact run does.
-    let out = xl2_scale(tiny_xl2(11), 2, &mut Trace::disabled(), &NullSink);
+    let (out, _) = xl2_scale(tiny_xl2(11), 2, &mut Trace::disabled(), &NullSink);
     assert!(out.aware.heavy_before > 0);
     assert!(
         (out.aware.heavy_after as f64) < 0.2 * out.aware.heavy_before as f64,
@@ -216,7 +209,7 @@ fn approximate_mode_still_resolves_heavy_peers() {
     // transfer count and heavy resolution are in the same regime.
     let mut exact = tiny_xl2(11);
     exact.distance_mode = DistanceMode::Exact;
-    let exact_out = xl2_scale(exact, 2, &mut Trace::disabled(), &NullSink);
+    let (exact_out, _) = xl2_scale(exact, 2, &mut Trace::disabled(), &NullSink);
     assert_eq!(out.aware.heavy_before, exact_out.aware.heavy_before);
     assert!(exact_out.aware.transfers > 0);
 }

@@ -13,7 +13,7 @@ use proxbal_trace::Trace;
 
 fn main() {
     let mut scenario = Scenario::builder().seed(3).build();
-    scenario.peers = 1024; // example-sized; `repro --fig 7` runs 4096
+    scenario.peers = 1024; // example-sized; `repro figs 7` runs 4096
     scenario.topology = TopologyKind::Ts5kLarge;
     let prepared = scenario.prepare();
 

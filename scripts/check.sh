@@ -13,10 +13,11 @@
 #
 # A thread-invariance smoke is one call of `smoke` below: the same `repro`
 # command at 1 and 8 threads, scrubbed stdout diffed, listed artifacts
-# `cmp`-ed. Always: `--fig 7 --scale small --trace` (both trace files).
-#   --xl-smoke       `--scale xl --fig 7` once (65k peers, seconds), then
+# `cmp`-ed. Always: `figs 7 --scale small --trace` (both trace files and
+# the BENCH entry).
+#   --xl-smoke       `xl` once (65k peers, seconds), then
 #                    `xl2 --peers 65536` (stdout). CI runs it on every PR.
-#   --faults-smoke   `--faults 0.1 --scale small --trace` (stdout, BENCH
+#   --faults-smoke   `faults 0.1 --scale small --trace` (stdout, BENCH
 #                    entry, both trace files — the DES spans and histograms)
 #   --engine-smoke   `engine --scale small --trace`, then `engine --epochs 40
 #                    --trace` at full scale (stdout, BENCH entry, both trace
@@ -79,10 +80,8 @@ REPRO="$PWD/target/release/repro"
 SMOKE_DIR="$(mktemp -d)"
 trap 'rm -rf "$SMOKE_DIR"' EXIT
 
-# Drops everything that may legitimately differ between two runs of one
-# command: trailing per-line wall-clocks, wall lines, the xl2 prepare/total
-# summary lines, and the wrote-filename lines.
-scrub() { sed -E 's/ +[0-9.]+s$//' "$1" | grep -v -e "wall" -e "^prepare:" -e "^total:" -e "^wrote "; }
+# shellcheck source=scripts/scrub.sh
+source scripts/scrub.sh
 
 # smoke <name> <budget-seconds> <artifacts> <repro args...>
 # Runs `repro <args> --threads T` for T in {1, 8}, each in its own scratch
@@ -108,12 +107,12 @@ smoke() {
   done
 }
 
-smoke trace 600 "t.json t.ndjson" --fig 7 --scale small --trace t.json
+smoke trace 600 "BENCH_repro.json t.json t.ndjson" figs 7 --scale small --trace t.json
 
 if [[ "$XL_SMOKE" == "1" ]]; then
-  echo "==> xl smoke: repro --scale xl --fig 7"
+  echo "==> xl smoke: repro xl"
   mkdir -p "$SMOKE_DIR/xl"
-  (cd "$SMOKE_DIR/xl" && timeout 300 "$REPRO" --scale xl --fig 7)
+  (cd "$SMOKE_DIR/xl" && timeout 300 "$REPRO" xl)
   # xl2 at reduced peers: the full sharded + landmark-approximate pipeline.
   # A --peers override never writes a BENCH entry, so stdout is the whole
   # contract. ~3 s a run on a 2-core box now that refinement reads the
@@ -122,7 +121,7 @@ if [[ "$XL_SMOKE" == "1" ]]; then
 fi
 
 if [[ "$FAULTS_SMOKE" == "1" ]]; then
-  smoke faults 600 "BENCH_repro.json f.json f.ndjson" --faults 0.1 --scale small --trace f.json
+  smoke faults 600 "BENCH_repro.json f.json f.ndjson" faults 0.1 --scale small --trace f.json
 fi
 
 if [[ "$ROUND_SMOKE" == "1" ]]; then

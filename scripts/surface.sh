@@ -7,8 +7,10 @@
 #   lines       all lines
 #   non_test    lines that are not test code. Test code is: a file named
 #               `tests.rs` or `*_tests.rs`, a file under a `tests/`
-#               directory, and everything from a file's first line that
-#               holds `#[cfg(test)]` to its end.
+#               directory, each item a `#[cfg(test)]` annotates (from the
+#               attribute to the item's closing `}` or `;`, braces counted
+#               outside comments and string literals), and every file of a
+#               module declared under `#[cfg(test)]` (`#[cfg(test)] mod x;`).
 #   pub_fn      lines declaring `pub fn` (not `pub(crate)`, not `const`)
 #   suffixed    `pub fn` names ending in _traced, _with, _run, _walls,
 #               _threaded or _in
@@ -16,13 +18,69 @@ set -euo pipefail
 cd "${1:-$(dirname "$0")/..}"
 
 files=$(find crates -name '*.rs' | sort)
-test_file='(^|/)tests/|(^|/)([a-z0-9_]+_)?tests\.rs$'
 
 lines=$(cat $files | wc -l)
-non_test=$(for f in $files; do
-  [[ $f =~ $test_file ]] && continue
-  awk '/#\[cfg\(test\)\]/ { exit } { n++ } END { print n + 0 }' "$f"
-done | awk '{ s += $1 } END { print s + 0 }')
+# shellcheck disable=SC2086
+non_test=$(python3 - $files <<'EOF'
+import os, re, sys
+
+files = sys.argv[1:]
+test_file = re.compile(r"(^|/)tests/|(^|/)([a-z0-9_]+_)?tests\.rs$")
+attr = "#[cfg(test)]"
+literal = re.compile(r'"(\\.|[^"\\])*"' r"|'(\\.|[^'\\])'")
+mod_decl = re.compile(r"^\s*(pub(\([^)]*\))?\s+)?mod\s+(\w+)\s*;")
+
+def code(line):
+    """The line without string/char literals and a trailing `//` comment."""
+    return literal.sub('""', line).split("//", 1)[0]
+
+def test_items(text):
+    """Yields (first line, end line, first code line) of each annotated item."""
+    lines = text.split("\n")
+    i = 0
+    while i < len(lines):
+        at = code(lines[i]).find(attr)
+        if at < 0:
+            i += 1
+            continue
+        first, depth, j = None, 0, i
+        rest = code(lines[i])[at + len(attr):]
+        while j < len(lines):
+            c = rest if j == i else code(lines[j])
+            if first is None and c.strip() and not c.strip().startswith("#["):
+                first = c
+            depth += c.count("{") - c.count("}")
+            if first is not None and depth == 0 and c.rstrip().endswith((";", "}")):
+                break
+            j += 1
+        yield i, j, first or ""
+        i = j + 1
+
+texts = {f: open(f, encoding="utf-8").read() for f in files}
+# Files of modules declared under #[cfg(test)]: `x.rs` or `x/mod.rs`
+# beside the declaring file (inside its own directory for a non-root
+# file), and everything below `x/`.
+test_dirs = []
+for f, text in texts.items():
+    d, name = os.path.split(f)
+    if name not in ("lib.rs", "main.rs", "mod.rs"):
+        d = os.path.join(d, name[:-3])
+    for _, _, first in test_items(text):
+        m = mod_decl.match(first)
+        if m:
+            test_dirs.append(os.path.join(d, m.group(3)))
+def in_test_module(f):
+    return any(f == t + ".rs" or f.startswith(t + "/") for t in test_dirs)
+
+total = 0
+for f, text in texts.items():
+    if test_file.search(f) or in_test_module(f):
+        continue
+    n = text.count("\n")
+    total += n - sum(min(end, n - 1) - start + 1 for start, end, _ in test_items(text))
+print(total)
+EOF
+)
 pub_fn=$(cat $files | grep -cE '^\s*pub fn ' || true)
 suffixed=$(cat $files | grep -cE '^\s*pub fn [a-z0-9_]+_(traced|with|run|walls|threaded|in)\b' || true)
 
