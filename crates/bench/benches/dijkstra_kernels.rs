@@ -4,14 +4,19 @@
 //! `dijkstra_into` that reuses a [`DijkstraScratch`] across calls — the form
 //! the oracle's row fills actually use.
 //!
-//! Two weight regimes: the hop-cost graph (weights 1/3, well inside the
-//! bucket threshold) and the latency graph (Euclidean weights, the regime
-//! where the kernel may fall back to the heap).
+//! Two weight regimes on ts5k-large: the hop-cost graph (weights 1/3, well
+//! inside the bucket threshold) and the latency graph (Euclidean weights,
+//! the regime where the kernel may fall back to the heap); and the ts50k
+//! hop graph, the size the xl runs and `exact_16k` fill rows on.
 //!
 //! `stub_index_build` times what replaced row fills for point queries on
 //! the hop-cost graph: the first `DistanceOracle::distance` on a fresh
 //! oracle, which builds the transit-stub index (per-stub tables by bit-row
 //! BFS, then the transit core) — the profiler's `oracle/index_build`.
+//!
+//! `topology_generate` times `TransitStubTopology::generate` whole: the
+//! generator's edge list, the flat hop graph built from it and the latency
+//! graph derived from its arcs — the profiler's `prepare/topology`.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use proxbal_topology::{
@@ -57,6 +62,24 @@ fn bench_kernels(c: &mut Criterion) {
     let topo = TransitStubTopology::generate(TransitStubConfig::ts5k_large(), &mut rng);
     bench_graph(c, "ts5k_large_hops", &topo.graph);
     bench_graph(c, "ts5k_large_latency", &topo.latency_graph);
+
+    let topo = TransitStubTopology::generate(TransitStubConfig::ts50k(), &mut rng);
+    bench_graph(c, "ts50k_hops", &topo.graph);
+}
+
+fn bench_generate(c: &mut Criterion) {
+    let mut group = c.benchmark_group("topology_generate");
+    group.sample_size(10);
+    for (name, config) in [
+        ("ts5k_large", TransitStubConfig::ts5k_large()),
+        ("ts5k_small", TransitStubConfig::ts5k_small()),
+        ("ts50k", TransitStubConfig::ts50k()),
+    ] {
+        group.bench_function(name, |b| {
+            b.iter(|| TransitStubTopology::generate(config, &mut StdRng::seed_from_u64(1)));
+        });
+    }
+    group.finish();
 }
 
 fn bench_index_build(c: &mut Criterion) {
@@ -80,5 +103,5 @@ fn bench_index_build(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_kernels, bench_index_build);
+criterion_group!(benches, bench_kernels, bench_index_build, bench_generate);
 criterion_main!(benches);

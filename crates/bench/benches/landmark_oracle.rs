@@ -17,7 +17,7 @@ fn bench_landmark_oracle(c: &mut Criterion) {
     let mut rng = StdRng::seed_from_u64(42);
     let topo = TransitStubTopology::generate(TransitStubConfig::ts5k_large(), &mut rng);
     let landmarks = select_landmarks(&topo, 15, &mut rng);
-    let graph = Arc::new(topo.graph.clone());
+    let graph = Arc::clone(&topo.graph);
     let n = graph.node_count() as u32;
     let oracle = DistanceOracle::new(Arc::clone(&graph));
     let lm = LandmarkOracle::build(&oracle, &landmarks, 1);

@@ -17,7 +17,7 @@ fn topology() -> TransitStubTopology {
 
 fn bench_oracle_rows(c: &mut Criterion) {
     let topo = topology();
-    let graph = Arc::new(topo.graph.clone());
+    let graph = Arc::clone(&topo.graph);
     let n = graph.node_count() as u32;
     let sources: Vec<u32> = (0..n).step_by((n as usize / 64).max(1)).take(64).collect();
 

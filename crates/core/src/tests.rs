@@ -1297,7 +1297,7 @@ fn execute_transfers_unattached_peer_is_typed_error() {
     // the distance is undefined, and the run must say so instead of
     // asserting.
     let topo = TransitStubTopology::generate(TransitStubConfig::tiny(), &mut rng);
-    let oracle = DistanceOracle::new(Arc::new(topo.graph));
+    let oracle = DistanceOracle::new(Arc::clone(&topo.graph));
     let err = execute_transfers(
         &mut net,
         &mut loads,
@@ -1631,10 +1631,10 @@ proptest! {
         let (net, loads, assignments) = transfer_fixture(seed, peers, width, orphan);
         let mut rng = StdRng::seed_from_u64(seed ^ 0x1A);
         let picks = select_landmarks(&topo, landmark_count, &mut rng);
-        let rows = DistanceOracle::new(Arc::new(topo.graph.clone()));
+        let rows = DistanceOracle::new(Arc::clone(&topo.graph));
         let landmarks = LandmarkOracle::build(&rows, &picks, 1);
         let indexed = DistanceOracle::for_topology(&topo, 0);
-        let evicting = DistanceOracle::with_capacity(Arc::new(topo.graph.clone()), 8);
+        let evicting = DistanceOracle::with_capacity(Arc::clone(&topo.graph), 8);
         let exact = TransferDistances::Exact(&indexed);
         let mut modes = vec![(None, None), (Some(exact), Some(exact))];
         for refine_sources in [0, 1, k, usize::MAX] {

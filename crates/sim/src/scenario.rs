@@ -199,7 +199,7 @@ impl Scenario {
             let cap = self.oracle_capacity;
             let oracle = DistanceOracle::for_topology(topo, cap);
             let latency_oracle =
-                DistanceOracle::with_capacity(Arc::new(topo.latency_graph.clone()), cap);
+                DistanceOracle::with_capacity(Arc::clone(&topo.latency_graph), cap);
             // Landmark vectors need the distance row *from* each landmark in
             // the latency metric; batch-fill them up front so no balancing
             // run (aware or ignorant, any mode ordering) computes one twice.

@@ -230,6 +230,18 @@ fn bounded_oracle_cache_is_bit_identical() {
     assert_eq!(unbounded, bounded);
 }
 
+/// Both oracles a prepared run builds read the topology's own graphs: the
+/// hop and latency graphs are shared, never copied.
+#[test]
+fn prepared_oracles_share_the_topology_graphs() {
+    let prepared = small(17, TopologyKind::Tiny).prepare();
+    let topo = prepared.topo.as_ref().unwrap();
+    let hops = prepared.oracle.as_ref().unwrap();
+    let latency = prepared.latency_oracle.as_ref().unwrap();
+    assert!(std::ptr::eq(hops.graph(), &*topo.graph));
+    assert!(std::ptr::eq(latency.graph(), &*topo.latency_graph));
+}
+
 #[test]
 fn balancer_config_in_scenario_is_respected() {
     let mut scenario = small(13, TopologyKind::None);

@@ -1,4 +1,3 @@
-use serde::{Deserialize, Serialize};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
@@ -14,16 +13,22 @@ pub const INFINITE_DISTANCE: u32 = u32::MAX;
 /// for itself and the binary heap takes over.
 const MAX_BUCKET_WEIGHT: u32 = 4096;
 
-/// Undirected weighted graph in adjacency-list form.
+/// Undirected weighted graph as one flat, immutable adjacency array (CSR).
+///
+/// Node `u`'s neighbours are `arcs[offsets[u]..offsets[u + 1]]`; every
+/// undirected edge appears as two arcs. A graph is built once, from an edge
+/// list ([`Graph::from_edges`]), and shared behind an `Arc` rather than
+/// copied.
 ///
 /// Edge weights are small positive integers (1 for intradomain hops, 3 for
 /// interdomain hops in the paper's cost model), so distances fit comfortably
 /// in `u32`.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Debug)]
 pub struct Graph {
-    /// `adj[u]` lists `(v, weight)` pairs. Each undirected edge appears twice.
-    adj: Vec<Vec<(NodeId, u32)>>,
-    edge_count: usize,
+    /// `n + 1` entries: where each node's run of arcs starts in `arcs`.
+    offsets: Vec<usize>,
+    /// `(v, weight)` pairs, each node's run in first-insertion order.
+    arcs: Vec<(NodeId, u32)>,
     /// Largest edge weight present (0 while edgeless). Decides between the
     /// bucket-queue and binary-heap Dijkstra variants.
     max_weight: u32,
@@ -53,23 +58,94 @@ impl DijkstraScratch {
 }
 
 impl Graph {
-    /// An edgeless graph on `n` nodes.
-    pub fn new(n: usize) -> Self {
+    /// The graph on `n` nodes with the undirected edges `(u, v, weight)`.
+    /// Weights must be positive and endpoints below `n`. Self-loops are
+    /// dropped; of parallel edges the first one, with its weight, is kept.
+    /// Each node's neighbours come in the order their first edge appears.
+    pub fn from_edges(n: usize, edges: &[(NodeId, NodeId, u32)]) -> Self {
+        // Counting sort of the arcs by source, in edge order.
+        let mut offsets = vec![0usize; n + 1];
+        for &(u, v, w) in edges {
+            assert!(w > 0, "edge weights must be positive");
+            assert!(
+                (u as usize) < n && (v as usize) < n,
+                "endpoint out of range"
+            );
+            if u != v {
+                offsets[u as usize + 1] += 1;
+                offsets[v as usize + 1] += 1;
+            }
+        }
+        for i in 1..=n {
+            offsets[i] += offsets[i - 1];
+        }
+        let mut arcs = vec![(0, 0); offsets[n]];
+        let mut next = offsets.clone();
+        for &(u, v, w) in edges {
+            if u != v {
+                arcs[next[u as usize]] = (v, w);
+                next[u as usize] += 1;
+                arcs[next[v as usize]] = (u, w);
+                next[v as usize] += 1;
+            }
+        }
+
+        // Keep each target's first arc: the first edge of every parallel
+        // bundle, seen from either end. `seen[v] == u` marks `v` as
+        // already a neighbour of `u`.
+        let mut seen = vec![NodeId::MAX; n];
+        let (mut kept, mut max_weight) = (0, 0);
+        for u in 0..n {
+            let run = offsets[u]..offsets[u + 1];
+            offsets[u] = kept;
+            for i in run {
+                let (v, w) = arcs[i];
+                if seen[v as usize] != u as NodeId {
+                    seen[v as usize] = u as NodeId;
+                    arcs[kept] = (v, w);
+                    kept += 1;
+                    max_weight = max_weight.max(w);
+                }
+            }
+        }
+        offsets[n] = kept;
+        arcs.truncate(kept);
+        arcs.shrink_to_fit();
         Graph {
-            adj: vec![Vec::new(); n],
-            edge_count: 0,
-            max_weight: 0,
+            offsets,
+            arcs,
+            max_weight,
+        }
+    }
+
+    /// The same nodes and arcs, in the same order, with each arc `u → v`
+    /// weighted `weight(u, v)`. `weight` must be positive and symmetric.
+    pub(crate) fn reweighted(&self, weight: impl Fn(NodeId, NodeId) -> u32) -> Self {
+        let mut arcs = Vec::with_capacity(self.arcs.len());
+        let mut max_weight = 0;
+        for u in 0..self.node_count() as NodeId {
+            for &(v, _) in self.neighbors(u) {
+                let w = weight(u, v);
+                assert!(w > 0, "edge weights must be positive");
+                arcs.push((v, w));
+                max_weight = max_weight.max(w);
+            }
+        }
+        Graph {
+            offsets: self.offsets.clone(),
+            arcs,
+            max_weight,
         }
     }
 
     /// Number of nodes.
     pub fn node_count(&self) -> usize {
-        self.adj.len()
+        self.offsets.len() - 1
     }
 
     /// Number of undirected edges.
     pub fn edge_count(&self) -> usize {
-        self.edge_count
+        self.arcs.len() / 2
     }
 
     /// Largest edge weight in the graph (0 while edgeless).
@@ -77,38 +153,11 @@ impl Graph {
         self.max_weight
     }
 
-    /// Adds the undirected edge `{u, v}` with weight `w`. Duplicate edges are
-    /// ignored (first weight wins); self-loops are rejected.
-    pub fn add_edge(&mut self, u: NodeId, v: NodeId, w: u32) -> bool {
-        assert!(w > 0, "edge weights must be positive");
-        if u == v {
-            return false;
-        }
-        let (u_us, v_us) = (u as usize, v as usize);
-        assert!(u_us < self.adj.len() && v_us < self.adj.len());
-        if self.adj[u_us].iter().any(|&(x, _)| x == v) {
-            return false;
-        }
-        self.adj[u_us].push((v, w));
-        self.adj[v_us].push((u, w));
-        self.edge_count += 1;
-        self.max_weight = self.max_weight.max(w);
-        true
-    }
-
-    /// True iff the undirected edge `{u, v}` exists.
-    pub fn has_edge(&self, u: NodeId, v: NodeId) -> bool {
-        self.adj[u as usize].iter().any(|&(x, _)| x == v)
-    }
-
     /// Neighbors of `u` with edge weights.
+    #[inline]
     pub fn neighbors(&self, u: NodeId) -> &[(NodeId, u32)] {
-        &self.adj[u as usize]
-    }
-
-    /// Degree of `u`.
-    pub fn degree(&self, u: NodeId) -> usize {
-        self.adj[u as usize].len()
+        let u = u as usize;
+        &self.arcs[self.offsets[u]..self.offsets[u + 1]]
     }
 
     /// Single-source shortest path distances from `src`.
@@ -130,7 +179,7 @@ impl Graph {
     /// instead of the O(E log V) binary heap, which remains as the fallback
     /// for large weights.
     pub fn dijkstra_into<'a>(&self, src: NodeId, scratch: &'a mut DijkstraScratch) -> &'a [u32] {
-        let n = self.adj.len();
+        let n = self.node_count();
         assert!((src as usize) < n, "source out of range");
         if scratch.dist.len() != n {
             scratch.dist.clear();
@@ -171,7 +220,7 @@ impl Graph {
                 if dist[u as usize] != d {
                     continue; // superseded entry
                 }
-                for &(v, w) in &self.adj[u as usize] {
+                for &(v, w) in self.neighbors(u) {
                     let nd = d + w;
                     let dv = &mut dist[v as usize];
                     if nd < *dv {
@@ -200,7 +249,7 @@ impl Graph {
             if d > dist[u as usize] {
                 continue;
             }
-            for &(v, w) in &self.adj[u as usize] {
+            for &(v, w) in self.neighbors(u) {
                 let nd = d + w;
                 let dv = &mut dist[v as usize];
                 if nd < *dv {
@@ -218,8 +267,87 @@ impl Graph {
     /// pre-optimization kernel, kept as the correctness baseline for
     /// property tests and the `dijkstra_kernels` benchmark.
     pub fn dijkstra_reference(&self, src: NodeId) -> Vec<u32> {
-        let n = self.adj.len();
-        let mut dist = vec![INFINITE_DISTANCE; n];
+        let mut dist = vec![INFINITE_DISTANCE; self.node_count()];
+        let mut heap = BinaryHeap::new();
+        dist[src as usize] = 0;
+        heap.push(Reverse((0u32, src)));
+        while let Some(Reverse((d, u))) = heap.pop() {
+            if d > dist[u as usize] {
+                continue;
+            }
+            for &(v, w) in self.neighbors(u) {
+                let nd = d + w;
+                if nd < dist[v as usize] {
+                    dist[v as usize] = nd;
+                    heap.push(Reverse((nd, v)));
+                }
+            }
+        }
+        dist
+    }
+
+    /// True iff every node is reachable from node 0 (or the graph is empty).
+    pub fn is_connected(&self) -> bool {
+        if self.node_count() == 0 {
+            return true;
+        }
+        let dist = self.dijkstra(0);
+        dist.iter().all(|&d| d != INFINITE_DISTANCE)
+    }
+
+    /// All-pairs shortest paths via repeated single-source runs sharing one
+    /// scratch. Intended for tests and small graphs; large graphs should use
+    /// [`crate::DistanceOracle`] which computes rows lazily and in parallel.
+    pub fn all_pairs(&self) -> Vec<Vec<u32>> {
+        let mut scratch = DijkstraScratch::new();
+        (0..self.node_count() as NodeId)
+            .map(|u| self.dijkstra_into(u, &mut scratch).to_vec())
+            .collect()
+    }
+}
+
+/// The adjacency-list builder [`Graph::from_edges`] replaced: one `Vec` per
+/// node and a scanning `add_edge`. The reference its semantics are tested
+/// against.
+#[cfg(test)]
+struct ReferenceGraph {
+    adj: Vec<Vec<(NodeId, u32)>>,
+    edge_count: usize,
+    max_weight: u32,
+}
+
+#[cfg(test)]
+impl ReferenceGraph {
+    fn new(n: usize) -> Self {
+        ReferenceGraph {
+            adj: vec![Vec::new(); n],
+            edge_count: 0,
+            max_weight: 0,
+        }
+    }
+
+    /// Adds the undirected edge `{u, v}` with weight `w`. Duplicate edges are
+    /// ignored (first weight wins); self-loops are rejected.
+    fn add_edge(&mut self, u: NodeId, v: NodeId, w: u32) -> bool {
+        assert!(w > 0, "edge weights must be positive");
+        if u == v {
+            return false;
+        }
+        let (u_us, v_us) = (u as usize, v as usize);
+        assert!(u_us < self.adj.len() && v_us < self.adj.len());
+        if self.adj[u_us].iter().any(|&(x, _)| x == v) {
+            return false;
+        }
+        self.adj[u_us].push((v, w));
+        self.adj[v_us].push((u, w));
+        self.edge_count += 1;
+        self.max_weight = self.max_weight.max(w);
+        true
+    }
+
+    /// Binary-heap Dijkstra over the lists.
+    fn dijkstra(&self, src: NodeId) -> Vec<u32> {
+        let mut dist = vec![INFINITE_DISTANCE; self.adj.len()];
         let mut heap = BinaryHeap::new();
         dist[src as usize] = 0;
         heap.push(Reverse((0u32, src)));
@@ -237,44 +365,67 @@ impl Graph {
         }
         dist
     }
-
-    /// True iff every node is reachable from node 0 (or the graph is empty).
-    pub fn is_connected(&self) -> bool {
-        if self.adj.is_empty() {
-            return true;
-        }
-        let dist = self.dijkstra(0);
-        dist.iter().all(|&d| d != INFINITE_DISTANCE)
-    }
-
-    /// All-pairs shortest paths via repeated single-source runs sharing one
-    /// scratch. Intended for tests and small graphs; large graphs should use
-    /// [`crate::DistanceOracle`] which computes rows lazily and in parallel.
-    pub fn all_pairs(&self) -> Vec<Vec<u32>> {
-        let mut scratch = DijkstraScratch::new();
-        (0..self.adj.len() as NodeId)
-            .map(|u| self.dijkstra_into(u, &mut scratch).to_vec())
-            .collect()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
     fn random_graph(seed: u64, n: usize, edges: usize, max_w: u32) -> Graph {
         let mut rng = StdRng::seed_from_u64(seed);
-        let mut g = Graph::new(n);
-        for _ in 0..edges {
-            let u = rng.gen_range(0..n as NodeId);
-            let v = rng.gen_range(0..n as NodeId);
-            if u != v {
-                g.add_edge(u, v, rng.gen_range(1..=max_w));
+        let edges: Vec<_> = (0..edges)
+            .map(|_| {
+                let u = rng.gen_range(0..n as NodeId);
+                let v = rng.gen_range(0..n as NodeId);
+                (u, v, rng.gen_range(1..=max_w))
+            })
+            .collect();
+        Graph::from_edges(n, &edges)
+    }
+
+    /// Up to `4n` random edges over `n` nodes, weights 1–9. A quarter of
+    /// them repeat an earlier pair, reversed and reweighted; self-loops and
+    /// untouched nodes come up on their own at these sizes.
+    fn edge_sequence(n: usize, seed: u64) -> Vec<(NodeId, NodeId, u32)> {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut edges: Vec<(NodeId, NodeId, u32)> = Vec::new();
+        for _ in 0..rng.gen_range(0..=4 * n) {
+            let w = rng.gen_range(1..=9);
+            if !edges.is_empty() && rng.gen_range(0..4) == 0 {
+                let (u, v, _) = edges[rng.gen_range(0..edges.len())];
+                edges.push((v, u, w));
+            } else {
+                edges.push((
+                    rng.gen_range(0..n as NodeId),
+                    rng.gen_range(0..n as NodeId),
+                    w,
+                ));
             }
         }
-        g
+        edges
+    }
+
+    proptest! {
+        #[test]
+        fn from_edges_matches_the_scanning_builder(n in 1usize..=64, seed: u64) {
+            let edges = edge_sequence(n, seed);
+            let graph = Graph::from_edges(n, &edges);
+            let mut reference = ReferenceGraph::new(n);
+            for &(u, v, w) in &edges {
+                reference.add_edge(u, v, w);
+            }
+            prop_assert_eq!(graph.node_count(), n);
+            prop_assert_eq!(graph.edge_count(), reference.edge_count);
+            prop_assert_eq!(graph.max_weight(), reference.max_weight);
+            let mut scratch = DijkstraScratch::new();
+            for u in 0..n as NodeId {
+                prop_assert_eq!(graph.neighbors(u), &reference.adj[u as usize][..]);
+                prop_assert_eq!(graph.dijkstra_into(u, &mut scratch), &reference.dijkstra(u)[..]);
+            }
+        }
     }
 
     #[test]

@@ -7,8 +7,11 @@
 //! with the same shape parameters (see `DESIGN.md` §2) — the paper's results
 //! depend only on the transit-stub *structure* and the 3:1 cost ratio.
 //!
-//! * [`Graph`] — undirected weighted graph in adjacency-list form with
-//!   Dijkstra shortest paths.
+//! * [`Graph`] — undirected weighted graph as one flat, immutable adjacency
+//!   array (CSR), built once by [`Graph::from_edges`] (self-loops dropped,
+//!   the first of parallel edges kept), with Dijkstra shortest paths.
+//!   [`TransitStubTopology`] holds its hop and latency graphs behind `Arc`s
+//!   that the distance oracles share instead of copying.
 //! * [`TransitStubConfig`] / [`TransitStubTopology`] — the generator. The two
 //!   paper presets are [`TransitStubConfig::ts5k_large`] and
 //!   [`TransitStubConfig::ts5k_small`].

@@ -254,11 +254,7 @@ impl DistanceOracle {
     /// row cache of `capacity` unpinned rows (`0` = unbounded) for whole-row
     /// consumers.
     pub fn for_topology(topo: &TransitStubTopology, capacity: usize) -> Self {
-        Self::with_kinds(
-            Arc::new(topo.graph.clone()),
-            capacity,
-            Some(topo.kinds.clone()),
-        )
+        Self::with_kinds(Arc::clone(&topo.graph), capacity, Some(topo.kinds.clone()))
     }
 
     fn with_kinds(graph: Arc<Graph>, capacity: usize, kinds: Option<Vec<DomainKind>>) -> Self {

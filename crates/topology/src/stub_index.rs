@@ -285,14 +285,12 @@ impl StubIndex {
             });
         }
 
-        // `Graph::add_edge` keeps the first of two parallel edges, so the
+        // `Graph::from_edges` keeps the first of two parallel edges, so the
         // cheapest of each bundle has to come first.
         skeleton.sort_unstable();
-        let mut core_graph = Graph::new(transit_count);
-        for (a, b, w) in skeleton {
-            core_graph.add_edge(a, b, w);
-        }
-        let core = core_graph.all_pairs().concat();
+        let core = Graph::from_edges(transit_count, &skeleton)
+            .all_pairs()
+            .concat();
 
         Some(StubIndex {
             place,
@@ -380,7 +378,7 @@ impl StubIndex {
         let mut scratch = DijkstraScratch::new();
         let mut intra = Vec::new();
         for (slot, nodes) in members.iter().enumerate() {
-            let mut inside = Graph::new(nodes.len());
+            let mut edges = Vec::new();
             let is_stub = slot >= transit_count;
             for &u in nodes {
                 for &(v, w) in graph.neighbors(u) {
@@ -390,11 +388,12 @@ impl StubIndex {
                             return None;
                         }
                         if u < v {
-                            inside.add_edge(place[u as usize].1, lv, w);
+                            edges.push((place[u as usize].1, lv, w));
                         }
                     }
                 }
             }
+            let inside = Graph::from_edges(nodes.len(), &edges);
             for src in 0..nodes.len() as NodeId {
                 for &d in inside.dijkstra_into(src, &mut scratch) {
                     intra.push(match d {

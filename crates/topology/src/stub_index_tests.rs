@@ -21,6 +21,7 @@ fn generate(config: TransitStubConfig, seed: u64) -> TransitStubTopology {
 /// A topology around a hand-made hop graph: only `graph` and `kinds` are
 /// read by the oracle, the rest is filled in consistently.
 fn hand_made(graph: Graph, kinds: Vec<DomainKind>) -> TransitStubTopology {
+    let graph = std::sync::Arc::new(graph);
     let mut transit_by_domain: Vec<Vec<NodeId>> = Vec::new();
     let mut stub_by_domain: Vec<Vec<NodeId>> = Vec::new();
     for (node, kind) in kinds.iter().enumerate() {
@@ -34,7 +35,7 @@ fn hand_made(graph: Graph, kinds: Vec<DomainKind>) -> TransitStubTopology {
         groups[domain as usize].push(node as NodeId);
     }
     TransitStubTopology {
-        latency_graph: graph.clone(),
+        latency_graph: std::sync::Arc::clone(&graph),
         coords: vec![(0.0, 0.0); kinds.len()],
         graph,
         kinds,
@@ -50,10 +51,8 @@ const fn stub(domain: u32) -> DomainKind {
 }
 
 fn graph_of(nodes: usize, edges: &[(NodeId, NodeId, u32)]) -> Graph {
-    let mut g = Graph::new(nodes);
-    for &(u, v, w) in edges {
-        assert!(g.add_edge(u, v, w), "duplicate edge {u}-{v}");
-    }
+    let g = Graph::from_edges(nodes, edges);
+    assert_eq!(g.edge_count(), edges.len(), "duplicate edge or self-loop");
     g
 }
 
@@ -175,10 +174,10 @@ fn single_stub(
 ) -> (Graph, Vec<DomainKind>) {
     use rand::Rng;
     let mut rng = StdRng::seed_from_u64(seed);
-    let mut graph = Graph::new(transit + size);
+    let mut edges = Vec::new();
     let member = |i: usize| (transit + i) as NodeId;
     if transit == 2 {
-        graph.add_edge(0, 1, 3);
+        edges.push((0, 1, 3));
     }
     for i in 1..size {
         let parent = match spine {
@@ -186,22 +185,22 @@ fn single_stub(
             2 => rng.gen_range(0..i),
             _ => break,
         };
-        graph.add_edge(member(parent), member(i), 1);
+        edges.push((member(parent), member(i), 1));
     }
     for a in 0..size {
         for b in a + 1..size {
             if rng.gen::<f64>() < density {
-                graph.add_edge(member(a), member(b), 1);
+                edges.push((member(a), member(b), 1));
             }
         }
     }
     for _ in 0..rng.gen_range(1..=3) {
         let t = rng.gen_range(0..transit) as NodeId;
-        graph.add_edge(member(rng.gen_range(0..size)), t, 3);
+        edges.push((member(rng.gen_range(0..size)), t, 3));
     }
     let mut kinds = vec![T; transit];
     kinds.resize(transit + size, stub(0));
-    (graph, kinds)
+    (Graph::from_edges(transit + size, &edges), kinds)
 }
 
 proptest! {

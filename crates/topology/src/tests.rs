@@ -12,14 +12,13 @@ fn small_topo(seed: u64) -> TransitStubTopology {
 
 #[test]
 fn graph_basic_ops() {
-    let mut g = Graph::new(4);
-    assert!(g.add_edge(0, 1, 1));
-    assert!(g.add_edge(1, 2, 2));
-    assert!(!g.add_edge(0, 1, 5)); // duplicate ignored
-    assert!(!g.add_edge(2, 2, 1)); // self loop rejected
+    // A duplicate (either direction, any weight) and a self-loop are dropped.
+    let g = Graph::from_edges(4, &[(0, 1, 1), (1, 2, 2), (1, 0, 5), (2, 2, 1)]);
     assert_eq!(g.edge_count(), 2);
-    assert!(g.has_edge(1, 0));
-    assert_eq!(g.degree(1), 2);
+    assert_eq!(g.max_weight(), 2);
+    assert_eq!(g.neighbors(0), &[(1, 1)]);
+    assert_eq!(g.neighbors(1), &[(0, 1), (2, 2)]);
+    assert!(g.neighbors(3).is_empty());
     assert!(!g.is_connected()); // node 3 isolated
 }
 
@@ -27,17 +26,14 @@ fn graph_basic_ops() {
 fn dijkstra_matches_hand_computed() {
     // 0 -1- 1 -1- 2
     //  \----5----/
-    let mut g = Graph::new(3);
-    g.add_edge(0, 1, 1);
-    g.add_edge(1, 2, 1);
-    g.add_edge(0, 2, 5);
+    let g = Graph::from_edges(3, &[(0, 1, 1), (1, 2, 1), (0, 2, 5)]);
     let d = g.dijkstra(0);
     assert_eq!(d, vec![0, 1, 2]);
 }
 
 #[test]
 fn dijkstra_unreachable_is_infinite() {
-    let g = Graph::new(2);
+    let g = Graph::from_edges(2, &[]);
     let d = g.dijkstra(0);
     assert_eq!(d[1], INFINITE_DISTANCE);
 }
@@ -75,14 +71,14 @@ fn dijkstra_agrees_with_bellman_ford_on_random_graphs() {
     let mut rng = StdRng::seed_from_u64(42);
     for _ in 0..20 {
         let n = 30;
-        let mut g = Graph::new(n);
-        for _ in 0..60 {
-            let u = rand::Rng::gen_range(&mut rng, 0..n as NodeId);
-            let v = rand::Rng::gen_range(&mut rng, 0..n as NodeId);
-            if u != v {
-                g.add_edge(u, v, rand::Rng::gen_range(&mut rng, 1..5));
-            }
-        }
+        let edges: Vec<_> = (0..60)
+            .map(|_| {
+                let u = rand::Rng::gen_range(&mut rng, 0..n as NodeId);
+                let v = rand::Rng::gen_range(&mut rng, 0..n as NodeId);
+                (u, v, rand::Rng::gen_range(&mut rng, 1..5))
+            })
+            .collect();
+        let g = Graph::from_edges(n, &edges);
         for src in [0, 7, 29] {
             assert_eq!(g.dijkstra(src), bellman_ford(&g, src));
         }
@@ -155,6 +151,7 @@ fn generation_is_deterministic_per_seed() {
     assert_eq!(a.graph.edge_count(), b.graph.edge_count());
     for u in 0..a.node_count() as NodeId {
         assert_eq!(a.graph.neighbors(u), b.graph.neighbors(u));
+        assert_eq!(a.latency_graph.neighbors(u), b.latency_graph.neighbors(u));
     }
 }
 
@@ -201,7 +198,7 @@ fn zero_landmarks_selects_nothing() {
 #[test]
 fn oracle_matches_direct_dijkstra() {
     let topo = small_topo(2);
-    let g = StdArc::new(topo.graph.clone());
+    let g = StdArc::clone(&topo.graph);
     let oracle = DistanceOracle::new(g.clone());
     let direct = g.dijkstra(0);
     for v in 0..g.node_count() as NodeId {
@@ -213,7 +210,7 @@ fn oracle_matches_direct_dijkstra() {
 #[test]
 fn oracle_precompute_parallel() {
     let topo = small_topo(8);
-    let oracle = DistanceOracle::new(StdArc::new(topo.graph.clone()));
+    let oracle = DistanceOracle::new(StdArc::clone(&topo.graph));
     let sources: Vec<NodeId> = (0..topo.node_count() as NodeId).collect();
     oracle.precompute(&sources, 4);
     assert_eq!(oracle.cached_rows(), topo.node_count());
@@ -230,7 +227,7 @@ fn oracle_precompute_cursor_any_thread_count() {
     // Work is handed out through a shared atomic cursor, so every thread
     // count fills exactly the same rows with exactly the same contents.
     let topo = small_topo(9);
-    let graph = StdArc::new(topo.graph.clone());
+    let graph = StdArc::clone(&topo.graph);
     let baseline = DistanceOracle::new(StdArc::clone(&graph));
     let sources: Vec<NodeId> = (0..topo.node_count() as NodeId).step_by(2).collect();
     baseline.precompute(&sources, 1);
@@ -251,7 +248,7 @@ fn oracle_precompute_cursor_any_thread_count() {
 #[test]
 fn pinned_rows_survive_eviction_pressure() {
     let topo = small_topo(3);
-    let graph = StdArc::new(topo.graph.clone());
+    let graph = StdArc::clone(&topo.graph);
     let oracle = DistanceOracle::with_capacity(StdArc::clone(&graph), 4);
     let pinned: Vec<NodeId> = vec![0, 1];
     for &p in &pinned {
@@ -280,7 +277,7 @@ fn landmark_vector_has_expected_shape() {
     let topo = small_topo(4);
     let mut rng = StdRng::seed_from_u64(4);
     let lms = select_landmarks(&topo, 4, &mut rng);
-    let oracle = DistanceOracle::new(StdArc::new(topo.graph.clone()));
+    let oracle = DistanceOracle::new(StdArc::clone(&topo.graph));
     let stub = topo.stub_nodes()[0];
     let vec = oracle.landmark_vector(stub, &lms);
     assert_eq!(vec.len(), 4);
@@ -298,7 +295,7 @@ fn same_stub_nodes_have_similar_landmark_vectors() {
     let mut rng = StdRng::seed_from_u64(21);
     let topo = TransitStubTopology::generate(TransitStubConfig::ts5k_large(), &mut rng);
     let lms = select_landmarks(&topo, 15, &mut rng);
-    let oracle = DistanceOracle::new(StdArc::new(topo.graph.clone()));
+    let oracle = DistanceOracle::new(StdArc::clone(&topo.graph));
 
     let stub0 = &topo.stub_by_domain[0];
     let a = oracle.landmark_vector(stub0[0], &lms);
@@ -349,7 +346,7 @@ proptest! {
         // Batched multi-source precompute fills exactly the same rows
         // regardless of thread count.
         let topo = small_topo(seed);
-        let graph = StdArc::new(topo.graph.clone());
+        let graph = StdArc::clone(&topo.graph);
         let sequential = DistanceOracle::new(StdArc::clone(&graph));
         let threaded = DistanceOracle::new(graph);
         let n = topo.node_count() as NodeId;
@@ -395,7 +392,7 @@ proptest! {
         let topo = small_topo(seed);
         let mut rng = StdRng::seed_from_u64(seed ^ 0xBEEF);
         let lms = select_landmarks(&topo, 6, &mut rng);
-        let oracle = DistanceOracle::new(StdArc::new(topo.graph.clone()));
+        let oracle = DistanceOracle::new(StdArc::clone(&topo.graph));
         let lm = LandmarkOracle::build(&oracle, &lms, 2);
         let n = topo.node_count() as NodeId;
         for u in (0..n).step_by(5) {
@@ -421,7 +418,7 @@ proptest! {
     #[test]
     fn prop_triangle_inequality(seed in 0u64..50) {
         let topo = small_topo(seed);
-        let oracle = DistanceOracle::new(StdArc::new(topo.graph.clone()));
+        let oracle = DistanceOracle::new(StdArc::clone(&topo.graph));
         let n = topo.node_count() as NodeId;
         for u in (0..n).step_by(5) {
             for v in (0..n).step_by(7) {
@@ -439,7 +436,7 @@ proptest! {
 #[test]
 fn oracle_accounts_resident_bytes() {
     let topo = small_topo(12);
-    let graph = StdArc::new(topo.graph.clone());
+    let graph = StdArc::clone(&topo.graph);
     let oracle = DistanceOracle::with_capacity(StdArc::clone(&graph), 2);
     assert_eq!(oracle.resident_bytes(), 0);
     let r0 = oracle.row(0).size_bytes();
@@ -464,23 +461,40 @@ fn oracle_accounts_resident_bytes() {
 
 #[test]
 fn latency_graph_shares_edges_with_hop_graph() {
-    let topo = small_topo(31);
-    assert_eq!(topo.graph.node_count(), topo.latency_graph.node_count());
-    assert_eq!(topo.graph.edge_count(), topo.latency_graph.edge_count());
-    for u in 0..topo.node_count() as NodeId {
-        let mut hop_neighbors: Vec<NodeId> =
-            topo.graph.neighbors(u).iter().map(|&(v, _)| v).collect();
-        let mut lat_neighbors: Vec<NodeId> = topo
-            .latency_graph
-            .neighbors(u)
-            .iter()
-            .map(|&(v, _)| v)
-            .collect();
-        hop_neighbors.sort_unstable();
-        lat_neighbors.sort_unstable();
-        assert_eq!(hop_neighbors, lat_neighbors);
+    // Arc for arc: the same targets in the same order, each weighted by
+    // its rounded Euclidean length and never below 1.
+    for (config, seed) in [
+        (TransitStubConfig::tiny(), 31),
+        (TransitStubConfig::ts5k_small(), 32),
+    ] {
+        let topo = TransitStubTopology::generate(config, &mut StdRng::seed_from_u64(seed));
+        let (hops, latency) = (&topo.graph, &topo.latency_graph);
+        assert_eq!(hops.node_count(), latency.node_count());
+        assert_eq!(hops.edge_count(), latency.edge_count());
+        let mut max_weight = 0;
+        for u in 0..topo.node_count() as NodeId {
+            let (arcs, lat_arcs) = (hops.neighbors(u), latency.neighbors(u));
+            assert_eq!(arcs.len(), lat_arcs.len(), "node {u}");
+            for (&(v, _), &(lat_v, w)) in arcs.iter().zip(lat_arcs) {
+                assert_eq!(v, lat_v, "node {u}");
+                let (ux, uy) = topo.coords[u as usize];
+                let (vx, vy) = topo.coords[v as usize];
+                let euclid = ((ux - vx).powi(2) + (uy - vy).powi(2)).sqrt();
+                assert_eq!(w, (euclid.round() as u32).max(1), "arc {u}-{v}");
+                assert!(w >= 1);
+                max_weight = max_weight.max(w);
+            }
+        }
+        assert_eq!(latency.max_weight(), max_weight);
+        assert!(latency.is_connected());
     }
-    assert!(topo.latency_graph.is_connected());
+}
+
+#[test]
+fn oracles_share_the_topology_graph() {
+    let topo = small_topo(35);
+    let oracle = DistanceOracle::for_topology(&topo, 0);
+    assert!(std::ptr::eq(oracle.graph(), &*topo.graph));
 }
 
 #[test]
@@ -510,7 +524,7 @@ fn latency_distances_distinguish_sibling_stubs() {
     // signatures, even though their hop-count signatures are nearly equal.
     let mut rng = StdRng::seed_from_u64(34);
     let topo = TransitStubTopology::generate(TransitStubConfig::ts5k_large(), &mut rng);
-    let lat = DistanceOracle::new(StdArc::new(topo.latency_graph.clone()));
+    let lat = DistanceOracle::new(StdArc::clone(&topo.latency_graph));
     let lms = select_landmarks(&topo, 15, &mut rng);
     // Stub domains 0 and 1 hang off the same transit node by construction.
     let a = lat.landmark_vector(topo.stub_by_domain[0][0], &lms);

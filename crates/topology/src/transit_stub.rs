@@ -2,6 +2,7 @@ use crate::graph::{Graph, NodeId};
 use rand::seq::SliceRandom;
 use rand::Rng;
 use serde::{Deserialize, Serialize};
+use std::sync::Arc;
 
 /// Latency units per intradomain hop (paper §5.1).
 pub const INTRA_DOMAIN_WEIGHT: u32 = 1;
@@ -128,18 +129,20 @@ impl TransitStubConfig {
 }
 
 /// A generated transit-stub topology: the weighted graph plus domain
-/// metadata needed for landmark selection and overlay attachment.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+/// metadata needed for landmark selection and overlay attachment. Both
+/// graphs sit behind an `Arc` so the distance oracles share them.
+#[derive(Clone, Debug)]
 pub struct TransitStubTopology {
     /// The physical network with the paper's **hop-cost** weights
     /// (intradomain hop = 1, interdomain hop = 3) — the metric behind the
     /// moved-load figures.
-    pub graph: Graph,
+    pub graph: Arc<Graph>,
     /// The same edges with **latency** weights derived from GT-ITM-style
     /// planar node placement (Euclidean edge lengths). This is what RTT
     /// measurements — and therefore landmark vectors — see: rich enough to
-    /// distinguish sibling stub domains, unlike coarse hop counts.
-    pub latency_graph: Graph,
+    /// distinguish sibling stub domains, unlike coarse hop counts. Its arcs
+    /// are the hop graph's, in the same order.
+    pub latency_graph: Arc<Graph>,
     /// Planar coordinates of every node (GT-ITM places domains in a plane).
     pub coords: Vec<(f64, f64)>,
     /// Domain membership of every node.
@@ -220,13 +223,15 @@ impl TransitStubTopology {
             }
         }
 
-        let mut graph = Graph::new(kinds.len());
+        // Edges in generation order: `Graph::from_edges` keeps the first
+        // of any parallel pair.
+        let mut edges = Vec::new();
 
         // 3. Intradomain transit edges: ring + extra random chords (weight 1).
         for ids in &transit_by_domain {
-            connect_ring(&mut graph, ids, INTRA_DOMAIN_WEIGHT);
+            connect_ring(&mut edges, ids, INTRA_DOMAIN_WEIGHT);
             add_random_edges(
-                &mut graph,
+                &mut edges,
                 ids,
                 config.extra_transit_edges,
                 INTRA_DOMAIN_WEIGHT,
@@ -242,7 +247,7 @@ impl TransitStubTopology {
                 .choose(rng)
                 .expect("non-empty domain");
             let v = *transit_by_domain[d].choose(rng).expect("non-empty domain");
-            graph.add_edge(u, v, INTER_DOMAIN_WEIGHT);
+            edges.push((u, v, INTER_DOMAIN_WEIGHT));
         }
         if config.transit_domains > 1 {
             for _ in 0..config.extra_inter_domain_edges {
@@ -253,7 +258,7 @@ impl TransitStubTopology {
                 }
                 let u = *transit_by_domain[d1].choose(rng).unwrap();
                 let v = *transit_by_domain[d2].choose(rng).unwrap();
-                graph.add_edge(u, v, INTER_DOMAIN_WEIGHT);
+                edges.push((u, v, INTER_DOMAIN_WEIGHT));
             }
         }
 
@@ -261,45 +266,44 @@ impl TransitStubTopology {
         //    edges (weight 1), and one interdomain uplink to the home
         //    transit node (weight 3).
         for (sd, ids) in stub_by_domain.iter().enumerate() {
-            connect_random_tree(&mut graph, ids, INTRA_DOMAIN_WEIGHT, rng);
+            connect_random_tree(&mut edges, ids, INTRA_DOMAIN_WEIGHT, rng);
             let n = ids.len();
             if n >= 3 && config.stub_edge_density > 0.0 {
                 // Bernoulli edge per pair — GT-ITM's pure random stub model.
                 for a in 0..n {
                     for b in a + 1..n {
                         if rng.gen::<f64>() < config.stub_edge_density {
-                            graph.add_edge(ids[a], ids[b], INTRA_DOMAIN_WEIGHT);
+                            edges.push((ids[a], ids[b], INTRA_DOMAIN_WEIGHT));
                         }
                     }
                 }
             }
             let gateway = *ids.choose(rng).unwrap();
-            graph.add_edge(gateway, stub_home_transit[sd], INTER_DOMAIN_WEIGHT);
+            edges.push((gateway, stub_home_transit[sd], INTER_DOMAIN_WEIGHT));
             // Extra uplink to a random transit node elsewhere.
             if rng.gen::<f64>() < config.extra_stub_uplink_prob {
                 let d = rng.gen_range(0..transit_by_domain.len());
                 let t = *transit_by_domain[d].choose(rng).unwrap();
                 let second_gateway = *ids.choose(rng).unwrap();
-                graph.add_edge(second_gateway, t, INTER_DOMAIN_WEIGHT);
+                edges.push((second_gateway, t, INTER_DOMAIN_WEIGHT));
             }
         }
+
+        let graph = Graph::from_edges(kinds.len(), &edges);
+        drop(edges);
 
         // Latency weights: Euclidean length of each edge (at least 1 unit).
-        let mut latency_graph = Graph::new(kinds.len());
-        for u in 0..kinds.len() as NodeId {
-            for &(v, _) in graph.neighbors(u) {
-                if u < v {
-                    let (ux, uy) = coords[u as usize];
-                    let (vx, vy) = coords[v as usize];
-                    let d = ((ux - vx).powi(2) + (uy - vy).powi(2)).sqrt();
-                    latency_graph.add_edge(u, v, (d.round() as u32).max(1));
-                }
-            }
-        }
+        // Squaring makes the length symmetric bit for bit.
+        let latency_graph = graph.reweighted(|u, v| {
+            let (ux, uy) = coords[u as usize];
+            let (vx, vy) = coords[v as usize];
+            let d = ((ux - vx).powi(2) + (uy - vy).powi(2)).sqrt();
+            (d.round() as u32).max(1)
+        });
 
         let topo = TransitStubTopology {
-            graph,
-            latency_graph,
+            graph: Arc::new(graph),
+            latency_graph: Arc::new(latency_graph),
             coords,
             kinds,
             transit_by_domain,
@@ -329,16 +333,17 @@ impl TransitStubTopology {
     }
 }
 
+/// An undirected edge `(u, v, weight)` as [`Graph::from_edges`] takes it.
+type Edge = (NodeId, NodeId, u32);
+
 /// Connects `ids` in a cycle (or a single edge for 2 nodes, nothing for <2).
-fn connect_ring(graph: &mut Graph, ids: &[NodeId], w: u32) {
+fn connect_ring(edges: &mut Vec<Edge>, ids: &[NodeId], w: u32) {
     match ids.len() {
         0 | 1 => {}
-        2 => {
-            graph.add_edge(ids[0], ids[1], w);
-        }
+        2 => edges.push((ids[0], ids[1], w)),
         _ => {
             for i in 0..ids.len() {
-                graph.add_edge(ids[i], ids[(i + 1) % ids.len()], w);
+                edges.push((ids[i], ids[(i + 1) % ids.len()], w));
             }
         }
     }
@@ -346,23 +351,28 @@ fn connect_ring(graph: &mut Graph, ids: &[NodeId], w: u32) {
 
 /// Connects `ids` with a random spanning tree (each node links to a random
 /// earlier node — a uniform random recursive tree).
-fn connect_random_tree<R: Rng>(graph: &mut Graph, ids: &[NodeId], w: u32, rng: &mut R) {
+fn connect_random_tree<R: Rng>(edges: &mut Vec<Edge>, ids: &[NodeId], w: u32, rng: &mut R) {
     for i in 1..ids.len() {
         let j = rng.gen_range(0..i);
-        graph.add_edge(ids[i], ids[j], w);
+        edges.push((ids[i], ids[j], w));
     }
 }
 
-/// Adds up to `count` random edges among `ids`.
-fn add_random_edges<R: Rng>(graph: &mut Graph, ids: &[NodeId], count: usize, w: u32, rng: &mut R) {
+/// Adds up to `count` random edges among `ids` (a drawn self-loop is
+/// dropped by [`Graph::from_edges`]).
+fn add_random_edges<R: Rng>(
+    edges: &mut Vec<Edge>,
+    ids: &[NodeId],
+    count: usize,
+    w: u32,
+    rng: &mut R,
+) {
     if ids.len() < 3 {
         return;
     }
     for _ in 0..count {
         let u = *ids.choose(rng).unwrap();
         let v = *ids.choose(rng).unwrap();
-        if u != v {
-            graph.add_edge(u, v, w);
-        }
+        edges.push((u, v, w));
     }
 }

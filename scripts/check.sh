@@ -114,10 +114,12 @@ if [[ "$XL_SMOKE" == "1" ]]; then
   mkdir -p "$SMOKE_DIR/xl"
   (cd "$SMOKE_DIR/xl" && timeout 300 "$REPRO" xl)
   # xl2 at reduced peers: the full sharded + landmark-approximate pipeline.
-  # A --peers override never writes a BENCH entry, so stdout is the whole
-  # contract. ~3 s a run on a 2-core box now that refinement reads the
-  # structural index instead of filling Dijkstra rows.
-  smoke xl2 300 "" xl2 --peers 65536
+  # A --peers override never writes a BENCH entry; stdout rounds locality to
+  # one decimal, so the --json results (moved load, frac2/frac10, mean
+  # distance, message counts at full precision) are compared too. ~3 s a
+  # run on a 2-core box now that refinement reads the structural index
+  # instead of filling Dijkstra rows.
+  smoke xl2 300 "x.json" xl2 --peers 65536 --json x.json
 fi
 
 if [[ "$FAULTS_SMOKE" == "1" ]]; then
