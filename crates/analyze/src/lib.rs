@@ -7,16 +7,17 @@
 //! Everything is a pure function of the artifacts, on one thread.
 
 pub mod gates;
+mod ndjson;
 mod primitives;
 mod rows;
 mod toml;
 
 pub use gates::{evaluate_gates, load_gates, parse_gate_file, render_table, Gate, GateResult};
+pub use ndjson::{NdjsonError, ParsedEvent, ParsedHistogram, ParsedTrace};
 use primitives::runs;
 use rows::Pred;
 
 use proxbal_sim::engine::EngineReport;
-use proxbal_trace::ParsedTrace;
 
 /// The value named `name` in a `(name, value)` table.
 pub(crate) fn by_name<T: Copy>(table: &[(&str, T)], name: &str) -> Option<T> {

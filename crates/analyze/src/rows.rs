@@ -6,8 +6,9 @@
 //! a typo must fail a gate, not pass it.
 
 use crate::name_of;
+use crate::{ParsedEvent, ParsedTrace};
 use proxbal_sim::engine::EpochSample;
-use proxbal_trace::{EventKind, ParsedEvent, ParsedTrace};
+use proxbal_trace::EventKind;
 use std::cmp::Ordering::{self, Equal, Greater, Less};
 
 /// One cell.

@@ -87,4 +87,6 @@ pub use transfer::{
 pub use vsa::{run_vsa, VsaOutcome, VsaParams};
 
 #[cfg(test)]
+mod spec;
+#[cfg(test)]
 mod tests;

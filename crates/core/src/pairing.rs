@@ -1,6 +1,4 @@
 use proxbal_chord::{PeerId, VsId};
-#[cfg(test)]
-use proxbal_ktree::KtNodeMap;
 use proxbal_ktree::{KtNodeId, Merge};
 use proxbal_trace::Trace;
 use serde::{Deserialize, Serialize};
@@ -200,57 +198,6 @@ impl RendezvousLists {
         trace.count("vsa_residual_reinserts", reinserts);
     }
 
-    /// [`Self::pair_into`] as it was before it skipped misfits in runs and
-    /// compacted the survivors: one visit and one `Vec::remove` per
-    /// candidate, kept as its reference.
-    #[cfg(test)]
-    pub(crate) fn reference_pair_into(
-        &mut self,
-        l_min: f64,
-        out: &mut Vec<Assignment>,
-        trace: &mut Trace,
-    ) {
-        let mut misfits = 0u64;
-        let mut reinserts = 0u64;
-        let mut i = self.shed.len();
-        while i > 0 {
-            i -= 1;
-            let cand = self.shed[i];
-            // Best fit: first light slot with spare >= load.
-            let idx = self
-                .light
-                .partition_point(|s| s.spare.total_cmp(&cand.load).is_lt());
-            if idx == self.light.len() {
-                misfits += 1;
-                continue; // fits nowhere; stays in the list
-            }
-            self.shed.remove(i);
-            let slot = self.light.remove(idx);
-            out.push(Assignment {
-                vs: cand.vs,
-                load: cand.load,
-                from: cand.from,
-                to: slot.peer,
-            });
-            let residual = slot.spare - cand.load;
-            if residual >= l_min && residual > 0.0 {
-                reinserts += 1;
-                let at = self
-                    .light
-                    .partition_point(|s| s.spare.total_cmp(&residual).is_lt());
-                self.light.insert(
-                    at,
-                    LightSlot {
-                        spare: residual,
-                        peer: slot.peer,
-                    },
-                );
-            }
-        }
-        trace.count("vsa_pair_misfits", misfits);
-        trace.count("vsa_residual_reinserts", reinserts);
-    }
-
     /// Removes the shed candidate for `vs`, if present. Returns whether a
     /// candidate was removed.
     pub fn remove_shed(&mut self, vs: VsId) -> bool {
@@ -344,30 +291,6 @@ pub(crate) fn publish(
 fn settle<T>(records: &mut [T], key: impl Fn(&T) -> f64) {
     records.reverse();
     records.sort_by(|a, b| key(a).total_cmp(&key(b)));
-}
-
-/// [`publish`] as one sorted insert per record, kept as its reference.
-#[cfg(test)]
-pub(crate) fn reference_publish(
-    shed: &[ShedCandidate],
-    light: &[LightSlot],
-    targets: &[KtNodeId],
-) -> Vec<(KtNodeId, RendezvousLists)> {
-    let mut inputs: KtNodeMap<RendezvousLists> = KtNodeMap::new();
-    let mut targets = targets.iter();
-    for cands in crate::reports::shed_sets(shed) {
-        let lists = inputs.or_default(*targets.next().expect("a target per participant"));
-        for c in cands {
-            lists.push_shed(*c);
-        }
-    }
-    for (&id, &slot) in targets.zip(light) {
-        inputs.or_default(id).push_light(slot);
-    }
-    inputs
-        .iter()
-        .map(|(id, lists)| (id, lists.clone()))
-        .collect()
 }
 
 /// Merges sorted `src` into sorted `dst`, keeping `dst` sorted and stable

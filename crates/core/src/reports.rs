@@ -76,13 +76,6 @@ impl Classification {
         &self.classes
     }
 
-    /// The class of `p`, or `None` if it was not alive.
-    #[cfg(test)]
-    pub(crate) fn class_of(&self, p: PeerId) -> Option<NodeClass> {
-        let i = self.peers.binary_search(&p).ok()?;
-        Some(self.classes[i])
-    }
-
     /// Peers of a given class, ascending.
     pub fn peers_of(&self, class: NodeClass) -> Vec<PeerId> {
         self.peers
@@ -177,76 +170,6 @@ pub fn light_slots(
             .collect::<Vec<_>>()
     })
     .concat()
-}
-
-/// [`Classification::compute`] as a map filled serially in peer order,
-/// kept as its reference.
-#[cfg(test)]
-pub(crate) fn reference_classes(
-    net: &ChordNetwork,
-    loads: &LoadState,
-    params: &ClassifyParams,
-    system: Lbi,
-) -> HashMap<PeerId, NodeClass> {
-    net.alive_peers()
-        .into_iter()
-        .map(|p| (p, params.classify(&loads.node_lbi(net, p), &system)))
-        .collect()
-}
-
-/// [`shed_candidates`] as one candidate list per heavy peer in a sorted
-/// map, kept as its reference.
-#[cfg(test)]
-pub(crate) fn reference_shed_candidates(
-    net: &ChordNetwork,
-    loads: &LoadState,
-    params: &ClassifyParams,
-    classes: &HashMap<PeerId, NodeClass>,
-    system: &Lbi,
-) -> std::collections::BTreeMap<PeerId, Vec<ShedCandidate>> {
-    let mut out = std::collections::BTreeMap::new();
-    for (&p, _) in classes.iter().filter(|&(_, &c)| c == NodeClass::Heavy) {
-        let node = loads.node_lbi(net, p);
-        let excess = params.excess(&node, system);
-        let vss: Vec<(VsId, f64)> = net
-            .vss_of(p)
-            .iter()
-            .map(|&v| (v, loads.vs_load(v)))
-            .collect();
-        let mut chosen = Vec::new();
-        choose_shed_set(&vss, excess, &mut chosen);
-        let cands: Vec<ShedCandidate> = chosen
-            .iter()
-            .map(|&v| ShedCandidate {
-                load: loads.vs_load(v),
-                vs: v,
-                from: p,
-            })
-            .collect();
-        if !cands.is_empty() {
-            out.insert(p, cands);
-        }
-    }
-    out
-}
-
-/// [`light_slots`] as a sorted map, kept as its reference.
-#[cfg(test)]
-pub(crate) fn reference_light_slots(
-    net: &ChordNetwork,
-    loads: &LoadState,
-    params: &ClassifyParams,
-    classes: &HashMap<PeerId, NodeClass>,
-    system: &Lbi,
-) -> std::collections::BTreeMap<PeerId, LightSlot> {
-    let mut out = std::collections::BTreeMap::new();
-    for (&p, _) in classes.iter().filter(|&(_, &c)| c == NodeClass::Light) {
-        let spare = params.spare(&loads.node_lbi(net, p), system);
-        if spare > 0.0 {
-            out.insert(p, LightSlot { spare, peer: p });
-        }
-    }
-    out
 }
 
 /// Builds the VSA sweep inputs the **proximity-ignorant** way (§3.4): every
@@ -485,19 +408,4 @@ pub(crate) fn key_targets(
         .map(|&key| net.ring().owner(Id::new(key)).ok_or(Error::EmptyNetwork))
         .collect::<Result<Vec<VsId>, Error>>()?;
     Ok(tree.report_targets(net, owners))
-}
-
-/// [`key_targets`] as one root descent per key, kept as its reference.
-#[cfg(test)]
-pub(crate) fn reference_key_targets(
-    net: &ChordNetwork,
-    tree: &KTree,
-    keys: &[u32],
-) -> Vec<KtNodeId> {
-    keys.iter()
-        .map(|&key| {
-            let owner = net.ring().owner(Id::new(key)).expect("non-empty ring");
-            tree.report_target(net, owner)
-        })
-        .collect()
 }

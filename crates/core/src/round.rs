@@ -162,47 +162,12 @@ impl RoundCache {
         decisions
     }
 
-    /// Every live binding, by peer (for the comparison with the reference).
+    /// Every live binding, by peer (for the comparison with the spec).
     #[cfg(test)]
     pub(crate) fn bindings(&self) -> BTreeMap<PeerId, VsId> {
         let bound = |(i, vs): (usize, &Option<VsId>)| Some((PeerId(i as u32), (*vs)?));
         self.reports.iter().enumerate().filter_map(bound).collect()
     }
-}
-
-/// [`RoundCache::bind`] over the sorted map the cache used to be, kept as
-/// its reference.
-#[cfg(test)]
-pub(crate) fn reference_bind<R: Rng>(
-    reports: &mut BTreeMap<PeerId, VsId>,
-    net: &ChordNetwork,
-    dirty: &DirtySet,
-    rng: &mut R,
-) -> Vec<(PeerId, Option<VsId>, bool)> {
-    use rand::seq::SliceRandom;
-    reports.retain(|&p, _| net.peer(p).state == PeerState::Alive);
-    let mut decisions = Vec::new();
-    for p in net.alive_peers() {
-        let cached = reports.get(&p).copied().filter(|&v| {
-            let vs = net.vs(v);
-            vs.alive && vs.host == p
-        });
-        let (vs, re_reported) = if dirty.contains(p) || cached.is_none() {
-            (net.vss_of(p).choose(rng).copied(), true)
-        } else {
-            (cached, false)
-        };
-        match vs {
-            Some(v) => {
-                reports.insert(p, v);
-            }
-            None => {
-                reports.remove(&p);
-            }
-        }
-        decisions.push((p, vs, re_reported));
-    }
-    decisions
 }
 
 impl LoadBalancer {

@@ -152,134 +152,3 @@ fn greedy(sorted: &mut Vec<(VsId, f64)>, excess: f64, out: &mut Vec<VsId>) -> bo
     out.extend(sorted.iter().map(|&(v, _)| v));
     true
 }
-
-/// The shed-set selection as it was before the search moved to bit masks
-/// and stack arrays — a sorted copy, heap suffix sums, `Vec<bool>` subsets
-/// cloned on every improvement — kept as the reference [`choose_shed_set`]
-/// must agree with, set for set and in order. It decides feasibility on the
-/// input-order sum, which can differ from the search's by rounding (then it
-/// returns nothing, or panics in debug builds); the comparisons feed it
-/// loads whose sums are exact.
-#[cfg(test)]
-pub fn reference_choose_shed_set(vss: &[(VsId, f64)], excess: f64) -> Vec<VsId> {
-    assert!(excess.is_finite());
-    if excess <= 0.0 {
-        return Vec::new();
-    }
-    let total: f64 = vss.iter().map(|&(_, l)| l).sum();
-    if total < excess {
-        return vss.iter().map(|&(v, _)| v).collect();
-    }
-    let mut sorted: Vec<(VsId, f64)> = vss.to_vec();
-    sorted.sort_by(|a, b| b.1.total_cmp(&a.1));
-    if sorted.len() <= EXACT_LIMIT {
-        reference::exact(&sorted, excess)
-    } else {
-        reference::greedy(&sorted, excess)
-    }
-}
-
-/// Brute-force reference (exponential) used by tests.
-#[cfg(test)]
-pub fn brute_force_shed_set(vss: &[(VsId, f64)], excess: f64) -> f64 {
-    let n = vss.len();
-    assert!(n <= 20, "brute force limited to 20 items");
-    let mut best = f64::INFINITY;
-    for mask in 0u32..(1 << n) {
-        let sum: f64 = (0..n)
-            .filter(|&i| mask & (1 << i) != 0)
-            .map(|i| vss[i].1)
-            .sum();
-        if sum >= excess && sum < best {
-            best = sum;
-        }
-    }
-    best
-}
-
-#[cfg(test)]
-mod reference {
-    use proxbal_chord::VsId;
-
-    pub(super) fn exact(sorted: &[(VsId, f64)], excess: f64) -> Vec<VsId> {
-        let n = sorted.len();
-        let mut suffix = vec![0.0; n + 1];
-        for i in (0..n).rev() {
-            suffix[i] = suffix[i + 1] + sorted[i].1;
-        }
-
-        struct Search<'a> {
-            sorted: &'a [(VsId, f64)],
-            suffix: &'a [f64],
-            excess: f64,
-            best_sum: f64,
-            best: Vec<bool>,
-            current: Vec<bool>,
-        }
-
-        impl Search<'_> {
-            fn run(&mut self, i: usize, sum: f64) {
-                if sum >= self.excess {
-                    if sum < self.best_sum {
-                        self.best_sum = sum;
-                        self.best = self.current.clone();
-                    }
-                    return;
-                }
-                if i == self.sorted.len() {
-                    return;
-                }
-                if sum + self.suffix[i] < self.excess {
-                    return;
-                }
-                if sum + self.sorted[i].1 >= self.best_sum {
-                    self.current[i] = false;
-                    self.run(i + 1, sum);
-                    return;
-                }
-                self.current[i] = true;
-                self.run(i + 1, sum + self.sorted[i].1);
-                self.current[i] = false;
-                self.run(i + 1, sum);
-            }
-        }
-
-        let mut search = Search {
-            sorted,
-            suffix: &suffix,
-            excess,
-            best_sum: f64::INFINITY,
-            best: vec![false; n],
-            current: vec![false; n],
-        };
-        search.run(0, 0.0);
-        debug_assert!(search.best_sum.is_finite(), "total >= excess guaranteed");
-        sorted
-            .iter()
-            .zip(&search.best)
-            .filter(|&(_, &take)| take)
-            .map(|(&(v, _), _)| v)
-            .collect()
-    }
-
-    pub(super) fn greedy(sorted: &[(VsId, f64)], excess: f64) -> Vec<VsId> {
-        let mut out = Vec::new();
-        let mut sum = 0.0;
-        for &(v, l) in sorted {
-            if sum >= excess {
-                break;
-            }
-            out.push((v, l));
-            sum += l;
-        }
-        let mut i = out.len();
-        while i > 0 {
-            i -= 1;
-            if sum - out[i].1 >= excess {
-                sum -= out[i].1;
-                out.remove(i);
-            }
-        }
-        out.into_iter().map(|(v, _)| v).collect()
-    }
-}

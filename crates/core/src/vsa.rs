@@ -145,73 +145,3 @@ pub fn run_vsa(
     trace.count("vsa_unassigned", outcome.unassigned.len() as u64);
     outcome
 }
-
-/// [`run_vsa`] as a scan of every level of the tree, with the rounds read
-/// from each contributing entry node's message depth — the sweep before it
-/// visited only root paths, kept as its reference.
-#[cfg(test)]
-pub(crate) fn reference_run_vsa(
-    tree: &KTree,
-    inputs: Vec<(KtNodeId, RendezvousLists)>,
-    params: &VsaParams,
-    trace: &mut Trace,
-) -> VsaOutcome {
-    use proxbal_ktree::KtNodeMap;
-    let mut inputs: KtNodeMap<Box<RendezvousLists>> = inputs
-        .into_iter()
-        .map(|(id, lists)| (id, Box::new(lists)))
-        .collect();
-    let contributing = inputs.iter().filter(|(_, lists)| !lists.is_empty());
-    let depths = contributing.map(|(id, _)| tree.message_depth(id).unwrap_or(0));
-    let mut outcome = VsaOutcome {
-        rounds: depths.max().unwrap_or(0),
-        ..VsaOutcome::default()
-    };
-
-    for level in tree.levels().into_iter().rev() {
-        for id in level {
-            let Some(mut lists) = inputs.remove(id) else {
-                continue;
-            };
-            if lists.is_empty() {
-                continue;
-            }
-            let is_root = id == tree.root();
-            if is_root || lists.len() >= params.rendezvous_threshold {
-                trace.record("vsa_rendezvous_list_depth", lists.len() as u64);
-                let before = outcome.assignments.len();
-                lists.pair_into(params.l_min, &mut outcome.assignments, trace);
-                let produced = outcome.assignments.len() - before;
-                if produced > 0 {
-                    outcome.rendezvous_points += 1;
-                    let d = tree.node(id).depth() as usize;
-                    if outcome.assignments_per_depth.len() <= d {
-                        outcome.assignments_per_depth.resize(d + 1, 0);
-                    }
-                    outcome.assignments_per_depth[d] += produced;
-                    trace.record_weighted("vsa_assignment_depth", d as u64, produced as f64);
-                }
-            }
-            if lists.is_empty() {
-                continue;
-            }
-            match tree.node(id).parent() {
-                Some(parent) => {
-                    if tree.node(id).host() != tree.node(parent).host() {
-                        outcome.record_hops += lists.len();
-                    }
-                    match inputs.get_mut(parent) {
-                        Some(acc) => acc.merge(*lists),
-                        None => {
-                            inputs.insert(parent, lists);
-                        }
-                    }
-                }
-                None => outcome.unassigned = *lists, // root leftovers
-            }
-        }
-    }
-    trace.count("vsa_pairings", outcome.assignments.len() as u64);
-    trace.count("vsa_unassigned", outcome.unassigned.len() as u64);
-    outcome
-}

@@ -314,90 +314,3 @@ fn by_slot(node: KtNode<'_>) -> impl Iterator<Item = KtNodeId> + '_ {
         Some(next)
     })
 }
-
-/// The passes the walk replaced, kept as its reference: the fold of the
-/// root value alone, the climb from every sent input's node and the scan
-/// of every slot for edges between peers.
-#[cfg(test)]
-impl KTree {
-    /// The fold as it was before it answered anything else: root value,
-    /// merge count, and the rounds read from [`KTree::derive`]'s message
-    /// depths over every input handle.
-    pub(crate) fn reference_aggregate<A: Merge>(
-        &self,
-        inputs: impl Into<crate::KtNodeMap<A>>,
-    ) -> (Option<A>, usize, u32) {
-        let mut inputs: crate::KtNodeMap<A> = inputs.into();
-        let depths = self.derive().message_depths;
-        let depth = |id: KtNodeId| depths.get(id.0 as usize).copied();
-        let rounds = inputs
-            .keys()
-            .map(|id| depth(id).filter(|&d| d != u32::MAX).unwrap_or(0))
-            .max()
-            .unwrap_or(0);
-        let mut merges = 0usize;
-        let root_value = self.reference_fold(self.root(), &mut inputs, &mut merges);
-        (root_value, merges, rounds)
-    }
-
-    fn reference_fold<A: Merge>(
-        &self,
-        id: KtNodeId,
-        inputs: &mut crate::KtNodeMap<A>,
-        merges: &mut usize,
-    ) -> Option<A> {
-        let mut acc: Option<A> = inputs.remove(id);
-        for child in by_slot(self.node(id)) {
-            if let Some(value) = self.reference_fold(child, inputs, merges) {
-                match acc.as_mut() {
-                    Some(a) => {
-                        a.merge(value);
-                        *merges += 1;
-                    }
-                    None => acc = Some(value),
-                }
-            }
-        }
-        acc
-    }
-
-    /// Counts tree edges between KT nodes planted on *different peers*
-    /// along the root paths of `seeds` (each edge counted once), climbing
-    /// parent pointers.
-    pub(crate) fn reference_sent_edges(
-        &self,
-        net: &ChordNetwork,
-        seeds: impl Iterator<Item = KtNodeId>,
-    ) -> usize {
-        let mut visited = vec![0u64; self.slot_bound().div_ceil(64)];
-        let peer_of = |host| net.vs(host).host;
-        let mut edges = 0;
-        for seed in seeds {
-            let mut node = self.node(seed);
-            let mut slot = seed.0 as usize;
-            while let Some(parent) = node.parent() {
-                let (word, bit) = (&mut visited[slot / 64], 1u64 << (slot % 64));
-                if *word & bit != 0 {
-                    break; // shared suffix already counted
-                }
-                *word |= bit;
-                let above = self.node(parent);
-                edges += usize::from(peer_of(node.host()) != peer_of(above.host()));
-                (node, slot) = (above, parent.0 as usize);
-            }
-        }
-        edges
-    }
-
-    /// Counts every live node's edge to its parent between *different
-    /// peers*, one scan over the slots — detached subtrees included.
-    pub(crate) fn reference_tree_edges(&self, net: &ChordNetwork) -> usize {
-        let peer_of = |id| net.vs(self.node(id).host()).host;
-        self.iter_ids()
-            .filter(|&id| {
-                let parent = self.node(id).parent();
-                parent.is_some_and(|parent| peer_of(id) != peer_of(parent))
-            })
-            .count()
-    }
-}

@@ -21,11 +21,9 @@
 
 mod export;
 mod hist;
-pub mod ndjson;
 mod summary;
 
 pub use hist::Histogram;
-pub use ndjson::{NdjsonError, ParsedEvent, ParsedHistogram, ParsedTrace};
 pub use summary::{CounterTotal, HistogramRow, SpanTotal, TraceSummary};
 
 use std::collections::BTreeMap;

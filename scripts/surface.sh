@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# Code-surface counts: the four numbers ROADMAP.md keeps as targets.
+# Code-surface counts: the numbers ROADMAP.md keeps as targets.
 #
 #   scripts/surface.sh [DIR]      # DIR defaults to this checkout
 #
@@ -14,6 +14,9 @@
 #   pub_fn      lines declaring `pub fn` (not `pub(crate)`, not `const`)
 #   suffixed    `pub fn` names ending in _traced, _with, _run, _walls,
 #               _threaded or _in
+#   test        lines - non_test
+#   references  lines declaring a `fn reference_*` (the slow references
+#               fast paths are tested against)
 set -euo pipefail
 cd "${1:-$(dirname "$0")/..}"
 
@@ -83,6 +86,7 @@ EOF
 )
 pub_fn=$(cat $files | grep -cE '^\s*pub fn ' || true)
 suffixed=$(cat $files | grep -cE '^\s*pub fn [a-z0-9_]+_(traced|with|run|walls|threaded|in)\b' || true)
+references=$(cat $files | grep -cE '\bfn reference_' || true)
 
-printf 'lines     %d\nnon_test  %d\npub_fn    %d\nsuffixed  %d\n' \
-  "$lines" "$non_test" "$pub_fn" "$suffixed"
+printf 'lines       %d\nnon_test    %d\npub_fn      %d\nsuffixed    %d\ntest        %d\nreferences  %d\n' \
+  "$lines" "$non_test" "$pub_fn" "$suffixed" "$((lines - non_test))" "$references"
