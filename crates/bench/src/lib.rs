@@ -1,5 +1,5 @@
-//! Bench-support crate: Criterion benches live in `benches/`, the figure
-//! regenerator in `src/bin/repro.rs`. Shared helpers are re-exported here.
+//! The figure regenerator `repro` (`src/bin/repro.rs`) and the helpers its
+//! phases share.
 
 use proxbal_profile::flame::{fold, Folded, SpanView};
 use proxbal_sim::metrics::DistanceHistogram;

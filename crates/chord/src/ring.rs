@@ -184,15 +184,6 @@ impl Ring {
             .map(|(_, &vs)| vs)
     }
 
-    /// Position and id of the owner of `key`.
-    pub fn owner_entry(&self, key: Id) -> Option<(Id, VsId)> {
-        self.by_pos
-            .range(key.raw()..)
-            .next()
-            .or_else(|| self.by_pos.iter().next())
-            .map(|(&p, &vs)| (Id::new(p), vs))
-    }
-
     /// The virtual server strictly before `pos` in clockwise order (the
     /// predecessor of a VS planted at `pos`).
     pub fn predecessor(&self, pos: Id) -> Option<(Id, VsId)> {
@@ -220,24 +211,6 @@ impl Ring {
                 Arc::from_bounds(pred.wrapping_add(1), pos.wrapping_add(1))
             }
             _ => Arc::full(pos.wrapping_add(1)),
-        }
-    }
-
-    /// Number of virtual-server positions inside `region`.
-    pub fn count_in(&self, region: &Arc) -> usize {
-        if region.is_empty() {
-            return 0;
-        }
-        if region.is_full() {
-            return self.by_pos.len();
-        }
-        let start = region.start().raw();
-        let end = region.end().raw(); // exclusive
-        if start < end {
-            self.by_pos.range(start..end).count()
-        } else {
-            // Wraps past 0: [start, 2^32) ∪ [0, end).
-            self.by_pos.range(start..).count() + self.by_pos.range(..end).count()
         }
     }
 
@@ -273,30 +246,6 @@ impl Ring {
             .range(first)
             .chain(self.by_pos.range(second))
             .map(|(&p, &vs)| (Id::new(p), vs))
-    }
-
-    /// The virtual servers whose positions lie inside `region`, clockwise.
-    pub fn vss_in(&self, region: &Arc) -> Vec<(Id, VsId)> {
-        if region.is_empty() {
-            return Vec::new();
-        }
-        if region.is_full() {
-            return self.iter().collect();
-        }
-        let start = region.start().raw();
-        let end = region.end().raw();
-        let mut out = Vec::new();
-        if start < end {
-            out.extend(
-                self.by_pos
-                    .range(start..end)
-                    .map(|(&p, &v)| (Id::new(p), v)),
-            );
-        } else {
-            out.extend(self.by_pos.range(start..).map(|(&p, &v)| (Id::new(p), v)));
-            out.extend(self.by_pos.range(..end).map(|(&p, &v)| (Id::new(p), v)));
-        }
-        out
     }
 
     /// Iterates `(position, vs)` in clockwise order starting from 0.

@@ -101,7 +101,7 @@ impl<'a> Underlay<'a> {
     }
 
     /// The VST distance scheme this underlay implies.
-    pub fn transfer_distances(&self) -> TransferDistances<'a> {
+    pub(crate) fn transfer_distances(&self) -> TransferDistances<'a> {
         match self.approx {
             None => TransferDistances::Exact(self.oracle),
             Some(a) => TransferDistances::Approx {

@@ -63,7 +63,7 @@ impl ClassifyParams {
 
     /// The spare room `ΔL_j = T_j − L_j` of a light node
     /// (0 for non-light nodes).
-    pub fn spare(&self, node: &Lbi, system: &Lbi) -> f64 {
+    pub(crate) fn spare(&self, node: &Lbi, system: &Lbi) -> f64 {
         let spare = self.target(node.capacity, system) - node.load;
         if spare >= system.min_vs_load {
             spare

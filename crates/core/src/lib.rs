@@ -11,10 +11,10 @@
 //!    and every node classifies itself heavy / light / neutral against its
 //!    capacity-proportional target ([`ClassifyParams`], [`NodeClass`]).
 //! 3. **Virtual server assignment (VSA)** — heavy nodes pick minimum-load
-//!    shed sets ([`choose_shed_set`]); records meet at rendezvous points in
-//!    a bottom-up sweep ([`RendezvousLists`], [`run_vsa`]). In
-//!    proximity-aware mode records are published at each node's Hilbert
-//!    number first ([`reports::proximity_inputs`]).
+//!    shed sets; records meet at rendezvous points in a bottom-up sweep
+//!    ([`RendezvousLists`], [`run_vsa`]). In proximity-aware mode records
+//!    are published at each node's Hilbert number first
+//!    ([`ProximityParams`]).
 //! 4. **Virtual server transferring (VST)** — assignments execute as Chord
 //!    leave+join moves, with physical transfer distances recorded
 //!    ([`execute_transfers`]).
@@ -78,7 +78,7 @@ pub use lbi::{Lbi, LoadState};
 pub use pairing::{Assignment, LightSlot, RendezvousLists, ShedCandidate};
 pub use reports::{Classification, ProximityParams};
 pub use round::{DirtySet, RoundCache, RoundWalls};
-pub use selection::{choose_shed_set, EXACT_LIMIT};
+pub use selection::EXACT_LIMIT;
 pub use split::split_and_place;
 pub use transfer::{
     absorb_join, execute_transfers, execute_transfers_with_requeue, graceful_leave,

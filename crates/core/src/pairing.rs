@@ -41,20 +41,6 @@ pub struct Assignment {
 /// The two sorted lists a KT node maintains during the VSA sweep (§3.4):
 /// light-node slots sorted by spare room, and shed candidates sorted by
 /// load.
-///
-/// ```
-/// use proxbal_chord::{PeerId, VsId};
-/// use proxbal_core::{LightSlot, RendezvousLists, ShedCandidate};
-///
-/// let mut lists = RendezvousLists::new();
-/// lists.push_shed(ShedCandidate { load: 8.0, vs: VsId(0), from: PeerId(0) });
-/// lists.push_light(LightSlot { spare: 10.0, peer: PeerId(1) });
-/// let assignments = lists.pair(1.0);
-/// assert_eq!(assignments.len(), 1);
-/// assert_eq!(assignments[0].to, PeerId(1));
-/// // The 2.0 residual (≥ L_min = 1.0) is re-offered as a light slot.
-/// assert_eq!(lists.light().len(), 1);
-/// ```
 #[derive(Clone, Debug, Default, Serialize, Deserialize)]
 pub struct RendezvousLists {
     /// `<ΔL_j, addr(j)>`, kept sorted ascending by `spare`.
@@ -93,7 +79,8 @@ impl RendezvousLists {
 
     /// Inserts a light slot, keeping order: after every light slot with
     /// less spare room, before every one with as much.
-    pub fn push_light(&mut self, slot: LightSlot) {
+    #[cfg(test)]
+    pub(crate) fn push_light(&mut self, slot: LightSlot) {
         debug_assert!(slot.spare.is_finite() && slot.spare > 0.0);
         let idx = self
             .light
@@ -103,7 +90,7 @@ impl RendezvousLists {
 
     /// Inserts a shed candidate, keeping order: after every candidate with
     /// a lighter load, before every one with as heavy a load.
-    pub fn push_shed(&mut self, cand: ShedCandidate) {
+    pub(crate) fn push_shed(&mut self, cand: ShedCandidate) {
         debug_assert!(cand.load.is_finite() && cand.load >= 0.0);
         let idx = self
             .shed
@@ -235,8 +222,8 @@ impl Merge for RendezvousLists {
 /// entry node per participant — the shedding peers of `shed` (one run of
 /// candidates each, [`crate::reports::shed_candidates`]), then the peers
 /// of `light`, each ascending: the publication order. Every entry node's
-/// lists come out exactly as one [`RendezvousLists::push_shed`] /
-/// [`RendezvousLists::push_light`] per record in that order leaves them:
+/// lists come out exactly as one `RendezvousLists::push_shed` /
+/// `push_light` per record in that order leaves them:
 /// ascending by `total_cmp`, and among equal keys the latest published
 /// first. Participants are grouped by entry node with one sort, each list
 /// is sized first and allocated once, records are appended, and each list

@@ -290,7 +290,7 @@ impl Default for ProximityParams {
 /// participants. The rendezvous lists are filled in publication order and each sorted once, so record order inside every list is
 /// identical at any thread count.
 #[allow(clippy::too_many_arguments)]
-pub fn proximity_inputs(
+pub(crate) fn proximity_inputs(
     net: &ChordNetwork,
     tree: &KTree,
     shed: &[ShedCandidate],

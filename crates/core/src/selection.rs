@@ -18,7 +18,7 @@ use proxbal_chord::VsId;
 /// returned in input order (best effort). Up to [`EXACT_LIMIT`] virtual
 /// servers nothing is allocated, so a caller reusing `out` sheds any
 /// number of peers from one buffer.
-pub fn choose_shed_set(vss: &[(VsId, f64)], excess: f64, out: &mut Vec<VsId>) {
+pub(crate) fn choose_shed_set(vss: &[(VsId, f64)], excess: f64, out: &mut Vec<VsId>) {
     assert!(excess.is_finite());
     out.clear();
     if excess <= 0.0 {

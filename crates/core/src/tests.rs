@@ -1,5 +1,6 @@
 use crate::baselines::{cfs_shed, random_matching};
 use crate::reports::{light_slots, shed_candidates, Classification};
+use crate::selection::choose_shed_set;
 use crate::spec;
 use crate::*;
 use proptest::prelude::*;

@@ -140,16 +140,6 @@ impl LandmarkMapper {
         }
     }
 
-    /// Total number of grid cells, `2^{m·b}` (saturating at `u128::MAX`).
-    pub fn grid_count(&self) -> u128 {
-        let bits = self.curve.index_bits();
-        if bits >= 128 {
-            u128::MAX
-        } else {
-            1u128 << bits
-        }
-    }
-
     /// Quantizes one raw coordinate into `0 ..= 2^b − 1`.
     fn quantize(&self, raw: u32) -> u32 {
         let cells = u64::from(self.curve.max_coord()) + 1;

@@ -110,7 +110,7 @@ fn leaves_hold_at_most_one_vs_position() {
     let mut singleton_leaves = 0;
     for leaf in leaves(&tree) {
         let node = tree.node(leaf);
-        let inside = net.ring().vss_in(&node.region());
+        let inside: Vec<_> = net.ring().iter_in(&node.region()).collect();
         assert!(inside.len() <= 1, "leaf holds {} positions", inside.len());
         if let [(_, vs)] = inside.as_slice() {
             singleton_leaves += 1;

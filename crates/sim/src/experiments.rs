@@ -1,5 +1,5 @@
-//! One driver per paper figure/claim. The `repro` binary and the Criterion
-//! benches call these; integration tests run them at reduced scale.
+//! One entry point per paper figure/claim. The `repro` binary and `pbench`
+//! call these; integration tests run them at reduced scale.
 
 use crate::metrics::DistanceHistogram;
 use crate::scenario::{Prepared, Scenario};
@@ -1315,7 +1315,7 @@ mod tests {
     #[test]
     fn fault_sweep_is_thread_count_invariant() {
         let s = sweep_scenario();
-        let rates = [0.0, 0.08];
+        let rates = [0.0, 0.08, 0.2, 0.3];
         let a = sweep(&s, &rates, 1);
         let b = sweep(&s, &rates, 2);
         let ja = serde_json::to_string(&a).unwrap();
@@ -1323,5 +1323,28 @@ mod tests {
         assert_eq!(ja, jb, "sweep must be bit-identical at any thread count");
         // And the faulty cell actually exercised the machinery.
         assert!(a[1].crashed_peers > 0 || a[1].retries > 0 || a[1].stale_links > 0);
+        // Heavier loss degrades the run instead of breaking it: completion
+        // falls with every step, stays a fraction, and at 20 % and 30 %
+        // some edges exhaust their retry budget.
+        for row in &a {
+            assert!(
+                (0.0..=1.0).contains(&row.aggregation_completion),
+                "loss {}: completion {}",
+                row.loss_rate,
+                row.aggregation_completion
+            );
+            assert!((0.0..=1.0).contains(&row.dissemination_completion));
+        }
+        for pair in a.windows(2) {
+            assert!(
+                pair[1].aggregation_completion < pair[0].aggregation_completion,
+                "completion {} at loss {} is not below {} at loss {}",
+                pair[1].aggregation_completion,
+                pair[1].loss_rate,
+                pair[0].aggregation_completion,
+                pair[0].loss_rate
+            );
+        }
+        assert!(a[2].gave_up > 0 && a[3].gave_up > 0);
     }
 }

@@ -21,7 +21,7 @@
 //!   churn, drift, faults, tree maintenance and periodic + emergency
 //!   balancing composed on one virtual clock.
 //! * [`experiments`] — one driver per paper figure/claim; the `repro`
-//!   binary and the Criterion benches call these.
+//!   binary and `pbench` call these.
 
 pub mod churn;
 pub mod des;

@@ -265,8 +265,9 @@ impl Graph {
 
     /// Reference binary-heap Dijkstra with per-call allocation — the
     /// pre-optimization kernel, kept as the correctness baseline for
-    /// property tests and the `dijkstra_kernels` benchmark.
-    pub fn dijkstra_reference(&self, src: NodeId) -> Vec<u32> {
+    /// property tests.
+    #[cfg(test)]
+    pub(crate) fn dijkstra_reference(&self, src: NodeId) -> Vec<u32> {
         let mut dist = vec![INFINITE_DISTANCE; self.node_count()];
         let mut heap = BinaryHeap::new();
         dist[src as usize] = 0;

@@ -60,11 +60,6 @@ impl LandmarkOracle {
         }
     }
 
-    /// The landmark nodes, in vector order.
-    pub fn landmarks(&self) -> &[NodeId] {
-        &self.landmarks
-    }
-
     /// Number of nodes covered.
     pub fn nodes(&self) -> usize {
         self.nodes

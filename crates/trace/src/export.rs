@@ -7,7 +7,6 @@
 
 use crate::{ArgValue, EventKind, Trace};
 use std::fmt::Write as _;
-use std::io;
 
 fn push_json_str(out: &mut String, s: &str) {
     out.push('"');
@@ -219,16 +218,6 @@ impl Trace {
         }
         out.push_str("}}}\n");
         out
-    }
-
-    /// Write the NDJSON event log to `w`.
-    pub fn write_ndjson<W: io::Write>(&self, w: &mut W) -> io::Result<()> {
-        w.write_all(self.to_ndjson().as_bytes())
-    }
-
-    /// Write the chrome trace JSON to `w`.
-    pub fn write_chrome_json<W: io::Write>(&self, w: &mut W) -> io::Result<()> {
-        w.write_all(self.to_chrome_json().as_bytes())
     }
 }
 

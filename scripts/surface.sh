@@ -3,7 +3,8 @@
 #
 #   scripts/surface.sh [DIR]      # DIR defaults to this checkout
 #
-# Prints, over every `crates/**/*.rs` file:
+# Prints, over every `crates/**/*.rs` file (`compat` alone counts the
+# in-repo stand-ins for external crates):
 #   lines       all lines
 #   non_test    lines that are not test code. Test code is: a file named
 #               `tests.rs` or `*_tests.rs`, a file under a `tests/`
@@ -17,6 +18,7 @@
 #   test        lines - non_test
 #   references  lines declaring a `fn reference_*` (the slow references
 #               fast paths are tested against)
+#   compat      all lines of every `compat/**/*.rs` file
 set -euo pipefail
 cd "${1:-$(dirname "$0")/..}"
 
@@ -87,6 +89,7 @@ EOF
 pub_fn=$(cat $files | grep -cE '^\s*pub fn ' || true)
 suffixed=$(cat $files | grep -cE '^\s*pub fn [a-z0-9_]+_(traced|with|run|walls|threaded|in)\b' || true)
 references=$(cat $files | grep -cE '\bfn reference_' || true)
+compat=$(find compat -name '*.rs' -exec cat {} + | wc -l)
 
-printf 'lines       %d\nnon_test    %d\npub_fn      %d\nsuffixed    %d\ntest        %d\nreferences  %d\n' \
-  "$lines" "$non_test" "$pub_fn" "$suffixed" "$((lines - non_test))" "$references"
+printf 'lines       %d\nnon_test    %d\npub_fn      %d\nsuffixed    %d\ntest        %d\nreferences  %d\ncompat      %d\n' \
+  "$lines" "$non_test" "$pub_fn" "$suffixed" "$((lines - non_test))" "$references" "$compat"
