@@ -185,15 +185,10 @@ impl RendezvousLists {
         trace.count("vsa_residual_reinserts", reinserts);
     }
 
-    /// Removes the shed candidate for `vs`, if present. Returns whether a
-    /// candidate was removed.
-    pub fn remove_shed(&mut self, vs: VsId) -> bool {
-        if let Some(idx) = self.shed.iter().position(|c| c.vs == vs) {
-            self.shed.remove(idx);
-            true
-        } else {
-            false
-        }
+    /// Removes and returns the heaviest shed candidate, the last in the
+    /// list, if any.
+    pub(crate) fn pop_shed(&mut self) -> Option<ShedCandidate> {
+        self.shed.pop()
     }
 
     /// Checks the sortedness invariants (used by tests).

@@ -45,8 +45,7 @@ pub fn split_and_place(
         }
 
         // Pop it and split.
-        let popped = pop_heaviest(unassigned);
-        debug_assert_eq!(popped.vs, cand.vs);
+        unassigned.pop_shed();
         let region = net.region_of(cand.vs);
         if region.len() < 2 {
             unsplittable.push(cand);
@@ -76,14 +75,6 @@ pub fn split_and_place(
         unassigned.push_shed(cand);
     }
     out
-}
-
-fn pop_heaviest(lists: &mut RendezvousLists) -> ShedCandidate {
-    // RendezvousLists keeps shed sorted ascending; expose a pop via pair()
-    // internals is not public, so rebuild: remove the last element.
-    let cand = *lists.shed().last().expect("non-empty");
-    lists.remove_shed(cand.vs);
-    cand
 }
 
 #[cfg(test)]

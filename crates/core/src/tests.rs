@@ -1717,15 +1717,16 @@ fn empty_peers_keep_reporting_capacity() {
 }
 
 #[test]
-fn remove_shed_by_vs_id() {
+fn pop_shed_takes_the_heaviest() {
     let mut lists = RendezvousLists::new();
     lists.push_shed(cand(5.0, 1, 10));
     lists.push_shed(cand(3.0, 2, 11));
-    assert!(lists.remove_shed(vs(1)));
-    assert!(!lists.remove_shed(vs(1)));
+    assert_eq!(lists.pop_shed().map(|c| c.vs), Some(vs(1)));
     assert_eq!(lists.shed().len(), 1);
     assert_eq!(lists.shed()[0].vs, vs(2));
     assert!(lists.check_sorted());
+    assert_eq!(lists.pop_shed().map(|c| c.vs), Some(vs(2)));
+    assert_eq!(lists.pop_shed(), None);
 }
 
 // ---------------------------------------------------------------- objects

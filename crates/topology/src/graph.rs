@@ -1,5 +1,6 @@
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
+use std::sync::Arc;
 
 /// Index of a physical node in a [`Graph`].
 pub type NodeId = u32;
@@ -13,25 +14,36 @@ pub const INFINITE_DISTANCE: u32 = u32::MAX;
 /// for itself and the binary heap takes over.
 const MAX_BUCKET_WEIGHT: u32 = 4096;
 
-/// Undirected weighted graph as one flat, immutable adjacency array (CSR).
+/// Undirected weighted graph as one flat, immutable adjacency (CSR) and a
+/// weight column beside it.
 ///
-/// Node `u`'s neighbours are `arcs[offsets[u]..offsets[u + 1]]`; every
-/// undirected edge appears as two arcs. A graph is built once, from an edge
-/// list ([`Graph::from_edges`]), and shared behind an `Arc` rather than
-/// copied.
+/// Node `u`'s neighbours are `targets[offsets[u]..offsets[u + 1]]`, each
+/// arc weighted by the `weights` entry at the same index; every undirected
+/// edge appears as two arcs. A graph is built once, from an edge list
+/// ([`Graph::from_edges`]), and shared behind an `Arc` rather than copied.
+/// The adjacency sits behind an `Arc` of its own: a graph over the same
+/// arcs in another metric (`Graph::reweighted`) adds only its weights.
 ///
-/// Edge weights are small positive integers (1 for intradomain hops, 3 for
-/// interdomain hops in the paper's cost model), so distances fit comfortably
-/// in `u32`.
+/// Edge weights are positive and fit 16 bits (1 for intradomain hops, 3 for
+/// interdomain hops in the paper's cost model; planar lengths for latency);
+/// distances are `u32`.
 #[derive(Debug)]
 pub struct Graph {
-    /// `n + 1` entries: where each node's run of arcs starts in `arcs`.
-    offsets: Vec<usize>,
-    /// `(v, weight)` pairs, each node's run in first-insertion order.
-    arcs: Vec<(NodeId, u32)>,
+    adjacency: Arc<Adjacency>,
+    /// One weight per arc, parallel to `adjacency.targets`.
+    weights: Vec<u16>,
     /// Largest edge weight present (0 while edgeless). Decides between the
     /// bucket-queue and binary-heap Dijkstra variants.
     max_weight: u32,
+}
+
+/// The weightless half of a [`Graph`].
+#[derive(Debug)]
+struct Adjacency {
+    /// `n + 1` entries: where each node's run of arcs starts in `targets`.
+    offsets: Vec<u32>,
+    /// Arc targets, each node's run in first-insertion order.
+    targets: Vec<NodeId>,
 }
 
 /// Reusable working memory for [`Graph::dijkstra_into`].
@@ -57,16 +69,27 @@ impl DijkstraScratch {
     }
 }
 
+/// `w` as an arc weight: positive and at most `u16::MAX`.
+fn arc_weight(w: u32) -> u16 {
+    assert!(w > 0, "edge weights must be positive");
+    u16::try_from(w).expect("edge weights must fit 16 bits")
+}
+
 impl Graph {
     /// The graph on `n` nodes with the undirected edges `(u, v, weight)`.
-    /// Weights must be positive and endpoints below `n`. Self-loops are
-    /// dropped; of parallel edges the first one, with its weight, is kept.
-    /// Each node's neighbours come in the order their first edge appears.
+    /// Weights must be positive and at most `u16::MAX`, endpoints below
+    /// `n`. Self-loops are dropped; of parallel edges the first one, with
+    /// its weight, is kept. Each node's neighbours come in the order their
+    /// first edge appears.
     pub fn from_edges(n: usize, edges: &[(NodeId, NodeId, u32)]) -> Self {
+        assert!(
+            edges.len() <= u32::MAX as usize / 2,
+            "too many edges for 32-bit offsets"
+        );
         // Counting sort of the arcs by source, in edge order.
-        let mut offsets = vec![0usize; n + 1];
+        let mut offsets = vec![0u32; n + 1];
         for &(u, v, w) in edges {
-            assert!(w > 0, "edge weights must be positive");
+            arc_weight(w);
             assert!(
                 (u as usize) < n && (v as usize) < n,
                 "endpoint out of range"
@@ -79,14 +102,17 @@ impl Graph {
         for i in 1..=n {
             offsets[i] += offsets[i - 1];
         }
-        let mut arcs = vec![(0, 0); offsets[n]];
+        let arcs = offsets[n] as usize;
+        let (mut targets, mut weights) = (vec![0; arcs], vec![0u16; arcs]);
         let mut next = offsets.clone();
         for &(u, v, w) in edges {
             if u != v {
-                arcs[next[u as usize]] = (v, w);
-                next[u as usize] += 1;
-                arcs[next[v as usize]] = (u, w);
-                next[v as usize] += 1;
+                for (from, to) in [(u, v), (v, u)] {
+                    let at = &mut next[from as usize];
+                    targets[*at as usize] = to;
+                    weights[*at as usize] = w as u16;
+                    *at += 1;
+                }
             }
         }
 
@@ -96,56 +122,59 @@ impl Graph {
         let mut seen = vec![NodeId::MAX; n];
         let (mut kept, mut max_weight) = (0, 0);
         for u in 0..n {
-            let run = offsets[u]..offsets[u + 1];
-            offsets[u] = kept;
+            let run = offsets[u] as usize..offsets[u + 1] as usize;
+            offsets[u] = kept as u32;
             for i in run {
-                let (v, w) = arcs[i];
+                let v = targets[i];
                 if seen[v as usize] != u as NodeId {
                     seen[v as usize] = u as NodeId;
-                    arcs[kept] = (v, w);
+                    targets[kept] = v;
+                    weights[kept] = weights[i];
                     kept += 1;
-                    max_weight = max_weight.max(w);
+                    max_weight = max_weight.max(u32::from(weights[i]));
                 }
             }
         }
-        offsets[n] = kept;
-        arcs.truncate(kept);
-        arcs.shrink_to_fit();
+        offsets[n] = kept as u32;
+        targets.truncate(kept);
+        targets.shrink_to_fit();
+        weights.truncate(kept);
+        weights.shrink_to_fit();
         Graph {
-            offsets,
-            arcs,
+            adjacency: Arc::new(Adjacency { offsets, targets }),
+            weights,
             max_weight,
         }
     }
 
-    /// The same nodes and arcs, in the same order, with each arc `u → v`
-    /// weighted `weight(u, v)`. `weight` must be positive and symmetric.
+    /// The same nodes and arcs — one adjacency, shared — with each arc
+    /// `u → v` weighted `weight(u, v)`. `weight` must be positive, at most
+    /// `u16::MAX` and symmetric.
     pub(crate) fn reweighted(&self, weight: impl Fn(NodeId, NodeId) -> u32) -> Self {
-        let mut arcs = Vec::with_capacity(self.arcs.len());
+        let mut weights = Vec::with_capacity(self.weights.len());
         let mut max_weight = 0;
         for u in 0..self.node_count() as NodeId {
-            for &(v, _) in self.neighbors(u) {
-                let w = weight(u, v);
-                assert!(w > 0, "edge weights must be positive");
-                arcs.push((v, w));
-                max_weight = max_weight.max(w);
+            for (v, _) in self.neighbors(u) {
+                let w = arc_weight(weight(u, v));
+                weights.push(w);
+                max_weight = max_weight.max(u32::from(w));
             }
         }
         Graph {
-            offsets: self.offsets.clone(),
-            arcs,
+            adjacency: Arc::clone(&self.adjacency),
+            weights,
             max_weight,
         }
     }
 
     /// Number of nodes.
     pub fn node_count(&self) -> usize {
-        self.offsets.len() - 1
+        self.adjacency.offsets.len() - 1
     }
 
     /// Number of undirected edges.
     pub fn edge_count(&self) -> usize {
-        self.arcs.len() / 2
+        self.weights.len() / 2
     }
 
     /// Largest edge weight in the graph (0 while edgeless).
@@ -153,11 +182,36 @@ impl Graph {
         self.max_weight
     }
 
-    /// Neighbors of `u` with edge weights.
+    /// Neighbors of `u` with edge weights, as `(target, weight)` pairs.
     #[inline]
-    pub fn neighbors(&self, u: NodeId) -> &[(NodeId, u32)] {
-        let u = u as usize;
-        &self.arcs[self.offsets[u]..self.offsets[u + 1]]
+    pub fn neighbors(&self, u: NodeId) -> impl ExactSizeIterator<Item = (NodeId, u32)> + '_ {
+        let Adjacency { offsets, targets } = &*self.adjacency;
+        let run = offsets[u as usize] as usize..offsets[u as usize + 1] as usize;
+        let weights = self.weights[run.clone()].iter().map(|&w| u32::from(w));
+        targets[run].iter().copied().zip(weights)
+    }
+
+    /// Heap plus inline bytes: this graph's weight column and its share of
+    /// the adjacency — `1/k` of it while `k` graphs hold it — so the graphs
+    /// over one adjacency sum to its bytes once.
+    #[cfg(test)]
+    pub(crate) fn size_bytes(&self) -> usize {
+        use std::mem::size_of;
+        let Adjacency { offsets, targets } = &*self.adjacency;
+        // The `Arc` allocation: its two counts, then the adjacency.
+        let adjacency = 2 * size_of::<usize>()
+            + size_of::<Adjacency>()
+            + offsets.capacity() * size_of::<u32>()
+            + targets.capacity() * size_of::<NodeId>();
+        size_of::<Self>()
+            + self.weights.capacity() * size_of::<u16>()
+            + adjacency / Arc::strong_count(&self.adjacency)
+    }
+
+    /// True iff `self` and `other` hold one adjacency between them.
+    #[cfg(test)]
+    pub(crate) fn shares_adjacency(&self, other: &Graph) -> bool {
+        Arc::ptr_eq(&self.adjacency, &other.adjacency)
     }
 
     /// Single-source shortest path distances from `src`.
@@ -220,7 +274,7 @@ impl Graph {
                 if dist[u as usize] != d {
                     continue; // superseded entry
                 }
-                for &(v, w) in self.neighbors(u) {
+                for (v, w) in self.neighbors(u) {
                     let nd = d + w;
                     let dv = &mut dist[v as usize];
                     if nd < *dv {
@@ -249,7 +303,7 @@ impl Graph {
             if d > dist[u as usize] {
                 continue;
             }
-            for &(v, w) in self.neighbors(u) {
+            for (v, w) in self.neighbors(u) {
                 let nd = d + w;
                 let dv = &mut dist[v as usize];
                 if nd < *dv {
@@ -276,7 +330,7 @@ impl Graph {
             if d > dist[u as usize] {
                 continue;
             }
-            for &(v, w) in self.neighbors(u) {
+            for (v, w) in self.neighbors(u) {
                 let nd = d + w;
                 if nd < dist[v as usize] {
                     dist[v as usize] = nd;
@@ -296,10 +350,74 @@ impl Graph {
         dist.iter().all(|&d| d != INFINITE_DISTANCE)
     }
 
+    /// Every pair's shortest-path distance, row-major: entry `s · n + v`
+    /// is [`Graph::dijkstra`]`(s)[v]`.
+    ///
+    /// One multi-source Dial sweep per 64 sources, one source per bit of a
+    /// `u64`: a ring of `max_weight + 1` levels holds `(node, sources)`
+    /// entries, and the entries of level `d` settle, for each node, the
+    /// sources that had not reached it yet at distance `d` — then push
+    /// them on along its arcs. A node is expanded once per level it
+    /// settles sources at, not once per source, so on a sparse graph with
+    /// small weights the sweep costs a fraction of `n` Dijkstra runs.
+    pub(crate) fn distance_table(&self) -> Vec<u32> {
+        let n = self.node_count();
+        let mut table = vec![INFINITE_DISTANCE; n * n];
+        let ring_len = self.max_weight as usize + 1;
+        let mut ring: Vec<Vec<(NodeId, u64)>> = vec![Vec::new(); ring_len];
+        // Per node: the batch's sources that settled it, and those that
+        // settle it at the current level.
+        let (mut reached, mut fresh) = (vec![0u64; n], vec![0u64; n]);
+        let mut settling: Vec<NodeId> = Vec::new();
+        for first in (0..n).step_by(64) {
+            reached.fill(0);
+            for s in first..n.min(first + 64) {
+                ring[0].push((s as NodeId, 1 << (s - first)));
+            }
+            let mut pending = ring[0].len();
+            let mut d = 0u32;
+            while pending > 0 {
+                let level = &mut ring[d as usize % ring_len];
+                pending -= level.len();
+                for (v, sources) in level.drain(..) {
+                    let new = sources & !reached[v as usize];
+                    if new != 0 {
+                        if fresh[v as usize] == 0 {
+                            settling.push(v);
+                        }
+                        fresh[v as usize] |= new;
+                    }
+                }
+                // Arcs weigh at least 1 and at most `max_weight`, so every
+                // push lands on a later level and never wraps onto this one.
+                for &v in &settling {
+                    let sources = std::mem::take(&mut fresh[v as usize]);
+                    reached[v as usize] |= sources;
+                    let mut bits = sources;
+                    while bits != 0 {
+                        let s = first + bits.trailing_zeros() as usize;
+                        bits &= bits - 1;
+                        table[s * n + v as usize] = d;
+                    }
+                    for (t, w) in self.neighbors(v) {
+                        let unreached = sources & !reached[t as usize];
+                        if unreached != 0 {
+                            ring[(d + w) as usize % ring_len].push((t, unreached));
+                            pending += 1;
+                        }
+                    }
+                }
+                settling.clear();
+                d += 1;
+            }
+        }
+        table
+    }
+
     /// All-pairs shortest paths via repeated single-source runs sharing one
-    /// scratch. Intended for tests and small graphs; large graphs should use
-    /// [`crate::DistanceOracle`] which computes rows lazily and in parallel.
-    pub fn all_pairs(&self) -> Vec<Vec<u32>> {
+    /// scratch: the reference [`Graph::distance_table`] is tested against.
+    #[cfg(test)]
+    pub(crate) fn all_pairs(&self) -> Vec<Vec<u32>> {
         let mut scratch = DijkstraScratch::new();
         (0..self.node_count() as NodeId)
             .map(|u| self.dijkstra_into(u, &mut scratch).to_vec())
@@ -423,10 +541,32 @@ mod tests {
             prop_assert_eq!(graph.max_weight(), reference.max_weight);
             let mut scratch = DijkstraScratch::new();
             for u in 0..n as NodeId {
-                prop_assert_eq!(graph.neighbors(u), &reference.adj[u as usize][..]);
+                prop_assert_eq!(graph.neighbors(u).collect::<Vec<_>>(), reference.adj[u as usize].clone());
                 prop_assert_eq!(graph.dijkstra_into(u, &mut scratch), &reference.dijkstra(u)[..]);
             }
         }
+    }
+
+    proptest! {
+        #[test]
+        fn distance_table_matches_all_pairs(
+            n in 1usize..=150, // up to three 64-source batches
+            density in 0usize..=3,
+            max_w in 0usize..4,
+            seed: u64,
+        ) {
+            // Sparse graphs are disconnected; weights up to 300 wrap the
+            // ring often.
+            let max_w = [1, 3, 12, 300][max_w];
+            let g = random_graph(seed, n, density * n, max_w);
+            prop_assert_eq!(g.distance_table(), g.all_pairs().concat());
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "edge weights must fit 16 bits")]
+    fn from_edges_rejects_a_weight_above_16_bits() {
+        Graph::from_edges(2, &[(0, 1, u32::from(u16::MAX) + 1)]);
     }
 
     #[test]

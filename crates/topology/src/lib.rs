@@ -8,10 +8,12 @@
 //! depend only on the transit-stub *structure* and the 3:1 cost ratio.
 //!
 //! * [`Graph`] — undirected weighted graph as one flat, immutable adjacency
-//!   array (CSR), built once by [`Graph::from_edges`] (self-loops dropped,
-//!   the first of parallel edges kept), with Dijkstra shortest paths.
+//!   (CSR: `u32` offsets and targets) beside a `u16` weight column, built
+//!   once by [`Graph::from_edges`] (self-loops dropped, the first of
+//!   parallel edges kept), with Dijkstra shortest paths.
 //!   [`TransitStubTopology`] holds its hop and latency graphs behind `Arc`s
-//!   that the distance oracles share instead of copying.
+//!   that the distance oracles share instead of copying; the two graphs
+//!   share one adjacency and differ only in their weight columns.
 //! * [`TransitStubConfig`] / [`TransitStubTopology`] — the generator. The two
 //!   paper presets are [`TransitStubConfig::ts5k_large`] and
 //!   [`TransitStubConfig::ts5k_small`].

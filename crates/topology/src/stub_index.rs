@@ -26,20 +26,26 @@
 //! `INTRA_DOMAIN_WEIGHT`), so a domain's `d_in` table is filled by
 //! breadth-first search on bit rows: the domain's adjacency is
 //! `⌈size/64⌉` `u64` words per member, and each BFS level is the OR of the
-//! frontier members' rows minus the members already seen.
+//! frontier members' rows minus the members already seen. Entries are one
+//! byte, 255 meaning "no path inside the domain".
 //!
-//! The structural precondition is therefore two clauses: no edge joins two
-//! different stub domains, and every intra-stub edge has weight 1.
-//! [`StubIndex::build`] checks both and returns `None` otherwise. Uplinks,
-//! their weights and their number — and the transit core's weights — are
-//! read off the graph, never assumed.
+//! `core` is filled by [`Graph::distance_table`], one word-parallel Dial
+//! sweep over the skeleton for every 64 transit nodes.
+//!
+//! The structural precondition is therefore three clauses: no edge joins
+//! two different stub domains, every intra-stub edge has weight 1, and
+//! every intra-stub distance is at most 254. [`StubIndex::build`] checks
+//! all three and returns `None` otherwise. Uplinks, their weights and their
+//! number — and the transit core's weights — are read off the graph, never
+//! assumed.
 
 use crate::graph::{Graph, NodeId, INFINITE_DISTANCE};
 use crate::transit_stub::DomainKind;
 use std::collections::BTreeMap;
 
-/// Intra-domain table entry for "no path inside the domain".
-const UNREACHABLE: u16 = u16::MAX;
+/// Intra-domain table entry for "no path inside the domain"; every
+/// distance the tables hold is below it.
+const UNREACHABLE: u8 = u8::MAX;
 
 /// One stub–transit edge, seen from the stub.
 struct Uplink {
@@ -68,7 +74,7 @@ pub(crate) struct StubIndex {
     domains: Vec<Domain>,
     uplinks: Vec<Uplink>,
     /// Every domain's all-pairs table of domain-restricted distances.
-    intra: Vec<u16>,
+    intra: Vec<u8>,
     /// `transit_count × transit_count` distances between transit nodes.
     core: Vec<u32>,
     transit_count: usize,
@@ -149,7 +155,9 @@ impl BitBfs {
 
     /// Writes the hop distance from `src` to every member into `row`, which
     /// arrives filled with [`UNREACHABLE`] and keeps it where no path is.
-    fn fill(&mut self, src: usize, row: &mut [u16]) {
+    /// Returns false, the row left part-written, when a member is
+    /// [`UNREACHABLE`] or more hops away: the table cannot hold it.
+    fn fill(&mut self, src: usize, row: &mut [u8]) -> bool {
         let BitBfs {
             words,
             adj,
@@ -163,7 +171,6 @@ impl BitBfs {
         seen[src / 64] = 1 << (src % 64);
         frontier[src / 64] = 1 << (src % 64);
         row[src] = 0;
-        // A level is at most `size − 1 < u16::MAX` hops from `src`.
         let mut d = 0;
         let mut reached = 1;
         // Stopping once every member is reached skips expanding the last
@@ -194,9 +201,13 @@ impl BitBfs {
                 }
             }
             if reached == before {
-                return; // the rest of the domain is unreachable from `src`
+                break; // the rest of the domain is unreachable from `src`
+            }
+            if d == UNREACHABLE {
+                return false; // members 255 hops away
             }
         }
+        true
     }
 }
 
@@ -205,9 +216,18 @@ impl StubIndex {
     ///
     /// Returns `None` — the caller then answers from Dijkstra rows — when
     /// `kinds` does not cover the graph, when an edge joins two different
-    /// stub domains, when an intra-stub edge does not weigh 1, or when a
-    /// stub has too many members for the 16-bit tables.
+    /// stub domains, when an intra-stub edge does not weigh 1, when an
+    /// intra-stub distance does not fit the 8-bit tables (is above 254), or
+    /// when a skeleton edge would weigh more than a graph's 16 bits hold.
     pub(crate) fn build(graph: &Graph, kinds: &[DomainKind]) -> Option<Self> {
+        let (mut index, skeleton) = Self::domains(graph, kinds)?;
+        index.core = skeleton.distance_table();
+        Some(index)
+    }
+
+    /// Everything but the transit core: the index with `core` empty, and
+    /// the skeleton graph `core` is the all-pairs table of.
+    fn domains(graph: &Graph, kinds: &[DomainKind]) -> Option<(Self, Graph)> {
         if kinds.len() != graph.node_count() {
             return None;
         }
@@ -224,13 +244,10 @@ impl StubIndex {
         let mut skeleton: Vec<(u32, u32, u32)> = Vec::new();
         let mut domains = Vec::with_capacity(members.len());
         let mut uplinks = Vec::new();
-        let mut intra: Vec<u16> = Vec::with_capacity(members.iter().map(|m| m.len().pow(2)).sum());
+        let mut intra: Vec<u8> = Vec::with_capacity(members.iter().map(|m| m.len().pow(2)).sum());
         for (slot, nodes) in members.iter().enumerate() {
             let is_transit = slot < transit_count;
             let size = nodes.len();
-            if size >= usize::from(UNREACHABLE) {
-                return None;
-            }
             bfs.reset(size);
             let first_uplink = uplinks.len();
             if is_transit {
@@ -242,7 +259,7 @@ impl StubIndex {
             }
             for &u in nodes {
                 let lu = place[u as usize].1;
-                for &(v, w) in graph.neighbors(u) {
+                for (v, w) in graph.neighbors(u) {
                     let (dv, lv) = place[v as usize];
                     let v_transit = (dv as usize) < transit_count;
                     match (is_transit, v_transit) {
@@ -262,7 +279,9 @@ impl StubIndex {
             let table = intra.len();
             intra.resize(table + size * size, UNREACHABLE);
             for (src, row) in intra[table..].chunks_exact_mut(size).enumerate() {
-                bfs.fill(src, row);
+                if !bfs.fill(src, row) {
+                    return None;
+                }
             }
 
             let ups = &uplinks[first_uplink..];
@@ -270,10 +289,11 @@ impl StubIndex {
                 for b in &ups[i + 1..] {
                     let through = intra[table + a.gateway as usize * size + b.gateway as usize];
                     if a.transit != b.transit && through != UNREACHABLE {
-                        let w = a
-                            .weight
-                            .checked_add(u32::from(through))?
-                            .checked_add(b.weight)?;
+                        // Each term is at most `u16::MAX`: no overflow.
+                        let w = a.weight + u32::from(through) + b.weight;
+                        if w > u32::from(u16::MAX) {
+                            return None;
+                        }
                         skeleton.push((a.transit.min(b.transit), a.transit.max(b.transit), w));
                     }
                 }
@@ -288,18 +308,15 @@ impl StubIndex {
         // `Graph::from_edges` keeps the first of two parallel edges, so the
         // cheapest of each bundle has to come first.
         skeleton.sort_unstable();
-        let core = Graph::from_edges(transit_count, &skeleton)
-            .all_pairs()
-            .concat();
-
-        Some(StubIndex {
+        let index = StubIndex {
             place,
             domains,
             uplinks,
             intra,
-            core,
+            core: Vec::new(),
             transit_count,
-        })
+        };
+        Some((index, Graph::from_edges(transit_count, &skeleton)))
     }
 
     /// Distance between members `i` and `j` of `domain` along paths that
@@ -353,7 +370,7 @@ impl StubIndex {
             + self.place.capacity() * size_of::<(u32, u32)>()
             + self.domains.capacity() * size_of::<Domain>()
             + self.uplinks.capacity() * size_of::<Uplink>()
-            + self.intra.capacity() * size_of::<u16>()
+            + self.intra.capacity() * size_of::<u8>()
             + self.core.capacity() * size_of::<u32>()
     }
 }
@@ -361,14 +378,26 @@ impl StubIndex {
 #[cfg(test)]
 impl StubIndex {
     /// Every domain's all-pairs table, in `build`'s slot order.
-    pub(crate) fn intra(&self) -> &[u16] {
+    pub(crate) fn intra(&self) -> &[u8] {
         &self.intra
+    }
+
+    /// The transit-to-transit table, row-major.
+    pub(crate) fn core(&self) -> &[u32] {
+        &self.core
+    }
+
+    /// The skeleton graph `build` computes the transit core on; `None`
+    /// when `build` declines.
+    pub(crate) fn skeleton(graph: &Graph, kinds: &[DomainKind]) -> Option<Graph> {
+        Self::domains(graph, kinds).map(|(_, skeleton)| skeleton)
     }
 
     /// The reference for [`StubIndex::intra`]: one Dijkstra per member over
     /// each domain's own subgraph, any weights. `None` when an edge joins
-    /// two different stub domains or a distance does not fit 16 bits.
-    pub(crate) fn reference_intra(graph: &Graph, kinds: &[DomainKind]) -> Option<Vec<u16>> {
+    /// two different stub domains or a distance does not fit the table
+    /// (is above 254).
+    pub(crate) fn reference_intra(graph: &Graph, kinds: &[DomainKind]) -> Option<Vec<u8>> {
         use crate::graph::DijkstraScratch;
         let Membership {
             place,
@@ -381,7 +410,7 @@ impl StubIndex {
             let mut edges = Vec::new();
             let is_stub = slot >= transit_count;
             for &u in nodes {
-                for &(v, w) in graph.neighbors(u) {
+                for (v, w) in graph.neighbors(u) {
                     let (dv, lv) = place[v as usize];
                     if is_stub && dv as usize >= transit_count {
                         if dv as usize != slot {
@@ -398,7 +427,7 @@ impl StubIndex {
                 for &d in inside.dijkstra_into(src, &mut scratch) {
                     intra.push(match d {
                         INFINITE_DISTANCE => UNREACHABLE,
-                        d => u16::try_from(d).ok().filter(|&d| d != UNREACHABLE)?,
+                        d => u8::try_from(d).ok().filter(|&d| d != UNREACHABLE)?,
                     });
                 }
             }

@@ -417,11 +417,50 @@ fn stub_to_stub_edge_falls_back_to_rows() {
 #[test]
 fn weighted_stub_interior_falls_back_to_rows() {
     // The tables are filled by BFS, so an intra-stub edge that does not
-    // weigh 1 — here 2, and one whose distances would not fit 16 bits —
+    // weigh 1 — here 2, and one whose distances would not fit 8 bits —
     // sends every query to the row path.
-    let graph = graph_of(4, &[(1, 2, 2), (2, 3, 70_000), (1, 0, 3)]);
+    let graph = graph_of(4, &[(1, 2, 2), (2, 3, 300), (1, 0, 3)]);
     let topo = hand_made(graph, vec![T, stub(0), stub(0), stub(0)]);
     assert_falls_back_exact(&topo);
+}
+
+/// One stub that is a path of `members` nodes, hung off transit node 0 at
+/// one end: its ends are `members − 1` hops apart.
+fn path_stub(members: usize) -> TransitStubTopology {
+    let mut edges: Vec<_> = (1..members as NodeId).map(|i| (i, i + 1, 1)).collect();
+    edges.push((1, 0, 3));
+    let mut kinds = vec![T];
+    kinds.resize(members + 1, stub(0));
+    hand_made(graph_of(members + 1, &edges), kinds)
+}
+
+#[test]
+fn a_stub_254_hops_across_is_indexed() {
+    // The largest distance the one-byte tables hold.
+    assert_index_exact(&path_stub(255));
+}
+
+#[test]
+fn a_stub_255_hops_across_falls_back_to_rows() {
+    // One hop more than the tables hold: the index declines and the oracle
+    // still answers exactly.
+    assert_falls_back_exact(&path_stub(256));
+}
+
+#[test]
+fn core_sweep_matches_all_pairs_on_preset_skeletons() {
+    for config in [
+        TransitStubConfig::ts5k_small(),
+        TransitStubConfig::ts5k_large(),
+        TransitStubConfig::ts50k(),
+    ] {
+        let topo = generate(config, 1);
+        let skeleton = StubIndex::skeleton(&topo.graph, &topo.kinds).expect("an indexable preset");
+        let want = skeleton.all_pairs().concat();
+        assert_eq!(skeleton.distance_table(), want, "{config:?}");
+        let index = StubIndex::build(&topo.graph, &topo.kinds).expect("an indexable preset");
+        assert_eq!(index.core(), want, "{config:?}");
+    }
 }
 
 #[test]

@@ -16,9 +16,9 @@ fn graph_basic_ops() {
     let g = Graph::from_edges(4, &[(0, 1, 1), (1, 2, 2), (1, 0, 5), (2, 2, 1)]);
     assert_eq!(g.edge_count(), 2);
     assert_eq!(g.max_weight(), 2);
-    assert_eq!(g.neighbors(0), &[(1, 1)]);
-    assert_eq!(g.neighbors(1), &[(0, 1), (2, 2)]);
-    assert!(g.neighbors(3).is_empty());
+    assert!(g.neighbors(0).eq([(1, 1)]));
+    assert!(g.neighbors(1).eq([(0, 1), (2, 2)]));
+    assert_eq!(g.neighbors(3).len(), 0);
     assert!(!g.is_connected()); // node 3 isolated
 }
 
@@ -49,7 +49,7 @@ fn bellman_ford(g: &Graph, src: NodeId) -> Vec<u32> {
             if dist[u as usize] == u64::from(INFINITE_DISTANCE) {
                 continue;
             }
-            for &(v, w) in g.neighbors(u) {
+            for (v, w) in g.neighbors(u) {
                 let nd = dist[u as usize] + u64::from(w);
                 if nd < dist[v as usize] {
                     dist[v as usize] = nd;
@@ -132,7 +132,7 @@ fn interdomain_edges_cost_three() {
     // Every edge between nodes of different domains must have weight 3,
     // intradomain edges weight 1.
     for u in 0..topo.node_count() as NodeId {
-        for &(v, w) in topo.graph.neighbors(u) {
+        for (v, w) in topo.graph.neighbors(u) {
             let same_domain = topo.kind(u) == topo.kind(v);
             if same_domain {
                 assert_eq!(w, INTRA_DOMAIN_WEIGHT, "intra edge {u}-{v}");
@@ -150,8 +150,11 @@ fn generation_is_deterministic_per_seed() {
     assert_eq!(a.node_count(), b.node_count());
     assert_eq!(a.graph.edge_count(), b.graph.edge_count());
     for u in 0..a.node_count() as NodeId {
-        assert_eq!(a.graph.neighbors(u), b.graph.neighbors(u));
-        assert_eq!(a.latency_graph.neighbors(u), b.latency_graph.neighbors(u));
+        assert!(a.graph.neighbors(u).eq(b.graph.neighbors(u)));
+        assert!(a
+            .latency_graph
+            .neighbors(u)
+            .eq(b.latency_graph.neighbors(u)));
     }
 }
 
@@ -475,7 +478,7 @@ fn latency_graph_shares_edges_with_hop_graph() {
         for u in 0..topo.node_count() as NodeId {
             let (arcs, lat_arcs) = (hops.neighbors(u), latency.neighbors(u));
             assert_eq!(arcs.len(), lat_arcs.len(), "node {u}");
-            for (&(v, _), &(lat_v, w)) in arcs.iter().zip(lat_arcs) {
+            for ((v, _), (lat_v, w)) in arcs.zip(lat_arcs) {
                 assert_eq!(v, lat_v, "node {u}");
                 let (ux, uy) = topo.coords[u as usize];
                 let (vx, vy) = topo.coords[v as usize];
@@ -488,6 +491,21 @@ fn latency_graph_shares_edges_with_hop_graph() {
         assert_eq!(latency.max_weight(), max_weight);
         assert!(latency.is_connected());
     }
+}
+
+#[test]
+fn hop_and_latency_graphs_store_one_adjacency() {
+    // ts50k, seed 1: 4-byte offsets and targets stored once, and a 2-byte
+    // weight per arc in each metric.
+    let topo =
+        TransitStubTopology::generate(TransitStubConfig::ts50k(), &mut StdRng::seed_from_u64(1));
+    let (hops, latency) = (&topo.graph, &topo.latency_graph);
+    assert!(hops.shares_adjacency(latency));
+    let (n, arcs) = (topo.node_count(), 2 * hops.edge_count());
+    assert_eq!((n, arcs), (50_073, 2_323_572));
+    let together = hops.size_bytes() + latency.size_bytes();
+    let bound = 4 * (n + 1) + 4 * arcs + 2 * 2 * arcs + 256;
+    assert!(together <= bound, "{together} bytes > {bound}");
 }
 
 #[test]

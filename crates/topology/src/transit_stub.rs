@@ -140,8 +140,9 @@ pub struct TransitStubTopology {
     /// The same edges with **latency** weights derived from GT-ITM-style
     /// planar node placement (Euclidean edge lengths). This is what RTT
     /// measurements — and therefore landmark vectors — see: rich enough to
-    /// distinguish sibling stub domains, unlike coarse hop counts. Its arcs
-    /// are the hop graph's, in the same order.
+    /// distinguish sibling stub domains, unlike coarse hop counts. It holds
+    /// the hop graph's adjacency itself, shared; only its weight column is
+    /// its own.
     pub latency_graph: Arc<Graph>,
     /// Planar coordinates of every node (GT-ITM places domains in a plane).
     pub coords: Vec<(f64, f64)>,
@@ -292,7 +293,8 @@ impl TransitStubTopology {
         let graph = Graph::from_edges(kinds.len(), &edges);
         drop(edges);
 
-        // Latency weights: Euclidean length of each edge (at least 1 unit).
+        // Latency weights: Euclidean length of each edge (at least 1 unit;
+        // the plane is a few thousand units across, so 16 bits hold it).
         // Squaring makes the length symmetric bit for bit.
         let latency_graph = graph.reweighted(|u, v| {
             let (ux, uy) = coords[u as usize];

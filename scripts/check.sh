@@ -27,8 +27,9 @@
 #                    parallel sections
 #   --profile-smoke  `xl2 --peers 16384 --profile` (virtual-time flamegraphs
 #                    and trace summary byte-identical, volatile artifacts
-#                    present, the `tree` and `oracle/index_build` phases
-#                    within their allocated-byte budgets, `round/lbi`,
+#                    present, the `tree`, `oracle/index_build` and
+#                    `prepare/topology` phases within their allocated-byte
+#                    budgets, `round/lbi`,
 #                    `round/aggregate`, `round/vsa/candidates`,
 #                    `round/vsa/inputs` and `round/transfer/distances`
 #                    within their allocation-count budgets; DESIGN.md §5a,
@@ -166,11 +167,19 @@ if [[ "$PROFILE_SMOKE" == "1" ]]; then
   [[ "$TREE_BYTES" -le 8000000 ]] || {
     echo "profile smoke: the tree phase allocated $TREE_BYTES bytes (> 8,000,000)" >&2; exit 1; }
   # The same for the transit-stub index (DESIGN.md §5a): its BFS fill keeps
-  # the ts50k build at 12.0 MB, 10.9 MB of it the `u16` per-stub tables; a
-  # per-domain graph + Dijkstra fill allocated 62.2 MB.
+  # the ts50k build at 6.7 MB, 5.4 MB of it the `u8` per-stub tables (12.0
+  # MB with `u16` tables; a per-domain graph + Dijkstra fill allocated
+  # 62.2 MB).
   INDEX_BYTES="$(awk '$1 == "oracle/index_build" { print $NF; exit }' "$P1/resources.txt")"
-  [[ -n "$INDEX_BYTES" && "$INDEX_BYTES" -le 16000000 ]] || {
-    echo "profile smoke: oracle/index_build allocated ${INDEX_BYTES:-no} bytes (> 16,000,000)" >&2; exit 1; }
+  [[ -n "$INDEX_BYTES" && "$INDEX_BYTES" -le 8500000 ]] || {
+    echo "profile smoke: oracle/index_build allocated ${INDEX_BYTES:-no} bytes (> 8,500,000)" >&2; exit 1; }
+  # And for generating the ts50k underlay (DESIGN.md "The underlay graph"):
+  # the edge list, then one adjacency with `u32` offsets and targets and a
+  # `u16` weight column per metric, 85.8 MB in all (109.9 MB when each
+  # graph kept its own 8-byte arcs).
+  TOPOLOGY_BYTES="$(awk '$1 == "prepare/topology" { print $NF; exit }' "$P1/resources.txt")"
+  [[ -n "$TOPOLOGY_BYTES" && "$TOPOLOGY_BYTES" -le 107000000 ]] || {
+    echo "profile smoke: prepare/topology allocated ${TOPOLOGY_BYTES:-no} bytes (> 107,000,000)" >&2; exit 1; }
   # Allocation *counts* (the column before the bytes) of the per-peer work
   # (DESIGN.md §6c): report bindings in a peer-indexed array and LBI inputs
   # in one slot-ordered array, folded by a walk that clones nothing that
@@ -182,7 +191,7 @@ if [[ "$PROFILE_SMOKE" == "1" ]]; then
   # peer 103,208); records published once per distinct landmark vector into
   # lists sized before filling (10,060; 40,576 with one key and one sorted
   # insert per record); transfer distances from one sorted key list, each
-  # distinct endpoint pair measured once (3,560, of which 3,451 build the
+  # distinct endpoint pair measured once (3,410, of which 3,301 build the
   # transit-stub index; a hash memo with a sorted map per refined source
   # was 10,124).
   budget_calls() {
