@@ -5,6 +5,7 @@ use crate::metrics::DistanceHistogram;
 use crate::scenario::{Prepared, Scenario};
 use proxbal_core::{
     BalanceReport, BalancerConfig, ClassifyParams, LoadBalancer, NodeClass, ProximityMode,
+    RoundWalls,
 };
 use proxbal_ktree::KTree;
 use proxbal_profile::ProgressSink;
@@ -134,8 +135,13 @@ pub struct MovedLoadOutput {
 /// (`aware` / `ignorant`) of `trace`.
 pub fn fig78_moved_load(prepared: &Prepared, trace: &mut Trace) -> MovedLoadOutput {
     let underlay = prepared.underlay().expect("figure 7/8 requires a topology");
+    // One K-nary tree for both arms. A round changes its tree only by the
+    // maintenance it starts with, and a freshly built tree is already
+    // stable, so the second arm finds the tree the first one started from,
+    // without a clone held beside it.
+    let mut tree = KTree::build(&prepared.net, prepared.scenario.balancer.k);
 
-    let run = |mode: ProximityMode, label: u64, name: &str, trace: &mut Trace| {
+    let mut run = |mode: ProximityMode, label: u64, name: &str, trace: &mut Trace| {
         let mut child = Trace::new(trace.is_enabled(), name);
         let mut net = prepared.net.clone();
         let mut loads = prepared.loads.clone();
@@ -146,7 +152,15 @@ pub fn fig78_moved_load(prepared: &Prepared, trace: &mut Trace) -> MovedLoadOutp
         let balancer = LoadBalancer::new(cfg);
         let mut rng = prepared.derived_rng(label);
         let report = balancer
-            .run_traced(&mut net, &mut loads, Some(underlay), &mut rng, &mut child)
+            .run_with_tree_walls(
+                &mut net,
+                &mut loads,
+                &mut tree,
+                Some(underlay),
+                &mut rng,
+                &mut child,
+                &mut RoundWalls::default(),
+            )
             .expect("attached network");
         trace.absorb(child);
         let mut hist = DistanceHistogram::new();

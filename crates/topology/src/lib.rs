@@ -8,12 +8,15 @@
 //! depend only on the transit-stub *structure* and the 3:1 cost ratio.
 //!
 //! * [`Graph`] — undirected weighted graph as one flat, immutable adjacency
-//!   (CSR: `u32` offsets and targets) beside a `u16` weight column, built
-//!   once by [`Graph::from_edges`] (self-loops dropped, the first of
-//!   parallel edges kept), with Dijkstra shortest paths.
-//!   [`TransitStubTopology`] holds its hop and latency graphs behind `Arc`s
-//!   that the distance oracles share instead of copying; the two graphs
-//!   share one adjacency and differ only in their weight columns.
+//!   with weight columns beside it, built once by [`Graph::from_edges`]
+//!   (self-loops dropped, the first of parallel edges kept), with Dijkstra
+//!   shortest paths. Arcs inside a *block* of at most 256 consecutive nodes
+//!   (a transit or stub domain) are stored as one-byte offsets with
+//!   one-byte weights, every other arc as a `u32` target with a `u16`
+//!   weight. [`TransitStubTopology`] holds its hop and latency graphs
+//!   behind `Arc`s that the distance oracles share instead of copying; the
+//!   two graphs share one adjacency and differ only in their weight
+//!   columns (the hop graph stores no intradomain weights: all are 1).
 //! * [`TransitStubConfig`] / [`TransitStubTopology`] — the generator. The two
 //!   paper presets are [`TransitStubConfig::ts5k_large`] and
 //!   [`TransitStubConfig::ts5k_small`].

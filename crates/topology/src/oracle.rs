@@ -165,7 +165,7 @@ const PIN_BIT: u8 = 2;
 /// breadth-first search on bit rows per stub, Dijkstra over the transit
 /// core — and is exact. It is skipped, and rows answer as before, when the
 /// graph has an edge between two different stub domains, an intra-stub
-/// edge whose weight is not 1, or a stub too large for its 16-bit tables;
+/// edge whose weight is not 1, or an intra-stub distance above 254;
 /// uplink and transit-core weights may be anything. Whole rows ([`row`],
 /// landmark vectors) never go through it.
 ///
@@ -186,9 +186,10 @@ const PIN_BIT: u8 = 2;
 /// capacity, including unbounded.
 pub struct DistanceOracle {
     graph: Arc<Graph>,
-    rows: Vec<RwLock<Option<Arc<CompactRow>>>>,
-    /// Per-row `REF_BIT`/`PIN_BIT` flags (addressed by source id).
-    meta: Vec<AtomicU8>,
+    /// One row slot per node, allocated on the first [`DistanceOracle::row`]
+    /// or [`DistanceOracle::pin`]: an oracle that only answers point queries
+    /// from its index never holds them.
+    slots: OnceLock<RowSlots>,
     /// Maximum resident unpinned rows; `0` means unbounded.
     capacity: usize,
     /// Number of resident unpinned rows.
@@ -203,11 +204,18 @@ pub struct DistanceOracle {
     evictions: AtomicU64,
     /// Domain membership of every node, when the graph is a transit-stub
     /// topology: what the structural index is built from.
-    kinds: Option<Vec<DomainKind>>,
+    kinds: Option<Arc<[DomainKind]>>,
     /// The structural point-query index, built on the first
     /// [`DistanceOracle::distance`]; `Some(None)` once the graph turned out
     /// not to satisfy its precondition.
     index: OnceLock<Option<StubIndex>>,
+}
+
+/// The row cache's per-node state, addressed by source id.
+struct RowSlots {
+    rows: Vec<RwLock<Option<Arc<CompactRow>>>>,
+    /// Per-row `REF_BIT`/`PIN_BIT` flags.
+    meta: Vec<AtomicU8>,
 }
 
 /// Snapshot of an oracle's cache accounting.
@@ -254,15 +262,17 @@ impl DistanceOracle {
     /// row cache of `capacity` unpinned rows (`0` = unbounded) for whole-row
     /// consumers.
     pub fn for_topology(topo: &TransitStubTopology, capacity: usize) -> Self {
-        Self::with_kinds(Arc::clone(&topo.graph), capacity, Some(topo.kinds.clone()))
+        Self::with_kinds(
+            Arc::clone(&topo.graph),
+            capacity,
+            Some(Arc::clone(&topo.kinds)),
+        )
     }
 
-    fn with_kinds(graph: Arc<Graph>, capacity: usize, kinds: Option<Vec<DomainKind>>) -> Self {
-        let n = graph.node_count();
+    fn with_kinds(graph: Arc<Graph>, capacity: usize, kinds: Option<Arc<[DomainKind]>>) -> Self {
         DistanceOracle {
             graph,
-            rows: (0..n).map(|_| RwLock::new(None)).collect(),
-            meta: (0..n).map(|_| AtomicU8::new(0)).collect(),
+            slots: OnceLock::new(),
             capacity,
             resident: AtomicUsize::new(0),
             resident_bytes: AtomicUsize::new(0),
@@ -297,12 +307,24 @@ impl DistanceOracle {
         self.capacity
     }
 
+    /// The row slots, allocated on first use.
+    fn slots(&self) -> &RowSlots {
+        self.slots.get_or_init(|| {
+            let n = self.graph.node_count();
+            RowSlots {
+                rows: (0..n).map(|_| RwLock::new(None)).collect(),
+                meta: (0..n).map(|_| AtomicU8::new(0)).collect(),
+            }
+        })
+    }
+
     /// The cached row from `src`, if one exists.
     fn cached(&self, src: NodeId) -> Option<Arc<CompactRow>> {
-        let row = self.rows[src as usize].read().clone();
+        let slots = self.slots.get()?;
+        let row = slots.rows[src as usize].read().clone();
         if row.is_some() {
             // Second chance: a touched row survives one clock pass.
-            self.meta[src as usize].fetch_or(REF_BIT, Ordering::Relaxed);
+            slots.meta[src as usize].fetch_or(REF_BIT, Ordering::Relaxed);
             self.hits.fetch_add(1, Ordering::Relaxed);
         }
         row
@@ -310,7 +332,9 @@ impl DistanceOracle {
 
     /// True iff the row from `src` is currently resident.
     pub fn is_cached(&self, src: NodeId) -> bool {
-        self.rows[src as usize].read().is_some()
+        self.slots
+            .get()
+            .is_some_and(|slots| slots.rows[src as usize].read().is_some())
     }
 
     /// Shortest-path distance row from `src` (computing and caching it if
@@ -327,8 +351,9 @@ impl DistanceOracle {
             ))
         });
         self.computes.fetch_add(1, Ordering::Relaxed);
+        let RowSlots { rows, meta } = self.slots();
         {
-            let mut slot = self.rows[src as usize].write();
+            let mut slot = rows[src as usize].write();
             // Another thread may have raced us; keep whichever is present.
             if let Some(existing) = slot.clone() {
                 return existing;
@@ -336,9 +361,9 @@ impl DistanceOracle {
             self.resident_bytes
                 .fetch_add(computed.size_bytes(), Ordering::Relaxed);
             *slot = Some(computed.clone());
-            self.meta[src as usize].fetch_or(REF_BIT, Ordering::Relaxed);
+            meta[src as usize].fetch_or(REF_BIT, Ordering::Relaxed);
         }
-        if self.meta[src as usize].load(Ordering::Relaxed) & PIN_BIT == 0 {
+        if meta[src as usize].load(Ordering::Relaxed) & PIN_BIT == 0 {
             self.resident.fetch_add(1, Ordering::Relaxed);
             self.clock.lock().push_back(src);
             if self.capacity > 0 {
@@ -355,6 +380,7 @@ impl DistanceOracle {
     /// Evicts one unpinned resident row by second-chance replacement.
     /// Returns `false` when the queue drains without finding a victim.
     fn evict_one(&self) -> bool {
+        let RowSlots { rows, meta } = self.slots();
         let mut clock = self.clock.lock();
         // Each entry is inspected at most twice per call (once to clear its
         // reference bit, once to evict), so the sweep terminates.
@@ -364,7 +390,7 @@ impl DistanceOracle {
             let Some(src) = clock.pop_front() else {
                 return false;
             };
-            let meta = &self.meta[src as usize];
+            let meta = &meta[src as usize];
             let flags = meta.load(Ordering::Relaxed);
             if flags & PIN_BIT != 0 {
                 // Pinned after insertion: leave resident, drop from the
@@ -377,7 +403,7 @@ impl DistanceOracle {
                 clock.push_back(src);
                 continue;
             }
-            let mut slot = self.rows[src as usize].write();
+            let mut slot = rows[src as usize].write();
             // Re-check under the slot lock: a concurrent `pin` sets the
             // bit before ensuring residency, so this is the last word.
             if meta.load(Ordering::Relaxed) & PIN_BIT != 0 {
@@ -402,7 +428,7 @@ impl DistanceOracle {
         // already popped this row re-checks and leaves it resident. If the
         // row was already resident (and counted), the clock sweep corrects
         // the resident count when it reaches the now-stale queue entry.
-        self.meta[src as usize].fetch_or(PIN_BIT, Ordering::Relaxed);
+        self.slots().meta[src as usize].fetch_or(PIN_BIT, Ordering::Relaxed);
         let _ = self.row(src);
     }
 
@@ -452,7 +478,7 @@ impl DistanceOracle {
         let missing: Vec<NodeId> = sources
             .iter()
             .copied()
-            .filter(|&src| self.rows[src as usize].read().is_none())
+            .filter(|&src| !self.is_cached(src))
             .collect();
         if missing.is_empty() {
             return;
@@ -482,7 +508,9 @@ impl DistanceOracle {
 
     /// Number of cached rows (for tests / diagnostics).
     pub fn cached_rows(&self) -> usize {
-        self.rows.iter().filter(|r| r.read().is_some()).count()
+        self.slots.get().map_or(0, |slots| {
+            slots.rows.iter().filter(|r| r.read().is_some()).count()
+        })
     }
 
     /// Measured bytes of all resident rows, pinned included, plus the

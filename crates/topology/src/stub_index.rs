@@ -316,7 +316,7 @@ impl StubIndex {
             core: Vec::new(),
             transit_count,
         };
-        Some((index, Graph::from_edges(transit_count, &skeleton)))
+        Some((index, Graph::from_edges(transit_count, &skeleton, &[])))
     }
 
     /// Distance between members `i` and `j` of `domain` along paths that
@@ -422,7 +422,7 @@ impl StubIndex {
                     }
                 }
             }
-            let inside = Graph::from_edges(nodes.len(), &edges);
+            let inside = Graph::from_edges(nodes.len(), &edges, &[]);
             for src in 0..nodes.len() as NodeId {
                 for &d in inside.dijkstra_into(src, &mut scratch) {
                     intra.push(match d {

@@ -38,7 +38,7 @@ fn hand_made(graph: Graph, kinds: Vec<DomainKind>) -> TransitStubTopology {
         latency_graph: std::sync::Arc::clone(&graph),
         coords: vec![(0.0, 0.0); kinds.len()],
         graph,
-        kinds,
+        kinds: kinds.into(),
         transit_by_domain,
         stub_by_domain,
         config: TransitStubConfig::tiny(),
@@ -51,7 +51,7 @@ const fn stub(domain: u32) -> DomainKind {
 }
 
 fn graph_of(nodes: usize, edges: &[(NodeId, NodeId, u32)]) -> Graph {
-    let g = Graph::from_edges(nodes, edges);
+    let g = Graph::from_edges(nodes, edges, &[]);
     assert_eq!(g.edge_count(), edges.len(), "duplicate edge or self-loop");
     g
 }
@@ -200,7 +200,7 @@ fn single_stub(
     }
     let mut kinds = vec![T; transit];
     kinds.resize(transit + size, stub(0));
-    (Graph::from_edges(transit + size, &edges), kinds)
+    (Graph::from_edges(transit + size, &edges, &[]), kinds)
 }
 
 proptest! {

@@ -13,7 +13,7 @@ fn small_topo(seed: u64) -> TransitStubTopology {
 #[test]
 fn graph_basic_ops() {
     // A duplicate (either direction, any weight) and a self-loop are dropped.
-    let g = Graph::from_edges(4, &[(0, 1, 1), (1, 2, 2), (1, 0, 5), (2, 2, 1)]);
+    let g = Graph::from_edges(4, &[(0, 1, 1), (1, 2, 2), (1, 0, 5), (2, 2, 1)], &[]);
     assert_eq!(g.edge_count(), 2);
     assert_eq!(g.max_weight(), 2);
     assert!(g.neighbors(0).eq([(1, 1)]));
@@ -26,14 +26,14 @@ fn graph_basic_ops() {
 fn dijkstra_matches_hand_computed() {
     // 0 -1- 1 -1- 2
     //  \----5----/
-    let g = Graph::from_edges(3, &[(0, 1, 1), (1, 2, 1), (0, 2, 5)]);
+    let g = Graph::from_edges(3, &[(0, 1, 1), (1, 2, 1), (0, 2, 5)], &[]);
     let d = g.dijkstra(0);
     assert_eq!(d, vec![0, 1, 2]);
 }
 
 #[test]
 fn dijkstra_unreachable_is_infinite() {
-    let g = Graph::from_edges(2, &[]);
+    let g = Graph::from_edges(2, &[], &[]);
     let d = g.dijkstra(0);
     assert_eq!(d[1], INFINITE_DISTANCE);
 }
@@ -78,7 +78,7 @@ fn dijkstra_agrees_with_bellman_ford_on_random_graphs() {
                 (u, v, rand::Rng::gen_range(&mut rng, 1..5))
             })
             .collect();
-        let g = Graph::from_edges(n, &edges);
+        let g = Graph::from_edges(n, &edges, &[]);
         for src in [0, 7, 29] {
             assert_eq!(g.dijkstra(src), bellman_ford(&g, src));
         }
@@ -495,16 +495,23 @@ fn latency_graph_shares_edges_with_hop_graph() {
 
 #[test]
 fn hop_and_latency_graphs_store_one_adjacency() {
-    // ts50k, seed 1: 4-byte offsets and targets stored once, and a 2-byte
-    // weight per arc in each metric.
+    // ts50k, seed 1: two 4-byte offset columns and a 4-byte block base per
+    // node, stored once. An intradomain arc is a 1-byte offset, plus a
+    // 1-byte latency (its hop weight, 1, is not stored); any other arc is
+    // a 4-byte target, plus a 2-byte weight in each metric.
     let topo =
         TransitStubTopology::generate(TransitStubConfig::ts50k(), &mut StdRng::seed_from_u64(1));
     let (hops, latency) = (&topo.graph, &topo.latency_graph);
     assert!(hops.shares_adjacency(latency));
     let (n, arcs) = (topo.node_count(), 2 * hops.edge_count());
     assert_eq!((n, arcs), (50_073, 2_323_572));
+    let local = (0..n as NodeId)
+        .flat_map(|u| hops.neighbors(u).map(move |(v, _)| (u, v)))
+        .filter(|&(u, v)| topo.kind(u) == topo.kind(v))
+        .count();
+    assert_eq!(local, 2_321_962);
     let together = hops.size_bytes() + latency.size_bytes();
-    let bound = 4 * (n + 1) + 4 * arcs + 2 * 2 * arcs + 256;
+    let bound = 2 * 4 * (n + 1) + 4 * n + 2 * local + (4 + 2 * 2) * (arcs - local) + 512;
     assert!(together <= bound, "{together} bytes > {bound}");
 }
 

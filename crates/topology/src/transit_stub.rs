@@ -2,6 +2,7 @@ use crate::graph::{Graph, NodeId};
 use rand::seq::SliceRandom;
 use rand::Rng;
 use serde::{Deserialize, Serialize};
+use std::ops::Range;
 use std::sync::Arc;
 
 /// Latency units per intradomain hop (paper §5.1).
@@ -146,8 +147,9 @@ pub struct TransitStubTopology {
     pub latency_graph: Arc<Graph>,
     /// Planar coordinates of every node (GT-ITM places domains in a plane).
     pub coords: Vec<(f64, f64)>,
-    /// Domain membership of every node.
-    pub kinds: Vec<DomainKind>,
+    /// Domain membership of every node, shared with the oracles that
+    /// index by it.
+    pub kinds: Arc<[DomainKind]>,
     /// Node ids of all transit nodes, grouped by transit domain.
     pub transit_by_domain: Vec<Vec<NodeId>>,
     /// Node ids of all stub nodes, grouped by stub domain.
@@ -157,9 +159,8 @@ pub struct TransitStubTopology {
 }
 
 impl TransitStubTopology {
-    /// Generates a topology from `config` using `rng`. The result is always
-    /// connected.
-    pub fn generate<R: Rng>(config: TransitStubConfig, rng: &mut R) -> Self {
+    /// Draws the domains, the planar placement and the edges of a topology.
+    fn draw<R: Rng>(config: &TransitStubConfig, rng: &mut R) -> Draw {
         let mut kinds = Vec::new();
         let mut transit_by_domain = Vec::with_capacity(config.transit_domains);
 
@@ -290,11 +291,39 @@ impl TransitStubTopology {
             }
         }
 
-        let graph = Graph::from_edges(kinds.len(), &edges);
+        Draw {
+            kinds,
+            transit_by_domain,
+            stub_by_domain,
+            coords,
+            edges,
+        }
+    }
+
+    /// Generates a topology from `config` using `rng`. The result is always
+    /// connected.
+    pub fn generate<R: Rng>(config: TransitStubConfig, rng: &mut R) -> Self {
+        let Draw {
+            kinds,
+            transit_by_domain,
+            stub_by_domain,
+            coords,
+            edges,
+        } = Self::draw(&config, rng);
+        // Every domain is a run of consecutive ids, and generation lists
+        // each node's intradomain edges before its interdomain ones: the
+        // graph's local-then-remote runs are first-insertion order.
+        let blocks: Vec<Range<NodeId>> = transit_by_domain
+            .iter()
+            .chain(&stub_by_domain)
+            .filter_map(|ids| Some(*ids.first()?..*ids.last()? + 1))
+            .collect();
+        let graph = Graph::from_edges(kinds.len(), &edges, &blocks);
         drop(edges);
 
         // Latency weights: Euclidean length of each edge (at least 1 unit;
-        // the plane is a few thousand units across, so 16 bits hold it).
+        // the plane is a few thousand units across, so 16 bits hold it,
+        // and a domain under 200 units, so 8 bits hold an intradomain one).
         // Squaring makes the length symmetric bit for bit.
         let latency_graph = graph.reweighted(|u, v| {
             let (ux, uy) = coords[u as usize];
@@ -307,7 +336,7 @@ impl TransitStubTopology {
             graph: Arc::new(graph),
             latency_graph: Arc::new(latency_graph),
             coords,
-            kinds,
+            kinds: kinds.into(),
             transit_by_domain,
             stub_by_domain,
             config,
@@ -333,6 +362,16 @@ impl TransitStubTopology {
     pub fn kind(&self, n: NodeId) -> DomainKind {
         self.kinds[n as usize]
     }
+}
+
+/// What [`TransitStubTopology::generate`] draws before it builds the graphs.
+struct Draw {
+    kinds: Vec<DomainKind>,
+    transit_by_domain: Vec<Vec<NodeId>>,
+    stub_by_domain: Vec<Vec<NodeId>>,
+    coords: Vec<(f64, f64)>,
+    /// The undirected edges in generation order.
+    edges: Vec<Edge>,
 }
 
 /// An undirected edge `(u, v, weight)` as [`Graph::from_edges`] takes it.
@@ -376,5 +415,36 @@ fn add_random_edges<R: Rng>(
         let u = *ids.choose(rng).unwrap();
         let v = *ids.choose(rng).unwrap();
         edges.push((u, v, w));
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use rand::rngs::StdRng;
+    use rand::SeedableRng;
+
+    #[test]
+    fn domain_blocks_keep_first_insertion_order() {
+        // Each node's intradomain edges are drawn before its interdomain
+        // ones, so the blocked graph lists every node's neighbours as the
+        // unblocked one does.
+        for (config, seed) in [
+            (TransitStubConfig::tiny(), 1),
+            (TransitStubConfig::ts5k_large(), 1),
+            (TransitStubConfig::ts5k_small(), 1),
+            (TransitStubConfig::ts5k_large(), 2),
+        ] {
+            let topo = TransitStubTopology::generate(config, &mut StdRng::seed_from_u64(seed));
+            let Draw { kinds, edges, .. } =
+                TransitStubTopology::draw(&config, &mut StdRng::seed_from_u64(seed));
+            let unblocked = Graph::from_edges(kinds.len(), &edges, &[]);
+            for u in 0..kinds.len() as NodeId {
+                assert!(
+                    topo.graph.neighbors(u).eq(unblocked.neighbors(u)),
+                    "node {u}"
+                );
+            }
+        }
     }
 }
