@@ -220,10 +220,12 @@ pub(crate) fn entry_nodes(
     .collect()
 }
 
-/// Every position of `targets` with its node, sorted by node, then by
-/// position: each node's positions form one run, in input order — how the
-/// round groups its peers' LBIs and the publication its participants'
-/// records by entry node, with one sort.
+/// Every position of `targets` with its node, sorted by handle number,
+/// then by position: each node's positions form one run, in input order —
+/// how the round groups its peers' LBIs and the publication its
+/// participants' records by entry node, with one sort. The order of the
+/// runs is the arena's, which nothing downstream reads: the aggregation
+/// folds and the VSA sweep visits in the tree's preorder.
 pub(crate) fn sorted_by_node(targets: &[KtNodeId]) -> Vec<(KtNodeId, u32)> {
     let at = |(i, &id): (usize, &KtNodeId)| (id, u32::try_from(i).expect("u32 positions"));
     let mut order: Vec<(KtNodeId, u32)> = targets.iter().enumerate().map(at).collect();

@@ -9,7 +9,7 @@
 //! underlay graphs, and answers every question of the round itself. Where
 //! the paper leaves an order open, the rule is fixed in one line marked
 //! **Order:**. The tree must be stable, freshly built or maintained; its
-//! shape is read through `levels` and `children`, in the arena's slot order.
+//! shape is read through `levels` and `children`, in the tree's preorder.
 
 use crate::{
     Assignment, BalanceReport, BalancerConfig, DirtySet, Error, Lbi, LightSlot, LoadState,
@@ -155,7 +155,7 @@ pub(crate) fn round<R: Rng>(
                 Some(&(lbi, sent)) => (Some(lbi), sent),
                 None => (None, false),
             };
-            // Order: children fold in ascending slot order.
+            // Order: children fold in part order.
             for c in children(tree, id) {
                 let (below, below_sent) = folded.remove(&c).expect("children fold first");
                 let crossing = usize::from(peer_of(c) != peer_of(id));
@@ -271,7 +271,7 @@ pub(crate) fn round<R: Rng>(
     // the root, whatever it holds — is a rendezvous point and pairs. What
     // is left climbs to the parent, each record costing a message per
     // change of peer. Order: level by level, deepest first, each level
-    // in ascending slot order.
+    // by ascending region start.
     let l_min = system.min_vs_load;
     let (mut assignments, mut per_depth) = (Vec::new(), Vec::new());
     let (mut rendezvous_points, mut record_hops) = (0, 0);
@@ -297,8 +297,8 @@ pub(crate) fn round<R: Rng>(
             if tree.node(id).host() != tree.node(parent).host() {
                 record_hops += lists.shed.len() + lists.light.len();
             }
-            // Order: a node's own records first, then its children's by
-            // slot; a stable sort keeps the earlier of equal keys first.
+            // Order: a node's own records first, then its children's in
+            // part order; a stable sort keeps the earlier of equal keys first.
             let up = held.entry(parent).or_default();
             up.shed.extend(lists.shed);
             up.shed.sort_by(|a, b| a.load.total_cmp(&b.load));
@@ -368,12 +368,9 @@ fn merge(acc: &mut Lbi, other: Lbi) {
     acc.min_vs_load = acc.min_vs_load.min(other.min_vs_load);
 }
 
-/// The children of `id`, in ascending slot order: on a freshly built tree
-/// child-index order, on a maintained one whatever slots were recycled.
+/// The children of `id`, in part order.
 fn children(tree: &KTree, id: KtNodeId) -> Vec<KtNodeId> {
-    let mut children: Vec<KtNodeId> = tree.node(id).children().flatten().collect();
-    children.sort_unstable();
-    children
+    tree.node(id).children().flatten().collect()
 }
 
 /// The node a ring position reports through: from the root down the child

@@ -51,19 +51,19 @@ pub struct VsaOutcome {
 /// Runs the bottom-up VSA sweep of §3.4 over the tree.
 ///
 /// `inputs` holds the VSA records entering the sweep at each entry node
-/// (report targets the root reaches), ascending by slot, one entry per
-/// node. Each KT node merges what its children pushed up with its local
-/// input; once its combined lists reach the rendezvous threshold it pairs
+/// (report targets the root reaches), one entry per node, in any order.
+/// Each KT node merges what its children pushed up with its local input;
+/// once its combined lists reach the rendezvous threshold it pairs
 /// greedily and forwards only the leftovers; the root pairs
 /// unconditionally.
 ///
 /// Only the entry nodes and their root paths are visited — deepest level
-/// first, ascending slot within a level, the order a scan of every level
-/// of the tree processes the same nodes in. A node merges its own records
-/// first, then what its children forwarded, in the order they were
-/// visited. `rounds` is the largest message depth of an entry node, carried
-/// up the same paths: each visit forwards the most inter-virtual-server
-/// hops below it.
+/// first, each level by ascending region start (the tree's preorder), the
+/// order a scan of every level of the tree processes the same nodes in. A
+/// node merges its own records first, then what its children forwarded,
+/// in part order. `rounds` is the largest message depth of an entry node,
+/// carried up the same paths: each visit forwards the most
+/// inter-virtual-server hops below it.
 ///
 /// Records per-rendezvous metrics into `trace`: the
 /// `vsa_rendezvous_list_depth` histogram (combined list length at the moment
@@ -76,10 +76,6 @@ pub fn run_vsa(
     params: &VsaParams,
     trace: &mut Trace,
 ) -> VsaOutcome {
-    assert!(
-        inputs.windows(2).all(|w| w[0].0 < w[1].0),
-        "VSA inputs must ascend by slot, one per entry node"
-    );
     let mut outcome = VsaOutcome::default();
     // What each depth still has to visit: `(node, lists, hops below it)`,
     // entry nodes' own records first, then whatever their children forward
@@ -95,8 +91,9 @@ pub fn run_vsa(
 
     for depth in (0..levels.len()).rev() {
         let mut level = std::mem::take(&mut levels[depth]);
-        // Stable, so each node's share keeps its arrival order.
-        level.sort_by_key(|&(id, ..)| id);
+        // Stable, so each node's share keeps its arrival order; one depth
+        // holds one node per region start.
+        level.sort_by_key(|&(id, ..)| tree.node(id).region().start());
         let mut level = level.into_iter().peekable();
         while let Some((id, mut lists, mut hops)) = level.next() {
             while let Some((_, more, below)) = level.next_if(|(next, ..)| *next == id) {

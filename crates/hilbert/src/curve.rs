@@ -10,7 +10,7 @@ use serde::{Deserialize, Serialize};
 /// so `m·b ≤ 128` (ample for the paper's 15-dimensional landmark space at 2–8
 /// bits per dimension).
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
-pub struct HilbertCurve {
+pub(crate) struct HilbertCurve {
     dims: u32,
     order: u32,
 }
@@ -19,7 +19,7 @@ impl HilbertCurve {
     /// Creates a curve over `dims` dimensions with `order` bits per
     /// dimension. Panics unless `1 ≤ dims`, `1 ≤ order ≤ 32` and
     /// `dims · order ≤ 128`.
-    pub fn new(dims: u32, order: u32) -> Self {
+    pub(crate) fn new(dims: u32, order: u32) -> Self {
         assert!(dims >= 1, "need at least one dimension");
         assert!((1..=32).contains(&order), "order must be in 1..=32");
         assert!(
@@ -30,22 +30,22 @@ impl HilbertCurve {
     }
 
     /// Number of dimensions `m`.
-    pub fn dims(&self) -> u32 {
+    pub(crate) fn dims(&self) -> u32 {
         self.dims
     }
 
     /// Bits per dimension `b`.
-    pub fn order(&self) -> u32 {
+    pub(crate) fn order(&self) -> u32 {
         self.order
     }
 
     /// Total bits in a curve index (`m·b`).
-    pub fn index_bits(&self) -> u32 {
+    pub(crate) fn index_bits(&self) -> u32 {
         self.dims * self.order
     }
 
     /// Largest valid coordinate value (`2^b − 1`).
-    pub fn max_coord(&self) -> u32 {
+    pub(crate) fn max_coord(&self) -> u32 {
         if self.order == 32 {
             u32::MAX
         } else {
@@ -57,7 +57,7 @@ impl HilbertCurve {
     ///
     /// Panics if `point.len() != dims` or any coordinate exceeds
     /// [`Self::max_coord`].
-    pub fn encode(&self, point: &[u32]) -> u128 {
+    pub(crate) fn encode(&self, point: &[u32]) -> u128 {
         assert_eq!(point.len(), self.dims as usize, "dimension mismatch");
         let max = self.max_coord();
         assert!(
@@ -67,20 +67,6 @@ impl HilbertCurve {
         let mut x = point.to_vec();
         self.axes_to_transpose(&mut x);
         self.interleave(&x)
-    }
-
-    /// Maps a Hilbert index back to grid coordinates (inverse of
-    /// [`Self::encode`]).
-    ///
-    /// Panics if `index` has bits above `m·b`.
-    pub fn decode(&self, index: u128) -> Vec<u32> {
-        let bits = self.index_bits();
-        if bits < 128 {
-            assert!(index < (1u128 << bits), "index out of range");
-        }
-        let mut x = self.deinterleave(index);
-        self.transpose_to_axes(&mut x);
-        x
     }
 
     /// Skilling's AxesToTranspose: converts coordinates in place into the
@@ -122,36 +108,6 @@ impl HilbertCurve {
         }
     }
 
-    /// Skilling's TransposeToAxes (inverse of [`Self::axes_to_transpose`]).
-    fn transpose_to_axes(&self, x: &mut [u32]) {
-        let n = x.len();
-        let m = 2u64 << (self.order - 1); // 2^order as u64 to allow order=32
-
-        // Gray decode by H ^ (H/2).
-        let mut t = x[n - 1] >> 1;
-        for i in (1..n).rev() {
-            x[i] ^= x[i - 1];
-        }
-        x[0] ^= t;
-
-        // Undo excess work.
-        let mut q = 2u64;
-        while q != m {
-            let p = (q - 1) as u32;
-            let qq = q as u32;
-            for i in (0..n).rev() {
-                if x[i] & qq != 0 {
-                    x[0] ^= p; // invert
-                } else {
-                    t = (x[0] ^ x[i]) & p;
-                    x[0] ^= t;
-                    x[i] ^= t; // exchange
-                }
-            }
-            q <<= 1;
-        }
-    }
-
     /// Packs the transpose form into a single index: bit plane `j` (from most
     /// significant) contributes bits of `x[0], x[1], …` in order.
     fn interleave(&self, x: &[u32]) -> u128 {
@@ -162,19 +118,5 @@ impl HilbertCurve {
             }
         }
         out
-    }
-
-    /// Inverse of [`Self::interleave`].
-    fn deinterleave(&self, index: u128) -> Vec<u32> {
-        let n = self.dims as usize;
-        let mut x = vec![0u32; n];
-        let mut bit = self.index_bits();
-        for j in (0..self.order).rev() {
-            for xi in x.iter_mut().take(n) {
-                bit -= 1;
-                *xi |= (((index >> bit) & 1) as u32) << j;
-            }
-        }
-        x
     }
 }

@@ -8,19 +8,19 @@
 //! curve are a class of 'proximity preserving' mappings from an
 //! m-dimensional space to a 1-dimensional space."
 //!
-//! * [`HilbertCurve`] — encode/decode between grid coordinates and curve
-//!   index, for any dimension `m ≥ 1` and order `b ≥ 1` with `m·b ≤ 128`
-//!   (Skilling's transpose algorithm).
 //! * [`LandmarkMapper`] — quantizes raw landmark vectors into the `2^{m·b}`
-//!   grid and produces a 32-bit ring [`Id`](proxbal_id::Id).
+//!   grid and produces a 32-bit ring [`Id`](proxbal_id::Id) through the
+//!   crate's Hilbert curve, for any dimension `m ≥ 1` and order `b ≥ 1`
+//!   with `m·b ≤ 128` (Skilling's transpose algorithm), or through a Morton
+//!   curve, the ablation baseline.
 
 mod curve;
 mod mapper;
 mod morton;
 
-pub use curve::HilbertCurve;
+pub(crate) use curve::HilbertCurve;
 pub use mapper::{CurveKind, LandmarkMapper};
-pub use morton::MortonCurve;
+pub(crate) use morton::MortonCurve;
 
 #[cfg(test)]
 mod tests;

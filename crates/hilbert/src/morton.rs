@@ -13,7 +13,7 @@ use serde::{Deserialize, Serialize};
 /// bits are interleaved most-significant first. Same interface shape as
 /// [`crate::HilbertCurve`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
-pub struct MortonCurve {
+pub(crate) struct MortonCurve {
     dims: u32,
     order: u32,
 }
@@ -21,7 +21,7 @@ pub struct MortonCurve {
 impl MortonCurve {
     /// Creates a curve over `dims` dimensions with `order` bits per
     /// dimension (`dims · order ≤ 128`).
-    pub fn new(dims: u32, order: u32) -> Self {
+    pub(crate) fn new(dims: u32, order: u32) -> Self {
         assert!(dims >= 1);
         assert!((1..=32).contains(&order));
         assert!(
@@ -32,22 +32,22 @@ impl MortonCurve {
     }
 
     /// Number of dimensions.
-    pub fn dims(&self) -> u32 {
+    pub(crate) fn dims(&self) -> u32 {
         self.dims
     }
 
     /// Bits per dimension.
-    pub fn order(&self) -> u32 {
+    pub(crate) fn order(&self) -> u32 {
         self.order
     }
 
     /// Total index bits.
-    pub fn index_bits(&self) -> u32 {
+    pub(crate) fn index_bits(&self) -> u32 {
         self.dims * self.order
     }
 
     /// Largest valid coordinate (`2^order − 1`).
-    pub fn max_coord(&self) -> u32 {
+    pub(crate) fn max_coord(&self) -> u32 {
         if self.order == 32 {
             u32::MAX
         } else {
@@ -56,7 +56,7 @@ impl MortonCurve {
     }
 
     /// Interleaves coordinate bits into a Morton index.
-    pub fn encode(&self, point: &[u32]) -> u128 {
+    pub(crate) fn encode(&self, point: &[u32]) -> u128 {
         assert_eq!(point.len(), self.dims as usize, "dimension mismatch");
         let max = self.max_coord();
         assert!(point.iter().all(|&c| c <= max), "coordinate out of range");
@@ -68,89 +68,38 @@ impl MortonCurve {
         }
         out
     }
-
-    /// Inverse of [`Self::encode`].
-    pub fn decode(&self, index: u128) -> Vec<u32> {
-        let bits = self.index_bits();
-        if bits < 128 {
-            assert!(index < (1u128 << bits), "index out of range");
-        }
-        let n = self.dims as usize;
-        let mut x = vec![0u32; n];
-        let mut bit = bits;
-        for j in (0..self.order).rev() {
-            for xi in x.iter_mut() {
-                bit -= 1;
-                *xi |= (((index >> bit) & 1) as u32) << j;
-            }
-        }
-        x
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::tests::{steps, walk};
     use crate::HilbertCurve;
+
+    fn morton_walk(dims: u32, order: u32) -> Vec<Vec<u32>> {
+        let c = MortonCurve::new(dims, order);
+        walk(dims, order, |p| c.encode(p))
+    }
 
     #[test]
     fn morton_2d_order1_is_z_pattern() {
-        let c = MortonCurve::new(2, 1);
-        assert_eq!(c.decode(0), vec![0, 0]);
-        assert_eq!(c.decode(1), vec![0, 1]);
-        assert_eq!(c.decode(2), vec![1, 0]);
-        assert_eq!(c.decode(3), vec![1, 1]);
-    }
-
-    #[test]
-    fn morton_roundtrip() {
-        let c = MortonCurve::new(3, 4);
-        for h in (0..(1u128 << 12)).step_by(37) {
-            assert_eq!(c.encode(&c.decode(h)), h);
-        }
-    }
-
-    #[test]
-    fn morton_is_a_bijection_2d_order3() {
-        let c = MortonCurve::new(2, 3);
-        let mut seen = std::collections::HashSet::new();
-        for h in 0..64u128 {
-            assert!(seen.insert(c.decode(h)));
-        }
-        assert_eq!(seen.len(), 64);
+        let cells = [[0, 0], [0, 1], [1, 0], [1, 1]].map(Vec::from);
+        assert_eq!(morton_walk(2, 1), cells);
+        // And a bijection on bigger grids too.
+        morton_walk(3, 4);
     }
 
     #[test]
     fn morton_has_worse_step_locality_than_hilbert() {
-        // Average L1 distance between consecutive curve points: exactly 1
-        // for Hilbert, strictly larger for Morton (jumps at block edges).
-        let dims = 2;
-        let order = 5;
-        let hilbert = HilbertCurve::new(dims, order);
-        let morton = MortonCurve::new(dims, order);
-        let total: u128 = 1 << (dims * order);
-        let mut h_sum = 0u64;
-        let mut m_sum = 0u64;
-        let l1 = |a: &[u32], b: &[u32]| -> u64 {
-            a.iter()
-                .zip(b)
-                .map(|(x, y)| u64::from(x.abs_diff(*y)))
-                .sum()
-        };
-        let mut hp = hilbert.decode(0);
-        let mut mp = morton.decode(0);
-        for i in 1..total {
-            let hn = hilbert.decode(i);
-            let mn = morton.decode(i);
-            h_sum += l1(&hp, &hn);
-            m_sum += l1(&mp, &mn);
-            hp = hn;
-            mp = mn;
-        }
-        assert_eq!(h_sum, (total - 1) as u64, "Hilbert steps are unit moves");
+        // Sum of the L1 steps between consecutive curve points: exactly one
+        // a step for Hilbert, clearly more for Morton (jumps at block edges).
+        let hilbert = HilbertCurve::new(2, 5);
+        let h: u32 = steps(&walk(2, 5, |p| hilbert.encode(p))).iter().sum();
+        let m: u32 = steps(&morton_walk(2, 5)).iter().sum();
+        assert_eq!(h, (1 << 10) - 1, "Hilbert steps are unit moves");
         assert!(
-            m_sum > h_sum * 3 / 2,
-            "Morton average step should be clearly worse: {m_sum} vs {h_sum}"
+            m > h * 3 / 2,
+            "Morton steps should be clearly longer: {m} vs {h}"
         );
     }
 

@@ -1,57 +1,49 @@
 use crate::{HilbertCurve, LandmarkMapper};
 use proptest::prelude::*;
-use std::collections::HashSet;
+
+/// Every cell of the `dims`-dimensional grid of `order` bits a side, in
+/// the order `encode` numbers them — found by encoding each cell, so no
+/// inverse is trusted. Asserts that the numbering is a bijection onto
+/// `0..2^(dims·order)`.
+pub(crate) fn walk(dims: u32, order: u32, encode: impl Fn(&[u32]) -> u128) -> Vec<Vec<u32>> {
+    let cells = 1usize << (dims * order);
+    let mut walk = vec![None; cells];
+    for cell in 0..cells {
+        let side = 1usize << order;
+        let point: Vec<u32> = (0..dims as usize)
+            .map(|d| (cell / side.pow(d as u32) % side) as u32)
+            .collect();
+        let index = usize::try_from(encode(&point)).expect("index in range");
+        assert!(walk[index].replace(point).is_none(), "index {index} twice");
+    }
+    walk.into_iter()
+        .map(|p| p.expect("every index hit"))
+        .collect()
+}
+
+/// Sum of the L1 steps between consecutive cells of a walk.
+pub(crate) fn steps(walk: &[Vec<u32>]) -> Vec<u32> {
+    let l1 = |(a, b): (&Vec<u32>, &Vec<u32>)| a.iter().zip(b).map(|(x, y)| x.abs_diff(*y)).sum();
+    walk.iter().zip(&walk[1..]).map(l1).collect()
+}
+
+fn hilbert_walk(dims: u32, order: u32) -> Vec<Vec<u32>> {
+    let c = HilbertCurve::new(dims, order);
+    walk(dims, order, |p| c.encode(p))
+}
 
 #[test]
 fn order1_dim2_is_the_classic_4_cell_curve() {
     // The order-1, 2-D Hilbert curve visits (0,0) (0,1) (1,1) (1,0).
-    let c = HilbertCurve::new(2, 1);
-    assert_eq!(c.decode(0), vec![0, 0]);
-    assert_eq!(c.decode(1), vec![0, 1]);
-    assert_eq!(c.decode(2), vec![1, 1]);
-    assert_eq!(c.decode(3), vec![1, 0]);
-    for h in 0..4u128 {
-        assert_eq!(c.encode(&c.decode(h)), h);
-    }
+    let cells = [[0, 0], [0, 1], [1, 1], [1, 0]].map(Vec::from);
+    assert_eq!(hilbert_walk(2, 1), cells);
 }
 
 #[test]
-fn curve_is_a_bijection_2d_order3() {
-    let c = HilbertCurve::new(2, 3); // 64 cells
-    let mut seen = HashSet::new();
-    for h in 0..64u128 {
-        let p = c.decode(h);
-        assert!(p.iter().all(|&v| v < 8));
-        assert!(seen.insert(p.clone()), "duplicate point {p:?}");
-        assert_eq!(c.encode(&p), h, "roundtrip failed at {h}");
-    }
-    assert_eq!(seen.len(), 64);
-}
-
-#[test]
-fn consecutive_indices_are_grid_neighbors_2d() {
-    let c = HilbertCurve::new(2, 4); // 256 cells
-    let mut prev = c.decode(0);
-    for h in 1..256u128 {
-        let cur = c.decode(h);
-        let l1: u32 = prev.iter().zip(&cur).map(|(a, b)| a.abs_diff(*b)).sum();
-        assert_eq!(l1, 1, "step {h}: {prev:?} -> {cur:?}");
-        prev = cur;
-    }
-}
-
-#[test]
-fn consecutive_indices_are_grid_neighbors_3d_and_5d() {
-    for (dims, order) in [(3u32, 3u32), (5, 2)] {
-        let c = HilbertCurve::new(dims, order);
-        let total: u128 = 1 << c.index_bits();
-        let mut prev = c.decode(0);
-        for h in 1..total {
-            let cur = c.decode(h);
-            let l1: u32 = prev.iter().zip(&cur).map(|(a, b)| a.abs_diff(*b)).sum();
-            assert_eq!(l1, 1, "dims={dims} order={order} step {h}");
-            prev = cur;
-        }
+fn consecutive_indices_are_grid_neighbors() {
+    for (dims, order) in [(2u32, 4u32), (3, 3), (5, 2), (1, 8)] {
+        let steps = steps(&hilbert_walk(dims, order));
+        assert!(steps.iter().all(|&s| s == 1), "dims={dims} order={order}");
     }
 }
 
@@ -61,9 +53,8 @@ fn paper_configuration_15_dims() {
     // dimension the curve index has 30 bits (2^30 grids).
     let c = HilbertCurve::new(15, 2);
     assert_eq!(c.index_bits(), 30);
-    let p = vec![1u32; 15];
-    let h = c.encode(&p);
-    assert_eq!(c.decode(h), p);
+    assert!(c.encode(&[3; 15]) < 1 << 30);
+    assert_ne!(c.encode(&[1; 15]), c.encode(&[2; 15]));
 }
 
 #[test]
@@ -71,7 +62,6 @@ fn one_dimension_is_identity() {
     let c = HilbertCurve::new(1, 8);
     for v in [0u32, 1, 17, 200, 255] {
         assert_eq!(c.encode(&[v]), u128::from(v));
-        assert_eq!(c.decode(u128::from(v)), vec![v]);
     }
 }
 
@@ -85,12 +75,6 @@ fn encode_rejects_wrong_dims() {
 #[should_panic(expected = "coordinate exceeds")]
 fn encode_rejects_out_of_range_coord() {
     HilbertCurve::new(2, 2).encode(&[4, 0]);
-}
-
-#[test]
-#[should_panic(expected = "index out of range")]
-fn decode_rejects_out_of_range_index() {
-    HilbertCurve::new(2, 2).decode(16);
 }
 
 #[test]
@@ -168,48 +152,11 @@ fn mapper_key_alignment_under_and_over_32_bits() {
 
 proptest! {
     #[test]
-    fn prop_roundtrip_various_dims(
-        dims in 1u32..8,
-        order in 1u32..5,
-        seed: u64,
-    ) {
-        use rand::rngs::StdRng;
-        use rand::{Rng, SeedableRng};
-        let c = HilbertCurve::new(dims, order);
-        let mut rng = StdRng::seed_from_u64(seed);
-        let p: Vec<u32> = (0..dims).map(|_| rng.gen_range(0..=c.max_coord())).collect();
-        prop_assert_eq!(c.decode(c.encode(&p)), p);
-    }
-
-    #[test]
-    fn prop_roundtrip_from_index(
-        dims in 1u32..6,
-        order in 1u32..4,
-        raw: u128,
-    ) {
-        let c = HilbertCurve::new(dims, order);
-        let bits = c.index_bits();
-        let h = if bits >= 128 { raw } else { raw & ((1u128 << bits) - 1) };
-        prop_assert_eq!(c.encode(&c.decode(h)), h);
-    }
-
-    #[test]
-    fn prop_unit_steps_random_windows(
-        dims in 2u32..7,
-        order in 2u32..4,
-        start_seed: u64,
-    ) {
-        let c = HilbertCurve::new(dims, order);
-        let bits = c.index_bits();
-        let total: u128 = 1 << bits;
-        let start = (u128::from(start_seed) * 2654435761) % total.saturating_sub(16).max(1);
-        let mut prev = c.decode(start);
-        for h in start + 1..(start + 16).min(total) {
-            let cur = c.decode(h);
-            let l1: u32 = prev.iter().zip(&cur).map(|(a, b)| a.abs_diff(*b)).sum();
-            prop_assert_eq!(l1, 1);
-            prev = cur;
-        }
+    fn prop_every_grid_is_one_unit_step_walk(dims in 1u32..7, order in 1u32..4) {
+        // Up to 2^12 cells: the whole grid, whatever the shape.
+        let order = order.min(12 / dims).max(1);
+        let steps = steps(&hilbert_walk(dims, order));
+        prop_assert!(steps.iter().all(|&s| s == 1));
     }
 
     #[test]

@@ -155,12 +155,12 @@ impl KTree {
     /// # Determinism
     ///
     /// Every node's value is the fold of its own input followed by its
-    /// contributing children **in ascending arena-slot order** — the exact
-    /// association the original level-by-level sweep produced, so outputs
-    /// (including floating-point sums) are byte-identical to it. The fold
-    /// of a subtree depends only on the subtree, so with `threads > 1` the
+    /// contributing children **in part order** — the tree's preorder, so
+    /// the association of every floating-point sum is a function of the
+    /// tree's shape, not of the arena slots its nodes hold. The fold of a
+    /// subtree depends only on the subtree, so with `threads > 1` the
     /// disjoint subtrees below a frontier depth are walked on workers and
-    /// their values merged above the frontier in child-slot order; the
+    /// their values merged above the frontier in the same order; the
     /// counts are sums and maxima. The outcome is bit-identical at any
     /// `threads`. Values are cloned out of `inputs` where they are first
     /// folded.
@@ -229,7 +229,7 @@ impl KTree {
         for _ in 0..16 {
             let next: Vec<KtNodeId> = level
                 .iter()
-                .flat_map(|&id| by_slot(self.node(id)))
+                .flat_map(|&id| self.node(id).children().flatten())
                 .collect();
             if next.is_empty() {
                 return Vec::new(); // tree exhausted before it got wide
@@ -243,8 +243,8 @@ impl KTree {
     }
 
     /// Walks the subtree under `at` (whose view is `node`): its value is
-    /// the node's own input, then its contributing children's in ascending
-    /// slot order; the counts go to `tally`. A node listed in `folded` is a
+    /// the node's own input, then its contributing children's in part
+    /// order; the counts go to `tally`. A node listed in `folded` is a
     /// precomputed leaf — a worker walked its subtree — and gives up what
     /// is recorded there.
     fn walk<A: Merge + Clone>(
@@ -265,7 +265,7 @@ impl KTree {
             tally.rounds = tally.rounds.max(at.depth);
         }
         tally.max_message_depth = tally.max_message_depth.max(at.depth);
-        for child in by_slot(node) {
+        for child in node.children().flatten() {
             // An edge inside one virtual server is neither a message nor a
             // change of peer.
             let view = self.node(child);
@@ -299,18 +299,4 @@ impl KTree {
         }
         (value, sent)
     }
-}
-
-/// A node's children in ascending arena-slot order — the merge order the
-/// level-by-level sweep established (within a level, nodes are visited in
-/// slot order), kept as the canonical association. Each is picked as the
-/// smallest handle above the last out of the node's `K` child slots, so no
-/// degree needs a buffer to sort in.
-fn by_slot(node: KtNode<'_>) -> impl Iterator<Item = KtNodeId> + '_ {
-    let mut floor = 0;
-    std::iter::from_fn(move || {
-        let next = node.children().flatten().filter(|c| c.0 >= floor).min()?;
-        floor = next.0 + 1;
-        Some(next)
-    })
 }

@@ -7,12 +7,6 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::collections::HashMap;
 
-/// All leaves.
-fn leaves(tree: &KTree) -> Vec<KtNodeId> {
-    let is_leaf = |id: &KtNodeId| tree.node(*id).is_leaf();
-    tree.iter_ids().filter(is_leaf).collect()
-}
-
 fn net_with(peers: usize, vs_per_peer: usize, seed: u64) -> (ChordNetwork, StdRng) {
     let mut rng = StdRng::seed_from_u64(seed);
     let mut net = ChordNetwork::new();
@@ -20,35 +14,6 @@ fn net_with(peers: usize, vs_per_peer: usize, seed: u64) -> (ChordNetwork, StdRn
         net.join_peer(vs_per_peer, &mut rng);
     }
     (net, rng)
-}
-
-#[test]
-fn build_satisfies_invariants() {
-    for k in [2usize, 3, 8] {
-        let (net, _) = net_with(16, 3, 1);
-        let tree = KTree::build(&net, k);
-        tree.check_invariants(&net).unwrap();
-        assert_eq!(tree.node(tree.root()).region(), Arc::full(Id::ZERO));
-    }
-}
-
-#[test]
-fn root_is_planted_at_ring_center_owner() {
-    let (net, _) = net_with(8, 2, 2);
-    let tree = KTree::build(&net, 2);
-    let expect = net.ring().owner(Id::new(1 << 31)).unwrap();
-    assert_eq!(tree.node(tree.root()).host(), expect);
-}
-
-#[test]
-fn single_vs_tree_is_just_the_root() {
-    let mut rng = StdRng::seed_from_u64(3);
-    let mut net = ChordNetwork::new();
-    net.join_peer(1, &mut rng);
-    let tree = KTree::build(&net, 2);
-    assert_eq!(tree.len(), 1);
-    assert!(tree.node(tree.root()).is_leaf());
-    assert_eq!(tree.height(), 1);
 }
 
 #[test]
@@ -77,58 +42,6 @@ fn message_depth_is_logarithmic() {
 }
 
 #[test]
-fn every_vs_has_a_report_target_hosted_by_itself() {
-    let (net, _) = net_with(64, 5, 5);
-    let tree = KTree::build(&net, 2);
-    for (_, vs) in net.ring().iter() {
-        let target = tree.report_target(&net, vs);
-        assert_eq!(
-            tree.node(target).host(),
-            vs,
-            "report target of {vs:?} must be planted in it"
-        );
-    }
-}
-
-#[test]
-fn report_targets_distinct_per_vs() {
-    // Distinct virtual servers must not share a report target (otherwise
-    // LBI would be merged prematurely).
-    let (net, _) = net_with(32, 3, 6);
-    let tree = KTree::build(&net, 2);
-    let mut seen = std::collections::HashSet::new();
-    for (_, vs) in net.ring().iter() {
-        let t = tree.report_target(&net, vs);
-        assert!(seen.insert(t), "{t:?} serves two virtual servers");
-    }
-}
-
-#[test]
-fn leaves_hold_at_most_one_vs_position() {
-    let (net, _) = net_with(32, 4, 7);
-    let tree = KTree::build(&net, 4);
-    let mut singleton_leaves = 0;
-    for leaf in leaves(&tree) {
-        let node = tree.node(leaf);
-        let inside: Vec<_> = net.ring().iter_in(&node.region()).collect();
-        assert!(inside.len() <= 1, "leaf holds {} positions", inside.len());
-        if let [(_, vs)] = inside.as_slice() {
-            singleton_leaves += 1;
-            assert_eq!(node.host(), *vs, "singleton leaf planted in its VS");
-        }
-    }
-    // Exactly one singleton leaf per virtual server.
-    assert_eq!(singleton_leaves, net.alive_vs_count());
-}
-
-#[test]
-fn stable_tree_needs_no_maintenance() {
-    let (net, _) = net_with(24, 3, 8);
-    let mut tree = KTree::build(&net, 2);
-    assert_eq!(tree.maintain_round(&net), 0);
-}
-
-#[test]
 fn maintenance_rebuilds_after_crash_in_logarithmic_rounds() {
     let (mut net, _) = net_with(64, 4, 9);
     let mut tree = KTree::build(&net, 2);
@@ -147,46 +60,6 @@ fn maintenance_rebuilds_after_crash_in_logarithmic_rounds() {
     );
 }
 
-#[test]
-fn maintenance_tracks_joins() {
-    let (mut net, mut rng) = net_with(16, 2, 10);
-    let mut tree = KTree::build(&net, 2);
-    for _ in 0..16 {
-        net.join_peer(2, &mut rng);
-    }
-    tree.maintain_until_stable(&net, 64, 0, &mut Trace::disabled());
-    tree.check_invariants(&net).unwrap();
-    // Every (new) VS must have a self-hosted report target again.
-    for (_, vs) in net.ring().iter() {
-        assert_eq!(tree.node(tree.report_target(&net, vs)).host(), vs);
-    }
-}
-
-#[test]
-fn maintenance_converges_to_fresh_build() {
-    let (mut net, _) = net_with(32, 3, 11);
-    let mut tree = KTree::build(&net, 2);
-    for p in net.alive_peers().into_iter().take(8) {
-        net.crash_peer(p);
-    }
-    tree.maintain_until_stable(&net, 64, 0, &mut Trace::disabled());
-    let fresh = KTree::build(&net, 2);
-    assert_eq!(tree.len(), fresh.len());
-    // Same set of (region, host) pairs.
-    let key = |t: &KTree| {
-        let mut v: Vec<(u32, u64, proxbal_chord::VsId)> = t
-            .iter_ids()
-            .map(|id| {
-                let n = t.node(id);
-                (n.region().start().raw(), n.region().len(), n.host())
-            })
-            .collect();
-        v.sort();
-        v
-    };
-    assert_eq!(key(&tree), key(&fresh));
-}
-
 #[derive(Clone, Debug, PartialEq)]
 struct Sum(u64);
 impl Merge for Sum {
@@ -195,7 +68,7 @@ impl Merge for Sum {
     }
 }
 
-/// `inputs` as [`KTree::aggregate`] takes them: ascending by slot, every
+/// `inputs` as [`KTree::aggregate`] takes them: ascending by handle, every
 /// one sent.
 fn sorted<A>(inputs: HashMap<KtNodeId, A>) -> Vec<AggregateInput<A>> {
     let mut inputs: Vec<AggregateInput<A>> = inputs
@@ -208,48 +81,6 @@ fn sorted<A>(inputs: HashMap<KtNodeId, A>) -> Vec<AggregateInput<A>> {
         .collect();
     inputs.sort_unstable_by_key(|input| input.at);
     inputs
-}
-
-#[test]
-fn aggregate_sums_all_inputs_to_root() {
-    let (net, _) = net_with(32, 4, 12);
-    let tree = KTree::build(&net, 2);
-    let mut inputs = HashMap::new();
-    let mut expect = 0u64;
-    for (i, (_, vs)) in net.ring().iter().enumerate() {
-        let v = (i as u64 + 1) * 7;
-        expect += v;
-        inputs.insert(tree.report_target(&net, vs), Sum(v));
-    }
-    let out = tree.aggregate(&net, &sorted(inputs), 1);
-    assert_eq!(out.root_value, Some(Sum(expect)));
-    assert!(out.rounds >= 1);
-    assert!(out.rounds <= tree.max_message_depth());
-    assert_eq!(out.max_message_depth, tree.max_message_depth());
-}
-
-#[test]
-fn aggregate_rounds_bounded_by_height() {
-    for k in [2usize, 8] {
-        let (net, _) = net_with(128, 4, 13);
-        let tree = KTree::build(&net, k);
-        let inputs: HashMap<KtNodeId, Sum> = net
-            .ring()
-            .iter()
-            .map(|(_, vs)| (tree.report_target(&net, vs), Sum(1)))
-            .collect();
-        let out = tree.aggregate(&net, &sorted(inputs), 1);
-        assert_eq!(out.root_value, Some(Sum(net.alive_vs_count() as u64)));
-        // Message rounds are logarithmic in the VS count, far below the
-        // structural height near boundaries.
-        let m = net.alive_vs_count() as f64;
-        let bound = m.log(k as f64).ceil() as u32 + 8;
-        assert!(
-            out.rounds <= bound,
-            "k={k}: rounds {} bound {bound}",
-            out.rounds
-        );
-    }
 }
 
 #[test]
@@ -279,7 +110,7 @@ fn aggregate_partial_inputs_interior_contribution() {
     let (net, _) = net_with(16, 3, 15);
     let tree = KTree::build(&net, 2);
     let interior = tree
-        .iter_ids()
+        .preorder()
         .find(|&id| !tree.node(id).is_leaf() && id != tree.root())
         .expect("has interior node");
     let mut inputs = HashMap::new();
@@ -301,37 +132,36 @@ impl Merge for Concat {
 }
 
 /// The original level-by-level sweep, kept as the reference the walk's
-/// fold must reproduce byte-for-byte (root value, merge count, rounds).
+/// fold must reproduce byte-for-byte (root value, merge count, rounds):
+/// deepest level first, each level in preorder, every value merged into
+/// its parent's.
 fn level_sweep_reference<A: Merge + Clone>(
     tree: &KTree,
-    inputs: HashMap<KtNodeId, A>,
+    mut inputs: HashMap<KtNodeId, A>,
 ) -> (Option<A>, usize, u32) {
-    let mut inputs: KtNodeMap<A> = inputs.into();
     let rounds = inputs
         .keys()
-        .map(|id| tree.message_depth(id).unwrap_or(0))
+        .map(|&id| tree.message_depth(id).unwrap_or(0))
         .max()
         .unwrap_or(0);
     let mut merges = 0usize;
     for level in tree.levels().into_iter().skip(1).rev() {
         for id in level {
-            if let Some(value) = inputs.remove(id) {
+            if let Some(value) = inputs.remove(&id) {
                 let parent = tree.node(id).parent().expect("non-root has parent");
-                match inputs.get_mut(parent) {
+                match inputs.get_mut(&parent) {
                     Some(acc) => {
-                        acc.merge(value.clone());
+                        acc.merge(value);
                         merges += 1;
                     }
                     None => {
-                        inputs.insert(parent, value.clone());
+                        inputs.insert(parent, value);
                     }
                 }
-                inputs.insert(id, value);
             }
         }
     }
-    let root_value = inputs.get(tree.root()).cloned();
-    (root_value, merges, rounds)
+    (inputs.remove(&tree.root()), merges, rounds)
 }
 
 /// An f64 sum: associative only up to rounding, so any deviation from the
@@ -359,9 +189,9 @@ where
     }
 }
 
-/// A churned tree whose arena slots were recycled, so child-slot order no
-/// longer coincides with creation order — the case where the fold's
-/// explicit per-parent child sort is load-bearing.
+/// A churned tree whose arena slots were recycled, so slot order no longer
+/// coincides with the tree's preorder — the case where folding children
+/// in part order, not by slot, is load-bearing.
 fn churned_tree(seed: u64) -> (ChordNetwork, KTree) {
     let (mut net, mut rng) = net_with(48, 3, seed);
     let mut tree = KTree::build(&net, 2);
@@ -423,7 +253,7 @@ fn aggregate_ignores_inputs_the_root_cannot_reach() {
     }
     // Nor does a live node in a subtree a fault has cut off.
     let cut = tree
-        .iter_ids()
+        .preorder()
         .find(|&id| tree.node(id).depth() >= 2 && !inputs.contains_key(&id))
         .expect("deep node without an input");
     tree.inject_stale_parent(cut, tree.root());
@@ -493,7 +323,7 @@ fn walk_leaves_out_a_detached_subtree() {
     let whole = tree.aggregate(&net, &inputs, 2);
     let peer_of = |tree: &KTree, id| net.vs(tree.node(id).host()).host;
     let cut = tree
-        .iter_ids()
+        .preorder()
         .filter(|&id| tree.node(id).depth() >= 2 && tree.subtree_len(id) > 8)
         .find(|&id| {
             let above = tree.node(id).parent().unwrap();
@@ -513,305 +343,10 @@ fn walk_leaves_out_a_detached_subtree() {
     tree.inject_stale_parent(cut, tree.root());
     let out = tree.aggregate(&net, &inputs, 2);
     assert_eq!(out.tree_messages, whole.tree_messages - detached);
-    assert_eq!(out.max_message_depth, tree.derive().max_message_depth);
+    assert_eq!(out.max_message_depth, tree.max_message_depth());
     tree.repair(&net, 64);
     let repaired = tree.aggregate(&net, &inputs, 2);
     assert_eq!(repaired.tree_messages, whole.tree_messages);
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(12))]
-
-    #[test]
-    fn prop_parallel_aggregate_equals_reference(seed in 0u64..2000, threads in 1usize..9) {
-        let (net, tree) = churned_tree(seed);
-        let inputs: HashMap<KtNodeId, Concat> = net
-            .ring()
-            .iter()
-            .enumerate()
-            .map(|(i, (_, vs))| (tree.report_target(&net, vs), Concat(format!("p{i}"))))
-            .collect();
-        let (value, merges, rounds) = level_sweep_reference(&tree, inputs.clone());
-        let out = tree.aggregate(&net, &sorted(inputs), threads);
-        prop_assert_eq!(out.root_value, value);
-        prop_assert_eq!(out.merges, merges);
-        prop_assert_eq!(out.rounds, rounds);
-    }
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(16))]
-
-    #[test]
-    fn prop_tree_invariants_random_networks(seed in 0u64..10_000, k in 2usize..6) {
-        let (net, _) = net_with(12, 3, seed);
-        let tree = KTree::build(&net, k);
-        tree.check_invariants(&net).map_err(TestCaseError::fail)?;
-        // Report targets are self-hosted for every VS.
-        for (_, vs) in net.ring().iter() {
-            prop_assert_eq!(tree.node(tree.report_target(&net, vs)).host(), vs);
-        }
-    }
-
-    #[test]
-    fn prop_leaf_regions_disjoint_and_within_ring(seed in 0u64..10_000) {
-        let (net, _) = net_with(10, 2, seed);
-        let tree = KTree::build(&net, 2);
-        let leaves = leaves(&tree);
-        // Pairwise disjoint.
-        for (i, &a) in leaves.iter().enumerate() {
-            for &b in &leaves[i + 1..] {
-                let (ra, rb) = (tree.node(a).region(), tree.node(b).region());
-                prop_assert!(!ra.overlaps(&rb), "{:?} overlaps {:?}", ra, rb);
-            }
-        }
-        // A leaf set plus "implicit" coverage by interior hosts spans the
-        // ring: every id is inside *some* node whose host covers it. Sample
-        // a few points.
-        let mut rng = StdRng::seed_from_u64(seed ^ 0xABCD);
-        for _ in 0..32 {
-            let p = Id::new(rand::Rng::gen(&mut rng));
-            let owner = net.ring().owner(p).unwrap();
-            // The deepest node on p's descent path must be hosted by a VS
-            // whose region contains p (ownership consistency).
-            let t = tree.report_target(&net, owner);
-            let host = tree.node(t).host();
-            prop_assert_eq!(host, owner);
-        }
-    }
-
-    #[test]
-    fn prop_aggregate_total_conserved(seed in 0u64..10_000, k in 2usize..5) {
-        let (net, _) = net_with(8, 3, seed);
-        let tree = KTree::build(&net, k);
-        let mut total = 0u64;
-        let mut inputs = HashMap::new();
-        let mut x = seed;
-        for (_, vs) in net.ring().iter() {
-            x = x.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-            let v = x >> 40;
-            total += v;
-            inputs.insert(tree.report_target(&net, vs), Sum(v));
-        }
-        let out = tree.aggregate(&net, &sorted(inputs), 1);
-        prop_assert_eq!(out.root_value, Some(Sum(total)));
-    }
-}
-
-#[test]
-fn stale_parent_orphans_subtree_and_repair_reattaches_it() {
-    let (net, _) = net_with(32, 3, 17);
-    let mut tree = KTree::build(&net, 2);
-    let before = tree.len();
-    let victim = tree
-        .iter_ids()
-        .find(|&id| tree.node(id).depth() >= 2 && !tree.node(id).is_leaf())
-        .expect("deep interior node");
-    tree.inject_stale_parent(victim, tree.root());
-    // The orphan no longer answers a root descent for its region.
-    assert!(tree
-        .iter_ids()
-        .filter(|&id| tree.node(id).parent() == Some(tree.root()))
-        .all(|id| tree.node(tree.root()).children().any(|c| c == Some(id)) || id == victim));
-    let stats = tree.repair(&net, 64);
-    // Nothing changed in the network, so the subtree slots straight back in.
-    assert_eq!(stats.reattached, 1);
-    assert_eq!(stats.pruned, 0);
-    assert_eq!(tree.len(), before);
-    tree.check_invariants(&net).unwrap();
-    assert_eq!(
-        tree.node(victim).parent().map(|p| tree.node(p).depth() + 1),
-        Some(tree.node(victim).depth())
-    );
-}
-
-#[test]
-fn repair_prunes_orphan_whose_slot_regrew() {
-    let (net, _) = net_with(32, 3, 18);
-    let mut tree = KTree::build(&net, 2);
-    let victim = tree
-        .iter_ids()
-        .find(|&id| tree.node(id).depth() >= 2 && !tree.node(id).is_leaf())
-        .expect("deep interior node");
-    tree.inject_stale_parent(victim, tree.root());
-    // A maintenance round that runs *before* repair regrows the vacated
-    // slot, so the orphan's place is taken and repair must discard it.
-    assert!(tree.maintain_round(&net) > 0);
-    let stats = tree.repair(&net, 64);
-    assert_eq!(stats.reattached, 0);
-    assert!(stats.pruned >= 1);
-    tree.check_invariants(&net).unwrap();
-    let fresh = KTree::build(&net, 2);
-    assert_eq!(tree.len(), fresh.len());
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(12))]
-
-    #[test]
-    fn prop_repair_after_crashes_and_stale_links_restores_coverage(
-        seed in 0u64..3000,
-        crashes in 1usize..8,
-        stale in 0usize..4,
-        k in 2usize..5,
-    ) {
-        let (mut net, mut rng) = net_with(24, 3, seed);
-        let mut tree = KTree::build(&net, k);
-        // Rewire some deep links to a stale parent (the root), then crash
-        // a batch of random peers.
-        for _ in 0..stale {
-            let candidates: Vec<KtNodeId> = tree
-                .iter_ids()
-                .filter(|&id| tree.node(id).depth() >= 2)
-                .collect();
-            if let Some(&victim) = candidates
-                .get(rand::Rng::gen_range(&mut rng, 0..candidates.len().max(1)))
-            {
-                tree.inject_stale_parent(victim, tree.root());
-            }
-        }
-        let alive = net.alive_peers();
-        for p in alive.into_iter().take(crashes) {
-            net.crash_peer(p);
-        }
-        tree.repair(&net, 256);
-        // Well-formed K-nary tree again...
-        tree.check_invariants(&net).map_err(TestCaseError::fail)?;
-        // ...no orphans: every non-root node is its parent's child...
-        for id in tree.iter_ids() {
-            match tree.node(id).parent() {
-                None => prop_assert_eq!(id, tree.root()),
-                Some(p) => {
-                    prop_assert!(tree.node(p).children().any(|c| c == Some(id)));
-                    prop_assert_eq!(tree.node(id).depth(), tree.node(p).depth() + 1);
-                }
-            }
-        }
-        // ...and its leaves cover the live ID space: every live VS has a
-        // self-hosted report target (the paper's planting guarantee).
-        for (_, vs) in net.ring().iter() {
-            prop_assert_eq!(tree.node(tree.report_target(&net, vs)).host(), vs);
-        }
-        // Repair converges to exactly the fresh build.
-        let fresh = KTree::build(&net, k);
-        prop_assert_eq!(tree.len(), fresh.len());
-    }
-}
-
-#[test]
-fn split_regions_sum_check() {
-    // Guard against a regression where child(i, k) and split(k) disagree for
-    // the full ring (the root always splits the full ring).
-    let full = Arc::full(Id::ZERO);
-    for k in 2..10 {
-        let parts = full.split(k);
-        assert_eq!(parts.iter().map(|p| p.len()).sum::<u64>(), RING_SIZE);
-    }
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(12))]
-
-    #[test]
-    fn prop_maintenance_converges_to_fresh_build_after_mixed_churn(
-        seed in 0u64..3000,
-        ops in 1usize..25,
-        k in 2usize..5,
-    ) {
-        let mut rng = StdRng::seed_from_u64(seed);
-        let mut net = ChordNetwork::new();
-        net.join_peer(3, &mut rng);
-        net.join_peer(3, &mut rng);
-        let mut tree = KTree::build(&net, k);
-        for _ in 0..ops {
-            let alive = net.alive_peers();
-            match rand::Rng::gen_range(&mut rng, 0..3u8) {
-                0 => {
-                    net.join_peer(rand::Rng::gen_range(&mut rng, 1..4), &mut rng);
-                }
-                1 if alive.len() > 2 => {
-                    let p = alive[rand::Rng::gen_range(&mut rng, 0..alive.len())];
-                    net.crash_peer(p);
-                }
-                _ if alive.len() >= 2 => {
-                    let from = alive[rand::Rng::gen_range(&mut rng, 0..alive.len())];
-                    let to = alive[rand::Rng::gen_range(&mut rng, 0..alive.len())];
-                    let vss = net.vss_of(from);
-                    if !vss.is_empty() && from != to {
-                        let v = vss[rand::Rng::gen_range(&mut rng, 0..vss.len())];
-                        net.transfer_vs(v, to);
-                    }
-                }
-                _ => {}
-            }
-            // Interleave partial maintenance (may be incomplete).
-            tree.maintain_round(&net);
-        }
-        // After the dust settles, maintenance must converge to exactly the
-        // fresh build (same (region, host) set).
-        tree.maintain_until_stable(&net, 256, 0, &mut Trace::disabled());
-        tree.check_invariants(&net).map_err(TestCaseError::fail)?;
-        let fresh = KTree::build(&net, k);
-        let key = |t: &KTree| {
-            let mut v: Vec<(u32, u64, proxbal_chord::VsId)> = t
-                .iter_ids()
-                .map(|id| {
-                    let n = t.node(id);
-                    (n.region().start().raw(), n.region().len(), n.host())
-                })
-                .collect();
-            v.sort();
-            v
-        };
-        prop_assert_eq!(key(&tree), key(&fresh));
-    }
-}
-
-/// Multiset of (region, host, depth) — the identity of a tree irrespective
-/// of arena slot numbering.
-fn shape_key(t: &KTree) -> Vec<(u32, u64, proxbal_chord::VsId, u32)> {
-    let mut v: Vec<_> = t
-        .iter_ids()
-        .map(|id| {
-            let n = t.node(id);
-            (
-                n.region().start().raw(),
-                n.region().len(),
-                n.host(),
-                n.depth(),
-            )
-        })
-        .collect();
-    v.sort();
-    v
-}
-
-#[test]
-fn split_build_is_the_serial_tree_renumbered() {
-    let (net, _) = net_with(96, 4, 7);
-    for k in [2usize, 3, 8] {
-        let serial = KTree::build(&net, k);
-        for split_depth in [0u32, 1, 2, 3, 6] {
-            let tree = KTree::build_split(&net, k, split_depth);
-            tree.check_invariants(&net)
-                .unwrap_or_else(|e| panic!("k={k} split={split_depth}: {e}"));
-            assert_eq!(tree.len(), serial.len(), "k={k} split={split_depth}");
-            assert_eq!(shape_key(&tree), shape_key(&serial));
-            // The levels down to the split come first, in ascending slots;
-            // the subtrees below it follow one after another.
-            let depths: Vec<u32> = tree.iter_ids().map(|id| tree.node(id).depth()).collect();
-            let prefix = depths.iter().take_while(|&&d| d <= split_depth).count();
-            assert!(depths[prefix..].iter().all(|&d| d > split_depth));
-        }
-    }
-}
-
-#[test]
-fn split_past_the_leaves_is_the_serial_build() {
-    let (net, _) = net_with(8, 2, 11);
-    let serial = KTree::build(&net, 2);
-    let tree = KTree::build_split(&net, 2, serial.height() + 4);
-    assert_eq!(tree.arena(), serial.arena());
 }
 
 #[test]
@@ -868,36 +403,5 @@ proptest! {
         };
         let arc = Arc::new(Id::new(start), len);
         prop_assert_eq!(KTree::packed_region(&arc), arc);
-    }
-}
-
-#[test]
-fn serde_keeps_the_node_record_form_and_refuses_what_does_not_pack() {
-    let (net, _) = net_with(24, 3, 13);
-    for k in [2usize, 5] {
-        let tree = KTree::build(&net, k);
-        let json = serde_json::to_string(&tree).unwrap();
-        let back: KTree = serde_json::from_str(&json).unwrap();
-        assert_eq!(shape_key(&back), shape_key(&tree));
-        assert_eq!(serde_json::to_string(&back).unwrap(), json);
-        back.check_invariants(&net).unwrap();
-        // A slot is still one record, the root's first.
-        let root = r#"{"k":K,"nodes":[{"region":{"start":0,"len":4294967296},"host":"#;
-        assert!(json.starts_with(&root.replace('K', &k.to_string())));
-        // The sentinels and the never-empty region are not representable.
-        for (good, bad) in [
-            (
-                r#""parent":null,"depth":0}"#,
-                r#""parent":null,"depth":255}"#,
-            ),
-            (
-                r#""parent":null,"depth":0}"#,
-                r#""parent":4294967295,"depth":0}"#,
-            ),
-            (r#""len":4294967296}"#, r#""len":0}"#),
-        ] {
-            assert!(json.contains(good));
-            assert!(serde_json::from_str::<KTree>(&json.replacen(good, bad, 1)).is_err());
-        }
     }
 }

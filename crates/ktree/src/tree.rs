@@ -5,7 +5,13 @@ use std::ops::Range;
 
 /// Handle of a KT node within a [`KTree`] arena. Slots are recycled after
 /// pruning, so handles are only meaningful while the node is live.
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug, Serialize, Deserialize)]
+///
+/// The number is an arena slot: a dense index for side tables
+/// ([`crate::KtNodeMap`], [`KTree::slot_bound`]). Handles order by it, for
+/// grouping and look-up; no result may depend on that order — every order
+/// a result sees is the tree's preorder ([`KTree::preorder`]), which no
+/// allocation policy changes.
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
 pub struct KtNodeId(pub u32);
 
 /// "No node" in the parent column and the child table. Arena handles stop
@@ -15,9 +21,6 @@ const NONE: u32 = u32::MAX;
 /// proper part of its parent's, so live depths stay far below it (at most
 /// 32 at `k = 2`); growing and re-attaching assert it.
 const FREE: u8 = u8::MAX;
-/// The message depth of a node the root cannot reach.
-#[cfg(test)]
-const UNREACHED: u32 = u32::MAX;
 
 fn handle(raw: u32) -> Option<KtNodeId> {
     (raw != NONE).then_some(KtNodeId(raw))
@@ -119,13 +122,13 @@ pub struct RepairStats {
     pub rounds: usize,
 }
 
-/// What [`KTree::repair`] did to one orphaned subtree, identified by the
-/// KT slot of its root — the per-subtree identity that lets observers
-/// (traces, retention gates) follow a subtree across repairs.
+/// What [`KTree::repair`] did to one orphaned subtree, named by the region
+/// of its root — the identity that lets observers (traces, retention
+/// gates) follow a subtree across repairs, whatever arena slot holds it.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct RepairAction {
-    /// Arena slot of the orphan subtree's root.
-    pub slot: KtNodeId,
+    /// The region of the orphan subtree's root.
+    pub region: Arc,
     /// `true` if the subtree was re-attached, `false` if pruned.
     pub reattached: bool,
 }
@@ -164,8 +167,17 @@ pub struct RepairAction {
 /// can reach, plus the nodes *flagged* because the tree itself touched
 /// their child slots since their last check (freshly grown children, the
 /// parent a stale link was cut from, the parent a repair re-attached into).
-/// Every round leaves the arena — slot for slot, free list included —
-/// exactly as a sweep over every node would.
+/// Every round leaves the tree in the shape a sweep over every node would.
+///
+/// # Preorder
+///
+/// Every order a result sees is the tree's **preorder** — ascending region
+/// start, a parent before the child that shares its start — which is also
+/// children in part order: the fold of [`Self::aggregate`], the nodes of
+/// each of [`Self::levels`], the repair log, and what `proxbal-sim` walks.
+/// Arena slots are an allocation detail: a slot freed in a maintenance
+/// round is reused from the next round on, in no promised order, and no
+/// result depends on which slot a node holds.
 ///
 /// # Derived data
 ///
@@ -181,13 +193,16 @@ pub struct RepairAction {
 ///
 /// One layout for every `K`, no allocation per node: a 16-byte record, `K`
 /// child handles and a byte of depth per slot, in three flat columns —
-/// `17 + 4K` bytes (DESIGN.md §6b). Slot numbers, the free list and the
-/// serialized form are what they were when a slot was one `Option<KtNode>`.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+/// `17 + 4K` bytes (DESIGN.md §6b).
+#[derive(Clone, Debug)]
 pub struct KTree {
     k: usize,
     nodes: Arena,
+    /// Slots [`Self::alloc`] may reuse.
     free: Vec<u32>,
+    /// Slots pruned since the last round began: reusable from the next
+    /// round on, so no handle a round listed comes to name a node it grew.
+    retired: Vec<u32>,
     root: KtNodeId,
     /// The ring state against which the check of every unflagged live node
     /// is known to be a no-op.
@@ -214,17 +229,6 @@ struct Arena {
     depths: Vec<u8>,
 }
 
-/// A slot as [`Arena`] is serialized: the record it was a vector of before
-/// it was packed, so stored trees read back and new ones look the same.
-#[derive(Serialize, Deserialize)]
-struct NodeRepr {
-    region: Arc,
-    host: VsId,
-    children: Vec<Option<KtNodeId>>,
-    parent: Option<KtNodeId>,
-    depth: u32,
-}
-
 impl Arena {
     /// The view of `slot` in a child table of stride `k`.
     fn node(&self, slot: usize, k: usize) -> KtNode<'_> {
@@ -234,69 +238,6 @@ impl Arena {
             kids: &self.kids[slot * k..][..k],
         }
     }
-}
-
-impl Serialize for Arena {
-    fn to_content(&self) -> serde::Content {
-        let k = self.kids.len() / self.recs.len().max(1);
-        let node = |slot: usize| {
-            let node = self.node(slot, k);
-            (node.depth != FREE).then(|| NodeRepr {
-                region: node.region(),
-                host: node.host(),
-                children: node.children().collect(),
-                parent: node.parent(),
-                depth: node.depth(),
-            })
-        };
-        let nodes: Vec<Option<NodeRepr>> = (0..self.recs.len()).map(node).collect();
-        nodes.to_content()
-    }
-}
-
-impl Deserialize for Arena {
-    fn from_content(content: &serde::Content) -> Result<Self, serde::DeError> {
-        let nodes = Vec::<Option<NodeRepr>>::from_content(content)?;
-        let first = nodes.iter().flatten().next();
-        let k = first.map_or(0, |n| n.children.len());
-        let mut arena = Arena::default();
-        for node in nodes {
-            let live = node.is_some();
-            let n = node.unwrap_or_else(|| NodeRepr {
-                region: Arc::full(Id::ZERO),
-                host: VsId(0),
-                children: vec![None; k],
-                parent: None,
-                depth: FREE.into(),
-            });
-            // What the columns cannot hold is refused, not wrapped.
-            let handles = n.children.iter().chain(std::iter::once(&n.parent));
-            let fits = !n.region.is_empty()
-                && n.children.len() == k
-                && (n.depth < FREE.into()) == live
-                && handles.flatten().all(|id| id.0 != NONE);
-            if !fits {
-                return Err(serde::DeError::new("KT node does not fit the arena"));
-            }
-            arena.recs.push(Record::new(&n.region, n.host, n.parent));
-            arena.kids.extend(n.children.into_iter().map(raw));
-            arena.depths.push(n.depth as u8);
-        }
-        Ok(arena)
-    }
-}
-
-/// What the rounds once derived from the arena and cached: the reference
-/// the walk of [`KTree::aggregate`] is tested against.
-#[cfg(test)]
-pub(crate) struct Derived {
-    /// Live handles by depth, slot-ascending within a depth; level `d` is
-    /// `level_slots[level_starts[d]..level_starts[d + 1]]`.
-    pub(crate) level_slots: Vec<KtNodeId>,
-    pub(crate) level_starts: Vec<usize>,
-    /// Per slot; [`UNREACHED`] where the root has no path to it.
-    pub(crate) message_depths: Vec<u32>,
-    pub(crate) max_message_depth: u32,
 }
 
 /// The part of the identifier space in which ring membership changes can
@@ -426,18 +367,6 @@ impl KTree {
     /// }
     /// ```
     pub fn build(net: &ChordNetwork, k: usize) -> Self {
-        Self::build_split(net, k, u32::MAX)
-    }
-
-    /// The same tree as [`Self::build`], numbered the way the million-peer
-    /// runs have always numbered it: the levels down to `split_depth` first,
-    /// then the subtree under each still-unexpanded node at that depth, in
-    /// ascending slot order of those nodes. Arena slot order is the order in
-    /// which every per-node `f64` fold associates, so the numbering is part
-    /// of the result; it is a pure function of `(net, k, split_depth)`.
-    /// Nothing is left flagged and no slot is free: maintenance on the
-    /// result has nothing to do until the ring changes.
-    pub fn build_split(net: &ChordNetwork, k: usize, split_depth: u32) -> Self {
         assert!(k >= 2, "tree degree must be at least 2");
         assert!(
             net.alive_vs_count() > 0,
@@ -453,43 +382,23 @@ impl KTree {
         let ring = Arc::full(Id::ZERO);
         let host = snapshot.host_for(&ring, everything.clone());
         tree.root = tree.alloc(&ring, host, None, 0);
-        // Two passes over what is still to grow: the root down to the
-        // split, then whatever that left unexpanded, without a cap.
-        let mut pending = vec![(tree.root, everything)];
-        for (phase, cap) in [("tree/prefix", split_depth), ("tree/grow", u32::MAX)] {
-            let _sub = proxbal_profile::phase(phase);
-            for (id, inside) in std::mem::take(&mut pending) {
-                tree.grow(&snapshot, id, inside, cap, &mut pending);
-            }
-        }
+        let _sub = proxbal_profile::phase("tree/grow");
+        tree.grow(&snapshot, tree.root, everything);
         tree
     }
 
     /// Grows the whole subtree under `id`, whose region holds the snapshot
-    /// entries `inside`, depth first with children in part order — except
-    /// that a node at depth `cap` that would split is left as it is and
-    /// pushed, with its entries, onto `unexpanded`.
+    /// entries `inside`, depth first with children in part order.
     ///
     /// Every rule of the tree is index arithmetic on the sorted snapshot: a
     /// region is a leaf iff it holds at most one entry, a part needs a child
     /// iff it holds at least one, and the parts' entry ranges are found by
     /// binary search inside the parent's.
-    fn grow(
-        &mut self,
-        snapshot: &Snapshot,
-        id: KtNodeId,
-        inside: Range<usize>,
-        cap: u32,
-        unexpanded: &mut Vec<(KtNodeId, Range<usize>)>,
-    ) {
+    fn grow(&mut self, snapshot: &Snapshot, id: KtNodeId, inside: Range<usize>) {
         if inside.len() <= 1 {
             return;
         }
         let node = self.node(id);
-        if node.depth() >= cap {
-            unexpanded.push((id, inside));
-            return;
-        }
         let depth = node.depth() + 1;
         // All regions descend from the root's, which starts at 0 and does
         // not wrap: a part's bounds are plain sums.
@@ -510,49 +419,10 @@ impl KTree {
                 let host = snapshot.host_for(&part, lo..hi);
                 let child = self.alloc(&part, host, Some(id), depth);
                 self.set_child(id, i, Some(child));
-                self.grow(snapshot, child, lo..hi, cap, unexpanded);
+                self.grow(snapshot, child, lo..hi);
             }
             (start, lo) = (end, hi);
         }
-    }
-
-    /// [`Self::build`] by the rules as [`Self::check_node`] states them —
-    /// one ring query per question — kept as the reference of the
-    /// differential tests.
-    #[cfg(test)]
-    pub(crate) fn reference_build(net: &ChordNetwork, k: usize) -> Self {
-        let mut tree = Self::with_root(net, k);
-        tree.grow_capped(net, tree.root, None);
-        tree
-    }
-
-    /// [`Self::build_split`] by the same rules: the prefix grown to
-    /// `split_depth`, then each unexpanded node at that depth grown in
-    /// place, in ascending slot order.
-    #[cfg(test)]
-    pub(crate) fn reference_build_split(net: &ChordNetwork, k: usize, split_depth: u32) -> Self {
-        let mut tree = Self::with_root(net, k);
-        tree.grow_capped(net, tree.root, Some(split_depth));
-        let frontier: Vec<KtNodeId> = tree
-            .iter_ids()
-            .filter(|&id| {
-                let node = tree.node(id);
-                node.depth() == split_depth && !Self::is_leaf_region(net, &node.region())
-            })
-            .collect();
-        for id in frontier {
-            tree.grow_capped(net, id, None);
-        }
-        tree
-    }
-
-    /// An arena holding just the root node.
-    #[cfg(test)]
-    fn with_root(net: &ChordNetwork, k: usize) -> Self {
-        let mut tree = Self::empty(net, k, 0);
-        let ring = Arc::full(Id::ZERO);
-        tree.root = tree.alloc(&ring, Self::host_for(net, &ring), None, 0);
-        tree
     }
 
     /// An arena with no nodes yet, stamped with the current state of `net`'s
@@ -566,6 +436,7 @@ impl KTree {
                 depths: Vec::with_capacity(reserve),
             },
             free: Vec::new(),
+            retired: Vec::new(),
             root: KtNodeId(0),
             checked: net.ring().stamp(),
             flags: Vec::new(),
@@ -613,7 +484,7 @@ impl KTree {
 
     /// Number of live KT nodes.
     pub fn len(&self) -> usize {
-        self.slot_bound() - self.free.len()
+        self.slot_bound() - self.free.len() - self.retired.len()
     }
 
     /// Exclusive upper bound on raw slot indices of live handles — the
@@ -678,18 +549,28 @@ impl KTree {
         deepest.map_or(0, |&d| u32::from(d) + 1)
     }
 
-    /// Iterates live node handles in ascending slot order.
-    pub fn iter_ids(&self) -> impl Iterator<Item = KtNodeId> + '_ {
-        let live = |(slot, &d): (usize, &u8)| (d != FREE).then_some(KtNodeId(slot as u32));
-        self.nodes.depths.iter().enumerate().filter_map(live)
+    /// The nodes the root reaches, in preorder: a parent before its
+    /// children, children in part order — so ascending region start, a
+    /// parent before the child that shares its start. One walk per call.
+    pub fn preorder(&self) -> impl Iterator<Item = KtNodeId> + '_ {
+        let mut stack = vec![self.root];
+        std::iter::from_fn(move || {
+            let id = stack.pop()?;
+            stack.extend(self.node(id).children().rev().flatten());
+            Some(id)
+        })
     }
 
-    /// Live node handles grouped by depth, deepest level last; within a
-    /// level in ascending slot order. One pass over the arena per call.
+    /// The nodes the root reaches grouped by depth, the root's level first;
+    /// each level in preorder, i.e. by ascending region start.
     pub fn levels(&self) -> Vec<Vec<KtNodeId>> {
-        let mut levels = vec![Vec::new(); self.height() as usize];
-        for id in self.iter_ids() {
-            levels[usize::from(self.nodes.depths[id.0 as usize])].push(id);
+        let mut levels: Vec<Vec<KtNodeId>> = Vec::new();
+        for id in self.preorder() {
+            let depth = self.node(id).depth() as usize;
+            if levels.len() <= depth {
+                levels.resize_with(depth + 1, Vec::new);
+            }
+            levels[depth].push(id);
         }
         levels
     }
@@ -717,23 +598,6 @@ impl KTree {
     fn child_towards(&self, (id, region): (KtNodeId, Arc), pos: Id) -> Option<(KtNodeId, Arc)> {
         let (i, part) = region.child_towards(pos, self.k);
         Some((self.child(id, i)?, part))
-    }
-
-    /// [`Self::report_target`] reading every node's stored region instead
-    /// of carrying the root's down, kept as the reference of the
-    /// differential tests.
-    #[cfg(test)]
-    pub(crate) fn reference_report_target(&self, net: &ChordNetwork, vs: VsId) -> KtNodeId {
-        let pos = net.vs(vs).position;
-        let mut cur = self.root;
-        loop {
-            let region = self.node(cur).region();
-            let part = (0..self.k).find(|&i| region.child(i, self.k).contains(pos));
-            match part.and_then(|i| self.child(cur, i)) {
-                Some(child) => cur = child,
-                None => return cur,
-            }
-        }
     }
 
     /// [`Self::report_target`] of every virtual server of `vss`, answered
@@ -789,57 +653,42 @@ impl KTree {
     /// further behind than it retains, or `net` is not a continuation of
     /// the history the tree was last checked on) every node is checked.
     ///
-    /// Nodes are visited as a full sweep would visit them — the slots live
-    /// at round start, in slot order — so a slot freed by a prune and
-    /// reused by a grow within the round is checked in that round exactly
-    /// when it was live at round start and still lies ahead.
+    /// The round checks the suspects it listed at its start, ancestors
+    /// first, skipping those an ancestor's check pruned — so a node grown
+    /// in the round is first checked in the next, and the count of
+    /// mutations is a function of the tree's shape. A slot pruned in the
+    /// round is reused only from the next one on.
     ///
     /// Returns the number of mutations (replants + prunes + grows); `0`
     /// means the tree is stable for the current network.
     pub fn maintain_round(&mut self, net: &ChordNetwork) -> usize {
+        self.free.append(&mut self.retired);
         let ring = net.ring();
         let dirty = match ring.changes_since(self.checked) {
             Some(changed) if changed.is_empty() && self.flagged == 0 => return 0,
             Some(changed) => Some(DirtyArcs::new(ring, &changed)),
             None => None,
         };
-        let mut born_free = self.free.clone();
-        born_free.sort_unstable();
+        count_visits(self.slot_bound());
+        let mut suspects: Vec<KtNodeId> = (0..self.slot_bound())
+            .filter(|&slot| self.nodes.depths[slot] != FREE)
+            .map(|slot| KtNodeId(slot as u32))
+            .filter(|&id| {
+                self.is_flagged(id)
+                    || dirty
+                        .as_ref()
+                        .is_none_or(|d| d.touches(&self.nodes.recs[id.0 as usize].region()))
+            })
+            .collect();
+        suspects.sort_by_key(|id| self.nodes.depths[id.0 as usize]);
         let mut mutations = 0;
-        let live_bound = self.slot_bound();
-        count_visits(live_bound);
-        for slot in 0..live_bound {
-            if self.nodes.depths[slot] == FREE {
-                continue;
-            }
-            let id = KtNodeId(slot as u32);
-            let suspect = self.is_flagged(id)
-                || dirty
-                    .as_ref()
-                    .is_none_or(|d| d.touches(&self.nodes.recs[slot].region()));
-            if !suspect || born_free.binary_search(&id.0).is_ok() {
-                continue;
-            }
-            self.unflag(id);
-            mutations += self.check_node(net, id);
-        }
-        self.checked = ring.stamp();
-        mutations
-    }
-
-    /// The full sweep [`Self::maintain_round`] must be indistinguishable
-    /// from: every node live at round start runs its check, in slot order.
-    /// Kept as the reference of the differential tests.
-    #[cfg(test)]
-    pub(crate) fn reference_round(&mut self, net: &ChordNetwork) -> usize {
-        let mut mutations = 0;
-        let snapshot: Vec<KtNodeId> = self.iter_ids().collect();
-        for id in snapshot {
-            // The node may have been pruned earlier in this very round.
+        for id in suspects {
             if self.contains(id) {
+                self.unflag(id);
                 mutations += self.check_node(net, id);
             }
         }
+        self.checked = ring.stamp();
         mutations
     }
 
@@ -905,21 +754,27 @@ impl KTree {
         rounds
     }
 
-    /// Checks structural invariants of a **stable** tree. Used by tests.
+    /// Checks structural invariants of a **stable** tree: every live node
+    /// is reached from the root and is what the rules of the tree make of
+    /// its region. Used by tests.
     pub fn check_invariants(&self, net: &ChordNetwork) -> Result<(), String> {
-        for id in self.iter_ids() {
+        let mut reached = 0;
+        for id in self.preorder() {
+            reached += 1;
             let node = self.node(id);
             let region = node.region();
+            let at = || format!("node over {region:?} at depth {}", node.depth());
             let host = Self::host_for(net, &region);
             if node.host() != host {
                 return Err(format!(
-                    "{id:?} hosted by {:?}, should be {host:?}",
+                    "{} hosted by {:?}, should be {host:?}",
+                    at(),
                     node.host()
                 ));
             }
             if Self::is_leaf_region(net, &region) {
                 if !node.is_leaf() {
-                    return Err(format!("{id:?} should be a leaf"));
+                    return Err(format!("{} should be a leaf", at()));
                 }
                 continue;
             }
@@ -929,23 +784,26 @@ impl KTree {
                 match child {
                     Some(child) => {
                         if !needed {
-                            return Err(format!("{id:?} child {i} should be pruned"));
+                            return Err(format!("{}: child {i} should be pruned", at()));
                         }
                         let c = self.node(child);
                         if c.region() != part
                             || c.parent() != Some(id)
                             || c.depth() != node.depth() + 1
                         {
-                            return Err(format!("{id:?} child {i} metadata wrong"));
+                            return Err(format!("{}: child {i} metadata wrong", at()));
                         }
                     }
                     None => {
                         if needed {
-                            return Err(format!("{id:?} child {i} missing"));
+                            return Err(format!("{}: child {i} missing", at()));
                         }
                     }
                 }
             }
+        }
+        if reached != self.len() {
+            return Err(format!("{} live nodes detached", self.len() - reached));
         }
         Ok(())
     }
@@ -983,7 +841,7 @@ impl KTree {
     }
 
     /// [`Self::repair`] plus the per-orphan action log: one
-    /// [`RepairAction`] per orphan root, in deterministic slot order.
+    /// [`RepairAction`] per orphan root, in preorder of the orphans.
     pub fn repair_with_actions(
         &mut self,
         net: &ChordNetwork,
@@ -1001,22 +859,6 @@ impl KTree {
         // missing coverage, leftover duplicates).
         stats.rounds =
             self.maintain_until_stable(net, limit, 0, &mut proxbal_trace::Trace::disabled());
-        (stats, actions)
-    }
-
-    /// [`Self::repair_with_actions`] over [`Self::reference_round`], with
-    /// the orphan scan unconditional.
-    #[cfg(test)]
-    pub(crate) fn reference_repair(
-        &mut self,
-        net: &ChordNetwork,
-        limit: usize,
-    ) -> (RepairStats, Vec<RepairAction>) {
-        let (mut stats, actions) = self.reattach_orphans(net);
-        while self.reference_round(net) > 0 {
-            stats.rounds += 1;
-            assert!(stats.rounds < limit, "reference failed to stabilize");
-        }
         (stats, actions)
     }
 
@@ -1038,18 +880,28 @@ impl KTree {
         }
 
         // Phase 2: orphan roots — unreachable nodes nobody claims as a
-        // child (their descendants are claimed, by them). Slot order keeps
-        // the repair deterministic.
-        let orphan_roots: Vec<KtNodeId> = self
-            .iter_ids()
+        // child (their descendants are claimed, by them) — in preorder, so
+        // an orphan that lands inside another lands after it. Two orphans
+        // over one region at one depth (a subtree detached, regrown and
+        // detached again between repairs) are told apart by their shapes.
+        let mut orphan_roots: Vec<KtNodeId> = (0..self.slot_bound())
+            .map(|slot| KtNodeId(slot as u32))
             .filter(|&id| {
-                !reachable[id.0 as usize]
+                self.contains(id)
+                    && !reachable[id.0 as usize]
                     && self.node(id).parent().is_none_or(|p| {
                         // The parent slot itself may be gone.
                         !self.contains(p) || self.node(p).children().all(|c| c != Some(id))
                     })
             })
             .collect();
+        let place = |id: &KtNodeId| (self.node(*id).region().start(), self.node(*id).depth());
+        orphan_roots.sort_by(|a, b| {
+            let shape = |id| self.subtree_shape(id);
+            place(a)
+                .cmp(&place(b))
+                .then_with(|| shape(*a).cmp(&shape(*b)))
+        });
 
         // Phase 3: re-attach each orphan where its region belongs, or prune.
         let mut stats = RepairStats::default();
@@ -1080,7 +932,7 @@ impl KTree {
                     }
                     stats.reattached += 1;
                     actions.push(RepairAction {
-                        slot: orphan,
+                        region,
                         reattached: true,
                     });
                 }
@@ -1088,7 +940,7 @@ impl KTree {
                     stats.pruned += self.subtree_len(orphan);
                     self.prune(orphan);
                     actions.push(RepairAction {
-                        slot: orphan,
+                        region,
                         reattached: false,
                     });
                 }
@@ -1102,10 +954,10 @@ impl KTree {
     /// [`Self::repair_with_actions`] recording a `kt/repair` span (one
     /// virtual-time unit per stabilization round) starting at `ts`, plus
     /// `kt_reattached` / `kt_pruned` counters. Each orphan root
-    /// additionally records a `kt/repair/orphan` instant carrying its KT
-    /// slot and outcome, so a trace consumer can follow an individual
-    /// subtree across the run (e.g. a retention gate checking that a
-    /// repaired subtree stays attached).
+    /// additionally records a `kt/repair/orphan` instant carrying its
+    /// region (`start`, `len`) and outcome, so a trace consumer can follow
+    /// an individual subtree across the run (e.g. a retention gate checking
+    /// that a repaired subtree stays attached).
     pub fn repair_traced_with_actions(
         &mut self,
         net: &ChordNetwork,
@@ -1128,7 +980,8 @@ impl KTree {
                 "kt/repair/orphan",
                 ts,
                 &[
-                    ("slot", u64::from(a.slot.0).into()),
+                    ("start", u64::from(a.region.start().raw()).into()),
+                    ("len", a.region.len().into()),
                     ("reattached", a.reattached.into()),
                 ],
             );
@@ -1159,6 +1012,17 @@ impl KTree {
     pub(crate) fn subtree_len(&self, id: KtNodeId) -> usize {
         let below = self.node(id).children().flatten();
         1 + below.map(|c| self.subtree_len(c)).sum::<usize>()
+    }
+
+    /// The subtree rooted at `id` in preorder, as (region start, depth,
+    /// host) per node: what tells two subtrees over one region apart.
+    fn subtree_shape(&self, id: KtNodeId) -> Vec<(Id, u32, VsId)> {
+        let node = self.node(id);
+        let mut shape = vec![(node.region().start(), node.depth(), node.host())];
+        for child in node.children().flatten() {
+            shape.extend(self.subtree_shape(child));
+        }
+        shape
     }
 
     /// Number of **inter-virtual-server messages** needed to reach the KT
@@ -1201,105 +1065,6 @@ impl KTree {
         max
     }
 
-    /// A counting pass over the depth column groups the nodes by depth; one
-    /// depth-first walk from the root, children in part order, hands every
-    /// node its parent's message depth plus the hop to it. What the rounds
-    /// computed once per arena state and cached until the walk answered
-    /// them, kept as the reference of the walk's tests.
-    #[cfg(test)]
-    pub(crate) fn derive(&self) -> Derived {
-        let mut level_starts = vec![0usize; self.height() as usize + 1];
-        for &d in self.nodes.depths.iter().filter(|&&d| d != FREE) {
-            level_starts[usize::from(d) + 1] += 1;
-        }
-        for d in 1..level_starts.len() {
-            level_starts[d] += level_starts[d - 1];
-        }
-        let mut level_slots = vec![self.root; self.len()];
-        let mut next = level_starts.clone();
-        for id in self.iter_ids() {
-            let at = &mut next[usize::from(self.nodes.depths[id.0 as usize])];
-            level_slots[*at] = id;
-            *at += 1;
-        }
-
-        let mut message_depths = vec![UNREACHED; self.slot_bound()];
-        let mut max_message_depth = 0;
-        // (node, its parent's host, its parent's message depth)
-        let mut stack = vec![(self.root, self.node(self.root).host(), 0u32)];
-        while let Some((id, above_host, above)) = stack.pop() {
-            let node = self.node(id);
-            let md = above + u32::from(node.host() != above_host);
-            message_depths[id.0 as usize] = md;
-            max_message_depth = max_message_depth.max(md);
-            let below = node.children().rev().flatten();
-            stack.extend(below.map(|child| (child, node.host(), md)));
-        }
-        Derived {
-            level_slots,
-            level_starts,
-            message_depths,
-            max_message_depth,
-        }
-    }
-
-    /// What [`Self::levels`], [`Self::message_depth`] and
-    /// [`Self::max_message_depth`] must answer, recomputed from the arena
-    /// through [`Self::node`]: one growing vector per level, the
-    /// breadth-first walk and the scan for its maximum, kept for the
-    /// differential tests.
-    #[cfg(test)]
-    pub(crate) fn reference_derived(&self) -> (Vec<Vec<KtNodeId>>, crate::KtNodeMap<u32>, u32) {
-        let mut levels: Vec<Vec<KtNodeId>> = Vec::new();
-        for id in self.iter_ids() {
-            let d = self.node(id).depth() as usize;
-            if levels.len() <= d {
-                levels.resize_with(d + 1, Vec::new);
-            }
-            levels[d].push(id);
-        }
-        let mut depths = crate::KtNodeMap::with_slot_bound(self.slot_bound());
-        let mut queue = std::collections::VecDeque::new();
-        depths.insert(self.root, 0u32);
-        queue.push_back(self.root);
-        while let Some(id) = queue.pop_front() {
-            let md = depths[id];
-            let node = self.node(id);
-            for child in node.children().flatten() {
-                let hop = u32::from(self.node(child).host() != node.host());
-                depths.insert(child, md + hop);
-                queue.push_back(child);
-            }
-        }
-        let max = depths.values().copied().max().unwrap_or(0);
-        (levels, depths, max)
-    }
-
-    /// Full recursive growth by ring queries, the reference [`Self::grow`]
-    /// is tested against. With `cap = Some(d)`, nodes at depth `d` are left
-    /// unexpanded.
-    #[cfg(test)]
-    fn grow_capped(&mut self, net: &ChordNetwork, id: KtNodeId, cap: Option<u32>) {
-        let region = self.node(id).region();
-        if Self::is_leaf_region(net, &region) {
-            return;
-        }
-        let depth = self.node(id).depth() + 1;
-        if cap.is_some_and(|limit| depth > limit) {
-            return;
-        }
-        for i in 0..self.k {
-            let part = region.child(i, self.k);
-            if part.is_empty() || net.ring().count_in_at_most(&part, 1) == 0 {
-                continue;
-            }
-            let host = Self::host_for(net, &part);
-            let child = self.alloc(&part, host, Some(id), depth);
-            self.set_child(id, i, Some(child));
-            self.grow_capped(net, child, cap);
-        }
-    }
-
     /// A new childless node in a recycled slot, or in a fresh one at the
     /// arena's end. Panics when the arena has used up its handles.
     fn alloc(
@@ -1334,17 +1099,8 @@ impl KTree {
             }
         }
         self.nodes.depths[slot] = FREE;
-        self.free.push(id.0);
+        self.retired.push(id.0);
         self.unflag(id);
-    }
-
-    /// The arena as the differential tests compare it: every slot, and the
-    /// free list in order.
-    #[cfg(test)]
-    pub(crate) fn arena(&self) -> (Vec<Option<KtNode<'_>>>, &[u32]) {
-        let slot = |slot| Some(KtNodeId(slot as u32)).filter(|&id| self.contains(id));
-        let nodes = (0..self.slot_bound()).map(|s| slot(s).map(|id| self.node(id)));
-        (nodes.collect(), &self.free)
     }
 
     /// `region` through the arena's 8-byte form and back.

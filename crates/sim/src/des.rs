@@ -97,7 +97,7 @@ struct Slot<E> {
 /// (which needs `at < now + WINDOW`, true only from then on), and the
 /// overflow heap releases same-instant events in `seq` order, so every
 /// bucket list stays in scheduling order for any schedule.
-pub struct EventQueue<E> {
+pub(crate) struct EventQueue<E> {
     slab: Vec<Slot<E>>,
     /// Head of the free list through `slab`.
     free: u32,
@@ -131,30 +131,21 @@ impl<E> Default for EventQueue<E> {
 }
 
 impl<E> EventQueue<E> {
-    /// An empty queue at time 0.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
     /// Current simulated time (the timestamp of the last popped event).
-    pub fn now(&self) -> SimTime {
+    #[cfg(test)]
+    fn now(&self) -> SimTime {
         self.now
     }
 
     /// Number of pending events.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.in_window + self.overflow.len()
-    }
-
-    /// True iff no events are pending.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
     }
 
     /// Rewinds the queue to an empty state at time 0, keeping the slab's
     /// allocation — lets one queue (and the event objects it will hold) be
     /// pooled across many simulation runs instead of reallocating per run.
-    pub fn reset(&mut self) {
+    pub(crate) fn reset(&mut self) {
         self.slab.clear();
         self.free = NIL;
         if self.in_window > 0 {
@@ -170,20 +161,20 @@ impl<E> EventQueue<E> {
 
     /// Makes room for `additional` more in-window events, so the schedules
     /// that follow do not allocate.
-    pub fn reserve(&mut self, additional: usize) {
+    pub(crate) fn reserve(&mut self, additional: usize) {
         self.slab.reserve_exact(additional);
     }
 
     /// Peak number of simultaneously pending events since construction or
     /// the last [`EventQueue::reset`] — a pure function of the event
     /// schedule, so it is reproducible across runs and thread counts.
-    pub fn high_water(&self) -> usize {
+    pub(crate) fn high_water(&self) -> usize {
         self.high_water
     }
 
     /// Schedules `event` at absolute time `at`. Panics if `at` is in the
     /// past (events may be scheduled at the current instant).
-    pub fn schedule(&mut self, at: SimTime, event: E) {
+    pub(crate) fn schedule(&mut self, at: SimTime, event: E) {
         assert!(at >= self.now, "cannot schedule into the past");
         let seq = self.seq;
         self.seq += 1;
@@ -266,7 +257,7 @@ impl<E> EventQueue<E> {
     }
 
     /// Pops the next event, advancing the clock to its timestamp.
-    pub fn pop(&mut self) -> Option<(SimTime, E)> {
+    pub(crate) fn pop(&mut self) -> Option<(SimTime, E)> {
         if self.in_window == 0 {
             // Nothing within the window: jump to the earliest overflow
             // event, which brings it (at least) in.
@@ -355,7 +346,7 @@ mod tests {
 
     #[test]
     fn pops_in_time_order() {
-        let mut q = EventQueue::new();
+        let mut q = EventQueue::default();
         q.schedule(30, "c");
         q.schedule(10, "a");
         q.schedule(20, "b");
@@ -368,7 +359,7 @@ mod tests {
 
     #[test]
     fn fifo_within_same_instant() {
-        let mut q = EventQueue::new();
+        let mut q = EventQueue::default();
         for i in 0..10 {
             q.schedule(5, i);
         }
@@ -380,7 +371,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "past")]
     fn rejects_past_scheduling() {
-        let mut q = EventQueue::new();
+        let mut q = EventQueue::default();
         q.schedule(10, ());
         q.pop();
         q.schedule(5, ());
@@ -388,7 +379,7 @@ mod tests {
 
     #[test]
     fn high_water_tracks_peak_depth() {
-        let mut q = EventQueue::new();
+        let mut q = EventQueue::default();
         assert_eq!(q.high_water(), 0);
         q.schedule(1, ());
         q.schedule(2, ());
@@ -425,7 +416,7 @@ mod tests {
         use rand::{Rng, SeedableRng};
         for seed in 0..24u64 {
             let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
-            let mut q: EventQueue<u32> = EventQueue::new();
+            let mut q: EventQueue<u32> = EventQueue::default();
             let mut h: HeapQueue<u32> = HeapQueue::new();
             let mut id = 0u32;
             for step in 0..6_000 {
@@ -475,7 +466,7 @@ mod tests {
             while let Some(popped) = h.pop() {
                 assert_eq!(q.pop(), Some(popped), "seed {seed}, drain");
             }
-            assert!(q.is_empty());
+            assert_eq!(q.len(), 0);
             assert_eq!(q.pop(), None);
         }
     }
@@ -486,7 +477,7 @@ mod tests {
         // which is appended to the same instant's bucket directly once the
         // clock is close enough.
         let w = WINDOW as SimTime;
-        let mut q = EventQueue::new();
+        let mut q = EventQueue::default();
         q.schedule(w + 5, 1);
         q.schedule(10, 0);
         assert_eq!(q.pop(), Some((10, 0)));

@@ -34,7 +34,7 @@ use proxbal_chord::{ChordNetwork, PeerId};
 use proxbal_core::{
     total_moved_load, DirtySet, Error, LoadBalancer, LoadState, RoundCache, RoundWalls,
 };
-use proxbal_ktree::{KTree, KtNodeId};
+use proxbal_ktree::{KTree, KtNodeId, RepairAction};
 use proxbal_profile::{phase, NullSink, ProgressSink};
 use proxbal_topology::DistanceOracle;
 use proxbal_trace::Trace;
@@ -341,12 +341,14 @@ pub fn run_engine_with(
     let mut cache = RoundCache::new();
     let mut dirty: BTreeSet<PeerId> = BTreeSet::new();
 
-    // Retention accounting for the `kt_reorphaned` trace counter: slots of
-    // subtrees a repair re-attached, cleared whenever new faults (crashes,
-    // stale links) arrive — those legitimately orphan subtrees again. A
-    // slot re-orphaned *without* intervening faults means a repair did not
-    // stick; the committed retention gate requires that never happens.
-    let mut retained: BTreeSet<KtNodeId> = BTreeSet::new();
+    // Retention accounting for the `kt_reorphaned` trace counter: the
+    // regions, as (start, length), of subtrees a repair re-attached,
+    // cleared whenever new faults (crashes, stale links) arrive — those
+    // legitimately orphan subtrees again. A region re-orphaned *without*
+    // intervening faults means a repair did not stick; the committed
+    // retention gate requires that never happens.
+    let mut retained: BTreeSet<(u32, u64)> = BTreeSet::new();
+    let region = |a: &RepairAction| (a.region.start().raw(), a.region.len());
 
     let mut report = EngineReport {
         config: *cfg,
@@ -398,12 +400,12 @@ pub fn run_engine_with(
                 tree.repair_traced_with_actions(&prepared.net, 256, clock, &mut tr);
             let reorphaned = actions
                 .iter()
-                .filter(|a| retained.contains(&a.slot))
+                .filter(|a| retained.contains(&region(a)))
                 .count();
             if reorphaned > 0 {
                 tr.count("kt_reorphaned", reorphaned as u64);
             }
-            retained.extend(actions.iter().filter(|a| a.reattached).map(|a| a.slot));
+            retained.extend(actions.iter().filter(|a| a.reattached).map(region));
             // Debug builds audit every repair (the engine tests run in
             // debug); release runs pay nothing.
             debug_assert_eq!(

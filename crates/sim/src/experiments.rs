@@ -908,9 +908,8 @@ pub fn xl_scale(
     (out, walls)
 }
 
-/// KT-tree split depth for the sharded xl2 build: the top 8 levels (≤ 256
-/// frontier regions at K = 2) grow serially, everything below in parallel
-/// fragments.
+/// What `pbench` passes [`crate::shard::build_tree_sharded`] as its unused
+/// split depth, until ROADMAP item 6(c) deletes both.
 pub const XL2_SPLIT_DEPTH: u32 = 8;
 
 /// Result of the xl2 (million-peer) pass.
@@ -971,12 +970,7 @@ pub fn xl2_scale(
     ));
 
     let t1 = std::time::Instant::now();
-    let mut tree = crate::shard::build_tree_sharded(
-        &prepared.net,
-        prepared.scenario.balancer.k,
-        XL2_SPLIT_DEPTH,
-        threads,
-    );
+    let mut tree = KTree::build(&prepared.net, prepared.scenario.balancer.k);
     let tree_s = t1.elapsed().as_secs_f64();
     progress.always(&format!(
         "xl2: KT tree built ({} nodes) in {tree_s:.1}s",

@@ -159,19 +159,17 @@ impl FaultPlan {
     /// Picks `stale_parents` KT links to rewire: children at depth ≥ 2
     /// whose parent pointer will be left dangling at the root (the one node
     /// every peer can always locate — exactly the stale pointer a pruned
-    /// parent leaves behind). Returns the chosen children, deterministic
-    /// for the plan's stream.
+    /// parent leaves behind). Returns the chosen children in the tree's
+    /// preorder, deterministic for the plan's stream and the tree's shape.
     pub fn pick_stale_links(&mut self, tree: &KTree) -> Vec<KtNodeId> {
         use rand::seq::SliceRandom;
         let mut candidates: Vec<KtNodeId> = tree
-            .iter_ids()
+            .preorder()
             .filter(|&id| tree.node(id).depth() >= 2)
             .collect();
-        candidates.sort_unstable();
-        let n = self.cfg.stale_parents.min(candidates.len());
         candidates.shuffle(&mut self.rng);
-        candidates.truncate(n);
-        candidates.sort_unstable();
+        candidates.truncate(self.cfg.stale_parents);
+        candidates.sort_by_key(|&id| (tree.node(id).region().start(), tree.node(id).depth()));
         candidates
     }
 
@@ -499,19 +497,27 @@ pub fn run_aggregation(
             .count() as u32;
     }
 
-    // Leaves of the active set fire at t = 0, in ascending slot order, so
-    // fates bind to leaves deterministically.
-    for slot in 0..bound {
-        if run.scratch.flags[slot] & ACTIVE == 0 || run.scratch.pending[slot] != 0 {
+    // Leaves of the active set fire at t = 0 in the tree's preorder — a
+    // walk from the root through active nodes, children in part order — so
+    // fates bind to leaves by the tree's shape, not by its slots.
+    let mut walk = std::mem::take(&mut run.scratch.walk);
+    walk.clear();
+    walk.push(run.scratch.root);
+    while let Some(n) = walk.pop() {
+        let slot = n as usize;
+        if run.scratch.flags[slot] & ACTIVE == 0 {
             continue;
         }
-        let n = slot as u32;
-        if run.scratch.alive_at(n, 0) {
+        if run.scratch.pending[slot] != 0 {
+            let children = run.scratch.children(n).rev();
+            walk.extend(children.map(|i| run.scratch.child(i)));
+        } else if run.scratch.alive_at(n, 0) {
             run.on_ready(n, 0);
         } else {
             run.edge_failed(n, run.remaining_window(0));
         }
     }
+    run.scratch.walk = walk;
 
     while let Some((t, ev)) = run.next_event() {
         match ev {
@@ -950,7 +956,7 @@ mod tests {
             .max_by_key(|&&p| (oracle.distance(underlay(root_peer), underlay(p)), p))
             .unwrap();
         let hosts: Vec<_> = tree
-            .iter_ids()
+            .preorder()
             .filter(|&id| (1..=2).contains(&tree.node(id).depth()))
             .map(|id| tree.node(id).host())
             .collect();

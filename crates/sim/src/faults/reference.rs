@@ -248,11 +248,10 @@ pub(crate) fn aggregation(
         let children = tree.node(KtNodeId(slot as u32)).children().flatten();
         run.pending[slot] = children.filter(|c| active[c.0 as usize]).count() as u32;
     }
-    for slot in (0..bound).filter(|&slot| active[slot]) {
-        if run.pending[slot] != 0 {
+    for n in tree.preorder().filter(|n| active[n.0 as usize]) {
+        if run.pending[n.0 as usize] != 0 {
             continue;
         }
-        let n = KtNodeId(slot as u32);
         if run.alive_at(n, 0) {
             run.on_ready(n, 0);
         } else {

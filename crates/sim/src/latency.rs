@@ -81,7 +81,7 @@ mod tests {
         let oracle = prepared.oracle.as_ref().unwrap();
         let lat = root_path_latencies(&prepared.net, oracle, &tree);
         assert_eq!(lat.len(), tree.len());
-        for id in tree.iter_ids() {
+        for id in tree.preorder() {
             if let Some(parent) = tree.node(id).parent() {
                 assert!(lat[&id] >= lat[&parent]);
             }

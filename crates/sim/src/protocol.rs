@@ -91,6 +91,8 @@ pub struct ProtocolScratch {
     unattached: Vec<(u32, PeerId)>,
     /// Peer hosting the node's virtual server, by slot.
     host_peer: Vec<u32>,
+    /// Pooled stack of the aggregation's preorder walk.
+    pub(crate) walk: Vec<u32>,
     /// Underlay node by peer (`u32::MAX`: unattached).
     peer_underlay: Vec<u32>,
     /// Crash-stop instant by peer; [`NEVER`] when it stays up.

@@ -16,8 +16,8 @@
 //!   shuffles the stubs, picks the landmarks and samples every load: a
 //!   single resample drawn out of join order changes every simulated number
 //!   downstream.
-//! - **The KT tree** — [`build_tree_sharded`] numbers the arena top levels
-//!   first, then one subtree after another ([`KTree::build_split`]).
+//! - **The KT tree** — [`build_tree_sharded`] is [`KTree::build`]: the
+//!   tree is a function of the ring alone, whatever the arena's numbering.
 //!
 //! Everything that is inherently sequential — stub attachment order,
 //! landmark selection, per-VS load sampling (ring-order dependent) — stays
@@ -78,20 +78,14 @@ pub(crate) fn join_sharded(
     net
 }
 
-/// The K-nary tree of a sharded run: [`KTree::build_split`], whose arena
-/// numbering — a pure function of `(net, k, split_depth)` — is the one the
-/// million-peer results were recorded with. The tree is node-for-node the
-/// tree [`KTree::build`] grows; only slot numbering differs.
-///
-/// `threads` is unused: the tree is grown in place from one sorted snapshot
-/// of the ring, which on one thread is faster than growing per-shard
-/// fragments on several and copying them together was. The parameter stays
-/// because `pbench` passes it.
+/// The K-nary tree of a sharded run: [`KTree::build`]. `split_depth` and
+/// `threads` are unused until ROADMAP item 6(c) deletes this function;
+/// they stay because `pbench` passes them.
 pub fn build_tree_sharded(
     net: &ChordNetwork,
     k: usize,
-    split_depth: u32,
+    _split_depth: u32,
     _threads: usize,
 ) -> KTree {
-    KTree::build_split(net, k, split_depth)
+    KTree::build(net, k)
 }

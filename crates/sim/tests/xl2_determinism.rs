@@ -174,7 +174,7 @@ fn sharded_tree_matches_serial_build_shape() {
     assert_eq!(sharded.len(), serial.len());
     let key = |t: &proxbal_ktree::KTree| {
         let mut v: Vec<_> = t
-            .iter_ids()
+            .preorder()
             .map(|id| {
                 let n = t.node(id);
                 (

@@ -6,7 +6,8 @@
 #
 # Runs, in order: tier-1 verify (ROADMAP.md: release build + root test
 # suite), the workspace test suite, `cargo fmt --check`, clippy over every
-# target with warnings denied, the `churn_self_repair` example (the one
+# target with warnings denied, the cap of 3 on `fn reference_*`
+# declarations (`scripts/surface.sh`), the `churn_self_repair` example (the one
 # EXPERIMENTS.md quotes numbers from), the trace smoke, the opted-in
 # smokes, and last the `benchmark/` package built against this checkout
 # with `pbench all --smoke`.
@@ -68,6 +69,16 @@ cargo fmt --check
 
 echo "==> cargo clippy --workspace --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
+
+# A fast path keeps one slow reference at most, and a kernel's earlier copy
+# is no reference (ROADMAP.md, process rules): the count of `fn reference_*`
+# only goes down. Raising the cap is a decision CHANGES.md records.
+echo "==> scripts/surface.sh: references <= 3"
+references=$(scripts/surface.sh | awk '$1 == "references" { print $2 }')
+if [ "$references" -gt 3 ]; then
+  echo "FAILED: $references \`fn reference_*\` declarations, the cap is 3" >&2
+  exit 1
+fi
 
 echo "==> cargo run --release --example churn_self_repair"
 cargo run --release --example churn_self_repair

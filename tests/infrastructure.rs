@@ -112,7 +112,7 @@ fn aggregation_latency_reflects_topology() {
 
     // Per-node path latencies are monotone toward leaves.
     let paths = root_path_latencies(&prepared.net, oracle, &tree);
-    for id in tree.iter_ids() {
+    for id in tree.preorder() {
         if let Some(parent) = tree.node(id).parent() {
             assert!(paths[&id] >= paths[&parent]);
         }
