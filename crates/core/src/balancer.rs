@@ -29,7 +29,7 @@ pub enum ProximityMode {
 pub struct BalancerConfig {
     /// Degree `K` of the aggregation tree (paper: 2 and 8).
     pub k: usize,
-    /// Balance-quality knob `ε` (see [`ClassifyParams`]).
+    /// Balance-quality knob `ε` (see [`crate::ClassifyParams`]).
     pub epsilon: f64,
     /// Rendezvous threshold (paper: 30).
     pub rendezvous_threshold: usize,

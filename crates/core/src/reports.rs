@@ -106,8 +106,9 @@ impl Classification {
 /// virtual servers whose removal takes it to (or below) its target (§3.4).
 ///
 /// The sets come flat, in one vector: each heavy peer's candidates form
-/// one run (see [`shed_sets`]), in the order the selection chose them, and
-/// the runs ascend by peer; a heavy peer with nothing to shed has no run.
+/// one run (adjacent candidates with one `from`), in the order the
+/// selection chose them, and the runs ascend by peer; a heavy peer with
+/// nothing to shed has no run.
 /// Runs on `threads` workers: each heavy peer's subset is an independent
 /// knapsack-style selection, computed over fixed-size chunks of the
 /// classified peers in parallel, each chunk appending to one buffer of its

@@ -55,10 +55,11 @@ pub struct AggregateOutcome<A> {
 /// spawn overhead outweighs the subtrees.
 const MIN_SUBTREES_PER_WORKER: usize = 2;
 
-/// Which arena slots hold an input, and where in the slot-ascending input
-/// array: one bit per slot and the number of inputs before each 64-slot
-/// word, so finding a node's input is a load, a mask and a popcount —
-/// 1.5 bits a slot, where a slot-indexed map of handles costs 32.
+/// Which arena slots (or which child entries, for leaves held inline) hold
+/// an input, and where in the ascending inputs: one bit per slot and the
+/// number of inputs before each 64-slot word, so finding a node's input is
+/// a load, a mask and a popcount — 1.5 bits a slot, where a slot-indexed
+/// map of handles costs 32.
 struct SlotIndex {
     bits: Vec<u64>,
     before: Vec<u32>,
@@ -90,16 +91,22 @@ impl SlotIndex {
     }
 }
 
-/// What every step of the walk reads.
+/// What every step of the walk reads: the inputs at slots, then those at
+/// leaves held inline (their handles order after every slot's).
 struct Walk<'a, A> {
     net: &'a ChordNetwork,
-    inputs: &'a [AggregateInput<A>],
-    index: SlotIndex,
+    at_slots: &'a [AggregateInput<A>],
+    slots: SlotIndex,
+    at_leaves: &'a [AggregateInput<A>],
+    leaves: SlotIndex,
 }
 
 impl<A> Walk<'_, A> {
     fn input(&self, id: KtNodeId) -> Option<&AggregateInput<A>> {
-        self.index.get(id.0 as usize).map(|i| &self.inputs[i])
+        match id.leaf_entry() {
+            None => self.slots.get(id.0 as usize).map(|i| &self.at_slots[i]),
+            Some(entry) => self.leaves.get(entry).map(|i| &self.at_leaves[i]),
+        }
     }
 }
 
@@ -138,8 +145,8 @@ struct Step {
 type Subtree<A> = (Option<A>, bool);
 
 impl KTree {
-    /// Bottom-up aggregation: `inputs` — ascending by slot, at most one per
-    /// KT node — are folded to the root, and the same depth-first walk of
+    /// Bottom-up aggregation: `inputs` — ascending by handle, at most one
+    /// per KT node — are folded to the root, and the same depth-first walk of
     /// the arena answers every whole-tree question of the LBI phase: the
     /// aggregation's rounds and its messages, and the messages and rounds
     /// of disseminating a value back down ([`AggregateOutcome`]). `net`
@@ -172,14 +179,20 @@ impl KTree {
     ) -> AggregateOutcome<A> {
         assert!(
             inputs.windows(2).all(|w| w[0].at < w[1].at),
-            "aggregate inputs must ascend by slot, one per node"
+            "aggregate inputs must ascend by handle, one per node"
         );
         let _prof = proxbal_profile::phase("round/aggregate/walk");
-        let slots = inputs.iter().map(|input| input.at.0 as usize);
+        let split = inputs.partition_point(|input| input.at.leaf_entry().is_none());
+        let (at_slots, at_leaves) = inputs.split_at(split);
+        let bound = self.slot_bound();
+        let slots = at_slots.iter().map(|input| input.at.0 as usize);
+        let leaves = at_leaves.iter().filter_map(|input| input.at.leaf_entry());
         let walk = Walk {
             net,
-            inputs,
-            index: SlotIndex::new(slots, self.slot_bound()),
+            at_slots,
+            slots: SlotIndex::new(slots, bound),
+            at_leaves,
+            leaves: SlotIndex::new(leaves, bound * self.k()),
         };
         let step = |id: KtNodeId, depth: u32| {
             let host = self.node(id).host();
@@ -265,10 +278,15 @@ impl KTree {
             tally.rounds = tally.rounds.max(at.depth);
         }
         tally.max_message_depth = tally.max_message_depth.max(at.depth);
-        for child in node.children().flatten() {
+        for (i, child) in node.children().enumerate() {
+            let Some(child) = child else { continue };
+            // A leaf held inline is read off this node's view.
+            let view = match child.leaf_entry() {
+                Some(_) => node.leaf(i),
+                None => self.node(child),
+            };
             // An edge inside one virtual server is neither a message nor a
             // change of peer.
-            let view = self.node(child);
             let host = view.host();
             let below = if host == at.host {
                 Step { id: child, ..at }

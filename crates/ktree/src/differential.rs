@@ -333,13 +333,16 @@ fn a_subtree_cut_twice_over_one_region_is_repaired_by_shape() {
 }
 
 /// A fresh `KTree::build` over `net` at every degree against the spec,
-/// with nothing free, nothing flagged and the ring it grew from stamped —
-/// so neither maintenance nor repair looks at a single node of it.
+/// with nothing free, every leaf inline, nothing flagged and the ring it
+/// grew from stamped — so neither maintenance nor repair looks at a single
+/// node of it.
 #[track_caller]
 fn assert_builds_match_the_spec(net: &ChordNetwork) {
+    // A lone position is the root's, which holds a slot.
+    let leaves = Some(net.ring().len()).filter(|&n| n > 1).unwrap_or(0);
     for k in DEGREES.into_iter().chain([4]) {
         let mut built = Pair::build(net, k).tree;
-        assert_eq!(built.len(), built.slot_bound());
+        assert_eq!(built.len(), built.slot_bound() + leaves);
         assert_eq!(built.flagged(), 0);
         assert_eq!(built.checked(), net.ring().stamp());
         let visits = visits_during(|| {

@@ -29,7 +29,8 @@
 //! (DESIGN.md §6c). The bottom-up virtual-server-assignment sweep, whose
 //! intermediate lists matter, is `proxbal-core`'s own pass over the root
 //! paths of its entry nodes. The arena itself is three flat columns,
-//! `17 + 4K` bytes a node (DESIGN.md §6b).
+//! `17 + 4K` bytes an inner node; a leaf is held inline in its parent's
+//! child entry and takes no slot (DESIGN.md §6b).
 
 mod aggregate;
 mod node_map;

@@ -1,25 +1,30 @@
-use crate::tree::KtNodeId;
+use crate::tree::{KTree, KtNodeId};
 
-/// A dense map from [`KtNodeId`] to `A`, backed by a flat slot vector.
+/// A dense map from [`KtNodeId`] to `A`, backed by two flat vectors: one
+/// indexed by arena slot, one by the child entry of a leaf held inline.
 ///
-/// KT node handles are arena slot indices, so a `Vec<Option<A>>` indexed by
-/// the raw slot replaces `HashMap<KtNodeId, A>` everywhere a per-node value
-/// travels with a tree: O(1) access with no hashing and one allocation for
-/// the whole map. It offers look-ups and [`Self::values`] for order-free
-/// reductions, and no iteration by key: slots are no order.
+/// A `Vec<Option<A>>` indexed by slot or entry replaces `HashMap<KtNodeId,
+/// A>` everywhere a per-node value travels with a tree: O(1) access with no
+/// hashing and one allocation per vector for the whole map. It offers
+/// look-ups and [`Self::values`] for order-free reductions, and no
+/// iteration by key: slots are no order.
 #[derive(Clone, Debug, Default)]
 pub struct KtNodeMap<A> {
     slots: Vec<Option<A>>,
+    leaves: Vec<Option<A>>,
     len: usize,
 }
 
 impl<A> KtNodeMap<A> {
-    /// An empty map with room for slots `0..bound` without reallocating
-    /// (use [`KTree::slot_bound`](crate::KTree::slot_bound)).
-    pub fn with_slot_bound(bound: usize) -> Self {
-        let mut slots = Vec::new();
-        slots.resize_with(bound, || None);
-        KtNodeMap { slots, len: 0 }
+    /// An empty map with room for every node of `tree` without
+    /// reallocating.
+    pub fn for_tree(tree: &KTree) -> Self {
+        let none = |n: usize| std::iter::repeat_with(|| None).take(n).collect();
+        KtNodeMap {
+            slots: none(tree.slot_bound()),
+            leaves: none(tree.slot_bound() * tree.k()),
+            len: 0,
+        }
     }
 
     /// Number of entries.
@@ -34,11 +39,14 @@ impl<A> KtNodeMap<A> {
 
     /// Inserts `value` at `id`, returning the previous value if any.
     pub fn insert(&mut self, id: KtNodeId, value: A) -> Option<A> {
-        let i = id.0 as usize;
-        if i >= self.slots.len() {
-            self.slots.resize_with(i + 1, || None);
+        let (column, i) = match id.leaf_entry() {
+            None => (&mut self.slots, id.0 as usize),
+            Some(entry) => (&mut self.leaves, entry),
+        };
+        if i >= column.len() {
+            column.resize_with(i + 1, || None);
         }
-        let old = self.slots[i].replace(value);
+        let old = column[i].replace(value);
         if old.is_none() {
             self.len += 1;
         }
@@ -46,13 +54,18 @@ impl<A> KtNodeMap<A> {
     }
 
     /// The value at `id`, if present.
-    pub fn get(&self, id: KtNodeId) -> Option<&A> {
-        self.slots.get(id.0 as usize).and_then(Option::as_ref)
+    fn get(&self, id: KtNodeId) -> Option<&A> {
+        let (column, i) = match id.leaf_entry() {
+            None => (&self.slots, id.0 as usize),
+            Some(entry) => (&self.leaves, entry),
+        };
+        column.get(i).and_then(Option::as_ref)
     }
 
     /// The values, in no promised order.
     pub fn values(&self) -> impl Iterator<Item = &A> {
-        self.slots.iter().filter_map(Option::as_ref)
+        let all = self.slots.iter().chain(&self.leaves);
+        all.filter_map(Option::as_ref)
     }
 }
 

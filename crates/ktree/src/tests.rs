@@ -1,6 +1,6 @@
 use crate::*;
 use proptest::prelude::*;
-use proxbal_chord::ChordNetwork;
+use proxbal_chord::{ChordNetwork, VsId};
 use proxbal_id::{Arc, Id, RING_SIZE};
 use proxbal_trace::Trace;
 use rand::rngs::StdRng;
@@ -351,12 +351,41 @@ fn walk_leaves_out_a_detached_subtree() {
 
 #[test]
 fn arena_layout_is_packed_for_every_degree() {
-    // The 1M-peer run holds 12.8 M arena slots: a slot is the 16-byte
-    // record, K child handles and a byte of depth, whatever K is.
+    // The 1M-peer tree has 12.8 M nodes, 7.5 M of them in arena slots: a
+    // slot is the 16-byte record, K child entries and a byte of depth,
+    // whatever K is. A leaf takes no slot.
     let (net, _) = net_with(2048, 5, 12);
     let (small, _) = net_with(512, 5, 12);
     for k in [2usize, 3, 8] {
-        assert_eq!(KTree::build(&small, k).bytes_per_slot(), 17 + 4 * k);
+        let mut tree = KTree::build(&small, k);
+        assert_eq!(tree.bytes_per_slot(), 17 + 4 * k);
+        assert_eq!(tree.len(), tree.slot_bound() + small.ring().len());
+        // Each virtual server reports through a leaf planted in it over
+        // its own position, which its parent lists on that part.
+        let ring: Vec<VsId> = small.ring().iter().map(|(_, vs)| vs).collect();
+        for (&vs, id) in ring.iter().zip(tree.report_targets(&small, ring.clone())) {
+            assert!(
+                id.leaf_entry().is_some(),
+                "k={k}: {vs:?} reports through a slot"
+            );
+            let leaf = tree.node(id);
+            assert_eq!(leaf.host(), vs);
+            assert!(leaf.region().contains(small.vs(vs).position));
+            let parent = tree.node(leaf.parent().expect("a leaf has a parent"));
+            let (part, _) = parent.region().child_towards(small.vs(vs).position, k);
+            assert_eq!(parent.children().nth(part), Some(Some(id)));
+        }
+        // A leaf whose virtual server crashed is gone after maintenance.
+        let mut net = small.clone();
+        let peer = net.vs(ring[0]).host;
+        let leaf = tree.report_target(&net, ring[0]);
+        net.crash_peer(peer);
+        tree.maintain_until_stable(&net, 64, 0, &mut Trace::disabled());
+        assert!(
+            !tree.contains(leaf),
+            "k={k}: a crashed server's leaf survived"
+        );
+        tree.check_invariants(&net).unwrap();
     }
     // And no node owns an allocation: building over four times the virtual
     // servers takes exactly as many.

@@ -3,20 +3,36 @@ use proxbal_id::{Arc, Id};
 use serde::{Deserialize, Serialize};
 use std::ops::Range;
 
-/// Handle of a KT node within a [`KTree`] arena. Slots are recycled after
+/// Handle of a KT node within a [`KTree`]. Slots are recycled after
 /// pruning, so handles are only meaningful while the node is live.
 ///
-/// The number is an arena slot: a dense index for side tables
-/// ([`crate::KtNodeMap`], [`KTree::slot_bound`]). Handles order by it, for
-/// grouping and look-up; no result may depend on that order — every order
-/// a result sees is the tree's preorder ([`KTree::preorder`]), which no
-/// allocation policy changes.
+/// A node that holds an arena slot is named by the slot: a dense index for
+/// side tables ([`KTree::slot_bound`]). A leaf planted inline in its parent
+/// is named by the child-table entry that holds it, `parent slot · K +
+/// part`, tagged with the top bit ([`Self::leaf_entry`]); the handle of a
+/// leaf that grows or is cut loose changes with it. Handles order by their
+/// number, for grouping and look-up; no result may depend on that order —
+/// every order a result sees is the tree's preorder ([`KTree::preorder`]),
+/// which no allocation policy changes.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
 pub struct KtNodeId(pub u32);
+
+impl KtNodeId {
+    /// The child-table entry — `parent slot · K + part` — that holds this
+    /// leaf, or `None` for a node that holds an arena slot.
+    #[inline]
+    pub fn leaf_entry(self) -> Option<usize> {
+        (self.0 & LEAF != 0).then_some((self.0 & !LEAF) as usize)
+    }
+}
 
 /// "No node" in the parent column and the child table. Arena handles stop
 /// short of it ([`KTree::alloc`]).
 const NONE: u32 = u32::MAX;
+/// The tag of a leaf held inline: in the child table, `LEAF | vs` is a
+/// leaf planted in virtual server `vs` over that part; in a handle, `LEAF |
+/// entry` names the leaf the child-table entry `entry` holds.
+const LEAF: u32 = 1 << 31;
 /// What the depth column holds for a free slot. A child's region is a
 /// proper part of its parent's, so live depths stay far below it (at most
 /// 32 at `k = 2`); growing and re-attaching assert it.
@@ -28,6 +44,27 @@ fn handle(raw: u32) -> Option<KtNodeId> {
 
 fn raw(id: Option<KtNodeId>) -> u32 {
     id.map_or(NONE, |id| id.0)
+}
+
+/// Whether a child-table value is a leaf held inline.
+fn is_inline(child: u32) -> bool {
+    child != NONE && child & LEAF != 0
+}
+
+/// The child-table value of a leaf planted in `host`.
+fn inline_leaf(host: VsId) -> u32 {
+    assert!(host.0 < LEAF - 1, "virtual server id outgrew the leaf tag");
+    LEAF | host.0
+}
+
+/// The handle of the child the child-table value `child` at `entry` names.
+#[inline]
+fn child_at(entry: usize, child: u32) -> Option<KtNodeId> {
+    match child {
+        NONE => None,
+        _ if child & LEAF != 0 => Some(KtNodeId(LEAF | entry as u32)),
+        slot => Some(KtNodeId(slot)),
+    }
 }
 
 fn depth_byte(depth: u32) -> u8 {
@@ -45,7 +82,7 @@ struct Record {
     len_m1: u32,
     /// The [`VsId`] the node is planted in.
     host: u32,
-    /// Parent slot, [`NONE`] for the root.
+    /// Parent handle, [`NONE`] for the root.
     parent: u32,
 }
 
@@ -65,22 +102,36 @@ impl Record {
     }
 }
 
-/// One node of the K-nary tree as [`KTree::node`] hands it out: a copy of
-/// the slot's fixed fields and a borrow of its row of the child table.
+/// One node of the K-nary tree as [`KTree::node`] hands it out: its fixed
+/// fields, and a borrow of its row of the child table (empty for a leaf
+/// held inline).
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub struct KtNode<'a> {
+    /// The node's record; a leaf held inline reads its parent's, with its
+    /// own host and parent.
     rec: Record,
+    /// The part of `rec`'s region a leaf held inline covers; [`NONE`] for
+    /// a node in a slot.
+    part: u32,
     depth: u8,
     kids: &'a [u32],
+    /// The slot whose row `kids` is.
+    slot: u32,
+    k: u32,
 }
 
 impl<'a> KtNode<'a> {
     /// The contiguous arc of the identifier space this KT node covers.
     pub fn region(&self) -> Arc {
-        self.rec.region()
+        let region = self.rec.region();
+        match self.part {
+            NONE => region,
+            i => region.child(i as usize, self.k as usize),
+        }
     }
 
     /// The virtual server this KT node is planted in.
+    #[inline]
     pub fn host(&self) -> VsId {
         VsId(self.rec.host)
     }
@@ -95,14 +146,34 @@ impl<'a> KtNode<'a> {
         u32::from(self.depth)
     }
 
-    /// The `K` child slots, in the order of the K equal parts of `region`
+    /// The `K` children, in the order of the K equal parts of `region`
     /// they cover. `None` where the part needs no subtree (it holds at most
     /// one virtual-server position that the node itself already represents,
     /// or none at all).
     pub fn children(
         &self,
     ) -> impl DoubleEndedIterator<Item = Option<KtNodeId>> + ExactSizeIterator + 'a {
-        self.kids.iter().map(|&child| handle(child))
+        let (kids, k) = (self.kids, self.k as usize);
+        let first = self.slot as usize * k;
+        (0..k).map(move |i| child_at(first + i, *kids.get(i)?))
+    }
+
+    /// The view of the leaf this node holds inline on part `i`.
+    #[inline]
+    pub(crate) fn leaf(&self, i: usize) -> KtNode<'a> {
+        let rec = Record {
+            host: self.kids[i] & !LEAF,
+            parent: self.slot,
+            ..self.rec
+        };
+        KtNode {
+            rec,
+            part: i as u32,
+            depth: self.depth + 1,
+            kids: &[],
+            slot: 0,
+            k: self.k,
+        }
     }
 
     /// True iff the node has no children.
@@ -192,12 +263,19 @@ pub struct RepairAction {
 /// # Storage
 ///
 /// One layout for every `K`, no allocation per node: a 16-byte record, `K`
-/// child handles and a byte of depth per slot, in three flat columns —
-/// `17 + 4K` bytes (DESIGN.md §6b).
+/// child entries and a byte of depth per arena slot, in three flat columns
+/// — `17 + 4K` bytes a slot (DESIGN.md §6b). A leaf takes no slot: its
+/// parent's child entry holds it as `LEAF | vs`, and region, depth and
+/// parent follow from where that entry sits. A leaf moves into a slot only
+/// where it cannot stay inline: when maintenance grows it (its region came
+/// to hold two positions), when a stale link cuts it loose, or when a
+/// repair re-attaches an orphan under it.
 #[derive(Clone, Debug)]
 pub struct KTree {
     k: usize,
     nodes: Arena,
+    /// Leaves held inline in the child table of live slots.
+    leaves: usize,
     /// Slots [`Self::alloc`] may reuse.
     free: Vec<u32>,
     /// Slots pruned since the last round began: reusable from the next
@@ -222,8 +300,9 @@ pub struct KTree {
 struct Arena {
     /// Region, host and parent; a free slot keeps its last.
     recs: Vec<Record>,
-    /// The child of slot `s` on part `i` is `kids[s * k + i]`, [`NONE`]
-    /// where the part has no subtree.
+    /// The child of slot `s` on part `i` is `kids[s * k + i]`: [`NONE`]
+    /// where the part has no subtree, `LEAF | vs` for a leaf held inline,
+    /// else the child's slot.
     kids: Vec<u32>,
     /// Distance from the root; [`FREE`] marks a free slot.
     depths: Vec<u8>,
@@ -231,11 +310,15 @@ struct Arena {
 
 impl Arena {
     /// The view of `slot` in a child table of stride `k`.
+    #[inline]
     fn node(&self, slot: usize, k: usize) -> KtNode<'_> {
         KtNode {
             rec: self.recs[slot],
+            part: NONE,
             depth: self.depths[slot],
             kids: &self.kids[slot * k..][..k],
+            slot: slot as u32,
+            k: k as u32,
         }
     }
 }
@@ -393,7 +476,8 @@ impl KTree {
     /// Every rule of the tree is index arithmetic on the sorted snapshot: a
     /// region is a leaf iff it holds at most one entry, a part needs a child
     /// iff it holds at least one, and the parts' entry ranges are found by
-    /// binary search inside the parent's.
+    /// binary search inside the parent's. A part that holds one entry is a
+    /// leaf planted in that entry's virtual server, held inline.
     fn grow(&mut self, snapshot: &Snapshot, id: KtNodeId, inside: Range<usize>) {
         if inside.len() <= 1 {
             return;
@@ -414,7 +498,10 @@ impl KTree {
             } else {
                 lo + snapshot.positions[lo..inside.end].partition_point(|&p| u64::from(p) < end)
             };
-            if lo < hi {
+            if hi - lo == 1 {
+                self.nodes.kids[id.0 as usize * self.k + i] = inline_leaf(snapshot.vss[lo]);
+                self.leaves += 1;
+            } else if lo < hi {
                 let part = Arc::new(Id::new(start as u32), part_len);
                 let host = snapshot.host_for(&part, lo..hi);
                 let child = self.alloc(&part, host, Some(id), depth);
@@ -435,6 +522,7 @@ impl KTree {
                 kids: Vec::with_capacity(reserve * k),
                 depths: Vec::with_capacity(reserve),
             },
+            leaves: 0,
             free: Vec::new(),
             retired: Vec::new(),
             root: KtNodeId(0),
@@ -445,13 +533,13 @@ impl KTree {
         }
     }
 
-    /// Expected arena slots for a tree over `positions` ring positions
-    /// (leaves ≈ positions, inner nodes ≈ positions/ln 2 for the binary
-    /// case, plus headroom) — reserving up front avoids the transient
+    /// Expected arena slots for a tree over `positions` ring positions:
+    /// its inner nodes, ≈ positions/ln 2 in the binary case (leaves take
+    /// none), plus headroom — reserving up front avoids the transient
     /// doubling reallocation that would briefly hold two multi-hundred-MB
     /// arenas at million-peer scale.
     fn arena_estimate(positions: usize) -> usize {
-        positions * 11 / 4 + 16
+        positions * 3 / 2 + 16
     }
 
     /// The virtual server a KT node with `region` is planted in: the sole
@@ -482,14 +570,14 @@ impl KTree {
         self.root
     }
 
-    /// Number of live KT nodes.
+    /// Number of live KT nodes, inline leaves included.
     pub fn len(&self) -> usize {
-        self.slot_bound() - self.free.len() - self.retired.len()
+        self.slot_bound() - self.free.len() - self.retired.len() + self.leaves
     }
 
-    /// Exclusive upper bound on raw slot indices of live handles — the
-    /// arena length, used to size flat per-node vectors
-    /// ([`crate::KtNodeMap`], protocol scratch bitsets).
+    /// Exclusive upper bound on the slots of live handles — the arena
+    /// length, used to size flat per-slot vectors ([`crate::KtNodeMap`],
+    /// protocol scratch tables). A leaf's entry is below `slot_bound · K`.
     pub fn slot_bound(&self) -> usize {
         self.nodes.depths.len()
     }
@@ -500,25 +588,40 @@ impl KTree {
     }
 
     /// True iff `id` names a live node (slots are recycled after pruning).
+    #[inline]
     pub fn contains(&self, id: KtNodeId) -> bool {
-        let depth = self.nodes.depths.get(id.0 as usize);
-        depth.is_some_and(|&d| d != FREE)
+        let live = |slot: usize| self.nodes.depths.get(slot).is_some_and(|&d| d != FREE);
+        match id.leaf_entry() {
+            None => live(id.0 as usize),
+            Some(entry) => live(entry / self.k) && is_inline(self.nodes.kids[entry]),
+        }
     }
 
-    /// The slot of a live node. Panics on a stale handle.
+    /// The slot of a live node that holds one. Panics on a stale handle and
+    /// on a leaf held inline.
     fn live(&self, id: KtNodeId) -> usize {
         assert!(self.contains(id), "stale KT node handle");
+        assert!(id.leaf_entry().is_none(), "a leaf held inline has no slot");
         id.0 as usize
     }
 
     /// Access a node. Panics on a stale handle.
+    #[inline]
     pub fn node(&self, id: KtNodeId) -> KtNode<'_> {
-        self.nodes.node(self.live(id), self.k)
+        assert!(self.contains(id), "stale KT node handle");
+        match id.leaf_entry() {
+            None => self.nodes.node(id.0 as usize, self.k),
+            Some(entry) => self.nodes.node(entry / self.k, self.k).leaf(entry % self.k),
+        }
     }
 
-    /// The child of `id` on part `i`.
+    /// The child of `id` on part `i`; `None` below a leaf held inline.
     fn child(&self, id: KtNodeId, i: usize) -> Option<KtNodeId> {
-        handle(self.nodes.kids[id.0 as usize * self.k + i])
+        if id.leaf_entry().is_some() {
+            return None;
+        }
+        let entry = id.0 as usize * self.k + i;
+        child_at(entry, self.nodes.kids[entry])
     }
 
     // The writers of a live node.
@@ -545,8 +648,12 @@ impl KTree {
 
     /// Height of the tree: number of levels (a lone root has height 1).
     pub fn height(&self) -> u32 {
-        let deepest = self.nodes.depths.iter().filter(|&&d| d != FREE).max();
-        deepest.map_or(0, |&d| u32::from(d) + 1)
+        let Arena { kids, depths, .. } = &self.nodes;
+        let rows = depths.iter().zip(kids.chunks_exact(self.k));
+        let levels = rows
+            .filter(|&(&d, _)| d != FREE)
+            .map(|(&d, row)| u32::from(d) + 1 + u32::from(row.iter().any(|&c| is_inline(c))));
+        levels.max().unwrap_or(0)
     }
 
     /// The nodes the root reaches, in preorder: a parent before its
@@ -656,8 +763,12 @@ impl KTree {
     /// The round checks the suspects it listed at its start, ancestors
     /// first, skipping those an ancestor's check pruned — so a node grown
     /// in the round is first checked in the next, and the count of
-    /// mutations is a function of the tree's shape. A slot pruned in the
-    /// round is reused only from the next one on.
+    /// mutations is a function of the tree's shape. A leaf held inline is
+    /// checked within its parent's check, and only if it was there when the
+    /// round began; its region lies inside its parent's, so a change that
+    /// can reach it reaches the parent, and growing a leaf flags the parent
+    /// instead. A slot pruned in the round is reused only from the next one
+    /// on.
     ///
     /// Returns the number of mutations (replants + prunes + grows); `0`
     /// means the tree is stable for the current network.
@@ -692,39 +803,65 @@ impl KTree {
         mutations
     }
 
-    /// One KT node's periodic check; returns the number of mutations.
+    /// One periodic check of the KT node in a slot, and of the leaves it
+    /// holds inline; returns the number of mutations.
     fn check_node(&mut self, net: &ChordNetwork, id: KtNodeId) -> usize {
-        let mut mutations = 0;
         let node = self.node(id);
-        let (region, planted, depth) = (node.region(), node.host(), node.depth());
+        let (region, planted) = (node.region(), node.host());
         let host = Self::host_for(net, &region);
         if planted != host {
             self.set_host(id, host);
-            mutations += 1;
         }
-        let leaf = Self::is_leaf_region(net, &region);
+        usize::from(planted != host) + self.check_parts(net, id, &region)
+    }
+
+    /// The part-by-part half of the check of `id`, whose region is
+    /// `region`: prunes the children whose part no longer needs a subtree,
+    /// grows a leaf on each part that needs one, and checks the leaves it
+    /// already held.
+    fn check_parts(&mut self, net: &ChordNetwork, id: KtNodeId, region: &Arc) -> usize {
+        let mut mutations = 0;
+        let leaf = Self::is_leaf_region(net, region);
         for i in 0..self.k {
             let part = region.child(i, self.k);
             // A leaf prunes any children.
             let needed = !leaf && !part.is_empty() && net.ring().count_in_at_most(&part, 1) >= 1;
+            let entry = id.0 as usize * self.k + i;
             match (needed, self.child(id, i)) {
-                (false, Some(child)) => {
-                    self.prune(child);
-                    self.set_child(id, i, None);
+                (false, Some(_)) => {
+                    self.cut(entry);
                     mutations += 1;
                 }
                 (true, None) => {
-                    let host = Self::host_for(net, &part);
-                    let child = self.alloc(&part, host, Some(id), depth + 1);
-                    self.set_child(id, i, Some(child));
-                    // One level per round: the child's own check is due.
-                    self.flag(child);
+                    self.nodes.kids[entry] = inline_leaf(Self::host_for(net, &part));
+                    self.leaves += 1;
+                    // One level per round: the leaf's own check is due, and
+                    // runs in this node's.
+                    self.flag(id);
                     mutations += 1;
+                }
+                (true, Some(child)) if child.leaf_entry().is_some() => {
+                    mutations += self.check_leaf(net, child, &part);
                 }
                 _ => {}
             }
         }
         mutations
+    }
+
+    /// One periodic check of the leaf `id`, held inline over `region`:
+    /// re-plants it, and if its region came to hold two positions moves it
+    /// into a slot and grows its children.
+    fn check_leaf(&mut self, net: &ChordNetwork, id: KtNodeId, region: &Arc) -> usize {
+        let entry = id.leaf_entry().expect("a leaf held inline");
+        let host = inline_leaf(Self::host_for(net, region));
+        let replanted = self.nodes.kids[entry] != host;
+        self.nodes.kids[entry] = host;
+        if Self::is_leaf_region(net, region) {
+            return usize::from(replanted);
+        }
+        let grown = self.in_slot(id);
+        usize::from(replanted) + self.check_parts(net, grown, region)
     }
 
     /// Runs [`Self::maintain_round`] until stable, returning the number of
@@ -812,9 +949,11 @@ impl KTree {
     /// parent (which forgets it, as a pruned-and-rebuilt parent would) and
     /// leaves `child.parent` dangling at `stale` — a node that does not list
     /// it as a child. The whole subtree under `child` becomes unreachable
-    /// from the root until [`Self::repair`] runs. Panics on the root.
+    /// from the root until [`Self::repair`] runs; a leaf held inline moves
+    /// into a slot first, and its handle changes. Panics on the root.
     pub fn inject_stale_parent(&mut self, child: KtNodeId, stale: KtNodeId) {
         assert!(child != self.root, "cannot orphan the root");
+        let child = self.in_slot(child);
         let real = self.node(child).parent().expect("non-root has a parent");
         let listed = self.node(real).children().position(|c| c == Some(child));
         if let Some(i) = listed {
@@ -866,14 +1005,17 @@ impl KTree {
     /// and re-attaches it where its region belongs, or prunes it.
     fn reattach_orphans(&mut self, net: &ChordNetwork) -> (RepairStats, Vec<RepairAction>) {
         count_visits(self.slot_bound());
-        // Phase 1: mark everything reachable from the root.
+        // Phase 1: mark every slot reachable from the root; a leaf held
+        // inline is reachable iff its parent is.
         let mut reachable = vec![false; self.slot_bound()];
         let mut queue = std::collections::VecDeque::new();
         reachable[self.root.0 as usize] = true;
         queue.push_back(self.root);
         while let Some(id) = queue.pop_front() {
             for child in self.node(id).children().flatten() {
-                if !std::mem::replace(&mut reachable[child.0 as usize], true) {
+                if child.leaf_entry().is_none()
+                    && !std::mem::replace(&mut reachable[child.0 as usize], true)
+                {
                     queue.push_back(child);
                 }
             }
@@ -884,6 +1026,7 @@ impl KTree {
         // an orphan that lands inside another lands after it. Two orphans
         // over one region at one depth (a subtree detached, regrown and
         // detached again between repairs) are told apart by their shapes.
+        // A cut-off leaf moved into a slot, so every orphan root holds one.
         let mut orphan_roots: Vec<KtNodeId> = (0..self.slot_bound())
             .map(|slot| KtNodeId(slot as u32))
             .filter(|&id| {
@@ -909,18 +1052,24 @@ impl KTree {
         for orphan in orphan_roots {
             let region = self.node(orphan).region();
             let slot = self.lookup_parent_slot(&region).filter(|&(p, i)| {
-                reachable[p.0 as usize]
+                let above = p.leaf_entry().map_or(p.0 as usize, |entry| entry / self.k);
+                reachable[above]
                     && self.child(p, i).is_none()
                     && !Self::is_leaf_region(net, &self.node(p).region())
             });
             match slot {
                 Some((p, i)) => {
+                    // A leaf that is to take a child moves into a slot.
+                    let p = self.in_slot(p);
+                    reachable.resize(reachable.len().max(self.slot_bound()), false);
+                    reachable[p.0 as usize] = true;
                     self.set_child(p, i, Some(orphan));
                     self.set_parent(orphan, Some(p));
                     // The part may have emptied while the subtree was
                     // orphaned; the new parent's next check decides.
                     self.flag(p);
-                    // Fix depths and extend reachability over the subtree.
+                    // Fix depths and extend reachability over the subtree's
+                    // slots; its inline leaves follow their parents.
                     let base = self.node(p).depth() + 1;
                     let mut fix = std::collections::VecDeque::new();
                     fix.push_back((orphan, base));
@@ -928,7 +1077,8 @@ impl KTree {
                         self.set_depth(id, depth);
                         reachable[id.0 as usize] = true;
                         let below = self.node(id).children().flatten();
-                        fix.extend(below.map(|child| (child, depth + 1)));
+                        let slots = below.filter(|child| child.leaf_entry().is_none());
+                        fix.extend(slots.map(|child| (child, depth + 1)));
                     }
                     stats.reattached += 1;
                     actions.push(RepairAction {
@@ -1065,8 +1215,29 @@ impl KTree {
         max
     }
 
+    /// The handle of `id` in a slot: a leaf held inline moves out of its
+    /// parent's child entry into a slot of its own first, as a childless
+    /// node. A flagged parent may owe the leaf its check, so the slot is
+    /// flagged too.
+    fn in_slot(&mut self, id: KtNodeId) -> KtNodeId {
+        let Some(entry) = id.leaf_entry() else {
+            return id;
+        };
+        let node = self.node(id);
+        let (region, host, parent, depth) =
+            (node.region(), node.host(), node.parent(), node.depth());
+        let slot = self.alloc(&region, host, parent, depth);
+        self.nodes.kids[entry] = slot.0;
+        self.leaves -= 1;
+        if parent.is_some_and(|p| self.is_flagged(p)) {
+            self.flag(slot);
+        }
+        slot
+    }
+
     /// A new childless node in a recycled slot, or in a fresh one at the
-    /// arena's end. Panics when the arena has used up its handles.
+    /// arena's end. Panics when the arena has used up its handles: a slot
+    /// and, tagged, each of its child entries.
     fn alloc(
         &mut self,
         region: &Arc,
@@ -1082,25 +1253,34 @@ impl KTree {
             kids[at * k..][..k].fill(NONE);
             return KtNodeId(slot);
         }
-        let fresh = u32::try_from(recs.len()).ok().filter(|&slot| slot != NONE);
-        let slot = fresh.expect("KT arena is out of u32 handles (u32::MAX means \"no node\")");
+        let fresh = recs.len().checked_add(1).and_then(|n| n.checked_mul(k));
+        let fits = fresh.is_some_and(|entries| entries < LEAF as usize);
+        assert!(fits, "KT arena is out of handles (the top bit tags a leaf)");
+        let slot = recs.len() as u32;
         recs.push(rec);
         depths.push(depth);
         kids.extend(std::iter::repeat_n(NONE, k));
         KtNodeId(slot)
     }
 
-    /// Removes `id` and its whole subtree.
+    /// Removes the node in slot `id` and its whole subtree.
     fn prune(&mut self, id: KtNodeId) {
         let slot = self.live(id);
-        for i in 0..self.k {
-            if let Some(child) = self.child(id, i) {
-                self.prune(child);
-            }
+        for entry in slot * self.k..(slot + 1) * self.k {
+            self.cut(entry);
         }
         self.nodes.depths[slot] = FREE;
         self.retired.push(id.0);
         self.unflag(id);
+    }
+
+    /// Empties the child entry `entry`, removing the subtree it held.
+    fn cut(&mut self, entry: usize) {
+        match std::mem::replace(&mut self.nodes.kids[entry], NONE) {
+            NONE => {}
+            child if is_inline(child) => self.leaves -= 1,
+            slot => self.prune(KtNodeId(slot)),
+        }
     }
 
     /// `region` through the arena's 8-byte form and back.

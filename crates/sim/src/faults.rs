@@ -468,13 +468,14 @@ pub fn run_aggregation(
     // contributors are the unit of the completion rate.
     let mut distinct = 0usize;
     for &c in contributors {
-        let flags = &mut run.scratch.flags[c.0 as usize];
+        let c = run.scratch.index(c);
+        let flags = &mut run.scratch.flags[c as usize];
         if *flags & CONTRIBUTOR != 0 {
             continue;
         }
         *flags |= CONTRIBUTOR;
         distinct += 1;
-        let mut cur = c.0;
+        let mut cur = c;
         while cur != NIL {
             let flags = &mut run.scratch.flags[cur as usize];
             if *flags & ACTIVE != 0 {
@@ -490,10 +491,14 @@ pub fn run_aggregation(
         if run.scratch.flags[slot] & ACTIVE == 0 {
             continue;
         }
+        let active = |i: usize| {
+            let child = run.scratch.child(i);
+            child != NIL && run.scratch.flags[child as usize] & ACTIVE != 0
+        };
         run.scratch.pending[slot] = run
             .scratch
             .children(slot as u32)
-            .filter(|&i| run.scratch.flags[run.scratch.child(i) as usize] & ACTIVE != 0)
+            .filter(|&i| active(i))
             .count() as u32;
     }
 
@@ -509,8 +514,8 @@ pub fn run_aggregation(
             continue;
         }
         if run.scratch.pending[slot] != 0 {
-            let children = run.scratch.children(n).rev();
-            walk.extend(children.map(|i| run.scratch.child(i)));
+            let children = run.scratch.children(n).rev().map(|i| run.scratch.child(i));
+            walk.extend(children.filter(|&child| child != NIL));
         } else if run.scratch.alive_at(n, 0) {
             run.on_ready(n, 0);
         } else {
@@ -610,6 +615,9 @@ pub fn run_dissemination(
     let fanout = |run: &mut FaultRun<'_>, node: u32, t: SimTime| {
         for i in run.scratch.children(node) {
             let child = run.scratch.child(i);
+            if child == NIL {
+                continue;
+            }
             run.scratch.queue.schedule(
                 t,
                 FEvent::Send {

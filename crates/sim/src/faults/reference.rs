@@ -1,8 +1,8 @@
 //! The phase simulations as they ran before the flat snapshot, kept as the
 //! reference the production drivers are differentially tested against:
 //! every step looks its node up in the [`KTree`], its host in the
-//! [`ChordNetwork`], its latency in the oracle and its crash instant in a
-//! `HashMap`, and events go through the binary-heap queue. Same fates, same
+//! [`ChordNetwork`], its latency in the oracle, its crash instant and its
+//! per-run state in hash maps, and events go through the binary-heap queue. Same fates, same
 //! event order, same trace counters — only the data access differs.
 
 use super::{FaultPhaseOutcome, FaultPlan, MessageFate};
@@ -12,7 +12,7 @@ use proxbal_chord::{ChordNetwork, PeerId};
 use proxbal_ktree::{KTree, KtNodeId};
 use proxbal_topology::DistanceOracle;
 use proxbal_trace::Trace;
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 
 enum Event {
     Send {
@@ -34,7 +34,7 @@ struct Run<'a> {
     plan: &'a mut FaultPlan,
     retry: RetryPolicy,
     crash_at: HashMap<PeerId, SimTime>,
-    pending: Vec<u32>,
+    pending: HashMap<KtNodeId, u32>,
     queue: HeapQueue<Event>,
     timing: PhaseTiming,
     retries: usize,
@@ -59,7 +59,7 @@ impl<'a> Run<'a> {
             plan,
             retry,
             crash_at: crashes.iter().map(|&(t, p)| (p, t)).collect(),
-            pending: vec![0; tree.slot_bound()],
+            pending: HashMap::new(),
             queue: HeapQueue::new(),
             timing: PhaseTiming::default(),
             retries: 0,
@@ -200,9 +200,9 @@ impl<'a> Run<'a> {
                 self.timing.completion = self.timing.completion.max(t);
                 return;
             };
-            let slot = parent.0 as usize;
-            self.pending[slot] -= 1;
-            if self.pending[slot] > 0 {
+            let pending = self.pending.entry(parent).or_default();
+            *pending -= 1;
+            if *pending > 0 {
                 return;
             }
             if self.alive_at(parent, t) {
@@ -227,14 +227,13 @@ pub(crate) fn aggregation(
     trace: &mut Trace,
 ) -> Result<FaultPhaseOutcome, ProtocolError> {
     let mut run = Run::new(net, tree, oracle, plan, retry, crashes, trace);
-    let bound = tree.slot_bound();
-    let mut active = vec![false; bound];
-    let mut edge_delivered = vec![false; bound];
+    let mut active = HashSet::new();
+    let mut edge_delivered = HashSet::new();
 
     for &c in contributors {
         let mut cur = Some(c);
         while let Some(id) = cur {
-            if std::mem::replace(&mut active[id.0 as usize], true) {
+            if !active.insert(id) {
                 break;
             }
             cur = tree.node(id).parent();
@@ -244,12 +243,13 @@ pub(crate) fn aggregation(
     distinct.sort_unstable();
     distinct.dedup();
 
-    for slot in (0..bound).filter(|&slot| active[slot]) {
-        let children = tree.node(KtNodeId(slot as u32)).children().flatten();
-        run.pending[slot] = children.filter(|c| active[c.0 as usize]).count() as u32;
+    for &id in &active {
+        let children = tree.node(id).children().flatten();
+        let waits = children.filter(|c| active.contains(c)).count() as u32;
+        run.pending.insert(id, waits);
     }
-    for n in tree.preorder().filter(|n| active[n.0 as usize]) {
-        if run.pending[n.0 as usize] != 0 {
+    for n in tree.preorder().filter(|n| active.contains(n)) {
+        if run.pending[&n] != 0 {
             continue;
         }
         if run.alive_at(n, 0) {
@@ -274,10 +274,10 @@ pub(crate) fn aggregation(
                     }
                     continue;
                 }
-                edge_delivered[from.0 as usize] = true;
-                let slot = to.0 as usize;
-                run.pending[slot] -= 1;
-                if run.pending[slot] == 0 {
+                edge_delivered.insert(from);
+                let pending = run.pending.entry(to).or_default();
+                *pending -= 1;
+                if *pending == 0 {
                     run.on_ready(to, t);
                 }
             }
@@ -289,7 +289,7 @@ pub(crate) fn aggregation(
         .filter(|&&c| {
             let mut cur = c;
             while let Some(parent) = tree.node(cur).parent() {
-                if !edge_delivered[cur.0 as usize] {
+                if !edge_delivered.contains(&cur) {
                     return false;
                 }
                 cur = parent;
@@ -310,7 +310,7 @@ pub(crate) fn dissemination(
     trace: &mut Trace,
 ) -> Result<FaultPhaseOutcome, ProtocolError> {
     let mut run = Run::new(net, tree, oracle, plan, retry, crashes, trace);
-    let mut delivered = vec![false; tree.slot_bound()];
+    let mut delivered = HashSet::new();
     let mut reached = 0usize;
 
     let fanout = |run: &mut Run<'_>, node: KtNodeId, t: SimTime| {
@@ -326,7 +326,7 @@ pub(crate) fn dissemination(
         }
     };
 
-    delivered[tree.root().0 as usize] = true;
+    delivered.insert(tree.root());
     reached += 1;
     fanout(&mut run, tree.root(), 0);
 
@@ -341,7 +341,7 @@ pub(crate) fn dissemination(
                     let _ = run.retry_or_fail(t, from, to, attempt);
                     continue;
                 }
-                if std::mem::replace(&mut delivered[to.0 as usize], true) {
+                if !delivered.insert(to) {
                     continue;
                 }
                 reached += 1;

@@ -40,7 +40,7 @@ pub fn root_path_latencies(
     oracle: &DistanceOracle,
     tree: &KTree,
 ) -> KtNodeMap<u64> {
-    let mut out = KtNodeMap::with_slot_bound(tree.slot_bound());
+    let mut out = KtNodeMap::for_tree(tree);
     let mut queue = std::collections::VecDeque::new();
     out.insert(tree.root(), 0u64);
     queue.push_back(tree.root());

@@ -3,8 +3,8 @@
 //! timing, the typed error, and the pooled working state.
 //!
 //! A phase runs in two steps. [`ProtocolScratch::bind`] reads the network,
-//! the tree and the distance oracle **once** into flat slot-indexed arrays
-//! — parent, child list, edge latency, host peer. The run
+//! the tree and the distance oracle **once** into flat arrays indexed by
+//! node — parent, children, edge latency, host peer. The run
 //! ([`crate::faults::run_aggregation`], [`crate::faults::run_dissemination`])
 //! then touches only the scratch, its fault plan and its trace: it is a pure
 //! function of (snapshot, plan) and allocates nothing once the scratch is
@@ -67,29 +67,35 @@ const NEVER: SimTime = SimTime::MAX;
 /// one (network, tree, oracle) state, plus the per-run tables and the event
 /// queue, all pooled across runs.
 ///
+/// A node's index is its arena slot if it holds one, else — a leaf held
+/// inline in its parent — past every slot, in the order the snapshot met
+/// it.
+///
 /// The snapshot is exactly what [`ProtocolScratch::bind`] last read —
 /// nothing is carried over from an earlier binding, so a virtual server
 /// that moved to another peer, a repaired link or a recycled slot can never
 /// leave a stale latency behind.
 #[derive(Default)]
 pub struct ProtocolScratch {
-    /// Slot of the bound tree's root.
+    /// Index of the bound tree's root.
     pub(crate) root: u32,
     /// Live nodes of the bound tree.
     pub(crate) len: usize,
-    /// Parent slot by slot; [`NIL`] for the root and for vacant slots.
+    /// The bound tree's degree.
+    k: usize,
+    /// Parent by index; [`NIL`] for the root and for vacant slots.
     pub(crate) parent: Vec<u32>,
-    /// `child_list[child_start[s]..child_start[s + 1]]` are the children of
-    /// slot `s`, in the tree's part order.
-    child_start: Vec<u32>,
-    child_list: Vec<u32>,
-    /// Latency of the edge from the node (by slot) to its parent.
+    /// `kids[s * k + i]` is the index of slot `s`'s child on part `i`,
+    /// [`NIL`] where the part has none: the tree's child table, so a leaf's
+    /// handle finds its index there too.
+    kids: Vec<u32>,
+    /// Latency of the edge from the node (by index) to its parent.
     edge_latency: Vec<u32>,
-    /// The edges that have no latency, by child slot in ascending order,
+    /// The edges that have no latency, by child index in ascending order,
     /// each with the unattached peer it crosses. Empty on any network a
     /// scenario prepares.
     unattached: Vec<(u32, PeerId)>,
-    /// Peer hosting the node's virtual server, by slot.
+    /// Peer hosting the node's virtual server, by index.
     host_peer: Vec<u32>,
     /// Pooled stack of the aggregation's preorder walk.
     pub(crate) walk: Vec<u32>,
@@ -100,7 +106,7 @@ pub struct ProtocolScratch {
     /// Whether the current run has a crash schedule (most have none, and
     /// then nobody is ever looked up).
     crashes: bool,
-    /// Per-run node flags, by slot ([`crate::faults`] owns the bits).
+    /// Per-run node flags, by index ([`crate::faults`] owns the bits).
     pub(crate) flags: Vec<u8>,
     /// Per-run table: active children the node still waits for.
     pub(crate) pending: Vec<u32>,
@@ -136,38 +142,48 @@ impl ProtocolScratch {
     }
 
     /// The half of [`Self::bind`] that reads `net` and `tree`: parents,
-    /// child lists and host peers by slot, underlay nodes by peer. What is
+    /// children and host peers by index, underlay nodes by peer. What is
     /// left, [`Self::resolve_latencies`], reads only the scratch and the
     /// oracle, so it can run on another thread while the network and the
     /// tree move on.
     pub(crate) fn snapshot(&mut self, net: &ChordNetwork, tree: &KTree) {
-        let bound = tree.slot_bound();
+        let (bound, k) = (tree.slot_bound(), tree.k());
+        let slot = |s: usize| Some(KtNodeId(s as u32)).filter(|&id| tree.contains(id));
+        let nodes = bound + tree.len() - (0..bound).filter_map(slot).count();
         self.root = tree.root().0;
         self.len = tree.len();
-        refill(&mut self.parent, bound);
-        refill(&mut self.child_start, bound + 1);
-        refill(&mut self.child_list, self.len);
-        refill(&mut self.host_peer, bound);
-        refill(&mut self.flags, bound);
-        refill(&mut self.pending, bound);
+        self.k = k;
+        refill(&mut self.parent, nodes);
+        refill(&mut self.kids, bound * k);
+        refill(&mut self.host_peer, nodes);
+        refill(&mut self.flags, nodes);
+        refill(&mut self.pending, nodes);
+        self.parent.resize(bound, NIL);
+        self.host_peer.resize(bound, NIL);
+        self.kids.resize(bound * k, NIL);
+        let peer = |id: KtNodeId| net.vs(tree.node(id).host()).host.0;
         let mut leaves = 0;
-        for slot in 0..bound {
-            let id = KtNodeId(slot as u32);
-            let first_child = self.child_list.len();
-            self.child_start.push(first_child as u32);
-            if !tree.contains(id) {
-                self.parent.push(NIL);
-                self.host_peer.push(NIL);
-                continue;
-            }
+        for (s, id) in (0..bound).filter_map(|s| Some((s, slot(s)?))) {
             let node = tree.node(id);
-            self.parent.push(node.parent().map_or(NIL, |p| p.0));
-            self.host_peer.push(net.vs(node.host()).host.0);
-            self.child_list
-                .extend(node.children().flatten().map(|c| c.0));
-            leaves += usize::from(self.child_list.len() == first_child);
+            // An orphan cut loose under a leaf's handle: no leaf lists it,
+            // so nothing reaches it.
+            let parent = node.parent().filter(|p| p.leaf_entry().is_none());
+            self.parent[s] = parent.map_or(NIL, |p| p.0);
+            self.host_peer[s] = peer(id);
+            leaves += usize::from(node.is_leaf());
+            for (i, child) in node.children().enumerate() {
+                let Some(child) = child else { continue };
+                self.kids[s * k + i] = match child.leaf_entry() {
+                    None => child.0,
+                    Some(_) => {
+                        leaves += 1;
+                        self.parent.push(s as u32);
+                        self.host_peer.push(peer(child));
+                        (self.parent.len() - 1) as u32
+                    }
+                };
+            }
         }
-        self.child_start.push(self.child_list.len() as u32);
 
         let peers = net.peer_count() as u32;
         refill(&mut self.peer_underlay, peers as usize);
@@ -176,8 +192,8 @@ impl ProtocolScratch {
         self.crash_at.clear();
         self.crash_at.resize(net.peer_count(), NEVER);
         self.crashes = false;
-        self.flags.resize(bound, 0);
-        self.pending.resize(bound, 0);
+        self.flags.resize(nodes, 0);
+        self.pending.resize(nodes, 0);
         // A tree edge carries at most one event at a time, and the edges
         // that carry one at the same time have no ancestor among them (a
         // node sends up after its whole subtree, down before any of it), so
@@ -189,17 +205,17 @@ impl ProtocolScratch {
     /// The half of [`Self::bind`] that reads the oracle: one look-up per
     /// tree edge of the last [`Self::snapshot`] between two peers.
     pub(crate) fn resolve_latencies(&mut self, oracle: &DistanceOracle) {
-        let bound = self.parent.len();
-        refill(&mut self.edge_latency, bound);
+        let nodes = self.parent.len();
+        refill(&mut self.edge_latency, nodes);
         self.unattached.clear();
-        for slot in 0..bound {
+        for node in 0..nodes {
             // The root and vacant slots have no edge; neither has an orphan
             // whose stale parent slot was pruned (nothing can reach it).
-            let latency = match self.parent[slot] {
+            let latency = match self.parent[node] {
                 NIL => 0,
                 parent => {
                     let p = parent as usize;
-                    let (a, b) = (self.host_peer[slot], self.host_peer[p]);
+                    let (a, b) = (self.host_peer[node], self.host_peer[p]);
                     if a == b || b == NIL {
                         0
                     } else {
@@ -207,7 +223,7 @@ impl ProtocolScratch {
                         let (ua, ub) = (underlay(a), underlay(b));
                         if ua == u32::MAX || ub == u32::MAX {
                             let peer = if ua == u32::MAX { a } else { b };
-                            self.unattached.push((slot as u32, PeerId(peer)));
+                            self.unattached.push((node as u32, PeerId(peer)));
                             0
                         } else {
                             oracle.distance(ua, ub)
@@ -237,14 +253,26 @@ impl ProtocolScratch {
         }
     }
 
-    /// Children of `node`, in the tree's part order.
-    pub(crate) fn children(&self, node: u32) -> std::ops::Range<usize> {
-        self.child_start[node as usize] as usize..self.child_start[node as usize + 1] as usize
+    /// The index of the node `id` names in the bound tree.
+    pub(crate) fn index(&self, id: KtNodeId) -> u32 {
+        id.leaf_entry().map_or(id.0, |entry| self.kids[entry])
     }
 
-    /// The `i`-th entry of the flat child list (see [`Self::children`]).
+    /// The child-table entries of `node`, one per part in the tree's part
+    /// order ([`Self::child`]); none for a leaf held inline.
+    pub(crate) fn children(&self, node: u32) -> std::ops::Range<usize> {
+        let first = node as usize * self.k;
+        if first < self.kids.len() {
+            first..first + self.k
+        } else {
+            0..0
+        }
+    }
+
+    /// The index of the child at entry `i` (see [`Self::children`]), or
+    /// [`NIL`] where the part has none.
     pub(crate) fn child(&self, i: usize) -> u32 {
-        self.child_list[i]
+        self.kids[i]
     }
 
     /// Whether the peer hosting `node` is still up at `t` (crash-stop: dead

@@ -15,7 +15,7 @@ const BLOCK: usize = 256;
 
 /// A losslessly compressed distance row.
 ///
-/// The row is cut into [`BLOCK`]-entry blocks; each block stores its
+/// The row is cut into 256-entry blocks; each block stores its
 /// minimum plus per-entry deltas quantized to the narrowest of
 /// {0, 1, 2, 4} bytes that holds the block's largest delta. Decoding is a
 /// two-array lookup and an add, so point queries stay O(1). Compression is
