@@ -3,7 +3,8 @@ use proxbal_id::{Arc, Id};
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 use std::cmp::Reverse;
-use std::collections::{BTreeMap, BinaryHeap};
+use std::collections::{BinaryHeap, HashSet};
+use std::ops::Range;
 
 /// Handle of a physical DHT peer (an end host). Dense index; peers are never
 /// reused after leaving, so handles stay valid for the life of the network.
@@ -15,7 +16,7 @@ pub struct PeerId(pub u32);
 pub struct VsId(pub u32);
 
 /// Lifecycle state of a physical peer.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum PeerState {
     /// Participating in the overlay.
     Alive,
@@ -25,11 +26,10 @@ pub enum PeerState {
     Crashed,
 }
 
-/// A virtual server: one Chord protocol participant.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+/// A virtual server: one Chord protocol participant, as
+/// [`ChordNetwork::vs`] reads it from the network's columns.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub struct VirtualServer {
-    /// Self handle.
-    pub id: VsId,
     /// Position on the identifier ring (the VS's Chord id).
     pub position: Id,
     /// Physical peer currently hosting this VS.
@@ -40,29 +40,64 @@ pub struct VirtualServer {
 }
 
 /// A physical peer.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct Peer {
-    /// Self handle.
-    pub id: PeerId,
     /// Lifecycle state.
     pub state: PeerState,
-    /// Virtual servers currently hosted here (alive ones only).
-    pub virtual_servers: Vec<VsId>,
     /// Attachment point in the physical topology
     /// (`proxbal_topology::NodeId`), set by the experiment harness;
     /// `u32::MAX` when unattached.
     pub underlay: u32,
+    /// Its run of the network's shared column: `[start, start + len)` lists
+    /// the peer's alive virtual servers, `[start + len, start + cap)` is
+    /// slack it can grow into.
+    start: u32,
+    len: u32,
+    cap: u32,
 }
 
+impl Peer {
+    /// An alive, unattached peer listing the run `[start, start + len)`
+    /// with room for `cap` entries.
+    fn alive(start: u32, len: u32, cap: u32) -> Self {
+        Peer {
+            state: PeerState::Alive,
+            underlay: u32::MAX,
+            start,
+            len,
+            cap,
+        }
+    }
+
+    fn run(&self) -> Range<usize> {
+        self.start as usize..(self.start + self.len) as usize
+    }
+}
+
+/// What a slack entry of the shared column holds.
+const SLACK: VsId = VsId(u32::MAX);
+
 /// The simulated Chord overlay: peers, virtual servers and the ring.
+///
+/// Everything is a flat column. A virtual server is an index into a
+/// position column, a host column and an alive bit. A peer's virtual
+/// servers are one run of a shared column, in the order they arrived: a run
+/// that outgrows its capacity moves to the column's end with twice the
+/// capacity, leaving slack behind, and the column is compacted in place
+/// once its slack exceeds a quarter of its listed entries.
 ///
 /// All mutating operations keep the invariant that the set of alive virtual
 /// servers exactly matches the ring contents, and that every alive VS is
 /// listed by its host peer.
-#[derive(Clone, Debug, Default, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default)]
 pub struct ChordNetwork {
     peers: Vec<Peer>,
-    vss: Vec<VirtualServer>,
+    positions: Vec<Id>,
+    hosts: Vec<PeerId>,
+    /// One alive bit per virtual server, 64 to a word.
+    alive: Vec<u64>,
+    /// Every peer's run of virtual servers, and slack.
+    runs: Vec<VsId>,
     ring: Ring,
 }
 
@@ -84,10 +119,9 @@ impl ChordNetwork {
 
     /// Ids of currently alive peers.
     pub fn alive_peers(&self) -> Vec<PeerId> {
-        self.peers
-            .iter()
-            .filter(|p| p.state == PeerState::Alive)
-            .map(|p| p.id)
+        (0..self.peers.len() as u32)
+            .filter(|&p| self.peers[p as usize].state == PeerState::Alive)
+            .map(PeerId)
             .collect()
     }
 
@@ -102,8 +136,26 @@ impl ChordNetwork {
     }
 
     /// Virtual server metadata. Panics on an invalid handle.
-    pub fn vs(&self, v: VsId) -> &VirtualServer {
-        &self.vss[v.0 as usize]
+    pub fn vs(&self, v: VsId) -> VirtualServer {
+        let i = v.0 as usize;
+        VirtualServer {
+            position: self.positions[i],
+            host: self.hosts[i],
+            alive: self.is_alive(v),
+        }
+    }
+
+    fn is_alive(&self, v: VsId) -> bool {
+        self.alive[v.0 as usize / 64] >> (v.0 % 64) & 1 == 1
+    }
+
+    fn set_alive(&mut self, v: VsId, alive: bool) {
+        let (word, bit) = (v.0 as usize / 64, v.0 % 64);
+        if alive {
+            self.alive[word] |= 1 << bit;
+        } else {
+            self.alive[word] &= !(1 << bit);
+        }
     }
 
     /// Sets the underlay attachment point of a peer.
@@ -111,32 +163,144 @@ impl ChordNetwork {
         self.peers[p.0 as usize].underlay = underlay;
     }
 
-    /// All alive virtual servers of a peer.
+    /// All alive virtual servers of a peer, in the order they arrived.
     pub fn vss_of(&self, p: PeerId) -> &[VsId] {
-        &self.peers[p.0 as usize].virtual_servers
+        &self.runs[self.peers[p.0 as usize].run()]
     }
 
     /// The ownership region of an alive virtual server.
     pub fn region_of(&self, v: VsId) -> Arc {
-        let vs = &self.vss[v.0 as usize];
-        assert!(vs.alive, "region of dead virtual server {v:?}");
-        self.ring.region(vs.position)
+        assert!(self.is_alive(v), "region of dead virtual server {v:?}");
+        self.ring.region(self.positions[v.0 as usize])
+    }
+
+    /// A new alive peer whose run reserves `cap` entries at the column's
+    /// end.
+    fn new_peer(&mut self, cap: usize) -> PeerId {
+        let pid = PeerId(self.peers.len() as u32);
+        let start = self.runs.len();
+        self.runs.resize(start + cap, SLACK);
+        self.peers.push(Peer::alive(start as u32, 0, cap as u32));
+        pid
+    }
+
+    /// A new alive virtual server at `position` on `host`, in the columns
+    /// only: neither the ring nor the host's run lists it yet.
+    fn new_vs(&mut self, position: Id, host: PeerId) -> VsId {
+        let vid = VsId(self.positions.len() as u32);
+        self.positions.push(position);
+        self.hosts.push(host);
+        if vid.0.is_multiple_of(64) {
+            self.alive.push(0);
+        }
+        self.set_alive(vid, true);
+        vid
+    }
+
+    /// Appends `v` to `p`'s run, moving the run to the column's end with
+    /// twice the capacity when it is full.
+    fn push_to_run(&mut self, p: PeerId, v: VsId) {
+        let peer = &mut self.peers[p.0 as usize];
+        if peer.len == peer.cap {
+            let (run, start) = (peer.run(), self.runs.len());
+            let cap = (peer.cap * 2).max(1);
+            self.runs.extend_from_within(run.clone());
+            self.runs[run].fill(SLACK);
+            self.runs.resize(start + cap as usize, SLACK);
+            (peer.start, peer.cap) = (start as u32, cap);
+        }
+        self.runs[(peer.start + peer.len) as usize] = v;
+        peer.len += 1;
+    }
+
+    /// Deletes `v` from `p`'s run, keeping the others in order.
+    fn remove_from_run(&mut self, p: PeerId, v: VsId) {
+        let peer = &mut self.peers[p.0 as usize];
+        let run = peer.run();
+        let at = self.runs[run.clone()]
+            .iter()
+            .position(|&x| x == v)
+            .expect("host lists its virtual server");
+        self.runs
+            .copy_within(run.start + at + 1..run.end, run.start + at);
+        self.runs[run.end - 1] = SLACK;
+        peer.len -= 1;
+    }
+
+    /// Compacts the shared column in place once its slack is more than a
+    /// quarter of its listed entries: the slack is squeezed out, and runs
+    /// keep their column order but lose their own slack. Called after the
+    /// operations that unlist entries — a move, a drop, a departure — and
+    /// never during a join, whose reserved slack is about to fill.
+    fn compact_if_sparse(&mut self) {
+        let listed = self.ring.len();
+        if self.runs.len().saturating_sub(listed) <= listed / 4 {
+            return;
+        }
+        // A run's new start is the number of listed entries before its old
+        // one: a bit per entry, and a count before every word of 64.
+        let words = self.runs.len().div_ceil(64);
+        let (mut bits, mut before) = (Vec::with_capacity(words), Vec::with_capacity(words));
+        let mut total = 0;
+        for chunk in self.runs.chunks(64) {
+            let flags = chunk
+                .iter()
+                .zip(0..)
+                .map(|(&v, i)| u64::from(v != SLACK) << i);
+            let word = flags.fold(0, |word, flag| word | flag);
+            bits.push(word);
+            before.push(total);
+            total += word.count_ones();
+        }
+        for peer in &mut self.peers {
+            let (word, bit) = (peer.start as usize / 64, peer.start % 64);
+            peer.start = match peer.len {
+                0 => 0,
+                _ => before[word] + (bits[word] & ((1 << bit) - 1)).count_ones(),
+            };
+            peer.cap = peer.len;
+        }
+        self.runs.retain(|&v| v != SLACK);
     }
 
     /// Joins a new peer hosting `vs_count` virtual servers at uniformly
     /// random ring positions. Returns the new peer's id.
     pub fn join_peer<R: Rng>(&mut self, vs_count: usize, rng: &mut R) -> PeerId {
-        let pid = PeerId(self.peers.len() as u32);
-        self.peers.push(Peer {
-            id: pid,
-            state: PeerState::Alive,
-            virtual_servers: Vec::with_capacity(vs_count),
-            underlay: u32::MAX,
-        });
+        let pid = self.new_peer(vs_count);
         for _ in 0..vs_count {
             self.spawn_vs(pid, rng);
         }
         pid
+    }
+
+    /// Joins `peers` peers of `vs_per_peer` virtual servers each into a
+    /// network nothing has joined yet, indistinguishable from `peers` calls
+    /// of [`Self::join_peer`] — ring, stamp and journal, every handle, the
+    /// state `rng` is left in.
+    ///
+    /// Every position is drawn first, in join order, and a draw an earlier
+    /// one already took is redrawn at once, exactly as [`Self::spawn_vs`]
+    /// resamples on an occupied slot. The positions then join in one
+    /// [`Self::join_peers_at`], which draws nothing since none repeats.
+    pub fn join_peers<R: Rng>(&mut self, peers: usize, vs_per_peer: usize, rng: &mut R) {
+        if vs_per_peer == 0 {
+            for _ in 0..peers {
+                self.join_peer(0, rng);
+            }
+            return;
+        }
+        let count = peers * vs_per_peer;
+        let mut taken = HashSet::with_capacity(count);
+        let positions: Vec<Id> = (0..count)
+            .map(|_| loop {
+                let x: u32 = rng.gen();
+                if taken.insert(x) {
+                    break Id::new(x);
+                }
+            })
+            .collect();
+        drop(taken);
+        self.join_peers_at(&positions, vs_per_peer, rng);
     }
 
     /// Joins a new peer whose virtual servers sit at the given precomputed
@@ -145,13 +309,7 @@ impl ChordNetwork {
     /// resamples. The incremental counterpart of [`Self::join_peers_at`],
     /// and what that one is defined — and tested — to equal.
     pub fn join_peer_at<R: Rng>(&mut self, positions: &[Id], rng: &mut R) -> PeerId {
-        let pid = PeerId(self.peers.len() as u32);
-        self.peers.push(Peer {
-            id: pid,
-            state: PeerState::Alive,
-            virtual_servers: Vec::with_capacity(positions.len()),
-            underlay: u32::MAX,
-        });
+        let pid = self.new_peer(positions.len());
         for &position in positions {
             if self.spawn_vs_at(pid, position).is_none() {
                 self.spawn_vs(pid, rng);
@@ -173,9 +331,14 @@ impl ChordNetwork {
     /// holds it, that entry is the one that will find the slot occupied, so
     /// it queues up to resample in turn — always behind the entry that
     /// displaced it, which keeps the draws in join order.
+    ///
+    /// Every column is allocated once. The shared run column reserves half
+    /// as much again as it lists, more than compaction lets it hold, so the
+    /// round's transfers move runs into capacity that is already there;
+    /// capacity nothing has touched costs no memory.
     pub fn join_peers_at<R: Rng>(&mut self, positions: &[Id], vs_per_peer: usize, rng: &mut R) {
         assert!(
-            self.peers.is_empty() && self.vss.is_empty() && self.ring.version() == 0,
+            self.peers.is_empty() && self.positions.is_empty() && self.ring.version() == 0,
             "bulk join needs a network nothing has joined yet"
         );
         assert!(
@@ -183,10 +346,7 @@ impl ChordNetwork {
             "{} positions do not make whole peers of {vs_per_peer}",
             positions.len()
         );
-        assert!(
-            u32::try_from(positions.len()).is_ok(),
-            "virtual-server handles are 32-bit"
-        );
+        let count = u32::try_from(positions.len()).expect("virtual-server handles are 32-bit");
         let mut keys: Vec<u64> = positions
             .iter()
             .zip(0u64..)
@@ -196,74 +356,78 @@ impl ChordNetwork {
         let (pos_of, seq_of) = (|key: u64| (key >> 32) as u32, |key: u64| key as u32);
 
         // Entries still to resample (join order on top), and the positions
-        // handed out so far with the entry each went to.
+        // handed out so far with the entry each went to, by position.
         let mut colliders: BinaryHeap<Reverse<u32>> = keys
             .windows(2)
             .filter(|w| pos_of(w[0]) == pos_of(w[1]))
             .map(|w| Reverse(seq_of(w[1])))
             .collect();
-        let mut resampled: BTreeMap<u32, u32> = BTreeMap::new();
+        let mut resampled: Vec<(u32, u32)> = Vec::with_capacity(colliders.len());
         while let Some(Reverse(seq)) = colliders.pop() {
             loop {
                 let x: u32 = rng.gen();
-                if resampled.contains_key(&x) {
+                let Err(slot) = resampled.binary_search_by_key(&x, |&(x, _)| x) else {
                     continue;
-                }
+                };
                 let at = keys.partition_point(|&key| key < u64::from(x) << 32);
                 match keys.get(at).filter(|&&key| pos_of(key) == x) {
                     Some(&first) if seq_of(first) < seq => continue,
                     Some(&later) => colliders.push(Reverse(seq_of(later))),
                     None => {}
                 }
-                resampled.insert(x, seq);
+                resampled.insert(slot, (x, seq));
                 break;
             }
         }
 
-        self.vss = positions
-            .iter()
-            .zip(0u32..)
-            .map(|(&position, seq)| VirtualServer {
-                id: VsId(seq),
-                position,
-                host: PeerId(seq / vs_per_peer as u32),
-                alive: true,
-            })
-            .collect();
-        for (&x, &seq) in &resampled {
-            self.vss[seq as usize].position = Id::new(x);
-        }
-        let vs_per_peer = vs_per_peer as u32;
-        self.peers = (0..positions.len() as u32 / vs_per_peer)
-            .map(|p| Peer {
-                id: PeerId(p),
-                state: PeerState::Alive,
-                virtual_servers: (p * vs_per_peer..(p + 1) * vs_per_peer).map(VsId).collect(),
-                underlay: u32::MAX,
-            })
-            .collect();
-
         // The sorted keys, less every entry that joined elsewhere, merged
         // with the resampled positions: the ring in clockwise order.
-        let mut sorted = Vec::with_capacity(keys.len());
-        let mut moved = resampled.iter().map(|(&x, &seq)| (x, VsId(seq))).peekable();
+        let mut ring_positions = Vec::with_capacity(keys.len());
+        let mut servers = Vec::with_capacity(keys.len());
+        let mut push = |pos: u32, seq: u32| {
+            ring_positions.push(pos);
+            servers.push(VsId(seq));
+        };
+        let mut moved = resampled.iter().copied().peekable();
         let mut prev = None;
         for &key in &keys {
             let pos = pos_of(key);
             if prev.replace(pos) == Some(pos) {
                 continue;
             }
-            while let Some(entry) = moved.next_if(|&(x, _)| x < pos) {
-                sorted.push(entry);
+            while let Some((x, seq)) = moved.next_if(|&(x, _)| x < pos) {
+                push(x, seq);
             }
             // A resample took `pos` before this entry joined: it resampled
             // too, and the taker is merged in next.
             if moved.peek().is_none_or(|&(x, _)| x != pos) {
-                sorted.push((pos, VsId(seq_of(key))));
+                push(pos, seq_of(key));
             }
         }
-        sorted.extend(moved);
-        self.ring = Ring::bulk_load(sorted, self.vss.iter().map(|vs| (vs.position.raw(), vs.id)));
+        moved.for_each(|(x, seq)| push(x, seq));
+        drop(keys);
+
+        self.positions = positions.to_vec();
+        for &(x, seq) in &resampled {
+            self.positions[seq as usize] = Id::new(x);
+        }
+        let vs_per_peer = vs_per_peer as u32;
+        self.hosts = (0..count).map(|seq| PeerId(seq / vs_per_peer)).collect();
+        self.alive = vec![u64::MAX; count.div_ceil(64) as usize];
+        if !count.is_multiple_of(64) {
+            *self.alive.last_mut().expect("a partial word") = (1 << (count % 64)) - 1;
+        }
+        self.runs = Vec::with_capacity(count as usize * 3 / 2);
+        self.runs.extend((0..count).map(VsId));
+        self.peers = (0..count / vs_per_peer)
+            .map(|p| Peer::alive(p * vs_per_peer, vs_per_peer, vs_per_peer))
+            .collect();
+        let joined = self
+            .positions
+            .iter()
+            .zip(0..)
+            .map(|(p, seq)| (p.raw(), VsId(seq)));
+        self.ring = Ring::bulk_load(ring_positions, servers, joined);
     }
 
     /// Adds one more virtual server to an alive peer at a random position
@@ -285,17 +449,12 @@ impl ChordNetwork {
             PeerState::Alive,
             "cannot spawn a virtual server on a non-alive peer"
         );
-        let vid = VsId(self.vss.len() as u32);
+        let vid = VsId(self.positions.len() as u32);
         if !self.ring.insert(position, vid) {
             return None;
         }
-        self.vss.push(VirtualServer {
-            id: vid,
-            position,
-            host,
-            alive: true,
-        });
-        self.peers[host.0 as usize].virtual_servers.push(vid);
+        self.new_vs(position, host);
+        self.push_to_run(host, vid);
         Some(vid)
     }
 
@@ -317,25 +476,24 @@ impl ChordNetwork {
         let peer = &mut self.peers[p.0 as usize];
         assert_eq!(peer.state, PeerState::Alive, "peer {p:?} is not alive");
         peer.state = state;
-        let vss = std::mem::take(&mut peer.virtual_servers);
-        for v in vss {
-            let vs = &mut self.vss[v.0 as usize];
-            vs.alive = false;
-            self.ring.remove(vs.position);
+        let run = peer.run();
+        peer.len = 0;
+        for i in run {
+            let v = std::mem::replace(&mut self.runs[i], SLACK);
+            self.set_alive(v, false);
+            self.ring.remove(self.positions[v.0 as usize]);
         }
+        self.compact_if_sparse();
     }
 
     /// Removes a single virtual server from the ring (e.g. CFS-style load
     /// shedding). Its region is absorbed by its successor.
     pub fn drop_vs(&mut self, v: VsId) {
-        let vs = &mut self.vss[v.0 as usize];
-        assert!(vs.alive, "virtual server {v:?} already dead");
-        vs.alive = false;
-        self.ring.remove(vs.position);
-        let host = vs.host;
-        self.peers[host.0 as usize]
-            .virtual_servers
-            .retain(|&x| x != v);
+        assert!(self.is_alive(v), "virtual server {v:?} already dead");
+        self.set_alive(v, false);
+        self.ring.remove(self.positions[v.0 as usize]);
+        self.remove_from_run(self.hosts[v.0 as usize], v);
+        self.compact_if_sparse();
     }
 
     /// Transfers a virtual server to another alive peer — the unit of load
@@ -347,17 +505,18 @@ impl ChordNetwork {
             PeerState::Alive,
             "transfer target {to:?} is not alive"
         );
-        let vs = &mut self.vss[v.0 as usize];
-        assert!(vs.alive, "cannot transfer dead virtual server {v:?}");
-        let from = vs.host;
+        assert!(
+            self.is_alive(v),
+            "cannot transfer dead virtual server {v:?}"
+        );
+        let from = self.hosts[v.0 as usize];
         if from == to {
             return;
         }
-        vs.host = to;
-        self.peers[from.0 as usize]
-            .virtual_servers
-            .retain(|&x| x != v);
-        self.peers[to.0 as usize].virtual_servers.push(v);
+        self.hosts[v.0 as usize] = to;
+        self.remove_from_run(from, v);
+        self.push_to_run(to, v);
+        self.compact_if_sparse();
     }
 
     /// Splits a virtual server in two: a new virtual server is created at
@@ -369,31 +528,19 @@ impl ChordNetwork {
     /// loaded to fit any light node: halve it and place the halves
     /// separately. Panics if the region is too small to split (length < 2).
     pub fn split_vs(&mut self, v: VsId) -> VsId {
-        let vs = &self.vss[v.0 as usize];
-        assert!(vs.alive, "cannot split dead virtual server {v:?}");
-        let host = vs.host;
+        assert!(self.is_alive(v), "cannot split dead virtual server {v:?}");
+        let host = self.hosts[v.0 as usize];
         let region = self.region_of(v);
         assert!(region.len() >= 2, "region too small to split");
         // The midpoint key: the new VS sits there and owns (start-1, mid].
         let mid = region.start().wrapping_add(region.len() / 2 - 1);
-        let vid = VsId(self.vss.len() as u32);
-        assert!(
-            self.ring.insert(mid, vid),
-            "split midpoint collides with an existing virtual server"
-        );
-        self.vss.push(VirtualServer {
-            id: vid,
-            position: mid,
-            host,
-            alive: true,
-        });
-        self.peers[host.0 as usize].virtual_servers.push(vid);
-        vid
+        self.spawn_vs_at(host, mid)
+            .expect("split midpoint collides with an existing virtual server")
     }
 
     /// The peer owning `key` (via its owning virtual server).
     pub fn owner_peer(&self, key: Id) -> Option<PeerId> {
-        self.ring.owner(key).map(|v| self.vss[v.0 as usize].host)
+        self.ring.owner(key).map(|v| self.hosts[v.0 as usize])
     }
 
     /// Checks internal consistency; used by tests and debug assertions.
@@ -402,34 +549,54 @@ impl ChordNetwork {
         // Every ring entry is an alive VS at that position, hosted by an
         // alive peer that lists it.
         for (pos, v) in self.ring.iter() {
-            let vs = &self.vss[v.0 as usize];
+            if v.0 as usize >= self.positions.len() {
+                return Err(format!("ring references unknown vs {v:?}"));
+            }
+            let vs = self.vs(v);
             if !vs.alive {
                 return Err(format!("ring references dead vs {v:?}"));
             }
             if vs.position != pos {
                 return Err(format!("vs {v:?} position mismatch"));
             }
-            let host = &self.peers[vs.host.0 as usize];
-            if host.state != PeerState::Alive {
+            if self.peer(vs.host).state != PeerState::Alive {
                 return Err(format!("vs {v:?} hosted by non-alive peer"));
             }
-            if !host.virtual_servers.contains(&v) {
+            if !self.vss_of(vs.host).contains(&v) {
                 return Err(format!("host of {v:?} does not list it"));
             }
         }
-        // Every listed VS is alive and on the ring.
+        // Every run lies inside the column, apart from every other one, and
+        // lists alive virtual servers on the ring.
+        let mut spans = Vec::new();
         let mut listed = 0;
-        for peer in &self.peers {
-            for &v in &peer.virtual_servers {
+        for (p, peer) in (0..).map(PeerId).zip(&self.peers) {
+            if peer.len > peer.cap || (peer.start + peer.cap) as usize > self.runs.len() {
+                return Err(format!("peer {p:?} has a run outside the column"));
+            }
+            if peer.state != PeerState::Alive && peer.len > 0 {
+                return Err(format!("departed peer {p:?} lists virtual servers"));
+            }
+            if peer.cap > 0 {
+                spans.push((peer.start, peer.start + peer.cap));
+            }
+            for &v in self.vss_of(p) {
                 listed += 1;
-                let vs = &self.vss[v.0 as usize];
-                if !vs.alive || vs.host != peer.id {
-                    return Err(format!("peer {:?} lists invalid vs {v:?}", peer.id));
+                let vs = self.vs(v);
+                if !vs.alive || vs.host != p {
+                    return Err(format!("peer {p:?} lists invalid vs {v:?}"));
                 }
                 if self.ring.at(vs.position) != Some(v) {
                     return Err(format!("vs {v:?} missing from ring"));
                 }
             }
+        }
+        spans.sort_unstable();
+        if spans.windows(2).any(|w| w[0].1 > w[1].0) {
+            return Err("two peers' runs overlap".to_string());
+        }
+        if self.runs.iter().filter(|&&v| v != SLACK).count() != listed {
+            return Err("the run column holds an entry outside every run".to_string());
         }
         if listed != self.ring.len() {
             return Err(format!(

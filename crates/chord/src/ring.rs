@@ -1,7 +1,6 @@
 use crate::network::VsId;
 use proxbal_id::{Arc, Id};
-use serde::{Deserialize, Serialize};
-use std::collections::BTreeMap;
+use std::ops::Range;
 
 /// How many of the most recent membership changes a [`Ring`] remembers.
 /// Soft state derived from the ring (the K-nary tree) catches up from this
@@ -13,7 +12,7 @@ pub(crate) const JOURNAL_CAPACITY: usize = 4096;
 /// only if they went through the same sequence of inserts and removes — a
 /// clone that diverged, or an unrelated ring that happens to have seen as
 /// many changes, does not.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub struct RingStamp {
     version: u64,
     fingerprint: u64,
@@ -21,7 +20,7 @@ pub struct RingStamp {
 
 /// One journalled change: the position inserted or removed, and the ring's
 /// fingerprint just before it.
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug)]
 struct Change {
     pos: u32,
     before: u64,
@@ -34,14 +33,21 @@ struct Change {
 /// virtual server at position `p` with predecessor at position `q` owns the
 /// arc `(q, p]`, represented here half-open as `[q+1, p+1)`.
 ///
+/// The ring is a range partition of the key space, held as two sorted
+/// columns: every query is a `partition_point`, a region's contents are at
+/// most two index ranges, and an insert or remove is a binary search plus
+/// one shift of each column.
+///
 /// Every successful [`Ring::insert`] / [`Ring::remove`] bumps a version
 /// counter and is recorded in a bounded journal, so state computed from an
 /// earlier ring can ask [`Ring::changes_since`] which positions moved
 /// instead of re-reading the whole ring.
-#[derive(Clone, Debug, Default, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default)]
 pub struct Ring {
-    /// Ring position → virtual server planted there. Positions are unique.
-    by_pos: BTreeMap<u32, VsId>,
+    /// Ring positions, strictly ascending.
+    positions: Vec<u32>,
+    /// The virtual server planted at each position, index for index.
+    servers: Vec<VsId>,
     /// Number of successful mutations so far.
     version: u64,
     /// Rolling hash of the mutation sequence (see [`RingStamp`]).
@@ -60,50 +66,58 @@ impl Ring {
 
     /// Number of virtual servers on the ring.
     pub fn len(&self) -> usize {
-        self.by_pos.len()
+        self.positions.len()
     }
 
     /// True iff the ring has no virtual servers.
     pub fn is_empty(&self) -> bool {
-        self.by_pos.is_empty()
+        self.positions.is_empty()
+    }
+
+    /// Index of the first position `≥ pos`.
+    fn first_at_or_after(&self, pos: u32) -> usize {
+        self.positions.partition_point(|&p| p < pos)
     }
 
     /// Inserts a virtual server at `pos`. Returns `false` (and does nothing)
     /// if the position is already taken — callers resample a fresh random id.
     pub fn insert(&mut self, pos: Id, vs: VsId) -> bool {
-        use std::collections::btree_map::Entry;
-        match self.by_pos.entry(pos.raw()) {
-            Entry::Occupied(_) => false,
-            Entry::Vacant(e) => {
-                e.insert(vs);
-                self.record(pos.raw(), vs, false);
-                true
-            }
-        }
+        let Err(i) = self.positions.binary_search(&pos.raw()) else {
+            return false;
+        };
+        self.positions.insert(i, pos.raw());
+        self.servers.insert(i, vs);
+        self.record(pos.raw(), vs, false);
+        true
     }
 
     /// Removes the virtual server at `pos`, returning it if present.
     pub fn remove(&mut self, pos: Id) -> Option<VsId> {
-        let vs = self.by_pos.remove(&pos.raw())?;
+        let i = self.positions.binary_search(&pos.raw()).ok()?;
+        self.positions.remove(i);
+        let vs = self.servers.remove(i);
         self.record(pos.raw(), vs, true);
         Some(vs)
     }
 
     /// The ring that inserting `joined` one by one into an empty ring leaves
     /// behind — contents, stamp and journal — given the same entries once
-    /// more as `sorted`, strictly ascending by position. The map is built
-    /// bottom-up from the sorted run instead of by one search per entry.
+    /// more as the two columns, strictly ascending by position.
     pub(crate) fn bulk_load(
-        sorted: Vec<(u32, VsId)>,
+        positions: Vec<u32>,
+        servers: Vec<VsId>,
         joined: impl Iterator<Item = (u32, VsId)>,
     ) -> Ring {
-        debug_assert!(sorted.windows(2).all(|w| w[0].0 < w[1].0));
+        debug_assert!(positions.windows(2).all(|w| w[0] < w[1]));
+        assert_eq!(positions.len(), servers.len());
         let mut ring = Ring::new();
+        ring.journal
+            .reserve_exact(positions.len().min(JOURNAL_CAPACITY));
         for (pos, vs) in joined {
             ring.record(pos, vs, false);
         }
-        assert_eq!(ring.version, sorted.len() as u64);
-        ring.by_pos = BTreeMap::from_iter(sorted);
+        assert_eq!(ring.version, positions.len() as u64);
+        (ring.positions, ring.servers) = (positions, servers);
         ring
     }
 
@@ -171,36 +185,38 @@ impl Ring {
 
     /// The virtual server registered exactly at `pos`, if any.
     pub fn at(&self, pos: Id) -> Option<VsId> {
-        self.by_pos.get(&pos.raw()).copied()
+        let i = self.positions.binary_search(&pos.raw()).ok()?;
+        Some(self.servers[i])
+    }
+
+    /// The entry at index `i`, wrapping past the last one to the first.
+    fn entry(&self, i: usize) -> Option<(Id, VsId)> {
+        let i = if i < self.len() { i } else { 0 };
+        let pos = *self.positions.get(i)?;
+        Some((Id::new(pos), self.servers[i]))
     }
 
     /// The successor of `key`: the first virtual server at a position `≥ key`
     /// in clockwise (wrapping) order. This is the **owner** of `key`.
     pub fn owner(&self, key: Id) -> Option<VsId> {
-        self.by_pos
-            .range(key.raw()..)
-            .next()
-            .or_else(|| self.by_pos.iter().next())
-            .map(|(_, &vs)| vs)
+        self.entry(self.first_at_or_after(key.raw()))
+            .map(|(_, vs)| vs)
     }
 
     /// The virtual server strictly before `pos` in clockwise order (the
     /// predecessor of a VS planted at `pos`).
     pub fn predecessor(&self, pos: Id) -> Option<(Id, VsId)> {
-        self.by_pos
-            .range(..pos.raw())
-            .next_back()
-            .or_else(|| self.by_pos.iter().next_back())
-            .map(|(&p, &vs)| (Id::new(p), vs))
+        let i = self.first_at_or_after(pos.raw());
+        self.entry(if i > 0 {
+            i - 1
+        } else {
+            self.len().checked_sub(1)?
+        })
     }
 
     /// The virtual server strictly after `pos` in clockwise order.
     pub fn successor_after(&self, pos: Id) -> Option<(Id, VsId)> {
-        self.by_pos
-            .range(pos.raw().wrapping_add(1)..)
-            .next()
-            .or_else(|| self.by_pos.iter().next())
-            .map(|(&p, &vs)| (Id::new(p), vs))
+        self.entry(self.positions.partition_point(|&p| p <= pos.raw()))
     }
 
     /// The ownership region of the virtual server at `pos`: `(pred, pos]`.
@@ -214,42 +230,53 @@ impl Ring {
         }
     }
 
-    /// Number of virtual-server positions inside `region`, counting at most
-    /// `cap` — an early-exit variant for callers that only need to
-    /// distinguish "empty / one / more" (the K-nary tree's split rule asks
-    /// exactly that for every candidate region, so a full range scan per
-    /// node would make tree construction quadratic at 50k+ scale).
-    pub fn count_in_at_most(&self, region: &Arc, cap: usize) -> usize {
-        self.iter_in(region).take(cap).count()
+    /// The index ranges of the positions inside `region`, clockwise: one
+    /// range, or two when the region wraps past 0.
+    fn ranges_in(&self, region: &Arc) -> [Range<usize>; 2] {
+        let none = 0..0;
+        if region.is_empty() {
+            return [none.clone(), none];
+        }
+        if region.is_full() {
+            return [0..self.len(), none];
+        }
+        let lo = self.first_at_or_after(region.start().raw());
+        let hi = self.first_at_or_after(region.end().raw()); // exclusive end
+        if region.start() < region.end() {
+            [lo..hi, none]
+        } else {
+            // Wraps past 0: [start, 2^32) ∪ [0, end).
+            [lo..self.len(), 0..hi]
+        }
+    }
+
+    /// Number of virtual-server positions inside `region`, in two binary
+    /// searches.
+    pub fn count_in(&self, region: &Arc) -> usize {
+        self.ranges_in(region)
+            .iter()
+            .map(ExactSizeIterator::len)
+            .sum()
     }
 
     /// Iterates the virtual servers whose positions lie inside `region`,
     /// clockwise, without materializing them.
     pub fn iter_in<'a>(&'a self, region: &Arc) -> impl Iterator<Item = (Id, VsId)> + 'a {
-        use std::ops::Bound::{Excluded, Included, Unbounded};
-        let none = (Included(0u32), Excluded(0u32));
-        let (first, second) = if region.is_empty() {
-            (none, none)
-        } else if region.is_full() {
-            ((Unbounded, Unbounded), none)
-        } else {
-            let start = region.start().raw();
-            let end = region.end().raw(); // exclusive
-            if start < end {
-                ((Included(start), Excluded(end)), none)
-            } else {
-                // Wraps past 0: [start, 2^32) ∪ [0, end).
-                ((Included(start), Unbounded), (Unbounded, Excluded(end)))
-            }
-        };
-        self.by_pos
-            .range(first)
-            .chain(self.by_pos.range(second))
-            .map(|(&p, &vs)| (Id::new(p), vs))
+        let [first, second] = self.ranges_in(region);
+        first
+            .chain(second)
+            .map(|i| (Id::new(self.positions[i]), self.servers[i]))
     }
 
     /// Iterates `(position, vs)` in clockwise order starting from 0.
     pub fn iter(&self) -> impl Iterator<Item = (Id, VsId)> + '_ {
-        self.by_pos.iter().map(|(&p, &vs)| (Id::new(p), vs))
+        let positions = self.positions.iter().map(|&p| Id::new(p));
+        positions.zip(self.servers.iter().copied())
+    }
+
+    /// The ring as its two columns: every position clockwise from 0, and
+    /// the virtual server planted at each.
+    pub fn columns(&self) -> (&[u32], &[VsId]) {
+        (&self.positions, &self.servers)
     }
 }

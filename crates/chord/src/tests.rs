@@ -462,11 +462,7 @@ fn assert_same_network(
         assert_eq!(bulk.vss_of(PeerId(p)), replay.vss_of(PeerId(p)));
     }
     for v in (0..vs_count as u32).map(VsId) {
-        let (a, b) = (bulk.vs(v), replay.vs(v));
-        assert_eq!(
-            (a.id, a.position, a.host, a.alive),
-            (b.id, b.position, b.host, b.alive)
-        );
+        assert_eq!(bulk.vs(v), replay.vs(v));
     }
     bulk.check_invariants().unwrap();
     assert!(format!("{bulk:?}") == format!("{replay:?}"));
@@ -578,4 +574,298 @@ proptest! {
             Narrow(StdRng::seed_from_u64(seed ^ 0xB01C))
         });
     }
+}
+
+// ── The overlay against an independent model ─────────────────────────────
+
+/// The overlay as plain per-peer lists and a position list answered by
+/// scanning: what [`ChordNetwork`]'s columns, runs and sorted ring must
+/// agree with after every operation.
+#[derive(Default)]
+struct Model {
+    alive_peers: Vec<bool>,
+    lists: Vec<Vec<VsId>>,
+    /// Per virtual server: position, host, alive.
+    vss: Vec<(u32, PeerId, bool)>,
+    /// The ring, in no order.
+    ring: Vec<(u32, VsId)>,
+}
+
+impl Model {
+    fn spawn_at(&mut self, host: PeerId, pos: u32) -> Option<VsId> {
+        if self.ring.iter().any(|&(p, _)| p == pos) {
+            return None;
+        }
+        let v = VsId(self.vss.len() as u32);
+        self.vss.push((pos, host, true));
+        self.ring.push((pos, v));
+        self.lists[host.0 as usize].push(v);
+        Some(v)
+    }
+
+    fn spawn(&mut self, host: PeerId, rng: &mut impl Rng) -> VsId {
+        loop {
+            if let Some(v) = self.spawn_at(host, rng.gen()) {
+                return v;
+            }
+        }
+    }
+
+    fn join(&mut self, vs_count: usize, rng: &mut impl Rng) -> PeerId {
+        let p = PeerId(self.lists.len() as u32);
+        self.alive_peers.push(true);
+        self.lists.push(Vec::new());
+        for _ in 0..vs_count {
+            self.spawn(p, rng);
+        }
+        p
+    }
+
+    fn unlist(&mut self, v: VsId) {
+        self.vss[v.0 as usize].2 = false;
+        self.ring.retain(|&(_, x)| x != v);
+    }
+
+    fn retire(&mut self, p: PeerId) {
+        self.alive_peers[p.0 as usize] = false;
+        for v in std::mem::take(&mut self.lists[p.0 as usize]) {
+            self.unlist(v);
+        }
+    }
+
+    fn drop_vs(&mut self, v: VsId) {
+        self.unlist(v);
+        let host = self.vss[v.0 as usize].1;
+        self.lists[host.0 as usize].retain(|&x| x != v);
+    }
+
+    fn transfer(&mut self, v: VsId, to: PeerId) {
+        let from = std::mem::replace(&mut self.vss[v.0 as usize].1, to);
+        if from != to {
+            self.lists[from.0 as usize].retain(|&x| x != v);
+            self.lists[to.0 as usize].push(v);
+        }
+    }
+
+    /// The first entry by `key(position)` among the positions `keep`
+    /// accepts, else the first of all.
+    fn first_by(&self, keep: impl Fn(u32) -> bool, key: impl Fn(u32) -> u32) -> Option<(Id, VsId)> {
+        let best =
+            |it: &mut dyn Iterator<Item = &(u32, VsId)>| it.min_by_key(|e| key(e.0)).copied();
+        best(&mut self.ring.iter().filter(|e| keep(e.0)))
+            .or_else(|| best(&mut self.ring.iter()))
+            .map(|(p, v)| (Id::new(p), v))
+    }
+
+    fn owner(&self, key: u32) -> Option<(Id, VsId)> {
+        self.first_by(|p| p >= key, |p| p)
+    }
+
+    fn successor_after(&self, key: u32) -> Option<(Id, VsId)> {
+        self.first_by(|p| p > key, |p| p)
+    }
+
+    fn predecessor(&self, key: u32) -> Option<(Id, VsId)> {
+        self.first_by(|p| p < key, |p| u32::MAX - p)
+    }
+
+    fn region(&self, pos: u32) -> proxbal_id::Arc {
+        match self.predecessor(pos) {
+            Some((pred, _)) if pred.raw() != pos => proxbal_id::Arc::new(
+                Id::new(pred.raw().wrapping_add(1)),
+                u64::from(pos.wrapping_sub(pred.raw())),
+            ),
+            _ => proxbal_id::Arc::full(Id::new(pos.wrapping_add(1))),
+        }
+    }
+
+    /// The entries inside `region`: clockwise from its start, or from 0
+    /// when it is the full ring.
+    fn inside(&self, region: &proxbal_id::Arc) -> Vec<(Id, VsId)> {
+        let mut inside: Vec<_> = (self.ring.iter())
+            .filter(|&&(p, _)| region.contains(Id::new(p)))
+            .map(|&(p, v)| (Id::new(p), v))
+            .collect();
+        let start = if region.is_full() {
+            0
+        } else {
+            region.start().raw()
+        };
+        inside.sort_by_key(|&(p, _)| p.raw().wrapping_sub(start));
+        inside
+    }
+}
+
+/// Everything [`ChordNetwork`] answers, against the model: every peer's
+/// list in order, every virtual server, and the ring's point and range
+/// queries at random keys, at every occupied position and beside it, and
+/// on random regions.
+fn assert_matches_model(net: &ChordNetwork, model: &Model, rng: &mut StdRng) {
+    net.check_invariants().unwrap();
+    let ring = net.ring();
+    assert_eq!(ring.len(), model.ring.len());
+    let alive: Vec<PeerId> = (0..model.lists.len() as u32)
+        .map(PeerId)
+        .filter(|p| model.alive_peers[p.0 as usize])
+        .collect();
+    assert_eq!(net.alive_peers(), alive);
+    for (p, list) in (0..).map(PeerId).zip(&model.lists) {
+        assert_eq!(net.vss_of(p), &list[..], "peer {p:?}");
+    }
+    for (v, &(position, host, alive)) in (0..).map(VsId).zip(&model.vss) {
+        let want = VirtualServer {
+            position: Id::new(position),
+            host,
+            alive,
+        };
+        assert_eq!(net.vs(v), want, "{v:?}");
+    }
+    let occupied = model
+        .ring
+        .iter()
+        .flat_map(|&(p, _)| [p.wrapping_sub(1), p, p.wrapping_add(1)]);
+    let random: Vec<u32> = (0..8).map(|_| rng.gen()).collect();
+    for key in occupied.chain(random).chain([0, u32::MAX]) {
+        let id = Id::new(key);
+        assert_eq!(
+            ring.owner(id),
+            model.owner(key).map(|(_, v)| v),
+            "owner {key}"
+        );
+        assert_eq!(
+            ring.predecessor(id),
+            model.predecessor(key),
+            "predecessor {key}"
+        );
+        assert_eq!(
+            ring.successor_after(id),
+            model.successor_after(key),
+            "after {key}"
+        );
+        let at = model.ring.iter().find(|&&(p, _)| p == key).map(|&(_, v)| v);
+        assert_eq!(ring.at(id), at, "at {key}");
+        if !model.ring.is_empty() {
+            assert_eq!(ring.region(id), model.region(key), "region {key}");
+        }
+    }
+    let mut regions = vec![
+        proxbal_id::Arc::full(Id::new(rng.gen())),
+        proxbal_id::Arc::empty(Id::new(rng.gen())),
+    ];
+    for _ in 0..8 {
+        let len = if rng.gen() {
+            rng.gen_range(0..96)
+        } else {
+            rng.gen_range(0..=1 << 32)
+        };
+        regions.push(proxbal_id::Arc::new(
+            Id::new(rng.gen_range(0..80u32).wrapping_sub(8)),
+            len,
+        ));
+    }
+    for region in &regions {
+        let want = model.inside(region);
+        assert!(
+            ring.iter_in(region).eq(want.iter().copied()),
+            "iter_in {region:?}"
+        );
+        assert_eq!(ring.count_in(region), want.len(), "count_in {region:?}");
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// Random histories of joins, departures, moves, splits, drops and
+    /// spawns on positions from `0..64` (so draws collide all the time and
+    /// runs move and compact every few steps), checked against the model
+    /// after every step.
+    #[test]
+    fn prop_overlay_equals_the_model(seed in 0u64..100_000, steps in 1usize..120) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let (mut draws, mut model_draws) = (Narrow(StdRng::seed_from_u64(seed)), Narrow(StdRng::seed_from_u64(seed)));
+        let (mut net, mut model) = (ChordNetwork::new(), Model::default());
+        for _ in 0..steps {
+            let alive: Vec<PeerId> = net.alive_peers();
+            let vss: Vec<VsId> = net.ring().iter().map(|(_, v)| v).collect();
+            let room = vss.len() < 48;
+            let peer = (!alive.is_empty()).then(|| alive[rng.gen_range(0..alive.len())]);
+            let vs = (!vss.is_empty()).then(|| vss[rng.gen_range(0..vss.len())]);
+            match (rng.gen_range(0..7u8), peer, vs) {
+                (1, Some(p), _) => {
+                    net.leave_peer(p);
+                    model.retire(p);
+                }
+                (2, Some(p), _) => {
+                    net.crash_peer(p);
+                    model.retire(p);
+                }
+                (3, Some(to), Some(v)) => {
+                    net.transfer_vs(v, to);
+                    model.transfer(v, to);
+                }
+                (4, _, Some(v)) if room && net.region_of(v).len() >= 2 => {
+                    let region = model.region(net.vs(v).position.raw());
+                    let mid = region.start().raw().wrapping_add((region.len() / 2 - 1) as u32);
+                    let host = net.vs(v).host;
+                    prop_assert_eq!(Some(net.split_vs(v)), model.spawn_at(host, mid));
+                }
+                (5, _, Some(v)) => {
+                    net.drop_vs(v);
+                    model.drop_vs(v);
+                }
+                (6, Some(p), _) if room => {
+                    prop_assert_eq!(net.spawn_vs(p, &mut draws), model.spawn(p, &mut model_draws));
+                }
+                _ if room => {
+                    let count = rng.gen_range(0..4);
+                    prop_assert_eq!(net.join_peer(count, &mut draws), model.join(count, &mut model_draws));
+                }
+                _ => {}
+            }
+            assert_matches_model(&net, &model, &mut rng);
+        }
+    }
+}
+
+/// [`ChordNetwork::join_peers`] against `peers` calls of `join_peer`:
+/// ring, stamp, journal, every handle and list, and the next draw.
+fn serial_join_matches_the_loop<R: Rng + rand::RngCore>(
+    peers: usize,
+    vs_per_peer: usize,
+    mut rng: impl FnMut() -> R,
+) {
+    let (mut bulk_rng, mut loop_rng) = (rng(), rng());
+    let mut looped = ChordNetwork::new();
+    let mut since = looped.ring().stamp();
+    for i in 0..peers {
+        if i + 2 == peers {
+            since = looped.ring().stamp();
+        }
+        looped.join_peer(vs_per_peer, &mut loop_rng);
+    }
+    let mut bulk = ChordNetwork::new();
+    bulk.join_peers(peers, vs_per_peer, &mut bulk_rng);
+    assert_same_network(&bulk, &looped, since, peers * vs_per_peer);
+    assert_eq!(bulk_rng.next_u32(), loop_rng.next_u32());
+}
+
+#[test]
+fn serial_bulk_join_equals_the_join_peer_loop() {
+    // Repeats, scripted: the third draw repeats the first and the fourth
+    // the second; both are redrawn at once, before the next server's.
+    let draws = [5, 9, 5, 7, 9, 11, 7, 3];
+    serial_join_matches_the_loop(3, 2, || Script::new(&draws));
+    let mut rng = Script::new(&draws);
+    let mut net = ChordNetwork::new();
+    net.join_peers(3, 2, &mut rng);
+    let positions: Vec<u32> = (0..6).map(|v| net.vs(VsId(v)).position.raw()).collect();
+    assert_eq!(positions, [5, 9, 7, 11, 3, 0xF000_0009]);
+    // Positions from `0..64`: many repeats, some redrawn more than once.
+    for seed in 0..32 {
+        serial_join_matches_the_loop(9, 4, || Narrow(StdRng::seed_from_u64(seed)));
+    }
+    serial_join_matches_the_loop(300, 5, || StdRng::seed_from_u64(7));
+    // Peers without virtual servers draw nothing.
+    serial_join_matches_the_loop(4, 0, || StdRng::seed_from_u64(8));
 }

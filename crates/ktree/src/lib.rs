@@ -33,11 +33,9 @@
 //! child entry and takes no slot (DESIGN.md §6b).
 
 mod aggregate;
-mod node_map;
 mod tree;
 
 pub use aggregate::{AggregateInput, AggregateOutcome, Merge};
-pub use node_map::KtNodeMap;
 pub use tree::{KTree, KtNode, KtNodeId, RepairAction, RepairStats};
 
 /// The test binary counts allocations (inert until a test enables it): the

@@ -386,21 +386,16 @@ impl DirtyArcs {
     }
 }
 
-/// The ring as the builders read it: every position clockwise from 0 with
-/// the virtual server planted there, in two flat arrays. The root's region
-/// is the whole ring anchored at 0, so a region's contents are one index
-/// range and what a builder asks of the ring is arithmetic on it.
-struct Snapshot {
-    positions: Vec<u32>,
-    vss: Vec<VsId>,
+/// The ring as the builders read it: its two columns, every position
+/// clockwise from 0 beside the virtual server planted there. The root's
+/// region is the whole ring anchored at 0, so a region's contents are one
+/// index range and what a builder asks of the ring is arithmetic on it.
+struct Columns<'a> {
+    positions: &'a [u32],
+    vss: &'a [VsId],
 }
 
-impl Snapshot {
-    fn of(ring: &Ring) -> Self {
-        let (positions, vss) = ring.iter().map(|(pos, vs)| (pos.raw(), vs)).unzip();
-        Snapshot { positions, vss }
-    }
-
+impl Columns<'_> {
     /// [`KTree::host_for`] for a non-empty `region` whose positions are the
     /// entries `inside`: the sole one, else the owner of the center — the
     /// first entry at or after it, which past the region's last entry is
@@ -456,29 +451,28 @@ impl KTree {
             "cannot build a tree over an empty DHT"
         );
         let _prof = proxbal_profile::phase("tree");
-        let sub = proxbal_profile::phase("tree/snapshot");
-        let snapshot = Snapshot::of(net.ring());
-        drop(sub);
+        let (positions, vss) = net.ring().columns();
+        let columns = Columns { positions, vss };
 
-        let everything = 0..snapshot.vss.len();
+        let everything = 0..vss.len();
         let mut tree = Self::empty(net, k, Self::arena_estimate(everything.len()));
         let ring = Arc::full(Id::ZERO);
-        let host = snapshot.host_for(&ring, everything.clone());
+        let host = columns.host_for(&ring, everything.clone());
         tree.root = tree.alloc(&ring, host, None, 0);
         let _sub = proxbal_profile::phase("tree/grow");
-        tree.grow(&snapshot, tree.root, everything);
+        tree.grow(&columns, tree.root, everything);
         tree
     }
 
-    /// Grows the whole subtree under `id`, whose region holds the snapshot
+    /// Grows the whole subtree under `id`, whose region holds the ring
     /// entries `inside`, depth first with children in part order.
     ///
-    /// Every rule of the tree is index arithmetic on the sorted snapshot: a
+    /// Every rule of the tree is index arithmetic on the sorted ring: a
     /// region is a leaf iff it holds at most one entry, a part needs a child
     /// iff it holds at least one, and the parts' entry ranges are found by
     /// binary search inside the parent's. A part that holds one entry is a
     /// leaf planted in that entry's virtual server, held inline.
-    fn grow(&mut self, snapshot: &Snapshot, id: KtNodeId, inside: Range<usize>) {
+    fn grow(&mut self, columns: &Columns, id: KtNodeId, inside: Range<usize>) {
         if inside.len() <= 1 {
             return;
         }
@@ -496,17 +490,17 @@ impl KTree {
             let hi = if i + 1 == self.k {
                 inside.end
             } else {
-                lo + snapshot.positions[lo..inside.end].partition_point(|&p| u64::from(p) < end)
+                lo + columns.positions[lo..inside.end].partition_point(|&p| u64::from(p) < end)
             };
             if hi - lo == 1 {
-                self.nodes.kids[id.0 as usize * self.k + i] = inline_leaf(snapshot.vss[lo]);
+                self.nodes.kids[id.0 as usize * self.k + i] = inline_leaf(columns.vss[lo]);
                 self.leaves += 1;
             } else if lo < hi {
                 let part = Arc::new(Id::new(start as u32), part_len);
-                let host = snapshot.host_for(&part, lo..hi);
+                let host = columns.host_for(&part, lo..hi);
                 let child = self.alloc(&part, host, Some(id), depth);
                 self.set_child(id, i, Some(child));
-                self.grow(snapshot, child, lo..hi);
+                self.grow(columns, child, lo..hi);
             }
             (start, lo) = (end, hi);
         }
@@ -557,7 +551,7 @@ impl KTree {
 
     /// Whether a node over `region` should be a leaf.
     fn is_leaf_region(net: &ChordNetwork, region: &Arc) -> bool {
-        net.ring().count_in_at_most(region, 2) <= 1
+        net.ring().count_in(region) <= 1
     }
 
     /// Tree degree `K`.
@@ -576,8 +570,8 @@ impl KTree {
     }
 
     /// Exclusive upper bound on the slots of live handles — the arena
-    /// length, used to size flat per-slot vectors ([`crate::KtNodeMap`],
-    /// protocol scratch tables). A leaf's entry is below `slot_bound · K`.
+    /// length, used to size flat per-slot vectors (protocol scratch
+    /// tables). A leaf's entry is below `slot_bound · K`.
     pub fn slot_bound(&self) -> usize {
         self.nodes.depths.len()
     }
@@ -825,7 +819,7 @@ impl KTree {
         for i in 0..self.k {
             let part = region.child(i, self.k);
             // A leaf prunes any children.
-            let needed = !leaf && !part.is_empty() && net.ring().count_in_at_most(&part, 1) >= 1;
+            let needed = !leaf && !part.is_empty() && net.ring().count_in(&part) >= 1;
             let entry = id.0 as usize * self.k + i;
             match (needed, self.child(id, i)) {
                 (false, Some(_)) => {
@@ -917,7 +911,7 @@ impl KTree {
             }
             for (i, child) in node.children().enumerate() {
                 let part = region.child(i, self.k);
-                let needed = !part.is_empty() && net.ring().count_in_at_most(&part, 1) >= 1;
+                let needed = !part.is_empty() && net.ring().count_in(&part) >= 1;
                 match child {
                     Some(child) => {
                         if !needed {

@@ -3,8 +3,9 @@
 //! hop = 1), complementing the round counts with real message delays.
 
 use proxbal_chord::ChordNetwork;
-use proxbal_ktree::{KTree, KtNodeId, KtNodeMap};
+use proxbal_ktree::{KTree, KtNodeId};
 use proxbal_topology::DistanceOracle;
+use std::collections::HashMap;
 
 /// Physical latency of the tree edge from `child` to its parent: the
 /// shortest-path distance between the peers hosting the two KT nodes
@@ -39,13 +40,13 @@ pub fn root_path_latencies(
     net: &ChordNetwork,
     oracle: &DistanceOracle,
     tree: &KTree,
-) -> KtNodeMap<u64> {
-    let mut out = KtNodeMap::for_tree(tree);
+) -> HashMap<KtNodeId, u64> {
+    let mut out = HashMap::new();
     let mut queue = std::collections::VecDeque::new();
     out.insert(tree.root(), 0u64);
     queue.push_back(tree.root());
     while let Some(id) = queue.pop_front() {
-        let base = out[id];
+        let base = out[&id];
         for child in tree.node(id).children().flatten() {
             let l = u64::from(edge_latency(net, oracle, tree, child));
             out.insert(child, base + l);

@@ -176,12 +176,11 @@ impl Scenario {
         } else {
             let _sub = proxbal_profile::phase("prepare/ring");
             let mut net = ChordNetwork::new();
-            for i in 0..self.peers {
-                net.join_peer(self.vs_per_peer, &mut rng);
-                if (i + 1).is_multiple_of(65_536) {
-                    progress.event(&format!("prepare: joined {}/{} peers", i + 1, self.peers));
-                }
-            }
+            net.join_peers(self.peers, self.vs_per_peer, &mut rng);
+            progress.event(&format!(
+                "prepare: joined {}/{} peers",
+                self.peers, self.peers
+            ));
             net
         };
 

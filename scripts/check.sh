@@ -177,11 +177,13 @@ if [[ "$PROFILE_SMOKE" == "1" ]]; then
   # Allocation sizes are a pure function of the scenario, so the bytes the
   # `tree` phase asks for guard the packed K-nary-tree arena (DESIGN.md §6b)
   # without a million-peer run: leaves take no slot, so 81,920 positions
-  # reserve 3/2 × 81,920 + 16 = 122,896 slots at 25 B (3.07 MB), plus the
-  # 655,360-B ring snapshot, 3.7 MB (6.3 MB when every leaf took a slot).
+  # reserve 3/2 × 81,920 + 16 = 122,896 slots at 25 B = 3,072,400 B, and
+  # the build reads the ring's columns in place (3,075,385 B in all; a
+  # copy of the ring adds 655,360 B, and one slot per leaf 6.3 MB). The cap
+  # is the arena plus 10 %.
   TREE_BYTES="$(awk '$1 == "tree" { print $NF; exit }' "$P1/resources.txt")"
-  [[ "$TREE_BYTES" -le 4500000 ]] || {
-    echo "profile smoke: the tree phase allocated $TREE_BYTES bytes (> 4,500,000)" >&2; exit 1; }
+  [[ "$TREE_BYTES" -le 3400000 ]] || {
+    echo "profile smoke: the tree phase allocated $TREE_BYTES bytes (> 3,400,000)" >&2; exit 1; }
   # The same for the transit-stub index (DESIGN.md §5a): its BFS fill keeps
   # the ts50k build at 6.7 MB, 5.4 MB of it the `u8` per-stub tables (12.0
   # MB with `u16` tables; a per-domain graph + Dijkstra fill allocated
@@ -211,7 +213,11 @@ if [[ "$PROFILE_SMOKE" == "1" ]]; then
   # insert per record); transfer distances from one sorted key list, each
   # distinct endpoint pair measured once (3,414, of which 3,305 build the
   # transit-stub index; a hash memo with a sorted map per refined source
-  # was 10,124).
+  # was 10,124); the flat overlay's columns, each allocated once (17 calls
+  # for `prepare/ring`; a `Vec` per peer and a `BTreeMap` ring made 23,857),
+  # and runs that move within the shared column when a transfer outgrows
+  # them (17 for `round/transfer/apply`; reallocating a `Vec` per receiver
+  # made 5,648). Both caps are the count plus 25 %: 17 × 1.25 → 22.
   budget_calls() {
     local calls
     calls="$(awk -v p="$1" '$1 == p { print $(NF-1); exit }' "$P1/resources.txt")"
@@ -223,6 +229,8 @@ if [[ "$PROFILE_SMOKE" == "1" ]]; then
   budget_calls round/vsa/candidates 500
   budget_calls round/vsa/inputs 12000
   budget_calls round/transfer/distances 4000
+  budget_calls prepare/ring 22
+  budget_calls round/transfer/apply 22
 fi
 
 if [[ "$ANALYZE_SMOKE" == "1" ]]; then
