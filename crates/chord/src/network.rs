@@ -4,6 +4,7 @@ use rand::Rng;
 use serde::{Deserialize, Serialize};
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashSet};
+use std::fmt;
 use std::ops::Range;
 
 /// Handle of a physical DHT peer (an end host). Dense index; peers are never
@@ -77,19 +78,25 @@ impl Peer {
 /// What a slack entry of the shared column holds.
 const SLACK: VsId = VsId(u32::MAX);
 
+/// Bit `i` of a bitmap held 64 bits to a word.
+fn bit(words: &[u64], i: usize) -> bool {
+    words[i / 64] >> (i % 64) & 1 == 1
+}
+
 /// The simulated Chord overlay: peers, virtual servers and the ring.
 ///
 /// Everything is a flat column. A virtual server is an index into a
 /// position column, a host column and an alive bit. A peer's virtual
 /// servers are one run of a shared column, in the order they arrived: a run
-/// that outgrows its capacity moves to the column's end with twice the
-/// capacity, leaving slack behind, and the column is compacted in place
-/// once its slack exceeds a quarter of its listed entries.
+/// that outgrows its capacity moves to the column's end — with twice the
+/// capacity when a server spawns on it, with room for all a batch of
+/// transfers brings it — leaving slack behind, and the column is compacted
+/// in place once its slack exceeds a quarter of its listed entries.
 ///
 /// All mutating operations keep the invariant that the set of alive virtual
 /// servers exactly matches the ring contents, and that every alive VS is
 /// listed by its host peer.
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, Default)]
 pub struct ChordNetwork {
     peers: Vec<Peer>,
     positions: Vec<Id>,
@@ -99,6 +106,25 @@ pub struct ChordNetwork {
     /// Every peer's run of virtual servers, and slack.
     runs: Vec<VsId>,
     ring: Ring,
+}
+
+/// Prints what the overlay holds — every peer's state, attachment and
+/// run, the server columns and the ring — and nothing of where the runs sit
+/// in the shared column, so two overlays that hold the same print the same.
+impl fmt::Debug for ChordNetwork {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let peers: Vec<_> = (0..self.peers.len() as u32)
+            .map(PeerId)
+            .map(|p| (self.peer(p).state, self.peer(p).underlay, self.vss_of(p)))
+            .collect();
+        f.debug_struct("ChordNetwork")
+            .field("peers", &peers)
+            .field("positions", &self.positions)
+            .field("hosts", &self.hosts)
+            .field("alive", &self.alive)
+            .field("ring", &self.ring)
+            .finish()
+    }
 }
 
 impl ChordNetwork {
@@ -146,7 +172,7 @@ impl ChordNetwork {
     }
 
     fn is_alive(&self, v: VsId) -> bool {
-        self.alive[v.0 as usize / 64] >> (v.0 % 64) & 1 == 1
+        bit(&self.alive, v.0 as usize)
     }
 
     fn set_alive(&mut self, v: VsId, alive: bool) {
@@ -300,7 +326,7 @@ impl ChordNetwork {
             })
             .collect();
         drop(taken);
-        self.join_peers_at(&positions, vs_per_peer, rng);
+        self.join_peers_at(positions, vs_per_peer, rng);
     }
 
     /// Joins a new peer whose virtual servers sit at the given precomputed
@@ -332,11 +358,12 @@ impl ChordNetwork {
     /// it queues up to resample in turn — always behind the entry that
     /// displaced it, which keeps the draws in join order.
     ///
-    /// Every column is allocated once. The shared run column reserves half
-    /// as much again as it lists, more than compaction lets it hold, so the
-    /// round's transfers move runs into capacity that is already there;
-    /// capacity nothing has touched costs no memory.
-    pub fn join_peers_at<R: Rng>(&mut self, positions: &[Id], vs_per_peer: usize, rng: &mut R) {
+    /// Every column is allocated once; `positions` becomes the position
+    /// column. The shared run column reserves half as much again as it
+    /// lists, more than compaction lets it hold, so the round's transfers
+    /// move runs into capacity that is already there; capacity nothing has
+    /// touched costs no memory.
+    pub fn join_peers_at<R: Rng>(&mut self, positions: Vec<Id>, vs_per_peer: usize, rng: &mut R) {
         assert!(
             self.peers.is_empty() && self.positions.is_empty() && self.ring.version() == 0,
             "bulk join needs a network nothing has joined yet"
@@ -407,7 +434,7 @@ impl ChordNetwork {
         moved.for_each(|(x, seq)| push(x, seq));
         drop(keys);
 
-        self.positions = positions.to_vec();
+        self.positions = positions;
         for &(x, seq) in &resampled {
             self.positions[seq as usize] = Id::new(x);
         }
@@ -496,26 +523,90 @@ impl ChordNetwork {
         self.compact_if_sparse();
     }
 
-    /// Transfers a virtual server to another alive peer — the unit of load
+    /// Transfers virtual servers to other alive peers — the unit of load
     /// movement in the paper (a Chord *leave* followed by a *join* at the
     /// same ring position, so ownership of the region moves wholesale).
-    pub fn transfer_vs(&mut self, v: VsId, to: PeerId) {
-        assert_eq!(
-            self.peers[to.0 as usize].state,
-            PeerState::Alive,
-            "transfer target {to:?} is not alive"
-        );
-        assert!(
-            self.is_alive(v),
-            "cannot transfer dead virtual server {v:?}"
-        );
-        let from = self.hosts[v.0 as usize];
-        if from == to {
+    ///
+    /// The moves apply in order and leave the overlay one call per move
+    /// would: a move to the server's current host does nothing, a server
+    /// moved twice ends where its last move put it, and every run lists its
+    /// servers in the order they arrived. One pass sets the hosts; each
+    /// sender's run then drops what left it, in place; each receiver's run
+    /// moves to the column's end at most once, sized for everything it
+    /// gets; and the column is compacted at most once.
+    pub fn transfer_vs(&mut self, moves: &[(VsId, PeerId)]) {
+        // Which servers left a run, which peers lost one, and every move
+        // that changed a host.
+        let mut moved = vec![0u64; self.alive.len()];
+        let mut senders = vec![0u64; self.peers.len().div_ceil(64)];
+        let mut arrivals = Vec::with_capacity(moves.len());
+        for (&(v, to), i) in moves.iter().zip(0u32..) {
+            assert_eq!(
+                self.peers[to.0 as usize].state,
+                PeerState::Alive,
+                "transfer target {to:?} is not alive"
+            );
+            assert!(
+                self.is_alive(v),
+                "cannot transfer dead virtual server {v:?}"
+            );
+            let from = std::mem::replace(&mut self.hosts[v.0 as usize], to);
+            if from == to {
+                continue;
+            }
+            if !bit(&moved, v.0 as usize) {
+                moved[v.0 as usize / 64] |= 1 << (v.0 % 64);
+                senders[from.0 as usize / 64] |= 1 << (from.0 % 64);
+            }
+            arrivals.push(i);
+        }
+        if arrivals.is_empty() {
             return;
         }
-        self.hosts[v.0 as usize] = to;
-        self.remove_from_run(from, v);
-        self.push_to_run(to, v);
+        for p in (0..self.peers.len()).filter(|&p| bit(&senders, p)) {
+            let peer = &mut self.peers[p];
+            let run = peer.run();
+            let mut kept = run.start;
+            for i in run.clone() {
+                let v = self.runs[i];
+                if !bit(&moved, v.0 as usize) {
+                    self.runs[kept] = v;
+                    kept += 1;
+                }
+            }
+            self.runs[kept..run.end].fill(SLACK);
+            peer.len = (kept - run.start) as u32;
+        }
+        // A server arrives once, at the last move that changed its host:
+        // from the back, its first arrival, whose bit is then cleared.
+        arrivals.reverse();
+        arrivals.retain(|&i| {
+            let v = moves[i as usize].0 .0 as usize;
+            let last = bit(&moved, v);
+            moved[v / 64] &= !(1 << (v % 64));
+            last
+        });
+        arrivals.reverse();
+        let mut gets = vec![0u32; self.peers.len()];
+        for &i in &arrivals {
+            gets[moves[i as usize].1 .0 as usize] += 1;
+        }
+        for (peer, &n) in self.peers.iter_mut().zip(&gets) {
+            if peer.len + n > peer.cap {
+                let (run, start) = (peer.run(), self.runs.len());
+                self.runs.extend_from_within(run.clone());
+                self.runs[run].fill(SLACK);
+                self.runs.resize(start + (peer.len + n) as usize, SLACK);
+                (peer.start, peer.cap) = (start as u32, peer.len + n);
+            }
+        }
+        drop(gets);
+        for &i in &arrivals {
+            let (v, to) = moves[i as usize];
+            let peer = &mut self.peers[to.0 as usize];
+            self.runs[(peer.start + peer.len) as usize] = v;
+            peer.len += 1;
+        }
         self.compact_if_sparse();
     }
 

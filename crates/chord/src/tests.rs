@@ -101,7 +101,7 @@ fn transfer_moves_vs_between_peers() {
     let dst = PeerId(1);
     let v = net.vss_of(src)[0];
     let region_before = net.region_of(v);
-    net.transfer_vs(v, dst);
+    net.transfer_vs(&[(v, dst)]);
     net.check_invariants().unwrap();
     assert_eq!(net.vs(v).host, dst);
     assert_eq!(net.vss_of(src).len(), 2);
@@ -114,7 +114,7 @@ fn transfer_moves_vs_between_peers() {
 fn transfer_to_self_is_noop() {
     let (mut net, _) = net_with(2, 2, 5);
     let v = net.vss_of(PeerId(0))[0];
-    net.transfer_vs(v, PeerId(0));
+    net.transfer_vs(&[(v, PeerId(0))]);
     net.check_invariants().unwrap();
     assert_eq!(net.vss_of(PeerId(0)).len(), 2);
 }
@@ -125,7 +125,28 @@ fn transfer_to_dead_peer_panics() {
     let (mut net, _) = net_with(3, 2, 6);
     net.crash_peer(PeerId(1));
     let v = net.vss_of(PeerId(0))[0];
-    net.transfer_vs(v, PeerId(1));
+    net.transfer_vs(&[(v, PeerId(1))]);
+}
+
+#[test]
+fn debug_prints_the_contents_not_the_layout() {
+    // One batch sizes the receiver's run for what it gets (3); one move at
+    // a time doubles it (4): the same contents in two layouts.
+    let (mut batched, _) = net_with(3, 2, 9);
+    let mut moved = batched.clone();
+    let (a, b) = (batched.vss_of(PeerId(0))[0], batched.vss_of(PeerId(2))[1]);
+    batched.transfer_vs(&[(a, PeerId(1))]);
+    moved.transfer_vs(&[(a, PeerId(2))]);
+    moved.transfer_vs(&[(a, PeerId(1))]);
+    assert_eq!(batched.vss_of(PeerId(1)), moved.vss_of(PeerId(1)));
+    assert_eq!(format!("{batched:?}"), format!("{moved:?}"));
+    // The same servers arriving in the other order: one run differs.
+    let c = batched.vss_of(PeerId(0))[0];
+    let (mut first, mut second) = (batched.clone(), batched.clone());
+    first.transfer_vs(&[(b, PeerId(1)), (c, PeerId(1))]);
+    second.transfer_vs(&[(c, PeerId(1)), (b, PeerId(1))]);
+    assert_ne!(first.vss_of(PeerId(1)), second.vss_of(PeerId(1)));
+    assert_ne!(format!("{first:?}"), format!("{second:?}"));
 }
 
 #[test]
@@ -169,7 +190,7 @@ fn random_op(net: &mut ChordNetwork, rng: &mut StdRng) {
             let vss = net.vss_of(from);
             if !vss.is_empty() && from != to {
                 let v = vss[rng.gen_range(0..vss.len())];
-                net.transfer_vs(v, to);
+                net.transfer_vs(&[(v, to)]);
             }
         }
         _ => {}
@@ -479,7 +500,7 @@ fn bulk_matches_replay<R: Rng + rand::RngCore>(
     let (mut replay, since) = replay_joins(positions, vs_per_peer, 10, &mut replay_rng);
     let mut bulk = ChordNetwork::new();
     let ids: Vec<Id> = positions.iter().map(|&p| Id::new(p)).collect();
-    bulk.join_peers_at(&ids, vs_per_peer, &mut bulk_rng);
+    bulk.join_peers_at(ids, vs_per_peer, &mut bulk_rng);
     assert_same_network(&bulk, &replay, since, positions.len());
     assert_eq!(bulk_rng.next_u32(), replay_rng.next_u32());
     assert!(replay.ring().changes_since(since).is_some());
@@ -504,7 +525,7 @@ fn check_scripted(batch: &[u32], vs_per_peer: usize, draws: &[u32], moved: &[(u3
     }
     let mut rng = Script::new(draws);
     let ids: Vec<Id> = batch.iter().map(|&p| Id::new(p)).collect();
-    ChordNetwork::new().join_peers_at(&ids, vs_per_peer, &mut rng);
+    ChordNetwork::new().join_peers_at(ids, vs_per_peer, &mut rng);
     assert_eq!(rng.at, draws.len(), "{batch:?}");
 }
 
@@ -559,7 +580,7 @@ fn bulk_join_lays_the_journal_out_as_the_replay_does() {
 #[should_panic(expected = "nothing has joined yet")]
 fn bulk_join_refuses_a_used_network() {
     let (mut net, mut rng) = net_with(1, 1, 5);
-    net.join_peers_at(&[Id::new(1)], 1, &mut rng);
+    net.join_peers_at(vec![Id::new(1)], 1, &mut rng);
 }
 
 proptest! {
@@ -773,11 +794,48 @@ fn assert_matches_model(net: &ChordNetwork, model: &Model, rng: &mut StdRng) {
     }
 }
 
+/// Up to seven moves of the alive `vss` to `alive` peers, each of one
+/// kind: a server to a random peer, a server this batch moved already
+/// (moved twice), one back to the host it started the batch on (away and
+/// back), one to the host it has at that point (a self-move), or one off
+/// a peer this batch gave a server to (a receiver that also sheds). Empty
+/// one time in eight.
+fn random_batch(
+    net: &ChordNetwork,
+    alive: &[PeerId],
+    vss: &[VsId],
+    rng: &mut StdRng,
+) -> Vec<(VsId, PeerId)> {
+    let mut batch: Vec<(VsId, PeerId)> = Vec::new();
+    for _ in 0..rng.gen_range(0..8) {
+        let host = |batch: &[(VsId, PeerId)], v: VsId| {
+            let last = batch.iter().rev().find(|&&(x, _)| x == v);
+            last.map_or(net.vs(v).host, |&(_, to)| to)
+        };
+        let any = vss[rng.gen_range(0..vss.len())];
+        let to = alive[rng.gen_range(0..alive.len())];
+        let earlier = (!batch.is_empty()).then(|| batch[rng.gen_range(0..batch.len())]);
+        let step = match (rng.gen_range(0..5u8), earlier) {
+            (0, Some((v, _))) => (v, to),
+            (1, Some((v, _))) => (v, net.vs(v).host),
+            (2, _) => (any, host(&batch, any)),
+            (3, Some((_, receiver))) => {
+                let held = vss.iter().find(|&&v| host(&batch, v) == receiver);
+                (held.copied().unwrap_or(any), to)
+            }
+            _ => (any, to),
+        };
+        batch.push(step);
+    }
+    batch
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
-    /// Random histories of joins, departures, moves, splits, drops and
-    /// spawns on positions from `0..64` (so draws collide all the time and
+    /// Random histories of joins, departures, batches of moves
+    /// ([`random_batch`], checked against the model moved one at a time),
+    /// splits, drops and spawns on positions from `0..64` (so draws collide all the time and
     /// runs move and compact every few steps), checked against the model
     /// after every step.
     #[test]
@@ -800,9 +858,12 @@ proptest! {
                     net.crash_peer(p);
                     model.retire(p);
                 }
-                (3, Some(to), Some(v)) => {
-                    net.transfer_vs(v, to);
-                    model.transfer(v, to);
+                (3, Some(_), Some(_)) => {
+                    let batch = random_batch(&net, &alive, &vss, &mut rng);
+                    net.transfer_vs(&batch);
+                    for &(v, to) in &batch {
+                        model.transfer(v, to);
+                    }
                 }
                 (4, _, Some(v)) if room && net.region_of(v).len() >= 2 => {
                     let region = model.region(net.vs(v).position.raw());

@@ -1,5 +1,4 @@
 use proxbal_chord::{PeerId, VsId};
-use proxbal_ktree::{KtNodeId, Merge};
 use proxbal_trace::Trace;
 use serde::{Deserialize, Serialize};
 
@@ -41,6 +40,10 @@ pub struct Assignment {
 /// The two sorted lists a KT node maintains during the VSA sweep (§3.4):
 /// light-node slots sorted by spare room, and shed candidates sorted by
 /// load.
+///
+/// The sweep keeps every node's lists on one pair of these used as stacks:
+/// a node's lists are the records above its marks (the two stack lengths
+/// when it was entered), and the sweep pairs, orders and merges them there.
 #[derive(Clone, Debug, Default, Serialize, Deserialize)]
 pub struct RendezvousLists {
     /// `<ΔL_j, addr(j)>`, kept sorted ascending by `spare`.
@@ -123,6 +126,18 @@ impl RendezvousLists {
     /// rendezvous) and `vsa_residual_reinserts` (light slots re-offered
     /// with their residual room).
     pub fn pair_into(&mut self, l_min: f64, out: &mut Vec<Assignment>, trace: &mut Trace) {
+        self.pair_above((0, 0), l_min, out, trace);
+    }
+
+    /// [`RendezvousLists::pair_into`] on the lists above `marks`, the
+    /// records below them untouched.
+    pub(crate) fn pair_above(
+        &mut self,
+        (shed_from, light_from): Marks,
+        l_min: f64,
+        out: &mut Vec<Assignment>,
+        trace: &mut Trace,
+    ) {
         // Heaviest-first over shed candidates; lighter ones may still fit
         // where a heavier one did not. Candidates `[0, i)` are still to be
         // visited; the misfits kept so far sit, in order, at
@@ -130,33 +145,39 @@ impl RendezvousLists {
         // below it pair and leave.
         let mut misfits = 0u64;
         let mut reinserts = 0u64;
-        let len = self.shed.len();
+        let shed = &mut self.shed[shed_from..];
+        let len = shed.len();
         let (mut i, mut keep) = (len, len);
+        // Whether every candidate of `[0, i)` fits the roomiest slot; it
+        // stays so until the roomiest slot is the one taken.
+        let mut all_fit = false;
         while i > 0 {
+            let light = &mut self.light[light_from..];
             // The roomiest slot only shrinks as pairing goes on, so every
             // candidate heavier than it fits nowhere, here or below: all
             // of them are skipped at once.
-            let fits = match self.light.last() {
-                Some(top) => {
-                    self.shed[..i].partition_point(|c| c.load.total_cmp(&top.spare).is_le())
-                }
-                None => 0,
-            };
-            if fits < i {
+            if !all_fit {
+                let fits = match light.last() {
+                    Some(top) => {
+                        shed[..i].partition_point(|c| c.load.total_cmp(&top.spare).is_le())
+                    }
+                    None => 0,
+                };
                 let skipped = i - fits;
                 misfits += skipped as u64;
-                self.shed.copy_within(fits..i, keep - skipped);
+                shed.copy_within(fits..i, keep - skipped);
                 (i, keep) = (fits, keep - skipped);
-                continue;
+                if i == 0 {
+                    break;
+                }
             }
             i -= 1;
-            let cand = self.shed[i];
+            let cand = shed[i];
             // Best fit: first light slot with spare >= load; one exists,
             // since the roomiest has room.
-            let idx = self
-                .light
-                .partition_point(|s| s.spare.total_cmp(&cand.load).is_lt());
-            let slot = self.light[idx];
+            let idx = light.partition_point(|s| s.spare.total_cmp(&cand.load).is_lt());
+            let slot = light[idx];
+            all_fit = idx + 1 < light.len();
             out.push(Assignment {
                 vs: cand.vs,
                 load: cand.load,
@@ -169,20 +190,78 @@ impl RendezvousLists {
                 // The residual sorts at or before the slot it replaces:
                 // shift the slots between one step up, not the whole tail
                 // down and back.
-                let at =
-                    self.light[..idx].partition_point(|s| s.spare.total_cmp(&residual).is_lt());
-                self.light[at..=idx].rotate_right(1);
-                self.light[at] = LightSlot {
+                let at = light[..idx].partition_point(|s| s.spare.total_cmp(&residual).is_lt());
+                light[at..=idx].rotate_right(1);
+                light[at] = LightSlot {
                     spare: residual,
                     peer: slot.peer,
                 };
             } else {
-                self.light.remove(idx);
+                self.light.remove(light_from + idx);
             }
         }
-        self.shed.drain(..keep);
+        self.shed.drain(shed_from..shed_from + keep);
         trace.count("vsa_pair_misfits", misfits);
         trace.count("vsa_residual_reinserts", reinserts);
+    }
+
+    /// The stacks' lengths: the marks of the lists pushed next.
+    pub(crate) fn marks(&self) -> Marks {
+        (self.shed.len(), self.light.len())
+    }
+
+    /// Number of entries above `marks`.
+    pub(crate) fn len_above(&self, (shed, light): Marks) -> usize {
+        self.shed.len() - shed + self.light.len() - light
+    }
+
+    /// Pushes records as they come, unordered until
+    /// [`Self::settle_above`].
+    pub(crate) fn push_unsorted(&mut self, shed: &[ShedCandidate], light: &[LightSlot]) {
+        debug_assert!(shed.iter().all(|c| c.load.is_finite() && c.load >= 0.0));
+        debug_assert!(light.iter().all(|s| s.spare.is_finite() && s.spare > 0.0));
+        self.shed.extend_from_slice(shed);
+        self.light.extend_from_slice(light);
+    }
+
+    /// Orders the records pushed above `marks` the way one sorted insert
+    /// per record, in push order, leaves them ([`Self::push_shed`]):
+    /// ascending, the latest pushed first among equal keys. Light slots are
+    /// one per peer, pushed by ascending peer, so spare room, then peer
+    /// descending, orders them fully. Shed candidates are pushed in runs,
+    /// one per peer by ascending peer — each a run of `published`, the flat
+    /// [`crate::reports::shed_candidates`] — so load, then peer descending,
+    /// leaves only one peer's equal loads, which take their run's order
+    /// reversed. Both sorts are in place.
+    pub(crate) fn settle_above(&mut self, (shed, light): Marks, published: &[ShedCandidate]) {
+        let light = &mut self.light[light..];
+        light.sort_unstable_by(|a, b| a.spare.total_cmp(&b.spare).then(b.peer.cmp(&a.peer)));
+        let shed = &mut self.shed[shed..];
+        shed.sort_unstable_by(|a, b| a.load.total_cmp(&b.load).then(b.from.cmp(&a.from)));
+        let same = |a: &ShedCandidate, b: &ShedCandidate| {
+            a.load.to_bits() == b.load.to_bits() && a.from == b.from
+        };
+        for ties in shed.chunk_by_mut(same).filter(|ties| ties.len() > 1) {
+            let from = ties[0].from;
+            let run = &published[published.partition_point(|c| c.from < from)..];
+            let at = |c: &ShedCandidate| run.iter().position(|r| r.vs == c.vs);
+            ties.sort_unstable_by_key(|c| std::cmp::Reverse(at(c)));
+        }
+    }
+
+    /// Merges the lists above `inner` into those between `outer` and
+    /// `inner`, through `scratch`'s buffers: one list each above `outer`,
+    /// sorted, the lower one's entries first among equal keys.
+    pub(crate) fn merge_above(
+        &mut self,
+        outer: Marks,
+        inner: Marks,
+        scratch: &mut RendezvousLists,
+    ) {
+        let shed = &mut self.shed[outer.0..];
+        merge_runs(shed, inner.0 - outer.0, &mut scratch.shed, |c| c.load);
+        let light = &mut self.light[outer.1..];
+        merge_runs(light, inner.1 - outer.1, &mut scratch.light, |s| s.spare);
     }
 
     /// Removes and returns the heaviest shed candidate, the last in the
@@ -198,106 +277,30 @@ impl RendezvousLists {
     }
 }
 
-impl Merge for RendezvousLists {
-    fn merge(&mut self, other: Self) {
-        // Merge the sorted runs in place: each list grows within its own
-        // buffer instead of being rebuilt into a fresh allocation on every
-        // KT-node absorb.
-        merge_sorted_into(&mut self.light, &other.light, |a, b| {
-            a.spare.total_cmp(&b.spare).is_le()
-        });
-        merge_sorted_into(&mut self.shed, &other.shed, |a, b| {
-            a.load.total_cmp(&b.load).is_le()
-        });
-    }
-}
+/// Where a KT node's lists start on the sweep's stacks: the shed and light
+/// stack lengths below them.
+pub(crate) type Marks = (usize, usize);
 
-/// The VSA sweep inputs: every participant's records published at its
-/// entry node, one entry per node, ascending by slot. `targets` holds one
-/// entry node per participant — the shedding peers of `shed` (one run of
-/// candidates each, [`crate::reports::shed_candidates`]), then the peers
-/// of `light`, each ascending: the publication order. Every entry node's
-/// lists come out exactly as one `RendezvousLists::push_shed` /
-/// `push_light` per record in that order leaves them:
-/// ascending by `total_cmp`, and among equal keys the latest published
-/// first. Participants are grouped by entry node with one sort, each list
-/// is sized first and allocated once, records are appended, and each list
-/// is sorted once — `O(n log n)` per entry node where one sorted insert per
-/// record costs `O(n²)`.
-pub(crate) fn publish(
-    shed: &[ShedCandidate],
-    light: &[LightSlot],
-    targets: &[KtNodeId],
-) -> Vec<(KtNodeId, RendezvousLists)> {
-    let cands: Vec<&[ShedCandidate]> = crate::reports::shed_sets(shed).collect();
-    debug_assert_eq!(targets.len(), cands.len() + light.len());
-    let order = crate::reports::sorted_by_node(targets);
-    let mut inputs: Vec<(KtNodeId, RendezvousLists)> = Vec::new();
-    for run in order.chunk_by(|a, b| a.0 == b.0) {
-        let participants = || run.iter().map(|&(_, i)| i as usize);
-        let (mut n_shed, mut n_light) = (0, 0);
-        for i in participants() {
-            match cands.get(i) {
-                Some(c) => n_shed += c.len(),
-                None => n_light += 1,
-            }
-        }
-        let mut lists = RendezvousLists {
-            shed: Vec::with_capacity(n_shed),
-            light: Vec::with_capacity(n_light),
-        };
-        for i in participants() {
-            match cands.get(i) {
-                Some(c) => {
-                    debug_assert!(c.iter().all(|c| c.load.is_finite() && c.load >= 0.0));
-                    lists.shed.extend_from_slice(c);
-                }
-                None => {
-                    let slot = light[i - cands.len()];
-                    debug_assert!(slot.spare.is_finite() && slot.spare > 0.0);
-                    lists.light.push(slot);
-                }
-            }
-        }
-        settle(&mut lists.shed, |c| c.load);
-        settle(&mut lists.light, |s| s.spare);
-        inputs.push((run[0].0, lists));
-    }
-    inputs
-}
-
-/// Orders records appended in push order the way one sorted insert per
-/// record would: reversed, so the latest pushed leads among equal keys,
-/// then stably sorted ascending (no scratch allocation up to a few hundred
-/// records).
-fn settle<T>(records: &mut [T], key: impl Fn(&T) -> f64) {
-    records.reverse();
-    records.sort_by(|a, b| key(a).total_cmp(&key(b)));
-}
-
-/// Merges sorted `src` into sorted `dst`, keeping `dst` sorted and stable
-/// (`dst` elements win ties). Runs backward over `dst`'s own buffer — one
-/// `resize` for capacity, then each element is written exactly once; no
-/// scratch allocation.
-fn merge_sorted_into<T: Copy>(dst: &mut Vec<T>, src: &[T], le: impl Fn(&T, &T) -> bool) {
-    if src.is_empty() {
+/// Merges the sorted runs `v[..mid]` and `v[mid..]` in place, stably (the
+/// first run's entries lead among equal keys). Runs already in order are
+/// left alone; otherwise the second is copied to `buf` and merged in from
+/// the back, so entries of the first that sort below all of it never move.
+fn merge_runs<T: Copy>(v: &mut [T], mid: usize, buf: &mut Vec<T>, key: impl Fn(&T) -> f64) {
+    let gt = |a: &T, b: &T| key(a).total_cmp(&key(b)).is_gt();
+    if mid == 0 || mid == v.len() || !gt(&v[mid - 1], &v[mid]) {
         return;
     }
-    let a = dst.len();
-    let b = src.len();
-    // Grow to final size; the filler value is overwritten below.
-    dst.resize(a + b, src[0]);
-    let (mut i, mut j, mut w) = (a, b, a + b);
-    // Take the larger tail element first. Writes trail reads (`w > i`
-    // whenever `j > 0`), so no unread `dst` element is clobbered.
-    while j > 0 {
-        if i > 0 && !le(&dst[i - 1], &src[j - 1]) {
-            dst[w - 1] = dst[i - 1];
+    buf.clear();
+    buf.extend_from_slice(&v[mid..]);
+    let (mut i, mut w) = (mid, v.len());
+    while let Some(&last) = buf.last() {
+        w -= 1;
+        if i > 0 && gt(&v[i - 1], &last) {
+            v[w] = v[i - 1];
             i -= 1;
         } else {
-            dst[w - 1] = src[j - 1];
-            j -= 1;
+            v[w] = last;
+            buf.pop();
         }
-        w -= 1;
     }
 }

@@ -1,7 +1,7 @@
 use crate::classify::{ClassifyParams, NodeClass};
 use crate::error::Error;
 use crate::lbi::{Lbi, LoadState};
-use crate::pairing::{publish, LightSlot, RendezvousLists, ShedCandidate};
+use crate::pairing::{LightSlot, ShedCandidate};
 use crate::selection::choose_shed_set;
 use crate::transfer::attachment;
 use proxbal_chord::{ChordNetwork, PeerId, VsId};
@@ -173,25 +173,25 @@ pub fn light_slots(
     .concat()
 }
 
-/// Builds the VSA sweep inputs the **proximity-ignorant** way (§3.4): every
-/// heavy/light node reports its records through the KT leaf of one of its
-/// own randomly chosen virtual servers, so records enter the tree wherever
-/// the node happens to sit on the ring.
+/// The entry nodes of the VSA sweep the **proximity-ignorant** way (§3.4):
+/// every heavy/light node reports its records through the KT leaf of one of
+/// its own randomly chosen virtual servers, so records enter the tree
+/// wherever the node happens to sit on the ring. One entry node per
+/// participant, in publication order ([`crate::run_vsa`]).
 pub fn ignorant_inputs<R: Rng>(
     net: &ChordNetwork,
     tree: &KTree,
     shed: &[ShedCandidate],
     light: &[LightSlot],
     rng: &mut R,
-) -> Vec<(KtNodeId, RendezvousLists)> {
+) -> Vec<KtNodeId> {
     // One draw per participant, shed peers then light peers. A peer with no
     // virtual servers (possible for light peers that shed everything in an
     // earlier pass) enters at the root.
     let chosen: Vec<Option<VsId>> = participants(shed, light)
         .map(|p| net.vss_of(p).choose(rng).copied())
         .collect();
-    let targets = entry_nodes(net, tree, chosen.iter().copied());
-    publish(shed, light, &targets)
+    entry_nodes(net, tree, chosen.iter().copied())
 }
 
 /// The publishing peers of a VSA phase in publication order: every
@@ -219,19 +219,6 @@ pub(crate) fn entry_nodes(
         None => tree.root(),
     })
     .collect()
-}
-
-/// Every position of `targets` with its node, sorted by handle number,
-/// then by position: each node's positions form one run, in input order —
-/// how the round groups its peers' LBIs and the publication its
-/// participants' records by entry node, with one sort. The order of the
-/// runs is the arena's, which nothing downstream reads: the aggregation
-/// folds and the VSA sweep visits in the tree's preorder.
-pub(crate) fn sorted_by_node(targets: &[KtNodeId]) -> Vec<(KtNodeId, u32)> {
-    let at = |(i, &id): (usize, &KtNodeId)| (id, u32::try_from(i).expect("u32 positions"));
-    let mut order: Vec<(KtNodeId, u32)> = targets.iter().enumerate().map(at).collect();
-    order.sort_unstable();
-    order
 }
 
 /// Proximity publication configuration.
@@ -275,12 +262,14 @@ impl Default for ProximityParams {
     }
 }
 
-/// Builds the VSA sweep inputs the **proximity-aware** way (§4.3): every
-/// heavy/light node measures its landmark vector, maps it to a Hilbert
-/// number used as a DHT key, and publishes its records *at that key* — so
-/// records of physically close nodes land close together on the ring and
-/// meet at deep rendezvous points. Each record is routed to the owner
-/// virtual server of the key, which reports it through its own KT leaf.
+/// The entry nodes of the VSA sweep the **proximity-aware** way (§4.3):
+/// every heavy/light node measures its landmark vector, maps it to a
+/// Hilbert number used as a DHT key, and publishes its records *at that
+/// key* — so records of physically close nodes land close together on the
+/// ring and meet at deep rendezvous points. Each record is routed to the
+/// owner virtual server of the key, which reports it through its own KT
+/// leaf. One entry node per participant, in publication order
+/// ([`crate::run_vsa`]).
 ///
 /// Fails with [`Error::UnattachedPeer`] for the first participant (shed
 /// peers, then light peers, each ascending) that was never attached to the
@@ -290,8 +279,7 @@ impl Default for ProximityParams {
 /// distinct vector, are pure functions of immutable state, computed in
 /// parallel. The keys' entry nodes are found in one path-sharing descent in
 /// ring order ([`KTree::report_targets`]) and scattered back to the
-/// participants. The rendezvous lists are filled in publication order and each sorted once, so record order inside every list is
-/// identical at any thread count.
+/// participants, so the entry nodes are identical at any thread count.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn proximity_inputs(
     net: &ChordNetwork,
@@ -302,14 +290,11 @@ pub(crate) fn proximity_inputs(
     oracle: &DistanceOracle,
     landmarks: &[NodeId],
     threads: usize,
-) -> Result<Vec<(KtNodeId, RendezvousLists)>, Error> {
+) -> Result<Vec<KtNodeId>, Error> {
     let participants: Vec<PeerId> = participants(shed, light).collect();
     let (keys, key_of) = dht_keys(net, &participants, params, oracle, landmarks, threads)?;
     let entry = key_targets(net, tree, &keys)?;
-    // `participants` lists shedding peers then light peers, each
-    // ascending — the order `publish` reads targets in.
-    let targets: Vec<KtNodeId> = key_of.iter().map(|&k| entry[k as usize]).collect();
-    Ok(publish(shed, light, &targets))
+    Ok(key_of.iter().map(|&k| entry[k as usize]).collect())
 }
 
 /// The DHT keys `participants` publish at: each one's landmark vector,

@@ -18,7 +18,7 @@ use crate::error::Error;
 use crate::lbi::{Lbi, LoadState};
 use crate::reports::{
     entry_nodes, ignorant_inputs, light_slots, proximity_inputs, shed_candidates, shed_sets,
-    sorted_by_node, Classification,
+    Classification,
 };
 use crate::transfer::execute_transfers;
 use crate::vsa::{run_vsa, VsaParams};
@@ -365,7 +365,7 @@ impl LoadBalancer {
         let light = light_slots(net, loads, &params, &classification, threads);
         drop(sub);
         let sub = proxbal_profile::phase("round/vsa/inputs");
-        let inputs = match cfg.mode {
+        let entries = match cfg.mode {
             ProximityMode::Ignorant => ignorant_inputs(net, tree, &shed, &light, rng),
             ProximityMode::Aware(ref prox) => {
                 let u = underlay.ok_or(Error::MissingUnderlay)?;
@@ -387,7 +387,7 @@ impl LoadBalancer {
             l_min: system.min_vs_load,
         };
         let sub = proxbal_profile::phase("round/vsa/sweep");
-        let mut vsa = run_vsa(tree, inputs, &vsa_params, trace);
+        let mut vsa = run_vsa(tree, &shed, &light, &entries, &vsa_params, threads, trace);
         drop(sub);
 
         // Optional extension: split unplaceable virtual servers and place
@@ -423,6 +423,8 @@ impl LoadBalancer {
                 ("pairings", vsa.assignments.len().into()),
             ],
         );
+        // The VSA transients end here, before the transfers' own.
+        drop((classification, shed, light, entries));
         trace.count("vsa_record_hops", vsa.record_hops as u64);
         trace.count("vsa_notifications", 2 * vsa.assignments.len() as u64);
         clock += u64::from(vsa.rounds);
@@ -494,15 +496,19 @@ impl LoadBalancer {
 
 /// The LBI inputs of the aggregation: the LBI of peer `i` (chunk
 /// `i / PEER_CHUNK` of `lbis`) enters at `targets[i]`. One input per target,
-/// ascending by slot; the LBIs of peers sharing a target merge in peer
-/// order, and the input is sent if any of them re-reported.
+/// ascending by handle (one sort of `(target, peer index)`); the LBIs of
+/// peers sharing a target merge in peer order, and the input is sent if any
+/// of them re-reported.
 fn lbi_inputs(
     targets: &[KtNodeId],
     decisions: &[(PeerId, Option<VsId>, bool)],
     lbis: &[Vec<Lbi>],
 ) -> Vec<AggregateInput<Lbi>> {
+    let at = |(i, &id): (usize, &KtNodeId)| (id, u32::try_from(i).expect("u32 positions"));
+    let mut order: Vec<(KtNodeId, u32)> = targets.iter().enumerate().map(at).collect();
+    order.sort_unstable();
     let mut inputs: Vec<AggregateInput<Lbi>> = Vec::with_capacity(targets.len());
-    for (at, i) in sorted_by_node(targets) {
+    for (at, i) in order {
         let i = i as usize;
         let (lbi, sent) = (lbis[i / PEER_CHUNK][i % PEER_CHUNK], decisions[i].2);
         match inputs.last_mut() {

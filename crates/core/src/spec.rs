@@ -333,7 +333,7 @@ pub(crate) fn round<R: Rng>(
         });
     }
     for t in &transfers {
-        net.transfer_vs(t.assignment.vs, t.assignment.to);
+        net.transfer_vs(&[(t.assignment.vs, t.assignment.to)]);
     }
     let after = counts(loads, net);
     let cost = |t: &TransferRecord| t.distance.map(|d| t.assignment.load * f64::from(d));

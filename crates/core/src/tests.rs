@@ -405,20 +405,6 @@ fn pairing_never_overfills() {
     assert_eq!(lists.light().len(), 1);
 }
 
-#[test]
-fn pairing_merge_keeps_sorted() {
-    let mut a = RendezvousLists::new();
-    a.push_shed(cand(5.0, 0, 1));
-    a.push_light(slot(2.0, 2));
-    let mut b = RendezvousLists::new();
-    b.push_shed(cand(1.0, 3, 4));
-    b.push_shed(cand(9.0, 5, 6));
-    b.push_light(slot(7.0, 7));
-    proxbal_ktree::Merge::merge(&mut a, b);
-    assert!(a.check_sorted());
-    assert_eq!(a.len(), 5);
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -765,7 +751,7 @@ fn spec_churn(
     }
     let (p, q) = (pick(rng), pick(rng));
     if let (Some(&v), true) = (net.vss_of(p).first(), p != q) {
-        net.transfer_vs(v, q);
+        net.transfer_vs(&[(v, q)]);
     }
     let p = pick(rng);
     cache.forget(p);
@@ -1172,7 +1158,7 @@ fn transfer_fixture(
     for a in assignments.iter().step_by(7) {
         let to = alive[rng.gen_range(0..alive.len())];
         if to != a.from && net.vs(a.vs).alive {
-            net.transfer_vs(a.vs, to);
+            net.transfer_vs(&[(a.vs, to)]);
         }
     }
     if let Some(a) = assignments
@@ -1348,7 +1334,7 @@ fn assert_transfers_match(
     assert_eq!(&got, want, "{threads} threads");
     let mut want_net = net.clone();
     for r in want.iter().flatten() {
-        want_net.transfer_vs(r.assignment.vs, r.assignment.to);
+        want_net.transfer_vs(&[(r.assignment.vs, r.assignment.to)]);
     }
     assert_eq!(
         ring_hosts(&got_net),
@@ -1697,11 +1683,13 @@ fn empty_peers_keep_reporting_capacity() {
     );
     // Empty one peer by hand.
     let victim = net.alive_peers()[0];
-    let vss: Vec<VsId> = net.vss_of(victim).to_vec();
     let target_peer = net.alive_peers()[1];
-    for v in vss {
-        net.transfer_vs(v, target_peer);
-    }
+    let moves: Vec<_> = net
+        .vss_of(victim)
+        .iter()
+        .map(|&v| (v, target_peer))
+        .collect();
+    net.transfer_vs(&moves);
     assert!(net.vss_of(victim).is_empty());
 
     let balancer = LoadBalancer::new(BalancerConfig::default());
@@ -1857,7 +1845,9 @@ proptest! {
     fn prop_vsa_sweep_invariants(seed in 0u64..2000) {
         // Whole-sweep invariants over random networks and loads: no VS
         // assigned twice, no receiver overfilled beyond its published
-        // spare, unassigned candidates genuinely fit nothing.
+        // spare, unassigned candidates genuinely fit nothing; and the
+        // same outcome and trace with subtrees walked on workers, at the
+        // paper's threshold and at one low enough for them to pair.
         let (net, loads, mut rng) = setup(48, 4, seed);
         let params = ClassifyParams::default();
         let system = loads.totals(&net);
@@ -1867,13 +1857,23 @@ proptest! {
         let spare_by_peer: HashMap<PeerId, f64> =
             light.iter().map(|s| (s.peer, s.spare)).collect();
         let tree = KTree::build(&net, 2);
-        let inputs = reports::ignorant_inputs(&net, &tree, &shed, &light, &mut rng);
-        let vsa = run_vsa(
-            &tree,
-            inputs,
-            &VsaParams::paper(system.min_vs_load),
-            &mut Trace::disabled(),
-        );
+        let entries = reports::ignorant_inputs(&net, &tree, &shed, &light, &mut rng);
+        let sweep = |threshold: usize, threads: usize| {
+            let mut trace = Trace::enabled("vsa");
+            let params = VsaParams {
+                rendezvous_threshold: threshold,
+                ..VsaParams::paper(system.min_vs_load)
+            };
+            let vsa = run_vsa(&tree, &shed, &light, &entries, &params, threads, &mut trace);
+            (format!("{vsa:?}"), format!("{trace:?}"), vsa)
+        };
+        for (threshold, threads) in [(30, 2), (30, 8), (2, 2), (2, 8)] {
+            let (one, one_trace, _) = sweep(threshold, 1);
+            let (many, many_trace, _) = sweep(threshold, threads);
+            prop_assert_eq!(many, one, "threshold {} at {} threads", threshold, threads);
+            prop_assert_eq!(many_trace, one_trace, "threshold {} at {} threads", threshold, threads);
+        }
+        let vsa = sweep(30, 1).2;
 
         let mut seen = std::collections::HashSet::new();
         let mut received: HashMap<PeerId, f64> = HashMap::new();

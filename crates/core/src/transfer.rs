@@ -65,8 +65,10 @@ const TRANSFER_CHUNK: usize = 4096;
 
 /// Executes assignments against the network: each virtual server moves to
 /// its assigned peer (a Chord *leave* + *join* at the same ring position),
-/// its load riding along. Records the physical transfer distance when an
-/// underlay oracle is available — the cost metric of Figures 7 and 8.
+/// its load riding along — the executable ones in one batch
+/// ([`ChordNetwork::transfer_vs`]). Records the physical transfer distance
+/// when an underlay oracle is available — the cost metric of Figures 7
+/// and 8.
 ///
 /// Assignments whose source peer no longer hosts the virtual server (e.g.
 /// it crashed between VSA and VST) are skipped, mirroring the soft-state
@@ -114,14 +116,14 @@ pub fn execute_transfers(
             distance: distances.map(|_| measured[record]),
         })
         .collect();
+    drop((resolved, measured));
     drop(prof);
 
     let prof = proxbal_profile::phase("round/transfer/apply");
-    for t in &out {
-        let a = t.assignment;
-        // Load rides with the virtual server (`LoadState` is keyed by
-        // `VsId`), so there is nothing to move in the books — but what VSA
-        // promised the receiver must still be what the server carries.
+    // Load rides with the virtual server (`LoadState` is keyed by `VsId`),
+    // so there is nothing to move in the books — but what VSA promised the
+    // receiver must still be what the server carries.
+    for a in out.iter().map(|t| t.assignment) {
         debug_assert!(
             (loads.vs_load(a.vs) - a.load).abs() <= 1e-9 * a.load.abs().max(1.0),
             "assignment load {} differs from booked load {} of {:?}",
@@ -129,8 +131,12 @@ pub fn execute_transfers(
             loads.vs_load(a.vs),
             a.vs
         );
-        net.transfer_vs(a.vs, a.to);
     }
+    let moves: Vec<(VsId, PeerId)> = out
+        .iter()
+        .map(|t| (t.assignment.vs, t.assignment.to))
+        .collect();
+    net.transfer_vs(&moves);
     drop(prof);
     if trace.is_enabled() {
         trace.count("vst_transfers", out.len() as u64);

@@ -64,9 +64,12 @@ impl HilbertCurve {
             point.iter().all(|&c| c <= max),
             "coordinate exceeds 2^order - 1"
         );
-        let mut x = point.to_vec();
-        self.axes_to_transpose(&mut x);
-        self.interleave(&x)
+        // `dims · order ≤ 128` and `order ≥ 1`: at most 128 coordinates.
+        let mut buf = [0; 128];
+        let x = &mut buf[..point.len()];
+        x.copy_from_slice(point);
+        self.axes_to_transpose(x);
+        self.interleave(x)
     }
 
     /// Skilling's AxesToTranspose: converts coordinates in place into the

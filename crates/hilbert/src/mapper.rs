@@ -150,34 +150,44 @@ impl LandmarkMapper {
 
     /// The grid cell of a landmark vector.
     pub fn grid_cell(&self, landmark_vector: &[u32]) -> Vec<u32> {
+        let mut cell = vec![0; landmark_vector.len()];
+        self.fill_cell(landmark_vector, &mut cell);
+        cell
+    }
+
+    /// Writes the grid cell of `landmark_vector` into `cell`, one
+    /// coordinate per dimension.
+    fn fill_cell(&self, landmark_vector: &[u32], cell: &mut [u32]) {
         if let Some(ref ranges) = self.ranges {
             assert_eq!(landmark_vector.len(), ranges.len(), "dimension mismatch");
             let cells = u64::from(self.curve.max_coord()) + 1;
-            return landmark_vector
-                .iter()
-                .zip(ranges)
-                .map(|(&d, &(lo, hi))| {
-                    let d = d.clamp(lo, hi) - lo;
-                    let span = u64::from(hi - lo) + 1;
-                    ((u64::from(d) * cells) / span) as u32
-                })
-                .collect();
+            for ((c, &d), &(lo, hi)) in cell.iter_mut().zip(landmark_vector).zip(ranges) {
+                let d = d.clamp(lo, hi) - lo;
+                let span = u64::from(hi - lo) + 1;
+                *c = ((u64::from(d) * cells) / span) as u32;
+            }
+            return;
         }
-        if self.center {
-            let min = landmark_vector.iter().copied().min().unwrap_or(0);
-            landmark_vector
-                .iter()
-                .map(|&d| self.quantize(d - min))
-                .collect()
-        } else {
-            landmark_vector.iter().map(|&d| self.quantize(d)).collect()
+        let min = match self.center {
+            true => landmark_vector.iter().copied().min().unwrap_or(0),
+            false => 0,
+        };
+        for (c, &d) in cell.iter_mut().zip(landmark_vector) {
+            *c = self.quantize(d - min);
         }
     }
 
     /// The Hilbert number of a landmark vector: the index of its grid cell
-    /// along the space-filling curve.
+    /// along the space-filling curve. Allocates nothing: a curve has at
+    /// most 128 dimensions (`dims · bits ≤ 128`), so the cell fits a fixed
+    /// buffer.
     pub fn hilbert_number(&self, landmark_vector: &[u32]) -> u128 {
-        self.curve.encode(&self.grid_cell(landmark_vector))
+        let mut buf = [0; 128];
+        let cell = buf
+            .get_mut(..landmark_vector.len())
+            .expect("dimension mismatch");
+        self.fill_cell(landmark_vector, cell);
+        self.curve.encode(cell)
     }
 
     /// Maps a landmark vector all the way to a 32-bit DHT key: the Hilbert

@@ -402,7 +402,7 @@ fn no_change_touches_no_arena_node() {
     assert_eq!(quiet(&mut tree.clone(), &net), 0);
     // A transfer moves no ring position.
     let (from, to) = (net.alive_peers()[0], net.alive_peers()[1]);
-    net.transfer_vs(net.vss_of(from)[0], to);
+    net.transfer_vs(&[(net.vss_of(from)[0], to)]);
     assert_eq!(quiet(&mut tree, &net), 0);
     // One join is work — then quiet again.
     net.join_peer(1, &mut rng);

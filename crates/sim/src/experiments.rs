@@ -1203,12 +1203,12 @@ pub fn fault_sweep(
         let shed = shed_candidates(&net, &loads, &params, &classification, 1);
         let light = light_slots(&net, &loads, &params, &classification, 1);
         let mut rng = rand::rngs::StdRng::seed_from_u64(cfg.seed ^ 0xD15);
-        let inputs = ignorant_inputs(&net, &tree, &shed, &light, &mut rng);
+        let entries = ignorant_inputs(&net, &tree, &shed, &light, &mut rng);
         let vsa_params = VsaParams {
             rendezvous_threshold: scenario.balancer.rendezvous_threshold,
             l_min: system.min_vs_load,
         };
-        let mut vsa = run_vsa(&tree, inputs, &vsa_params, trace);
+        let mut vsa = run_vsa(&tree, &shed, &light, &entries, &vsa_params, 1, trace);
         trace.span_args(
             "phase/vsa",
             clock,

@@ -963,16 +963,12 @@ mod tests {
             .iter()
             .max_by_key(|&&p| (oracle.distance(underlay(root_peer), underlay(p)), p))
             .unwrap();
-        let hosts: Vec<_> = tree
+        let moves: Vec<_> = tree
             .preorder()
             .filter(|&id| (1..=2).contains(&tree.node(id).depth()))
-            .map(|id| tree.node(id).host())
+            .map(|id| (tree.node(id).host(), far))
             .collect();
-        for vs in hosts {
-            if prepared.net.vs(vs).host != far {
-                prepared.net.transfer_vs(vs, far);
-            }
-        }
+        prepared.net.transfer_vs(&moves);
 
         let fresh = aggregate(&prepared, &tree, &contributors, cfg).expect("attached");
         assert_ne!(

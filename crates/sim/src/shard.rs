@@ -73,7 +73,7 @@ pub(crate) fn join_sharded(
     // batches alone; collisions resample from the master RNG in that order.
     let _sub = proxbal_profile::phase("prepare/ring");
     let mut net = ChordNetwork::new();
-    net.join_peers_at(&positions, vs_per_peer, rng);
+    net.join_peers_at(positions, vs_per_peer, rng);
     progress.event(&format!("prepare: joined {peers}/{peers} peers"));
     net
 }

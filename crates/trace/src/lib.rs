@@ -218,13 +218,19 @@ impl Trace {
         });
     }
 
-    /// Add `n` to the integer counter `name`.
+    /// Add `n` to the integer counter `name`. Allocates the name only on
+    /// first sight: a round counts per rendezvous point and per transfer.
     #[inline]
     pub fn count(&mut self, name: &str, n: u64) {
         if !self.enabled {
             return;
         }
-        *self.counters.entry(name.to_owned()).or_insert(0) += n;
+        match self.counters.get_mut(name) {
+            Some(counter) => *counter += n,
+            None => {
+                self.counters.insert(name.to_owned(), n);
+            }
+        }
     }
 
     /// Add `x` to the floating-point counter `name`.

@@ -208,16 +208,23 @@ if [[ "$PROFILE_SMOKE" == "1" ]]; then
   # 36, and the workers' clones of those boxes 16,435 at two threads); shed
   # sets and light slots appended to one buffer per chunk (65; a candidate
   # list per heavy peer in a sorted map was 14,860, and with a scratch per
-  # peer 103,208); records published once per distinct landmark vector into
-  # lists sized before filling (10,060; 40,576 with one key and one sorted
-  # insert per record); transfer distances from one sorted key list, each
-  # distinct endpoint pair measured once (3,414, of which 3,305 build the
-  # transit-stub index; a hash memo with a sorted map per refined source
-  # was 10,124); the flat overlay's columns, each allocated once (17 calls
-  # for `prepare/ring`; a `Vec` per peer and a `BTreeMap` ring made 23,857),
-  # and runs that move within the shared column when a transfer outgrows
-  # them (17 for `round/transfer/apply`; reallocating a `Vec` per receiver
-  # made 5,648). Both caps are the count plus 25 %: 17 × 1.25 → 22.
+  # peer 103,208); one entry node per participant, its key computed once
+  # per distinct landmark vector in stack buffers (62; 10,060 with two
+  # allocations per distinct vector and lists filled per entry node, 40,576
+  # with one key and one sorted insert per record); one depth-first VSA
+  # walk over two record stacks, with an assignment buffer per depth (316;
+  # 6,420 with two lists per entry node merged level by level and a
+  # counter name allocated per rendezvous point); transfer distances from
+  # one sorted key list, each distinct endpoint pair measured once (3,414,
+  # of which 3,305 build the transit-stub index; a hash memo with a sorted
+  # map per refined source was 10,124); the flat overlay's columns, each
+  # allocated once, the positions' taken over (16 calls for
+  # `prepare/ring`; 17 with a copy of the positions, and a `Vec` per peer
+  # and a `BTreeMap` ring made 23,857), and one batch of transfers that
+  # moves each receiver's run within the shared column at most once (13
+  # for `round/transfer/apply`; 17 one move at a time, and reallocating a
+  # `Vec` per receiver made 5,648).
+  # Every cap is the count plus 25 %: 17 × 1.25 → 22, 62 → 78, 316 → 395.
   budget_calls() {
     local calls
     calls="$(awk -v p="$1" '$1 == p { print $(NF-1); exit }' "$P1/resources.txt")"
@@ -227,7 +234,8 @@ if [[ "$PROFILE_SMOKE" == "1" ]]; then
   budget_calls round/lbi 200
   budget_calls round/aggregate 200
   budget_calls round/vsa/candidates 500
-  budget_calls round/vsa/inputs 12000
+  budget_calls round/vsa/inputs 78
+  budget_calls round/vsa/sweep 395
   budget_calls round/transfer/distances 4000
   budget_calls prepare/ring 22
   budget_calls round/transfer/apply 22
