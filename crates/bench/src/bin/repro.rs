@@ -264,7 +264,13 @@ fn parse_args(argv: &[String]) -> Result<(Command, Args), String> {
             "--trace" => args.trace = Some(next_value(&mut it, flag, "a path")?),
             "--profile" => args.profile = Some(next_value(&mut it, flag, "a directory")?),
             "--progress" => args.progress = true,
-            "--peers" => peers = Some(next_value(&mut it, flag, "a count")?),
+            "--peers" => {
+                let count = next_value(&mut it, flag, "a count")?;
+                if count == 0 {
+                    return Err("--peers must be >= 1".into());
+                }
+                peers = Some(count);
+            }
             "--exact" => exact = true,
             "--epochs" => {
                 epochs = next_value(&mut it, flag, "a count")?;

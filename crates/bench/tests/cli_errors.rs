@@ -24,6 +24,8 @@ const MALFORMED: &[(&[&str], &str)] = &[
         &["engine", "--scale", "small", "--epochs", "0"],
         "--epochs must be >= 1",
     ),
+    // An empty DHT used to panic building its tree (exit 101).
+    (&["xl2", "--peers", "0"], "--peers must be >= 1"),
     // Selections the chosen phase does not run used to be asserts.
     (&["xl", "8"], "repro xl takes no positional operands"),
     (

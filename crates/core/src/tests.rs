@@ -1187,8 +1187,7 @@ fn ring_hosts(net: &ChordNetwork) -> Vec<(VsId, PeerId)> {
 /// The approximate scheme's memo as `transfer::pair_distances` replaced
 /// it, kept as its differential reference: the landmark filter over the
 /// distinct endpoint `pairs` into a hash map, then one full Dijkstra row per
-/// chosen source, filled in batches of half the oracle's row-cache capacity
-/// on `threads` workers.
+/// chosen source, filled on `threads` workers.
 fn reference_pair_distances_approx(
     pairs: &[(u32, u32)],
     oracle: &proxbal_topology::DistanceOracle,
@@ -1228,18 +1227,12 @@ fn reference_pair_distances_approx(
             .map(|&(s, _)| s)
             .collect();
         chosen.sort_unstable();
-        let batch = match oracle.capacity() {
-            0 => chosen.len().max(1),
-            cap => (cap / 2).max(1),
-        };
-        for chunk in chosen.chunks(batch) {
-            oracle.precompute(chunk, threads);
-            for &src in chunk {
-                let row = oracle.row(src);
-                for &other in &by_src[&src] {
-                    let (f, t) = if by_to { (other, src) } else { (src, other) };
-                    memo.insert((f, t), row.get(other as usize));
-                }
+        oracle.precompute(&chosen, threads);
+        for &src in &chosen {
+            let row = oracle.row(src);
+            for &other in &by_src[&src] {
+                let (f, t) = if by_to { (other, src) } else { (src, other) };
+                memo.insert((f, t), row.get(other as usize));
             }
         }
     }
@@ -1352,8 +1345,8 @@ proptest! {
     /// overlay untouched — over repeated endpoint pairs and pairs on one
     /// node, stale assignments (moved virtual servers, dead receivers) on
     /// churned networks, without distances, exactly, and approximately
-    /// with `refine_sources` ∈ {0, 1, k, ∞} through an indexed and an
-    /// evicting row oracle (the reference refines through full rows), at 1,
+    /// with `refine_sources` ∈ {0, 1, k, ∞} through an indexed and a
+    /// bounded row oracle (the reference refines through full rows), at 1,
     /// 2 and 8 threads; the VST counters agree across thread counts.
     #[test]
     fn prop_transfer_records_match_hash_memo_reference(
@@ -1374,7 +1367,7 @@ proptest! {
         let rows = DistanceOracle::new(Arc::clone(&topo.graph));
         let landmarks = LandmarkOracle::build(&rows, &picks, 1);
         let indexed = DistanceOracle::for_topology(&topo, 0);
-        let evicting = DistanceOracle::with_capacity(Arc::clone(&topo.graph), 8);
+        let bounded = DistanceOracle::with_capacity(Arc::clone(&topo.graph), 8);
         let exact = TransferDistances::Exact(&indexed);
         let mut modes = vec![(None, None), (Some(exact), Some(exact))];
         for refine_sources in [0, 1, k, usize::MAX] {
@@ -1383,7 +1376,7 @@ proptest! {
                 landmarks: &landmarks,
                 refine_sources,
             };
-            for oracle in [&indexed, &evicting] {
+            for oracle in [&indexed, &bounded] {
                 modes.push((Some(approx(oracle)), Some(approx(&rows))));
             }
         }

@@ -72,18 +72,22 @@ pub struct Scenario {
     /// Load-drift regime for continuous operation (`None` = static loads).
     /// Like `faults`, never consulted by `prepare`.
     pub drift: Option<crate::drift::DriftConfig>,
-    /// Bound on both distance oracles' row caches, in resident rows
-    /// (`0` = unbounded). [`Scenario::prepare`] honors this directly:
-    /// memory policy is part of the scenario, set once at build time.
+    /// Bound on both distance oracles' row memos, in stored rows (`0` =
+    /// unbounded): rows are stored until the memo is full and never
+    /// evicted. [`Scenario::prepare`] fills the landmark rows first; on the
+    /// generated topologies they are the only rows a run fills, because
+    /// the transit-stub index answers point queries. Results never depend
+    /// on it.
     pub oracle_capacity: usize,
     /// How transfer-phase distances are answered (see [`DistanceMode`]).
     /// `Exact` (the default) reproduces every historical output
     /// byte-for-byte; `Approximate` builds a hop-metric [`LandmarkOracle`]
     /// during preparation and routes phase-4 distance queries through it.
     pub distance_mode: DistanceMode,
-    /// With [`DistanceMode::Approximate`]: how many exact Dijkstra source
-    /// rows the refine step may spend per balancing pass on candidate
-    /// transfer pairs whose landmark bounds do not pin the distance.
+    /// With [`DistanceMode::Approximate`]: how many sources per balancing
+    /// pass have their candidate transfer pairs whose landmark bounds do
+    /// not pin the distance measured exactly (point queries, which the
+    /// transit-stub index answers without filling a row).
     pub refine_sources: usize,
     /// Number of preparation shards (`0` = the serial preparation path).
     /// With `shards > 0`, ring-position generation is partitioned across
@@ -94,15 +98,14 @@ pub struct Scenario {
     pub seed: u64,
 }
 
-/// Oracle row-cache bound used by the xl-scale runs: 4096 rows ≈ 800 MB at
-/// ts50k graph size, which keeps the whole four-phase run in a few GiB of
-/// RSS.
+/// Oracle row-memo bound used by the xl-scale runs. Only the landmark rows
+/// are ever stored (15 per oracle, under 1 MB compressed on ts50k), so the
+/// bound is never reached; the `xl` header prints it.
 pub const XL_ORACLE_CAPACITY: usize = 4096;
 
-/// Oracle row-cache bound for the xl2 (million-peer) runs. Rows are
-/// delta-compressed, but at 1M peers the budget is the 65k run's footprint,
-/// so the cache is kept an order of magnitude smaller and the landmark
-/// oracle absorbs the bulk of the queries.
+/// Oracle row-memo bound for the xl2 (million-peer) runs. As at xl scale,
+/// only the landmark rows are ever stored and the bound is never reached;
+/// the `xl2` header prints it.
 pub const XL2_ORACLE_CAPACITY: usize = 1024;
 
 impl Scenario {
@@ -123,11 +126,11 @@ impl Scenario {
     }
 
     /// Builds the network, loads, topology, oracle and landmarks. The
-    /// oracle row caches are bounded to [`Scenario::oracle_capacity`]
-    /// resident rows (`0` = unbounded), with landmark rows pinned so they
-    /// survive eviction pressure. Every result is bit-identical across
-    /// capacity settings — eviction only discards memoized pure functions
-    /// of the graph.
+    /// oracle row memos store at most [`Scenario::oracle_capacity`] rows
+    /// (`0` = unbounded); the landmark rows are filled first, so any
+    /// capacity of at least the landmark count keeps them stored. Every
+    /// result is bit-identical across capacity settings — the memo only
+    /// holds pure functions of the graph.
     ///
     /// With [`Scenario::shards`] `> 0` the ring is built the sharded way
     /// ([`crate::shard`]); the result is deterministic in the scenario
@@ -200,16 +203,10 @@ impl Scenario {
             let latency_oracle =
                 DistanceOracle::with_capacity(Arc::clone(&topo.latency_graph), cap);
             // Landmark vectors need the distance row *from* each landmark in
-            // the latency metric; batch-fill them up front so no balancing
-            // run (aware or ignorant, any mode ordering) computes one twice.
+            // the latency metric; batch-fill them up front, into the empty
+            // memo, so no balancing run (aware or ignorant, any mode
+            // ordering) computes one twice.
             latency_oracle.precompute(&landmarks, threads);
-            // Landmark rows back every proximity query; with a bounded
-            // cache they must survive arbitrary eviction pressure.
-            if cap > 0 {
-                for &l in &landmarks {
-                    latency_oracle.pin(l);
-                }
-            }
             progress.event(&format!(
                 "prepare: peers attached, {} landmark rows precomputed",
                 landmarks.len()
@@ -308,9 +305,8 @@ impl ScenarioBuilder {
     }
 
     /// Rescales to the xl preset: 65,536 peers over a ~50k-node
-    /// transit-stub underlay, with the oracle cache bounded to
-    /// [`XL_ORACLE_CAPACITY`] rows (unbounded, it can grow past 100 GB at
-    /// this scale).
+    /// transit-stub underlay, with the oracle row memos bounded to
+    /// [`XL_ORACLE_CAPACITY`] rows.
     pub fn xl(mut self) -> Self {
         self.scenario.peers = 65_536;
         self.scenario.topology = TopologyKind::Ts50k;
@@ -321,7 +317,7 @@ impl ScenarioBuilder {
     /// Rescales to the xl2 (million-peer) preset: 1,048,576 peers × 5
     /// virtual servers over the ~50k-node transit-stub underlay, prepared
     /// across 8 shards with landmark-approximate transfer distances
-    /// ([`DistanceMode::Approximate`]) and the oracle cache bounded to
+    /// ([`DistanceMode::Approximate`]) and the oracle row memos bounded to
     /// [`XL2_ORACLE_CAPACITY`] rows. Sharding is always on for this preset,
     /// so the run is identical at any `--threads`.
     pub fn xl2(mut self) -> Self {

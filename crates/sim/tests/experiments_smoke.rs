@@ -230,6 +230,35 @@ fn bounded_oracle_cache_is_bit_identical() {
     assert_eq!(unbounded, bounded);
 }
 
+/// Landmark rows outlast row traffic past the memo's bound: with a 16-row
+/// memo and 15 landmarks, rows from 40 other sources fill it, and a later
+/// landmark vector over the prepared landmarks computes no row.
+#[test]
+fn prepared_landmark_rows_outlast_a_full_memo() {
+    let mut scenario = small(23, TopologyKind::Ts5kLarge);
+    scenario.oracle_capacity = 16;
+    let prepared = scenario.prepare();
+    let landmarks = &prepared.landmarks;
+    assert_eq!(landmarks.len(), 15);
+    let latency = prepared.latency_oracle.as_ref().unwrap();
+    let n = latency.graph().node_count() as u32;
+    let others = (0..n)
+        .filter(|s| !landmarks.contains(s))
+        .step_by(97)
+        .take(40);
+    for src in others {
+        let _ = latency.row(src);
+    }
+    let before = latency.cache_stats();
+    let node = n / 2;
+    let vector = latency.landmark_vector(node, landmarks);
+    let during = latency.cache_stats().since(&before);
+    assert_eq!((during.computes, during.hits, during.evictions), (0, 15, 0));
+    for (&l, &d) in landmarks.iter().zip(&vector) {
+        assert_eq!(d, latency.graph().dijkstra(l)[node as usize]);
+    }
+}
+
 /// Both oracles a prepared run builds read the topology's own graphs: the
 /// hop and latency graphs are shared, never copied.
 #[test]

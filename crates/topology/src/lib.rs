@@ -24,10 +24,11 @@
 //!   (the paper uses 15 landmarks).
 //! * [`DistanceOracle`] — caching multi-source shortest-path oracle used to
 //!   derive landmark vectors and per-transfer hop costs. Rows are stored
-//!   block-compressed ([`CompactRow`]) so bounded caches hold several times
-//!   more rows per byte. Over a transit-stub topology
-//!   ([`DistanceOracle::for_topology`]) point queries skip rows entirely:
-//!   an exact structural index answers them in O(1).
+//!   block-compressed ([`CompactRow`], about a quarter of the raw bytes for
+//!   the latency landmark rows) in one map, filled once and never evicted.
+//!   Over a transit-stub topology ([`DistanceOracle::for_topology`]) point
+//!   queries skip rows entirely: an exact structural index answers them in
+//!   O(1).
 //! * [`LandmarkOracle`] — the hierarchical approximate tier: O(m) triangle-
 //!   inequality distance bounds from precomputed landmark vectors.
 

@@ -1,11 +1,10 @@
 use crate::graph::{DijkstraScratch, Graph, NodeId};
 use crate::stub_index::StubIndex;
 use crate::transit_stub::{DomainKind, TransitStubTopology};
-use parking_lot::{Mutex, RwLock};
 use std::cell::RefCell;
-use std::collections::VecDeque;
-use std::sync::atomic::{AtomicU64, AtomicU8, AtomicUsize, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::collections::HashMap;
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::{Arc, OnceLock, PoisonError, RwLock, RwLockReadGuard};
 
 /// Entries per [`CompactRow`] block. Each block stores its minimum and a
 /// fixed byte width for the deltas, so runs of equal or nearby distances
@@ -140,21 +139,16 @@ thread_local! {
     static SCRATCH: RefCell<DijkstraScratch> = RefCell::new(DijkstraScratch::new());
 }
 
-/// Row metadata bit: the row was touched since its last second chance.
-const REF_BIT: u8 = 1;
-/// Row metadata bit: the row is pinned and must never be evicted.
-const PIN_BIT: u8 = 2;
-
 /// Caching shortest-path oracle.
 ///
-/// Landmark vectors need distances *from* 15 landmarks; transfer-cost
+/// Landmark vectors need distances *from* a few landmarks; transfer-cost
 /// accounting (Figures 7 and 8) needs distances between arbitrary pairs of
-/// overlay attach points. Rather than a full 5,000×5,000 all-pairs matrix,
-/// the oracle runs Dijkstra per distinct source on demand and memoizes the
-/// row. Rows can also be bulk-precomputed in parallel with
+/// overlay attach points. Rather than a full all-pairs matrix, the oracle
+/// runs Dijkstra per distinct source on demand and memoizes the row. Rows
+/// can also be bulk-precomputed in parallel with
 /// [`DistanceOracle::precompute`]. Point queries exploit symmetry: the
 /// graph is undirected, so [`DistanceOracle::distance`] answers from
-/// whichever endpoint's row is already cached before computing a new one.
+/// whichever endpoint's row is already stored before computing a new one.
 ///
 /// # Point queries on transit-stub graphs
 ///
@@ -173,35 +167,25 @@ const PIN_BIT: u8 = 2;
 ///
 /// # Bounded memory
 ///
-/// At 50k-node scale a raw row is ~200 KB, so an unbounded cache can grow
-/// to gigabytes. Rows are therefore stored as [`CompactRow`] blocks
-/// (lossless, typically ~1 byte per entry for the hop metric) and
-/// [`DistanceOracle::with_capacity`] bounds the number of resident
-/// *unpinned* rows: once the bound is reached, inserting a new
-/// row evicts an old one by second-chance (clock) replacement. Rows that
-/// back repeated queries — the landmark rows — can be
-/// [pinned](DistanceOracle::pin) so they never leave the cache and never
-/// count against the bound. Eviction only ever discards memoized pure
-/// functions of the graph, so query results are bit-identical for any
-/// capacity, including unbounded.
+/// At 50k-node scale a raw row is ~200 KB. Rows are therefore stored as
+/// [`CompactRow`] blocks (lossless, typically ~1 byte per entry for the
+/// hop metric), and [`DistanceOracle::with_capacity`] bounds how many are
+/// stored: rows are stored until the memo is full, a row computed after
+/// that is returned without being stored, and a stored row stays until
+/// the oracle drops. Filling the rows that back repeated queries first —
+/// `prepare` fills the landmark rows — keeps them stored at any capacity
+/// at least the landmark count. The memo only ever holds pure functions of
+/// the graph, so query results are bit-identical for any capacity,
+/// including unbounded.
 pub struct DistanceOracle {
     graph: Arc<Graph>,
-    /// One row slot per node, allocated on the first [`DistanceOracle::row`]
-    /// or [`DistanceOracle::pin`]: an oracle that only answers point queries
-    /// from its index never holds them.
-    slots: OnceLock<RowSlots>,
-    /// Maximum resident unpinned rows; `0` means unbounded.
+    /// Stored rows by source. Dijkstra runs outside the lock.
+    rows: RwLock<HashMap<NodeId, Arc<CompactRow>>>,
+    /// Maximum stored rows; `0` means unbounded.
     capacity: usize,
-    /// Number of resident unpinned rows.
-    resident: AtomicUsize,
-    /// Measured bytes of all resident rows (pinned included).
-    resident_bytes: AtomicUsize,
-    /// Second-chance queue of resident unpinned row ids, oldest first.
-    clock: Mutex<VecDeque<NodeId>>,
     /// Lifetime cache accounting (relaxed counters; see [`CacheStats`]).
     hits: AtomicU64,
     computes: AtomicU64,
-    evictions: AtomicU64,
     /// Domain membership of every node, when the graph is a transit-stub
     /// topology: what the structural index is built from.
     kinds: Option<Arc<[DomainKind]>>,
@@ -211,22 +195,16 @@ pub struct DistanceOracle {
     index: OnceLock<Option<StubIndex>>,
 }
 
-/// The row cache's per-node state, addressed by source id.
-struct RowSlots {
-    rows: Vec<RwLock<Option<Arc<CompactRow>>>>,
-    /// Per-row `REF_BIT`/`PIN_BIT` flags.
-    meta: Vec<AtomicU8>,
-}
-
 /// Snapshot of an oracle's cache accounting.
 ///
-/// `hits` counts queries answered from a resident row; `computes` counts
-/// Dijkstra row fills; `evictions` counts rows discarded by the
-/// second-chance sweep. With an **unbounded** cache the totals are a pure
-/// function of the query sequence. With a bounded cache, eviction order —
-/// and therefore hit/eviction totals — depends on thread interleaving, so
-/// these numbers belong in diagnostics output, never in deterministic trace
-/// files.
+/// `hits` counts queries answered from a stored row; `computes` counts
+/// Dijkstra row fills. `evictions` is always 0: a stored row is never
+/// evicted. The field stays so that sums built field by field keep their
+/// shape. With an **unbounded** cache the totals are a pure function of
+/// the query sequence. With a bounded cache, which rows fill the memo —
+/// and therefore the hit and compute totals — can depend on thread
+/// interleaving, so these numbers belong in diagnostics output, never in
+/// deterministic trace files.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct CacheStats {
     pub hits: u64,
@@ -251,16 +229,15 @@ impl DistanceOracle {
         Self::with_capacity(graph, 0)
     }
 
-    /// Creates an oracle whose cache holds at most `capacity` unpinned
-    /// rows (`0` = unbounded). Pinned rows live outside the bound.
+    /// Creates an oracle that stores at most `capacity` rows (`0` =
+    /// unbounded); rows computed once the memo is full are not stored.
     pub fn with_capacity(graph: Arc<Graph>, capacity: usize) -> Self {
         Self::with_kinds(graph, capacity, None)
     }
 
     /// Creates an oracle over the hop-cost graph of `topo` that answers
-    /// point queries from the structural index (see the type docs), with a
-    /// row cache of `capacity` unpinned rows (`0` = unbounded) for whole-row
-    /// consumers.
+    /// point queries from the structural index (see the type docs), storing
+    /// at most `capacity` rows (`0` = unbounded) for whole-row consumers.
     pub fn for_topology(topo: &TransitStubTopology, capacity: usize) -> Self {
         Self::with_kinds(
             Arc::clone(&topo.graph),
@@ -272,14 +249,10 @@ impl DistanceOracle {
     fn with_kinds(graph: Arc<Graph>, capacity: usize, kinds: Option<Arc<[DomainKind]>>) -> Self {
         DistanceOracle {
             graph,
-            slots: OnceLock::new(),
+            rows: RwLock::default(),
             capacity,
-            resident: AtomicUsize::new(0),
-            resident_bytes: AtomicUsize::new(0),
-            clock: Mutex::new(VecDeque::new()),
             hits: AtomicU64::new(0),
             computes: AtomicU64::new(0),
-            evictions: AtomicU64::new(0),
             kinds,
             index: OnceLock::new(),
         }
@@ -302,44 +275,30 @@ impl DistanceOracle {
         &self.graph
     }
 
-    /// The row-cache capacity (`0` = unbounded).
-    pub fn capacity(&self) -> usize {
-        self.capacity
+    /// The stored rows. A panic never leaves the map half-written (every
+    /// write is one insert), so a poisoned lock is read as is.
+    fn stored(&self) -> RwLockReadGuard<'_, HashMap<NodeId, Arc<CompactRow>>> {
+        self.rows.read().unwrap_or_else(PoisonError::into_inner)
     }
 
-    /// The row slots, allocated on first use.
-    fn slots(&self) -> &RowSlots {
-        self.slots.get_or_init(|| {
-            let n = self.graph.node_count();
-            RowSlots {
-                rows: (0..n).map(|_| RwLock::new(None)).collect(),
-                meta: (0..n).map(|_| AtomicU8::new(0)).collect(),
-            }
-        })
+    /// Number of stored rows.
+    #[cfg(test)]
+    pub(crate) fn stored_rows(&self) -> usize {
+        self.stored().len()
     }
 
-    /// The cached row from `src`, if one exists.
+    /// The stored row from `src`, if one exists.
     fn cached(&self, src: NodeId) -> Option<Arc<CompactRow>> {
-        let slots = self.slots.get()?;
-        let row = slots.rows[src as usize].read().clone();
+        let row = self.stored().get(&src).cloned();
         if row.is_some() {
-            // Second chance: a touched row survives one clock pass.
-            slots.meta[src as usize].fetch_or(REF_BIT, Ordering::Relaxed);
             self.hits.fetch_add(1, Ordering::Relaxed);
         }
         row
     }
 
-    /// True iff the row from `src` is currently resident.
-    pub fn is_cached(&self, src: NodeId) -> bool {
-        self.slots
-            .get()
-            .is_some_and(|slots| slots.rows[src as usize].read().is_some())
-    }
-
-    /// Shortest-path distance row from `src` (computing and caching it if
-    /// needed). Rows are stored block-compressed; point lookups go through
-    /// [`CompactRow::get`].
+    /// Shortest-path distance row from `src`, computed and stored if
+    /// needed (stored only while the memo has room). Rows are stored
+    /// block-compressed; point lookups go through [`CompactRow::get`].
     pub fn row(&self, src: NodeId) -> Arc<CompactRow> {
         if let Some(row) = self.cached(src) {
             return row;
@@ -351,93 +310,20 @@ impl DistanceOracle {
             ))
         });
         self.computes.fetch_add(1, Ordering::Relaxed);
-        let RowSlots { rows, meta } = self.slots();
-        {
-            let mut slot = rows[src as usize].write();
+        let mut rows = self.rows.write().unwrap_or_else(PoisonError::into_inner);
+        if self.capacity == 0 || rows.len() < self.capacity {
             // Another thread may have raced us; keep whichever is present.
-            if let Some(existing) = slot.clone() {
-                return existing;
-            }
-            self.resident_bytes
-                .fetch_add(computed.size_bytes(), Ordering::Relaxed);
-            *slot = Some(computed.clone());
-            meta[src as usize].fetch_or(REF_BIT, Ordering::Relaxed);
-        }
-        if meta[src as usize].load(Ordering::Relaxed) & PIN_BIT == 0 {
-            self.resident.fetch_add(1, Ordering::Relaxed);
-            self.clock.lock().push_back(src);
-            if self.capacity > 0 {
-                while self.resident.load(Ordering::Relaxed) > self.capacity {
-                    if !self.evict_one() {
-                        break; // nothing evictable (all pinned / in flight)
-                    }
-                }
-            }
+            return Arc::clone(rows.entry(src).or_insert(computed));
         }
         computed
-    }
-
-    /// Evicts one unpinned resident row by second-chance replacement.
-    /// Returns `false` when the queue drains without finding a victim.
-    fn evict_one(&self) -> bool {
-        let RowSlots { rows, meta } = self.slots();
-        let mut clock = self.clock.lock();
-        // Each entry is inspected at most twice per call (once to clear its
-        // reference bit, once to evict), so the sweep terminates.
-        let mut budget = 2 * clock.len();
-        while budget > 0 {
-            budget -= 1;
-            let Some(src) = clock.pop_front() else {
-                return false;
-            };
-            let meta = &meta[src as usize];
-            let flags = meta.load(Ordering::Relaxed);
-            if flags & PIN_BIT != 0 {
-                // Pinned after insertion: leave resident, drop from the
-                // clock, and stop counting it against the bound.
-                self.resident.fetch_sub(1, Ordering::Relaxed);
-                continue;
-            }
-            if flags & REF_BIT != 0 {
-                meta.fetch_and(!REF_BIT, Ordering::Relaxed);
-                clock.push_back(src);
-                continue;
-            }
-            let mut slot = rows[src as usize].write();
-            // Re-check under the slot lock: a concurrent `pin` sets the
-            // bit before ensuring residency, so this is the last word.
-            if meta.load(Ordering::Relaxed) & PIN_BIT != 0 {
-                self.resident.fetch_sub(1, Ordering::Relaxed);
-                continue;
-            }
-            if let Some(evicted) = slot.take() {
-                self.resident.fetch_sub(1, Ordering::Relaxed);
-                self.resident_bytes
-                    .fetch_sub(evicted.size_bytes(), Ordering::Relaxed);
-                self.evictions.fetch_add(1, Ordering::Relaxed);
-                return true;
-            }
-        }
-        false
-    }
-
-    /// Pins the row from `src`: it is computed if absent and will never be
-    /// evicted (nor count against the capacity bound).
-    pub fn pin(&self, src: NodeId) {
-        // Order matters: set the bit first so a concurrent eviction that
-        // already popped this row re-checks and leaves it resident. If the
-        // row was already resident (and counted), the clock sweep corrects
-        // the resident count when it reaches the now-stale queue entry.
-        self.slots().meta[src as usize].fetch_or(PIN_BIT, Ordering::Relaxed);
-        let _ = self.row(src);
     }
 
     /// Shortest-path distance between `u` and `v` in latency units.
     ///
     /// With a structural index ([`DistanceOracle::for_topology`]) this is a
     /// handful of table lookups. Otherwise the graph is undirected, so
-    /// `d(u, v) = d(v, u)`: if either endpoint's row is cached the answer
-    /// is a lookup, and only when neither is does this compute (and cache)
+    /// `d(u, v) = d(v, u)`: if either endpoint's row is stored the answer
+    /// is a lookup, and only when neither is does this compute (and store)
     /// the row from `u`.
     pub fn distance(&self, u: NodeId, v: NodeId) -> u32 {
         if u == v {
@@ -458,7 +344,7 @@ impl DistanceOracle {
     /// Landmark vector of `node`: distances to each of `landmarks`, in order.
     pub fn landmark_vector(&self, node: NodeId, landmarks: &[NodeId]) -> Vec<u32> {
         // Dijkstra from each landmark (few sources) rather than from every
-        // node (many sources): the cache makes repeated calls cheap.
+        // node (many sources): the memo makes repeated calls cheap.
         landmarks
             .iter()
             .map(|&l| self.row(l).get(node as usize))
@@ -468,18 +354,21 @@ impl DistanceOracle {
     /// Precomputes rows for `sources` in parallel using scoped threads.
     /// Each worker thread fills rows through its own thread-local scratch,
     /// so the batch allocates nothing beyond the rows themselves.
-    /// Already-cached sources are skipped without spawning work for them.
+    /// Already-stored sources are skipped without spawning work for them.
     ///
     /// Work is claimed through a shared atomic cursor rather than a static
     /// split: Dijkstra cost varies per source (stub vs transit, weight
     /// regime), so pre-chunked partitions leave tail threads idle while one
     /// worker drains an expensive chunk.
     pub fn precompute(&self, sources: &[NodeId], threads: usize) {
-        let missing: Vec<NodeId> = sources
-            .iter()
-            .copied()
-            .filter(|&src| !self.is_cached(src))
-            .collect();
+        let missing: Vec<NodeId> = {
+            let rows = self.stored();
+            sources
+                .iter()
+                .copied()
+                .filter(|src| !rows.contains_key(src))
+                .collect()
+        };
         if missing.is_empty() {
             return;
         }
@@ -506,21 +395,15 @@ impl DistanceOracle {
         });
     }
 
-    /// Number of cached rows (for tests / diagnostics).
-    pub fn cached_rows(&self) -> usize {
-        self.slots.get().map_or(0, |slots| {
-            slots.rows.iter().filter(|r| r.read().is_some()).count()
-        })
-    }
-
-    /// Measured bytes of all resident rows, pinned included, plus the
-    /// structural index once it is built. This is what "sized by measured
-    /// residency" means for capacity planning: the `xl2` preset picks its
-    /// row budget against this number, not against a `rows × 4 bytes × n`
-    /// estimate that compression makes obsolete.
+    /// Measured bytes of all stored rows, plus the structural index once it
+    /// is built. This is what "sized by measured residency" means for
+    /// capacity planning: a row budget is picked against this number, not
+    /// against a `rows × 4 bytes × n` estimate that compression makes
+    /// obsolete.
     pub fn resident_bytes(&self) -> usize {
+        let rows: usize = self.stored().values().map(|row| row.size_bytes()).sum();
         let index = self.index.get().and_then(Option::as_ref);
-        self.resident_bytes.load(Ordering::Relaxed) + index.map_or(0, StubIndex::size_bytes)
+        rows + index.map_or(0, StubIndex::size_bytes)
     }
 
     /// Snapshot of the lifetime cache accounting. See [`CacheStats`] for
@@ -529,7 +412,7 @@ impl DistanceOracle {
         CacheStats {
             hits: self.hits.load(Ordering::Relaxed),
             computes: self.computes.load(Ordering::Relaxed),
-            evictions: self.evictions.load(Ordering::Relaxed),
+            evictions: 0,
         }
     }
 }

@@ -207,7 +207,7 @@ fn oracle_matches_direct_dijkstra() {
     for v in 0..g.node_count() as NodeId {
         assert_eq!(oracle.distance(0, v), direct[v as usize]);
     }
-    assert_eq!(oracle.cached_rows(), 1);
+    assert_eq!(oracle.stored_rows(), 1);
 }
 
 #[test]
@@ -216,7 +216,7 @@ fn oracle_precompute_parallel() {
     let oracle = DistanceOracle::new(StdArc::clone(&topo.graph));
     let sources: Vec<NodeId> = (0..topo.node_count() as NodeId).collect();
     oracle.precompute(&sources, 4);
-    assert_eq!(oracle.cached_rows(), topo.node_count());
+    assert_eq!(oracle.stored_rows(), topo.node_count());
     // Spot-check symmetry (undirected graph ⇒ symmetric distances).
     for &u in sources.iter().step_by(3) {
         for &v in sources.iter().step_by(5) {
@@ -237,7 +237,7 @@ fn oracle_precompute_cursor_any_thread_count() {
     for threads in [1usize, 2, 8] {
         let oracle = DistanceOracle::new(StdArc::clone(&graph));
         oracle.precompute(&sources, threads);
-        assert_eq!(oracle.cached_rows(), sources.len(), "threads={threads}");
+        assert_eq!(oracle.stored_rows(), sources.len(), "threads={threads}");
         for &src in &sources {
             assert_eq!(
                 oracle.row(src).to_vec(),
@@ -245,33 +245,6 @@ fn oracle_precompute_cursor_any_thread_count() {
                 "row {src} differs at threads={threads}"
             );
         }
-    }
-}
-
-#[test]
-fn pinned_rows_survive_eviction_pressure() {
-    let topo = small_topo(3);
-    let graph = StdArc::clone(&topo.graph);
-    let oracle = DistanceOracle::with_capacity(StdArc::clone(&graph), 4);
-    let pinned: Vec<NodeId> = vec![0, 1];
-    for &p in &pinned {
-        oracle.pin(p);
-    }
-    // Touch every row in the graph — far more than capacity, so the clock
-    // hand sweeps the queue many times over.
-    let n = topo.node_count() as NodeId;
-    for src in 0..n {
-        let _ = oracle.row(src);
-    }
-    for &p in &pinned {
-        assert!(oracle.is_cached(p), "pinned row {p} was evicted");
-    }
-    // Unpinned residency stays bounded by the capacity.
-    assert!(oracle.cached_rows() <= oracle.capacity() + pinned.len());
-    // Eviction only discards memoized values; answers never change.
-    let unbounded = DistanceOracle::new(graph);
-    for src in (0..n).step_by(5) {
-        assert_eq!(oracle.distance(src, n - 1), unbounded.distance(src, n - 1));
     }
 }
 
@@ -356,11 +329,76 @@ proptest! {
         let sources: Vec<NodeId> = (0..n).step_by(3).collect();
         sequential.precompute(&sources, 1);
         threaded.precompute(&sources, 4);
-        prop_assert_eq!(sequential.cached_rows(), threaded.cached_rows());
+        prop_assert_eq!(sequential.stored_rows(), threaded.stored_rows());
         for &src in &sources {
             let seq_row = sequential.row(src);
             let thr_row = threaded.row(src);
             prop_assert_eq!(seq_row.to_vec(), thr_row.to_vec());
+        }
+    }
+
+    /// The row memo against an independent reference: on random graphs,
+    /// at capacities 0, 1, 2 and 16, after a landmark `precompute` at 1 and
+    /// 4 threads, a random sequence of `row`, `distance` and
+    /// `landmark_vector` calls answers exactly what Bellman-Ford gives. The
+    /// memo never stores more rows than its capacity and never evicts, and
+    /// unbounded it fills each distinct source's row exactly once.
+    #[test]
+    fn prop_row_memo_matches_bellman_ford(seed in 0u64..150) {
+        use rand::Rng;
+        let mut rng = StdRng::seed_from_u64(seed);
+        let n = rng.gen_range(2..40usize);
+        let edges: Vec<_> = (0..rng.gen_range(0..3 * n))
+            .map(|_| {
+                let u = rng.gen_range(0..n as NodeId);
+                (u, rng.gen_range(0..n as NodeId), rng.gen_range(1..9))
+            })
+            .collect();
+        let graph = StdArc::new(Graph::from_edges(n, &edges, &[]));
+        let reference: Vec<Vec<u32>> = (0..n as NodeId).map(|s| bellman_ford(&graph, s)).collect();
+        let mut landmarks: Vec<NodeId> = Vec::new();
+        while landmarks.len() < n.min(4) {
+            let l = rng.gen_range(0..n as NodeId);
+            if !landmarks.contains(&l) {
+                landmarks.push(l);
+            }
+        }
+        for capacity in [0, 1, 2, 16] {
+            for threads in [1, 4] {
+                let oracle = DistanceOracle::with_capacity(StdArc::clone(&graph), capacity);
+                oracle.precompute(&landmarks, threads);
+                // The sources an unbounded memo has stored.
+                let mut sources: std::collections::BTreeSet<NodeId> =
+                    landmarks.iter().copied().collect();
+                for _ in 0..30 {
+                    let (u, v) = (rng.gen_range(0..n as NodeId), rng.gen_range(0..n as NodeId));
+                    let from_u = &reference[u as usize];
+                    match rng.gen_range(0..3) {
+                        0 => {
+                            prop_assert_eq!(&oracle.row(u).to_vec(), from_u);
+                            sources.insert(u);
+                        }
+                        1 => {
+                            prop_assert_eq!(oracle.distance(u, v), from_u[v as usize]);
+                            if u != v && !sources.contains(&u) && !sources.contains(&v) {
+                                sources.insert(u);
+                            }
+                        }
+                        _ => {
+                            let want: Vec<u32> =
+                                landmarks.iter().map(|&l| reference[l as usize][u as usize]).collect();
+                            prop_assert_eq!(oracle.landmark_vector(u, &landmarks), want);
+                        }
+                    }
+                    prop_assert!(capacity == 0 || oracle.stored_rows() <= capacity);
+                }
+                let stats = oracle.cache_stats();
+                prop_assert_eq!(stats.evictions, 0);
+                if capacity == 0 {
+                    prop_assert_eq!(stats.computes, sources.len() as u64);
+                    prop_assert_eq!(oracle.stored_rows(), sources.len());
+                }
+            }
         }
     }
 
@@ -440,7 +478,7 @@ proptest! {
 fn oracle_accounts_resident_bytes() {
     let topo = small_topo(12);
     let graph = StdArc::clone(&topo.graph);
-    let oracle = DistanceOracle::with_capacity(StdArc::clone(&graph), 2);
+    let oracle = DistanceOracle::new(StdArc::clone(&graph));
     assert_eq!(oracle.resident_bytes(), 0);
     let r0 = oracle.row(0).size_bytes();
     assert_eq!(oracle.resident_bytes(), r0);
@@ -454,12 +492,11 @@ fn oracle_accounts_resident_bytes() {
         "row bytes {r0} too large for {} nodes",
         graph.node_count()
     );
-    // Evictions release their bytes: residency stays bounded.
-    for src in 0..graph.node_count() as NodeId {
-        let _ = oracle.row(src);
-    }
-    let bound = 3 * (oracle.capacity() + 1) * r0;
-    assert!(oracle.resident_bytes() <= bound);
+    // Every stored row is accounted, and a stored row is never refilled.
+    let r1 = oracle.row(1).size_bytes();
+    let _ = oracle.row(0);
+    assert_eq!(oracle.resident_bytes(), r0 + r1);
+    assert_eq!(oracle.cache_stats().computes, 2);
 }
 
 #[test]

@@ -8,7 +8,8 @@
 # suite), the workspace test suite, `cargo fmt --check`, clippy over every
 # target with warnings denied, rustdoc over the workspace with warnings
 # denied (no broken intra-doc link), the cap of 3 on `fn reference_*`
-# declarations (`scripts/surface.sh`), the `churn_self_repair` example (the one
+# declarations (`scripts/surface.sh`), no unused `[dependencies]` entry,
+# the `churn_self_repair` example (the one
 # EXPERIMENTS.md quotes numbers from), the trace smoke, the opted-in
 # smokes, and last the `benchmark/` package built against this checkout
 # with `pbench all --smoke`.
@@ -31,11 +32,11 @@
 #                    and trace summary byte-identical, volatile artifacts
 #                    present, the `tree`, `oracle/index_build` and
 #                    `prepare/topology` phases within their allocated-byte
-#                    budgets, `round/lbi`,
-#                    `round/aggregate`, `round/vsa/candidates`,
-#                    `round/vsa/inputs` and `round/transfer/distances`
-#                    within their allocation-count budgets; DESIGN.md §5a,
-#                    §5c, §6b, §6c)
+#                    budgets, `round/lbi`, `round/aggregate`,
+#                    `round/vsa/candidates`, `round/vsa/inputs`,
+#                    `round/transfer/distances` and `prepare/attach` within
+#                    their allocation-count budgets; DESIGN.md §5a, §5c,
+#                    §6b, §6c)
 #   --analyze-smoke  the committed engine scenario (profiled: `engine/des/*`
 #                    and `engine/round` phases present) against `gates/*.toml`
 #                    (all pass), then an impossible gate must exit nonzero
@@ -83,6 +84,25 @@ if [ "$references" -gt 3 ]; then
   echo "FAILED: $references \`fn reference_*\` declarations, the cap is 3" >&2
   exit 1
 fi
+
+# Every `[dependencies]` entry of a package in the workspace is named (as a
+# path, a `use` or an `extern crate`) in that package's own sources:
+# `src/` (with `src/bin/`), `tests/` or `examples/`. A dependency nothing
+# names only adds build time and a stale edge to the crate graph.
+echo "==> every declared dependency is named in its package's sources"
+unused=0
+for manifest in Cargo.toml crates/*/Cargo.toml compat/*/Cargo.toml; do
+  dir=$(dirname "$manifest")
+  sources=$(for d in src tests examples; do if [[ -d "$dir/$d" ]]; then echo "$dir/$d"; fi; done)
+  for dep in $(awk '/^\[/ { on = ($0 == "[dependencies]"); next }
+                    on && /^[A-Za-z0-9_-]+ *[.=]/ { sub(/ *[.=].*/, ""); print }' "$manifest"); do
+    ident=${dep//-/_}
+    # shellcheck disable=SC2086
+    grep -rqE --include='*.rs' "\\b$ident::|\\buse $ident\\b|extern crate $ident\\b" $sources || {
+      echo "FAILED: $manifest declares $dep, which none of its sources names" >&2; unused=1; }
+  done
+done
+[[ "$unused" == "0" ]] || exit 1
 
 echo "==> cargo run --release --example churn_self_repair"
 cargo run --release --example churn_self_repair
@@ -224,7 +244,11 @@ if [[ "$PROFILE_SMOKE" == "1" ]]; then
   # moves each receiver's run within the shared column at most once (13
   # for `round/transfer/apply`; 17 one move at a time, and reallocating a
   # `Vec` per receiver made 5,648).
-  # Every cap is the count plus 25 %: 17 × 1.25 → 22, 62 → 78, 316 → 395.
+  # `prepare/attach` attaches the peers and fills the 15 latency landmark
+  # rows into the oracle's one row map (6,885 calls and 6.55 MB; a row slot
+  # and a lock per underlay node made it 6,886 calls and 7.81 MB).
+  # Every cap is the count plus 25 %: 17 × 1.25 → 22, 62 → 78, 316 → 395,
+  # 6,885 → 8,606.
   budget_calls() {
     local calls
     calls="$(awk -v p="$1" '$1 == p { print $(NF-1); exit }' "$P1/resources.txt")"
@@ -239,6 +263,7 @@ if [[ "$PROFILE_SMOKE" == "1" ]]; then
   budget_calls round/transfer/distances 4000
   budget_calls prepare/ring 22
   budget_calls round/transfer/apply 22
+  budget_calls prepare/attach 8606
 fi
 
 if [[ "$ANALYZE_SMOKE" == "1" ]]; then
