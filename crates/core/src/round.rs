@@ -59,7 +59,8 @@ const PEER_CHUNK: usize = 8192;
 /// Which peers changed since the last balancing round.
 #[derive(Clone, Debug)]
 pub enum DirtySet {
-    /// Every peer re-reports — a cold start, or a one-shot run.
+    /// Every peer re-reports — a cold start, a one-shot run, or a change
+    /// that touched every peer's load.
     All,
     /// Only these peers changed; everyone else re-uses its cached report
     /// binding and sends nothing up the tree.
@@ -72,6 +73,21 @@ impl DirtySet {
         match self {
             DirtySet::All => true,
             DirtySet::Peers(set) => set.contains(&p),
+        }
+    }
+
+    /// Marks `p` dirty; on `All` there is nothing to add.
+    pub fn insert(&mut self, p: PeerId) {
+        if let DirtySet::Peers(set) = self {
+            set.insert(p);
+        }
+    }
+
+    /// Forgets `p` (a peer that left); on `All` nothing changes — a round
+    /// asks only about alive peers.
+    pub fn remove(&mut self, p: PeerId) {
+        if let DirtySet::Peers(set) = self {
+            set.remove(&p);
         }
     }
 }

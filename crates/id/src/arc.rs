@@ -151,8 +151,7 @@ impl Arc {
     /// the whole vector.
     pub fn child(&self, i: usize, k: usize) -> Arc {
         assert!(k >= 1 && i < k, "child index {i} out of range for k={k}");
-        let base = self.len / k as u64;
-        let rem = self.len % k as u64;
+        let (base, rem) = self.part_len(k);
         let i = i as u64;
         let start_off = base * i + i.min(rem);
         let part = base + u64::from(i < rem);
@@ -161,13 +160,13 @@ impl Arc {
 
     /// The inverse of [`Arc::child`]: which of the `k` children holds `id`,
     /// and that child — what one step of a descent by key asks. `id` must
-    /// lie inside. One division for the split, then a subtraction per child
+    /// lie inside. One split of the length, then a subtraction per child
     /// passed: descents run millions of times over small `k`.
     #[inline]
     pub fn child_towards(&self, id: Id, k: usize) -> (usize, Arc) {
         let mut off = self.start.distance_to(id);
         assert!(off < self.len, "{id:?} lies outside {self:?}");
-        let (base, rem) = (self.len / k as u64, self.len % k as u64);
+        let (base, rem) = self.part_len(k);
         let (mut i, mut start) = (0, self.start);
         loop {
             let len = base + u64::from((i as u64) < rem);
@@ -175,6 +174,19 @@ impl Arc {
                 return (i, Arc { start, len });
             }
             (i, off, start) = (i + 1, off - len, start.wrapping_add(len));
+        }
+    }
+
+    /// `(len / k, len % k)`: the length of the shortest of `k` parts and
+    /// how many parts are one longer. A shift and a mask when `k` is a
+    /// power of two — every shipped degree is — else a division.
+    #[inline]
+    fn part_len(&self, k: usize) -> (u64, u64) {
+        let k = k as u64;
+        if k.is_power_of_two() {
+            (self.len >> k.trailing_zeros(), self.len & (k - 1))
+        } else {
+            (self.len / k, self.len % k)
         }
     }
 }

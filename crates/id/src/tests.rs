@@ -190,6 +190,31 @@ proptest! {
     }
 
     #[test]
+    fn prop_children_split_by_division(start: u32, len in 1u64..=RING_SIZE, k in 1usize..=16) {
+        // The reference: `len / k` and `len % k`, written out here, against
+        // the shift and mask the power-of-two degrees take. Short arcs
+        // leave some parts empty.
+        for len in [len, 1 + len % 40, RING_SIZE] {
+            let arc = Arc::new(Id::new(start), len);
+            let (base, rem) = (len / k as u64, len % k as u64);
+            let mut at = 0u64;
+            for i in 0..k {
+                let part = base + u64::from((i as u64) < rem);
+                let want = Arc::new(Id::new(start).wrapping_add(at), part);
+                prop_assert_eq!(arc.child(i, k), want);
+                if part > 0 {
+                    for off in [at, at + part / 2, at + part - 1] {
+                        let id = Id::new(start).wrapping_add(off);
+                        prop_assert_eq!(arc.child_towards(id, k), (i, want));
+                    }
+                }
+                at += part;
+            }
+            prop_assert_eq!(at, len);
+        }
+    }
+
+    #[test]
     fn prop_covers_implies_membership_subset(
         s1: u32, l1 in 0u64..=RING_SIZE, s2: u32, l2 in 0u64..=RING_SIZE, probe: u32
     ) {

@@ -415,6 +415,50 @@ fn no_change_touches_no_arena_node() {
 }
 
 #[test]
+fn a_join_visits_its_root_paths_not_the_arena() {
+    let mut rng = StdRng::seed_from_u64(23);
+    let mut net = ChordNetwork::new();
+    for _ in 0..4096 {
+        net.join_peer(1, &mut rng);
+    }
+    for k in [2, 8] {
+        let (mut net, mut rng) = (net.clone(), rng.clone());
+        let mut tree = KTree::build(&net, k);
+        let before = tree.checked();
+        net.join_peer(1, &mut rng);
+        let changes = net.ring().changes_since(before).expect("journalled").len();
+        let bound = changes * k * tree.height() as usize;
+        let visits = visits_during(|| {
+            assert!(tree.maintain_round(&net) > 0);
+        });
+        assert!(
+            visits > 0 && visits <= 2 * bound && visits * 32 < tree.slot_bound(),
+            "k {k}: {visits} visits for {changes} changes × height {} of {} slots",
+            tree.height(),
+            tree.slot_bound()
+        );
+        tree.maintain_until_stable(&net, 64, 0, &mut Trace::disabled());
+        tree.check_invariants(&net).unwrap();
+
+        // A ring whose history the tree does not share: every live slot.
+        let mut other = net.clone();
+        net.join_peer(1, &mut rng);
+        other.join_peer(1, &mut rng);
+        tree.maintain_until_stable(&net, 64, 0, &mut Trace::disabled());
+        assert_eq!(other.ring().changes_since(tree.checked()), None);
+        let live = (0..tree.slot_bound() as u32).filter(|&s| tree.contains(KtNodeId(s)));
+        let live = live.count();
+        let visits = visits_during(|| {
+            tree.maintain_round(&other);
+        });
+        assert!(
+            visits >= live,
+            "k {k}: {visits} visits of {live} live slots"
+        );
+    }
+}
+
+#[test]
 fn a_clone_follows_its_own_history() {
     let mut rng = StdRng::seed_from_u64(19);
     let mut net = ChordNetwork::new();

@@ -15,8 +15,9 @@
 //! reads only the ring positions inside the node's region and the owner of
 //! its center, so the round runs it only on nodes that a journalled ring
 //! change ([`proxbal_chord::Ring::changes_since`]) or a tree-side mutation
-//! can have affected — with the tree left in the shape a sweep over every
-//! node would leave it (DESIGN.md §6a); an unchanged ring costs nothing.
+//! can have affected, found along the changes' root paths — with the tree
+//! left in the shape a sweep over every node would leave it (DESIGN.md
+//! §6a); an unchanged ring costs nothing.
 //! Every order a result sees is the tree's preorder, never an arena slot
 //! order; the `#[cfg(test)]` module `spec` writes the tree and its
 //! maintenance from these rules alone, and the tests compare by shape.

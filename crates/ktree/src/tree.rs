@@ -750,9 +750,14 @@ impl KTree {
     /// region meets an arc `(pred(x), x]` of a changed position `x`) and
     /// those flagged by a tree-side mutation. With no
     /// ring change and nothing flagged the call returns without touching
-    /// the arena. When the journal cannot say what changed (the tree is
-    /// further behind than it retains, or `net` is not a continuation of
-    /// the history the tree was last checked on) every node is checked.
+    /// the arena. The reachable ones are found by a descent from the root
+    /// that enters only the children whose region meets an arc — a child's
+    /// region lies inside its parent's — so a round costs the changes' root
+    /// paths, not the arena. When the journal cannot say what changed (the
+    /// tree is further behind than it retains, or `net` is not a
+    /// continuation of the history the tree was last checked on) every node
+    /// is checked; while a cut-off subtree awaits [`Self::repair`], the
+    /// root does not reach it, and every live slot is tested instead.
     ///
     /// The round checks the suspects it listed at its start, ancestors
     /// first, skipping those an ancestor's check pruned — so a node grown
@@ -769,23 +774,11 @@ impl KTree {
     pub fn maintain_round(&mut self, net: &ChordNetwork) -> usize {
         self.free.append(&mut self.retired);
         let ring = net.ring();
-        let dirty = match ring.changes_since(self.checked) {
+        let suspects = match ring.changes_since(self.checked) {
             Some(changed) if changed.is_empty() && self.flagged == 0 => return 0,
-            Some(changed) => Some(DirtyArcs::new(ring, &changed)),
-            None => None,
+            Some(changed) if self.detached == 0 => self.worklist(&DirtyArcs::new(ring, &changed)),
+            changed => self.sweep(changed.map(|c| DirtyArcs::new(ring, &c)).as_ref()),
         };
-        count_visits(self.slot_bound());
-        let mut suspects: Vec<KtNodeId> = (0..self.slot_bound())
-            .filter(|&slot| self.nodes.depths[slot] != FREE)
-            .map(|slot| KtNodeId(slot as u32))
-            .filter(|&id| {
-                self.is_flagged(id)
-                    || dirty
-                        .as_ref()
-                        .is_none_or(|d| d.touches(&self.nodes.recs[id.0 as usize].region()))
-            })
-            .collect();
-        suspects.sort_by_key(|id| self.nodes.depths[id.0 as usize]);
         let mut mutations = 0;
         for id in suspects {
             if self.contains(id) {
@@ -795,6 +788,57 @@ impl KTree {
         }
         self.checked = ring.stamp();
         mutations
+    }
+
+    /// The suspects of a round in which the root reaches every live slot,
+    /// ordered by (depth, slot): the flagged slots, read from the set bits
+    /// of `flags`, and the slots whose region touches `dirty`, found by a
+    /// descent that enters a slot child only if its region touches — a
+    /// child's region lies inside its parent's, so the descent finds every
+    /// slot a test of each would. Inline leaves are checked in their
+    /// parent's check.
+    fn worklist(&self, dirty: &DirtyArcs) -> Vec<KtNodeId> {
+        let mut suspects = Vec::with_capacity(self.flagged);
+        for (word, &bits) in self.flags.iter().enumerate() {
+            let mut bits = bits;
+            while bits != 0 {
+                suspects.push(KtNodeId(word as u32 * 64 + bits.trailing_zeros()));
+                bits &= bits - 1;
+            }
+        }
+        let (mut stack, mut visits) = (vec![self.root.0], 0);
+        while let Some(slot) = stack.pop() {
+            visits += 1;
+            let at = slot as usize;
+            if !dirty.touches(&self.nodes.recs[at].region()) {
+                continue;
+            }
+            if !self.is_flagged(KtNodeId(slot)) {
+                suspects.push(KtNodeId(slot));
+            }
+            let kids = &self.nodes.kids[at * self.k..][..self.k];
+            stack.extend(kids.iter().filter(|&&c| c != NONE && !is_inline(c)));
+        }
+        count_visits(visits);
+        suspects.sort_unstable_by_key(|id| (self.nodes.depths[id.0 as usize], id.0));
+        suspects
+    }
+
+    /// The suspects of a round as a test of every live slot finds them,
+    /// ordered by (depth, slot): the flagged ones, and those whose region
+    /// touches `dirty` — every one when the journal could not say (`None`).
+    fn sweep(&self, dirty: Option<&DirtyArcs>) -> Vec<KtNodeId> {
+        count_visits(self.slot_bound());
+        let mut suspects: Vec<KtNodeId> = (0..self.slot_bound())
+            .filter(|&slot| self.nodes.depths[slot] != FREE)
+            .map(|slot| KtNodeId(slot as u32))
+            .filter(|&id| {
+                self.is_flagged(id)
+                    || dirty.is_none_or(|d| d.touches(&self.nodes.recs[id.0 as usize].region()))
+            })
+            .collect();
+        suspects.sort_by_key(|id| self.nodes.depths[id.0 as usize]);
+        suspects
     }
 
     /// One periodic check of the KT node in a slot, and of the leaves it

@@ -135,7 +135,7 @@ impl ChurnSource {
             .map(|&v| world.net.vs(v).position)
             .collect();
         world.net.crash_peer(victim);
-        world.dirty.remove(&victim);
+        world.dirty.remove(victim);
         // The successors that absorbed the dead regions notice the
         // departure and re-report.
         for pos in positions {

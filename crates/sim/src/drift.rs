@@ -9,9 +9,9 @@
 //! time and the cumulative load moved — the operational cost of keeping a
 //! drifting system balanced.
 
-use crate::metrics::gini;
+use crate::metrics::LoadColumn;
 use proxbal_chord::ChordNetwork;
-use proxbal_core::{BalancerConfig, LoadBalancer, LoadState, NodeClass, Underlay};
+use proxbal_core::{BalancerConfig, DirtySet, LoadBalancer, LoadState, Underlay};
 use proxbal_workload::sample_gaussian;
 use rand::Rng;
 use serde::{Deserialize, Serialize};
@@ -78,20 +78,6 @@ impl DriftStats {
     }
 }
 
-fn unit_loads(net: &ChordNetwork, loads: &LoadState) -> Vec<f64> {
-    net.alive_peers()
-        .iter()
-        .map(|&p| loads.unit_load(net, p))
-        .collect()
-}
-
-pub(crate) fn heavy_count(net: &ChordNetwork, loads: &LoadState, epsilon: f64) -> usize {
-    let params = proxbal_core::ClassifyParams { epsilon };
-    let system = loads.totals(net);
-    let cls = proxbal_core::Classification::compute(net, loads, &params, system, 1);
-    cls.count_of(NodeClass::Heavy)
-}
-
 /// Runs the drift experiment: loads drift every step, the balancer runs
 /// every `rebalance_every` steps.
 pub fn run_drift<R: Rng>(
@@ -125,10 +111,11 @@ pub fn run_drift<R: Rng>(
             stats.rebalances += 1;
         }
 
+        let column = LoadColumn::read(net, loads);
         stats.timeline.push(DriftSample {
             step,
-            gini: gini(&unit_loads(net, loads)),
-            heavy: heavy_count(net, loads, balancer_cfg.epsilon),
+            gini: column.gini(),
+            heavy: column.heavy(balancer_cfg.epsilon),
             moved,
         });
     }
@@ -138,7 +125,7 @@ pub fn run_drift<R: Rng>(
 /// Geometric load drift as a pluggable [`EventSource`]: every epoch, each
 /// virtual server's load is multiplied by `exp(σ·Z)` — the same random
 /// walk [`run_drift`] applies per step. Every alive peer's load changes,
-/// so all of them go dirty.
+/// so the dirty set becomes [`DirtySet::All`] — no set to fill.
 ///
 /// [`EventSource`]: crate::engine::EventSource
 pub struct DriftSource {
@@ -172,9 +159,7 @@ impl crate::engine::EventSource for DriftSource {
             let new = world.loads.vs_load(vs) * factor;
             world.loads.set_vs_load(vs, new);
         }
-        for p in world.net.alive_peers() {
-            world.dirty.insert(p);
-        }
+        *world.dirty = DirtySet::All;
         crate::engine::SourceActivity {
             drifted,
             ..Default::default()
@@ -253,7 +238,7 @@ mod tests {
         let _ = balancer
             .run(&mut net, &mut loads, None, &mut rng)
             .expect("attached network");
-        let balanced = heavy_count(&net, &loads, BalancerConfig::default().epsilon);
+        let balanced = LoadColumn::read(&net, &loads).heavy(BalancerConfig::default().epsilon);
         let cfg = DriftConfig {
             steps: 60,
             rebalance_every: 1000, // never fires within the horizon

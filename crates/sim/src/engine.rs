@@ -24,9 +24,9 @@
 
 use crate::churn::ChurnSource;
 use crate::des::RetryPolicy;
-use crate::drift::{heavy_count, DriftSource};
+use crate::drift::DriftSource;
 use crate::faults::{run_aggregation, run_dissemination, FaultPlan, FaultSource};
-use crate::metrics::gini;
+use crate::metrics::LoadColumn;
 use crate::protocol::{ProtocolError, ProtocolScratch};
 use crate::scenario::underlay_of;
 use crate::Prepared;
@@ -107,9 +107,11 @@ pub struct World<'a> {
     /// The long-lived K-nary aggregation tree.
     pub tree: &'a mut KTree,
     /// Peers whose load, capacity, or membership changed since the last
-    /// balancing round — they re-report at the next one
-    /// ([`proxbal_core::DirtySet`]).
-    pub dirty: &'a mut BTreeSet<PeerId>,
+    /// balancing round — they re-report at the next one. A source that
+    /// changes every peer's load sets [`DirtySet::All`] instead of listing
+    /// them; [`DirtySet::insert`] and [`DirtySet::remove`] leave `All` as
+    /// it is.
+    pub dirty: &'a mut DirtySet,
 }
 
 /// What one event source did during one epoch.
@@ -136,7 +138,8 @@ impl SourceActivity {
 
 /// A pluggable perturbation: called once per epoch, in registration order,
 /// before maintenance and balancing. Implementations own their RNG stream
-/// so sources never perturb each other's randomness.
+/// so sources never perturb each other's randomness, and mark what they
+/// change in [`World::dirty`].
 pub trait EventSource {
     /// Stable name for traces and logs.
     fn name(&self) -> &'static str;
@@ -339,7 +342,7 @@ pub fn run_engine_with(
 
     let mut bal_rng = derived(BALANCE_LABEL);
     let mut cache = RoundCache::new();
-    let mut dirty: BTreeSet<PeerId> = BTreeSet::new();
+    let mut dirty = DirtySet::Peers(BTreeSet::new());
 
     // Retention accounting for the `kt_reorphaned` trace counter: the
     // regions, as (start, length), of subtrees a repair re-attached,
@@ -419,20 +422,18 @@ pub fn run_engine_with(
             // 3. Emergency check against ground truth — the engine's stand-in
             // for each node comparing its own L_i/C_i against the last
             // disseminated target. Membership is settled for this epoch (a
-            // round moves virtual servers, never peers), so this one walk of
-            // the peer table also serves the sample in step 5.
+            // round moves virtual servers, never peers), so the one column
+            // of LBIs read here also serves the sample in step 5, unless a
+            // round moves load in between.
             let prof = phase("engine/sample");
-            let totals = prepared.loads.totals(&prepared.net);
+            let column = LoadColumn::read(&prepared.net, &prepared.loads);
+            let totals = column.totals;
             let target_unit = if totals.capacity > 0.0 {
                 totals.load / totals.capacity
             } else {
                 0.0
             };
-            let alive = prepared.net.alive_peers();
-            let max_unit = alive
-                .iter()
-                .map(|&p| prepared.loads.unit_load(&prepared.net, p))
-                .fold(0.0_f64, f64::max);
+            let max_unit = column.unit_loads().fold(0.0_f64, f64::max);
             let emergency = target_unit > 0.0 && max_unit > EMERGENCY_THRESHOLD * target_unit;
             let scheduled = (epoch + 1) % cfg.balance_interval == 0;
             let last = epoch + 1 == cfg.epochs;
@@ -481,12 +482,11 @@ pub fn run_engine_with(
                 // A cold cache means every peer reports fresh regardless of
                 // the dirty set; say so explicitly so the message accounting
                 // matches a one-shot run.
-                let mut round_dirty = if cache.is_empty() {
-                    dirty.clear();
-                    DirtySet::All
-                } else {
-                    DirtySet::Peers(std::mem::take(&mut dirty))
-                };
+                let mut round_dirty =
+                    std::mem::replace(&mut dirty, DirtySet::Peers(BTreeSet::new()));
+                if cache.is_empty() {
+                    round_dirty = DirtySet::All;
+                }
                 let balancer = match shadow {
                     Some(Shadow::Running(_)) => &beside_shadow,
                     _ => &balancer,
@@ -532,7 +532,7 @@ pub fn run_engine_with(
                         || passes > MAX_EMERGENCY_PASSES;
                     // Transfer participants changed load: they re-report at
                     // the next pass (or the next epoch's round).
-                    dirty = participants.clone();
+                    dirty = DirtySet::Peers(participants.clone());
                     if done {
                         break;
                     }
@@ -544,15 +544,26 @@ pub fn run_engine_with(
                 }
             }
 
-            // 5. Sample the epoch.
+            // 5. Sample the epoch: a round moved load, so its column is read
+            // again; a quiet epoch changed nothing since step 3.
             let prof = phase("engine/sample");
-            let heavy = heavy_count(&prepared.net, &prepared.loads, scenario.balancer.epsilon);
-            let unit_loads: Vec<f64> = alive
-                .iter()
-                .map(|&p| prepared.loads.unit_load(&prepared.net, p))
-                .collect();
-            let gini = gini(&unit_loads);
-            let alive_peers = alive.len();
+            let column = if do_balance {
+                let after = LoadColumn::read(&prepared.net, &prepared.loads);
+                // Transfers move load and splits divide it: the sums agree
+                // up to the order of their additions.
+                debug_assert!(
+                    close(after.totals.load, totals.load)
+                        && close(after.totals.capacity, totals.capacity),
+                    "epoch {epoch}: the round changed the totals {totals:?} to {:?}",
+                    after.totals
+                );
+                after
+            } else {
+                column
+            };
+            let heavy = column.heavy(scenario.balancer.epsilon);
+            let gini = column.gini();
+            let alive_peers = column.lbis.len();
             drop(prof);
             tr.span_args(
                 "engine/epoch",
@@ -605,6 +616,11 @@ pub fn run_engine_with(
     })?;
 
     Ok(report)
+}
+
+/// Whether two sums of the same terms agree to 1e-9 relative.
+fn close(a: f64, b: f64) -> bool {
+    (a - b).abs() <= 1e-9 * a.abs().max(b.abs())
 }
 
 /// The DES shadow of one balancing epoch, run: its message totals (or its

@@ -1,6 +1,9 @@
 //! Measurement helpers shared by tests, examples and the figure
 //! regenerators.
 
+use proxbal_chord::ChordNetwork;
+use proxbal_core::{ClassifyParams, Lbi, LoadState, NodeClass};
+use proxbal_ktree::Merge;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
@@ -186,6 +189,50 @@ pub fn gini(values: &[f64]) -> f64 {
         .map(|(i, &v)| (i as f64 + 1.0) * v)
         .sum();
     (2.0 * weighted) / (n * sum) - (n + 1.0) / n
+}
+
+/// Every alive peer's LBI `<L_i, C_i, L_{i,min}>`, ascending by peer, and
+/// their totals: one read of the load table from which a sample (an engine
+/// epoch, a drift step) derives every figure, each bit for bit as the
+/// [`LoadState`] function that reads the table itself computes it.
+pub(crate) struct LoadColumn {
+    pub(crate) lbis: Vec<Lbi>,
+    /// [`LoadState::totals`]: the LBIs merged in peer order from
+    /// `<0, 0, ∞>`.
+    pub(crate) totals: Lbi,
+}
+
+impl LoadColumn {
+    pub(crate) fn read(net: &ChordNetwork, loads: &LoadState) -> Self {
+        let alive = net.alive_peers();
+        let lbis: Vec<Lbi> = alive.iter().map(|&p| loads.node_lbi(net, p)).collect();
+        let mut totals = Lbi {
+            load: 0.0,
+            capacity: 0.0,
+            min_vs_load: f64::INFINITY,
+        };
+        for &lbi in &lbis {
+            totals.merge(lbi);
+        }
+        LoadColumn { lbis, totals }
+    }
+
+    /// Every peer's unit load `L_i / C_i` ([`LoadState::unit_load`]).
+    pub(crate) fn unit_loads(&self) -> impl Iterator<Item = f64> + '_ {
+        self.lbis.iter().map(|lbi| lbi.load / lbi.capacity)
+    }
+
+    /// The peers heavy at `epsilon` against the column's own totals.
+    pub(crate) fn heavy(&self, epsilon: f64) -> usize {
+        let params = ClassifyParams { epsilon };
+        let heavy = |lbi: &&Lbi| params.classify(lbi, &self.totals) == NodeClass::Heavy;
+        self.lbis.iter().filter(heavy).count()
+    }
+
+    /// The Gini coefficient of the unit loads.
+    pub(crate) fn gini(&self) -> f64 {
+        gini(&self.unit_loads().collect::<Vec<_>>())
+    }
 }
 
 #[cfg(test)]

@@ -214,19 +214,33 @@ fn protocol_latency_rows_are_pinned_at_zero_loss_and_monotone_in_loss() {
     }
 }
 
-/// The eviction contract of the bounded oracle cache: a fig-7-shaped run
-/// with a 16-row cache (constant eviction pressure during the transfer
-/// phase) renders byte-identically to the unbounded cache — eviction only
-/// discards memoized pure functions of the graph, never answers.
+/// The bound of the oracle row memo changes no answer: with a 4-row memo —
+/// below the 15 landmark rows `prepare` computes — a fig-7-shaped run
+/// computes rows it cannot store, stores fewer bytes of rows than the
+/// unbounded memo, and renders byte-identically to it.
 #[test]
 fn bounded_oracle_cache_is_bit_identical() {
-    let mut base = small(7, TopologyKind::Ts5kLarge);
-    base.peers = 512;
-    let unbounded =
-        serde_json::to_string(&fig78_moved_load(&base.prepare(), &mut Trace::disabled())).unwrap();
-    base.oracle_capacity = 16;
-    let bounded =
-        serde_json::to_string(&fig78_moved_load(&base.prepare(), &mut Trace::disabled())).unwrap();
+    const CAPACITY: usize = 4;
+    let run = |capacity: usize| {
+        let mut scenario = small(7, TopologyKind::Ts5kLarge);
+        scenario.oracle_capacity = capacity;
+        let prepared = scenario.prepare();
+        let out = fig78_moved_load(&prepared, &mut Trace::disabled());
+        let latency = prepared.latency_oracle.as_ref().unwrap();
+        let rendered = serde_json::to_string(&out).unwrap();
+        (
+            rendered,
+            latency.cache_stats().computes,
+            latency.resident_bytes(),
+        )
+    };
+    let (unbounded, _, unbounded_bytes) = run(0);
+    let (bounded, computes, bytes) = run(CAPACITY);
+    assert!(computes > CAPACITY as u64, "{computes} rows computed");
+    assert!(
+        bytes < unbounded_bytes,
+        "{bytes} of {unbounded_bytes} bytes"
+    );
     assert_eq!(unbounded, bounded);
 }
 

@@ -5,7 +5,8 @@
 #                    [--analyze-smoke] [--profile-smoke]
 #
 # Runs, in order: tier-1 verify (ROADMAP.md: release build + root test
-# suite), the workspace test suite, `cargo fmt --check`, clippy over every
+# suite), the workspace test suite, the K-nary tree's differential
+# histories in release at 4x their cases, `cargo fmt --check`, clippy over every
 # target with warnings denied, rustdoc over the workspace with warnings
 # denied (no broken intra-doc link), the cap of 3 on `fn reference_*`
 # declarations (`scripts/surface.sh`), no unused `[dependencies]` entry,
@@ -65,6 +66,13 @@ cargo test -q
 
 echo "==> cargo test --workspace -q"
 cargo test --workspace -q
+
+# The K-nary tree's differential histories against `ktree::spec` are the
+# reference for the suspects a maintenance round lists: in release, at 4x
+# their default 192 cases, within a 60 s budget (about 10 s on 2 cores).
+echo "==> ktree differential histories: release, PROPTEST_CASES=768, <= 60 s"
+cargo test --release -q -p proxbal-ktree --lib --no-run
+PROPTEST_CASES=768 timeout 60 cargo test --release -q -p proxbal-ktree --lib prop_histories_match_the_spec
 
 echo "==> cargo fmt --check"
 cargo fmt --check
