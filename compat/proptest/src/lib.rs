@@ -191,8 +191,9 @@ pub mod prelude {
     pub use crate::{prop_assert, prop_assert_eq, prop_assert_ne, proptest};
 }
 
-/// Declares property tests. Each `fn` becomes a `#[test]` running many
-/// random cases.
+/// Declares property tests. Each `fn` runs many random cases; as with the
+/// upstream crate, it carries its own `#[test]` (the macro adds none, so a
+/// second one would register the test twice).
 #[macro_export]
 macro_rules! proptest {
     (#![proptest_config($config:expr)] $($rest:tt)*) => {
@@ -214,7 +215,6 @@ macro_rules! __proptest_fns {
         $($rest:tt)*
     ) => {
         $(#[$meta])*
-        #[test]
         fn $name() {
             let __config = $config;
             $crate::run_cases(
@@ -338,12 +338,14 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(32))]
 
+        #[test]
         fn arbitrary_and_strategy_params(a: u32, b in 10u64..20, f in 0.0f64..=1.0) {
             let _ = a;
             prop_assert!((10..20).contains(&b));
             prop_assert!((0.0..=1.0).contains(&f), "f = {}", f);
         }
 
+        #[test]
         fn trailing_comma_params(
             x in 1usize..5,
             y: u64,

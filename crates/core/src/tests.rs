@@ -295,6 +295,7 @@ proptest! {
     /// in the same order. Even ones draw loads and excesses off a
     /// continuum, where the two may part in a sum's last bit: there the set
     /// sums to the spec's minimum and is heaviest first, or is everything.
+    #[test]
     fn prop_shed_set_equals_the_spec(seed: u64, n in 0usize..=2 * EXACT_LIMIT, quarters in 0u32..=320) {
         const LOADS: [f64; 7] = [-0.0, 0.0, 0.5, 1.0, 1.0, 2.0, 3.5];
         let mut rng = StdRng::seed_from_u64(seed);
@@ -685,7 +686,11 @@ fn spec_underlay() -> &'static (DistanceOracle, DistanceOracle, Vec<NodeId>) {
         let topo = ts5k_small();
         let landmarks = select_landmarks(&topo, 15, &mut StdRng::seed_from_u64(6));
         let latency = DistanceOracle::new(topo.latency_graph.clone());
-        (DistanceOracle::for_topology(&topo, 0), latency, landmarks)
+        (
+            DistanceOracle::for_topology(&topo, &topo.graph, 0),
+            latency,
+            landmarks,
+        )
     })
 }
 
@@ -883,6 +888,7 @@ proptest! {
     /// newcomers (an unattached one now and then), peers hosting nothing
     /// and one hosting 22 virtual servers,
     /// dirty sets from none to all, and 1, 2 or 8 threads.
+    #[test]
     fn prop_run_round_equals_the_spec(seed in 0u64..1_000_000) {
         let mut knobs = StdRng::seed_from_u64(seed ^ 0x5EC);
         let mut pick = |n: usize| knobs.gen_range(0..n);
@@ -1068,7 +1074,7 @@ fn execute_transfers_unattached_receiver_leaves_overlay_untouched() {
             net.attach(p, stubs[i % stubs.len()]);
         }
     }
-    let oracle = DistanceOracle::for_topology(&topo, 0);
+    let oracle = DistanceOracle::for_topology(&topo, &topo.graph, 0);
     let hosts = |net: &ChordNetwork| -> Vec<(VsId, PeerId)> {
         net.ring()
             .iter()
@@ -1366,7 +1372,7 @@ proptest! {
         let picks = select_landmarks(&topo, landmark_count, &mut rng);
         let rows = DistanceOracle::new(Arc::clone(&topo.graph));
         let landmarks = LandmarkOracle::build(&rows, &picks, 1);
-        let indexed = DistanceOracle::for_topology(&topo, 0);
+        let indexed = DistanceOracle::for_topology(&topo, &topo.graph, 0);
         let bounded = DistanceOracle::with_capacity(Arc::clone(&topo.graph), 8);
         let exact = TransferDistances::Exact(&indexed);
         let mut modes = vec![(None, None), (Some(exact), Some(exact))];
@@ -1410,7 +1416,7 @@ fn transfer_records_match_the_reference_across_chunks() {
     assert!(assignments.len() > 2 * 4096);
     let mut rng = StdRng::seed_from_u64(66);
     let picks = select_landmarks(&topo, 3, &mut rng);
-    let oracle = DistanceOracle::for_topology(&topo, 0);
+    let oracle = DistanceOracle::for_topology(&topo, &topo.graph, 0);
     let landmarks = LandmarkOracle::build(&oracle, &picks, 1);
     let mut modes = vec![None, Some(TransferDistances::Exact(&oracle))];
     for refine_sources in [0, 40] {
@@ -1465,7 +1471,7 @@ fn refinement_settles_pairs_the_landmark_filter_leaves_open() {
     let topo = ts5k_small();
     let (net, _, assignments) = transfer_fixture(7, 128, usize::MAX, false);
     let mut rng = StdRng::seed_from_u64(8);
-    let oracle = DistanceOracle::for_topology(&topo, 0);
+    let oracle = DistanceOracle::for_topology(&topo, &topo.graph, 0);
     let landmarks = LandmarkOracle::build(&oracle, &select_landmarks(&topo, 2, &mut rng), 1);
     let at = |p: PeerId| net.peer(p).underlay;
     let mut pairs: Vec<(u32, u32)> = assignments.iter().map(|a| (at(a.from), at(a.to))).collect();
@@ -1500,7 +1506,7 @@ fn aware_round_with_unattached_participant_is_typed_error() {
     let (mut net, mut loads, mut rng) = setup(48, 3, 27);
     let topo = TransitStubTopology::generate(TransitStubConfig::tiny(), &mut rng);
     let landmarks = select_landmarks(&topo, 4, &mut rng);
-    let oracle = DistanceOracle::for_topology(&topo, 0);
+    let oracle = DistanceOracle::for_topology(&topo, &topo.graph, 0);
     // Everyone is attached but the light peer with the most room to spare.
     let params = ClassifyParams::default();
     let classification = Classification::compute(&net, &loads, &params, loads.totals(&net), 1);

@@ -60,6 +60,92 @@ fn maintenance_rebuilds_after_crash_in_logarithmic_rounds() {
     );
 }
 
+/// A K = 2 tree over one peer per ring position in `positions`, each with
+/// one virtual server; the tree passes its check.
+fn tree_at(positions: &[u32]) -> (ChordNetwork, KTree, StdRng) {
+    let mut rng = StdRng::seed_from_u64(1);
+    let mut net = ChordNetwork::new();
+    for &p in positions {
+        net.join_peer_at(&[Id::new(p)], &mut rng);
+    }
+    let tree = KTree::build(&net, 2);
+    tree.check_invariants(&net).unwrap();
+    (net, tree, rng)
+}
+
+#[test]
+fn check_rejects_a_join_without_maintenance_as_a_wrong_host() {
+    // The root's first half held one position, as an inline leaf planted
+    // in it; a second position there moves the half's center owner to the
+    // next position clockwise, 0x9000_0000.
+    let (mut net, tree, mut rng) = tree_at(&[0x1000_0000, 0x9000_0000]);
+    net.join_peer_at(&[Id::new(0x2000_0000)], &mut rng);
+    let err = tree.check_invariants(&net).unwrap_err();
+    assert!(err.contains("at depth 1 hosted by"), "{err}");
+}
+
+#[test]
+fn check_rejects_a_join_without_maintenance_as_a_missing_child() {
+    // A lone position makes the root a leaf; a second one in the same half
+    // keeps its host but makes that half need a child.
+    let (mut net, tree, mut rng) = tree_at(&[0x9000_0000]);
+    net.join_peer_at(&[Id::new(0xA000_0000)], &mut rng);
+    let err = tree.check_invariants(&net).unwrap_err();
+    assert!(err.ends_with("at depth 0: child 1 missing"), "{err}");
+}
+
+#[test]
+fn check_rejects_a_crash_without_maintenance() {
+    // The root's first half loses its only position: its leaf should go.
+    let (mut net, tree, _) = tree_at(&[0x1000_0000, 0x9000_0000, 0xA000_0000]);
+    let first = net.alive_peers()[0];
+    assert_eq!(net.vs(net.vss_of(first)[0]).position, Id::new(0x1000_0000));
+    net.crash_peer(first);
+    let err = tree.check_invariants(&net).unwrap_err();
+    assert!(
+        err.ends_with("at depth 0: child 0 should be pruned"),
+        "{err}"
+    );
+}
+
+#[test]
+fn check_rejects_detached_nodes() {
+    // Maintenance regrows the slot a stale parent link emptied, but only a
+    // repair puts the cut-off subtree back.
+    let (net, _) = net_with(32, 3, 5);
+    let mut tree = KTree::build(&net, 2);
+    let cut = tree
+        .preorder()
+        .find(|&id| tree.node(id).depth() >= 2 && !tree.node(id).is_leaf())
+        .expect("an interior node below depth 1");
+    let cut_off = tree.subtree_len(cut);
+    tree.inject_stale_parent(cut, tree.root());
+    tree.maintain_until_stable(&net, 64, 0, &mut Trace::disabled());
+    let err = tree.check_invariants(&net).unwrap_err();
+    assert_eq!(err, format!("{cut_off} live nodes detached"));
+    tree.repair(&net, 64);
+    tree.check_invariants(&net).unwrap();
+}
+
+#[test]
+fn check_rejects_a_child_with_wrong_metadata() {
+    let (net, _) = net_with(32, 3, 6);
+    let mut tree = KTree::build(&net, 2);
+    let child = tree
+        .preorder()
+        .find(|&id| tree.node(id).depth() >= 2 && !tree.node(id).is_leaf())
+        .expect("an interior node below depth 1");
+    let parent = tree.node(child).parent().expect("not the root");
+    let i = tree.node(parent).children().position(|c| c == Some(child));
+    tree.mislink(child, tree.root());
+    let err = tree.check_invariants(&net).unwrap_err();
+    let i = i.expect("listed by its parent");
+    assert!(
+        err.ends_with(&format!(": child {i} metadata wrong")),
+        "{err}"
+    );
+}
+
 #[derive(Clone, Debug, PartialEq)]
 struct Sum(u64);
 impl Merge for Sum {

@@ -932,14 +932,24 @@ impl KTree {
     /// Checks structural invariants of a **stable** tree: every live node
     /// is reached from the root and is what the rules of the tree make of
     /// its region. Used by tests.
+    ///
+    /// The walk is [`Self::preorder`]'s, and each node carries the ring
+    /// entries of its region as one index range of the ring's columns: a
+    /// child's region lies inside its parent's, so its entries are found
+    /// by binary search inside the parent's range, never over the ring.
     pub fn check_invariants(&self, net: &ChordNetwork) -> Result<(), String> {
+        let (positions, vss) = net.ring().columns();
+        let columns = Columns { positions, vss };
         let mut reached = 0;
-        for id in self.preorder() {
+        // The root's region is the whole ring anchored at 0.
+        let mut stack = vec![(self.root, 0..vss.len())];
+        let mut below = Vec::with_capacity(self.k);
+        while let Some((id, inside)) = stack.pop() {
             reached += 1;
             let node = self.node(id);
             let region = node.region();
             let at = || format!("node over {region:?} at depth {}", node.depth());
-            let host = Self::host_for(net, &region);
+            let host = columns.host_for(&region, inside.clone());
             if node.host() != host {
                 return Err(format!(
                     "{} hosted by {:?}, should be {host:?}",
@@ -947,15 +957,18 @@ impl KTree {
                     node.host()
                 ));
             }
-            if Self::is_leaf_region(net, &region) {
+            if inside.len() <= 1 {
                 if !node.is_leaf() {
                     return Err(format!("{} should be a leaf", at()));
                 }
                 continue;
             }
+            let mut lo = inside.start;
             for (i, child) in node.children().enumerate() {
                 let part = region.child(i, self.k);
-                let needed = !part.is_empty() && net.ring().count_in(&part) >= 1;
+                let end = u64::from(part.start().raw()) + part.len();
+                let hi = lo + positions[lo..inside.end].partition_point(|&p| u64::from(p) < end);
+                let needed = !part.is_empty() && hi > lo;
                 match child {
                     Some(child) => {
                         if !needed {
@@ -968,6 +981,7 @@ impl KTree {
                         {
                             return Err(format!("{}: child {i} metadata wrong", at()));
                         }
+                        below.push((child, lo..hi));
                     }
                     None => {
                         if needed {
@@ -975,7 +989,9 @@ impl KTree {
                         }
                     }
                 }
+                lo = hi;
             }
+            stack.extend(below.drain(..).rev());
         }
         if reached != self.len() {
             return Err(format!("{} live nodes detached", self.len() - reached));
@@ -1319,6 +1335,14 @@ impl KTree {
             child if is_inline(child) => self.leaves -= 1,
             slot => self.prune(KtNodeId(slot)),
         }
+    }
+
+    /// Points the parent link of `id`, a node in a slot, at `parent` while
+    /// its real parent still lists it: a child whose metadata is wrong, as
+    /// the tests of [`Self::check_invariants`] need one.
+    #[cfg(test)]
+    pub(crate) fn mislink(&mut self, id: KtNodeId, parent: KtNodeId) {
+        self.set_parent(id, Some(parent));
     }
 
     /// `region` through the arena's 8-byte form and back.

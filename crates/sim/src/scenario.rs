@@ -9,7 +9,6 @@ use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
-use std::sync::Arc;
 
 /// Which physical topology to attach the overlay to.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
@@ -199,9 +198,8 @@ impl Scenario {
             }
             let landmarks = select_landmarks(topo, self.landmarks, &mut rng);
             let cap = self.oracle_capacity;
-            let oracle = DistanceOracle::for_topology(topo, cap);
-            let latency_oracle =
-                DistanceOracle::with_capacity(Arc::clone(&topo.latency_graph), cap);
+            let oracle = DistanceOracle::for_topology(topo, &topo.graph, cap);
+            let latency_oracle = DistanceOracle::for_topology(topo, &topo.latency_graph, cap);
             // Landmark vectors need the distance row *from* each landmark in
             // the latency metric; batch-fill them up front, into the empty
             // memo, so no balancing run (aware or ignorant, any mode

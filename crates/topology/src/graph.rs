@@ -17,6 +17,19 @@ pub const INFINITE_DISTANCE: u32 = u32::MAX;
 /// for itself and the binary heap takes over.
 const MAX_BUCKET_WEIGHT: u32 = 4096;
 
+/// Most `u64` words the frontier ring of [`Graph::distance_table`] may
+/// hold (256 KiB): the batch of sources narrows so that `max_weight + 1`
+/// levels of one word row per node fit, and never below 64 sources.
+const SWEEP_WORDS: usize = 1 << 15;
+
+/// Words per node in a batch of [`Graph::distance_table`]'s sweep over `n`
+/// nodes: every source's bit when the ring fits [`SWEEP_WORDS`], fewer
+/// (at least one) when it would not.
+fn sweep_words(n: usize, max_weight: u32) -> usize {
+    let levels = max_weight as usize + 1;
+    (SWEEP_WORDS / (levels * n).max(1)).clamp(1, n.div_ceil(64).max(1))
+}
+
 /// Most members a block may have for its arcs to be stored as one-byte
 /// offsets from its first member.
 const MAX_BLOCK: usize = 256;
@@ -545,62 +558,76 @@ impl Graph {
     /// Every pair's shortest-path distance, row-major: entry `s · n + v`
     /// is [`Graph::dijkstra`]`(s)[v]`.
     ///
-    /// One multi-source Dial sweep per 64 sources, one source per bit of a
-    /// `u64`: a ring of `max_weight + 1` levels holds `(node, sources)`
-    /// entries, and the entries of level `d` settle, for each node, the
-    /// sources that had not reached it yet at distance `d` — then push
-    /// them on along its arcs. A node is expanded once per level it
-    /// settles sources at, not once per source, so on a sparse graph with
-    /// small weights the sweep costs a fraction of `n` Dijkstra runs.
+    /// One level-synchronous sweep that carries a batch of sources at once,
+    /// one bit each. The *frontier* of a node at level `d` holds the
+    /// sources whose distance to it is exactly `d`: at level `d` each node
+    /// ORs its neighbours' frontiers from level `d − w` (`w` the arc's
+    /// weight) and keeps the bits it has not seen yet. Only the last
+    /// `max_weight + 1` levels are kept, and the sweep ends once
+    /// `max_weight` levels in a row are empty. A node that has seen every
+    /// source of the batch is skipped. The batch is every source, narrowed
+    /// only where the frontier ring would pass [`SWEEP_WORDS`].
     pub(crate) fn distance_table(&self) -> Vec<u32> {
         let n = self.node_count();
         let mut table = vec![INFINITE_DISTANCE; n * n];
-        let ring_len = self.max_weight as usize + 1;
-        let mut ring: Vec<Vec<(NodeId, u64)>> = vec![Vec::new(); ring_len];
-        // Per node: the batch's sources that settled it, and those that
-        // settle it at the current level.
-        let (mut reached, mut fresh) = (vec![0u64; n], vec![0u64; n]);
-        let mut settling: Vec<NodeId> = Vec::new();
-        for first in (0..n).step_by(64) {
-            reached.fill(0);
-            for s in first..n.min(first + 64) {
-                ring[0].push((s as NodeId, 1 << (s - first)));
+        let levels = self.max_weight as usize + 1;
+        let words = sweep_words(n, self.max_weight);
+        let mut ring: Vec<Vec<u64>> = vec![vec![0; n * words]; levels];
+        let mut seen = vec![0u64; n * words];
+        let mut full = vec![0u64; words];
+        for first in (0..n).step_by(64 * words) {
+            let batch = (n - first).min(64 * words);
+            for (k, mask) in full.iter_mut().enumerate() {
+                *mask = match batch.saturating_sub(64 * k) {
+                    0 => 0,
+                    b @ 1..=63 => (1 << b) - 1,
+                    _ => u64::MAX,
+                };
             }
-            let mut pending = ring[0].len();
-            let mut d = 0u32;
-            while pending > 0 {
-                let level = &mut ring[d as usize % ring_len];
-                pending -= level.len();
-                for (v, sources) in level.drain(..) {
-                    let new = sources & !reached[v as usize];
-                    if new != 0 {
-                        if fresh[v as usize] == 0 {
-                            settling.push(v);
+            seen.fill(0);
+            for level in &mut ring {
+                level.fill(0);
+            }
+            for b in 0..batch {
+                let (s, bit) = (first + b, 1 << (b % 64));
+                ring[0][s * words + b / 64] = bit;
+                seen[s * words + b / 64] = bit;
+                table[s * n + s] = 0;
+            }
+            let mut last = 0; // the last level with a frontier
+            for d in 1.. {
+                if d - last > self.max_weight as usize {
+                    break; // every level a frontier can come from is empty
+                }
+                let mut frontier = std::mem::take(&mut ring[d % levels]);
+                frontier.fill(0);
+                for v in 0..n {
+                    let at = v * words;
+                    if seen[at..at + words] == full[..] {
+                        continue;
+                    }
+                    let fresh = &mut frontier[at..at + words];
+                    for (u, w) in self.neighbors(v as NodeId) {
+                        if let Some(from) = d.checked_sub(w as usize) {
+                            let from = &ring[from % levels][u as usize * words..][..words];
+                            for (f, &x) in fresh.iter_mut().zip(from) {
+                                *f |= x;
+                            }
                         }
-                        fresh[v as usize] |= new;
+                    }
+                    for (k, (f, s)) in fresh.iter_mut().zip(&mut seen[at..at + words]).enumerate() {
+                        *f &= !*s;
+                        *s |= *f;
+                        let mut bits = *f;
+                        while bits != 0 {
+                            let src = first + 64 * k + bits.trailing_zeros() as usize;
+                            bits &= bits - 1;
+                            table[src * n + v] = d as u32;
+                            last = d;
+                        }
                     }
                 }
-                // Arcs weigh at least 1 and at most `max_weight`, so every
-                // push lands on a later level and never wraps onto this one.
-                for &v in &settling {
-                    let sources = std::mem::take(&mut fresh[v as usize]);
-                    reached[v as usize] |= sources;
-                    let mut bits = sources;
-                    while bits != 0 {
-                        let s = first + bits.trailing_zeros() as usize;
-                        bits &= bits - 1;
-                        table[s * n + v as usize] = d;
-                    }
-                    for (t, w) in self.neighbors(v) {
-                        let unreached = sources & !reached[t as usize];
-                        if unreached != 0 {
-                            ring[(d + w) as usize % ring_len].push((t, unreached));
-                            pending += 1;
-                        }
-                    }
-                }
-                settling.clear();
-                d += 1;
+                ring[d % levels] = frontier;
             }
         }
         table
@@ -748,10 +775,27 @@ mod tests {
             seed: u64,
         ) {
             // Sparse graphs are disconnected; weights up to 300 wrap the
-            // ring often.
+            // ring often, and past 108 nodes narrow the batch to 64
+            // sources.
             let max_w = [1, 3, 12, 300][max_w];
             let g = random_graph(seed, n, density * n, max_w);
             prop_assert_eq!(g.distance_table(), g.all_pairs().concat());
+        }
+    }
+
+    #[test]
+    fn distance_table_sweeps_in_both_batch_widths() {
+        // Every source in one batch while the ring fits `SWEEP_WORDS`, and
+        // batches narrowed to fit it — down to one word, and to several —
+        // when it would not.
+        for (n, max_w, words) in [(150, 3, 3), (150, 300, 1), (1000, 8, 3), (40, 1000, 1)] {
+            let g = random_graph(n as u64, n, 3 * n, max_w);
+            assert_eq!(sweep_words(n, g.max_weight()), words, "n {n} max_w {max_w}");
+            assert_eq!(
+                g.distance_table(),
+                g.all_pairs().concat(),
+                "n {n} max_w {max_w}"
+            );
         }
     }
 

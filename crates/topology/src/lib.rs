@@ -26,12 +26,15 @@
 //!   derive landmark vectors and per-transfer hop costs. Rows are stored
 //!   block-compressed ([`CompactRow`], about a quarter of the raw bytes for
 //!   the latency landmark rows) in one map, filled once and never evicted.
-//!   Over a transit-stub topology ([`DistanceOracle::for_topology`]) point
-//!   queries skip rows entirely: an exact structural index answers them in
-//!   O(1).
+//!   Over a transit-stub topology ([`DistanceOracle::for_topology`], either
+//!   metric) point queries skip rows entirely: an exact structural index
+//!   answers them in O(1). Batches of rows from transit sources (the
+//!   landmarks) go through the domain decomposition: one Dijkstra per stub
+//!   gateway inside its stub, then one over the transit skeleton per row.
 //! * [`LandmarkOracle`] — the hierarchical approximate tier: O(m) triangle-
 //!   inequality distance bounds from precomputed landmark vectors.
 
+mod decomposition;
 mod graph;
 mod landmark_oracle;
 mod landmarks;

@@ -1,3 +1,4 @@
+use crate::decomposition::TransitRows;
 use crate::graph::{DijkstraScratch, Graph, NodeId};
 use crate::stub_index::StubIndex;
 use crate::transit_stub::{DomainKind, TransitStubTopology};
@@ -156,14 +157,23 @@ thread_local! {
 /// structure of its graph and answers [`DistanceOracle::distance`] from a
 /// structural index (per-stub tables plus one transit-core table) in O(1)
 /// without filling any row. The index is built on the first point query —
-/// breadth-first search on bit rows per stub, Dijkstra over the transit
-/// core — and is exact. It is skipped, and rows answer as before, when the
-/// graph has an edge between two different stub domains, an intra-stub
-/// edge whose weight is not 1, or an intra-stub distance above 254;
-/// uplink and transit-core weights may be anything. Whole rows ([`row`],
-/// landmark vectors) never go through it.
+/// breadth-first search on bit rows per stub, one level-synchronous sweep
+/// over the transit core — and is exact. It is skipped, and rows answer as
+/// before, when the graph has an edge between two different stub domains,
+/// an intra-stub edge whose weight is not 1, or an intra-stub distance
+/// above 254; uplink and transit-core weights may be anything.
 ///
-/// [`row`]: DistanceOracle::row
+/// # Rows from transit sources
+///
+/// The same oracle fills the rows [`DistanceOracle::precompute`] asks for
+/// from transit sources (the landmarks, in every preset) through the
+/// graph's domain decomposition instead of a Dijkstra over the whole
+/// graph: one Dijkstra per stub gateway restricted to its stub, any
+/// positive weights, then per row one Dijkstra over the transit skeleton
+/// and a pass over the nodes. The structure is built per batch and dropped
+/// after. Stub sources, a lone [`DistanceOracle::row`], oracles without
+/// domain metadata, and graphs with an edge between two stub domains keep
+/// the Dijkstra fill; the rows are the same either way.
 ///
 /// # Bounded memory
 ///
@@ -187,7 +197,8 @@ pub struct DistanceOracle {
     hits: AtomicU64,
     computes: AtomicU64,
     /// Domain membership of every node, when the graph is a transit-stub
-    /// topology: what the structural index is built from.
+    /// topology: what the structural index and a batch's transit rows are
+    /// built from.
     kinds: Option<Arc<[DomainKind]>>,
     /// The structural point-query index, built on the first
     /// [`DistanceOracle::distance`]; `Some(None)` once the graph turned out
@@ -198,7 +209,8 @@ pub struct DistanceOracle {
 /// Snapshot of an oracle's cache accounting.
 ///
 /// `hits` counts queries answered from a stored row; `computes` counts
-/// Dijkstra row fills. `evictions` is always 0: a stored row is never
+/// row fills, by Dijkstra or through the domain decomposition (see
+/// [`DistanceOracle`]). `evictions` is always 0: a stored row is never
 /// evicted. The field stays so that sums built field by field keep their
 /// shape. With an **unbounded** cache the totals are a pure function of
 /// the query sequence. With a bounded cache, which rows fill the memo —
@@ -235,15 +247,13 @@ impl DistanceOracle {
         Self::with_kinds(graph, capacity, None)
     }
 
-    /// Creates an oracle over the hop-cost graph of `topo` that answers
-    /// point queries from the structural index (see the type docs), storing
-    /// at most `capacity` rows (`0` = unbounded) for whole-row consumers.
-    pub fn for_topology(topo: &TransitStubTopology, capacity: usize) -> Self {
-        Self::with_kinds(
-            Arc::clone(&topo.graph),
-            capacity,
-            Some(Arc::clone(&topo.kinds)),
-        )
+    /// Creates an oracle over `graph`, one of `topo`'s two graphs (the hop
+    /// graph `topo.graph` or `topo.latency_graph`), that knows `topo`'s
+    /// domain structure: point queries go through the structural index and
+    /// batches of rows from transit sources through the decomposition (see
+    /// the type docs). It stores at most `capacity` rows (`0` = unbounded).
+    pub fn for_topology(topo: &TransitStubTopology, graph: &Arc<Graph>, capacity: usize) -> Self {
+        Self::with_kinds(Arc::clone(graph), capacity, Some(Arc::clone(&topo.kinds)))
     }
 
     fn with_kinds(graph: Arc<Graph>, capacity: usize, kinds: Option<Arc<[DomainKind]>>) -> Self {
@@ -300,14 +310,28 @@ impl DistanceOracle {
     /// needed (stored only while the memo has room). Rows are stored
     /// block-compressed; point lookups go through [`CompactRow::get`].
     pub fn row(&self, src: NodeId) -> Arc<CompactRow> {
+        self.fill(src, None, &mut Vec::new())
+    }
+
+    /// [`DistanceOracle::row`], computed through `transit` when it is
+    /// given and `src` is a transit node, with `values` as the buffer the
+    /// row is written into before it is compressed.
+    fn fill(
+        &self,
+        src: NodeId,
+        transit: Option<&TransitRows>,
+        values: &mut Vec<u32>,
+    ) -> Arc<CompactRow> {
         if let Some(row) = self.cached(src) {
             return row;
         }
         let computed = SCRATCH.with(|scratch| {
             let mut scratch = scratch.borrow_mut();
-            Arc::new(CompactRow::compress(
-                self.graph.dijkstra_into(src, &mut scratch),
-            ))
+            let row = match transit {
+                Some(transit) if transit.row(src, &mut scratch, values) => &values[..],
+                _ => self.graph.dijkstra_into(src, &mut scratch),
+            };
+            Arc::new(CompactRow::compress(row))
         });
         self.computes.fetch_add(1, Ordering::Relaxed);
         let mut rows = self.rows.write().unwrap_or_else(PoisonError::into_inner);
@@ -352,8 +376,10 @@ impl DistanceOracle {
     }
 
     /// Precomputes rows for `sources` in parallel using scoped threads.
-    /// Each worker thread fills rows through its own thread-local scratch,
-    /// so the batch allocates nothing beyond the rows themselves.
+    /// Rows from transit sources go through the domain decomposition, built
+    /// once for the batch (see the type docs); each worker fills rows
+    /// through its own thread-local scratch and one row buffer, so the
+    /// batch allocates little beyond the decomposition and the rows.
     /// Already-stored sources are skipped without spawning work for them.
     ///
     /// Work is claimed through a shared atomic cursor rather than a static
@@ -372,27 +398,50 @@ impl DistanceOracle {
         if missing.is_empty() {
             return;
         }
+        let transit = self.transit_rows(&missing);
+        let transit = transit.as_ref();
         let threads = threads.max(1).min(missing.len());
         if threads == 1 {
             // Inline on the caller's thread: no spawn overhead, and the
-            // caller's thread-local scratch keeps the batch allocation-free.
+            // caller's thread-local scratch and one row buffer serve every
+            // row of the batch.
+            let mut values = Vec::new();
             for &src in &missing {
-                let _ = self.row(src);
+                let _ = self.fill(src, transit, &mut values);
             }
             return;
         }
         let cursor = AtomicUsize::new(0);
         std::thread::scope(|s| {
             for _ in 0..threads {
-                s.spawn(|| loop {
-                    let i = cursor.fetch_add(1, Ordering::Relaxed);
-                    let Some(&src) = missing.get(i) else {
-                        break;
-                    };
-                    let _ = self.row(src);
+                s.spawn(|| {
+                    let mut values = Vec::new();
+                    loop {
+                        let i = cursor.fetch_add(1, Ordering::Relaxed);
+                        let Some(&src) = missing.get(i) else {
+                            break;
+                        };
+                        let _ = self.fill(src, transit, &mut values);
+                    }
                 });
             }
         });
+    }
+
+    /// The decomposition a batch of `sources` fills its transit sources'
+    /// rows through: `None` when no source is a transit node, this oracle
+    /// has no domain metadata, or the graph fails the precondition. It is
+    /// built per batch and dropped after, so no oracle holds it; a lone
+    /// [`DistanceOracle::row`] keeps Dijkstra, which costs less than
+    /// building it.
+    fn transit_rows(&self, sources: &[NodeId]) -> Option<TransitRows> {
+        let kinds = self.kinds.as_deref()?;
+        let transit =
+            |&s: &NodeId| matches!(kinds.get(s as usize), Some(DomainKind::Transit { .. }));
+        if !sources.iter().any(transit) {
+            return None;
+        }
+        TransitRows::build(&self.graph, kinds)
     }
 
     /// Measured bytes of all stored rows, plus the structural index once it

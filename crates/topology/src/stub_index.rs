@@ -18,9 +18,9 @@
 //!
 //! `core` must be exact in the *full* graph, where a multi-homed stub is a
 //! through-route between its transit nodes. It is therefore computed on the
-//! **skeleton**: the transit–transit edges plus one virtual edge
-//! `t_a – t_b` of weight `w_a + d_in(g_a, g_b) + w_b` for every pair of
-//! uplinks of one stub that reach different transit nodes.
+//! **skeleton** of the graph's [`Decomposition`]: the transit–transit
+//! edges plus one virtual edge per pair of a stub's uplinks to different
+//! transit nodes.
 //!
 //! Every edge inside a stub has weight 1 (the generator's
 //! `INTRA_DOMAIN_WEIGHT`), so a domain's `d_in` table is filled by
@@ -29,36 +29,28 @@
 //! frontier members' rows minus the members already seen. Entries are one
 //! byte, 255 meaning "no path inside the domain".
 //!
-//! `core` is filled by [`Graph::distance_table`], one word-parallel Dial
-//! sweep over the skeleton for every 64 transit nodes.
+//! `core` is filled by [`Graph::distance_table`], one level-synchronous
+//! sweep over the skeleton that carries every transit node's bit at once.
 //!
 //! The structural precondition is therefore three clauses: no edge joins
 //! two different stub domains, every intra-stub edge has weight 1, and
-//! every intra-stub distance is at most 254. [`StubIndex::build`] checks
-//! all three and returns `None` otherwise. Uplinks, their weights and their
+//! every intra-stub distance is at most 254 (beside the decomposition's
+//! own: stub domain ids below the node count). [`StubIndex::build`] checks
+//! them all and returns `None` otherwise. Uplinks, their weights and their
 //! number — and the transit core's weights — are read off the graph, never
 //! assumed.
 
+use crate::decomposition::{Decomposition, Uplink};
 use crate::graph::{Graph, NodeId, INFINITE_DISTANCE};
 use crate::transit_stub::DomainKind;
-use std::collections::BTreeMap;
 
 /// Intra-domain table entry for "no path inside the domain"; every
 /// distance the tables hold is below it.
 const UNREACHABLE: u8 = u8::MAX;
 
-/// One stub–transit edge, seen from the stub.
-struct Uplink {
-    /// The stub-side endpoint, as an index within its domain.
-    gateway: u32,
-    /// The transit-side endpoint, as a transit index (row of `core`).
-    transit: u32,
-    weight: u32,
-}
-
-/// A stub domain — or a transit node, which is indexed as a one-node
-/// domain with a single zero-weight uplink to itself so that queries need
-/// no case split on the endpoint kind.
+/// A slot of the decomposition: a stub domain, or a transit node, which is
+/// indexed as a one-node domain with a single zero-weight uplink to itself
+/// so that queries need no case split on the endpoint kind.
 struct Domain {
     size: u32,
     /// Offset of this domain's `size × size` table in `intra`.
@@ -78,48 +70,6 @@ pub(crate) struct StubIndex {
     /// `transit_count × transit_count` distances between transit nodes.
     core: Vec<u32>,
     transit_count: usize,
-}
-
-/// Domain slots: one per transit node (slot = transit index), then the stub
-/// domains in order of first appearance.
-struct Membership {
-    /// Per node: its slot and its index within that slot.
-    place: Vec<(u32, u32)>,
-    /// Per slot: its member nodes, in node order.
-    members: Vec<Vec<NodeId>>,
-    transit_count: usize,
-}
-
-impl Membership {
-    fn of(kinds: &[DomainKind]) -> Self {
-        let transit_count = kinds
-            .iter()
-            .filter(|k| matches!(k, DomainKind::Transit { .. }))
-            .count();
-        let mut members: Vec<Vec<NodeId>> = vec![Vec::new(); transit_count];
-        let mut stub_slot: BTreeMap<u32, usize> = BTreeMap::new();
-        let mut place = Vec::with_capacity(kinds.len());
-        let mut transit_seen = 0;
-        for (node, kind) in kinds.iter().enumerate() {
-            let slot = match *kind {
-                DomainKind::Transit { .. } => {
-                    transit_seen += 1;
-                    transit_seen - 1
-                }
-                DomainKind::Stub { domain } => *stub_slot.entry(domain).or_insert_with(|| {
-                    members.push(Vec::new());
-                    members.len() - 1
-                }),
-            };
-            place.push((slot as u32, members[slot].len() as u32));
-            members[slot].push(node as NodeId);
-        }
-        Membership {
-            place,
-            members,
-            transit_count,
-        }
-    }
 }
 
 /// Breadth-first search on one unit-weight domain, one bit per member.
@@ -215,8 +165,9 @@ impl StubIndex {
     /// Builds the index for `graph` with the domain membership `kinds`.
     ///
     /// Returns `None` — the caller then answers from Dijkstra rows — when
-    /// `kinds` does not cover the graph, when an edge joins two different
-    /// stub domains, when an intra-stub edge does not weigh 1, when an
+    /// `kinds` does not cover the graph, when a stub domain id is not below
+    /// the node count, when an edge joins two different stub domains, when
+    /// an intra-stub edge does not weigh 1, when an
     /// intra-stub distance does not fit the 8-bit tables (is above 254), or
     /// when a skeleton edge would weigh more than a graph's 16 bits hold.
     pub(crate) fn build(graph: &Graph, kinds: &[DomainKind]) -> Option<Self> {
@@ -228,95 +179,54 @@ impl StubIndex {
     /// Everything but the transit core: the index with `core` empty, and
     /// the skeleton graph `core` is the all-pairs table of.
     fn domains(graph: &Graph, kinds: &[DomainKind]) -> Option<(Self, Graph)> {
-        if kinds.len() != graph.node_count() {
-            return None;
-        }
-        let Membership {
-            place,
-            members,
-            transit_count,
-        } = Membership::of(kinds);
-
-        // One pass per domain: sort its edges into skeleton, uplink and
-        // intra-domain, fill its all-pairs table, and add the virtual
-        // skeleton edges it carries as a through-route.
+        let mut dec = Decomposition::new(graph, kinds)?;
+        // One pass per slot: scan its arcs into the BFS adjacency, fill its
+        // all-pairs table, and add the virtual skeleton edges it carries as
+        // a through-route.
         let mut bfs = BitBfs::default();
-        let mut skeleton: Vec<(u32, u32, u32)> = Vec::new();
-        let mut domains = Vec::with_capacity(members.len());
-        let mut uplinks = Vec::new();
-        let mut intra: Vec<u8> = Vec::with_capacity(members.iter().map(|m| m.len().pow(2)).sum());
-        for (slot, nodes) in members.iter().enumerate() {
-            let is_transit = slot < transit_count;
-            let size = nodes.len();
+        let mut domains = Vec::with_capacity(dec.slots());
+        let cells = (0..dec.slots()).map(|s| dec.members(s).len().pow(2)).sum();
+        let mut intra: Vec<u8> = Vec::with_capacity(cells);
+        for slot in 0..dec.slots() {
+            let size = dec.members(slot).len();
             bfs.reset(size);
-            let first_uplink = uplinks.len();
-            if is_transit {
-                uplinks.push(Uplink {
-                    gateway: 0,
-                    transit: slot as u32,
-                    weight: 0,
-                });
+            let unit = |i, j, w| {
+                bfs.link(i, j);
+                w == 1
+            };
+            if !dec.scan(graph, slot, unit) {
+                return None;
             }
-            for &u in nodes {
-                let lu = place[u as usize].1;
-                for (v, w) in graph.neighbors(u) {
-                    let (dv, lv) = place[v as usize];
-                    let v_transit = (dv as usize) < transit_count;
-                    match (is_transit, v_transit) {
-                        (true, true) if u < v => skeleton.push((slot as u32, dv, w)),
-                        (false, true) => uplinks.push(Uplink {
-                            gateway: lu,
-                            transit: dv,
-                            weight: w,
-                        }),
-                        (false, false) if dv as usize != slot || w != 1 => return None,
-                        (false, false) => bfs.link(lu, lv),
-                        _ => {} // the other half of an edge handled elsewhere
-                    }
-                }
-            }
-
             let table = intra.len();
             intra.resize(table + size * size, UNREACHABLE);
-            for (src, row) in intra[table..].chunks_exact_mut(size).enumerate() {
+            for (src, row) in intra[table..].chunks_mut(size.max(1)).enumerate() {
                 if !bfs.fill(src, row) {
                     return None;
                 }
             }
-
-            let ups = &uplinks[first_uplink..];
-            for (i, a) in ups.iter().enumerate() {
-                for b in &ups[i + 1..] {
-                    let through = intra[table + a.gateway as usize * size + b.gateway as usize];
-                    if a.transit != b.transit && through != UNREACHABLE {
-                        // Each term is at most `u16::MAX`: no overflow.
-                        let w = a.weight + u32::from(through) + b.weight;
-                        if w > u32::from(u16::MAX) {
-                            return None;
-                        }
-                        skeleton.push((a.transit.min(b.transit), a.transit.max(b.transit), w));
-                    }
-                }
+            let through = |_, i: u32, j: u32| {
+                let d = intra[table + i as usize * size + j as usize];
+                (d != UNREACHABLE).then_some(u32::from(d))
+            };
+            if !dec.through(slot, through) {
+                return None;
             }
             domains.push(Domain {
                 size: size as u32,
                 table,
-                uplinks: first_uplink..uplinks.len(),
+                uplinks: dec.uplink_runs[slot].clone(),
             });
         }
-
-        // `Graph::from_edges` keeps the first of two parallel edges, so the
-        // cheapest of each bundle has to come first.
-        skeleton.sort_unstable();
+        let skeleton = dec.skeleton();
         let index = StubIndex {
-            place,
+            place: dec.place,
             domains,
-            uplinks,
+            uplinks: dec.uplinks,
             intra,
             core: Vec::new(),
-            transit_count,
+            transit_count: dec.transit_count,
         };
-        Some((index, Graph::from_edges(transit_count, &skeleton, &[])))
+        Some((index, skeleton))
     }
 
     /// Distance between members `i` and `j` of `domain` along paths that
@@ -399,25 +309,22 @@ impl StubIndex {
     /// (is above 254).
     pub(crate) fn reference_intra(graph: &Graph, kinds: &[DomainKind]) -> Option<Vec<u8>> {
         use crate::graph::DijkstraScratch;
-        let Membership {
-            place,
-            members,
-            transit_count,
-        } = Membership::of(kinds);
+        let dec = Decomposition::new(graph, kinds)?;
         let mut scratch = DijkstraScratch::new();
         let mut intra = Vec::new();
-        for (slot, nodes) in members.iter().enumerate() {
+        for slot in 0..dec.slots() {
+            let nodes = dec.members(slot);
             let mut edges = Vec::new();
-            let is_stub = slot >= transit_count;
+            let is_stub = slot >= dec.transit_count;
             for &u in nodes {
                 for (v, w) in graph.neighbors(u) {
-                    let (dv, lv) = place[v as usize];
-                    if is_stub && dv as usize >= transit_count {
-                        if dv as usize != slot {
+                    let (sv, lv) = dec.place[v as usize];
+                    if is_stub && sv as usize >= dec.transit_count {
+                        if sv as usize != slot {
                             return None;
                         }
                         if u < v {
-                            edges.push((place[u as usize].1, lv, w));
+                            edges.push((dec.place[u as usize].1, lv, w));
                         }
                     }
                 }

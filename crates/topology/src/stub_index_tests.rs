@@ -1,12 +1,16 @@
-//! Differential tests: the structural index against plain Dijkstra.
+//! Differential tests: the structural index and the transit-source rows
+//! against plain Dijkstra.
 //!
-//! Every check goes through the public path the simulator uses
+//! Every point-query check goes through the public path the simulator uses
 //! (`DistanceOracle::for_topology(..).distance(u, v)`) and compares with
 //! `Graph::dijkstra_into` rows of the same graph. `rows_filled == 0` proves
 //! the index answered; `> 0` proves the row fallback did. The BFS-filled
 //! per-domain tables are also compared whole with the per-domain Dijkstra
-//! fill they replaced (`StubIndex::reference_intra`).
+//! fill they replaced (`StubIndex::reference_intra`). Rows from transit
+//! sources are compared with `Graph::dijkstra_into` rows in both metrics,
+//! straight from `TransitRows` and through `DistanceOracle::precompute`.
 
+use crate::decomposition::TransitRows;
 use crate::stub_index::StubIndex;
 use crate::*;
 use proptest::prelude::*;
@@ -105,7 +109,7 @@ fn assert_tables_match_reference(graph: &Graph, kinds: &[DomainKind]) -> Result<
 /// All pairs through the index, and proof that it was the index.
 fn assert_index_exact(topo: &TransitStubTopology) {
     assert_tables_match_reference(&topo.graph, &topo.kinds).unwrap_or_else(|e| panic!("{e}"));
-    let oracle = DistanceOracle::for_topology(topo, 0);
+    let oracle = DistanceOracle::for_topology(topo, &topo.graph, 0);
     let all = 0..topo.node_count() as NodeId;
     assert_rows_exact(topo, &oracle, all).unwrap_or_else(|e| panic!("{e}"));
     assert_eq!(rows_filled(&oracle), 0, "a point query filled a row");
@@ -115,7 +119,7 @@ fn assert_index_exact(topo: &TransitStubTopology) {
 /// All pairs through the row fallback, and proof that the index declined.
 fn assert_falls_back_exact(topo: &TransitStubTopology) {
     assert!(StubIndex::build(&topo.graph, &topo.kinds).is_none());
-    let oracle = DistanceOracle::for_topology(topo, 0);
+    let oracle = DistanceOracle::for_topology(topo, &topo.graph, 0);
     let all = 0..topo.node_count() as NodeId;
     assert_rows_exact(topo, &oracle, all).unwrap_or_else(|e| panic!("{e}"));
     assert!(
@@ -150,7 +154,7 @@ proptest! {
             extra_stub_uplink_prob: [0.0, 0.5, 1.0][uplink],
         };
         let topo = generate(config, seed);
-        let oracle = DistanceOracle::for_topology(&topo, 0);
+        let oracle = DistanceOracle::for_topology(&topo, &topo.graph, 0);
         // All pairs, transit endpoints included.
         let all = 0..topo.node_count() as NodeId;
         if let Err(e) = assert_rows_exact(&topo, &oracle, all) {
@@ -250,7 +254,7 @@ fn assert_preset_rows(config: TransitStubConfig, seed: u64, rows: usize) {
     let topo = generate(config, seed);
     assert_tables_match_reference(&topo.graph, &topo.kinds)
         .unwrap_or_else(|e| panic!("seed {seed}: {e}"));
-    let oracle = DistanceOracle::for_topology(&topo, 0);
+    let oracle = DistanceOracle::for_topology(&topo, &topo.graph, 0);
     let n = topo.node_count();
     let sources = (0..rows).map(|i| (i * n / rows) as NodeId);
     assert_rows_exact(&topo, &oracle, sources).unwrap_or_else(|e| panic!("seed {seed}: {e}"));
@@ -320,7 +324,10 @@ fn both_uplinks_on_one_gateway() {
     let topo = hand_made(graph, vec![T, T, stub(0), stub(0), stub(0), stub(1)]);
     assert_index_exact(&topo);
     // The gateway is a through-route: 0 → 2 → 1 (4) beats the direct 5.
-    assert_eq!(DistanceOracle::for_topology(&topo, 0).distance(0, 1), 4);
+    assert_eq!(
+        DistanceOracle::for_topology(&topo, &topo.graph, 0).distance(0, 1),
+        4
+    );
 }
 
 #[test]
@@ -330,7 +337,10 @@ fn both_uplinks_to_one_transit_node() {
     let topo = hand_made(graph, vec![T, stub(0), stub(0), stub(0), stub(0)]);
     assert_index_exact(&topo);
     // Out through one uplink and back through the other: 1 → 0 → 4.
-    assert_eq!(DistanceOracle::for_topology(&topo, 0).distance(1, 4), 2);
+    assert_eq!(
+        DistanceOracle::for_topology(&topo, &topo.graph, 0).distance(1, 4),
+        2
+    );
 }
 
 #[test]
@@ -350,13 +360,16 @@ fn multi_homed_stub_is_a_through_route() {
     );
     let topo = hand_made(graph, vec![T, T, stub(0), stub(0), stub(1), stub(2)]);
     assert_index_exact(&topo);
-    assert_eq!(DistanceOracle::for_topology(&topo, 0).distance(4, 5), 13);
+    assert_eq!(
+        DistanceOracle::for_topology(&topo, &topo.graph, 0).distance(4, 5),
+        13
+    );
 }
 
 #[test]
 fn distance_to_self_is_zero() {
     let topo = generate(TransitStubConfig::tiny(), 5);
-    let oracle = DistanceOracle::for_topology(&topo, 0);
+    let oracle = DistanceOracle::for_topology(&topo, &topo.graph, 0);
     for u in 0..topo.node_count() as NodeId {
         assert_eq!(oracle.distance(u, u), 0);
     }
@@ -369,7 +382,7 @@ fn unreachable_pairs_are_infinite() {
     let graph = graph_of(5, &[(0, 1, 1), (3, 0, 3), (4, 1, 3)]);
     let topo = hand_made(graph, vec![T, T, stub(0), stub(1), stub(1)]);
     assert_index_exact(&topo);
-    let oracle = DistanceOracle::for_topology(&topo, 0);
+    let oracle = DistanceOracle::for_topology(&topo, &topo.graph, 0);
     assert_eq!(oracle.distance(2, 3), INFINITE_DISTANCE);
     assert_eq!(oracle.distance(3, 4), 7);
 }
@@ -412,6 +425,13 @@ fn stub_to_stub_edge_falls_back_to_rows() {
     );
     let topo = hand_made(graph, vec![T, T, stub(0), stub(0), stub(1), stub(1)]);
     assert_falls_back_exact(&topo);
+    // Rows from transit sources then come from Dijkstra too.
+    assert!(TransitRows::build(&topo.graph, &topo.kinds).is_none());
+    let oracle = DistanceOracle::for_topology(&topo, &topo.graph, 0);
+    oracle.precompute(&[0, 1], 1);
+    for src in [0, 1] {
+        assert_eq!(oracle.row(src).to_vec(), topo.graph.dijkstra(src));
+    }
 }
 
 #[test]
@@ -476,7 +496,7 @@ fn concurrent_first_callers_agree() {
         .map(|&(u, v)| topo.graph.dijkstra_into(u, &mut scratch)[v as usize])
         .collect();
     for callers in [1usize, 2, 8] {
-        let oracle = DistanceOracle::for_topology(&topo, 0);
+        let oracle = DistanceOracle::for_topology(&topo, &topo.graph, 0);
         let gate = Barrier::new(callers);
         let answers: Vec<Vec<u32>> = std::thread::scope(|s| {
             let handles: Vec<_> = (0..callers)
@@ -496,5 +516,143 @@ fn concurrent_first_callers_agree() {
             assert_eq!(got, &want, "{callers} callers");
         }
         assert_eq!(rows_filled(&oracle), 0);
+    }
+}
+
+/// The row from each of `sources`, straight from [`TransitRows`] (transit
+/// sources) and through `precompute` on `threads` workers (every source;
+/// a stub source takes Dijkstra), equals its Dijkstra row on `graph`.
+fn assert_transit_rows_exact(
+    topo: &TransitStubTopology,
+    graph: &std::sync::Arc<Graph>,
+    sources: &[NodeId],
+    threads: usize,
+) -> Result<(), String> {
+    let rows = TransitRows::build(graph, &topo.kinds).ok_or("the decomposition declined")?;
+    let oracle = DistanceOracle::for_topology(topo, graph, 0);
+    oracle.precompute(sources, threads);
+    assert_eq!(rows_filled(&oracle), sources.len() as u64);
+    let (mut scratch, mut reference) = (DijkstraScratch::new(), DijkstraScratch::new());
+    let mut direct = Vec::new();
+    for &src in sources {
+        let want = graph.dijkstra_into(src, &mut reference);
+        let transit = matches!(topo.kind(src), DomainKind::Transit { .. });
+        if rows.row(src, &mut scratch, &mut direct) != transit {
+            return Err(format!("source {src}: transit {transit}, rows disagree"));
+        }
+        if let Some(v) = (0..want.len()).find(|&v| transit && direct[v] != want[v]) {
+            return Err(format!(
+                "d({src},{v}): rows {} dijkstra {}",
+                direct[v], want[v]
+            ));
+        }
+        if oracle.row(src).to_vec() != want {
+            return Err(format!("precomputed row {src} differs"));
+        }
+    }
+    Ok(())
+}
+
+/// The 15 landmarks `prepare` would pick (transit nodes, topped up with
+/// stub nodes on tiny) and one stub node, in both metrics.
+fn assert_preset_transit_rows(config: TransitStubConfig, seeds: std::ops::Range<u64>) {
+    for seed in seeds {
+        let topo = generate(config, seed);
+        let mut sources = select_landmarks(&topo, 15, &mut StdRng::seed_from_u64(seed));
+        if !sources.contains(&topo.stub_by_domain[0][0]) {
+            sources.push(topo.stub_by_domain[0][0]);
+        }
+        for graph in [&topo.graph, &topo.latency_graph] {
+            assert_transit_rows_exact(&topo, graph, &sources, 2)
+                .unwrap_or_else(|e| panic!("{config:?} seed {seed}: {e}"));
+        }
+    }
+}
+
+#[test]
+fn transit_rows_match_dijkstra_on_tiny() {
+    assert_preset_transit_rows(TransitStubConfig::tiny(), 0..8);
+}
+
+#[test]
+fn transit_rows_match_dijkstra_on_ts5k_large() {
+    assert_preset_transit_rows(TransitStubConfig::ts5k_large(), 1..3);
+}
+
+#[test]
+fn transit_rows_match_dijkstra_on_ts5k_small() {
+    assert_preset_transit_rows(TransitStubConfig::ts5k_small(), 1..3);
+}
+
+#[test]
+fn transit_rows_match_dijkstra_on_ts50k() {
+    assert_preset_transit_rows(TransitStubConfig::ts50k(), 1..2);
+}
+
+/// A random underlay the generator never makes: a transit core of 1–6
+/// nodes (possibly disconnected), 0–6 stubs of 1–8 members with intra-stub
+/// weights 1–9, each stub with 0–3 uplinks (0: unreachable) that often
+/// share a gateway or a transit node, every weight off the 1:3 model, and
+/// node ids shuffled so that no domain is a run.
+fn random_underlay(seed: u64) -> TransitStubTopology {
+    use rand::seq::SliceRandom;
+    use rand::Rng;
+    let mut rng = StdRng::seed_from_u64(seed);
+    let transit = rng.gen_range(1..=6usize);
+    let sizes: Vec<usize> = (0..rng.gen_range(0..=6))
+        .map(|_| rng.gen_range(1..=8))
+        .collect();
+    let n = transit + sizes.iter().sum::<usize>();
+    let mut ids: Vec<NodeId> = (0..n as NodeId).collect();
+    ids.shuffle(&mut rng);
+    let mut kinds = vec![T; n];
+    let mut edges = Vec::new();
+    for _ in 0..rng.gen_range(0..=2 * transit) {
+        let (a, b) = (rng.gen_range(0..transit), rng.gen_range(0..transit));
+        edges.push((ids[a], ids[b], rng.gen_range(1..=20)));
+    }
+    let mut first = transit;
+    for (domain, &size) in sizes.iter().enumerate() {
+        let members = &ids[first..first + size];
+        for &m in members {
+            kinds[m as usize] = stub(domain as u32);
+        }
+        let density = rng.gen_range(0.0..1.0);
+        for a in 0..size {
+            for b in a + 1..size {
+                if rng.gen_bool(density) {
+                    edges.push((members[a], members[b], rng.gen_range(1..=9)));
+                }
+            }
+        }
+        let (mut gateway, mut to) = (members[0], ids[0]);
+        for _ in 0..rng.gen_range(0..=3) {
+            if rng.gen_bool(0.6) {
+                gateway = *members.choose(&mut rng).unwrap();
+            }
+            if rng.gen_bool(0.6) {
+                to = ids[rng.gen_range(0..transit)];
+            }
+            edges.push((gateway, to, rng.gen_range(1..=20)));
+        }
+        first += size;
+    }
+    hand_made(Graph::from_edges(n, &edges, &[]), kinds)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    #[test]
+    fn prop_transit_rows_match_dijkstra_on_random_underlays(seed in 0u64..1_000_000) {
+        let topo = random_underlay(seed);
+        // Every transit node, and a stub landmark when there is one: it
+        // takes the Dijkstra fallback.
+        let transit = (0..topo.node_count() as NodeId)
+            .filter(|&v| matches!(topo.kind(v), DomainKind::Transit { .. }));
+        let sources: Vec<NodeId> = transit.chain(topo.stub_nodes().first().copied()).collect();
+        if let Err(e) = assert_transit_rows_exact(&topo, &topo.graph, &sources, 1 + seed as usize % 2) {
+            prop_assert!(false, "seed {seed}: {e}");
+        }
     }
 }

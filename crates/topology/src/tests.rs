@@ -555,7 +555,7 @@ fn hop_and_latency_graphs_store_one_adjacency() {
 #[test]
 fn oracles_share_the_topology_graph() {
     let topo = small_topo(35);
-    let oracle = DistanceOracle::for_topology(&topo, 0);
+    let oracle = DistanceOracle::for_topology(&topo, &topo.graph, 0);
     assert!(std::ptr::eq(oracle.graph(), &*topo.graph));
 }
 

@@ -5,7 +5,8 @@
 #                    [--analyze-smoke] [--profile-smoke]
 #
 # Runs, in order: tier-1 verify (ROADMAP.md: release build + root test
-# suite), the workspace test suite, the K-nary tree's differential
+# suite), the workspace test suite, no test registered twice in one test
+# binary, the K-nary tree's differential
 # histories in release at 4x their cases, `cargo fmt --check`, clippy over every
 # target with warnings denied, rustdoc over the workspace with warnings
 # denied (no broken intra-doc link), the cap of 3 on `fn reference_*`
@@ -66,6 +67,18 @@ cargo test -q
 
 echo "==> cargo test --workspace -q"
 cargo test --workspace -q
+
+# Each test is registered once: `compat/proptest`'s `proptest!` adds no
+# `#[test]` of its own (every property carries one, as upstream), so a name
+# listed twice within one test binary means a test that runs twice.
+echo "==> no test registered twice (cargo test --workspace -- --list)"
+twice=$(cargo test --workspace -q -- --list 2> /dev/null \
+  | awk '/^[0-9]+ tests?, [0-9]+ benchmarks?$/ { delete seen; next } /: test$/ && seen[$0]++')
+if [ -n "$twice" ]; then
+  echo "FAILED: tests registered twice in one binary:" >&2
+  echo "$twice" >&2
+  exit 1
+fi
 
 # The K-nary tree's differential histories against `ktree::spec` are the
 # reference for the suspects a maintenance round lists: in release, at 4x
@@ -213,9 +226,9 @@ if [[ "$PROFILE_SMOKE" == "1" ]]; then
   [[ "$TREE_BYTES" -le 3400000 ]] || {
     echo "profile smoke: the tree phase allocated $TREE_BYTES bytes (> 3,400,000)" >&2; exit 1; }
   # The same for the transit-stub index (DESIGN.md §5a): its BFS fill keeps
-  # the ts50k build at 6.7 MB, 5.4 MB of it the `u8` per-stub tables (12.0
-  # MB with `u16` tables; a per-domain graph + Dijkstra fill allocated
-  # 62.2 MB).
+  # the ts50k build at 6.2 MB, 5.4 MB of it the `u8` per-stub tables (6.7 MB
+  # with a `Vec` of members per domain, 12.0 MB with `u16` tables; a
+  # per-domain graph + Dijkstra fill allocated 62.2 MB).
   INDEX_BYTES="$(awk '$1 == "oracle/index_build" { print $NF; exit }' "$P1/resources.txt")"
   [[ -n "$INDEX_BYTES" && "$INDEX_BYTES" -le 8500000 ]] || {
     echo "profile smoke: oracle/index_build allocated ${INDEX_BYTES:-no} bytes (> 8,500,000)" >&2; exit 1; }
@@ -243,9 +256,10 @@ if [[ "$PROFILE_SMOKE" == "1" ]]; then
   # walk over two record stacks, with an assignment buffer per depth (316;
   # 6,420 with two lists per entry node merged level by level and a
   # counter name allocated per rendezvous point); transfer distances from
-  # one sorted key list, each distinct endpoint pair measured once (3,414,
-  # of which 3,305 build the transit-stub index; a hash memo with a sorted
-  # map per refined source was 10,124); the flat overlay's columns, each
+  # one sorted key list, each distinct endpoint pair measured once (181, of
+  # which 72 build the transit-stub index over flat columns; 3,414 with a
+  # `Vec` of members per domain, and a hash memo with a sorted map per
+  # refined source was 10,124); the flat overlay's columns, each
   # allocated once, the positions' taken over (16 calls for
   # `prepare/ring`; 17 with a copy of the positions, and a `Vec` per peer
   # and a `BTreeMap` ring made 23,857), and one batch of transfers that
@@ -253,10 +267,12 @@ if [[ "$PROFILE_SMOKE" == "1" ]]; then
   # for `round/transfer/apply`; 17 one move at a time, and reallocating a
   # `Vec` per receiver made 5,648).
   # `prepare/attach` attaches the peers and fills the 15 latency landmark
-  # rows into the oracle's one row map (6,885 calls and 6.55 MB; a row slot
-  # and a lock per underlay node made it 6,886 calls and 7.81 MB).
-  # Every cap is the count plus 25 %: 17 × 1.25 → 22, 62 → 78, 316 → 395,
-  # 6,885 → 8,606.
+  # rows, all from transit sources, through the graph's decomposition into
+  # the oracle's one row map (1,098 calls and 5.45 MB; one Dijkstra per row
+  # made it 6,885 calls and 6.55 MB, and a row slot and a lock per underlay
+  # node 6,886 calls and 7.81 MB).
+  # Every cap is the count plus 25 %, rounded down: 17 × 1.25 → 22,
+  # 62 → 78, 316 → 395, 181 → 226, 1,098 → 1,372.
   budget_calls() {
     local calls
     calls="$(awk -v p="$1" '$1 == p { print $(NF-1); exit }' "$P1/resources.txt")"
@@ -268,10 +284,10 @@ if [[ "$PROFILE_SMOKE" == "1" ]]; then
   budget_calls round/vsa/candidates 500
   budget_calls round/vsa/inputs 78
   budget_calls round/vsa/sweep 395
-  budget_calls round/transfer/distances 4000
+  budget_calls round/transfer/distances 226
   budget_calls prepare/ring 22
   budget_calls round/transfer/apply 22
-  budget_calls prepare/attach 8606
+  budget_calls prepare/attach 1372
 fi
 
 if [[ "$ANALYZE_SMOKE" == "1" ]]; then
